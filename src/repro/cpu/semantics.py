@@ -1,9 +1,21 @@
-"""Architectural semantics: execute one decoded instruction.
+"""Architectural semantics: bind one decoded instruction to a closure.
 
-``execute(ins, st, mem)`` mutates :class:`~repro.cpu.state.CPUState` and
-:class:`~repro.mem.memory.Memory` and returns ``(taken, mem_addr)`` for the
-cost model — whether a conditional branch was taken and which effective
-address (if any) a memory operand touched.
+``bind(ins)`` resolves everything that is static about an instruction —
+mnemonic, operand kinds, register indices, widths, masks, the shape of the
+effective address, branch targets — once, and returns ``op(st, mem)``: a
+closure that applies the instruction to a :class:`~repro.cpu.state.CPUState`
+and a :class:`~repro.mem.memory.Memory`.  It returns the next ``rip`` when
+the instruction transfers control (a conditional branch always does: target
+or fall-through) and ``None`` otherwise.  The block engine of
+:mod:`repro.cpu.simulator` binds each instruction of a basic block once and
+runs the closures; :func:`execute` is the one-instruction entry (bind and
+call) that DBrew's emulator uses.  There is one definition of x86 semantics:
+the table of binders below, one binder per mnemonic family.
+
+Two events that the cost model prices per dynamic instance are counted on
+the state: ``st.taken`` (conditional branches taken) and ``st.unaligned16``
+(accesses through a 16-byte memory operand at an address that is not a
+multiple of 16).
 
 Integer values are kept as unsigned Python ints masked to operand width;
 floating point goes through ``struct`` so IEEE-754 double behaviour is
@@ -12,16 +24,24 @@ bit-exact with hardware for the supported operations.
 
 from __future__ import annotations
 
+import operator
 import struct
+from typing import Callable
 
 from repro.errors import SimulatorError
 from repro.mem.memory import Memory
 from repro.x86 import isa
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
-from repro.cpu.state import CPUState, MASK64, MASK128, to_signed
+from repro.cpu.state import CPUState, MASK32, MASK64, MASK128, to_signed
 
 _F64 = struct.Struct("<d")
 _F32 = struct.Struct("<f")
+_NAN = float("nan")
+
+#: a bound instruction
+Op = Callable[[CPUState, Memory], "int | None"]
+_Read = Callable[[CPUState, Memory], int]
+_Write = Callable[[CPUState, Memory, int], None]
 
 
 def f64_to_bits(v: float) -> int:
@@ -37,64 +57,147 @@ def f32_to_bits(v: float) -> int:
 
 
 def bits_to_f32(b: int) -> float:
-    return _F32.unpack((b & 0xFFFFFFFF).to_bytes(4, "little"))[0]
+    return _F32.unpack((b & MASK32).to_bytes(4, "little"))[0]
 
 
-def _f32_round(v: float) -> float:
-    """Round a Python float to binary32 precision."""
-    return bits_to_f32(f32_to_bits(v))
+def _f32_round_bits(v: float) -> int:
+    """Bits of a Python float rounded to binary32 precision."""
+    return f32_to_bits(bits_to_f32(f32_to_bits(v)))
 
 
-def effective_address(mem: Mem, st: CPUState) -> int:
-    """Compute the effective address of a memory operand (mod 2^64)."""
-    if mem.riprel or mem.is_absolute:
-        return mem.disp & MASK64
-    addr = mem.disp
-    if mem.base is not None:
-        addr += st.gpr[mem.base.index]
-    if mem.index is not None:
-        addr += st.gpr[mem.index.index] * mem.scale
-    return addr & MASK64
+def _mask(size: int) -> int:
+    return (1 << (size * 8)) - 1
+
+
+def _unimplemented(ins: Instruction) -> SimulatorError:
+    return SimulatorError(f"unimplemented instruction {ins!r}")
+
+
+# -- operand accessors -----------------------------------------------------------
+
+
+def _ea(m: Mem) -> Callable[[list[int]], int]:
+    """``ea(gpr)``: the effective address of a memory operand (mod 2^64)."""
+    disp = m.disp
+    if m.riprel or m.is_absolute:
+        addr = disp & MASK64
+        return lambda g: addr
+    if m.index is None:
+        b = m.base.index  # type: ignore[union-attr]
+        return lambda g: (g[b] + disp) & MASK64
+    i, scale = m.index.index, m.scale
+    if m.base is None:
+        return lambda g: (g[i] * scale + disp) & MASK64
+    b = m.base.index
+    return lambda g: (g[b] + g[i] * scale + disp) & MASK64
+
+
+def _memop(ins: Instruction) -> Mem | None:
+    return next((o for o in ins.operands if isinstance(o, Mem)), None)
 
 
 def _opsize(ins: Instruction) -> int:
     for op in ins.operands:
         if isinstance(op, Reg) and op.kind == "gp":
             return op.size
-    for op in ins.operands:
-        if isinstance(op, Mem):
-            return op.size
-    return 8
+    mem = _memop(ins)
+    return mem.size if mem is not None else 8
 
 
-def _read(op: Operand, st: CPUState, mem: Memory, ea: int | None, size: int) -> int:
-    if isinstance(op, Reg):
-        return st.read_reg(op)
+def _mem_reader(m: Mem, width: int) -> _Read:
+    ea = _ea(m)
+    if m.size != 16:
+        return lambda st, mem: mem.read_uint(ea(st.gpr), width)
+
+    def read16(st: CPUState, mem: Memory) -> int:
+        addr = ea(st.gpr)
+        if addr & 15:
+            st.unaligned16 += 1
+        return mem.read_uint(addr, width)
+    return read16
+
+
+def _mem_writer(m: Mem, width: int) -> _Write:
+    ea = _ea(m)
+    if m.size != 16:
+        return lambda st, mem, v: mem.write_uint(ea(st.gpr), v, width)
+
+    def write16(st: CPUState, mem: Memory, v: int) -> None:
+        addr = ea(st.gpr)
+        if addr & 15:
+            st.unaligned16 += 1
+        mem.write_uint(addr, v, width)
+    return write16
+
+
+def _reader(op: Operand, size: int) -> _Read:
+    """Integer-side read: a register facet, an immediate masked to ``size``
+    bytes, or the memory operand at its own width."""
     if isinstance(op, Imm):
-        return op.value & ((1 << (size * 8)) - 1)
-    assert ea is not None
-    return mem.read_uint(ea, op.size)
+        value = op.value & _mask(size)
+        return lambda st, mem: value
+    if isinstance(op, Mem):
+        return _mem_reader(op, op.size)
+    i = op.index
+    if op.kind == "xmm":
+        mask = _mask(op.size)
+        return lambda st, mem: st.xmm[i] & mask
+    if op.high8:
+        return lambda st, mem: (st.gpr[i] >> 8) & 0xFF
+    if op.size == 8:
+        return lambda st, mem: st.gpr[i]
+    mask = _mask(op.size)
+    return lambda st, mem: st.gpr[i] & mask
 
 
-def _write(op: Operand, value: int, st: CPUState, mem: Memory, ea: int | None) -> None:
-    if isinstance(op, Reg):
-        st.write_reg(op, value)
-        return
-    assert isinstance(op, Mem) and ea is not None
-    mem.write_uint(ea, value, op.size)
+def _writer(op: Operand) -> _Write:
+    """Integer-side write with the GPR facet rules (32-bit writes zero the
+    upper half, narrower ones merge — Fig. 4a)."""
+    if isinstance(op, Mem):
+        return _mem_writer(op, op.size)
+    assert isinstance(op, Reg)
+    i = op.index
+    if op.kind == "xmm":
+        def write_xmm(st: CPUState, mem: Memory, v: int) -> None:
+            st.xmm[i] = v & MASK128
+        return write_xmm
+    if op.high8:
+        def write_high8(st: CPUState, mem: Memory, v: int) -> None:
+            st.gpr[i] = (st.gpr[i] & ~0xFF00) | ((v & 0xFF) << 8)
+        return write_high8
+    if op.size >= 4:
+        mask = _mask(op.size)
+
+        def write_full(st: CPUState, mem: Memory, v: int) -> None:
+            st.gpr[i] = v & mask
+        return write_full
+    mask = _mask(op.size)
+
+    def write_merge(st: CPUState, mem: Memory, v: int) -> None:
+        st.gpr[i] = (st.gpr[i] & ~mask) | (v & mask)
+    return write_merge
+
+
+def _xmm_reader(op: Operand, width: int) -> _Read:
+    """SSE-side source: the low ``width`` bytes of an xmm register, a GPR
+    facet, or ``width`` bytes at the memory operand."""
+    if isinstance(op, Mem):
+        return _mem_reader(op, width)
+    assert isinstance(op, Reg)
+    return _reader(op if op.kind == "gp" else op.with_size(width), width)
 
 
 # -- flag computation ----------------------------------------------------------
 
 
-def _parity(res: int) -> bool:
-    return bin(res & 0xFF).count("1") % 2 == 0
+#: PF of a result's low byte (set on even parity)
+_PARITY = tuple(bin(i).count("1") % 2 == 0 for i in range(256))
 
 
 def _szp(st: CPUState, res: int, bits: int) -> None:
     st.zf = res == 0
     st.sf = bool(res >> (bits - 1))
-    st.pf = _parity(res)
+    st.pf = _PARITY[res & 0xFF]
 
 
 def _flags_add(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
@@ -104,7 +207,9 @@ def _flags_add(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
     sa, sb, sr = a >> (bits - 1), b >> (bits - 1), res >> (bits - 1)
     st.of = (sa == sb) and (sr != sa)
     st.af = ((a & 0xF) + (b & 0xF)) > 0xF
-    _szp(st, res, bits)
+    st.zf = res == 0
+    st.sf = bool(sr)
+    st.pf = _PARITY[res & 0xFF]
     return res
 
 
@@ -115,80 +220,719 @@ def _flags_sub(st: CPUState, a: int, b: int, bits: int) -> int:
     sa, sb, sr = a >> (bits - 1), b >> (bits - 1), res >> (bits - 1)
     st.of = (sa != sb) and (sr != sa)
     st.af = (a & 0xF) < (b & 0xF)
-    _szp(st, res, bits)
+    st.zf = res == 0
+    st.sf = bool(sr)
+    st.pf = _PARITY[res & 0xFF]
     return res
 
 
 def _flags_logic(st: CPUState, res: int, bits: int) -> None:
-    st.cf = False
-    st.of = False
-    st.af = False
+    st.cf = st.of = st.af = False
     _szp(st, res, bits)
 
 
-def eval_cc(st: CPUState, cc: str) -> bool:
-    """Evaluate a canonical condition code against current flags."""
-    if cc == "o":
-        return st.of
-    if cc == "no":
-        return not st.of
-    if cc == "b":
-        return st.cf
-    if cc == "ae":
-        return not st.cf
-    if cc == "e":
-        return st.zf
-    if cc == "ne":
-        return not st.zf
-    if cc == "be":
-        return st.cf or st.zf
-    if cc == "a":
-        return not (st.cf or st.zf)
-    if cc == "s":
-        return st.sf
-    if cc == "ns":
-        return not st.sf
-    if cc == "p":
-        return st.pf
-    if cc == "np":
-        return not st.pf
-    if cc == "l":
-        return st.sf != st.of
-    if cc == "ge":
-        return st.sf == st.of
-    if cc == "le":
-        return st.zf or (st.sf != st.of)
-    if cc == "g":
-        return not st.zf and (st.sf == st.of)
-    raise SimulatorError(f"unknown condition code {cc}")
-
-
-# -- SSE lane helpers ----------------------------------------------------------
-
-
-def _xmm_lane64(v: int, lane: int) -> int:
-    return (v >> (64 * lane)) & MASK64
-
-
-def _xmm_set_lane64(v: int, lane: int, bits: int) -> int:
-    shift = 64 * lane
-    return (v & ~(MASK64 << shift)) | ((bits & MASK64) << shift)
-
-
-_SD_OPS = {
-    "addsd": lambda a, b: a + b,
-    "subsd": lambda a, b: a - b,
-    "mulsd": lambda a, b: a * b,
-    "minsd": min,
-    "maxsd": max,
+#: canonical condition code -> predicate over the flags
+_CONDITIONS: dict[str, Callable[[CPUState], bool]] = {
+    "o": lambda st: st.of,
+    "no": lambda st: not st.of,
+    "b": lambda st: st.cf,
+    "ae": lambda st: not st.cf,
+    "e": lambda st: st.zf,
+    "ne": lambda st: not st.zf,
+    "be": lambda st: st.cf or st.zf,
+    "a": lambda st: not (st.cf or st.zf),
+    "s": lambda st: st.sf,
+    "ns": lambda st: not st.sf,
+    "p": lambda st: st.pf,
+    "np": lambda st: not st.pf,
+    "l": lambda st: st.sf != st.of,
+    "ge": lambda st: st.sf == st.of,
+    "le": lambda st: st.zf or (st.sf != st.of),
+    "g": lambda st: not st.zf and (st.sf == st.of),
 }
-_PD_OPS = _SD_OPS  # packed double uses the same lane function per lane name
+
+
+def _condition(ins: Instruction) -> Callable[[CPUState], bool]:
+    cc = isa.cc_of(ins.mnemonic)
+    assert cc is not None
+    return _CONDITIONS[cc]
+
+
+# -- the binder table -------------------------------------------------------------
+
+_BINDERS: dict[str, Callable[[Instruction], Op]] = {}
+
+
+def _binds(*mnemonics: str):
+    def register(binder: Callable[[Instruction], Op]):
+        for m in mnemonics:
+            _BINDERS[m] = binder
+        return binder
+    return register
+
+
+def _cc_family(prefix: str) -> tuple[str, ...]:
+    return tuple(prefix + cc for cc in (*isa.CC_NAMES, *isa.CC_ALIASES))
+
+
+def bind(ins: Instruction) -> Op:
+    """Resolve ``ins`` into ``op(st, mem) -> next rip | None``."""
+    binder = _BINDERS.get(ins.mnemonic)
+    if binder is None:
+        raise _unimplemented(ins)
+    return binder(ins)
+
+
+def execute(ins: Instruction, st: CPUState, mem: Memory) -> None:
+    """Execute one instruction and advance ``st.rip`` past it (or to the
+    target of a control transfer)."""
+    target = bind(ins)(st, mem)
+    st.rip = ins.end if target is None else target
+
+
+# ---- control flow ----
+
+
+def _target(ins: Instruction) -> int:
+    (t,) = ins.operands
+    if not isinstance(t, Imm):
+        raise _unimplemented(ins)  # indirect transfers are out of scope
+    return t.value
+
+
+#: the mnemonics whose closure returns the next ``rip``: they end a block
+CONDITIONAL_JUMPS = frozenset(_cc_family("j"))
+CONTROL_TRANSFERS = CONDITIONAL_JUMPS | {"jmp", "call", "ret"}
+
+
+@_binds("jmp")
+def _bind_jmp(ins: Instruction) -> Op:
+    target = _target(ins)
+    return lambda st, mem: target
+
+
+@_binds(*_cc_family("j"))
+def _bind_jcc(ins: Instruction) -> Op:
+    cond, target, fall = _condition(ins), _target(ins), ins.end
+
+    def jcc(st: CPUState, mem: Memory) -> int:
+        if cond(st):
+            st.taken += 1
+            return target
+        return fall
+    return jcc
+
+
+@_binds("call")
+def _bind_call(ins: Instruction) -> Op:
+    target = _target(ins)
+    ret_addr = (ins.end & MASK64).to_bytes(8, "little")
+
+    def call(st: CPUState, mem: Memory) -> int:
+        g = st.gpr
+        g[4] = sp = (g[4] - 8) & MASK64
+        mem.write(sp, ret_addr)
+        return target
+    return call
+
+
+@_binds("ret")
+def _bind_ret(ins: Instruction) -> Op:
+    def ret(st: CPUState, mem: Memory) -> int:
+        g = st.gpr
+        target = int.from_bytes(mem.read(g[4], 8), "little")
+        g[4] = (g[4] + 8) & MASK64
+        return target
+    return ret
+
+
+# ---- integer data movement ----
+
+
+def _full_gp(op: Operand) -> int | None:
+    """Register index when ``op`` is a whole 64- or 32-bit GPR view — the
+    hot operand shape: reads are one mask, writes replace the register."""
+    if isinstance(op, Reg) and op.kind == "gp" and op.size >= 4:
+        return op.index
+    return None
+
+
+def _assign(dst: Operand, value: _Read) -> Op:
+    """``dst = value(st, mem)`` under the destination's facet rules."""
+    d = _full_gp(dst)
+    if d is None:
+        wr = _writer(dst)
+        return lambda st, mem: wr(st, mem, value(st, mem))
+    mask = _mask(dst.size)  # type: ignore[union-attr]
+
+    def assign(st: CPUState, mem: Memory) -> None:
+        st.gpr[d] = value(st, mem) & mask
+    return assign
+
+
+@_binds("mov")
+def _bind_mov(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    if any(isinstance(o, Reg) and o.kind == "xmm" for o in ins.operands):
+        raise _unimplemented(ins)
+    d, s = _full_gp(dst), _full_gp(src)
+    if d is None or s is None:
+        return _assign(dst, _reader(src, _opsize(ins)))
+    mask = _mask(min(dst.size, src.size))  # type: ignore[union-attr]
+
+    def mov_rr(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        g[d] = g[s] & mask
+    return mov_rr
+
+
+@_binds("movzx", "movsx", "movsxd")
+def _bind_movx(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    ssize = src.size if isinstance(src, (Reg, Mem)) else 4
+    rd = _reader(src, ssize)
+    if ins.mnemonic == "movzx":
+        return _assign(dst, rd)
+    sign = 1 << (ssize * 8 - 1)
+    low, dmask = sign - 1, _mask(dst.size)  # type: ignore[union-attr]
+
+    def extended(st: CPUState, mem: Memory) -> int:
+        v = rd(st, mem)
+        return ((v & low) - (v & sign)) & dmask
+    return _assign(dst, extended)
+
+
+@_binds("lea")
+def _bind_lea(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    assert isinstance(src, Mem) and isinstance(dst, Reg)
+    ea, mask = _ea(src), _mask(dst.size)
+    return _assign(dst, lambda st, mem: ea(st.gpr) & mask)
+
+
+@_binds("push")
+def _bind_push(ins: Instruction) -> Op:
+    (src,) = ins.operands
+    if isinstance(src, Imm):
+        value = to_signed(src.value & MASK64,
+                          src.size * 8 if src.size else 32) & MASK64
+        rd: _Read = lambda st, mem: value
+    else:
+        rd = _reader(src, 8)
+
+    def push(st: CPUState, mem: Memory) -> None:
+        v = rd(st, mem)
+        g = st.gpr
+        g[4] = sp = (g[4] - 8) & MASK64
+        mem.write(sp, (v & MASK64).to_bytes(8, "little"))
+    return push
+
+
+@_binds("pop")
+def _bind_pop(ins: Instruction) -> Op:
+    (dst,) = ins.operands
+    if isinstance(dst, Mem):
+        # the destination address is formed before rsp moves
+        ea, width, mask = _ea(dst), dst.size, _mask(dst.size)
+
+        def pop_mem(st: CPUState, mem: Memory) -> None:
+            g = st.gpr
+            addr = ea(g)
+            v = int.from_bytes(mem.read(g[4], 8), "little")
+            g[4] = (g[4] + 8) & MASK64
+            mem.write(addr, (v & mask).to_bytes(width, "little"))
+        return pop_mem
+    wr = _writer(dst)
+
+    def pop(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        v = int.from_bytes(mem.read(g[4], 8), "little")
+        g[4] = (g[4] + 8) & MASK64
+        wr(st, mem, v)
+    return pop
+
+
+@_binds("leave")
+def _bind_leave(ins: Instruction) -> Op:
+    def leave(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        g[4] = g[5]
+        g[5] = int.from_bytes(mem.read(g[4], 8), "little")
+        g[4] = (g[4] + 8) & MASK64
+    return leave
+
+
+@_binds("nop")
+def _bind_nop(ins: Instruction) -> Op:
+    return lambda st, mem: None
+
+
+# ---- integer ALU ----
+
+
+# Two-operand ALU kernels: ``kernel(st, a, b, bits)`` sets the flags and
+# returns the result; cmp and test are sub and and without the write-back.
+
+
+def _flags_adc(st: CPUState, a: int, b: int, bits: int) -> int:
+    return _flags_add(st, a, b, a + b + st.cf, bits)
+
+
+def _flags_sbb(st: CPUState, a: int, b: int, bits: int) -> int:
+    return _flags_sub(st, a, (b + st.cf) & ((1 << bits) - 1), bits)
+
+
+def _flags_bitwise(fn: Callable[[int, int], int]
+                   ) -> Callable[[CPUState, int, int, int], int]:
+    def kernel(st: CPUState, a: int, b: int, bits: int) -> int:
+        res = fn(a, b)
+        _flags_logic(st, res, bits)
+        return res
+    return kernel
+
+
+_ALU: dict[str, Callable[[CPUState, int, int, int], int]] = {
+    "add": lambda st, a, b, bits: _flags_add(st, a, b, a + b, bits),
+    "adc": _flags_adc, "sub": _flags_sub, "sbb": _flags_sbb,
+    "cmp": _flags_sub, "and": _flags_bitwise(operator.and_),
+    "test": _flags_bitwise(operator.and_),
+    "or": _flags_bitwise(operator.or_), "xor": _flags_bitwise(operator.xor),
+}
+
+
+@_binds(*_ALU)
+def _bind_alu(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    kernel = _ALU[ins.mnemonic]
+    write = ins.mnemonic not in ("cmp", "test")
+    size = _opsize(ins)
+    bits = size * 8
+    d = _full_gp(dst)
+    if d is not None and write and not isinstance(src, Mem):
+        # register destination, register or immediate source
+        mask = _mask(dst.size)  # type: ignore[union-attr]
+        s = _full_gp(src)
+        if s is not None:
+            smask = _mask(src.size)  # type: ignore[union-attr]
+
+            def alu_rr(st: CPUState, mem: Memory) -> None:
+                g = st.gpr
+                g[d] = kernel(st, g[d] & mask, g[s] & smask, bits)
+            return alu_rr
+        if isinstance(src, Imm):
+            imm = src.value & _mask(size)
+
+            def alu_ri(st: CPUState, mem: Memory) -> None:
+                g = st.gpr
+                g[d] = kernel(st, g[d] & mask, imm, bits)
+            return alu_ri
+    rd_a, rd_b = _reader(dst, size), _reader(src, size)
+    if not write:
+        def compare(st: CPUState, mem: Memory) -> None:
+            kernel(st, rd_a(st, mem), rd_b(st, mem), bits)
+        return compare
+    wr = _writer(dst)
+
+    def alu(st: CPUState, mem: Memory) -> None:
+        wr(st, mem, kernel(st, rd_a(st, mem), rd_b(st, mem), bits))
+    return alu
+
+
+def _unary(ins: Instruction) -> tuple[_Read, _Write, int]:
+    (dst,) = ins.operands
+    size = _opsize(ins)
+    return _reader(dst, size), _writer(dst), size * 8
+
+
+@_binds("inc", "dec")
+def _bind_incdec(ins: Instruction) -> Op:
+    rd, wr, bits = _unary(ins)
+    inc = ins.mnemonic == "inc"
+
+    def incdec(st: CPUState, mem: Memory) -> None:
+        a = rd(st, mem)
+        cf = st.cf  # inc/dec preserve CF
+        res = (_flags_add(st, a, 1, a + 1, bits) if inc
+               else _flags_sub(st, a, 1, bits))
+        st.cf = cf
+        wr(st, mem, res)
+    return incdec
+
+
+@_binds("neg")
+def _bind_neg(ins: Instruction) -> Op:
+    rd, wr, bits = _unary(ins)
+
+    def neg(st: CPUState, mem: Memory) -> None:
+        a = rd(st, mem)
+        res = _flags_sub(st, 0, a, bits)
+        st.cf = a != 0
+        wr(st, mem, res)
+    return neg
+
+
+@_binds("not")
+def _bind_not(ins: Instruction) -> Op:
+    rd, wr, bits = _unary(ins)
+    mask = (1 << bits) - 1
+    return lambda st, mem: wr(st, mem, ~rd(st, mem) & mask)
+
+
+def _write_wide(st: CPUState, full: int, size: int) -> tuple[int, int]:
+    """Store a double-width product in rdx:rax (ax for bytes); (lo, hi)."""
+    mask = _mask(size)
+    lo, hi = full & mask, (full >> (size * 8)) & mask
+    if size == 1:
+        st.write_gp(0, (hi << 8) | lo, 2)
+    else:
+        st.write_gp(0, lo, size)
+        st.write_gp(2, hi, size)
+    return lo, hi
+
+
+@_binds("imul")
+def _bind_imul(ins: Instruction) -> Op:
+    ops = ins.operands
+    size = _opsize(ins)
+    bits, mask = size * 8, _mask(size)
+    if len(ops) == 1:
+        rd = _reader(ops[0], size)
+
+        def imul1(st: CPUState, mem: Memory) -> None:
+            full = (to_signed(st.read_gp(0, size), bits)
+                    * to_signed(rd(st, mem), bits))
+            lo, _ = _write_wide(st, full, size)
+            st.cf = st.of = full != to_signed(lo, bits)
+        return imul1
+    wr = _writer(ops[0])
+    if len(ops) == 2:
+        rd_a, rd_b = _reader(ops[0], size), _reader(ops[1], size)
+    else:
+        rd_a = _reader(ops[1], size)
+        factor = to_signed(ops[2].value & MASK64, 64)  # type: ignore[union-attr]
+        rd_b = lambda st, mem: factor  # noqa: E731
+
+    def imul(st: CPUState, mem: Memory) -> None:
+        full = to_signed(rd_a(st, mem), bits) * to_signed(rd_b(st, mem), bits)
+        res = full & mask
+        st.cf = st.of = full != to_signed(res, bits)
+        _szp(st, res, bits)
+        wr(st, mem, res)
+    return imul
+
+
+@_binds("mul")
+def _bind_mul(ins: Instruction) -> Op:
+    size = _opsize(ins)
+    rd = _reader(ins.operands[0], size)
+
+    def mul(st: CPUState, mem: Memory) -> None:
+        _, hi = _write_wide(st, st.read_gp(0, size) * rd(st, mem), size)
+        st.cf = st.of = hi != 0
+    return mul
+
+
+@_binds("idiv", "div")
+def _bind_div(ins: Instruction) -> Op:
+    size = _opsize(ins)
+    bits, mask = size * 8, _mask(size)
+    rd = _reader(ins.operands[0], size)
+    signed = ins.mnemonic == "idiv"
+
+    def div(st: CPUState, mem: Memory) -> None:
+        divisor = rd(st, mem)
+        hi = st.read_gp(2, size) if size > 1 else st.read_gp(0, 2) >> 8
+        dividend = (hi << bits) | st.read_gp(0, size)
+        if signed:
+            dividend = to_signed(dividend, bits * 2)
+            divisor = to_signed(divisor, bits)
+        if divisor == 0:
+            raise SimulatorError("integer division by zero")
+        if signed:
+            quot = int(dividend / divisor)  # trunc toward zero
+            rem = dividend - quot * divisor
+        else:
+            quot, rem = divmod(dividend, divisor)
+        if quot > mask or quot < -(1 << (bits - 1)):
+            raise SimulatorError("division overflow")
+        if size > 1:
+            st.write_gp(0, quot & mask, size)
+            st.write_gp(2, rem & mask, size)
+        else:
+            st.write_gp(0, ((rem & 0xFF) << 8) | (quot & 0xFF), 2)
+    return div
+
+
+@_binds("cqo")
+def _bind_cqo(ins: Instruction) -> Op:
+    def cqo(st: CPUState, mem: Memory) -> None:
+        st.gpr[2] = MASK64 if st.gpr[0] >> 63 else 0
+    return cqo
+
+
+@_binds("cdq")
+def _bind_cdq(ins: Instruction) -> Op:
+    def cdq(st: CPUState, mem: Memory) -> None:
+        st.gpr[2] = MASK32 if (st.gpr[0] >> 31) & 1 else 0
+    return cdq
+
+
+@_binds("shl", "shr", "sar", "rol", "ror")
+def _bind_shift(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    size = _opsize(ins)
+    bits, mask = size * 8, _mask(size)
+    rd, rd_count, wr = _reader(dst, size), _reader(src, 1), _writer(dst)
+    count_mask = 63 if size == 8 else 31
+    m = ins.mnemonic
+    rotate = m in ("rol", "ror")
+
+    def shift(st: CPUState, mem: Memory) -> None:
+        a = rd(st, mem)
+        count = rd_count(st, mem) & count_mask
+        if count == 0:
+            return
+        if m == "shl":
+            full = a << count
+            res = full & mask
+            st.cf = bool((full >> bits) & 1)
+        elif m == "shr":
+            res = a >> count
+            st.cf = bool((a >> (count - 1)) & 1)
+        elif m == "sar":
+            sa = to_signed(a, bits)
+            res = (sa >> count) & mask
+            st.cf = bool((sa >> (count - 1)) & 1)
+        elif m == "rol":
+            count %= bits
+            res = ((a << count) | (a >> (bits - count))) & mask
+            st.cf = bool(res & 1)
+        else:  # ror
+            count %= bits
+            res = ((a >> count) | (a << (bits - count))) & mask
+            st.cf = bool(res >> (bits - 1))
+        if not rotate:
+            _szp(st, res, bits)
+            if count == 1:
+                st.of = (res >> (bits - 1)) != (a >> (bits - 1))
+        wr(st, mem, res)
+    return shift
+
+
+@_binds(*_cc_family("cmov"))
+def _bind_cmov(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    cond = _condition(ins)
+    rd, wr = _reader(src, _opsize(ins)), _writer(dst)
+    # a 32-bit cmov zero-extends its destination even when not taken
+    rd_dst = (_reader(dst, 4)
+              if isinstance(dst, Reg) and dst.size == 4 else None)
+
+    def cmov(st: CPUState, mem: Memory) -> None:
+        if cond(st):
+            wr(st, mem, rd(st, mem))
+        elif rd_dst is not None:
+            wr(st, mem, rd_dst(st, mem))
+    return cmov
+
+
+@_binds(*_cc_family("set"))
+def _bind_setcc(ins: Instruction) -> Op:
+    cond, wr = _condition(ins), _writer(ins.operands[0])
+    return lambda st, mem: wr(st, mem, int(cond(st)))
+
+
+# ---- SSE: moves ----
+
+
+def _xmm_index(op: Operand, ins: Instruction) -> int:
+    if not (isinstance(op, Reg) and op.kind == "xmm"):
+        raise _unimplemented(ins)
+    return op.index
+
+
+@_binds("movsd", "movss")
+def _bind_movs(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    width = 8 if ins.mnemonic == "movsd" else 4
+    rd, keep = _xmm_reader(src, width), MASK128 ^ _mask(width)
+    if isinstance(dst, Mem):
+        wr = _mem_writer(dst, width)
+        return lambda st, mem: wr(st, mem, rd(st, mem))
+    d = dst.index  # type: ignore[union-attr]
+    if isinstance(src, Reg):
+        # reg-reg merges the low lane
+        return _xmm_binary(ins, lambda a, b: (a & keep) | b, width)
+
+    def load(st: CPUState, mem: Memory) -> None:
+        st.xmm[d] = rd(st, mem)  # a load zero-extends
+    return load
+
+
+@_binds("movapd", "movaps", "movupd", "movups")
+def _bind_movp(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    m = ins.mnemonic
+    rd = _xmm_reader(src, 16)
+    wr = _mem_writer(dst, 16) if isinstance(dst, Mem) else _writer(dst)
+    memop = _memop(ins)
+    if m in ("movupd", "movups") or memop is None:
+        return lambda st, mem: wr(st, mem, rd(st, mem))
+    ea = _ea(memop)
+
+    def aligned(st: CPUState, mem: Memory) -> None:
+        addr = ea(st.gpr)
+        if addr % 16 != 0:
+            raise SimulatorError(f"misaligned {m} access at {addr:#x}")
+        wr(st, mem, rd(st, mem))
+    return aligned
+
+
+@_binds("movq", "movd")
+def _bind_movq(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    width = 8 if ins.mnemonic == "movq" else 4
+    if isinstance(src, Reg) and src.kind == "xmm":
+        rd = _xmm_reader(src, width)
+    else:
+        rd = _reader(src, width)
+    if isinstance(dst, Reg) and dst.kind == "xmm":
+        d = dst.index
+
+        def to_xmm(st: CPUState, mem: Memory) -> None:
+            st.xmm[d] = rd(st, mem)  # zero-extends (Fig. 4b note on movq)
+        return to_xmm
+    wr = _writer(dst)
+    return lambda st, mem: wr(st, mem, rd(st, mem))
+
+
+@_binds("movlpd", "movhpd")
+def _bind_movlh(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    shift = 0 if ins.mnemonic == "movlpd" else 64
+    if isinstance(dst, Reg):
+        d, rd = dst.index, _xmm_reader(src, 8)
+        keep = MASK128 ^ (MASK64 << shift)
+
+        def load(st: CPUState, mem: Memory) -> None:
+            st.xmm[d] = (st.xmm[d] & keep) | (rd(st, mem) << shift)
+        return load
+    assert isinstance(dst, Mem)
+    s, wr = _xmm_index(src, ins), _mem_writer(dst, 8)
+    return lambda st, mem: wr(st, mem, st.xmm[s] >> shift)
+
+
+# ---- SSE: 128-bit integer / logic ----
+
+
+def _xmm_binary(ins: Instruction, fn: Callable[[int, int], int],
+                width: int = 16) -> Op:
+    """``xmm[dst] = fn(xmm[dst], src)`` over whole registers."""
+    dst, src = ins.operands[:2]
+    d = _xmm_index(dst, ins)
+    if isinstance(src, Reg) and src.kind == "xmm":
+        s, mask = src.index, _mask(width)
+
+        def binary_rr(st: CPUState, mem: Memory) -> None:
+            x = st.xmm
+            x[d] = fn(x[d], x[s] & mask)
+        return binary_rr
+    rd = _xmm_reader(src, width)
+
+    def binary(st: CPUState, mem: Memory) -> None:
+        st.xmm[d] = fn(st.xmm[d], rd(st, mem))
+    return binary
+
+
+_XMM_LOGIC: dict[str, Callable[[int, int], int]] = {
+    **dict.fromkeys(("pxor", "xorpd", "xorps"), lambda a, b: a ^ b),
+    **dict.fromkeys(("pand", "andpd", "andps"), lambda a, b: a & b),
+    **dict.fromkeys(("por", "orpd", "orps"), lambda a, b: a | b),
+    "pandn": lambda a, b: (~a & MASK128) & b,
+}
+
+
+@_binds(*_XMM_LOGIC)
+def _bind_xmm_logic(ins: Instruction) -> Op:
+    return _xmm_binary(ins, _XMM_LOGIC[ins.mnemonic])
+
+
+def _lanewise(lane_bits: int, fn: Callable[[int, int, int], int]
+              ) -> Callable[[int, int], int]:
+    mask = (1 << lane_bits) - 1
+
+    def apply(a: int, b: int) -> int:
+        out = 0
+        for sh in range(0, 128, lane_bits):
+            out |= fn((a >> sh) & mask, (b >> sh) & mask, mask) << sh
+        return out
+    return apply
+
+
+def _pmuludq(a: int, b: int) -> int:
+    lo = ((a & MASK32) * (b & MASK32)) & MASK64
+    hi = (((a >> 64) & MASK32) * ((b >> 64) & MASK32)) & MASK64
+    return lo | (hi << 64)
+
+
+_LANE_BITS = {"q": 64, "d": 32, "w": 16, "b": 8}
+_XMM_INT: dict[str, Callable[[int, int], int]] = {"pmuludq": _pmuludq}
+for _name in ("paddq", "paddd", "paddw", "paddb"):
+    _XMM_INT[_name] = _lanewise(_LANE_BITS[_name[-1]],
+                                lambda x, y, mask: (x + y) & mask)
+for _name in ("psubq", "psubd"):
+    _XMM_INT[_name] = _lanewise(_LANE_BITS[_name[-1]],
+                                lambda x, y, mask: (x - y) & mask)
+for _name in ("pcmpeqd", "pcmpeqb"):
+    _XMM_INT[_name] = _lanewise(_LANE_BITS[_name[-1]],
+                                lambda x, y, mask: mask if x == y else 0)
+
+
+@_binds(*_XMM_INT)
+def _bind_xmm_int(ins: Instruction) -> Op:
+    return _xmm_binary(ins, _XMM_INT[ins.mnemonic])
+
+
+def _lanes(lo: int, hi: int) -> int:
+    return (lo & MASK64) | ((hi & MASK64) << 64)
+
+
+@_binds("unpcklpd", "unpckhpd")
+def _bind_unpck(ins: Instruction) -> Op:
+    shift = 0 if ins.mnemonic == "unpcklpd" else 64
+    return _xmm_binary(ins, lambda a, b: _lanes(a >> shift, b >> shift))
+
+
+@_binds("shufpd")
+def _bind_shufpd(ins: Instruction) -> Op:
+    sel = ins.operands[2]
+    assert isinstance(sel, Imm)
+    lo_shift, hi_shift = 64 * (sel.value & 1), 64 * ((sel.value >> 1) & 1)
+    return _xmm_binary(ins,
+                       lambda a, b: _lanes(a >> lo_shift, b >> hi_shift))
+
+
+@_binds("pshufd")
+def _bind_pshufd(ins: Instruction) -> Op:
+    sel = ins.operands[2]
+    assert isinstance(sel, Imm)
+    picks = tuple(32 * ((sel.value >> (2 * i)) & 3) for i in range(4))
+
+    def shuffle(_a: int, b: int) -> int:
+        out = 0
+        for i, sh in enumerate(picks):
+            out |= ((b >> sh) & MASK32) << (32 * i)
+        return out
+    return _xmm_binary(ins, shuffle)
+
+
+# ---- SSE: floating point ----
 
 
 def _fp_div(a: float, b: float) -> float:
     if b == 0.0:
         if a == 0.0:
-            return float("nan")
+            return _NAN
         inf = float("inf") if a > 0 else float("-inf")
         # sign of zero matters in IEEE; Python 0.0 == -0.0, check bits
         if f64_to_bits(b) >> 63:
@@ -197,446 +941,71 @@ def _fp_div(a: float, b: float) -> float:
     return a / b
 
 
-# -- main dispatch --------------------------------------------------------------
+#: arithmetic core by mnemonic stem; sqrt is a function of the source only
+_FP_OPS: dict[str, Callable[[float, float], float]] = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "min": min,
+    "max": max,
+    "div": _fp_div,
+    "sqrt": lambda a, b: b ** 0.5 if b >= 0 else _NAN,
+}
+_KEEP_HIGH64 = MASK128 ^ MASK64
+_KEEP_HIGH96 = MASK128 ^ MASK32
 
 
-def execute(ins: Instruction, st: CPUState, mem: Memory) -> tuple[bool, int | None]:
-    """Execute ``ins``; returns (branch_taken, effective_mem_addr)."""
-    m = ins.mnemonic
-    ops = ins.operands
-    memop = next((o for o in ops if isinstance(o, Mem)), None)
-    ea = effective_address(memop, st) if memop is not None else None
-    st.rip = ins.end
-    taken = False
+@_binds(*(stem + "sd" for stem in _FP_OPS))
+def _bind_scalar_f64(ins: Instruction) -> Op:
+    fn = _FP_OPS[ins.mnemonic[:-2]]
+    unpack, pack = _F64.unpack, _F64.pack
 
-    # ---- control flow ----
-    cls = isa.control_class(m)
-    if cls == "jmp":
-        st.rip = ops[0].value  # type: ignore[union-attr]
-        return False, None
-    if cls == "jcc":
-        cc = isa.cc_of(m)
-        assert cc is not None
-        if eval_cc(st, cc):
-            st.rip = ops[0].value  # type: ignore[union-attr]
-            taken = True
-        return taken, None
-    if cls == "call":
-        st.gpr[4] = (st.gpr[4] - 8) & MASK64
-        mem.write_u64(st.gpr[4], ins.end)
-        st.rip = ops[0].value  # type: ignore[union-attr]
-        return False, st.gpr[4]
-    if cls == "ret":
-        st.rip = mem.read_u64(st.gpr[4])
-        st.gpr[4] = (st.gpr[4] + 8) & MASK64
-        return False, None
-
-    size = _opsize(ins)
-    bits = size * 8
-
-    # ---- integer data movement ----
-    if m == "mov" and not any(isinstance(o, Reg) and o.kind == "xmm" for o in ops):
-        dst, src = ops
-        _write(dst, _read(src, st, mem, ea, size), st, mem, ea)
-        return False, ea
-    if m in ("movzx", "movsx", "movsxd"):
-        dst, src = ops
-        ssize = src.size if isinstance(src, (Reg, Mem)) else 4
-        val = _read(src, st, mem, ea, ssize)
-        if m != "movzx":
-            val = to_signed(val, ssize * 8) & ((1 << (dst.size * 8)) - 1)  # type: ignore[union-attr]
-        _write(dst, val, st, mem, ea)
-        return False, ea
-    if m == "lea":
-        dst, src = ops
-        assert isinstance(src, Mem) and isinstance(dst, Reg)
-        st.write_reg(dst, ea & ((1 << (dst.size * 8)) - 1))  # type: ignore[operator]
-        return False, None
-    if m == "push":
-        val = _read(ops[0], st, mem, ea, 8)
-        if isinstance(ops[0], Imm):
-            val = to_signed(val, ops[0].size * 8 if ops[0].size else 32) & MASK64
-        st.gpr[4] = (st.gpr[4] - 8) & MASK64
-        mem.write_u64(st.gpr[4], val)
-        return False, st.gpr[4]
-    if m == "pop":
-        val = mem.read_u64(st.gpr[4])
-        st.gpr[4] = (st.gpr[4] + 8) & MASK64
-        _write(ops[0], val, st, mem, ea)
-        return False, None
-    if m == "leave":
-        st.gpr[4] = st.gpr[5]
-        st.gpr[5] = mem.read_u64(st.gpr[4])
-        st.gpr[4] = (st.gpr[4] + 8) & MASK64
-        return False, None
-
-    # ---- integer ALU ----
-    if m in ("add", "adc"):
-        dst, src = ops
-        a = _read(dst, st, mem, ea, size)
-        b = _read(src, st, mem, ea, size)
-        carry = int(st.cf) if m == "adc" else 0
-        res = _flags_add(st, a, b, a + b + carry, bits)
-        _write(dst, res, st, mem, ea)
-        return False, ea
-    if m in ("sub", "sbb", "cmp"):
-        dst, src = ops
-        a = _read(dst, st, mem, ea, size)
-        b = _read(src, st, mem, ea, size)
-        borrow = int(st.cf) if m == "sbb" else 0
-        res = _flags_sub(st, a, (b + borrow) & ((1 << bits) - 1), bits)
-        if m != "cmp":
-            _write(dst, res, st, mem, ea)
-        return False, ea
-    if m in ("and", "or", "xor", "test"):
-        dst, src = ops
-        a = _read(dst, st, mem, ea, size)
-        b = _read(src, st, mem, ea, size)
-        res = a & b if m in ("and", "test") else (a | b if m == "or" else a ^ b)
-        _flags_logic(st, res, bits)
-        if m != "test":
-            _write(dst, res, st, mem, ea)
-        return False, ea
-    if m in ("inc", "dec"):
-        (dst,) = ops
-        a = _read(dst, st, mem, ea, size)
-        cf = st.cf  # inc/dec preserve CF
-        if m == "inc":
-            res = _flags_add(st, a, 1, a + 1, bits)
-        else:
-            res = _flags_sub(st, a, 1, bits)
-        st.cf = cf
-        _write(dst, res, st, mem, ea)
-        return False, ea
-    if m == "neg":
-        (dst,) = ops
-        a = _read(dst, st, mem, ea, size)
-        res = _flags_sub(st, 0, a, bits)
-        st.cf = a != 0
-        _write(dst, res, st, mem, ea)
-        return False, ea
-    if m == "not":
-        (dst,) = ops
-        a = _read(dst, st, mem, ea, size)
-        _write(dst, (~a) & ((1 << bits) - 1), st, mem, ea)
-        return False, ea
-    if m == "imul":
-        if len(ops) == 1:
-            a = to_signed(st.read_gp(0, size), bits)
-            b = to_signed(_read(ops[0], st, mem, ea, size), bits)
-            full = a * b
-            lo = full & ((1 << bits) - 1)
-            hi = (full >> bits) & ((1 << bits) - 1)
-            if size == 1:
-                st.write_gp(0, (hi << 8) | lo, 2)
-            else:
-                st.write_gp(0, lo, size)
-                st.write_gp(2, hi, size)
-            st.cf = st.of = full != to_signed(lo, bits)
-            return False, ea
-        if len(ops) == 2:
-            dst, src = ops
-            a = to_signed(_read(dst, st, mem, ea, size), bits)
-            b = to_signed(_read(src, st, mem, ea, size), bits)
-        else:
-            dst, src, imm = ops
-            a = to_signed(_read(src, st, mem, ea, size), bits)
-            b = to_signed(imm.value, 64)  # type: ignore[union-attr]
-        full = a * b
-        res = full & ((1 << bits) - 1)
-        st.cf = st.of = full != to_signed(res, bits)
-        _szp(st, res, bits)
-        _write(dst, res, st, mem, ea)
-        return False, ea
-    if m == "mul":
-        a = st.read_gp(0, size)
-        b = _read(ops[0], st, mem, ea, size)
-        full = a * b
-        lo = full & ((1 << bits) - 1)
-        hi = (full >> bits) & ((1 << bits) - 1)
-        if size == 1:
-            st.write_gp(0, (hi << 8) | lo, 2)
-        else:
-            st.write_gp(0, lo, size)
-            st.write_gp(2, hi, size)
-        st.cf = st.of = hi != 0
-        return False, ea
-    if m in ("idiv", "div"):
-        divisor_u = _read(ops[0], st, mem, ea, size)
-        lo = st.read_gp(0, size)
-        hi = st.read_gp(2, size) if size > 1 else (st.read_gp(0, 2) >> 8)
-        dividend_u = (hi << bits) | lo
-        if m == "idiv":
-            dividend = to_signed(dividend_u, bits * 2)
-            divisor = to_signed(divisor_u, bits)
-            if divisor == 0:
-                raise SimulatorError("integer division by zero")
-            quot = int(dividend / divisor)  # trunc toward zero
-            rem = dividend - quot * divisor
-        else:
-            if divisor_u == 0:
-                raise SimulatorError("integer division by zero")
-            quot, rem = divmod(dividend_u, divisor_u)
-        if quot > (1 << bits) - 1 or quot < -(1 << (bits - 1)):
-            raise SimulatorError("division overflow")
-        st.write_gp(0, quot & ((1 << bits) - 1), size)
-        if size > 1:
-            st.write_gp(2, rem & ((1 << bits) - 1), size)
-        else:
-            st.write_gp(0, ((rem & 0xFF) << 8) | (quot & 0xFF), 2)
-        return False, ea
-    if m == "cqo":
-        st.gpr[2] = MASK64 if st.gpr[0] >> 63 else 0
-        return False, None
-    if m == "cdq":
-        st.write_gp(2, 0xFFFFFFFF if (st.read_gp(0, 4) >> 31) else 0, 4)
-        return False, None
-    if m in ("shl", "shr", "sar", "rol", "ror"):
-        dst, src = ops
-        a = _read(dst, st, mem, ea, size)
-        count = _read(src, st, mem, ea, 1) & (63 if size == 8 else 31)
-        if count == 0:
-            return False, ea
-        if m == "shl":
-            full = a << count
-            res = full & ((1 << bits) - 1)
-            st.cf = bool((full >> bits) & 1)
-        elif m == "shr":
-            res = a >> count
-            st.cf = bool((a >> (count - 1)) & 1)
-        elif m == "sar":
-            sa = to_signed(a, bits)
-            res = (sa >> count) & ((1 << bits) - 1)
-            st.cf = bool((sa >> (count - 1)) & 1)
-        elif m == "rol":
-            count %= bits
-            res = ((a << count) | (a >> (bits - count))) & ((1 << bits) - 1)
-            st.cf = bool(res & 1)
-        else:  # ror
-            count %= bits
-            res = ((a >> count) | (a << (bits - count))) & ((1 << bits) - 1)
-            st.cf = bool(res >> (bits - 1))
-        if m in ("shl", "shr", "sar"):
-            _szp(st, res, bits)
-            st.of = bool((res >> (bits - 1)) != (a >> (bits - 1))) if count == 1 else st.of
-        _write(dst, res, st, mem, ea)
-        return False, ea
-    if m.startswith("cmov"):
-        cc = isa.cc_of(m)
-        assert cc is not None
-        dst, src = ops
-        if eval_cc(st, cc):
-            _write(dst, _read(src, st, mem, ea, size), st, mem, ea)
-        elif isinstance(dst, Reg) and dst.size == 4:
-            st.write_reg(dst, st.read_reg(dst))  # 32-bit cmov always zexts
-        return False, ea
-    if m.startswith("set"):
-        cc = isa.cc_of(m)
-        assert cc is not None
-        _write(ops[0], int(eval_cc(st, cc)), st, mem, ea)
-        return False, ea
-    if m == "nop":
-        return False, None
-
-    # ---- SSE ----
-    return _execute_sse(ins, st, mem, ea)
+    def scalar(a: int, b: int) -> int:
+        r = fn(unpack((a & MASK64).to_bytes(8, "little"))[0],
+               unpack(b.to_bytes(8, "little"))[0])
+        return (a & _KEEP_HIGH64) | int.from_bytes(pack(r), "little")
+    return _xmm_binary(ins, scalar, 8)
 
 
-def _execute_sse(
-    ins: Instruction, st: CPUState, mem: Memory, ea: int | None
-) -> tuple[bool, int | None]:
-    m = ins.mnemonic
-    ops = ins.operands
+@_binds(*(stem + "ss" for stem in _FP_OPS))
+def _bind_scalar_f32(ins: Instruction) -> Op:
+    fn = _FP_OPS[ins.mnemonic[:-2]]
 
-    def read_xmm_or_mem(op: Operand, width: int) -> int:
-        if isinstance(op, Reg):
-            if op.kind == "xmm":
-                return st.xmm[op.index] & ((1 << (width * 8)) - 1)
-            return st.read_reg(op)
-        assert isinstance(op, Mem) and ea is not None
-        return mem.read_uint(ea, width)
+    def scalar(a: int, b: int) -> int:
+        r = fn(bits_to_f32(a), bits_to_f32(b))
+        return (a & _KEEP_HIGH96) | _f32_round_bits(r)
+    return _xmm_binary(ins, scalar, 4)
 
-    if m in ("movsd", "movss"):
-        width = 8 if m == "movsd" else 4
-        dst, src = ops
-        val = read_xmm_or_mem(src, width)
-        if isinstance(dst, Reg):
-            if isinstance(src, Reg):
-                # reg-reg: merge low lane, preserve upper
-                mask = (1 << (width * 8)) - 1
-                st.xmm[dst.index] = (st.xmm[dst.index] & ~mask) | val
-            else:
-                st.xmm[dst.index] = val  # load zero-extends
-        else:
-            assert ea is not None
-            mem.write_uint(ea, val, width)
-        return False, ea
-    if m in ("movapd", "movaps", "movupd", "movups"):
-        dst, src = ops
-        if m in ("movapd", "movaps") and ea is not None and ea % 16 != 0:
-            raise SimulatorError(f"misaligned {m} access at {ea:#x}")
-        val = read_xmm_or_mem(src, 16)
-        if isinstance(dst, Reg):
-            st.xmm[dst.index] = val
-        else:
-            assert ea is not None
-            mem.write_u128(ea, val)
-        return False, ea
-    if m in ("movq", "movd"):
-        width = 8 if m == "movq" else 4
-        dst, src = ops
-        if isinstance(src, Reg) and src.kind == "xmm":
-            val = st.xmm[src.index] & ((1 << (width * 8)) - 1)
-        else:
-            val = _read(src, st, mem, ea, width)
-        if isinstance(dst, Reg) and dst.kind == "xmm":
-            st.xmm[dst.index] = val  # zero-extends (Fig. 4b note on movq)
-        else:
-            _write(dst, val, st, mem, ea)
-        return False, ea
-    if m in ("movlpd", "movhpd"):
-        lane = 0 if m == "movlpd" else 1
-        dst, src = ops
-        if isinstance(dst, Reg):
-            val = read_xmm_or_mem(src, 8)
-            st.xmm[dst.index] = _xmm_set_lane64(st.xmm[dst.index], lane, val)
-        else:
-            assert isinstance(src, Reg) and ea is not None
-            mem.write_u64(ea, _xmm_lane64(st.xmm[src.index], lane))
-        return False, ea
-    if m in ("pxor", "por", "pand", "pandn", "xorpd", "xorps", "andpd", "andps",
-             "orpd", "orps"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = st.xmm[dst.index]
-        b = read_xmm_or_mem(src, 16)
-        if m in ("pxor", "xorpd", "xorps"):
-            res = a ^ b
-        elif m in ("pand", "andpd", "andps"):
-            res = a & b
-        elif m == "pandn":
-            res = (~a & MASK128) & b
-        else:
-            res = a | b
-        st.xmm[dst.index] = res
-        return False, ea
-    if m in ("addsd", "subsd", "mulsd", "minsd", "maxsd", "divsd", "sqrtsd"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = bits_to_f64(st.xmm[dst.index])
-        b = bits_to_f64(read_xmm_or_mem(src, 8))
-        if m == "divsd":
-            r = _fp_div(a, b)
-        elif m == "sqrtsd":
-            r = b ** 0.5 if b >= 0 else float("nan")
-        else:
-            r = _SD_OPS[m](a, b)
-        st.xmm[dst.index] = _xmm_set_lane64(st.xmm[dst.index], 0, f64_to_bits(r))
-        return False, ea
-    if m in ("addss", "subss", "mulss", "divss", "minss", "maxss", "sqrtss"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = bits_to_f32(st.xmm[dst.index])
-        b = bits_to_f32(read_xmm_or_mem(src, 4))
-        core = m[:-2] + "sd"
-        if m == "divss":
-            r = _fp_div(a, b)
-        elif m == "sqrtss":
-            r = b ** 0.5 if b >= 0 else float("nan")
-        else:
-            r = _SD_OPS[core](a, b)
-        r32 = f32_to_bits(_f32_round(r))
-        st.xmm[dst.index] = (st.xmm[dst.index] & ~0xFFFFFFFF) | r32
-        return False, ea
-    if m in ("addpd", "subpd", "mulpd", "divpd", "minpd", "maxpd", "sqrtpd"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = st.xmm[dst.index]
-        b = read_xmm_or_mem(src, 16)
-        out = 0
-        for lane in (0, 1):
-            x = bits_to_f64(_xmm_lane64(a, lane))
-            y = bits_to_f64(_xmm_lane64(b, lane))
-            core = m[:-2] + "sd"
-            if m == "divpd":
-                r = _fp_div(x, y)
-            elif m == "sqrtpd":
-                r = y ** 0.5 if y >= 0 else float("nan")
-            else:
-                r = _SD_OPS[core](x, y)
-            out = _xmm_set_lane64(out, lane, f64_to_bits(r))
-        st.xmm[dst.index] = out
-        return False, ea
-    if m == "haddpd":
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = st.xmm[dst.index]
-        b = read_xmm_or_mem(src, 16)
-        lo = bits_to_f64(_xmm_lane64(a, 0)) + bits_to_f64(_xmm_lane64(a, 1))
-        hi = bits_to_f64(_xmm_lane64(b, 0)) + bits_to_f64(_xmm_lane64(b, 1))
-        st.xmm[dst.index] = _xmm_set_lane64(_xmm_set_lane64(0, 0, f64_to_bits(lo)), 1, f64_to_bits(hi))
-        return False, ea
-    if m in ("unpcklpd", "unpckhpd"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        lane = 0 if m == "unpcklpd" else 1
-        a = _xmm_lane64(st.xmm[dst.index], lane)
-        b = _xmm_lane64(read_xmm_or_mem(src, 16), lane)
-        st.xmm[dst.index] = _xmm_set_lane64(_xmm_set_lane64(0, 0, a), 1, b)
-        return False, ea
-    if m == "shufpd":
-        dst, src, sel = ops
-        assert isinstance(dst, Reg) and isinstance(sel, Imm)
-        a = st.xmm[dst.index]
-        b = read_xmm_or_mem(src, 16)
-        lo = _xmm_lane64(a, sel.value & 1)
-        hi = _xmm_lane64(b, (sel.value >> 1) & 1)
-        st.xmm[dst.index] = _xmm_set_lane64(_xmm_set_lane64(0, 0, lo), 1, hi)
-        return False, ea
-    if m == "pshufd":
-        dst, src, sel = ops
-        assert isinstance(dst, Reg) and isinstance(sel, Imm)
-        b = read_xmm_or_mem(src, 16)
-        out = 0
-        for i in range(4):
-            j = (sel.value >> (2 * i)) & 3
-            lane = (b >> (32 * j)) & 0xFFFFFFFF
-            out |= lane << (32 * i)
-        st.xmm[dst.index] = out
-        return False, ea
-    if m in ("paddq", "psubq", "paddd", "psubd", "pcmpeqd", "pcmpeqb", "pmuludq",
-             "paddw", "paddb"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        a = st.xmm[dst.index]
-        b = read_xmm_or_mem(src, 16)
-        lane_bits = {"q": 64, "d": 32, "w": 16, "b": 8}[m[-1]]
-        if m == "pmuludq":
-            lo = ((a & 0xFFFFFFFF) * (b & 0xFFFFFFFF)) & MASK64
-            hi = (((a >> 64) & 0xFFFFFFFF) * ((b >> 64) & 0xFFFFFFFF)) & MASK64
-            st.xmm[dst.index] = lo | (hi << 64)
-            return False, ea
-        out = 0
-        mask = (1 << lane_bits) - 1
-        for sh in range(0, 128, lane_bits):
-            x = (a >> sh) & mask
-            y = (b >> sh) & mask
-            if m.startswith("padd"):
-                r = (x + y) & mask
-            elif m.startswith("psub"):
-                r = (x - y) & mask
-            else:  # pcmpeq*
-                r = mask if x == y else 0
-            out |= r << sh
-        st.xmm[dst.index] = out
-        return False, ea
-    if m in ("ucomisd", "comisd", "ucomiss", "comiss"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        width = 8 if m.endswith("sd") else 4
-        conv = bits_to_f64 if width == 8 else bits_to_f32
-        a = conv(st.xmm[dst.index])
-        b = conv(read_xmm_or_mem(src, width))
+
+@_binds(*(stem + "pd" for stem in _FP_OPS))
+def _bind_packed_f64(ins: Instruction) -> Op:
+    fn = _FP_OPS[ins.mnemonic[:-2]]
+
+    def packed(a: int, b: int) -> int:
+        return _lanes(
+            f64_to_bits(fn(bits_to_f64(a), bits_to_f64(b))),
+            f64_to_bits(fn(bits_to_f64(a >> 64), bits_to_f64(b >> 64))))
+    return _xmm_binary(ins, packed)
+
+
+@_binds("haddpd")
+def _bind_haddpd(ins: Instruction) -> Op:
+    def hadd(a: int, b: int) -> int:
+        return _lanes(
+            f64_to_bits(bits_to_f64(a) + bits_to_f64(a >> 64)),
+            f64_to_bits(bits_to_f64(b) + bits_to_f64(b >> 64)))
+    return _xmm_binary(ins, hadd)
+
+
+@_binds("ucomisd", "comisd", "ucomiss", "comiss")
+def _bind_comis(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    double = ins.mnemonic.endswith("sd")
+    conv = bits_to_f64 if double else bits_to_f32
+    d, rd = _xmm_index(dst, ins), _xmm_reader(src, 8 if double else 4)
+
+    def comis(st: CPUState, mem: Memory) -> None:
+        a, b = conv(st.xmm[d]), conv(rd(st, mem))
         st.of = st.af = st.sf = False
         if a != a or b != b:  # unordered
             st.zf = st.pf = st.cf = True
@@ -644,38 +1013,48 @@ def _execute_sse(
             st.zf = a == b
             st.cf = a < b
             st.pf = False
-        return False, ea
-    if m in ("cvtsi2sd", "cvtsi2ss"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        ssize = src.size if isinstance(src, (Reg, Mem)) else 8
-        val = to_signed(_read(src, st, mem, ea, ssize), ssize * 8)
-        if m == "cvtsi2sd":
-            st.xmm[dst.index] = _xmm_set_lane64(st.xmm[dst.index], 0, f64_to_bits(float(val)))
-        else:
-            st.xmm[dst.index] = (st.xmm[dst.index] & ~0xFFFFFFFF) | f32_to_bits(_f32_round(float(val)))
-        return False, ea
-    if m in ("cvttsd2si", "cvtsd2si", "cvttss2si", "cvtss2si"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        width = 8 if "sd" in m else 4
-        conv = bits_to_f64 if width == 8 else bits_to_f32
-        val = conv(read_xmm_or_mem(src, width))
-        if m.startswith("cvtt"):
-            i = int(val)  # truncation toward zero
-        else:
-            i = round(val)  # round-to-nearest-even matches Python round()
-        st.write_reg(dst, i & ((1 << (dst.size * 8)) - 1))
-        return False, ea
-    if m in ("cvtsd2ss", "cvtss2sd"):
-        dst, src = ops
-        assert isinstance(dst, Reg)
-        if m == "cvtsd2ss":
-            v = bits_to_f64(read_xmm_or_mem(src, 8))
-            st.xmm[dst.index] = (st.xmm[dst.index] & ~0xFFFFFFFF) | f32_to_bits(_f32_round(v))
-        else:
-            v = bits_to_f32(read_xmm_or_mem(src, 4))
-            st.xmm[dst.index] = _xmm_set_lane64(st.xmm[dst.index], 0, f64_to_bits(v))
-        return False, ea
+    return comis
 
-    raise SimulatorError(f"unimplemented instruction {ins!r}")
+
+@_binds("cvtsi2sd", "cvtsi2ss")
+def _bind_cvtsi2(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    ssize = src.size if isinstance(src, (Reg, Mem)) else 8
+    d, rd, bits = _xmm_index(dst, ins), _reader(src, ssize), ssize * 8
+    if ins.mnemonic == "cvtsi2sd":
+        def to_f64(st: CPUState, mem: Memory) -> None:
+            v = float(to_signed(rd(st, mem), bits))
+            st.xmm[d] = (st.xmm[d] & _KEEP_HIGH64) | f64_to_bits(v)
+        return to_f64
+
+    def to_f32(st: CPUState, mem: Memory) -> None:
+        v = float(to_signed(rd(st, mem), bits))
+        st.xmm[d] = (st.xmm[d] & _KEEP_HIGH96) | _f32_round_bits(v)
+    return to_f32
+
+
+@_binds("cvttsd2si", "cvtsd2si", "cvttss2si", "cvtss2si")
+def _bind_cvt2si(ins: Instruction) -> Op:
+    dst, src = ins.operands
+    assert isinstance(dst, Reg)
+    m = ins.mnemonic
+    double = "sd" in m
+    conv = bits_to_f64 if double else bits_to_f32
+    # truncation toward zero / round-to-nearest-even (Python's round())
+    to_int = int if m.startswith("cvtt") else round
+    rd, wr, mask = (_xmm_reader(src, 8 if double else 4), _writer(dst),
+                    _mask(dst.size))
+    return lambda st, mem: wr(st, mem, to_int(conv(rd(st, mem))) & mask)
+
+
+@_binds("cvtsd2ss")
+def _bind_cvtsd2ss(ins: Instruction) -> Op:
+    return _xmm_binary(
+        ins, lambda a, b: (a & _KEEP_HIGH96) | _f32_round_bits(bits_to_f64(b)),
+        8)
+
+
+@_binds("cvtss2sd")
+def _bind_cvtss2sd(ins: Instruction) -> Op:
+    return _xmm_binary(
+        ins, lambda a, b: (a & _KEEP_HIGH64) | f64_to_bits(bits_to_f32(b)), 4)

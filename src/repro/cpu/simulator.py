@@ -1,21 +1,42 @@
-"""Fetch/decode/execute loop with cycle accounting and a SysV call helper.
+"""Block-compiled execution with cycle accounting and a SysV call helper.
 
 The simulator is the measurement instrument for every figure reproduced in
 this project: DBrew output, MCC output, and JIT output all run here under
 the same :class:`~repro.cpu.costs.CostModel`, so comparisons between code
 variants are apples-to-apples by construction.
+
+Execution is by basic block.  On first entry at a ``rip`` the straight-line
+run up to its terminator is decoded once and every instruction is bound
+(:func:`repro.cpu.semantics.bind`) into a closure; the block also carries
+what is static about it — instruction count, per-mnemonic counts, load and
+store counts and, where the cost model allows, the sum of the static cycle
+costs.  A call runs blocks, counts how often each ran, and settles
+:class:`RunStats` from those counts at the end.  What stays dynamic: the
+taken-branch and unaligned-16-byte penalties (counted as events on the
+state), the misaligned-``movapd`` fault and every other fault check, and
+``max_steps`` (the block that would cross it is single-stepped).
+
+Compiled blocks live in tables keyed by ``Image.content_token()`` and the
+cost model, shared by every :class:`Simulator` on the same code content.
+``patch_code``, ``add_function`` and ``reserve_code`` move the token, so
+stale blocks are never looked up again; nothing has to be invalidated.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 
-from repro.errors import SimulatorError
-from repro.cpu.costs import HASWELL, CostModel
+from repro.dbrew.iinfo import analyze
+from repro.errors import ReproError, SimulatorError
+from repro.cpu.costs import HASWELL, CostModel, pays_unaligned16
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
-from repro.cpu.semantics import bits_to_f64, execute, f64_to_bits
+from repro.cpu.semantics import (
+    CONDITIONAL_JUMPS, CONTROL_TRANSFERS, Op, bind, bits_to_f64, f64_to_bits,
+)
 from repro.cpu.state import MASK64, CPUState, to_signed
+from repro.mem.memory import Memory
 from repro.x86.decoder import decode_one
 from repro.x86.instr import Instruction
 from repro.x86.registers import SYSV_INT_ARGS
@@ -61,6 +82,134 @@ class CallResult:
         return bits_to_f64(self.xmm0)
 
 
+@dataclass(eq=False, slots=True)
+class _Block:
+    """One decoded straight-line run, bound and pre-summed."""
+
+    #: the instructions before the last one
+    ops: tuple[Op, ...]
+    #: the last one; returns the next ``rip``
+    exit: Op
+    n: int
+    #: sum of the static cycle costs (0.0 under an in-order model)
+    cost: float
+    mnemonics: tuple[tuple[str, int], ...]
+    loads: int
+    stores: int
+
+
+#: ``(content token, id(cost model)) -> (cost model, {rip: block})``, oldest
+#: first.  A token names the image's executable bytes (see
+#: ``Image.content_token``), so a table can never serve code that was
+#: patched or added after it was keyed.  Cycle sums depend on the model, so
+#: models never share a table; the table holds its model so that the id in
+#: its key stays unique.
+_TABLES: dict[tuple, tuple[CostModel, dict[int, _Block]]] = {}
+_TABLES_MAX = 8
+_TABLES_LOCK = threading.Lock()
+
+#: longest straight-line run compiled as one block, and the bytes fetched
+#: at a time while decoding it
+_BLOCK_MAX = 256
+_WINDOW = 256
+
+#: ``(mnemonic, operand types) -> (loads, stores)`` of one instance, as
+#: classified by :func:`repro.dbrew.iinfo.analyze`
+_ACCESSES: dict[tuple, tuple[int, int]] = {}
+
+
+def _table_for(token: tuple, costs: CostModel) -> dict[int, _Block]:
+    key = (token, id(costs))
+    with _TABLES_LOCK:
+        table = _TABLES.get(key)
+        if table is None:
+            if len(_TABLES) >= _TABLES_MAX:
+                del _TABLES[next(iter(_TABLES))]
+            table = _TABLES[key] = (costs, {})
+    return table[1]
+
+
+def _code_window(memory: Memory, addr: int) -> bytes:
+    """Up to ``_WINDOW`` bytes at ``addr``, cut at the end of its region."""
+    for start, size in memory.regions():
+        if start <= addr < start + size:
+            return memory.read(addr, min(_WINDOW, start + size - addr))
+    raise SimulatorError(f"rip at unmapped address {addr:#x}")
+
+
+def _accesses(ins: Instruction) -> tuple[int, int]:
+    key = (ins.mnemonic, *map(type, ins.operands))
+    found = _ACCESSES.get(key)
+    if found is None:
+        info = analyze(ins)
+        found = _ACCESSES[key] = (int(info.mem_read), int(info.mem_write))
+    return found
+
+
+def _in_order(op: Op, cost: float, event: str | None, penalty: float) -> Op:
+    """``op`` charging its cycles to ``st.cycles`` as it runs — the static
+    cost, plus ``penalty`` when the instance bumped the ``event`` counter."""
+    if event is None:
+        def priced(st: CPUState, mem: Memory) -> int | None:
+            nxt = op(st, mem)
+            st.cycles += cost
+            return nxt
+        return priced
+    dear = cost + penalty
+
+    def priced_event(st: CPUState, mem: Memory) -> int | None:
+        before = getattr(st, event)
+        nxt = op(st, mem)
+        st.cycles += cost if getattr(st, event) == before else dear
+        return nxt
+    return priced_event
+
+
+def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
+    """Decode and bind the straight-line run starting at ``rip``."""
+    ops: list[Op] = []
+    mnemonics: dict[str, int] = {}
+    cost = 0.0
+    loads = stores = 0
+    presum = costs.presummable
+    window, base = b"", rip
+    pc = rip
+    while len(ops) < _BLOCK_MAX:
+        try:
+            # refill when fewer than a longest instruction's bytes are
+            # left — unless the window already ends with its region
+            if len(window) - (pc - base) < 16 and len(window) in (0, _WINDOW):
+                window, base = _code_window(memory, pc), pc
+            ins = decode_one(window, pc - base, pc)
+            op = bind(ins)
+        except ReproError:
+            if not ops:
+                raise
+            break  # fails only if execution really gets to ``pc``
+        m = ins.mnemonic
+        static = costs.static_cost(ins)
+        if presum:
+            cost += static
+        elif m in CONDITIONAL_JUMPS:
+            op = _in_order(op, static, "taken", costs.taken_branch_penalty)
+        elif pays_unaligned16(ins):
+            op = _in_order(op, static, "unaligned16",
+                           costs.unaligned16_penalty)
+        else:
+            op = _in_order(op, static, None, 0.0)
+        n_loads, n_stores = _accesses(ins)
+        loads += n_loads
+        stores += n_stores
+        mnemonics[m] = mnemonics.get(m, 0) + 1
+        ops.append(op)
+        pc = ins.end
+        if m in CONTROL_TRANSFERS:
+            return _Block(tuple(ops[:-1]), op, len(ops), cost,
+                          tuple(mnemonics.items()), loads, stores)
+    return _Block(tuple(ops), lambda st, mem: pc, len(ops), cost,
+                  tuple(mnemonics.items()), loads, stores)
+
+
 class Simulator:
     """Executes machine code from an :class:`Image`."""
 
@@ -68,27 +217,30 @@ class Simulator:
         self.image = image
         self.costs = costs
         self.state = CPUState()
-        self._decode_cache: dict[int, Instruction] = {}
+        #: the table of the content token last seen (a table evicted from
+        #: the registry stays alive while this simulator runs on it)
+        self._token: tuple | None = None
+        self._table: dict[int, _Block] = {}
 
     def invalidate_code(self) -> None:
-        """Drop the decode cache (call after writing new code to memory)."""
-        self._decode_cache.clear()
+        """Drop the blocks compiled for the image's current code content.
 
-    def _fetch(self, rip: int) -> Instruction:
-        ins = self._decode_cache.get(rip)
-        if ins is None:
-            window = self.image.memory.read(
-                rip, min(16, self._bytes_left(rip))
-            )
-            ins = decode_one(window, 0, rip)
-            self._decode_cache[rip] = ins
-        return ins
+        Only code written behind the image's back (``memory.write`` into
+        an executable region) needs this; ``patch_code``, ``add_function``
+        and ``reserve_code`` re-key the block tables by themselves.
+        """
+        token = self.image.content_token()
+        with _TABLES_LOCK:
+            for key in [k for k in _TABLES if k[0] == token]:
+                del _TABLES[key]
+        self._token = None
 
-    def _bytes_left(self, addr: int) -> int:
-        for start, size in self.image.memory.regions():
-            if start <= addr < start + size:
-                return start + size - addr
-        raise SimulatorError(f"rip at unmapped address {addr:#x}")
+    def _blocks(self) -> dict[int, _Block]:
+        token = self.image.content_token()
+        if token != self._token:
+            self._table = _table_for(token, self.costs)
+            self._token = token
+        return self._table
 
     def call(
         self,
@@ -103,7 +255,8 @@ class Simulator:
 
         ``int_args`` fill rdi/rsi/rdx/rcx/r8/r9; ``f64_args`` fill
         xmm0..xmm7.  Stack arguments are not supported (the paper's kernels
-        never need them).  Returns rax / xmm0 and execution statistics.
+        never need them).  Returns rax / xmm0 and execution statistics;
+        ``stats`` is only updated by a call that returns.
         """
         if isinstance(target, str):
             target = self.image.symbol(target)
@@ -112,33 +265,58 @@ class Simulator:
         st = self.state
         st.gpr = [0] * 16
         st.xmm = [0] * 16
+        st.cf = st.zf = st.sf = st.of = st.pf = st.af = False
+        st.taken = st.unaligned16 = 0
+        st.cycles = 0.0
         st.gpr[4] = STACK_TOP - 8  # ensure (rsp % 16) == 8 at entry, like call
         for reg, val in zip(SYSV_INT_ARGS, int_args):
             st.gpr[reg] = val & MASK64
         for i, val in enumerate(f64_args):
             st.xmm[i] = f64_to_bits(val)
-        self.image.memory.write_u64(st.gpr[4], RETURN_SENTINEL)
-        st.rip = target
+        mem = self.image.memory
+        mem.write_u64(st.gpr[4], RETURN_SENTINEL)
+
+        blocks = self._blocks()
+        costs = self.costs
+        lookup = blocks.get
+        ran: dict[_Block, int] = {}
+        steps = 0
+        rip = target
+        try:
+            while rip != RETURN_SENTINEL:
+                blk = lookup(rip)
+                if blk is None:
+                    blk = blocks[rip] = _compile_block(mem, rip, costs)
+                steps += blk.n
+                if steps > max_steps:
+                    # single-step up to the instruction that crosses the
+                    # limit, so a fault before it still wins
+                    for op in (*blk.ops, blk.exit)[:blk.n + 1 + max_steps - steps]:
+                        op(st, mem)
+                    raise SimulatorError(
+                        f"exceeded {max_steps} simulated instructions")
+                for op in blk.ops:
+                    op(st, mem)
+                rip = blk.exit(st, mem)
+                ran[blk] = ran.get(blk, 0) + 1
+        finally:
+            st.rip = rip  # a block's entry when one of its instructions faults
 
         local = stats if stats is not None else RunStats()
-        mem = self.image.memory
-        costs = self.costs
-        fetch = self._fetch
         per = local.per_mnemonic
-        steps = 0
-        cycles = 0.0
-        while st.rip != RETURN_SENTINEL:
-            ins = fetch(st.rip)
-            taken, mem_addr = execute(ins, st, mem)
-            cycles += costs.instruction_cost(ins, taken=taken, mem_addr=mem_addr)
-            steps += 1
-            per[ins.mnemonic] = per.get(ins.mnemonic, 0) + 1
-            if taken:
-                local.taken_branches += 1
-            if steps > max_steps:
-                raise SimulatorError(f"exceeded {max_steps} simulated instructions")
+        cycles = st.cycles
+        if costs.presummable:
+            cycles = (st.taken * costs.taken_branch_penalty
+                      + st.unaligned16 * costs.unaligned16_penalty)
+        for blk, times in ran.items():
+            cycles += blk.cost * times
+            local.loads += blk.loads * times
+            local.stores += blk.stores * times
+            for m, count in blk.mnemonics:
+                per[m] = per.get(m, 0) + count * times
         local.instructions += steps
         local.cycles += cycles
+        local.taken_branches += st.taken
         return CallResult(rax=st.gpr[0], xmm0=st.xmm[0], stats=local)
 
     def call_f64(self, target: int | str, int_args: tuple[int, ...] = (),

@@ -32,13 +32,22 @@ def to_unsigned(value: int, bits: int) -> int:
 class CPUState:
     """Mutable architectural state."""
 
-    __slots__ = ("gpr", "xmm", "rip", "cf", "zf", "sf", "of", "pf", "af")
+    __slots__ = ("gpr", "xmm", "rip", "cf", "zf", "sf", "of", "pf", "af",
+                 "taken", "unaligned16", "cycles")
 
     def __init__(self) -> None:
         self.gpr: list[int] = [0] * 16
         self.xmm: list[int] = [0] * 16
         self.rip: int = 0
         self.cf = self.zf = self.sf = self.of = self.pf = self.af = False
+        #: event counters for the cost model, bumped by the instruction
+        #: semantics: conditional branches taken, and accesses through a
+        #: 16-byte memory operand at a misaligned address
+        self.taken = 0
+        self.unaligned16 = 0
+        #: cycles accumulated in execution order (only under a cost model
+        #: whose sums the simulator cannot form per block)
+        self.cycles = 0.0
 
     # -- GPR facets ----------------------------------------------------------
 

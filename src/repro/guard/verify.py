@@ -155,7 +155,8 @@ class DifferentialGate:
 
     # -- execution ----------------------------------------------------------
 
-    def _shadow_image(self, base: list[tuple[int, bytes]]) -> Image:
+    def _shadow_image(self, base: list[tuple[int, bytes]],
+                      token: tuple) -> Image:
         """A private image seeded from ``base`` for probe execution.
 
         The gate must never mutate the engine's live image: it runs on a
@@ -167,6 +168,11 @@ class DifferentialGate:
         same symbols, same bytes at the same guest addresses, separate
         backing store.  The live image is only ever *read* (one snapshot
         at gate start).
+
+        ``token`` is the live image's content token at the snapshot: the
+        shadow holds the same code bytes, so it answers with the same
+        token and the simulator reuses the blocks already compiled for
+        the original instead of rebuilding them per gate.
         """
         img = Image.__new__(Image)
         from repro.mem.memory import Memory
@@ -175,12 +181,12 @@ class DifferentialGate:
             img.memory.map(start, len(data), data)
         img.symbols = self.image.symbols
         img.func_sizes = self.image.func_sizes
+        img.content_token = lambda: token  # type: ignore[method-assign]
         return img
 
-    def _run(self, image: Image, addr: int, int_args: tuple[int, ...],
+    def _run(self, sim: Simulator, addr: int, int_args: tuple[int, ...],
              f64_args: tuple[float, ...], ret: str | None):
         """(result, error string) of one simulated call."""
-        sim = Simulator(image)
         try:
             res = sim.call(addr, int_args, f64_args,
                            max_steps=self.options.max_steps)
@@ -200,19 +206,21 @@ class DifferentialGate:
                   b: list[tuple[int, bytes]]) -> int | None:
         """First differing address outside the stack region and the
         whitelisted ``ignore_regions``, or None."""
-        skip = (self._stack_extent(),) + self.options.ignore_regions
-        for (sa, da), (sb, db) in zip(a, b):
-            assert sa == sb
+        skip = sorted((self._stack_extent(), *self.options.ignore_regions))
+        for (start, da), (sb, db) in zip(a, b):
+            assert start == sb
             if da == db:
                 continue
-            if any(lo <= sa and sa + len(da) <= hi for lo, hi in skip):
-                continue  # dead stack slots / probe buffers may differ
-            for off, (x, y) in enumerate(zip(da, db)):
-                if x != y:
-                    addr = sa + off
-                    if any(lo <= addr < hi for lo, hi in skip):
-                        continue
-                    return addr
+            # compare the stretches between the skipped ranges (dead stack
+            # slots / probe buffers may differ); the empty range at the
+            # region's end closes the last stretch
+            lo, end = 0, len(da)
+            for s_lo, s_hi in (*skip, (start + end, start + end)):
+                hi = min(max(s_lo - start, lo), end)
+                if da[lo:hi] != db[lo:hi]:
+                    return start + next(i for i in range(lo, hi)
+                                        if da[i] != db[i])
+                lo = min(max(s_hi - start, lo), end)
         return None
 
     def _values_agree(self, want: object, got: object, ret: str | None) -> bool:
@@ -245,8 +253,11 @@ class DifferentialGate:
         # one read of the live image; every probe runs on a private shadow
         # (see _shadow_image — restoring the live memory in place would
         # race with concurrent installs into the same image)
-        base = self.image.memory.snapshot()
-        shadow = self._shadow_image(base)
+        with self.image.codegen_lock:
+            base = self.image.memory.snapshot()
+            token = self.image.content_token()
+        shadow = self._shadow_image(base, token)
+        sim = Simulator(shadow)
         for probe in all_probes:
             if budget is not None:
                 # per-probe cooperative checkpoint: the T2 admission
@@ -256,7 +267,7 @@ class DifferentialGate:
             report.probes.append(out)
             int_args, f64_args = self._full_args(probe, signature, fixes)
             out.expected, out.expected_error = self._run(
-                shadow, orig, int_args, f64_args, signature.ret)
+                sim, orig, int_args, f64_args, signature.ret)
             mem_orig = shadow.memory.snapshot()
             shadow.memory.restore(base)
             if out.expected_error is not None:
@@ -264,7 +275,7 @@ class DifferentialGate:
                 out.inconclusive = True
                 continue
             out.actual, out.actual_error = self._run(
-                shadow, spec, int_args, f64_args, signature.ret)
+                sim, spec, int_args, f64_args, signature.ret)
             mem_spec = shadow.memory.snapshot()
             shadow.memory.restore(base)
             report.conclusive += 1

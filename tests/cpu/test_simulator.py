@@ -142,6 +142,45 @@ def test_infinite_loop_guard(img):
         sim.call("spin", max_steps=1000)
 
 
+def test_loads_and_stores_of_a_reduction_loop(img):
+    arr = img.alloc_data(8 * 4)
+    sim = load(img, "sum", """
+        xor eax, eax
+    top:
+        add rax, [rdi]
+        add rdi, 8
+        sub rsi, 1
+        jne top
+        ret
+    """)
+    stats = sim.call("sum", (arr, 4)).stats
+    # four memory-operand reads, and ret pops the return address
+    assert (stats.loads, stats.stores) == (4 + 1, 0)
+
+
+def test_loads_and_stores_of_stack_traffic_and_rmw(img):
+    slot = img.alloc_data(8)
+    sim = load(img, "f", """
+        push rbx
+        mov rbx, rdi
+        call g
+        mov [rsi], rax
+        add qword ptr [rsi], 1
+        pop rbx
+        ret
+    g:
+        lea rax, [rbx + 1]
+        ret
+    """)
+    res = sim.call("f", (40, slot))
+    assert img.memory.read_u64(slot) == 42
+    # loads: the add's read, pop, two rets; lea touches no memory.
+    # stores: push, call's return address, mov, the add's write-back
+    assert (res.stats.loads, res.stats.stores) == (4, 4)
+    twice = sim.call("f", (40, slot), stats=res.stats).stats
+    assert (twice.loads, twice.stores) == (8, 8)
+
+
 def test_stack_argument_limit(img):
     sim = load(img, "f", "ret")
     with pytest.raises(SimulatorError):

@@ -59,6 +59,51 @@ def test_memory_divergence_rejected():
     assert report.probes[0].diverged_addr == target
 
 
+def test_memory_divergence_around_an_ignored_sub_range():
+    """The whitelist may cover only part of a differing region (a probe
+    buffer inside the probe region): differences inside it are ignored,
+    the first one before or after it is reported."""
+    from repro.cpu import Image
+    base, size = 0x200_0000, 1 << 16
+    lo, hi = base + 0x100, base + 0x200
+    gate = DifferentialGate(Image(), GateOptions(ignore_regions=((lo, hi),)))
+    stack_lo, _ = gate._stack_extent()
+
+    def snap(*dirty):
+        region, stack = bytearray(size), bytearray(64)
+        for addr in dirty:
+            buf, start = ((stack, stack_lo) if addr >= stack_lo
+                          else (region, base))
+            buf[addr - start] = 1
+        return [(base, bytes(region)), (stack_lo, bytes(stack))]
+
+    clean = snap()
+    assert gate._mem_diff(clean, snap()) is None
+    assert gate._mem_diff(clean, snap(stack_lo + 3, lo, hi - 1)) is None
+    assert gate._mem_diff(clean, snap(lo - 1, lo + 5, hi + 7)) == lo - 1
+    assert gate._mem_diff(clean, snap(lo + 5, hi, hi + 7)) == hi
+    assert gate._mem_diff(clean, snap(base + size - 1)) == base + size - 1
+    # overlapping and out-of-region whitelist entries
+    wide = DifferentialGate(Image(), GateOptions(ignore_regions=(
+        (lo, hi), (lo + 0x80, hi + 0x80), (0, 16), (base + size, 1 << 40))))
+    assert wide._mem_diff(clean, snap(hi + 0x7F)) is None
+    assert wide._mem_diff(clean, snap(hi + 0x7F, hi + 0x80)) == hi + 0x80
+
+
+def test_whitelisted_store_passes_and_unlisted_one_diverges():
+    img = _image("void f(long *p, long v) { p[0] = v; }",
+                 "void g(long *p, long v) { p[0] = v; p[2] = v; }")
+    target = img.alloc_data(32)
+    sig = FunctionSignature(("i", "i"), None)
+    listed = GateOptions(samples=0,
+                         ignore_regions=((target + 16, target + 24),))
+    assert DifferentialGate(img, listed).check(
+        "f", "g", sig, probes=[(target, 5)]).passed
+    report = DifferentialGate(img, GateOptions(samples=0)).check(
+        "f", "g", sig, probes=[(target, 5)])
+    assert report.probes[0].diverged_addr == target + 16
+
+
 def test_gate_restores_memory_after_probes():
     img = _image("void f(long *p, long v) { p[0] = v; }")
     target = img.alloc_data(16)

@@ -111,6 +111,20 @@ def test_extrapolation_formula(ws):
     )
 
 
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_run_experiment_checks_the_matrix_the_last_sweep_wrote(sweeps):
+    from repro.bench.harness import run_experiment
+    ws3 = StencilWorkspace(JacobiSetup(sz=9, sweeps=sweeps))
+    row = run_experiment(ws3, "direct", line=False, modes=("native",))
+    assert row.correct == {"native": True}
+    # and a wrong result is still caught: compare against one more sweep
+    ws3.reset_matrices()
+    ws3.run_sweeps("apply_direct", line=False, stencil_arg=0)
+    last = ws3.read_matrix(2 if sweeps % 2 else 1)
+    ws3.reset_matrices()
+    assert not matrices_equal(last, ws3.reference_sweeps(sweeps + 1))
+
+
 def test_jacobi_converges_towards_boundary():
     ws2 = StencilWorkspace(JacobiSetup(sz=9, sweeps=1))
     ws2.reset_matrices()
