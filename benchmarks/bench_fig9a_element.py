@@ -21,7 +21,6 @@ _RESULTS: dict[tuple[str, str], float] = {}
 def test_fig9a(benchmark, workspace, reference, code, mode):
     ws = workspace
     res = prepare_kernel(ws, code, mode, line=False, uid=".9a")
-    ws.sim.invalidate_code()
     sarg = stencil_arg(ws, code)
 
     def sweep():

@@ -15,7 +15,6 @@ _RESULTS: dict[tuple[str, str], float] = {}
 def test_fig9b(benchmark, workspace, reference, code, mode):
     ws = workspace
     res = prepare_kernel(ws, code, mode, line=True, uid=".9b")
-    ws.sim.invalidate_code()
     sarg = stencil_arg(ws, code)
 
     def sweep():

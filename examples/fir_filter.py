@@ -67,7 +67,6 @@ def main() -> None:
 
     def run(name):
         image.memory.write(y, b"\x00" * 8 * N)
-        sim.invalidate_code()
         stats = sim.call(name, (taps, len(TAPS), x, y, N),
                          max_steps=10_000_000)
         got = [image.memory.read_f64(y + 8 * i) for i in range(N)]

@@ -57,7 +57,6 @@ def main() -> None:
         .set_mem(coeff, coeff + 24)           # dbrew_setmem(r, start, end)
     )
     rewriter.rewrite(name="poly_spec")
-    sim.invalidate_code()
     spec = sim.call("poly_spec", (0, 0), (4.0,))
     print(f"DBrew-specialized      = {spec.f64_value}   "
           f"[{spec.stats.instructions} instructions]")
@@ -66,7 +65,6 @@ def main() -> None:
     tx = BinaryTransformer(image)
     result = tx.llvm_identity("poly_spec", FunctionSignature(("i", "i", "f"), "f"),
                               name="poly_spec_llvm")
-    sim.invalidate_code()
     both = sim.call("poly_spec_llvm", (0, 0), (4.0,))
     print(f"DBrew + LLVM pipeline  = {both.f64_value}   "
           f"[{both.stats.instructions} instructions]")

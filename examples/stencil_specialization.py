@@ -43,7 +43,6 @@ def main() -> None:
 
     # all three compute the same Jacobi sweep
     for res, tag in ((dbrew, "dbrew"), (both, "dbrew+llvm")):
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         stats = ws.run_sweeps(res.kernel_addr, line=False,
                               stencil_arg=ws.flat.addr)

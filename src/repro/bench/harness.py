@@ -49,7 +49,6 @@ def run_experiment(ws: StencilWorkspace, code: str, *, line: bool,
     sarg = stencil_arg(ws, code)
     for mode in modes:
         res: ModeResult = prepare_kernel(ws, code, mode, line=line, uid=uid)
-        ws.sim.invalidate_code()
         ws.reset_matrices()
         stats = ws.run_sweeps(res.kernel_addr, line=line, stencil_arg=sarg)
         # the sweeps ping-pong m1 -> m2 -> m1: an odd count ends in m2

@@ -14,7 +14,6 @@ The default numbers are loosely Agner-Fog-shaped for Haswell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from repro.x86 import isa
 from repro.x86.instr import Instruction, Mem
@@ -56,13 +55,6 @@ for _m in isa.CC_NAMES:
     _BASE_COSTS[f"j{_m}"] = 1
     _BASE_COSTS[f"cmov{_m}"] = 1
     _BASE_COSTS[f"set{_m}"] = 1
-
-
-def pays_unaligned16(ins: Instruction) -> bool:
-    """True when ``ins`` accesses memory through a 16-byte operand, i.e. a
-    dynamic instance at a misaligned address pays the unaligned penalty."""
-    return ins.mnemonic != "lea" and any(
-        isinstance(o, Mem) and o.size == 16 for o in ins.operands)
 
 
 @dataclass(frozen=True)
@@ -122,23 +114,14 @@ class CostModel:
         penalty.
         """
         cost = self.static_cost(ins)
-        if mem_addr is not None and mem_addr % 16 != 0 and pays_unaligned16(ins):
+        if (mem_addr is not None and mem_addr % 16 != 0
+                and ins.mnemonic != "lea"
+                and any(isinstance(o, Mem) and o.size == 16
+                        for o in ins.operands)):
             cost += self.unaligned16_penalty
         if taken and isa.control_class(ins.mnemonic) == "jcc":
             cost += self.taken_branch_penalty
         return cost
-
-    @cached_property
-    def presummable(self) -> bool:
-        """True when every constant is a small dyadic rational (a multiple
-        of 1/1024 below 2**20): sums of such costs are exact in binary64
-        up to 2**43 cycles whatever the order of the additions, so the
-        simulator may add a block's static costs once and multiply by its
-        execution count.  Any other model is accumulated instruction by
-        instruction, in execution order."""
-        consts = (*self.base.values(), self.load_penalty, self.store_penalty,
-                  self.taken_branch_penalty, self.unaligned16_penalty)
-        return all(abs(c) < 2 ** 20 and c * 1024 % 1 == 0 for c in consts)
 
     def cycles_to_seconds(self, cycles: float) -> float:
         """Convert simulated cycles to calibrated wall seconds."""

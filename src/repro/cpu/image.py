@@ -41,6 +41,11 @@ RETURN_SENTINEL = 0x00DE_AD00
 class Image:
     """A loaded program plus room for runtime code generation."""
 
+    #: state of :meth:`instance_token`, here so that images assembled
+    #: without ``__init__`` (farm specs, gate shadows) start out with it
+    _instance_key: object | None = None
+    _code_writes = 0
+
     def __init__(self, *, code_size: int = 1 << 20, rodata_size: int = 1 << 20,
                  data_size: int = 1 << 22, jit_size: int = 1 << 20) -> None:
         self.memory = Memory()
@@ -89,6 +94,24 @@ class Image:
         return (self.content_key, self.generation,
                 self._code_cursor, self._jit_cursor)
 
+    def instance_token(self) -> tuple:
+        """Key identifying one state of *this image object's* code.
+
+        Unlike :meth:`content_token` it is never shared and never reused:
+        the first component is minted per ``Image`` object — two builds of
+        one farm spec answer the same content token and then diverge when
+        different candidates of equal size are installed — and the second
+        counts every write ``patch_code`` makes, the roll-back of a failed
+        patch included, so the token a failed patch showed for a moment is
+        not handed out again for other bytes.  In-process state derived
+        from executable bytes (the simulator's compiled blocks) is keyed
+        by it.
+        """
+        key = self._instance_key
+        if key is None:
+            key = self.__dict__.setdefault("_instance_key", object())
+        return (key, self._code_writes, self._code_cursor, self._jit_cursor)
+
     # -- runtime patching --------------------------------------------------------
 
     def add_invalidation_hook(self, hook: Callable[[int, int], None]) -> None:
@@ -114,27 +137,33 @@ class Image:
         The patch is atomic from the caller's view: if the write or any
         invalidation hook raises, the previous bytes and the generation
         counter are restored (and the hooks re-run over the restore), so a
-        failed install never leaves a half-patched image behind.
+        failed install never leaves a half-patched image behind.  It holds
+        ``codegen_lock``, so whoever reads bytes and a token under that
+        lock gets a matching pair.
         """
-        previous = self.memory.read(addr, len(data))  # validates the range
-        generation = self.generation
-        self.memory.write(addr, data)
-        self.generation = generation + 1
-        try:
-            for hook in list(self._invalidation_hooks):
-                hook(addr, len(data))
-        except BaseException:
-            self.memory.write(addr, previous)
-            self.generation = generation
-            # the memoizers already saw (or partially saw) the new bytes:
-            # re-invalidate over the restored content, tolerating repeated
-            # failure so the image itself always ends up consistent
-            for hook in list(self._invalidation_hooks):
-                try:
+        with self.codegen_lock:
+            previous = self.memory.read(addr, len(data))  # validates the range
+            generation = self.generation
+            self.memory.write(addr, data)
+            self._code_writes += 1
+            self.generation = generation + 1
+            try:
+                for hook in list(self._invalidation_hooks):
                     hook(addr, len(data))
-                except BaseException:
-                    pass
-            raise
+            except BaseException:
+                self.memory.write(addr, previous)
+                self._code_writes += 1
+                self.generation = generation
+                # the memoizers already saw (or partially saw) the new
+                # bytes: re-invalidate over the restored content, tolerating
+                # repeated failure so the image itself always ends up
+                # consistent
+                for hook in list(self._invalidation_hooks):
+                    try:
+                        hook(addr, len(data))
+                    except BaseException:
+                        pass
+                raise
 
     # -- allocation ------------------------------------------------------------
 

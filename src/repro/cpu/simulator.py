@@ -9,17 +9,27 @@ Execution is by basic block.  On first entry at a ``rip`` the straight-line
 run up to its terminator is decoded once and every instruction is bound
 (:func:`repro.cpu.semantics.bind`) into a closure; the block also carries
 what is static about it — instruction count, per-mnemonic counts, load and
-store counts and, where the cost model allows, the sum of the static cycle
-costs.  A call runs blocks, counts how often each ran, and settles
-:class:`RunStats` from those counts at the end.  What stays dynamic: the
-taken-branch and unaligned-16-byte penalties (counted as events on the
-state), the misaligned-``movapd`` fault and every other fault check, and
-``max_steps`` (the block that would cross it is single-stepped).
+store counts and the sum of the static cycle costs.  A call runs blocks,
+counts how often each ran, and settles :class:`RunStats` from those counts
+at the end.  What stays dynamic: the taken-branch and unaligned-16-byte
+penalties (counted as events on the state), the misaligned-``movapd`` fault
+and every other fault check, and ``max_steps`` (the block that would cross
+it is single-stepped).
 
-Compiled blocks live in tables keyed by ``Image.content_token()`` and the
-cost model, shared by every :class:`Simulator` on the same code content.
-``patch_code``, ``add_function`` and ``reserve_code`` move the token, so
-stale blocks are never looked up again; nothing has to be invalidated.
+Cycles are a sum of products (block cost × times run, penalty × events), not
+a running total in execution order.  Under a cost model whose constants are
+small dyadic rationals — :data:`~repro.cpu.costs.HASWELL` and everything the
+benchmarks use — every partial sum is exact in binary64, so the order cannot
+show.  Under any other model (say ``unaligned16_penalty=0.3``) the result is
+the same sum rounded along a different path: it may differ from an
+instruction-by-instruction total in the last bits, by a relative error below
+``n × 2**-53`` for ``n`` simulated instructions.
+
+Compiled blocks live in tables keyed by ``Image.instance_token()`` and the
+cost model, shared by every :class:`Simulator` on the same image.
+``patch_code``, ``add_function`` and ``reserve_code`` move the token and no
+token is ever handed out twice, so stale blocks are never looked up again;
+nothing has to be invalidated.
 """
 
 from __future__ import annotations
@@ -28,12 +38,11 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
-from repro.dbrew.iinfo import analyze
 from repro.errors import ReproError, SimulatorError
-from repro.cpu.costs import HASWELL, CostModel, pays_unaligned16
+from repro.cpu.costs import HASWELL, CostModel
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
 from repro.cpu.semantics import (
-    CONDITIONAL_JUMPS, CONTROL_TRANSFERS, Op, bind, bits_to_f64, f64_to_bits,
+    CONTROL_TRANSFERS, Op, bind, bits_to_f64, f64_to_bits,
 )
 from repro.cpu.state import MASK64, CPUState, to_signed
 from repro.mem.memory import Memory
@@ -91,19 +100,20 @@ class _Block:
     #: the last one; returns the next ``rip``
     exit: Op
     n: int
-    #: sum of the static cycle costs (0.0 under an in-order model)
+    #: sum of the static cycle costs
     cost: float
     mnemonics: tuple[tuple[str, int], ...]
     loads: int
     stores: int
 
 
-#: ``(content token, id(cost model)) -> (cost model, {rip: block})``, oldest
-#: first.  A token names the image's executable bytes (see
-#: ``Image.content_token``), so a table can never serve code that was
-#: patched or added after it was keyed.  Cycle sums depend on the model, so
-#: models never share a table; the table holds its model so that the id in
-#: its key stays unique.
+#: ``(instance token, id(cost model)) -> (cost model, {rip: block})``, oldest
+#: first.  A token names one state of one image's executable bytes (see
+#: ``Image.instance_token``), so a table can never serve code that was
+#: patched or added after it was keyed, nor the code of another image built
+#: from the same farm spec.  Cycle sums depend on the model, so models never
+#: share a table; the table holds its model so that the id in its key stays
+#: unique.
 _TABLES: dict[tuple, tuple[CostModel, dict[int, _Block]]] = {}
 _TABLES_MAX = 8
 _TABLES_LOCK = threading.Lock()
@@ -141,28 +151,11 @@ def _accesses(ins: Instruction) -> tuple[int, int]:
     key = (ins.mnemonic, *map(type, ins.operands))
     found = _ACCESSES.get(key)
     if found is None:
+        # on first use: repro.dbrew imports this package
+        from repro.dbrew.iinfo import analyze
         info = analyze(ins)
         found = _ACCESSES[key] = (int(info.mem_read), int(info.mem_write))
     return found
-
-
-def _in_order(op: Op, cost: float, event: str | None, penalty: float) -> Op:
-    """``op`` charging its cycles to ``st.cycles`` as it runs — the static
-    cost, plus ``penalty`` when the instance bumped the ``event`` counter."""
-    if event is None:
-        def priced(st: CPUState, mem: Memory) -> int | None:
-            nxt = op(st, mem)
-            st.cycles += cost
-            return nxt
-        return priced
-    dear = cost + penalty
-
-    def priced_event(st: CPUState, mem: Memory) -> int | None:
-        before = getattr(st, event)
-        nxt = op(st, mem)
-        st.cycles += cost if getattr(st, event) == before else dear
-        return nxt
-    return priced_event
 
 
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
@@ -171,7 +164,6 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
     mnemonics: dict[str, int] = {}
     cost = 0.0
     loads = stores = 0
-    presum = costs.presummable
     window, base = b"", rip
     pc = rip
     while len(ops) < _BLOCK_MAX:
@@ -187,16 +179,7 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
                 raise
             break  # fails only if execution really gets to ``pc``
         m = ins.mnemonic
-        static = costs.static_cost(ins)
-        if presum:
-            cost += static
-        elif m in CONDITIONAL_JUMPS:
-            op = _in_order(op, static, "taken", costs.taken_branch_penalty)
-        elif pays_unaligned16(ins):
-            op = _in_order(op, static, "unaligned16",
-                           costs.unaligned16_penalty)
-        else:
-            op = _in_order(op, static, None, 0.0)
+        cost += costs.static_cost(ins)
         n_loads, n_stores = _accesses(ins)
         loads += n_loads
         stores += n_stores
@@ -217,30 +200,19 @@ class Simulator:
         self.image = image
         self.costs = costs
         self.state = CPUState()
-        #: the table of the content token last seen (a table evicted from
-        #: the registry stays alive while this simulator runs on it)
-        self._token: tuple | None = None
-        self._table: dict[int, _Block] = {}
 
     def invalidate_code(self) -> None:
-        """Drop the blocks compiled for the image's current code content.
+        """Drop the blocks compiled for the image's current code content,
+        for every simulator and cost model.
 
         Only code written behind the image's back (``memory.write`` into
         an executable region) needs this; ``patch_code``, ``add_function``
         and ``reserve_code`` re-key the block tables by themselves.
         """
-        token = self.image.content_token()
+        token = self.image.instance_token()
         with _TABLES_LOCK:
             for key in [k for k in _TABLES if k[0] == token]:
                 del _TABLES[key]
-        self._token = None
-
-    def _blocks(self) -> dict[int, _Block]:
-        token = self.image.content_token()
-        if token != self._token:
-            self._table = _table_for(token, self.costs)
-            self._token = token
-        return self._table
 
     def call(
         self,
@@ -267,7 +239,6 @@ class Simulator:
         st.xmm = [0] * 16
         st.cf = st.zf = st.sf = st.of = st.pf = st.af = False
         st.taken = st.unaligned16 = 0
-        st.cycles = 0.0
         st.gpr[4] = STACK_TOP - 8  # ensure (rsp % 16) == 8 at entry, like call
         for reg, val in zip(SYSV_INT_ARGS, int_args):
             st.gpr[reg] = val & MASK64
@@ -276,8 +247,8 @@ class Simulator:
         mem = self.image.memory
         mem.write_u64(st.gpr[4], RETURN_SENTINEL)
 
-        blocks = self._blocks()
         costs = self.costs
+        blocks = _table_for(self.image.instance_token(), costs)
         lookup = blocks.get
         ran: dict[_Block, int] = {}
         steps = 0
@@ -304,10 +275,8 @@ class Simulator:
 
         local = stats if stats is not None else RunStats()
         per = local.per_mnemonic
-        cycles = st.cycles
-        if costs.presummable:
-            cycles = (st.taken * costs.taken_branch_penalty
-                      + st.unaligned16 * costs.unaligned16_penalty)
+        cycles = (st.taken * costs.taken_branch_penalty
+                  + st.unaligned16 * costs.unaligned16_penalty)
         for blk, times in ran.items():
             cycles += blk.cost * times
             local.loads += blk.loads * times

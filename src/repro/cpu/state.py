@@ -33,7 +33,7 @@ class CPUState:
     """Mutable architectural state."""
 
     __slots__ = ("gpr", "xmm", "rip", "cf", "zf", "sf", "of", "pf", "af",
-                 "taken", "unaligned16", "cycles")
+                 "taken", "unaligned16")
 
     def __init__(self) -> None:
         self.gpr: list[int] = [0] * 16
@@ -45,9 +45,6 @@ class CPUState:
         #: 16-byte memory operand at a misaligned address
         self.taken = 0
         self.unaligned16 = 0
-        #: cycles accumulated in execution order (only under a cost model
-        #: whose sums the simulator cannot form per block)
-        self.cycles = 0.0
 
     # -- GPR facets ----------------------------------------------------------
 

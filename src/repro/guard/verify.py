@@ -169,7 +169,7 @@ class DifferentialGate:
         backing store.  The live image is only ever *read* (one snapshot
         at gate start).
 
-        ``token`` is the live image's content token at the snapshot: the
+        ``token`` is the live image's instance token at the snapshot: the
         shadow holds the same code bytes, so it answers with the same
         token and the simulator reuses the blocks already compiled for
         the original instead of rebuilding them per gate.
@@ -181,7 +181,7 @@ class DifferentialGate:
             img.memory.map(start, len(data), data)
         img.symbols = self.image.symbols
         img.func_sizes = self.image.func_sizes
-        img.content_token = lambda: token  # type: ignore[method-assign]
+        img.instance_token = lambda: token  # type: ignore[method-assign]
         return img
 
     def _run(self, sim: Simulator, addr: int, int_args: tuple[int, ...],
@@ -252,10 +252,12 @@ class DifferentialGate:
         all_probes = list(probes) + self._sampled_probes(signature, fixes)
         # one read of the live image; every probe runs on a private shadow
         # (see _shadow_image — restoring the live memory in place would
-        # race with concurrent installs into the same image)
+        # race with concurrent installs into the same image).  patch_code
+        # and add_function hold the lock while they write, so the bytes
+        # and the token read under it belong together
         with self.image.codegen_lock:
             base = self.image.memory.snapshot()
-            token = self.image.content_token()
+            token = self.image.instance_token()
         shadow = self._shadow_image(base, token)
         sim = Simulator(shadow)
         for probe in all_probes:

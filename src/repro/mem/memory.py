@@ -109,18 +109,14 @@ class Memory:
     # -- integer accessors (unsigned reads; write masks) ---------------------
 
     def read_uint(self, addr: int, size: int) -> int:
-        rs, buf = self._find(addr, size)
-        off = addr - rs
-        return int.from_bytes(buf[off : off + size], "little")
+        return int.from_bytes(self.read(addr, size), "little")
 
     def read_int(self, addr: int, size: int) -> int:
         return int.from_bytes(self.read(addr, size), "little", signed=True)
 
     def write_uint(self, addr: int, value: int, size: int) -> None:
-        rs, buf = self._find(addr, size)
-        off = addr - rs
         mask = (1 << (size * 8)) - 1
-        buf[off : off + size] = int(value & mask).to_bytes(size, "little")
+        self.write(addr, int(value & mask).to_bytes(size, "little"))
 
     def read_u8(self, addr: int) -> int:
         return self.read_uint(addr, 1)

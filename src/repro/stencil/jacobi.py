@@ -95,7 +95,6 @@ class StencilWorkspace:
             name = f"sweep.{kernel_addr:x}.{key[0]}"
             self.image.symbols[name] = addr
             self._drivers[key] = addr
-            self.sim.invalidate_code()
         return addr
 
     # -- measurement ----------------------------------------------------------------

@@ -270,7 +270,6 @@ def run_case(kind: str, seed: int, *, asm: str | None = None,
                                   ring_capacity=1024),
         probes=gate_probes, name="f_instr")
     inst_res.buffer.reset()
-    sim.invalidate_code()
     interp = Interpreter(m, mem)
 
     def native(args):

@@ -30,7 +30,6 @@ def test_repeated_transform_hits_machine_stage():
         assert res.total_seconds == 0.0       # nothing compiled
     # every requested name aliases the one installed copy
     sim = Simulator(img)
-    sim.invalidate_code()
     for i in range(6):
         assert sim.call_int(f"f.v{i}", (6, 9)) == 61
 
@@ -64,7 +63,6 @@ def test_respecialization_hits_lifted_stage():
     assert r2.lift_seconds == 0.0
     assert r2.optimize_seconds > 0.0
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.x3", (0, 10)) == 37
     assert sim.call_int("f.x4", (0, 10)) == 47
 
@@ -87,7 +85,6 @@ def test_fixed_memory_contents_feed_the_key():
     r3 = tx.llvm_fixed("f", sig, fixes, name="f.c3")
     assert r3.cache_stage == "lifted"
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.c1", (0, 7)) == 121   # baked-in 3*x+100
     assert sim.call_int("f.c3", (0, 7)) == 135   # baked-in 5*x+100
 
@@ -102,7 +99,6 @@ def test_jit_options_change_hits_module_stage():
     # post-O3 module is reused; only codegen reruns under the new options
     assert res.cache_stage == "module"
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.j1", (2, 3)) == 13
 
 
@@ -121,7 +117,6 @@ def test_patch_invalidates_machine_entries():
     res = tx.llvm_identity("f", SIG, name="f.c")
     assert res.cache_stage == "module"
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.c", (6, 9)) == 61
 
 
@@ -158,7 +153,6 @@ def test_disk_store_persists_ir_stages(tmp_path):
     assert res.cache_stage == "module"
     assert c2.stats.disk_hits >= 1
     sim = Simulator(img2)
-    sim.invalidate_code()
     assert sim.call_int("f.second", (6, 9)) == 61
 
 
@@ -170,5 +164,4 @@ def test_cache_disabled_is_fully_transparent():
     assert r1.cache_stage is None and r2.cache_stage is None
     assert r2.total_seconds > 0.0
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.n1", (6, 9)) == sim.call_int("f.n2", (6, 9)) == 61

@@ -36,7 +36,6 @@ def test_identical_rewrite_is_memoized():
     assert cache.stats.stage_hits["rewrite"] == 1
     assert a2 == a1  # no new code emitted, existing entry aliased
     sim = Simulator(img)
-    sim.invalidate_code()
     want = sum((i + 1) ** 2 for i in range(4))
     assert sim.call_int("f.d1", (0, 0)) == want
     assert sim.call_int("f.d2", (0, 0)) == want
@@ -62,7 +61,6 @@ def test_different_config_misses():
     assert cache.stats.stage_misses["rewrite"] == 2
     assert a3 != a4
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.n4", (0, 0)) == 30
     assert sim.call_int("f.n3", (0, 0)) == 14
 
@@ -78,7 +76,6 @@ def test_fixed_region_contents_feed_rewrite_key():
     assert cache.stats.stage_hits["rewrite"] == 0
     assert cache.stats.stage_misses["rewrite"] == 2
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.m2", (0, 0)) == 100 + 4 + 9 + 16
 
 
@@ -88,5 +85,4 @@ def test_rewrite_without_cache_unchanged():
     a2 = _rewriter(img, v, None).rewrite(name="f.p2")
     assert a1 != a2  # two independent rewrites, both correct
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f.p1", (0, 0)) == sim.call_int("f.p2", (0, 0)) == 30

@@ -10,7 +10,11 @@ It holds ``instructions``, ``cycles``, ``taken_branches``, ``per_mnemonic``
 and ``rax``/``xmm0`` for one sweep of the 30 Fig. 9 cells at ``sz=17`` and
 for 50 int + 50 sse corpus seeds, each under three cost models.  The tests
 below recompute the same dict with the current engine and demand equality —
-floats included, bit for bit.
+floats included, bit for bit, under the two models whose constants are
+dyadic.  Under the third (``unaligned16_penalty=0.3``) the old engine's
+running total depended on the order of the additions; the block engine forms
+the same sum as block cost × times run, so ``cycles`` is held to a relative
+1e-12 there and everything else exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from repro.x86.asm import assemble
 GOLDEN = Path(__file__).with_name("golden_simulator.json")
 
 #: dyadic default, a dyadic override, and a non-dyadic one — the last makes
-#: every cycle sum depend on the order of the float additions
+#: a cycle sum depend on the order of the float additions
 MODELS: dict[str, CostModel] = {
     "haswell": HASWELL,
     "addsd100": CostModel().with_base({"addsd": 100}),
@@ -135,14 +139,22 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
+def _loosen(cell: dict) -> dict:
+    """``cell`` with the non-dyadic cycle sums compared approximately."""
+    rows = cell["nondyadic"]
+    approx = [{**r, "cycles": pytest.approx(r["cycles"], rel=1e-12, abs=0)}
+              for r in (rows if isinstance(rows, list) else [rows])]
+    return {**cell, "nondyadic": approx if isinstance(rows, list)
+            else approx[0]}
+
+
 def _assert_same(got: dict, want: dict) -> None:
     assert got.keys() == want.keys()
     for key in want:
-        assert got[key] == want[key], key
+        assert got[key] == _loosen(want[key]), key
 
 
 def test_fig9_cells_match_the_old_engine(golden):
-    assert not MODELS["nondyadic"].presummable and HASWELL.presummable
     inexact = [c for c in golden["fig9"].values()
                if c["nondyadic"]["cycles"] % 1 != 0]
     assert inexact, "the fixture must hold order-dependent cycle sums"
@@ -194,6 +206,40 @@ def test_two_simulators_see_each_others_patches():
     _install(img, "g", "mov eax, 3\nret")
     assert one.call_int("g") == two.call_int("g") == 3
     assert one.call_int("f") == 2
+
+
+def test_failed_patch_never_lends_its_token_to_other_bytes():
+    """A patch whose hook raises is rolled back; blocks compiled while its
+    bytes were in place must not be served for the next patch's bytes."""
+    img = Image()
+    addr = _install(img, "f", "mov eax, 1\nret")
+    sim = Simulator(img)
+    seen = []
+
+    def hook(a, s):
+        seen.append(sim.call_int("f"))  # compiles under the patch's token
+        if len(seen) == 1:
+            raise RuntimeError("hook failed")
+
+    img.add_invalidation_hook(hook)
+    before = img.instance_token()
+    with pytest.raises(RuntimeError):
+        img.patch_code(addr + 2, (2).to_bytes(4, "little"))
+    assert img.generation == 0 and img.instance_token() != before
+    assert sim.call_int("f") == 1
+    img.patch_code(addr + 2, (3).to_bytes(4, "little"))
+    assert sim.call_int("f") == 3
+    assert seen == [2, 1, 3]
+
+
+def test_invalidate_code_covers_a_raw_write_into_code():
+    img = Image()
+    addr = _install(img, "f", "mov eax, 1\nret")
+    one, two = Simulator(img), Simulator(img)
+    assert one.call_int("f") == two.call_int("f") == 1
+    img.memory.write(addr + 2, (2).to_bytes(4, "little"))
+    one.invalidate_code()
+    assert one.call_int("f") == two.call_int("f") == 2
 
 
 def test_cost_models_never_share_cycle_sums():

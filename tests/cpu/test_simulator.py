@@ -207,5 +207,4 @@ def test_jit_function_added_later(img):
     base = img.next_code_addr(jit=True)
     code, _ = assemble(parse_asm("lea rax, [rdi + 5]\nret"), base=base)
     img.add_function("jitted", code, jit=True)
-    sim.invalidate_code()
     assert sim.call_int("jitted", (10,)) == 15

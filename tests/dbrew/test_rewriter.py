@@ -72,7 +72,6 @@ def test_identity_rewrite_preserves_semantics():
     r = Rewriter(img, "f").set_signature(("i", "i"))
     addr = r.rewrite(name="f_id")
     assert addr != img.symbol("f")
-    sim.invalidate_code()
     for a, b in [(1, 5), (5, 1), (0, 0), (2**63, 1)]:
         assert sim.call_int("f_id", (a, b)) == sim.call_int("f", (a, b))
 
@@ -81,7 +80,6 @@ def test_full_constant_folding():
     img, sim = compile_and_sim("long f(long a, long b) { return a * b + 3; }")
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, 6).set_par(1, 7)
     addr = r.rewrite(name="f_c")
-    sim.invalidate_code()
     assert sim.call_int("f_c", (0, 0)) == 45
     res = sim.call("f_c", (0, 0))
     # specialized code is a handful of instructions
@@ -94,7 +92,6 @@ def test_branch_folding_with_known_condition():
     )
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, 5)
     addr = r.rewrite(name="f_b")
-    sim.invalidate_code()
     assert sim.call_int("f_b", (999, 41)) == 42
     # the not-taken path is not even in the generated code
     code = img.function_bytes("f_b")
@@ -112,7 +109,6 @@ def test_setmem_folds_loads():
     r = Rewriter(img, "f").set_signature(("i", "i")) \
         .set_par(0, data).set_mem(data, data + 16)
     r.rewrite(name="f_m")
-    sim.invalidate_code()
     assert sim.call_int("f_m", (0, 7)) == 723
     # no loads from the fixed region remain
     code = img.function_bytes("f_m")
@@ -131,7 +127,6 @@ def test_known_pointer_without_setmem_keeps_loads():
     img.memory.write_u64(data, 55)
     r = Rewriter(img, "f").set_signature(("i",)).set_par(0, data)
     r.rewrite(name="f_nm")
-    sim.invalidate_code()
     img.memory.write_u64(data, 66)  # data may change at runtime
     assert sim.call_int("f_nm", (0,)) == 66
 
@@ -149,7 +144,6 @@ def test_loop_full_unroll_with_known_bound():
         img.memory.write_u64(v + 8 * i, i + 1)
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(1, 5)
     r.rewrite(name="f_u")
-    sim.invalidate_code()
     res = sim.call("f_u", (v, 0))
     assert res.int_value == 15
     assert res.stats.taken_branches == 0  # fully unrolled: straight line
@@ -168,7 +162,6 @@ def test_generic_loop_closes_via_digest():
         img.memory.write_u64(v + 8 * i, i)
     r = Rewriter(img, "f").set_signature(("i", "i"))
     r.rewrite(name="f_g")
-    sim.invalidate_code()
     assert sim.call_int("f_g", (v, 64)) == sum(range(64))
     assert r.stats.points < 10  # the loop must not unroll 64 times
 
@@ -188,7 +181,6 @@ def test_widening_bounds_unrolling():
     r.set_unroll_limit(4)
     r.rewrite(name="f_w")
     assert r.stats.widenings >= 1
-    sim.invalidate_code()
     assert sim.call_int("f_w", (v, 0)) == sum(2 * i for i in range(64))
 
 
@@ -199,7 +191,6 @@ def test_call_inlining():
     """)
     r = Rewriter(img, "f").set_signature(("i",))
     r.rewrite(name="f_i")
-    sim.invalidate_code()
     res = sim.call("f_i", (5,))
     assert res.int_value == 25 + 36
     assert res.stats.per_mnemonic.get("call", 0) == 0  # calls inlined
@@ -212,7 +203,6 @@ def test_call_beyond_inline_depth_emitted():
     """)
     r = Rewriter(img, "f").set_signature(("i",)).set_inline_depth(0)
     r.rewrite(name="f_d0")
-    sim.invalidate_code()
     res = sim.call("f_d0", (6,))
     assert res.int_value == 37
     assert res.stats.per_mnemonic.get("call", 0) == 1
@@ -222,7 +212,6 @@ def test_double_parameter_fixation():
     img, sim = compile_and_sim("double f(double a, double b) { return a * b; }")
     r = Rewriter(img, "f").set_signature(("f", "f"), "f").set_par_f64(0, 2.5)
     r.rewrite(name="f_f")
-    sim.invalidate_code()
     assert sim.call_f64("f_f", (), (0.0, 4.0)) == 10.0
 
 
@@ -256,7 +245,6 @@ def test_rewriter_is_drop_in_replacement():
     img, sim = compile_and_sim("long f(long a, long b) { return a + b; }")
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(1, 10)
     r.rewrite(name="f_p")
-    sim.invalidate_code()
     assert sim.call_int("f_p", (5, 999999)) == 15  # second arg ignored
 
 
@@ -275,7 +263,6 @@ def test_specialized_matches_original_property(a, b):
     want = sim.call_int("f", (a & (2**64 - 1), b & (2**64 - 1)))
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, a)
     r.rewrite(name="f_s")
-    sim.invalidate_code()
     got = sim.call_int("f_s", (12345, b & (2**64 - 1)))
     assert got == want
 
@@ -321,7 +308,6 @@ def test_vector_spill_through_rewrite():
         img.memory.write_f64(b + 8 * i, 2.0)
     r = Rewriter(img, "f").set_signature(("i", "i", "i"), "f").set_par(2, 4)
     r.rewrite(name="f_vs")
-    sim.invalidate_code()
     assert sim.call_f64("f_vs", (a, b, 0)) == 2 * (1 + 2 + 3 + 4)
 
 
@@ -337,7 +323,6 @@ def test_fixed_value_in_vsp_sentinel_window_stays_a_value():
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, colliding)
     addr = r.rewrite(name="f_vsp")
     assert addr != img.symbol("f")
-    sim.invalidate_code()
     for b in (0, 7, -3):
         assert sim.call_int("f_vsp", (0, b)) == \
             sim.call_int("f", (colliding, b))
@@ -353,6 +338,5 @@ def test_fixed_value_near_window_edges():
     for i, v in enumerate(cases):
         r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, v)
         r.rewrite(name=f"f_edge{i}")
-        sim.invalidate_code()
         assert sim.call_int(f"f_edge{i}", (0, 5)) == \
             sim.call_int("f", (v, 5))

@@ -19,7 +19,6 @@ def test_dbrew_identity_of_vectorized_kernel():
     r = Rewriter(ws.image, "line_direct").set_signature(tuple(LINE_SIGNATURE), None)
     addr = r.rewrite(name="ld_db")
     assert addr != ws.image.symbol("line_direct")
-    ws.sim.invalidate_code()
     ws.reset_matrices()
     stats = ws.run_sweeps(addr, line=True, stencil_arg=0)
     assert matrices_equal(ws.read_matrix(1), ref)
@@ -47,7 +46,6 @@ def test_setcc_with_known_flags_is_emulated():
     """)
     r = Rewriter(img, "f").set_signature(("i",)).set_par(0, 3)
     addr = r.rewrite(name="f_s")
-    sim.invalidate_code()
     res = sim.call("f_s", (999,))
     assert res.int_value == 1
     assert res.stats.per_mnemonic.get("cmp", 0) == 0  # folded away
@@ -62,12 +60,10 @@ def test_cmov_known_flags_unknown_data():
     # rdi fixed below 5: the cmov becomes an unconditional mov of rsi
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, 3)
     addr = r.rewrite(name="f_lt")
-    sim.invalidate_code()
     assert sim.call_int("f_lt", (0, 42)) == 42
     # rdi fixed above 5: the cmov disappears entirely
     r2 = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, 9)
     addr2 = r2.rewrite(name="f_ge")
-    sim.invalidate_code()
     res = sim.call("f_ge", (0, 42))
     assert res.stats.per_mnemonic.get("cmov", 0) == 0
     assert res.stats.per_mnemonic.get("cmovl", 0) == 0
@@ -82,7 +78,6 @@ def test_cmov_unknown_flags_emitted():
     """)
     r = Rewriter(img, "f").set_signature(("i", "i"))
     r.rewrite(name="f_g")
-    sim.invalidate_code()
     assert sim.call_int("f_g", (3, 9)) == 9
     assert sim.call_int("f_g", (9, 3)) == 9
 
@@ -97,7 +92,6 @@ def test_known_memory_write_to_runtime_region_is_emitted():
     dst = img.alloc_data(8)
     r = Rewriter(img, "f").set_signature(("i",)).set_par(0, dst)
     r.rewrite(name="f_st")
-    sim.invalidate_code()
     img.memory.write_u64(dst, 0)
     sim.call("f_st", (0,))
     assert img.memory.read_u64(dst) == 7
@@ -121,7 +115,6 @@ def test_trace_point_cap_raises():
     # pathological: still must terminate (either by widening or by the cap,
     # in which case the default handler falls back to the original)
     addr = r.rewrite(name="f_path")
-    sim.invalidate_code()
     name = "f_path" if addr != img.symbol("f") else "f"
     assert sim.call_int(name, (0, 5)) == sim.call_int("f", (0, 5))
 
@@ -135,6 +128,5 @@ def test_fixed_double_param_with_mixed_signature():
     """)
     r = Rewriter(img, "f").set_signature(("i", "f", "f"), "i").set_par_f64(1, 2.5)
     r.rewrite(name="f_fp")
-    sim.invalidate_code()
     # xmm0=2.5 (fixed), xmm1=1.5 -> 4.0 -> 4 + rdi
     assert sim.call_int("f_fp", (10,), (0.0, 1.5)) == 14

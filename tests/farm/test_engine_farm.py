@@ -43,7 +43,6 @@ def spin_to_tier(handle, sim, tier, *, args=(10, 3), calls=400,
     deadline = time.monotonic() + timeout
     for _ in range(calls):
         addr = handle.address()
-        sim.invalidate_code()
         assert sim.call(addr, args).rax == expected(*args)
         if handle.tier >= tier:
             return
@@ -65,7 +64,6 @@ def test_farm_promotion_reaches_t2_verified(prog, farm):
         assert s["installs"] == {T1: 1, T2: 1}
         assert s["farm_jobs"] == 2          # both tiers went through the farm
         assert s["farm_fallbacks"] == 0
-        sim.invalidate_code()
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)
 
 
@@ -106,7 +104,6 @@ def test_refix_discards_stale_farm_result(prog, farm):
         assert h.tier == T0  # the stale result never installed
         # the new epoch compiles against the new fixation
         spin_to_tier(h, sim, T1, args=(10, 9))
-        sim.invalidate_code()
         assert sim.call(h.address(), (10, 123)).rax == expected(10, 9)
 
 
@@ -123,7 +120,6 @@ def test_closed_farm_falls_back_to_local_compile(prog, tmp_path):
         s = eng.stats.snapshot()
         assert s["farm_fallbacks"] >= 1  # every request degraded softly
         assert s["installs"][T1] == 1    # and the local pipeline delivered
-        sim.invalidate_code()
         assert sim.call(h.address(), (10, 99)).rax == expected(10, 3)
 
 
@@ -170,7 +166,6 @@ def test_gate_rejection_from_farm_pins_handle(farm):
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
             h.address()
-            sim.invalidate_code()
             if eng.stats.rejections[T2] >= 1:
                 break
             time.sleep(0.01)
@@ -180,5 +175,4 @@ def test_gate_rejection_from_farm_pins_handle(farm):
         assert s["farm_fallbacks"] == 0   # content verdict, not a retry
         assert h.tier == T1               # pinned at the last good tier
         assert h.governor.pinned_max == T1
-        sim.invalidate_code()
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)

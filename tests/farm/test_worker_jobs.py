@@ -1,0 +1,60 @@
+"""Jobs run back to back in one worker process, without a pool.
+
+Every job rebuilds its image from the published spec, so all of them start
+from the same content token and install their candidate at the same address.
+Nothing derived from one job's candidate bytes may reach the next job.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cpu import Image
+from repro.farm import protocol as fp
+from repro.farm.worker import FarmWorker
+from repro.guard.verify import GateOptions
+from repro.ir.codegen import JITOptions
+from repro.ir.passes import O3Options
+from repro.lift import FunctionSignature
+from repro.lift.blocks import attach_trace_store
+from repro.x86 import parse_asm
+from repro.x86.asm import assemble
+
+SIG = FunctionSignature(("i", "i"), "i")
+
+
+@pytest.fixture
+def worker(tmp_path):
+    yield FarmWorker(0, str(tmp_path))
+    attach_trace_store(None)  # the worker attached its store process-wide
+
+
+def test_same_spec_jobs_gate_their_own_candidates(worker):
+    """Candidates that differ only in a baked immediate have the same
+    length: the second job's gate must run its own bytes, not the blocks
+    the simulator compiled for the first job's candidate."""
+    img = Image()
+    code, _ = assemble(parse_asm("mov rax, rdi\nimul rax, rsi\n"
+                                 "add rax, 7\nret"),
+                       base=img.next_code_addr())
+    img.add_function("f", code)
+    spec = fp.ImageSpec.capture(img)
+    image_key = fp.image_spec_key(spec.digest())
+    worker.store.put(image_key, spec)
+    assert spec.build().content_token() == spec.build().content_token()
+    assert spec.build().instance_token() != spec.build().instance_token()
+
+    o3, jit, gate = O3Options(), JITOptions(), GateOptions()
+    ladder = ("llvm-fix",)
+    for k in (5, 9, 3):
+        fixes = {1: k}
+        key = fp.compute_job_key(img, "f", SIG, fixes, (), (), 2, ladder,
+                                 None, None, o3, jit, gate,
+                                 image_key=image_key)
+        res = worker.run_job(fp.CompileJob(
+            key=key, name=f"f.t2.{k}", tier=2, func="f", signature=SIG,
+            fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=(),
+            dbrew_func=None, ladder=ladder, image_key=image_key, lift=None,
+            o3=o3, jit=jit, gate=gate))
+        assert res.ok and res.verified, (k, res.reject_reason)
+        assert res.cache_stage is None  # compiled and gated, not served

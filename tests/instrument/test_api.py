@@ -58,7 +58,6 @@ def test_instrumented_install_end_to_end(prog):
     res.buffer.reset()      # the gate ran probes through shadow images only
     sim = Simulator(prog.image)
     for a, b in ((6, 3), (10, 7)):
-        sim.invalidate_code()
         assert sim.call(res.addr, (a, b)).rax == expected(a, b)
     assert res.buffer.call_count() == 2
     # loop body heat: 6 + 10 iterations dominate the 2 calls
@@ -87,7 +86,6 @@ def test_audit_detects_counter_tampering(prog):
     res = install(prog)
     res.buffer.reset()
     sim = Simulator(prog.image)
-    sim.invalidate_code()
     sim.call(res.addr, (4, 2))
     assert audit_probe_state(res, expected_calls=1) == []
     # cosmic-ray the entry-block counter: the tie-out must notice

@@ -40,7 +40,6 @@ def reference(ws):
 
 
 def check(ws, kernel_addr, sarg, reference):
-    ws.sim.invalidate_code()
     ws.reset_matrices()
     ws.run_sweeps(kernel_addr, line=False, stencil_arg=sarg)
     assert matrices_equal(ws.read_matrix(1), reference)
@@ -64,7 +63,6 @@ def test_dbrew_flat_five_point(ws, reference):
     assert addr != ws.image.symbol("apply_flat")
     check(ws, addr, ws.flat5.addr, reference)
     # 5 points fully unrolled: no branches left
-    ws.sim.invalidate_code()
     stats = ws.sim.call(addr, (0, ws.m1, ws.m2, 14))
     assert stats.stats.taken_branches == 0
 
@@ -78,7 +76,6 @@ def test_dbrew_sorted_five_point_two_groups(ws, reference):
     addr = r.rewrite(name="k5.sorted.dbrew")
     check(ws, addr, ws.sorted5.addr, reference)
     # both group loops and both point loops unroll away
-    ws.sim.invalidate_code()
     stats = ws.sim.call(addr, (0, ws.m1, ws.m2, 14))
     assert stats.stats.taken_branches == 0
     # exactly two multiplies: one per coefficient group

@@ -91,12 +91,10 @@ def test_pipeline_differential_int(src, a, b):
     assert got_ir == want, "lift/optimize diverged"
 
     # JIT-compiled lifted IR, simulated
-    sim.invalidate_code()
     assert sim.call_int("f_tx", (a, b)) == want, "JIT diverged"
 
     # DBrew identity rewrite
     Rewriter(img, "f").set_signature(("i", "i")).rewrite(name="f_db")
-    sim.invalidate_code()
     assert sim.call_int("f_db", (a, b)) == want, "DBrew diverged"
 
 
@@ -131,7 +129,6 @@ def test_pipeline_differential_double(e, p, q):
     got_ir = Interpreter(res.module, img.memory).run(res.function, [p, q])
     assert got_ir == want or (got_ir != got_ir and want != want)
 
-    sim.invalidate_code()
     got_jit = sim.call_f64("f_tx", (), (p, q))
     assert got_jit == want or (got_jit != got_jit and want != want)
 
@@ -145,6 +142,5 @@ def test_dbrew_specialization_differential(src, a):
     sim = Simulator(img)
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, a)
     r.rewrite(name="f_spec")
-    sim.invalidate_code()
     for b in (0, 1, 17, _U63):
         assert sim.call_int("f_spec", (999, b)) == sim.call_int("f", (a, b))

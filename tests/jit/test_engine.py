@@ -38,7 +38,6 @@ def test_three_way_differential(src, fn, params, ret, cases):
     res = tx.llvm_identity(fn, FunctionSignature(params, ret), name=fn + "_tx")
     verify(res.function)
     interp = Interpreter(res.module, img.memory)
-    sim.invalidate_code()
     for case in cases:
         iargs = tuple(a & (2**64 - 1) for a in case if isinstance(a, int))
         fargs = tuple(a for a in case if isinstance(a, float))
@@ -79,7 +78,6 @@ def test_llvm_fixed_specializes_memory():
     res = tx.llvm_fixed("f", FunctionSignature(("i", "i"), "i"),
                         {0: FixedMemory(data, 16)}, name="f_fix")
     sim = Simulator(img)
-    sim.invalidate_code()
     assert sim.call_int("f_fix", (0, 7)) == 121
     # the constants are baked in: loads from the region are gone
     assert not any(i.opcode == "load" for i in res.function.instructions())
@@ -91,7 +89,6 @@ def test_llvm_fixed_scalar_parameter():
     res = tx.llvm_fixed("f", FunctionSignature(("i", "i"), "i"),
                         {0: 9}, name="f_fix9")
     sim = Simulator(prog.image)
-    sim.invalidate_code()
     assert sim.call_int("f_fix9", (12345, 6)) == 54
 
 
@@ -101,7 +98,6 @@ def test_llvm_fixed_double_parameter():
     res = tx.llvm_fixed("f", FunctionSignature(("f", "f"), "f"),
                         {0: 2.5}, name="f_k")
     sim = Simulator(prog.image)
-    sim.invalidate_code()
     assert sim.call_f64("f_k", (), (0.0, 4.0)) == 10.0
 
 
@@ -125,7 +121,6 @@ def test_dbrew_then_llvm_composition():
     res = tx.llvm_identity(dbrew_addr, FunctionSignature(("i", "i"), "i"),
                            name="f_both")
     sim = Simulator(img)
-    sim.invalidate_code()
     want = sum((i + 1) ** 2 for i in range(4))
     assert sim.call_int("f_dbrew", (0, 0)) == want
     assert sim.call_int("f_both", (0, 0)) == want
@@ -159,6 +154,5 @@ def test_random_expression_differential(e, a, b):
     sim = Simulator(img)
     tx = BinaryTransformer(img)
     tx.llvm_identity("f", FunctionSignature(("i", "i"), "i"), name="f_tx")
-    sim.invalidate_code()
     ua, ub = a & (2**64 - 1), b & (2**64 - 1)
     assert sim.call_int("f_tx", (ua, ub)) == sim.call_int("f", (ua, ub))

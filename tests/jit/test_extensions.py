@@ -22,7 +22,6 @@ def reference(ws):
 
 
 def _run(ws, addr, reference):
-    ws.sim.invalidate_code()
     ws.reset_matrices()
     stats = ws.run_sweeps(addr, line=True, stencil_arg=ws.flat.addr)
     assert matrices_equal(ws.read_matrix(1), reference)

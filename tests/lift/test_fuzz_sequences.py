@@ -101,7 +101,6 @@ def test_dbrew_identity_matches_simulator(asm, a, b):
     r = Rewriter(img, "f").set_signature(("i", "i"))
     addr = r.rewrite(name="f_db")
     assert addr != base, "identity rewrite must not fall back"
-    sim.invalidate_code()
     assert sim.call("f_db", (a, b)).rax == want, asm
 
 
@@ -121,6 +120,5 @@ def test_dbrew_specialized_matches_simulator(asm, a):
     r = Rewriter(img, "f").set_signature(("i", "i")).set_par(0, a)
     addr = r.rewrite(name="f_spec")
     assert addr != base
-    sim.invalidate_code()
     for b in (0, 1, 2**63, 2**64 - 1):
         assert sim.call("f_spec", (12345, b)).rax == sim.call("f", (a, b)).rax, asm

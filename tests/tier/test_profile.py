@@ -180,7 +180,6 @@ def test_tiered_engine_edges_profile_end_to_end():
         deadline = time.monotonic() + 120.0
         calls = 0
         while h.tier < T2:
-            sim.invalidate_code()
             assert sim.call(h.address(), (40, 3)).rax == want
             calls += 1
             assert time.monotonic() < deadline, h.snapshot()
@@ -191,7 +190,6 @@ def test_tiered_engine_edges_profile_end_to_end():
             "loop-body heat must outrun the call count"
         assert calls < 2000, "edge heat must beat the raw call budget"
         eng.drain(60.0)
-    sim.invalidate_code()
     assert sim.call(h.address(), (40, 3)).rax == want
 
 

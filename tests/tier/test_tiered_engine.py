@@ -33,7 +33,6 @@ def spin_to_tier(handle, sim, tier, *, args=(10, 3), calls=200,
     deadline = time.monotonic() + timeout
     for _ in range(calls):
         addr = handle.address()
-        sim.invalidate_code()
         assert sim.call(addr, args).rax == expected(*args)
         if handle.tier >= tier:
             return
@@ -67,7 +66,6 @@ def test_background_promotion_reaches_t2_verified(prog):
         assert eng.stats.installs[T1] == 1
         assert eng.stats.installs[T2] == 1
         # the T2 kernel computes the same thing
-        sim.invalidate_code()
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)
 
 
