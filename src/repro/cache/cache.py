@@ -307,13 +307,16 @@ class SpecializationCache:
 
     # -- DBrew rewrites ---------------------------------------------------------
 
-    def get_rewrite(self, image: Image, rkey: str) -> tuple[int, str] | None:
+    def get_rewrite(self, image: Image, rkey: str) -> tuple[int, int] | None:
+        """``(addr, size)`` of a memoized rewrite's emitted code."""
         entry = self.attach_image(image).rewrites.get(rkey)
         self._count("rewrite", entry is not None)
         return entry
 
-    def put_rewrite(self, image: Image, rkey: str, addr: int, name: str) -> None:
-        self.attach_image(image).rewrites.put(rkey, (addr, name))
+    def put_rewrite(self, image: Image, rkey: str, addr: int, size: int) -> None:
+        # the size, not the symbol the code was installed under: a later
+        # rewrite may re-point that name at another function's code
+        self.attach_image(image).rewrites.put(rkey, (addr, size))
         self.stats.stores += 1
 
     # -- failure quarantine ------------------------------------------------------

@@ -14,6 +14,7 @@ Layout mirrors a small static Linux binary:
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import uuid
 from typing import Callable
@@ -45,6 +46,11 @@ class Image:
     #: without ``__init__`` (farm specs, gate shadows) start out with it
     _instance_key: object | None = None
     _code_writes = 0
+    #: running digest of every (address, bytes) ``add_function`` and
+    #: ``patch_code`` installed — the content-derived part of
+    #: :meth:`content_token` that tells two builds of one farm spec apart
+    #: once they install different candidates of equal length
+    _installed = b""
 
     def __init__(self, *, code_size: int = 1 << 20, rodata_size: int = 1 << 20,
                  data_size: int = 1 << 22, jit_size: int = 1 << 20) -> None:
@@ -84,15 +90,24 @@ class Image:
     def content_token(self) -> tuple:
         """Key identifying the image's current *code* content.
 
-        Folds the patch generation and both code-allocation cursors, so
-        every sanctioned path that changes executable bytes —
-        ``patch_code`` (bumps ``generation``), ``add_function`` and
-        ``reserve_code`` (move a cursor) — yields a fresh token.  Derived
-        state keyed by the token (the lifter's decoded-trace cache) goes
-        stale by construction instead of needing invalidation hooks.
+        Folds the patch generation, both code-allocation cursors and a
+        running digest of the installed bytes, so every sanctioned path
+        that changes executable bytes — ``patch_code`` (bumps
+        ``generation``), ``add_function`` and ``reserve_code`` (move a
+        cursor) — yields a fresh token, and two images that start from one
+        ``content_key`` keep equal tokens exactly as long as they install
+        the same bytes at the same addresses.  Derived state keyed by the
+        token (the lifter's decoded-trace cache) goes stale by
+        construction instead of needing invalidation hooks, and stays
+        shareable across processes.
         """
         return (self.content_key, self.generation,
-                self._code_cursor, self._jit_cursor)
+                self._code_cursor, self._jit_cursor, self._installed)
+
+    def _note_install(self, addr: int, data: bytes) -> None:
+        self._installed = hashlib.blake2b(
+            self._installed + addr.to_bytes(8, "little") + data,
+            digest_size=16).digest()
 
     def instance_token(self) -> tuple:
         """Key identifying one state of *this image object's* code.
@@ -143,17 +158,18 @@ class Image:
         """
         with self.codegen_lock:
             previous = self.memory.read(addr, len(data))  # validates the range
-            generation = self.generation
+            generation, installed = self.generation, self._installed
             self.memory.write(addr, data)
             self._code_writes += 1
             self.generation = generation + 1
+            self._note_install(addr, data)
             try:
                 for hook in list(self._invalidation_hooks):
                     hook(addr, len(data))
             except BaseException:
                 self.memory.write(addr, previous)
                 self._code_writes += 1
-                self.generation = generation
+                self.generation, self._installed = generation, installed
                 # the memoizers already saw (or partially saw) the new
                 # bytes: re-invalidate over the restored content, tolerating
                 # repeated failure so the image itself always ends up
@@ -191,6 +207,7 @@ class Image:
             else:
                 addr, cursor = self._bump(self._code_cursor, self._code_limit, len(code), 16)
             self.memory.write(addr, code)
+            self._note_install(addr, code)
             if jit:
                 self._jit_cursor = cursor
             else:

@@ -187,11 +187,10 @@ class Rewriter:
             assert self.cache is not None
             hit = self.cache.get_rewrite(self.image, rkey)
             if hit is not None:
-                addr, cached_name = hit
+                addr, size = hit
                 new_name = name or f"{self.func_name}.rewritten"
                 self.image.symbols[new_name] = addr
-                self.image.func_sizes[new_name] = \
-                    self.image.func_sizes[cached_name]
+                self.image.func_sizes[new_name] = size
                 self.last_digest = self.cache.code_digest(self.image, addr)
                 return addr
         self.last_error = None
@@ -206,7 +205,8 @@ class Rewriter:
             assert self.cache is not None
             installed = self.image.symbol_at(addr)
             if installed is not None:
-                self.cache.put_rewrite(self.image, rkey, addr, installed)
+                self.cache.put_rewrite(self.image, rkey, addr,
+                                       self.image.func_sizes[installed])
         if self.cache is not None:
             self.last_digest = self.cache.code_digest(self.image, addr)
         return addr

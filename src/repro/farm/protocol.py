@@ -31,6 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cache import keys as cache_keys
 from repro.cpu.image import Image
 from repro.guard.budget import Budget
@@ -38,9 +39,11 @@ from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.module import Module
 from repro.ir.passes import O3Options
+from repro.jit.plan import DEFAULT_JIT, DEFAULT_O3, Plan
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.mem.memory import Memory
+from repro.tier.policy import T1
 
 #: disk-store key prefixes for the farm's shared-state channels
 IMAGE_SPEC_PREFIX = "farmimg"
@@ -247,6 +250,23 @@ class CompileJob:
 
     def thawed_fixes(self) -> dict[int, int | float | FixedMemory] | None:
         return thaw_fixes(self.fixes)
+
+    def plan(self) -> Plan:
+        """The worker-side :class:`Plan` of this job.
+
+        T2 (a guard ladder) admits under the full policy; the guard walks
+        ``ladder`` itself, so ``rung`` only matters for T1.  T1 never
+        gates here: an inconclusive proof is gated by the client, against
+        its own emission of the shipped module.
+        """
+        guarded = self.tier != T1
+        return Plan(
+            "llvm-fix" if self.fixes else "llvm",
+            thaw_lift_options(self.lift) or LiftOptions(),
+            self.o3 or DEFAULT_O3, self.jit or DEFAULT_JIT,
+            pregate=DEFAULT_PREGATE if guarded else (),
+            machine_verify=self.machine_verify,
+            gate="always" if guarded else "never", gate_options=self.gate)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ push the result — with all the interesting parts in ``run_job``:
 3. **compile** — rebuild the client's image from its :class:`ImageSpec`
    (fresh per job: gate probes execute candidate code against the image
    and may mutate data/stack; a pristine rebuild per job keeps jobs
-   independent), run the same T1/T2 pipelines the tiered engine runs
-   locally, then pull the *pristine post-O3 module* back out of the
-   module-stage cache and publish it.  The worker's own codegen output is
+   independent), rebuild the job's :class:`~repro.jit.plan.Plan` and run it
+   under the guard exactly as the tiered engine does locally, then pull
+   the *pristine post-O3 module* back out of the module-stage cache and
+   publish it.  The worker's own codegen output is
    throwaway — it exists so the T2 differential gate has machine code to
    execute — because machine code is position-dependent and the client
    must assemble into its own image.
@@ -28,7 +29,7 @@ Failure mapping: :class:`~repro.errors.ReproError` is a content verdict
 (the client would hit the same wall) and comes back ``retryable=False``;
 anything else — missing image spec, unkeyed module, internal errors — is a
 farm deficiency and comes back ``retryable=True`` so the client compiles
-in-process.  One deliberate exception: a T2 degradation whose failures
+in-process.  One deliberate exception: a degradation whose failures
 include a budget exhaustion is **not** published as a negative verdict.
 The budget is not part of the job key (two clients with different budgets
 share one key), so a verdict produced under a starved budget would poison
@@ -50,38 +51,17 @@ import random
 import signal
 import threading
 import time
+from dataclasses import replace
 from typing import Any
 
 from repro.cache import DiskStore, FileFlightTable, SpecializationCache
-from repro.errors import BudgetExceededError, ReproError
+from repro.errors import ReproError
 from repro.farm import protocol
 from repro.farm.protocol import CompileJob, CompileResult, ImageSpec
 from repro.guard import Budget, GuardedTransformer
-from repro.ir.passes import O3Options
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
 from repro.tier.policy import T1
-
-
-class _RecordingCache(SpecializationCache):
-    """A specialization cache that remembers the last module-stage key it
-    touched.  The pipeline stores the pristine (pre-codegen) module under
-    a key derived from inputs the worker does not always know up front
-    (the dbrew+llvm rung keys on *rewritten* bytes); recording the key at
-    the put/get site lets ``run_job`` retrieve that exact module after the
-    pipeline finishes, without re-deriving key plumbing here."""
-
-    last_module_key: str | None = None
-
-    def put_module(self, mkey: str, module, func_name: str) -> None:
-        super().put_module(mkey, module, func_name)
-        self.last_module_key = mkey
-
-    def get_module(self, mkey: str):
-        out = super().get_module(mkey)
-        if out is not None:
-            self.last_module_key = mkey
-        return out
 
 
 class _WorkerChaos:
@@ -132,7 +112,7 @@ class FarmWorker:
         self.flights = FileFlightTable(
             os.path.join(disk_dir, "flights"), poll_interval=poll_interval)
         self.flight_timeout = flight_timeout
-        self.cache = _RecordingCache(disk_dir=disk_dir)
+        self.cache = SpecializationCache(disk_dir=disk_dir)
         self._specs: dict[str, ImageSpec] = {}
         #: previous values of the process-global counters reported per job
         self._counter_marks: dict[str, int] = {}
@@ -180,8 +160,7 @@ class FarmWorker:
             if span is not None:
                 _TR.finish(span)
         if job.trace:
-            result = _replace(result,
-                              trace_records=_TR.export_records(mark))
+            result = replace(result, trace_records=_TR.export_records(mark))
         return result
 
     def _run_job_inner(self, job: CompileJob, t0: float) -> CompileResult:
@@ -204,11 +183,6 @@ class FarmWorker:
                 probe, timeout=self.flight_timeout)
         except _BudgetStarved as exc:
             return self._fail(job, t0, str(exc), retryable=True)
-        except BudgetExceededError as exc:
-            # T1 analogue of _BudgetStarved: the budget is this job's, not
-            # the content's — let the client retry with its own budget
-            return self._fail(job, t0, f"budget exhausted worker-side: "
-                                       f"{exc}", retryable=True)
         except ReproError as exc:
             return self._fail(job, t0, f"{type(exc).__name__}: {exc}",
                               retryable=False)
@@ -231,90 +205,53 @@ class FarmWorker:
         """
         image = spec.build()
         budget = protocol.thaw_budget(job.budget) or Budget()
-        lift_options = protocol.thaw_lift_options(job.lift)
+        plan = job.plan()
         fixes = job.thawed_fixes()
-        o3 = job.o3 if job.o3 is not None else O3Options()
-        self.cache.last_module_key = None
 
-        verdict: str | None = None
-        if job.tier == T1:
-            from repro.errors import VerificationError
-            from repro.jit import BinaryTransformer
-            budget.start()
-            tx = BinaryTransformer(
-                image, o3_options=o3, cache=self.cache, budget=budget,
-                lift_options=lift_options, jit_options=job.jit,
-                machine_verify=job.machine_verify)
-            try:
-                if fixes:
-                    res = tx.llvm_fixed(job.func, job.signature, fixes,
-                                        name=job.name)
-                    mode: str | None = "llvm-fix"
-                else:
-                    res = tx.llvm_identity(job.func, job.signature,
-                                           name=job.name)
-                    mode = "llvm"
-            except VerificationError as exc:
-                # machine-level refutation is content-determined: publish
-                # it so every follower/store hit observes the rejection
-                # without re-running the pipeline or the proof
-                payload = {"ok": False, "reject_reason": str(exc),
-                           "mode": None, "verified": False,
-                           "module": None, "main_name": None,
-                           "machine_verdict": "refuted"}
-                self.store.put(rkey, payload)
-                return payload
-            verdict = res.machine_verdict
-            verified = False
-            reject = None
-        else:
-            guard = GuardedTransformer(
-                image, cache=self.cache, budget=budget,
-                gate_options=job.gate, lift_options=lift_options,
-                o3_options=o3, jit_options=job.jit,
-                machine_verify=job.machine_verify)
-            gres = guard.transform(
-                job.func, job.signature, fixes,
-                mem_regions=job.mem_regions, name=job.name,
-                probes=job.probes, ladder=job.ladder or None,
-                dbrew_func=job.dbrew_func)
-            if gres.degraded:
-                reject = "; ".join(gres.failure_summary()) or "ladder degraded"
-                if any(a.error_type == "BudgetExceededError"
-                       for a in gres.attempts):
-                    # the budget is not part of the job key: a verdict
-                    # produced under a starved budget must not be published
-                    # for every well-budgeted client sharing this key
-                    raise _BudgetStarved(f"budget-starved degradation "
-                                         f"not published: {reject}")
-                if any(a.context.get("stage") == "machine-verify"
-                       for a in gres.attempts):
-                    verdict = "refuted"
-                payload = {"ok": False, "reject_reason": reject,
-                           "mode": None, "verified": False,
-                           "module": None, "main_name": None,
-                           "machine_verdict": verdict}
-                self.store.put(rkey, payload)
-                return payload
-            mode = gres.mode
-            verified = gres.verified or (gres.result is not None
-                                         and gres.result.machine_gated)
-            if gres.result is not None:
-                verdict = gres.result.machine_verdict
-            reject = None
+        def publish(**payload: Any) -> dict:
+            payload = {"ok": False, "reject_reason": None, "mode": None,
+                       "verified": False, "module": None, "main_name": None,
+                       "machine_verdict": None, **payload}
+            self.store.put(rkey, payload)
+            return payload
 
-        mkey = self.cache.last_module_key
-        hit = self.cache.get_module(mkey) if mkey is not None else None
+        ladder = job.ladder or ((plan.rung,) if job.tier == T1 else None)
+        gres = GuardedTransformer.from_plan(
+            image, plan, cache=self.cache, budget=budget).transform(
+            job.func, job.signature, fixes, mem_regions=job.mem_regions,
+            name=job.name, probes=job.probes, ladder=ladder,
+            dbrew_func=job.dbrew_func)
+        if gres.degraded:
+            reject = "; ".join(gres.failure_summary()) or "ladder degraded"
+            if any(a.error_type == "BudgetExceededError"
+                   for a in gres.attempts):
+                # the budget is not part of the job key: a verdict produced
+                # under a starved budget must not be published for every
+                # well-budgeted client sharing this key
+                raise _BudgetStarved(f"budget-starved degradation "
+                                     f"not published: {reject}")
+            # content-determined (a machine-level refutation included):
+            # publish it so every follower/store hit observes the rejection
+            # without re-running the pipeline or the proof
+            refuted = any(a.context.get("stage") == "machine-verify"
+                          for a in gres.attempts)
+            return publish(reject_reason=reject,
+                           machine_verdict="refuted" if refuted else None)
+        res = gres.result
+        verified = job.tier != T1 and (gres.verified or res.machine_gated)
+
+        # codegen placed globals in ``res.module``: ship the pristine
+        # post-O3 module the pipeline stored under ``module_key``
+        hit = self.cache.get_module(res.module_key) \
+            if res.module_key is not None else None
         if hit is None:
             # unkeyable function (no extent digest): nothing shippable —
             # the client must compile locally; do not publish a verdict
             raise _Unshippable("post-O3 module not in the module cache")
         module, main_name = hit
-        payload = {"ok": True, "reject_reason": reject, "mode": mode,
-                   "verified": verified, "module": module,
-                   "main_name": main_name, "machine_verdict": verdict}
-        self.store.put(rkey, payload)
-        return payload
+        return publish(ok=True, mode=gres.mode, verified=verified,
+                       module=module, main_name=main_name,
+                       machine_verdict=res.machine_verdict)
 
     # -- result assembly ---------------------------------------------------
 
@@ -417,8 +354,3 @@ def worker_main(worker_id: int, job_q: Any, result_q: Any,
                 result_q.put(("result", result))
             except (EOFError, OSError):  # pragma: no cover - shutdown race
                 return
-
-
-def _replace(result: CompileResult, **changes: Any) -> CompileResult:
-    import dataclasses
-    return dataclasses.replace(result, **changes)

@@ -28,21 +28,21 @@ module composes both policies around the whole transform pipeline:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
-from repro.analysis.checkers import DEFAULT_PREGATE, run_checkers
-from repro.analysis.findings import errors_only
-from repro.cache import NegativeCache, NegativeEntry, SpecializationCache
+from repro.analysis.checkers import DEFAULT_PREGATE
+from repro.cache import NegativeCache, SpecializationCache
 from repro.cache import keys as cache_keys
 from repro.cpu.image import Image
-from repro.dbrew import Rewriter, raising_error_handler
 from repro.errors import BudgetExceededError, ReproError, VerificationError
 from repro.guard.budget import Budget
-from repro.guard.verify import DifferentialGate, GateOptions, GateReport
+from repro.guard.verify import GateOptions, GateReport
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.jit import BinaryTransformer, TransformResult
+from repro.jit.plan import (
+    DEFAULT_JIT, DEFAULT_O3, Pipeline, Plan, TransformResult,
+)
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import CounterView, MetricsRegistry
@@ -171,12 +171,22 @@ class GuardedTransformer:
         self.image = image
         self.cache = cache
         self.budget = budget
-        self.verify = verify
-        #: run the cheap static checkers (repro.analysis) on each fresh
-        #: candidate's IR before the dynamic gate — a statically-rejected
-        #: candidate never spends probe budget
-        self.static_precheck = static_precheck
-        self.gate = DifferentialGate(image, gate_options)
+        #: rung -> the policy it runs under (one plan, ``rung`` swapped).
+        #: ``static_precheck`` is the pregate: the cheap static
+        #: checkers (repro.analysis) run on each fresh candidate's IR
+        #: before the dynamic gate, so a statically-rejected candidate
+        #: never spends probe budget.  ``verify=False`` still gates a
+        #: candidate whose machine proof came back inconclusive: code the
+        #: static verifier could neither prove nor refute is never
+        #: installed on trust
+        plan = Plan(
+            "llvm", lift_options or LiftOptions(), o3_options or DEFAULT_O3,
+            jit_options or DEFAULT_JIT,
+            pregate=DEFAULT_PREGATE if static_precheck else (),
+            machine_verify=machine_verify,
+            gate="always" if verify else "if-inconclusive",
+            gate_options=gate_options)
+        self.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
         #: the registry backing this guard's stats and gate verdict
         #: counters; pass a shared one to aggregate across transformers
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -192,11 +202,24 @@ class GuardedTransformer:
             self.negative = cache.negative
         else:
             self.negative = NegativeCache()
-        self.tx = BinaryTransformer(
-            image, lift_options=lift_options, o3_options=o3_options,
-            jit_options=jit_options, cache=cache, budget=budget,
-            validator=validator, machine_verify=machine_verify,
-        )
+        #: the cache's quarantine is reached through the cache, which
+        #: counts the traffic
+        shared = cache is not None and self.negative is cache.negative
+        self._check_negative = cache.check_negative if shared \
+            else self.negative.check
+        self._record_negative = cache.put_negative if shared \
+            else self.negative.record
+        self.pipeline = Pipeline(image, cache=cache, budget=budget,
+                                 validator=validator)
+
+    @classmethod
+    def from_plan(cls, image: Image, plan: Plan,
+                  **kw: Any) -> "GuardedTransformer":
+        """A guard whose every rung runs under ``plan`` — the tiered
+        engine and the farm worker decide the policy once, per job."""
+        guard = cls(image, **kw)
+        guard.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
+        return guard
 
     # -- keys ----------------------------------------------------------------
 
@@ -219,60 +242,9 @@ class GuardedTransformer:
         return cache_keys.digest_str(
             "guard", code, cache_keys.signature_digest(signature), fdigest,
             repr(sorted(mem_regions)),
-            cache_keys.options_digest(self.tx.o3_options),
-            cache_keys.options_digest(self.tx.jit_options),
+            cache_keys.options_digest(self.plans["llvm"].o3),
+            cache_keys.options_digest(self.plans["llvm"].jit),
         )
-
-    # -- rungs ----------------------------------------------------------------
-
-    def _attempt(self, rung: str, entry: int, out_name: str,
-                 signature: FunctionSignature,
-                 fixes: dict[int, int | float | FixedMemory] | None,
-                 mem_regions: Sequence[tuple[int, int]],
-                 dbrew_entry: int) -> TransformResult:
-        if rung == "dbrew+llvm":
-            rw = Rewriter(self.image, dbrew_entry, cache=self.cache,
-                          budget=self.budget)
-            rw.error_handler = raising_error_handler
-            rw.set_signature(signature.params, signature.ret)
-            for i, v in (fixes or {}).items():
-                if isinstance(v, FixedMemory):
-                    rw.set_par(i, v.addr)
-                    rw.set_mem(v.addr, v.addr + v.size)
-                elif isinstance(v, float):
-                    rw.set_par_f64(i, v)
-                else:
-                    rw.set_par(i, v)
-            for start, end in mem_regions:
-                rw.set_mem(start, end)
-            addr = rw.rewrite(name=out_name + ".dbrew")
-            return self.tx.llvm_identity(addr, signature, name=out_name)
-        if rung == "llvm-fix":
-            return self.tx.llvm_fixed(entry, signature, fixes or {},
-                                      name=out_name)
-        if rung == "llvm":
-            return self.tx.llvm_identity(entry, signature, name=out_name)
-        raise ValueError(f"unknown ladder rung {rung!r}")
-
-    def _static_pregate(self, result: TransformResult) -> None:
-        """Reject a candidate on static findings before any probe runs.
-
-        Raises :class:`VerificationError` with ``stage="static-verify"``
-        so the ladder's existing eviction/quarantine/fall-through machinery
-        applies unchanged; the dynamic gate never runs for the candidate.
-        """
-        func = result.function
-        if func is None or func.is_declaration or not func.blocks:
-            return
-        findings = errors_only(run_checkers(func, DEFAULT_PREGATE))
-        if findings:
-            first = findings[0]
-            raise VerificationError(
-                f"static pre-gate: {first.format()}"
-                + (f" (+{len(findings) - 1} more)" if len(findings) > 1 else ""),
-                stage="static-verify", checker=first.checker,
-                findings=len(findings),
-            )
 
     # -- the guarded transform -------------------------------------------------
 
@@ -387,51 +359,29 @@ class GuardedTransformer:
                 continue
 
             t0 = time.perf_counter()
-            result: TransformResult | None = None
             rspan = _TR.start(f"guard.rung.{rung}", {"name": out_name}) \
                 if _TR.enabled else None
             try:
-                result = self._attempt(rung, entry, out_name, signature,
-                                       fixes, mem_regions, dbrew_entry)
-                # static pre-gate: free compared to probe executions, and
-                # it rejects whole bug classes (malformed phis, undef
-                # reaching a sink, provable out-of-region access) with an
-                # instruction-precise reason the dynamic gate cannot give.
-                # Machine-gated cache hits skip it like they skip the gate.
-                if self.static_precheck and not result.machine_gated:
-                    self._static_pregate(result)
-                # a machine-stage hit whose entry carries the gated bit
-                # passed the gate when it was installed (and
-                # Image.patch_code invalidation keeps it honest): don't
-                # re-pay the probe executions on the warm path.  Anything
+                # a machine-stage hit whose entry carries the gated bit was
+                # admitted when it was installed: the warm path re-pays
+                # neither the pregate nor the probe executions.  Anything
                 # else — fresh compiles and entries installed by an
-                # unguarded BinaryTransformer — must pass the gate now.
-                # An *inconclusive* machine proof downgrades to the dynamic
-                # gate as mandatory: even a guard configured with
-                # verify=False must not install code the static verifier
-                # could neither prove nor refute.
-                must_gate = result.machine_verdict == "inconclusive"
-                if (self.verify or must_gate) and not result.machine_gated:
-                    gspan = _TR.start("guard.gate", {"rung": rung}) \
-                        if _TR.enabled else None
-                    try:
-                        out.gate = self.gate.gate(
-                            entry, result.addr, signature, fixes, probes,
-                            self.budget)
-                    finally:
-                        if gspan is not None:
-                            _TR.finish(gspan)
+                # unguarded BinaryTransformer — must be admitted now
+                plan = self.plans[rung]
+                result = self.pipeline.compile(
+                    plan, entry, signature, fixes, out_name,
+                    mem_regions=mem_regions, dbrew_func=dbrew_entry)
+                gate = self.pipeline.admit(plan, result, entry, signature,
+                                           fixes, probes)
+                if gate is not None:
+                    out.gate = gate
                     # verified = a conclusive comparison happened on this
                     # request, not merely that the gate had no objection
-                    attempt.verified = not out.gate.vacuous
-                    if out.gate.vacuous:
+                    attempt.verified = not gate.vacuous
+                    if gate.vacuous:
                         self._gate_vacuous.value += 1
                     else:
                         self._gate_pass.value += 1
-                    if self.cache is not None \
-                            and result.machine_key is not None:
-                        self.cache.mark_machine_gated(
-                            self.image, result.machine_key)
             except ReproError as exc:
                 attempt.seconds = time.perf_counter() - t0
                 attempt.error = str(exc)
@@ -448,23 +398,16 @@ class GuardedTransformer:
                                 + 1)
                     elif exc.context.get("stage") == "machine-verify":
                         # refuted by the machine-level verifier before
-                        # installation; the transformer already quarantined
-                        # the machine key (machine:<xkey>)
+                        # installation
                         self.stats.machine_rejections += 1
                     else:
                         self.stats.verification_rejections += 1
                         self._gate_reject.value += 1
-                    # the candidate was installed (and positively cached)
-                    # before the gate ran: evict it, or an expired
-                    # quarantine entry would later serve code proven
-                    # divergent without re-gating it
-                    if self.cache is not None and result is not None \
-                            and result.machine_key is not None:
-                        self.cache.evict_machine(self.image,
-                                                 result.machine_key)
                 if isinstance(exc, BudgetExceededError):
                     self.stats.budget_exceeded += 1
-                self._record_negative(f"{guard_key()}:{rung}", rung, attempt)
+                self._record_negative(
+                    f"{guard_key()}:{rung}", rung,
+                    f"{attempt.error_type}: {attempt.error}", attempt.context)
                 continue
             finally:
                 if rspan is not None:
@@ -476,29 +419,11 @@ class GuardedTransformer:
             out.verified = attempt.verified
             self.stats.served_by[rung] += 1
             if len(self.negative):
-                self._forget_negative(f"{guard_key()}:{rung}")
+                self.negative.forget(f"{guard_key()}:{rung}")
             break
 
         out.seconds = time.perf_counter() - t_start
         return out
-
-    # -- quarantine plumbing (via the shared cache when present) --------------
-
-    def _check_negative(self, key: str) -> NegativeEntry | None:
-        if self.cache is not None and self.negative is self.cache.negative:
-            return self.cache.check_negative(key)
-        return self.negative.check(key)
-
-    def _record_negative(self, key: str, rung: str,
-                         attempt: RungAttempt) -> None:
-        reason = f"{attempt.error_type}: {attempt.error}"
-        if self.cache is not None and self.negative is self.cache.negative:
-            self.cache.put_negative(key, rung, reason, attempt.context)
-        else:
-            self.negative.record(key, rung, reason, attempt.context)
-
-    def _forget_negative(self, key: str) -> None:
-        self.negative.forget(key)
 
 
 def _known_size(image: Image, addr: int) -> int | None:

@@ -1,21 +1,15 @@
 """The instrumenter: lift -> O3 -> inject -> JIT -> prove -> gate -> install.
 
 Instrumentation is a *workload*, not a debug mode: an instrumented
-function flows through the same pipeline and the same trust boundaries
-as any specialization —
-
-1. lift the machine code to IR and optimize it (probes are injected
-   *after* O3 so they count the code that actually runs, and no pass can
-   move, merge or delete them);
-2. plan + allocate a :class:`~repro.instrument.buffer.ProbeBuffer` in the
-   image's probe region and inject the tagged probe instructions;
-3. statically prove the probes effect-only
-   (:func:`repro.analysis.probes.check_probe_ops`);
-4. JIT the instrumented module; with ``machine_verify`` the emitted bytes
-   are proven equivalent to the instrumented IR (probe stores included);
-5. differentially gate instrumented vs original execution under the
-   effects-whitelist: identical return values, identical program memory,
-   only the probe buffer may differ.
+function is one :class:`~repro.jit.plan.Plan` — the ``llvm`` rung with the
+probe-injection stage — run by the same :class:`~repro.jit.plan.Pipeline`
+through the same trust boundaries as any specialization (DESIGN §16):
+probes go in *after* O3, the probe-ops pregate proves them effect-only,
+``machine_verify`` proves the emitted bytes equivalent to the instrumented
+IR (probe stores included), and the differential gate compares
+instrumented against original execution under the effects-whitelist —
+identical return values, identical program memory, only the probe buffer
+may differ.
 
 Only then is the install handed back.  A rejected step raises exactly
 like a rejected specialization would.
@@ -23,25 +17,24 @@ like a rejected specialization would.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.analysis.probes import check_probe_ops
 from repro.cpu.image import Image
 from repro.errors import VerificationError
-from repro.guard.verify import DifferentialGate, GateOptions, GateReport
+from repro.guard.verify import GateOptions, GateReport
 from repro.instrument.buffer import ProbeBuffer
-from repro.instrument.passes import (
-    InstrumentOptions, ProbePlan, inject_probes, plan_probes,
-)
-from repro.ir import verify
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.instrument.passes import InstrumentOptions, ProbePlan
+from repro.ir.codegen import JITOptions
 from repro.ir.module import Function, Module
-from repro.ir.passes import O3Options, run_o3
-from repro.jit.engine import verify_emitted
-from repro.lift import FunctionSignature, LiftOptions, lift_function
+from repro.ir.passes import O3Options
+from repro.jit.plan import DEFAULT_JIT, Pipeline, Plan
+from repro.lift import FunctionSignature, LiftOptions
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
+
+#: rejection stage -> the counter it bumps
+_REJECTED = {"static-verify": "instrument.pregate.rejected",
+             "machine-verify": "instrument.machine.refuted"}
 
 
 @dataclass
@@ -82,7 +75,7 @@ class Instrumenter:
         self.image = image
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or O3Options.lightweight()
-        self.jit_options = jit_options or JITOptions()
+        self.jit_options = jit_options or DEFAULT_JIT
         self.gate_options = gate_options or GateOptions()
         self.machine_verify = machine_verify
         self.run_gate = run_gate
@@ -100,97 +93,44 @@ class Instrumenter:
         entry = self.image.symbol(func) if isinstance(func, str) else func
         out_name = name or (f"{func}.instr" if isinstance(func, str)
                             else f"fn_{entry:#x}.instr")
-        if not _TR.enabled:
-            return self._instrument(entry, signature, options, probes,
-                                    out_name)
-        with _TR.span("instrument.apply", {"name": out_name,
-                                           "options": options.digest()}):
-            return self._instrument(entry, signature, options, probes,
-                                    out_name)
-
-    def _instrument(self, entry: int, signature: FunctionSignature,
-                    options: InstrumentOptions, probes: tuple,
-                    out_name: str) -> InstrumentedFunction:
-        seconds: dict = {}
-        t0 = time.perf_counter()
-        module = Module(f"instr_{out_name}")
-        opts = replace(self.lift_options, name=out_name)
-        main = lift_function(self.image.memory, entry, signature, opts,
-                             module)
-        seconds["lift"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        run_o3(main, self.o3_options)
-        seconds["opt"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        plan = plan_probes(main, options)
-        buffer = ProbeBuffer.allocate(self.image, plan)
-        inject_probes(main, plan, buffer)
-        verify(main)
-        seconds["inject"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        findings = check_probe_ops(main, buffer.extent())
-        seconds["pregate"] = time.perf_counter() - t0
-        if findings:
-            _metrics.counter("instrument.pregate.rejected").inc()
-            raise VerificationError(
-                "probe-ops pregate rejected instrumented "
-                f"{out_name!r}: " + "; ".join(f.format() for f in findings),
-                stage="instrument-pregate", findings=tuple(findings))
-
-        t0 = time.perf_counter()
-        jit = JITEngine(self.image, self.jit_options)
-        addr = jit.compile_function(main, name=out_name)
-        seconds["codegen"] = time.perf_counter() - t0
-
-        verdict = None
-        if self.machine_verify:
-            t0 = time.perf_counter()
-            report = verify_emitted(jit, out_name)
-            seconds["machine_verify"] = time.perf_counter() - t0
-            verdict = report.verdict
-            if verdict == "refuted":
-                _metrics.counter("instrument.machine.refuted").inc()
-                detail = "; ".join(
-                    f.format() for f in report.findings if f.is_error) \
-                    or "machine-level proof refuted"
-                raise VerificationError(
-                    f"machine verification refuted instrumented "
-                    f"{out_name!r}: {detail}",
-                    stage="machine-verify", name=out_name,
-                    findings=tuple(report.findings))
-
-        gate_report = None
-        if self.run_gate:
-            t0 = time.perf_counter()
-            gate_opts = replace(
-                self.gate_options,
-                ignore_regions=self.gate_options.ignore_regions
-                + (buffer.extent(),))
-            gate = DifferentialGate(self.image, gate_opts)
-            if _TR.enabled:
-                with _TR.span("instrument.gate", {"name": out_name}):
-                    gate_report = gate.gate(entry, addr, signature,
-                                            None, probes)
-            else:
-                gate_report = gate.gate(entry, addr, signature, None, probes)
-            seconds["gate"] = time.perf_counter() - t0
+        plan = Plan("llvm", self.lift_options, self.o3_options,
+                    self.jit_options, inject=options,
+                    machine_verify=self.machine_verify,
+                    gate="always" if self.run_gate else "never",
+                    gate_options=self.gate_options)
+        pipeline = Pipeline(self.image)
+        try:
+            with _TR.span("instrument.apply", {"name": out_name,
+                                               "options": options.digest()}):
+                res = pipeline.compile(plan, entry, signature, None, out_name)
+                gate_report = pipeline.admit(plan, res, entry, signature,
+                                             None, probes)
+        except VerificationError as exc:
+            counter = _REJECTED.get(exc.context.get("stage"))
+            if counter is not None:
+                _metrics.counter(counter).inc()
+            raise
+        probe_plan, buffer = res.probes
+        seconds = {"lift": res.lift_seconds, "opt": res.optimize_seconds,
+                   "inject": res.inject_seconds,
+                   "pregate": res.pregate_seconds,
+                   "codegen": res.codegen_seconds,
+                   "machine_verify": res.machine_verify_seconds,
+                   "gate": res.gate_seconds}
 
         _metrics.counter("instrument.installs").inc()
         fam = _metrics.REGISTRY.family("instrument.probes")
         if options.call_counter:
             fam.inc("call", 1)
         if options.edge_counters:
-            fam.inc("edge", len(plan.block_names))
-        fam.inc("mem", len(plan.mem_sites))
-        fam.inc("watch", len(plan.watch_sites))
+            fam.inc("edge", len(probe_plan.block_names))
+        fam.inc("mem", len(probe_plan.mem_sites))
+        fam.inc("watch", len(probe_plan.watch_sites))
         return InstrumentedFunction(
-            name=out_name, addr=addr, source=entry, signature=signature,
-            options=options, function=main, module=module, plan=plan,
-            buffer=buffer, gate_report=gate_report,
-            machine_verdict=verdict, seconds=seconds)
+            name=out_name, addr=res.addr, source=entry, signature=signature,
+            options=options, function=res.function, module=res.module,
+            plan=probe_plan, buffer=buffer, gate_report=gate_report,
+            machine_verdict=res.machine_verdict, seconds=seconds)
 
 
 def audit_probe_state(result: InstrumentedFunction, *,

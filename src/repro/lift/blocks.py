@@ -45,9 +45,10 @@ _DECODE_MISSES = _metrics.counter("lift.decode_memo.misses")
 #: memo above still pays the worklist walk, leader analysis and block
 #: assembly on every lift; a trace hit skips *all* of it.  The token comes
 #: from :meth:`repro.cpu.image.Image.content_token` — it folds the image's
-#: patch generation and code-allocation cursors, so any sanctioned code
-#: mutation (``patch_code``, ``add_function``, ``reserve_code``) moves the
-#: token and stale CFGs simply key dead entries.  Raw ``Memory`` objects
+#: patch generation, code-allocation cursors and a digest of the bytes
+#: installed, so any sanctioned code mutation (``patch_code``,
+#: ``add_function``, ``reserve_code``) moves the token and stale CFGs
+#: simply key dead entries.  Raw ``Memory`` objects
 #: with no image attached have no token and bypass this cache entirely.
 #: Cached CFGs are shared read-only across lifts (the lifter only reads
 #: them), exactly like the memoized ``Instruction`` objects they contain.

@@ -10,8 +10,8 @@ everything on exit.
 Stages and their patch points::
 
     decode   repro.lift.blocks.decode_one, repro.dbrew.rewriter.decode_one
-    lift     repro.jit.engine.lift_function
-    opt      repro.jit.engine.run_o3
+    lift     repro.jit.plan.lift_function
+    opt      repro.jit.plan.run_o3
     codegen  repro.ir.codegen.jit.JITEngine.compile_function
     rewrite  repro.dbrew.rewriter.Rewriter._rewrite
     pass:<p> repro.ir.passes.<p>.run — one stage per -O3 pass (constprop,
@@ -54,8 +54,8 @@ from repro.errors import (
 PATCH_POINTS: dict[str, tuple[tuple[str, str], ...]] = {
     "decode": (("repro.lift.blocks", "decode_one"),
                ("repro.dbrew.rewriter", "decode_one")),
-    "lift": (("repro.jit.engine", "lift_function"),),
-    "opt": (("repro.jit.engine", "run_o3"),),
+    "lift": (("repro.jit.plan", "lift_function"),),
+    "opt": (("repro.jit.plan", "run_o3"),),
     "codegen": (("repro.ir.codegen.jit", "JITEngine.compile_function"),),
     "rewrite": (("repro.dbrew.rewriter", "Rewriter._rewrite"),),
 }

@@ -19,17 +19,16 @@ compile workers plus the dispatch table of registered
    consistently worse than a lower ready tier is demoted (with back-off,
    so it does not flap).
 
-Tier meanings (:mod:`repro.tier.policy`):
+Tier meanings (:mod:`repro.tier.policy`) — each is one
+:class:`~repro.jit.plan.Plan`, decided by :meth:`TieredEngine._plan_for`:
 
-* **T1** is the cheap rung: :class:`~repro.jit.BinaryTransformer` with
-  :meth:`O3Options.lightweight` — the paper's Sec. VII "small subset of
-  passes" proposal; with fixes it runs ``llvm-fix``, otherwise a plain
-  lift-and-regenerate.
-* **T2** is the full specialization: the
-  :class:`~repro.guard.GuardedTransformer` ladder (``dbrew+llvm`` when
-  there is anything to specialize) with the differential gate as
-  *admission control* — a rejected candidate pins the handle at its
-  current tier instead of ever serving unverified code.
+* **T1** is the cheap rung: :meth:`O3Options.lightweight` — the paper's
+  Sec. VII "small subset of passes" proposal; with fixes it runs
+  ``llvm-fix``, otherwise a plain lift-and-regenerate.
+* **T2** is the full specialization (``dbrew+llvm`` when there is anything
+  to specialize) with the differential gate as *admission control* — a
+  rejected candidate pins the handle at its current tier instead of ever
+  serving unverified code.
 
 Worker compiles are *cooperative*: each job's
 :class:`~repro.guard.Budget` gets a yield hook that blocks on the
@@ -44,24 +43,28 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cache import SpecializationCache
 from repro.cpu.image import Image
 from repro.errors import ReproError
-from repro.guard import (
-    Budget, DifferentialGate, GateOptions, GuardedTransformer,
-)
+from repro.guard import Budget, GateOptions, GuardedTransformer
+from repro.instrument.passes import InstrumentOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.jit import BinaryTransformer, TransformResult
+from repro.jit.plan import (
+    DEFAULT_JIT, DEFAULT_O3, Pipeline, Plan, TransformResult,
+)
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.trace import TRACER as _TR, Span
 from repro.tier.handle import DispatchHandle, TierCode
-from repro.tier.policy import NUM_TIERS, T1, T2, TierGovernor, TierPolicy
+from repro.tier.policy import (
+    NUM_TIERS, T1, EdgeProfile, TierGovernor, TierPolicy,
+)
 
 
 class TierStats:
@@ -405,15 +408,12 @@ class TieredEngine:
         verified = False
         out_name = f"{handle.name}.t{job.target}.e{job.epoch}.s{job.seq}"
         try:
-            farm_out = self._compile_farm(handle, job, out_name) \
+            plan = self._plan_for(handle, job.target)
+            out = self._compile_farm(handle, job, plan, out_name) \
                 if self.farm is not None else None
-            if farm_out is not None:
-                addr, mode, verified, reject_reason = farm_out
-            elif job.target == T1:
-                addr, mode = self._compile_t1(handle, out_name)
-            else:
-                addr, mode, verified, reject_reason = self._compile_t2(
-                    handle, out_name)
+            if out is None:
+                out = self._compile(handle, job.target, plan, out_name)
+            addr, mode, verified, reject_reason = out
         except ReproError as exc:
             reject_reason = f"{type(exc).__name__}: {exc}"
         except BaseException as exc:  # pragma: no cover - defensive
@@ -461,23 +461,53 @@ class TieredEngine:
         if installed is not None and self.on_install is not None:
             self.on_install(handle, installed)
 
-    def _farm_pipeline_options(
-            self, handle: DispatchHandle,
-            target: int) -> tuple[O3Options, tuple[str, ...]]:
-        """The exact pipeline configuration the local tiers would use —
-        the farm must key and run the *same* work, or results would not be
-        interchangeable with the in-process fallback."""
-        if target == T1:
-            o3 = O3Options.lightweight()
-            if handle.fixes:
-                o3 = o3.replace(enable_inline=True)
-            return o3, ()
-        specializing = bool(handle.fixes) or bool(handle.mem_regions)
-        o3 = self.t2_o3_options if self.t2_o3_options is not None \
-            else O3Options()
-        return o3, ("dbrew+llvm",) if specializing else ("llvm",)
+    def _plan_for(self, handle: DispatchHandle, target: int) -> Plan:
+        """The pipeline policy of one tier of one handle — decided here,
+        once: the in-process compile, the :class:`CompileJob` shipped to
+        the farm and the worker that runs it all derive from this plan, or
+        their results would not be interchangeable.
 
-    def _compile_farm(self, handle: DispatchHandle, job: _Job, out_name: str,
+        **T1**, the cheap tier: the lightweight pass subset, served
+        ungated — it is produced by the same lifter/codegen as everything
+        else and the differential gate is T2's admission control, where
+        specialization actually changes semantics-relevant structure.  An
+        *inconclusive* machine proof downgrades that privilege to a
+        mandatory one-off gate.  With ``profile="edges"`` an unfixed T1 is
+        compiled with probes and runs the full boundary stack; a handle
+        registered without probe vectors gets a ``min_conclusive=0`` gate
+        (sampled integers cannot exercise pointer parameters), which
+        matches plain T1's trust level while still comparing every probe
+        that *is* conclusive.
+
+        **T2**, the full tier: the strongest applicable rung under the
+        guard's whole policy.  T2 is *the* specialization tier, so a
+        failure there must pin the handle (reported as a rejection), not
+        silently install a rung the cheaper tiers already cover.
+        """
+        rung, o3, inject = "llvm", O3Options.lightweight(), None
+        pregate, gate, gate_options = (), "if-inconclusive", self.gate_options
+        if target != T1:
+            if handle.fixes or handle.mem_regions:
+                rung = "dbrew+llvm"
+            o3 = self.t2_o3_options or DEFAULT_O3
+            pregate, gate = DEFAULT_PREGATE, "always"
+        elif handle.fixes:
+            # the fixation wrapper calls the lifted original, which only
+            # exists inside the module — the inliner must collapse that
+            # call or codegen has no symbol to resolve it against
+            rung, o3 = "llvm-fix", o3.replace(enable_inline=True)
+        elif self.profile == "edges":
+            inject = self.instrument_options or InstrumentOptions()
+            gate = "always"
+            if not handle.probes:
+                gate_options = replace(gate_options, min_conclusive=0)
+        return Plan(rung, self.lift_options or LiftOptions(), o3,
+                    self.jit_options or DEFAULT_JIT, inject=inject,
+                    pregate=pregate, machine_verify=self.machine_verify,
+                    gate=gate, gate_options=gate_options)
+
+    def _compile_farm(self, handle: DispatchHandle, job: _Job, plan: Plan,
+                      out_name: str,
                       ) -> tuple[int | None, str | None, bool, str | None] | None:
         """Ship one compile to the farm; None means "compile in-process".
 
@@ -500,17 +530,15 @@ class TieredEngine:
                 self.stats.farm_fallbacks += 1
             return None
         target = job.target
-        if target == T1 and self.profile == "edges" and not handle.fixes:
+        if plan.inject is not None:
             # instrumented T1 modules bake this image's probe-buffer
             # address into their IR — position-dependent by construction,
             # so they are compiled in-process (the farm job key carries an
             # instrument= component regardless, keeping instrumented and
             # plain artifacts digest-distinct)
             return None
-        o3, ladder = self._farm_pipeline_options(handle, target)
+        ladder = (plan.rung,) if target != T1 else ()
         dbrew = handle.dbrew_func if target != T1 else None
-        jit = self.jit_options if self.jit_options is not None \
-            else JITOptions()
         # publish (or re-verify) the image snapshot *before* keying: the
         # job key folds the spec key in, so results computed against
         # different snapshots can never be served interchangeably
@@ -518,7 +546,7 @@ class TieredEngine:
         jkey = fp.compute_job_key(
             self.image, handle.func, handle.signature, handle.fixes,
             handle.mem_regions, handle.probes, target, ladder, dbrew,
-            self.lift_options, o3, jit, self.gate_options,
+            plan.lift, plan.o3, plan.jit, plan.gate_options,
             image_key=image_key)
         if jkey is None:
             with self._lock:
@@ -535,11 +563,11 @@ class TieredEngine:
             probes=tuple(handle.probes), dbrew_func=dbrew, ladder=ladder,
             image_key=image_key,
             lift=fp.freeze_lift_options(self.lift_options),
-            o3=o3, jit=jit, gate=self.gate_options,
+            o3=plan.o3, jit=plan.jit, gate=plan.gate_options,
             budget=fp.freeze_budget(budget),
             epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
             parent_span_id=cur.span_id if cur is not None else None,
-            machine_verify=self.machine_verify)
+            machine_verify=plan.machine_verify)
         res = self.farm.compile(cjob, timeout=self.farm_timeout)
         if res is None or (not res.ok and res.retryable):
             with self._lock:
@@ -554,130 +582,50 @@ class TieredEngine:
                 self.stats.farm_coalesced += 1
         if not res.ok:
             return None, None, False, res.reject_reason or "farm rejection"
-        main = res.module.functions[res.main_name]
-        from repro.ir.codegen.jit import JITEngine
-        addr = JITEngine(self.image, jit).compile_function(
-            main, name=out_name)
+        # the client-side install is the pipeline's module-stage entry:
+        # codegen only, under the worker's proof of the same module
+        pipeline = Pipeline(self.image)
+        result = pipeline.install(plan, res.module, res.main_name, out_name,
+                                  res.machine_verdict)
         if target == T1:
-            # the worker's proof covers its own emission; an inconclusive
-            # farm verdict means this client-side install must pass the
-            # one-off gate T1 would otherwise skip
-            self._t1_machine_gate(handle, addr, res.machine_verdict)
-        return addr, res.mode, res.verified, None
+            # T2 was admitted worker-side; T1's one-off gate must run
+            # against this image's emission
+            pipeline.admit(plan, result, handle.entry, handle.signature,
+                           handle.fixes, handle.probes)
+        return result.addr, res.mode, res.verified, None
 
-    def _compile_t1(self, handle: DispatchHandle,
-                    out_name: str) -> tuple[int, str]:
-        """The cheap tier: lightweight pass subset, no gate.
-
-        T1 code is produced by the same lifter/codegen as everything else
-        and carries no fixation when the handle has none, so it is served
-        ungated — the differential gate is T2's admission control, where
-        specialization actually changes semantics-relevant structure.
-        """
-        budget = self._job_budget().start()
-        if self.profile == "edges" and not handle.fixes:
-            return self._compile_t1_instrumented(handle, out_name)
-        o3 = O3Options.lightweight()
-        if handle.fixes:
-            # the fixation wrapper calls the lifted original, which only
-            # exists inside the module — the inliner must collapse that
-            # call or codegen has no symbol to resolve it against
-            o3 = o3.replace(enable_inline=True)
-        tx = BinaryTransformer(
-            self.image, o3_options=o3,
-            cache=self.cache, budget=budget,
-            lift_options=self.lift_options, jit_options=self.jit_options,
-            machine_verify=self.machine_verify)
-        tx.on_result = self._note_result
-        if handle.fixes:
-            res = tx.llvm_fixed(handle.func, handle.signature, handle.fixes,
-                                name=out_name)
-            self._t1_machine_gate(handle, res.addr, res.machine_verdict)
-            return res.addr, "llvm-fix"
-        res = tx.llvm_identity(handle.func, handle.signature, name=out_name)
-        self._t1_machine_gate(handle, res.addr, res.machine_verdict)
-        return res.addr, "llvm"
-
-    def _compile_t1_instrumented(self, handle: DispatchHandle,
-                                 out_name: str) -> tuple[int, str]:
-        """Edge-profile T1: the cheap tier compiled with probes.
-
-        The instrumenter runs the full boundary stack — probe-ops pregate,
-        machine verification of the instrumented emission, and the
-        differential gate under the probe-buffer effects-whitelist.  A
-        handle registered without probe vectors gets a ``min_conclusive=0``
-        gate (sampled integers cannot exercise pointer parameters), which
-        matches plain T1's ungated trust level while still comparing every
-        probe that *is* conclusive.  On success the handle's governor
-        switches to the :class:`~repro.tier.EdgeProfile` source bound to
-        the fresh buffer, so promotion to T2 runs on block heat.
-
-        Instrumented artifacts never enter the specialization cache: the
-        module bakes the buffer address in, so the install is unique to
-        this buffer by construction.
-        """
-        from dataclasses import replace as _dc_replace
-
-        from repro.instrument import Instrumenter, InstrumentOptions
-        from repro.tier.policy import EdgeProfile
-
-        gate_opts = self.gate_options
-        if not handle.probes:
-            gate_opts = _dc_replace(gate_opts, min_conclusive=0)
-        inst = Instrumenter(
-            self.image, lift_options=self.lift_options,
-            jit_options=self.jit_options, gate_options=gate_opts,
-            machine_verify=self.machine_verify)
-        res = inst.instrument(
-            handle.func, handle.signature,
-            options=self.instrument_options or InstrumentOptions(),
-            probes=tuple(handle.probes), name=out_name)
-        # attach before the install commits: a stale-epoch discard leaves
-        # a frozen buffer behind, which is safe — the governor takes
-        # max(calls, heat), so a dead profile degrades to call counting
-        handle.governor.profile = EdgeProfile(res.buffer)
-        return res.addr, "llvm+instr"
-
-    def _t1_machine_gate(self, handle: DispatchHandle, addr: int,
-                         verdict: str | None) -> None:
-        """T1 normally installs ungated; an *inconclusive* machine proof
-        downgrades that privilege to a mandatory one-off differential
-        gate.  (A refuted proof never reaches here — the transformer
-        raises before installation.)"""
-        if verdict != "inconclusive":
-            return
-        DifferentialGate(self.image, self.gate_options).gate(
-            handle.entry, addr, handle.signature, handle.fixes,
-            handle.probes)
-
-    def _compile_t2(self, handle: DispatchHandle, out_name: str,
-                    ) -> tuple[int | None, str | None, bool, str | None]:
-        """The full tier: guarded dbrew+llvm+O3 with gate admission.
-
-        The guard's own ladder is restricted to the strongest applicable
-        rung: T2 is *the* specialization tier, so a failure there must pin
-        the handle (reported as a rejection), not silently install a rung
-        the cheaper tiers already cover.
-        """
-        budget = self._job_budget()
-        guard = GuardedTransformer(
-            self.image, cache=self.cache, budget=budget,
-            gate_options=self.gate_options, lift_options=self.lift_options,
-            o3_options=self.t2_o3_options, jit_options=self.jit_options,
-            machine_verify=self.machine_verify, registry=self.registry)
-        guard.tx.on_result = self._note_result
-        specializing = bool(handle.fixes) or bool(handle.mem_regions)
-        ladder = ("dbrew+llvm",) if specializing else ("llvm",)
+    def _compile(self, handle: DispatchHandle, target: int, plan: Plan,
+                 out_name: str,
+                 ) -> tuple[int | None, str | None, bool, str | None]:
+        """Run ``plan`` in-process, under the guard restricted to the
+        plan's rung: a failure is a rejection (never a weaker rung) and
+        leaves the guard's rung quarantine and eviction behind.
+        ``guard.*`` in the engine's registry counts T2 admissions only."""
+        guard = GuardedTransformer.from_plan(
+            self.image, plan, cache=self.cache, budget=self._job_budget(),
+            registry=self.registry if target != T1 else None)
+        if plan.inject is None:
+            # the hook's telemetry describes cache traffic, which an
+            # instrumented compile never has
+            guard.pipeline.on_result = self._note_result
         res = guard.transform(
             handle.func, handle.signature, handle.fixes,
             mem_regions=handle.mem_regions, name=out_name,
-            probes=handle.probes, ladder=ladder,
-            dbrew_func=handle.dbrew_func)
+            probes=handle.probes, ladder=(plan.rung,),
+            dbrew_func=handle.dbrew_func if target != T1 else None)
         if res.degraded:
             failures = "; ".join(res.failure_summary()) or "ladder degraded"
             return None, None, False, failures
-        verified = res.verified or (res.result is not None
-                                    and res.result.machine_gated)
+        if res.result.probes is not None:
+            # attach before the install commits: a stale-epoch discard
+            # leaves a frozen buffer behind, which is safe — the governor
+            # takes max(calls, heat), so a dead profile degrades to call
+            # counting
+            handle.governor.profile = EdgeProfile(res.result.probes.buffer)
+            return res.addr, "llvm+instr", False, None
+        # T1 is the ungated tier even when its one-off gate happened to run
+        verified = target != T1 and (res.verified
+                                     or res.result.machine_gated)
         return res.addr, res.mode, verified, None
 
     # -- scheduling controls -----------------------------------------------

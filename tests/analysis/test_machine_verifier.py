@@ -204,7 +204,7 @@ def test_transformer_off_by_default():
 
 
 def test_refuted_proof_quarantines_before_install(monkeypatch):
-    import repro.jit.engine as jit_engine
+    import repro.jit.plan as jit_engine
 
     prog = _program()
     cache = SpecializationCache()
@@ -230,7 +230,7 @@ def test_refuted_proof_quarantines_before_install(monkeypatch):
 
 
 def test_guard_counts_machine_rejections(monkeypatch):
-    import repro.jit.engine as jit_engine
+    import repro.jit.plan as jit_engine
 
     prog = _program()
     guard = GuardedTransformer(prog.image, cache=SpecializationCache(),
@@ -247,7 +247,7 @@ def test_guard_counts_machine_rejections(monkeypatch):
 def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
     """verify=False normally installs ungated; an inconclusive machine
     proof downgrades that to a mandatory differential gate."""
-    import repro.jit.engine as jit_engine
+    import repro.jit.plan as jit_engine
 
     monkeypatch.setattr(
         jit_engine, "verify_emitted",

@@ -86,3 +86,23 @@ def test_rewrite_without_cache_unchanged():
     assert a1 != a2  # two independent rewrites, both correct
     sim = Simulator(img)
     assert sim.call_int("f.p1", (0, 0)) == sim.call_int("f.p2", (0, 0)) == 30
+
+
+def test_hit_serves_its_own_size_after_the_name_moved_on():
+    """Two configurations rewritten under one output name re-point that
+    symbol; a later hit on the first must still carry the first's size —
+    ``function_extent`` digests it for the DBrew+LLVM composition key."""
+    img, v = _vector_image()
+    cache = SpecializationCache()
+    folded = _rewriter(img, v, cache).rewrite(name="f.spec")
+    size = img.func_sizes["f.spec"]
+    # n left free: the loop stays, the emitted code is longer
+    loop = (Rewriter(img, "f", cache=cache).set_signature(("i", "i"))
+            .set_par(0, v).set_mem(v, v + 32).rewrite(name="f.spec"))
+    assert loop != folded and img.func_sizes["f.spec"] != size
+    r = _rewriter(img, v, cache)
+    assert r.rewrite(name="f.again") == folded
+    assert cache.stats.stage_hits["rewrite"] == 1
+    assert img.func_sizes["f.again"] == size
+    assert r.last_digest == cache.code_digest(img, "f.again")
+    assert Simulator(img).call_int("f.again", (0, 0)) == 30

@@ -9,10 +9,13 @@ from repro.testing.chaos import (ChaosOptions, FAULT_KINDS, run_scenario,
                                  run_suite)
 
 # small scenarios sized for a 1-CPU box; the full sweep lives in
-# benchmarks/bench_chaos.py
+# benchmarks/bench_chaos.py.  A dropped result costs its client one whole
+# ``farm_timeout`` before it falls back in-process: keep that wait
+# test-sized (the harness default is 30 s) — the invariants do not depend
+# on how long the client sat there
 _OPTS = ChaosOptions(workers=2, functions=2, steps=12, calls_per_step=2,
                      fault_rate=0.5, heartbeat_interval=0.2,
-                     hang_timeout=0.4)
+                     hang_timeout=0.4, farm_timeout=2.0)
 
 
 @pytest.mark.parametrize("seed", [7, 42, 1337])

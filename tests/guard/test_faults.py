@@ -3,7 +3,7 @@
 import pytest
 
 import repro.dbrew.rewriter as rewriter_mod
-import repro.jit.engine as engine_mod
+import repro.jit.plan as engine_mod
 import repro.lift.blocks as blocks_mod
 from repro.cc import compile_c
 from repro.errors import (

@@ -3,10 +3,16 @@
 Disabled tracing must be a single attribute check on every hot path:
 
 * ``DispatchHandle.address()`` — the zero-stall dispatch from PR 4 — is
-  never wrapped when tracing is off (checked structurally *and* by a
-  lap-interleaved timing comparison against the bare class function);
-* a warm ``GuardedTransformer.transform`` (machine-stage cache hit) pays
-  at most 5% over calling its untraced ``_transform_impl`` directly.
+  never wrapped when tracing is off: the handle keeps the bare class and
+  its hot function names no tracer at all;
+* a warm ``GuardedTransformer.transform`` (machine-stage cache hit) tests
+  ``TRACER.enabled`` and then runs its untraced ``_transform_impl``
+  without calling into the tracer once.
+
+These are structural checks: tier-1 must not depend on the load of the box
+it runs on.  The timed form of the same contract (<= 5 % over the bare
+path, lap-interleaved medians) is ``benchmarks/bench_obs_overhead.py``,
+which CI runs on its own.
 
 With tracing enabled, coverage must be complete where the tentpole
 promises it: every O3 pass application gets a matching span.
@@ -14,8 +20,7 @@ promises it: every O3 pass application gets a matching span.
 
 from __future__ import annotations
 
-import statistics
-import time
+import pytest
 
 from repro.cache import SpecializationCache
 from repro.cc import compile_c
@@ -28,23 +33,8 @@ from repro.obs.trace import TRACER
 from repro.tier import TieredEngine, TierPolicy
 from repro.tier.handle import DispatchHandle
 
-MAX_DISABLED_OVERHEAD = 0.05
-
-#: thresholds no test run can reach: the handle never promotes, so the
-#: timing loop below exercises exactly the dispatch hot path
+#: thresholds no test run can reach: the handle never promotes
 _COLD = TierPolicy(promote_calls=(10**9, 10**9))
-
-
-def _median_pair(fn_a, fn_b, rounds: int) -> tuple[float, float]:
-    """Median of interleaved laps per arm (robust to drift/preemption)."""
-    def lap(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    pairs = [(lap(fn_a), lap(fn_b)) for _ in range(rounds)]
-    return (statistics.median(p[0] for p in pairs),
-            statistics.median(p[1] for p in pairs))
 
 
 # -- disabled path: dispatch ------------------------------------------------
@@ -63,30 +53,32 @@ def test_dispatch_hot_path_structurally_untouched():
 
 
 def test_dispatch_disabled_overhead_within_budget():
+    """Disabled: the handle is a plain ``DispatchHandle`` whose ``address``
+    is the class function itself.  Enabled: only handles registered from
+    then on are swapped to the timed subclass."""
     assert not TRACER.enabled
     with TieredEngine(Image(), policy=_COLD) as eng:
-        h = eng.register(0x1000, FunctionSignature(("i",), "i"))
-        plain = DispatchHandle.address
-        n = 20_000
-
-        def bare():
-            for _ in range(n):
-                plain(h)
-
-        def dispatched():
-            for _ in range(n):
-                h.address()
-
-        base, traced_off = _median_pair(bare, dispatched, rounds=40)
-    overhead = traced_off / base - 1.0
-    assert overhead < MAX_DISABLED_OVERHEAD, \
-        f"disabled dispatch costs {overhead:+.1%} over the bare hot path"
+        sig = FunctionSignature(("i",), "i")
+        h = eng.register(0x1000, sig)
+        assert type(h) is DispatchHandle
+        assert h.address.__func__ is DispatchHandle.address
+        TRACER.enable()
+        try:
+            timed = eng.register(0x2000, sig)
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        assert type(timed) is not DispatchHandle
+        assert type(h) is DispatchHandle
+        assert h.address() == 0x1000 and timed.address() == 0x2000
 
 
 # -- disabled path: warm guarded transform ----------------------------------
 
 
-def test_warm_guard_transform_disabled_overhead():
+def test_warm_guard_transform_disabled_overhead(monkeypatch):
+    """Disabled: ``transform`` is ``TRACER.enabled`` then ``_transform_impl``,
+    and the whole machine-cache hit path under it never enters the tracer."""
     assert not TRACER.enabled
     prog = compile_c("long f(long a, long b) { return a * b + 3; }")
     guard = GuardedTransformer(prog.image, cache=SpecializationCache())
@@ -94,18 +86,19 @@ def test_warm_guard_transform_disabled_overhead():
     kwargs = dict(name="f.obs", ladder=("llvm",))
     out = guard.transform("f", sig, **kwargs)  # cold: warms the cache
     assert not out.degraded
-    warm = guard.transform("f", sig, **kwargs)
-    assert warm.result is not None and warm.result.cache_stage is not None, \
-        "the timing loop below must run on the machine-cache hit path"
 
-    base, traced_off = _median_pair(
-        lambda: guard._transform_impl("f", sig, None, mem_regions=(),
-                                      probes=(), dbrew_func=None, **kwargs),
-        lambda: guard.transform("f", sig, **kwargs),
-        rounds=60)
-    overhead = traced_off / base - 1.0
-    assert overhead < MAX_DISABLED_OVERHEAD, \
-        f"disabled-tracing warm transform costs {overhead:+.1%}"
+    assert GuardedTransformer.transform.__code__.co_names[:3] \
+        == ("_TR", "enabled", "_transform_impl")
+
+    def entered(*args, **kwargs):
+        pytest.fail("the disabled warm path called into the tracer")
+
+    for hook in ("span", "start", "finish", "instant", "current"):
+        monkeypatch.setattr(type(TRACER), hook, entered)
+    warm = guard.transform("f", sig, **kwargs)
+    assert warm.result is not None \
+        and warm.result.cache_stage == "machine", \
+        "the check above must have run on the machine-cache hit path"
 
 
 # -- enabled path: complete O3 coverage -------------------------------------

@@ -161,6 +161,63 @@ def test_gate_rejection_pins_t2(prog):
         assert h.wait_for_tier(T2, timeout=0.5) is False
 
 
+@pytest.mark.parametrize("profile", ["calls", "edges"])
+def test_job_budget_reaches_every_t1_compile(prog, profile):
+    """The instrumented T1 of ``profile="edges"`` runs under the job's
+    budget like the plain one (it used to be compiled outside it)."""
+    from repro.guard import Budget
+
+    with make_engine(prog, profile=profile, budget_factory=lambda: Budget(
+            max_lift_instructions=1)) as eng:
+        h = eng.register("f", FunctionSignature(("i", "i"), "i"))
+        for _ in range(10):
+            h.address()
+        assert eng.drain(60.0)
+        assert eng.stats.rejections[T1] == 1
+        assert eng.stats.installs[T1] == 0
+        assert "budget exhausted" in h.governor.pin_reason
+
+
+def test_t1_gate_rejection_evicts_and_quarantines(prog, monkeypatch):
+    """An inconclusive machine proof sends T1 through the one-off gate; a
+    candidate that gate rejects must leave the machine cache — where an
+    unguarded transformer with the same options would be served it — and
+    its rung must be quarantined, exactly as after a guard rejection."""
+    import repro.jit.plan as plan_mod
+    from repro.analysis.machine import INCONCLUSIVE, VerifyResult
+    from repro.cache import SpecializationCache
+
+    monkeypatch.setattr(
+        plan_mod, "verify_emitted",
+        lambda jit, name: VerifyResult(verdict=INCONCLUSIVE,
+                                       reasons=["forced for test"]))
+
+    def corrupt(result, jit_self, func, **kw):
+        bad = compile_c("long g(long a, long b) { return a + 1; }",
+                        image=jit_self.image)
+        return bad.functions["g"]
+
+    cache = SpecializationCache()
+    installed = []
+    put_machine = cache.put_machine
+    monkeypatch.setattr(
+        cache, "put_machine",
+        lambda image, key, entry: (installed.append(key),
+                                   put_machine(image, key, entry)))
+    with make_engine(prog, cache=cache, machine_verify=True) as eng:
+        h = eng.register("f", FunctionSignature(("i", "i"), "i"),
+                         probes=((10, 3), (5, 2)))
+        with inject_faults("codegen", every=True, corrupt=corrupt):
+            for _ in range(10):
+                h.address()
+            assert eng.drain(60.0)
+        assert eng.stats.rejections[T1] == 1
+        assert "divergence" in h.governor.pin_reason
+    assert len(installed) == 1
+    assert cache.get_machine(prog.image, installed[0]) is None
+    assert len(cache.negative) == 1
+
+
 def test_measured_cost_demotion_with_backoff(prog):
     policy = TierPolicy(promote_calls=(4, 100_000), demote_after=3,
                         hysteresis=0.10, ewma_alpha=1.0,
