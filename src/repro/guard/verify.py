@@ -3,8 +3,10 @@
 Before a specialized function is allowed to serve traffic, it is executed
 against the *original* function under the deterministic CPU simulator on a
 set of probe argument vectors — user-supplied probes plus deterministically
-sampled ones.  Both runs start from an identical memory snapshot; the gate
-compares return values **and** all post-run memory (minus the stack region,
+sampled ones.  Both runs start from the same private copy of the image: a
+journaled memory saves each 4 KiB chunk a run dirties and rolls it back
+afterwards, so a probe pays for what it touches.  The gate compares return
+values **and** every chunk either run dirtied (minus the stack region,
 whose dead slots legitimately differ between code layouts).  Any divergence
 raises :class:`~repro.errors.VerificationError`, and the guard ladder falls
 back to the next rung — a wrong specialization must cost a fallback, never
@@ -35,6 +37,7 @@ from repro.cpu.simulator import Simulator
 from repro.errors import ReproError, VerificationError
 from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
+from repro.mem.memory import JournaledMemory, Memory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.guard.budget import Budget
@@ -130,6 +133,15 @@ class DifferentialGate:
                    fixes: dict[int, int | float | FixedMemory] | None,
                    ) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """Substitute fixed values, split SysV-style into int/f64 args."""
+        free = sum(1 for i in range(len(signature.params))
+                   if not (fixes and i in fixes))
+        if len(probe) != free:
+            # a longer probe (say, one carrying the fixed slots too) would
+            # run on shifted arguments and still say "verified"
+            raise VerificationError(
+                f"probe {probe!r} is "
+                f"{'shorter' if len(probe) < free else 'longer'} than the "
+                "free parameters of the signature", stage="verify")
         it = iter(probe)
         int_args: list[int] = []
         f64_args: list[float] = []
@@ -141,12 +153,7 @@ class DifferentialGate:
                 else:
                     value = v
             else:
-                try:
-                    value = next(it)  # type: ignore[assignment]
-                except StopIteration:
-                    raise VerificationError(
-                        f"probe {probe!r} is shorter than the free "
-                        "parameters of the signature", stage="verify")
+                value = next(it)
             if cls == "f":
                 f64_args.append(float(value))
             else:
@@ -155,9 +162,8 @@ class DifferentialGate:
 
     # -- execution ----------------------------------------------------------
 
-    def _shadow_image(self, base: list[tuple[int, bytes]],
-                      token: tuple) -> Image:
-        """A private image seeded from ``base`` for probe execution.
+    def _shadow_image(self, memory: Memory, token: tuple) -> Image:
+        """A private image over ``memory`` for probe execution.
 
         The gate must never mutate the engine's live image: it runs on a
         shared, concurrently-served :class:`Image`, and the old
@@ -166,19 +172,16 @@ class DifferentialGate:
         the probes were running (the installed function kept serving its
         now-zeroed address).  Probes therefore execute on this shadow:
         same symbols, same bytes at the same guest addresses, separate
-        backing store.  The live image is only ever *read* (one snapshot
-        at gate start).
+        backing store.  The live image is only ever *read* (one copy at
+        gate start).
 
-        ``token`` is the live image's instance token at the snapshot: the
+        ``token`` is the live image's instance token at that copy: the
         shadow holds the same code bytes, so it answers with the same
         token and the simulator reuses the blocks already compiled for
         the original instead of rebuilding them per gate.
         """
         img = Image.__new__(Image)
-        from repro.mem.memory import Memory
-        img.memory = Memory()
-        for start, data in base:
-            img.memory.map(start, len(data), data)
+        img.memory = memory
         img.symbols = self.image.symbols
         img.func_sizes = self.image.func_sizes
         img.instance_token = lambda: token  # type: ignore[method-assign]
@@ -202,18 +205,26 @@ class DifferentialGate:
         from repro.cpu.image import STACK_SIZE, STACK_TOP
         return (STACK_TOP - STACK_SIZE, STACK_TOP + 0x1000)
 
-    def _mem_diff(self, a: list[tuple[int, bytes]],
-                  b: list[tuple[int, bytes]]) -> int | None:
-        """First differing address outside the stack region and the
-        whitelisted ``ignore_regions``, or None."""
+    def _mem_diff(self, base: Memory, a: dict[int, bytes],
+                  b: dict[int, bytes]) -> int | None:
+        """Lowest differing address outside the stack region and the
+        whitelisted ``ignore_regions``, or None.
+
+        ``a`` and ``b`` are the chunks each run dirtied
+        (:meth:`JournaledMemory.rollback`); a chunk only one side dirtied
+        is compared against the rolled-back ``base``."""
         skip = sorted((self._stack_extent(), *self.options.ignore_regions))
-        for (start, da), (sb, db) in zip(a, b):
-            assert start == sb
+        for start in sorted(a.keys() | b.keys()):
+            da, db = a.get(start), b.get(start)
+            if da is None:
+                da = base.read(start, len(db))
+            elif db is None:
+                db = base.read(start, len(da))
             if da == db:
                 continue
             # compare the stretches between the skipped ranges (dead stack
             # slots / probe buffers may differ); the empty range at the
-            # region's end closes the last stretch
+            # chunk's end closes the last stretch
             lo, end = 0, len(da)
             for s_lo, s_hi in (*skip, (start + end, start + end)):
                 hi = min(max(s_lo - start, lo), end)
@@ -250,16 +261,15 @@ class DifferentialGate:
         spec = self.image.symbol(specialized) if isinstance(specialized, str) else specialized
         report = GateReport()
         all_probes = list(probes) + self._sampled_probes(signature, fixes)
-        # one read of the live image; every probe runs on a private shadow
-        # (see _shadow_image — restoring the live memory in place would
-        # race with concurrent installs into the same image).  patch_code
-        # and add_function hold the lock while they write, so the bytes
-        # and the token read under it belong together
+        # one copy of the live image; every probe runs on that private
+        # shadow (see _shadow_image — undoing a run on the live memory
+        # would race with concurrent installs into the same image).
+        # patch_code and add_function hold the lock while they write, so
+        # the bytes and the token read under it belong together
         with self.image.codegen_lock:
-            base = self.image.memory.snapshot()
+            memory = JournaledMemory(self.image.memory)
             token = self.image.instance_token()
-        shadow = self._shadow_image(base, token)
-        sim = Simulator(shadow)
+        sim = Simulator(self._shadow_image(memory, token))
         for probe in all_probes:
             if budget is not None:
                 # per-probe cooperative checkpoint: the T2 admission
@@ -270,22 +280,20 @@ class DifferentialGate:
             int_args, f64_args = self._full_args(probe, signature, fixes)
             out.expected, out.expected_error = self._run(
                 sim, orig, int_args, f64_args, signature.ret)
-            mem_orig = shadow.memory.snapshot()
-            shadow.memory.restore(base)
+            mem_orig = memory.rollback()
             if out.expected_error is not None:
                 # the original itself rejects this input: inconclusive
                 out.inconclusive = True
                 continue
             out.actual, out.actual_error = self._run(
                 sim, spec, int_args, f64_args, signature.ret)
-            mem_spec = shadow.memory.snapshot()
-            shadow.memory.restore(base)
+            mem_spec = memory.rollback()
             report.conclusive += 1
             if out.actual_error is not None:
                 report.reason = (f"specialized code failed on {probe!r}: "
                                  f"{out.actual_error}")
                 return report
-            out.diverged_addr = self._mem_diff(mem_orig, mem_spec)
+            out.diverged_addr = self._mem_diff(memory, mem_orig, mem_spec)
             if out.diverged_addr is not None:
                 report.reason = (f"memory divergence at "
                                  f"{out.diverged_addr:#x} on {probe!r}")

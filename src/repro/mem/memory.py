@@ -71,6 +71,7 @@ class Memory:
 
         Regions mapped *after* the snapshot keep their current contents;
         regions present in the snapshot must still exist unchanged.
+        All-or-nothing: a snapshot that no longer matches writes nothing.
         """
         by_start = {s: b for s, b in self._regions}
         for start, data in snap:
@@ -80,7 +81,8 @@ class Memory:
                     f"snapshot region [{start:#x},+{len(data):#x}) no longer "
                     "matches the mapping"
                 )
-            buf[:] = data
+        for start, data in snap:
+            by_start[start][:] = data
 
     def _find(self, addr: int, size: int) -> tuple[int, bytearray]:
         hit = self._hit
@@ -169,3 +171,47 @@ class Memory:
 
     def write_u128(self, addr: int, v: int) -> None:
         self.write(addr, int(v & ((1 << 128) - 1)).to_bytes(16, "little"))
+
+
+#: bytes per journal chunk of a :class:`JournaledMemory`, counted from the
+#: start of the region a write lands in, so no chunk spans two regions
+JOURNAL_CHUNK = 4096
+
+
+class JournaledMemory(Memory):
+    """A private copy of ``source`` whose writes can be rolled back.
+
+    Construction is the only pass over the whole image.  The first write
+    to touch a chunk since the last :meth:`rollback` saves the chunk's old
+    bytes, so a run costs what it dirties.  Sound only while every store
+    funnels through :meth:`write` (``restore`` would bypass the journal).
+    """
+
+    def __init__(self, source: Memory) -> None:
+        super().__init__()
+        self._regions = [(s, bytearray(b)) for s, b in source._regions]
+        #: chunk address -> the chunk's bytes before its first write
+        self._journal: dict[int, bytes] = {}
+
+    def write(self, addr: int, data: bytes) -> None:
+        rs, buf = self._find(addr, len(data))
+        off = addr - rs
+        end = off + len(data)
+        journal = self._journal
+        for lo in range(off - off % JOURNAL_CHUNK, end, JOURNAL_CHUNK):
+            if rs + lo not in journal:
+                journal[rs + lo] = bytes(buf[lo : lo + JOURNAL_CHUNK])
+        buf[off:end] = data
+
+    def rollback(self) -> dict[int, bytes]:
+        """Undo every write since the last rollback.
+
+        Returns ``{chunk address: the chunk's bytes just before the undo}``
+        for exactly the chunks that were written to.
+        """
+        after = {}
+        for addr, old in self._journal.items():
+            after[addr] = self.read(addr, len(old))
+            Memory.write(self, addr, old)
+        self._journal.clear()
+        return after

@@ -107,3 +107,28 @@ def test_write_uint_masks():
     m.write_uint(0, -1, 4)
     assert m.read_u32(0) == 0xFFFFFFFF
     assert m.read_u64(0) == 0xFFFFFFFF
+
+
+def test_snapshot_restore_roundtrip_keeps_later_mappings(mem):
+    mem.write(0x1010, b"before")
+    snap = mem.snapshot()
+    mem.write(0x1010, b"after!")
+    mem.map(0x8000, 16, b"new")  # mapped after the snapshot: left alone
+    mem.restore(snap)
+    assert mem.read(0x1010, 6) == b"before"
+    assert mem.read(0x8000, 3) == b"new"
+
+
+def test_restore_is_all_or_nothing(mem):
+    mem.map(0x4000, 32)
+    mem.write(0x1000, b"one")
+    mem.write(0x4000, b"two")
+    current = mem.snapshot()
+    # the first region still matches, the second is not this mapping's
+    stale = [(0x1000, bytes(0x1000)), (0x4000, bytes(64))]
+    with pytest.raises(MemoryAccessError, match="no longer matches"):
+        mem.restore(stale)
+    assert mem.snapshot() == current
+    with pytest.raises(MemoryAccessError):
+        mem.restore([(0x1000, bytes(0x1000)), (0x9000, bytes(8))])
+    assert mem.snapshot() == current
