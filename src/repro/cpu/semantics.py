@@ -1040,11 +1040,10 @@ def _bind_cvt2si(ins: Instruction) -> Op:
     m = ins.mnemonic
     double = "sd" in m
     conv = bits_to_f64 if double else bits_to_f32
-    # truncation toward zero / round-to-nearest-even (Python's round())
-    to_int = int if m.startswith("cvtt") else round
-    rd, wr, mask = (_xmm_reader(src, 8 if double else 4), _writer(dst),
-                    _mask(dst.size))
-    return lambda st, mem: wr(st, mem, to_int(conv(rd(st, mem))) & mask)
+    truncate, bits = m.startswith("cvtt"), dst.size * 8
+    rd, wr = _xmm_reader(src, 8 if double else 4), _writer(dst)
+    return lambda st, mem: wr(
+        st, mem, isa.float_to_sint(conv(rd(st, mem)), bits, truncate))
 
 
 @_binds("cvtsd2ss")

@@ -8,25 +8,20 @@ same result as the original machine code simulated over the image*.
 Value representation: iN -> unsigned-masked int, double/float -> Python
 float, pointer -> int address, vector -> tuple of elements, undef -> zeros.
 
-Two execution engines share these semantics:
-
-* the **legacy engine** (``threaded=False``): the original per-instruction
-  ``isinstance``/attribute-dispatch loop over an ``id(value)``-keyed dict
-  environment — simple, and the reference the fast path is differentially
-  tested against;
-* the **threaded-dispatch engine** (default): each function is compiled
-  once into a *decoded trace* — per block, straight-line instruction runs
-  become a handful of exec-specialized closures over a flat slot-indexed
-  environment, with operand slots, constants, masks and helpers resolved
-  at compile time.  Adjacent instructions fuse into one closure body
-  (superinstructions: the whole run is a single bytecode object, and
-  ``cmp+br`` fuses into the block terminator), phi webs become precompiled
-  parallel-move closures per CFG edge, and the trace is cached per
-  ``(function, Function.version)`` in a process-global weak map so every
-  interpreter — validator probes, the differential corpus, the guard gate
-  — shares one compilation.  A mutated function (pass rewrite, validator
-  rollback) bumps its version and the stale trace is recompiled, never
-  executed (see DESIGN §14).
+Each function is compiled once into a *decoded trace*: per block,
+straight-line instruction runs become a handful of exec-specialized
+closures over a flat slot-indexed environment, with operand slots,
+constants, masks and helpers resolved at compile time.  Adjacent
+instructions fuse into one closure body (superinstructions: the whole run
+is a single bytecode object, and ``cmp+br`` fuses into the block
+terminator), phi webs become precompiled parallel-move closures per CFG
+edge, and the trace is cached per ``(function, Function.version)`` in a
+process-global weak map so every interpreter — validator probes, the
+differential corpus, the guard gate — shares one compilation.  A mutated
+function (pass rewrite, validator rollback) bumps its version and the
+stale trace is recompiled, never executed (see DESIGN §14).  The
+instruction semantics are pinned value for value by
+``tests/ir/test_interp_semantics.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ import struct
 import threading
 import weakref
 
-from repro import speed as _speed
 from repro.errors import IRInterpError
 from repro.ir import instructions as I
 from repro.ir.irtypes import (
@@ -45,6 +39,7 @@ from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
 from repro.ir.values import Argument, Constant, ConstantFP, ConstantVector, Undef, Value
 from repro.mem.memory import Memory
 from repro.obs import metrics as _metrics
+from repro.x86.isa import float_to_sint
 
 
 def _to_signed(v: int, bits: int) -> int:
@@ -75,12 +70,11 @@ def _f32(v: float) -> float:
     return struct.unpack("<f", struct.pack("<f", v))[0]
 
 
-# -- shared scalar semantics (used by both engines) ---------------------------
+# -- scalar semantics ---------------------------------------------------------
 
 
 def _fdiv_val(x: float, y: float) -> float:
-    """IEEE division with x86-matching zero/NaN handling (same branch
-    structure as the legacy ``_scalar_binop`` fdiv arm)."""
+    """IEEE division with x86-matching zero/NaN handling."""
     if y == 0.0:
         if x == 0.0 or x != x:
             return float("nan")
@@ -214,8 +208,7 @@ class Interpreter:
 
     def __init__(self, module: Module, memory: Memory | None = None,
                  stack_base: int = 0x7000_0000, stack_size: int = 1 << 20,
-                 extern_functions: dict[str, object] | None = None,
-                 threaded: bool | None = None) -> None:
+                 extern_functions: dict[str, object] | None = None) -> None:
         self.module = module
         self.memory = memory if memory is not None else Memory()
         if not self.memory.is_mapped(stack_base - stack_size, 1):
@@ -226,8 +219,6 @@ class Interpreter:
         self.extern_functions = extern_functions or {}
         self.steps = 0
         self.max_steps = 10_000_000
-        #: None defers to the speed-campaign switch (repro.speed)
-        self._threaded = _speed.enabled() if threaded is None else bool(threaded)
 
     # -- globals ---------------------------------------------------------------
 
@@ -256,14 +247,7 @@ class Interpreter:
         return self._run_function(func, args, self._stack_top)
 
     def _run_function(self, func: Function, args: list[object], sp: int) -> object:
-        if self._threaded:
-            return self._run_trace(trace_for(func), func, args, sp)
-        return self._run_function_legacy(func, args, sp)
-
-    # -- threaded-dispatch engine -------------------------------------------
-
-    def _run_trace(self, ft: "_FuncTrace", func: Function,
-                   args: list[object], sp: int) -> object:
+        ft = trace_for(func)
         if len(args) != ft.nargs:
             raise IRInterpError(
                 f"@{ft.name} expects {ft.nargs} args, got {len(args)}"
@@ -305,89 +289,6 @@ class Interpreter:
                 return g(rt, env) if g is not None else None
             raise IRInterpError(bt.terr)  # unreachable / fell through
 
-    # -- legacy engine -------------------------------------------------------
-
-    def _run_function_legacy(self, func: Function, args: list[object],
-                             sp: int) -> object:
-        if len(args) != len(func.args):
-            raise IRInterpError(
-                f"@{func.name} expects {len(func.args)} args, got {len(args)}"
-            )
-        env: dict[int, object] = {}
-        for formal, actual in zip(func.args, args):
-            env[id(formal)] = self._coerce(actual, formal.type)
-
-        block = func.entry
-        prev: BasicBlock | None = None
-        alloca_sp = sp
-        while True:
-            # phis evaluate atomically against the edge just taken
-            phis = block.phis()
-            if phis:
-                assert prev is not None
-                new_vals = []
-                for phi in phis:
-                    v = phi.incoming_for(prev)
-                    if v is None:
-                        raise IRInterpError(
-                            f"@{func.name}: phi %{phi.name} missing incoming "
-                            f"for {prev.name}"
-                        )
-                    new_vals.append(self._value(v, env))
-                for phi, v in zip(phis, new_vals):
-                    env[id(phi)] = v
-
-            for ins in block.instructions[len(phis):]:
-                self.steps += 1
-                if self.steps > self.max_steps:
-                    raise IRInterpError("interpreter step limit exceeded")
-                opcode = ins.opcode
-                if opcode == "ret":
-                    rv = ins.value  # type: ignore[attr-defined]
-                    return self._value(rv, env) if rv is not None else None
-                if opcode == "br":
-                    assert isinstance(ins, I.Br)
-                    if ins.is_conditional:
-                        cond = self._value(ins.operands[0], env)
-                        target = ins.targets[0] if cond else ins.targets[1]
-                    else:
-                        target = ins.targets[0]
-                    prev, block = block, target
-                    break
-                if opcode == "unreachable":
-                    raise IRInterpError(f"@{func.name}: reached unreachable")
-                if opcode == "alloca":
-                    assert isinstance(ins, I.Alloca)
-                    alloca_sp -= ins.size
-                    alloca_sp &= ~(ins.align - 1)
-                    env[id(ins)] = alloca_sp
-                    continue
-                env[id(ins)] = self._exec(func, ins, env, alloca_sp)
-            else:
-                raise IRInterpError(f"@{func.name}: block {block.name} fell through")
-
-    # -- values -------------------------------------------------------------------
-
-    def _value(self, v: Value, env: dict[int, object]) -> object:
-        if isinstance(v, Constant):
-            return v.value
-        if isinstance(v, ConstantFP):
-            return v.value
-        if isinstance(v, ConstantVector):
-            return tuple(self._value(e, env) for e in v.elements)
-        if isinstance(v, Undef):
-            return _zero_of(v.type)
-        if isinstance(v, GlobalVariable):
-            if v.addr is None:
-                raise IRInterpError(f"global @{v.name} not placed")
-            return v.addr
-        if isinstance(v, Function):
-            raise IRInterpError("function pointers are not interpretable")
-        try:
-            return env[id(v)]
-        except KeyError:
-            raise IRInterpError(f"use of unevaluated value %{v.name}") from None
-
     def _coerce(self, value: object, t: Type) -> object:
         if isinstance(t, IntType):
             assert isinstance(value, int)
@@ -402,119 +303,6 @@ class Interpreter:
             assert isinstance(value, (tuple, list)) and len(value) == t.count
             return tuple(self._coerce(x, t.elem) for x in value)
         raise IRInterpError(f"cannot coerce to {t}")
-
-    # -- memory ------------------------------------------------------------------
-
-    def _load(self, t: Type, addr: int) -> object:
-        return _load_value(self.memory, t, addr)
-
-    def _store(self, t: Type, addr: int, value: object) -> None:
-        _store_value(self.memory, t, addr, value)
-
-    # -- execution ----------------------------------------------------------------
-
-    def _exec(self, func: Function, ins: I.Instruction, env: dict[int, object],
-              sp: int) -> object:
-        opcode = ins.opcode
-        if isinstance(ins, I.BinOp):
-            a = self._value(ins.operands[0], env)
-            b = self._value(ins.operands[1], env)
-            if isinstance(ins.type, VectorType):
-                return tuple(
-                    _scalar_binop(opcode, x, y, ins.type.elem)
-                    for x, y in zip(a, b)  # type: ignore[arg-type]
-                )
-            return _scalar_binop(opcode, a, b, ins.type)
-        if isinstance(ins, I.ICmp):
-            a = self._value(ins.operands[0], env)
-            b = self._value(ins.operands[1], env)
-            t = ins.operands[0].type
-            bits = t.bits if isinstance(t, IntType) else 64
-            return int(_icmp(ins.pred, a, b, bits))  # type: ignore[arg-type]
-        if isinstance(ins, I.FCmp):
-            a = self._value(ins.operands[0], env)
-            b = self._value(ins.operands[1], env)
-            return int(_fcmp(ins.pred, a, b))  # type: ignore[arg-type]
-        if isinstance(ins, I.Select):
-            c, a, b = (self._value(o, env) for o in ins.operands)
-            return a if c else b
-        if isinstance(ins, I.Cast):
-            return self._cast(ins, env)
-        if isinstance(ins, I.Load):
-            addr = self._value(ins.operands[0], env)
-            return self._load(ins.type, int(addr))  # type: ignore[arg-type]
-        if isinstance(ins, I.Store):
-            v = self._value(ins.operands[0], env)
-            addr = self._value(ins.operands[1], env)
-            self._store(ins.operands[0].type, int(addr), v)  # type: ignore[arg-type]
-            return None
-        if isinstance(ins, I.GEP):
-            base = self._value(ins.operands[0], env)
-            idx = self._value(ins.operands[1], env)
-            it = ins.operands[1].type
-            bits = it.bits if isinstance(it, IntType) else 64
-            return (int(base) + _to_signed(int(idx), bits) * ins.elem.size_bytes()) & (2**64 - 1)  # type: ignore[arg-type]
-        if isinstance(ins, I.ExtractElement):
-            vec = self._value(ins.operands[0], env)
-            idx = int(self._value(ins.operands[1], env))  # type: ignore[arg-type]
-            return vec[idx]  # type: ignore[index]
-        if isinstance(ins, I.InsertElement):
-            vec = list(self._value(ins.operands[0], env))  # type: ignore[arg-type]
-            val = self._value(ins.operands[1], env)
-            idx = int(self._value(ins.operands[2], env))  # type: ignore[arg-type]
-            vec[idx] = val
-            return tuple(vec)
-        if isinstance(ins, I.ShuffleVector):
-            a = self._value(ins.operands[0], env)
-            b = self._value(ins.operands[1], env)
-            joined = tuple(a) + tuple(b)  # type: ignore[arg-type]
-            return tuple(joined[m] for m in ins.mask)
-        if isinstance(ins, I.Call):
-            args = [self._value(a, env) for a in ins.operands]
-            if ins.intrinsic:
-                return self._intrinsic(ins.callee_name, args, ins)
-            callee = ins.callee
-            if isinstance(callee, str):
-                callee = self.module.function(callee)
-            assert isinstance(callee, Function)
-            if callee.is_declaration:
-                ext = self.extern_functions.get(callee.name)
-                if ext is None:
-                    raise IRInterpError(f"call to undefined @{callee.name}")
-                return ext(*args)  # type: ignore[operator]
-            return self._run_function(callee, args, sp - 64)
-        raise IRInterpError(f"cannot interpret {opcode}")
-
-    def _scalar_binop(self, opcode: str, a: object, b: object, t: Type) -> object:
-        return _scalar_binop(opcode, a, b, t)
-
-    def _cast(self, ins: I.Cast, env: dict[int, object]) -> object:
-        (operand,) = ins.operands
-        v = self._value(operand, env)
-        src, dst = operand.type, ins.type
-        op = ins.opcode
-        if op == "trunc":
-            return int(v) & dst.mask  # type: ignore[union-attr, arg-type]
-        if op == "zext":
-            return int(v)  # type: ignore[arg-type]
-        if op == "sext":
-            return _to_signed(int(v), src.bits) & dst.mask  # type: ignore[union-attr, arg-type]
-        if op in ("inttoptr", "ptrtoint"):
-            return int(v) & (2**64 - 1)  # type: ignore[arg-type]
-        if op == "bitcast":
-            return _bitcast(v, src, dst)
-        if op == "sitofp":
-            return float(_to_signed(int(v), src.bits))  # type: ignore[union-attr, arg-type]
-        if op == "uitofp":
-            return float(int(v))  # type: ignore[arg-type]
-        if op == "fptosi":
-            r = int(float(v))  # type: ignore[arg-type]
-            return r & dst.mask  # type: ignore[union-attr]
-        if op == "fpext":
-            return float(v)  # type: ignore[arg-type]
-        if op == "fptrunc":
-            return _f32(float(v))  # type: ignore[arg-type]
-        raise IRInterpError(f"cast {op}")
 
     def _intrinsic(self, name: str, args: list[object], ins: I.Call) -> object:
         if name.startswith("llvm.ctpop"):
@@ -730,6 +518,7 @@ _EXEC_NS = {
     "_udiv": _udiv_val,
     "_urem": _urem_val,
     "_sqrt": _sqrt_val,
+    "_f2si": float_to_sint,
     "_fcmp": _fcmp,
     "_icmp": _icmp,
     "_bitcast": _bitcast,
@@ -1069,7 +858,7 @@ class _Compiler:
         if op == "uitofp":
             return [f"env[{d}] = float({v})"]
         if op == "fptosi":
-            return [f"env[{d}] = int({v}) & {dst.mask}"]
+            return [f"env[{d}] = _f2si({v}, {dst.bits})"]
         if op == "fpext":
             return [f"env[{d}] = float({v})"]
         if op == "fptrunc":
@@ -1112,13 +901,12 @@ class _Compiler:
         if isinstance(ins, I.Call):
             return self._call_closure(ins)
         if isinstance(ins, I.Phi):
-            # a phi below the leading run is not interpretable (matches the
-            # legacy _exec fallthrough)
+            # a phi below the leading run is not interpretable
             def op(rt, env):
                 raise IRInterpError("cannot interpret phi")
             return op
         # anything else: generic evaluation through resolved getters where
-        # possible, else the legacy error
+        # possible, else a typed error
         gs = tuple(_getter(R(o)) for o in ins.operands)
         opcode = ins.opcode
         handled = isinstance(ins, (I.ICmp, I.FCmp, I.Select, I.Cast,
@@ -1236,7 +1024,7 @@ class _Compiler:
             bt.phi_moves = self._compile_phi_moves(blk, phis, bindex)
 
         # find the terminator: execution stops at the first one (trailing
-        # instructions after it are unreachable, matching the legacy loop)
+        # instructions after it are unreachable)
         term = None
         term_at = len(body)
         for j, ins in enumerate(body):
@@ -1401,7 +1189,7 @@ def _apply_cast(op: str, v: object, src: Type, dst: Type) -> object:
     if op == "uitofp":
         return float(int(v))  # type: ignore[arg-type]
     if op == "fptosi":
-        return int(float(v)) & dst.mask  # type: ignore[union-attr, arg-type]
+        return float_to_sint(float(v), dst.bits)  # type: ignore[union-attr, arg-type]
     if op == "fpext":
         return float(v)  # type: ignore[arg-type]
     if op == "fptrunc":
@@ -1428,7 +1216,6 @@ def _raising_entry(fname: str) -> _BlockTrace:
 
 def _compile_trace(func: Function, version: int) -> _FuncTrace:
     if not func.blocks:
-        # match the legacy IRError path lazily: raise on execution
         from repro.errors import IRError
         raise IRError(f"function {func.name} has no blocks")
     return _Compiler(func).compile(version)

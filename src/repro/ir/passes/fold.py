@@ -8,6 +8,7 @@ from repro.ir import instructions as I
 from repro.ir.irtypes import DoubleType, FloatType, IntType, PointerType, Type, VectorType
 from repro.ir.module import GlobalVariable
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
+from repro.x86.isa import float_to_sint
 
 
 def _signed(v: int, bits: int) -> int:
@@ -182,7 +183,7 @@ def _fold_cast(ins: I.Cast) -> Value | None:
     if op == "uitofp" and iv is not None:
         return ConstantFP(dst, float(iv))
     if op == "fptosi" and fv is not None:
-        return Constant(dst, int(fv))
+        return Constant(dst, float_to_sint(fv, dst.bits))  # type: ignore[union-attr]
     if op == "bitcast" and iv is not None and isinstance(dst, DoubleType) \
             and isinstance(v.type, IntType) and v.type.bits == 64:
         return ConstantFP(dst, struct.unpack("<d", iv.to_bytes(8, "little"))[0])

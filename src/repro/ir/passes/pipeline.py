@@ -41,12 +41,6 @@ class O3Options:
     #: ``-force-vector-width=2`` experiment (Sec. VI-B)
     force_vector_width: int = 0
     max_iterations: int = 8
-    #: pass-skipping policy (repro.ir.passes.schedule): "auto" resolves to
-    #: "static" (provable no-fire rules only, output-identical — safe to
-    #: share cache keys) unless REPRO_SPEED=0; "profile" additionally uses
-    #: learned fired-pass statistics and MAY change the produced IR, so it
-    #: is a distinct digest value; "off" disables all skipping
-    pass_schedule: str = "auto"
 
     def replace(self, **kw) -> "O3Options":
         """A copy with the given fields changed.
@@ -94,9 +88,8 @@ class O3Report:
     rejected_passes: list[str] = field(default_factory=list)
     #: this run was executed under per-pass validation
     validated: bool = False
-    #: resolved schedule mode ("off" / "static" / "profile")
-    schedule_mode: str = "off"
-    #: pass applications skipped by the scheduler, in skip order
+    #: pass applications the scheduler proved idle and skipped, in skip
+    #: order (repro.ir.passes.schedule; skipping never changes the IR)
     skipped_passes: list[str] = field(default_factory=list)
     #: scheduling was disabled mid-run (e.g. validator quarantine), and why
     schedule_disabled: str | None = None
@@ -150,8 +143,7 @@ def run_o3(func: Function, options: O3Options = O3Options(),
         from repro.analysis.validate import PassValidator
         validator = PassValidator()
     report.validated = validator is not None
-    report.schedule_mode = schedule.resolve_mode(options.pass_schedule)
-    sched = schedule.Scheduler(func, report.schedule_mode, validator)
+    sched = schedule.Scheduler(func, validator)
 
     def step(name: str, thunk: Callable[[], Any],
              changed_of: Callable[[Any], bool] = bool) -> bool:
@@ -183,8 +175,7 @@ def run_o3(func: Function, options: O3Options = O3Options(),
         finally:
             if span is not None:
                 _TR.finish(span)
-            if sched.disabled_reason not in (None, "off"):
-                report.schedule_disabled = sched.disabled_reason
+            report.schedule_disabled = sched.disabled_reason
         return changed
 
     if budget is not None:

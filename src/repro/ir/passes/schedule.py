@@ -1,15 +1,13 @@
-"""Profile-guided O3 pass scheduling (PR 9 speed campaign).
+"""O3 pass scheduling: skip the pass applications that provably do nothing.
 
-``run_o3`` historically ran every enabled pass every sweep; the obs
-self-time report shows most of those applications return "no change" —
-a full pass walk spent proving nothing fires.  This module lets the
-pipeline skip those applications *without changing the produced IR* in
-its default mode:
+Most pass applications in a ``run_o3`` sweep return "no change" — a full
+pass walk spent proving nothing fires (the obs self-time report shows
+it).  This module lets the pipeline skip those applications *without
+changing the produced IR*.
 
-**Static no-fire rules** (``pass_schedule="static"``, the speed-campaign
-default).  A pass is skipped only when the function's *shape fingerprint*
-(opcode histogram, phi/block counts, CFG cyclicity) proves the pass
-cannot fire:
+**Shape rules.**  A pass is skipped only when the function's *shape
+fingerprint* (opcode histogram, phi/block counts, CFG cyclicity) proves
+the pass cannot fire:
 
 * ``inline``  — no non-intrinsic call sites;
 * ``mem2reg`` — no ``alloca``;
@@ -23,24 +21,16 @@ top of the shape rules, the **version rule** skips a pass whose previous
 application on this *exact* function version returned "no change" —
 passes are deterministic, so re-running them on an unmutated function is
 provably a no-op (this is what makes the final convergence sweep nearly
-free).  Both rules are output-identical, so static scheduling shares
-cache keys with scheduling disabled.
+free).  Both rules are output-identical: a skipped application is one
+that would have returned the function untouched.
 
-**Profile mode** (``pass_schedule="profile"``, opt-in) additionally skips
-a pass when the fired-pass statistics in the ``MetricsRegistry`` show it
-has never fired for this shape class after a confidence threshold of
-attempts.  Learned skips may change the produced IR, so "profile" is a
-distinct ``O3Options`` field value that flows into ``options_digest`` —
-profiled artifacts can never be served from a cache entry produced
-without profiling (or vice versa).
-
-**Validator interlock** (the de-risk requirement): the moment a
-``PassValidator`` quarantines *any* pass — before the run (negative-cache
-probe at scheduler construction) or during it (a rejection verdict) —
-the scheduler disables itself for the remainder of the run.  A pipeline
-known to contain a miscompiling pass gets zero skips: every pass runs
-and every application is validated, so scheduling can never hide a
-miscompile from the validator.
+**Validator interlock**: the moment a ``PassValidator`` quarantines
+*any* pass — before the run (negative-cache probe at scheduler
+construction) or during it (a rejection verdict) — the scheduler
+disables itself for the remainder of the run.  A pipeline known to
+contain a miscompiling pass gets zero skips: every pass runs and every
+application is validated, so scheduling can never hide a miscompile
+from the validator.
 """
 
 from __future__ import annotations
@@ -59,32 +49,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PASS_NAMES = ("simplifycfg", "mem2reg", "inline", "constprop",
               "instcombine", "gvn", "dce", "unroll", "vectorize")
 
-#: profile mode: skip after this many no-fire attempts for a shape class
-PROFILE_THRESHOLD = 32
-
 _SKIPS = _metrics.REGISTRY.family("o3.sched.skips")
 _RUNS = _metrics.REGISTRY.family("o3.sched.runs")
-_ATTEMPTS = _metrics.REGISTRY.family("o3.sched.attempts")
-_FIRED = _metrics.REGISTRY.family("o3.sched.fired")
 
 
 class ShapeFingerprint:
     """Cheap structural summary of one function body (one instruction walk)."""
 
     __slots__ = ("nblocks", "ninstrs", "nphis", "ncalls", "nallocas",
-                 "nloads", "nselects", "nprobes", "has_const_operand",
+                 "nloads", "nselects", "has_const_operand",
                  "cyclic", "opcode_histogram")
 
     def __init__(self, func: Function) -> None:
         hist: dict[str, int] = {}
         nphis = ncalls = nallocas = nloads = nselects = ninstrs = 0
-        nprobes = 0
         has_const = False
         for blk in func.blocks:
             for ins in blk.instructions:
                 ninstrs += 1
-                if ins.probe is not None:
-                    nprobes += 1
                 op = ins.opcode
                 hist[op] = hist.get(op, 0) + 1
                 if isinstance(ins, I.Phi):
@@ -111,32 +93,9 @@ class ShapeFingerprint:
         self.nallocas = nallocas
         self.nloads = nloads
         self.nselects = nselects
-        self.nprobes = nprobes
         self.has_const_operand = has_const
         self.cyclic = _has_cycle(func)
         self.opcode_histogram = hist
-
-    @property
-    def shape_class(self) -> str:
-        """Coarse label for fired-pass statistics (profile mode).
-
-        Probe-carrying bodies get their own class (``P`` vs ``p``): a
-        no-fire rule learned on plain code must never be applied to an
-        instrumented body, whose probe chains change what passes can do.
-        """
-        return (f"b{_bucket(self.nblocks)}i{_bucket(self.ninstrs)}"
-                f"p{min(self.nphis, 1)}c{min(self.ncalls, 1)}"
-                f"a{min(self.nallocas, 1)}"
-                f"{'L' if self.cyclic else 'l'}"
-                f"{'P' if self.nprobes else ''}")
-
-
-def _bucket(n: int) -> int:
-    b = 0
-    while n > 1:
-        n >>= 1
-        b += 1
-    return b
 
 
 def _has_cycle(func: Function) -> bool:
@@ -187,28 +146,17 @@ def _rule_no_fire(name: str, fp: ShapeFingerprint) -> bool:
 
 
 class Scheduler:
-    """Per-``run_o3``-invocation skip decisions for one function.
+    """Per-``run_o3``-invocation skip decisions for one function."""
 
-    ``mode`` is the *resolved* schedule ("off", "static" or "profile" —
-    never "auto"); construction with "off" yields a scheduler that skips
-    nothing, which keeps the pipeline code uniform.
-    """
-
-    def __init__(self, func: Function, mode: str,
+    def __init__(self, func: Function,
                  validator: "PassValidator | None" = None) -> None:
-        if mode not in ("off", "static", "profile"):
-            raise ValueError(f"unknown pass_schedule {mode!r}")
         self.func = func
-        self.mode = mode
         self.disabled_reason: str | None = None
         self._fp: ShapeFingerprint | None = None
         self._fp_version = -1
         #: pass name -> func version at which it last reported "no change"
         self._nofire_at: dict[str, int] = {}
-        self.skipped: list[str] = []
-        if mode == "off":
-            self.disabled_reason = "off"
-        elif validator is not None:
+        if validator is not None:
             # a pass already in quarantine means this pipeline is under
             # active suspicion: run everything, validate everything
             for name in PASS_NAMES:
@@ -220,7 +168,7 @@ class Scheduler:
 
     def disable(self, reason: str) -> None:
         """Permanently stop skipping for this run (validator interlock)."""
-        if self.disabled_reason is None or self.disabled_reason == "off":
+        if self.disabled_reason is None:
             self.disabled_reason = reason
 
     def fingerprint(self) -> ShapeFingerprint:
@@ -237,56 +185,17 @@ class Scheduler:
             return False
         # version rule: this exact body already reported "no change"
         if self._nofire_at.get(name) == self.func.version:
-            self._record_skip(name, "version")
+            _SKIPS.inc(f"{name}:version")
             return True
-        fp = self.fingerprint()
-        if _rule_no_fire(name, fp):
-            self._record_skip(name, "shape")
+        if _rule_no_fire(name, self.fingerprint()):
+            _SKIPS.inc(f"{name}:shape")
             return True
-        if self.mode == "profile":
-            label = f"{name}|{fp.shape_class}"
-            if _ATTEMPTS.get(label, 0) >= PROFILE_THRESHOLD \
-                    and _FIRED.get(label, 0) == 0:
-                self._record_skip(name, "profile")
-                return True
         return False
 
     def note_result(self, name: str, changed: bool) -> None:
-        """Feed one executed pass application back into the model."""
+        """Feed one executed pass application back into the version rule."""
         _RUNS.inc(name)
-        if self.disabled_reason is None and self.mode == "profile":
-            label = f"{name}|{self.fingerprint().shape_class}"
-            _ATTEMPTS.inc(label)
-            if changed:
-                _FIRED.inc(label)
         if not changed:
             self._nofire_at[name] = self.func.version
         else:
             self._nofire_at.pop(name, None)
-
-    def _record_skip(self, name: str, why: str) -> None:
-        self.skipped.append(name)
-        _SKIPS.inc(f"{name}:{why}")
-
-
-def resolve_mode(pass_schedule: str) -> str:
-    """Map the ``O3Options.pass_schedule`` field to a concrete mode.
-
-    "auto" defers to the speed-campaign switch: static scheduling when the
-    campaign is enabled, none when ``REPRO_SPEED=0``.  Both resolutions
-    are output-identical, which is why "auto" is digest-safe as a default.
-    """
-    if pass_schedule == "auto":
-        from repro import speed
-        return "static" if speed.enabled() else "off"
-    return pass_schedule
-
-
-def stats() -> dict[str, dict]:
-    """Current scheduler counter families (benchmarks / reports)."""
-    return {
-        "skips": dict(_SKIPS),
-        "runs": dict(_RUNS),
-        "attempts": dict(_ATTEMPTS),
-        "fired": dict(_FIRED),
-    }

@@ -50,6 +50,16 @@ class FunctionSignature:
     params: tuple[str, ...]
     ret: str | None  # 'i', 'f', or None
 
+    def __post_init__(self) -> None:
+        # anything but 'i' would otherwise be lifted as a double
+        for c in self.params:
+            if c not in ("i", "f"):
+                raise LiftError(f"unknown parameter class {c!r} "
+                                f"(expected 'i' or 'f')", stage="lift")
+        if self.ret not in ("i", "f", None):
+            raise LiftError(f"unknown return class {self.ret!r} "
+                            f"(expected 'i', 'f' or None)", stage="lift")
+
 
 @dataclass
 class LiftOptions:

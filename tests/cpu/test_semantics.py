@@ -321,6 +321,54 @@ def test_cvtsi2sd_cvttsd2si(env):
     assert to_signed(st_.gpr[RBX], 64) == -2  # truncation toward zero
 
 
+IND64, IND32 = 1 << 63, 1 << 31
+
+#: value -> (cvttsd2si r64, cvttsd2si r32, cvtsd2si r64, cvtsd2si r32)
+CVT2SI = [
+    (float("nan"), IND64, IND32, IND64, IND32),
+    (float("inf"), IND64, IND32, IND64, IND32),
+    (float("-inf"), IND64, IND32, IND64, IND32),
+    (1e30, IND64, IND32, IND64, IND32),
+    (-1e30, IND64, IND32, IND64, IND32),
+    (9.3e18, IND64, IND32, IND64, IND32),
+    (-9.3e18, IND64, IND32, IND64, IND32),
+    (-(2.0 ** 63), IND64, IND32, IND64, IND32),  # INT64_MIN fits: same pattern
+    (9223372036854774784.0, 9223372036854774784, IND32,
+     9223372036854774784, IND32),
+    (2.0 ** 32, 1 << 32, IND32, 1 << 32, IND32),
+    (2147483647.6, 0x7FFF_FFFF, 0x7FFF_FFFF, 0x8000_0000, IND32),
+    (-2147483648.0, 0xFFFF_FFFF_8000_0000, 0x8000_0000,
+     0xFFFF_FFFF_8000_0000, 0x8000_0000),
+    (3.7, 3, 3, 4, 4),
+    (-3.7, 2**64 - 3, 2**32 - 3, 2**64 - 4, 2**32 - 4),
+    (2.5, 2, 2, 2, 2),   # round-to-nearest-even
+    (3.5, 3, 3, 4, 4),
+    (-0.0, 0, 0, 0, 0),
+]
+
+
+@pytest.mark.parametrize("value,t64,t32,r64,r32", CVT2SI,
+                         ids=[repr(row[0]) for row in CVT2SI])
+def test_cvt2si_integer_indefinite_rule(env, value, t64, t32, r64, r32):
+    """NaN, ±inf and out-of-range inputs give ``1 << (bits-1)``; a 32-bit
+    destination is range-checked at 32 bits and zero-extends."""
+    st_, mem = env
+    st_.xmm[1] = f64_to_bits(value)
+    for mnemonic, size, want in (("cvttsd2si", 8, t64), ("cvttsd2si", 4, t32),
+                                 ("cvtsd2si", 8, r64), ("cvtsd2si", 4, r32)):
+        st_.gpr[RBX] = 0xDEAD_BEEF_DEAD_BEEF
+        execute(make(mnemonic, gp(RBX, size), xmm(1)), st_, mem)
+        assert st_.gpr[RBX] == want, (mnemonic, size)
+
+
+def test_cvtss2si_nan_and_range(env):
+    st_, mem = env
+    for value, want in ((float("nan"), IND32), (3e9, IND32), (-2.5, 2**32 - 2)):
+        st_.xmm[1] = int.from_bytes(struct.pack("<f", value), "little")
+        execute(make("cvttss2si", gp(RBX, 4), xmm(1)), st_, mem)
+        assert st_.gpr[RBX] == want
+
+
 def test_pxor_self_zeroes(env):
     st_, mem = env
     st_.xmm[5] = (1 << 128) - 1

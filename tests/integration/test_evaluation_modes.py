@@ -135,11 +135,10 @@ def test_fig10_dbrew_much_cheaper_than_llvm(ws, line_rows):
     # "DBrew uses less than 0.05ms in any case while the time required by
     # LLVM increases with the code complexity" — only the robust qualitative
     # claim is asserted here (the benchmarks measure the factor properly
-    # over multiple rounds).  Since the hot-path speed campaign, the llvm
-    # pipeline on the smallest kernel costs about one dbrew rewrite, so the
-    # per-code ordering is a coin flip there; the robust claim is the row
-    # aggregate: transforming all three codes with dbrew is much cheaper
-    # than with llvm.  The fixture times each transform once, which flakes
+    # over multiple rounds).  The llvm pipeline on the smallest kernel
+    # costs about one dbrew rewrite, so the per-code ordering is a coin
+    # flip there; the robust claim is the row aggregate: transforming all
+    # three codes with dbrew is much cheaper than with llvm.  The fixture times each transform once, which flakes
     # when a load spike hits a dbrew shot — on inversion, re-measure with
     # interleaved laps and compare medians of the row sums.
     from statistics import median

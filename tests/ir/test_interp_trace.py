@@ -1,6 +1,6 @@
-"""Threaded-dispatch trace cache: invalidation, parity, preemption.
+"""Interpreter trace cache: invalidation, preemption.
 
-The speed campaign's interpreter caches a compiled trace per function,
+The interpreter caches a compiled trace per function,
 keyed by the function's mutation version (plus a structural guard).  These
 tests prove the core soundness claim: after *any* sanctioned mutation —
 pass rewrite, RAUW, direct list surgery, callee replacement — a stale
@@ -37,7 +37,7 @@ def test_trace_cached_and_reused():
     interp_mod.clear_traces()
     m = Module("t")
     f, _ = build_add_const(m, 3)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     s0 = interp_mod.trace_cache_stats()
     assert it.run(f, [4]) == 7
     t1 = interp_mod.trace_for(f)
@@ -59,7 +59,7 @@ def test_pass_rewrite_invalidates():
     five = b.add(b.const(I64, 2), b.const(I64, 3))  # foldable
     b.ret(b.add(f.args[0], five))
     verify(f)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     assert it.run(f, [10]) == 15
     old = interp_mod.trace_for(f)
     v0 = f.version
@@ -76,7 +76,7 @@ def test_rauw_changes_semantics():
     interp_mod.clear_traces()
     m = Module("t")
     f, c = build_add_const(m, 1)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     assert it.run(f, [100]) == 101  # trace for +1 now cached
     c2 = B.const(I64, 40)
     assert f.replace_all_uses(c, c2) == 1
@@ -94,7 +94,7 @@ def test_structural_surgery_guard():
     b.add(f.args[0], b.const(I64, 7), "dead")  # unused
     b.ret(b.add(f.args[0], b.const(I64, 1)))
     verify(f)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     assert it.run(f, [5]) == 6
     v0 = f.version
     f.entry.instructions.pop(0)  # direct surgery: no version bump
@@ -116,7 +116,7 @@ def test_callee_mutation_seen_through_calls():
     b = IRBuilder(caller.add_block("entry"))
     b.ret(b.call(callee, [b.add(caller.args[0], b.const(I64, 1))], I64))
     verify(caller)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     assert it.run(caller, [10]) == 16
     caller_trace = interp_mod.trace_for(caller)
     assert callee.replace_all_uses(c, B.const(I64, 50)) == 1
@@ -131,7 +131,7 @@ def test_validator_rollback_invalidates():
     interp_mod.clear_traces()
     m = Module("t")
     f, c = build_add_const(m, 9)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     snapshot = clone_function(f)
     assert it.run(f, [1]) == 10
     f.replace_all_uses(c, B.const(I64, 90))
@@ -149,7 +149,7 @@ def test_preemption_hammer_8_threads():
     interp_mod.clear_traces()
     m = Module("t")
     f, cur = build_add_const(m, 0)
-    it = Interpreter(m, threaded=True)
+    it = Interpreter(m)
     it.max_steps = 1 << 40
 
     NTHREADS, NROUNDS, RUNS = 8, 25, 10
@@ -233,7 +233,7 @@ def test_instrumentation_invalidates_trace():
 
     interp_mod.clear_traces()
     img, m, f, instrument = _instrumented_memfn()
-    it = Interpreter(m, img.memory, threaded=True)
+    it = Interpreter(m, img.memory)
     assert it.run(f, [4]) == 5
     plain_trace = interp_mod.trace_for(f)
 
@@ -263,7 +263,7 @@ def test_instrument_strip_preemption_hammer_8_threads():
 
     interp_mod.clear_traces()
     img, m, f, instrument = _instrumented_memfn()
-    it = Interpreter(m, img.memory, threaded=True)
+    it = Interpreter(m, img.memory)
     it.max_steps = 1 << 40
 
     NTHREADS, NROUNDS, RUNS = 8, 12, 8
@@ -312,14 +312,12 @@ def test_instrument_strip_preemption_hammer_8_threads():
 
 
 def test_engine_parity_on_mutation_sequence():
-    """Legacy and threaded engines agree across a mutation sequence."""
+    """The interpreter agrees with the arithmetic across a RAUW: ``9 + k``
+    before it, ``9 + k + 1`` after."""
     for k in (0, 7, 123):
-        m1, m2 = Module("a"), Module("b")
-        f1, c1 = build_add_const(m1, k)
-        f2, c2 = build_add_const(m2, k)
-        legacy = Interpreter(m1, threaded=False)
-        threaded = Interpreter(m2, threaded=True)
-        assert legacy.run(f1, [9]) == threaded.run(f2, [9])
-        f1.replace_all_uses(c1, B.const(I64, k + 1))
-        f2.replace_all_uses(c2, B.const(I64, k + 1))
-        assert legacy.run(f1, [9]) == threaded.run(f2, [9])
+        m = Module("a")
+        f, c = build_add_const(m, k)
+        it = Interpreter(m)
+        assert it.run(f, [9]) == 9 + k
+        f.replace_all_uses(c, B.const(I64, k + 1))
+        assert it.run(f, [9]) == 9 + k + 1

@@ -1,11 +1,11 @@
-"""Profile-guided O3 scheduling: soundness of skips, validator interlock.
+"""O3 pass scheduling: soundness of skips, validator interlock.
 
-Three claims from the speed campaign:
+Three claims:
 
-1. Every static no-fire rule is *sound*: whenever the shape fingerprint
-   says a pass cannot fire, actually running that pass reports no change
-   and leaves the function structurally identical.
-2. Static scheduling is output-identical to scheduling disabled.
+1. Every shape rule is *sound*: whenever the shape fingerprint says a
+   pass cannot fire, actually running that pass reports no change and
+   leaves the function structurally identical.
+2. Skipping never changes the produced IR.
 3. Skipping can never hide a miscompiling pass from the PassValidator:
    a quarantined pass disables all skipping (pre-probe), and a pass that
    miscompiles mid-run is rejected, rolled back, and kills scheduling
@@ -18,16 +18,15 @@ import pytest
 
 from repro.analysis.clone import clone_function, functions_structurally_equal
 from repro.analysis.validate import PassValidator
-from repro.cache.keys import options_digest
 from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Interpreter, Module, verify,
 )
 from repro.ir.passes import (
-    O3Options, constprop, dce, gvn, inline, instcombine, mem2reg, run_o3,
+    constprop, dce, gvn, inline, instcombine, mem2reg, run_o3,
     simplifycfg, unroll, vectorize,
 )
 from repro.ir.passes.schedule import (
-    PASS_NAMES, Scheduler, ShapeFingerprint, _rule_no_fire, resolve_mode,
+    PASS_NAMES, Scheduler, ShapeFingerprint, _rule_no_fire,
 )
 
 #: how to actually run each schedulable pass, mirroring pipeline.step()
@@ -146,7 +145,7 @@ def test_version_rule():
     """'No change at version V' only skips while the version is still V."""
     m = Module("t")
     f = build_const_free(m)
-    sched = Scheduler(f, "static")
+    sched = Scheduler(f)
     assert not sched.should_skip("gvn")
     sched.note_result("gvn", changed=False)
     assert sched.should_skip("gvn"), "no-change at same version must skip"
@@ -156,15 +155,19 @@ def test_version_rule():
     assert not sched.should_skip("gvn"), "a firing pass is never skipped"
 
 
-def test_static_output_identical_to_off():
+def test_static_output_identical_to_off(monkeypatch):
+    """Skipping never changes the produced IR; the reference arm is the same
+    pipeline under a scheduler that never skips."""
     ma, mb = Module("a"), Module("b")
     fa, fb = build_loop(ma), build_loop(mb)
-    ra = run_o3(fa, O3Options(pass_schedule="off"))
-    rb = run_o3(fb, O3Options(pass_schedule="static"))
+    with monkeypatch.context() as mp:
+        mp.setattr(Scheduler, "should_skip", lambda self, name: False)
+        ra = run_o3(fa)
+    rb = run_o3(fb)
     assert ra.skipped_passes == []
-    assert rb.skipped_passes, "static mode should skip something on a loop fn"
+    assert rb.skipped_passes, "the scheduler should skip something on a loop fn"
     assert functions_structurally_equal(fa, fb), \
-        "static scheduling changed the produced IR"
+        "skipping changed the produced IR"
     it_a, it_b = Interpreter(ma), Interpreter(mb)
     for n in (0, 1, 17):
         assert it_a.run(fa, [n]) == it_b.run(fb, [n])
@@ -174,9 +177,9 @@ def test_second_sweep_skips_via_version_rule():
     """An already-optimized body re-optimizes with skips and no changes."""
     m = Module("t")
     f = build_loop(m)
-    run_o3(f, O3Options(pass_schedule="static"))
+    run_o3(f)
     snap = clone_function(f)
-    report = run_o3(f, O3Options(pass_schedule="static"))
+    report = run_o3(f)
     assert report.converged
     assert report.skipped_passes
     assert functions_structurally_equal(f, snap)
@@ -188,8 +191,7 @@ def test_quarantine_preprobe_disables_scheduling():
     f = build_loop(m)
     validator = PassValidator()
     validator.negative.record("o3pass:gvn", "o3", "seeded by test")
-    report = run_o3(f, O3Options(pass_schedule="static"), validator=validator)
-    assert report.schedule_mode == "static"
+    report = run_o3(f, validator=validator)
     assert report.schedule_disabled == "quarantined:gvn"
     assert report.skipped_passes == [], \
         "a quarantined pipeline must not skip anything"
@@ -214,7 +216,7 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     monkeypatch.setattr(pipe.gvn, "run", evil_run)
     m = Module("t")
     f = build_straight_const(m)
-    report = run_o3(f, O3Options(pass_schedule="static"), validate=True)
+    report = run_o3(f, validate=True)
     assert "gvn" in report.rejected_passes
     assert report.schedule_disabled == "quarantined:gvn"
     assert "gvn" not in report.skipped_passes, \
@@ -224,33 +226,9 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     # the quarantine now outlives this run via the validator's negative
     # cache: a fresh run under the same validator gets zero skips too
     validator = PassValidator()
-    r1 = run_o3(build_straight_const(Module("u")),
-                O3Options(pass_schedule="static"), validator=validator)
+    r1 = run_o3(build_straight_const(Module("u")), validator=validator)
     assert "gvn" in r1.rejected_passes
     f2 = build_straight_const(Module("v"))
-    r2 = run_o3(f2, O3Options(pass_schedule="static"), validator=validator)
+    r2 = run_o3(f2, validator=validator)
     assert r2.schedule_disabled == "quarantined:gvn"
     assert r2.skipped_passes == []
-
-
-def test_resolve_mode_tracks_speed_switch():
-    from repro import speed
-
-    assert resolve_mode("static") == "static"
-    assert resolve_mode("off") == "off"
-    try:
-        speed.set_enabled(True)
-        assert resolve_mode("auto") == "static"
-        speed.set_enabled(False)
-        assert resolve_mode("auto") == "off"
-    finally:
-        speed.set_enabled(None)
-
-
-def test_profile_mode_is_digest_distinct():
-    """Learned skips may change IR, so "profile" must never share cache
-    entries with the output-identical modes."""
-    base = options_digest(O3Options())
-    assert options_digest(O3Options(pass_schedule="profile")) != base
-    # ... while "auto" IS the default and shares by construction
-    assert options_digest(O3Options(pass_schedule="auto")) == base

@@ -101,6 +101,24 @@ def test_llvm_fixed_double_parameter():
     assert sim.call_f64("f_k", (), (0.0, 4.0)) == 10.0
 
 
+@pytest.mark.parametrize("x,want", [
+    (float("nan"), -(1 << 63)), (float("inf"), -(1 << 63)),
+    (1e30, -(1 << 63)), (-1e30, -(1 << 63)), (3.7, 3),
+], ids=repr)
+def test_float_to_int_agrees_native_llvm_and_fixed(x, want):
+    """Out-of-range (long)x is the x86 integer indefinite on every path —
+    including the compile path that folds the fixed constant."""
+    prog = compile_c("long f(double x) { return (long)x; }")
+    sig = FunctionSignature(("f",), "i")
+    tx = BinaryTransformer(prog.image)
+    tx.llvm_identity("f", sig, name="f_llvm")
+    tx.llvm_fixed("f", sig, {0: x}, name="f_fix")
+    sim = Simulator(prog.image)
+    assert sim.call_int("f", (), (x,)) == want
+    assert sim.call_int("f_llvm", (), (x,)) == want
+    assert sim.call_int("f_fix", (), (0.0,)) == want
+
+
 def test_dbrew_then_llvm_composition():
     prog = compile_c("""
     long f(long* v, long n) {

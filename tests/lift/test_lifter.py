@@ -422,6 +422,17 @@ def test_lift_vectorized_code():
     assert img.memory.read_f64(a + 8) == 22.0
 
 
+@pytest.mark.parametrize("params,ret", [
+    (("f64",), "i"), (("I",), "i"), (("p",), None), (("i", ""), "f"),
+    (("i",), "i64"), (("i",), "v"),
+])
+def test_signature_rejects_unknown_classes(params, ret):
+    """Anything but 'i' used to be lifted silently as a double."""
+    with pytest.raises(LiftError) as exc:
+        FunctionSignature(params, ret)
+    assert exc.value.context["stage"] == "lift"
+
+
 def test_lift_ret_f64_signature():
     _img, m, f = lift_asm("movsd xmm0, xmm1\nret", FunctionSignature(("f", "f"), "f"))
     assert Interpreter(m).run(f, [1.0, 2.5]) == 2.5
