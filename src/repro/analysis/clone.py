@@ -9,7 +9,11 @@ The twin produced by :func:`clone_function` shares the original's
 ``Argument`` objects (so the interpreter binds the same formals for both
 bodies) and all external values (constants, globals, called functions);
 only blocks and instructions are duplicated.  It is deliberately *not*
-registered in any module.
+registered in any module, and it is *detached*: its instructions appear in
+no ``Value.uses`` (see :mod:`repro.ir.values`), so the shared values never
+list a snapshot as a user and taking one costs no use-list work.  A
+detached body can be interpreted and compared, not transformed;
+:func:`restore_function` is what attaches it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from repro.ir.values import Argument, Constant, ConstantFP, ConstantVector, Unde
 
 
 def clone_function(func: Function, name: str | None = None) -> Function:
-    """An unregistered twin of ``func`` sharing args and external values."""
+    """An unregistered, detached twin of ``func`` sharing args and
+    external values."""
     twin = Function(name or f"{func.name}.snapshot", func.ftype)
     twin.args = func.args  # shared formals: bodies are interchangeable
     twin.module = func.module  # for global placement; not in module.functions
@@ -36,9 +41,7 @@ def clone_function(func: Function, name: str | None = None) -> Function:
         bmap[id(blk)] = nb
         twin.blocks.append(nb)
         for ins in blk.instructions:
-            c = ins.clone_shallow()
-            c.block = nb
-            c.probe = ins.probe  # keep probe tags strippable after rollback
+            c = ins.snapshot_copy(nb)  # probe tag included
             vmap[id(ins)] = c
             nb.instructions.append(c)
     for blk in func.blocks:
@@ -58,11 +61,16 @@ def restore_function(func: Function, snapshot: Function) -> None:
 
     The snapshot must come from :func:`clone_function` on the same
     function (shared args); after this call the snapshot must not be used
-    again — its blocks now belong to ``func``.
+    again — its blocks now belong to ``func``.  The rejected body leaves
+    every use list and the snapshot's body enters them.
     """
+    for ins in func.instructions():
+        ins.detach()
     func.blocks = snapshot.blocks
     for blk in func.blocks:
         blk.function = func
+        for ins in blk.instructions:
+            ins.attach()
     snapshot.blocks = []
     # rollback is a mutation: any cached derived state (interpreter traces)
     # keyed by the pre-rollback version must be invalidated
@@ -160,9 +168,10 @@ def functions_structurally_equal(a: Function, b: Function) -> bool:
         for x, y in zip(blk_a.instructions, blk_b.instructions):
             if x.opcode != y.opcode or x.type is not y.type:
                 return False
-            if len(x.operands) != len(y.operands):
+            xs, ys = x.operands, y.operands
+            if len(xs) != len(ys):
                 return False
-            for ox, oy in zip(x.operands, y.operands):
+            for ox, oy in zip(xs, ys):
                 if operand_key(ox, pos_a, bpos_a) != operand_key(oy, pos_b, bpos_b):
                     return False
             if isinstance(x, (I.ICmp, I.FCmp)):

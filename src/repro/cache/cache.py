@@ -299,7 +299,8 @@ class SpecializationCache:
 
     def _put_ir(self, store: LRUStore, stage: str, key: str,
                 module: Module, func_name: str) -> None:
-        entry = (copy.deepcopy(module), func_name)
+        # stored pristine and only ever copied again: no use lists to keep
+        entry = (module.detached_copy(), func_name)
         store.put(key, entry)
         if self._disk is not None:
             self._disk.put(f"{stage}-{key}", entry)

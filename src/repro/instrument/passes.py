@@ -257,9 +257,9 @@ def strip_instrumentation(func: Function) -> int:
     """
     removed = 0
     for blk in func.blocks:
-        kept = [ins for ins in blk.instructions if ins.probe is None]
-        removed += len(blk.instructions) - len(kept)
-        blk.instructions[:] = kept
+        for ins in [i for i in blk.instructions if i.probe is not None]:
+            ins.erase()
+            removed += 1
     for ins in func.instructions():
         for op in ins.operands:
             if isinstance(op, I.Instruction) and op.probe is not None:

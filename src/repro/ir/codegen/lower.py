@@ -60,6 +60,7 @@ def split_critical_edges(func: Function) -> None:
                     if ib is blk:
                         phi.incoming_blocks[i] = mid
             func.blocks.insert(func.blocks.index(target), mid)
+            func.bump_version()  # the predecessor map is stale
 
 
 class Lowerer:
@@ -385,14 +386,7 @@ class Lowerer:
         return self.block_map[id(blk)].label
 
     def _single_use_here(self, value: I.Instruction, user: I.Instruction) -> bool:
-        count = 0
-        for ins in self.func.instructions():
-            for op in ins.operands:
-                if op is value:
-                    count += 1
-                    if ins is not user or count > 1:
-                        return False
-        return count == 1
+        return len(value.uses) == 1 and next(iter(value.uses))[0] is user
 
     def _icmp_parts(self, cmp: I.ICmp) -> tuple[VReg, VReg | int, str, int]:
         t = cmp.operands[0].type
@@ -477,13 +471,9 @@ class Lowerer:
         raise CodegenError(f"cannot lower {op}")
 
     def _only_used_by_branches(self, value: I.Instruction) -> bool:
-        for ins in self.func.instructions():
-            for op in ins.operands:
-                if op is value:
-                    if not (isinstance(ins, I.Br) and ins.is_conditional
-                            and self._single_use_here(value, ins)):
-                        return False
-        return True
+        return all(isinstance(ins, I.Br) and ins.is_conditional
+                   and self._single_use_here(value, ins)
+                   for ins, _slot in value.uses)
 
     _INT_OPS = {"add": "add", "sub": "sub", "mul": "mul", "and": "and",
                 "or": "or", "xor": "xor", "shl": "shl", "lshr": "shr"}
@@ -576,11 +566,7 @@ class Lowerer:
             self.emit(op="cmov", dst=dst, cc="ne", a=then_v)
 
     def _only_used_by_selects_here(self, value: I.Instruction) -> bool:
-        for ins in self.func.instructions():
-            for op in ins.operands:
-                if op is value and not isinstance(ins, I.Select):
-                    return False
-        return True
+        return all(isinstance(ins, I.Select) for ins, _slot in value.uses)
 
     def _emit_cond_jump(self, cond: Value, lt: str, lf: str) -> None:
         if isinstance(cond, I.ICmp):

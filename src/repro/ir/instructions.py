@@ -3,17 +3,25 @@
 Instructions are values (SSA).  Operands live in ``self.operands`` so
 passes can rewrite them uniformly; instruction-specific payload (predicates,
 types, incoming blocks, shuffle masks) lives in dedicated attributes.
+
+``operands`` is an :class:`OperandList`: a ``list`` whose mutators keep the
+``uses`` of the values it holds exact (see :mod:`repro.ir.values`), behind a
+property whose setter does the same for ``ins.operands = [...]`` — no write
+to an operand can bypass the use lists.  :meth:`Instruction.erase` is the
+one way to remove an instruction.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+import functools
+from copy import deepcopy
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.errors import IRError
 from repro.ir.irtypes import (
     DOUBLE, FLOAT, I1, IntType, PointerType, Type, VectorType, VOID,
 )
-from repro.ir.values import Value
+from repro.ir.values import Value, state_slots
 
 if TYPE_CHECKING:
     from repro.ir.module import BasicBlock, Function
@@ -36,16 +44,135 @@ CAST_OPS = frozenset({
 })
 
 
+class OperandList(list):
+    """The operand slots of one instruction.
+
+    Reads, iteration and unpacking are ``list``'s own; every mutator keeps
+    the invariant *slot ``i`` holds ``v``  ⇔  ``(user, i) in v.uses``*.
+    ``user`` is the owning instruction, or ``None`` while the list is
+    *detached* (a snapshot twin, an erased instruction, a body being
+    unpickled): a detached list registers nothing and mutates like a plain
+    list.
+    """
+
+    __slots__ = ("user",)
+
+    def __deepcopy__(self, memo: dict) -> "OperandList":
+        # detached, like an unpickled list: the owning Function attaches
+        return _operand_list([deepcopy(v, memo) for v in self], None)
+
+    def register(self, start: int = 0) -> None:
+        """Enter slots ``start..`` into the use lists of their values."""
+        user = self.user
+        for i, v in enumerate(self[start:] if start else self, start):
+            v.uses[user, i] = None
+
+    def drop(self, start: int = 0) -> None:
+        """Take slots ``start..`` out of the use lists of their values."""
+        user = self.user
+        for i, v in enumerate(self[start:] if start else self, start):
+            del v.uses[user, i]
+
+    def _mutate(self, start: int, op: Callable, *args: object) -> object:
+        """Run a ``list`` mutator that may move slots ``start..``."""
+        if self.user is None:
+            return op(self, *args)
+        self.drop(start)
+        try:
+            return op(self, *args)
+        finally:
+            self.register(start)
+
+    def _index(self, i: object) -> int:
+        """First slot a mutation at ``i`` can move (0 for slices)."""
+        if not isinstance(i, int):
+            return 0
+        return max(i + len(self), 0) if i < 0 else min(i, len(self))
+
+    def __setitem__(self, i, value) -> None:
+        user = self.user
+        if user is None or not isinstance(i, int):
+            self._mutate(0, list.__setitem__, i, value)
+            return
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("operand index out of range")
+        del self[i].uses[user, i]
+        list.__setitem__(self, i, value)
+        value.uses[user, i] = None
+
+    def append(self, value: Value) -> None:
+        user = self.user
+        if user is not None:
+            value.uses[user, len(self)] = None
+        list.append(self, value)
+
+    def __delitem__(self, i) -> None:
+        self._mutate(self._index(i), list.__delitem__, i)
+
+    def pop(self, i: int = -1) -> Value:
+        return self._mutate(self._index(i), list.pop, i)
+
+    def insert(self, i: int, value: Value) -> None:
+        self._mutate(self._index(i), list.insert, i, value)
+
+    def extend(self, values: Iterable[Value]) -> None:
+        self._mutate(len(self), list.extend, values)
+
+    def remove(self, value: Value) -> None:
+        self._mutate(0, list.remove, value)
+
+    def clear(self) -> None:
+        self._mutate(0, list.clear)
+
+    def reverse(self) -> None:
+        self._mutate(0, list.reverse)
+
+    def sort(self, **kw) -> None:
+        self._mutate(0, lambda s: list.sort(s, **kw))
+
+    def __iadd__(self, values):
+        self.extend(values)
+        return self
+
+    def __imul__(self, n):
+        self._mutate(0, list.__imul__, n)
+        return self
+
+
+def _operand_list(values: Iterable[Value],
+                  user: "Instruction | None") -> OperandList:
+    ops = OperandList(values)
+    ops.user = user
+    return ops
+
+
+@functools.cache
+def _payload_slots(cls: type) -> tuple[str, ...]:
+    """What :meth:`Instruction.snapshot_copy` carries over as is."""
+    return tuple(s for s in state_slots(cls)
+                 if s not in ("_operands", "block"))
+
+
 class Instruction(Value):
     """Base instruction; also an SSA value (possibly of void type)."""
 
-    __slots__ = ("opcode", "operands", "block", "probe")
+    __slots__ = ("opcode", "_operands", "block", "probe")
 
     def __init__(self, opcode: str, type_: Type, operands: Sequence[Value],
                  name: str = "") -> None:
-        super().__init__(type_, name)
+        # Value.__init__, inlined: one call less per lifted instruction
+        self.type = type_
+        self.name = name
+        self.uses = {}
         self.opcode = opcode
-        self.operands: list[Value] = list(operands)
+        ops = self._operands = OperandList(operands)
+        ops.user = self
+        i = 0
+        for v in ops:  # ops.register(), without the call
+            v.uses[self, i] = None
+            i += 1
         self.block: Optional["BasicBlock"] = None
         #: instrumentation tag: ``None`` for program instructions, a
         #: ``(kind, site)`` pair for probe instructions injected by
@@ -54,8 +181,86 @@ class Instruction(Value):
         self.probe: Optional[tuple] = None
 
     @property
+    def operands(self) -> OperandList:
+        return self._operands
+
+    @operands.setter
+    def operands(self, values: Iterable[Value]) -> None:
+        # ``ins.operands = [...]``: the new list takes over the old one's
+        # attachment, so the assignment cannot leave a use list stale
+        old = self._operands
+        new = self._operands = _operand_list(values, old.user)
+        if old.user is not None:
+            old.drop()
+            old.user = None
+            new.register()
+
+    def __getstate__(self) -> tuple[None, dict[str, object]]:
+        state = {}
+        for slot in state_slots(type(self)):
+            if slot == "_operands":  # a plain list under the seed's key
+                state["operands"] = list(self._operands)
+            else:
+                state[slot] = getattr(self, slot)
+        return None, state
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        for slot, value in state[1].items():
+            if slot == "operands":
+                # detached until Function.__setstate__ has the whole body
+                self._operands = _operand_list(value, None)
+            else:
+                setattr(self, slot, value)
+        self.uses = {}
+
+    @property
     def is_terminator(self) -> bool:
         return self.opcode in ("br", "ret", "unreachable")
+
+    def attach(self) -> None:
+        """Register the operand slots (a snapshot body going live)."""
+        ops = self._operands
+        if ops.user is None:
+            ops.user = self
+            ops.register()
+
+    def detach(self) -> None:
+        """Unregister the operand slots; operands stay readable."""
+        ops = self._operands
+        if ops.user is not None:
+            ops.drop()
+            ops.user = None
+
+    def erase(self) -> None:
+        """Remove this instruction for good: its operand slots leave the
+        use lists and it leaves its block.  Its own ``uses`` are the
+        caller's business (RAUW first, or erase the users too)."""
+        ops = self._operands
+        if ops.user is not None:
+            i = 0
+            for v in ops:  # ops.drop(), without the calls: DCE erases most
+                del v.uses[self, i]  # of what the lifter emits
+                i += 1
+            ops.user = None
+        blk = self.block
+        if blk is not None:
+            blk.instructions.remove(self)
+            self.block = None
+
+    def snapshot_copy(self, block: "BasicBlock") -> "Instruction":
+        """A detached twin for ``block`` (``analysis.clone`` snapshots):
+        same class, payload and operand values, registered in no use list.
+        Payload lists (branch targets, incoming blocks) are shared until
+        the caller replaces them."""
+        cls = type(self)
+        c = cls.__new__(cls)
+        for slot in _payload_slots(cls):
+            setattr(c, slot, getattr(self, slot))
+        c.uses = {}
+        ops = c._operands = OperandList(self._operands)
+        ops.user = None
+        c.block = block
+        return c
 
     def replace_operand(self, old: Value, new: Value) -> None:
         for i, op in enumerate(self.operands):
@@ -352,15 +557,6 @@ class Unreachable(Instruction):
 
     def clone_shallow(self) -> "Unreachable":
         return Unreachable()
-
-
-#: instructions with no side effects (eligible for DCE/CSE)
-def is_pure(ins: Instruction) -> bool:
-    if ins.opcode in ("store", "call", "ret", "br", "unreachable", "alloca"):
-        return False
-    if ins.opcode == "load":
-        return False  # loads are not dead-code-removable-by-default? they are if unused
-    return True
 
 
 PURE_INTRINSICS = ("llvm.ctpop", "llvm.sqrt", "llvm.fabs")

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Iterator
 
 from repro.errors import IRError
 from repro.ir.instructions import Instruction, Phi
 from repro.ir.irtypes import FunctionType, PointerType, Type
 from repro.ir.values import Argument, Value
+
+
+#: ``deepcopy`` memo key (never an ``id``) asking for a detached copy
+_DETACHED = "repro.ir.detached"
 
 
 class GlobalVariable(Value):
@@ -90,7 +95,8 @@ class Function(Value):
     """A function: arguments + basic blocks (first block is the entry)."""
 
     __slots__ = ("ftype", "args", "blocks", "module", "always_inline",
-                 "_name_counter", "is_declaration", "_version", "__weakref__")
+                 "_name_counter", "is_declaration", "_version", "_preds",
+                 "__weakref__")
 
     def __init__(self, name: str, ftype: FunctionType) -> None:
         super().__init__(PointerType(ftype), name)  # functions are pointers
@@ -102,6 +108,26 @@ class Function(Value):
         self.is_declaration = False
         self._name_counter = 0
         self._version = 0
+        self._preds: tuple[int, dict[int, list[BasicBlock]]] | None = None
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        super().__setstate__(state)
+        self._copied(attach=True)
+
+    def __deepcopy__(self, memo: dict) -> "Function":
+        twin = super().__deepcopy__(memo)
+        twin._copied(attach=_DETACHED not in memo)
+        return twin
+
+    def _copied(self, attach: bool) -> None:
+        """Finish a load or a deepcopy: neither carries use lists, and by
+        the time the function has its slots so has its whole body."""
+        self._version = 0  # a copy starts its own epoch
+        self._preds = None
+        if attach:
+            for blk in self.blocks:
+                for ins in blk.instructions:
+                    ins.attach()
 
     @property
     def version(self) -> int:
@@ -110,19 +136,13 @@ class Function(Value):
         Bumped by the structural mutators below, by every pass that reports
         a change, and by validator rollbacks — anything holding derived
         state keyed by ``(function, version)`` (the interpreter's threaded-
-        dispatch traces) revalidates against this before reuse.
+        dispatch traces, the predecessor map) revalidates against this
+        before reuse.
         """
-        try:
-            return self._version
-        except AttributeError:  # unpickled from a pre-version snapshot
-            self._version = 0
-            return 0
+        return self._version
 
     def bump_version(self) -> None:
-        try:
-            self._version += 1
-        except AttributeError:
-            self._version = 1
+        self._version += 1
 
     @property
     def entry(self) -> BasicBlock:
@@ -146,17 +166,40 @@ class Function(Value):
         for blk in self.blocks:
             yield from blk.instructions
 
+    def predecessor_map(self) -> dict[int, list[BasicBlock]]:
+        """``id(block)`` -> its distinct predecessors in block order.
+
+        Cached per :attr:`version`: whoever redirects an edge or adds or
+        drops a block bumps the version before the next query (the
+        verifier compares the cached map with a fresh one).
+        """
+        cached = self._preds
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        preds: dict[int, list[BasicBlock]] = {id(b): [] for b in self.blocks}
+        for b in self.blocks:
+            for s in b.successors():
+                into = preds.setdefault(id(s), [])
+                if not into or into[-1] is not b:
+                    into.append(b)
+        self._preds = (self._version, preds)
+        return preds
+
     def predecessors(self, block: BasicBlock) -> list[BasicBlock]:
-        return [b for b in self.blocks if block in b.successors()]
+        return list(self.predecessor_map().get(id(block), ()))
 
     def replace_all_uses(self, old: Value, new: Value) -> int:
-        """RAUW by scanning; returns the number of replaced operands."""
+        """RAUW over ``old.uses``; returns the number of replaced operands.
+
+        Only users inside this function are rewritten: an argument, global
+        or constant may have users elsewhere in the module.
+        """
         n = 0
-        for ins in self.instructions():
-            for i, op in enumerate(ins.operands):
-                if op is old:
-                    ins.operands[i] = new
-                    n += 1
+        for user, i in tuple(old.uses):
+            blk = user.block
+            if blk is not None and blk.function is self:
+                user.operands[i] = new
+                n += 1
         if n:
             self.bump_version()
         return n
@@ -166,6 +209,8 @@ class Function(Value):
         for succ in block.successors():
             for phi in succ.phis():
                 phi.remove_incoming(block)
+        for ins in list(block.instructions):
+            ins.erase()
         self.blocks.remove(block)
         self.bump_version()
 
@@ -202,6 +247,13 @@ class Module:
             return self.functions[name]
         except KeyError:
             raise IRError(f"no function @{name}") from None
+
+    def detached_copy(self) -> "Module":
+        """A deep copy with no use lists, for storage: a cache entry that
+        is only ever read or deep-copied again pays for none (the module-
+        level twin of an ``analysis.clone`` snapshot).  ``copy.deepcopy``
+        of it is a live module again."""
+        return copy.deepcopy(self, {_DETACHED: True})
 
     def __iter__(self) -> Iterable[Function]:
         return iter(self.functions.values())

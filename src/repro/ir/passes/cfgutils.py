@@ -39,15 +39,12 @@ def dominance_frontiers(
     if idom is None:
         idom = dominators(func)
     df: dict[BasicBlock, set[BasicBlock]] = {b: set() for b in func.blocks}
-    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-    for b in func.blocks:
-        for s in b.successors():
-            preds[s].append(b)
+    preds = func.predecessor_map()
     for b in func.blocks:
         if b not in idom:
             continue  # unreachable
-        if len(preds[b]) >= 2:
-            for p in preds[b]:
+        if len(preds[id(b)]) >= 2:
+            for p in preds[id(b)]:
                 if p not in idom:
                     continue
                 runner = p
@@ -95,15 +92,12 @@ def find_natural_loops(func: Function) -> list[NaturalLoop]:
                 header, latch = succ, blk
                 body = {header, latch}
                 work = [latch]
-                preds: dict[BasicBlock, list[BasicBlock]] = {}
-                for b in func.blocks:
-                    for s in b.successors():
-                        preds.setdefault(s, []).append(b)
+                preds = func.predecessor_map()
                 while work:
                     b = work.pop()
                     if b is header:
                         continue
-                    for p in preds.get(b, []):
+                    for p in preds.get(id(b), ()):
                         if p not in body:
                             body.add(p)
                             work.append(p)

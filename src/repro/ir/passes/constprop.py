@@ -66,7 +66,7 @@ def run(func: Function) -> bool:
                     repl = try_fold(ins)
                 if repl is not None and repl is not ins:
                     func.replace_all_uses(ins, repl)
-                    blk.instructions.remove(ins)
+                    ins.erase()
                     round_changed = True
         changed |= round_changed
         if not round_changed:

@@ -39,13 +39,10 @@ def run(func: Function) -> bool:
 
     removed = False
     for blk in func.blocks:
-        kept = []
-        for ins in blk.instructions:
-            if id(ins) in live or _is_root(ins):
-                kept.append(ins)
-            else:
-                removed = True
-        blk.instructions = kept
+        for ins in [i for i in blk.instructions
+                    if id(i) not in live and not _is_root(i)]:
+            ins.erase()
+            removed = True
     if removed:
         func.bump_version()
     return removed

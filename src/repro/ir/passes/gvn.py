@@ -70,7 +70,7 @@ def run(func: Function) -> bool:
                 prior = known_mem.get(key)
                 if prior is not None and prior.type is ins.type:
                     func.replace_all_uses(ins, prior)
-                    blk.instructions.remove(ins)
+                    ins.erase()
                     changed = True
                 else:
                     known_mem[key] = ins
@@ -81,7 +81,7 @@ def run(func: Function) -> bool:
             prior2 = available.get(key2)
             if prior2 is not None:
                 func.replace_all_uses(ins, prior2)
-                blk.instructions.remove(ins)
+                ins.erase()
                 changed = True
             else:
                 available[key2] = ins

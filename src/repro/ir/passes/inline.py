@@ -85,9 +85,9 @@ def inline_call(caller: Function, call: I.Call) -> bool:
     block = call.block
     assert block is not None and isinstance(callee, Function)
 
-    clones, rets = _clone_function_body(callee, list(call.operands), caller)
-    if not rets:
+    if not any(isinstance(b.terminator, I.Ret) for b in callee.blocks):
         return False  # no return -> diverging callee; keep the call
+    clones, rets = _clone_function_body(callee, list(call.operands), caller)
 
     # split the block at the call
     idx = block.instructions.index(call)
@@ -96,7 +96,7 @@ def inline_call(caller: Function, call: I.Call) -> bool:
     cont.instructions = block.instructions[idx + 1:]
     for ins in cont.instructions:
         ins.block = cont
-    block.instructions = block.instructions[:idx]
+    del block.instructions[idx + 1:]  # the call stays until its uses are gone
 
     # successors' phis must now refer to cont instead of block
     for succ_blk in cont.successors():
@@ -105,33 +105,22 @@ def inline_call(caller: Function, call: I.Call) -> bool:
                 if b is block:
                     phi.incoming_blocks[i] = cont
 
-    # splice blocks early so replace_all_uses sees cont and the clones
     at = caller.blocks.index(block) + 1
     caller.blocks[at:at] = clones + [cont]
-
-    # entry into the cloned body
-    entry_clone = clones[0]
-    br = I.Br(None, entry_clone)
-    br.block = block
-    block.instructions.append(br)
 
     # rets -> jump to cont; merge return values with a phi if needed
     ret_value: Value | None
     if len(rets) == 1:
         rb, ret_value = rets[0]
-        rb.instructions.pop()
-        jmp = I.Br(None, cont)
-        jmp.block = rb
-        rb.instructions.append(jmp)
+        rb.terminator.erase()
+        rb.append(I.Br(None, cont))
     else:
         phi: I.Phi | None = None
         if not call.type.is_void:
             phi = I.Phi(call.type, caller.next_name("retphi"))
         for rb, rv in rets:
-            rb.instructions.pop()
-            jmp = I.Br(None, cont)
-            jmp.block = rb
-            rb.instructions.append(jmp)
+            rb.terminator.erase()
+            rb.append(I.Br(None, cont))
             if phi is not None:
                 phi.operands.append(rv if rv is not None else Undef(call.type))
                 phi.incoming_blocks.append(rb)
@@ -153,11 +142,15 @@ def inline_call(caller: Function, call: I.Call) -> bool:
                     ret_value.operands[i] = Undef(call.type)
             caller.replace_all_uses(call, ret_value)
 
+    # the call becomes the entry into the cloned body
+    call.erase()
+    block.append(I.Br(None, clones[0]))
+
     # move cloned allocas into the caller entry block
     for cb in clones:
         for ins in list(cb.instructions):
             if isinstance(ins, I.Alloca):
-                cb.instructions.remove(ins)
+                cb.instructions.remove(ins)  # moved, not erased
                 caller.entry.insert(caller.entry.first_non_phi(), ins)
     return True
 

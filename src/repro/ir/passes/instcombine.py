@@ -223,8 +223,7 @@ def run(func: Function, fast_math: bool = False) -> bool:
                 repl = _simplify(ins, fast_math)
                 if repl is not None and repl is not ins:
                     func.replace_all_uses(ins, repl)
-                    if ins in blk.instructions:
-                        blk.instructions.remove(ins)
+                    ins.erase()
                     round_changed = True
         changed |= round_changed
         if not round_changed:

@@ -55,57 +55,44 @@ def _trace_pointer(v: Value, alloca: I.Alloca) -> int | None:
 
 
 def _collect(func: Function, alloca: I.Alloca) -> list[_Access] | None:
-    """All accesses through the alloca, or None if it escapes.
+    """All accesses through the alloca in function order, or None if it
+    escapes.
 
     Pointers *and* integers derived from the alloca by constant offsets are
     tracked — the lifter's rsp handling round-trips the stack pointer
     through ptrtoint/add/inttoptr (push/pop, Sec. III-F), and promotion
-    must see through that.
+    must see through that.  The web is walked along ``uses`` from the
+    alloca; every user either extends it, is an access, or is an escape.
     """
-    derived: dict[int, int] = {id(alloca): 0}  # value id -> offset (ptr or int)
-    changed = True
-    while changed:
-        changed = False
-        for ins in func.instructions():
-            if id(ins) in derived:
-                continue
-            if isinstance(ins, I.GEP) and id(ins.operands[0]) in derived:
+    accesses: list[_Access] = []
+    work: list[tuple[Value, int]] = [(alloca, 0)]
+    while work:
+        v, offset = work.pop()
+        for ins, oi in v.uses:
+            if isinstance(ins, I.GEP) and oi == 0:
                 idx = ins.operands[1]
                 if not isinstance(idx, Constant):
                     return None
-                derived[id(ins)] = derived[id(ins.operands[0])] + \
-                    idx.signed * ins.elem.size_bytes()
-                changed = True
-            elif isinstance(ins, I.Cast) and ins.opcode in ("bitcast", "ptrtoint", "inttoptr") \
-                    and id(ins.operands[0]) in derived:
-                derived[id(ins)] = derived[id(ins.operands[0])]
-                changed = True
+                work.append((ins, offset + idx.signed * ins.elem.size_bytes()))
+            elif isinstance(ins, I.Cast) \
+                    and ins.opcode in ("bitcast", "ptrtoint", "inttoptr"):
+                work.append((ins, offset))
             elif isinstance(ins, I.BinOp) and ins.opcode in ("add", "sub") \
-                    and isinstance(ins.type, IntType):
-                a, b = ins.operands
-                if id(a) in derived and isinstance(b, Constant):
-                    delta = b.signed if ins.opcode == "add" else -b.signed
-                    derived[id(ins)] = derived[id(a)] + delta
-                    changed = True
-                elif id(b) in derived and isinstance(a, Constant) and ins.opcode == "add":
-                    derived[id(ins)] = derived[id(b)] + a.signed
-                    changed = True
-
-    accesses: list[_Access] = []
-    for ins in func.instructions():
-        for oi, op in enumerate(ins.operands):
-            if id(op) not in derived:
-                continue
-            if isinstance(ins, I.Load) and oi == 0:
-                accesses.append(_Access(ins, derived[id(op)], ins.type))
+                    and isinstance(ins.type, IntType) \
+                    and isinstance(ins.operands[1 - oi], Constant) \
+                    and (oi == 0 or ins.opcode == "add"):
+                delta = ins.operands[1 - oi].signed
+                work.append((ins, offset - delta
+                             if ins.opcode == "sub" else offset + delta))
+            elif isinstance(ins, I.Load):
+                accesses.append(_Access(ins, offset, ins.type))
             elif isinstance(ins, I.Store) and oi == 1:
-                accesses.append(_Access(ins, derived[id(op)], ins.operands[0].type))
-            elif isinstance(ins, I.Store) and oi == 0:
-                return None  # the address itself is stored: escapes
-            elif id(ins) in derived:
-                pass  # part of the derived pointer/int web
+                accesses.append(_Access(ins, offset, ins.operands[0].type))
             else:
-                return None  # escapes (call arg, comparison, phi, ...)
+                return None  # escapes (stored address, call arg, phi, ...)
+    # slots are promoted, and their phis and casts named, in access order
+    position = {id(ins): n for n, ins in enumerate(func.instructions())}
+    accesses.sort(key=lambda a: position[id(a.ins)])
     return accesses
 
 
@@ -247,11 +234,9 @@ def _promote_slot(func: Function, accesses: list[_Access], ctype: Type) -> None:
         if val.type is not ld.type:
             val = _cast_to(blk, ld, val, ld.type, func)
         func.replace_all_uses(ld, val)
-        blk.instructions.remove(ld)
+        ld.erase()
     for st in stores:
-        blk = st.block
-        assert blk is not None
-        blk.instructions.remove(st)
+        st.erase()
 
     # adapt phi incoming types (mixed-type slots store canonical ints)
     for b, phi in phis.items():

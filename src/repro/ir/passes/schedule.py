@@ -35,9 +35,9 @@ from the validator.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING
 
-from repro.ir import instructions as I
 from repro.ir.module import Function
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef
 from repro.obs import metrics as _metrics
@@ -49,53 +49,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PASS_NAMES = ("simplifycfg", "mem2reg", "inline", "constprop",
               "instcombine", "gvn", "dce", "unroll", "vectorize")
 
+_CONSTANTS = (Constant, ConstantFP, ConstantVector, Undef)
+
 _SKIPS = _metrics.REGISTRY.family("o3.sched.skips")
 _RUNS = _metrics.REGISTRY.family("o3.sched.runs")
 
 
 class ShapeFingerprint:
-    """Cheap structural summary of one function body (one instruction walk)."""
+    """What the shape rules read off one function body (opcode counts, a
+    const-operand probe that stops at its first hit, CFG cyclicity)."""
 
-    __slots__ = ("nblocks", "ninstrs", "nphis", "ncalls", "nallocas",
-                 "nloads", "nselects", "has_const_operand",
-                 "cyclic", "opcode_histogram")
+    __slots__ = ("nblocks", "opcodes", "ncalls", "has_const_operand",
+                 "cyclic")
 
     def __init__(self, func: Function) -> None:
-        hist: dict[str, int] = {}
-        nphis = ncalls = nallocas = nloads = nselects = ninstrs = 0
-        has_const = False
-        for blk in func.blocks:
-            for ins in blk.instructions:
-                ninstrs += 1
-                op = ins.opcode
-                hist[op] = hist.get(op, 0) + 1
-                if isinstance(ins, I.Phi):
-                    nphis += 1
-                elif isinstance(ins, I.Call):
-                    if not ins.intrinsic:
-                        ncalls += 1
-                elif isinstance(ins, I.Alloca):
-                    nallocas += 1
-                elif isinstance(ins, I.Load):
-                    nloads += 1
-                elif isinstance(ins, I.Select):
-                    nselects += 1
-                if not has_const:
-                    for o in ins.operands:
-                        if isinstance(o, (Constant, ConstantFP,
-                                          ConstantVector, Undef)):
-                            has_const = True
-                            break
+        body = [ins for blk in func.blocks for ins in blk.instructions]
         self.nblocks = len(func.blocks)
-        self.ninstrs = ninstrs
-        self.nphis = nphis
-        self.ncalls = ncalls
-        self.nallocas = nallocas
-        self.nloads = nloads
-        self.nselects = nselects
-        self.has_const_operand = has_const
+        self.opcodes = Counter([ins.opcode for ins in body])
+        #: non-intrinsic call sites (what ``inline`` looks for)
+        self.ncalls = sum(1 for ins in body if ins.opcode == "call"
+                          and not ins.intrinsic) if self.opcodes["call"] else 0
+        self.has_const_operand = any(isinstance(o, _CONSTANTS)
+                                     for ins in body for o in ins.operands)
         self.cyclic = _has_cycle(func)
-        self.opcode_histogram = hist
 
 
 def _has_cycle(func: Function) -> bool:
@@ -128,20 +104,19 @@ def _has_cycle(func: Function) -> bool:
 
 def _rule_no_fire(name: str, fp: ShapeFingerprint) -> bool:
     """True when ``fp`` proves pass ``name`` cannot change the function."""
+    n = fp.opcodes
     if name == "inline":
         return fp.ncalls == 0
     if name == "mem2reg":
-        return fp.nallocas == 0
+        return n["alloca"] == 0
     if name in ("unroll", "vectorize"):
         return not fp.cyclic
     if name == "constprop":
-        return (fp.nloads == 0 and fp.nselects == 0
+        return (n["load"] == 0 and n["select"] == 0
                 and not fp.has_const_operand)
     if name == "simplifycfg":
-        if fp.nblocks != 1 or fp.nphis != 0:
-            return False
-        h = fp.opcode_histogram
-        return h.get("ret", 0) == 1 and h.get("br", 0) == 0
+        return (fp.nblocks == 1 and n["phi"] == 0 and n["ret"] == 1
+                and n["br"] == 0)
     return False
 
 

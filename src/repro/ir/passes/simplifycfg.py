@@ -19,13 +19,13 @@ def _fold_constant_branches(func: Function) -> bool:
                 if dead is not taken:
                     for phi in dead.phis():
                         phi.remove_incoming(blk)
-                blk.instructions[-1] = I.Br(None, taken)
-                blk.instructions[-1].block = blk
-                changed = True
             elif term.targets[0] is term.targets[1]:
-                blk.instructions[-1] = I.Br(None, term.targets[0])
-                blk.instructions[-1].block = blk
-                changed = True
+                taken = term.targets[0]
+            else:
+                continue
+            term.erase()  # the condition loses this use
+            blk.append(I.Br(None, taken))
+            changed = True
     return changed
 
 
@@ -49,34 +49,17 @@ def _simplify_phis(func: Function) -> bool:
 
     Folding ``phi [X, A], [undef, B]`` to X is only legal when X dominates
     the phi (LLVM has the same restriction) — checked lazily.
-
-    Replacements are collected in one substitution map and applied in a
-    single walk at the end: a RAUW per phi is a full-function operand scan
-    *each*, quadratic on phi-heavy functions (unrolled loop nests produce
-    hundreds).  Scans resolve pending entries through the map, so each
-    decision sees exactly the IR sequential RAUWs would have produced.
     """
     from repro.ir.instructions import Instruction
     from repro.ir.passes.cfgutils import dominates, dominators
 
-    subst: dict[int, Value] = {}
-
-    def resolve(v: Value) -> Value:
-        # chains (phiA -> phiB -> x) arise when a phi's sole value is a
-        # phi scheduled for removal earlier in this scan; cycles cannot:
-        # a self-reference resolves to the scanned phi and is skipped
-        while isinstance(v, Instruction) and id(v) in subst:
-            v = subst[id(v)]
-        return v
-
     changed = False
     idom = None
     for blk in func.blocks:
-        for phi in list(blk.phis()):
+        for phi in blk.phis():
             distinct: list[Value] = []
             saw_undef = False
-            for v, _b in phi.incoming():
-                v = resolve(v)
+            for v in phi.operands:
                 if v is phi:
                     continue
                 if isinstance(v, Undef):
@@ -94,63 +77,56 @@ def _simplify_phis(func: Function) -> bool:
                             or def_blk is blk \
                             or not dominates(idom, def_blk, blk):
                         continue
-                subst[id(phi)] = repl
-                blk.instructions.remove(phi)
-                changed = True
             elif len(distinct) == 0 and phi.incoming_blocks:
-                subst[id(phi)] = Undef(phi.type)
-                blk.instructions.remove(phi)
-                changed = True
-    if subst:
-        for ins in func.instructions():
-            ops = ins.operands
-            for i, op in enumerate(ops):
-                r = resolve(op)
-                if r is not op:
-                    ops[i] = r
-        func.bump_version()
+                repl = Undef(phi.type)
+            else:
+                continue
+            func.replace_all_uses(phi, repl)
+            phi.erase()
+            changed = True
     return changed
 
 
 def _merge_straight_line(func: Function) -> bool:
     """Merge B into A when A->B is the only edge in both directions."""
     changed = False
-    again = True
-    while again:
-        again = False
-        preds: dict[int, list[BasicBlock]] = {id(b): [] for b in func.blocks}
-        for b in func.blocks:
-            for s in b.successors():
-                preds[id(s)].append(b)
-        for a in func.blocks:
-            term = a.terminator
-            if not (isinstance(term, I.Br) and not term.is_conditional):
-                continue
-            b = term.targets[0]
-            if b is a or b is func.entry:
-                continue
-            if len(preds[id(b)]) != 1:
-                continue
-            if b.phis():
-                # single predecessor: phis are trivial, resolve them first
-                for phi in list(b.phis()):
-                    v = phi.incoming_for(a)
-                    assert v is not None
-                    func.replace_all_uses(phi, v)
-                    b.instructions.remove(phi)
-            a.instructions.pop()  # drop the br
-            for ins in b.instructions:
-                ins.block = a
-                a.instructions.append(ins)
-            # phis in b's successors now flow from a
-            for succ in b.successors():
-                for phi in succ.phis():
-                    for i, ib in enumerate(phi.incoming_blocks):
-                        if ib is b:
-                            phi.incoming_blocks[i] = a
-            func.blocks.remove(b)
-            changed = again = True
-            break
+    # one map for the whole sweep, patched after each merge: a merge moves
+    # b's out-edges to a and changes no other block's predecessors
+    preds = {k: list(v) for k, v in func.predecessor_map().items()}
+    at = 0
+    while at < len(func.blocks):
+        a = func.blocks[at]
+        term = a.terminator
+        b = term.targets[0] \
+            if isinstance(term, I.Br) and not term.is_conditional else None
+        if b is None or b is a or b is func.entry or len(preds[id(b)]) != 1:
+            at += 1
+            continue
+        # single predecessor: phis are trivial, resolve them first
+        for phi in b.phis():
+            v = phi.incoming_for(a)
+            assert v is not None
+            func.replace_all_uses(phi, v)
+            phi.erase()
+        term.erase()  # drop the br
+        for ins in b.instructions:
+            ins.block = a
+            a.instructions.append(ins)
+        # phis in b's successors now flow from a
+        for succ in b.successors():
+            for phi in succ.phis():
+                for i, ib in enumerate(phi.incoming_blocks):
+                    if ib is b:
+                        phi.incoming_blocks[i] = a
+            into = preds[id(succ)]
+            if b in into:  # once per block, however many edges
+                into[into.index(b)] = a
+        if func.blocks.index(b) < at:
+            at -= 1
+        func.blocks.remove(b)
+        changed = True  # and look at a again: it now ends in b's terminator
+    if changed:
+        func.bump_version()  # blocks went away: the predecessor map is stale
     return changed
 
 
@@ -180,6 +156,8 @@ def _thread_trivial_jumps(func: Function) -> bool:
             if any(n is not o for n, o in zip(new_targets, term.targets)):
                 term.targets = new_targets
                 changed = True
+    if changed:
+        func.bump_version()  # edges moved: the predecessor map is stale
     return changed
 
 

@@ -72,6 +72,7 @@ def _analyze(func: Function, loop: NaturalLoop) -> _LoopInfo | None:
         # comparison must involve phi or step result and a constant
         a, b = cond.operands
         if a in (phi, step_ins) and isinstance(b, Constant):
+            pred = cond.pred
             cmp_on_next = a is step_ins
             bound = b
         elif b in (phi, step_ins) and isinstance(a, Constant):
@@ -79,7 +80,7 @@ def _analyze(func: Function, loop: NaturalLoop) -> _LoopInfo | None:
             swap = {"slt": "sgt", "sgt": "slt", "sle": "sge", "sge": "sle",
                     "ult": "ugt", "ugt": "ult", "ule": "uge", "uge": "ule",
                     "eq": "eq", "ne": "ne"}
-            cond = I.ICmp(swap[cond.pred], b, a)  # synthetic, for simulation
+            pred = swap[cond.pred]
             cmp_on_next = b is step_ins
             bound = a
         else:
@@ -91,7 +92,7 @@ def _analyze(func: Function, loop: NaturalLoop) -> _LoopInfo | None:
         trip = None
         for count in range(MAX_TRIP + 1):
             iv = (i + step) & ((1 << bits) - 1) if cmp_on_next else i
-            holds = _icmp(cond.pred, iv, bound.value, bits)
+            holds = _icmp(pred, iv, bound.value, bits)
             in_loop = holds if then_in else not holds
             if not in_loop:
                 trip = count
@@ -233,6 +234,7 @@ def _peel_once(func: Function, loop: NaturalLoop) -> None:
 
     at = func.blocks.index(header)
     func.blocks[at:at] = clones
+    func.bump_version()  # new blocks and edges: the predecessor map is stale
 
 
 def run(func: Function) -> bool:

@@ -1,11 +1,16 @@
-"""IR verifier: structural and type invariants plus SSA dominance.
+"""IR verifier: structural and type invariants, use lists, SSA dominance.
 
 Run after lifting and after every pass in tests — the verifier is the main
 defense against pass bugs.  Dominance uses networkx's immediate-dominators
-on the CFG.
+on the CFG.  Use-list consistency (``Value.uses`` against the operand
+slots that actually hold the value) and the cached predecessor map are
+checked here too, so ``VERIFY_AFTER_EACH_PASS`` bisects a stale use list or
+a missing ``bump_version`` to the pass that left it.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import networkx as nx
 
@@ -43,7 +48,6 @@ def verify(func: Function) -> None:
             raise IRError(f"@{func.name}: block {blk.name} has wrong parent")
 
     block_set = set(func.blocks)
-    defined: dict[int, I.Instruction] = {}
 
     for blk in func.blocks:
         term = blk.terminator
@@ -63,19 +67,31 @@ def verify(func: Function) -> None:
             if ins.block is not blk:
                 raise IRError(f"@{func.name}: instruction parent mismatch in {blk.name}")
             _check_types(func, ins)
-            defined[id(ins)] = ins
         for succ in blk.successors():
             if succ not in block_set:
                 raise IRError(
                     f"@{func.name}: branch from {blk.name} to foreign block {succ.name}"
                 )
 
+    verify_use_lists(func)
+
+    # a fresh predecessor map, once — and the function's cached one must
+    # agree with it (an edge moved without bump_version otherwise)
+    fresh: dict[int, set[BasicBlock]] = {id(b): set() for b in func.blocks}
+    for blk in func.blocks:
+        for succ in blk.successors():
+            fresh[id(succ)].add(blk)
+    cached = func.predecessor_map()
+    if any(set(cached.get(k, ())) != v for k, v in fresh.items()):
+        raise IRError(f"@{func.name}: stale predecessor map (CFG changed "
+                      f"without bump_version)")
+
     # phi incoming lists must match the predecessor set *exactly*: same
     # members, no duplicates, no value/block length skew, and never empty
     # (a zero-incoming phi has no defining edge — classic simplifycfg /
     # block-removal residue that a set comparison cannot see)
     for blk in func.blocks:
-        preds = set(func.predecessors(blk))
+        preds = fresh[id(blk)]
         for phi in blk.phis():
             if len(phi.operands) != len(phi.incoming_blocks):
                 raise IRError(
@@ -105,6 +121,60 @@ def verify(func: Function) -> None:
                 )
 
     _check_dominance(func)
+
+
+def verify_use_lists(func: Function) -> None:
+    """``v.uses`` must be exactly the operand slots that hold ``v``.
+
+    Every slot of the body must be listed by the value it holds; a value
+    that then lists as many slots as the body gave it lists nothing else.
+    Any other value is looked at slot by slot — an erased instruction still
+    listed, a listed slot holding another value, a user from another
+    function or module.  A fully detached body (an ``analysis.clone``
+    snapshot) has no lists to check.
+    """
+    body = list(func.instructions())
+    if body and all(ins.operands.user is None for ins in body):
+        return
+    where = f"@{func.name}: use list"
+    slots: list[Value] = []  # what each operand slot of the body holds
+    for ins in body:
+        ops = ins.operands
+        if type(ops) is not I.OperandList or ops.user is not ins:
+            raise IRError(f"{where}: operands of %{ins.name or ins.opcode} "
+                          f"are not tracked (detached or a plain list)")
+        i = 0
+        for v in ops:
+            if (ins, i) not in v.uses:
+                raise IRError(f"{where}: {v.short()} does not list operand "
+                              f"{i} of %{ins.name or ins.opcode}")
+            i += 1
+        slots += ops
+    held = Counter(map(id, slots))
+    local: dict[int, Value] = {id(v): v for v in (*func.args, *body)}
+    values = {id(v): v for v in slots} | local
+    for k, v in values.items():
+        if len(v.uses) == held[k]:
+            continue
+        # listed slots the body does not account for: stale, or elsewhere
+        for user, i in v.uses:
+            ops = user.operands
+            if user.block is None or ops.user is not user:
+                raise IRError(f"{where}: {v.short()} lists erased "
+                              f"instruction %{user.name or user.opcode}")
+            if i >= len(ops) or ops[i] is not v:
+                raise IRError(f"{where}: {v.short()} lists operand {i} of "
+                              f"%{user.name or user.opcode}, which holds "
+                              f"another value")
+            if id(user) in local:
+                continue
+            home = user.block.function
+            if k in local:
+                raise IRError(f"{where}: {v.short()} has a user outside the "
+                              f"function (%{user.name or user.opcode})")
+            if home is None or home.module is not func.module:
+                raise IRError(f"{where}: {v.short()} is shared with another "
+                              f"module (%{user.name or user.opcode})")
 
 
 def _check_types(func: Function, ins: I.Instruction) -> None:
