@@ -3,8 +3,8 @@
 
 Shows, for hand-written machine-code snippets:
 
-* Fig. 5 — how individual instructions lift (``sub``, a memory load,
-  ``addsd`` with its facet-cast chain);
+* Fig. 5 — how individual instructions lift (``sub`` with and without a
+  flag reader, a memory load, ``addsd`` with its facet-cast chain);
 * Fig. 4 — the register facet model (same xmm register viewed as i128,
   scalar double, and vector);
 * Fig. 6 — the flag cache: the same ``cmp``+``cmovl`` max() function lifted
@@ -47,16 +47,24 @@ def show(title, func):
 
 def main() -> None:
     # --- Fig. 5: single instructions ---------------------------------------
-    show("Fig 5a: sub rax, 1 (unoptimized lift, flags computed eagerly)",
+    show("Fig 5a: sub rax, 1 (unoptimized lift; nothing reads a flag, so "
+         "none is computed)",
          lift_snippet("sub rax, 1\nret", FunctionSignature((), "i")))
+
+    show("Fig 5a': sub rdi, 1 ; sets al (the one flag that is read is "
+         "built right behind the sub; the other five never are)",
+         lift_snippet("sub rdi, 1\nsets al\nmovzx eax, al\nret",
+                      FunctionSignature(("i",), "i")))
 
     show("Fig 5b: mov eax, [rdi - 0xc] -> GEP + load + zext",
          lift_snippet("mov eax, [rdi - 0xc]\nret",
                       FunctionSignature(("i",), "i"), optimize=True))
 
-    show("Fig 5c: addsd xmm0, xmm1 -> extractelement / fadd / insertelement",
-         lift_snippet("addsd xmm0, xmm1\nret",
-                      FunctionSignature(("f", "f"), "f")))
+    show("Fig 5c: addsd xmm0, xmm1 -> fadd on the f64 facets; the merge "
+         "into the old vector (bitcast / insertelement) is kept because "
+         "movhpd reads the upper lane",
+         lift_snippet("addsd xmm0, xmm1\nmovhpd [rdi], xmm0\nret",
+                      FunctionSignature(("i", "f", "f"), "f")))
 
     # --- Fig. 4: facets after optimization ----------------------------------
     show("facet chains vanish after -O3 (paper: 'introduced overhead often "

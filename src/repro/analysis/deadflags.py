@@ -1,12 +1,14 @@
 """Dead-flag analysis: which of the six status flags are never consumed.
 
-The lifter eagerly computes o/s/z/a/p/c as individual i1 values after every
-flag-writing instruction and threads them through per-block phis named
-``fl<letter>`` (Sec. III-D).  The paper's bet is that the optimizer deletes
-almost all of them; Fig. 6 quantifies how much the flag cache helps.  This
-analysis *proves* the claim per function: a flag letter is **dead** when
-every one of its phis is consumed only by the flag network itself (other
-``fl*`` phis), i.e. no real instruction ever reads the flag.
+The lifter models o/s/z/a/p/c as individual i1 values and threads the ones
+a later block reads through phis named ``fl<letter>`` (Sec. III-D).  The
+paper computes all six after every flag writer and bets that the optimizer
+deletes almost all of them; Fig. 6 quantifies how much the flag cache
+helps.  This analysis *proves* the claim per function: a flag letter is
+**dead** when every one of its phis is consumed only by the flag network
+itself (other ``fl*`` phis), i.e. no real instruction ever reads the flag.
+(The demand-driven lifter no longer emits such phis; a pass can still
+leave one behind.)
 
 The result feeds flag-cache statistics and the lint's ``--stats`` view; a
 dead flag is not an error (it is the expected, desirable case), so this

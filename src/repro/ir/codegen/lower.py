@@ -91,6 +91,17 @@ class Lowerer:
             self.vmap[id(value)] = v
         return v
 
+    def alias(self, ins: I.Instruction, v: VReg) -> None:
+        """Let ``ins`` share the vreg ``v`` of the value it merely renames.
+
+        A phi copy may have read ``ins`` ahead of its definition — a split
+        critical edge into a loop header is laid out, and lowered, before
+        the header — and then ``ins`` already has a vreg the copy refers
+        to: that one stays and receives a move."""
+        home = self.vmap.setdefault(id(ins), v)
+        if home != v:
+            self.emit(op="mov", dst=home, a=v)
+
     def value(self, value: Value) -> VReg:
         """Materialize an IR value into a vreg (constants emit loads)."""
         if isinstance(value, Constant):
@@ -590,7 +601,7 @@ class Lowerer:
                 self.emit(op="f2bits", dst=v64, a=low)
                 v = v64
             if bits == 64:
-                self.vmap[id(ins)] = v
+                self.alias(ins, v)
                 return
             if bits == 1:
                 out = self.vreg(ins)
@@ -612,7 +623,7 @@ class Lowerer:
                 out = self.vreg(ins)
                 self.emit(op="vinsert0", dst=out, a=zv, b=f)
                 return
-            self.vmap[id(ins)] = self.value(src)  # canonical form is zext
+            self.alias(ins, self.value(src))  # canonical form is zext
             return
         if op == "sext":
             sbits = src.type.bits  # type: ignore[attr-defined]
@@ -625,22 +636,22 @@ class Lowerer:
                 if dbits < 64:
                     self.emit(op="ext", dst=out, a=neg, width=dbits // 8, signed=False)
                 else:
-                    self.vmap[id(ins)] = neg
+                    self.alias(ins, neg)
                 return
             if dbits < 64:
                 out = self.vreg(ins)
                 self.emit(op="ext", dst=out, a=v, width=dbits // 8, signed=False)
             else:
-                self.vmap[id(ins)] = v
+                self.alias(ins, v)
             return
         if op in ("inttoptr", "ptrtoint"):
-            self.vmap[id(ins)] = self.value(src)
+            self.alias(ins, self.value(src))
             return
         if op == "bitcast":
             scls = _cls_of(src.type)
             dcls = _cls_of(dst_t)
             if scls == dcls:
-                self.vmap[id(ins)] = self.value(src)
+                self.alias(ins, self.value(src))
                 return
             out = self.vreg(ins)
             if scls == "i" and dcls == "f":
@@ -796,6 +807,8 @@ class Lowerer:
 _FCMP_CC = {
     "oeq": "e", "one": "ne", "olt": "b", "ole": "be", "ogt": "a", "oge": "ae",
     "ueq": "e", "une": "ne", "ult": "b", "ule": "be", "ugt": "a", "uge": "ae",
+    # ucomisd sets PF exactly when the operands are unordered (lifted `jp`)
+    "uno": "p", "ord": "np",
 }
 
 

@@ -1,13 +1,22 @@
 """Function-level x86-64 -> IR lifting driver (Sec. III).
 
-Processing model: every guest basic block gets an IR block whose entry
-carries phi nodes for *all* register slots — 16 GPR i64 canonicals, 16 SSE
-i128 canonicals plus their cached f64 facets, and the six status flags.
-"Each basic block has a significant amount of Φ-nodes, which are mostly
-unused.  These unused nodes will be removed by the optimizer." (Sec. III-C)
+Processing model: every guest basic block gets an IR block.  On entry each
+of its 54 register slots — 16 GPR i64 canonicals, 16 SSE i128 canonicals
+plus their cached f64 facets, and the six status flags — is a placeholder
+value, and after every block has been lifted a placeholder becomes a phi
+only where something reads it, directly or by being handed on to a
+successor whose slot is read (the *demand closure*).  The paper builds all
+54 phis per block and bets that "these unused nodes will be removed by the
+optimizer" (Sec. III-C); here they, the flags nobody reads (``lift.flags``)
+and the exit facets nobody reads are never built, and one closing
+mark-and-sweep removes what lazy emission still leaves.  The post-condition
+of :func:`lift_function` is *no dead IR*: its output is the live closure of
+the paper's, instruction for instruction, so ``dce.run`` on it returns
+False and the optimizer walks the trajectory it walked from its first
+``dce`` on.
 
-Out-states are materialized before each terminator, and all phi incomings
-are connected after every block has been lifted, so loops need no fixpoint.
+Loops need no fixpoint: a block is lifted once, from placeholders, and the
+closure runs over finished blocks.
 """
 
 from __future__ import annotations
@@ -22,11 +31,14 @@ from repro.ir.irtypes import (
     V2F64, VOID, ptr,
 )
 from repro.ir.module import BasicBlock, Function, Module
+# bound here, not called through the module: the closing sweep is not an -O3
+# pass application, and ``testing.faults`` patches ``repro.ir.passes.dce.run``
+from repro.ir.passes.dce import run as _sweep
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
 from repro.lift.blocks import GuestBlock, GuestCFG, discover
 from repro.lift.flags import FlagModel
 from repro.lift.regfile import (
-    F_F64, F_PTR, F_V2F64, I8P, RegFile, RegState,
+    F_F64, F_PTR, F_V2F64, I8P, RegFile, RegState, scratch_builder, splice,
 )
 from repro.mem.memory import Memory
 from repro.obs.trace import TRACER as _TR
@@ -79,35 +91,31 @@ class LiftOptions:
     budget: "object | None" = None
 
 
-class _PhiSet:
-    """The per-block phi nodes for all register slots."""
+class _EntrySlot(Value):
+    """The value of one register, facet or flag slot on entry to a guest
+    block: a placeholder until the demand closure has decided whether the
+    slot becomes a phi."""
 
-    def __init__(self, block: BasicBlock, func: Function) -> None:
-        def mkphi(t: Type, hint: str) -> IRI.Phi:
-            p = IRI.Phi(t, func.next_name(hint))
-            block.instructions.insert(0, p)
-            p.block = block
-            return p
+    __slots__ = ("addr", "kind", "key")
 
-        # insert in reverse display order since we insert at index 0
-        self.flags = {f: mkphi(I1, f"fl{f}") for f in reversed("oszapc")}
-        self.xmm_f64 = [mkphi(DOUBLE, f"xf{i}") for i in reversed(range(16))]
-        self.xmm_f64.reverse()
-        self.xmm = [mkphi(I128, f"x{i}") for i in reversed(range(16))]
-        self.xmm.reverse()
-        self.gpr = [mkphi(I64, f"r{i}") for i in reversed(range(16))]
-        self.gpr.reverse()
+    def __init__(self, kind: str, key: "int | str", type_: Type,
+                 addr: int) -> None:
+        super().__init__(type_)
+        self.addr = addr  # the guest block
+        self.kind = kind  # "r", "x", "xf" or "fl": with key, the phi's name
+        self.key = key  # register index or flag letter
 
 
-class _OutState:
-    """Materialized register values at a block exit."""
+#: the entry slots of a block, in phi order
+_SLOTS = (*(("r", i, I64) for i in range(16)),
+          *(("x", i, I128) for i in range(16)),
+          *(("xf", i, DOUBLE) for i in range(16)),
+          *(("fl", f, I1) for f in "oszapc"))
 
-    def __init__(self, gpr: list[Value], xmm: list[Value],
-                 xmm_f64: list[Value], flags: dict[str, Value]) -> None:
-        self.gpr = gpr
-        self.xmm = xmm
-        self.xmm_f64 = xmm_f64
-        self.flags = flags
+
+#: a predecessor of a guest block: its IR block, its exit state and its own
+#: entry slots (None for the prologue, which has none)
+_Pred = tuple[BasicBlock, RegState, "list[_EntrySlot] | None"]
 
 
 class Lifter:
@@ -162,7 +170,6 @@ class Lifter:
         self._declare_callees()
 
         ir_blocks: dict[int, BasicBlock] = {}
-        phi_sets: dict[int, _PhiSet] = {}
         for gb in cfg.ordered():
             ir_blocks[gb.start] = func.add_block(f"g{gb.start:x}")
         entry_ir = BasicBlock("entry")
@@ -192,31 +199,36 @@ class Lifter:
         entry_state = init
         self.b.br(ir_blocks[cfg.entry])
 
-        # create phi sets and lift each block
-        out_states: dict[int, _OutState] = {}
-        edges: list[tuple[int, int]] = []  # (pred_guest, succ_guest)
+        # lift each block from placeholders for its entry state
+        slots: dict[int, list[_EntrySlot]] = {}
+        #: per guest block: (IR block, exit state, own entry slots) of each
+        #: predecessor in phi-incoming order; the prologue comes first
+        preds: dict[int, list[_Pred]] = {gb.start: [] for gb in cfg.ordered()}
+        preds[cfg.entry].append((entry_ir, entry_state, None))
         for gb in cfg.ordered():
             irb = ir_blocks[gb.start]
-            phis = _PhiSet(irb, func)
-            phi_sets[gb.start] = phis
+            slots[gb.start] = own = [_EntrySlot(*slot, gb.start)
+                                     for slot in _SLOTS]
             self.b.position_at_end(irb)
-            state = self._state_from_phis(phis)
+            state = self._entry_state(own)
             self.regs = RegFile(state, self.b, self.options.facet_cache)
             self.flags = FlagModel(self.regs, self.b, self.options.flag_cache)
             if _TR.enabled:
                 with _TR.span("lift.block", {"addr": gb.start,
                                              "n": len(gb.instructions)}):
-                    self._lift_block(gb, ir_blocks, out_states, edges)
+                    succs = self._lift_block(gb, ir_blocks)
             else:
-                self._lift_block(gb, ir_blocks, out_states, edges)
+                succs = self._lift_block(gb, ir_blocks)
+            for succ in succs:
+                preds[succ].append((irb, state, own))
 
-        # connect phis: guest entry receives the prologue state
         span = _TR.start("lift.connect") if _TR.enabled else None
         try:
-            entry_out = self._materialize_out_in_block(entry_ir, entry_state)
-            self._add_incomings(phi_sets[cfg.entry], entry_out, entry_ir)
-            for pred, succ in edges:
-                self._add_incomings(phi_sets[succ], out_states[pred], ir_blocks[pred])
+            self._connect(ir_blocks, slots, preds)
+            # what lazy emission still leaves: facet merges nobody reads,
+            # cmp's sub, dead loads.  The optimizer is path-dependent on
+            # dead code, so the lifter hands it none
+            _sweep(func)
         finally:
             if span is not None:
                 _TR.finish(span)
@@ -235,49 +247,111 @@ class Lifter:
             self.module.add_function(decl)
             self._callee_decls[addr] = decl
 
-    def _state_from_phis(self, phis: _PhiSet) -> RegState:
-        st = RegState.fresh()
-        st.gpr = list(phis.gpr)
-        st.xmm = list(phis.xmm)
-        st.flags = {f: phis.flags[f] for f in "oszapc"}
-        if self.options.facet_cache:
-            for i in range(16):
-                st.xmm_facets[i][F_F64] = phis.xmm_f64[i]
-        return st
+    def _entry_state(self, slots: list[_EntrySlot]) -> RegState:
+        cached = self.options.facet_cache
+        return RegState(
+            gpr=slots[0:16],
+            xmm=slots[16:32],
+            flags=dict(zip("oszapc", slots[48:])),
+            gpr_facets=[{} for _ in range(16)],
+            xmm_facets=[{F_F64: s} if cached else {} for s in slots[32:48]],
+        )
 
-    def _materialize_out(self) -> _OutState:
-        """Capture register values (with facets) before a terminator."""
-        assert self.regs is not None
-        st = self.regs.state
-        xmm_f64 = [self.regs.read_xmm_f64(i) for i in range(16)]
-        return _OutState(list(st.gpr), list(st.xmm), xmm_f64, dict(st.flags))
+    # -- demand closure ---------------------------------------------------------------
 
-    def _materialize_out_in_block(self, block: BasicBlock, state: RegState) -> _OutState:
-        """Materialize an out-state for a block already terminated (entry)."""
-        term = block.instructions.pop()
-        self.b.position_at_end(block)
-        regs = RegFile(state, self.b, self.options.facet_cache)
-        xmm_f64 = [regs.read_xmm_f64(i) for i in range(16)]
-        block.instructions.append(term)
-        return _OutState(list(state.gpr), list(state.xmm), xmm_f64, dict(state.flags))
+    def _connect(self, ir_blocks: dict[int, BasicBlock],
+                 slots: dict[int, list[_EntrySlot]],
+                 preds: dict[int, list[_Pred]]) -> None:
+        """Turn the entry slots something reads into phis.
 
-    def _add_incomings(self, phis: _PhiSet, out: _OutState, pred: BasicBlock) -> None:
-        for i in range(16):
-            phis.gpr[i].operands.append(out.gpr[i])
-            phis.gpr[i].incoming_blocks.append(pred)
-            phis.xmm[i].operands.append(out.xmm[i])
-            phis.xmm[i].incoming_blocks.append(pred)
-            phis.xmm_f64[i].operands.append(out.xmm_f64[i])
-            phis.xmm_f64[i].incoming_blocks.append(pred)
-        for f in "oszapc":
-            phis.flags[f].operands.append(out.flags[f])
-            phis.flags[f].incoming_blocks.append(pred)
+        A slot is *demanded* if an instruction uses its placeholder, or if
+        it is what a predecessor hands on into a demanded slot of a
+        successor.  Asking a predecessor for a value may emit there (a flag
+        forced at its writer, an f64 facet materialised before the
+        terminator), which can read more of that block's entry slots.
+        """
+        func = self.func
+        assert func is not None
+        phis: dict[_EntrySlot, IRI.Phi] = {}
+        work: list[_EntrySlot] = []
+
+        def demand(slot: _EntrySlot) -> None:
+            if slot not in phis:
+                phi = phis[slot] = IRI.Phi(
+                    slot.type, func.next_name(f"{slot.kind}{slot.key}"))
+                phi.block = ir_blocks[slot.addr]
+                work.append(slot)
+
+        for own in slots.values():
+            for slot in own:
+                if slot.uses:
+                    demand(slot)
+        tails: dict[BasicBlock, dict[int, int]] = {}
+        while work:
+            slot = work.pop()
+            phi = phis[slot]
+            for block, state, own in preds[slot.addr]:
+                n = len(block.instructions)
+                v = self._exit_value(slot, block, state,
+                                     tails.setdefault(block, {}))
+                phi.operands.append(v)
+                phi.incoming_blocks.append(block)
+                through = self._passed_through(v)
+                if through is not None:
+                    demand(through)
+                if own is not None and len(block.instructions) != n:
+                    for read in own:
+                        if read.uses:
+                            demand(read)
+
+        # phis in slot order, ahead of anything forced at the block's start
+        for addr, own in slots.items():
+            ir_blocks[addr].instructions[0:0] = [
+                phis[slot] for slot in own if slot in phis]
+        for slot, phi in phis.items():
+            func.replace_all_uses(slot, phi)
+        # the splices and the phis went in past BasicBlock's mutators
+        func.bump_version()
+
+    @staticmethod
+    def _passed_through(value: Value) -> _EntrySlot | None:
+        """The predecessor's own entry slot, when that is what it hands on
+        (whatever slot it was read from: a 64-bit ``mov`` makes one
+        register's exit value another register's entry placeholder)."""
+        return value if isinstance(value, _EntrySlot) else None
+
+    def _exit_value(self, slot: _EntrySlot, block: BasicBlock,
+                    state: RegState, tail: dict[int, int]) -> Value:
+        """What ``slot`` receives from the predecessor ``block``, whose
+        exit state is ``state``.  ``tail`` counts the instructions already
+        materialised before the block's terminator, per xmm register."""
+        kind, key = slot.kind, slot.key
+        if kind == "r":
+            return state.gpr[key]  # type: ignore[index]
+        if kind == "x":
+            return state.xmm[key]  # type: ignore[index]
+        b = scratch_builder(block)
+        regs = RegFile(state, b, self.options.facet_cache)
+        if kind == "fl":
+            return regs.read_flag(key)  # type: ignore[arg-type]
+        # the f64 facet: cached, or built before the terminator behind the
+        # facets of lower registers (Fig. 4b), as one eager sweep over
+        # xmm0..15 would have ordered them
+        assert isinstance(key, int)
+        v = regs.read_xmm_f64(key)
+        at = len(block.instructions) - 1 \
+            - sum(n for reg, n in tail.items() if reg > key)
+        new = splice(block, at, b)
+        if new:
+            tail[key] = len(new)
+        return v
 
     # -- block lifting ------------------------------------------------------------
 
-    def _lift_block(self, gb: GuestBlock, ir_blocks: dict[int, BasicBlock],
-                    out_states: dict[int, _OutState],
-                    edges: list[tuple[int, int]]) -> None:
+    def _lift_block(self, gb: GuestBlock,
+                    ir_blocks: dict[int, BasicBlock]) -> tuple[int, ...]:
+        """Lift one guest block; returns its successors' guest addresses,
+        one per CFG edge."""
         assert self.func is not None
         term = gb.terminator
         for ins in gb.instructions[:-1]:
@@ -286,19 +360,16 @@ class Lifter:
         cls = isa.control_class(term.mnemonic)
         if cls == "ret":
             self._lift_ret()
-            return
+            return ()
         if cls == "jmp":
-            out_states[gb.start] = self._materialize_out()
             (t,) = term.operands
             assert isinstance(t, Imm)
             self.b.br(ir_blocks[t.value])
-            edges.append((gb.start, t.value))
-            return
+            return (t.value,)
         if cls == "jcc":
             cc = isa.cc_of(term.mnemonic)
             assert cc is not None and self.flags is not None
             cond = self.flags.condition(cc)
-            out_states[gb.start] = self._materialize_out()
             (t,) = term.operands
             assert isinstance(t, Imm)
             taken = ir_blocks[t.value]
@@ -308,17 +379,13 @@ class Lifter:
                 # CFG edge, or the successor's phis would list this block
                 # twice (phi incoming lists mirror edges, not branches)
                 self.b.br(taken)
-                edges.append((gb.start, gb.end))
-                return
+                return (gb.end,)
             self.b.cond_br(cond, taken, fallthrough)
-            edges.append((gb.start, t.value))
-            edges.append((gb.start, gb.end))
-            return
+            return (t.value, gb.end)
         # fall-through (block was split) or trailing call
         self._lift_instruction(term)
-        out_states[gb.start] = self._materialize_out()
         self.b.br(ir_blocks[gb.end])
-        edges.append((gb.start, gb.end))
+        return (gb.end,)
 
     def _lift_ret(self) -> None:
         assert self.regs is not None
@@ -733,7 +800,7 @@ class Lifter:
             count = self.b.and_(count, Constant(_INT_TYPE[size], 63 if size == 8 else 31))
         r = self.b.binop(op, a, count)
         assert self.flags is not None
-        self.flags.set_after_shift(r)
+        self.flags.set_after_shift(r, count)
         self.write_int(dst, r, size)
 
     def _i_shl(self, ins: Instruction) -> None:

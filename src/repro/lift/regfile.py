@@ -11,11 +11,17 @@ preserved-merge, SSE scalar ops preserve the upper lane, ``movq`` zeroes it).
 The facet cache is an ablation knob: the paper found that without it "the
 LLVM optimizer is not able to eliminate the casts between the accessed
 facets and the integer representation".
+
+A flag slot holds either its i1 value or, until something reads it, the
+*recipe* of the instruction that wrote it (``lift.flags.FlagRecipe``):
+:meth:`RegFile.read_flag` is where a recipe is turned into instructions.
+Nothing else may read ``RegState.flags`` for a value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir import instructions as I
 from repro.ir.builder import IRBuilder
@@ -23,8 +29,12 @@ from repro.ir.irtypes import (
     DOUBLE, FLOAT, I1 as I1_TYPE, I8, I16, I32, I64, I128, PointerType,
     Type, V2F64, V4F32, V2I64, V4I32, ptr,
 )
+from repro.ir.module import BasicBlock
 from repro.ir.values import Constant, Undef, Value
 from repro.obs import metrics as _metrics
+
+if TYPE_CHECKING:
+    from repro.lift.flags import FlagRecipe
 
 #: GPR facets
 F_I64, F_I32, F_I16, F_I8, F_I8H, F_PTR = "i64", "i32", "i16", "i8", "i8h", "ptr"
@@ -44,7 +54,7 @@ class RegState:
 
     gpr: list[Value]
     xmm: list[Value]
-    flags: dict[str, Value]
+    flags: dict[str, Value | FlagRecipe]
     gpr_facets: list[dict[str, Value]] = field(default_factory=list)
     xmm_facets: list[dict[str, Value]] = field(default_factory=list)
 
@@ -257,10 +267,35 @@ class RegFile:
     # -- flags -----------------------------------------------------------------
 
     def read_flag(self, name: str) -> Value:
-        return self.state.flags[name]
+        v = self.state.flags[name]
+        if not isinstance(v, Value):
+            v = self.state.flags[name] = v.force(name)
+        return v
 
-    def write_flag(self, name: str, value: Value) -> None:
+    def write_flag(self, name: str, value: Value | FlagRecipe) -> None:
         self.state.flags[name] = value
+
+
+def scratch_builder(block: BasicBlock) -> IRBuilder:
+    """A builder on an empty twin of ``block`` (same function, so names come
+    from the same counter).  The lifter only appends while it walks a guest
+    block; what has to land *inside* a block afterwards — a flag forced at
+    its writer, a facet materialised before a terminator — is built here and
+    moved over by :func:`splice`."""
+    twin = BasicBlock(block.name)
+    twin.function = block.function
+    return IRBuilder(twin)
+
+
+def splice(block: BasicBlock, at: int, built: IRBuilder) -> list[I.Instruction]:
+    """Move what ``built`` (a :func:`scratch_builder`) holds to
+    ``block.instructions[at:at]``; returns the moved instructions."""
+    assert built.block is not None
+    new = built.block.instructions
+    for ins in new:
+        ins.block = block
+    block.instructions[at:at] = new
+    return new
 
 
 def _zero_vector() -> Value:

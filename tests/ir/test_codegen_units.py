@@ -115,6 +115,35 @@ def test_i128_phi_through_loop():
     assert sim.call_int("f", (5,)) == 5 ^ 0xFF00FF  # odd number of toggles
 
 
+def test_renaming_cast_as_back_edge_phi_incoming():
+    # a self-loop's back edge is a critical edge; its split block is laid
+    # out, and lowered, before the loop body, so the phi copy there reads
+    # the ptrtoint ahead of its definition.  The cast used to re-point its
+    # vreg at the gep's when lowered, leaving the copy on a vreg nothing
+    # writes (lifted `lea rax, [rcx + rax*2]` in a loop hit this)
+    m, f, _ = build(I64, (I64, I64))
+    loop = f.add_block("loop")
+    exit_ = f.add_block("exit")
+    b = IRBuilder(f.entry)
+    b.br(loop)
+    b = IRBuilder(loop)
+    acc = b.phi(I64, "acc")
+    n = b.phi(I64, "n")
+    p = b.gep(b.inttoptr(f.args[1], ptr(I8)), b.mul(acc, b.const(I64, 2)))
+    acc2 = b.ptrtoint(p, I64)
+    n2 = b.sub(n, b.const(I64, 1))
+    b.cond_br(b.icmp("ne", n2, b.const(I64, 0)), loop, exit_)
+    acc.add_incoming(Constant(I64, 0), f.entry)
+    acc.add_incoming(acc2, loop)
+    n.add_incoming(f.args[0], f.entry)
+    n.add_incoming(n2, loop)
+    IRBuilder(exit_).ret(acc2)
+    verify(f)
+    img, _ = compile_and_decode(f)
+    sim = Simulator(img)
+    assert sim.call_int("f", (3, 1)) == 7  # ((0*2+1)*2+1)*2+1
+
+
 def test_i128_vector_add_uses_paddq_semantics():
     # add <i128> lowered through pxor/pand? we lower via vadd family -> but
     # integer i128 add is lane-less; ensure the add path above produced

@@ -320,11 +320,20 @@ def test_fig5_sub_lifts_directly():
 
 
 def test_fig5_addsd_facet_chain():
-    _img, _m, f = lift_asm("addsd xmm0, xmm1\nret", FunctionSignature(("f", "f"), "f"))
+    # the chain is built where it is live: the upper lane is read after the
+    # scalar add, so the merge into the old vector has a reader
+    _img, _m, f = lift_asm("addsd xmm0, xmm1\nmovhpd [rdi], xmm0\nret",
+                           FunctionSignature(("i", "f", "f"), "f"))
     text = print_function(f)
-    assert "extractelement <2 x double>" in text
+    assert "bitcast i128" in text
     assert "fadd double" in text
     assert "insertelement <2 x double>" in text
+    assert "extractelement <2 x double>" in text
+    # and nowhere else: without that reader only the scalar add is lifted
+    _img, _m, f = lift_asm("addsd xmm0, xmm1\nret",
+                           FunctionSignature(("f", "f"), "f"))
+    assert [i.opcode for i in f.blocks[1].instructions] == [
+        "phi", "phi", "fadd", "ret"]
 
 
 def test_fig6_flag_cache_produces_select_icmp():
