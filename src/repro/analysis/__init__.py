@@ -9,10 +9,11 @@ behavior* — and ``repro.analysis`` checks *provable* properties in between:
 * :mod:`~repro.analysis.dataflow` — a small lattice-based engine with a
   dense block solver (forward/backward worklist) and a sparse SSA value
   solver (meet over phis, optional widening);
-* :mod:`~repro.analysis.undef` / :mod:`~repro.analysis.memregion` /
-  :mod:`~repro.analysis.strictness` — lifter-soundness checkers built on
-  the engine (undef reaching observable sinks, provably out-of-bounds
-  accesses to fixed memory regions, strict-SSA and Φ-coverage violations);
+* :mod:`~repro.analysis.undef` / :mod:`~repro.analysis.memregion` —
+  lifter-soundness checkers built on the engine (undef reaching observable
+  sinks, provably out-of-bounds accesses to fixed memory regions);
+* :mod:`~repro.analysis.strictness` — the verifier's structural rules
+  collected as findings instead of raised (strict SSA, Φ coverage);
 * :mod:`~repro.analysis.deadflags` — Fig. 6-style proof of which status
   flags the optimizer eliminated;
 * :mod:`~repro.analysis.validate` — per-pass translation validation for
@@ -48,9 +49,6 @@ from repro.analysis.dataflow import (
     SetLattice,
     ValueProblem,
     ValueStates,
-    predecessor_map,
-    reachable_blocks,
-    reverse_postorder,
     solve_block_problem,
     solve_value_problem,
 )
@@ -115,10 +113,7 @@ __all__ = [
     "clone_function",
     "errors_only",
     "functions_structurally_equal",
-    "predecessor_map",
-    "reachable_blocks",
     "restore_function",
-    "reverse_postorder",
     "run_checkers",
     "run_checkers_module",
     "solve_block_problem",

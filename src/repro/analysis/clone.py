@@ -19,7 +19,7 @@ detached body can be interpreted and compared, not transformed;
 from __future__ import annotations
 
 from repro.ir import instructions as I
-from repro.ir.module import BasicBlock, Function
+from repro.ir.module import Function, clone_region
 from repro.ir.values import Argument, Constant, ConstantFP, ConstantVector, Undef
 
 
@@ -33,26 +33,8 @@ def clone_function(func: Function, name: str | None = None) -> Function:
     twin.is_declaration = func.is_declaration
     twin._name_counter = func._name_counter
 
-    vmap: dict[int, object] = {}
-    bmap: dict[int, BasicBlock] = {}
-    for blk in func.blocks:
-        nb = BasicBlock(blk.name)
-        nb.function = twin
-        bmap[id(blk)] = nb
-        twin.blocks.append(nb)
-        for ins in blk.instructions:
-            c = ins.snapshot_copy(nb)  # probe tag included
-            vmap[id(ins)] = c
-            nb.instructions.append(c)
-    for blk in func.blocks:
-        nb = bmap[id(blk)]
-        for ins in nb.instructions:
-            ins.operands = [vmap.get(id(op), op) for op in ins.operands]
-            if isinstance(ins, I.Br):
-                ins.targets = [bmap.get(id(t), t) for t in ins.targets]
-            if isinstance(ins, I.Phi):
-                ins.incoming_blocks = [bmap.get(id(b), b)
-                                       for b in ins.incoming_blocks]
+    twin.blocks = clone_region(func.blocks, twin, vmap={}, attached=False,
+                               name_block=lambda blk: blk.name)
     return twin
 
 
@@ -79,8 +61,7 @@ def restore_function(func: Function, snapshot: Function) -> None:
 
 def _operand_key(op: object, pos: dict[int, tuple[int, int]],
                  bpos: dict[int, int]) -> object:
-    """Position-based structural key for one operand (shared by equality
-    and fingerprinting; ignores value names)."""
+    """Position-based structural key for one operand (ignores names)."""
     if isinstance(op, I.Instruction):
         return ("ins", pos.get(id(op)))
     if isinstance(op, Constant):
@@ -110,7 +91,8 @@ def _positions(func: Function) -> tuple[dict[int, tuple[int, int]],
 
 def _instruction_key(ins: I.Instruction, pos: dict[int, tuple[int, int]],
                      bpos: dict[int, int]) -> tuple:
-    """Everything position-based equality compares about one instruction."""
+    """When two instructions are the same, up to position: opcode, type,
+    operands and payload.  Equality and fingerprinting both read this."""
     extra: tuple = ()
     if isinstance(ins, (I.ICmp, I.FCmp)):
         extra = ("pred", ins.pred)
@@ -134,9 +116,10 @@ def _instruction_key(ins: I.Instruction, pos: dict[int, tuple[int, int]],
 
 
 def function_fingerprint(func: Function) -> tuple:
-    """A hashable structural key: two bodies compare
-    :func:`functions_structurally_equal` iff their fingerprints are equal
-    (within one process — external values key by object identity).
+    """A hashable structural key — the :func:`_instruction_key` of every
+    position, so two bodies are :func:`functions_structurally_equal` iff
+    their fingerprints are equal (within one process: external values key
+    by object identity).
 
     Cheap (one body walk, no interpretation); the validator uses it to
     re-validate a memoized baseline before trusting it.
@@ -148,54 +131,15 @@ def function_fingerprint(func: Function) -> tuple:
 
 
 def functions_structurally_equal(a: Function, b: Function) -> bool:
-    """Structural (position-based) equality of two function bodies.
+    """Structural (position-based) equality of two function bodies: the
+    same :func:`_instruction_key` at every position, names ignored.
 
     Used to detect passes that mutate a function while reporting "no
     change" — a silent miscompile the validator must still examine.
-    Compares block/instruction shape, opcodes, instruction payload and
-    operand identity up to position; ignores value *names*.
     """
-    if len(a.blocks) != len(b.blocks):
+    if [len(blk.instructions) for blk in a.blocks] \
+            != [len(blk.instructions) for blk in b.blocks]:
         return False
-    pos_a, bpos_a = _positions(a)
-    pos_b, bpos_b = _positions(b)
-
-    operand_key = _operand_key
-
-    for blk_a, blk_b in zip(a.blocks, b.blocks):
-        if len(blk_a.instructions) != len(blk_b.instructions):
-            return False
-        for x, y in zip(blk_a.instructions, blk_b.instructions):
-            if x.opcode != y.opcode or x.type is not y.type:
-                return False
-            xs, ys = x.operands, y.operands
-            if len(xs) != len(ys):
-                return False
-            for ox, oy in zip(xs, ys):
-                if operand_key(ox, pos_a, bpos_a) != operand_key(oy, pos_b, bpos_b):
-                    return False
-            if isinstance(x, (I.ICmp, I.FCmp)):
-                if x.pred != y.pred:  # type: ignore[union-attr]
-                    return False
-            if isinstance(x, I.GEP) and x.elem is not y.elem:  # type: ignore[union-attr]
-                return False
-            if isinstance(x, I.ShuffleVector) and x.mask != y.mask:  # type: ignore[union-attr]
-                return False
-            if isinstance(x, I.Alloca):
-                if (x.size, x.align) != (y.size, y.align):  # type: ignore[union-attr]
-                    return False
-            if isinstance(x, (I.Load, I.Store)) and x.align != y.align:  # type: ignore[union-attr]
-                return False
-            if isinstance(x, I.Call) and x.callee_name != y.callee_name:  # type: ignore[union-attr]
-                return False
-            if isinstance(x, I.Br):
-                ta = [bpos_a.get(id(t)) for t in x.targets]
-                tb = [bpos_b.get(id(t)) for t in y.targets]  # type: ignore[union-attr]
-                if ta != tb:
-                    return False
-            if isinstance(x, I.Phi):
-                ia = [bpos_a.get(id(t)) for t in x.incoming_blocks]
-                ib = [bpos_b.get(id(t)) for t in y.incoming_blocks]  # type: ignore[union-attr]
-                if ia != ib:
-                    return False
-    return True
+    at_a, at_b = _positions(a), _positions(b)
+    return all(_instruction_key(x, *at_a) == _instruction_key(y, *at_b)
+               for x, y in zip(a.instructions(), b.instructions()))

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.ir import instructions as I
+from repro.ir.cfg import reverse_postorder
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Value
 
@@ -79,67 +80,6 @@ class BoolLattice(Lattice):
         return bool(a) or bool(b)
 
 
-# -- CFG helpers --------------------------------------------------------------
-
-
-def predecessor_map(func: Function) -> dict[BasicBlock, list[BasicBlock]]:
-    """Block -> predecessor list in one scan (Function.predecessors is
-    O(blocks) per query, which is quadratic when every block asks)."""
-    preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-    for blk in func.blocks:
-        for succ in blk.successors():
-            if succ in preds:
-                preds[succ].append(blk)
-    return preds
-
-
-def reverse_postorder(func: Function) -> list[BasicBlock]:
-    """Reverse postorder from the entry (unreachable blocks appended last,
-    in layout order, so dense solvers still visit them)."""
-    seen: set[int] = set()
-    order: list[BasicBlock] = []
-
-    def visit(blk: BasicBlock) -> None:
-        # iterative DFS: lifted CFGs can be deep chains
-        stack: list[tuple[BasicBlock, int]] = [(blk, 0)]
-        seen.add(id(blk))
-        while stack:
-            b, i = stack[-1]
-            succs = b.successors()
-            if i < len(succs):
-                stack[-1] = (b, i + 1)
-                s = succs[i]
-                if id(s) not in seen:
-                    seen.add(id(s))
-                    stack.append((s, 0))
-            else:
-                order.append(b)
-                stack.pop()
-
-    if func.blocks:
-        visit(func.entry)
-    rpo = list(reversed(order))
-    for blk in func.blocks:
-        if id(blk) not in seen:
-            rpo.append(blk)
-    return rpo
-
-
-def reachable_blocks(func: Function) -> set[BasicBlock]:
-    """Blocks reachable from the entry."""
-    if not func.blocks:
-        return set()
-    out: set[BasicBlock] = set()
-    work = [func.entry]
-    while work:
-        b = work.pop()
-        if b in out:
-            continue
-        out.add(b)
-        work.extend(b.successors())
-    return out
-
-
 # -- dense (block-level) solver ------------------------------------------------
 
 
@@ -177,14 +117,11 @@ def solve_block_problem(func: Function, problem: BlockProblem,
                         max_iterations: int = 10_000) -> BlockStates:
     """Worklist iteration to the least fixpoint."""
     lat = problem.lattice()
-    preds = predecessor_map(func)
+    pred_ids = func.predecessor_map()
+    preds = {b: pred_ids[id(b)] for b in func.blocks}
+    succs = {b: b.successors() for b in func.blocks}
     forward = problem.direction == FORWARD
-    if forward:
-        edges_in = preds
-        edges_out = {b: b.successors() for b in func.blocks}
-    else:
-        edges_in = {b: b.successors() for b in func.blocks}
-        edges_out = preds
+    edges_in, edges_out = (preds, succs) if forward else (succs, preds)
 
     inp: dict[BasicBlock, object] = {b: lat.bottom() for b in func.blocks}
     out: dict[BasicBlock, object] = {b: lat.bottom() for b in func.blocks}

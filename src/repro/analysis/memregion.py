@@ -30,12 +30,13 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.ir import instructions as I
+from repro.ir.cfg import reachable_blocks
 from repro.ir.irtypes import FunctionType, VoidType
 from repro.ir.module import Function, GlobalVariable
 from repro.ir.values import Constant, Value
 
 from repro.analysis.dataflow import (
-    Lattice, ValueProblem, reachable_blocks, solve_value_problem,
+    Lattice, ValueProblem, solve_value_problem,
 )
 from repro.analysis.findings import ERROR, Finding
 

@@ -1,194 +1,29 @@
-"""SSA-strictness and Φ-coverage checker.
+"""Strict-SSA findings: the verifier's rule list, collected.
 
-A findings-collecting (non-throwing) superset of ``ir/verifier.py``'s
-structural rules.  Where the verifier raises on the first malformation —
-the right contract for "abort this compile" — a lint run wants the full
-list, and it wants rules the raise-path deliberately leaves out:
-
-* Φ incoming lists must match predecessors *exactly*: no missing edge, no
-  stale extra (classic ``simplifycfg`` residue), **no duplicate** incoming
-  block (``set()`` comparison in the verifier cannot see duplicates), and
-  no operand/incoming length skew;
-* Φ nodes with zero incoming edges (orphaned after block removal);
-* reachable uses of values defined in unreachable blocks (the verifier
-  skips these entirely; after DCE drops the dead block, the use would
-  become detached);
-* detached operands and missing/misplaced terminators, collected rather
-  than raised;
-* unreachable blocks themselves, reported as warnings (legal IR, but in a
-  lifted trace they usually mean the lifter emitted a side exit nothing
-  jumps to).
-
-Dominance violations are verified via the same immediate-dominator walk as
-the verifier, but reported as findings.
+``ir.verifier.verify`` raises at the first broken rule — the right
+contract for "abort this compile".  A lint run and the guard's pregate
+want the full list, warnings included (an unreachable block is legal IR),
+so this reporter walks the same :func:`repro.ir.verifier.violations` and
+turns every one into a :class:`Finding`.  The rules themselves, their
+messages and their severities live in the verifier and nowhere else.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.ir import instructions as I
 from repro.ir.module import Function
-from repro.ir.values import Value
+from repro.ir.verifier import violations
 
-from repro.analysis.dataflow import predecessor_map, reachable_blocks
 from repro.analysis.findings import ERROR, WARNING, Finding
 
 CHECKER = "ssa-strict"
 
 
-def _finding(func: Function, blk, msg: str, severity: str = ERROR,
-             ins: I.Instruction | None = None) -> Finding:
-    return Finding(
-        checker=CHECKER, function=func.name, message=msg, severity=severity,
-        block=blk.name if blk is not None else "",
-        instruction=repr(ins).strip() if ins is not None else "",
-    )
-
-
 def check_strict_ssa(func: Function) -> list[Finding]:
-    """All strictness findings for one function (never raises)."""
-    if func.is_declaration or not func.blocks:
-        return []
-    findings: list[Finding] = []
-    preds = predecessor_map(func)
-    reachable = reachable_blocks(func)
-    block_set = set(func.blocks)
-
-    pos: dict[int, tuple[object, int]] = {}
-    for blk in func.blocks:
-        for i, ins in enumerate(blk.instructions):
-            pos[id(ins)] = (blk, i)
-
-    for blk in func.blocks:
-        if blk not in reachable:
-            findings.append(_finding(
-                func, blk, "unreachable block", severity=WARNING))
-
-        term = blk.terminator
-        if term is None:
-            findings.append(_finding(func, blk, "block lacks a terminator"))
-        seen_non_phi = False
-        for ins in blk.instructions:
-            if ins.is_terminator and ins is not term:
-                findings.append(_finding(
-                    func, blk, "terminator in the middle of a block", ins=ins))
-            if isinstance(ins, I.Phi):
-                if seen_non_phi:
-                    findings.append(_finding(
-                        func, blk, "phi after a non-phi instruction", ins=ins))
-            else:
-                seen_non_phi = True
-        for succ in blk.successors():
-            if succ not in block_set:
-                findings.append(_finding(
-                    func, blk, f"branch to foreign block {succ.name}"))
-
-        # Φ-coverage: exact predecessor match, strictly
-        bpreds = preds.get(blk, [])
-        for phi in blk.phis():
-            if len(phi.operands) != len(phi.incoming_blocks):
-                findings.append(_finding(
-                    func, blk,
-                    f"phi has {len(phi.operands)} value(s) for "
-                    f"{len(phi.incoming_blocks)} incoming block(s)", ins=phi))
-                continue
-            if not phi.incoming_blocks:
-                findings.append(_finding(
-                    func, blk, "phi with no incoming edges", ins=phi))
-                continue
-            seen_ids: set[int] = set()
-            for b in phi.incoming_blocks:
-                if id(b) in seen_ids:
-                    findings.append(_finding(
-                        func, blk,
-                        f"phi lists incoming block {b.name} more than once",
-                        ins=phi))
-                seen_ids.add(id(b))
-            inc = {id(b) for b in phi.incoming_blocks}
-            pred_ids = {id(b) for b in bpreds}
-            for b in bpreds:
-                if id(b) not in inc:
-                    findings.append(_finding(
-                        func, blk,
-                        f"phi misses incoming for predecessor {b.name}",
-                        ins=phi))
-            for b in phi.incoming_blocks:
-                if id(b) not in pred_ids:
-                    findings.append(_finding(
-                        func, blk,
-                        f"phi has stale incoming for non-predecessor {b.name}",
-                        ins=phi))
-
-        # operand sanity: detached values, reachable uses of unreachable defs
-        for ins in blk.instructions:
-            for op in ins.operands:
-                if not isinstance(op, I.Instruction):
-                    continue
-                if id(op) not in pos:
-                    findings.append(_finding(
-                        func, blk,
-                        f"use of detached value %{op.name or '?'}", ins=ins))
-                    continue
-                def_blk, _ = pos[id(op)]
-                if blk in reachable and def_blk not in reachable:
-                    findings.append(_finding(
-                        func, blk,
-                        f"reachable use of %{op.name or '?'} defined in "
-                        f"unreachable block {def_blk.name}", ins=ins))
-
-    findings.extend(_dominance_findings(func, reachable, pos))
-    return findings
-
-
-def _dominance_findings(func: Function, reachable, pos) -> list[Finding]:
-    g = nx.DiGraph()
-    for blk in func.blocks:
-        g.add_node(blk)
-        for succ in blk.successors():
-            g.add_edge(blk, succ)
-    try:
-        idom = nx.immediate_dominators(g, func.entry)
-    except Exception:  # malformed CFG already reported structurally
-        return []
-
-    def dominates(a, b) -> bool:
-        while True:
-            if a is b:
-                return True
-            parent = idom.get(b)
-            if parent is None or parent is b:
-                return a is b
-            b = parent
-
-    out: list[Finding] = []
-
-    def check_use(v: Value, use_blk, use_idx: int, user: I.Instruction) -> None:
-        if not isinstance(v, I.Instruction) or id(v) not in pos:
-            return
-        def_blk, def_idx = pos[id(v)]
-        if def_blk not in reachable:
-            return  # reported separately as unreachable-def use
-        if def_blk is use_blk:
-            if def_idx >= use_idx:
-                out.append(_finding(
-                    func, use_blk,
-                    f"%{v.name or '?'} used before its definition", ins=user))
-        elif not dominates(def_blk, use_blk):
-            out.append(_finding(
-                func, use_blk,
-                f"definition of %{v.name or '?'} in {def_blk.name} does not "
-                f"dominate this use", ins=user))
-
-    for blk in func.blocks:
-        if blk not in reachable:
-            continue
-        for i, ins in enumerate(blk.instructions):
-            if isinstance(ins, I.Phi):
-                for v, pred in ins.incoming():
-                    if pred in reachable:
-                        check_use(v, pred, len(pred.instructions), ins)
-                continue
-            for v in ins.operands:
-                check_use(v, blk, i, ins)
-    return out
+    """All structural findings for one function (never raises)."""
+    return [
+        Finding(checker=CHECKER, function=func.name, message=v.message,
+                severity=ERROR if v.error else WARNING,
+                block=v.block.name if v.block is not None else "",
+                instruction=repr(v.ins).strip() if v.ins is not None else "")
+        for v in violations(func)
+    ]

@@ -34,11 +34,12 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.ir import instructions as I
+from repro.ir.cfg import reachable_blocks
 from repro.ir.module import Function
 from repro.ir.values import Undef, Value
 
 from repro.analysis.dataflow import (
-    BoolLattice, Lattice, ValueProblem, reachable_blocks, solve_value_problem,
+    BoolLattice, Lattice, ValueProblem, solve_value_problem,
 )
 from repro.analysis.findings import ERROR, Finding
 from repro.ir.values import Constant

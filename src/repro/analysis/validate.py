@@ -7,8 +7,8 @@ that gap.  In validate mode ``run_o3`` hands every pass application to a
 
 1. snapshots the function body (:func:`~repro.analysis.clone.clone_function`),
 2. runs the pass,
-3. checks the output **structurally** — the raising verifier plus the
-   strict SSA findings — and **behaviorally**, by interpreting the pre- and
+3. checks the output **structurally** — the raising verifier, which holds
+   every structural rule — and **behaviorally**, by interpreting the pre- and
    post-pass bodies on seeded probe vectors over identical deterministic
    memories and comparing return values *and* non-stack memory effects,
 4. on rejection rolls the function back in place, records the verdict, and
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cache.negative import NegativeCache
@@ -44,8 +44,6 @@ from repro.analysis.clone import (
     clone_function, function_fingerprint, functions_structurally_equal,
     restore_function,
 )
-from repro.analysis.findings import Finding, errors_only
-from repro.analysis.strictness import check_strict_ssa
 
 #: deterministic probe samples (mirrors the dynamic gate's tables)
 _F64_SAMPLES = (0.0, 1.0, -1.5, 2.25, 0.5, -3.0, 8.0, -0.125)
@@ -72,12 +70,6 @@ class ValidationOptions:
     seed: int = 0
     #: per-probe interpreter step ceiling
     max_steps: int = 200_000
-    #: run the raising verifier + strict SSA findings on pass output
-    structural: bool = True
-    #: run differential interpretation of pre vs post bodies
-    behavioral: bool = True
-    #: restore the pre-pass body when a pass is rejected
-    rollback: bool = True
     #: NegativeCache TTL for quarantined passes (seconds)
     quarantine_ttl: float = 30.0
     #: relative tolerance for float return values (fast-math reassociation)
@@ -102,7 +94,6 @@ class PassVerdict:
     #: pre-pass body was restored after rejection
     rolled_back: bool = False
     reason: str | None = None
-    findings: list[Finding] = field(default_factory=list)
     probes_run: int = 0
     seconds: float = 0.0
 
@@ -200,11 +191,10 @@ class PassValidator:
             self.stats.accepted += 1
         else:
             self.stats.rejected += 1
-            if self.options.rollback:
-                restore_function(func, snapshot)
-                verdict.rolled_back = True
-                verdict.changed = False
-                self.stats.rollbacks += 1
+            restore_function(func, snapshot)
+            verdict.rolled_back = True
+            verdict.changed = False
+            self.stats.rollbacks += 1
             self.negative.record(key, name, verdict.reason or "rejected",
                                  {"stage": "validate", "pass": name})
         # memoize probe results for whatever body the function now holds:
@@ -221,36 +211,26 @@ class PassValidator:
     def _validate(self, before: Function, after: Function,
                   verdict: PassVerdict) -> tuple[dict | None, dict | None]:
         """Fill in the verdict; returns the per-probe results of the pre-
-        and post-pass bodies (None when behavioral checking didn't run)."""
-        if self.options.structural:
-            try:
-                verify(after)
-            except IRError as exc:
-                verdict.ok = False
-                verdict.reason = f"verifier: {exc}"
-                self.stats.structural_rejections += 1
-                return None, None
-            findings = errors_only(check_strict_ssa(after))
-            if findings:
-                verdict.ok = False
-                verdict.findings = findings
-                verdict.reason = f"strict-ssa: {findings[0].message}"
-                self.stats.structural_rejections += 1
-                return None, None
-        before_results = after_results = None
-        if self.options.behavioral:
-            cached = None
-            if (self._baseline is not None
-                    and self._baseline[0] == id(after)
-                    and self._baseline[1] == function_fingerprint(before)):
-                cached = self._baseline[2]
-            reason, probes, before_results, after_results = \
-                self._differential(before, after, cached)
-            verdict.probes_run = probes
-            if reason is not None:
-                verdict.ok = False
-                verdict.reason = reason
-                self.stats.behavioral_rejections += 1
+        and post-pass bodies (None after a structural rejection)."""
+        try:
+            verify(after)
+        except IRError as exc:
+            verdict.ok = False
+            verdict.reason = f"verifier: {exc}"
+            self.stats.structural_rejections += 1
+            return None, None
+        cached = None
+        if (self._baseline is not None
+                and self._baseline[0] == id(after)
+                and self._baseline[1] == function_fingerprint(before)):
+            cached = self._baseline[2]
+        reason, probes, before_results, after_results = \
+            self._differential(before, after, cached)
+        verdict.probes_run = probes
+        if reason is not None:
+            verdict.ok = False
+            verdict.reason = reason
+            self.stats.behavioral_rejections += 1
         return before_results, after_results
 
     def _differential(self, before: Function, after: Function,

@@ -150,7 +150,7 @@ def _operand_list(values: Iterable[Value],
 
 @functools.cache
 def _payload_slots(cls: type) -> tuple[str, ...]:
-    """What :meth:`Instruction.snapshot_copy` carries over as is."""
+    """What :meth:`Instruction.copy` carries over."""
     return tuple(s for s in state_slots(cls)
                  if s not in ("_operands", "block"))
 
@@ -247,15 +247,16 @@ class Instruction(Value):
             blk.instructions.remove(self)
             self.block = None
 
-    def snapshot_copy(self, block: "BasicBlock") -> "Instruction":
-        """A detached twin for ``block`` (``analysis.clone`` snapshots):
-        same class, payload and operand values, registered in no use list.
-        Payload lists (branch targets, incoming blocks) are shared until
-        the caller replaces them."""
+    def copy(self, block: "BasicBlock") -> "Instruction":
+        """A detached twin for ``block``: same class, payload (probe tag
+        included) and operand values, its own payload lists (branch
+        targets, incoming blocks), registered in no use list until
+        :meth:`attach`."""
         cls = type(self)
         c = cls.__new__(cls)
         for slot in _payload_slots(cls):
-            setattr(c, slot, getattr(self, slot))
+            value = getattr(self, slot)
+            setattr(c, slot, list(value) if type(value) is list else value)
         c.uses = {}
         ops = c._operands = OperandList(self._operands)
         ops.user = None
@@ -270,8 +271,6 @@ class Instruction(Value):
     def successors(self) -> "list[BasicBlock]":
         return []
 
-    def clone_shallow(self) -> "Instruction":
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         from repro.ir.printer import print_instruction
@@ -286,9 +285,6 @@ class BinOp(Instruction):
             raise IRError(f"bad binop {opcode}")
         super().__init__(opcode, lhs.type, (lhs, rhs), name)
 
-    def clone_shallow(self) -> "BinOp":
-        return BinOp(self.opcode, self.operands[0], self.operands[1], self.name)
-
 
 class ICmp(Instruction):
     __slots__ = ("pred",)
@@ -298,9 +294,6 @@ class ICmp(Instruction):
             raise IRError(f"bad icmp predicate {pred}")
         super().__init__("icmp", I1, (lhs, rhs), name)
         self.pred = pred
-
-    def clone_shallow(self) -> "ICmp":
-        return ICmp(self.pred, self.operands[0], self.operands[1], self.name)
 
 
 class FCmp(Instruction):
@@ -312,19 +305,12 @@ class FCmp(Instruction):
         super().__init__("fcmp", I1, (lhs, rhs), name)
         self.pred = pred
 
-    def clone_shallow(self) -> "FCmp":
-        return FCmp(self.pred, self.operands[0], self.operands[1], self.name)
-
 
 class Select(Instruction):
     __slots__ = ()
 
     def __init__(self, cond: Value, a: Value, b: Value, name: str = "") -> None:
         super().__init__("select", a.type, (cond, a, b), name)
-
-    def clone_shallow(self) -> "Select":
-        c, a, b = self.operands
-        return Select(c, a, b, self.name)
 
 
 class Cast(Instruction):
@@ -334,9 +320,6 @@ class Cast(Instruction):
         if opcode not in CAST_OPS:
             raise IRError(f"bad cast {opcode}")
         super().__init__(opcode, to, (value,), name)
-
-    def clone_shallow(self) -> "Cast":
-        return Cast(self.opcode, self.operands[0], self.type, self.name)
 
 
 class Load(Instruction):
@@ -348,9 +331,6 @@ class Load(Instruction):
         super().__init__("load", pointer.type.pointee, (pointer,), name)
         self.align = align
 
-    def clone_shallow(self) -> "Load":
-        return Load(self.operands[0], self.name, self.align)
-
 
 class Store(Instruction):
     __slots__ = ("align",)
@@ -360,9 +340,6 @@ class Store(Instruction):
             raise IRError(f"store to non-pointer {pointer.type}")
         super().__init__("store", VOID, (value, pointer))
         self.align = align
-
-    def clone_shallow(self) -> "Store":
-        return Store(self.operands[0], self.operands[1], self.align)
 
 
 class Alloca(Instruction):
@@ -375,10 +352,6 @@ class Alloca(Instruction):
         super().__init__("alloca", PointerType(pointee), (), name)
         self.size = size
         self.align = align
-
-    def clone_shallow(self) -> "Alloca":
-        assert isinstance(self.type, PointerType)
-        return Alloca(self.type.pointee, self.size, self.align, self.name)
 
 
 class GEP(Instruction):
@@ -395,9 +368,6 @@ class GEP(Instruction):
         super().__init__("gep", PointerType(elem, pt.addrspace), (pointer, index), name)
         self.elem = elem
 
-    def clone_shallow(self) -> "GEP":
-        return GEP(self.operands[0], self.operands[1], self.name, self.elem)
-
 
 class ExtractElement(Instruction):
     __slots__ = ()
@@ -407,9 +377,6 @@ class ExtractElement(Instruction):
             raise IRError(f"extractelement on {vec.type}")
         super().__init__("extractelement", vec.type.elem, (vec, index), name)
 
-    def clone_shallow(self) -> "ExtractElement":
-        return ExtractElement(self.operands[0], self.operands[1], self.name)
-
 
 class InsertElement(Instruction):
     __slots__ = ()
@@ -418,10 +385,6 @@ class InsertElement(Instruction):
         if not isinstance(vec.type, VectorType):
             raise IRError(f"insertelement on {vec.type}")
         super().__init__("insertelement", vec.type, (vec, value, index), name)
-
-    def clone_shallow(self) -> "InsertElement":
-        v, x, i = self.operands
-        return InsertElement(v, x, i, self.name)
 
 
 class ShuffleVector(Instruction):
@@ -434,9 +397,6 @@ class ShuffleVector(Instruction):
         result = VectorType(a.type.elem, len(mask))
         super().__init__("shufflevector", result, (a, b), name)
         self.mask = mask
-
-    def clone_shallow(self) -> "ShuffleVector":
-        return ShuffleVector(self.operands[0], self.operands[1], self.mask, self.name)
 
 
 class Phi(Instruction):
@@ -472,13 +432,6 @@ class Phi(Instruction):
                 del self.operands[i]
                 return
 
-    def clone_shallow(self) -> "Phi":
-        p = Phi(self.type, self.name)
-        for v, b in self.incoming():
-            p.operands.append(v)
-            p.incoming_blocks.append(b)
-        return p
-
 
 class Call(Instruction):
     __slots__ = ("callee", "intrinsic")
@@ -494,9 +447,6 @@ class Call(Instruction):
         if isinstance(self.callee, str):
             return self.callee
         return self.callee.name
-
-    def clone_shallow(self) -> "Call":
-        return Call(self.callee, list(self.operands), self.type, self.name)
 
 
 class Br(Instruction):
@@ -529,11 +479,6 @@ class Br(Instruction):
     def replace_target(self, old: "BasicBlock", new: "BasicBlock") -> None:
         self.targets = [new if t is old else t for t in self.targets]
 
-    def clone_shallow(self) -> "Br":
-        if self.is_conditional:
-            return Br(self.operands[0], self.targets[0], self.targets[1])
-        return Br(None, self.targets[0])
-
 
 class Ret(Instruction):
     __slots__ = ()
@@ -545,18 +490,12 @@ class Ret(Instruction):
     def value(self) -> Value | None:
         return self.operands[0] if self.operands else None
 
-    def clone_shallow(self) -> "Ret":
-        return Ret(self.value)
-
 
 class Unreachable(Instruction):
     __slots__ = ()
 
     def __init__(self) -> None:
         super().__init__("unreachable", VOID, ())
-
-    def clone_shallow(self) -> "Unreachable":
-        return Unreachable()
 
 
 PURE_INTRINSICS = ("llvm.ctpop", "llvm.sqrt", "llvm.fabs")

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import IRError
-from repro.ir.instructions import Instruction, Phi
+from repro.ir.instructions import Br, Instruction, Phi
 from repro.ir.irtypes import FunctionType, PointerType, Type
 from repro.ir.values import Argument, Value
 
@@ -89,6 +89,49 @@ class BasicBlock:
 
     def __repr__(self) -> str:
         return f"<block {self.name}: {len(self.instructions)} instrs>"
+
+
+def clone_region(blocks: Sequence[BasicBlock], into: "Function", *,
+                 vmap: dict[int, Value], attached: bool,
+                 name_block: Callable[[BasicBlock], str],
+                 name_value: Callable[[], str] | None = None,
+                 ) -> list[BasicBlock]:
+    """Copy ``blocks`` for ``into`` — how a region of IR is copied, once.
+
+    Every instruction is copied first, then every copy is remapped:
+    operands through ``vmap`` (``id(old) -> new``; the caller seeds it, with
+    formals -> actuals say, and reads the instruction map back out of it),
+    branch targets and phi incoming blocks through the block map; values
+    and blocks outside the region stay as they are.  Blocks are named by
+    ``name_block`` and, when given, non-void copies by ``name_value`` —
+    all blocks first, then values in body order.  ``attached`` copies enter
+    the use lists once remapped; detached ones (``analysis.clone``
+    snapshots) register nowhere.  The copies are returned in order and
+    belong to ``into``, which does not list them yet: placing them is the
+    caller's, and so is ``bump_version``.
+    """
+    bmap: dict[int, BasicBlock] = {}
+    for blk in blocks:
+        nb = bmap[id(blk)] = BasicBlock(name_block(blk))
+        nb.function = into
+    for blk in blocks:
+        nb = bmap[id(blk)]
+        for ins in blk.instructions:
+            c = vmap[id(ins)] = ins.copy(nb)
+            if name_value is not None and not c.type.is_void:
+                c.name = name_value()
+            nb.instructions.append(c)
+    for nb in bmap.values():
+        for c in nb.instructions:
+            c.operands = [vmap.get(id(op), op) for op in c.operands]
+            if isinstance(c, Br):
+                c.targets = [bmap.get(id(t), t) for t in c.targets]
+            elif isinstance(c, Phi):
+                c.incoming_blocks = [bmap.get(id(b), b)
+                                     for b in c.incoming_blocks]
+            if attached:
+                c.attach()
+    return list(bmap.values())
 
 
 class Function(Value):

@@ -9,7 +9,7 @@ pipeline.
 from __future__ import annotations
 
 from repro.ir import instructions as I
-from repro.ir.module import BasicBlock, Function
+from repro.ir.module import BasicBlock, Function, clone_region
 from repro.ir.values import Undef, Value
 
 #: instruction-count threshold for inlining functions not marked always_inline
@@ -33,50 +33,6 @@ def _is_recursive(func: Function) -> bool:
     return False
 
 
-def _clone_function_body(
-    callee: Function, args: list[Value], caller: Function
-) -> tuple[list[BasicBlock], list[tuple[BasicBlock, Value | None]]]:
-    """Clone callee blocks into caller namespace.
-
-    Returns (cloned blocks, list of (ret block clone, ret value)).
-    """
-    vmap: dict[int, Value] = {}
-    for formal, actual in zip(callee.args, args):
-        vmap[id(formal)] = actual
-    bmap: dict[int, BasicBlock] = {}
-    clones: list[BasicBlock] = []
-    for blk in callee.blocks:
-        nb = BasicBlock(caller.next_name(f"inl.{blk.name}"))
-        nb.function = caller
-        bmap[id(blk)] = nb
-        clones.append(nb)
-
-    rets: list[tuple[BasicBlock, Value | None]] = []
-    for blk in callee.blocks:
-        nb = bmap[id(blk)]
-        for ins in blk.instructions:
-            c = ins.clone_shallow()
-            c.block = nb
-            if not c.type.is_void:
-                c.name = caller.next_name("inl")
-            vmap[id(ins)] = c
-            nb.instructions.append(c)
-        # terminator fixups happen after all values exist
-    # second pass: remap operands and targets
-    for blk in callee.blocks:
-        nb = bmap[id(blk)]
-        for ins in nb.instructions:
-            ins.operands = [vmap.get(id(op), op) for op in ins.operands]
-            if isinstance(ins, I.Br):
-                ins.targets = [bmap[id(t)] for t in ins.targets]
-            if isinstance(ins, I.Phi):
-                ins.incoming_blocks = [bmap[id(b)] for b in ins.incoming_blocks]
-        term = nb.instructions[-1] if nb.instructions else None
-        if isinstance(term, I.Ret):
-            rets.append((nb, term.value))
-    return clones, rets
-
-
 def inline_call(caller: Function, call: I.Call) -> bool:
     """Inline one call site; returns True on success."""
     callee = call.callee
@@ -87,7 +43,16 @@ def inline_call(caller: Function, call: I.Call) -> bool:
 
     if not any(isinstance(b.terminator, I.Ret) for b in callee.blocks):
         return False  # no return -> diverging callee; keep the call
-    clones, rets = _clone_function_body(callee, list(call.operands), caller)
+    # the callee's body in the caller's namespace, formals bound to actuals
+    clones = clone_region(
+        callee.blocks, caller, attached=True,
+        vmap={id(formal): actual
+              for formal, actual in zip(callee.args, call.operands)},
+        name_block=lambda blk: caller.next_name(f"inl.{blk.name}"),
+        name_value=lambda: caller.next_name("inl"))
+    rets: list[tuple[BasicBlock, Value | None]] = [
+        (cb, cb.terminator.value) for cb in clones
+        if isinstance(cb.terminator, I.Ret)]
 
     # split the block at the call
     idx = block.instructions.index(call)

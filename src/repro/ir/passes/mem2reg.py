@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ir import instructions as I
+from repro.ir.cfg import dominance_frontiers, dominators
 from repro.ir.irtypes import DoubleType, FloatType, IntType, PointerType, Type
 from repro.ir.module import BasicBlock, Function
-from repro.ir.passes.cfgutils import dominance_frontiers, dominators
 from repro.ir.values import Constant, Undef, Value
 
 
@@ -141,6 +141,7 @@ def promote(func: Function) -> bool:
     """Promote every eligible entry-block alloca; returns True on change."""
     changed = False
     entry = func.entry
+    dom = None  # computed at the first slot: promotion leaves the CFG alone
     for alloca in [i for i in entry.instructions if isinstance(i, I.Alloca)]:
         accesses = _collect(func, alloca)
         if accesses is None:
@@ -148,21 +149,35 @@ def promote(func: Function) -> bool:
         slots = _slot_layout(accesses)
         if slots is None:
             continue
-        for (offset, size), accs in slots.items():
-            _promote_slot(func, accs, _canonical_type(accs))
+        for accs in slots.values():
+            if dom is None:
+                dom = _dominance(func)
+            _promote_slot(func, accs, _canonical_type(accs), *dom)
             changed = True
         # the alloca and derived pointers die in DCE once loads/stores vanish
     return changed
 
 
-def _promote_slot(func: Function, accesses: list[_Access], ctype: Type) -> None:
+def _dominance(func: Function) -> tuple[dict[BasicBlock, set[BasicBlock]],
+                                        dict[BasicBlock, list[BasicBlock]]]:
+    """Dominance frontiers and dominator-tree children, for every slot of
+    one :func:`promote` run.  Children are in ``idom`` key order (reverse
+    postorder); renaming follows it, so it is part of the pass's output."""
+    idom = dominators(func)
+    children: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
+    for b, d in idom.items():
+        if b is not d:
+            children[d].append(b)
+    return dominance_frontiers(func, idom), children
+
+
+def _promote_slot(func: Function, accesses: list[_Access], ctype: Type,
+                  df: dict[BasicBlock, set[BasicBlock]],
+                  children: dict[BasicBlock, list[BasicBlock]]) -> None:
     """Standard SSA construction for one memory slot."""
     stores = [a.ins for a in accesses if isinstance(a.ins, I.Store)]
     loads = [a.ins for a in accesses if isinstance(a.ins, I.Load)]
     def_blocks = {s.block for s in stores if s.block is not None}
-
-    idom = dominators(func)
-    df = dominance_frontiers(func, idom)
 
     # phi placement at iterated dominance frontier
     phi_blocks: set[BasicBlock] = set()
@@ -186,11 +201,6 @@ def _promote_slot(func: Function, accesses: list[_Access], ctype: Type) -> None:
     replacements: dict[int, Value] = {}
 
     # renaming via dominator-tree DFS
-    children: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in func.blocks}
-    for b, d in idom.items():
-        if b is not d:
-            children[d].append(b)
-
     def rename(block: BasicBlock, incoming: Value) -> None:
         current = incoming
         if block in phis:

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING
 
+from repro.ir.cfg import has_cycle
 from repro.ir.module import Function
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef
 from repro.obs import metrics as _metrics
@@ -71,35 +72,7 @@ class ShapeFingerprint:
                           and not ins.intrinsic) if self.opcodes["call"] else 0
         self.has_const_operand = any(isinstance(o, _CONSTANTS)
                                      for ins in body for o in ins.operands)
-        self.cyclic = _has_cycle(func)
-
-
-def _has_cycle(func: Function) -> bool:
-    """True when the CFG has any cycle (conservative: unreachable blocks
-    participate)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {id(b): WHITE for b in func.blocks}
-    for root in func.blocks:
-        if color[id(root)] != WHITE:
-            continue
-        stack = [(root, iter(root.successors()))]
-        color[id(root)] = GRAY
-        while stack:
-            node, it = stack[-1]
-            adv = False
-            for succ in it:
-                c = color.get(id(succ), BLACK)
-                if c == GRAY:
-                    return True
-                if c == WHITE:
-                    color[id(succ)] = GRAY
-                    stack.append((succ, iter(succ.successors())))
-                    adv = True
-                    break
-            if not adv:
-                color[id(node)] = BLACK
-                stack.pop()
-    return False
+        self.cyclic = has_cycle(func)
 
 
 def _rule_no_fire(name: str, fp: ShapeFingerprint) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.ir import instructions as I
+from repro.ir.cfg import dominates, dominators, reachable_blocks
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Constant, Undef, Value
 
@@ -30,15 +31,8 @@ def _fold_constant_branches(func: Function) -> bool:
 
 
 def _remove_unreachable(func: Function) -> bool:
-    reachable: set[int] = set()
-    work = [func.entry]
-    while work:
-        blk = work.pop()
-        if id(blk) in reachable:
-            continue
-        reachable.add(id(blk))
-        work.extend(blk.successors())
-    dead = [b for b in func.blocks if id(b) not in reachable]
+    reachable = reachable_blocks(func)
+    dead = [b for b in func.blocks if b not in reachable]
     for blk in dead:
         func.remove_block(blk)
     return bool(dead)
@@ -51,7 +45,6 @@ def _simplify_phis(func: Function) -> bool:
     the phi (LLVM has the same restriction) — checked lazily.
     """
     from repro.ir.instructions import Instruction
-    from repro.ir.passes.cfgutils import dominates, dominators
 
     changed = False
     idom = None

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir import instructions as I
-from repro.ir.module import BasicBlock, Function
+from repro.ir.cfg import NaturalLoop, find_natural_loops
+from repro.ir.module import Function, clone_region
 from repro.ir.passes import constprop, dce, instcombine, simplifycfg
-from repro.ir.passes.cfgutils import NaturalLoop, find_natural_loops
 from repro.ir.values import Constant, Value
 
 MAX_TRIP = 64
@@ -163,34 +163,13 @@ def _peel_once(func: Function, loop: NaturalLoop) -> None:
     header, latch = loop.header, loop.latch
     outside_preds = [p for p in func.predecessors(header) if p not in loop.blocks]
 
-    bmap: dict[int, BasicBlock] = {}
     vmap: dict[int, Value] = {}
-    clones: list[BasicBlock] = []
     order = [b for b in func.blocks if b in loop.blocks]
-    for blk in order:
-        nb = BasicBlock(func.next_name(f"peel.{blk.name}"))
-        nb.function = func
-        bmap[id(blk)] = nb
-        clones.append(nb)
-    for blk in order:
-        nb = bmap[id(blk)]
-        for ins in blk.instructions:
-            c = ins.clone_shallow()
-            c.block = nb
-            if not c.type.is_void:
-                c.name = func.next_name("pl")
-            vmap[id(ins)] = c
-            nb.instructions.append(c)
-    for blk in order:
-        nb = bmap[id(blk)]
-        for ins in nb.instructions:
-            ins.operands = [vmap.get(id(op), op) for op in ins.operands]
-            if isinstance(ins, I.Br):
-                ins.targets = [bmap.get(id(t), t) for t in ins.targets]
-            if isinstance(ins, I.Phi):
-                ins.incoming_blocks = [
-                    bmap.get(id(b), b) for b in ins.incoming_blocks
-                ]
+    clones = clone_region(
+        order, func, vmap=vmap, attached=True,
+        name_block=lambda blk: func.next_name(f"peel.{blk.name}"),
+        name_value=lambda: func.next_name("pl"))
+    bmap = {id(blk): nb for blk, nb in zip(order, clones)}
 
     cloned_header = bmap[id(header)]
     cloned_latch = bmap[id(latch)]

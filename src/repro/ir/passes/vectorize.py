@@ -21,9 +21,9 @@ from typing import Optional
 
 from repro.ir import instructions as I
 from repro.ir.builder import IRBuilder
+from repro.ir.cfg import NaturalLoop, find_natural_loops
 from repro.ir.irtypes import DOUBLE, I8, I64, IntType, PointerType, V2F64, ptr
 from repro.ir.module import BasicBlock, Function
-from repro.ir.passes.cfgutils import NaturalLoop, find_natural_loops
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Value
 
 

@@ -1,90 +1,127 @@
-"""IR verifier: structural and type invariants, use lists, SSA dominance.
+"""IR verifier: the one list of what well-formed MiniLLVM means.
 
-Run after lifting and after every pass in tests — the verifier is the main
-defense against pass bugs.  Dominance uses networkx's immediate-dominators
-on the CFG.  Use-list consistency (``Value.uses`` against the operand
-slots that actually hold the value) and the cached predecessor map are
-checked here too, so ``VERIFY_AFTER_EACH_PASS`` bisects a stale use list or
-a missing ``bump_version`` to the pass that left it.
+Every rule — names and parents, terminators, phi position, types, branch
+targets, use lists, the cached predecessor map, Φ coverage, detached and
+unreachable definitions, definition order and SSA dominance — is stated
+once, in :func:`violations`, with one message and one severity.  Two
+reporters read that walk: :func:`verify` raises :class:`IRError` at the
+first error (the contract for "abort this compile", and what
+``VERIFY_AFTER_EACH_PASS`` uses to bisect a stale use list or a missing
+``bump_version`` to the pass that left it), and
+``repro.analysis.check_strict_ssa`` collects every violation as a finding
+for the lint CLI and the guard's pregate.  The CFG comes from
+:mod:`repro.ir.cfg`; only the predecessor map is recomputed here, because
+that recomputation is the check on the function's cached one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-
-import networkx as nx
+from typing import Iterator, NamedTuple
 
 from repro.errors import IRError
 from repro.ir import instructions as I
+from repro.ir.cfg import dominates, dominators, reachable_blocks
 from repro.ir.irtypes import IntType, PointerType, VectorType
-from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
-from repro.ir.values import Argument, Constant, ConstantFP, Undef, Value
+from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.values import Undef, Value
 
 
-def _cfg(func: Function) -> nx.DiGraph:
-    g = nx.DiGraph()
-    for blk in func.blocks:
-        g.add_node(blk)
-        for succ in blk.successors():
-            g.add_edge(blk, succ)
-    return g
+class Violation(NamedTuple):
+    """One broken rule.  Warnings are legal IR worth a lint line."""
+
+    message: str
+    block: BasicBlock | None = None
+    ins: I.Instruction | None = None
+    error: bool = True
+
+
+#: where every instruction of a body sits: ``id(ins) -> (block, index)``
+_Positions = dict[int, tuple[BasicBlock, int]]
 
 
 def verify(func: Function) -> None:
     """Raise IRError on any malformation."""
+    for v in violations(func):
+        if v.error:
+            raise IRError(f"@{func.name}: {v.message}")
+
+
+def violations(func: Function) -> Iterator[Violation]:
+    """Every rule, in a fixed order.  Order and dominance are judged only
+    on a body with no structural error: the CFG of a broken one means
+    nothing."""
+    pos: _Positions = {id(ins): (blk, i) for blk in func.blocks
+                       for i, ins in enumerate(blk.instructions)}
+    sound = True
+    for v in _structure(func, pos):
+        sound = sound and not v.error
+        yield v
+    if sound and func.blocks:
+        yield from _dominance(func, pos)
+
+
+def _structure(func: Function, pos: _Positions) -> Iterator[Violation]:
     if func.is_declaration:
         if func.blocks:
-            raise IRError(f"@{func.name}: declaration with a body")
+            yield Violation("declaration with a body")
         return
     if not func.blocks:
-        raise IRError(f"@{func.name}: no basic blocks")
+        yield Violation("no basic blocks")
+        return
 
     names: set[str] = set()
     for blk in func.blocks:
         if blk.name in names:
-            raise IRError(f"@{func.name}: duplicate block name {blk.name}")
+            yield Violation(f"duplicate block name {blk.name}", blk)
         names.add(blk.name)
         if blk.function is not func:
-            raise IRError(f"@{func.name}: block {blk.name} has wrong parent")
+            yield Violation(f"block {blk.name} has wrong parent", blk)
 
     block_set = set(func.blocks)
+    reachable = reachable_blocks(func)
 
     for blk in func.blocks:
+        if blk not in reachable:
+            # legal, but in a lifted trace it usually means the lifter
+            # emitted a side exit nothing jumps to
+            yield Violation(f"unreachable block {blk.name}", blk, error=False)
         term = blk.terminator
         if term is None:
-            raise IRError(f"@{func.name}: block {blk.name} lacks a terminator")
+            yield Violation(f"block {blk.name} lacks a terminator", blk)
         seen_non_phi = False
         for ins in blk.instructions:
             if ins.is_terminator and ins is not term:
-                raise IRError(f"@{func.name}: terminator mid-block in {blk.name}")
+                yield Violation(f"terminator mid-block in {blk.name}", blk, ins)
             if isinstance(ins, I.Phi):
                 if seen_non_phi:
-                    raise IRError(
-                        f"@{func.name}: phi after non-phi in {blk.name}"
-                    )
+                    yield Violation(f"phi after non-phi in {blk.name}", blk, ins)
             else:
                 seen_non_phi = True
             if ins.block is not blk:
-                raise IRError(f"@{func.name}: instruction parent mismatch in {blk.name}")
-            _check_types(func, ins)
+                yield Violation(
+                    f"instruction parent mismatch in {blk.name}", blk, ins)
+            msg = _type_error(func, ins)
+            if msg is not None:
+                yield Violation(msg, blk, ins)
         for succ in blk.successors():
             if succ not in block_set:
-                raise IRError(
-                    f"@{func.name}: branch from {blk.name} to foreign block {succ.name}"
-                )
+                yield Violation(f"branch from {blk.name} to foreign block "
+                                f"{succ.name}", blk, term)
 
-    verify_use_lists(func)
+    for msg in _use_list_errors(func):
+        yield Violation(msg)
 
     # a fresh predecessor map, once — and the function's cached one must
     # agree with it (an edge moved without bump_version otherwise)
     fresh: dict[int, set[BasicBlock]] = {id(b): set() for b in func.blocks}
     for blk in func.blocks:
         for succ in blk.successors():
-            fresh[id(succ)].add(blk)
+            fresh.setdefault(id(succ), set()).add(blk)
     cached = func.predecessor_map()
     if any(set(cached.get(k, ())) != v for k, v in fresh.items()):
-        raise IRError(f"@{func.name}: stale predecessor map (CFG changed "
-                      f"without bump_version)")
+        yield Violation("stale predecessor map (CFG changed without "
+                        "bump_version)")
 
     # phi incoming lists must match the predecessor set *exactly*: same
     # members, no duplicates, no value/block length skew, and never empty
@@ -93,40 +130,52 @@ def verify(func: Function) -> None:
     for blk in func.blocks:
         preds = fresh[id(blk)]
         for phi in blk.phis():
+            where = f"phi %{phi.name} in {blk.name}"
             if len(phi.operands) != len(phi.incoming_blocks):
-                raise IRError(
-                    f"@{func.name}: phi %{phi.name} in {blk.name} has "
-                    f"{len(phi.operands)} value(s) for "
-                    f"{len(phi.incoming_blocks)} incoming block(s)"
-                )
+                yield Violation(
+                    f"{where} has {len(phi.operands)} value(s) for "
+                    f"{len(phi.incoming_blocks)} incoming block(s)", blk, phi)
+                continue
             if not phi.incoming_blocks:
-                raise IRError(
-                    f"@{func.name}: phi %{phi.name} in {blk.name} has no "
-                    f"incoming edges"
-                )
+                yield Violation(f"{where} has no incoming edges", blk, phi)
+                continue
             if len({id(b) for b in phi.incoming_blocks}) != len(phi.incoming_blocks):
                 dup = [b.name for b in phi.incoming_blocks
                        if phi.incoming_blocks.count(b) > 1]
-                raise IRError(
-                    f"@{func.name}: phi %{phi.name} in {blk.name} lists "
-                    f"incoming block(s) {sorted(set(dup))} more than once"
-                )
+                yield Violation(f"{where} lists incoming block(s) "
+                                f"{sorted(set(dup))} more than once", blk, phi)
             inc = set(phi.incoming_blocks)
             if inc != preds:
-                missing = {b.name for b in preds - inc}
-                extra = {b.name for b in inc - preds}
-                raise IRError(
-                    f"@{func.name}: phi %{phi.name} in {blk.name} incoming "
-                    f"mismatch (missing {missing or '{}'}, extra {extra or '{}'})"
-                )
+                missing = sorted(b.name for b in preds - inc)
+                extra = sorted(b.name for b in inc - preds)
+                yield Violation(f"{where} incoming mismatch (missing "
+                                f"{missing}, extra {extra})", blk, phi)
 
-    _check_dominance(func)
+    # every operand is defined in this function, and nothing reachable
+    # reads a definition from an unreachable block (which dominates
+    # nothing reachable; once DCE drops the block the use is detached)
+    for blk in func.blocks:
+        for ins in blk.instructions:
+            for v in ins.operands:
+                if not isinstance(v, I.Instruction):
+                    continue  # constants, args, globals, undef
+                if id(v) not in pos:
+                    yield Violation(f"use of detached value %{v.name} in "
+                                    f"%{ins.name or ins.opcode}", blk, ins)
+                elif blk in reachable and pos[id(v)][0] not in reachable:
+                    yield Violation(
+                        f"reachable use of %{v.name} in {blk.name}, defined "
+                        f"in unreachable block {pos[id(v)][0].name}", blk, ins)
 
 
 def verify_use_lists(func: Function) -> None:
-    """``v.uses`` must be exactly the operand slots that hold ``v``.
+    """``v.uses`` must be exactly the operand slots that hold ``v``."""
+    for msg in _use_list_errors(func):
+        raise IRError(f"@{func.name}: {msg}")
 
-    Every slot of the body must be listed by the value it holds; a value
+
+def _use_list_errors(func: Function) -> Iterator[str]:
+    """Every slot of the body must be listed by the value it holds; a value
     that then lists as many slots as the body gave it lists nothing else.
     Any other value is looked at slot by slot — an erased instruction still
     listed, a listed slot holding another value, a user from another
@@ -136,18 +185,18 @@ def verify_use_lists(func: Function) -> None:
     body = list(func.instructions())
     if body and all(ins.operands.user is None for ins in body):
         return
-    where = f"@{func.name}: use list"
     slots: list[Value] = []  # what each operand slot of the body holds
     for ins in body:
         ops = ins.operands
         if type(ops) is not I.OperandList or ops.user is not ins:
-            raise IRError(f"{where}: operands of %{ins.name or ins.opcode} "
-                          f"are not tracked (detached or a plain list)")
+            yield (f"use list: operands of %{ins.name or ins.opcode} "
+                   f"are not tracked (detached or a plain list)")
+            continue
         i = 0
         for v in ops:
             if (ins, i) not in v.uses:
-                raise IRError(f"{where}: {v.short()} does not list operand "
-                              f"{i} of %{ins.name or ins.opcode}")
+                yield (f"use list: {v.short()} does not list operand "
+                       f"{i} of %{ins.name or ins.opcode}")
             i += 1
         slots += ops
     held = Counter(map(id, slots))
@@ -160,91 +209,91 @@ def verify_use_lists(func: Function) -> None:
         for user, i in v.uses:
             ops = user.operands
             if user.block is None or ops.user is not user:
-                raise IRError(f"{where}: {v.short()} lists erased "
-                              f"instruction %{user.name or user.opcode}")
-            if i >= len(ops) or ops[i] is not v:
-                raise IRError(f"{where}: {v.short()} lists operand {i} of "
-                              f"%{user.name or user.opcode}, which holds "
-                              f"another value")
-            if id(user) in local:
+                yield (f"use list: {v.short()} lists erased "
+                       f"instruction %{user.name or user.opcode}")
+            elif i >= len(ops) or ops[i] is not v:
+                yield (f"use list: {v.short()} lists operand {i} of "
+                       f"%{user.name or user.opcode}, which holds "
+                       f"another value")
+            elif id(user) in local:
                 continue
-            home = user.block.function
-            if k in local:
-                raise IRError(f"{where}: {v.short()} has a user outside the "
-                              f"function (%{user.name or user.opcode})")
-            if home is None or home.module is not func.module:
-                raise IRError(f"{where}: {v.short()} is shared with another "
-                              f"module (%{user.name or user.opcode})")
+            elif k in local:
+                yield (f"use list: {v.short()} has a user outside the "
+                       f"function (%{user.name or user.opcode})")
+            else:
+                home = user.block.function
+                if home is None or home.module is not func.module:
+                    yield (f"use list: {v.short()} is shared with another "
+                           f"module (%{user.name or user.opcode})")
 
 
-def _check_types(func: Function, ins: I.Instruction) -> None:
+def _type_error(func: Function, ins: I.Instruction) -> str | None:
+    """The type rule ``ins`` breaks, if any."""
     if isinstance(ins, I.BinOp):
         a, b = ins.operands
         if a.type is not b.type:
-            raise IRError(f"@{func.name}: binop {ins.opcode} type mismatch "
-                          f"{a.type} vs {b.type}")
+            return f"binop {ins.opcode} type mismatch {a.type} vs {b.type}"
         if ins.opcode in I.FP_BINOPS and not (a.type.is_float or a.type.is_vector):
-            raise IRError(f"@{func.name}: {ins.opcode} on {a.type}")
+            return f"{ins.opcode} on {a.type}"
         if ins.opcode in I.INT_BINOPS and not (a.type.is_integer or a.type.is_vector):
-            raise IRError(f"@{func.name}: {ins.opcode} on {a.type}")
+            return f"{ins.opcode} on {a.type}"
     elif isinstance(ins, (I.ICmp, I.FCmp)):
         a, b = ins.operands
         if a.type is not b.type:
-            raise IRError(f"@{func.name}: cmp type mismatch {a.type} vs {b.type}")
+            return f"cmp type mismatch {a.type} vs {b.type}"
     elif isinstance(ins, I.Cast):
         (a,) = ins.operands
-        _check_cast(func, ins.opcode, a, ins)
+        if not _CAST_RULES[ins.opcode](a.type, ins.type):
+            return f"invalid {ins.opcode} {a.type} -> {ins.type}"
     elif isinstance(ins, I.Load):
         (p,) = ins.operands
         if not isinstance(p.type, PointerType):
-            raise IRError(f"@{func.name}: load from {p.type}")
+            return f"load from {p.type}"
         if p.type.pointee is not ins.type:
-            raise IRError(f"@{func.name}: load type {ins.type} != pointee "
-                          f"{p.type.pointee}")
+            return f"load type {ins.type} != pointee {p.type.pointee}"
     elif isinstance(ins, I.Store):
         v, p = ins.operands
         if not isinstance(p.type, PointerType):
-            raise IRError(f"@{func.name}: store to {p.type}")
+            return f"store to {p.type}"
         if p.type.pointee is not v.type:
-            raise IRError(f"@{func.name}: store of {v.type} to {p.type}")
+            return f"store of {v.type} to {p.type}"
     elif isinstance(ins, I.GEP):
         p, idx = ins.operands
         if not isinstance(p.type, PointerType):
-            raise IRError(f"@{func.name}: gep on {p.type}")
+            return f"gep on {p.type}"
         if not isinstance(idx.type, IntType):
-            raise IRError(f"@{func.name}: gep index {idx.type}")
+            return f"gep index {idx.type}"
     elif isinstance(ins, I.ExtractElement):
         v, idx = ins.operands
         if not isinstance(v.type, VectorType):
-            raise IRError(f"@{func.name}: extractelement on {v.type}")
+            return f"extractelement on {v.type}"
     elif isinstance(ins, I.InsertElement):
         v, x, idx = ins.operands
         if not isinstance(v.type, VectorType) or v.type.elem is not x.type:
-            raise IRError(f"@{func.name}: insertelement {x.type} into {v.type}")
+            return f"insertelement {x.type} into {v.type}"
     elif isinstance(ins, I.ShuffleVector):
         a, b = ins.operands
         if a.type is not b.type:
-            raise IRError(f"@{func.name}: shufflevector operand mismatch")
+            return "shufflevector operand mismatch"
         n = a.type.count * 2  # type: ignore[union-attr]
         if any(not 0 <= m < n for m in ins.mask):
-            raise IRError(f"@{func.name}: shufflevector mask out of range")
+            return "shufflevector mask out of range"
     elif isinstance(ins, I.Phi):
         for v, _b in ins.incoming():
             if v.type is not ins.type and not isinstance(v, Undef):
-                raise IRError(
-                    f"@{func.name}: phi %{ins.name} incoming {v.type} != {ins.type}"
-                )
+                return f"phi %{ins.name} incoming {v.type} != {ins.type}"
     elif isinstance(ins, I.Br) and ins.is_conditional:
         c = ins.operands[0]
         if not (isinstance(c.type, IntType) and c.type.bits == 1):
-            raise IRError(f"@{func.name}: branch condition is {c.type}")
+            return f"branch condition is {c.type}"
     elif isinstance(ins, I.Ret):
         want = func.ftype.ret
         if ins.value is None:
             if not want.is_void:
-                raise IRError(f"@{func.name}: ret void from {want} function")
+                return f"ret void from {want} function"
         elif ins.value.type is not want:
-            raise IRError(f"@{func.name}: ret {ins.value.type}, expected {want}")
+            return f"ret {ins.value.type}, expected {want}"
+    return None
 
 
 _CAST_RULES = {
@@ -262,70 +311,31 @@ _CAST_RULES = {
 }
 
 
-def _check_cast(func: Function, opcode: str, a: Value, ins: I.Instruction) -> None:
-    rule = _CAST_RULES[opcode]
-    ok = rule(a.type, ins.type)
-    if not ok:
-        raise IRError(f"@{func.name}: invalid {opcode} {a.type} -> {ins.type}")
-
-
-def _check_dominance(func: Function) -> None:
-    g = _cfg(func)
-    entry = func.entry
-    reachable = set(nx.descendants(g, entry)) | {entry}
-    idom = nx.immediate_dominators(g, entry)
-
-    def dominates(a: BasicBlock, b: BasicBlock) -> bool:
-        while True:
-            if a is b:
-                return True
-            parent = idom.get(b)
-            if parent is None or parent is b:
-                return a is b
-            b = parent
-
-    # position index for same-block ordering
-    pos: dict[int, tuple[BasicBlock, int]] = {}
+def _dominance(func: Function, pos: _Positions) -> Iterator[Violation]:
+    """Same-block order and SSA dominance of every reachable use; a phi
+    uses its operands at the end of the incoming block."""
+    idom = dominators(func)
     for blk in func.blocks:
-        for i, ins in enumerate(blk.instructions):
-            pos[id(ins)] = (blk, i)
-
-    for blk in func.blocks:
-        if blk not in reachable:
-            continue
+        if blk not in idom:
+            continue  # uses in unreachable code are ignored, like LLVM
         for i, ins in enumerate(blk.instructions):
             if isinstance(ins, I.Phi):
-                for v, pred in ins.incoming():
-                    _check_use_dominance(func, v, pred, len(pred.instructions),
-                                         pos, dominates, reachable, ins)
-                continue
-            for v in ins.operands:
-                _check_use_dominance(func, v, blk, i, pos, dominates, reachable, ins)
-
-
-def _check_use_dominance(func, v, use_block, use_index, pos, dominates,
-                         reachable, user) -> None:
-    from repro.ir.instructions import Instruction
-    if not isinstance(v, Instruction):
-        return  # constants, args, globals, undef always dominate
-    if id(v) not in pos:
-        raise IRError(
-            f"@{func.name}: use of detached value %{v.name} in %{user.name or user.opcode}"
-        )
-    def_block, def_index = pos[id(v)]
-    if def_block not in reachable:
-        return  # uses in unreachable code are ignored, like LLVM
-    if def_block is use_block:
-        if def_index >= use_index:
-            raise IRError(
-                f"@{func.name}: %{v.name} used before definition in "
-                f"{use_block.name}"
-            )
-    elif not dominates(def_block, use_block):
-        raise IRError(
-            f"@{func.name}: definition of %{v.name} ({def_block.name}) does "
-            f"not dominate use in {use_block.name}"
-        )
+                uses = [(v, pred, len(pred.instructions))
+                        for v, pred in ins.incoming()]
+            else:
+                uses = [(v, blk, i) for v in ins.operands]
+            for v, use_block, use_index in uses:
+                if not isinstance(v, I.Instruction):
+                    continue
+                def_block, def_index = pos[id(v)]
+                if def_block is use_block:
+                    if def_index >= use_index:
+                        yield Violation(f"%{v.name} used before definition "
+                                        f"in {use_block.name}", blk, ins)
+                elif not dominates(idom, def_block, use_block):
+                    yield Violation(
+                        f"definition of %{v.name} ({def_block.name}) does "
+                        f"not dominate use in {use_block.name}", blk, ins)
 
 
 def verify_module(module: Module) -> None:

@@ -13,12 +13,10 @@ from repro.analysis.dataflow import (
     Lattice,
     SetLattice,
     ValueProblem,
-    predecessor_map,
-    reachable_blocks,
-    reverse_postorder,
     solve_block_problem,
     solve_value_problem,
 )
+from repro.ir.cfg import reachable_blocks, reverse_postorder
 
 
 def _func(name="f", ret=I64, params=(I64,)):
@@ -100,9 +98,9 @@ def test_diamond_rpo_and_preds():
     assert order[entry] == 0
     assert order[merge] == 3
     assert order[then] < order[merge] and order[els] < order[merge]
-    preds = predecessor_map(f)
-    assert set(preds[merge]) == {then, els}
-    assert preds[entry] == []
+    preds = f.predecessor_map()
+    assert set(preds[id(merge)]) == {then, els}
+    assert preds[id(entry)] == []
 
 
 def test_loop_fixpoint():

@@ -1,36 +1,29 @@
-"""Strict-SSA checker: rules beyond the raising verifier, as findings."""
+"""Strict-SSA reporter: the verifier's rules, collected as findings.
 
-from repro.ir import I64, Function, FunctionType, IRBuilder, Module
-from repro.ir import instructions as I
-from repro.ir.values import Constant
+The malformed bodies and the rule-by-rule agreement with ``verify`` live in
+``tests/ir/test_verifier_strict.py``; the corpus-wide agreement of the two
+reporters is here.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.analysis.findings import WARNING, errors_only
+from repro.analysis.lint import CORPORA, _lift_corpus
 from repro.analysis.strictness import check_strict_ssa
+from repro.cpu import Image
+from repro.ir import Module, verify
+from repro.ir.passes import run_o3
+from repro.lift import FunctionSignature, LiftOptions, lift_function
+from repro.testing.diffcorpus import GENERATORS
+from repro.x86 import parse_asm
+from repro.x86.asm import assemble
 
-
-def _diamond():
-    m = Module("t")
-    f = Function("f", FunctionType(I64, (I64,)))
-    m.add_function(f)
-    entry = f.add_block("entry")
-    then = f.add_block("then")
-    els = f.add_block("els")
-    merge = f.add_block("merge")
-    b = IRBuilder(entry)
-    cond = b.icmp("eq", f.args[0], b.const(I64, 0))
-    b.cond_br(cond, then, els)
-    b.position_at_end(then)
-    t = b.add(f.args[0], b.const(I64, 1))
-    b.br(merge)
-    b.position_at_end(els)
-    e = b.add(f.args[0], b.const(I64, 2))
-    b.br(merge)
-    b.position_at_end(merge)
-    phi = b.phi(I64)
-    phi.add_incoming(t, then)
-    phi.add_incoming(e, els)
-    b.ret(phi)
-    return f, (entry, then, els, merge), phi, (t, e)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "ir"))
+from test_verifier_strict import build  # noqa: E402
 
 
 def _messages(findings):
@@ -38,125 +31,103 @@ def _messages(findings):
 
 
 def test_clean_diamond_no_findings():
-    f, *_ = _diamond()
-    assert check_strict_ssa(f) == []
+    assert check_strict_ssa(build("clean")) == []
 
 
 def test_duplicate_incoming_block():
-    f, (entry, then, els, merge), phi, (t, e) = _diamond()
-    phi.operands.append(t)
-    phi.incoming_blocks.append(then)  # second entry for the same pred
-    msgs = _messages(check_strict_ssa(f))
+    msgs = _messages(check_strict_ssa(build("phi duplicate incoming")))
     assert any("more than once" in m for m in msgs)
 
 
 def test_missing_incoming_for_predecessor():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    phi.remove_incoming(els)
-    msgs = _messages(check_strict_ssa(f))
-    assert any("misses incoming for predecessor els" in m for m in msgs)
+    msgs = _messages(check_strict_ssa(build("phi missing incoming")))
+    assert any("missing ['els']" in m for m in msgs)
 
 
 def test_stale_incoming_for_non_predecessor():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    phi.add_incoming(Constant(I64, 9), entry)  # entry is not a merge pred
-    msgs = _messages(check_strict_ssa(f))
-    assert any("stale incoming for non-predecessor entry" in m for m in msgs)
+    msgs = _messages(check_strict_ssa(build("phi stale incoming")))
+    assert any("extra ['entry']" in m for m in msgs)
 
 
 def test_zero_incoming_phi():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    phi.remove_incoming(then)
-    phi.remove_incoming(els)
-    msgs = _messages(check_strict_ssa(f))
+    msgs = _messages(check_strict_ssa(build("phi zero incoming")))
     assert any("no incoming edges" in m for m in msgs)
 
 
 def test_operand_incoming_length_skew():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    phi.incoming_blocks.pop()  # operand without a block
-    msgs = _messages(check_strict_ssa(f))
+    msgs = _messages(check_strict_ssa(build("phi skew")))
     assert any("incoming block" in m and "value" in m for m in msgs)
 
 
 def test_phi_after_non_phi():
-    f, (entry, then, els, merge), phi, (t, e) = _diamond()
-    late = I.Phi(I64, "late")
-    late.add_incoming(t, then)
-    late.add_incoming(e, els)
-    merge.instructions.insert(1, late)  # after the first phi is fine...
+    f = build("phi after non-phi")
     msgs = _messages(check_strict_ssa(f))
-    assert msgs == []  # consecutive phis are legal
-    merge.instructions.remove(late)
-    merge.instructions.insert(2, late)  # ...but after the ret is not
-    msgs = _messages(check_strict_ssa(f))
-    assert any("phi after a non-phi" in m for m in msgs)
+    assert any("phi after non-phi" in m for m in msgs)
+    f.blocks[3].instructions[1].erase()  # the add between the two phis
+    assert check_strict_ssa(f) == []  # consecutive phis are legal
 
 
 def test_missing_terminator():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    merge.instructions.pop()  # drop the ret
-    msgs = _messages(check_strict_ssa(f))
+    msgs = _messages(check_strict_ssa(build("missing terminator")))
     assert any("lacks a terminator" in m for m in msgs)
 
 
 def test_unreachable_block_is_warning_only():
-    f, *_ = _diamond()
-    dead = f.add_block("dead")
-    b = IRBuilder(dead)
-    b.ret(b.const(I64, 0))
-    findings = check_strict_ssa(f)
+    findings = check_strict_ssa(build("unreachable block"))
     assert len(findings) == 1
     assert findings[0].severity == WARNING
     assert errors_only(findings) == []
 
 
 def test_reachable_use_of_unreachable_def():
-    f, (entry, then, els, merge), phi, _ = _diamond()
-    dead = f.add_block("dead")
-    b = IRBuilder(dead)
-    v = b.add(f.args[0], b.const(I64, 5))
-    b.br(merge)  # dead -> merge edge exists, but dead is unreachable
-    # make merge's terminator consume the dead definition
-    merge.instructions[-1] = I.Ret(v)
-    findings = check_strict_ssa(f)
-    msgs = _messages(findings)
+    msgs = _messages(check_strict_ssa(
+        build("reachable use of unreachable def")))
     assert any("defined in unreachable block" in m for m in msgs)
 
 
 def test_use_before_definition_same_block():
-    m = Module("t")
-    f = Function("f", FunctionType(I64, (I64,)))
-    m.add_function(f)
-    blk = f.add_block("entry")
-    b = IRBuilder(blk)
-    x = b.add(f.args[0], b.const(I64, 1))
-    y = b.add(x, b.const(I64, 2))
-    b.ret(y)
-    # swap the two adds: y now reads x before x is defined
-    blk.instructions[0], blk.instructions[1] = (
-        blk.instructions[1], blk.instructions[0])
-    msgs = _messages(check_strict_ssa(f))
-    assert any("used before its definition" in m for m in msgs)
+    msgs = _messages(check_strict_ssa(build("use before definition")))
+    assert any("used before definition" in m for m in msgs)
 
 
 def test_non_dominating_definition():
-    f, (entry, then, els, merge), phi, (t, e) = _diamond()
-    # replace the phi-consuming ret with a direct use of `t` (defined only
-    # on the then path: els does not dominate merge either way)
-    merge.instructions[-1] = I.Ret(t)
-    msgs = _messages(check_strict_ssa(f))
-    assert any("does not dominate this use" in m for m in msgs)
+    msgs = _messages(check_strict_ssa(build("non-dominating definition")))
+    assert any("does not dominate use" in m for m in msgs)
 
 
 def test_foreign_branch_target():
-    m = Module("t")
-    f = Function("f", FunctionType(I64, (I64,)))
-    m.add_function(f)
-    g = Function("g", FunctionType(I64, (I64,)))
-    foreign = g.add_block("foreign")
-    blk = f.add_block("entry")
-    b = IRBuilder(blk)
-    b.br(foreign)
-    msgs = _messages(check_strict_ssa(f))
+    msgs = _messages(check_strict_ssa(build("foreign branch target")))
     assert any("foreign block" in m for m in msgs)
+
+
+# -- both reporters are clean on everything the repo compiles -------------------------
+
+
+def _both_clean(func, where):
+    verify(func)
+    assert errors_only(check_strict_ssa(func)) == [], where
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_reporters_agree_on_the_lint_corpora(corpus):
+    for func, _image in _lift_corpus(corpus):
+        _both_clean(func, f"{func.name} raw")
+        run_o3(func)
+        _both_clean(func, f"{func.name} post-O3")
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_reporters_agree_on_the_differential_corpus(kind):
+    sig = FunctionSignature(("i", "i", "i"), "i") if kind == "int" \
+        else FunctionSignature(("i", "f", "f"), "f")
+    for seed in range(200):
+        image = Image()
+        base = image.next_code_addr()
+        code, _ = assemble(parse_asm(GENERATORS[kind](random.Random(seed))),
+                           base=base)
+        image.add_function("f", code)
+        func = lift_function(image.memory, base, sig, LiftOptions(name="f"),
+                             Module("corpus"))
+        _both_clean(func, f"{kind}/{seed} raw")
+        run_o3(func)
+        _both_clean(func, f"{kind}/{seed} post-O3")

@@ -13,7 +13,6 @@ from repro.testing.faults import inject_faults
 
 from repro.analysis import (
     PassValidator,
-    ValidationOptions,
     clone_function,
     functions_structurally_equal,
 )
@@ -137,19 +136,6 @@ def test_rollback_restores_exact_body():
     _result, verdict = validator.run_pass("bad", corrupting_pass, f)
     assert verdict.rolled_back
     assert functions_structurally_equal(f, snapshot)
-
-
-def test_rollback_disabled_keeps_output():
-    _m, f = _poly_func()
-    validator = PassValidator(ValidationOptions(rollback=False))
-
-    def corrupting_pass():
-        _corrupt_ret(None, f)
-        return True
-
-    _result, verdict = validator.run_pass("bad", corrupting_pass, f)
-    assert not verdict.ok and not verdict.rolled_back
-    assert Interpreter(_m).run(f, [1, 1]) == 12345  # corruption kept
 
 
 def test_float_tolerance_accepts_reassociation():

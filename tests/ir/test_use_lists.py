@@ -56,6 +56,12 @@ def scan_rauw(func: Function, old: Value, new: Value) -> int:
     return n
 
 
+def _attached(func: Function) -> set[bool]:
+    """``{True}`` for a live body, ``{False}`` for a snapshot: the flag
+    ``clone_region`` was given, read back off its copies."""
+    return {ins.operands.user is ins for ins in func.instructions()}
+
+
 OPS = ("set", "append", "delete", "pop", "assign", "slice", "add_incoming",
        "remove_incoming", "insert", "erase", "rauw", "rauw", "remove_block",
        "snapshot", "restore", "pickle", "deepcopy")
@@ -197,8 +203,7 @@ class World:
                 f.remove_block(f.blocks[1 + k1 % (len(f.blocks) - 1)])
         elif op == "snapshot":
             self.snapshot = clone_function(f)
-            assert all(i.operands.user is None
-                       for i in self.snapshot.instructions())
+            assert _attached(self.snapshot) == {False}
         elif op == "restore":
             if self.snapshot is not None:
                 self.made.extend(self.snapshot.instructions())
@@ -269,9 +274,12 @@ def _delitem_without_reindexing(self: I.OperandList, i) -> None:
     list.__delitem__(self, i)
 
 
+_copy = I.Instruction.copy
+
+
 def _attached_snapshot(self: I.Instruction, block) -> I.Instruction:
-    twin = self.clone_shallow()  # registers with the shared values
-    twin.block = block
+    twin = _copy(self, block)
+    twin.attach()  # a snapshot that registers with the shared values
     return twin
 
 
@@ -280,7 +288,7 @@ MUTANTS = {
                                   _erase_forgets_one_operand),
     "remove_incoming shifts without re-indexing": (
         I.OperandList, "__delitem__", _delitem_without_reindexing),
-    "attached snapshot": (I.Instruction, "snapshot_copy", _attached_snapshot),
+    "attached snapshot": (I.Instruction, "copy", _attached_snapshot),
 }
 
 
@@ -301,6 +309,7 @@ def test_mutant_fails_the_property(name, monkeypatch):
 def _check_module(m: Module) -> None:
     for func in m.functions.values():
         verify(func)  # includes the use-list check and the predecessor map
+        assert _attached(func) == {True}
 
 
 @settings(max_examples=max(EXAMPLES // 4, 10), deadline=None)
@@ -446,3 +455,21 @@ def test_every_list_mutator_is_tracked():
     ops.clear()
     assert slots() == {} and not a.uses and not b.uses
     assert phi.operands[:] == [] and type(phi.operands[:]) is list
+
+
+def test_copy_is_detached_and_owns_its_payload_lists():
+    m = Module("cp")
+    f, c = build_add_const(m, 7)
+    add = f.entry.instructions[0]
+    add.probe = ("call", 0)
+    twin = add.copy(f.entry)
+    assert type(twin) is type(add) and twin.probe == ("call", 0)
+    assert list(twin.operands) == list(add.operands)
+    assert twin.operands.user is None and len(c.uses) == 1 and not twin.uses
+    then, els = f.add_block("t"), f.add_block("e")
+    br = I.Br(Constant(I64, 1), then, els)
+    phi = I.Phi(I64, "p")
+    phi.add_incoming(c, then)
+    assert br.copy(then).targets == br.targets
+    assert br.copy(then).targets is not br.targets
+    assert phi.copy(then).incoming_blocks is not phi.incoming_blocks
