@@ -24,11 +24,11 @@ located values it is recomputed from.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from repro.analysis.machine import terms as T
 from repro.analysis.machine.state import Inconclusive, MemState
+from repro.arith import f64_to_bits
 from repro.ir import instructions as I
 from repro.ir.irtypes import DoubleType, IntType, PointerType, VectorType
 from repro.ir.module import BasicBlock, Function, GlobalVariable
@@ -45,10 +45,6 @@ FCMP_CC = {
     "oeq": "e", "one": "ne", "olt": "b", "ole": "be", "ogt": "a", "oge": "ae",
     "ueq": "e", "une": "ne", "ult": "b", "ule": "be", "ugt": "a", "uge": "ae",
 }
-
-
-def fp_bits(v: float) -> int:
-    return int.from_bytes(struct.pack("<d", float(v)), "little")
 
 
 def _cls_of(t) -> str:
@@ -253,12 +249,12 @@ class IRExecutor:
                 return (T.const(raw & T.MASK64), T.const(raw >> 64))
             return T.const(v.value)
         if isinstance(v, ConstantFP):
-            return T.const(fp_bits(v.value))
+            return T.const(f64_to_bits(v.value))
         if isinstance(v, ConstantVector):
             elems = v.elements
             e0 = elems[0].value if hasattr(elems[0], "value") else 0.0
             e1 = elems[1].value if len(elems) > 1 and hasattr(elems[1], "value") else 0.0
-            return (T.const(fp_bits(float(e0))), T.const(fp_bits(float(e1))))
+            return (T.const(f64_to_bits(float(e0))), T.const(f64_to_bits(float(e1))))
         if isinstance(v, Undef):
             cls = _cls_of(v.type)
             return (0, 0) if cls == "v" else 0

@@ -24,6 +24,7 @@ Memory is split in two:
 from __future__ import annotations
 
 from repro.analysis.machine import terms as T
+from repro.arith import to_signed
 
 
 class Inconclusive(Exception):
@@ -107,7 +108,7 @@ class MemState:
         d = T.op_sub(a1, a2)
         if not isinstance(d, int):
             return False
-        sd = d - (1 << 64) if d >= (1 << 63) else d
+        sd = to_signed(d, 64)
         return sd >= w2 or -sd >= w1
 
     def load(self, addr: T.Term, w: int) -> T.Term:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.arith import to_signed, trunc_div, trunc_rem
+
 MASK64 = (1 << 64) - 1
 
 #: a term: an int constant (mod 2^64) or a tagged tuple
@@ -51,11 +53,6 @@ def is_const(t: Term) -> bool:
 
 def _key(t: Term) -> str:
     return repr(t)
-
-
-def _signed(v: int, bits: int = 64) -> int:
-    v &= (1 << bits) - 1
-    return v - (1 << bits) if v >= (1 << (bits - 1)) else v
 
 
 # -- linear combinations -----------------------------------------------------
@@ -199,7 +196,7 @@ def sext(bits: int, t: Term) -> Term:
     while isinstance(t, tuple) and t[0] == "mask" and t[1] >= bits:
         t = t[2]
     if isinstance(t, int):
-        return _signed(t, bits) & MASK64
+        return to_signed(t, bits) & MASK64
     if _width_of(t) < bits:  # sign bit statically zero
         return t
     return ("sext", bits, t)
@@ -295,7 +292,7 @@ def op_sar(w: int, a: Term, b: Term) -> Term:
         if k == 0:
             return a
         if isinstance(a, int):
-            return (_signed(a, 32 if w == 4 else 64) >> k) & MASK64
+            return (to_signed(a, 32 if w == 4 else 64) >> k) & MASK64
         return ("sar", w, a, k)
     return ("sar", w, a, _canon_count(w, b))
 
@@ -303,24 +300,18 @@ def op_sar(w: int, a: Term, b: Term) -> Term:
 def op_idiv(w: int, a: Term, b: Term) -> Term:
     if isinstance(a, int) and isinstance(b, int):
         bits = 32 if w == 4 else 64
-        sa, sb = _signed(a, bits), _signed(b, bits)
+        sa, sb = to_signed(a, bits), to_signed(b, bits)
         if sb != 0:
-            q = abs(sa) // abs(sb)  # x86 truncates toward zero
-            if (sa < 0) != (sb < 0):
-                q = -q
-            return q & MASK64
+            return trunc_div(sa, sb) & MASK64
     return ("idiv", w, a, b)
 
 
 def op_irem(w: int, a: Term, b: Term) -> Term:
     if isinstance(a, int) and isinstance(b, int):
         bits = 32 if w == 4 else 64
-        sa, sb = _signed(a, bits), _signed(b, bits)
+        sa, sb = to_signed(a, bits), to_signed(b, bits)
         if sb != 0:
-            r = abs(sa) % abs(sb)
-            if sa < 0:
-                r = -r
-            return r & MASK64
+            return trunc_rem(sa, sb) & MASK64
     return ("irem", w, a, b)
 
 
@@ -337,7 +328,7 @@ def cc_term(cc: str, w: int, a: Term, b: Term) -> Term:
     if isinstance(a, int) and isinstance(b, int):
         bits = 32 if w == 4 else 64
         if cc in _CC_SIGNED:
-            x, y = _signed(a, bits), _signed(b, bits)
+            x, y = to_signed(a, bits), to_signed(b, bits)
         else:
             x, y = a, b
         return int({
@@ -398,7 +389,7 @@ def stack_offset(t: Term) -> int | None:
     if isinstance(t, tuple) and t[0] == "lin":
         addends, c = t[1], t[2]
         if len(addends) == 1 and addends[0] == (RSP0, 1):
-            return _signed(c)
+            return to_signed(c, 64)
     return None
 
 

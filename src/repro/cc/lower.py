@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from repro.arith import trunc_div, trunc_rem
 from repro.backend.tac import INVERT_CC, TAddr, TBlock, TFunc, TInstr, VReg
 from repro.cc import cast as A
 from repro.cc.ctypes import CType, DOUBLE, LONG, StructType
@@ -796,11 +797,11 @@ def _const_int_binop(op: str, a: int, b: int) -> int:
     if op == "/":
         if b == 0:
             raise CompileError("constant division by zero")
-        return int(a / b)
+        return trunc_div(a, b)
     if op == "%":
         if b == 0:
             raise CompileError("constant modulo by zero")
-        return a - int(a / b) * b
+        return trunc_rem(a, b)
     if op == "&":
         return a & b
     if op == "|":

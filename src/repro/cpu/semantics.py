@@ -17,9 +17,12 @@ the state: ``st.taken`` (conditional branches taken) and ``st.unaligned16``
 (accesses through a 16-byte memory operand at an address that is not a
 multiple of 16).
 
-Integer values are kept as unsigned Python ints masked to operand width;
-floating point goes through ``struct`` so IEEE-754 double behaviour is
-bit-exact with hardware for the supported operations.
+Integer values are kept as unsigned Python ints masked to operand width.
+What a division, a square root, a conversion or a rounding to binary32
+returns is :mod:`repro.arith` — the same functions the IR interpreter and
+the constant folders use — and follows the SDM: ``idiv`` truncates exactly,
+``div*``/``sqrt*`` are IEEE, ``min*``/``max*`` return the source operand
+unless the destination compares strictly below/above it.
 """
 
 from __future__ import annotations
@@ -28,41 +31,22 @@ import operator
 import struct
 from typing import Callable
 
+from repro.arith import (
+    bits_to_f32, bits_to_f64, f32_to_bits, f64_to_bits, fdiv, float_to_sint,
+    fsqrt, to_signed, trunc_div,
+)
 from repro.errors import SimulatorError
 from repro.mem.memory import Memory
 from repro.x86 import isa
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
-from repro.cpu.state import CPUState, MASK32, MASK64, MASK128, to_signed
+from repro.cpu.state import CPUState, MASK32, MASK64, MASK128
 
 _F64 = struct.Struct("<d")
-_F32 = struct.Struct("<f")
-_NAN = float("nan")
 
 #: a bound instruction
 Op = Callable[[CPUState, Memory], "int | None"]
 _Read = Callable[[CPUState, Memory], int]
 _Write = Callable[[CPUState, Memory, int], None]
-
-
-def f64_to_bits(v: float) -> int:
-    return int.from_bytes(_F64.pack(v), "little")
-
-
-def bits_to_f64(b: int) -> float:
-    return _F64.unpack((b & MASK64).to_bytes(8, "little"))[0]
-
-
-def f32_to_bits(v: float) -> int:
-    return int.from_bytes(_F32.pack(v), "little")
-
-
-def bits_to_f32(b: int) -> float:
-    return _F32.unpack((b & MASK32).to_bytes(4, "little"))[0]
-
-
-def _f32_round_bits(v: float) -> int:
-    """Bits of a Python float rounded to binary32 precision."""
-    return f32_to_bits(bits_to_f32(f32_to_bits(v)))
 
 
 def _mask(size: int) -> int:
@@ -231,8 +215,10 @@ def _flags_logic(st: CPUState, res: int, bits: int) -> None:
     _szp(st, res, bits)
 
 
-#: canonical condition code -> predicate over the flags
-_CONDITIONS: dict[str, Callable[[CPUState], bool]] = {
+#: canonical condition code -> predicate over the flags (anything with the
+#: ``cf``/``zf``/``sf``/``of``/``pf`` attributes: DBrew evaluates these over
+#: the flags it knows)
+CONDITIONS: dict[str, Callable[[CPUState], bool]] = {
     "o": lambda st: st.of,
     "no": lambda st: not st.of,
     "b": lambda st: st.cf,
@@ -255,7 +241,7 @@ _CONDITIONS: dict[str, Callable[[CPUState], bool]] = {
 def _condition(ins: Instruction) -> Callable[[CPUState], bool]:
     cc = isa.cc_of(ins.mnemonic)
     assert cc is not None
-    return _CONDITIONS[cc]
+    return CONDITIONS[cc]
 
 
 # -- the binder table -------------------------------------------------------------
@@ -649,7 +635,7 @@ def _bind_div(ins: Instruction) -> Op:
         if divisor == 0:
             raise SimulatorError("integer division by zero")
         if signed:
-            quot = int(dividend / divisor)  # trunc toward zero
+            quot = trunc_div(dividend, divisor)
             rem = dividend - quot * divisor
         else:
             quot, rem = divmod(dividend, divisor)
@@ -929,27 +915,17 @@ def _bind_pshufd(ins: Instruction) -> Op:
 # ---- SSE: floating point ----
 
 
-def _fp_div(a: float, b: float) -> float:
-    if b == 0.0:
-        if a == 0.0:
-            return _NAN
-        inf = float("inf") if a > 0 else float("-inf")
-        # sign of zero matters in IEEE; Python 0.0 == -0.0, check bits
-        if f64_to_bits(b) >> 63:
-            inf = -inf
-        return inf
-    return a / b
-
-
-#: arithmetic core by mnemonic stem; sqrt is a function of the source only
+#: arithmetic core by mnemonic stem, ``fn(dst, src)``; sqrt is a function of
+#: the source only, and min/max return the source unless the destination is
+#: strictly below/above it (so on a NaN either side, and on +0 against -0)
 _FP_OPS: dict[str, Callable[[float, float], float]] = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-    "div": _fp_div,
-    "sqrt": lambda a, b: b ** 0.5 if b >= 0 else _NAN,
+    "min": lambda a, b: a if a < b else b,
+    "max": lambda a, b: a if a > b else b,
+    "div": fdiv,
+    "sqrt": lambda a, b: fsqrt(b),
 }
 _KEEP_HIGH64 = MASK128 ^ MASK64
 _KEEP_HIGH96 = MASK128 ^ MASK32
@@ -973,7 +949,7 @@ def _bind_scalar_f32(ins: Instruction) -> Op:
 
     def scalar(a: int, b: int) -> int:
         r = fn(bits_to_f32(a), bits_to_f32(b))
-        return (a & _KEEP_HIGH96) | _f32_round_bits(r)
+        return (a & _KEEP_HIGH96) | f32_to_bits(r)
     return _xmm_binary(ins, scalar, 4)
 
 
@@ -1029,7 +1005,7 @@ def _bind_cvtsi2(ins: Instruction) -> Op:
 
     def to_f32(st: CPUState, mem: Memory) -> None:
         v = float(to_signed(rd(st, mem), bits))
-        st.xmm[d] = (st.xmm[d] & _KEEP_HIGH96) | _f32_round_bits(v)
+        st.xmm[d] = (st.xmm[d] & _KEEP_HIGH96) | f32_to_bits(v)
     return to_f32
 
 
@@ -1043,13 +1019,13 @@ def _bind_cvt2si(ins: Instruction) -> Op:
     truncate, bits = m.startswith("cvtt"), dst.size * 8
     rd, wr = _xmm_reader(src, 8 if double else 4), _writer(dst)
     return lambda st, mem: wr(
-        st, mem, isa.float_to_sint(conv(rd(st, mem)), bits, truncate))
+        st, mem, float_to_sint(conv(rd(st, mem)), bits, truncate))
 
 
 @_binds("cvtsd2ss")
 def _bind_cvtsd2ss(ins: Instruction) -> Op:
     return _xmm_binary(
-        ins, lambda a, b: (a & _KEEP_HIGH96) | _f32_round_bits(bits_to_f64(b)),
+        ins, lambda a, b: (a & _KEEP_HIGH96) | f32_to_bits(bits_to_f64(b)),
         8)
 
 

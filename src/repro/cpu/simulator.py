@@ -38,13 +38,12 @@ import struct
 import threading
 from dataclasses import dataclass, field
 
+from repro.arith import bits_to_f64, f64_to_bits, to_signed
 from repro.errors import ReproError, SimulatorError
 from repro.cpu.costs import HASWELL, CostModel
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
-from repro.cpu.semantics import (
-    CONTROL_TRANSFERS, Op, bind, bits_to_f64, f64_to_bits,
-)
-from repro.cpu.state import MASK64, CPUState, to_signed
+from repro.cpu.semantics import CONTROL_TRANSFERS, Op, bind
+from repro.cpu.state import MASK64, CPUState
 from repro.mem.memory import Memory
 from repro.x86.decoder import decode_one
 from repro.x86.instr import Instruction

@@ -18,12 +18,6 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK128 = (1 << 128) - 1
 
 
-def to_signed(value: int, bits: int) -> int:
-    """Reinterpret an unsigned ``bits``-wide value as signed."""
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
-
-
 def to_unsigned(value: int, bits: int) -> int:
     """Mask a Python int to ``bits`` width."""
     return value & ((1 << bits) - 1)

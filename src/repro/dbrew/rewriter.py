@@ -16,13 +16,14 @@ rsp-relative absolute slots, which is why DBrew output looks "flat"
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
+from repro.arith import f64_to_bits, to_signed
 from repro.cpu.image import Image
-from repro.cpu.semantics import execute
+from repro.cpu.semantics import CONDITIONS, execute
 from repro.cpu.state import CPUState
 from repro.dbrew.iinfo import analyze
 from repro.dbrew.metastate import (
@@ -123,7 +124,7 @@ class Rewriter:
 
     def set_par_f64(self, index: int, value: float) -> "Rewriter":
         """Fix a double parameter to a constant."""
-        self._fixed[index] = int.from_bytes(struct.pack("<d", value), "little")
+        self._fixed[index] = f64_to_bits(value)
         return self
 
     def set_mem(self, start: int, end: int) -> "Rewriter":
@@ -265,7 +266,7 @@ class Rewriter:
 
         state0 = self._initial_state()
         for reg_idx, value in self._pinned_params:
-            out.append(make("mov", gp(reg_idx), Imm(_signed64(value), 8)))
+            out.append(make("mov", gp(reg_idx), Imm(to_signed(value, 64), 8)))
             self.stats.emitted += 1
         entry_label = self._point_label(self.entry, (), state0, worklist)
         out.append(make("jmp", LabelRef(entry_label)))
@@ -513,19 +514,12 @@ class Rewriter:
         return None
 
     def _eval_cc(self, cc: str, state: MetaState) -> bool:
-        f = {k: bool(v.value) for k, v in state.flags.items() if v.known}
-        table = {
-            "o": lambda: f["o"], "no": lambda: not f["o"],
-            "b": lambda: f["c"], "ae": lambda: not f["c"],
-            "e": lambda: f["z"], "ne": lambda: not f["z"],
-            "be": lambda: f["c"] or f["z"], "a": lambda: not (f["c"] or f["z"]),
-            "s": lambda: f["s"], "ns": lambda: not f["s"],
-            "p": lambda: f["p"], "np": lambda: not f["p"],
-            "l": lambda: f["s"] != f["o"], "ge": lambda: f["s"] == f["o"],
-            "le": lambda: f["z"] or f["s"] != f["o"],
-            "g": lambda: not f["z"] and f["s"] == f["o"],
-        }
-        return table[cc]()
+        """The simulator's predicate over the known flags (reading an
+        unknown one is an ``AttributeError``, not a guess)."""
+        known = SimpleNamespace(**{name + "f": bool(mv.value)
+                                   for name, mv in state.flags.items()
+                                   if mv.known})
+        return CONDITIONS[cc](known)  # type: ignore[arg-type]
 
     # -- single instruction: emulate or emit --------------------------------------
 
@@ -781,7 +775,7 @@ class Rewriter:
                 out.append(make("lea", gp(idx),
                                 Mem(8, base=gp(RSP), disp=off - state.runtime_sp_off)))
             else:
-                out.append(make("mov", gp(idx), Imm(_signed64(mv.value), 8)))
+                out.append(make("mov", gp(idx), Imm(to_signed(mv.value, 64), 8)))
             state.gpr[idx] = mv.mat()
         else:
             if mv.value >> 64 == 0:
@@ -813,15 +807,15 @@ class Rewriter:
             ), gp(0)))
             out.append(make("pop", gp(0)))
             self.stats.emitted += 4
-        elif -(2**31) <= _signed64(value) < 2**31:
+        elif -(2**31) <= to_signed(value, 64) < 2**31:
             # single qword store keeps the slot 8-byte uniform (matters for
             # the IR lifter's stack promotion of our own output)
             out.append(make("mov", self._slot_mem(base, 8, state),
-                            Imm(_signed64(value), 4)))
+                            Imm(to_signed(value, 64), 4)))
             self.stats.emitted += 1
         else:
             out.append(make("push", gp(0)))
-            out.append(make("mov", gp(0), Imm(_signed64(value), 8)))
+            out.append(make("mov", gp(0), Imm(to_signed(value, 64), 8)))
             out.append(make("mov", Mem(
                 8, base=gp(RSP), disp=base - state.runtime_sp_off + 8,
             ), gp(0)))
@@ -843,7 +837,7 @@ class Rewriter:
                         self._flush_slot(slot, state, out)
                         slot += 8
                 return self._slot_mem(off, mem.size, state)
-            if -(2**31) <= _signed64(ea) < 2**31:
+            if -(2**31) <= to_signed(ea, 64) < 2**31:
                 return Mem(mem.size, disp=ea & 0xFFFFFFFF)
             raise RewriteError(f"absolute address {ea:#x} out of range")
         # partially known: fold what we can
@@ -851,7 +845,7 @@ class Rewriter:
         if index is not None:
             mv = state.gpr[index.index]
             if mv.known and not is_stack_address(mv.value):
-                disp += _signed64(mv.value) * scale
+                disp += to_signed(mv.value, 64) * scale
                 index, scale = None, 1
         if base is not None:
             mv = state.gpr[base.index]
@@ -861,7 +855,7 @@ class Rewriter:
                     off = stack_offset(mv.value)
                     return Mem(mem.size, base=gp(RSP), index=index, scale=scale,
                                disp=disp + off - state.runtime_sp_off)
-                disp += _signed64(mv.value)
+                disp += to_signed(mv.value, 64)
                 base = None
         if base is None and index is None:
             raise RewriteError("address folding lost all registers")
@@ -978,10 +972,6 @@ class Rewriter:
             state.stack[off] = StackSlot(MetaValue.unknown(), flushed=True)
         for f in "oszapc":
             state.flags[f] = MetaValue.unknown()
-
-
-def _signed64(v: int) -> int:
-    return (v & (2**63 - 1)) - (v & 2**63)
 
 
 def _readable(memory: Memory, addr: int) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
+from repro.arith import bits_to_f64
 from repro.cpu.image import Image
 from repro.cpu.simulator import Simulator
 from repro.errors import ReproError, VerificationError
@@ -239,7 +240,6 @@ class DifferentialGate:
             return True
         if ret == "f" and self.options.tolerance > 0 \
                 and isinstance(want, int) and isinstance(got, int):
-            from repro.cpu.semantics import bits_to_f64
             w, g = bits_to_f64(want), bits_to_f64(got)
             return abs(w - g) <= self.options.tolerance
         return False

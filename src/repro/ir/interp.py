@@ -5,8 +5,11 @@ Memory` the x86 simulator uses, which enables the project's strongest
 correctness check: *lifted IR interpreted over the image must compute the
 same result as the original machine code simulated over the image*.
 
-Value representation: iN -> unsigned-masked int, double/float -> Python
-float, pointer -> int address, vector -> tuple of elements, undef -> zeros.
+What an opcode computes is not defined here: :mod:`repro.ir.semantics`
+holds one expression per (opcode, type), which this module pastes into the
+code it compiles and the constant folder calls as a function.  Value
+representation: iN -> unsigned-masked int, double/float -> Python float,
+pointer -> int address, vector -> tuple of elements, undef -> zeros.
 
 Each function is compiled once into a *decoded trace*: per block,
 straight-line instruction runs become a handful of exec-specialized
@@ -19,39 +22,29 @@ edge, and the trace is cached per ``(function, Function.version)`` in a
 process-global weak map so every interpreter — validator probes, the
 differential corpus, the guard gate — shares one compilation.  A mutated
 function (pass rewrite, validator rollback) bumps its version and the
-stale trace is recompiled, never executed (see DESIGN §14).  The
-instruction semantics are pinned value for value by
+stale trace is recompiled, never executed (see DESIGN §14).  Only vector
+arithmetic, vector loads and stores, and calls run as standalone closures;
+they call the functions :mod:`repro.ir.semantics` compiles from the same
+expressions.  The instruction semantics are pinned value for value by
 ``tests/ir/test_interp_semantics.py``.
 """
 
 from __future__ import annotations
 
-import struct
 import threading
 import weakref
 
+from repro.arith import to_signed
 from repro.errors import IRInterpError
 from repro.ir import instructions as I
+from repro.ir import semantics as S
 from repro.ir.irtypes import (
     DoubleType, FloatType, IntType, PointerType, Type, VectorType,
 )
 from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
-from repro.ir.values import Argument, Constant, ConstantFP, ConstantVector, Undef, Value
+from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
 from repro.mem.memory import Memory
 from repro.obs import metrics as _metrics
-from repro.x86.isa import float_to_sint
-
-
-def _to_signed(v: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (v & (sign - 1)) - (v & sign)
-
-
-def _trunc_div(n: int, d: int) -> int:
-    """Exact C-style truncating division (``int(n / d)`` rounds through a
-    float and is wrong for 64-bit magnitudes)."""
-    q = abs(n) // abs(d)
-    return -q if (n < 0) != (d < 0) else q
 
 
 def _zero_of(t: Type) -> object:
@@ -64,132 +57,6 @@ def _zero_of(t: Type) -> object:
     if isinstance(t, VectorType):
         return tuple(_zero_of(t.elem) for _ in range(t.count))
     raise IRInterpError(f"no zero for {t}")
-
-
-def _f32(v: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", v))[0]
-
-
-# -- scalar semantics ---------------------------------------------------------
-
-
-def _fdiv_val(x: float, y: float) -> float:
-    """IEEE division with x86-matching zero/NaN handling."""
-    if y == 0.0:
-        if x == 0.0 or x != x:
-            return float("nan")
-        return float("inf") if (x > 0) == (not _signbit(y)) else float("-inf")
-    return x / y
-
-
-def _sdiv_val(a: int, b: int, bits: int, mask: int) -> int:
-    d = _to_signed(b, bits)
-    if d == 0:
-        raise IRInterpError("sdiv by zero")
-    return _trunc_div(_to_signed(a, bits), d) & mask
-
-
-def _srem_val(a: int, b: int, bits: int, mask: int) -> int:
-    d = _to_signed(b, bits)
-    if d == 0:
-        raise IRInterpError("srem by zero")
-    n = _to_signed(a, bits)
-    return (n - _trunc_div(n, d) * d) & mask
-
-
-def _udiv_val(a: int, b: int) -> int:
-    if b == 0:
-        raise IRInterpError("udiv by zero")
-    return a // b
-
-
-def _urem_val(a: int, b: int) -> int:
-    if b == 0:
-        raise IRInterpError("urem by zero")
-    return a % b
-
-
-def _sqrt_val(x: float) -> float:
-    x = float(x)
-    return x ** 0.5 if x >= 0 else float("nan")
-
-
-def _scalar_binop(opcode: str, a: object, b: object, t: Type) -> object:
-    if opcode in I.FP_BINOPS:
-        x, y = float(a), float(b)  # type: ignore[arg-type]
-        if opcode == "fadd":
-            r = x + y
-        elif opcode == "fsub":
-            r = x - y
-        elif opcode == "fmul":
-            r = x * y
-        else:
-            r = _fdiv_val(x, y)
-        return _f32(r) if isinstance(t, FloatType) else r
-    assert isinstance(t, IntType)
-    ai, bi = int(a) & t.mask, int(b) & t.mask  # type: ignore[arg-type]
-    bits = t.bits
-    if opcode == "add":
-        return (ai + bi) & t.mask
-    if opcode == "sub":
-        return (ai - bi) & t.mask
-    if opcode == "mul":
-        return (ai * bi) & t.mask
-    if opcode == "and":
-        return ai & bi
-    if opcode == "or":
-        return ai | bi
-    if opcode == "xor":
-        return ai ^ bi
-    if opcode == "shl":
-        return (ai << (bi % bits)) & t.mask
-    if opcode == "lshr":
-        return ai >> (bi % bits)
-    if opcode == "ashr":
-        return (_to_signed(ai, bits) >> (bi % bits)) & t.mask
-    if opcode == "sdiv":
-        return _sdiv_val(ai, bi, bits, t.mask)
-    if opcode == "srem":
-        return _srem_val(ai, bi, bits, t.mask)
-    if opcode == "udiv":
-        return _udiv_val(ai, bi)
-    if opcode == "urem":
-        return _urem_val(ai, bi)
-    raise IRInterpError(f"binop {opcode}")
-
-
-def _load_value(mem: Memory, t: Type, addr: int) -> object:
-    if isinstance(t, IntType):
-        if t.bits == 1:
-            return mem.read_u8(addr) & 1
-        return mem.read_uint(addr, t.size_bytes())
-    if isinstance(t, DoubleType):
-        return mem.read_f64(addr)
-    if isinstance(t, FloatType):
-        return mem.read_f32(addr)
-    if isinstance(t, PointerType):
-        return mem.read_u64(addr)
-    if isinstance(t, VectorType):
-        es = t.elem.size_bytes()
-        return tuple(_load_value(mem, t.elem, addr + i * es) for i in range(t.count))
-    raise IRInterpError(f"cannot load {t}")
-
-
-def _store_value(mem: Memory, t: Type, addr: int, value: object) -> None:
-    if isinstance(t, IntType):
-        mem.write_uint(addr, int(value), t.size_bytes())  # type: ignore[arg-type]
-    elif isinstance(t, DoubleType):
-        mem.write_f64(addr, float(value))  # type: ignore[arg-type]
-    elif isinstance(t, FloatType):
-        mem.write_f32(addr, float(value))  # type: ignore[arg-type]
-    elif isinstance(t, PointerType):
-        mem.write_u64(addr, int(value))  # type: ignore[arg-type]
-    elif isinstance(t, VectorType):
-        es = t.elem.size_bytes()
-        for i, x in enumerate(value):  # type: ignore[arg-type]
-            _store_value(mem, t.elem, addr + i * es, x)
-    else:
-        raise IRInterpError(f"cannot store {t}")
 
 
 def _global_addr(g: GlobalVariable) -> int:
@@ -303,84 +170,6 @@ class Interpreter:
             assert isinstance(value, (tuple, list)) and len(value) == t.count
             return tuple(self._coerce(x, t.elem) for x in value)
         raise IRInterpError(f"cannot coerce to {t}")
-
-    def _intrinsic(self, name: str, args: list[object], ins: I.Call) -> object:
-        if name.startswith("llvm.ctpop"):
-            return bin(int(args[0])).count("1")  # type: ignore[arg-type]
-        if name.startswith("llvm.sqrt"):
-            return _sqrt_val(args[0])  # type: ignore[arg-type]
-        if name.startswith("llvm.fabs"):
-            return abs(float(args[0]))  # type: ignore[arg-type]
-        raise IRInterpError(f"unknown intrinsic {name}")
-
-
-def _signbit(v: float) -> bool:
-    return struct.pack("<d", v)[7] & 0x80 != 0
-
-
-def _icmp(pred: str, a: int, b: int, bits: int) -> bool:
-    if pred == "eq":
-        return a == b
-    if pred == "ne":
-        return a != b
-    if pred in ("ult", "ule", "ugt", "uge"):
-        return {"ult": a < b, "ule": a <= b, "ugt": a > b, "uge": a >= b}[pred]
-    sa, sb = _to_signed(a, bits), _to_signed(b, bits)
-    return {"slt": sa < sb, "sle": sa <= sb, "sgt": sa > sb, "sge": sa >= sb}[pred]
-
-
-def _fcmp(pred: str, a: float, b: float) -> bool:
-    unordered = (a != a) or (b != b)
-    if pred == "ord":
-        return not unordered
-    if pred == "uno":
-        return unordered
-    if pred.startswith("o"):
-        if unordered:
-            return False
-        core = pred[1:]
-    else:
-        if unordered:
-            return True
-        core = pred[1:]
-    return {"eq": a == b, "ne": a != b, "lt": a < b,
-            "le": a <= b, "gt": a > b, "ge": a >= b}[core]
-
-
-def _bitcast(v: object, src: Type, dst: Type) -> object:
-    raw = _to_bytes(v, src)
-    return _from_bytes(raw, dst)
-
-
-def _to_bytes(v: object, t: Type) -> bytes:
-    if isinstance(t, IntType):
-        return int(v).to_bytes(t.size_bytes(), "little")  # type: ignore[arg-type]
-    if isinstance(t, DoubleType):
-        return struct.pack("<d", float(v))  # type: ignore[arg-type]
-    if isinstance(t, FloatType):
-        return struct.pack("<f", float(v))  # type: ignore[arg-type]
-    if isinstance(t, PointerType):
-        return int(v).to_bytes(8, "little")  # type: ignore[arg-type]
-    if isinstance(t, VectorType):
-        return b"".join(_to_bytes(x, t.elem) for x in v)  # type: ignore[union-attr]
-    raise IRInterpError(f"bitcast from {t}")
-
-
-def _from_bytes(raw: bytes, t: Type) -> object:
-    if isinstance(t, IntType):
-        return int.from_bytes(raw[: t.size_bytes()], "little")
-    if isinstance(t, DoubleType):
-        return struct.unpack("<d", raw[:8])[0]
-    if isinstance(t, FloatType):
-        return struct.unpack("<f", raw[:4])[0]
-    if isinstance(t, PointerType):
-        return int.from_bytes(raw[:8], "little")
-    if isinstance(t, VectorType):
-        es = t.elem.size_bytes()
-        return tuple(
-            _from_bytes(raw[i * es: (i + 1) * es], t.elem) for i in range(t.count)
-        )
-    raise IRInterpError(f"bitcast to {t}")
 
 
 # ===========================================================================
@@ -507,24 +296,9 @@ def _instr_count(func: Function) -> int:
     return n
 
 
-#: helpers visible as globals inside every exec-compiled closure
-_EXEC_NS = {
-    "IRInterpError": IRInterpError,
-    "_sgn": _to_signed,
-    "_f32": _f32,
-    "_fdiv": _fdiv_val,
-    "_sdiv": _sdiv_val,
-    "_srem": _srem_val,
-    "_udiv": _udiv_val,
-    "_urem": _urem_val,
-    "_sqrt": _sqrt_val,
-    "_f2si": float_to_sint,
-    "_fcmp": _fcmp,
-    "_icmp": _icmp,
-    "_bitcast": _bitcast,
-    "_gaddr": _global_addr,
-    "_use_err": _use_err,
-}
+#: globals of every exec-compiled closure: what the opcode expressions
+#: use, plus this module's operand resolution
+_EXEC_NS = {**S.NAMESPACE, "_gaddr": _global_addr, "_use_err": _use_err}
 
 
 class _Emit:
@@ -598,34 +372,6 @@ def _getter(res: tuple):
     return get
 
 
-_INT_EXPR = {
-    "add": "({a} + {b}) & {m}",
-    "sub": "({a} - {b}) & {m}",
-    "mul": "({a} * {b}) & {m}",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "shl": "({a} << ({b} % {bits})) & {m}",
-    "lshr": "{a} >> ({b} % {bits})",
-    "ashr": "(_sgn({a}, {bits}) >> ({b} % {bits})) & {m}",
-    "sdiv": "_sdiv({a}, {b}, {bits}, {m})",
-    "srem": "_srem({a}, {b}, {bits}, {m})",
-    "udiv": "_udiv({a}, {b})",
-    "urem": "_urem({a}, {b})",
-}
-
-_FP_EXPR = {
-    "fadd": "{a} + {b}",
-    "fsub": "{a} - {b}",
-    "fmul": "{a} * {b}",
-    "fdiv": "_fdiv({a}, {b})",
-}
-
-_SIGNED_ICMP = {"slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-_UNSIGNED_ICMP = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=",
-                  "ugt": ">", "uge": ">="}
-
-
 class _Compiler:
     """One-shot trace compiler for a single function version."""
 
@@ -655,12 +401,7 @@ class _Compiler:
             elems = [self.resolve(e) for e in v.elements]
             if all(k == "c" for k, _ in elems):
                 return ("c", tuple(p for _, p in elems))
-            gs = tuple(_getter(e) for e in elems)
-
-            def composite(rt, env, _gs=gs):
-                return tuple(g(rt, env) for g in _gs)
-            # represent as an exotic operand: closure-only
-            return ("fn", composite)
+            return ("x", "constant vector with a non-constant element")
         if isinstance(v, Undef):
             return ("c", _zero_of(v.type))
         if isinstance(v, GlobalVariable):
@@ -676,306 +417,101 @@ class _Compiler:
 
     def stmt_lines(self, ins: I.Instruction, em: _Emit) -> list[str] | None:
         """Statement form of ``ins`` (None -> needs a standalone closure)."""
-        R = self.resolve
+        d = self.slot(ins)
+        ops = ins.operands
+        xs = [_expr(self.resolve(o), em) for o in ops]
+        value: str | None = None
         if isinstance(ins, I.BinOp):
-            t = ins.type
-            ra, rb = R(ins.operands[0]), R(ins.operands[1])
-            if ra[0] == "fn" or rb[0] == "fn":
-                return None
-            d = self.slot(ins)
-            if isinstance(t, IntType):
-                ex = _INT_EXPR[ins.opcode].format(
-                    a=_expr(ra, em), b=_expr(rb, em), m=t.mask, bits=t.bits)
-                return [f"env[{d}] = {ex}"]
-            if isinstance(t, (DoubleType, FloatType)):
-                ex = _FP_EXPR[ins.opcode].format(a=_expr(ra, em), b=_expr(rb, em))
-                if isinstance(t, FloatType):
-                    ex = f"_f32({ex})"
-                return [f"env[{d}] = {ex}"]
-            return None  # vector
-        if isinstance(ins, I.ICmp):
-            t = ins.operands[0].type
-            ra, rb = R(ins.operands[0]), R(ins.operands[1])
-            if ra[0] == "fn" or rb[0] == "fn":
-                return None
-            d = self.slot(ins)
-            a, b = _expr(ra, em), _expr(rb, em)
-            if isinstance(t, IntType) or isinstance(t, PointerType):
-                bits = t.bits if isinstance(t, IntType) else 64
-                if ins.pred in _SIGNED_ICMP:
-                    op = _SIGNED_ICMP[ins.pred]
-                    return [f"env[{d}] = 1 if _sgn({a}, {bits}) {op} "
-                            f"_sgn({b}, {bits}) else 0"]
-                op = _UNSIGNED_ICMP[ins.pred]
-                return [f"env[{d}] = 1 if {a} {op} {b} else 0"]
-            bits = 64
-            return [f"env[{d}] = 1 if _icmp({ins.pred!r}, {a}, {b}, {bits}) "
-                    f"else 0"]
-        if isinstance(ins, I.FCmp):
-            ra, rb = R(ins.operands[0]), R(ins.operands[1])
-            if ra[0] == "fn" or rb[0] == "fn":
-                return None
-            d = self.slot(ins)
-            return [f"env[{d}] = 1 if _fcmp({ins.pred!r}, {_expr(ra, em)}, "
-                    f"{_expr(rb, em)}) else 0"]
-        if isinstance(ins, I.Select):
-            rc, ra, rb = (R(o) for o in ins.operands)
-            if "fn" in (rc[0], ra[0], rb[0]):
-                return None
-            d = self.slot(ins)
-            return [f"env[{d}] = {_expr(ra, em)} if {_expr(rc, em)} "
-                    f"else {_expr(rb, em)}"]
-        if isinstance(ins, I.Cast):
-            return self._cast_lines(ins, em)
-        if isinstance(ins, I.Load):
-            rp = R(ins.operands[0])
-            if rp[0] == "fn":
-                return None
-            d = self.slot(ins)
-            a = _expr(rp, em)
-            rd = self._read_expr(ins.type, a, em)
-            if rd is None:
-                return None
-            em.needs_mem = True
-            return [f"env[{d}] = {rd}"]
-        if isinstance(ins, I.Store):
-            rv, rp = R(ins.operands[0]), R(ins.operands[1])
-            if rv[0] == "fn" or rp[0] == "fn":
-                return None
-            t = ins.operands[0].type
-            a, v = _expr(rp, em), _expr(rv, em)
-            wr = self._write_stmt(t, a, v)
+            value = S.binop_expr(ins.opcode, ins.type, *xs)
+        elif isinstance(ins, I.ICmp):
+            value = f"1 if {S.icmp_expr(ins.pred, ops[0].type, *xs)} else 0"
+        elif isinstance(ins, I.FCmp):
+            value = f"1 if {S.fcmp_expr(ins.pred, *xs)} else 0"
+        elif isinstance(ins, I.Select):
+            value = f"{xs[1]} if {xs[0]} else {xs[2]}"
+        elif isinstance(ins, I.Cast):
+            value = S.cast_expr(ins.opcode, ops[0].type, ins.type, xs[0],
+                                em.bind)
+        elif isinstance(ins, I.Load):
+            value = S.read_expr(ins.type, xs[0])
+            em.needs_mem |= value is not None
+        elif isinstance(ins, I.Store):
+            wr = S.write_stmt(ops[0].type, xs[1], xs[0])
             if wr is None:
-                return None
+                return None  # vector
             em.needs_mem = True
-            d = self.slot(ins)
             return [wr, f"env[{d}] = None"]
-        if isinstance(ins, I.GEP):
-            rb, ri = R(ins.operands[0]), R(ins.operands[1])
-            if rb[0] == "fn" or ri[0] == "fn":
-                return None
-            d = self.slot(ins)
-            it = ins.operands[1].type
+        elif isinstance(ins, I.GEP):
+            it = ops[1].type
             bits = it.bits if isinstance(it, IntType) else 64
             es = ins.elem.size_bytes()
-            base = _expr(rb, em)
-            if ri[0] == "c":
-                off = _to_signed(int(ri[1]), bits) * es
-                return [f"env[{d}] = ({base} + {off}) & {_M64}"]
-            idx = _expr(ri, em)
-            return [f"env[{d}] = ({base} + _sgn({idx}, {bits}) * {es}) "
-                    f"& {_M64}"]
-        if isinstance(ins, I.Alloca):
-            d = self.slot(ins)
+            if isinstance(ops[1], Constant):
+                off = to_signed(ops[1].value, bits) * es
+                value = f"({xs[0]} + {off}) & {_M64}"
+            else:
+                value = f"({xs[0]} + _sgn({xs[1]}, {bits}) * {es}) & {_M64}"
+        elif isinstance(ins, I.Alloca):
             am = ~(ins.align - 1)
             return [f"_sp = (rt.sp - {ins.size}) & {am}",
                     "rt.sp = _sp",
                     f"env[{d}] = _sp"]
-        if isinstance(ins, I.ExtractElement):
-            rv, ri = R(ins.operands[0]), R(ins.operands[1])
-            if rv[0] == "fn" or ri[0] == "fn":
-                return None
-            d = self.slot(ins)
-            return [f"env[{d}] = {_expr(rv, em)}[int({_expr(ri, em)})]"]
-        if isinstance(ins, I.InsertElement):
-            rv, rx, ri = (R(o) for o in ins.operands)
-            if "fn" in (rv[0], rx[0], ri[0]):
-                return None
-            d = self.slot(ins)
+        elif isinstance(ins, I.ExtractElement):
+            value = f"{xs[0]}[int({xs[1]})]"
+        elif isinstance(ins, I.InsertElement):
             t = em.temp()
-            return [f"{t} = list({_expr(rv, em)})",
-                    f"{t}[int({_expr(ri, em)})] = {_expr(rx, em)}",
+            return [f"{t} = list({xs[0]})",
+                    f"{t}[int({xs[2]})] = {xs[1]}",
                     f"env[{d}] = tuple({t})"]
-        if isinstance(ins, I.ShuffleVector):
-            ra, rb = R(ins.operands[0]), R(ins.operands[1])
-            if ra[0] == "fn" or rb[0] == "fn":
-                return None
-            d = self.slot(ins)
+        elif isinstance(ins, I.ShuffleVector):
             t = em.temp()
-            return [f"{t} = tuple({_expr(ra, em)}) + tuple({_expr(rb, em)})",
+            return [f"{t} = tuple({xs[0]}) + tuple({xs[1]})",
                     f"env[{d}] = tuple({t}[_m] for _m in {tuple(ins.mask)!r})"]
-        if isinstance(ins, I.Call) and ins.intrinsic:
-            name = ins.callee_name
-            if ins.operands and name.startswith(
-                    ("llvm.ctpop", "llvm.sqrt", "llvm.fabs")):
-                r0 = R(ins.operands[0])
-                if r0[0] != "fn":
-                    d = self.slot(ins)
-                    a = _expr(r0, em)
-                    if name.startswith("llvm.ctpop"):
-                        return [f"env[{d}] = bin(int({a})).count(\"1\")"]
-                    if name.startswith("llvm.sqrt"):
-                        return [f"env[{d}] = _sqrt({a})"]
-                    return [f"env[{d}] = abs(float({a}))"]
-            return None
-        return None
-
-    def _read_expr(self, t: Type, addr: str, em: _Emit) -> str | None:
-        if isinstance(t, IntType):
-            if t.bits == 1:
-                return f"_mem.read_u8({addr}) & 1"
-            return f"_mem.read_uint({addr}, {t.size_bytes()})"
-        if isinstance(t, DoubleType):
-            return f"_mem.read_f64({addr})"
-        if isinstance(t, FloatType):
-            return f"_mem.read_f32({addr})"
-        if isinstance(t, PointerType):
-            return f"_mem.read_u64({addr})"
-        return None  # vector loads go through the closure path
-
-    def _write_stmt(self, t: Type, addr: str, val: str) -> str | None:
-        if isinstance(t, IntType):
-            return f"_mem.write_uint({addr}, int({val}), {t.size_bytes()})"
-        if isinstance(t, DoubleType):
-            return f"_mem.write_f64({addr}, {val})"
-        if isinstance(t, FloatType):
-            return f"_mem.write_f32({addr}, {val})"
-        if isinstance(t, PointerType):
-            return f"_mem.write_u64({addr}, int({val}))"
-        return None
-
-    def _cast_lines(self, ins: I.Cast, em: _Emit) -> list[str] | None:
-        r = self.resolve(ins.operands[0])
-        if r[0] == "fn":
-            return None
-        d = self.slot(ins)
-        src, dst = ins.operands[0].type, ins.type
-        v = _expr(r, em)
-        op = ins.opcode
-        if op == "trunc":
-            return [f"env[{d}] = {v} & {dst.mask}"]
-        if op == "zext":
-            return [f"env[{d}] = {v}"]
-        if op == "sext":
-            return [f"env[{d}] = _sgn({v}, {src.bits}) & {dst.mask}"]
-        if op in ("inttoptr", "ptrtoint"):
-            return [f"env[{d}] = {v} & {_M64}"]
-        if op == "bitcast":
-            ts, td = em.bind(src), em.bind(dst)
-            return [f"env[{d}] = _bitcast({v}, {ts}, {td})"]
-        if op == "sitofp":
-            return [f"env[{d}] = float(_sgn({v}, {src.bits}))"]
-        if op == "uitofp":
-            return [f"env[{d}] = float({v})"]
-        if op == "fptosi":
-            return [f"env[{d}] = _f2si({v}, {dst.bits})"]
-        if op == "fpext":
-            return [f"env[{d}] = float({v})"]
-        if op == "fptrunc":
-            return [f"env[{d}] = _f32({v})"]
-        return None
+        elif isinstance(ins, I.Call) and ins.intrinsic and xs:
+            value = S.intrinsic_expr(ins.callee_name, xs[0])
+        return None if value is None else [f"env[{d}] = {value}"]
 
     # -- closure fallbacks ---------------------------------------------------
 
     def closure_for(self, ins: I.Instruction):
-        """Standalone op closure for instructions with no statement form."""
-        R = self.resolve
+        """Standalone op closure for instructions with no statement form:
+        vector arithmetic and memory ops, and calls."""
+        d = self.slot(ins)
+        gs = tuple(_getter(self.resolve(o)) for o in ins.operands)
         if isinstance(ins, I.BinOp) and isinstance(ins.type, VectorType):
-            d = self.slot(ins)
-            ga, gb = _getter(R(ins.operands[0])), _getter(R(ins.operands[1]))
-            opcode, elem = ins.opcode, ins.type.elem
+            lane = S.binop_fn(ins.opcode, ins.type.elem)
+            ga, gb = gs
 
             def op(rt, env):
-                env[d] = tuple(
-                    _scalar_binop(opcode, x, y, elem)
-                    for x, y in zip(ga(rt, env), gb(rt, env)))
+                env[d] = tuple(map(lane, ga(rt, env), gb(rt, env)))
             return op
         if isinstance(ins, I.Load):
-            d = self.slot(ins)
-            gp = _getter(R(ins.operands[0]))
-            t = ins.type
+            load, (gp,) = S.load_fn(ins.type), gs
 
             def op(rt, env):
-                env[d] = _load_value(rt.mem, t, int(gp(rt, env)))
+                env[d] = load(rt.mem, int(gp(rt, env)))
             return op
         if isinstance(ins, I.Store):
-            d = self.slot(ins)
-            gv = _getter(R(ins.operands[0]))
-            gp = _getter(R(ins.operands[1]))
-            t = ins.operands[0].type
+            store, (gv, gp) = S.store_fn(ins.operands[0].type), gs
 
             def op(rt, env):
                 env[d] = None
-                _store_value(rt.mem, t, int(gp(rt, env)), gv(rt, env))
+                store(rt.mem, int(gp(rt, env)), gv(rt, env))
             return op
         if isinstance(ins, I.Call):
-            return self._call_closure(ins)
-        if isinstance(ins, I.Phi):
-            # a phi below the leading run is not interpretable
-            def op(rt, env):
-                raise IRInterpError("cannot interpret phi")
-            return op
-        # anything else: generic evaluation through resolved getters where
-        # possible, else a typed error
-        gs = tuple(_getter(R(o)) for o in ins.operands)
+            return self._call_closure(ins, d, gs)
+        # a phi below the leading run, or an opcode nobody defined
         opcode = ins.opcode
-        handled = isinstance(ins, (I.ICmp, I.FCmp, I.Select, I.Cast,
-                                   I.ExtractElement, I.InsertElement,
-                                   I.ShuffleVector, I.BinOp))
-        if not handled:
-            def op(rt, env):
-                raise IRInterpError(f"cannot interpret {opcode}")
-            return op
-        d = self.slot(ins)
-        if isinstance(ins, I.ICmp):
-            t = ins.operands[0].type
-            bits = t.bits if isinstance(t, IntType) else 64
-            pred = ins.pred
-
-            def op(rt, env):
-                env[d] = int(_icmp(pred, gs[0](rt, env), gs[1](rt, env), bits))
-            return op
-        if isinstance(ins, I.FCmp):
-            pred = ins.pred
-
-            def op(rt, env):
-                env[d] = int(_fcmp(pred, gs[0](rt, env), gs[1](rt, env)))
-            return op
-        if isinstance(ins, I.Select):
-            def op(rt, env):
-                env[d] = gs[1](rt, env) if gs[0](rt, env) else gs[2](rt, env)
-            return op
-        if isinstance(ins, I.Cast):
-            src, dst, cop = ins.operands[0].type, ins.type, ins.opcode
-
-            def op(rt, env):
-                env[d] = _apply_cast(cop, gs[0](rt, env), src, dst)
-            return op
-        if isinstance(ins, I.ExtractElement):
-            def op(rt, env):
-                env[d] = gs[0](rt, env)[int(gs[1](rt, env))]
-            return op
-        if isinstance(ins, I.InsertElement):
-            def op(rt, env):
-                vec = list(gs[0](rt, env))
-                vec[int(gs[2](rt, env))] = gs[1](rt, env)
-                env[d] = tuple(vec)
-            return op
-        if isinstance(ins, I.ShuffleVector):
-            mask = ins.mask
-
-            def op(rt, env):
-                joined = tuple(gs[0](rt, env)) + tuple(gs[1](rt, env))
-                env[d] = tuple(joined[m] for m in mask)
-            return op
-        # vector binop with exotic operands
-        opcode, elem = ins.opcode, ins.type.elem  # type: ignore[union-attr]
 
         def op(rt, env):
-            env[d] = tuple(
-                _scalar_binop(opcode, x, y, elem)
-                for x, y in zip(gs[0](rt, env), gs[1](rt, env)))
+            raise IRInterpError(f"cannot interpret {opcode}")
         return op
 
-    def _call_closure(self, ins: I.Call):
-        d = self.slot(ins)
-        gs = tuple(_getter(self.resolve(o)) for o in ins.operands)
+    def _call_closure(self, ins: I.Call, d: int, gs: tuple):
         if ins.intrinsic:
             name = ins.callee_name
 
             def op(rt, env):
-                args = [g(rt, env) for g in gs]
-                env[d] = rt.interp._intrinsic(name, args, None)
+                env[d] = S.intrinsic_fn(name)(*[g(rt, env) for g in gs])
             return op
         callee = ins.callee
         if isinstance(callee, str):  # defensive; Call marks str as intrinsic
@@ -1043,11 +579,9 @@ class _Compiler:
             last = run[-1]
             if isinstance(last, (I.ICmp, I.FCmp)) \
                     and term.operands[0] is last:
-                probe = _Emit()
-                if self.stmt_lines(last, probe) is not None:
-                    fused_cmp = last
-                    run = run[:-1]
-                    _FUSE_CMP_BR.value += 1
+                fused_cmp = last
+                run = run[:-1]
+                _FUSE_CMP_BR.value += 1
 
         bt.ops = tuple(self._pack_ops(run))
         self._compile_terminator(term, fused_cmp, bt, bts, bindex)
@@ -1171,30 +705,6 @@ class _Compiler:
             for (dst, _), v in zip(gps, vals):
                 env[dst] = v
         return mv
-
-
-def _apply_cast(op: str, v: object, src: Type, dst: Type) -> object:
-    if op == "trunc":
-        return int(v) & dst.mask  # type: ignore[union-attr, arg-type]
-    if op == "zext":
-        return int(v)  # type: ignore[arg-type]
-    if op == "sext":
-        return _to_signed(int(v), src.bits) & dst.mask  # type: ignore[union-attr, arg-type]
-    if op in ("inttoptr", "ptrtoint"):
-        return int(v) & _M64  # type: ignore[arg-type]
-    if op == "bitcast":
-        return _bitcast(v, src, dst)
-    if op == "sitofp":
-        return float(_to_signed(int(v), src.bits))  # type: ignore[union-attr, arg-type]
-    if op == "uitofp":
-        return float(int(v))  # type: ignore[arg-type]
-    if op == "fptosi":
-        return float_to_sint(float(v), dst.bits)  # type: ignore[union-attr, arg-type]
-    if op == "fpext":
-        return float(v)  # type: ignore[arg-type]
-    if op == "fptrunc":
-        return _f32(float(v))  # type: ignore[arg-type]
-    raise IRInterpError(f"cast {op}")
 
 
 def _dispatch_call(rt: _Frame, target: Function, args: list) -> object:

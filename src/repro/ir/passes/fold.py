@@ -1,19 +1,29 @@
-"""Constant folding of individual instructions (shared by several passes)."""
+"""Constant folding of individual instructions (shared by several passes).
+
+This module decides *whether* an instruction folds — which operand kinds,
+which opcodes, and the divisions by a constant zero it leaves for run time.
+*What* a folded opcode computes is :mod:`repro.ir.semantics`, the functions
+the interpreter runs, so a fold cannot disagree with the execution it
+replaces (``tests/ir/test_interp_semantics.py`` runs every literal row of
+the interpreter's table through :func:`try_fold` as well).
+"""
 
 from __future__ import annotations
 
-import struct
-
 from repro.ir import instructions as I
-from repro.ir.irtypes import DoubleType, FloatType, IntType, PointerType, Type, VectorType
+from repro.ir import semantics as S
+from repro.ir.irtypes import (
+    DOUBLE, I64, DoubleType, FloatType, IntType, Type, VectorType,
+)
 from repro.ir.module import GlobalVariable
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
-from repro.x86.isa import float_to_sint
 
+#: a zero right operand of these is not folded: the integer ones trap, and
+#: ``fdiv`` by a constant zero is left to the code that was written
+_KEEPS_ZERO_DIVISOR = frozenset({"sdiv", "srem", "udiv", "urem", "fdiv"})
 
-def _signed(v: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (v & (sign - 1)) - (v & sign)
+#: casts folded over an integer constant (``bitcast`` has its own rule)
+_INT_CONSTANT_CASTS = frozenset({"trunc", "zext", "sext", "sitofp", "uitofp"})
 
 
 def _as_int(v: Value) -> int | None:
@@ -22,9 +32,23 @@ def _as_int(v: Value) -> int | None:
     return None
 
 
-def _as_fp(v: Value) -> float | None:
-    if isinstance(v, ConstantFP):
+def _constant(t: Type, value: object) -> Value:
+    """The IR constant of type ``t`` holding an interpreter value."""
+    if isinstance(t, IntType):
+        return Constant(t, value)  # type: ignore[arg-type]
+    if isinstance(t, VectorType):
+        return ConstantVector(
+            t, tuple(_constant(t.elem, x) for x in value))  # type: ignore[union-attr]
+    return ConstantFP(t, value)  # type: ignore[arg-type]
+
+
+def _python_value(v: Value) -> object:
+    """The interpreter value of a constant (None when ``v`` is not one)."""
+    if isinstance(v, (Constant, ConstantFP)):
         return v.value
+    if isinstance(v, ConstantVector) and all(
+            isinstance(e, (Constant, ConstantFP)) for e in v.elements):
+        return tuple(e.value for e in v.elements)  # type: ignore[attr-defined]
     return None
 
 
@@ -33,19 +57,16 @@ def try_fold(ins: I.Instruction) -> Value | None:
     if isinstance(ins, I.BinOp):
         return _fold_binop(ins)
     if isinstance(ins, I.ICmp):
-        a, b = _as_int(ins.operands[0]), _as_int(ins.operands[1])
-        if a is None or b is None:
-            return None
-        t = ins.operands[0].type
-        bits = t.bits if isinstance(t, IntType) else 64
-        from repro.ir.interp import _icmp
-        return Constant(ins.type, int(_icmp(ins.pred, a, b, bits)))
+        a, b = ins.operands
+        if isinstance(a, Constant) and isinstance(b, Constant):
+            holds = S.icmp_fn(ins.pred, a.type)(a.value, b.value)
+            return Constant(ins.type, int(holds))
+        return None
     if isinstance(ins, I.FCmp):
-        a, b = _as_fp(ins.operands[0]), _as_fp(ins.operands[1])
-        if a is None or b is None:
-            return None
-        from repro.ir.interp import _fcmp
-        return Constant(ins.type, int(_fcmp(ins.pred, a, b)))
+        a, b = ins.operands
+        if isinstance(a, ConstantFP) and isinstance(b, ConstantFP):
+            return Constant(ins.type, int(S.fcmp(ins.pred, a.value, b.value)))
+        return None
     if isinstance(ins, I.Select):
         c = _as_int(ins.operands[0])
         if c is not None:
@@ -79,63 +100,13 @@ def try_fold(ins: I.Instruction) -> Value | None:
 
 def _fold_binop(ins: I.BinOp) -> Value | None:
     t = ins.type
-    if isinstance(t, IntType):
-        a, b = _as_int(ins.operands[0]), _as_int(ins.operands[1])
-        if a is None or b is None:
-            return None
-        bits = t.bits
-        op = ins.opcode
-        if op == "add":
-            return Constant(t, a + b)
-        if op == "sub":
-            return Constant(t, a - b)
-        if op == "mul":
-            return Constant(t, a * b)
-        if op == "and":
-            return Constant(t, a & b)
-        if op == "or":
-            return Constant(t, a | b)
-        if op == "xor":
-            return Constant(t, a ^ b)
-        if op == "shl":
-            return Constant(t, a << (b % bits))
-        if op == "lshr":
-            return Constant(t, a >> (b % bits))
-        if op == "ashr":
-            return Constant(t, _signed(a, bits) >> (b % bits))
-        if op in ("sdiv", "srem"):
-            d = _signed(b, bits)
-            if d == 0:
-                return None
-            n = _signed(a, bits)
-            q = int(n / d)
-            return Constant(t, q if op == "sdiv" else n - q * d)
-        if op in ("udiv", "urem"):
-            if b == 0:
-                return None
-            return Constant(t, a // b if op == "udiv" else a % b)
+    a, b = ins.operands
+    kind = Constant if isinstance(t, IntType) else ConstantFP
+    if not (isinstance(a, kind) and isinstance(b, kind)):
         return None
-    if isinstance(t, (DoubleType, FloatType)):
-        a, b = _as_fp(ins.operands[0]), _as_fp(ins.operands[1])
-        if a is None or b is None:
-            return None
-        op = ins.opcode
-        if op == "fadd":
-            r = a + b
-        elif op == "fsub":
-            r = a - b
-        elif op == "fmul":
-            r = a * b
-        elif op == "fdiv":
-            if b == 0.0:
-                return None
-            r = a / b
-        else:
-            return None
-        if isinstance(t, FloatType):
-            r = struct.unpack("<f", struct.pack("<f", r))[0]
-        return ConstantFP(t, r)
-    return None
+    if b.value == 0 and ins.opcode in _KEEPS_ZERO_DIVISOR:
+        return None
+    return _constant(t, S.binop_fn(ins.opcode, t)(a.value, b.value))
 
 
 def resolve_const_pointer(v: Value, depth: int = 32) -> int | None:
@@ -162,64 +133,30 @@ def resolve_const_pointer(v: Value, depth: int = 32) -> int | None:
     return None
 
 
+def _cast_folds(op: str, v: Value, dst: Type) -> bool:
+    """The (cast, kind of constant ``v``) pairs that fold."""
+    if isinstance(v, Constant):
+        return op in _INT_CONSTANT_CASTS or (op == "bitcast" and (
+            isinstance(dst, VectorType) or (v.type is I64 and dst is DOUBLE)))
+    if isinstance(v, ConstantFP):
+        return op == "fptosi" or (
+            op == "bitcast" and v.type is DOUBLE and dst is I64)
+    return op == "bitcast" and isinstance(dst, (IntType, VectorType))
+
+
 def _fold_cast(ins: I.Cast) -> Value | None:
     (v,) = ins.operands
     dst = ins.type
     op = ins.opcode
-    iv = _as_int(v)
-    fv = _as_fp(v)
     if op == "ptrtoint":
         addr = resolve_const_pointer(v)
         if addr is not None:
             return Constant(dst, addr)
-    if op == "trunc" and iv is not None:
-        return Constant(dst, iv)
-    if op == "zext" and iv is not None:
-        return Constant(dst, iv)
-    if op == "sext" and iv is not None:
-        return Constant(dst, _signed(iv, v.type.bits))  # type: ignore[union-attr]
-    if op == "sitofp" and iv is not None:
-        return ConstantFP(dst, float(_signed(iv, v.type.bits)))  # type: ignore[union-attr]
-    if op == "uitofp" and iv is not None:
-        return ConstantFP(dst, float(iv))
-    if op == "fptosi" and fv is not None:
-        return Constant(dst, float_to_sint(fv, dst.bits))  # type: ignore[union-attr]
-    if op == "bitcast" and iv is not None and isinstance(dst, DoubleType) \
-            and isinstance(v.type, IntType) and v.type.bits == 64:
-        return ConstantFP(dst, struct.unpack("<d", iv.to_bytes(8, "little"))[0])
-    if op == "bitcast" and fv is not None and isinstance(dst, IntType) \
-            and dst.bits == 64 and isinstance(v.type, DoubleType):
-        return Constant(dst, int.from_bytes(struct.pack("<d", fv), "little"))
     if op == "bitcast" and v.type is dst:
         return v
-    if op == "bitcast" and isinstance(v, ConstantVector):
-        from repro.ir.interp import _to_bytes
-        raw = _to_bytes(tuple(
-            e.value for e in v.elements  # type: ignore[union-attr]
-        ), v.type)
-        if isinstance(dst, IntType):
-            return Constant(dst, int.from_bytes(raw, "little"))
-        if isinstance(dst, VectorType):
-            from repro.ir.interp import _from_bytes
-            vals = _from_bytes(raw, dst)
-            elems: list[Value] = []
-            for x in vals:  # type: ignore[union-attr]
-                if isinstance(dst.elem, IntType):
-                    elems.append(Constant(dst.elem, int(x)))
-                else:
-                    elems.append(ConstantFP(dst.elem, float(x)))
-            return ConstantVector(dst, tuple(elems))
-    if op == "bitcast" and isinstance(v, Constant) and isinstance(dst, VectorType):
-        from repro.ir.interp import _from_bytes
-        raw = v.value.to_bytes(v.type.size_bytes(), "little")  # type: ignore[attr-defined]
-        vals = _from_bytes(raw, dst)
-        elems2: list[Value] = []
-        for x in vals:  # type: ignore[union-attr]
-            if isinstance(dst.elem, IntType):
-                elems2.append(Constant(dst.elem, int(x)))
-            else:
-                elems2.append(ConstantFP(dst.elem, float(x)))
-        return ConstantVector(dst, tuple(elems2))
+    value = _python_value(v)
+    if value is not None and _cast_folds(op, v, dst):
+        return _constant(dst, S.cast_fn(op, v.type, dst)(value))
     if isinstance(v, Undef):
         return Undef(dst)
     return None
@@ -235,16 +172,8 @@ def read_constant_global(
     data = ptr.initializer
     if offset < 0 or offset + size > len(data):
         return None
-    raw = data[offset: offset + size]
-    if isinstance(type_, IntType):
-        return Constant(type_, int.from_bytes(raw, "little"))
-    if isinstance(type_, DoubleType):
-        return ConstantFP(type_, struct.unpack("<d", raw)[0])
-    if isinstance(type_, FloatType):
-        return ConstantFP(type_, struct.unpack("<f", raw)[0])
-    if isinstance(type_, PointerType):
-        # pointers inside fixed memory are *not* followed (Sec. IV: nested
-        # pointers are not marked constant); folding the address itself is
-        # still fine because the bytes are the value.
-        return None
+    if isinstance(type_, (IntType, DoubleType, FloatType)):
+        return _constant(type_, S.from_bytes(data[offset: offset + size], type_))
+    # pointers inside fixed memory are *not* followed (Sec. IV: nested
+    # pointers are not marked constant), and a vector is not folded
     return None

@@ -16,16 +16,12 @@ from repro.ir import instructions as I
 from repro.ir.cfg import NaturalLoop, find_natural_loops
 from repro.ir.module import Function, clone_region
 from repro.ir.passes import constprop, dce, instcombine, simplifycfg
+from repro.ir.semantics import icmp_fn
 from repro.ir.values import Constant, Value
 
 MAX_TRIP = 64
 MAX_LOOP_INSTRS = 250
 MAX_TOTAL_PEELS = 512
-
-
-def _signed(v: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (v & (sign - 1)) - (v & sign)
 
 
 @dataclass
@@ -87,12 +83,12 @@ def _analyze(func: Function, loop: NaturalLoop) -> _LoopInfo | None:
             continue
 
         bits = phi.type.bits  # type: ignore[attr-defined]
-        from repro.ir.interp import _icmp
+        holds_for = icmp_fn(pred, phi.type)
         i = init.value
         trip = None
         for count in range(MAX_TRIP + 1):
             iv = (i + step) & ((1 << bits) - 1) if cmp_on_next else i
-            holds = _icmp(pred, iv, bound.value, bits)
+            holds = holds_for(iv, bound.value)
             in_loop = holds if then_in else not holds
             if not in_loop:
                 trip = count

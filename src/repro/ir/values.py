@@ -33,6 +33,7 @@ import functools
 from copy import deepcopy
 from typing import TYPE_CHECKING
 
+from repro.arith import to_signed
 from repro.ir.irtypes import DoubleType, FloatType, IntType, Type
 
 if TYPE_CHECKING:
@@ -113,9 +114,7 @@ class Constant(Value):
 
     @property
     def signed(self) -> int:
-        bits = self.type.bits  # type: ignore[attr-defined]
-        sign = 1 << (bits - 1)
-        return (self.value & (sign - 1)) - (self.value & sign)
+        return to_signed(self.value, self.type.bits)  # type: ignore[attr-defined]
 
     def short(self) -> str:
         return str(self.signed)

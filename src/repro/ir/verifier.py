@@ -1,8 +1,9 @@
 """IR verifier: the one list of what well-formed MiniLLVM means.
 
 Every rule — names and parents, terminators, phi position, types, branch
-targets, use lists, the cached predecessor map, Φ coverage, detached and
-unreachable definitions, definition order and SSA dominance — is stated
+targets, use lists, the cached predecessor map, Φ coverage, operands
+defined nowhere, detached and unreachable definitions, definition order and
+SSA dominance — is stated
 once, in :func:`violations`, with one message and one severity.  Two
 reporters read that walk: :func:`verify` raises :class:`IRError` at the
 first error (the contract for "abort this compile", and what
@@ -23,8 +24,8 @@ from repro.errors import IRError
 from repro.ir import instructions as I
 from repro.ir.cfg import dominates, dominators, reachable_blocks
 from repro.ir.irtypes import IntType, PointerType, VectorType
-from repro.ir.module import BasicBlock, Function, Module
-from repro.ir.values import Undef, Value
+from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
+from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
 
 
 class Violation(NamedTuple):
@@ -38,6 +39,14 @@ class Violation(NamedTuple):
 
 #: where every instruction of a body sits: ``id(ins) -> (block, index)``
 _Positions = dict[int, tuple[BasicBlock, int]]
+
+#: the operands that need no definition inside the function
+_CONSTANTS = (Constant, ConstantFP, Undef, GlobalVariable, Function)
+
+
+def _is_constant_vector(v: Value) -> bool:
+    return isinstance(v, ConstantVector) and all(
+        isinstance(e, (Constant, ConstantFP)) for e in v.elements)
 
 
 def verify(func: Function) -> None:
@@ -151,14 +160,21 @@ def _structure(func: Function, pos: _Positions) -> Iterator[Violation]:
                 yield Violation(f"{where} incoming mismatch (missing "
                                 f"{missing}, extra {extra})", blk, phi)
 
-    # every operand is defined in this function, and nothing reachable
-    # reads a definition from an unreachable block (which dominates
-    # nothing reachable; once DCE drops the block the use is detached)
+    # every operand is defined — an instruction of this function, one of
+    # its arguments or a constant — and nothing reachable reads a definition
+    # from an unreachable block (which dominates nothing reachable; once
+    # DCE drops the block the use is detached)
+    args = set(map(id, func.args))
     for blk in func.blocks:
         for ins in blk.instructions:
             for v in ins.operands:
                 if not isinstance(v, I.Instruction):
-                    continue  # constants, args, globals, undef
+                    if not (isinstance(v, _CONSTANTS) or id(v) in args
+                            or _is_constant_vector(v)):
+                        yield Violation(
+                            f"operand {v.short()} of %{ins.name or ins.opcode}"
+                            f" is defined nowhere", blk, ins)
+                    continue
                 if id(v) not in pos:
                     yield Violation(f"use of detached value %{v.name} in "
                                     f"%{ins.name or ins.opcode}", blk, ins)

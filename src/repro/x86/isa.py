@@ -11,7 +11,6 @@ which flags a conditional consumes (to drive the flag cache of Fig. 6).
 
 from __future__ import annotations
 
-import math
 from typing import Final
 
 # ---------------------------------------------------------------------------
@@ -209,28 +208,3 @@ def control_class(mnemonic: str) -> str:
 def is_terminator(mnemonic: str) -> bool:
     """True when the instruction ends a basic block (Sec. III-B)."""
     return control_class(mnemonic) in ("jmp", "jcc", "call", "ret")
-
-
-# ---------------------------------------------------------------------------
-# Float -> signed integer conversion
-# ---------------------------------------------------------------------------
-
-
-def float_to_sint(x: float, bits: int, truncate: bool = True) -> int:
-    """What ``cvt(t)s{d,s}2si`` leaves in a ``bits``-wide register.
-
-    NaN, ±inf and any value whose converted integer does not fit the
-    signed range produce the *integer indefinite* ``1 << (bits - 1)``;
-    everything else is the two's-complement pattern of the integer.
-    ``truncate`` selects the ``cvtt`` forms (toward zero); the rounding
-    forms use round-to-nearest-even, the MXCSR default.  The IR's
-    ``fptosi`` is defined by the same rule so that lifted code, its
-    constant folds and the original agree on every input.
-    """
-    indefinite = 1 << (bits - 1)
-    if not math.isfinite(x):
-        return indefinite
-    n = int(x) if truncate else round(x)
-    if not -indefinite <= n < indefinite:
-        return indefinite
-    return n & ((1 << bits) - 1)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cpu.semantics import bits_to_f64, execute, f64_to_bits
-from repro.cpu.state import CPUState, to_signed
+from repro.arith import (
+    bits_to_f32, bits_to_f64, f32_to_bits, f64_to_bits, to_signed,
+)
+from repro.cpu.semantics import execute
+from repro.cpu.state import CPUState
 from repro.mem.memory import Memory
 from repro.x86.instr import Imm, Mem, gp, make, xmm
 from repro.x86.registers import RAX, RBX, RCX, RDX, RSI, RSP
@@ -382,6 +385,60 @@ def test_divsd_by_zero_gives_inf(env):
     st_.xmm[1] = f64_to_bits(0.0)
     execute(make("divsd", xmm(0), xmm(1)), st_, mem)
     assert bits_to_f64(st_.xmm[0]) == float("inf")
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: mnemonic, destination, source -> result, as ``repr`` (keeps ``-0.0`` and
+#: ``nan`` comparable).  The SDM's operand rule: ``div`` is IEEE (NaN / 0 is
+#: NaN), ``sqrt`` is correctly rounded, ``min``/``max`` return the *source*
+#: unless the destination is strictly below/above it — so on a NaN in either
+#: operand and when both are zeros, whatever their signs.
+SSE_SCALAR = [
+    ("divsd", NAN, 0.0, "nan"), ("divsd", 0.0, NAN, "nan"),
+    ("divsd", 0.0, 0.0, "nan"), ("divsd", -0.0, 0.0, "nan"),
+    ("divsd", 1.0, 0.0, "inf"), ("divsd", 1.0, -0.0, "-inf"),
+    ("divsd", -1.0, 0.0, "-inf"), ("divsd", -1.0, -0.0, "inf"),
+    ("divsd", INF, 0.0, "inf"), ("divsd", -INF, 0.0, "-inf"),
+    ("divsd", INF, -0.0, "-inf"), ("divsd", INF, INF, "nan"),
+    ("divsd", 1.0, INF, "0.0"), ("divsd", -1.0, INF, "-0.0"),
+    ("divsd", 1.0, 3.0, "0.3333333333333333"),
+    ("divss", NAN, 0.0, "nan"), ("divss", 1.0, -0.0, "-inf"),
+    ("divss", 1.0, 3.0, "0.3333333432674408"),
+    ("sqrtsd", 9.0, 2.0, "1.4142135623730951"),
+    ("sqrtsd", 9.0, 432921.5913805363, "657.9677738161165"),  # ** 0.5: ...166
+    ("sqrtsd", 9.0, 0.0, "0.0"), ("sqrtsd", 9.0, -0.0, "-0.0"),
+    ("sqrtsd", 9.0, -1.0, "nan"), ("sqrtsd", 9.0, -INF, "nan"),
+    ("sqrtsd", 9.0, INF, "inf"), ("sqrtsd", 9.0, NAN, "nan"),
+    ("sqrtss", 9.0, 2.0, "1.4142135381698608"), ("sqrtss", 9.0, -0.0, "-0.0"),
+    ("sqrtss", 9.0, -1.0, "nan"),
+    ("minsd", NAN, 1.0, "1.0"), ("minsd", 1.0, NAN, "nan"),
+    ("minsd", 0.0, -0.0, "-0.0"), ("minsd", -0.0, 0.0, "0.0"),
+    ("minsd", -INF, INF, "-inf"), ("minsd", INF, -INF, "-inf"),
+    ("minsd", 1.0, 2.0, "1.0"), ("minsd", 2.0, 1.0, "1.0"),
+    ("maxsd", NAN, 1.0, "1.0"), ("maxsd", 1.0, NAN, "nan"),
+    ("maxsd", 0.0, -0.0, "-0.0"), ("maxsd", -0.0, 0.0, "0.0"),
+    ("maxsd", -INF, INF, "inf"), ("maxsd", INF, -INF, "inf"),
+    ("maxsd", 1.0, 2.0, "2.0"), ("maxsd", 2.0, 1.0, "2.0"),
+    ("minss", NAN, 1.0, "1.0"), ("minss", 1.0, NAN, "nan"),
+    ("minss", 0.0, -0.0, "-0.0"), ("minss", -0.0, 0.0, "0.0"),
+    ("maxss", NAN, 1.0, "1.0"), ("maxss", 1.0, NAN, "nan"),
+    ("maxss", 0.0, -0.0, "-0.0"), ("maxss", -0.0, 0.0, "0.0"),
+]
+
+
+@pytest.mark.parametrize("mnemonic,dst,src,want", SSE_SCALAR, ids=[
+    f"{m}({a!r},{b!r})" for m, a, b, _ in SSE_SCALAR])
+def test_sse_scalar_follows_the_sdm_operand_rule(env, mnemonic, dst, src, want):
+    st_, mem = env
+    double = mnemonic.endswith("sd")
+    enc, dec = (f64_to_bits, bits_to_f64) if double else (f32_to_bits, bits_to_f32)
+    high = 0xABCD << 64  # the upper lanes are the destination's, untouched
+    st_.xmm[0] = high | enc(dst)
+    st_.xmm[1] = enc(src)
+    execute(make(mnemonic, xmm(0), xmm(1)), st_, mem)
+    assert repr(dec(st_.xmm[0])) == want
+    assert st_.xmm[0] >> 64 == 0xABCD
 
 
 # -- property: 64-bit add matches Python modular arithmetic --------------------

@@ -25,7 +25,11 @@ from repro.ir import (
 from repro.ir.instructions import (
     FCMP_PREDS, FP_BINOPS, ICMP_PREDS, INT_BINOPS,
 )
-from repro.ir.irtypes import V2I64, V4I32, VectorType
+from repro.ir.irtypes import (
+    V2I64, V4I32, DoubleType, FloatType, IntType, VectorType,
+)
+from repro.ir.passes.fold import try_fold
+from repro.ir.values import Constant, ConstantFP, ConstantVector
 
 NAN, INF = float("nan"), float("inf")
 INTS = {8: I8, 32: I32, 64: I64}
@@ -690,6 +694,50 @@ def test_table_is_complete():
     assert sorted(EXPECTED) == sorted(CASES)
 
 
+# -- the constant folder reads the same table ----------------------------------
+
+
+def _literal(t, v):
+    if isinstance(t, IntType):
+        return Constant(t, v)
+    if isinstance(t, (DoubleType, FloatType)):
+        return ConstantFP(t, v)
+    return None
+
+
+def fold_rows(cid):
+    """``(row, try_fold result)`` for every input row of a case whose
+    function is one instruction over scalar arguments, with the arguments
+    replaced by literals."""
+    build, inputs = CASES[cid]
+    for row, args in enumerate(inputs):
+        f = build().function("f")
+        body = [ins for blk in f.blocks for ins in blk.instructions]
+        literals = [_literal(a.type, v) for a, v in zip(f.args, args)]
+        if len(body) != 2 or body[1].opcode != "ret" \
+                or body[1].value is not body[0] \
+                or len(args) != len(f.args) or None in literals:
+            continue
+        for a, c in zip(f.args, literals):
+            f.replace_all_uses(a, c)
+        yield row, try_fold(body[0])
+
+
+@pytest.mark.parametrize("cid", sorted(CASES))
+def test_fold_gives_the_interpreters_value_or_declines(cid):
+    for row, folded in fold_rows(cid):
+        if folded is not None:
+            value = [e.value for e in folded.elements] \
+                if isinstance(folded, ConstantVector) else folded.value
+            assert encode(value) == EXPECTED[cid][row], (cid, row)
+
+
+def test_fold_is_not_a_vacuous_consumer():
+    results = [folded for cid in CASES for _row, folded in fold_rows(cid)]
+    assert len(results) == 936
+    assert sum(folded is not None for folded in results) == 874
+
+
 def test_entry_phi_is_a_typed_error():
     build = one(I64, (), lambda b, f, m: b.ret(b.phi(I64, "p")))
     with pytest.raises(IRInterpError, match="phi in block entry has no "
@@ -713,13 +761,13 @@ FPTOSI = [
 @pytest.mark.parametrize("value,want64,want32", FPTOSI,
                          ids=[repr(row[0]) for row in FPTOSI])
 def test_fptosi_follows_x86_rule(value, want64, want32):
-    """Interpreter (both cast sites), constant folder and simulator give
-    the integer indefinite for NaN, ±inf and out-of-range inputs."""
-    from repro.cpu.semantics import execute, f64_to_bits
+    """Interpreter (inline and as a function), constant folder and simulator
+    give the integer indefinite for NaN, ±inf and out-of-range inputs."""
+    from repro.arith import f64_to_bits
+    from repro.cpu.semantics import execute
     from repro.cpu.state import CPUState
-    from repro.ir.interp import _apply_cast
+    from repro.ir.semantics import cast_fn
     from repro.ir.passes import run_o3
-    from repro.ir.values import Constant, ConstantFP
     from repro.mem.memory import Memory
     from repro.x86.instr import gp, make, xmm
     from repro.x86.registers import RAX
@@ -728,7 +776,7 @@ def test_fptosi_follows_x86_rule(value, want64, want32):
         runtime = one(t, (DOUBLE,),
                       lambda b, f, m: b.ret(b.fptosi(f.args[0], t)))()
         assert Interpreter(runtime).run("f", [value]) == want
-        assert _apply_cast("fptosi", value, DOUBLE, t) == want
+        assert cast_fn("fptosi", DOUBLE, t)(value) == want
 
         folded = one(t, (), lambda b, f, m: b.ret(
             b.fptosi(ConstantFP(DOUBLE, value), t)))()

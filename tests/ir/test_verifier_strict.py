@@ -21,7 +21,7 @@ from repro.ir import (
 from repro.ir import instructions as I
 from repro.ir.passes import run_o3
 from repro.ir.passes.pipeline import set_verify_after_each_pass
-from repro.ir.values import Constant
+from repro.ir.values import Constant, Value
 from repro.testing.faults import inject_faults
 
 
@@ -175,6 +175,12 @@ def _detached_operand():
     return f
 
 
+def _operand_defined_nowhere():
+    f, _blocks, _phi, (t, e) = _diamond()
+    t.operands[1] = Value(I64, "slot")  # no instruction, argument or constant
+    return f
+
+
 def _unreachable_block():
     """The diamond plus ``dead: %v = add %arg0, 5; ret %v``."""
     f = _clean()
@@ -249,6 +255,9 @@ ERRORS = {
     "phi stale incoming": (
         _phi_stale_incoming,
         r"incoming mismatch \(missing \[\], extra \['entry'\]\)"),
+    "operand defined nowhere": (
+        _operand_defined_nowhere,
+        r"operand %slot of %\w+ is defined nowhere"),
     "detached operand": (_detached_operand, r"use of detached value %gone"),
     "detached operand, unreachable block": (
         _detached_operand_in_unreachable_block,

@@ -436,6 +436,15 @@ def test_mutant_fails_the_oracle(name, golden, monkeypatch):
         test_raw_lift_is_the_live_closure_of_the_parents(golden, "snippets")
 
 
+def test_closure_mutant_is_caught_by_verify(monkeypatch):
+    """A placeholder the closure missed is an operand defined nowhere:
+    ``verify`` rejects the lift without consulting the oracle."""
+    _mutate_closure(monkeypatch)
+    with pytest.raises(IRError, match="is defined nowhere"):
+        for _key, func in GROUPS["snippets"]():
+            verify(func)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--capture"]:
         sys.exit("usage: test_demand_lift.py --capture")
