@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import ERROR, Finding, WARNING
 from repro.analysis.machine.witness import CodeWitness
 from repro.x86.decoder import DecodeError, decode_one
-from repro.x86.instr import Imm, Instruction
-from repro.x86.isa import control_class
+from repro.x86.effects import effects_of
+from repro.x86.instr import Instruction
 
 
 @dataclass
@@ -77,20 +77,20 @@ def build_mcfg(witness: CodeWitness) -> MachineCFG:
                         f"undecodable bytes at {pc:#x}: {exc}")
                 break
             decoded[pc] = ins
-            klass = control_class(ins.mnemonic)
-            if klass in ("jmp", "jcc"):
-                tgt = ins.operands[0]
-                if isinstance(tgt, Imm):
-                    if base <= tgt.value < end:
-                        if tgt.value not in decoded:
-                            work.append(tgt.value)
+            fx = effects_of(ins)
+            if fx.control in ("jmp", "jcc"):
+                tgt = fx.target
+                if tgt is not None:
+                    if base <= tgt < end:
+                        if tgt not in decoded:
+                            work.append(tgt)
                     else:
                         finding("machine.cfg.decode-error",
-                                f"branch at {pc:#x} targets {tgt.value:#x} "
+                                f"branch at {pc:#x} targets {tgt:#x} "
                                 f"outside the function")
-                if klass == "jmp":
+                if fx.control == "jmp":
                     break
-            elif klass == "ret":
+            elif fx.control == "ret":
                 break
             pc = ins.end
 
@@ -136,14 +136,13 @@ def build_mcfg(witness: CodeWitness) -> MachineCFG:
     leaders = set(seen_roots)
     for s in starts:
         ins = decoded[s]
-        klass = control_class(ins.mnemonic)
-        if klass in ("jmp", "jcc"):
-            tgt = ins.operands[0]
-            if isinstance(tgt, Imm) and base <= tgt.value < end:
-                leaders.add(tgt.value)
-            if klass == "jcc":
+        fx = effects_of(ins)
+        if fx.control in ("jmp", "jcc"):
+            if fx.target is not None and base <= fx.target < end:
+                leaders.add(fx.target)
+            if fx.control == "jcc":
                 leaders.add(ins.end)
-        elif klass == "ret":
+        elif fx.control == "ret":
             leaders.add(ins.end)
     blocks: dict[int, MBlock] = {}
     cur: MBlock | None = None
@@ -153,16 +152,14 @@ def build_mcfg(witness: CodeWitness) -> MachineCFG:
             cur = MBlock(addr=s)
             blocks[s] = cur
         cur.instructions.append(ins)
-        klass = control_class(ins.mnemonic)
+        fx = effects_of(ins)
+        direct = () if fx.target is None else (fx.target,)
         succs: tuple[int, ...] | None = None
-        if klass == "jmp":
-            tgt = ins.operands[0]
-            succs = (tgt.value,) if isinstance(tgt, Imm) else ()
-        elif klass == "jcc":
-            tgt = ins.operands[0]
-            succs = (tgt.value, ins.end) if isinstance(tgt, Imm) \
-                else (ins.end,)
-        elif klass == "ret":
+        if fx.control == "jmp":
+            succs = direct
+        elif fx.control == "jcc":
+            succs = (*direct, ins.end)
+        elif fx.control == "ret":
             succs = ()
         elif ins.end in leaders:
             succs = (ins.end,)

@@ -38,8 +38,9 @@ from repro.cpu.image import RETURN_SENTINEL
 from repro.ir import instructions as I
 from repro.x86 import registers as R
 from repro.x86.decoder import DecodeError, decode_one
+from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Reg
-from repro.x86.isa import cc_of, control_class
+from repro.x86.isa import cc_of
 
 PROVED = "proved"
 REFUTED = "refuted"
@@ -49,16 +50,6 @@ INCONCLUSIVE = "inconclusive"
 _USABLE_CC = frozenset({"e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae"})
 
 _CALLEE_SAVED = frozenset(R.SYSV_CALLEE_SAVED)
-
-#: mnemonics that leave RFLAGS untouched
-_FLAG_PRESERVING = frozenset({
-    "mov", "movzx", "movsx", "movsxd", "lea", "push", "pop", "nop",
-    "movsd", "movupd", "movapd", "movhpd", "movlpd", "movq",
-    "unpcklpd", "unpckhpd", "haddpd", "shufpd",
-    "pxor", "pand", "por", "xorpd", "andpd", "orpd",
-    "addsd", "subsd", "mulsd", "divsd", "addpd", "subpd", "mulpd",
-    "cvtsi2sd", "cvttsd2si", "cqo", "cdq", "not",
-})
 
 
 class _Refuted(Exception):
@@ -351,28 +342,24 @@ class X86Executor:
     def _exec(self, st: MachState, ins: Instruction,
               work: list[MachState]) -> MachExit | None:
         mn = ins.mnemonic
-        ops = ins.operands
-        klass = control_class(mn)
+        fx = effects_of(ins)
+        klass, tgt = fx.control, fx.target
         if klass == "jmp":
-            (tgt,) = ops
-            if not isinstance(tgt, Imm):
+            if tgt is None:
                 raise Inconclusive("indirect jump")
-            if tgt.value == ins.addr:
+            if tgt == ins.addr:
                 return MachExit("trap", frozenset(st.constraints), st)
-            st.pc = tgt.value
+            st.pc = tgt
             return None
-        if klass == "jcc":
-            (tgt,) = ops
-            if not isinstance(tgt, Imm):
-                raise Inconclusive("indirect jcc")
-            cond = self._cond(st, cc_of(mn))
+        if klass == "jcc":  # always direct
+            cond = self._cond(st, fx.cc)
             if isinstance(cond, int):
-                st.pc = tgt.value if cond else ins.end
+                st.pc = tgt if cond else ins.end
                 return None
             neg = T.negate_cond(cond)
             taken = st.clone()
             taken.constraints.append(cond)
-            taken.pc = tgt.value
+            taken.pc = tgt
             work.append(taken)
             st.constraints.append(neg)
             st.pc = ins.end
@@ -394,20 +381,21 @@ class X86Executor:
             raise Inconclusive(
                 f"malformed operands for {ins.mnemonic} at "
                 f"{ins.addr:#x}: {exc}")
-        if mn not in _FLAG_PRESERVING and not mn.startswith(("set", "cmov")) \
-                and mn not in ("cmp", "ucomisd"):
+        # a flag the instruction defines or leaves ISA-undefined is unmodeled
+        # afterwards, unless _exec_plain just modeled the compare itself
+        if (fx.flags_def or fx.flags_undef) and mn not in ("cmp", "ucomisd"):
             st.flags = ("arith",)
         st.pc = ins.end
         return None
 
     def _call(self, st: MachState, ins: Instruction) -> None:
-        (tgt,) = ins.operands
-        if not isinstance(tgt, Imm):
+        tgt = effects_of(ins).target
+        if tgt is None:
             raise Inconclusive("indirect call")
-        names = self.v.addr_names.get(tgt.value)
+        names = self.v.addr_names.get(tgt)
         if names is None:
             self.v.error("machine.call.target",
-                         f"call to unknown address {tgt.value:#x}")
+                         f"call to unknown address {tgt:#x}")
         rsp_off = T.stack_offset(st.regs[R.RSP])
         if rsp_off is None:
             raise Inconclusive("call with non-affine rsp")

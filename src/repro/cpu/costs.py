@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.x86 import isa
+from repro.x86.effects import effects_of
 from repro.x86.instr import Instruction, Mem
 
 #: default per-mnemonic base cost in cycles
@@ -119,7 +120,7 @@ class CostModel:
                 and any(isinstance(o, Mem) and o.size == 16
                         for o in ins.operands)):
             cost += self.unaligned16_penalty
-        if taken and isa.control_class(ins.mnemonic) == "jcc":
+        if taken and effects_of(ins).control == "jcc":
             cost += self.taken_branch_penalty
         return cost
 

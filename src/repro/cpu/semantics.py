@@ -38,6 +38,7 @@ from repro.arith import (
 from repro.errors import SimulatorError
 from repro.mem.memory import Memory
 from repro.x86 import isa
+from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
 from repro.cpu.state import CPUState, MASK32, MASK64, MASK128
 
@@ -280,15 +281,10 @@ def execute(ins: Instruction, st: CPUState, mem: Memory) -> None:
 
 
 def _target(ins: Instruction) -> int:
-    (t,) = ins.operands
-    if not isinstance(t, Imm):
+    target = effects_of(ins).target
+    if target is None:
         raise _unimplemented(ins)  # indirect transfers are out of scope
-    return t.value
-
-
-#: the mnemonics whose closure returns the next ``rip``: they end a block
-CONDITIONAL_JUMPS = frozenset(_cc_family("j"))
-CONTROL_TRANSFERS = CONDITIONAL_JUMPS | {"jmp", "call", "ret"}
+    return target
 
 
 @_binds("jmp")
@@ -666,7 +662,7 @@ def _bind_cdq(ins: Instruction) -> Op:
 @_binds("shl", "shr", "sar", "rol", "ror")
 def _bind_shift(ins: Instruction) -> Op:
     dst, src = ins.operands
-    size = _opsize(ins)
+    size = dst.size  # type: ignore[union-attr]  # not _opsize: ``[m], cl``
     bits, mask = size * 8, _mask(size)
     rd, rd_count, wr = _reader(dst, size), _reader(src, 1), _writer(dst)
     count_mask = 63 if size == 8 else 31
@@ -699,8 +695,8 @@ def _bind_shift(ins: Instruction) -> Op:
             st.cf = bool(res >> (bits - 1))
         if not rotate:
             _szp(st, res, bits)
-            if count == 1:
-                st.of = (res >> (bits - 1)) != (a >> (bits - 1))
+        if count == 1:  # for a rotate too: the sign bit moved
+            st.of = (res >> (bits - 1)) != (a >> (bits - 1))
         wr(st, mem, res)
     return shift
 

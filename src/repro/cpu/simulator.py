@@ -42,11 +42,11 @@ from repro.arith import bits_to_f64, f64_to_bits, to_signed
 from repro.errors import ReproError, SimulatorError
 from repro.cpu.costs import HASWELL, CostModel
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
-from repro.cpu.semantics import CONTROL_TRANSFERS, Op, bind
+from repro.cpu.semantics import Op, bind
 from repro.cpu.state import MASK64, CPUState
 from repro.mem.memory import Memory
 from repro.x86.decoder import decode_one
-from repro.x86.instr import Instruction
+from repro.x86.effects import effects_of
 from repro.x86.registers import SYSV_INT_ARGS
 
 
@@ -122,10 +122,6 @@ _TABLES_LOCK = threading.Lock()
 _BLOCK_MAX = 256
 _WINDOW = 256
 
-#: ``(mnemonic, operand types) -> (loads, stores)`` of one instance, as
-#: classified by :func:`repro.dbrew.iinfo.analyze`
-_ACCESSES: dict[tuple, tuple[int, int]] = {}
-
 
 def _table_for(token: tuple, costs: CostModel) -> dict[int, _Block]:
     key = (token, id(costs))
@@ -144,17 +140,6 @@ def _code_window(memory: Memory, addr: int) -> bytes:
         if start <= addr < start + size:
             return memory.read(addr, min(_WINDOW, start + size - addr))
     raise SimulatorError(f"rip at unmapped address {addr:#x}")
-
-
-def _accesses(ins: Instruction) -> tuple[int, int]:
-    key = (ins.mnemonic, *map(type, ins.operands))
-    found = _ACCESSES.get(key)
-    if found is None:
-        # on first use: repro.dbrew imports this package
-        from repro.dbrew.iinfo import analyze
-        info = analyze(ins)
-        found = _ACCESSES[key] = (int(info.mem_read), int(info.mem_write))
-    return found
 
 
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
@@ -179,13 +164,13 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
             break  # fails only if execution really gets to ``pc``
         m = ins.mnemonic
         cost += costs.static_cost(ins)
-        n_loads, n_stores = _accesses(ins)
-        loads += n_loads
-        stores += n_stores
+        fx = effects_of(ins)
+        loads += fx.mem_read
+        stores += fx.mem_write
         mnemonics[m] = mnemonics.get(m, 0) + 1
         ops.append(op)
         pc = ins.end
-        if m in CONTROL_TRANSFERS:
+        if fx.control != "none":  # its closure returns the next rip
             return _Block(tuple(ops[:-1]), op, len(ops), cost,
                           tuple(mnemonics.items()), loads, stores)
     return _Block(tuple(ops), lambda st, mem: pc, len(ops), cost,

@@ -25,18 +25,17 @@ from repro.arith import f64_to_bits, to_signed
 from repro.cpu.image import Image
 from repro.cpu.semantics import CONDITIONS, execute
 from repro.cpu.state import CPUState
-from repro.dbrew.iinfo import analyze
 from repro.dbrew.metastate import (
     VSP_BASE, MetaState, MetaValue, StackSlot, is_stack_address, stack_offset,
 )
 from repro.errors import RewriteError
 from repro.mem.memory import Memory
 from repro.obs.trace import TRACER as _TR
-from repro.x86 import isa
 from repro.x86.asm import Item, Label, LabelRef, assemble_full
 from repro.x86.decoder import decode_one
+from repro.x86.effects import Effects, effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Reg, gp, make, xmm
-from repro.x86.registers import RSP, SYSV_INT_ARGS
+from repro.x86.registers import RCX, RSP, SYSV_INT_ARGS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.guard.budget import Budget
@@ -352,29 +351,24 @@ class Rewriter:
             if budget is not None:
                 budget.charge("emulated", stage="rewrite", addr=pc)
             ins = self._decode(pc)
-            cls = isa.control_class(ins.mnemonic)
+            fx = effects_of(ins)
+            cls = fx.control
+            if cls in ("jmp", "call") and fx.target is None:
+                raise RewriteError(f"indirect {ins.mnemonic} at {pc:#x}",
+                                   stage="rewrite", addr=pc,
+                                   instruction=ins.mnemonic)
             if cls == "jmp":
-                (t,) = ins.operands
-                if not isinstance(t, Imm):
-                    raise RewriteError(f"indirect jump at {pc:#x}",
-                                       stage="rewrite", addr=pc,
-                                       instruction=ins.mnemonic)
-                pc = self._follow(t.value, pc, rstack, state, out, worklist)
+                pc = self._follow(fx.target, pc, rstack, state, out, worklist)
                 if pc is None:
                     return
                 continue
             if cls == "jcc":
-                nxt = self._jcc(ins, pc, rstack, state, out, worklist)
+                nxt = self._jcc(ins, fx, pc, rstack, state, out, worklist)
                 if nxt is None:
                     return
                 pc = nxt
                 continue
             if cls == "call":
-                (t,) = ins.operands
-                if not isinstance(t, Imm):
-                    raise RewriteError(f"indirect call at {pc:#x}",
-                                       stage="rewrite", addr=pc,
-                                       instruction=ins.mnemonic)
                 if len(rstack) < self.inline_depth:
                     # inline: push a sentinel return address, descend
                     sp = state.gpr[RSP]
@@ -384,7 +378,7 @@ class Rewriter:
                     state.gpr[RSP] = MetaValue.of(new_sp)
                     state.stack_write(stack_offset(new_sp), 8, MetaValue.of(0))
                     rstack.append(ins.end)
-                    pc = t.value
+                    pc = fx.target
                     continue
                 self._emit_call(ins, state, out)
                 pc = ins.end
@@ -407,7 +401,7 @@ class Rewriter:
                 out.append(make("ret"))
                 return
             # ordinary instruction
-            self._step(ins, state, out)
+            self._step(ins, fx, state, out)
             pc = ins.end
         raise RewriteError("rewrite trace did not terminate",
                            stage="rewrite", addr=pc)
@@ -481,31 +475,27 @@ class Rewriter:
                 changed = True
         return changed
 
-    def _jcc(self, ins: Instruction, pc: int, rstack: list[int], state: MetaState,
-             out: list[Item], worklist: list[_Point]) -> int | None:
-        cc = isa.cc_of(ins.mnemonic)
-        assert cc is not None
-        needed = isa.CC_FLAGS_READ[cc]
-        if all(state.flags[f].known for f in needed):
-            taken = self._eval_cc(cc, state)
-            (t,) = ins.operands
-            assert isinstance(t, Imm)
-            target = t.value if taken else ins.end
+    def _jcc(self, ins: Instruction, fx: Effects, pc: int, rstack: list[int],
+             state: MetaState, out: list[Item],
+             worklist: list[_Point]) -> int | None:
+        target = fx.target
+        assert fx.cc is not None and target is not None
+        if all(state.flags[f].known for f in fx.flags_read):
+            taken = self._eval_cc(fx.cc, state)
             self.stats.emulated += 1
-            return self._follow(target, pc, rstack, state, out, worklist)
+            return self._follow(target if taken else ins.end, pc, rstack,
+                                state, out, worklist)
+        self._require_runtime_flags(ins, fx, state)
         # unknown condition: fork.  A backward fork target is a do-while
         # style loop re-entry; apply the same runtime-loop widening rule as
         # _follow so evolving known values cannot explode the point count.
-        (t,) = ins.operands
-        assert isinstance(t, Imm)
-        for target in (t.value,):
-            if target <= pc:
-                prev_forks = self._forks_at_visit.get(target)
-                self._forks_at_visit[target] = self._total_forks + 1
-                if prev_forks is not None and self._total_forks + 1 > prev_forks:
-                    self.stats.widenings += 1
-                    self._widen(state, out)
-        ltrue = self._point_label(t.value, tuple(rstack), state, worklist)
+        if target <= pc:
+            prev_forks = self._forks_at_visit.get(target)
+            self._forks_at_visit[target] = self._total_forks + 1
+            if prev_forks is not None and self._total_forks + 1 > prev_forks:
+                self.stats.widenings += 1
+                self._widen(state, out)
+        ltrue = self._point_label(target, tuple(rstack), state, worklist)
         lfalse = self._point_label(ins.end, tuple(rstack), state, worklist)
         out.append(Instruction(ins.mnemonic, (LabelRef(ltrue),)))  # type: ignore[arg-type]
         out.append(make("jmp", LabelRef(lfalse)))
@@ -523,7 +513,8 @@ class Rewriter:
 
     # -- single instruction: emulate or emit --------------------------------------
 
-    def _step(self, ins: Instruction, state: MetaState, out: list[Item]) -> None:
+    def _step(self, ins: Instruction, fx: Effects, state: MetaState,
+              out: list[Item]) -> None:
         m = ins.mnemonic
         if m == "nop":
             return
@@ -546,7 +537,10 @@ class Rewriter:
                 elif a.kind == "xmm" and not state.xmm[a.index].known:
                     state.xmm[a.index] = MetaValue.of(0, 128)
         # scalar reg-reg moves: treat the (never-read) upper lane as zeroed,
-        # which keeps compiler-generated scalar chains fully known
+        # which keeps compiler-generated scalar chains fully known.  The
+        # record says this form merges (it reads dst); this arm overrides it
+        # on purpose — following the record here moves emitted bytes
+        # (DESIGN, "What an x86 instruction touches, once")
         if m == "movsd" and all(isinstance(o, Reg) and o.kind == "xmm"
                                 for o in ins.operands):
             dst, srcr = ins.operands
@@ -563,28 +557,30 @@ class Rewriter:
             self.stats.emitted += 1
             state.xmm[dst.index] = MetaValue.unknown()
             return
-        if m.startswith("cmov") and isa.cc_of(m) is not None:
-            cc = isa.cc_of(m)
-            assert cc is not None
-            needed = isa.CC_FLAGS_READ[cc]
-            if all(state.flags[f].known for f in needed):
-                if self._eval_cc(cc, state):
-                    moved = Instruction("mov", ins.operands, addr=ins.addr)
-                    self._step(moved, state, out)
-                else:
-                    self.stats.emulated += 1
-                return
-            self._emit(ins, state, out)
+        if fx.cc is not None and all(state.flags[f].known
+                                     for f in fx.flags_read):
+            # known condition: a cmovcc is a mov or nothing, a setcc a
+            # constant — whatever of the destination stays unknown, the
+            # emitted form must not read the (folded-away) flags
+            taken = self._eval_cc(fx.cc, state)
+            if m.startswith("cmov"):
+                dst, src = ins.operands
+                if not taken:
+                    if dst.size != 4:  # type: ignore[union-attr]
+                        self.stats.emulated += 1
+                        return
+                    src = dst  # a 32-bit cmov zero-extends even then
+                ops = (dst, src)
+            else:
+                ops = (ins.operands[0], Imm(int(taken), 1))
+            folded = Instruction("mov", ops, addr=ins.addr)
+            self._step(folded, effects_of(folded), state, out)
             return
-        if self._try_emulate(ins, state):
+        if self._try_emulate(ins, fx, state):
             return
-        self._emit(ins, state, out)
+        self._emit(ins, fx, state, out)
 
     # -- emulation -------------------------------------------------------------------
-
-    def _reg_meta(self, key: tuple[str, int], state: MetaState) -> MetaValue:
-        kind, idx = key
-        return state.gpr[idx] if kind == "gp" else state.xmm[idx]
 
     def _mem_effective(self, mem: Mem, state: MetaState) -> int | None:
         """Known effective address, or None."""
@@ -616,12 +612,21 @@ class Rewriter:
                 return self.image.memory.read(addr, size)
         return None
 
-    def _try_emulate(self, ins: Instruction, state: MetaState) -> bool:
-        info = analyze(ins)
-        for key in info.reads:
-            if not self._reg_meta(key, state).known:
+    @staticmethod
+    def _flags_touched(fx: Effects, state: MetaState) -> bool:
+        """False when a known count of zero leaves every flag alone."""
+        rcx = state.gpr[RCX]
+        return not (fx.count_mask and rcx.known
+                    and not rcx.value & fx.count_mask)
+
+    def _try_emulate(self, ins: Instruction, fx: Effects,
+                     state: MetaState) -> bool:
+        # a merged (8/16-bit) destination is among the reads: not emulated
+        # unless the register it merges into is known
+        for kind, idx in fx.reads:
+            if not _bank(state, kind)[idx].known:
                 return False
-        for f in info.reads_flags:
+        for f in fx.flags_read:
             if not state.flags[f].known:
                 return False
         memop = next((o for o in ins.operands if isinstance(o, Mem)), None)
@@ -629,37 +634,26 @@ class Rewriter:
         mem_bytes: bytes | None = None
         if memop is not None:
             ea = self._mem_effective(memop, state)
-            if ea is None:
-                return False
-            if info.mem_read:
+            assert ea is not None  # the address registers are among the reads
+            if fx.mem_read:
                 mem_bytes = self._read_fixed_memory(ea, memop.size, state)
                 if mem_bytes is None:
                     return False
-            if info.mem_write and not is_stack_address(ea):
+            if fx.mem_write and not is_stack_address(ea):
                 return False  # runtime-visible store must be emitted
+
+        flags_touched = self._flags_touched(fx, state)  # before rcx moves
 
         # set up a scratch CPU and run the real semantics
         cpu = CPUState()
-        for kind, idx in info.reads:
-            mv = self._reg_meta((kind, idx), state)
-            if kind == "gp":
-                cpu.gpr[idx] = mv.value
-            else:
-                cpu.xmm[idx] = mv.value
-        # address registers must also be loaded for effective-address calc
-        if memop is not None:
-            for reg in (memop.base, memop.index):
-                if reg is not None:
-                    mv = state.gpr[reg.index]
-                    if not mv.known:
-                        return False
-                    cpu.gpr[reg.index] = mv.value
+        for kind, idx in fx.reads:
+            _bank(cpu, kind)[idx] = _bank(state, kind)[idx].value
         for f, mv in state.flags.items():
             if mv.known:
                 cpu.set_flag(f, bool(mv.value))
 
         tmp_mem = Memory()
-        if memop is not None and ea is not None:
+        if ea is not None:
             page = ea & ~0xFFF
             tmp_mem.map(page, 0x2000)
             if mem_bytes is not None:
@@ -671,17 +665,15 @@ class Rewriter:
                                stage="rewrite", addr=ins.addr,
                                instruction=ins.mnemonic) from exc
 
-        for kind, idx in analyze(ins).writes:
-            if kind == "gp":
-                if idx == RSP:
-                    state.gpr[RSP] = MetaValue.of(cpu.gpr[RSP])
-                else:
-                    state.gpr[idx] = MetaValue.of(cpu.gpr[idx])
-            else:
-                state.xmm[idx] = MetaValue.of(cpu.xmm[idx], 128)
-        for f in isa.flags_written(ins.mnemonic):
-            state.flags[f] = MetaValue.of(int(cpu.flag(f)), 1)
-        if memop is not None and info.mem_write and ea is not None:
+        for kind, idx in fx.writes:
+            _bank(state, kind)[idx] = MetaValue.of(
+                _bank(cpu, kind)[idx], 64 if kind == "gp" else 128)
+        if flags_touched:
+            for f in fx.flags_def:
+                state.flags[f] = MetaValue.of(int(cpu.flag(f)), 1)
+            for f in fx.flags_undef:
+                state.flags[f] = MetaValue.unknown()
+        if ea is not None and fx.mem_write:
             data = tmp_mem.read(ea, memop.size)
             state.stack_write(stack_offset(ea), memop.size,
                              MetaValue.of(int.from_bytes(data, "little")))
@@ -765,7 +757,7 @@ class Rewriter:
         kind, idx = key
         if kind == "gp" and idx == RSP:
             return  # rsp is tracked symbolically; the runtime value is live
-        mv = self._reg_meta(key, state)
+        mv = _bank(state, kind)[idx]
         if not mv.known or mv.materialized:
             return
         self.stats.materializations += 1
@@ -863,61 +855,59 @@ class Rewriter:
             raise RewriteError("folded displacement out of range")
         return Mem(mem.size, base=base, index=index, scale=scale, disp=disp)
 
-    def _emit(self, ins: Instruction, state: MetaState, out: list[Item]) -> None:
-        info = analyze(ins)
+    def _require_runtime_flags(self, ins: Instruction, fx: Effects,
+                               state: MetaState) -> None:
+        """An emitted instruction reads the flags as they are at run time.
+        A flag known here was set by something emulated, so the run-time
+        one is stale, and there is no emitted form that materializes it."""
+        if any(state.flags[f].known for f in fx.flags_read):
+            raise RewriteError(
+                f"{ins.mnemonic} at {ins.addr:#x} must be emitted but reads "
+                "flags folded at rewrite time", stage="rewrite",
+                addr=ins.addr, instruction=ins.mnemonic)
+
+    def _emit(self, ins: Instruction, fx: Effects, state: MetaState,
+              out: list[Item]) -> None:
+        self._require_runtime_flags(ins, fx, state)
         new_ops = []
         for i, op in enumerate(ins.operands):
             if isinstance(op, Mem):
-                is_read = info.mem_read or i != 0
+                is_read = fx.mem_read or i != 0
                 new_ops.append(self._rewrite_mem(op, state, out, for_read=is_read))
             else:
                 new_ops.append(op)
-        # materialize registers the emitted form still reads
+        # materialize the registers the emitted form still reads: register
+        # operands the record says are read (a merged 8/16-bit destination
+        # is one) and the address registers that folding left in place
         needed: set[tuple[str, int]] = set()
-        for i, op in enumerate(new_ops):
-            if isinstance(op, Reg):
-                if i == 0 and (op.kind, op.index) in info.writes and \
-                        (op.kind, op.index) not in info.reads:
-                    continue  # pure destination
-                needed.add((op.kind, op.index))
-            elif isinstance(op, Mem):
-                if op.base is not None and op.base.index != RSP:
-                    needed.add(("gp", op.base.index))
-                if op.index is not None:
-                    needed.add(("gp", op.index.index))
-        for key in sorted(needed):
-            self._materialize(key, state, out)
-        # implicit reads (shift counts in cl, idiv in rax/rdx) — registers
-        # read by the instruction without appearing in any operand
         explicit: set[tuple[str, int]] = set()
-        for op in ins.operands:
+        for op, new_op in zip(ins.operands, new_ops):
             if isinstance(op, Reg):
                 explicit.add((op.kind, op.index))
+                if (op.kind, op.index) in fx.reads:
+                    needed.add((op.kind, op.index))
             elif isinstance(op, Mem):
-                if op.base is not None:
-                    explicit.add(("gp", op.base.index))
-                if op.index is not None:
-                    explicit.add(("gp", op.index.index))
-        for key in sorted(info.reads - explicit):
-            kind, idx = key
-            if kind == "gp" and idx == RSP:
-                continue
+                explicit |= _address_regs(op)
+                needed |= _address_regs(new_op)
+        for key in sorted(needed):
             self._materialize(key, state, out)
+        # implicit reads (idiv in rax/rdx) — registers read by the
+        # instruction without appearing in any operand
+        for key in sorted(fx.reads - explicit):
+            self._materialize(key, state, out)
+        flags_touched = self._flags_touched(fx, state)  # before rcx moves
 
         out.append(Instruction(ins.mnemonic, tuple(new_ops)))
         self.stats.emitted += 1
 
-        # effects: everything written becomes runtime-only
-        for kind, idx in info.writes:
-            if kind == "gp":
-                if idx == RSP:
-                    continue  # rsp tracked symbolically
-                state.gpr[idx] = MetaValue.unknown()
-            else:
-                state.xmm[idx] = MetaValue.unknown()
-        for f in isa.flags_written(ins.mnemonic):
-            state.flags[f] = MetaValue.unknown()
-        if info.mem_write:
+        # effects: everything written becomes runtime-only (rsp is tracked
+        # symbolically)
+        for kind, idx in fx.writes - {("gp", RSP)}:
+            _bank(state, kind)[idx] = MetaValue.unknown()
+        if flags_touched:
+            for f in fx.flags_def + fx.flags_undef:
+                state.flags[f] = MetaValue.unknown()
+        if fx.mem_write:
             memop = next((o for o in ins.operands if isinstance(o, Mem)), None)
             if memop is not None:
                 ea = self._mem_effective(memop, state)
@@ -972,6 +962,15 @@ class Rewriter:
             state.stack[off] = StackSlot(MetaValue.unknown(), flushed=True)
         for f in "oszapc":
             state.flags[f] = MetaValue.unknown()
+
+
+def _bank(holder: "MetaState | CPUState", kind: str) -> list:
+    """The GPR or the SSE register list of a meta-state or a scratch CPU."""
+    return holder.gpr if kind == "gp" else holder.xmm
+
+
+def _address_regs(mem: Mem) -> set[tuple[str, int]]:
+    return {("gp", r.index) for r in (mem.base, mem.index) if r is not None}
 
 
 def _readable(memory: Memory, addr: int) -> int:

@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING
 from repro.errors import DecodeError, LiftError
 from repro.mem.memory import Memory
 from repro.obs import metrics as _metrics
-from repro.x86 import isa
 from repro.x86.decoder import decode_one
-from repro.x86.instr import Imm, Instruction, Reg
+from repro.x86.effects import effects_of
+from repro.x86.instr import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.guard.budget import Budget
@@ -123,22 +123,6 @@ class GuestBlock:
     def terminator(self) -> Instruction:
         return self.instructions[-1]
 
-    def successors(self) -> list[int]:
-        """Guest addresses of successor blocks."""
-        term = self.terminator
-        cls = isa.control_class(term.mnemonic)
-        if cls == "ret":
-            return []
-        if cls == "jmp":
-            (t,) = term.operands
-            assert isinstance(t, Imm)
-            return [t.value]
-        if cls == "jcc":
-            (t,) = term.operands
-            assert isinstance(t, Imm)
-            return [t.value, self.end]
-        return [self.end]  # fall-through (block was split)
-
 
 class GuestCFG:
     """Discovered control-flow graph of one guest function."""
@@ -224,28 +208,26 @@ def discover(memory: Memory, entry: int, *, max_instructions: int = 100_000,
                                 stage="lift", addr=pc)
             if budget is not None:
                 budget.charge("lift_instructions", stage="lift", addr=pc)
-            cls = isa.control_class(ins.mnemonic)
+            fx = effects_of(ins)
+            cls = fx.control
             if cls in ("jmp", "jcc"):
-                (t,) = ins.operands
-                if isinstance(t, Reg) or not isinstance(t, Imm):
+                if fx.target is None:
                     raise LiftError(
                         f"indirect jump at {pc:#x} is not supported (Sec. III-B)",
                         stage="lift", addr=pc, instruction=ins.mnemonic,
                     )
-                leaders.add(t.value)
-                worklist.append(t.value)
+                leaders.add(fx.target)
+                worklist.append(fx.target)
                 if cls == "jcc":
                     leaders.add(ins.end)
                     worklist.append(ins.end)
                 break
             if cls == "ret":
                 break
-            if cls == "call":
-                (t,) = ins.operands
-                if not isinstance(t, Imm):
-                    raise LiftError(f"indirect call at {pc:#x} is not supported",
-                                    stage="lift", addr=pc,
-                                    instruction=ins.mnemonic)
+            if cls == "call" and fx.target is None:
+                raise LiftError(f"indirect call at {pc:#x} is not supported",
+                                stage="lift", addr=pc,
+                                instruction=ins.mnemonic)
             pc = ins.end
 
     # split fall-through: any decoded addr that is a leader terminates the
@@ -263,8 +245,7 @@ def discover(memory: Memory, entry: int, *, max_instructions: int = 100_000,
         while True:
             ins = instr_cache[pc]
             blk.instructions.append(ins)
-            cls = isa.control_class(ins.mnemonic)
-            if cls in ("jmp", "jcc", "ret"):
+            if effects_of(ins).control in ("jmp", "jcc", "ret"):
                 break
             if ins.end in leaders:
                 break  # fall into the next block

@@ -43,6 +43,7 @@ from repro.lift.regfile import (
 from repro.mem.memory import Memory
 from repro.obs.trace import TRACER as _TR
 from repro.x86 import isa
+from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
 from repro.x86.registers import RAX, RBP, RDX, RSP, SYSV_INT_ARGS
 
@@ -357,22 +358,18 @@ class Lifter:
         for ins in gb.instructions[:-1]:
             self._lift_instruction(ins)
 
-        cls = isa.control_class(term.mnemonic)
+        fx = effects_of(term)
+        cls, target = fx.control, fx.target  # discovery rejected indirect ones
         if cls == "ret":
             self._lift_ret()
             return ()
         if cls == "jmp":
-            (t,) = term.operands
-            assert isinstance(t, Imm)
-            self.b.br(ir_blocks[t.value])
-            return (t.value,)
+            self.b.br(ir_blocks[target])
+            return (target,)
         if cls == "jcc":
-            cc = isa.cc_of(term.mnemonic)
-            assert cc is not None and self.flags is not None
-            cond = self.flags.condition(cc)
-            (t,) = term.operands
-            assert isinstance(t, Imm)
-            taken = ir_blocks[t.value]
+            assert fx.cc is not None and self.flags is not None
+            cond = self.flags.condition(fx.cc)
+            taken = ir_blocks[target]
             fallthrough = ir_blocks[gb.end]
             if taken is fallthrough:
                 # degenerate Jcc whose target is its own fall-through: one
@@ -381,7 +378,7 @@ class Lifter:
                 self.b.br(taken)
                 return (gb.end,)
             self.b.cond_br(cond, taken, fallthrough)
-            return (t.value, gb.end)
+            return (target, gb.end)
         # fall-through (block was split) or trailing call
         self._lift_instruction(term)
         self.b.br(ir_blocks[gb.end])
@@ -1027,13 +1024,13 @@ class Lifter:
     # --- calls ---
 
     def _i_call(self, ins: Instruction) -> None:
-        (t,) = ins.operands
-        assert isinstance(t, Imm) and self.regs is not None
+        target = effects_of(ins).target  # discovery rejected indirect calls
+        assert target is not None and self.regs is not None
         assert self.flags is not None
-        decl = self._callee_decls.get(t.value)
+        decl = self._callee_decls.get(target)
         if decl is None:
             raise LiftError(
-                f"call to unknown function {t.value:#x}; declare it via "
+                f"call to unknown function {target:#x}; declare it via "
                 "LiftOptions.known_functions (Sec. III-B)",
                 stage="lift", addr=ins.addr, instruction=ins.mnemonic,
             )

@@ -5,7 +5,9 @@ This package is the foundation everything else consumes:
 * :mod:`repro.x86.registers` — the architectural register file and the
   sub-register ("facet") geometry of Figure 4 of the paper;
 * :mod:`repro.x86.instr` — operand and instruction dataclasses;
-* :mod:`repro.x86.isa` — the mnemonic/encoding/flag-effect tables;
+* :mod:`repro.x86.isa` — the mnemonic/encoding/condition-code tables;
+* :mod:`repro.x86.effects` — what one instruction touches (registers,
+  memory, flags, control), the record every consumer reads;
 * :mod:`repro.x86.encoder` / :mod:`repro.x86.decoder` — machine-code
   round-tripping (the offline substitute for an assembler + capstone);
 * :mod:`repro.x86.printer` / :mod:`repro.x86.asmparser` — Intel-syntax text.

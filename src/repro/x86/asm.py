@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import EncodeError
-from repro.x86 import isa
+from repro.x86.effects import effects_of
 from repro.x86.encoder import encode
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
 
@@ -124,10 +124,5 @@ def assemble_full(
 
 def branch_targets(instrs: list[Instruction]) -> set[int]:
     """Absolute targets of all direct branches in a placed instruction list."""
-    targets: set[int] = set()
-    for ins in instrs:
-        if isa.control_class(ins.mnemonic) in ("jmp", "jcc", "call"):
-            (op,) = ins.operands
-            if isinstance(op, Imm):
-                targets.add(op.value)
-    return targets
+    return {fx.target for fx in map(effects_of, instrs)
+            if fx.target is not None}

@@ -139,6 +139,9 @@ class Instruction:
     addr: int = 0
     length: int = 0
     raw: bytes = field(default=b"", compare=False)
+    #: where :func:`repro.x86.effects.effects_of` keeps its record
+    _effects: object = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __repr__(self) -> str:
         ops = ", ".join(repr(o) for o in self.operands)

@@ -4,9 +4,11 @@ The tables here describe the supported x86-64 subset: integer ALU and data
 movement, control flow, and SSE/SSE2/SSE3 floating point (the paper's scope —
 AVX is explicitly out, matching its ``-mno-avx`` evaluation setup).
 
-Flag effects matter twice: DBrew's emulator must know which flags an
-instruction defines (to keep its meta-state sound) and the lifter must know
-which flags a conditional consumes (to drive the flag cache of Fig. 6).
+Everything here is a fact about a *mnemonic*, which is all the encoder,
+the parser and the emitters hold.  What a decoded *instruction* touches —
+registers, memory, the flags it defines or leaves undefined, its control
+class and target — is :mod:`repro.x86.effects`, which builds on
+:func:`cc_of`, :func:`control_class` and :data:`CC_FLAGS_READ` below.
 """
 
 from __future__ import annotations
@@ -136,58 +138,6 @@ SSE_SCALAR_WIDTH: Final[dict[str, int]] = (
 )
 
 # ---------------------------------------------------------------------------
-# Flag effects
-# ---------------------------------------------------------------------------
-
-_ARITH_FLAGS = "oszapc"
-
-#: flags *written* by a mnemonic (family members filled in below)
-FLAGS_WRITTEN: Final[dict[str, str]] = {
-    "inc": "oszap",  # carry preserved!
-    "dec": "oszap",
-    "neg": _ARITH_FLAGS,
-    "imul": "oc",  # s/z/a/p undefined; we model "oc" as defined
-    "imul1": "oc",
-    "mul": "oc",
-    "test": _ARITH_FLAGS,
-    "shl": _ARITH_FLAGS,
-    "shr": _ARITH_FLAGS,
-    "sar": _ARITH_FLAGS,
-    "rol": "oc",
-    "ror": "oc",
-    "ucomisd": "zpc",  # also clears o/s/a
-    "ucomiss": "zpc",
-    "comisd": "zpc",
-    "comiss": "zpc",
-    "cmp": _ARITH_FLAGS,
-    "div": "",
-    "idiv": "",
-    "not": "",
-}
-for _m in ALU_GROUP:
-    if _m not in ("cmp",):
-        FLAGS_WRITTEN[_m] = _ARITH_FLAGS
-# logic ops clear o/c and define s/z/p (a undefined; we treat as written)
-for _m in ("and", "or", "xor", "test"):
-    FLAGS_WRITTEN[_m] = _ARITH_FLAGS
-
-
-def flags_written(mnemonic: str) -> str:
-    """Flags defined by ``mnemonic`` (subset of "oszapc"); "" if none."""
-    return FLAGS_WRITTEN.get(mnemonic, "")
-
-
-def flags_read(mnemonic: str) -> str:
-    """Flags consumed by ``mnemonic`` (subset of "oszapc"); "" if none."""
-    cc = cc_of(mnemonic)
-    if cc is not None:
-        return CC_FLAGS_READ[cc]
-    if mnemonic in ("adc", "sbb"):
-        return "c"
-    return ""
-
-
-# ---------------------------------------------------------------------------
 # Control-flow classification
 # ---------------------------------------------------------------------------
 
@@ -204,7 +154,3 @@ def control_class(mnemonic: str) -> str:
         return "jcc"
     return "none"
 
-
-def is_terminator(mnemonic: str) -> bool:
-    """True when the instruction ends a basic block (Sec. III-B)."""
-    return control_class(mnemonic) in ("jmp", "jcc", "call", "ret")

@@ -152,6 +152,29 @@ def test_shl_shifts_and_cf(env):
     assert st_.cf
 
 
+def test_shift_memory_by_cl_uses_the_memory_width(env):
+    """``shl qword [m], cl`` is a 64-bit shift with a 6-bit count — the
+    width is the destination's, not the count register's."""
+    st_, mem = env
+    mem.write_u64(0x1000, 0x1122334455667788)
+    st_.gpr[RBX], st_.gpr[RCX] = 0x1000, 36
+    execute(make("shl", Mem(8, base=gp(RBX)), gp(RCX, 1)), st_, mem)
+    assert mem.read_u64(0x1000) == 0x5667788000000000
+
+
+def test_rotate_by_one_defines_of(env):
+    """SDM: a rotate by 1 sets OF when the sign bit changed (by more, OF is
+    undefined and left alone)."""
+    st_, mem = env
+    st_.gpr[RAX] = 0x4000000000000000
+    execute(make("rol", gp(RAX), Imm(1)), st_, mem)
+    assert st_.gpr[RAX] == 0x8000000000000000 and st_.of and not st_.cf
+    execute(make("ror", gp(RAX), Imm(1)), st_, mem)
+    assert st_.gpr[RAX] == 0x4000000000000000 and st_.of and not st_.cf
+    execute(make("rol", gp(RAX), Imm(4)), st_, mem)
+    assert st_.of  # count > 1: untouched
+
+
 def test_sar_arithmetic(env):
     st_, mem = env
     st_.gpr[RAX] = to_signed(-16, 64) & (2**64 - 1)

@@ -1,11 +1,15 @@
-"""Instruction dataflow facts (repro.dbrew.iinfo)."""
+"""The dataflow facts DBrew's emulate-or-emit decision rests on, asserted
+on the one record (``repro.x86.effects``) that replaced ``dbrew/iinfo.py``.
+The facts the old module never had — the flag columns, Fig. 4a on implicit
+registers, control class and target — are in ``tests/x86/test_effects.py``.
+"""
 
-from repro.dbrew.iinfo import analyze
 from repro.x86.asmparser import parse_line
+from repro.x86.effects import effects_of
 
 
 def facts(line):
-    return analyze(parse_line(line))
+    return effects_of(parse_line(line))
 
 
 def test_mov_reg_reg():
@@ -18,7 +22,7 @@ def test_mov_reg_reg():
 def test_add_is_rmw():
     i = facts("add rax, rbx")
     assert ("gp", 0) in i.reads and ("gp", 0) in i.writes
-    assert "z" in i.writes_flags
+    assert "z" in i.flags_def
 
 
 def test_cmp_reads_both_writes_none():
@@ -66,7 +70,7 @@ def test_addsd_merges_dst():
 def test_cmov_reads_dst_and_flags():
     i = facts("cmovl rax, rbx")
     assert ("gp", 0) in i.reads
-    assert i.reads_flags == "so"
+    assert i.flags_read == "so"
 
 
 def test_cqo_implicit_regs():
@@ -77,8 +81,9 @@ def test_cqo_implicit_regs():
 
 def test_idiv_implicit_regs():
     i = facts("idiv rbx")
-    assert {("gp", 0), ("gp", 2), ("gp", 3)} <= i.reads
-    assert {("gp", 0), ("gp", 2)} <= i.writes
+    assert i.reads == {("gp", 0), ("gp", 2), ("gp", 3)}
+    # SDM: the divisor is a source only (the old row allowed it as a write)
+    assert i.writes == {("gp", 0), ("gp", 2)}
 
 
 def test_push_touches_stack():
@@ -88,14 +93,21 @@ def test_push_touches_stack():
 
 
 def test_setcc_writes_only():
+    # SDM: setcc writes one byte.  Into memory that is the whole effect;
+    # into ``al`` the other 56 bits of rax stay, so the register is an
+    # input too (Fig. 4a) — the old row said "not read", which is how DBrew
+    # came to return 0x1 for 0x1122334455667701
     i = facts("sete al")
-    assert ("gp", 0) in i.writes
-    assert ("gp", 0) not in i.reads
-    assert i.reads_flags == "z"
+    assert ("gp", 0) in i.writes and ("gp", 0) in i.reads
+    assert i.flags_read == "z"
+    m = facts("sete byte ptr [rdi]")
+    assert m.mem_write and not m.mem_read and m.writes == set()
 
 
 def test_ucomisd_reads_only_flags_out():
     i = facts("ucomisd xmm0, xmm1")
     assert ("xmm", 0) in i.reads and ("xmm", 1) in i.reads
     assert i.writes == set()
-    assert "z" in i.writes_flags and "c" in i.writes_flags
+    # SDM: z/p/c from the compare, o/s/a cleared — all six defined (the old
+    # table had "zpc", so a stale SF survived a ucomisd)
+    assert set(i.flags_def) == set("oszapc") and i.flags_undef == ""

@@ -5,6 +5,7 @@ that.  Run in a fresh interpreter so nothing the test session imported
 (pytest, hypothesis) is mistaken for the package's own.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,37 @@ def test_repro_imports_only_the_standard_library():
         [sys.executable, "-c", _SCRIPT], capture_output=True, text=True,
         check=True, env={"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"})
     assert proc.stdout.split() == []
+
+
+#: the ISA and the simulator sit under everything that rewrites, lifts or
+#: verifies; of ``repro`` they may import only each other and the leaves
+_LOW_LAYERS = ("x86", "cpu")
+_ALLOWED_BELOW = {"x86", "cpu", "mem", "arith", "errors"}
+
+
+def _repro_imports(path: Path) -> set[str]:
+    """Second-level names of every ``repro`` import in ``path``, function-
+    level ones included (an ``ast`` walk, not an import)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+            if node.module == "repro":
+                modules = [f"repro.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {m.split(".")[1] for m in modules
+                  if m.startswith("repro.")}
+    return found
+
+
+def test_isa_and_simulator_import_nothing_above_them():
+    offenders = {
+        str(path.relative_to(_SRC)): sorted(above)
+        for layer in _LOW_LAYERS
+        for path in sorted((_SRC / "repro" / layer).rglob("*.py"))
+        if (above := _repro_imports(path) - _ALLOWED_BELOW)
+    }
+    assert offenders == {}

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import DecodeError
+from repro.x86.asmparser import parse_line
 from repro.x86.decoder import decode_one
+from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Mem, Reg
 from repro.x86.isa import (
     CC_FLAGS_READ, CC_NAMES, canonical_cc, cc_of, control_class,
-    flags_read, flags_written, is_terminator,
 )
 
 
@@ -127,12 +128,17 @@ def test_cc_of_mnemonics():
     assert cc_of("mov") is None
 
 
+def fx(line):
+    return effects_of(parse_line(line))
+
+
 def test_flags_metadata():
-    assert set(flags_written("add")) == set("oszapc")
-    assert "c" not in flags_written("inc")
-    assert flags_read("jl") == "so"
-    assert flags_read("adc") == "c"
-    assert flags_read("mov") == ""
+    assert set(fx("add rax, rbx").flags_def) == set("oszapc")
+    inc = fx("inc rax")
+    assert "c" not in inc.flags_def + inc.flags_undef
+    assert fx("jl 0x10").flags_read == "so"
+    assert fx("adc rax, rbx").flags_read == "c"
+    assert fx("mov rax, rbx").flags_read == ""
 
 
 def test_control_classification():
@@ -141,7 +147,8 @@ def test_control_classification():
     assert control_class("call") == "call"
     assert control_class("ret") == "ret"
     assert control_class("add") == "none"
-    assert is_terminator("je") and not is_terminator("cmovle")
+    assert fx("je 0x10").control == "jcc"
+    assert fx("cmovle rax, rbx").control == "none"
 
 
 def test_every_cc_has_flag_reads():
