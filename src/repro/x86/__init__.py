@@ -15,7 +15,7 @@ This package is the foundation everything else consumes:
 
 from repro.x86.instr import Imm, Instruction, Mem, Reg, gp, xmm
 from repro.x86.registers import GP, XMM
-from repro.x86.encoder import encode, encode_block
+from repro.x86.encoder import encode
 from repro.x86.decoder import decode_block, decode_one
 from repro.x86.printer import format_instruction, format_operand
 from repro.x86.asmparser import parse_asm
@@ -30,7 +30,6 @@ __all__ = [
     "decode_block",
     "decode_one",
     "encode",
-    "encode_block",
     "format_instruction",
     "format_operand",
     "gp",

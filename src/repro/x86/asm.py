@@ -6,13 +6,21 @@ stream of :class:`Item` s — instructions whose branch operands may reference
 with iterative branch relaxation (rel8 vs rel32 changes lengths, which moves
 labels, which may change widths again; iteration reaches a fixed point
 because lengths only shrink monotonically from the rel32 starting guess).
+
+Every instruction is encoded once, and those bytes are what is placed and
+emitted unless the instruction is :func:`position_dependent`; only those
+take part in relaxation, re-encoded once per round, and the round that
+changes no length has encoded each at its final address.  This is the one
+relaxation loop in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import EncodeError
+from repro.x86 import isa
 from repro.x86.effects import effects_of
 from repro.x86.encoder import encode
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
@@ -58,6 +66,21 @@ def assemble(items: list[Item], base: int = 0) -> tuple[bytes, list[Instruction]
     return code, placed
 
 
+def position_dependent(ins: Instruction) -> bool:
+    """True if the bytes of ``ins`` depend on where it lands.
+
+    That is when the encoder computes a displacement against ``addr``: a
+    direct control transfer (label or absolute target alike), any
+    :class:`LabelRef` operand, or a RIP-relative memory operand.
+    """
+    if isa.control_class(ins.mnemonic) in ("jmp", "jcc", "call"):
+        return True
+    for o in ins.operands:
+        if isinstance(o, LabelRef) or (isinstance(o, Mem) and o.riprel):
+            return True
+    return False
+
+
 def assemble_full(
     items: list[Item], base: int = 0
 ) -> tuple[bytes, list[Instruction], dict[str, int]]:
@@ -67,59 +90,51 @@ def assemble_full(
     ``addr``/``length``/``raw`` filled in), and the resolved label
     addresses.  Duplicate label names raise.
     """
-    instrs = [it for it in items if isinstance(it, Instruction)]
-    # Initial guess: every branch is rel32-sized.  Compute lengths at a fake
-    # far-away address so rel8 never triggers, then relax.
+    # Initial guess: every label is far away, so no branch to one is rel8.
+    far = base + (1 << 30)
     labels: dict[str, int] = {}
-    lengths = []
+    marks: list[tuple[str, int]] = []  # (label, index of the next instruction)
+    instrs: list[Instruction] = []
     for it in items:
         if isinstance(it, Label):
             if it.name in labels:
                 raise EncodeError(f"duplicate label {it.name!r}")
-            labels[it.name] = 0
-    guess_labels = {n: base + (1 << 30) for n in labels}
-    for ins in instrs:
-        lengths.append(len(encode(_resolve(ins, guess_labels), 0)))
+            labels[it.name] = far
+            marks.append((it.name, len(instrs)))
+        else:
+            instrs.append(it)
+    # The one encode of a position-independent instruction; the others get
+    # their starting length here and their bytes in the rounds below.
+    raws: list[bytes] = []
+    moving: list[tuple[int, Instruction]] = []  # (index, as given)
+    for i, ins in enumerate(instrs):
+        if position_dependent(ins):
+            moving.append((i, ins))
+            ins = _resolve(ins, labels)
+        raws.append(encode(ins, 0))
 
     for _ in range(32):
-        # place labels and instructions with current length estimates
-        pc = base
-        idx = 0
-        addrs: list[int] = []
-        for it in items:
-            if isinstance(it, Label):
-                labels[it.name] = pc
-            else:
-                addrs.append(pc)
-                pc += lengths[idx]
-                idx += 1
-        new_lengths = [
-            len(encode(_resolve(ins, labels), a)) for ins, a in zip(instrs, addrs)
-        ]
-        if new_lengths == lengths:
+        # place everything with the current lengths, then re-encode what moves
+        addrs = list(accumulate(map(len, raws), initial=base))
+        for name, idx in marks:
+            labels[name] = addrs[idx]
+        stable = True
+        for i, ins in moving:
+            instrs[i] = ins = _resolve(ins, labels)
+            raw = encode(ins, addrs[i])
+            if len(raw) != len(raws[i]):
+                stable = False
+            raws[i] = raw
+        if stable:  # every byte above was encoded at its final address
             break
-        lengths = new_lengths
     else:
         raise EncodeError("assembler failed to reach a fixed point")
 
-    out = bytearray()
-    placed: list[Instruction] = []
-    pc = base
-    for it in items:
-        if isinstance(it, Label):
-            labels[it.name] = pc
-            continue
-        resolved = _resolve(it, labels)
-        raw = encode(resolved, pc)
-        placed.append(
-            Instruction(
-                resolved.mnemonic, resolved.operands,
-                addr=pc, length=len(raw), raw=raw,
-            )
-        )
-        out += raw
-        pc += len(raw)
-    return bytes(out), placed, labels
+    placed = [
+        Instruction(ins.mnemonic, ins.operands, addr=a, length=len(raw), raw=raw)
+        for ins, a, raw in zip(instrs, addrs, raws)
+    ]
+    return b"".join(raws), placed, labels
 
 
 def branch_targets(instrs: list[Instruction]) -> set[int]:

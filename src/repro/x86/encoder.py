@@ -558,34 +558,3 @@ def encode(instr: Instruction, addr: int = 0) -> bytes:
         return e.emit(addr)
 
     raise EncodeError(f"cannot encode {instr!r}")
-
-
-def encode_block(instrs: list[Instruction], base: int = 0) -> tuple[bytes, list[Instruction]]:
-    """Encode a straight sequence, assigning addresses.
-
-    Branch targets must already be absolute addresses.  Because jmp/jcc pick
-    rel8 vs rel32 based on distance, the pass iterates to a fixed point on
-    instruction lengths before the final emission.
-    """
-    lengths = [len(encode(i, 0x10000000)) for i in instrs]
-    for _ in range(16):
-        addrs = []
-        pc = base
-        for ln in lengths:
-            addrs.append(pc)
-            pc += ln
-        new_lengths = [len(encode(i, a)) for i, a in zip(instrs, addrs)]
-        if new_lengths == lengths:
-            break
-        lengths = new_lengths
-    out = bytearray()
-    placed: list[Instruction] = []
-    pc = base
-    for ins in instrs:
-        raw = encode(ins, pc)
-        out += raw
-        placed.append(
-            Instruction(ins.mnemonic, ins.operands, addr=pc, length=len(raw), raw=raw)
-        )
-        pc += len(raw)
-    return bytes(out), placed

@@ -130,7 +130,7 @@ class Instruction:
     """One decoded or to-be-encoded instruction.
 
     ``addr`` and ``length`` are filled in by the decoder (and by
-    :func:`repro.x86.encoder.encode_block`); for hand-built instructions
+    :func:`repro.x86.asm.assemble_full`); for hand-built instructions
     they stay 0 until encoding assigns them.
     """
 

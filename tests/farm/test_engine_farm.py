@@ -57,14 +57,18 @@ def test_farm_promotion_reaches_t2_verified(prog, farm):
         h = eng.register("f", FunctionSignature(("i", "i"), "i"),
                          fixes={1: 3}, probes=((10,), (5,)))
         spin_to_tier(h, sim, T2, args=(10, 3))
-        assert h.code.mode == "dbrew+llvm"
+        # what is *served*, not which tiers were passed on the way: when
+        # the T1 job is still queued at the T2 threshold the governor goes
+        # straight for T2 (``TierGovernor.next_target``), and T1 may land
+        # after it or not yet at all
+        assert h.tier == T2 and h.code.mode == "dbrew+llvm"
         assert h.code.verified  # worker-side gate verdict propagated
-        assert sorted(h.codes) == [T0, T1, T2]
-        s = eng.stats.snapshot()
-        assert s["installs"] == {T1: 1, T2: 1}
-        assert s["farm_jobs"] == 2          # both tiers went through the farm
-        assert s["farm_fallbacks"] == 0
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)
+        s = eng.stats.snapshot()
+        assert s["installs"][T2] == 1
+        # every install went through the farm, none fell back in-process
+        assert s["farm_jobs"] >= sum(s["installs"].values())
+        assert s["farm_fallbacks"] == 0
 
 
 def test_farm_dispatch_never_blocks(prog, farm):
