@@ -41,8 +41,7 @@ from repro.ir.verifier import verify
 from repro.mem.memory import Memory
 
 from repro.analysis.clone import (
-    clone_function, function_fingerprint, functions_structurally_equal,
-    restore_function,
+    clone_function, function_fingerprint, restore_function,
 )
 
 #: deterministic probe samples (mirrors the dynamic gate's tables)
@@ -113,6 +112,9 @@ class ValidatorStats:
     #: pre-pass probe runs served from the memoized baseline (the accepted
     #: output of the previous pass) instead of re-interpretation
     baseline_reuses: int = 0
+    #: ``function_fingerprint`` body walks (one per no-op check and one per
+    #: body the validator has not already keyed at its current version)
+    fingerprint_walks: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -128,19 +130,23 @@ class PassValidator:
             ttl=options.quarantine_ttl)
         self.stats = ValidatorStats()
         #: memoized probe results for the *current* body of the last
-        #: validated function: ``(id(func), fingerprint, {probe: result})``.
-        #: Consecutive pass validations of one function re-interpret the
-        #: same pre-pass body the previous validation just measured; the
-        #: fingerprint re-check makes reuse safe against outside mutation.
-        self._baseline: tuple[int, tuple, dict] | None = None
-        #: memoized pre-pass snapshot ``(weakref(func), clone)``: while
-        #: passes keep reporting (truthfully) "no change", the body stays
-        #: identical, so one clone serves every consecutive application
-        #: instead of re-cloning per pass.  Assumes run_pass is the only
+        #: validated function: ``(id(func), func.version, fingerprint,
+        #: {probe: result})``.  Consecutive pass validations of one
+        #: function re-interpret the same pre-pass body the previous
+        #: validation just measured.  The fingerprint also keys the next
+        #: snapshot while the version stands (``_known_fingerprint``); once
+        #: it has moved the snapshot is keyed afresh and the comparison in
+        #: ``_validate`` decides whether these results still apply.
+        self._baseline: tuple[int, int, tuple, dict] | None = None
+        #: memoized pre-pass snapshot ``(weakref(func), clone,
+        #: fingerprint)``: while passes keep reporting (truthfully) "no
+        #: change", the body stays identical, so one clone — keyed once —
+        #: serves every consecutive application instead of re-cloning and
+        #: re-keying per pass.  Assumes run_pass is the only
         #: mutator of ``func`` between calls — true for the O3 pipeline;
         #: external callers that mutate between calls must use a fresh
         #: validator (or accept a spurious lying-pass rejection).
-        self._snapshot: tuple[weakref.ref, Function] | None = None
+        self._snapshot: tuple[weakref.ref, Function, tuple] | None = None
 
     # -- the wrapper the pipeline calls per pass ------------------------------
 
@@ -163,15 +169,15 @@ class PassValidator:
                 reason=ent.reason)
 
         t0 = time.perf_counter()
-        snapshot = None
-        if self._snapshot is not None and self._snapshot[0]() is func:
-            snapshot = self._snapshot[1]
-        if snapshot is None:
-            snapshot = clone_function(func)
-            self._snapshot = (weakref.ref(func), snapshot)
+        if self._snapshot is None or self._snapshot[0]() is not func:
+            self._snapshot = (weakref.ref(func), clone_function(func),
+                              self._known_fingerprint(func))
+        _, snapshot, fingerprint = self._snapshot
         result = thunk()
         changed = bool(changed_of(result))
-        if not changed and functions_structurally_equal(func, snapshot):
+        # a pass that says "no change" is believed only if the live body
+        # still keys like its snapshot: content, not Function.version
+        if not changed and self._fingerprint(func) == fingerprint:
             # provably a no-op: nothing to validate; the snapshot stays
             # valid for the next pass application
             return result, PassVerdict(pass_name=name, ok=True,
@@ -183,7 +189,8 @@ class PassValidator:
 
         self.stats.validated += 1
         verdict = PassVerdict(pass_name=name, changed=True)
-        before_results, after_results = self._validate(snapshot, func, verdict)
+        before_results, after_results = self._validate(
+            snapshot, fingerprint, func, verdict)
         verdict.seconds = time.perf_counter() - t0
         self.stats.probes_run += verdict.probes_run
 
@@ -202,14 +209,27 @@ class PassValidator:
         # pre-pass body, so its probes need not be re-interpreted
         body_results = before_results if verdict.rolled_back else after_results
         if body_results:
-            self._baseline = (id(func), function_fingerprint(func),
-                              body_results)
+            self._baseline = (id(func), func.version,
+                              self._fingerprint(func), body_results)
         return result, verdict
+
+    def _fingerprint(self, func: Function) -> tuple:
+        self.stats.fingerprint_walks += 1
+        return function_fingerprint(func)
+
+    def _known_fingerprint(self, func: Function) -> tuple:
+        """The fingerprint of ``func``'s body, about to be snapshotted: the
+        one the baseline took of it, if the version has not moved since."""
+        base = self._baseline
+        if base is not None and base[:2] == (id(func), func.version):
+            return base[2]
+        return self._fingerprint(func)
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self, before: Function, after: Function,
-                  verdict: PassVerdict) -> tuple[dict | None, dict | None]:
+    def _validate(self, before: Function, before_fingerprint: tuple,
+                  after: Function, verdict: PassVerdict,
+                  ) -> tuple[dict | None, dict | None]:
         """Fill in the verdict; returns the per-probe results of the pre-
         and post-pass bodies (None after a structural rejection)."""
         try:
@@ -222,8 +242,8 @@ class PassValidator:
         cached = None
         if (self._baseline is not None
                 and self._baseline[0] == id(after)
-                and self._baseline[1] == function_fingerprint(before)):
-            cached = self._baseline[2]
+                and self._baseline[2] == before_fingerprint):
+            cached = self._baseline[3]
         reason, probes, before_results, after_results = \
             self._differential(before, after, cached)
         verdict.probes_run = probes
@@ -302,7 +322,8 @@ class PassValidator:
         interp.max_steps = self.options.max_steps
         try:
             rv = interp.run(func, list(args))
-            return rv, None, mem.snapshot()
+            return rv, None, [(s, mem.read(s, n)) for s, n in mem.regions()
+                              if not _STACK_LO <= s < _STACK_HI]
         except ReproError as exc:
             # inconclusive: the snapshot is never compared, don't copy it
             return None, f"{type(exc).__name__}: {exc}", None
@@ -366,9 +387,8 @@ def _scratch_pattern(size: int) -> bytes:
 
 def _mem_diff(a: list[tuple[int, bytes]],
               b: list[tuple[int, bytes]]) -> int | None:
-    """First differing non-stack address between two memory snapshots."""
-    da = {s: d for s, d in a if not (_STACK_LO <= s < _STACK_HI)}
-    db = {s: d for s, d in b if not (_STACK_LO <= s < _STACK_HI)}
+    """First differing address between two probes' region lists."""
+    da, db = dict(a), dict(b)
     for s in sorted(set(da) | set(db)):
         x, y = da.get(s, b""), db.get(s, b"")
         if x == y:

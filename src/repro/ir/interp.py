@@ -11,10 +11,12 @@ code it compiles and the constant folder calls as a function.  Value
 representation: iN -> unsigned-masked int, double/float -> Python float,
 pointer -> int address, vector -> tuple of elements, undef -> zeros.
 
-Each function is compiled once into a *decoded trace*: per block,
-straight-line instruction runs become a handful of exec-specialized
-closures over a flat slot-indexed environment, with operand slots,
-constants, masks and helpers resolved at compile time.  Adjacent
+Each function is compiled into a *decoded trace*, a block at a time and
+only the blocks execution enters (a probe that faults in the entry block
+compiles the entry block): per block, straight-line instruction runs
+become a handful of exec-specialized closures over a flat slot-indexed
+environment, with operand slots, constants, masks and helpers resolved at
+compile time.  Adjacent
 instructions fuse into one closure body (superinstructions: the whole run
 is a single bytecode object, and ``cmp+br`` fuses into the block
 terminator), phi webs become precompiled parallel-move closures per CFG
@@ -128,6 +130,8 @@ class Interpreter:
         bt = ft.entry
         prev = -1
         while True:
+            if bt.pending:  # first entry: phi moves and n_steps come from it
+                ft.compiler.compile_block(bt)
             pm = bt.phi_moves
             if pm is not None:
                 mv = pm.get(prev)
@@ -181,6 +185,11 @@ _M64 = (1 << 64) - 1
 _TRACE_HITS = _metrics.counter("interp.trace.hits")
 _TRACE_COMPILES = _metrics.counter("interp.trace.compiles")
 _TRACE_INVALIDATIONS = _metrics.counter("interp.trace.invalidations")
+#: blocks of every trace built / blocks some run entered and so compiled
+_TRACE_BLOCKS_TOTAL = _metrics.counter("interp.trace.blocks_total")
+_TRACE_BLOCKS_COMPILED = _metrics.counter("interp.trace.blocks_compiled")
+#: fused pairs of *compiled* blocks: a pair in a block no run enters is
+#: never fused and not counted
 _FUSE_CMP_BR = _metrics.counter("interp.fuse.cmp_br")
 _FUSE_GEP_LOAD = _metrics.counter("interp.fuse.gep_load")
 _FUSE_BINOP_STORE = _metrics.counter("interp.fuse.binop_store")
@@ -209,12 +218,14 @@ class _Frame:
 
 
 class _BlockTrace:
-    __slots__ = ("bid", "bname", "n_steps", "ops", "phi_moves",
+    __slots__ = ("bid", "bname", "pending", "n_steps", "ops", "phi_moves",
                  "tkind", "tp", "terr")
 
-    def __init__(self) -> None:
-        self.bid = -1
-        self.bname = ""
+    def __init__(self, bid: int, bname: str) -> None:
+        self.bid = bid
+        self.bname = bname
+        #: nothing below is filled in yet (``_Compiler.compile_block``)
+        self.pending = True
         self.n_steps = 0
         self.ops: tuple = ()
         self.phi_moves: dict | None = None
@@ -225,7 +236,12 @@ class _BlockTrace:
 
 class _FuncTrace:
     __slots__ = ("name", "entry", "nslots", "nargs", "arg_types",
-                 "version", "nblocks", "ninstrs")
+                 "version", "nblocks", "ninstrs", "compiler")
+
+    def is_current(self, func: Function) -> bool:
+        return (self.version == func.version
+                and self.nblocks == len(func.blocks)
+                and self.ninstrs == _instr_count(func))
 
 
 def trace_for(func: Function) -> _FuncTrace:
@@ -241,8 +257,7 @@ def trace_for(func: Function) -> _FuncTrace:
     with _TRACES_LOCK:
         ft = _TRACES.get(func)
     if ft is not None:
-        if ft.version == ver and ft.nblocks == len(func.blocks) \
-                and ft.ninstrs == _instr_count(func):
+        if ft.is_current(func):
             _TRACE_HITS.value += 1
             return ft
         _TRACE_INVALIDATIONS.value += 1
@@ -269,10 +284,7 @@ def trace_is_current(func: Function) -> bool:
     """
     with _TRACES_LOCK:
         ft = _TRACES.get(func)
-    if ft is None:
-        return True
-    return (ft.version == func.version and ft.nblocks == len(func.blocks)
-            and ft.ninstrs == _instr_count(func))
+    return ft is None or ft.is_current(func)
 
 
 def trace_cache_stats() -> dict[str, int]:
@@ -283,6 +295,8 @@ def trace_cache_stats() -> dict[str, int]:
         "hits": _TRACE_HITS.value,
         "compiles": _TRACE_COMPILES.value,
         "invalidations": _TRACE_INVALIDATIONS.value,
+        "blocks_total": _TRACE_BLOCKS_TOTAL.value,
+        "blocks_compiled": _TRACE_BLOCKS_COMPILED.value,
         "fused_cmp_br": _FUSE_CMP_BR.value,
         "fused_gep_load": _FUSE_GEP_LOAD.value,
         "fused_binop_store": _FUSE_BINOP_STORE.value,
@@ -373,21 +387,31 @@ def _getter(res: tuple):
 
 
 class _Compiler:
-    """One-shot trace compiler for a single function version."""
+    """Trace compiler for one function version: the slot map and the block
+    skeleton up front, a block's code the first time a run enters it.
 
-    def __init__(self, func: Function) -> None:
-        self.func = func
+    It lives as long as its trace, which ``_TRACES`` holds *by* the
+    function: it may keep ids, indices and names, never the function, a
+    block or an instruction (a cache value that reaches its weak key is
+    immortal), so the function is a ``weakref`` and a block is its index.
+    """
+
+    def __init__(self, func: Function, version: int) -> None:
+        self.fref = weakref.ref(func)
         self.fname = func.name
+        self.version = version
         self.slots: dict[int, int] = {}
-        # pin operand identity: slots are id()-keyed, and the trace must
-        # not outlive id reuse — the function holds its instructions alive,
-        # and the trace is dropped whenever the version moves
+        # slots are id()-keyed, and ids are only unique among live objects:
+        # the function holds its instructions alive while the version
+        # stands, and compile_block refuses to run once it has moved
         for i, arg in enumerate(func.args):
             self.slots[id(arg)] = i
         for blk in func.blocks:
             for ins in blk.instructions:
                 if id(ins) not in self.slots:
                     self.slots[id(ins)] = len(self.slots)
+        self.bts = [_BlockTrace(i, b.name) for i, b in enumerate(func.blocks)]
+        self.bindex = {id(b): i for i, b in enumerate(func.blocks)}
 
     def slot(self, v: Value) -> int:
         return self.slots[id(v)]
@@ -533,31 +557,18 @@ class _Compiler:
 
     # -- block / function assembly ------------------------------------------
 
-    def compile(self, version: int) -> _FuncTrace:
-        func = self.func
-        bts = [_BlockTrace() for _ in func.blocks]
-        bindex = {id(b): i for i, b in enumerate(func.blocks)}
-        for i, (blk, bt) in enumerate(zip(func.blocks, bts)):
-            bt.bid = i
-            bt.bname = blk.name
-            self._compile_block(blk, bt, bts, bindex)
-        ft = _FuncTrace()
-        ft.name = func.name
-        ft.entry = bts[0] if bts else _raising_entry(func.name)
-        ft.nslots = len(self.slots)
-        ft.nargs = len(func.args)
-        ft.arg_types = tuple(a.type for a in func.args)
-        ft.version = version
-        ft.nblocks = len(func.blocks)
-        ft.ninstrs = _instr_count(func)
-        return ft
-
-    def _compile_block(self, blk: BasicBlock, bt: _BlockTrace,
-                       bts: list[_BlockTrace], bindex: dict) -> None:
+    def compile_block(self, bt: _BlockTrace) -> None:
+        """Fill in ``bt`` from its block.  Two threads entering one cold
+        block both compile it (same result); every field is assigned
+        before ``pending`` clears, so a third sees the block whole."""
+        func = self.fref()
+        if func is None or func.version != self.version:
+            raise IRInterpError(
+                f"@{self.fname}: function changed under its running trace")
+        blk = func.blocks[bt.bid]
         phis = blk.phis()
         body = blk.instructions[len(phis):]
-        if phis:
-            bt.phi_moves = self._compile_phi_moves(blk, phis, bindex)
+        phi_moves = self._compile_phi_moves(func, blk, phis) if phis else None
 
         # find the terminator: execution stops at the first one (trailing
         # instructions after it are unreachable)
@@ -569,7 +580,6 @@ class _Compiler:
                 term_at = j
                 break
         run = body[:term_at]
-        bt.n_steps = term_at + (1 if term is not None else 0)
 
         # cmp+br superinstruction: the compare feeding a conditional branch
         # computes inside the terminator closure (its slot is still written
@@ -583,8 +593,14 @@ class _Compiler:
                 run = run[:-1]
                 _FUSE_CMP_BR.value += 1
 
-        bt.ops = tuple(self._pack_ops(run))
-        self._compile_terminator(term, fused_cmp, bt, bts, bindex)
+        ops = tuple(self._pack_ops(run))
+        tkind, tp, terr = self._compile_terminator(term, fused_cmp, bt.bname)
+        bt.phi_moves = phi_moves
+        bt.n_steps = term_at + (1 if term is not None else 0)
+        bt.ops = ops
+        bt.tkind, bt.tp, bt.terr = tkind, tp, terr
+        bt.pending = False
+        _TRACE_BLOCKS_COMPILED.value += 1
 
     def _pack_ops(self, run: list[I.Instruction]) -> list:
         """Merge consecutive statement-form instructions into single
@@ -622,29 +638,20 @@ class _Compiler:
         flush()
         return ops
 
-    def _compile_terminator(self, term, fused_cmp, bt: _BlockTrace,
-                            bts: list, bindex: dict) -> None:
-        fname = self.fname
+    def _compile_terminator(self, term, fused_cmp, bname: str) -> tuple:
+        """``(tkind, tp, terr)`` of a block ending in ``term``."""
+        fname, bts, bindex = self.fname, self.bts, self.bindex
         if term is None:
-            bt.tkind = 4
-            bt.terr = f"@{fname}: block {bt.bname} fell through"
-            return
+            return 4, None, f"@{fname}: block {bname} fell through"
         if term.opcode == "unreachable":
-            bt.tkind = 4
-            bt.terr = f"@{fname}: reached unreachable"
-            return
+            return 4, None, f"@{fname}: reached unreachable"
         if term.opcode == "ret":
-            bt.tkind = 0
             rv = term.value
-            bt.tp = None if rv is None else _getter(self.resolve(rv))
-            return
+            return 0, None if rv is None else _getter(self.resolve(rv)), None
         # branch
         assert isinstance(term, I.Br)
         if not term.is_conditional:
-            bt.tkind = 1
-            bt.tp = bts[bindex[id(term.targets[0])]]
-            return
-        bt.tkind = 2
+            return 1, bts[bindex[id(term.targets[0])]], None
         tb = bts[bindex[id(term.targets[0])]]
         fb = bts[bindex[id(term.targets[1])]]
         if fused_cmp is not None:
@@ -656,11 +663,11 @@ class _Compiler:
             cond = _exec_fn("_cond", lines, em.binds, em.needs_mem)
         else:
             cond = _getter(self.resolve(term.operands[0]))
-        bt.tp = (cond, tb, fb)
+        return 2, (cond, tb, fb), None
 
-    def _compile_phi_moves(self, blk: BasicBlock, phis: list[I.Phi],
-                           bindex: dict) -> dict:
-        func, fname = self.func, self.fname
+    def _compile_phi_moves(self, func: Function, blk: BasicBlock,
+                           phis: list[I.Phi]) -> dict:
+        fname, bindex = self.fname, self.bindex
         moves: dict[int, object] = {}
         preds = [b for b in func.blocks if blk in b.successors()]
         for pred in preds:
@@ -717,15 +724,22 @@ def _dispatch_call(rt: _Frame, target: Function, args: list) -> object:
     return interp._run_function(target, args, rt.sp - 64)
 
 
-def _raising_entry(fname: str) -> _BlockTrace:
-    bt = _BlockTrace()
-    bt.tkind = 4
-    bt.terr = f"function {fname} has no blocks"
-    return bt
-
-
 def _compile_trace(func: Function, version: int) -> _FuncTrace:
+    """What a trace holds before its first run: ids and counts, and no
+    compiled block."""
     if not func.blocks:
         from repro.errors import IRError
         raise IRError(f"function {func.name} has no blocks")
-    return _Compiler(func).compile(version)
+    comp = _Compiler(func, version)
+    ft = _FuncTrace()
+    ft.name = func.name
+    ft.compiler = comp
+    ft.entry = comp.bts[0]
+    ft.nslots = len(comp.slots)
+    ft.nargs = len(func.args)
+    ft.arg_types = tuple(a.type for a in func.args)
+    ft.version = version
+    ft.nblocks = len(func.blocks)
+    ft.ninstrs = _instr_count(func)
+    _TRACE_BLOCKS_TOTAL.value += ft.nblocks
+    return ft

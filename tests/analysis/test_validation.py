@@ -172,3 +172,152 @@ def test_validated_pipeline_through_transformer():
     from repro.cpu import Simulator
 
     assert Simulator(program.image).call_int(res.name, (6, 7)) == 45
+
+
+# -- one fingerprint per snapshot ---------------------------------------------
+
+
+def test_lying_pass_caught_on_a_snapshot_already_keyed():
+    """Consecutive no-op applications share one snapshot and its one
+    fingerprint; each still walks the *live* body, so the liar that comes
+    second (or third) is caught by content all the same."""
+    m, f = _poly_func()
+    original = clone_function(f)
+    validator = PassValidator()
+    stats = validator.stats
+    _r, first = validator.run_pass("honest", lambda: False, f)
+    assert first.ok and not first.changed
+    assert stats.fingerprint_walks == 2  # the snapshot's key, the live body
+    memo = validator._snapshot
+    _r, second = validator.run_pass("honest", lambda: False, f)
+    assert second.ok and not second.changed
+    assert validator._snapshot is memo and stats.fingerprint_walks == 3
+
+    def lying_pass():
+        _corrupt_ret(None, f)
+        return False
+
+    _r, verdict = validator.run_pass("liar", lying_pass, f)
+    assert not verdict.ok and verdict.rolled_back
+    assert "divergence" in (verdict.reason or "")
+    assert stats.validated == 1 and stats.rejected == 1
+    assert functions_structurally_equal(f, original)
+    assert Interpreter(m).run(f, [5, 7]) == (5 + 5) * 3 + 7
+
+
+def test_renamed_values_are_not_a_change():
+    _m, f = _poly_func()
+    validator = PassValidator()
+
+    def rename():
+        for i, ins in enumerate(f.instructions()):
+            ins.name = f"renamed{i}"
+        return False
+
+    _r, verdict = validator.run_pass("rename", rename, f)
+    assert verdict.ok and not verdict.changed
+    assert validator.stats.validated == 0
+
+
+def _drop_dead_mul(f):
+    def run():
+        dead = [i for i in f.instructions()
+                if i.opcode == "mul" and not i.uses]
+        for ins in dead:
+            ins.erase()
+        f.bump_version()
+        return bool(dead)
+    return run
+
+
+def test_accepted_body_is_keyed_once_and_only_within_its_version():
+    """The walk that keys an accepted body for the baseline also keys the
+    next snapshot of it — unless ``Function.version`` moved in between,
+    and then nothing carries over: neither the key nor the probe results."""
+    _m, f = _poly_func()
+    validator = PassValidator()
+    stats = validator.stats
+    _r, v = validator.run_pass("dce", _drop_dead_mul(f), f)
+    assert v.ok and v.changed and stats.baseline_reuses == 0
+    walks = stats.fingerprint_walks
+    _r, v = validator.run_pass("nothing", lambda: False, f)
+    assert v.ok and not v.changed
+    assert stats.fingerprint_walks == walks + 1  # the live body only
+
+    # same sequence, but somebody else edits the body between the calls
+    _m, g = _poly_func("g")
+    _r, v = validator.run_pass("dce", _drop_dead_mul(g), g)
+    assert v.ok and v.changed
+    walks = stats.fingerprint_walks
+    three = next(i for i in g.instructions() if i.opcode == "mul").operands[1]
+    assert g.replace_all_uses(three, Constant(I64, 5)) == 1
+    ret = next(i for i in g.instructions() if isinstance(i, I.Ret))
+
+    def fold_ret():
+        ret.operands[0] = g.args[1]
+        g.bump_version()
+        return True
+
+    reuses = stats.baseline_reuses
+    _r, v = validator.run_pass("bad", fold_ret, g)
+    assert stats.fingerprint_walks >= walks + 1, "stale key served a snapshot"
+    assert stats.baseline_reuses == reuses, \
+        "probe results of the pre-edit body served as this pass's baseline"
+    assert not v.ok and v.rolled_back
+    assert Interpreter(_m).run(g, [5, 7]) == (5 + 5) * 5 + 7
+
+
+# -- what a probe's memory record holds ------------------------------------------
+
+
+def _store_func():
+    """f(p, x): a dead stack slot gets ``x``, ``*p`` gets ``x + 1``."""
+    from repro.ir import ptr
+
+    m = Module("t")
+    f = Function("f", FunctionType(I64, (I64, I64)))
+    m.add_function(f)
+    b = IRBuilder(f.add_block("entry"))
+    slot = b.alloca(I64, name="slot")
+    spill = b.store(f.args[1], slot, align=8)
+    p = b.inttoptr(f.args[0], ptr(I64), "p")
+    out = b.store(b.add(f.args[1], b.const(I64, 1)), p, align=8)
+    b.ret(f.args[1])
+    return f, spill, out
+
+
+def test_probe_memory_record_is_the_compared_regions_only(monkeypatch):
+    """The interpreter's 1 MB stack is excluded from the comparison, so it
+    is not copied either: a pass may change what dead stack slots hold,
+    and a changed store outside the stack is still a divergence, at the
+    same address and with the same words."""
+    from repro.analysis import validate as V
+    from repro.mem.memory import Memory
+
+    def no_snapshot(self):
+        raise AssertionError("a probe copied the whole memory")
+
+    monkeypatch.setattr(Memory, "snapshot", no_snapshot)
+    f, spill, out = _store_func()
+    validator = PassValidator()
+    _rv, err, record = validator._probe_run(f, (V.SCRATCH_BASE, 5))
+    assert err is None
+    assert [(s, len(d)) for s, d in record] == \
+        [(V.SCRATCH_BASE, V.SCRATCH_SLOT * V.SCRATCH_SLOTS)]
+
+    def clobber_stack():
+        spill.operands[0] = Constant(I64, 99)
+        f.bump_version()
+        return True
+
+    _r, verdict = validator.run_pass("stack", clobber_stack, f)
+    assert verdict.ok and verdict.probes_run > 0, verdict.reason
+
+    def clobber_scratch():
+        out.operands[0] = Constant(I64, 99)
+        f.bump_version()
+        return True
+
+    _r, verdict = validator.run_pass("scratch", clobber_scratch, f)
+    assert not verdict.ok and verdict.rolled_back
+    assert verdict.reason.endswith(f"memory divergence at {V.SCRATCH_BASE:#x}")

@@ -1,18 +1,29 @@
-"""Interpreter trace cache: invalidation, preemption.
+"""Interpreter trace cache: invalidation, preemption, block-lazy compile.
 
 The interpreter caches a compiled trace per function,
 keyed by the function's mutation version (plus a structural guard).  These
 tests prove the core soundness claim: after *any* sanctioned mutation —
 pass rewrite, RAUW, direct list surgery, callee replacement — a stale
 trace is never executed, including under an 8-thread preemption hammer.
+The second half is about *when* a block is compiled — on the first run
+that enters it, never before — and what that must not cost: a partly
+compiled trace keeps nothing alive, two threads entering one cold block
+agree, and a stale block is not compiled any more than a stale trace runs.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import weakref
 
+import pytest
+
+from repro.errors import IRInterpError
 from repro.ir import (
-    I64, Function, FunctionType, IRBuilder, Interpreter, Module, verify,
+    I64, VOID, Function, FunctionType, IRBuilder, Interpreter, Module, Undef,
+    verify,
 )
 from repro.ir import interp as interp_mod
 from repro.ir.passes import run_o3
@@ -321,3 +332,237 @@ def test_engine_parity_on_mutation_sequence():
         assert it.run(f, [9]) == 9 + k
         f.replace_all_uses(c, B.const(I64, k + 1))
         assert it.run(f, [9]) == 9 + k + 1
+
+
+# -- block-lazy compilation ----------------------------------------------------
+
+
+def build_two_armed(m: Module, name: str = "f"):
+    """f(x) = x + 1 if x == 0 else x * 2: entry, two arms, no join."""
+    f = Function(name, FunctionType(I64, (I64,)))
+    m.add_function(f)
+    entry, then, other = (f.add_block(n) for n in ("entry", "then", "else"))
+    b = IRBuilder(entry)
+    b.cond_br(b.icmp("eq", f.args[0], b.const(I64, 0)), then, other)
+    b = IRBuilder(then)
+    b.ret(b.add(f.args[0], b.const(I64, 1)))
+    b = IRBuilder(other)
+    b.ret(b.mul(f.args[0], b.const(I64, 2)))
+    verify(f)
+    return f
+
+
+def _blocks(before: dict) -> tuple[int, int]:
+    now = interp_mod.trace_cache_stats()
+    return (now["blocks_total"] - before["blocks_total"],
+            now["blocks_compiled"] - before["blocks_compiled"])
+
+
+def test_unentered_block_is_never_compiled(monkeypatch):
+    """One arm per run: the entry's fused cmp+br and the taken arm's body
+    are the only code objects built; the other arm waits for the run that
+    takes it, and a third run builds nothing."""
+    built: list[str] = []
+    real = interp_mod._exec_fn
+
+    def counting(name, *args, **kwargs):
+        built.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(interp_mod, "_exec_fn", counting)
+    interp_mod.clear_traces()
+    m = Module("t")
+    f = build_two_armed(m)
+    it = Interpreter(m)
+    s0 = interp_mod.trace_cache_stats()
+    assert it.run(f, [0]) == 1
+    assert built == ["_cond", "_op"] and _blocks(s0) == (3, 2)
+    assert it.run(f, [5]) == 10
+    assert built == ["_cond", "_op", "_op"] and _blocks(s0) == (3, 3)
+    assert it.run(f, [0]) == 1 and it.run(f, [7]) == 14
+    assert len(built) == 3 and _blocks(s0) == (3, 3)
+    assert interp_mod.trace_cache_stats()["compiles"] == s0["compiles"] + 1
+
+
+def test_partly_compiled_trace_dies_with_its_function():
+    """The pending blocks' compiler must not reach the function: a cache
+    value that holds its weak key is immortal (and was, at +45 MB a
+    ``verified_install`` round, in the first draft of the lazy compiler)."""
+    interp_mod.clear_traces()
+    m = Module("t")
+    f = build_two_armed(m)
+    assert Interpreter(m).run(f, [0]) == 1  # one probe, one path
+    ft = interp_mod.trace_for(f)
+    assert ft.entry.tp[2].pending, "the else arm was compiled unentered"
+    assert interp_mod.trace_cache_stats()["size"] == 1
+    ref = weakref.ref(f)
+    del m, f
+    gc.collect()
+    assert ref() is None, "a partly compiled trace kept its function alive"
+    assert interp_mod.trace_cache_stats()["size"] == 0
+    # the orphaned trace still refuses to compile, with a typed error
+    with pytest.raises(IRInterpError, match="changed under its running"):
+        ft.compiler.compile_block(ft.entry.tp[2])
+
+
+def test_uncompilable_block_fails_only_when_entered():
+    """``Undef`` of a type with no zero is a compile-time error of the
+    block that uses it: it no longer fails runs that never get there, and
+    raises what it always raised on the run that does."""
+    interp_mod.clear_traces()
+    m = Module("t")
+    f = build_two_armed(m)
+    f.blocks[2].instructions[0].operands[1] = Undef(VOID)
+    it = Interpreter(m)
+    assert it.run(f, [0]) == 1
+    with pytest.raises(IRInterpError, match="^no zero for void$"):
+        it.run(f, [5])
+    assert it.run(f, [0]) == 1, "a failed block compile poisoned the trace"
+    with pytest.raises(IRInterpError, match="^no zero for void$"):
+        it.run(f, [5])
+    assert interp_mod.trace_is_current(f)
+
+
+def test_mutation_between_runs_of_a_partly_compiled_trace():
+    interp_mod.clear_traces()
+    m = Module("t")
+    f = build_two_armed(m)
+    it = Interpreter(m)
+    assert it.run(f, [0]) == 1
+    assert interp_mod.trace_is_current(f)
+    s0 = interp_mod.trace_cache_stats()
+    two = f.blocks[2].instructions[0].operands[1]
+    assert f.replace_all_uses(two, B.const(I64, 3)) == 1
+    assert not interp_mod.trace_is_current(f)
+    assert it.run(f, [5]) == 15, "the cold arm was compiled from a stale trace"
+    assert interp_mod.trace_is_current(f)
+    s1 = interp_mod.trace_cache_stats()
+    assert s1["invalidations"] == s0["invalidations"] + 1
+    assert s1["compiles"] == s0["compiles"] + 1
+    assert _blocks(s0) == (3, 2)  # the new trace: entry and the else arm
+    assert it.run(f, [0]) == 1 and interp_mod.trace_is_current(f)
+
+
+def test_mutation_under_a_running_trace_is_refused():
+    """A callee hook that mutates its caller mid-run: the next cold block
+    re-checks the version and raises instead of compiling new IR into a
+    trace whose slot map describes the old one."""
+    interp_mod.clear_traces()
+    m = Module("t")
+    poke = Function("poke", FunctionType(I64, (I64,)))
+    poke.is_declaration = True
+    m.add_function(poke)
+    f = Function("f", FunctionType(I64, (I64,)))
+    m.add_function(f)
+    entry, tail = f.add_block("entry"), f.add_block("tail")
+    b = IRBuilder(entry)
+    got = b.call(poke, [f.args[0]], I64)
+    b.br(tail)
+    b = IRBuilder(tail)
+    one = b.const(I64, 1)
+    b.ret(b.add(got, one))
+    verify(f)
+
+    def mutate(x):
+        f.replace_all_uses(one, B.const(I64, 100))
+        return x
+
+    it = Interpreter(m, extern_functions={"poke": mutate})
+    with pytest.raises(IRInterpError, match="changed under its running trace"):
+        it.run(f, [1])
+    it.extern_functions["poke"] = lambda x: x
+    assert it.run(f, [1]) == 101  # the next run starts from a fresh trace
+    assert interp_mod.trace_is_current(f)
+
+
+def build_block_chain(m: Module, nblocks: int = 24, name: str = "chain"):
+    """A counted loop whose body is a chain of ``nblocks`` blocks; the
+    header carries two phis.  Returns the function and a Python model."""
+    f = Function(name, FunctionType(I64, (I64, I64)))
+    m.add_function(f)
+    entry, head, done = (f.add_block(n) for n in ("entry", "head", "done"))
+    chain = [f.add_block(f"b{k}") for k in range(nblocks)]
+    IRBuilder(entry).br(head)
+    b = IRBuilder(head)
+    i, acc = b.phi(I64, "i"), b.phi(I64, "acc")
+    b.cond_br(b.icmp("ult", i, f.args[0]), chain[0], done)
+    v = acc
+    for k, blk in enumerate(chain):
+        b = IRBuilder(blk)
+        v = b.add(b.mul(v, b.const(I64, 3)), b.const(I64, k))
+        if k + 1 < nblocks:
+            b.br(chain[k + 1])
+    nxt = b.add(i, b.const(I64, 1))
+    b.br(head)
+    for phi, first, again in ((i, b.const(I64, 0), nxt), (acc, f.args[1], v)):
+        phi.add_incoming(first, entry)
+        phi.add_incoming(again, chain[-1])
+    IRBuilder(done).ret(acc)
+    verify(f)
+
+    def model(n: int, seed: int) -> int:
+        for _ in range(n):
+            for k in range(nblocks):
+                seed = (seed * 3 + k) & M64
+        return seed
+
+    return f, model
+
+
+def test_cold_block_entry_hammer_8_threads():
+    """Eight threads leave a barrier into the same fresh, wholly cold trace
+    and race to compile each of its 27 blocks: every run of every
+    iteration returns what one thread alone computes."""
+    NTHREADS, ITERS = 8, 20
+    start = threading.Barrier(NTHREADS + 1)
+    done = threading.Barrier(NTHREADS + 1)
+    state: dict = {}
+    results: list = [None] * NTHREADS
+    interp_mod.clear_traces()
+
+    alone = Module("t")
+    g, model = build_block_chain(alone)
+    single = Interpreter(alone)
+    want = [(single.run(g, [3, s]), True, True) for s in range(NTHREADS)]
+    assert [w[0] for w in want] == [model(3, s) for s in range(NTHREADS)]
+
+    def worker(slot: int) -> None:
+        for _ in range(ITERS):
+            start.wait(timeout=60)
+            try:
+                f, it = state["f"], state["it"]
+                results[slot] = (it.run(f, [3, slot]),
+                                 interp_mod.trace_for(f) is state["ft"],
+                                 interp_mod.trace_is_current(f))
+            except Exception as exc:  # noqa: BLE001 - compared below
+                results[slot] = exc
+            done.wait(timeout=60)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=worker, args=(k,))
+               for k in range(NTHREADS)]
+    s0 = interp_mod.trace_cache_stats()
+    try:
+        for t in threads:
+            t.start()
+        for _ in range(ITERS):
+            m = Module("t")
+            f, _model = build_block_chain(m)
+            it = Interpreter(m)
+            it.max_steps = 1 << 40
+            ft = interp_mod.trace_for(f)  # one shared trace, all of it cold
+            assert ft.entry.pending
+            state.update(f=f, it=it, ft=ft)
+            start.wait(timeout=60)
+            done.wait(timeout=60)
+            assert results == want
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+        start.abort()
+        done.abort()
+    assert not any(t.is_alive() for t in threads)
+    total, compiled = _blocks(s0)
+    assert total == ITERS * 27 and compiled >= total
