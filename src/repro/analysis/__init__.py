@@ -1,5 +1,5 @@
 """Static analysis over the lifted IR: dataflow engine, soundness
-checkers, and per-pass translation validation.
+checkers, and translation validation of the -O3 sweep.
 
 The rewriter's trust chain has three layers; this package is the middle
 one.  The IR verifier (:mod:`repro.ir.verifier`) checks *well-formedness*,
@@ -16,10 +16,11 @@ behavior* — and ``repro.analysis`` checks *provable* properties in between:
   collected as findings instead of raised (strict SSA, Φ coverage);
 * :mod:`~repro.analysis.deadflags` — Fig. 6-style proof of which status
   flags the optimizer eliminated;
-* :mod:`~repro.analysis.validate` — per-pass translation validation for
-  ``run_o3(..., validate=True)``: clone before each pass, verify after,
-  differentially interpret on seeded probes, roll back and quarantine the
-  offending pass on divergence;
+* :mod:`~repro.analysis.validate` — translation validation for
+  ``run_o3(..., validate=True)``: clone the lifted body, run the sweep,
+  verify, differentially interpret lifted vs optimized on seeded probes —
+  once; on a mismatch replay the sweep with the same check after every
+  pass, roll back and quarantine the offending one;
 * :mod:`~repro.analysis.machine` — machine-level translation validation:
   decode the bytes the backend just emitted, reconstruct the machine CFG,
   symbolically execute it and prove it equivalent to the source IR

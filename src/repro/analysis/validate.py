@@ -1,28 +1,49 @@
-"""Per-pass translation validation for the -O3 pipeline.
+"""Translation validation for the -O3 pipeline: once, then replay per pass.
 
 PR 2's differential gate runs end-to-end: it can say *that* a specialized
 function diverged, never *which pass* miscompiled it.  This module closes
-that gap.  In validate mode ``run_o3`` hands every pass application to a
-:class:`PassValidator`, which
+that gap without paying for the answer on every clean compile.  In validate
+mode ``run_o3`` hands a :class:`PassValidator` **applications** — a thunk
+that edits one function in place — and each one is
 
-1. snapshots the function body (:func:`~repro.analysis.clone.clone_function`),
-2. runs the pass,
-3. checks the output **structurally** — the raising verifier, which holds
-   every structural rule — and **behaviorally**, by interpreting the pre- and
-   post-pass bodies on seeded probe vectors over identical deterministic
+1. snapshotted (:func:`~repro.analysis.clone.clone_function`),
+2. run,
+3. checked **structurally** — the raising verifier, which holds every
+   structural rule — and **behaviorally**, by interpreting the snapshot and
+   the output on seeded probe vectors over identical deterministic
    memories and comparing return values *and* non-stack memory effects,
-4. on rejection rolls the function back in place, records the verdict, and
-   quarantines only the offending pass via a :class:`NegativeCache`
-   (key ``o3pass:<name>``) — the rest of the pipeline keeps running, so a
-   single broken pass degrades optimization quality instead of killing the
-   ladder rung.
+4. on rejection rolled back in place.
 
-A probe on which the *pre-pass* body itself faults (e.g. a sampled integer
+With no pass under suspicion the application is the **whole sweep**
+(:attr:`PassValidator.PIPELINE`): one clone of the lifted body, the passes
+run unvalidated, one ``verify``, one comparison of lifted against final.
+An accepted pipeline is done.  A rejected one — structural, behavioral, or
+an exception escaping the sweep — blames nobody and quarantines nothing:
+the lifted body is back in place and ``run_o3`` **replays** the sweep with
+one application per pass.  Passes are deterministic, so the replay meets
+the same fault again, now between two bodies one pass apart: that pass is
+rolled back, recorded in ``O3Report.rejected_passes`` and quarantined in a
+:class:`NegativeCache` (key ``o3pass:<name>``) while the rest of the
+pipeline keeps running, so a single broken pass degrades optimization
+quality instead of killing the ladder rung.  While any pass is in
+quarantine every ``run_o3`` under this validator goes per pass from the
+start.
+
+What "once" does not see, by design: a pass error that later passes erase
+on every probe.  The installed body is then still probe-equal to the lifted
+one, which is the property an install needs; the per-pass sweep would have
+rejected and quarantined the pass.  In the other direction the end-to-end
+comparison is the stricter one on floats: one tolerance from lifted to
+final, not one per step.
+
+A probe on which the *snapshot* itself faults (e.g. a sampled integer
 dereferenced as a pointer) is inconclusive and skipped, mirroring the
 dynamic gate's policy: passes may remove traps from dead code, but must
-preserve every well-defined execution.  Comparison of float returns uses a
-small relative tolerance because the default pipeline runs fast-math
-reassociation.
+preserve every well-defined execution.  A verdict can rest on no conclusive
+probe at all; ``PassVerdict.probes_run`` (``O3Report.conclusive_probes``
+for an accepted pipeline) says on how many it does.  Comparison of float
+returns uses a small relative tolerance because the default pipeline runs
+fast-math reassociation.
 """
 
 from __future__ import annotations
@@ -34,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cache.negative import NegativeCache
-from repro.errors import IRError, ReproError
+from repro.errors import BudgetExceededError, IRError, ReproError
 from repro.ir.interp import Interpreter
 from repro.ir.module import Function
 from repro.ir.verifier import verify
@@ -61,9 +82,9 @@ _STACK_HI = 0x7000_0000
 
 @dataclass(frozen=True)
 class ValidationOptions:
-    """Per-pass validation configuration."""
+    """Validation configuration."""
 
-    #: probe vectors interpreted per validated pass application
+    #: probe vectors interpreted per validated application
     probes: int = 4
     #: sample-rotation seed
     seed: int = 0
@@ -82,7 +103,8 @@ class ValidationOptions:
 
 @dataclass
 class PassVerdict:
-    """What per-pass validation concluded about one pass application."""
+    """What validation concluded about one application: a single pass,
+    or the whole sweep (``pass_name == PassValidator.PIPELINE``)."""
 
     pass_name: str
     ok: bool = True
@@ -93,14 +115,25 @@ class PassVerdict:
     #: pre-pass body was restored after rejection
     rolled_back: bool = False
     reason: str | None = None
+    #: *conclusive* probes the verdict rests on (0 = structural checks only)
     probes_run: int = 0
     seconds: float = 0.0
 
 
 @dataclass
 class ValidatorStats:
-    """Aggregate counters across one validator's lifetime."""
+    """Aggregate counters across one validator's lifetime.
 
+    ``validated``/``accepted`` count checked applications of either kind;
+    ``rejected``, ``rollbacks`` and the two ``*_rejections`` count *pass*
+    applications only — one bad pass is ``rejected == 1`` however it was
+    found — and a rejected pipeline is a ``replays``.
+    """
+
+    #: whole sweeps handed in as one application
+    pipelines: int = 0
+    #: pipelines rejected and handed back for a per-pass replay
+    replays: int = 0
     validated: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -121,7 +154,12 @@ class ValidatorStats:
 
 
 class PassValidator:
-    """Validates pass applications; quarantines passes that miscompile."""
+    """Validates applications; quarantines passes that miscompile."""
+
+    #: the name under which ``run_o3`` hands in its whole sweep as one
+    #: application.  Its rejection is the cue to replay per pass, not a
+    #: finding: it is counted apart and never enters the quarantine.
+    PIPELINE = "o3"
 
     def __init__(self, options: ValidationOptions = ValidationOptions(),
                  negative: NegativeCache | None = None) -> None:
@@ -133,10 +171,12 @@ class PassValidator:
         #: validated function: ``(id(func), func.version, fingerprint,
         #: {probe: result})``.  Consecutive pass validations of one
         #: function re-interpret the same pre-pass body the previous
-        #: validation just measured.  The fingerprint also keys the next
-        #: snapshot while the version stands (``_known_fingerprint``); once
-        #: it has moved the snapshot is keyed afresh and the comparison in
-        #: ``_validate`` decides whether these results still apply.
+        #: validation just measured (on a replay the first of them is the
+        #: lifted body the rejected pipeline was measured against).  The
+        #: fingerprint also keys the next snapshot while the version stands
+        #: (``_known_fingerprint``); once it has moved the snapshot is
+        #: keyed afresh and the comparison in ``_validate`` decides whether
+        #: these results still apply.
         self._baseline: tuple[int, int, tuple, dict] | None = None
         #: memoized pre-pass snapshot ``(weakref(func), clone,
         #: fingerprint)``: while passes keep reporting (truthfully) "no
@@ -148,20 +188,25 @@ class PassValidator:
         #: validator (or accept a spurious lying-pass rejection).
         self._snapshot: tuple[weakref.ref, Function, tuple] | None = None
 
-    # -- the wrapper the pipeline calls per pass ------------------------------
+    # -- the wrapper the pipeline calls per application -----------------------
 
     def run_pass(self, name: str, thunk: Callable[[], Any], func: Function,
                  *, changed_of: Callable[[Any], bool] = bool,
                  ) -> tuple[Any, PassVerdict]:
-        """Run one pass application under validation.
+        """Run one application under validation.
 
-        Returns ``(pass result, verdict)``.  On rejection the pass result
+        Returns ``(thunk result, verdict)``.  On rejection the result
         is still returned (callers read ``verdict.changed``, which is False
-        after a rollback).  Exceptions from the pass itself propagate — a
-        *raising* pass is the ladder's problem, not a silent miscompile.
+        after a rollback).  Exceptions from a pass propagate — a *raising*
+        pass is the ladder's problem, not a silent miscompile.  The whole
+        sweep (``name == PIPELINE``) is the exception: it ran unvalidated
+        and may have raised over a body one of its own passes broke, so
+        ``func`` is restored and the verdict is a rejection;
+        ``BudgetExceededError`` still propagates, over the restored body.
         """
+        whole = name == self.PIPELINE
         key = f"o3pass:{name}"
-        ent = self.negative.check(key)
+        ent = None if whole else self.negative.check(key)
         if ent is not None:
             self.stats.quarantine_skips += 1
             return None, PassVerdict(
@@ -173,13 +218,28 @@ class PassValidator:
             self._snapshot = (weakref.ref(func), clone_function(func),
                               self._known_fingerprint(func))
         _, snapshot, fingerprint = self._snapshot
-        result = thunk()
+        if whole:
+            self.stats.pipelines += 1
+        try:
+            result = thunk()
+        except Exception as exc:
+            if not whole:
+                raise
+            self._snapshot = None
+            restore_function(func, snapshot)
+            if isinstance(exc, BudgetExceededError):
+                raise
+            self.stats.replays += 1
+            return None, PassVerdict(
+                pass_name=name, ok=False, rolled_back=True,
+                reason=f"raised: {type(exc).__name__}: {exc}",
+                seconds=time.perf_counter() - t0)
         changed = bool(changed_of(result))
         # a pass that says "no change" is believed only if the live body
         # still keys like its snapshot: content, not Function.version
         if not changed and self._fingerprint(func) == fingerprint:
             # provably a no-op: nothing to validate; the snapshot stays
-            # valid for the next pass application
+            # valid for the next application
             return result, PassVerdict(pass_name=name, ok=True,
                                        seconds=time.perf_counter() - t0)
         # the body changed (or the pass lied): whatever happens next —
@@ -197,13 +257,20 @@ class PassValidator:
         if verdict.ok:
             self.stats.accepted += 1
         else:
-            self.stats.rejected += 1
             restore_function(func, snapshot)
             verdict.rolled_back = True
             verdict.changed = False
-            self.stats.rollbacks += 1
-            self.negative.record(key, name, verdict.reason or "rejected",
-                                 {"stage": "validate", "pass": name})
+            if whole:
+                self.stats.replays += 1
+            else:
+                self.stats.rejected += 1
+                self.stats.rollbacks += 1
+                if before_results is None:
+                    self.stats.structural_rejections += 1
+                else:
+                    self.stats.behavioral_rejections += 1
+                self.negative.record(key, name, verdict.reason or "rejected",
+                                     {"stage": "validate", "pass": name})
         # memoize probe results for whatever body the function now holds:
         # the accepted output (or the restored input) is the next pass's
         # pre-pass body, so its probes need not be re-interpreted
@@ -231,13 +298,13 @@ class PassValidator:
                   after: Function, verdict: PassVerdict,
                   ) -> tuple[dict | None, dict | None]:
         """Fill in the verdict; returns the per-probe results of the pre-
-        and post-pass bodies (None after a structural rejection)."""
+        and post-pass bodies (None, None after a structural rejection —
+        a behavioral verdict always holds a dict, possibly empty)."""
         try:
             verify(after)
         except IRError as exc:
             verdict.ok = False
             verdict.reason = f"verifier: {exc}"
-            self.stats.structural_rejections += 1
             return None, None
         cached = None
         if (self._baseline is not None
@@ -250,7 +317,6 @@ class PassValidator:
         if reason is not None:
             verdict.ok = False
             verdict.reason = reason
-            self.stats.behavioral_rejections += 1
         return before_results, after_results
 
     def _differential(self, before: Function, after: Function,
@@ -274,7 +340,9 @@ class PassValidator:
         before_results: dict = {}
         after_results: dict = {}
         try:
-            for probe in self._probes(after):
+            # a signature without float parameters gets the same address
+            # vector at k = 0 and k = 2: interpret each vector once
+            for probe in dict.fromkeys(self._probes(after)):
                 if conclusive == 0 and attempted >= scout:
                     break  # nothing conclusive: stop scouting
                 attempted += 1

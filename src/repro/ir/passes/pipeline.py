@@ -82,12 +82,20 @@ class O3Report:
     iterations: int = 0
     converged: bool = False
     vectorized: bool = False
-    #: per-pass-application verdicts (only populated in validate mode)
+    #: validation verdicts (only populated in validate mode).  The whole
+    #: pipeline is validated once: a clean run logs that one verdict
+    #: (``pass_name == PassValidator.PIPELINE``).  When it is a rejection,
+    #: the per-pass verdicts of the replay follow it; with a pass already in
+    #: quarantine the log is per pass from the start.
     pass_log: "list[PassVerdict]" = field(default_factory=list)
     #: passes rejected (and rolled back) by validation, in rejection order
     rejected_passes: list[str] = field(default_factory=list)
-    #: this run was executed under per-pass validation
+    #: this run was executed under translation validation
     validated: bool = False
+    #: conclusive probes under the verdict that accepted the whole pipeline
+    #: — 0 is "validated" on structure alone; None when no such verdict
+    #: exists (unvalidated run, or per-pass verdicts: read ``pass_log``)
+    conclusive_probes: int | None = None
     #: pass applications the scheduler proved idle and skipped, in skip
     #: order (repro.ir.passes.schedule; skipping never changes the IR)
     skipped_passes: list[str] = field(default_factory=list)
@@ -128,25 +136,53 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     argument rather than an :class:`O3Options` field because options are
     hashed into cache keys and a budget never changes the produced IR —
     ``validate``/``validator`` follow the same rule: validation can *reject*
-    a pass application (restoring its input), never produce different code
+    an application (restoring its input), never produce different code
     from an accepted one.
 
-    With ``validate=True`` (or an explicit ``validator``) every pass
-    application is checked by a :class:`~repro.analysis.validate.
-    PassValidator`: structural invariants plus differential interpretation
-    of the pass input vs output.  A rejected pass is rolled back and
-    quarantined by name, the verdict appears in ``O3Report.pass_log`` and
+    With ``validate=True`` (or an explicit ``validator``) the sweep is
+    checked by a :class:`~repro.analysis.validate.PassValidator`:
+    structural invariants plus differential interpretation of input vs
+    output.  The whole sweep is one application — it runs exactly as
+    without a validator and the lifted body is compared with the final
+    one.  Only when that is rejected (or a pass is already in quarantine)
+    does every pass application get its own check: the lifted body is back
+    in place, the sweep is replayed per pass (charging the budget like any
+    sweep), the pass the replay rejects is rolled back and quarantined by
+    name, its verdict appears in ``O3Report.pass_log`` and
     ``O3Report.rejected_passes``, and the rest of the pipeline continues.
     """
-    report = O3Report()
     if validate and validator is None:
         from repro.analysis.validate import PassValidator
         validator = PassValidator()
-    report.validated = validator is not None
+    report = O3Report(validated=validator is not None)
     sched = schedule.Scheduler(func, validator)
+    if validator is not None and sched.disabled_reason is None:
+        # nobody under suspicion: sweep unvalidated, compare end to end
+        _result, verdict = validator.run_pass(
+            validator.PIPELINE,
+            lambda: _sweep(func, options, budget, None, sched, report), func)
+        if verdict.ok:
+            report.pass_log.append(verdict)
+            report.conclusive_probes = verdict.probes_run
+            return report
+        # the lifted body is back; the per-pass replay finds whom to blame
+        report = O3Report(validated=True, pass_log=[verdict])
+        sched = schedule.Scheduler(func, validator)
+    _sweep(func, options, budget, validator, sched, report)
+    return report
+
+
+def _sweep(func: Function, options: O3Options, budget: "object | None",
+           validator: "PassValidator | None", sched: schedule.Scheduler,
+           report: O3Report) -> bool:
+    """One bounded-fixpoint sweep over ``func``, filling in ``report``;
+    with a ``validator`` every pass application is validated.  Returns
+    whether any step changed the function."""
+    any_changed = False
 
     def step(name: str, thunk: Callable[[], Any],
              changed_of: Callable[[Any], bool] = bool) -> bool:
+        nonlocal any_changed
         if sched.should_skip(name):
             report.skipped_passes.append(name)
             return False
@@ -176,6 +212,7 @@ def run_o3(func: Function, options: O3Options = O3Options(),
             if span is not None:
                 _TR.finish(span)
             report.schedule_disabled = sched.disabled_reason
+        any_changed |= changed
         return changed
 
     if budget is not None:
@@ -224,4 +261,4 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     if report.vectorized or not report.converged:
         step("dce", lambda: dce.run(func))
         step("simplifycfg", lambda: simplifycfg.run(func))
-    return report
+    return any_changed

@@ -1,4 +1,9 @@
-"""Per-pass translation validation: attribution, rollback, quarantine."""
+"""Translation validation of the -O3 sweep — once, then a replay per pass:
+attribution, rollback, quarantine.
+
+A miscompiling pass is deterministic, so the fault specs that model one
+fire on ``every=True`` application: the unvalidated sweep meets the fault
+first, the per-pass replay meets it again and blames it."""
 
 import pytest
 
@@ -6,10 +11,13 @@ from repro.cc import compile_c
 from repro.ir import I64, Function, FunctionType, IRBuilder, Interpreter, Module
 from repro.ir import instructions as I
 from repro.ir.passes import run_o3
+from repro.ir.verifier import verify
 from repro.ir.values import Constant, Undef
 from repro.jit import BinaryTransformer
 from repro.lift import FunctionSignature
-from repro.testing.faults import inject_faults
+from repro.errors import BudgetExceededError, IRError
+from repro.guard import Budget
+from repro.testing.faults import FaultSpec, inject_faults
 
 from repro.analysis import (
     PassValidator,
@@ -44,28 +52,53 @@ def _corrupt_ret(result, func):
 
 def test_clean_run_validates_and_accepts():
     _m, f = _poly_func()
-    report = run_o3(f, validate=True)
+    validator = PassValidator()
+    report = run_o3(f, validator=validator)
     assert report.validated
-    assert report.pass_log  # every step produced a verdict
+    # one verdict, for the whole sweep, resting on real executions
+    (verdict,) = report.pass_log
+    assert verdict.pass_name == PassValidator.PIPELINE
+    assert verdict.ok and verdict.changed
+    assert report.conclusive_probes == verdict.probes_run > 0
     assert report.rejected_passes == []
     assert report.miscompiled_pass is None
-    assert all(v.ok for v in report.pass_log)
+    stats = validator.stats
+    assert (stats.pipelines, stats.validated, stats.accepted) == (1, 1, 1)
+    assert (stats.replays, stats.rejected, stats.rollbacks) == (0, 0, 0)
+
+
+def test_idle_pipeline_takes_the_noop_shortcut():
+    _m, f = _poly_func()
+    validator = PassValidator()
+    run_o3(f, validator=validator)
+    report = run_o3(f, validator=validator)  # already at its fixed point
+    (verdict,) = report.pass_log
+    assert verdict.ok and not verdict.changed
+    assert validator.stats.pipelines == 2 and validator.stats.validated == 1
 
 
 def test_injected_miscompile_attributed_to_exact_pass():
     m, f = _poly_func()
     validator = PassValidator()
-    with inject_faults("pass:gvn", corrupt=_corrupt_ret):
+    with inject_faults("pass:gvn", every=True, corrupt=_corrupt_ret):
         report = run_o3(f, validator=validator)
     assert report.validated
     assert report.miscompiled_pass == "gvn"
     assert report.rejected_passes == ["gvn"]
-    bad = [v for v in report.pass_log if not v.ok and not v.quarantined]
+    # the pipeline verdict first, then the replay's per-pass verdicts
+    whole, *replay = report.pass_log
+    assert whole.pass_name == PassValidator.PIPELINE
+    assert not whole.ok and whole.rolled_back
+    assert report.conclusive_probes is None
+    bad = [v for v in replay if not v.ok and not v.quarantined]
     assert bad and bad[0].pass_name == "gvn"
     assert bad[0].rolled_back
     assert "divergence" in (bad[0].reason or "")
+    # one bad pass is one rejection, however it was found
     assert validator.stats.rejected == 1
     assert validator.stats.rollbacks == 1
+    assert validator.stats.pipelines == validator.stats.replays == 1
+    assert sorted(validator.negative._store.keys()) == ["o3pass:gvn"]
     # the rolled-back function still computes the right answer
     assert Interpreter(m).run(f, [5, 7]) == (5 + 5) * 3 + 7
 
@@ -73,7 +106,7 @@ def test_injected_miscompile_attributed_to_exact_pass():
 def test_rejected_pass_is_quarantined_for_later_runs():
     validator = PassValidator()
     _m, f = _poly_func()
-    with inject_faults("pass:gvn", corrupt=_corrupt_ret):
+    with inject_faults("pass:gvn", every=True, corrupt=_corrupt_ret):
         run_o3(f, validator=validator)
     _m2, f2 = _poly_func("g")
     report = run_o3(f2, validator=validator)
@@ -91,14 +124,90 @@ def test_structural_corruption_rejected_by_verifier():
 
     _m, f = _poly_func()
     validator = PassValidator()
-    with inject_faults("pass:dce", corrupt=drop_terminator):
+    with inject_faults("pass:dce", every=True, corrupt=drop_terminator):
         report = run_o3(f, validator=validator)
     assert report.miscompiled_pass == "dce"
     assert validator.stats.structural_rejections >= 1
-    bad = [v for v in report.pass_log if not v.ok and not v.quarantined][0]
+    bad = [v for v in report.pass_log[1:]
+           if not v.ok and not v.quarantined][0]
+    assert bad.pass_name == "dce"
     assert bad.reason.startswith(("verifier:", "strict-ssa:"))
     # rollback restored a well-formed body: the function still runs
     assert Interpreter(_m).run(f, [2, 1]) == (2 + 2) * 3 + 1
+
+
+def test_transient_corruption_is_rejected_and_the_replay_is_clean():
+    """A one-shot fault (``at=1``) is not a miscompiling pass: the sweep
+    that met it is rejected end to end, the replay meets nothing, nobody is
+    blamed or quarantined and the body is the one a clean run produces."""
+    _m, clean = _poly_func()
+    run_o3(clean)
+    m, f = _poly_func()
+    validator = PassValidator()
+    with inject_faults("pass:gvn", corrupt=_corrupt_ret) as faults:
+        report = run_o3(f, validator=validator)
+    assert faults.fired["pass:gvn"] == 1
+    whole, *replay = report.pass_log
+    assert whole.ok is False and "divergence" in whole.reason
+    assert replay and all(v.ok for v in replay)
+    assert report.rejected_passes == [] and report.miscompiled_pass is None
+    assert len(validator.negative) == 0
+    assert validator.stats.replays == 1 and validator.stats.rejected == 0
+    assert functions_structurally_equal(f, clean)
+    assert Interpreter(m).run(f, [5, 7]) == (5 + 5) * 3 + 7
+
+
+def _drop_terminator(result, func):
+    term = func.blocks[-1].terminator
+    if term is not None:
+        term.erase()
+    return None
+
+
+def _assume_terminators(result, func):
+    """What a pass written against verified input does with less."""
+    for blk in func.blocks:
+        if blk.terminator is None:
+            raise IRError(f"block {blk.name} has no terminator")
+    return None
+
+
+def test_sweep_that_raises_over_a_broken_body_is_replayed():
+    """``dce`` leaves a block without terminator and the unvalidated
+    ``simplifycfg`` after it raises: the lifted body comes back and the
+    replay ends where the per-pass sweep always did — ``dce`` blamed,
+    ``simplifycfg`` never shown the broken body."""
+    specs = (FaultSpec("pass:dce", every=True, corrupt=_drop_terminator),
+             FaultSpec("pass:simplifycfg", every=True,
+                       corrupt=_assume_terminators))
+    with inject_faults(*specs), pytest.raises(IRError):
+        run_o3(_poly_func()[1])  # the sweep as the validator runs it
+    m, f = _poly_func()
+    validator = PassValidator()
+    with inject_faults(*specs):
+        report = run_o3(f, validator=validator)
+    whole, *replay = report.pass_log
+    assert not whole.ok and whole.rolled_back
+    assert whole.reason.startswith("raised: IRError")
+    assert report.rejected_passes == ["dce"]
+    assert validator.stats.structural_rejections == 1
+    assert sorted(validator.negative._store.keys()) == ["o3pass:dce"]
+    # the pipeline continued past the rejected pass
+    assert [v.pass_name for v in replay].index("dce") < len(replay) - 1
+    verify(f)
+    assert Interpreter(m).run(f, [2, 1]) == (2 + 2) * 3 + 1
+
+
+def test_budget_exhaustion_propagates_over_the_restored_body():
+    _m, f = _poly_func()
+    original = clone_function(f)
+    validator = PassValidator()
+    with pytest.raises(BudgetExceededError):
+        run_o3(f, budget=Budget(max_opt_iterations=1).start(),
+               validator=validator)
+    assert functions_structurally_equal(f, original)
+    verify(f)
+    assert validator.stats.replays == 0 and len(validator.negative) == 0
 
 
 def test_run_pass_noop_shortcut():

@@ -170,7 +170,7 @@ def test_rollback_leaves_only_live_users_on_shared_values():
                 ins.operands[0] = func.args[0]
         return True
 
-    with inject_faults("pass:dce", corrupt=miscompile):
+    with inject_faults("pass:dce", every=True, corrupt=miscompile):
         report = run_o3(f, validate=True)
     assert report.rejected_passes == ["dce"]
     assert any(v.rolled_back for v in report.pass_log)
