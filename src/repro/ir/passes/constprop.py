@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.ir import instructions as I
 from repro.ir.module import Function, GlobalVariable
-from repro.ir.passes.fold import read_constant_global, try_fold
+from repro.ir.passes import fold
 from repro.ir.values import Constant, Value
 
 
@@ -47,6 +47,18 @@ def _global_and_offset(ptr: Value) -> tuple[GlobalVariable, int] | None:
     return None
 
 
+def _fold_load(ins: I.Load) -> Value | None:
+    resolved = _global_and_offset(ins.operands[0])
+    return None if resolved is None else \
+        fold.read_constant_global(*resolved, ins.type)
+
+
+#: the rule of each class, found by ``type(ins)`` (the shared folds plus
+#: loads from constant globals), and the classes skipped in one set test
+RULES = {**fold.RULES, I.Load: _fold_load}
+NO_RULE = fold.NO_RULE - {I.Load}
+
+
 def run(func: Function) -> bool:
     """Fold constants to fixpoint; returns True on any change."""
     changed = False
@@ -54,16 +66,10 @@ def run(func: Function) -> bool:
         round_changed = False
         for blk in func.blocks:
             for ins in list(blk.instructions):
-                if ins.is_terminator or isinstance(ins, I.Phi):
+                cls = type(ins)
+                if cls in NO_RULE:
                     continue
-                repl: Value | None = None
-                if isinstance(ins, I.Load):
-                    resolved = _global_and_offset(ins.operands[0])
-                    if resolved is not None:
-                        g, off = resolved
-                        repl = read_constant_global(g, off, ins.type)
-                else:
-                    repl = try_fold(ins)
+                repl = RULES[cls](ins)
                 if repl is not None and repl is not ins:
                     func.replace_all_uses(ins, repl)
                     ins.erase()

@@ -15,33 +15,37 @@ from repro.ir.module import Function
 from repro.ir.values import Value
 
 
+#: the classes live by themselves (stores, terminators, and calls but a
+#: pure intrinsic one), and the classes live only through a use
+ROOTS = frozenset({I.Store, I.Br, I.Ret, I.Unreachable, I.Call})
+NO_RULE = frozenset({I.BinOp, I.ICmp, I.FCmp, I.Select, I.Cast, I.Load,
+                     I.Alloca, I.GEP, I.ExtractElement, I.InsertElement,
+                     I.ShuffleVector, I.Phi})
+
+
 def _is_root(ins: I.Instruction) -> bool:
-    if ins.is_terminator or ins.opcode == "store":
-        return True
-    if isinstance(ins, I.Call):
-        return not I.is_dce_safe(ins)
-    return False
+    cls = type(ins)
+    return cls in ROOTS and (cls is not I.Call or not I.is_dce_safe(ins))
 
 
 def run(func: Function) -> bool:
     """Mark & sweep; returns True if anything was removed."""
-    live: set[int] = set()
+    live: set[Value] = set()  # values hash by identity
     work: list[Value] = []
     for ins in func.instructions():
         if _is_root(ins):
-            live.add(id(ins))
+            live.add(ins)
             work.extend(ins.operands)
     while work:
         v = work.pop()
-        if not isinstance(v, I.Instruction) or id(v) in live:
+        if v in live or not isinstance(v, I.Instruction):
             continue
-        live.add(id(v))
+        live.add(v)
         work.extend(v.operands)
 
     removed = False
     for blk in func.blocks:
-        for ins in [i for i in blk.instructions
-                    if id(i) not in live and not _is_root(i)]:
+        for ins in [i for i in blk.instructions if i not in live]:
             ins.erase()
             removed = True
     if removed:

@@ -9,40 +9,46 @@ basic blocks").
 
 from __future__ import annotations
 
+from repro.arith import f32_to_bits, f64_to_bits
 from repro.ir import instructions as I
+from repro.ir.irtypes import DOUBLE, FLOAT
 from repro.ir.module import Function
 from repro.ir.values import Constant, ConstantFP, Value
+
+#: a float constant is numbered by its bits: ``0.0 == -0.0`` as Python
+#: floats, but ``x * 0.0`` and ``x * -0.0`` are different values
+_FP_BITS = {DOUBLE: f64_to_bits, FLOAT: f32_to_bits}
+
+#: the commutative opcodes, numbered by their operand *set*
+_COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor", "fadd", "fmul"})
 
 
 def _value_key(v: Value) -> object:
     if isinstance(v, Constant):
         return ("const", v.type.bits, v.value)  # type: ignore[attr-defined]
     if isinstance(v, ConstantFP):
-        return ("fconst", repr(v.type), v.value)
+        return ("fconst", v.type, _FP_BITS[v.type](v.value))
     return id(v)
 
 
-def _expr_key(ins: I.Instruction) -> tuple | None:
-    ops = tuple(_value_key(o) for o in ins.operands)
-    if isinstance(ins, I.BinOp):
-        if ins.opcode in ("add", "mul", "and", "or", "xor", "fadd", "fmul"):
-            ops = tuple(sorted(ops, key=repr))  # commutative normalization
-        return ("bin", ins.opcode, repr(ins.type), ops)
-    if isinstance(ins, (I.ICmp, I.FCmp)):
-        return ("cmp", ins.opcode, ins.pred, ops)
-    if isinstance(ins, I.Cast):
-        return ("cast", ins.opcode, repr(ins.type), ops)
-    if isinstance(ins, I.GEP):
-        return ("gep", repr(ins.elem), repr(ins.type), ops)
-    if isinstance(ins, I.Select):
-        return ("select", repr(ins.type), ops)
-    if isinstance(ins, I.ExtractElement):
-        return ("extract", repr(ins.type), ops)
-    if isinstance(ins, I.InsertElement):
-        return ("insert", repr(ins.type), ops)
-    if isinstance(ins, I.ShuffleVector):
-        return ("shuffle", ins.mask, repr(ins.type), ops)
-    return None
+#: what identifies an expression besides its operands, by class (types are
+#: interned, so a key holds the type object itself)
+RULES = {
+    I.BinOp: lambda ins: ("bin", ins.opcode, ins.type),
+    I.ICmp: lambda ins: ("cmp", ins.opcode, ins.pred),
+    I.FCmp: lambda ins: ("cmp", ins.opcode, ins.pred),
+    I.Cast: lambda ins: ("cast", ins.opcode, ins.type),
+    I.GEP: lambda ins: ("gep", ins.elem, ins.type),
+    I.Select: lambda ins: ("select", ins.type),
+    I.ExtractElement: lambda ins: ("extract", ins.type),
+    I.InsertElement: lambda ins: ("insert", ins.type),
+    I.ShuffleVector: lambda ins: ("shuffle", ins.mask, ins.type),
+}
+
+#: the memory classes the walk handles itself (forwarding and clobbers),
+#: and the classes this pass skips in one set test
+MEMORY = frozenset({I.Load, I.Store, I.Call})
+NO_RULE = frozenset({I.Phi, I.Alloca, I.Br, I.Ret, I.Unreachable})
 
 
 def run(func: Function) -> bool:
@@ -53,31 +59,32 @@ def run(func: Function) -> bool:
         # memory state: generation counter + known (ptr, type) -> value
         known_mem: dict[tuple, Value] = {}
         for ins in list(blk.instructions):
-            if isinstance(ins, I.Phi):
+            cls = type(ins)
+            if cls in NO_RULE:
                 continue
-            if isinstance(ins, I.Store):
-                val, ptr = ins.operands
-                # a store invalidates everything (no alias analysis), then
-                # records the stored value for exact-pointer forwarding
+            if cls in MEMORY:
+                if cls is I.Load:
+                    key = (id(ins.operands[0]), ins.type)
+                    prior = known_mem.get(key)
+                    if prior is not None and prior.type is ins.type:
+                        func.replace_all_uses(ins, prior)
+                        ins.erase()
+                        changed = True
+                    else:
+                        known_mem[key] = ins
+                    continue
+                # a store or call invalidates everything (no alias
+                # analysis); a store then records the stored value for
+                # exact-pointer forwarding
                 known_mem.clear()
-                known_mem[(id(ptr), repr(val.type))] = val
+                if cls is I.Store:
+                    val, ptr = ins.operands
+                    known_mem[(id(ptr), val.type)] = val
                 continue
-            if isinstance(ins, I.Call):
-                known_mem.clear()
-                continue
-            if isinstance(ins, I.Load):
-                key = (id(ins.operands[0]), repr(ins.type))
-                prior = known_mem.get(key)
-                if prior is not None and prior.type is ins.type:
-                    func.replace_all_uses(ins, prior)
-                    ins.erase()
-                    changed = True
-                else:
-                    known_mem[key] = ins
-                continue
-            key2 = _expr_key(ins)
-            if key2 is None:
-                continue
+            ops: object = tuple([_value_key(o) for o in ins.operands])
+            if cls is I.BinOp and ins.opcode in _COMMUTATIVE:
+                ops = frozenset(ops)  # two operands: the set is exact
+            key2 = (RULES[cls](ins), ops)
             prior2 = available.get(key2)
             if prior2 is not None:
                 func.replace_all_uses(ins, prior2)

@@ -34,26 +34,6 @@ class _Access:
         return self.type.size_bytes()
 
 
-def _trace_pointer(v: Value, alloca: I.Alloca) -> int | None:
-    """Byte offset of pointer ``v`` from ``alloca``, or None."""
-    offset = 0
-    for _ in range(64):
-        if v is alloca:
-            return offset
-        if isinstance(v, I.GEP):
-            idx = v.operands[1]
-            if not isinstance(idx, Constant):
-                return None
-            offset += idx.signed * v.elem.size_bytes()
-            v = v.operands[0]
-            continue
-        if isinstance(v, I.Cast) and v.opcode in ("bitcast",):
-            v = v.operands[0]
-            continue
-        return None
-    return None
-
-
 def _collect(func: Function, alloca: I.Alloca) -> list[_Access] | None:
     """All accesses through the alloca in function order, or None if it
     escapes.

@@ -20,9 +20,9 @@ Each rule is conservative: whenever it is unsure it runs the pass.  On
 top of the shape rules, the **version rule** skips a pass whose previous
 application on this *exact* function version returned "no change" —
 passes are deterministic, so re-running them on an unmutated function is
-provably a no-op (this is what makes the final convergence sweep nearly
-free).  Both rules are output-identical: a skipped application is one
-that would have returned the function untouched.
+provably a no-op (it makes the final convergence sweep nearly free, and
+``settle`` runs ``unroll``'s per-peel cleanup under it).  Both rules are
+output-identical: a skipped application would have changed nothing.
 
 **Validator interlock**: the moment a ``PassValidator`` quarantines
 *any* pass — before the run (negative-cache probe at scheduler
@@ -36,7 +36,8 @@ from the validator.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING
+from types import ModuleType
+from typing import TYPE_CHECKING, Sequence
 
 from repro.ir.cfg import has_cycle
 from repro.ir.module import Function
@@ -93,6 +94,37 @@ def _rule_no_fire(name: str, fp: ShapeFingerprint) -> bool:
     return False
 
 
+class VersionRule:
+    """Which passes reported "no change" on the function's current version:
+    re-running one of those is provably a no-op until the version moves."""
+
+    def __init__(self, func: Function) -> None:
+        self.func = func
+        self._nofire_at: dict[object, int | None] = {}  # pass -> version
+
+    def clean(self, key: object) -> bool:
+        return self._nofire_at.get(key) == self.func.version
+
+    def note(self, key: object, changed: bool) -> None:
+        self._nofire_at[key] = None if changed else self.func.version
+
+
+def settle(func: Function, passes: Sequence[ModuleType], rounds: int) -> None:
+    """Run the pass modules' ``run(func)`` in order until a round changes
+    nothing (at most ``rounds`` rounds), skipping by the version rule;
+    ``run`` is looked up per call, so whoever wraps it sees every one."""
+    rule = VersionRule(func)
+    for _ in range(rounds):
+        changed = False
+        for mod in passes:
+            if not rule.clean(mod):
+                ran = bool(mod.run(func))
+                rule.note(mod, ran)
+                changed |= ran
+        if not changed:
+            return
+
+
 class Scheduler:
     """Per-``run_o3``-invocation skip decisions for one function."""
 
@@ -102,8 +134,7 @@ class Scheduler:
         self.disabled_reason: str | None = None
         self._fp: ShapeFingerprint | None = None
         self._fp_version = -1
-        #: pass name -> func version at which it last reported "no change"
-        self._nofire_at: dict[str, int] = {}
+        self._versions = VersionRule(func)
         if validator is not None:
             # a pass already in quarantine means this pipeline is under
             # active suspicion: run everything, validate everything
@@ -132,7 +163,7 @@ class Scheduler:
         if self.disabled_reason is not None:
             return False
         # version rule: this exact body already reported "no change"
-        if self._nofire_at.get(name) == self.func.version:
+        if self._versions.clean(name):
             _SKIPS.inc(f"{name}:version")
             return True
         if _rule_no_fire(name, self.fingerprint()):
@@ -143,7 +174,4 @@ class Scheduler:
     def note_result(self, name: str, changed: bool) -> None:
         """Feed one executed pass application back into the version rule."""
         _RUNS.inc(name)
-        if not changed:
-            self._nofire_at[name] = self.func.version
-        else:
-            self._nofire_at.pop(name, None)
+        self._versions.note(name, changed)

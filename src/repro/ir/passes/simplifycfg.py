@@ -44,8 +44,6 @@ def _simplify_phis(func: Function) -> bool:
     Folding ``phi [X, A], [undef, B]`` to X is only legal when X dominates
     the phi (LLVM has the same restriction) — checked lazily.
     """
-    from repro.ir.instructions import Instruction
-
     changed = False
     idom = None
     for blk in func.blocks:
@@ -62,7 +60,7 @@ def _simplify_phis(func: Function) -> bool:
                     distinct.append(v)
             if len(distinct) == 1:
                 repl = distinct[0]
-                if saw_undef and isinstance(repl, Instruction):
+                if saw_undef and isinstance(repl, I.Instruction):
                     if idom is None:
                         idom = dominators(func)
                     def_blk = repl.block

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 from repro.ir import instructions as I
 from repro.ir.cfg import NaturalLoop, find_natural_loops
 from repro.ir.module import Function, clone_region
-from repro.ir.passes import constprop, dce, instcombine, simplifycfg
+from repro.ir.passes import constprop, dce, instcombine, schedule, simplifycfg
 from repro.ir.semantics import icmp_fn
 from repro.ir.values import Constant, Value
 
 MAX_TRIP = 64
 MAX_LOOP_INSTRS = 250
 MAX_TOTAL_PEELS = 512
+
+#: the passes that clean up after each peel (at most six rounds of them)
+_CLEANUP = (simplifycfg, constprop, instcombine, dce)
 
 
 @dataclass
@@ -229,13 +232,7 @@ def run(func: Function) -> bool:
         _peel_once(func, candidate.loop)
         # cleanup to fixpoint: phi simplification exposes constants that
         # constprop folds, which re-enables the next trip-count analysis
-        for _ in range(6):
-            ch = simplifycfg.run(func)
-            ch |= constprop.run(func)
-            ch |= instcombine.run(func)
-            ch |= dce.run(func)
-            if not ch:
-                break
+        schedule.settle(func, _CLEANUP, rounds=6)
         changed = True
     if changed:
         func.bump_version()
