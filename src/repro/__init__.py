@@ -25,7 +25,6 @@ evaluation.
 from repro.analysis import (
     Finding,
     PassValidator,
-    ValidationOptions,
     analyze_flags,
     run_checkers,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "TieredEngine",
     "Tracer",
     "TransformResult",
-    "ValidationOptions",
     "analyze_flags",
     "compile_c",
     "lift_function",

@@ -17,7 +17,7 @@ behavior* — and ``repro.analysis`` checks *provable* properties in between:
 * :mod:`~repro.analysis.deadflags` — Fig. 6-style proof of which status
   flags the optimizer eliminated;
 * :mod:`~repro.analysis.validate` — translation validation for
-  ``run_o3(..., validate=True)``: clone the lifted body, run the sweep,
+  ``run_o3(..., validator=PassValidator())``: clone the lifted body, run the sweep,
   verify, differentially interpret lifted vs optimized on seeded probes —
   once; on a mismatch replay the sweep with the same check after every
   pass, roll back and quarantine the offending one;
@@ -75,7 +75,6 @@ from repro.analysis.undef import check_undef_uses
 from repro.analysis.validate import (
     PassValidator,
     PassVerdict,
-    ValidationOptions,
     ValidatorStats,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "PassValidator",
     "PassVerdict",
     "SetLattice",
-    "ValidationOptions",
     "ValidatorStats",
     "ValueProblem",
     "ValueStates",

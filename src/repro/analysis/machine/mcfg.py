@@ -1,8 +1,9 @@
 """Machine-level CFG reconstruction over freshly emitted bytes.
 
 Recursive-descent decoding from the function entry plus every known
-block label.  The resulting instruction map supports two audits that the
-symbolic verifier itself does not perform:
+block label.  The resulting instruction map is the one decode of the bytes
+the machine verifier reads (its symbolic executor fetches from it), and it
+supports two audits that symbolic execution does not perform:
 
 * **overlap** — two reachable instructions whose byte ranges intersect
   without sharing a start address mean the encoder produced ambiguous
@@ -47,6 +48,8 @@ class MachineCFG:
 
     blocks: dict[int, MBlock]
     findings: list[Finding]
+    #: every decoded instruction by address
+    instructions: dict[int, Instruction]
 
     @property
     def ok(self) -> bool:
@@ -166,4 +169,4 @@ def build_mcfg(witness: CodeWitness) -> MachineCFG:
         if succs is not None:
             cur.successors = succs
             cur = None
-    return MachineCFG(blocks=blocks, findings=findings)
+    return MachineCFG(blocks=blocks, findings=findings, instructions=decoded)

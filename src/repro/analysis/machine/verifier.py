@@ -1,6 +1,8 @@
 """Machine-level translation validator.
 
-Decodes the bytes the backend just emitted, symbolically executes every
+Decodes the bytes the backend just emitted (once, in
+:func:`~repro.analysis.machine.mcfg.build_mcfg`, whose encoding audit is
+part of the proof: an ERROR there refutes), symbolically executes every
 basic block over an abstract register/flag/stack state, and checks the
 result against the source MiniLLVM IR block by block.  The proof is an
 induction over the block invariant
@@ -32,12 +34,12 @@ from dataclasses import dataclass, field
 from repro.analysis.findings import ERROR, Finding, WARNING
 from repro.analysis.machine import terms as T
 from repro.analysis.machine.irexec import IRExecutor, IRExit, IRPath, Liveness, _cls_of
+from repro.analysis.machine.mcfg import build_mcfg
 from repro.analysis.machine.state import Inconclusive, MemState, match_effects
 from repro.analysis.machine.witness import CodeWitness
 from repro.cpu.image import RETURN_SENTINEL
 from repro.ir import instructions as I
 from repro.x86 import registers as R
-from repro.x86.decoder import DecodeError, decode_one
 from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Reg
 from repro.x86.isa import cc_of
@@ -116,7 +118,7 @@ class X86Executor:
     def __init__(self, verifier: "MachineVerifier") -> None:
         self.v = verifier
         self.wit = verifier.wit
-        self._decode_cache: dict[int, Instruction] = {}
+        self.decoded = verifier.cfg.instructions
         saves = self.wit.used_callee_saved
         #: [lo, hi) of retaddr + saved rbp + saved callee regs, rsp0-relative
         self.protected = (-(8 + 8 * len(saves)), 8)
@@ -207,18 +209,11 @@ class X86Executor:
         return exits
 
     def _decode(self, pc: int) -> Instruction:
-        got = self._decode_cache.get(pc)
-        if got is not None:
-            return got
-        wit = self.wit
-        if not wit.base <= pc < wit.end:
+        ins = self.decoded.get(pc)
+        if ins is None:
+            # outside the function, or where mcfg met undecodable bytes
             self.v.error("machine.decode",
-                         f"control flow leaves the function: {pc:#x}")
-        try:
-            ins = decode_one(wit.code, pc - wit.base, pc)
-        except DecodeError as exc:
-            self.v.error("machine.decode", f"undecodable bytes at {pc:#x}: {exc}")
-        self._decode_cache[pc] = ins
+                         f"control reaches {pc:#x}, which mcfg did not decode")
         return ins
 
     # -- operand access -------------------------------------------------------
@@ -697,7 +692,8 @@ class MachineVerifier:
                  options: VerifyOptions = VerifyOptions()) -> None:
         self.wit = witness
         self.opts = options
-        self.findings: list[Finding] = []
+        self.cfg = build_mcfg(witness)
+        self.findings: list[Finding] = list(self.cfg.findings)
         self.reasons: list[str] = []
         self.blocks_checked = 0
         self.paths_checked = 0

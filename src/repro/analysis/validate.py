@@ -27,7 +27,10 @@ rolled back, recorded in ``O3Report.rejected_passes`` and quarantined in a
 pipeline keeps running, so a single broken pass degrades optimization
 quality instead of killing the ladder rung.  While any pass is in
 quarantine every ``run_o3`` under this validator goes per pass from the
-start.
+start.  Nothing carries over from one application to the next: a replay
+pays one clone and both interpretations per applied pass, and an
+application that reports "no change" is checked by two fingerprint walks
+(snapshot and live body) instead of being interpreted.
 
 What "once" does not see, by design: a pass error that later passes erase
 on every probe.  The installed body is then still probe-equal to the lifted
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import time
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -79,26 +81,24 @@ SCRATCH_SLOTS = 16
 _STACK_LO = 0x7000_0000 - (1 << 20)
 _STACK_HI = 0x7000_0000
 
+#: probe vectors interpreted per validated application
+PROBES = 4
+#: sample-rotation seed
+SEED = 0
+#: per-probe interpreter step ceiling
+MAX_STEPS = 200_000
+#: NegativeCache TTL for quarantined passes (seconds)
+QUARANTINE_TTL = 30.0
+#: relative tolerance for float return values (fast-math reassociation)
+TOLERANCE = 1e-9
+#: stop probing after this many inconclusive probes if *none* was
+#: conclusive yet — further samples from the same tables rarely start
+#: succeeding, and lifted code whose pointers the scratch slots cannot
+#: satisfy would otherwise pay full probe cost for zero signal
+MAX_INCONCLUSIVE_SCOUT = 2
 
-@dataclass(frozen=True)
-class ValidationOptions:
-    """Validation configuration."""
-
-    #: probe vectors interpreted per validated application
-    probes: int = 4
-    #: sample-rotation seed
-    seed: int = 0
-    #: per-probe interpreter step ceiling
-    max_steps: int = 200_000
-    #: NegativeCache TTL for quarantined passes (seconds)
-    quarantine_ttl: float = 30.0
-    #: relative tolerance for float return values (fast-math reassociation)
-    tolerance: float = 1e-9
-    #: stop probing after this many inconclusive probes if *none* was
-    #: conclusive yet — further samples from the same tables rarely start
-    #: succeeding, and lifted code whose pointers the scratch slots cannot
-    #: satisfy would otherwise pay full probe cost for zero signal
-    max_inconclusive_scout: int = 2
+#: the reason prefix of a structural rejection
+_STRUCTURAL = "verifier: "
 
 
 @dataclass
@@ -142,12 +142,6 @@ class ValidatorStats:
     quarantine_skips: int = 0
     rollbacks: int = 0
     probes_run: int = 0
-    #: pre-pass probe runs served from the memoized baseline (the accepted
-    #: output of the previous pass) instead of re-interpretation
-    baseline_reuses: int = 0
-    #: ``function_fingerprint`` body walks (one per no-op check and one per
-    #: body the validator has not already keyed at its current version)
-    fingerprint_walks: int = 0
 
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
@@ -161,32 +155,9 @@ class PassValidator:
     #: finding: it is counted apart and never enters the quarantine.
     PIPELINE = "o3"
 
-    def __init__(self, options: ValidationOptions = ValidationOptions(),
-                 negative: NegativeCache | None = None) -> None:
-        self.options = options
-        self.negative = negative if negative is not None else NegativeCache(
-            ttl=options.quarantine_ttl)
+    def __init__(self) -> None:
+        self.negative = NegativeCache(ttl=QUARANTINE_TTL)
         self.stats = ValidatorStats()
-        #: memoized probe results for the *current* body of the last
-        #: validated function: ``(id(func), func.version, fingerprint,
-        #: {probe: result})``.  Consecutive pass validations of one
-        #: function re-interpret the same pre-pass body the previous
-        #: validation just measured (on a replay the first of them is the
-        #: lifted body the rejected pipeline was measured against).  The
-        #: fingerprint also keys the next snapshot while the version stands
-        #: (``_known_fingerprint``); once it has moved the snapshot is
-        #: keyed afresh and the comparison in ``_validate`` decides whether
-        #: these results still apply.
-        self._baseline: tuple[int, int, tuple, dict] | None = None
-        #: memoized pre-pass snapshot ``(weakref(func), clone,
-        #: fingerprint)``: while passes keep reporting (truthfully) "no
-        #: change", the body stays identical, so one clone — keyed once —
-        #: serves every consecutive application instead of re-cloning and
-        #: re-keying per pass.  Assumes run_pass is the only
-        #: mutator of ``func`` between calls — true for the O3 pipeline;
-        #: external callers that mutate between calls must use a fresh
-        #: validator (or accept a spurious lying-pass rejection).
-        self._snapshot: tuple[weakref.ref, Function, tuple] | None = None
 
     # -- the wrapper the pipeline calls per application -----------------------
 
@@ -203,6 +174,7 @@ class PassValidator:
         and may have raised over a body one of its own passes broke, so
         ``func`` is restored and the verdict is a rejection;
         ``BudgetExceededError`` still propagates, over the restored body.
+        Nothing outlives the call but the quarantine and the counters.
         """
         whole = name == self.PIPELINE
         key = f"o3pass:{name}"
@@ -214,10 +186,7 @@ class PassValidator:
                 reason=ent.reason)
 
         t0 = time.perf_counter()
-        if self._snapshot is None or self._snapshot[0]() is not func:
-            self._snapshot = (weakref.ref(func), clone_function(func),
-                              self._known_fingerprint(func))
-        _, snapshot, fingerprint = self._snapshot
+        snapshot = clone_function(func)
         if whole:
             self.stats.pipelines += 1
         try:
@@ -225,7 +194,6 @@ class PassValidator:
         except Exception as exc:
             if not whole:
                 raise
-            self._snapshot = None
             restore_function(func, snapshot)
             if isinstance(exc, BudgetExceededError):
                 raise
@@ -234,101 +202,55 @@ class PassValidator:
                 pass_name=name, ok=False, rolled_back=True,
                 reason=f"raised: {type(exc).__name__}: {exc}",
                 seconds=time.perf_counter() - t0)
-        changed = bool(changed_of(result))
         # a pass that says "no change" is believed only if the live body
         # still keys like its snapshot: content, not Function.version
-        if not changed and self._fingerprint(func) == fingerprint:
-            # provably a no-op: nothing to validate; the snapshot stays
-            # valid for the next application
+        if not changed_of(result) and \
+                function_fingerprint(func) == function_fingerprint(snapshot):
             return result, PassVerdict(pass_name=name, ok=True,
                                        seconds=time.perf_counter() - t0)
-        # the body changed (or the pass lied): whatever happens next —
-        # acceptance installs a new body, rollback consumes the snapshot's
-        # blocks — this snapshot cannot serve another application
-        self._snapshot = None
 
         self.stats.validated += 1
         verdict = PassVerdict(pass_name=name, changed=True)
-        before_results, after_results = self._validate(
-            snapshot, fingerprint, func, verdict)
+        verdict.reason, verdict.probes_run = self._validate(snapshot, func)
         verdict.seconds = time.perf_counter() - t0
         self.stats.probes_run += verdict.probes_run
 
-        if verdict.ok:
+        if verdict.reason is None:
             self.stats.accepted += 1
+            return result, verdict
+        restore_function(func, snapshot)
+        verdict.ok = False
+        verdict.rolled_back = True
+        verdict.changed = False
+        if whole:
+            self.stats.replays += 1
+            return result, verdict
+        self.stats.rejected += 1
+        self.stats.rollbacks += 1
+        if verdict.reason.startswith(_STRUCTURAL):
+            self.stats.structural_rejections += 1
         else:
-            restore_function(func, snapshot)
-            verdict.rolled_back = True
-            verdict.changed = False
-            if whole:
-                self.stats.replays += 1
-            else:
-                self.stats.rejected += 1
-                self.stats.rollbacks += 1
-                if before_results is None:
-                    self.stats.structural_rejections += 1
-                else:
-                    self.stats.behavioral_rejections += 1
-                self.negative.record(key, name, verdict.reason or "rejected",
-                                     {"stage": "validate", "pass": name})
-        # memoize probe results for whatever body the function now holds:
-        # the accepted output (or the restored input) is the next pass's
-        # pre-pass body, so its probes need not be re-interpreted
-        body_results = before_results if verdict.rolled_back else after_results
-        if body_results:
-            self._baseline = (id(func), func.version,
-                              self._fingerprint(func), body_results)
+            self.stats.behavioral_rejections += 1
+        self.negative.record(key, name, verdict.reason,
+                             {"stage": "validate", "pass": name})
         return result, verdict
-
-    def _fingerprint(self, func: Function) -> tuple:
-        self.stats.fingerprint_walks += 1
-        return function_fingerprint(func)
-
-    def _known_fingerprint(self, func: Function) -> tuple:
-        """The fingerprint of ``func``'s body, about to be snapshotted: the
-        one the baseline took of it, if the version has not moved since."""
-        base = self._baseline
-        if base is not None and base[:2] == (id(func), func.version):
-            return base[2]
-        return self._fingerprint(func)
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self, before: Function, before_fingerprint: tuple,
-                  after: Function, verdict: PassVerdict,
-                  ) -> tuple[dict | None, dict | None]:
-        """Fill in the verdict; returns the per-probe results of the pre-
-        and post-pass bodies (None, None after a structural rejection —
-        a behavioral verdict always holds a dict, possibly empty)."""
+    def _validate(self, before: Function, after: Function,
+                  ) -> tuple[str | None, int]:
+        """``(reason, conclusive probes)``; a None reason accepts.  A
+        structural rejection rests on no probe."""
         try:
             verify(after)
         except IRError as exc:
-            verdict.ok = False
-            verdict.reason = f"verifier: {exc}"
-            return None, None
-        cached = None
-        if (self._baseline is not None
-                and self._baseline[0] == id(after)
-                and self._baseline[2] == before_fingerprint):
-            cached = self._baseline[3]
-        reason, probes, before_results, after_results = \
-            self._differential(before, after, cached)
-        verdict.probes_run = probes
-        if reason is not None:
-            verdict.ok = False
-            verdict.reason = reason
-        return before_results, after_results
+            return f"{_STRUCTURAL}{exc}", 0
+        return self._differential(before, after)
 
     def _differential(self, before: Function, after: Function,
-                      cached: dict | None = None,
-                      ) -> tuple[str | None, int, dict, dict]:
+                      ) -> tuple[str | None, int]:
         """Interpret both bodies on probe vectors; first divergence wins.
-
-        ``cached`` maps probe vectors to memoized pre-pass results (the
-        baseline); probes found there skip the ``before`` interpretation.
-        Returns ``(reason, conclusive probes, before results, after
-        results)`` so the caller can seed the next baseline.
-        """
+        Returns ``(reason, conclusive probes)``."""
         module = after.module
         saved_addrs = {}
         if module is not None:
@@ -336,45 +258,33 @@ class PassValidator:
                            for name, g in module.globals.items()}
         conclusive = 0
         attempted = 0
-        scout = max(1, self.options.max_inconclusive_scout)
-        before_results: dict = {}
-        after_results: dict = {}
         try:
             # a signature without float parameters gets the same address
             # vector at k = 0 and k = 2: interpret each vector once
             for probe in dict.fromkeys(self._probes(after)):
-                if conclusive == 0 and attempted >= scout:
+                if conclusive == 0 and attempted >= MAX_INCONCLUSIVE_SCOUT:
                     break  # nothing conclusive: stop scouting
                 attempted += 1
-                if cached is not None and probe in cached:
-                    want, err_b, mem_b = cached[probe]
-                    self.stats.baseline_reuses += 1
-                else:
-                    want, err_b, mem_b = self._probe_run(before, probe)
-                before_results[probe] = (want, err_b, mem_b)
+                want, err_b, mem_b = self._probe_run(before, probe)
                 if err_b is not None:
                     continue  # the pre-pass body rejects this input
                 got, err_a, mem_a = self._probe_run(after, probe)
-                after_results[probe] = (got, err_a, mem_a)
                 conclusive += 1
                 if err_a is not None:
                     return (f"probe {probe!r}: pass output failed "
-                            f"({err_a}) where input succeeded"
-                            ), conclusive, before_results, after_results
+                            f"({err_a}) where input succeeded"), conclusive
                 addr = _mem_diff(mem_b, mem_a)
                 if addr is not None:
                     return (f"probe {probe!r}: memory divergence at "
-                            f"{addr:#x}"), conclusive, before_results, \
-                        after_results
+                            f"{addr:#x}"), conclusive
                 if not self._agree(want, got):
                     return (f"probe {probe!r}: return divergence "
-                            f"(expected {want!r}, got {got!r})"
-                            ), conclusive, before_results, after_results
+                            f"(expected {want!r}, got {got!r})"), conclusive
         finally:
             if module is not None:
                 for name, g in module.globals.items():
                     g.addr = saved_addrs.get(name)
-        return None, conclusive, before_results, after_results
+        return None, conclusive
 
     def _probe_run(self, func: Function, args: tuple,
                    ) -> tuple[object, str | None, list[tuple[int, bytes]]]:
@@ -387,7 +297,7 @@ class PassValidator:
                 _scratch_pattern(SCRATCH_SLOT * SCRATCH_SLOTS))
         interp = Interpreter(module if module is not None else _orphan(func),
                              mem)
-        interp.max_steps = self.options.max_steps
+        interp.max_steps = MAX_STEPS
         try:
             rv = interp.run(func, list(args))
             return rv, None, [(s, mem.read(s, n)) for s, n in mem.regions()
@@ -407,14 +317,13 @@ class PassValidator:
         Leading with one probe of each class lets the inconclusive-scout
         cutoff sample both before giving up.
         """
-        n = self.options.probes
         out: list[tuple] = []
-        for k in range(n):
+        for k in range(PROBES):
             use_addr = k % 2 == 0
             vec: list[object] = []
             for slot, arg in enumerate(func.args):
                 t = arg.type
-                idx = (k + self.options.seed + slot * 3) % len(_I64_SAMPLES)
+                idx = (k + SEED + slot * 3) % len(_I64_SAMPLES)
                 if t.is_float:
                     vec.append(_F64_SAMPLES[idx])
                 elif t.is_vector:
@@ -440,8 +349,7 @@ class PassValidator:
             x, y = float(a), float(b)
             if x != x and y != y:
                 return True  # both NaN
-            tol = self.options.tolerance
-            return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+            return abs(x - y) <= TOLERANCE * max(1.0, abs(x), abs(y))
         return a == b
 
 

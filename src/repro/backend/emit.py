@@ -50,7 +50,6 @@ class EmitOptions:
 
     mul_style: str = "lea"  # 'lea' (GCC-like) or 'imul' (LLVM-like)
     const_addressing: str = "riprel"  # 'riprel' or 'absolute'
-    frame_pointer: bool = True
 
 
 def _fits32(v: int) -> bool:

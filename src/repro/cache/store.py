@@ -35,10 +35,10 @@ contract.  Every record therefore carries a 16-byte header — magic, CRC32
 and payload length — verified on every read; a record that fails the check
 is **quarantined** (moved into ``<root>/quarantine/``, counted, and never
 served — a miss, so the pipeline recompiles) rather than deleted, keeping
-the evidence for post-mortems.  Pre-header records (plain pickles from
-older stores) still load via a legacy fallback; unreadable legacy records
-quarantine the same way.  Construction runs a recovery sweep that reaps
-stale ``.tmp`` debris and expires old quarantine evidence.
+the evidence for post-mortems.  A record without the header is damaged
+too: no byte is unpickled that no checksum covers.  Construction runs a
+recovery sweep that reaps stale ``.tmp`` debris and expires old quarantine
+evidence.
 """
 
 from __future__ import annotations
@@ -286,26 +286,19 @@ class DiskStore:
                 data = fh.read()
         except OSError:
             return None
-        if data.startswith(_MAGIC):
+        if data.startswith(_MAGIC) and len(data) >= _HEADER.size:
+            _magic, crc, length = _HEADER.unpack_from(data)
             payload = data[_HEADER.size:]
-            if len(data) >= _HEADER.size:
-                _magic, crc, length = _HEADER.unpack_from(data)
-                if len(payload) == length and zlib.crc32(payload) == crc:
-                    try:
-                        return pickle.loads(payload)
-                    except _UNPICKLE_ERRORS:
-                        # checksum passed: the bytes are exactly what the
-                        # writer published, they just do not load in this
-                        # environment (schema drift) — a miss, not damage
-                        return None
-            self._quarantine(path)
-            return None
-        # legacy pre-header record: a plain pickle from an older store
-        try:
-            return pickle.loads(data)
-        except _UNPICKLE_ERRORS:
-            self._quarantine(path)
-            return None
+            if len(payload) == length and zlib.crc32(payload) == crc:
+                try:
+                    return pickle.loads(payload)
+                except _UNPICKLE_ERRORS:
+                    # checksum passed: the bytes are exactly what the
+                    # writer published, they just do not load in this
+                    # environment (schema drift) — a miss, not damage
+                    return None
+        self._quarantine(path)
+        return None
 
     def put(self, key: str, value: Any) -> bool:
         try:

@@ -121,7 +121,7 @@ def set_verify_after_each_pass(enabled: bool) -> None:
 
 
 def run_o3(func: Function, options: O3Options = O3Options(),
-           budget: "object | None" = None, validate: bool = False,
+           budget: "object | None" = None,
            validator: "PassValidator | None" = None) -> O3Report:
     """Optimize one function in place to a fixpoint (bounded).
 
@@ -135,14 +135,13 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     fuel per sweep and polls the wall-clock deadline; it is a keyword
     argument rather than an :class:`O3Options` field because options are
     hashed into cache keys and a budget never changes the produced IR —
-    ``validate``/``validator`` follow the same rule: validation can *reject*
-    an application (restoring its input), never produce different code
-    from an accepted one.
+    ``validator`` follows the same rule: validation can *reject* an
+    application (restoring its input), never produce different code from an
+    accepted one.
 
-    With ``validate=True`` (or an explicit ``validator``) the sweep is
-    checked by a :class:`~repro.analysis.validate.PassValidator`:
-    structural invariants plus differential interpretation of input vs
-    output.  The whole sweep is one application — it runs exactly as
+    With a ``validator`` (:class:`~repro.analysis.validate.PassValidator`)
+    the sweep is checked: structural invariants plus differential
+    interpretation of input vs output.  The whole sweep is one application — it runs exactly as
     without a validator and the lifted body is compared with the final
     one.  Only when that is rejected (or a pass is already in quarantine)
     does every pass application get its own check: the lifted body is back
@@ -151,9 +150,6 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     name, its verdict appears in ``O3Report.pass_log`` and
     ``O3Report.rejected_passes``, and the rest of the pipeline continues.
     """
-    if validate and validator is None:
-        from repro.analysis.validate import PassValidator
-        validator = PassValidator()
     report = O3Report(validated=validator is not None)
     sched = schedule.Scheduler(func, validator)
     if validator is not None and sched.disabled_reason is None:

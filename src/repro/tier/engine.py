@@ -168,12 +168,9 @@ class TieredEngine:
                  gate_options: GateOptions = GateOptions(),
                  lift_options: LiftOptions | None = None,
                  jit_options: JITOptions | None = None,
-                 t2_o3_options: O3Options | None = None,
                  budget_factory: Callable[[], Budget] | None = None,
                  machine_verify: bool = False,
                  registry: MetricsRegistry | None = None,
-                 on_install: "Callable[[DispatchHandle, TierCode], None] | None"
-                 = None,
                  farm: "Any | None" = None,
                  farm_timeout: float = 60.0,
                  profile: str = "calls",
@@ -192,7 +189,6 @@ class TieredEngine:
         self.gate_options = gate_options
         self.lift_options = lift_options
         self.jit_options = jit_options
-        self.t2_o3_options = t2_o3_options
         #: per-job budget source; the engine chains its throttle gate onto
         #: whatever yield hook the factory's budgets already carry
         self.budget_factory = budget_factory
@@ -201,9 +197,6 @@ class TieredEngine:
         #: refuted proof rejects the job, an inconclusive proof on the
         #: ungated T1 tier downgrades to a one-off differential gate
         self.machine_verify = machine_verify
-        #: called (outside the handle lock) after every install — the
-        #: stencil driver uses this to invalidate simulator decode caches
-        self.on_install = on_install
         #: optional :class:`~repro.farm.FarmClient`: when set, compile
         #: jobs are shipped to the worker-process pool first and the
         #: in-process pipelines below become the fallback path
@@ -420,7 +413,6 @@ class TieredEngine:
             reject_reason = f"internal error: {exc!r}"
         seconds = time.perf_counter() - t0
 
-        installed: TierCode | None = None
         outcome = "stale"
         with handle._cv:
             handle.in_flight.discard(job.target)
@@ -458,8 +450,6 @@ class TieredEngine:
                         {"handle": handle.name, "target": job.target,
                          "seconds": seconds,
                          "reason": reject_reason})
-        if installed is not None and self.on_install is not None:
-            self.on_install(handle, installed)
 
     def _plan_for(self, handle: DispatchHandle, target: int) -> Plan:
         """The pipeline policy of one tier of one handle — decided here,
@@ -489,7 +479,7 @@ class TieredEngine:
         if target != T1:
             if handle.fixes or handle.mem_regions:
                 rung = "dbrew+llvm"
-            o3 = self.t2_o3_options or DEFAULT_O3
+            o3 = DEFAULT_O3
             pregate, gate = DEFAULT_PREGATE, "always"
         elif handle.fixes:
             # the fixation wrapper calls the lifted original, which only

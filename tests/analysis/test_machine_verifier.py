@@ -136,6 +136,25 @@ def test_mcfg_flags_dead_bytes():
                for f in cfg.findings)
 
 
+def test_verify_witness_reports_dead_bytes_and_stays_proved():
+    _, _, wit = compile_witness(_fp())
+    report = verify_witness(dataclasses.replace(wit, code=wit.code + b"\x90\x90"))
+    assert report.verdict == PROVED
+    assert [f.checker for f in report.findings] == [
+        "machine.cfg.unreachable-bytes"]
+
+
+def test_verify_witness_refutes_a_label_inside_an_instruction():
+    """The entry block's label moved one byte into its first instruction:
+    symbolic execution alone only fails to pair paths (inconclusive), the
+    encoding audit refutes."""
+    _, _, wit = compile_witness(_diamond())
+    labels = dict(wit.block_addrs, entry=wit.block_addrs["entry"] + 1)
+    report = verify_witness(dataclasses.replace(wit, block_addrs=labels))
+    assert report.verdict == REFUTED
+    assert "machine.cfg.overlap" in {f.checker for f in report.findings}
+
+
 # -- refutation --------------------------------------------------------------
 
 

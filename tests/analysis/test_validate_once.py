@@ -210,7 +210,7 @@ def _probe_equal(before: Function, after: Function) -> tuple[bool, int]:
         verify(after)
     except Exception:
         return False, 0
-    reason, conclusive, _b, _a = PassValidator()._differential(before, after)
+    reason, conclusive = PassValidator()._differential(before, after)
     return reason is None, conclusive
 
 

@@ -166,17 +166,19 @@ def test_header_with_wrong_length_is_quarantined(tmp_path):
     assert store.quarantined == 1
 
 
-def test_legacy_plain_pickle_still_loads(tmp_path):
-    """Pre-header records (plain pickles from older stores) load via the
-    fallback; unreadable legacy garbage quarantines."""
+def test_headerless_record_is_quarantined(tmp_path):
+    """A record without the checksum header is never unpickled, even a
+    well-formed pickle: it is quarantined and served as a miss, like
+    header-less garbage."""
     store = DiskStore(str(tmp_path / "store"))
     with open(_raw_path(store), "wb") as fh:
-        fh.write(pickle.dumps({"legacy": True}))
-    assert store.get(KEY) == {"legacy": True}
+        fh.write(pickle.dumps({"plain": True}))
+    assert store.get(KEY) is None
     with open(_raw_path(store, "junk"), "wb") as fh:
         fh.write(b"\x13\x37 not a pickle at all")
     assert store.get("junk") is None
-    assert store.quarantined == 1
+    assert store.quarantined == 2 and store.integrity_failures == 2
+    assert not os.path.exists(_raw_path(store))
 
 
 def test_checksum_valid_but_unloadable_is_a_miss_not_corruption(tmp_path):

@@ -216,7 +216,7 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     monkeypatch.setattr(pipe.gvn, "run", evil_run)
     m = Module("t")
     f = build_straight_const(m)
-    report = run_o3(f, validate=True)
+    report = run_o3(f, validator=PassValidator())
     assert "gvn" in report.rejected_passes
     assert report.schedule_disabled == "quarantined:gvn"
     assert "gvn" not in report.skipped_passes, \

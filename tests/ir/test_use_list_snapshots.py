@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import PassValidator
 from repro.bench import modes as M
 from repro.cache import SpecializationCache
 from repro.ir import (
@@ -171,7 +172,7 @@ def test_rollback_leaves_only_live_users_on_shared_values():
         return True
 
     with inject_faults("pass:dce", every=True, corrupt=miscompile):
-        report = run_o3(f, validate=True)
+        report = run_o3(f, validator=PassValidator())
     assert report.rejected_passes == ["dce"]
     assert any(v.rolled_back for v in report.pass_log)
     verify_module(m)

@@ -128,7 +128,7 @@ def test_every_o3_pass_application_has_a_span():
     TRACER.enable()
     try:
         with inject_faults(*spy) as ran:
-            report = run_o3(f, validate=True)
+            report = run_o3(f, validator=PassValidator())
     finally:
         TRACER.disable()
 
