@@ -136,10 +136,10 @@ def _table_for(token: tuple, costs: CostModel) -> dict[int, _Block]:
 
 def _code_window(memory: Memory, addr: int) -> bytes:
     """Up to ``_WINDOW`` bytes at ``addr``, cut at the end of its region."""
-    for start, size in memory.regions():
-        if start <= addr < start + size:
-            return memory.read(addr, min(_WINDOW, start + size - addr))
-    raise SimulatorError(f"rip at unmapped address {addr:#x}")
+    window = memory.window(addr, _WINDOW)
+    if not window:
+        raise SimulatorError(f"rip at unmapped address {addr:#x}")
+    return window
 
 
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:

@@ -327,7 +327,9 @@ class Rewriter:
             span = _TR.start("rewrite.decode", {"addr": pc}) \
                 if _TR.enabled else None
             try:
-                window = self.image.memory.read(pc, min(16, _readable(self.image.memory, pc)))
+                window = self.image.memory.window(pc, 16)
+                if not window:
+                    raise RewriteError(f"code address {pc:#x} unmapped")
                 try:
                     ins = decode_one(window, 0, pc)
                 except Exception as exc:  # decoding gap -> internal error (Sec. II)
@@ -971,10 +973,3 @@ def _bank(holder: "MetaState | CPUState", kind: str) -> list:
 
 def _address_regs(mem: Mem) -> set[tuple[str, int]]:
     return {("gp", r.index) for r in (mem.base, mem.index) if r is not None}
-
-
-def _readable(memory: Memory, addr: int) -> int:
-    for start, size in memory.regions():
-        if start <= addr < start + size:
-            return start + size - addr
-    raise RewriteError(f"code address {addr:#x} unmapped")

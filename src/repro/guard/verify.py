@@ -3,14 +3,19 @@
 Before a specialized function is allowed to serve traffic, it is executed
 against the *original* function under the deterministic CPU simulator on a
 set of probe argument vectors — user-supplied probes plus deterministically
-sampled ones.  Both runs start from the same private copy of the image: a
-journaled memory saves each 4 KiB chunk a run dirties and rolls it back
-afterwards, so a probe pays for what it touches.  The gate compares return
-values **and** every chunk either run dirtied (minus the stack region,
-whose dead slots legitimately differ between code layouts).  Any divergence
-raises :class:`~repro.errors.VerificationError`, and the guard ladder falls
-back to the next rung — a wrong specialization must cost a fallback, never
-a miscompile.
+sampled ones.  Both runs execute on a copy-on-touch shadow of the image:
+the first touch of a 4 KiB chunk copies it into private memory, every later
+access uses that copy, and the chunks a run dirtied are rolled back
+afterwards, so a gate pays for the chunks its probes touch and never walks
+the whole image.  Both runs therefore see identical bytes in every chunk
+either one touches.  Only code patched mid-gate could break that, so the
+gate re-reads the image's patch counter after its probes and rejects if it
+moved.  The gate compares return values **and** every chunk either run
+dirtied (minus the stack region, whose dead slots legitimately differ
+between code layouts).  Any divergence raises
+:class:`~repro.errors.VerificationError`, and the guard ladder falls back to
+the next rung — a wrong specialization must cost a fallback, never a
+miscompile.
 
 Probe semantics: a probe supplies one value per *free* parameter slot; the
 values of fixed parameters (scalar fixations, :class:`FixedMemory` region
@@ -173,13 +178,14 @@ class DifferentialGate:
         the probes were running (the installed function kept serving its
         now-zeroed address).  Probes therefore execute on this shadow:
         same symbols, same bytes at the same guest addresses, separate
-        backing store.  The live image is only ever *read* (one copy at
-        gate start).
+        backing store.  The live image is only ever *read*, a chunk at a
+        time on first touch (:class:`JournaledMemory`).
 
-        ``token`` is the live image's instance token at that copy: the
+        ``token`` is the live image's instance token at gate start: the
         shadow holds the same code bytes, so it answers with the same
         token and the simulator reuses the blocks already compiled for
-        the original instead of rebuilding them per gate.
+        the original instead of rebuilding them per gate.  :meth:`check`
+        rejects if a patch moved the token's patch counter meanwhile.
         """
         img = Image.__new__(Image)
         img.memory = memory
@@ -261,11 +267,12 @@ class DifferentialGate:
         spec = self.image.symbol(specialized) if isinstance(specialized, str) else specialized
         report = GateReport()
         all_probes = list(probes) + self._sampled_probes(signature, fixes)
-        # one copy of the live image; every probe runs on that private
-        # shadow (see _shadow_image — undoing a run on the live memory
-        # would race with concurrent installs into the same image).
-        # patch_code and add_function hold the lock while they write, so
-        # the bytes and the token read under it belong together
+        # every probe runs on a copy-on-touch shadow (see _shadow_image —
+        # undoing a run on the live memory would race with concurrent
+        # installs into the same image).  patch_code and add_function hold
+        # the lock while they write, so a token read under it is one the
+        # bytes read later match — unless a patch lands meanwhile, which
+        # the check after the probes catches
         with self.image.codegen_lock:
             memory = JournaledMemory(self.image.memory)
             token = self.image.instance_token()
@@ -305,6 +312,14 @@ class DifferentialGate:
                                  f"{out.actual!r}")
                 return report
             out.agreed = True
+        with self.image.codegen_lock:
+            patched = self.image.instance_token()[1] != token[1]
+        if patched:
+            # a chunk first touched after the patch holds the new code:
+            # the runs may have mixed old and new bytes.  add_function
+            # only writes past the cursor, at addresses no probe ran
+            report.reason = "code patched during the gate"
+            return report
         if report.conclusive < self.options.min_conclusive:
             report.reason = (f"only {report.conclusive} conclusive probes "
                              f"(need {self.options.min_conclusive})")

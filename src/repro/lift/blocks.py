@@ -188,7 +188,10 @@ def discover(memory: Memory, entry: int, *, max_instructions: int = 100_000,
             visited.add(pc)
             ins = instr_cache.get(pc)
             if ins is None:
-                window = memory.read(pc, min(16, _bytes_left(memory, pc)))
+                window = memory.window(pc, 16)
+                if not window:
+                    raise LiftError(f"code address {pc:#x} unmapped",
+                                    stage="lift", addr=pc)
                 ins = _DECODE_MEMO.get((pc, window))
                 if ins is None:
                     _DECODE_MISSES.value += 1
@@ -263,10 +266,3 @@ def discover(memory: Memory, entry: int, *, max_instructions: int = 100_000,
             _TRACE_STORE.put(_trace_store_key(token, entry, max_instructions),
                              cfg)
     return cfg
-
-
-def _bytes_left(memory: Memory, addr: int) -> int:
-    for start, size in memory.regions():
-        if start <= addr < start + size:
-            return start + size - addr
-    raise LiftError(f"code address {addr:#x} unmapped", stage="lift", addr=addr)

@@ -6,7 +6,10 @@ touch unmapped space raise :class:`~repro.errors.MemoryAccessError` — this
 is the simulator's segfault, and tests rely on it to catch miscompiled
 address arithmetic early.
 
-Regions are kept as (start, bytearray) pairs sorted by start; kernels touch
+Regions are kept as (start, buffer) pairs sorted by start, where a buffer
+is a ``bytearray`` or, for a mapping of at least :data:`LAZY_MAP_MIN`
+bytes, an anonymous private ``mmap`` whose pages the OS zero-fills on
+first touch — an 8 MB image costs the pages a run touches.  Kernels touch
 a handful of regions (code, rodata, globals, stack, matrices), so a linear
 scan over a tiny list with a one-entry cache is faster in CPython than a
 page-table dict.
@@ -14,6 +17,7 @@ page-table dict.
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.errors import MemoryAccessError
@@ -21,13 +25,24 @@ from repro.errors import MemoryAccessError
 _F64 = struct.Struct("<d")
 _F32 = struct.Struct("<f")
 
+#: smallest mapping backed by an ``mmap`` instead of a ``bytearray``.  A
+#: ``bytearray`` is zero-filled byte by byte up front; an mmap's pages are
+#: zero-filled by the OS when first touched.  Below this size the mmap's
+#: system calls cost more than the memset: DBrew maps an 8 KiB scratch
+#: memory for every emulated memory access, and mmap-backing those made a
+#: cold compile slower
+LAZY_MAP_MIN = 64 * 1024
+
+#: what a region's bytes live in; both slice and slice-assign the same way
+Buffer = bytearray | mmap.mmap
+
 
 class Memory:
     """Sparse 64-bit byte-addressable memory."""
 
     def __init__(self) -> None:
-        self._regions: list[tuple[int, bytearray]] = []
-        self._hit: tuple[int, bytearray] | None = None
+        self._regions: list[tuple[int, Buffer]] = []
+        self._hit: tuple[int, Buffer] | None = None
 
     # -- mapping ----------------------------------------------------------
 
@@ -41,7 +56,12 @@ class Memory:
                 raise MemoryAccessError(
                     f"mapping [{start:#x},{end:#x}) overlaps [{rs:#x},{rs + len(buf):#x})"
                 )
-        buf = bytearray(size)
+        if size >= LAZY_MAP_MIN:
+            # MAP_PRIVATE, not Python's default MAP_SHARED: a forked farm
+            # worker must get its own copy of the pages, not its parent's
+            buf: Buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        else:
+            buf = bytearray(size)
         if data is not None:
             if len(data) > size:
                 raise ValueError("initializer larger than mapping")
@@ -72,19 +92,29 @@ class Memory:
         Regions mapped *after* the snapshot keep their current contents;
         regions present in the snapshot must still exist unchanged.
         All-or-nothing: a snapshot that no longer matches writes nothing.
+        Each region is stored with one :meth:`write`, so a subclass that
+        journals its writes journals a restore too.
         """
-        by_start = {s: b for s, b in self._regions}
+        sizes = {s: len(b) for s, b in self._regions}
         for start, data in snap:
-            buf = by_start.get(start)
-            if buf is None or len(buf) != len(data):
+            if sizes.get(start) != len(data):
                 raise MemoryAccessError(
                     f"snapshot region [{start:#x},+{len(data):#x}) no longer "
                     "matches the mapping"
                 )
         for start, data in snap:
-            by_start[start][:] = data
+            self.write(start, data)
 
-    def _find(self, addr: int, size: int) -> tuple[int, bytearray]:
+    def window(self, addr: int, limit: int) -> bytes:
+        """Up to ``limit`` bytes at ``addr``, cut at the end of its region
+        (how decoders fetch code); ``b""`` when ``addr`` is unmapped."""
+        try:
+            rs, buf = self._find(addr, 1)
+        except MemoryAccessError:
+            return b""
+        return self.read(addr, min(limit, rs + len(buf) - addr))
+
+    def _find(self, addr: int, size: int) -> tuple[int, Buffer]:
         hit = self._hit
         if hit is not None:
             rs, buf = hit
@@ -173,25 +203,51 @@ class Memory:
         self.write(addr, int(v & ((1 << 128) - 1)).to_bytes(16, "little"))
 
 
-#: bytes per journal chunk of a :class:`JournaledMemory`, counted from the
-#: start of the region a write lands in, so no chunk spans two regions
+#: bytes per chunk of a :class:`JournaledMemory` — the unit it copies on
+#: first touch and journals on first write — counted from the start of the
+#: region an access lands in, so no chunk spans two regions
 JOURNAL_CHUNK = 4096
 
 
 class JournaledMemory(Memory):
-    """A private copy of ``source`` whose writes can be rolled back.
+    """A copy-on-touch shadow of ``source`` whose writes can be rolled back.
 
-    Construction is the only pass over the whole image.  The first write
-    to touch a chunk since the last :meth:`rollback` saves the chunk's old
-    bytes, so a run costs what it dirties.  Sound only while every store
-    funnels through :meth:`write` (``restore`` would bypass the journal).
+    Construction copies nothing: the shadow keeps ``source``'s region list,
+    and the first read or write of a chunk copies that chunk into a private
+    dict that every later access uses, so a gate pays for the chunks its
+    probes touch.  No method stores into a source buffer.  A chunk reads
+    the live bytes of the moment it is first touched; from then on the
+    shadow sees only its own writes, so repeated runs see identical bytes
+    in every chunk any of them touches.  The first write to a chunk since
+    the last :meth:`rollback` saves the chunk's old bytes, so a run costs
+    what it dirties.
     """
 
     def __init__(self, source: Memory) -> None:
         super().__init__()
-        self._regions = [(s, bytearray(b)) for s, b in source._regions]
+        self._regions = list(source._regions)
+        #: chunk address -> this shadow's private copy of the chunk
+        self._chunks: dict[int, bytearray] = {}
         #: chunk address -> the chunk's bytes before its first write
         self._journal: dict[int, bytes] = {}
+
+    def _chunk(self, rs: int, buf: Buffer, lo: int) -> bytearray:
+        """The private copy of the chunk at offset ``lo`` of region ``rs``."""
+        chunk = self._chunks.get(rs + lo)
+        if chunk is None:
+            chunk = self._chunks[rs + lo] = bytearray(buf[lo:lo + JOURNAL_CHUNK])
+        return chunk
+
+    def read(self, addr: int, size: int) -> bytes:
+        rs, buf = self._find(addr, size)
+        off = addr - rs
+        at = off % JOURNAL_CHUNK
+        if at + size <= JOURNAL_CHUNK:  # the common case: one chunk
+            return bytes(self._chunk(rs, buf, off - at)[at:at + size])
+        end = off + size
+        return b"".join(
+            self._chunk(rs, buf, lo)[max(off, lo) - lo:end - lo]
+            for lo in range(off - at, end, JOURNAL_CHUNK))
 
     def write(self, addr: int, data: bytes) -> None:
         rs, buf = self._find(addr, len(data))
@@ -199,9 +255,15 @@ class JournaledMemory(Memory):
         end = off + len(data)
         journal = self._journal
         for lo in range(off - off % JOURNAL_CHUNK, end, JOURNAL_CHUNK):
+            chunk = self._chunk(rs, buf, lo)
             if rs + lo not in journal:
-                journal[rs + lo] = bytes(buf[lo : lo + JOURNAL_CHUNK])
-        buf[off:end] = data
+                journal[rs + lo] = bytes(chunk)
+            a, b = max(off, lo), min(end, lo + JOURNAL_CHUNK)
+            chunk[a - lo:b - lo] = data[a - off:b - off]
+
+    def snapshot(self) -> list[tuple[int, bytes]]:
+        """Every region as this shadow sees it (touches every chunk)."""
+        return [(s, self.read(s, len(b))) for s, b in self._regions]
 
     def rollback(self) -> dict[int, bytes]:
         """Undo every write since the last rollback.
@@ -210,8 +272,10 @@ class JournaledMemory(Memory):
         for exactly the chunks that were written to.
         """
         after = {}
+        chunks = self._chunks
         for addr, old in self._journal.items():
-            after[addr] = self.read(addr, len(old))
-            Memory.write(self, addr, old)
+            chunk = chunks[addr]
+            after[addr] = bytes(chunk)
+            chunk[:] = old
         self._journal.clear()
         return after

@@ -8,6 +8,7 @@ from repro.guard import DifferentialGate, GateOptions
 from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
 
+SIG1 = FunctionSignature(("i",), "i")
 SIG2 = FunctionSignature(("i", "i"), "i")
 
 
@@ -171,39 +172,104 @@ def test_gate_leaves_the_live_image_untouched():
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
-def test_gate_copies_the_image_once_whatever_the_probe_count(monkeypatch, k):
-    """O(touched) held by a count, not a timer: one pass over the image
-    per gate, then two rollbacks of a couple of chunks per probe."""
+def test_gate_copies_only_the_chunks_its_probes_touch(monkeypatch, k):
+    """O(touched) held by a count, not a timer: building the shadow copies
+    nothing, no whole-image pass runs, and afterwards the shadow's private
+    chunks are exactly the chunks the probes read or wrote — the same three
+    whatever ``k`` is."""
     from repro.guard import verify
-    from repro.mem.memory import Memory
-    calls = {"copy": 0, "full": 0, "rollback": 0, "chunks": 0}
+    from repro.mem.memory import JOURNAL_CHUNK, Memory
+    shadows, rollbacks = [], []
 
-    class Counting(verify.JournaledMemory):
+    class Recording(verify.JournaledMemory):
         def __init__(self, source):
-            calls["copy"] += 1
             super().__init__(source)
+            assert self._chunks == {}
+            self.touched = set()
+            shadows.append(self)
+
+        def _note(self, addr, size):
+            rs = next(s for s, n in self.regions() if s <= addr < s + n)
+            first = (addr - rs) // JOURNAL_CHUNK * JOURNAL_CHUNK
+            self.touched |= {rs + lo for lo in range(first, addr - rs + size,
+                                                     JOURNAL_CHUNK)}
+
+        def read(self, addr, size):
+            self._note(addr, size)
+            return super().read(addr, size)
+
+        def write(self, addr, data):
+            self._note(addr, len(data))
+            super().write(addr, data)
 
         def rollback(self):
             after = super().rollback()
-            calls["rollback"] += 1
-            calls["chunks"] = max(calls["chunks"], len(after))
+            rollbacks.append(len(after))
             return after
 
     def full_pass(self, *args):
-        calls["full"] += 1
         raise AssertionError("the gate walked the whole image")
 
-    monkeypatch.setattr(verify, "JournaledMemory", Counting)
-    monkeypatch.setattr(Memory, "snapshot", full_pass)
-    monkeypatch.setattr(Memory, "restore", full_pass)
+    monkeypatch.setattr(verify, "JournaledMemory", Recording)
+    for cls, name in ((Memory, "snapshot"), (Memory, "restore"),
+                      (verify.JournaledMemory, "snapshot")):
+        monkeypatch.setattr(cls, name, full_pass)
     img = _image("void f(long *p, long v) { p[0] = v; }")
     target = img.alloc_data(16)
     report = DifferentialGate(img, GateOptions(samples=0)).check(
         "f", "f", FunctionSignature(("i", "i"), None),
         probes=[(target, v) for v in range(k)])
     assert report.passed and report.conclusive == k
-    # the return-address slot on the stack and the stored-to global
-    assert calls == {"copy": 1, "full": 0, "rollback": 2 * k, "chunks": 2}
+    [shadow] = shadows
+    # f's code window, the return-address slot and the stored-to global
+    assert set(shadow._chunks) == shadow.touched and len(shadow.touched) == 3
+    # each run dirties the return-address slot and the stored-to global
+    assert rollbacks == [2] * (2 * k)
+
+
+@pytest.mark.parametrize("patched", ["original", "candidate"])
+def test_code_patched_between_the_runs_of_a_probe_rejects(monkeypatch,
+                                                          patched):
+    """The shadow copies a chunk on first touch, so a ``patch_code`` landing
+    mid-gate could leave the two runs on different code — or, as here, on
+    code the live image no longer holds: f and g agree, and the patch makes
+    the live function disagree after the shadow has copied it.  The gate
+    re-reads the patch counter after its probes and rejects; the live
+    image keeps exactly the patched bytes."""
+    from repro.cpu import Image
+    from repro.cpu.simulator import Simulator
+    from repro.x86 import parse_asm
+    from repro.x86.asm import assemble
+    img = Image()
+    addrs = {}
+    for name, text in (("f", "lea rax, [rdi + 1]\nret"),
+                       ("g", "lea rax, [rdi + 1]\nret")):
+        code, _ = assemble(parse_asm(text), base=img.next_code_addr())
+        addrs[name] = img.add_function(name, code)
+    new, _ = assemble(parse_asm("lea rax, [rdi + 2]\nret"), base=0)
+    where = addrs["f" if patched == "original" else "g"]
+    old = img.memory.read(where, len(new))
+    before = img.memory.snapshot()
+    call, runs = Simulator.call, []
+
+    def call_then_patch(self, *args, **kw):
+        res = call(self, *args, **kw)
+        runs.append(res.rax)
+        if len(runs) == 1:  # between the original's run and the candidate's
+            img.patch_code(where, new)
+        return res
+
+    monkeypatch.setattr(Simulator, "call", call_then_patch)
+    gate = DifferentialGate(img, GateOptions(samples=0))
+    report = gate.check("f", "g", SIG1, probes=[(5,)])
+    assert runs == [6, 6]  # both runs saw the bytes of the gate's start
+    assert not report.passed
+    assert report.reason == "code patched during the gate"
+    assert img.memory.read(where, len(new)) == new
+    img.patch_code(where, old)
+    assert img.memory.snapshot() == before
+    monkeypatch.setattr(Simulator, "call", call)
+    assert gate.check("f", "g", SIG1, probes=[(5,)]).passed
 
 
 def test_all_probes_inconclusive_rejects_by_default():

@@ -1,11 +1,16 @@
 """Unit + property tests for the simulated memory."""
 
+import mmap
+import os
+import signal
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryAccessError
-from repro.mem.memory import Memory
+from repro.mem.memory import LAZY_MAP_MIN, Memory
 
 
 @pytest.fixture
@@ -132,3 +137,63 @@ def test_restore_is_all_or_nothing(mem):
     with pytest.raises(MemoryAccessError):
         mem.restore([(0x1000, bytes(0x1000)), (0x9000, bytes(8))])
     assert mem.snapshot() == current
+
+
+@pytest.mark.parametrize("size, lazy", [
+    (LAZY_MAP_MIN - 1, False), (LAZY_MAP_MIN, True), (3 * LAZY_MAP_MIN + 5, True)])
+def test_big_mappings_are_zero_filled_by_the_os(size, lazy):
+    """A mapping of at least ``LAZY_MAP_MIN`` bytes is an anonymous mmap
+    (its pages are zero-filled on first touch); it reads, writes,
+    snapshots and restores like a bytearray, initializer included."""
+    m = Memory()
+    m.map(0x10_0000, size, data=b"\x01\x02")
+    [(_, buf)] = m._regions
+    assert isinstance(buf, mmap.mmap) is lazy
+    assert m.read(0x10_0000, 4) == b"\x01\x02\x00\x00"
+    end = 0x10_0000 + size
+    m.write_u64(end - 8, 2**64 - 1)
+    snap = m.snapshot()
+    assert snap == [(0x10_0000, b"\x01\x02" + bytes(size - 10) + b"\xff" * 8)]
+    m.write(0x10_0000, b"\x09" * 16)
+    m.restore(snap)
+    assert m.snapshot() == snap
+    with pytest.raises(MemoryAccessError):
+        m.write(end - 4, bytes(8))
+
+
+def test_window_is_cut_at_the_region_end(mem):
+    mem.write(0x1FFC, b"tail")
+    assert mem.window(0x1FFC, 16) == b"tail"
+    assert mem.window(0x1000, 16) == bytes(16)
+    assert mem.window(0x2000, 16) == b""  # unmapped
+    assert mem.window(0xFFF, 16) == b""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_writes_its_own_copy_of_the_image():
+    """A farm worker forked after an ``Image`` exists must not write into
+    its parent's pages: big regions are ``MAP_PRIVATE`` (Python's default
+    for an mmap is ``MAP_SHARED``)."""
+    from repro.cpu.image import DATA_BASE, JIT_BASE, Image
+    img = Image()
+    img.memory.write(DATA_BASE, b"parent")
+    before = img.memory.snapshot()
+    pid = os.fork()
+    if pid == 0:  # the child: store, then leave without any cleanup
+        ok = False
+        try:
+            img.memory.write(DATA_BASE, b"child!")
+            img.memory.write(JIT_BASE, b"\x90" * 64 + b"\xc3")
+            ok = img.memory.read(DATA_BASE, 6) == b"child!"
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not exit")
+        time.sleep(0.005)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+    assert img.memory.read(DATA_BASE, 6) == b"parent"
+    assert img.memory.snapshot() == before
