@@ -33,7 +33,8 @@ from repro.farm.health import CLOSED, OPEN, CircuitBreaker
 from repro.farm.protocol import CompileJob, CompileResult
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.lift import FunctionSignature
+from repro.jit.plan import Plan
+from repro.lift import FunctionSignature, LiftOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.testing.chaos import ChaosOptions, run_scenario, run_suite
 
@@ -152,9 +153,10 @@ def _stub_job() -> CompileJob:
     return CompileJob(
         key="k" * 32, name="bench.f", tier=1, func="f",
         signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="farmimg-bench", lift=None,
-        o3=O3Options.lightweight(), jit=JITOptions())
+        mem_regions=(), probes=(), dbrew_func=None,
+        image_key="farmimg-bench",
+        plan=Plan("llvm", LiftOptions(), O3Options.lightweight(),
+                  JITOptions()))
 
 
 def bench_breaker(threshold: int = 5) -> dict:

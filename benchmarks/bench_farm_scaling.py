@@ -30,6 +30,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from repro import FarmClient, FarmPool, FunctionSignature, TieredEngine, \
     compile_c
@@ -37,6 +38,8 @@ from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
+from repro.jit.plan import Plan
+from repro.lift import LiftOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.tier import TierPolicy
 
@@ -61,30 +64,29 @@ def _jobs(prog, client, count):
     of fixation keys, what a line-kernel sweep produces) plus
     ``SIG_VARIANTS`` signature-variant re-lifts of the same bytes."""
     sig = FunctionSignature(("i", "i"), "i")
-    o3 = O3Options.lightweight().replace(enable_inline=True)
+    fixed = Plan("llvm-fix", LiftOptions(),
+                 O3Options.lightweight().replace(enable_inline=True),
+                 JITOptions(), gate_options=GateOptions())
     jobs = []
     for k in range(count):
         fixes = {1: k + 3}
-        key = fp.compute_job_key(prog.image, "f", sig, fixes, (), (), 1,
-                                 (), None, None, o3, JITOptions(),
-                                 GateOptions())
+        key = fp.compute_job_key(prog.image, "f", sig, fixes, (), (), None,
+                                 fixed, 1)
         jobs.append(fp.CompileJob(
             key=key, name=f"f.storm{k}", tier=1, func="f", signature=sig,
             fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=(),
-            dbrew_func=None, ladder=(),
-            image_key=client.ensure_image(prog.image),
-            lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions()))
+            dbrew_func=None, image_key=client.ensure_image(prog.image),
+            plan=fixed))
+    plain = replace(fixed, rung="llvm")
     for extra in range(SIG_VARIANTS):
         sig_v = FunctionSignature(("i",) * (3 + extra), "i")
-        key = fp.compute_job_key(prog.image, "f", sig_v, None, (), (), 1,
-                                 (), None, None, o3, JITOptions(),
-                                 GateOptions())
+        key = fp.compute_job_key(prog.image, "f", sig_v, None, (), (), None,
+                                 plain, 1)
         jobs.append(fp.CompileJob(
             key=key, name=f"f.sigv{extra}", tier=1, func="f",
             signature=sig_v, fixes=None, mem_regions=(), probes=(),
-            dbrew_func=None, ladder=(),
-            image_key=client.ensure_image(prog.image),
-            lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions()))
+            dbrew_func=None, image_key=client.ensure_image(prog.image),
+            plan=plain))
     return jobs
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import record
 from repro.bench.harness import stencil_arg
-from repro.bench.modes import CODES, _dbrew_rewrite
+from repro.bench.modes import CODES, prepare_kernel
 from repro.ir.passes import O3Options
 from repro.jit import BinaryTransformer
 from repro.lift import FunctionSignature
@@ -31,7 +31,8 @@ _ROWS = {}
 def test_lightweight_vs_full(benchmark, workspace, reference, code):
     ws = workspace
     sig = FunctionSignature(tuple(LINE_SIGNATURE), None)
-    dbrew_addr = _dbrew_rewrite(ws, code, True, f"k.lw.{code}.dbrew")
+    dbrew_addr = prepare_kernel(ws, code, "dbrew", line=True,
+                                uid=".lw").kernel_addr
 
     t0 = time.perf_counter()
     light = BinaryTransformer(

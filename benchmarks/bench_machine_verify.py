@@ -31,6 +31,8 @@ from repro.guard import GuardedTransformer
 from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
+from repro.jit.plan import Plan
+from repro.lift import LiftOptions
 from repro.obs.metrics import MetricsRegistry
 
 MAX_COLD_OVERHEAD = 0.25   # verified cold compile vs bare cold compile
@@ -100,21 +102,19 @@ def run_warm(rounds: int = 60) -> dict:
 def run_farm_dedup(requests: int = 6, workers: int = 2) -> dict:
     """One job key submitted ``requests`` times: exactly one proof."""
     prog = compile_c(SRC)
-    o3 = O3Options.lightweight()
+    plan = Plan("llvm", LiftOptions(), O3Options.lightweight(), JITOptions(),
+                machine_verify=True, gate_options=GateOptions())
     registry = MetricsRegistry()
     with tempfile.TemporaryDirectory() as disk:
         pool = FarmPool(workers=workers, disk_dir=disk, registry=registry)
         client = FarmClient(pool, timeout=600.0, registry=registry)
         try:
-            key = fp.compute_job_key(prog.image, "f", SIG, None, (), (), 1,
-                                     (), None, None, o3, JITOptions(),
-                                     GateOptions())
+            key = fp.compute_job_key(prog.image, "f", SIG, None, (), (), None,
+                                     plan, 1)
             job = fp.CompileJob(
                 key=key, name="f.dedup", tier=1, func="f", signature=SIG,
                 fixes=None, mem_regions=(), probes=(), dbrew_func=None,
-                ladder=(), image_key=client.ensure_image(prog.image),
-                lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions(),
-                machine_verify=True)
+                image_key=client.ensure_image(prog.image), plan=plan)
             results = [client.compile(job) for _ in range(requests)]
         finally:
             pool.close()

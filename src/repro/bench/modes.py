@@ -8,8 +8,11 @@ DBrew                 binary specialization by rewriting (Sec. II)
 DBrew+LLVM            DBrew output post-processed through the LLVM pipeline
 ====================  =========================================================
 
-``prepare_kernel`` returns the kernel address to install plus the
-transformation timings (Fig. 10's compile times).
+:func:`request` describes what one stencil cell asks for, once;
+``prepare_kernel`` runs one mode of it through the one pipeline
+(:class:`~repro.jit.plan.Pipeline`: ``rewrite`` for DBrew, ``llvm_identity``
+/ ``llvm_fixed`` for the LLVM half) and returns the kernel address to
+install plus the transformation timings (Fig. 10's compile times).
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cache import SpecializationCache
-from repro.dbrew import Rewriter
 from repro.guard import GuardedTransformer
-from repro.jit import BinaryTransformer
-from repro.lift import FunctionSignature, LiftOptions
+from repro.jit import BinaryTransformer, TransformResult
+from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
 from repro.stencil.jacobi import StencilWorkspace
 from repro.stencil.sources import ELEMENT_SIGNATURE, LINE_SIGNATURE
@@ -54,57 +56,73 @@ class ModeResult:
     verified: bool = False
 
 
-def _signature(line: bool) -> FunctionSignature:
-    params = LINE_SIGNATURE if line else ELEMENT_SIGNATURE
-    return FunctionSignature(tuple(params), None)
+@dataclass
+class StencilRequest:
+    """What one stencil cell asks the pipeline for, in the front doors'
+    own terms (``GuardedTransformer.transform``, ``TieredEngine.register``).
 
-
-def _stencil_fix(ws: StencilWorkspace, code: str) -> dict[str, object]:
-    """Fixed-parameter configuration per code variant."""
-    if code == "direct":
-        return {"arg": 0, "regions": [], "fix_memory": None}
-    if code == "flat":
-        return {
-            "arg": ws.flat.addr,
-            "regions": [(ws.flat.addr, ws.flat.addr + ws.flat.size)],
-            "fix_memory": FixedMemory(ws.flat.addr, ws.flat.size),
-        }
-    if code == "sorted":
-        return {
-            "arg": ws.sorted.addr,
-            "regions": [(a, a + s) for a, s in ws.sorted.regions],
-            # Sec. IV: only the directly-pointed region becomes a constant
-            # global; nested pointers are not followed
-            "fix_memory": FixedMemory(ws.sorted.addr, ws.sorted.regions[0][1]),
-        }
-    raise ValueError(f"unknown code variant {code}")
-
-
-def _kernel_probe(ws: StencilWorkspace, fix: dict[str, object],
-                  fixes: dict[int, object], *, line: bool) -> tuple:
-    """One real argument vector for the differential gate.
-
+    ``probes`` holds one real argument vector for the differential gate.
     The kernels take pointers (stencil descriptor, both matrices), which
     the gate's sampled integer probes cannot exercise — the original
-    faults on them and the probe is inconclusive.  Supplying the
-    workspace's actual matrices plus an interior cell/row makes the gate
-    compare real executions; values for fixed parameter slots are dropped
-    (the gate substitutes them itself).
+    faults on them and the probe is inconclusive.  The workspace's actual
+    matrices plus an interior cell/row make the gate compare real
+    executions; the fixed parameter slot is left out (the gate substitutes
+    it itself).
     """
+
+    #: the native kernel
+    func: str
+    signature: FunctionSignature
+    #: the stencil descriptor as a constant global (Sec. IV); None for
+    #: ``direct``, which has nothing to fix
+    fixes: dict[int, FixedMemory] | None
+    #: every region the descriptor reaches, fixed for DBrew
+    mem_regions: tuple[tuple[int, int], ...]
+    #: the line kernels' DBrew input keeps the element computation in a
+    #: separate function that DBrew inlines (Sec. VI's setup)
+    dbrew_func: str
+    probes: tuple[tuple, ...]
+    #: the descriptor address DBrew fixes parameter 0 to (None: ``direct``)
+    descriptor: int | None
+
+
+def request(ws: StencilWorkspace, code: str, line: bool) -> StencilRequest:
+    """The request of one (code, kernel shape) cell."""
+    fixes, regions, descriptor = None, (), None
+    if code == "flat":
+        descriptor = ws.flat.addr
+        regions = ((ws.flat.addr, ws.flat.addr + ws.flat.size),)
+        fixes = {0: FixedMemory(ws.flat.addr, ws.flat.size)}
+    elif code == "sorted":
+        descriptor = ws.sorted.addr
+        regions = tuple((a, a + s) for a, s in ws.sorted.regions)
+        # Sec. IV: only the directly-pointed region becomes a constant
+        # global; nested pointers are not followed
+        fixes = {0: FixedMemory(ws.sorted.addr, ws.sorted.regions[0][1])}
+    elif code != "direct":
+        raise ValueError(f"unknown code variant {code}")
     sz = ws.setup.sz
-    full = ((fix["arg"], ws.m1, ws.m2, 1, 1, sz - 1) if line
-            else (fix["arg"], ws.m1, ws.m2, sz + 1))
-    return tuple(v for i, v in enumerate(full) if i not in fixes)
+    probe = (ws.m1, ws.m2, 1, 1, sz - 1) if line else (ws.m1, ws.m2, sz + 1)
+    # ``direct`` ignores its descriptor parameter and is passed 0 for it
+    return StencilRequest(
+        func=f"line_{code}" if line else f"apply_{code}",
+        signature=FunctionSignature(
+            tuple(LINE_SIGNATURE if line else ELEMENT_SIGNATURE), None),
+        fixes=fixes, mem_regions=regions,
+        dbrew_func=f"line_call_{code}" if line else f"apply_{code}",
+        probes=(probe if fixes else (0, *probe),), descriptor=descriptor)
 
 
-def _native_kernel(code: str, line: bool) -> str:
-    return (f"line_{code}" if line else f"apply_{code}")
-
-
-def _dbrew_input(code: str, line: bool) -> str:
-    # the line-kernel DBrew input keeps the element computation in a
-    # separate function that DBrew inlines (Sec. VI's setup)
-    return (f"line_call_{code}" if line else f"apply_{code}")
+def _compiled(res: TransformResult, rewrite: float | None = None,
+              ) -> ModeResult:
+    stages = {"lift": res.lift_seconds, "opt": res.optimize_seconds,
+              "codegen": res.codegen_seconds}
+    seconds = res.total_seconds
+    if rewrite is not None:
+        stages = {"rewrite": rewrite, **stages}
+        seconds += rewrite
+    return ModeResult(res.addr, res.name, seconds, stages,
+                      cache_stage=res.cache_stage)
 
 
 def prepare_kernel(ws: StencilWorkspace, code: str, mode: str, *,
@@ -121,76 +139,52 @@ def prepare_kernel(ws: StencilWorkspace, code: str, mode: str, *,
     degradation ladder (restricted to the requested mode's rung, then
     ``original``): the preparation can no longer fail, ``guard_mode``
     reports the rung that served it, and ``verified`` whether the
-    differential gate passed conclusively — the gate is fed one probe
-    with the workspace's real matrices so it actually executes the
-    kernels (see :func:`_kernel_probe`).  ``native`` and plain ``dbrew``
-    bypass the guard (nothing to transform / no LLVM composition to gate).
+    differential gate passed conclusively — the gate is fed the request's
+    real-matrix probe (see :class:`StencilRequest`).  ``native`` and plain
+    ``dbrew`` bypass the guard (nothing to transform / no LLVM composition
+    to gate).
     """
     if code not in CODES or mode not in MODES:
         raise ValueError(f"unknown cell ({code}, {mode})")
-    native = _native_kernel(code, line)
-    sig = _signature(line)
-    fix = _stencil_fix(ws, code)
-    tag = f"{code}.{'line' if line else 'elem'}.{mode}{uid}"
+    req = request(ws, code, line)
+    name = f"k.{code}.{'line' if line else 'elem'}.{mode}{uid}"
 
     if mode == "native":
-        return ModeResult(ws.image.symbol(native), native)
+        return ModeResult(ws.image.symbol(req.func), req.func)
 
     if guard is not None and mode in GUARD_LADDERS:
-        fixes: dict[int, object] = {}
-        if fix["fix_memory"] is not None:
-            fixes[0] = fix["fix_memory"]
         res = guard.transform(
-            native, sig, fixes or None,  # type: ignore[arg-type]
-            mem_regions=fix["regions"],  # type: ignore[arg-type]
-            name=f"k.{tag}", ladder=GUARD_LADDERS[mode],
-            dbrew_func=_dbrew_input(code, line),
-            probes=(_kernel_probe(ws, fix, fixes, line=line),),
-        )
+            req.func, req.signature, req.fixes, mem_regions=req.mem_regions,
+            name=name, ladder=GUARD_LADDERS[mode], dbrew_func=req.dbrew_func,
+            probes=req.probes)
         return ModeResult(
             res.addr, res.name, res.seconds,
             cache_stage=res.result.cache_stage if res.result else None,
             guard_mode=res.mode, verified=res.verified,
         )
 
-    if mode == "llvm":
-        tx = BinaryTransformer(ws.image, cache=cache)
-        res = tx.llvm_identity(native, sig, name=f"k.{tag}")
-        return ModeResult(res.addr, res.name, res.total_seconds, {
-            "lift": res.lift_seconds, "opt": res.optimize_seconds,
-            "codegen": res.codegen_seconds,
-        }, cache_stage=res.cache_stage)
-
-    if mode == "llvm-fix":
-        tx = BinaryTransformer(ws.image, cache=cache)
-        fixes: dict[int, object] = {}
-        if fix["fix_memory"] is not None:
-            fixes[0] = fix["fix_memory"]
-        res = tx.llvm_fixed(native, sig, fixes, name=f"k.{tag}")  # type: ignore[arg-type]
-        return ModeResult(res.addr, res.name, res.total_seconds, {
-            "lift": res.lift_seconds, "opt": res.optimize_seconds,
-            "codegen": res.codegen_seconds,
-        }, cache_stage=res.cache_stage)
-
-    if mode == "dbrew":
-        before = cache.stats.stage_hits["rewrite"] if cache is not None else 0
-        t0 = time.perf_counter()
-        addr = _dbrew_rewrite(ws, code, line, f"k.{tag}", cache=cache)
-        dt = time.perf_counter() - t0
-        hit = cache is not None and cache.stats.stage_hits["rewrite"] > before
-        return ModeResult(addr, f"k.{tag}", dt, {"rewrite": dt},
-                          cache_stage="rewrite" if hit else None)
-
-    # dbrew+llvm: rewrite first, then the identity transformation on top
-    t0 = time.perf_counter()
-    dbrew_addr = _dbrew_rewrite(ws, code, line, f"k.{tag}.dbrew", cache=cache)
-    t_rw = time.perf_counter() - t0
     tx = BinaryTransformer(ws.image, cache=cache)
-    res = tx.llvm_identity(dbrew_addr, sig, name=f"k.{tag}")
-    return ModeResult(res.addr, res.name, t_rw + res.total_seconds, {
-        "rewrite": t_rw, "lift": res.lift_seconds,
-        "opt": res.optimize_seconds, "codegen": res.codegen_seconds,
-    }, cache_stage=res.cache_stage)
+    if mode == "llvm":
+        return _compiled(tx.llvm_identity(req.func, req.signature, name=name))
+    if mode == "llvm-fix":
+        return _compiled(tx.llvm_fixed(req.func, req.signature,
+                                       req.fixes or {}, name=name))
+
+    # DBrew fixes the descriptor's address and declares every region it
+    # reaches fixed (Fig. 2's set_par/set_mem)
+    fixes = None if req.descriptor is None else {0: req.descriptor}
+    rw_name = name if mode == "dbrew" else f"{name}.dbrew"
+    before = cache.stats.stage_hits["rewrite"] if cache is not None else 0
+    t0 = time.perf_counter()
+    addr = tx.rewrite(req.dbrew_func, req.signature, fixes, req.mem_regions,
+                      rw_name)
+    t_rw = time.perf_counter() - t0
+    if mode == "dbrew":
+        hit = cache is not None and cache.stats.stage_hits["rewrite"] > before
+        return ModeResult(addr, name, t_rw, {"rewrite": t_rw},
+                          cache_stage="rewrite" if hit else None)
+    # dbrew+llvm: the identity transformation on top of the rewrite
+    return _compiled(tx.llvm_identity(addr, req.signature, name=name), t_rw)
 
 
 def register_tiered(ws: StencilWorkspace, code: str, engine, *,
@@ -198,41 +192,13 @@ def register_tiered(ws: StencilWorkspace, code: str, engine, *,
     """Register one stencil cell with a :class:`~repro.tier.TieredEngine`.
 
     Returns the :class:`~repro.tier.DispatchHandle`.  The registration
-    carries the same fixation key the eager modes use — the fixed stencil
-    descriptor, its memory regions, the separate DBrew inlining entry for
-    line kernels, and one real-matrix probe for the T2 admission gate — so
-    tiered steady-state code is byte-for-byte what ``dbrew+llvm`` builds.
+    carries the cell's :func:`request` — the same fixation key the eager
+    modes use — so tiered steady-state code is byte-for-byte what
+    ``dbrew+llvm`` builds.
     """
-    if code not in CODES:
-        raise ValueError(f"unknown code variant {code}")
-    native = _native_kernel(code, line)
-    sig = _signature(line)
-    fix = _stencil_fix(ws, code)
-    fixes: dict[int, object] = {}
-    if fix["fix_memory"] is not None:
-        fixes[0] = fix["fix_memory"]
-    probe = _kernel_probe(ws, fix, fixes, line=line)
+    req = request(ws, code, line)
     return engine.register(
-        native, sig,
-        fixes=fixes or None,  # type: ignore[arg-type]
-        mem_regions=fix["regions"],  # type: ignore[arg-type]
-        probes=(probe,),
+        req.func, req.signature, fixes=req.fixes,
+        mem_regions=req.mem_regions, probes=req.probes,
         name=f"t.{code}.{'line' if line else 'elem'}{uid}",
-        dbrew_func=_dbrew_input(code, line),
-    )
-
-
-def _dbrew_rewrite(ws: StencilWorkspace, code: str, line: bool, name: str,
-                   cache: SpecializationCache | None = None) -> int:
-    fix = _stencil_fix(ws, code)
-    target = _dbrew_input(code, line)
-    sig = LINE_SIGNATURE if line else ELEMENT_SIGNATURE
-    r = Rewriter(ws.image, target, cache=cache).set_signature(tuple(sig), None)
-    if code != "direct":
-        r.set_par(0, fix["arg"])  # type: ignore[arg-type]
-        for start, end in fix["regions"]:  # type: ignore[union-attr]
-            r.set_mem(start, end)
-    addr = r.rewrite(name=name)
-    if addr == ws.image.symbol(target):
-        raise RuntimeError(f"DBrew fell back to the original for {name}")
-    return addr
+        dbrew_func=req.dbrew_func)

@@ -31,16 +31,13 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cache import keys as cache_keys
 from repro.cpu.image import Image
 from repro.guard.budget import Budget
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.module import Module
-from repro.ir.passes import O3Options
-from repro.jit.plan import DEFAULT_JIT, DEFAULT_O3, Plan
-from repro.lift import FunctionSignature, LiftOptions
+from repro.jit.plan import Plan
+from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
 from repro.mem.memory import Memory
 from repro.tier.policy import T1
@@ -160,29 +157,6 @@ def thaw_fixes(
     return dict(frozen) if frozen else None
 
 
-def freeze_lift_options(
-    opts: LiftOptions | None,
-) -> tuple | None:
-    """Strip the unpicklable budget; flatten to a plain tuple.
-
-    The budget is deliberately *not* part of the lift configuration that
-    crosses the wire — the job's own ``budget_limits`` govern the worker.
-    """
-    if opts is None:
-        return None
-    return (opts.flag_cache, opts.facet_cache, opts.stack_size, opts.name,
-            tuple(sorted(opts.known_functions.items())))
-
-
-def thaw_lift_options(frozen: tuple | None) -> LiftOptions | None:
-    if frozen is None:
-        return None
-    flag_cache, facet_cache, stack_size, name, known = frozen
-    return LiftOptions(flag_cache=flag_cache, facet_cache=facet_cache,
-                       stack_size=stack_size, name=name,
-                       known_functions=dict(known))
-
-
 def freeze_budget(budget: Budget | None) -> tuple | None:
     """A budget's *limits* (deadline + fuel); the worker re-arms a fresh
     :class:`Budget` from them — clocks and yield hooks never travel."""
@@ -222,15 +196,17 @@ class CompileJob:
     mem_regions: tuple[tuple[int, int], ...]
     probes: tuple
     dbrew_func: str | int | None
-    #: guard ladder for T2 jobs; () means unguarded T1
-    ladder: tuple[str, ...]
     #: shared-store key of the ImageSpec to rebuild (publishes once per
     #: image generation; see ImageSpec docstring)
     image_key: str
-    lift: tuple | None
-    o3: O3Options | None
-    jit: JITOptions | None
-    gate: GateOptions = GateOptions()
+    #: the engine's plan, run by the worker under a guard restricted to
+    #: ``plan.rung``.  A T1 plan arrives with ``gate="never"``: an
+    #: inconclusive proof is gated by the client, against its own emission
+    #: of the shipped module.  Its pregate, ``machine_verify`` and ``gate``
+    #: are not part of ``key``: they only reject output, they cannot change
+    #: accepted code; the machine verdict travels back in the published
+    #: payload, so the proof is paid once per key
+    plan: Plan
     budget: tuple | None = None
     epoch: int = 0
     seq: int = 0
@@ -241,32 +217,9 @@ class CompileJob:
     trace: bool = False
     #: client-side span id the merged worker spans re-root under
     parent_span_id: int | None = None
-    #: run the machine-level verifier on the worker's emission; the
-    #: verdict travels back in the published payload, so the proof is paid
-    #: once per job key and every follower/store hit gets it for free.
-    #: Deliberately *not* part of the job key: verification only rejects
-    #: output, it cannot change accepted code.
-    machine_verify: bool = False
 
     def thawed_fixes(self) -> dict[int, int | float | FixedMemory] | None:
         return thaw_fixes(self.fixes)
-
-    def plan(self) -> Plan:
-        """The worker-side :class:`Plan` of this job.
-
-        T2 (a guard ladder) admits under the full policy; the guard walks
-        ``ladder`` itself, so ``rung`` only matters for T1.  T1 never
-        gates here: an inconclusive proof is gated by the client, against
-        its own emission of the shipped module.
-        """
-        guarded = self.tier != T1
-        return Plan(
-            "llvm-fix" if self.fixes else "llvm",
-            thaw_lift_options(self.lift) or LiftOptions(),
-            self.o3 or DEFAULT_O3, self.jit or DEFAULT_JIT,
-            pregate=DEFAULT_PREGATE if guarded else (),
-            machine_verify=self.machine_verify,
-            gate="always" if guarded else "never", gate_options=self.gate)
 
 
 @dataclass(frozen=True)
@@ -316,21 +269,19 @@ class CompileResult:
 def compute_job_key(image: Image, func: str | int,
                     signature: FunctionSignature,
                     fixes: dict[int, int | float | FixedMemory] | None,
-                    mem_regions, probes, tier: int,
-                    ladder: tuple[str, ...],
-                    dbrew_func: str | int | None,
-                    lift_options: LiftOptions | None,
-                    o3: O3Options, jit: JITOptions,
-                    gate: GateOptions,
+                    mem_regions, probes,
+                    dbrew_func: str | int | None, plan: Plan, tier: int, *,
                     image_key: str | None = None,
                     instrument: str | None = None) -> str | None:
     """Content identity of one farm job, or None when unkeyable.
 
     Built from the same ingredients as the staged cache keys (function
-    bytes, signature, fixation *contents*, option digests) plus the farm-
-    level coordinates the staged keys do not see: tier, guard ladder,
-    probe vectors and gate configuration — two jobs that would gate
-    differently must never collapse into one single-flight.
+    bytes, signature, fixation *contents*, the plan's option digests) plus
+    the farm-level coordinates the staged keys do not see: tier, the guard
+    ladder (``plan.rung`` above T1, none for T1), probe vectors and gate
+    options — two jobs that would gate differently must never collapse
+    into one single-flight.  What can only reject work (the plan's
+    pregate, ``machine_verify`` and ``gate``) is not keyed.
 
     ``instrument`` is the :meth:`InstrumentOptions.digest` of an
     instrumented job (None for plain compiles): an instrumented artifact
@@ -368,10 +319,11 @@ def compute_job_key(image: Image, func: str | int,
         "farmjob", code, dbrew_code,
         cache_keys.signature_digest(signature), fdigest,
         repr(sorted(mem_regions)), repr(tuple(probes)),
-        f"t{tier}", ",".join(ladder),
-        cache_keys.lift_options_digest(lift_options or LiftOptions(), image),
-        cache_keys.options_digest(o3), cache_keys.options_digest(jit),
-        cache_keys.options_digest(gate),
+        f"t{tier}", plan.rung if tier != T1 else "",
+        cache_keys.lift_options_digest(plan.lift, image),
+        cache_keys.options_digest(plan.o3),
+        cache_keys.options_digest(plan.jit),
+        cache_keys.options_digest(plan.gate_options or GateOptions()),
         image_key or "-",
         instrument or "-",
     )

@@ -17,10 +17,10 @@ push the result — with all the interesting parts in ``run_job``:
 3. **compile** — rebuild the client's image from its :class:`ImageSpec`
    (fresh per job: gate probes execute candidate code against the image
    and may mutate data/stack; a pristine rebuild per job keeps jobs
-   independent), rebuild the job's :class:`~repro.jit.plan.Plan` and run it
-   under the guard exactly as the tiered engine does locally, then pull
-   the *pristine post-O3 module* back out of the module-stage cache and
-   publish it.  The worker's own codegen output is
+   independent), run the job's :class:`~repro.jit.plan.Plan` — the one the
+   engine decided — under the guard exactly as the engine does locally,
+   then pull the *pristine post-O3 module* back out of the module-stage
+   cache and publish it.  The worker's own codegen output is
    throwaway — it exists so the T2 differential gate has machine code to
    execute — because machine code is position-dependent and the client
    must assemble into its own image.
@@ -205,8 +205,7 @@ class FarmWorker:
         """
         image = spec.build()
         budget = protocol.thaw_budget(job.budget) or Budget()
-        plan = job.plan()
-        fixes = job.thawed_fixes()
+        plan = job.plan
 
         def publish(**payload: Any) -> dict:
             payload = {"ok": False, "reject_reason": None, "mode": None,
@@ -215,12 +214,11 @@ class FarmWorker:
             self.store.put(rkey, payload)
             return payload
 
-        ladder = job.ladder or ((plan.rung,) if job.tier == T1 else None)
         gres = GuardedTransformer.from_plan(
             image, plan, cache=self.cache, budget=budget).transform(
-            job.func, job.signature, fixes, mem_regions=job.mem_regions,
-            name=job.name, probes=job.probes, ladder=ladder,
-            dbrew_func=job.dbrew_func)
+            job.func, job.signature, job.thawed_fixes(),
+            mem_regions=job.mem_regions, name=job.name, probes=job.probes,
+            ladder=(plan.rung,), dbrew_func=job.dbrew_func)
         if gres.degraded:
             reject = "; ".join(gres.failure_summary()) or "ladder degraded"
             if any(a.error_type == "BudgetExceededError"

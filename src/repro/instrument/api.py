@@ -70,15 +70,13 @@ class Instrumenter:
                  o3_options: O3Options | None = None,
                  jit_options: JITOptions | None = None,
                  gate_options: GateOptions | None = None,
-                 machine_verify: bool = True,
-                 run_gate: bool = True) -> None:
+                 machine_verify: bool = True) -> None:
         self.image = image
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or O3Options.lightweight()
         self.jit_options = jit_options or DEFAULT_JIT
         self.gate_options = gate_options or GateOptions()
         self.machine_verify = machine_verify
-        self.run_gate = run_gate
 
     def instrument(self, func: str | int, signature: FunctionSignature,
                    *, options: InstrumentOptions | None = None,
@@ -95,8 +93,7 @@ class Instrumenter:
                             else f"fn_{entry:#x}.instr")
         plan = Plan("llvm", self.lift_options, self.o3_options,
                     self.jit_options, inject=options,
-                    machine_verify=self.machine_verify,
-                    gate="always" if self.run_gate else "never",
+                    machine_verify=self.machine_verify, gate="always",
                     gate_options=self.gate_options)
         pipeline = Pipeline(self.image)
         try:

@@ -48,10 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover - repro.guard/instrument import us
 
 Fixes = dict[int, int | float | FixedMemory] | None
 
-#: shared defaults of the frozen option records.  A caller that builds a
-#: transformer per request (``bench.modes.prepare_kernel``) would otherwise
-#: construct both on every warm hit and look their digests up by ``==``
-#: instead of identity — about 2 us of an 18 us machine-stage hit
+#: shared defaults of the frozen option records, read by every front door
+#: that builds a :class:`Plan`.  A caller that builds a transformer per
+#: request (``bench.modes.prepare_kernel``, one per cell, DBrew cells
+#: included) would otherwise construct both on every warm hit and look
+#: their digests up by ``==`` instead of identity — about 2 us of an 18 us
+#: machine-stage hit
 DEFAULT_O3 = O3Options()
 DEFAULT_JIT = JITOptions()
 
@@ -61,7 +63,7 @@ class Plan:
     """What one request compiles and how far its result is trusted.
 
     A value: front doors build it from their constructor kwargs, the tiered
-    engine ships it to the farm as a :class:`~repro.farm.protocol.
+    engine ships it whole inside a :class:`~repro.farm.protocol.
     CompileJob`, and the guard swaps :attr:`rung` while it walks its ladder.
     """
 
@@ -196,8 +198,9 @@ class Pipeline:
         before the code can reach the machine cache.
         """
         if plan.rung == "dbrew+llvm":
-            func = self._dbrew(func if dbrew_func is None else dbrew_func,
-                               signature, fixes, mem_regions, out_name)
+            func = self.rewrite(func if dbrew_func is None else dbrew_func,
+                                signature, fixes, mem_regions,
+                                out_name + ".dbrew")
         fixed = plan.rung == "llvm-fix"
         if not fixed:
             fixes = None
@@ -214,9 +217,17 @@ class Pipeline:
             self.on_result(result)
         return result
 
-    def _dbrew(self, func: str | int, signature: FunctionSignature,
-               fixes: Fixes, mem_regions: Sequence[tuple[int, int]],
-               out_name: str) -> int:
+    def rewrite(self, func: str | int, signature: FunctionSignature,
+                fixes: Fixes, mem_regions: Sequence[tuple[int, int]],
+                name: str) -> int:
+        """The DBrew stage alone: specialize ``func`` for ``fixes`` and the
+        fixed ``mem_regions``, install it as ``name`` and return its entry.
+
+        A :class:`~repro.lift.fixation.FixedMemory` fixes its address and
+        declares its region fixed.  A rewrite that cannot finish raises its
+        typed :class:`~repro.errors.RewriteError` instead of falling back
+        to the original (Sec. II's default handler).
+        """
         rw = Rewriter(self.image, func, cache=self.cache, budget=self.budget)
         rw.error_handler = raising_error_handler
         rw.set_signature(signature.params, signature.ret)
@@ -230,7 +241,7 @@ class Pipeline:
                 rw.set_par(i, v)
         for start, end in mem_regions:
             rw.set_mem(start, end)
-        return rw.rewrite(name=out_name + ".dbrew")
+        return rw.rewrite(name=name)
 
     def _transform(self, plan: Plan, func: str | int,
                    signature: FunctionSignature, fixes: Fixes, out_name: str,

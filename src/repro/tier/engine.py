@@ -527,7 +527,12 @@ class TieredEngine:
             # instrument= component regardless, keeping instrumented and
             # plain artifacts digest-distinct)
             return None
-        ladder = (plan.rung,) if target != T1 else ()
+        # the worker runs this plan as decided, with one difference: T1's
+        # one-off gate runs here, against this image's emission.  A budget
+        # does not travel; the job's own limits govern the worker
+        shipped = replace(plan, gate="never") if target == T1 else plan
+        if plan.lift.budget is not None:
+            shipped = replace(shipped, lift=replace(plan.lift, budget=None))
         dbrew = handle.dbrew_func if target != T1 else None
         # publish (or re-verify) the image snapshot *before* keying: the
         # job key folds the spec key in, so results computed against
@@ -535,8 +540,7 @@ class TieredEngine:
         image_key = self.farm.ensure_image(self.image)
         jkey = fp.compute_job_key(
             self.image, handle.func, handle.signature, handle.fixes,
-            handle.mem_regions, handle.probes, target, ladder, dbrew,
-            plan.lift, plan.o3, plan.jit, plan.gate_options,
+            handle.mem_regions, handle.probes, dbrew, shipped, target,
             image_key=image_key)
         if jkey is None:
             with self._lock:
@@ -550,14 +554,11 @@ class TieredEngine:
             key=jkey, name=out_name, tier=target, func=handle.func,
             signature=handle.signature, fixes=fp.freeze_fixes(handle.fixes),
             mem_regions=tuple(handle.mem_regions),
-            probes=tuple(handle.probes), dbrew_func=dbrew, ladder=ladder,
-            image_key=image_key,
-            lift=fp.freeze_lift_options(self.lift_options),
-            o3=plan.o3, jit=plan.jit, gate=plan.gate_options,
+            probes=tuple(handle.probes), dbrew_func=dbrew,
+            image_key=image_key, plan=shipped,
             budget=fp.freeze_budget(budget),
             epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
-            parent_span_id=cur.span_id if cur is not None else None,
-            machine_verify=plan.machine_verify)
+            parent_span_id=cur.span_id if cur is not None else None)
         res = self.farm.compile(cjob, timeout=self.farm_timeout)
         if res is None or (not res.ok and res.retryable):
             with self._lock:

@@ -109,7 +109,7 @@ class DispatchHandle:
 
         This is the dispatch hot path: one counter bump, one compare, one
         attribute read.  Lost increments under races are acceptable; the
-        threshold comparison routes roughly every ``review_interval``-th
+        threshold comparison routes roughly every ``REVIEW_INTERVAL``-th
         call through the engine's (still non-blocking) review.
         """
         self.calls = c = self.calls + 1

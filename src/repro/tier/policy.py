@@ -34,6 +34,8 @@ from typing import Any, Callable
 T0, T1, T2 = 0, 1, 2
 NUM_TIERS = 3
 TIER_NAMES = ("T0", "T1", "T2")
+#: dispatch slow-path cadence (calls) once every promotion is resolved
+REVIEW_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,6 @@ class TierPolicy:
     ewma_alpha: float = 0.3
     #: no demotion until this long after the tier was installed
     min_dwell_seconds: float = 0.0
-    #: dispatch slow-path cadence once every promotion is resolved
-    review_interval: int = 64
 
     def threshold(self, tier: int) -> int:
         return self.promote_calls[tier - 1]
@@ -188,8 +188,8 @@ class TierGovernor:
             # an eligible promotion is not deferred by a stale estimate,
             # but never later than the call-count baseline would
             gap = min(pending) - eff
-            return calls + max(1, min(gap, self.policy.review_interval))
-        return calls + self.policy.review_interval
+            return calls + max(1, min(gap, REVIEW_INTERVAL))
+        return calls + REVIEW_INTERVAL
 
     # -- measurement / demotion --------------------------------------------
 

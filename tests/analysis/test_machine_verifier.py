@@ -291,12 +291,14 @@ def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
 
 def test_farm_protocol_carries_verdict():
     from repro.farm import protocol as fp
+    from repro.jit.plan import DEFAULT_JIT, DEFAULT_O3, Plan
+    from repro.lift import LiftOptions
 
     job = fp.CompileJob(
         key="k", name="n", tier=1, func="f", signature=_SIG, fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="img", lift=None, o3=None, jit=None)
-    assert job.machine_verify is False
+        mem_regions=(), probes=(), dbrew_func=None, image_key="img",
+        plan=Plan("llvm", LiftOptions(), DEFAULT_O3, DEFAULT_JIT))
+    assert job.plan.machine_verify is False
     res = fp.CompileResult(key="k", name="n", tier=1)
     assert res.machine_verdict is None
     res2 = fp.CompileResult(key="k", name="n", tier=1,

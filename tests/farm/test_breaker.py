@@ -151,13 +151,15 @@ def _stub_job():
     from repro.farm.protocol import CompileJob
     from repro.ir.codegen import JITOptions
     from repro.ir.passes import O3Options
-    from repro.lift import FunctionSignature
+    from repro.jit.plan import Plan
+    from repro.lift import FunctionSignature, LiftOptions
     return CompileJob(
         key="k" * 32, name="stub.f", tier=1, func="f",
         signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, ladder=(),
-        image_key="farmimg-stub", lift=None,
-        o3=O3Options.lightweight(), jit=JITOptions())
+        mem_regions=(), probes=(), dbrew_func=None,
+        image_key="farmimg-stub",
+        plan=Plan("llvm", LiftOptions(), O3Options.lightweight(),
+                  JITOptions()))
 
 
 def test_client_fast_fails_while_open_then_probe_restores_service():

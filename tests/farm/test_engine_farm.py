@@ -143,6 +143,9 @@ def test_warm_cross_pool_shared_cache(prog, tmp_path):
                                  probes=((10,), (5,)))
                 sim = Simulator(p.image)
                 spin_to_tier(h, sim, T2, args=(10, 3))
+                # T2 can install while T1 is still in flight (a hot handle
+                # requests both at once): count only finished jobs
+                assert eng.drain(120.0)
                 return eng.stats.snapshot()
         finally:
             pool.close()

@@ -11,26 +11,28 @@ from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions, JITEngine
 from repro.ir.passes import O3Options
+from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
 from tests.farm.conftest import SRC, expected
 
 
-def _job_for(prog, client, *, fixes=None, tier=1, name="f.farm",
-             ladder=(), probes=(), trace=False):
+def _job_for(prog, client, *, fixes=None, name="f.farm", probes=(),
+             trace=False):
+    """A T1 job, its plan (``llvm-fix`` with fixes, ``llvm`` without) as
+    the engine would ship it."""
     o3 = O3Options.lightweight()
     if fixes:
         o3 = o3.replace(enable_inline=True)
+    plan = Plan("llvm-fix" if fixes else "llvm", LiftOptions(), o3,
+                JITOptions(), gate_options=GateOptions())
     sig = FunctionSignature(("i", "i"), "i")
-    key = fp.compute_job_key(prog.image, "f", sig, fixes, (), probes, tier,
-                             ladder, "f" if tier == 2 else None,
-                             None, o3, JITOptions(), GateOptions())
+    key = fp.compute_job_key(prog.image, "f", sig, fixes, (), probes, None,
+                             plan, 1)
     return fp.CompileJob(
-        key=key, name=name, tier=tier, func="f", signature=sig,
+        key=key, name=name, tier=1, func="f", signature=sig,
         fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=tuple(probes),
-        dbrew_func="f" if tier == 2 else None, ladder=ladder,
-        image_key=client.ensure_image(prog.image),
-        lift=fp.freeze_lift_options(None), o3=o3, jit=JITOptions(),
-        trace=trace)
+        dbrew_func=None, image_key=client.ensure_image(prog.image),
+        plan=plan, trace=trace)
 
 
 @pytest.fixture()

@@ -1,10 +1,11 @@
 """Wire-protocol properties, mirroring tests/cache/test_keys_properties.py:
 
-* every :class:`CompileJob` / :class:`CompileResult` field survives a
+* every :class:`CompileJob` / :class:`CompileResult` field, and every
+  field of the :class:`~repro.jit.plan.Plan` a job carries, survives a
   pickle round-trip — including through a real child process under the
   suite's start method (fork and spawn in CI);
-* the job content key is stable across processes and hash seeds, and
-  every key ingredient perturbs it;
+* the job content key is stable across processes and hash seeds, every
+  key ingredient perturbs it, and what can only reject work does not;
 * an :class:`ImageSpec` rebuilds a bit-identical image with a stable
   content digest.
 """
@@ -15,13 +16,17 @@ import dataclasses
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cpu import Image, Simulator
 from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
+from repro.instrument import InstrumentOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
+from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
@@ -38,16 +43,26 @@ def _fixed_image() -> Image:
     return img
 
 
+def _sample_plan() -> Plan:
+    """A plan with every field away from its default, so the round trips
+    below cover each of them."""
+    return Plan(
+        "dbrew+llvm",
+        LiftOptions(stack_size=8192, flag_cache=False, known_functions={
+            0x1000: ("g", FunctionSignature(("i",), "i"))}),
+        O3Options.lightweight(), JITOptions(mul_style="shifts"),
+        inject=InstrumentOptions(trace_memory=True),
+        pregate=DEFAULT_PREGATE, machine_verify=True, gate="always",
+        gate_options=GateOptions(samples=3, ignore_regions=((64, 128),)))
+
+
 def _sample_job(**overrides) -> fp.CompileJob:
     base = dict(
         key="k" * 32, name="f.t2.e1.s9", tier=2, func="f",
         signature=FunctionSignature(("i", "i"), "i"),
         fixes=fp.freeze_fixes({1: 7}), mem_regions=((4096, 64),),
-        probes=((10, 3), (5, 0)), dbrew_func="f", ladder=("dbrew+llvm",),
-        image_key="farmimg-abc",
-        lift=fp.freeze_lift_options(LiftOptions(stack_size=8192)),
-        o3=O3Options.lightweight(), jit=JITOptions(),
-        gate=GateOptions(), budget=fp.freeze_budget(None), epoch=3, seq=17,
+        probes=((10, 3), (5, 0)), dbrew_func="f", image_key="farmimg-abc",
+        plan=_sample_plan(), budget=fp.freeze_budget(None), epoch=3, seq=17,
         trace=True, parent_span_id=42,
     )
     base.update(overrides)
@@ -84,7 +99,9 @@ def test_every_result_field_roundtrips():
 
 
 def test_job_roundtrips_through_child_process(mp_ctx):
-    """A real queue hop under the suite's start method (fork/spawn)."""
+    """A real queue hop under the suite's start method (fork/spawn): the
+    plan comes back equal field for field, so the worker runs the plan
+    the engine decided."""
     job = _sample_job()
     res = _sample_result()
     q_in, q_out = mp_ctx.Queue(), mp_ctx.Queue()
@@ -98,6 +115,9 @@ def test_job_roundtrips_through_child_process(mp_ctx):
         if proc.is_alive():
             proc.terminate()
     assert back_job == job
+    for f in dataclasses.fields(Plan):
+        assert getattr(back_job.plan, f.name) == getattr(job.plan, f.name), \
+            f.name
     for f in dataclasses.fields(fp.CompileResult):
         assert getattr(back_res, f.name) == getattr(res, f.name), f.name
 
@@ -110,13 +130,6 @@ def test_thaw_helpers_invert_freeze():
     fixes = {1: 7, 0: 3}
     assert fp.thaw_fixes(fp.freeze_fixes(fixes)) == fixes
     assert fp.thaw_fixes(fp.freeze_fixes(None)) is None
-    opts = LiftOptions(stack_size=4096, flag_cache=False,
-                       known_functions={
-                           0x1000: ("g", FunctionSignature(("i",), "i"))})
-    back = fp.thaw_lift_options(fp.freeze_lift_options(opts))
-    assert back.stack_size == opts.stack_size
-    assert back.flag_cache == opts.flag_cache
-    assert back.known_functions == opts.known_functions
     from repro.guard import Budget
     budget = fp.thaw_budget(fp.freeze_budget(
         Budget(deadline_seconds=2.5, max_lift_blocks=99)))
@@ -145,10 +158,11 @@ def _key_ingredients():
     img = _fixed_image()
     sig = FunctionSignature(("i", "i"), "i")
     return dict(image=img, func="f", signature=sig, fixes={1: 7},
-                mem_regions=(), probes=((10, 3),), tier=2,
-                ladder=("dbrew+llvm",), dbrew_func="f",
-                lift_options=LiftOptions(), o3=O3Options(),
-                jit=JITOptions(), gate=GateOptions())
+                mem_regions=(), probes=((10, 3),), dbrew_func="f",
+                plan=Plan("dbrew+llvm", LiftOptions(), O3Options(),
+                          JITOptions(), pregate=DEFAULT_PREGATE,
+                          gate="always", gate_options=GateOptions()),
+                tier=2)
 
 
 def _job_key_digest() -> str:
@@ -177,18 +191,26 @@ def test_job_key_stable_across_processes():
 
 def test_every_ingredient_perturbs_job_key():
     base = _job_key_digest()
+    plan = _key_ingredients()["plan"]
     perturbations = dict(
         fixes={1: 8}, mem_regions=((4096, 64),), probes=((11, 3),),
-        tier=1, ladder=("llvm",), dbrew_func=None,
-        lift_options=LiftOptions(stack_size=8192),
-        o3=O3Options.lightweight(), jit=JITOptions(mul_style="shifts"),
-        gate=GateOptions(samples=7),
+        tier=1, dbrew_func=None,
+        rung=replace(plan, rung="llvm"),
+        lift=replace(plan, lift=LiftOptions(stack_size=8192)),
+        o3=replace(plan, o3=O3Options.lightweight()),
+        jit=replace(plan, jit=JITOptions(mul_style="shifts")),
+        gate_options=replace(plan, gate_options=GateOptions(samples=7)),
     )
     for field_name, value in perturbations.items():
         kw = _key_ingredients()
-        kw[field_name] = value
+        kw["plan" if isinstance(value, Plan) else field_name] = value
         key = fp.compute_job_key(**kw)
         assert key is not None and key != base, field_name
+    # what can only reject work is not keyed
+    for value in (replace(plan, pregate=()), replace(plan, gate="never"),
+                  replace(plan, machine_verify=True)):
+        assert fp.compute_job_key(**{**_key_ingredients(), "plan": value}) \
+            == base
     # different function bytes perturb too
     img = Image()
     code, _ = assemble(parse_asm("mov rax, rdi\nret"),

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cpu import Image
 from repro.farm import protocol as fp
 from repro.farm.worker import FarmWorker
 from repro.guard.verify import GateOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.lift import FunctionSignature
+from repro.jit.plan import Plan
+from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.blocks import attach_trace_store
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
@@ -44,17 +46,16 @@ def test_same_spec_jobs_gate_their_own_candidates(worker):
     assert spec.build().content_token() == spec.build().content_token()
     assert spec.build().instance_token() != spec.build().instance_token()
 
-    o3, jit, gate = O3Options(), JITOptions(), GateOptions()
-    ladder = ("llvm-fix",)
+    plan = Plan("llvm-fix", LiftOptions(), O3Options(), JITOptions(),
+                pregate=DEFAULT_PREGATE, gate="always",
+                gate_options=GateOptions())
     for k in (5, 9, 3):
         fixes = {1: k}
-        key = fp.compute_job_key(img, "f", SIG, fixes, (), (), 2, ladder,
-                                 None, None, o3, jit, gate,
+        key = fp.compute_job_key(img, "f", SIG, fixes, (), (), None, plan, 2,
                                  image_key=image_key)
         res = worker.run_job(fp.CompileJob(
             key=key, name=f"f.t2.{k}", tier=2, func="f", signature=SIG,
             fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=(),
-            dbrew_func=None, ladder=ladder, image_key=image_key, lift=None,
-            o3=o3, jit=jit, gate=gate))
+            dbrew_func=None, image_key=image_key, plan=plan))
         assert res.ok and res.verified, (k, res.reject_reason)
         assert res.cache_stage is None  # compiled and gated, not served

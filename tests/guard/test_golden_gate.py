@@ -180,24 +180,23 @@ def corpus_scenario(kind: str, seed: int) -> dict:
 def stencil_scenario(code: str, line: bool) -> dict:
     ws = StencilWorkspace(SETUP)
     image = ws.image
-    sig = M._signature(line)
-    fix = M._stencil_fix(ws, code)
-    original = image.symbol(M._native_kernel(code, line))
-    probe = M._kernel_probe(ws, fix, {}, line=line)
+    req = M.request(ws, code, line)
+    original = image.symbol(req.func)
+    # the unfixed form: the descriptor goes back into slot 0
+    probe = req.probes[0] if req.fixes is None \
+        else (req.descriptor, *req.probes[0])
     sz = SETUP.sz
     wrong = ws.m2 + 8 * (sz + 1) + 3  # inside the first cell the probe writes
-    out = _candidates(image, original, sig, (probe,),
+    out = _candidates(image, original, req.signature, (probe,),
                       GateOptions(samples=2, seed=1), wrong)
-    if fix["fix_memory"] is not None:
+    if req.fixes is not None:
         # the fixed-parameter form: the probe drops slot 0, the gate puts
         # the region's address back for both sides
-        fixes = {0: fix["fix_memory"]}
         addr = BinaryTransformer(image).llvm_fixed(
-            original, sig, fixes, name="c.fix").addr
+            original, req.signature, req.fixes, name="c.fix").addr
         out["clean-fixed"] = _dump(DifferentialGate(
             image, GateOptions(samples=2, seed=1)).check(
-            original, addr, sig, fixes,
-            (M._kernel_probe(ws, fix, fixes, line=line),)))
+            original, addr, req.signature, req.fixes, req.probes))
     return out
 
 

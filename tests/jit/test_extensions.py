@@ -51,9 +51,10 @@ def test_lightweight_pipeline_quality_vs_cost(ws, reference):
     The lightweight pipeline must (a) be meaningfully cheaper to run than
     full -O3 and (b) recover most of the DBrew+LLVM quality.
     """
-    from repro.bench.modes import _dbrew_rewrite
+    from repro.bench.modes import prepare_kernel
 
-    dbrew_addr = _dbrew_rewrite(ws, "flat", True, "k.ext.dbrew")
+    dbrew_addr = prepare_kernel(ws, "flat", "dbrew", line=True,
+                                uid=".ext").kernel_addr
     sig = FunctionSignature(tuple(LINE_SIGNATURE), None)
 
     full_tx = BinaryTransformer(ws.image)

@@ -16,6 +16,11 @@ cache stage cold and warm, the sha-256 of the installed bytes, and the
 ``guard.*`` / ``tier.*`` / ``cache.*`` counters.  The tests recompute the
 same dict through today's front doors and demand equality.
 
+The option columns of the ``farm.*.jobs`` rows are read from the plan the
+job carries; ``lift`` is that plan's ``LiftOptions`` digest, edited into
+the fixture by hand when jobs stopped carrying a frozen lift tuple (which
+read ``null`` for the default options).  No other value moved.
+
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
 (``tests/tier/test_tiered_engine.py``) and a T1 candidate the one-off gate
@@ -28,12 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import FunctionSignature, compile_c
 from repro.analysis import PassValidator
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.bench import modes as M
 from repro.cache import SpecializationCache
 from repro.cache import keys as cache_keys
@@ -43,6 +50,8 @@ from repro.guard import GateOptions, GuardedTransformer
 from repro.instrument import Instrumenter, InstrumentOptions
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
+from repro.jit.plan import Plan
+from repro.lift import LiftOptions
 from repro.lift.blocks import attach_trace_store
 from repro.obs.metrics import MetricsRegistry
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
@@ -130,25 +139,14 @@ def capture_compile() -> dict:
 # -- the 18 verified_install cells -------------------------------------------------
 
 
-def _guard_request(ws: StencilWorkspace, code: str, line: bool) -> dict:
-    """``prepare_kernel``'s guarded request, spelled out so the guard key
-    and the full ``GuardResult`` can be read."""
-    fix = M._stencil_fix(ws, code)
-    fixes = {0: fix["fix_memory"]} if fix["fix_memory"] is not None else {}
-    return {"func": M._native_kernel(code, line),
-            "signature": M._signature(line), "fixes": fixes or None,
-            "mem_regions": fix["regions"],
-            "dbrew_func": M._dbrew_input(code, line),
-            "probes": (M._kernel_probe(ws, fix, fixes, line=line),)}
-
-
-def _guard_row(ws, guard: GuardedTransformer, req: dict, mode: str,
-               name: str) -> dict:
+def _guard_row(ws, guard: GuardedTransformer, req: M.StencilRequest,
+               mode: str, name: str) -> dict:
+    """``prepare_kernel``'s guarded request, made directly so the full
+    ``GuardResult`` can be read."""
     res = guard.transform(
-        req["func"], req["signature"], req["fixes"],
-        mem_regions=req["mem_regions"], name=name,
-        ladder=M.GUARD_LADDERS[mode], dbrew_func=req["dbrew_func"],
-        probes=req["probes"])
+        req.func, req.signature, req.fixes, mem_regions=req.mem_regions,
+        name=name, ladder=M.GUARD_LADDERS[mode], dbrew_func=req.dbrew_func,
+        probes=req.probes)
     tx = res.result
     return {"mode": res.mode, "verified": res.verified,
             "gate": None if res.gate is None else
@@ -169,7 +167,7 @@ def capture_guard() -> dict:
         for line in (False, True):
             for mode in M.GUARD_LADDERS:
                 cell = f"{code}.{'line' if line else 'elem'}.{mode}"
-                req = _guard_request(ws, code, line)
+                req = M.request(ws, code, line)
                 reg = MetricsRegistry()
                 cache = recording(SpecializationCache(registry=reg))
 
@@ -182,8 +180,8 @@ def capture_guard() -> dict:
                 cached = guard(cache=cache, registry=reg)
                 row = {
                     "guard_key": cached._guard_key(
-                        ws.image.symbol(req["func"]), req["signature"],
-                        req["fixes"], req["mem_regions"]),
+                        ws.image.symbol(req.func), req.signature,
+                        req.fixes, req.mem_regions),
                     "cold": _guard_row(ws, cached, req, mode, f"g.{cell}"),
                     "warm": _guard_row(ws, cached, req, mode, f"g.{cell}"),
                     "keys": cache.seen,
@@ -289,13 +287,16 @@ class InlineFarm:
 
     def compile(self, job: fp.CompileJob, timeout=None):
         res = self.worker.run_job(job) if self.serve else None
+        plan = job.plan
         self.jobs.append({
-            "key": job.key, "tier": job.tier, "ladder": list(job.ladder),
-            "dbrew_func": job.dbrew_func, "lift": job.lift,
-            "o3": cache_keys.options_digest(job.o3),
-            "jit": cache_keys.options_digest(job.jit),
-            "gate": cache_keys.options_digest(job.gate),
-            "machine_verify": job.machine_verify,
+            "key": job.key, "tier": job.tier,
+            "ladder": [plan.rung] if job.tier != T1 else [],
+            "dbrew_func": job.dbrew_func,
+            "lift": cache_keys.options_digest(plan.lift),
+            "o3": cache_keys.options_digest(plan.o3),
+            "jit": cache_keys.options_digest(plan.jit),
+            "gate": cache_keys.options_digest(plan.gate_options),
+            "machine_verify": plan.machine_verify,
             "result": None if res is None else
             [res.ok, res.mode, res.verified, res.machine_verdict,
              res.cache_stage, res.main_name]})
@@ -309,22 +310,23 @@ def _worker_jobs(disk_dir: str) -> dict:
     spec = fp.ImageSpec.capture(prog.image)
     image_key = fp.image_spec_key(spec.digest())
     worker.store.put(image_key, spec)
-    o3, jit, gate = O3Options(), JITOptions(), GateOptions()
+    t1 = Plan("llvm", LiftOptions(), O3Options.lightweight(), JITOptions(),
+              machine_verify=True, gate_options=GateOptions())
     out: dict = {}
-    for name, tier, fixes, ladder, probes in (
-            ("t1", T1, None, (), ()),
-            ("t1_fixed", T1, {1: 3}, (), ()),
-            ("t2", T2, {1: 3}, ("dbrew+llvm",), ((10,), (5,)))):
-        t_o3 = o3 if tier == T2 else O3Options.lightweight().replace(
-            enable_inline=bool(fixes))
+    for name, tier, fixes, plan, probes in (
+            ("t1", T1, None, t1, ()),
+            ("t1_fixed", T1, {1: 3}, replace(
+                t1, rung="llvm-fix",
+                o3=t1.o3.replace(enable_inline=True)), ()),
+            ("t2", T2, {1: 3}, replace(
+                t1, rung="dbrew+llvm", o3=O3Options(),
+                pregate=DEFAULT_PREGATE, gate="always"), ((10,), (5,)))):
         key = fp.compute_job_key(prog.image, "f", SIG, fixes, (), probes,
-                                 tier, ladder, None, None, t_o3, jit, gate,
-                                 image_key=image_key)
+                                 None, plan, tier, image_key=image_key)
         job = fp.CompileJob(
             key=key, name=f"f.{name}", tier=tier, func="f", signature=SIG,
             fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=probes,
-            dbrew_func=None, ladder=ladder, image_key=image_key, lift=None,
-            o3=t_o3, jit=jit, gate=gate, machine_verify=True)
+            dbrew_func=None, image_key=image_key, plan=plan)
         worker.cache.seen = {}
         rows = []
         for _ in range(2):  # compiled, then served from the shared store

@@ -1,10 +1,12 @@
 """The compile -> verify -> install sequence is written once.
 
-Each stage of the pipeline has one entry point; inside the five front-door
+Each stage of the pipeline has one entry point; inside the front-door
 packages every one of them may be *called* from exactly one module — the
 runner, ``repro.jit.plan``.  A second caller means a front door has started
 threading the sequence by hand again (the parent of this test had 2, 1, 2,
-3, 2, 1, 1, 3, 1, 1 calling modules for the names below).
+3, 2, 1, 1, 3, 1, 1 calling modules for the names below; ``Rewriter`` had
+two once ``bench`` counted, the evaluation modes configuring DBrew beside
+the pipeline's own DBrew stage).
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from pathlib import Path
 import repro
 
 STAGE_ENTRY_POINTS = (
-    "lift_function", "build_fixation_wrapper", "run_o3", "JITEngine",
-    "verify_emitted", "run_checkers", "check_probe_ops", "DifferentialGate",
-    "mark_machine_gated", "evict_machine",
+    "Rewriter", "lift_function", "build_fixation_wrapper", "run_o3",
+    "JITEngine", "verify_emitted", "run_checkers", "check_probe_ops",
+    "DifferentialGate", "mark_machine_gated", "evict_machine",
 )
-FRONT_DOORS = ("jit", "guard", "tier", "farm", "instrument")
+FRONT_DOORS = ("jit", "guard", "tier", "farm", "instrument", "bench")
 
 
 def _callers() -> dict[str, set[str]]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.tier import NUM_TIERS, T0, T1, T2, TierGovernor, TierPolicy
+from repro.tier.policy import REVIEW_INTERVAL
 
 
 class FakeClock:
@@ -60,7 +61,7 @@ def test_next_review_targets_the_nearest_pending_threshold():
     assert gov.next_review(0, T0) == 8
     assert gov.next_review(8, T0) == 64  # T1 threshold already crossed
     # everything resolved: steady-state cadence
-    assert gov.next_review(100, T2) == 100 + gov.policy.review_interval
+    assert gov.next_review(100, T2) == 100 + REVIEW_INTERVAL
 
 
 # -- hysteresis / no flapping ----------------------------------------------
