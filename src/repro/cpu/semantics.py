@@ -10,7 +10,12 @@ or fall-through) and ``None`` otherwise.  The block engine of
 :mod:`repro.cpu.simulator` binds each instruction of a basic block once and
 runs the closures; :func:`execute` is the one-instruction entry (bind and
 call) that DBrew's emulator uses.  There is one definition of x86 semantics:
-the table of binders below, one binder per mnemonic family.
+the table of binders below, one binder per mnemonic family.  The ALU
+binders (``add``/``sub``/``and``/``or``/``xor``/``cmp``/``test``,
+``inc``/``dec``, two- and three-operand ``imul``) can also bind a variant
+that sets no flags, for the block engine to use where nothing reads them;
+it is the same value function with a flag setter that sets nothing.
+:func:`execute` always sets every flag.
 
 Two events that the cost model prices per dynamic instance are counted on
 the state: ``st.taken`` (conditional branches taken) and ``st.unaligned16``
@@ -198,9 +203,9 @@ def _flags_add(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
     return res
 
 
-def _flags_sub(st: CPUState, a: int, b: int, bits: int) -> int:
+def _flags_sub(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
     mask = (1 << bits) - 1
-    res = (a - b) & mask
+    res = res_full & mask
     st.cf = a < b
     sa, sb, sr = a >> (bits - 1), b >> (bits - 1), res >> (bits - 1)
     st.of = (sa != sb) and (sr != sa)
@@ -211,9 +216,15 @@ def _flags_sub(st: CPUState, a: int, b: int, bits: int) -> int:
     return res
 
 
-def _flags_logic(st: CPUState, res: int, bits: int) -> None:
+def _flags_logic(st: CPUState, a: int, b: int, res: int, bits: int) -> int:
     st.cf = st.of = st.af = False
     _szp(st, res, bits)
+    return res
+
+
+def _no_flags(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
+    """The flag setter of a variant that sets none: the result alone."""
+    return res_full & ((1 << bits) - 1)
 
 
 #: canonical condition code -> predicate over the flags (anything with the
@@ -247,13 +258,26 @@ def _condition(ins: Instruction) -> Callable[[CPUState], bool]:
 
 # -- the binder table -------------------------------------------------------------
 
-_BINDERS: dict[str, Callable[[Instruction], Op]] = {}
+_BINDERS: dict[str, Callable[..., Op]] = {}
+#: the mnemonics :func:`bind` binds (it raises on any other), a live view
+BINDABLE = _BINDERS.keys()
+#: mnemonics whose binder takes ``set_flags`` as a second argument
+_QUIET: set[str] = set()
+#: ISA-undefined flags a binder overwrites anyway, by mnemonic: the logic ops
+#: clear AF.  With a record's ``flags_def`` these are the flags a
+#: flag-setting binding always overwrites; every other undefined flag is
+#: left as it was (mul, imul and div leave AF, a shift by more than one
+#: leaves OF and AF)
+UNDEFINED_SET: dict[str, str] = dict.fromkeys(("and", "or", "xor", "test"),
+                                              "a")
 
 
-def _binds(*mnemonics: str):
-    def register(binder: Callable[[Instruction], Op]):
+def _binds(*mnemonics: str, quiet: bool = False):
+    def register(binder: Callable[..., Op]):
         for m in mnemonics:
             _BINDERS[m] = binder
+        if quiet:
+            _QUIET.update(mnemonics)
         return binder
     return register
 
@@ -262,12 +286,21 @@ def _cc_family(prefix: str) -> tuple[str, ...]:
     return tuple(prefix + cc for cc in (*isa.CC_NAMES, *isa.CC_ALIASES))
 
 
-def bind(ins: Instruction) -> Op:
-    """Resolve ``ins`` into ``op(st, mem) -> next rip | None``."""
+def bind(ins: Instruction, set_flags: bool = True) -> Op:
+    """Resolve ``ins`` into ``op(st, mem) -> next rip | None``.
+
+    ``set_flags=False`` asks for a variant that leaves the six status flags
+    as they are, where the binder has one (the block engine asks when no
+    later instruction can read what this one would write).  It computes the
+    same value from the same function, memory reads included, so a fault
+    still faults.
+    """
     binder = _BINDERS.get(ins.mnemonic)
     if binder is None:
         raise _unimplemented(ins)
-    return binder(ins)
+    if set_flags or ins.mnemonic not in _QUIET:
+        return binder(ins)
+    return binder(ins, False)
 
 
 def execute(ins: Instruction, st: CPUState, mem: Memory) -> None:
@@ -307,13 +340,12 @@ def _bind_jcc(ins: Instruction) -> Op:
 
 @_binds("call")
 def _bind_call(ins: Instruction) -> Op:
-    target = _target(ins)
-    ret_addr = (ins.end & MASK64).to_bytes(8, "little")
+    target, ret_addr = _target(ins), ins.end
 
     def call(st: CPUState, mem: Memory) -> int:
         g = st.gpr
         g[4] = sp = (g[4] - 8) & MASK64
-        mem.write(sp, ret_addr)
+        mem.write_uint(sp, ret_addr, 8)
         return target
     return call
 
@@ -322,7 +354,7 @@ def _bind_call(ins: Instruction) -> Op:
 def _bind_ret(ins: Instruction) -> Op:
     def ret(st: CPUState, mem: Memory) -> int:
         g = st.gpr
-        target = int.from_bytes(mem.read(g[4], 8), "little")
+        target = mem.read_uint(g[4], 8)
         g[4] = (g[4] + 8) & MASK64
         return target
     return ret
@@ -406,7 +438,7 @@ def _bind_push(ins: Instruction) -> Op:
         v = rd(st, mem)
         g = st.gpr
         g[4] = sp = (g[4] - 8) & MASK64
-        mem.write(sp, (v & MASK64).to_bytes(8, "little"))
+        mem.write_uint(sp, v, 8)
     return push
 
 
@@ -415,20 +447,20 @@ def _bind_pop(ins: Instruction) -> Op:
     (dst,) = ins.operands
     if isinstance(dst, Mem):
         # the destination address is formed before rsp moves
-        ea, width, mask = _ea(dst), dst.size, _mask(dst.size)
+        ea, width = _ea(dst), dst.size
 
         def pop_mem(st: CPUState, mem: Memory) -> None:
             g = st.gpr
             addr = ea(g)
-            v = int.from_bytes(mem.read(g[4], 8), "little")
+            v = mem.read_uint(g[4], 8)
             g[4] = (g[4] + 8) & MASK64
-            mem.write(addr, (v & mask).to_bytes(width, "little"))
+            mem.write_uint(addr, v, width)
         return pop_mem
     wr = _writer(dst)
 
     def pop(st: CPUState, mem: Memory) -> None:
         g = st.gpr
-        v = int.from_bytes(mem.read(g[4], 8), "little")
+        v = mem.read_uint(g[4], 8)
         g[4] = (g[4] + 8) & MASK64
         wr(st, mem, v)
     return pop
@@ -439,7 +471,7 @@ def _bind_leave(ins: Instruction) -> Op:
     def leave(st: CPUState, mem: Memory) -> None:
         g = st.gpr
         g[4] = g[5]
-        g[5] = int.from_bytes(mem.read(g[4], 8), "little")
+        g[5] = mem.read_uint(g[4], 8)
         g[4] = (g[4] + 8) & MASK64
     return leave
 
@@ -452,41 +484,42 @@ def _bind_nop(ins: Instruction) -> Op:
 # ---- integer ALU ----
 
 
-# Two-operand ALU kernels: ``kernel(st, a, b, bits)`` sets the flags and
-# returns the result; cmp and test are sub and and without the write-back.
+# Two-operand ALU ops are ``(value, flags)``: ``value(a, b)`` is what the op
+# computes, before it is cut to width, and ``flags(st, a, b, value, bits)``
+# sets the six flags from the operands and that value and returns the
+# result.  cmp and test are sub and and without the write-back.  adc and sbb
+# take the carry in inside their flag setter, so they have no variant that
+# sets no flags.
 
 
-def _flags_adc(st: CPUState, a: int, b: int, bits: int) -> int:
-    return _flags_add(st, a, b, a + b + st.cf, bits)
+def _flags_adc(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
+    return _flags_add(st, a, b, res_full + st.cf, bits)
 
 
-def _flags_sbb(st: CPUState, a: int, b: int, bits: int) -> int:
-    return _flags_sub(st, a, (b + st.cf) & ((1 << bits) - 1), bits)
+def _flags_sbb(st: CPUState, a: int, b: int, res_full: int, bits: int) -> int:
+    b = (b + st.cf) & ((1 << bits) - 1)
+    return _flags_sub(st, a, b, a - b, bits)
 
 
-def _flags_bitwise(fn: Callable[[int, int], int]
-                   ) -> Callable[[CPUState, int, int, int], int]:
-    def kernel(st: CPUState, a: int, b: int, bits: int) -> int:
-        res = fn(a, b)
-        _flags_logic(st, res, bits)
-        return res
-    return kernel
-
-
-_ALU: dict[str, Callable[[CPUState, int, int, int], int]] = {
-    "add": lambda st, a, b, bits: _flags_add(st, a, b, a + b, bits),
-    "adc": _flags_adc, "sub": _flags_sub, "sbb": _flags_sbb,
-    "cmp": _flags_sub, "and": _flags_bitwise(operator.and_),
-    "test": _flags_bitwise(operator.and_),
-    "or": _flags_bitwise(operator.or_), "xor": _flags_bitwise(operator.xor),
+_ALU: dict[str, tuple[Callable[[int, int], int], Callable[..., int]]] = {
+    "add": (operator.add, _flags_add), "adc": (operator.add, _flags_adc),
+    "sub": (operator.sub, _flags_sub), "sbb": (operator.sub, _flags_sbb),
+    "cmp": (operator.sub, _flags_sub),
+    "and": (operator.and_, _flags_logic),
+    "test": (operator.and_, _flags_logic),
+    "or": (operator.or_, _flags_logic), "xor": (operator.xor, _flags_logic),
 }
 
 
-@_binds(*_ALU)
-def _bind_alu(ins: Instruction) -> Op:
+@_binds("adc", "sbb")
+@_binds("add", "sub", "cmp", "and", "test", "or", "xor", quiet=True)
+def _bind_alu(ins: Instruction, set_flags: bool = True) -> Op:
     dst, src = ins.operands
-    kernel = _ALU[ins.mnemonic]
-    write = ins.mnemonic not in ("cmp", "test")
+    m = ins.mnemonic
+    value, flags = _ALU[m]
+    if not set_flags:
+        flags = _no_flags
+    write = m not in ("cmp", "test")
     size = _opsize(ins)
     bits = size * 8
     d = _full_gp(dst)
@@ -499,24 +532,28 @@ def _bind_alu(ins: Instruction) -> Op:
 
             def alu_rr(st: CPUState, mem: Memory) -> None:
                 g = st.gpr
-                g[d] = kernel(st, g[d] & mask, g[s] & smask, bits)
+                a, b = g[d] & mask, g[s] & smask
+                g[d] = flags(st, a, b, value(a, b), bits)
             return alu_rr
         if isinstance(src, Imm):
             imm = src.value & _mask(size)
 
             def alu_ri(st: CPUState, mem: Memory) -> None:
                 g = st.gpr
-                g[d] = kernel(st, g[d] & mask, imm, bits)
+                a = g[d] & mask
+                g[d] = flags(st, a, imm, value(a, imm), bits)
             return alu_ri
     rd_a, rd_b = _reader(dst, size), _reader(src, size)
     if not write:
         def compare(st: CPUState, mem: Memory) -> None:
-            kernel(st, rd_a(st, mem), rd_b(st, mem), bits)
+            a, b = rd_a(st, mem), rd_b(st, mem)
+            flags(st, a, b, value(a, b), bits)
         return compare
     wr = _writer(dst)
 
     def alu(st: CPUState, mem: Memory) -> None:
-        wr(st, mem, kernel(st, rd_a(st, mem), rd_b(st, mem), bits))
+        a, b = rd_a(st, mem), rd_b(st, mem)
+        wr(st, mem, flags(st, a, b, value(a, b), bits))
     return alu
 
 
@@ -526,16 +563,18 @@ def _unary(ins: Instruction) -> tuple[_Read, _Write, int]:
     return _reader(dst, size), _writer(dst), size * 8
 
 
-@_binds("inc", "dec")
-def _bind_incdec(ins: Instruction) -> Op:
+@_binds("inc", "dec", quiet=True)
+def _bind_incdec(ins: Instruction, set_flags: bool = True) -> Op:
     rd, wr, bits = _unary(ins)
-    inc = ins.mnemonic == "inc"
+    value, flags = _ALU["add" if ins.mnemonic == "inc" else "sub"]
+    if not set_flags:
+        mask = (1 << bits) - 1
+        return lambda st, mem: wr(st, mem, value(rd(st, mem), 1) & mask)
 
     def incdec(st: CPUState, mem: Memory) -> None:
         a = rd(st, mem)
         cf = st.cf  # inc/dec preserve CF
-        res = (_flags_add(st, a, 1, a + 1, bits) if inc
-               else _flags_sub(st, a, 1, bits))
+        res = flags(st, a, 1, value(a, 1), bits)
         st.cf = cf
         wr(st, mem, res)
     return incdec
@@ -547,7 +586,7 @@ def _bind_neg(ins: Instruction) -> Op:
 
     def neg(st: CPUState, mem: Memory) -> None:
         a = rd(st, mem)
-        res = _flags_sub(st, 0, a, bits)
+        res = _flags_sub(st, 0, a, -a, bits)
         st.cf = a != 0
         wr(st, mem, res)
     return neg
@@ -572,17 +611,20 @@ def _write_wide(st: CPUState, full: int, size: int) -> tuple[int, int]:
     return lo, hi
 
 
-@_binds("imul")
-def _bind_imul(ins: Instruction) -> Op:
+def _signed_product(a: int, b: int, bits: int) -> int:
+    return to_signed(a, bits) * to_signed(b, bits)
+
+
+@_binds("imul", quiet=True)
+def _bind_imul(ins: Instruction, set_flags: bool = True) -> Op:
     ops = ins.operands
     size = _opsize(ins)
     bits, mask = size * 8, _mask(size)
-    if len(ops) == 1:
+    if len(ops) == 1:  # the widening form always sets its flags
         rd = _reader(ops[0], size)
 
         def imul1(st: CPUState, mem: Memory) -> None:
-            full = (to_signed(st.read_gp(0, size), bits)
-                    * to_signed(rd(st, mem), bits))
+            full = _signed_product(st.read_gp(0, size), rd(st, mem), bits)
             lo, _ = _write_wide(st, full, size)
             st.cf = st.of = full != to_signed(lo, bits)
         return imul1
@@ -593,9 +635,12 @@ def _bind_imul(ins: Instruction) -> Op:
         rd_a = _reader(ops[1], size)
         factor = to_signed(ops[2].value & MASK64, 64)  # type: ignore[union-attr]
         rd_b = lambda st, mem: factor  # noqa: E731
+    if not set_flags:
+        return lambda st, mem: wr(st, mem, _signed_product(
+            rd_a(st, mem), rd_b(st, mem), bits) & mask)
 
     def imul(st: CPUState, mem: Memory) -> None:
-        full = to_signed(rd_a(st, mem), bits) * to_signed(rd_b(st, mem), bits)
+        full = _signed_product(rd_a(st, mem), rd_b(st, mem), bits)
         res = full & mask
         st.cf = st.of = full != to_signed(res, bits)
         _szp(st, res, bits)
@@ -620,6 +665,8 @@ def _bind_div(ins: Instruction) -> Op:
     bits, mask = size * 8, _mask(size)
     rd = _reader(ins.operands[0], size)
     signed = ins.mnemonic == "idiv"
+    # the largest quotient that fits: INT_MIN / -1 raises #DE
+    high = (1 << (bits - 1)) - 1 if signed else mask
 
     def div(st: CPUState, mem: Memory) -> None:
         divisor = rd(st, mem)
@@ -635,7 +682,7 @@ def _bind_div(ins: Instruction) -> Op:
             rem = dividend - quot * divisor
         else:
             quot, rem = divmod(dividend, divisor)
-        if quot > mask or quot < -(1 << (bits - 1)):
+        if quot > high or quot < -(1 << (bits - 1)):
             raise SimulatorError("division overflow")
         if size > 1:
             st.write_gp(0, quot & mask, size)

@@ -16,6 +16,19 @@ penalties (counted as events on the state), the misaligned-``movapd`` fault
 and every other fault check, and ``max_steps`` (the block that would cross
 it is single-stepped).
 
+A block computes only the flags it reads.  One backward pass over the
+decoded run, on the flag columns of :func:`repro.x86.effects.effects_of`,
+starts with all six flags live at the exit.  The flags an instruction always
+overwrites die above it: its defined flags, plus the ISA-undefined ones its
+binder sets anyway (:data:`repro.cpu.semantics.UNDEFINED_SET`), and none
+when a count in ``cl`` may leave them all alone.  The flags it reads are
+live again.  An instruction none of whose defined or undefined flags is
+live is bound to its variant that sets no flags.  So the flags are exact
+at every block boundary and at return.  Only inside a
+block that faults, or that crosses ``max_steps``, can a flag still hold an
+older value, and only a flag that the block would have overwritten before
+reading it; nothing reads ``Simulator.state``'s flags after a fault.
+
 Cycles are a sum of products (block cost × times run, penalty × events), not
 a running total in execution order.  Under a cost model whose constants are
 small dyadic rationals — :data:`~repro.cpu.costs.HASWELL` and everything the
@@ -34,6 +47,7 @@ nothing has to be invalidated.
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -42,11 +56,12 @@ from repro.arith import bits_to_f64, f64_to_bits, to_signed
 from repro.errors import ReproError, SimulatorError
 from repro.cpu.costs import HASWELL, CostModel
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
-from repro.cpu.semantics import Op, bind
+from repro.cpu.semantics import BINDABLE, UNDEFINED_SET, Op, bind
 from repro.cpu.state import MASK64, CPUState
 from repro.mem.memory import Memory
 from repro.x86.decoder import decode_one
-from repro.x86.effects import effects_of
+from repro.x86.effects import Effects, effects_of
+from repro.x86.instr import Instruction
 from repro.x86.registers import SYSV_INT_ARGS
 
 
@@ -142,37 +157,85 @@ def _code_window(memory: Memory, addr: int) -> bytes:
     return window
 
 
+_FLAG_NAMES = "oszapc"
+#: every flag: what is live at a block's exit
+_ALL_FLAGS = (1 << len(_FLAG_NAMES)) - 1
+
+
+@functools.cache
+def _flag_bits(mnemonic: str, read: str, defined: str,
+               undefined: str) -> tuple[int, int, int]:
+    """``(read, may write, always overwrites)`` flag sets, as bit masks, of
+    a ``mnemonic`` with these effects-record flag columns."""
+    def bits(flags: str) -> int:
+        return sum(1 << _FLAG_NAMES.index(f) for f in set(flags))
+    return (bits(read), bits(defined + undefined),
+            bits(defined + UNDEFINED_SET.get(mnemonic, "")))
+
+
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
-    """Decode and bind the straight-line run starting at ``rip``."""
-    ops: list[Op] = []
-    mnemonics: dict[str, int] = {}
-    cost = 0.0
-    loads = stores = 0
+    """Decode the straight-line run starting at ``rip``, then bind it back
+    to front, so that an instruction none of whose flags a later one reads
+    before overwriting them is bound to its variant that sets no flags."""
+    run: list[tuple[Instruction, Effects]] = []
     window, base = b"", rip
     pc = rip
-    while len(ops) < _BLOCK_MAX:
+    while len(run) < _BLOCK_MAX:
         try:
             # refill when fewer than a longest instruction's bytes are
             # left — unless the window already ends with its region
             if len(window) - (pc - base) < 16 and len(window) in (0, _WINDOW):
                 window, base = _code_window(memory, pc), pc
             ins = decode_one(window, pc - base, pc)
-            op = bind(ins)
+            if ins.mnemonic not in BINDABLE:
+                bind(ins)  # raises: nothing binds its mnemonic
         except ReproError:
-            if not ops:
+            if not run:
                 raise
             break  # fails only if execution really gets to ``pc``
+        fx = effects_of(ins)
+        run.append((ins, fx))
+        pc = ins.end
+        if fx.control != "none":
+            break
+
+    ops: list[Op] = []
+    live = _ALL_FLAGS
+    for k in range(len(run) - 1, -1, -1):
+        ins, fx = run[k]
+        read, written, killed = _flag_bits(
+            ins.mnemonic, fx.flags_read, fx.flags_def, fx.flags_undef)
+        try:
+            op = bind(ins, bool(written & live))
+        except ReproError:
+            if k == 0:
+                raise
+            # the run ends before it, and fails only if execution really
+            # gets there; all flags are live at the new exit
+            del run[k:]
+            ops.clear()
+            live = _ALL_FLAGS
+            continue
+        ops.append(op)
+        if not fx.count_mask:  # a shift by cl may leave every flag alone
+            live &= ~killed
+        live |= read
+    ops.reverse()
+
+    mnemonics: dict[str, int] = {}
+    cost = 0.0
+    loads = stores = 0
+    for ins, fx in run:
         m = ins.mnemonic
         cost += costs.static_cost(ins)
-        fx = effects_of(ins)
         loads += fx.mem_read
         stores += fx.mem_write
         mnemonics[m] = mnemonics.get(m, 0) + 1
-        ops.append(op)
-        pc = ins.end
-        if fx.control != "none":  # its closure returns the next rip
-            return _Block(tuple(ops[:-1]), op, len(ops), cost,
-                          tuple(mnemonics.items()), loads, stores)
+    ins, fx = run[-1]
+    if fx.control != "none":  # its closure returns the next rip
+        return _Block(tuple(ops[:-1]), ops[-1], len(ops), cost,
+                      tuple(mnemonics.items()), loads, stores)
+    pc = ins.end
     return _Block(tuple(ops), lambda st, mem: pc, len(ops), cost,
                   tuple(mnemonics.items()), loads, stores)
 

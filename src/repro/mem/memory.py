@@ -9,10 +9,17 @@ address arithmetic early.
 Regions are kept as (start, buffer) pairs sorted by start, where a buffer
 is a ``bytearray`` or, for a mapping of at least :data:`LAZY_MAP_MIN`
 bytes, an anonymous private ``mmap`` whose pages the OS zero-fills on
-first touch — an 8 MB image costs the pages a run touches.  Kernels touch
-a handful of regions (code, rodata, globals, stack, matrices), so a linear
-scan over a tiny list with a one-entry cache is faster in CPython than a
-page-table dict.
+first touch — an 8 MB image costs the pages a run touches.
+
+An access finds its region through a page table, ``{addr >> 12: (start,
+end, buffer)}``, filled on a miss by a scan of the region list.  Regions
+are append-only — :meth:`Memory.map` refuses an overlap, and nothing
+unmaps a region or swaps its buffer — so an entry never goes stale and the
+table needs no invalidation.  A page may hold the tail of one region and
+the head of the next, so the bounds check is two-sided; an access that
+straddles two regions, or runs off a region's end, still faults.  The
+scalar accessors convert in place from the region buffer, with no
+intermediate ``bytes``.
 """
 
 from __future__ import annotations
@@ -36,13 +43,18 @@ LAZY_MAP_MIN = 64 * 1024
 #: what a region's bytes live in; both slice and slice-assign the same way
 Buffer = bytearray | mmap.mmap
 
+#: log2 of the page size the region lookup is keyed by
+_PAGE_SHIFT = 12
+
 
 class Memory:
     """Sparse 64-bit byte-addressable memory."""
 
     def __init__(self) -> None:
         self._regions: list[tuple[int, Buffer]] = []
-        self._hit: tuple[int, Buffer] | None = None
+        #: page number -> ``(start, end, buffer)`` of the region an access
+        #: on that page last found; only ever filled from ``_regions``
+        self._pages: dict[int, tuple[int, int, Buffer]] = {}
 
     # -- mapping ----------------------------------------------------------
 
@@ -68,7 +80,6 @@ class Memory:
             buf[: len(data)] = data
         self._regions.append((start, buf))
         self._regions.sort(key=lambda r: r[0])
-        self._hit = None
 
     def is_mapped(self, addr: int, size: int = 1) -> bool:
         """True when [addr, addr+size) lies inside one mapped region."""
@@ -109,46 +120,58 @@ class Memory:
         """Up to ``limit`` bytes at ``addr``, cut at the end of its region
         (how decoders fetch code); ``b""`` when ``addr`` is unmapped."""
         try:
-            rs, buf = self._find(addr, 1)
+            _, end, _ = self._find(addr, 1)
         except MemoryAccessError:
             return b""
-        return self.read(addr, min(limit, rs + len(buf) - addr))
+        return self.read(addr, min(limit, end - addr))
 
-    def _find(self, addr: int, size: int) -> tuple[int, Buffer]:
-        hit = self._hit
-        if hit is not None:
-            rs, buf = hit
-            if rs <= addr and addr + size <= rs + len(buf):
-                return hit
+    def _find(self, addr: int, size: int) -> tuple[int, int, Buffer]:
+        """``(start, end, buffer)`` of the region holding [addr, addr+size)."""
+        hit = self._pages.get(addr >> _PAGE_SHIFT)
+        if hit is not None and hit[0] <= addr and addr + size <= hit[1]:
+            return hit
         for rs, buf in self._regions:
             if rs <= addr and addr + size <= rs + len(buf):
-                self._hit = (rs, buf)
-                return rs, buf
+                hit = (rs, rs + len(buf), buf)
+                self._pages[addr >> _PAGE_SHIFT] = hit
+                return hit
         raise MemoryAccessError(f"unmapped access at {addr:#x} size {size}")
 
     # -- raw bytes ----------------------------------------------------------
 
     def read(self, addr: int, size: int) -> bytes:
-        rs, buf = self._find(addr, size)
+        rs, _, buf = self._find(addr, size)
         off = addr - rs
         return bytes(buf[off : off + size])
 
     def write(self, addr: int, data: bytes) -> None:
-        rs, buf = self._find(addr, len(data))
+        rs, _, buf = self._find(addr, len(data))
         off = addr - rs
         buf[off : off + len(data)] = data
 
     # -- integer accessors (unsigned reads; write masks) ---------------------
+    #
+    # ``read_uint``/``write_uint`` carry every simulated load and store, so
+    # they repeat ``_find``'s page-table hit inline rather than pay a call
 
     def read_uint(self, addr: int, size: int) -> int:
-        return int.from_bytes(self.read(addr, size), "little")
+        hit = self._pages.get(addr >> _PAGE_SHIFT)
+        if hit is None or addr < hit[0] or addr + size > hit[1]:
+            hit = self._find(addr, size)
+        off = addr - hit[0]
+        return int.from_bytes(hit[2][off:off + size], "little")
 
     def read_int(self, addr: int, size: int) -> int:
-        return int.from_bytes(self.read(addr, size), "little", signed=True)
+        sign = 1 << (size * 8 - 1)
+        return (self.read_uint(addr, size) ^ sign) - sign
 
     def write_uint(self, addr: int, value: int, size: int) -> None:
-        mask = (1 << (size * 8)) - 1
-        self.write(addr, int(value & mask).to_bytes(size, "little"))
+        hit = self._pages.get(addr >> _PAGE_SHIFT)
+        if hit is None or addr < hit[0] or addr + size > hit[1]:
+            hit = self._find(addr, size)
+        off = addr - hit[0]
+        hit[2][off:off + size] = (
+            value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
 
     def read_u8(self, addr: int) -> int:
         return self.read_uint(addr, 1)
@@ -183,10 +206,12 @@ class Memory:
     # -- floating point -----------------------------------------------------
 
     def read_f64(self, addr: int) -> float:
-        return _F64.unpack(self.read(addr, 8))[0]
+        rs, _, buf = self._find(addr, 8)
+        return _F64.unpack_from(buf, addr - rs)[0]
 
     def write_f64(self, addr: int, v: float) -> None:
-        self.write(addr, _F64.pack(v))
+        rs, _, buf = self._find(addr, 8)
+        _F64.pack_into(buf, addr - rs, v)
 
     def read_f32(self, addr: int) -> float:
         return _F32.unpack(self.read(addr, 4))[0]
@@ -197,10 +222,10 @@ class Memory:
     # -- 128-bit vector as int ------------------------------------------------
 
     def read_u128(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 16), "little")
+        return self.read_uint(addr, 16)
 
     def write_u128(self, addr: int, v: int) -> None:
-        self.write(addr, int(v & ((1 << 128) - 1)).to_bytes(16, "little"))
+        self.write_uint(addr, v, 16)
 
 
 #: bytes per chunk of a :class:`JournaledMemory` — the unit it copies on
@@ -239,7 +264,7 @@ class JournaledMemory(Memory):
         return chunk
 
     def read(self, addr: int, size: int) -> bytes:
-        rs, buf = self._find(addr, size)
+        rs, _, buf = self._find(addr, size)
         off = addr - rs
         at = off % JOURNAL_CHUNK
         if at + size <= JOURNAL_CHUNK:  # the common case: one chunk
@@ -250,7 +275,7 @@ class JournaledMemory(Memory):
             for lo in range(off - at, end, JOURNAL_CHUNK))
 
     def write(self, addr: int, data: bytes) -> None:
-        rs, buf = self._find(addr, len(data))
+        rs, _, buf = self._find(addr, len(data))
         off = addr - rs
         end = off + len(data)
         journal = self._journal
@@ -260,6 +285,22 @@ class JournaledMemory(Memory):
                 journal[rs + lo] = bytes(chunk)
             a, b = max(off, lo), min(end, lo + JOURNAL_CHUNK)
             chunk[a - lo:b - lo] = data[a - off:b - off]
+
+    # the base class's scalar accessors work on a region buffer directly;
+    # here every access goes through the chunks above
+
+    def read_uint(self, addr: int, size: int) -> int:
+        return int.from_bytes(self.read(addr, size), "little")
+
+    def write_uint(self, addr: int, value: int, size: int) -> None:
+        mask = (1 << (size * 8)) - 1
+        self.write(addr, (value & mask).to_bytes(size, "little"))
+
+    def read_f64(self, addr: int) -> float:
+        return _F64.unpack(self.read(addr, 8))[0]
+
+    def write_f64(self, addr: int, v: float) -> None:
+        self.write(addr, _F64.pack(v))
 
     def snapshot(self) -> list[tuple[int, bytes]]:
         """Every region as this shadow sees it (touches every chunk)."""

@@ -27,15 +27,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.arith import f64_to_bits
 from repro.bench.harness import stencil_arg
 from repro.bench.modes import CODES, MODES, prepare_kernel
-from repro.cpu import CostModel, HASWELL, Image, Simulator
+from repro.cpu import CostModel, HASWELL, Image, Simulator, semantics
+from repro.cpu.image import RETURN_SENTINEL, STACK_TOP
+from repro.cpu.semantics import execute
 from repro.cpu.simulator import RunStats
+from repro.cpu.state import MASK64, CPUState
 from repro.errors import MemoryAccessError, SimulatorError
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.testing import diffcorpus
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
+from repro.x86.decoder import decode_one
+from repro.x86.registers import RDI, RSI, SYSV_INT_ARGS
 
 GOLDEN = Path(__file__).with_name("golden_simulator.json")
 
@@ -352,6 +358,169 @@ def test_preemption_hammer_8_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:5]
+
+
+# -- (e) a block computes only the flags it reads, exact at return ------------
+
+
+def _stepped(img: Image, target: int, int_args: tuple = (),
+             f64_args: tuple = ()) -> CPUState:
+    """The state at return of a call run one ``semantics.execute`` at a
+    time — every instruction sets every flag it writes — from the same
+    SysV entry state as ``Simulator.call``."""
+    st = CPUState()
+    st.gpr[4] = STACK_TOP - 8
+    for reg, val in zip(SYSV_INT_ARGS, int_args):
+        st.gpr[reg] = val & MASK64
+    for i, val in enumerate(f64_args):
+        st.xmm[i] = f64_to_bits(val)
+    mem = img.memory
+    mem.write_u64(st.gpr[4], RETURN_SENTINEL)
+    st.rip = target
+    decoded: dict = {}
+    while st.rip != RETURN_SENTINEL:
+        ins = decoded.get(st.rip)
+        if ins is None:
+            ins = decoded[st.rip] = decode_one(mem.window(st.rip, 16), 0,
+                                               st.rip)
+        execute(ins, st, mem)
+    return st
+
+
+#: one block each; args are rdi, rsi, rdx, rcx
+_FLAG_BLOCKS = {
+    # a shift by cl = 0 leaves every flag alone: add's survive it
+    "shift by cl = 0": ("add rdi, rsi\nshl rdx, cl\nret", (-1, 1, 5, 0)),
+    "shift by cl = 1": ("add rdi, rsi\nshl rdx, cl\nret", (-1, 1, 5, 1)),
+    # inc kills OF and AF, so only add's CF is live above the shift
+    "shift by cl = 0, then inc": ("add rdi, rsi\nshl rdx, cl\ninc rdi\nret",
+                                  (-1, 1, 5, 0)),
+    # inc leaves the carry: add's carry survives it
+    "inc keeps CF": ("add rdi, rsi\ninc rdi\nret", (-1, 1)),
+    # read in the middle, then overwritten
+    "setl then add": ("cmp rdi, rsi\nsetl al\nadd rdi, 1\nret", (-3, 4)),
+    "adc reads CF": ("sub rdi, rsi\nadc rax, 0\nxor edx, edx\nret", (1, 2)),
+    "imul at exit": ("imul rdi, rsi\nret", (1 << 40, 1 << 30)),
+    "dead test": ("test rdi, rdi\nsub rdi, rsi\nret", (0, 1)),
+    # ISA-undefined flags that the binder leaves: add's survive them
+    "shl by 2 keeps OF, AF": ("add rdi, rsi\nshl rdx, 2\nret",
+                              (0x7FFF_FFFF_FFFF_FFFF, 1, 5)),
+    "idiv keeps all six": ("add rdi, rsi\nmov rax, rdi\ncqo\nidiv rcx\nret",
+                           (0x7FFF_FFFF_FFFF_FFFF, 1, 0, 3)),
+    "imul r, r keeps AF": ("add rdi, rsi\nimul rdx, rcx\nret", (0xF, 1, 3, 5)),
+    "mul keeps SZAP": ("add rdi, rsi\nmov rax, rdi\nmul rcx\nret",
+                       (-1, 1, 0, 7)),
+    # rol kills only OF and CF: imul's SZP, undefined but set, are live
+    "imul under rol": ("imul rdi, rsi\nrol rdx, 1\nret", (-3, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAG_BLOCKS))
+def test_flags_at_return_of_one_block_equal_single_stepping(name):
+    src, args = _FLAG_BLOCKS[name]
+    img = Image()
+    addr = _install(img, "f", src)
+    sim = Simulator(img)
+    res = sim.call(addr, tuple(a & MASK64 for a in args))
+    ref = _stepped(img, addr, tuple(a & MASK64 for a in args))
+    assert (sim.state.flags_byte(), res.rax) == (ref.flags_byte(), ref.gpr[0])
+
+
+def test_an_unbindable_instruction_ends_the_block_with_every_flag_live(
+        monkeypatch):
+    """``ud2`` decodes but has no binder: the block ends before it, so the
+    ``add`` in front of it sets its flags although the ``sub`` behind it
+    would have overwritten them, and the fault comes only when execution
+    gets to ``ud2``.  Decoding stops at ``ud2`` too: ``add`` and ``ud2``
+    once for the first block, ``ud2`` again for the block that faults."""
+    decoded = []
+
+    def counting_decode(*args):
+        ins = decode_one(*args)
+        decoded.append(ins.mnemonic)
+        return ins
+    monkeypatch.setattr("repro.cpu.simulator.decode_one", counting_decode)
+    img = Image()
+    base = img.next_code_addr()
+    # add rdi, rsi; ud2; sub rdi, 1; ret
+    img.add_function("f", bytes.fromhex("4801f7" "0f0b" "4883ef01" "c3"))
+    sim = Simulator(img)
+    with pytest.raises(SimulatorError, match="unimplemented"):
+        sim.call("f", (1, 2))
+    assert sim.state.rip == base + 3
+    assert decoded == ["add", "ud2", "ud2"]
+    assert sim.state.flags_byte() == _flags_of_first(img, base, (1, 2)) \
+        != CPUState().flags_byte()
+
+
+def test_a_refused_binding_cuts_the_run_with_every_flag_live(monkeypatch):
+    """A binder may refuse an operand form it does not model (an indirect
+    transfer, say); that shows only when the decoded run is bound.  The run
+    is cut in front of it with every flag live, so the ``add`` sets its
+    flags although the ``cmp`` behind the refused ``sub`` overwrites them."""
+    def refuse(ins, *_):
+        raise semantics._unimplemented(ins)
+    monkeypatch.setitem(semantics._BINDERS, "sub", refuse)
+    img = Image()
+    base = _install(img, "f", "add rdi, rsi\nsub rdi, 1\ncmp rdi, 0\nret")
+    sim = Simulator(img)
+    with pytest.raises(SimulatorError, match="unimplemented"):
+        sim.call("f", (1, 2))
+    assert sim.state.rip == base + 3
+    assert sim.state.flags_byte() == _flags_of_first(img, base, (1, 2)) \
+        != CPUState().flags_byte()
+
+
+def _flags_of_first(img: Image, addr: int, args: tuple[int, int]) -> int:
+    """The flags after ``execute`` of the instruction at ``addr`` alone,
+    from ``rdi, rsi = args``."""
+    ref = CPUState()
+    ref.gpr[RDI], ref.gpr[RSI] = args
+    execute(decode_one(img.memory.window(addr, 16), 0, addr), ref,
+            img.memory)
+    return ref.flags_byte()
+
+
+def test_fig9_flags_at_return_equal_single_stepping():
+    ws = StencilWorkspace(JacobiSetup(sz=17, sweeps=1))
+    for code in CODES:
+        for line in (False, True):
+            for mode in MODES:
+                addr = prepare_kernel(ws, code, mode, line=line).kernel_addr
+                driver = ws.driver_for(addr, line=line)
+                args = (stencil_arg(ws, code), ws.m1, ws.m2)
+                ws.reset_matrices()
+                sim = Simulator(ws.image)
+                res = sim.call(driver, args, max_steps=500_000_000)
+                ws.reset_matrices()
+                ref = _stepped(ws.image, driver, args)
+                cell = f"{code}.{'line' if line else 'elem'}.{mode}"
+                assert (sim.state.flags_byte(), res.rax, res.xmm0) == (
+                    ref.flags_byte(), ref.gpr[0], ref.xmm[0]), cell
+
+
+def test_corpus_flags_at_return_equal_single_stepping():
+    for kind in diffcorpus.KINDS:
+        for seed in CORPUS_SEEDS:
+            rng = random.Random(seed)
+            asm = diffcorpus.GENERATORS[kind](rng)
+            pattern = diffcorpus._scratch_pattern(rng)
+            probes = diffcorpus._probe_args(rng, kind)
+            img = Image()
+            base = img.next_code_addr()
+            code, _ = assemble(parse_asm(asm), base=base)
+            img.add_function("f", code)
+            scratch = img.alloc_data(diffcorpus.SCRATCH, align=16)
+            sim = Simulator(img)
+            for p in probes:
+                args = ((p[0], p[1], scratch), ()) if kind == "int" \
+                    else ((scratch,), (p[0], p[1]))
+                img.memory.write(scratch, pattern)
+                sim.call(base, *args)
+                img.memory.write(scratch, pattern)
+                ref = _stepped(img, base, *args)
+                assert sim.state.flags_byte() == ref.flags_byte(), \
+                    (kind, seed, p)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ sit where ``int(n / d)`` through a binary64 does not.
 
 What the engines do *not* get right is graded at the bottom: a typed
 refusal passes, a silent wrong answer is a strict ``xfail`` with its reason
-(ROADMAP, torture corpus, "known reds").
+(ROADMAP, torture corpus, "known reds").  ``INT_MIN / -1`` is refused by
+the simulator, the JIT and DBrew, and wraps in the IR engines.
 """
 
 from __future__ import annotations
@@ -183,13 +184,42 @@ def test_zero_divisor_is_a_typed_refusal_everywhere():
         compile_c("long f() { return 7 / 0; }")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "INT64_MIN / -1 is #DE on hardware; the simulator's overflow check "
-    "compares the signed quotient with the unsigned mask, lets 2**63 "
-    "through and wraps, and every other engine agrees with it"))
+#: ``INT_MIN / -1`` at both widths: the quotient does not fit, #DE on hardware
+OVERFLOW = {"q64.reg": INT64_MIN, "q32.reg": INT32_MIN}
+
+
+def _refuses_int_min_by_minus_one(form: str) -> None:
+    """The machine engines raise; DBrew's emulator raises at rewrite time
+    and hands back the original, as for a zero divisor."""
+    e = engines(form)
+    n, d = OVERFLOW[form] & (1 << 64) - 1, (1 << 64) - 1
+    for run in (Engines.native, Engines.jitted):
+        with pytest.raises(SimulatorError, match="division overflow"):
+            run(e, n, d)
+    rw = e.rewrite(n, d)
+    assert rw.rewrite() == e.base
+    assert "division overflow" in str(rw.last_error)
+
+
 def test_int64_min_by_minus_one_is_refused():
+    _refuses_int_min_by_minus_one("q64.reg")
+
+
+def test_int32_min_by_minus_one_is_refused():
+    _refuses_int_min_by_minus_one("q32.reg")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "INT_MIN / -1 is #DE on hardware, but the IR engines wrap: the "
+    "interpreter's sdiv (lifted and -O3) and the constant folder under "
+    "llvm-fix return INT_MIN with no refusal"))
+@pytest.mark.parametrize("run", (Engines.interp_lifted, Engines.interp_o3,
+                                 Engines.llvm_fix),
+                         ids=lambda run: run.__name__)
+@pytest.mark.parametrize("form", OVERFLOW)
+def test_int_min_by_minus_one_in_the_ir_engines_is_refused(form, run):
     with pytest.raises(ReproError):
-        engines("q64.reg").native(INT64_MIN & (1 << 64) - 1, (1 << 64) - 1)
+        run(engines(form), OVERFLOW[form] & (1 << 64) - 1, (1 << 64) - 1)
 
 
 @pytest.mark.xfail(strict=True, reason=(

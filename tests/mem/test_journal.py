@@ -183,7 +183,7 @@ def test_a_live_write_shows_only_in_chunks_the_shadow_has_not_touched():
 # -- region buffers stay inside the memory module ------------------------------
 
 _SRC = Path(repro.__file__).parent
-_PRIVATE = {"_regions", "_find", "_hit", "_journal", "_chunks", "_chunk"}
+_PRIVATE = {"_regions", "_find", "_pages", "_journal", "_chunks", "_chunk"}
 
 
 def test_nothing_outside_the_memory_module_reaches_a_region_buffer():

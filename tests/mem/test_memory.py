@@ -2,7 +2,9 @@
 
 import mmap
 import os
+import random
 import signal
+import struct
 import time
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import MemoryAccessError
-from repro.mem.memory import LAZY_MAP_MIN, Memory
+from repro.mem.memory import LAZY_MAP_MIN, JournaledMemory, Memory
 
 
 @pytest.fixture
@@ -167,6 +169,158 @@ def test_window_is_cut_at_the_region_end(mem):
     assert mem.window(0x1000, 16) == bytes(16)
     assert mem.window(0x2000, 16) == b""  # unmapped
     assert mem.window(0xFFF, 16) == b""
+
+
+# -- the page table -----------------------------------------------------------
+
+
+def test_a_page_shared_by_two_regions_serves_both():
+    """0x1000-0x17ff and 0x1800-0x1fff lie on one 4 KiB page: each access
+    must find its own region however the table was filled before it."""
+    m = Memory()
+    m.map(0x1000, 0x800)
+    m.map(0x1800, 0x800)
+    for _ in range(2):
+        m.write_u64(0x17F8, 0x1111)
+        m.write_u64(0x1800, 0x2222)
+        assert m.read_u64(0x17F8) == 0x1111
+        assert m.read_u64(0x1800) == 0x2222
+        assert m.read_i64(0x17F8) == 0x1111
+    assert m.read(0x17F8, 8) == (0x1111).to_bytes(8, "little")
+    assert m.read(0x1800, 8) == (0x2222).to_bytes(8, "little")
+
+
+@pytest.mark.parametrize("access", [
+    lambda m: m.read_u64(0x17FC), lambda m: m.write_u64(0x17FC, 1),
+    lambda m: m.read_f64(0x17FC), lambda m: m.write_f64(0x17FC, 1.0),
+    lambda m: m.read(0x17FC, 8), lambda m: m.write(0x17FC, bytes(8))])
+def test_an_access_straddling_two_regions_on_one_page_raises(access):
+    m = Memory()
+    m.map(0x1000, 0x800)
+    m.map(0x1800, 0x800)
+    m.read_u32(0x17F0)  # the page's entry holds the first region
+    with pytest.raises(MemoryAccessError):
+        access(m)
+    m.read_u32(0x1800)  # ... and now the second
+    with pytest.raises(MemoryAccessError):
+        access(m)
+    assert m.snapshot() == [(0x1000, bytes(0x800)), (0x1800, bytes(0x800))]
+
+
+def test_a_region_mapped_after_the_table_filled_is_found():
+    m = Memory()
+    m.map(0x1000, 0x100)
+    assert m.read_u32(0x1000) == 0  # fills the entry of page 1
+    with pytest.raises(MemoryAccessError):
+        m.read_u8(0x1100)  # same page, not mapped yet: no entry remembered
+    m.map(0x1100, 0x100, b"\x07")
+    assert m.read_u8(0x1100) == 7
+    m.map(0x9000, 16, b"\x09")
+    assert m.read_u8(0x9000) == 9 and m.read_u8(0x1000) == 0
+
+
+def test_f64_on_an_mmap_backed_region():
+    m = Memory()
+    m.map(0x10_0000, LAZY_MAP_MIN)
+    [(_, buf)] = m._regions
+    assert isinstance(buf, mmap.mmap)
+    end = 0x10_0000 + LAZY_MAP_MIN
+    m.write_f64(end - 8, -2.5)
+    assert m.read_f64(end - 8) == -2.5
+    assert m.read(end - 8, 8) == struct.pack("<d", -2.5)
+    for access in (lambda: m.read_f64(end - 4),
+                   lambda: m.write_f64(end - 4, 1.0)):
+        with pytest.raises(MemoryAccessError):
+            access()
+
+
+#: two regions sharing page 1, and an mmap-backed one
+LAYOUT = [(0x1000, 0x7F8), (0x17F8, 0x808), (0x10_0000, LAZY_MAP_MIN)]
+SCALARS = ("read_uint", "read_int", "write_uint", "read_f64", "write_f64")
+
+
+@st.composite
+def accesses(draw) -> tuple:
+    """(accessor, address, size, value): near a region's start, end, or a
+    page boundary of the big one, so some straddle or miss."""
+    kind = draw(st.sampled_from(SCALARS))
+    size = 8 if kind.endswith("f64") else draw(st.sampled_from((1, 2, 4, 8,
+                                                                16)))
+    start, length = draw(st.sampled_from(LAYOUT))
+    anchor = start + draw(st.sampled_from((0, length, 4096 * 3)))
+    value = draw(st.floats(allow_nan=False) if kind == "write_f64"
+                 else st.integers(-(1 << 130), 1 << 130))
+    return kind, anchor + draw(st.integers(-20, 20)), size, value
+
+
+def _access(mem: Memory, kind: str, addr: int, size: int, value):
+    if kind == "write_uint":
+        return mem.write_uint(addr, value, size)
+    if kind == "write_f64":
+        return mem.write_f64(addr, value)
+    if kind == "read_f64":
+        return struct.pack("<d", mem.read_f64(addr))
+    return getattr(mem, kind)(addr, size)
+
+
+def _model_access(model: dict[int, bytearray], kind: str, addr: int,
+                  size: int, value):
+    """What ``_access`` must return, on ``{region start: bytes}``; raises
+    ``MemoryAccessError`` when no one region holds the access."""
+    home = next((s for s, n in LAYOUT if s <= addr and addr + size <= s + n),
+                None)
+    if home is None:
+        raise MemoryAccessError("outside every region")
+    buf, off = model[home], addr - home
+    if kind == "write_uint":
+        buf[off:off + size] = (value % (1 << 8 * size)).to_bytes(size,
+                                                                  "little")
+    elif kind == "write_f64":
+        buf[off:off + 8] = struct.pack("<d", value)
+    elif kind == "read_f64":
+        return bytes(buf[off:off + 8])
+    else:
+        return int.from_bytes(buf[off:off + size], "little",
+                              signed=kind == "read_int")
+    return None
+
+
+def _layout(seed: int) -> tuple[Memory, dict[int, bytearray]]:
+    rng = random.Random(seed)
+    mem, model = Memory(), {}
+    for start, length in LAYOUT:
+        model[start] = bytearray(rng.randbytes(length))
+        mem.map(start, length, bytes(model[start]))
+    return mem, model
+
+
+def _drive(mem: Memory, model: dict[int, bytearray], ops: list) -> None:
+    for kind, addr, size, value in ops:
+        try:
+            want = _model_access(model, kind, addr, size, value)
+        except MemoryAccessError:
+            with pytest.raises(MemoryAccessError):
+                _access(mem, kind, addr, size, value)
+            continue
+        assert _access(mem, kind, addr, size, value) == want, (kind, addr)
+    assert mem.snapshot() == [(s, bytes(model[s])) for s, _ in LAYOUT]
+
+
+@given(st.integers(0, 2**32), st.lists(accesses(), max_size=40))
+def test_scalar_accesses_agree_with_a_bytearray_model(seed, ops):
+    mem, model = _layout(seed)
+    _drive(mem, model, ops)
+
+
+@given(st.integers(0, 2**32), st.lists(accesses(), max_size=40))
+def test_journaled_scalar_accesses_agree_and_roll_back(seed, ops):
+    live, model = _layout(seed)
+    base = live.snapshot()
+    jm = JournaledMemory(live)
+    _drive(jm, model, ops)
+    jm.rollback()
+    assert jm.snapshot() == base
+    assert live.snapshot() == base
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
