@@ -54,8 +54,8 @@ SRC = ("long f(long a, long b) "
 #: signature-variant jobs appended to every storm: same machine code,
 #: different lift keys.  A padded signature (unused trailing params) lifts
 #: the identical bytes to a different module, so the module-stage disk
-#: cache cannot serve it — the only way these jobs skip decoding is the
-#: decoded-trace cache, which is exactly what they exist to exercise.
+#: cache cannot serve it — these jobs re-lift the storm's bytes, so a
+#: worker that already decoded them is served by its decode memo.
 SIG_VARIANTS = 2
 
 
@@ -116,9 +116,6 @@ def _drain_storm(prog, disk_dir, workers, count):
             total = hits + misses
             return (hits / total) if total else None
 
-        trace_hits = (snap.get("farm.worker.lift.decode_trace.hits", 0)
-                      + snap.get("farm.worker.lift.decode_trace.store_hits",
-                                 0))
         return {
             "workers": workers,
             "jobs": total_jobs,
@@ -130,8 +127,6 @@ def _drain_storm(prog, disk_dir, workers, count):
             "batches": pool.snapshot()["batches"],
             "facet_hit_rate": rate("facet_cache"),
             "decode_memo_hit_rate": rate("decode_memo"),
-            "decode_trace_hit_rate": rate("decode_trace"),
-            "decode_trace_hits": trace_hits,
         }
     finally:
         pool.close()
@@ -224,14 +219,9 @@ def run_all(*, quick: bool = False) -> dict:
             d["ratio"] <= MAX_DISPATCH_P99_RATIO,
         # per-instruction decode-memo traffic is absorbed by the
         # module-stage disk cache in a same-key storm, so only the facet
-        # memo must show hits...
+        # memo must show hits
         "lifter_memo_hits_observed":
             (s["cold_n"]["facet_hit_rate"] or 0) > 0,
-        # ...but the signature-variant jobs force full re-lifts of the
-        # same bytes, which must be served by the decoded-trace cache:
-        # cold_1 is sequential (one worker), so its hits are deterministic
-        "decode_trace_hits_observed":
-            s["cold_1"]["decode_trace_hits"] > 0,
     }
     return report
 
@@ -257,8 +247,6 @@ def _report_lines(r: dict) -> list[str]:
         f"lift memos   facet {_fmt_rate(many['facet_hit_rate'])} hit   "
         f"decode {_fmt_rate(many['decode_memo_hit_rate'])} hit "
         f"(cold {many['workers']}w round)",
-        f"decode trace {_fmt_rate(one['decode_trace_hit_rate'])} hit, "
-        f"{one['decode_trace_hits']} cross-job hit(s) (cold 1w round)",
     ]
 
 

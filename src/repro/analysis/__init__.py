@@ -63,7 +63,6 @@ from repro.analysis.findings import ERROR, WARNING, Finding, errors_only
 from repro.analysis.machine import (
     CodeWitness,
     MachineVerifier,
-    VerifyOptions,
     VerifyResult,
     build_mcfg,
     build_witness,
@@ -99,7 +98,6 @@ __all__ = [
     "ValidatorStats",
     "ValueProblem",
     "ValueStates",
-    "VerifyOptions",
     "VerifyResult",
     "WARNING",
     "analyze_flags",

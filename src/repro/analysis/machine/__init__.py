@@ -11,7 +11,6 @@ from repro.analysis.machine.verifier import (
     PROVED,
     REFUTED,
     MachineVerifier,
-    VerifyOptions,
     VerifyResult,
     verify_witness,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "MachineVerifier",
     "PROVED",
     "REFUTED",
-    "VerifyOptions",
     "VerifyResult",
     "build_mcfg",
     "build_witness",

@@ -182,12 +182,10 @@ class IRExit:
 class IRExecutor:
     """Mirrors the lowering over one block, forking at conditional exits."""
 
-    def __init__(self, witness, arities: dict[str, tuple[int, int]],
-                 max_paths: int = 64) -> None:
+    def __init__(self, witness, arities: dict[str, tuple[int, int]]) -> None:
         self.wit = witness
         self.func: Function = witness.func
         self.arities = arities
-        self.max_paths = max_paths
         self._use_counts: dict[int, int] = {}
         self._branch_only: dict[int, bool] = {}
         self._select_only: dict[int, bool] = {}
@@ -525,12 +523,13 @@ class IRExecutor:
     def run_block(self, block: BasicBlock, env: dict[int, T.Term],
                   mem: MemState) -> list[IRExit]:
         """Execute ``block`` from ``env``; fork at conditional exits."""
+        from repro.analysis.machine.verifier import MAX_PATHS  # imports us
         exits: list[IRExit] = []
         work = [IRPath(block, 0, env, mem)]
         while work:
             p = work.pop()
             self._run_path(p, work, exits)
-            if len(exits) + len(work) > self.max_paths:
+            if len(exits) + len(work) > MAX_PATHS:
                 raise Inconclusive("too many IR paths")
         return exits
 

@@ -53,17 +53,14 @@ _USABLE_CC = frozenset({"e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae"})
 
 _CALLEE_SAVED = frozenset(R.SYSV_CALLEE_SAVED)
 
+#: symbolic paths per block, on either side, before a run is inconclusive
+MAX_PATHS = 64
+#: machine instructions per path before a run is inconclusive
+MAX_STEPS = 4096
+
 
 class _Refuted(Exception):
     """Abort the current run; the ERROR finding is already recorded."""
-
-
-@dataclass(frozen=True)
-class VerifyOptions:
-    """Budget knobs for one verification run."""
-
-    max_paths: int = 64       #: symbolic paths per block (both sides)
-    max_steps: int = 4096     #: machine instructions per path
 
 
 @dataclass
@@ -188,7 +185,6 @@ class X86Executor:
     def run(self, st: MachState) -> list[MachExit]:
         exits: list[MachExit] = []
         work = [st]
-        opts = self.v.opts
         while work:
             s = work.pop()
             while True:
@@ -198,13 +194,13 @@ class X86Executor:
                     break
                 ins = self._decode(s.pc)
                 s.steps += 1
-                if s.steps > opts.max_steps:
+                if s.steps > MAX_STEPS:
                     raise Inconclusive("machine path exceeds step budget")
                 done = self._exec(s, ins, work)
                 if done is not None:
                     exits.append(done)
                     break
-                if len(work) + len(exits) > opts.max_paths:
+                if len(work) + len(exits) > MAX_PATHS:
                     raise Inconclusive("too many machine paths")
         return exits
 
@@ -688,10 +684,8 @@ class X86Executor:
 class MachineVerifier:
     """Proves one :class:`CodeWitness` correct, block by block."""
 
-    def __init__(self, witness: CodeWitness,
-                 options: VerifyOptions = VerifyOptions()) -> None:
+    def __init__(self, witness: CodeWitness) -> None:
         self.wit = witness
-        self.opts = options
         self.cfg = build_mcfg(witness)
         self.findings: list[Finding] = list(self.cfg.findings)
         self.reasons: list[str] = []
@@ -714,8 +708,7 @@ class MachineVerifier:
                     self._bad_arity.add(ins.callee_name)
         self.alloca_ranges = self._alloca_ranges()
         self.x86 = X86Executor(self)
-        self.irx = IRExecutor(witness, self.arities,
-                              max_paths=options.max_paths)
+        self.irx = IRExecutor(witness, self.arities)
         self.liveness = Liveness(witness.func, witness.value_locs)
 
     def _alloca_ranges(self) -> tuple[tuple[int, int], ...]:
@@ -980,20 +973,19 @@ class MachineVerifier:
                 f"vs IR {ie.mem.alloca_entries()!r}", block=block)
 
 
-def verify_witness(witness: CodeWitness,
-                   options: VerifyOptions = VerifyOptions()) -> VerifyResult:
+def verify_witness(witness: CodeWitness) -> VerifyResult:
     """Verify one compiled function against its IR; never raises."""
     from repro.obs.trace import TRACER as _TR
     if not _TR.enabled:
-        return _verify(witness, options)
+        return _verify(witness)
     with _TR.span("machine.verify", {"func": witness.name}):
-        return _verify(witness, options)
+        return _verify(witness)
 
 
-def _verify(witness: CodeWitness, options: VerifyOptions) -> VerifyResult:
+def _verify(witness: CodeWitness) -> VerifyResult:
     t0 = time.perf_counter()
     try:
-        return MachineVerifier(witness, options).verify()
+        return MachineVerifier(witness).verify()
     except Inconclusive as exc:
         return VerifyResult(verdict=INCONCLUSIVE, reasons=[exc.reason],
                             seconds=time.perf_counter() - t0)

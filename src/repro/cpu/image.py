@@ -14,9 +14,7 @@ Layout mirrors a small static Linux binary:
 
 from __future__ import annotations
 
-import hashlib
 import threading
-import uuid
 from typing import Callable
 
 from repro.errors import SimulatorError
@@ -46,11 +44,6 @@ class Image:
     #: without ``__init__`` (farm specs, gate shadows) start out with it
     _instance_key: object | None = None
     _code_writes = 0
-    #: running digest of every (address, bytes) ``add_function`` and
-    #: ``patch_code`` installed — the content-derived part of
-    #: :meth:`content_token` that tells two builds of one farm spec apart
-    #: once they install different candidates of equal length
-    _installed = b""
 
     def __init__(self, *, code_size: int = 1 << 20, rodata_size: int = 1 << 20,
                  data_size: int = 1 << 22, jit_size: int = 1 << 20) -> None:
@@ -81,46 +74,18 @@ class Image:
         #: this back together with the bytes, so observers can use it as a
         #: cheap "did code change" check
         self.generation = 0
-        #: identity component of :meth:`content_token`.  Process-unique by
-        #: default; spec-built farm images override it with a spec-digest
-        #: tuple so tokens mean the same bytes in any process
-        self.content_key: object = uuid.uuid4().hex
-        self.memory.content_token_fn = self.content_token
-
-    def content_token(self) -> tuple:
-        """Key identifying the image's current *code* content.
-
-        Folds the patch generation, both code-allocation cursors and a
-        running digest of the installed bytes, so every sanctioned path
-        that changes executable bytes — ``patch_code`` (bumps
-        ``generation``), ``add_function`` and ``reserve_code`` (move a
-        cursor) — yields a fresh token, and two images that start from one
-        ``content_key`` keep equal tokens exactly as long as they install
-        the same bytes at the same addresses.  Derived state keyed by the
-        token (the lifter's decoded-trace cache) goes stale by
-        construction instead of needing invalidation hooks, and stays
-        shareable across processes.
-        """
-        return (self.content_key, self.generation,
-                self._code_cursor, self._jit_cursor, self._installed)
-
-    def _note_install(self, addr: int, data: bytes) -> None:
-        self._installed = hashlib.blake2b(
-            self._installed + addr.to_bytes(8, "little") + data,
-            digest_size=16).digest()
 
     def instance_token(self) -> tuple:
         """Key identifying one state of *this image object's* code.
 
-        Unlike :meth:`content_token` it is never shared and never reused:
-        the first component is minted per ``Image`` object — two builds of
-        one farm spec answer the same content token and then diverge when
-        different candidates of equal size are installed — and the second
-        counts every write ``patch_code`` makes, the roll-back of a failed
-        patch included, so the token a failed patch showed for a moment is
-        not handed out again for other bytes.  In-process state derived
-        from executable bytes (the simulator's compiled blocks) is keyed
-        by it.
+        It is never shared and never reused: the first component is minted
+        per ``Image`` object — two builds of one farm spec start from equal
+        bytes and then diverge when different candidates of equal size are
+        installed — and the second counts every write ``patch_code`` makes,
+        the roll-back of a failed patch included, so the token a failed
+        patch showed for a moment is not handed out again for other bytes.
+        In-process state derived from executable bytes (the simulator's
+        compiled blocks) is keyed by it.
         """
         key = self._instance_key
         if key is None:
@@ -158,18 +123,17 @@ class Image:
         """
         with self.codegen_lock:
             previous = self.memory.read(addr, len(data))  # validates the range
-            generation, installed = self.generation, self._installed
+            generation = self.generation
             self.memory.write(addr, data)
             self._code_writes += 1
             self.generation = generation + 1
-            self._note_install(addr, data)
             try:
                 for hook in list(self._invalidation_hooks):
                     hook(addr, len(data))
             except BaseException:
                 self.memory.write(addr, previous)
                 self._code_writes += 1
-                self.generation, self._installed = generation, installed
+                self.generation = generation
                 # the memoizers already saw (or partially saw) the new
                 # bytes: re-invalidate over the restored content, tolerating
                 # repeated failure so the image itself always ends up
@@ -207,7 +171,6 @@ class Image:
             else:
                 addr, cursor = self._bump(self._code_cursor, self._code_limit, len(code), 16)
             self.memory.write(addr, code)
-            self._note_install(addr, code)
             if jit:
                 self._jit_cursor = cursor
             else:

@@ -115,18 +115,12 @@ class ImageSpec:
         img._invalidation_hooks = []
         img.codegen_lock = threading.RLock()
         img.generation = self.generation
-        # spec-derived content identity: every build of this spec, in any
-        # process, produces byte-identical code — so decoded-trace cache
-        # entries keyed by this token are shareable across builds, workers
-        # and pool runs (Image.__init__ would mint a process-unique key)
-        img.content_key = ("farmspec", self.digest())
-        img.memory.content_token_fn = img.content_token
         return img
 
     def digest(self) -> str:
         """Content key: identical guest state -> identical key, in any
         process (drives worker-side spec memoization).  Memoized on the
-        instance — ``build()`` calls this per job."""
+        instance."""
         d = self.__dict__.get("_digest_memo")
         if d is None:
             parts = [b"%d:%d:" % (s.addr, s.size) + s.data for s in self.segments]

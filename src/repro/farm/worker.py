@@ -116,11 +116,6 @@ class FarmWorker:
         self._specs: dict[str, ImageSpec] = {}
         #: previous values of the process-global counters reported per job
         self._counter_marks: dict[str, int] = {}
-        # decoded traces of spec-built images are content-keyed, so the
-        # shared store can serve them across jobs, workers and pool runs
-        # (the fix for BENCH_farm's decode_memo_hit_rate: 0.0 cold runs)
-        from repro.lift import blocks as _blocks
-        _blocks.attach_trace_store(self.store)
 
     # -- shared state ------------------------------------------------------
 
@@ -136,9 +131,7 @@ class FarmWorker:
         """Per-job deltas of the lifter memo counters (process-global)."""
         out = []
         for name in ("lift.facet_cache.hits", "lift.facet_cache.misses",
-                     "lift.decode_memo.hits", "lift.decode_memo.misses",
-                     "lift.decode_trace.hits", "lift.decode_trace.misses",
-                     "lift.decode_trace.store_hits"):
+                     "lift.decode_memo.hits", "lift.decode_memo.misses"):
             value = _metrics.counter(name).value
             out.append((name, float(value - self._counter_marks.get(name, 0))))
             self._counter_marks[name] = value

@@ -239,11 +239,13 @@ class GuardedTransformer:
             fdigest = cache_keys.fixes_digest(fixes, self.image.memory)
         except ReproError:
             fdigest = repr(sorted(fixes)) if fixes else "none"
+        plan = self.plans["llvm"]
         return cache_keys.digest_str(
             "guard", code, cache_keys.signature_digest(signature), fdigest,
             repr(sorted(mem_regions)),
-            cache_keys.options_digest(self.plans["llvm"].o3),
-            cache_keys.options_digest(self.plans["llvm"].jit),
+            cache_keys.lift_options_digest(plan.lift, self.image),
+            cache_keys.options_digest(plan.o3),
+            cache_keys.options_digest(plan.jit),
         )
 
     # -- the guarded transform -------------------------------------------------

@@ -512,10 +512,8 @@ class TieredEngine:
         from repro.farm import protocol as fp
         # breaker fast-skip: while the client's circuit is open, job-key
         # hashing and image publication would be thrown away — degrade to
-        # the in-process tiers before doing any of it.  getattr keeps
-        # duck-typed farm stubs (tests) working without the method.
-        avail = getattr(self.farm, "available", None)
-        if avail is not None and not avail():
+        # the in-process tiers before doing any of it
+        if not self.farm.available():
             with self._lock:
                 self.stats.farm_fallbacks += 1
             return None

@@ -6,6 +6,7 @@ from repro.cache import keys
 from repro.cc import compile_c
 from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
+from repro.jit.plan import Pipeline
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 
@@ -114,6 +115,32 @@ def test_lifted_key_tracks_signature_and_lift_options():
                            LiftOptions()) != base
     assert keys.lifted_key(img, "f", SIG_II_I,
                            LiftOptions(facet_cache=False)) != base
+
+
+def test_pipeline_lifted_key_is_keys_lifted_key():
+    """The pipeline composes its stage-1 key from memoized digests; it must
+    be the key pinned above, for every lift option and across a callee
+    patch (the memo is dropped when the image's code changes)."""
+    prog = compile_c("long helper(long x) { return x * 3; } "
+                     "long f(long a, long b) { return helper(a) + b; }")
+    img = prog.image
+    cache = SpecializationCache()
+    pipeline = Pipeline(img, cache=cache)
+    helper = img.symbol("helper")
+    known = LiftOptions(known_functions={
+        helper: ("helper", FunctionSignature(("i",), "i"))})
+    variants = (LiftOptions(), LiftOptions(flag_cache=False),
+                LiftOptions(facet_cache=False), LiftOptions(stack_size=8192),
+                known)
+    for opts in variants:
+        assert pipeline._lifted_key(cache, opts, "f", SIG_II_I) == \
+            keys.lifted_key(img, "f", SIG_II_I, opts), opts
+    before = keys.lifted_key(img, "f", SIG_II_I, known)
+    old = img.memory.read(helper, 1)
+    img.patch_code(helper, bytes([old[0] ^ 0xFF]))
+    after = keys.lifted_key(img, "f", SIG_II_I, known)
+    assert after != before  # the callee's bytes are a compile input
+    assert pipeline._lifted_key(cache, known, "f", SIG_II_I) == after
 
 
 def test_stage_keys_layer():

@@ -28,6 +28,9 @@ class RecordingFarm:
     def __init__(self) -> None:
         self.jobs: list = []
 
+    def available(self) -> bool:
+        return True
+
     def ensure_image(self, image) -> str:
         return "farmimg-test"
 

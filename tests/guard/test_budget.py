@@ -95,6 +95,21 @@ def test_lift_respects_instruction_budget():
     assert ei.value.context["counter"] == "lift_instructions"
 
 
+def test_lift_charges_the_same_fuel_every_time():
+    """What a lift costs does not depend on what the process lifted before:
+    lifting one function twice in one image charges equal fuel."""
+    prog = compile_c("long f(long a) { if (a > 0) return a * 3; return -a; }")
+    spent = []
+    for _ in range(2):
+        budget = Budget()
+        lift_function(prog.image.memory, prog.image.symbol("f"),
+                      FunctionSignature(("i",), "i"),
+                      LiftOptions(budget=budget))
+        spent.append((budget.spent["lift_instructions"],
+                      budget.spent["lift_blocks"]))
+    assert spent == [(12, 4), (12, 4)]
+
+
 def test_rewriter_respects_emulation_budget():
     prog = compile_c(
         "long f(long n) { long s = 0;"

@@ -15,7 +15,7 @@ from repro.dbrew import Rewriter, default_error_handler, raising_error_handler
 from repro.errors import RewriteError
 from repro.guard import Budget, GateOptions, GuardedTransformer
 from repro.ir.values import Constant
-from repro.lift import FunctionSignature
+from repro.lift import FunctionSignature, LiftOptions
 from repro.testing import inject_faults
 
 SIG = FunctionSignature(("i", "i"), "i")
@@ -211,6 +211,27 @@ def test_quarantine_is_per_rung():
     r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.attempts[0].rung == "dbrew+llvm" and r.attempts[0].quarantined
     assert r.mode == "llvm-fix" and not r.attempts[1].quarantined
+
+
+def test_quarantine_is_per_lift_options():
+    """A guard that cannot lift a call (no ``known_functions``) quarantines
+    the rung; a guard sharing its cache that *declares* the callee is a
+    different request and must compile, not be served that verdict."""
+    src = ("long helper(long x) { return x * 3; } "
+           "long f(long a) { return helper(a) + 1; }")
+    sig = FunctionSignature(("i",), "i")
+    img, plain = make(src)
+    failed = plain.transform("f", sig)
+    assert failed.mode == "original"
+    assert "unknown function" in failed.attempts[0].error
+    known = LiftOptions(known_functions={img.symbol("helper"): ("helper", sig)})
+    declared = GuardedTransformer(img, cache=plain.cache,
+                                  gate_options=GateOptions(samples=2),
+                                  lift_options=known)
+    r = declared.transform("f", sig, probes=[(4,)])
+    assert r.mode == "llvm" and not r.attempts[0].quarantined
+    assert r.verified
+    assert Simulator(img).call_int(r.addr, (4,)) == 13
 
 
 def test_success_clears_quarantine_after_expiry():

@@ -52,7 +52,6 @@ from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import LiftOptions
-from repro.lift.blocks import attach_trace_store
 from repro.obs.metrics import MetricsRegistry
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.tier import T1, T2, TieredEngine, TierPolicy
@@ -279,6 +278,9 @@ class InlineFarm:
         self.serve = serve
         self.jobs: list = []
 
+    def available(self) -> bool:
+        return True
+
     def ensure_image(self, image) -> str:
         spec = fp.ImageSpec.capture(image)
         key = fp.image_spec_key(spec.digest())
@@ -339,18 +341,15 @@ def _worker_jobs(disk_dir: str) -> dict:
 
 
 def capture_farm(tmp: Path) -> dict:
-    try:
-        out = {"worker": _worker_jobs(str(tmp / "jobs"))}
-        for scenario in ("t1", "t2"):
-            # the jobs the engine derives, with the farm declining them ...
-            out[f"shipped_{scenario}"] = _tiered(
-                scenario, InlineFarm(str(tmp / f"d{scenario}"), serve=False))
-            # ... and serving them: client-side install of the worker's module
-            out[f"served_{scenario}"] = _tiered(
-                scenario, InlineFarm(str(tmp / f"s{scenario}"), serve=True))
-        return out
-    finally:
-        attach_trace_store(None)  # the workers attached theirs process-wide
+    out = {"worker": _worker_jobs(str(tmp / "jobs"))}
+    for scenario in ("t1", "t2"):
+        # the jobs the engine derives, with the farm declining them ...
+        out[f"shipped_{scenario}"] = _tiered(
+            scenario, InlineFarm(str(tmp / f"d{scenario}"), serve=False))
+        # ... and serving them: client-side install of the worker's module
+        out[f"served_{scenario}"] = _tiered(
+            scenario, InlineFarm(str(tmp / f"s{scenario}"), serve=True))
+    return out
 
 
 # -- tests ----------------------------------------------------------------------------
