@@ -33,7 +33,6 @@ from repro.analysis.checkers import (
     CHECKERS,
     DEFAULT_PREGATE,
     run_checkers,
-    run_checkers_module,
 )
 from repro.analysis.clone import (
     clone_function,
@@ -57,7 +56,6 @@ from repro.analysis.deadflags import (
     FLAG_LETTERS,
     FlagReport,
     analyze_flags,
-    analyze_module_flags,
 )
 from repro.analysis.findings import ERROR, WARNING, Finding, errors_only
 from repro.analysis.machine import (
@@ -101,7 +99,6 @@ __all__ = [
     "VerifyResult",
     "WARNING",
     "analyze_flags",
-    "analyze_module_flags",
     "build_mcfg",
     "build_witness",
     "check_memory_regions",
@@ -112,7 +109,6 @@ __all__ = [
     "functions_structurally_equal",
     "restore_function",
     "run_checkers",
-    "run_checkers_module",
     "solve_block_problem",
     "solve_value_problem",
     "verify_witness",

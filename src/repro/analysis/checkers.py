@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.ir.module import Function, Module
+from repro.ir.module import Function
 
 from repro.analysis.findings import Finding
 from repro.analysis.memregion import check_memory_regions
@@ -40,14 +40,4 @@ def run_checkers(func: Function,
                 f"unknown checker {name!r} (have: {', '.join(sorted(CHECKERS))})"
             ) from None
         out.extend(fn(func))
-    return out
-
-
-def run_checkers_module(module: Module,
-                        checkers: Iterable[str] | None = None) -> list[Finding]:
-    """Run checkers over every defined function in a module."""
-    out: list[Finding] = []
-    for func in module.functions.values():
-        if not func.is_declaration:
-            out.extend(run_checkers(func, checkers))
     return out

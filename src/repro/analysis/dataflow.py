@@ -38,7 +38,6 @@ class Lattice:
 
     Subclasses provide ``bottom`` (the least element, meaning "no
     information yet / unreached") and ``join`` (the least upper bound).
-    ``leq`` is derived; override it when a cheaper test exists.
     """
 
     def bottom(self) -> object:
@@ -46,9 +45,6 @@ class Lattice:
 
     def join(self, a: object, b: object) -> object:
         raise NotImplementedError
-
-    def leq(self, a: object, b: object) -> bool:
-        return self.join(a, b) == b
 
     def join_all(self, states: Iterable[object]) -> object:
         out = self.bottom()
@@ -65,9 +61,6 @@ class SetLattice(Lattice):
 
     def join(self, a: object, b: object) -> frozenset:
         return frozenset(a) | frozenset(b)  # type: ignore[arg-type]
-
-    def leq(self, a: object, b: object) -> bool:
-        return frozenset(a) <= frozenset(b)  # type: ignore[arg-type]
 
 
 class BoolLattice(Lattice):

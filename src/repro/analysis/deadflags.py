@@ -91,8 +91,3 @@ def analyze_flags(func: Function) -> FlagReport:
                 report.consumed.add(letter)
                 break
     return report
-
-
-def analyze_module_flags(func_iter) -> list[FlagReport]:
-    """Flag reports for an iterable of functions."""
-    return [analyze_flags(f) for f in func_iter]

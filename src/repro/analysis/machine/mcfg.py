@@ -35,12 +35,6 @@ class MBlock:
     instructions: list[Instruction] = field(default_factory=list)
     successors: tuple[int, ...] = ()
 
-    @property
-    def end(self) -> int:
-        if not self.instructions:
-            return self.addr
-        return self.instructions[-1].end
-
 
 @dataclass
 class MachineCFG:

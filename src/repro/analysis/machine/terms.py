@@ -47,10 +47,6 @@ def const(v: int) -> int:
     return v & MASK64
 
 
-def is_const(t: Term) -> bool:
-    return isinstance(t, int)
-
-
 def _key(t: Term) -> str:
     return repr(t)
 
@@ -399,7 +395,7 @@ def references_stack(t: Term) -> bool:
         return False
     if t == RSP0:
         return True
-    return any(references_stack(x) for x in t[1:] if isinstance(x, (tuple, int)))
+    return any(references_stack(x) for x in t if isinstance(x, tuple))
 
 
 def stack_addr(delta: int) -> Term:

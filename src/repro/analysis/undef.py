@@ -68,9 +68,6 @@ class _MaskLattice(Lattice):
     def join(self, a: int, b: int) -> int:
         return a | b
 
-    def leq(self, a: int, b: int) -> bool:
-        return (a | b) == b
-
 
 class _AllocaBased(ValueProblem):
     """May the value point into an ``alloca``'d region?  (join = or)"""

@@ -143,9 +143,6 @@ class ValidatorStats:
     rollbacks: int = 0
     probes_run: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
 
 class PassValidator:
     """Validates applications; quarantines passes that miscompile."""

@@ -136,9 +136,6 @@ class Emitter:
 
     # -- item helpers -------------------------------------------------------
 
-    def emit(self, ins: Instruction) -> None:
-        self.items.append(ins)
-
     def op(self, mnemonic: str, *operands: Operand | LabelRef) -> None:
         self.items.append(Instruction(mnemonic, tuple(operands)))  # type: ignore[arg-type]
 
@@ -196,8 +193,6 @@ class Emitter:
     def addr_mem(self, addr: TAddr, size: int, scratch: int = _SCRATCH1) -> Mem:
         """Materialize a TAddr as an x86 memory operand."""
         disp = addr.disp
-        if addr.sym is not None:
-            disp += self._symbol(addr.sym)
         base = None
         if addr.base is not None:
             base = self.ireg(addr.base, scratch)
@@ -208,12 +203,6 @@ class Emitter:
             self.op("mov", gp(scratch), Imm(disp, 8))
             return Mem(size, base=gp(scratch))
         return Mem(size, base=base, index=index, scale=addr.scale, disp=disp)
-
-    def _symbol(self, name: str) -> int:
-        try:
-            return self.symbols[name]
-        except KeyError:
-            raise CodegenError(f"unresolved symbol {name!r}") from None
 
     def const_mem(self, addr: int, size: int) -> Mem:
         if self.options.const_addressing == "riprel":

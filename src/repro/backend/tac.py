@@ -73,13 +73,12 @@ IntOperand = Union[VReg, int]
 
 @dataclass(frozen=True)
 class TAddr:
-    """Memory address: base + index*scale + disp (+ link-time symbol)."""
+    """Memory address: base + index*scale + disp."""
 
     base: Optional[VReg] = None
     index: Optional[VReg] = None
     scale: int = 1
     disp: int = 0
-    sym: Optional[str] = None  # resolved by the linker; added to disp
 
     def regs(self) -> list[VReg]:
         out = []
@@ -91,8 +90,6 @@ class TAddr:
 
     def __repr__(self) -> str:
         parts = []
-        if self.sym:
-            parts.append(f"@{self.sym}")
         if self.base:
             parts.append(repr(self.base))
         if self.index:
@@ -222,16 +219,6 @@ class TFunc:
     def instructions(self) -> Iterable[TInstr]:
         for blk in self.blocks:
             yield from blk.instrs
-
-    def has_calls(self) -> bool:
-        return any(i.op == "call" for i in self.instructions())
-
-    def dump(self) -> str:
-        lines = [f"func {self.name}:"]
-        for blk in self.blocks:
-            lines.append(f"{blk.label}:")
-            lines.extend(f"    {i!r}" for i in blk.instrs)
-        return "\n".join(lines)
 
 
 #: condition-code inversion map shared by optimizers and emitters

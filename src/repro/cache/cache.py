@@ -96,10 +96,6 @@ class CacheStats:
             return 0.0
         return self.transform_hits / self.transforms
 
-    def reset(self) -> None:
-        """Zero every counter (routes through the backing registry)."""
-        self.registry.reset()
-
     def snapshot(self) -> dict[str, Any]:
         return {
             "stage_hits": dict(self.stage_hits),
@@ -336,9 +332,6 @@ class SpecializationCache:
         """Quarantine a failed transform under its content key."""
         self.stats.negative_stores += 1
         return self.negative.record(key, rung, reason, context)
-
-    def forget_negative(self, key: str) -> None:
-        self.negative.forget(key)
 
     # -- accounting --------------------------------------------------------------
 

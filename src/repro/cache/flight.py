@@ -124,10 +124,6 @@ class FlightTable:
             raise flight.error
         return flight.result, False
 
-    @property
-    def timeouts(self) -> int:
-        return self._timeouts.value
-
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return {"led": self._led.value, "coalesced": self._coalesced.value,

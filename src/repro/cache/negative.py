@@ -123,10 +123,5 @@ class NegativeCache:
     def clear(self) -> None:
         self._store.clear()
 
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._store), "hits": self.hits,
-                    "misses": self.misses, "expirations": self.expirations}
-
     def __len__(self) -> int:
         return len(self._store)

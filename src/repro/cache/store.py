@@ -22,9 +22,7 @@ sees either the old entry or the new one, never a torn pickle; with
 ``durable=True`` the data and the directory entry are fsynced before the
 rename commits, so a machine crash cannot leave a renamed-but-empty file
 behind.  Crashed writers leak only ``.tmp`` files, which every store
-construction sweeps.  ``locked()`` exposes the advisory file lock the
-cross-process single-flight table builds on
-(:class:`repro.cache.flight.FileFlightTable`).
+construction sweeps.
 
 **Record integrity**: atomic rename protects against *torn* reads, not
 against bytes damaged after publication (a partially synced page after
@@ -267,17 +265,6 @@ class DiskStore:
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.pkl")
-
-    def locked(self, key: str, *, blocking: bool = True):
-        """Advisory per-key lock (see :func:`advisory_lock`).
-
-        Readers and the normal :meth:`put` path never need it — atomic
-        rename already serializes publication — but multi-process callers
-        doing read-modify-write sequences on one key (or coordinating who
-        compiles, like the farm's single-flight) hold this.
-        """
-        return advisory_lock(os.path.join(self.root, f"{key}.lock"),
-                             blocking=blocking)
 
     def get(self, key: str) -> Any | None:
         path = self._path(key)

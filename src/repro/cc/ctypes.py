@@ -77,10 +77,6 @@ def array_of(t: CType, count: int) -> CType:
     return CType("array", t.size * count, elem=t, count=count)
 
 
-def func_type(ret: CType, params: tuple[CType, ...]) -> CType:
-    return CType("func", 0, ret=ret, params=params)
-
-
 class StructType:
     """A named struct with member types and a computed SysV layout."""
 
@@ -103,10 +99,6 @@ class StructType:
         except ValueError as exc:
             raise CompileError(f"struct {self.name}: {exc}") from None
         object.__setattr__(self.ctype, "size", self.layout.size)
-
-    @property
-    def is_complete(self) -> bool:
-        return self.layout is not None
 
     def member(self, name: str) -> tuple[CType, int]:
         """Return (type, byte offset) of a member; arrays decay later."""

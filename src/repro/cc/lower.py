@@ -420,8 +420,8 @@ class Lowerer:
             _mt, off = st.member(expr.name)
             a = base_lv.addr
             return LValue("mem", addr=TAddr(base=a.base, index=a.index,
-                                            scale=a.scale, disp=a.disp + off,
-                                            sym=a.sym), ctype=t)
+                                            scale=a.scale, disp=a.disp + off),
+                          ctype=t)
         raise CompileError(f"not an lvalue: {expr!r}")
 
     def _addr_of(self, lv: LValue) -> VReg:

@@ -101,12 +101,6 @@ class Image:
         if hook not in self._invalidation_hooks:
             self._invalidation_hooks.append(hook)
 
-    def remove_invalidation_hook(self, hook: Callable[[int, int], None]) -> None:
-        try:
-            self._invalidation_hooks.remove(hook)
-        except ValueError:
-            pass
-
     def patch_code(self, addr: int, data: bytes) -> None:
         """Overwrite installed bytes *and tell everyone who memoized them*.
 
@@ -152,12 +146,6 @@ class Image:
         if addr + size > limit:
             raise SimulatorError("image region exhausted")
         return addr, addr + size
-
-    def reserve_code(self, size: int, align: int = 16) -> int:
-        """Reserve static code space; returns its address."""
-        with self.codegen_lock:
-            addr, self._code_cursor = self._bump(self._code_cursor, self._code_limit, size, align)
-        return addr
 
     def add_function(self, name: str, code: bytes, *, jit: bool = False) -> int:
         """Install machine code under ``name``; returns the entry address.
@@ -220,11 +208,6 @@ class Image:
             addr, self._probe_cursor = self._bump(
                 cursor, self._probe_limit, size, align)
         return addr
-
-    @staticmethod
-    def probe_extent() -> tuple[int, int]:
-        """The [lo, hi) address range probe buffers live in."""
-        return (PROBE_BASE, PROBE_BASE + PROBE_SIZE)
 
     # -- symbols ----------------------------------------------------------------
 

@@ -40,7 +40,7 @@ instruction-by-instruction total in the last bits, by a relative error below
 
 Compiled blocks live in tables keyed by ``Image.instance_token()`` and the
 cost model, shared by every :class:`Simulator` on the same image.
-``patch_code``, ``add_function`` and ``reserve_code`` move the token and no
+``patch_code`` and ``add_function`` move the token and no
 token is ever handed out twice, so stale blocks are never looked up again;
 nothing has to be invalidated.
 """
@@ -48,7 +48,6 @@ nothing has to be invalidated.
 from __future__ import annotations
 
 import functools
-import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -253,8 +252,8 @@ class Simulator:
         for every simulator and cost model.
 
         Only code written behind the image's back (``memory.write`` into
-        an executable region) needs this; ``patch_code``, ``add_function``
-        and ``reserve_code`` re-key the block tables by themselves.
+        an executable region) needs this; ``patch_code`` and
+        ``add_function`` re-key the block tables by themselves.
         """
         token = self.image.instance_token()
         with _TABLES_LOCK:
@@ -344,8 +343,3 @@ class Simulator:
                  f64_args: tuple[float, ...] = (), **kw: object) -> int:
         """Shorthand: call and return rax as signed."""
         return self.call(target, int_args, f64_args, **kw).int_value  # type: ignore[arg-type]
-
-
-def pack_f64(values: list[float]) -> bytes:
-    """Pack doubles little-endian (helper for test fixtures)."""
-    return struct.pack(f"<{len(values)}d", *values)

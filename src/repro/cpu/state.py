@@ -9,18 +9,11 @@ emulator meta-state.
 
 from __future__ import annotations
 
-from repro.x86.instr import Reg
-
 MASK8 = 0xFF
 MASK16 = 0xFFFF
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
 MASK128 = (1 << 128) - 1
-
-
-def to_unsigned(value: int, bits: int) -> int:
-    """Mask a Python int to ``bits`` width."""
-    return value & ((1 << bits) - 1)
 
 
 class CPUState:
@@ -62,19 +55,6 @@ class CPUState:
             mask = (1 << (size * 8)) - 1
             self.gpr[index] = (self.gpr[index] & ~mask) | (value & mask)
 
-    def read_reg(self, reg: Reg) -> int:
-        if reg.kind == "gp":
-            return self.read_gp(reg.index, reg.size, reg.high8)
-        return self.xmm[reg.index] & ((1 << (reg.size * 8)) - 1)
-
-    def write_reg(self, reg: Reg, value: int) -> None:
-        if reg.kind == "gp":
-            self.write_gp(reg.index, value, reg.size, reg.high8)
-        else:
-            # full-register xmm writes; partial writes are handled by the
-            # individual instruction semantics (preserve vs zero, Fig. 4b)
-            self.xmm[reg.index] = value & MASK128
-
     # -- flags ---------------------------------------------------------------
 
     def flag(self, name: str) -> bool:
@@ -89,12 +69,3 @@ class CPUState:
             n if self.flag(n) else "."
             for n in ("o", "s", "z", "a", "p", "c")
         )
-
-    def snapshot(self) -> dict[str, object]:
-        """Copy of the full state for test assertions."""
-        return {
-            "gpr": list(self.gpr),
-            "xmm": list(self.xmm),
-            "rip": self.rip,
-            "flags": {n: self.flag(n) for n in "oszapc"},
-        }

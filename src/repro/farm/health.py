@@ -88,10 +88,6 @@ class HealthEvent:
     key: str | None = None
     detail: str | None = None
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"t": self.t, "kind": self.kind, "worker_id": self.worker_id,
-                "seq": self.seq, "key": self.key, "detail": self.detail}
-
 
 #: verdicts the watchdog can return for one worker slot
 ALIVE, BOOTING, CRASHED, HUNG = "alive", "booting", "crashed", "hung"

@@ -372,10 +372,6 @@ class FarmPool:
         with self._lock:
             return sum(1 for s in self._slots if s.proc.is_alive())
 
-    @property
-    def workers(self) -> int:
-        return len(self._slots)
-
     def heartbeat_ages(self) -> dict[int, float]:
         """Per-worker heartbeat age in seconds (registry view)."""
         with self._lock:
@@ -609,12 +605,6 @@ class FarmPool:
                     self._own_dir.cleanup()
                 except OSError:  # pragma: no cover - windows file locks etc.
                     pass
-
-    def __enter__(self) -> "FarmPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:

@@ -82,12 +82,6 @@ class Budget:
     def elapsed_seconds(self) -> float:
         return 0.0 if self._t0 is None else self._clock() - self._t0
 
-    def remaining_seconds(self) -> float | None:
-        """Seconds until the deadline (None = no deadline)."""
-        if self.deadline_seconds is None:
-            return None
-        return self.deadline_seconds - self.elapsed_seconds()
-
     # -- charging ----------------------------------------------------------
 
     def charge(self, counter: str, n: int = 1, *, stage: str,

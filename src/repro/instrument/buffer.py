@@ -160,15 +160,3 @@ class ProbeBuffer:
     def reset(self) -> None:
         """Zero every counter, watch slot and the ring."""
         self.image.memory.write(self.addr, b"\x00" * self.size)
-
-    def snapshot(self) -> dict:
-        return {
-            "addr": self.addr,
-            "size": self.size,
-            "calls": self.call_count(),
-            "cursor": self.cursor(),
-            "dropped": self.dropped(),
-            "blocks": self.block_counts(),
-            "watch_values": self.watch_values(),
-            "watch_hits": self.watch_hits(),
-        }

@@ -469,10 +469,6 @@ class Br(Instruction):
     def is_conditional(self) -> bool:
         return len(self.targets) == 2
 
-    @property
-    def condition(self) -> Value | None:
-        return self.operands[0] if self.operands else None
-
     def successors(self) -> "list[BasicBlock]":
         return list(self.targets)
 

@@ -537,16 +537,7 @@ class _Compiler:
             def op(rt, env):
                 env[d] = S.intrinsic_fn(name)(*[g(rt, env) for g in gs])
             return op
-        callee = ins.callee
-        if isinstance(callee, str):  # defensive; Call marks str as intrinsic
-            cname = callee
-
-            def op(rt, env):
-                target = rt.interp.module.function(cname)
-                env[d] = _dispatch_call(rt, target,
-                                        [g(rt, env) for g in gs])
-            return op
-        cref = weakref.ref(callee)
+        cref = weakref.ref(ins.callee)  # a str callee is an intrinsic
 
         def op(rt, env):
             target = cref()

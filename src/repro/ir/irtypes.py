@@ -45,10 +45,6 @@ class Type:
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
 
-    @property
-    def is_first_class(self) -> bool:
-        return not isinstance(self, (VoidType, FunctionType))
-
 
 class VoidType(Type):
     _instance: ClassVar["VoidType | None"] = None

@@ -177,10 +177,3 @@ class Argument(Value):
     def __init__(self, type_: Type, index: int, name: str = "") -> None:
         super().__init__(type_, name or f"arg{index}")
         self.index = index
-
-
-def is_const_int(v: Value, value: int | None = None) -> bool:
-    """True if ``v`` is an integer constant (optionally of a given value)."""
-    if not isinstance(v, Constant):
-        return False
-    return value is None or v.signed == value or v.value == value % (1 << v.type.bits)  # type: ignore[attr-defined]

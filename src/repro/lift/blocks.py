@@ -72,14 +72,8 @@ class GuestCFG:
         self.entry = entry
         self.blocks: dict[int, GuestBlock] = {}
 
-    def block_at(self, addr: int) -> GuestBlock:
-        return self.blocks[addr]
-
     def ordered(self) -> list[GuestBlock]:
         return [self.blocks[a] for a in sorted(self.blocks)]
-
-    def instruction_count(self) -> int:
-        return sum(len(b.instructions) for b in self.blocks.values())
 
 
 def discover(memory: Memory, entry: int, *,

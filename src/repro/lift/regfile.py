@@ -68,15 +68,6 @@ class RegState:
             xmm_facets=[{} for _ in range(16)],
         )
 
-    def copy(self) -> "RegState":
-        return RegState(
-            gpr=list(self.gpr),
-            xmm=list(self.xmm),
-            flags=dict(self.flags),
-            gpr_facets=[dict(d) for d in self.gpr_facets],
-            xmm_facets=[dict(d) for d in self.xmm_facets],
-        )
-
 
 #: facet-cache effectiveness (Sec. III-C): a hit reuses an already-built
 #: facet value, a miss materializes a fresh trunc/bitcast/inttoptr

@@ -29,10 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "counter",
-    "gauge",
-    "histogram",
-    "snapshot",
-    "reset",
 ]
 
 
@@ -265,25 +261,9 @@ class MetricsRegistry:
 
 #: Process-global default registry.  Subsystem stats objects default to a
 #: private registry (tests rely on per-instance counters); the global one
-#: backs the module-level helpers and the CLI snapshot.
+#: backs :func:`counter` and the CLI snapshot.
 REGISTRY = MetricsRegistry()
 
 
 def counter(name: str) -> Counter:
     return REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return REGISTRY.gauge(name)
-
-
-def histogram(name: str, bounds: Iterable[float]) -> Histogram:
-    return REGISTRY.histogram(name, bounds)
-
-
-def snapshot() -> dict:
-    return REGISTRY.snapshot()
-
-
-def reset() -> None:
-    REGISTRY.reset()

@@ -20,8 +20,7 @@ import argparse
 import json
 import sys
 
-__all__ = ["build_breakdown", "build_hotspots", "format_breakdown",
-           "format_hotspots", "main"]
+__all__ = ["build_breakdown", "format_breakdown", "main"]
 
 #: span-name -> stage.  Prefix match for families like ``o3.pass.*``.
 _STAGE_OF = {
@@ -110,99 +109,6 @@ def build_breakdown(trace: dict) -> dict:
     }
 
 
-#: span args consulted (in order) for the function a span worked on
-_FUNC_KEYS = ("func", "name", "handle")
-
-
-def build_hotspots(trace: dict, top: int = 15) -> dict:
-    """Rank ``(stage, function)`` buckets by self-time.
-
-    Function attribution comes from the span's own args (``func`` /
-    ``name`` / ``handle`` — the keys the pipeline's spans use) and is
-    inherited from the nearest annotated ancestor for anonymous inner
-    spans like ``lift.connect``, so e.g. all lift self-time of one
-    transform lands on that transform's function.  Self-time (duration
-    minus direct children) means the buckets sum to the span tree's
-    total without double-counting — the profile you want before deciding
-    which stage of which function to attack next.
-    """
-    spans: dict[int, tuple] = {}
-    for ev in trace.get("traceEvents", []):
-        if ev.get("ph") != "X":
-            continue
-        args = ev.get("args", {})
-        sid = args.get("span_id")
-        if sid is None:
-            continue
-        func = None
-        for key in _FUNC_KEYS:
-            v = args.get(key)
-            if isinstance(v, str):
-                func = v
-                break
-        spans[sid] = (args.get("parent_id"), ev["name"],
-                      float(ev.get("dur", 0.0)), func)
-
-    child_total: dict[int, float] = {}
-    for sid, (pid, _n, dur, _f) in spans.items():
-        if pid in spans:
-            child_total[pid] = child_total.get(pid, 0.0) + dur
-
-    func_cache: dict[int, str] = {}
-
-    def func_of(sid: int) -> str:
-        got = func_cache.get(sid)
-        if got is not None:
-            return got
-        chain = []
-        cur, resolved = sid, "-"
-        while cur in spans and cur not in func_cache:
-            chain.append(cur)
-            pid, _name, _dur, func = spans[cur]
-            if func is not None:
-                resolved = func
-                break
-            cur = pid
-        else:
-            if cur in func_cache:
-                resolved = func_cache[cur]
-        for s in chain:
-            func_cache[s] = resolved
-        return resolved
-
-    buckets: dict[tuple[str, str], dict] = {}
-    total_us = 0.0
-    for sid, (pid, name, dur, _f) in spans.items():
-        self_us = max(0.0, dur - child_total.get(sid, 0.0))
-        total_us += self_us
-        key = (_stage_of(name), func_of(sid))
-        b = buckets.get(key)
-        if b is None:
-            b = buckets[key] = {"stage": key[0], "func": key[1],
-                                "self_us": 0.0, "spans": 0}
-        b["self_us"] += self_us
-        b["spans"] += 1
-
-    ranked = sorted(buckets.values(), key=lambda b: -b["self_us"])
-    return {"total_self_us": total_us, "rows": ranked[:top],
-            "n_buckets": len(ranked)}
-
-
-def format_hotspots(h: dict) -> str:
-    total = h["total_self_us"]
-    lines = [f"{'#':>3} {'stage':<8} {'function':<24} "
-             f"{'self':>12} {'share':>8} {'spans':>7}"]
-    for i, row in enumerate(h["rows"], 1):
-        share = (row["self_us"] / total * 100.0) if total else 0.0
-        lines.append(f"{i:>3} {row['stage']:<8} {row['func'][:24]:<24} "
-                     f"{row['self_us'] / 1e3:>10.3f}ms {share:>7.1f}% "
-                     f"{row['spans']:>7}")
-    lines.append("-" * 68)
-    lines.append(f"{'':>3} {'total':<8} {h['n_buckets']:<24} "
-                 f"{total / 1e3:>10.3f}ms   100.0%")
-    return "\n".join(lines)
-
-
 def format_breakdown(b: dict) -> str:
     lines = []
     wall = b["wall_us"]
@@ -227,19 +133,11 @@ def main(argv: list[str] | None = None) -> int:
         description="Per-stage time breakdown of a traced pipeline run.")
     ap.add_argument("trace", help="Chrome trace JSON from write_chrome_trace")
     ap.add_argument("--metrics", help="optional metrics snapshot JSON")
-    ap.add_argument("--emit-hotspots", nargs="?", const=15, default=None,
-                    type=int, metavar="N",
-                    help="rank (stage, function) self-times instead of the "
-                         "stage breakdown (top N rows, default 15)")
     args = ap.parse_args(argv)
 
     with open(args.trace) as fh:
         trace = json.load(fh)
-    if args.emit_hotspots is not None:
-        print(format_hotspots(build_hotspots(trace, top=args.emit_hotspots)))
-    else:
-        b = build_breakdown(trace)
-        print(format_breakdown(b))
+    print(format_breakdown(build_breakdown(trace)))
 
     if args.metrics:
         with open(args.metrics) as fh:

@@ -495,7 +495,6 @@ def _run_chunk(work: tuple) -> tuple[int, list[dict]]:
 
 def run_corpus(seeds: int, *, kinds: Sequence[str] = KINDS,
                jobs: int | None = None, inject: str | None = None,
-               minimize: bool = True,
                repro_dir: Path | None = None) -> CorpusReport:
     """Run ``seeds`` seeds per generator across a process pool.
 
@@ -528,7 +527,7 @@ def run_corpus(seeds: int, *, kinds: Sequence[str] = KINDS,
     report.elapsed_s = time.perf_counter() - start
     report.stale_trace_executions = sum(
         1 for fl in report.failures if "stale trace" in fl["error"])
-    if minimize and report.failures:
+    if report.failures:
         directory = repro_dir or Path.cwd() / "corpus_repros"
         seen: set[tuple[str, int]] = set()
         for fl in report.failures:
@@ -561,8 +560,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--inject", default=None, metavar="SUBSTR",
                         help="corrupt post-O3 interp results for sequences "
                              "containing SUBSTR (minimizer demo)")
-    parser.add_argument("--no-minimize", action="store_true",
-                        help="report failures without ddmin reduction")
     parser.add_argument("--repro-dir", type=Path, default=None,
                         help="where minimized reproducers are persisted")
     parser.add_argument("--json", type=Path, default=None,
@@ -575,8 +572,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"unknown generator {k!r} (have {', '.join(KINDS)})")
 
     report = run_corpus(args.seeds, kinds=kinds, jobs=args.jobs,
-                        inject=args.inject, minimize=not args.no_minimize,
-                        repro_dir=args.repro_dir)
+                        inject=args.inject, repro_dir=args.repro_dir)
     print(f"corpus: {report.cases} cases, {len(report.failures)} failure(s), "
           f"{report.stale_trace_executions} stale-trace execution(s), "
           f"{report.jobs} job(s), {report.elapsed_s:.1f}s "

@@ -25,11 +25,12 @@ from repro.analysis.machine import (
     build_mcfg,
     verify_witness,
 )
+from repro.analysis.findings import ERROR, WARNING
 from repro.cache import SpecializationCache
 from repro.cpu import Image, Simulator
 from repro.errors import VerificationError
 from repro.guard import GuardedTransformer
-from repro.ir import FunctionType, Module
+from repro.ir import FunctionType, Interpreter, Module, ptr
 from repro.ir.builder import IRBuilder
 from repro.ir.codegen import JITEngine, JITOptions
 from repro.ir.irtypes import DOUBLE, I8, I64
@@ -107,13 +108,73 @@ def _fp():
     return f
 
 
-@pytest.mark.parametrize("make", [_diamond, _loop, _fp])
+def _divrem():
+    m, f, b = build(I64, (I64, I64))
+    q = b.binop("sdiv", f.args[0], f.args[1])
+    b.ret(b.add(q, b.binop("srem", f.args[0], f.args[1])))
+    return f
+
+
+def _fselect():
+    # a double select is a branch diamond on both sides
+    m, f, b = build(DOUBLE, (DOUBLE, DOUBLE))
+    c = b.fcmp("olt", f.args[0], f.args[1])
+    b.ret(b.select(c, f.args[0], f.args[1]))
+    return f
+
+
+def _sext_bool():
+    # sext i1 -> i64 lowers to a neg
+    m, f, b = build(I64, (I64, I64))
+    b.ret(b.sext(b.icmp("slt", f.args[0], f.args[1]), I64))
+    return f
+
+
+@pytest.mark.parametrize("make", [_diamond, _loop, _fp, _divrem, _fselect,
+                                  _sext_bool])
 def test_proves_clean_emissions(make):
     _, _, wit = compile_witness(make())
     report = verify_witness(wit)
     assert report.verdict == PROVED, (report.reasons,
                                       [x.message for x in report.findings])
     assert report.ok and report.blocks_checked >= 1
+
+
+def test_proves_a_call_that_writes_the_callers_frame():
+    """The callee bumps a caller stack slot through a pointer: the call
+    escapes the frame, so both sides forget what the slot held."""
+    m, g, b = build(I64, (ptr(I64),))
+    old = b.load(g.args[0])
+    b.store(b.add(old, b.const(I64, 1)), g.args[0])
+    b.ret(b.mul(old, b.const(I64, 3)))
+    f = Function("caller", FunctionType(I64, (I64,)))
+    m.add_function(f)
+    b = IRBuilder(f.add_block("entry"))
+    slot = b.alloca(I64)
+    b.store(f.args[0], slot)
+    b.ret(b.add(b.call(g, [slot], I64), b.load(slot)))
+    img = Image()
+    jit = JITEngine(img, JITOptions())
+    jit.compile_function(g, name=g.name)
+    addr = jit.compile_function(f, name=f.name)
+    report = verify_witness(jit.last_witness)
+    assert report.verdict == PROVED, report.reasons
+    assert Simulator(img).call_int(addr, (4,)) == 17  # 4 * 3 + 5
+    assert Interpreter(m, img.memory).run(f, [4]) == 17
+
+
+def test_static_checks_warn_on_udiv_and_refute_overlapping_slots():
+    m, f, b = build(I64, (I64, I64))
+    b.ret(b.binop("udiv", f.args[0], f.args[1]))
+    _, _, wit = compile_witness(f)
+    report = verify_witness(wit)
+    assert report.verdict == PROVED
+    assert [(x.checker, x.severity) for x in report.findings] == [
+        ("machine.lowering.udiv-as-idiv", WARNING)]
+    bad = verify_witness(dataclasses.replace(wit, frame_slots=[(0, 8), (4, 8)]))
+    assert bad.verdict == REFUTED
+    assert ("machine.stack.frame-overlap", ERROR) in [
+        (x.checker, x.severity) for x in bad.findings]
 
 
 def test_mcfg_reconstructs_blocks():

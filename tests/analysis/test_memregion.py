@@ -110,6 +110,16 @@ def test_pointer_arithmetic_via_int_ops():
     assert "16..16" in findings[0].message
 
 
+def test_pointer_minus_constant_via_int_ops():
+    # the lifter's `lea r, [r - k]` on a region pointer: ptr - int
+    f, b, g = _func_with_region(size=16)
+    addr = b.sub(b.add(b.ptrtoint(g, I64), b.const(I64, 8)), b.const(I64, 12))
+    b.ret(b.load(b.inttoptr(addr, ptr(I64))))
+    findings = check_memory_regions(f)
+    assert len(findings) == 1
+    assert "-4..-4" in findings[0].message
+
+
 def test_foreign_pointer_silent():
     f, b, _g = _func_with_region(size=8)
     p = b.inttoptr(f.args[0], ptr(I64))

@@ -67,6 +67,16 @@ def test_clean_run_validates_and_accepts():
     assert (stats.replays, stats.rejected, stats.rollbacks) == (0, 0, 0)
 
 
+def test_a_function_outside_any_module_validates():
+    f = Function("f", FunctionType(I64, (I64,)))
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(b.add(b.mul(f.args[0], b.const(I64, 2)), b.const(I64, 0)))
+    validator = PassValidator()
+    report = run_o3(f, validator=validator)
+    assert f.module is None and report.validated
+    assert report.conclusive_probes > 0 and report.rejected_passes == []
+
+
 def test_idle_pipeline_takes_the_noop_shortcut():
     _m, f = _poly_func()
     validator = PassValidator()

@@ -58,6 +58,10 @@ def test_bitwise_ops():
                    "f", 0b1100, 0b1010) == 0b1110
 
 
+def test_bitwise_complement():
+    assert run_int("long f(long a) { return ~a; }", "f", 5) == -6
+
+
 def test_shifts():
     assert run_int("long f(long a) { return (a << 4) >> 2; }", "f", 3) == 12
 
@@ -65,6 +69,16 @@ def test_shifts():
 def test_comparison_values():
     assert run_int("int f(int a, int b) { return (a < b) + (a == a)*10; }",
                    "f", 1, 2) == 11
+
+
+def test_constant_comparisons_fold():
+    assert run_int("int f() { return (3 < 4) + (5 <= -2) * 10; }", "f") == 1
+    assert run_int("int f() { if (2 > 1) return 7; return 8; }", "f") == 7
+
+
+def test_address_taken_parameter_is_a_typed_refusal():
+    with pytest.raises(CompileError, match="address-taken parameter"):
+        compile_c("long f(long a) { long *p = &a; return *p; }")
 
 
 def test_logical_and_short_circuit():

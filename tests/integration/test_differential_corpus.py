@@ -26,12 +26,14 @@ process pool.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 from repro.jit import BinaryTransformer
+from repro.testing import diffcorpus
 from repro.testing.diffcorpus import parse_repro, run_case
 
 SEEDS = int(os.environ.get("REPRO_CORPUS_SEEDS", "25"))
@@ -103,6 +105,18 @@ def test_replay_minimized_repros():
     for path in paths:
         kind, seed, asm = parse_repro(path)
         run_case(kind, seed, asm=asm)
+
+
+def test_cli_finds_minimises_and_persists_an_injected_disagreement(tmp_path):
+    """The corpus CLI end to end, in-process: ``--inject imul`` corrupts
+    the post-O3 result of every sequence with an ``imul``; the run must
+    report those failures and leave one ddmin-reduced ``.asm`` behind."""
+    report = tmp_path / "c.json"
+    assert diffcorpus.main(["--seeds", "10", "--jobs", "1", "--inject", "imul",
+                            "--repro-dir", str(tmp_path),
+                            "--json", str(report)]) == 0
+    assert len(list(tmp_path.glob("*.asm"))) == 1
+    assert json.loads(report.read_text())["failures"]
 
 
 def test_bench_kernels_machine_sweep():

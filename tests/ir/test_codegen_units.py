@@ -83,6 +83,23 @@ def test_vector_roundtrip_shuffle_lanes():
     assert sim.call_f64("f", (), (10.0, 4.0)) == -6.0  # 4 - 10
 
 
+def test_vector_fsub_and_or_match_the_interpreter():
+    from repro.ir import Interpreter
+    _m, f, b = build(DOUBLE, (DOUBLE, DOUBLE))
+    v = b.insertelement(Undef(V2F64), f.args[0], 0)
+    v = b.insertelement(v, f.args[1], 1)
+    d = b.fsub(v, b.shufflevector(v, v, (1, 2)))  # [a - b, b - a]
+    bits = b.binop("and", b.bitcast(d, I128), Constant(I128, (1 << 127) - 1))
+    bits = b.binop("or", bits, Constant(I128, 1 << 63))  # -|lo|, |hi|
+    out = b.bitcast(bits, V2F64)
+    b.ret(b.fsub(b.extractelement(out, 0), b.extractelement(out, 1)))
+    verify(f)
+    img, instrs = compile_and_decode(f)
+    assert {"subpd", "pand", "por"} <= set(mnemonics(instrs))
+    got = Simulator(img).call_f64("f", (), (10.0, 3.0))
+    assert got == Interpreter(_m, img.memory).run(f, [10.0, 3.0]) == -14.0
+
+
 def test_i128_phi_through_loop():
     m, f, _ = build(I64, (I64,))
     entry = f.entry

@@ -198,3 +198,49 @@ def test_globals_placed_lazily():
     p = b.bitcast(g, ptr(I32))
     b.ret(b.load(p))
     assert Interpreter(m).run("f", []) == 0x04030201
+
+
+def test_phi_of_a_global_address():
+    # a phi whose incoming value is a global takes the closure move path
+    import struct
+    from repro.ir import GlobalVariable
+    m = Module("t")
+    g = m.add_global(GlobalVariable("g", I64, struct.pack("<q", 42)))
+    f = Function("f", FunctionType(I64, (I64,)))
+    m.add_function(f)
+    entry, a, b_, join = (f.add_block(n) for n in ("entry", "a", "b", "join"))
+    b = IRBuilder(entry)
+    b.cond_br(b.icmp("ne", f.args[0], b.const(I64, 0)), a, b_)
+    IRBuilder(a).br(join)
+    IRBuilder(b_).br(join)
+    b = IRBuilder(join)
+    p = b.phi(ptr(I64))
+    p.add_incoming(g, a)
+    p.add_incoming(g, b_)
+    b.ret(b.load(p))
+    verify(f)
+    interp = Interpreter(m)
+    assert interp.run("f", [1]) == interp.run("f", [0]) == 42
+
+
+def test_uninterpretable_ir_is_a_typed_error():
+    from repro.ir import instructions as I
+    m = Module("t")
+    callee = Function("c", FunctionType(I64, (I64,)))
+    m.add_function(callee)
+    IRBuilder(callee.add_block("entry")).ret(callee.args[0])
+    f = Function("f", FunctionType(I64, (I64,)))
+    m.add_function(f)
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(b.call(callee, [callee], I64))
+    with pytest.raises(IRInterpError, match="function pointers"):
+        Interpreter(m).run("f", [1])
+    # a phi below the block's leading run has no statement form
+    h = Function("h", FunctionType(I64, (I64,)))
+    m.add_function(h)
+    b = IRBuilder(h.add_block("entry"))
+    s = b.add(h.args[0], b.const(I64, 1))
+    h.entry.append(I.Phi(I64, "late"))
+    b.ret(s)
+    with pytest.raises(IRInterpError, match="cannot interpret phi"):
+        Interpreter(m).run("h", [1])

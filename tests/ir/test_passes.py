@@ -25,6 +25,26 @@ def n_instrs(f):
     return sum(len(b.instructions) for b in f.blocks)
 
 
+# -- mem2reg -------------------------------------------------------------------
+
+
+def test_mem2reg_casts_a_type_punned_entry_slot():
+    # store i64, load double: the promoted value is bitcast at the load
+    from repro.cpu import Image
+    from repro.ir.passes import mem2reg
+    m, f, b = fresh(ret=DOUBLE)
+    slot = b.alloca(I64)
+    b.store(f.args[0], slot)
+    b.ret(b.load(b.bitcast(slot, ptr(DOUBLE))))
+    bits = struct.unpack("<q", struct.pack("<d", 2.5))[0]
+    memory = Image().memory
+    assert Interpreter(m, memory).run(f, [bits]) == 2.5
+    assert mem2reg.run(f)
+    verify(f)
+    assert not any(i.opcode in ("load", "store") for i in f.entry.instructions)
+    assert Interpreter(m, memory).run(f, [bits]) == 2.5
+
+
 # -- constprop -----------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.cpu import Image, Simulator
+from repro.dbrew import Rewriter
 from repro.ir import Interpreter, Module, verify
 from repro.ir.passes import run_o3
 from repro.lift import FunctionSignature, LiftOptions, lift_function
@@ -36,6 +37,94 @@ def run_both(asm, int_args=(), f64_args=(), data=None, *, optimize=True):
         verify(f)
     got = Interpreter(m, img.memory).run(f, list(int_args) + list(f64_args))
     return want, got
+
+
+def run_readers(asm, int_args=(), f64_args=(), data=None, ret="f"):
+    """One function through the simulator, interp(lift), interp(O3(lift))
+    and a DBrew identity rewrite; returns the four results in that order."""
+    img = Image()
+    base = img.next_code_addr()
+    code, _ = assemble(parse_asm(asm), base=base)
+    img.add_function("f", code)
+    if data:
+        addr = img.alloc_data(len(data) * 8, align=16,
+                              data=struct.pack(f"<{len(data)}d", *data))
+        int_args = (addr,) + tuple(int_args)
+    params = tuple("i" for _ in int_args) + tuple("f" for _ in f64_args)
+    args = list(int_args) + list(f64_args)
+    sim = Simulator(img)
+    value = (lambda r: r.f64_value) if ret == "f" else (lambda r: r.int_value)
+    out = [value(sim.call("f", tuple(int_args), tuple(f64_args)))]
+    for optimize in (False, True):
+        m = Module("t")
+        f = lift_function(img.memory, base, FunctionSignature(params, ret),
+                          LiftOptions(name="f"), m)
+        if optimize:
+            run_o3(f)
+        verify(f)
+        out.append(Interpreter(m, img.memory).run(f, args))
+    rw = Rewriter(img, "f").set_signature(params, ret)
+    rewritten = rw.rewrite(name="f.dbrew")
+    assert rw.last_error is None, rw.last_error
+    out.append(value(sim.call(rewritten, tuple(int_args), tuple(f64_args))))
+    return out
+
+
+_BITS_2_5 = struct.unpack("<q", struct.pack("<d", 2.5))[0]
+
+#: rules no other row reaches: name -> (asm, int args, f64 args, data, want)
+FLOAT_ROWS = {
+    "nop": ("nop\naddsd xmm0, xmm1\nret", (), (1.5, 2.0), None, 3.5),
+    "movq xmm, r64": ("movq xmm0, rdi\nret", (_BITS_2_5,), (), None, 2.5),
+    "movq xmm, xmm": ("movq xmm0, xmm1\nret", (), (1.0, 7.25), None, 7.25),
+    "movaps + haddpd": ("movaps xmm0, [rdi]\nhaddpd xmm0, xmm0\nret",
+                        (), (), [1.0, 2.0, 4.0, 0.0], 3.0),
+    "movups + haddpd": ("movups xmm0, [rdi + 8]\nhaddpd xmm0, xmm0\nret",
+                        (), (), [1.0, 2.0, 4.0, 0.0], 6.0),
+}
+
+INT_ROWS = {
+    "movq r64, xmm": ("movq rax, xmm0\nret", (), (2.5,), _BITS_2_5),
+    "leave frame": ("""
+        push rbp
+        mov rbp, rsp
+        sub rsp, 16
+        mov [rbp - 8], rdi
+        mov rax, [rbp - 8]
+        add rax, 1
+        leave
+        ret
+    """, (41,), (), 42),
+}
+
+
+@pytest.mark.parametrize("row", FLOAT_ROWS)
+def test_every_reader_agrees_on_float_rows(row):
+    asm, int_args, f64_args, data, want = FLOAT_ROWS[row]
+    assert run_readers(asm, int_args, f64_args, data) == [want] * 4
+
+
+@pytest.mark.parametrize("row", INT_ROWS)
+def test_every_reader_agrees_on_int_rows(row):
+    asm, int_args, f64_args, want = INT_ROWS[row]
+    assert run_readers(asm, int_args, f64_args, ret="i") == [want] * 4
+
+
+def test_dbrew_materialises_a_known_two_lane_xmm():
+    """A known xmm whose high lane is not zero goes out through a 16-byte
+    constant-pool load when an unknown operand meets it."""
+    img = Image()
+    code, _ = assemble(parse_asm("movupd xmm0, [rdi]\nhaddpd xmm0, xmm1\nret"),
+                       base=img.next_code_addr())
+    img.add_function("f", code)
+    addr = img.alloc_data(16, align=16, data=struct.pack("<2d", 1.0, 2.0))
+    rw = (Rewriter(img, "f").set_signature(("i", "f"), "f")
+          .set_par(0, addr).set_mem(addr, addr + 16))
+    rewritten = rw.rewrite(name="f.dbrew")
+    assert rw.last_error is None and rw.stats.materializations > 0
+    sim = Simulator(img)
+    assert sim.call(rewritten, (addr,), (5.0,)).f64_value == 3.0
+    assert sim.call("f", (addr,), (5.0,)).f64_value == 3.0
 
 
 @pytest.mark.parametrize("optimize", [False, True])
