@@ -248,47 +248,35 @@ class PassValidator:
                       ) -> tuple[str | None, int]:
         """Interpret both bodies on probe vectors; first divergence wins.
         Returns ``(reason, conclusive probes)``."""
-        module = after.module
-        saved_addrs = {}
-        if module is not None:
-            saved_addrs = {name: g.addr
-                           for name, g in module.globals.items()}
         conclusive = 0
         attempted = 0
-        try:
-            # a signature without float parameters gets the same address
-            # vector at k = 0 and k = 2: interpret each vector once
-            for probe in dict.fromkeys(self._probes(after)):
-                if conclusive == 0 and attempted >= MAX_INCONCLUSIVE_SCOUT:
-                    break  # nothing conclusive: stop scouting
-                attempted += 1
-                want, err_b, mem_b = self._probe_run(before, probe)
-                if err_b is not None:
-                    continue  # the pre-pass body rejects this input
-                got, err_a, mem_a = self._probe_run(after, probe)
-                conclusive += 1
-                if err_a is not None:
-                    return (f"probe {probe!r}: pass output failed "
-                            f"({err_a}) where input succeeded"), conclusive
-                addr = _mem_diff(mem_b, mem_a)
-                if addr is not None:
-                    return (f"probe {probe!r}: memory divergence at "
-                            f"{addr:#x}"), conclusive
-                if not self._agree(want, got):
-                    return (f"probe {probe!r}: return divergence "
-                            f"(expected {want!r}, got {got!r})"), conclusive
-        finally:
-            if module is not None:
-                for name, g in module.globals.items():
-                    g.addr = saved_addrs.get(name)
+        # a signature without float parameters gets the same address
+        # vector at k = 0 and k = 2: interpret each vector once
+        for probe in dict.fromkeys(self._probes(after)):
+            if conclusive == 0 and attempted >= MAX_INCONCLUSIVE_SCOUT:
+                break  # nothing conclusive: stop scouting
+            attempted += 1
+            want, err_b, mem_b = self._probe_run(before, probe)
+            if err_b is not None:
+                continue  # the pre-pass body rejects this input
+            got, err_a, mem_a = self._probe_run(after, probe)
+            conclusive += 1
+            if err_a is not None:
+                return (f"probe {probe!r}: pass output failed "
+                        f"({err_a}) where input succeeded"), conclusive
+            addr = _mem_diff(mem_b, mem_a)
+            if addr is not None:
+                return (f"probe {probe!r}: memory divergence at "
+                        f"{addr:#x}"), conclusive
+            if not self._agree(want, got):
+                return (f"probe {probe!r}: return divergence "
+                        f"(expected {want!r}, got {got!r})"), conclusive
         return None, conclusive
 
     def _probe_run(self, func: Function, args: tuple,
                    ) -> tuple[object, str | None, list[tuple[int, bytes]]]:
         module = func.module
-        if module is not None:
-            for g in module.globals.values():
-                g.addr = None  # force deterministic re-placement per run
+        # each probe's interpreter places the globals in its own memory
         mem = Memory()
         mem.map(SCRATCH_BASE, SCRATCH_SLOT * SCRATCH_SLOTS,
                 _scratch_pattern(SCRATCH_SLOT * SCRATCH_SLOTS))

@@ -44,6 +44,27 @@ CAST_OPS = frozenset({
 })
 
 
+#: the change journal's event tags (``repro.ir.passes.schedule.Journal``):
+#: ``(OPERAND, user, old, new)`` — ``user`` holds ``new`` where it held
+#: ``old`` (one slot), or a list of the values it lost and ``new`` None;
+#: ``(INSERT, ins, block, original)`` — ``original`` is the instruction of
+#: the same function ``ins`` was copied from, else None; ``(ERASE, ins,
+#: block)``; ``(MOVE, block)`` —
+#: instructions entered ``block`` from another; ``(RESHAPE, block)`` — its
+#: edges, phis or predecessors changed
+OPERAND, INSERT, ERASE, MOVE, RESHAPE = range(5)
+
+
+def _changes_of(user: "Instruction"):
+    """The change journal of ``user``'s function (None outside ``run_o3``)."""
+    blk = user.block
+    if blk is not None:
+        f = blk.function
+        if f is not None:
+            return f._changes
+    return None
+
+
 class OperandList(list):
     """The operand slots of one instruction.
 
@@ -52,7 +73,8 @@ class OperandList(list):
     ``user`` is the owning instruction, or ``None`` while the list is
     *detached* (a snapshot twin, an erased instruction, a body being
     unpickled): a detached list registers nothing and mutates like a plain
-    list.
+    list.  A mutation of an attached list is also entered in the change
+    journal of the user's function while ``run_o3`` owns it.
     """
 
     __slots__ = ("user",)
@@ -77,6 +99,9 @@ class OperandList(list):
         """Run a ``list`` mutator that may move slots ``start..``."""
         if self.user is None:
             return op(self, *args)
+        journal = _changes_of(self.user)
+        if journal is not None:
+            journal.append((OPERAND, self.user, self[start:], None))
         self.drop(start)
         try:
             return op(self, *args)
@@ -98,15 +123,25 @@ class OperandList(list):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("operand index out of range")
-        del self[i].uses[user, i]
+        old = self[i]
+        del old.uses[user, i]
         list.__setitem__(self, i, value)
         value.uses[user, i] = None
+        blk = user.block
+        if blk is not None:
+            f = blk.function
+            if f is not None and f._changes is not None:
+                f._changes.append((OPERAND, user, old, value))
 
     def append(self, value: Value) -> None:
         user = self.user
         if user is not None:
             value.uses[user, len(self)] = None
         list.append(self, value)
+        if user is not None:
+            journal = _changes_of(user)
+            if journal is not None:
+                journal.append((OPERAND, user, None, value))
 
     def __delitem__(self, i) -> None:
         self._mutate(self._index(i), list.__delitem__, i)
@@ -194,6 +229,9 @@ class Instruction(Value):
             old.drop()
             old.user = None
             new.register()
+            journal = _changes_of(self)
+            if journal is not None:
+                journal.append((OPERAND, self, list(old), None))
 
     def __getstate__(self) -> tuple[None, dict[str, object]]:
         state = {}
@@ -246,6 +284,9 @@ class Instruction(Value):
         if blk is not None:
             blk.instructions.remove(self)
             self.block = None
+            f = blk.function
+            if f is not None and f._changes is not None:
+                f._changes.append((ERASE, self, blk))
 
     def copy(self, block: "BasicBlock") -> "Instruction":
         """A detached twin for ``block``: same class, payload (probe tag

@@ -61,11 +61,11 @@ def _zero_of(t: Type) -> object:
     raise IRInterpError(f"no zero for {t}")
 
 
-def _global_addr(g: GlobalVariable) -> int:
-    a = g.addr
-    if a is None:
-        raise IRInterpError(f"global @{g.name} not placed")
-    return a
+def _global_addr(rt: "_Frame", g: GlobalVariable) -> int:
+    try:
+        return rt.interp._global_addrs[g]
+    except KeyError:
+        raise IRInterpError(f"global @{g.name} not placed") from None
 
 
 def _use_err(msg: str) -> object:
@@ -85,6 +85,8 @@ class Interpreter:
         self._stack_top = stack_base
         self._globals_placed = False
         self._global_cursor = 0x6800_0000
+        #: where each module global lives in *this* memory
+        self._global_addrs: dict[GlobalVariable, int] = {}
         self.extern_functions = extern_functions or {}
         self.steps = 0
         self.max_steps = 10_000_000
@@ -92,18 +94,28 @@ class Interpreter:
     # -- globals ---------------------------------------------------------------
 
     def _place_globals(self) -> None:
+        """Give every module global an address in this interpreter's
+        memory: the JIT's (``GlobalVariable.addr``) when that memory maps
+        it — an image's — or a copy of the initializer of its own.  A
+        global's ``addr`` is never written here, so interpreters over
+        different memories never see each other's placements."""
         if self._globals_placed:
             return
         self._globals_placed = True
+        addrs = self._global_addrs
+        for g in self.module.globals.values():
+            if g.addr is not None and self.memory.is_mapped(
+                    g.addr, max(len(g.initializer), 1)):
+                addrs[g] = g.addr
         total = sum(len(g.initializer) + 32 for g in self.module.globals.values())
         if total:
             self.memory.map(self._global_cursor, total + 4096)
         for g in self.module.globals.values():
-            if g.addr is not None:
-                continue  # already placed (e.g. by the JIT in an image)
+            if g in addrs:
+                continue
             addr = (self._global_cursor + 15) & ~15
             self.memory.write(addr, g.initializer)
-            g.addr = addr
+            addrs[g] = addr
             self._global_cursor = addr + len(g.initializer)
 
     # -- entry ---------------------------------------------------------------
@@ -364,7 +376,7 @@ def _expr(res: tuple, em: _Emit) -> str:
             return repr(payload)
         return em.bind(payload)
     if kind == "g":
-        return f"_gaddr({em.bind(payload)})"
+        return f"_gaddr(rt, {em.bind(payload)})"
     return f"_use_err({em.bind(payload)})"
 
 
@@ -379,7 +391,7 @@ def _getter(res: tuple):
             return _c
     elif kind == "g":
         def get(rt, env, _g=payload):
-            return _global_addr(_g)
+            return _global_addr(rt, _g)
     else:
         def get(rt, env, _m=payload):
             raise IRInterpError(_m)

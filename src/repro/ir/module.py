@@ -6,10 +6,15 @@ import copy
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import IRError
-from repro.ir.instructions import Br, Instruction, Phi
+from repro.ir.instructions import (
+    INSERT, RESHAPE, Br, Instruction, Phi, Ret, Unreachable,
+)
 from repro.ir.irtypes import FunctionType, PointerType, Type
 from repro.ir.values import Argument, Value
 
+
+#: the classes ``Instruction.is_terminator`` holds for
+_TERMINATORS = frozenset({Br, Ret, Unreachable})
 
 #: ``deepcopy`` memo key (never an ``id``) asking for a detached copy
 _DETACHED = "repro.ir.detached"
@@ -46,8 +51,9 @@ class BasicBlock:
 
     @property
     def terminator(self) -> Instruction | None:
-        if self.instructions and self.instructions[-1].is_terminator:
-            return self.instructions[-1]
+        body = self.instructions
+        if body and type(body[-1]) in _TERMINATORS:
+            return body[-1]
         return None
 
     def append(self, ins: Instruction) -> Instruction:
@@ -58,6 +64,8 @@ class BasicBlock:
         f = self.function
         if f is not None:
             f.bump_version()
+            if f._changes is not None:
+                f._changes.append((INSERT, ins, self, None))
         return ins
 
     def insert(self, index: int, ins: Instruction) -> Instruction:
@@ -66,6 +74,8 @@ class BasicBlock:
         f = self.function
         if f is not None:
             f.bump_version()
+            if f._changes is not None:
+                f._changes.append((INSERT, ins, self, None))
         return ins
 
     def phis(self) -> list[Phi]:
@@ -108,7 +118,9 @@ def clone_region(blocks: Sequence[BasicBlock], into: "Function", *,
     the use lists once remapped; detached ones (``analysis.clone``
     snapshots) register nowhere.  The copies are returned in order and
     belong to ``into``, which does not list them yet: placing them is the
-    caller's, and so is ``bump_version``.
+    caller's, and so is ``bump_version``; ``into``'s change journal, if it
+    has one, records attached copies as inserted (copies of its own
+    instructions with their originals).
     """
     bmap: dict[int, BasicBlock] = {}
     for blk in blocks:
@@ -131,6 +143,14 @@ def clone_region(blocks: Sequence[BasicBlock], into: "Function", *,
                                      for b in c.incoming_blocks]
             if attached:
                 c.attach()
+    journal = into._changes if attached else None
+    if journal is not None:
+        own = blocks[0].function is into if blocks else False
+        for blk in blocks:
+            nb = bmap[id(blk)]
+            journal.append((RESHAPE, nb))
+            journal.extend([(INSERT, vmap[id(ins)], nb, ins if own else None)
+                            for ins in blk.instructions])
     return list(bmap.values())
 
 
@@ -139,7 +159,7 @@ class Function(Value):
 
     __slots__ = ("ftype", "args", "blocks", "module", "always_inline",
                  "_name_counter", "is_declaration", "_version", "_preds",
-                 "__weakref__")
+                 "_changes", "__weakref__")
 
     def __init__(self, name: str, ftype: FunctionType) -> None:
         super().__init__(PointerType(ftype), name)  # functions are pointers
@@ -152,6 +172,9 @@ class Function(Value):
         self._name_counter = 0
         self._version = 0
         self._preds: tuple[int, dict[int, list[BasicBlock]]] | None = None
+        #: what changed in the body, while ``run_o3`` owns it (a
+        #: ``repro.ir.passes.schedule.Journal``; None otherwise)
+        self._changes = None
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         super().__setstate__(state)
@@ -167,6 +190,7 @@ class Function(Value):
         the time the function has its slots so has its whole body."""
         self._version = 0  # a copy starts its own epoch
         self._preds = None
+        self._changes = None
         if attach:
             for blk in self.blocks:
                 for ins in blk.instructions:
@@ -199,6 +223,8 @@ class Function(Value):
         blk.function = self
         self.blocks.append(blk)
         self.bump_version()
+        if self._changes is not None:
+            self._changes.append((RESHAPE, blk))
         return blk
 
     def next_name(self, hint: str = "v") -> str:
@@ -252,6 +278,8 @@ class Function(Value):
         for succ in block.successors():
             for phi in succ.phis():
                 phi.remove_incoming(block)
+            if self._changes is not None:
+                self._changes.append((RESHAPE, succ))  # a predecessor fewer
         for ins in list(block.instructions):
             ins.erase()
         self.blocks.remove(block)

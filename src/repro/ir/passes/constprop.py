@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.ir import instructions as I
 from repro.ir.module import Function, GlobalVariable
 from repro.ir.passes import fold
-from repro.ir.values import Constant, Value
+from repro.ir.passes.schedule import Dirt, dirty_instructions, fixpoint
+from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
 
 
 def _global_and_offset(ptr: Value) -> tuple[GlobalVariable, int] | None:
@@ -59,24 +60,59 @@ RULES = {**fold.RULES, I.Load: _fold_load}
 NO_RULE = fold.NO_RULE - {I.Load}
 
 
+#: the classes whose rule can fire without a constant operand of their own
+#: (through an address chain, on identical select arms, a same-type bitcast)
+NEEDS_NO_CONSTANT = frozenset({I.Load, I.Select, I.Cast})
+_CONSTANTS = (Constant, ConstantFP, ConstantVector, Undef)
+#: the links of the two address chains: ``_global_and_offset`` (a load's
+#: gep / bitcast / inttoptr / ptrtoint / constant-add chain) and
+#: ``fold.resolve_const_pointer`` (a ptrtoint's bitcast / inttoptr / gep
+#: chain)
+_CHAIN = frozenset({I.GEP, I.Cast})
+
+#: the most walks one application makes before it stops, dirty
+ROUNDS = 64
+
+
+def _visits(ins: I.Instruction) -> bool:
+    """Whether a rule can fire on ``ins``: every other fold needs one of
+    its operands to be a constant."""
+    cls = type(ins)
+    if cls in NO_RULE:
+        return False
+    return cls in NEEDS_NO_CONSTANT or any(
+        isinstance(o, _CONSTANTS) for o in ins.operands)
+
+
+def _wakes(ins: I.Instruction, new: tuple[Value, ...]) -> bool:
+    """Whether new operands ``new`` can make a rule fire on ``ins`` that
+    did not before: a constant, or any value for the rules above that need
+    none (types survive a replacement, so nothing else moves)."""
+    return type(ins) in NEEDS_NO_CONSTANT or any(
+        isinstance(v, _CONSTANTS) for v in new)
+
+
+def _link(v: Value) -> bool:
+    return type(v) in _CHAIN or (type(v) is I.BinOp and v.opcode == "add")
+
+
+def _reads(user: I.Instruction, v: I.Instruction) -> bool:
+    """A load, or a link of an address chain, reads through a link."""
+    return _link(v) and (type(user) is I.Load or _link(user))
+
+
+DIRT = Dirt(NO_RULE, _visits, _wakes, _reads)
+
+
+def idle(func: Function) -> bool:
+    """No instruction a rule can fire on is dirty since the clean point."""
+    return dirty_instructions(func, "constprop", DIRT) == set()
+
+
+def _rule(ins: I.Instruction) -> Value | None:
+    return RULES[type(ins)](ins)
+
+
 def run(func: Function) -> bool:
-    """Fold constants to fixpoint; returns True on any change."""
-    changed = False
-    for _ in range(64):
-        round_changed = False
-        for blk in func.blocks:
-            for ins in list(blk.instructions):
-                cls = type(ins)
-                if cls in NO_RULE:
-                    continue
-                repl = RULES[cls](ins)
-                if repl is not None and repl is not ins:
-                    func.replace_all_uses(ins, repl)
-                    ins.erase()
-                    round_changed = True
-        changed |= round_changed
-        if not round_changed:
-            break
-    if changed:
-        func.bump_version()
-    return changed
+    """Fold the dirty instructions to fixpoint; returns True on any change."""
+    return fixpoint(func, "constprop", _rule, DIRT, ROUNDS)

@@ -12,7 +12,8 @@ from __future__ import annotations
 from repro.arith import f32_to_bits, f64_to_bits
 from repro.ir import instructions as I
 from repro.ir.irtypes import DOUBLE, FLOAT
-from repro.ir.module import Function
+from repro.ir.module import BasicBlock, Function
+from repro.ir.passes.schedule import dirty_blocks, mark
 from repro.ir.values import Constant, ConstantFP, Value
 
 #: a float constant is numbered by its bits: ``0.0 == -0.0`` as Python
@@ -51,10 +52,43 @@ MEMORY = frozenset({I.Load, I.Store, I.Call})
 NO_RULE = frozenset({I.Phi, I.Alloca, I.Br, I.Ret, I.Unreachable})
 
 
+def idle(func: Function) -> bool:
+    """No block changed since the last clean point."""
+    return dirty_blocks(func, "gvn") == set()
+
+
 def run(func: Function) -> bool:
-    """Local CSE + load/store forwarding; returns True on any change."""
+    """Local CSE + load/store forwarding over the dirty blocks; returns
+    True on any change.
+
+    One walk per block brings the block to a fixpoint (a replacement's
+    users later in the block are numbered after it), so a block nothing
+    changed in since it was walked is skipped.  A replacement whose users
+    sit in a block already walked leaves that block dirty for the next
+    application, which is when a walk over every block would see it too.
+    """
+    dirty = dirty_blocks(func, "gvn")
+    walked: set[BasicBlock] = set()
+    left: set[BasicBlock] = set()
     changed = False
+
+    def replace(ins: I.Instruction, prior: Value) -> None:
+        here = ins.block
+        for user, _i in ins.uses:
+            ub = user.block
+            if ub is here:
+                continue  # later in the walk, or a phi
+            if ub in walked:
+                left.add(ub)
+            elif dirty is not None:
+                dirty.add(ub)
+        func.replace_all_uses(ins, prior)
+        ins.erase()
+
     for blk in func.blocks:
+        if dirty is not None and blk not in dirty:
+            continue
+        walked.add(blk)
         available: dict[tuple, I.Instruction] = {}
         # memory state: generation counter + known (ptr, type) -> value
         known_mem: dict[tuple, Value] = {}
@@ -67,8 +101,7 @@ def run(func: Function) -> bool:
                     key = (id(ins.operands[0]), ins.type)
                     prior = known_mem.get(key)
                     if prior is not None and prior.type is ins.type:
-                        func.replace_all_uses(ins, prior)
-                        ins.erase()
+                        replace(ins, prior)
                         changed = True
                     else:
                         known_mem[key] = ins
@@ -87,11 +120,11 @@ def run(func: Function) -> bool:
             key2 = (RULES[cls](ins), ops)
             prior2 = available.get(key2)
             if prior2 is not None:
-                func.replace_all_uses(ins, prior2)
-                ins.erase()
+                replace(ins, prior2)
                 changed = True
             else:
                 available[key2] = ins
+    mark(func, "gvn", left)
     if changed:
         func.bump_version()
     return changed

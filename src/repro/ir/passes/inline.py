@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.ir import instructions as I
 from repro.ir.module import BasicBlock, Function, clone_region
+from repro.ir.passes.schedule import forget, mark, quiet
 from repro.ir.values import Undef, Value
 
 #: instruction-count threshold for inlining functions not marked always_inline
@@ -120,10 +121,19 @@ def inline_call(caller: Function, call: I.Call) -> bool:
     return True
 
 
+#: the most call sites one application inlines
+MAX_SITES = 8
+
+
+def idle(func: Function) -> bool:
+    """Nothing changed since an application that left no site to inline."""
+    return quiet(func, "inline")
+
+
 def run(func: Function) -> bool:
     """Inline eligible call sites (one pass); returns True on change."""
     changed = False
-    for _ in range(8):
+    for _ in range(MAX_SITES):
         site = None
         for ins in func.instructions():
             if isinstance(ins, I.Call) and not ins.intrinsic \
@@ -131,12 +141,12 @@ def run(func: Function) -> bool:
                     and ins.callee is not func and _should_inline(ins.callee):
                 site = ins
                 break
-        if site is None:
+        if site is None or not inline_call(func, site):
+            mark(func, "inline")  # nothing left that inlines
             break
-        if inline_call(func, site):
-            changed = True
-        else:
-            break
+        # a split block and moved allocas are changes no event describes
+        forget(func)
+        changed = True
     if changed:
         func.bump_version()
     return changed

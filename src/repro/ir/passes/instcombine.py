@@ -15,7 +15,10 @@ from repro.ir import instructions as I
 from repro.ir.irtypes import IntType, VectorType
 from repro.ir.module import Function
 from repro.ir.passes import fold
-from repro.ir.values import Constant, ConstantFP, Value
+from repro.ir.passes.schedule import Dirt, dirty_instructions, fixpoint
+from repro.ir.values import Constant, ConstantFP, ConstantVector, Undef, Value
+
+_CONSTANTS = (Constant, ConstantFP, ConstantVector, Undef)
 
 
 def _const(v: Value, value: int | None = None) -> bool:
@@ -226,23 +229,62 @@ RULES = {
 NO_RULE = fold.NO_RULE - {I.ShuffleVector}
 
 
+def _visits(ins: I.Instruction) -> bool:
+    return type(ins) not in NO_RULE
+
+
+def _wakes(ins: I.Instruction, new: tuple[Value, ...]) -> bool:
+    """Whether new operands ``new`` can make a rule fire on ``ins`` that
+    did not before: a constant, a value the rule looks through, or one
+    now in two slots (the ``x op x`` and ``select c, x, x`` rules); types
+    survive a replacement, so nothing else moves."""
+    ops = ins.operands
+    return any(isinstance(v, _CONSTANTS) or _reads(ins, v)
+               or sum(o is v for o in ops) > 1 for v in new)
+
+
+#: what reads through a vector value: ``_extract``'s bitcasts, then
+#: insertelements, then one shufflevector
+_VECTOR_CHAIN = frozenset({I.ExtractElement, I.Cast, I.InsertElement})
+
+
+def _reads(user: I.Instruction, v: Value) -> bool:
+    """The look-through rules: ``fold.resolve_const_pointer`` (a ptrtoint
+    over bitcast / inttoptr / gep links), ``_cast`` (a cast of a cast),
+    ``_gep`` (a gep of a gep), ``_icmp`` (of a ``sub``),
+    ``_fmul_const_factor`` (an ``fadd`` of an ``fmul``) and ``_extract``."""
+    cu, cv = type(user), type(v)
+    if cv is I.GEP:
+        return cu is I.Cast or cu is I.GEP
+    if cv is I.Cast:
+        return cu is I.Cast or cu is I.GEP or cu is I.ExtractElement
+    if cv is I.InsertElement or cv is I.ShuffleVector:
+        return cu in _VECTOR_CHAIN
+    if cv is I.BinOp:
+        if v.opcode == "sub":
+            return cu is I.ICmp
+        return v.opcode == "fmul" and cu is I.BinOp and user.opcode == "fadd"
+    return False
+
+
+DIRT = Dirt(NO_RULE, _visits, _wakes, _reads)
+
+#: the most walks one application makes before it stops, dirty
+ROUNDS = 32
+
+
+def _key(fast_math: bool) -> str:
+    # fast-math folds more, so each flavour has its own clean point
+    return "instcombine.fast" if fast_math else "instcombine"
+
+
+def idle(func: Function, fast_math: bool = False) -> bool:
+    """No instruction with a rule is dirty since the last clean point."""
+    return dirty_instructions(func, _key(fast_math), DIRT) == set()
+
+
 def run(func: Function, fast_math: bool = False) -> bool:
-    """Apply peepholes to fixpoint; returns True on any change."""
-    changed = False
-    for _ in range(32):
-        round_changed = False
-        for blk in func.blocks:
-            for ins in list(blk.instructions):
-                if type(ins) in NO_RULE:
-                    continue
-                repl = _simplify(ins, fast_math)
-                if repl is not None and repl is not ins:
-                    func.replace_all_uses(ins, repl)
-                    ins.erase()
-                    round_changed = True
-        changed |= round_changed
-        if not round_changed:
-            break
-    if changed:
-        func.bump_version()
-    return changed
+    """Apply peepholes to the dirty instructions to fixpoint; returns True
+    on any change."""
+    return fixpoint(func, _key(fast_math),
+                    lambda ins: _simplify(ins, fast_math), DIRT, ROUNDS)

@@ -20,6 +20,7 @@ from repro.ir import instructions as I
 from repro.ir.cfg import dominance_frontiers, dominators
 from repro.ir.irtypes import DoubleType, FloatType, IntType, PointerType, Type
 from repro.ir.module import BasicBlock, Function
+from repro.ir.passes.schedule import mark, quiet
 from repro.ir.values import Constant, Undef, Value
 
 
@@ -171,7 +172,9 @@ def _promote_slot(func: Function, accesses: list[_Access], ctype: Type,
                     work.append(f)
 
     phis: dict[BasicBlock, I.Phi] = {}
-    for b in phi_blocks:
+    # in block order: a set of blocks iterates by address, and the phis'
+    # names (and the casts ``phis`` adapts below) follow this loop
+    for b in [b for b in func.blocks if b in phi_blocks]:
         phi = I.Phi(ctype, func.next_name("m2rphi"))
         b.insert(0, phi)
         phis[b] = phi
@@ -240,8 +243,15 @@ def _promote_slot(func: Function, accesses: list[_Access], ctype: Type,
                 phi.operands[i] = Undef(ctype)
 
 
+def idle(func: Function) -> bool:
+    """Nothing changed since an application that promoted nothing."""
+    return quiet(func, "mem2reg")
+
+
 def run(func: Function) -> bool:
     changed = promote(func)
     if changed:
         func.bump_version()
+    else:
+        mark(func, "mem2reg")
     return changed

@@ -6,15 +6,16 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.ir import verifier
 from repro.ir.module import Function
 from repro.obs.trace import TRACER as _TR
 from repro.ir.passes import (
     constprop, dce, gvn, inline, instcombine, mem2reg, schedule, simplifycfg,
     unroll, vectorize,
 )
+from repro.ir.passes.schedule import set_verify_after_each_pass  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.validate import PassValidator, PassVerdict
@@ -108,18 +109,6 @@ class O3Report:
         return self.rejected_passes[0] if self.rejected_passes else None
 
 
-#: debug flag: run the raising IR verifier after *every* pass application.
-#: Opt-in via :func:`set_verify_after_each_pass` — pass-bisection debugging,
-#: far too slow for the runtime compile path.
-VERIFY_AFTER_EACH_PASS = False
-
-
-def set_verify_after_each_pass(enabled: bool) -> None:
-    """Toggle the verify-after-every-pass debug mode (process-wide)."""
-    global VERIFY_AFTER_EACH_PASS
-    VERIFY_AFTER_EACH_PASS = bool(enabled)
-
-
 def run_o3(func: Function, options: O3Options = O3Options(),
            budget: "object | None" = None,
            validator: "PassValidator | None" = None) -> O3Report:
@@ -174,36 +163,52 @@ def _sweep(func: Function, options: O3Options, budget: "object | None",
     """One bounded-fixpoint sweep over ``func``, filling in ``report``;
     with a ``validator`` every pass application is validated.  Returns
     whether any step changed the function."""
+    with sched.owning():
+        return _steps(func, options, budget, validator, sched, report)
+
+
+def _steps(func: Function, options: O3Options, budget: "object | None",
+           validator: "PassValidator | None", sched: schedule.Scheduler,
+           report: O3Report) -> bool:
     any_changed = False
 
-    def step(name: str, thunk: Callable[[], Any],
-             changed_of: Callable[[Any], bool] = bool) -> bool:
+    def step(mod: ModuleType, *args: Any,
+             changed_of: Callable[[Any], bool] = bool, **kwargs: Any) -> bool:
         nonlocal any_changed
-        if sched.should_skip(name):
+        name = schedule.pass_name(mod)
+        if sched.should_skip(name, lambda: mod.idle(func, *args, **kwargs),
+                             **kwargs):
             report.skipped_passes.append(name)
+            if schedule.VERIFY_AFTER_EACH_PASS:
+                schedule.check_after(func, mod, *args, changed_of=changed_of,
+                                     **kwargs)
             return False
         span = _TR.start(f"o3.pass.{name}", {"func": func.name}) \
             if _TR.enabled else None
+
+        def thunk() -> Any:
+            # ``run`` is looked up per call: whoever wraps it sees each one
+            return mod.run(func, *args, **kwargs)
+
         try:
+            sched.note_result(name)
             if validator is None:
                 changed = bool(changed_of(thunk()))
-                sched.note_result(name, changed)
             else:
                 _result, verdict = validator.run_pass(
                     name, thunk, func, changed_of=changed_of)
                 report.pass_log.append(verdict)
                 if not verdict.ok:
                     # a rejection (or a quarantine hit) marks this pipeline
-                    # as suspect: no further skipping — every pass must run
-                    # under full validation (see schedule.Scheduler)
+                    # as suspect: no further skipping and no journal —
+                    # every pass walks everything under full validation
                     sched.disable(f"quarantined:{name}")
                     if not verdict.quarantined:
                         report.rejected_passes.append(name)
-                else:
-                    sched.note_result(name, verdict.changed)
                 changed = verdict.changed
-            if VERIFY_AFTER_EACH_PASS:
-                verifier.verify(func)
+            if schedule.VERIFY_AFTER_EACH_PASS:
+                schedule.check_after(func, mod, *args, changed_of=changed_of,
+                                     **kwargs)
         finally:
             if span is not None:
                 _TR.finish(span)
@@ -217,10 +222,10 @@ def _sweep(func: Function, options: O3Options, budget: "object | None",
         # boundary is a cooperative yield point where the tiered engine can
         # deprioritize the worker (Budget.yield_hook)
         budget.checkpoint("opt")
-    step("simplifycfg", lambda: simplifycfg.run(func))
+    step(simplifycfg)
     if options.enable_mem2reg:
-        step("mem2reg", lambda: mem2reg.run(func))
-        step("simplifycfg", lambda: simplifycfg.run(func))
+        step(mem2reg)
+        step(simplifycfg)
     for _ in range(options.max_iterations):
         if budget is not None:
             budget.charge("opt_iterations", stage="opt")
@@ -228,33 +233,29 @@ def _sweep(func: Function, options: O3Options, budget: "object | None",
         report.iterations += 1
         changed = False
         if options.enable_inline:
-            changed |= step("inline", lambda: inline.run(func))
-        changed |= step("constprop", lambda: constprop.run(func))
+            changed |= step(inline)
+        changed |= step(constprop)
         if options.enable_instcombine:
-            changed |= step("instcombine",
-                            lambda: instcombine.run(func, options.fast_math))
+            changed |= step(instcombine, options.fast_math)
         if options.enable_gvn:
-            changed |= step("gvn", lambda: gvn.run(func))
-        changed |= step("dce", lambda: dce.run(func))
-        changed |= step("simplifycfg", lambda: simplifycfg.run(func))
+            changed |= step(gvn)
+        changed |= step(dce)
+        changed |= step(simplifycfg)
         if options.enable_mem2reg:
-            changed |= step("mem2reg", lambda: mem2reg.run(func))
+            changed |= step(mem2reg)
         if options.enable_unroll:
-            changed |= step("unroll", lambda: unroll.run(func))
+            changed |= step(unroll)
         if not changed:
             report.converged = True
             break
     report.vectorized = step(
-        "vectorize",
-        lambda: vectorize.run(func,
-                              force_vector_width=options.force_vector_width),
+        vectorize, force_vector_width=options.force_vector_width,
         changed_of=lambda v: v.vectorized)
     if report.vectorized:
-        step("constprop", lambda: constprop.run(func))
+        step(constprop)
         if options.enable_instcombine:
-            step("instcombine",
-                 lambda: instcombine.run(func, options.fast_math))
+            step(instcombine, options.fast_math)
     if report.vectorized or not report.converged:
-        step("dce", lambda: dce.run(func))
-        step("simplifycfg", lambda: simplifycfg.run(func))
+        step(dce)
+        step(simplifycfg)
     return any_changed

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from repro.ir import instructions as I
 from repro.ir.cfg import dominates, dominators, reachable_blocks
+from repro.ir.instructions import ERASE, INSERT, OPERAND
 from repro.ir.module import BasicBlock, Function
+from repro.ir.passes.schedule import mark, moved, reshaped, since
 from repro.ir.values import Constant, Undef, Value
 
 
@@ -49,6 +51,7 @@ def _simplify_phis(func: Function) -> bool:
     for blk in func.blocks:
         for phi in blk.phis():
             distinct: list[Value] = []
+            seen: set[int] = set()
             saw_undef = False
             for v in phi.operands:
                 if v is phi:
@@ -56,7 +59,8 @@ def _simplify_phis(func: Function) -> bool:
                 if isinstance(v, Undef):
                     saw_undef = True
                     continue
-                if not any(v is d for d in distinct):
+                if id(v) not in seen:
+                    seen.add(id(v))
                     distinct.append(v)
             if len(distinct) == 1:
                 repl = distinct[0]
@@ -103,6 +107,7 @@ def _merge_straight_line(func: Function) -> bool:
         for ins in b.instructions:
             ins.block = a
             a.instructions.append(ins)
+        moved(func, a)
         # phis in b's successors now flow from a
         for succ in b.successors():
             for phi in succ.phis():
@@ -145,6 +150,7 @@ def _thread_trivial_jumps(func: Function) -> bool:
         if isinstance(term, I.Br):
             new_targets = [final(t) for t in term.targets]
             if any(n is not o for n, o in zip(new_targets, term.targets)):
+                reshaped(func, [b, *term.targets, *new_targets])
                 term.targets = new_targets
                 changed = True
     if changed:
@@ -152,10 +158,54 @@ def _thread_trivial_jumps(func: Function) -> bool:
     return changed
 
 
+#: the classes whose insertion or erasure changes a block's edges
+_TERMINATORS = frozenset({I.Br, I.Ret, I.Unreachable})
+_SHAPE = _TERMINATORS | {I.Phi}
+
+
+def _reads(e: tuple, func: Function) -> bool:
+    """Whether a simplification may fire again after journal event ``e``:
+    a phi left with one incoming value, a branch left on a constant, an
+    edge, terminator or phi added or removed, instructions moved between
+    blocks, or an erase that left a block holding only its branch."""
+    tag = e[0]
+    if tag == OPERAND:
+        ins = e[1]
+        if ins.block is None:
+            return False
+        if type(ins) is I.Phi:
+            return len({id(v) for v in ins.operands
+                        if v is not ins and not isinstance(v, Undef)}) <= 1
+        return type(ins) is I.Br and ins.is_conditional \
+            and isinstance(ins.operands[0], Constant)
+    if tag == INSERT:
+        return type(e[1]) in _SHAPE
+    if tag == ERASE:
+        ins, blk = e[1], e[2]
+        return type(ins) in _TERMINATORS or blk.function is func and (
+            len(blk.instructions) == 1
+            or type(ins) is I.Phi and not blk.phis())
+    return True  # MOVE, RESHAPE
+
+
+#: the most rounds one application makes before it stops, dirty
+ROUNDS = 16
+
+
+def idle(func: Function) -> bool:
+    """Nothing changed since the last clean point that a simplification
+    reads."""
+    s = since(func, "simplifycfg")
+    if s is None or any(_reads(e, func) for e in s[0]):
+        return False
+    mark(func, "simplifycfg")  # clean here too: the next ask starts from now
+    return True
+
+
 def run(func: Function) -> bool:
     """Run all CFG simplifications to a local fixpoint."""
     changed = False
-    for _ in range(16):
+    for _ in range(ROUNDS):
         round_changed = False
         round_changed |= _fold_constant_branches(func)
         round_changed |= _thread_trivial_jumps(func)
@@ -164,6 +214,7 @@ def run(func: Function) -> bool:
         round_changed |= _merge_straight_line(func)
         changed |= round_changed
         if not round_changed:
+            mark(func, "simplifycfg")
             break
     if changed:
         func.bump_version()

@@ -23,8 +23,9 @@ MAX_TRIP = 64
 MAX_LOOP_INSTRS = 250
 MAX_TOTAL_PEELS = 512
 
-#: the passes that clean up after each peel (at most six rounds of them)
+#: the passes that clean up after each peel, and the most rounds of them
 _CLEANUP = (simplifycfg, constprop, instcombine, dce)
+CLEANUP_ROUNDS = 6
 
 
 @dataclass
@@ -193,7 +194,9 @@ def _peel_once(func: Function, loop: NaturalLoop) -> None:
             phi.remove_incoming(b)
         phi.add_incoming(cloned_value, cloned_latch)
 
-    # outside predecessors enter the clone
+    # outside predecessors enter the clone; the exits gain predecessors
+    schedule.reshaped(func, [header, *outside_preds, *(
+        s for b in order for s in b.successors() if s not in loop.blocks)])
     for p in outside_preds:
         pterm = p.instructions[-1]
         if isinstance(pterm, I.Br):
@@ -215,25 +218,34 @@ def _peel_once(func: Function, loop: NaturalLoop) -> None:
     func.bump_version()  # new blocks and edges: the predecessor map is stale
 
 
+def idle(func: Function) -> bool:
+    """Nothing changed since an application that found no loop to peel."""
+    return schedule.quiet(func, "unroll")
+
+
 def run(func: Function) -> bool:
     """Fully unroll all constant-trip loops within budget."""
     changed = False
-    for _ in range(MAX_TOTAL_PEELS):
-        candidate: _LoopInfo | None = None
-        for loop in find_natural_loops(func):
-            info = _analyze(func, loop)
-            if info is not None and info.trip_count <= MAX_TRIP:
-                candidate = info
+    with schedule.journaled(func):
+        for _ in range(MAX_TOTAL_PEELS):
+            candidate: _LoopInfo | None = None
+            for loop in find_natural_loops(func):
+                info = _analyze(func, loop)
+                if info is not None and info.trip_count <= MAX_TRIP:
+                    candidate = info
+                    break
+            if candidate is None:
+                schedule.mark(func, "unroll")
                 break
-        if candidate is None:
-            break
-        # peeling is semantics-preserving for any trip count; for trip 0 the
-        # peeled header's condition folds constant and the loop dies
-        _peel_once(func, candidate.loop)
-        # cleanup to fixpoint: phi simplification exposes constants that
-        # constprop folds, which re-enables the next trip-count analysis
-        schedule.settle(func, _CLEANUP, rounds=6)
-        changed = True
+            # peeling is semantics-preserving for any trip count; for trip
+            # 0 the peeled header's condition folds constant and the loop
+            # dies
+            _peel_once(func, candidate.loop)
+            # cleanup to fixpoint: phi simplification exposes constants
+            # that constprop folds, which re-enables the next trip-count
+            # analysis; the cleanup passes walk only what the peel changed
+            schedule.settle(func, _CLEANUP, rounds=CLEANUP_ROUNDS)
+            changed = True
     if changed:
         func.bump_version()
     return changed

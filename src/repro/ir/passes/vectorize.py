@@ -24,6 +24,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.cfg import NaturalLoop, find_natural_loops
 from repro.ir.irtypes import DOUBLE, I8, I64, IntType, PointerType, V2F64, ptr
 from repro.ir.module import BasicBlock, Function
+from repro.ir.passes.schedule import forget, mark, quiet
 from repro.ir.values import Constant, ConstantFP, ConstantVector, Value
 
 
@@ -57,8 +58,22 @@ class _Candidate:
     aligned: bool
 
 
+def idle(func: Function, *, force_vector_width: int = 0) -> bool:
+    """Nothing changed since an application that vectorized nothing."""
+    return quiet(func, f"vectorize.{force_vector_width}")
+
+
 def run(func: Function, *, force_vector_width: int = 0) -> VectorizeReport:
     """Try to vectorize one innermost f64 loop."""
+    report = _vectorize(func, force_vector_width)
+    if report.vectorized:
+        forget(func)  # new blocks and edges no event describes
+    else:
+        mark(func, f"vectorize.{force_vector_width}")
+    return report
+
+
+def _vectorize(func: Function, force_vector_width: int) -> VectorizeReport:
     for loop in find_natural_loops(func):
         cand = _analyze(func, loop)
         if cand is None:

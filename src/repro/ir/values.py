@@ -40,10 +40,11 @@ if TYPE_CHECKING:
     from repro.ir.instructions import Instruction
 
 #: slots that never reach a pickle or a deepcopy: derived state, rebuilt
-#: (``uses``: by ``Function.__setstate__``) or recomputed on demand, and the
-#: mutation epoch, which means nothing to another object
-_UNPICKLED = frozenset({"uses", "_preds", "_version", "__weakref__",
-                        "__dict__"})
+#: (``uses``: by ``Function.__setstate__``) or recomputed on demand, the
+#: mutation epoch and the change journal, which mean nothing to another
+#: object
+_UNPICKLED = frozenset({"uses", "_preds", "_version", "_changes",
+                        "__weakref__", "__dict__"})
 
 
 @functools.cache

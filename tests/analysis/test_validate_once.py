@@ -277,13 +277,15 @@ _ALL_BUT_INLINE = " ".join(p for p in O3_PASSES if p != "inline")
 #: mutants the per-pass sweep rejects and the end-to-end check accepts:
 #: the trap is inserted after the named pass and a later ``dce`` erases it
 #: (after ``dce`` itself, or after a pass that runs behind the last ``dce``,
-#: it survives to the end and both drivers blame the same pass)
+#: it survives to the end and both drivers blame the same pass; ``line``'s
+#: ``simplifycfg`` is idle behind its last ``dce`` and skipped)
 MASKED = _names({
     "poly": {"dead-trap": "constprop gvn instcombine"},
     "loop": {"dead-trap":
              "constprop gvn instcombine mem2reg simplifycfg unroll"},
     "line": {"dead-trap":
-             "constprop gvn instcombine mem2reg unroll vectorize"},
+             "constprop gvn instcombine mem2reg simplifycfg unroll "
+             "vectorize"},
 })
 
 #: mutants that corrupt a body and that neither driver rejects.  ``loop``:

@@ -200,6 +200,23 @@ def test_globals_placed_lazily():
     assert Interpreter(m).run("f", []) == 0x04030201
 
 
+def test_each_interpreter_places_globals_in_its_own_memory():
+    """Two interpreters over one module, each on a fresh memory: the
+    second must not take the first one's placement for its own (it used
+    to, and read 0 from memory nobody had written)."""
+    from repro.ir import GlobalVariable
+    m = Module("t")
+    g = m.add_global(GlobalVariable("data", I8, bytes([1, 2, 3, 4])))
+    f = Function("f", FunctionType(I32, ()))
+    m.add_function(f)
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(b.load(b.bitcast(g, ptr(I32))))
+    first, second = Interpreter(m), Interpreter(m)
+    assert first.run("f", []) == 0x04030201
+    assert second.run("f", []) == 0x04030201
+    assert g.addr is None  # placement is the interpreter's, not the IR's
+
+
 def test_phi_of_a_global_address():
     # a phi whose incoming value is a global takes the closure move path
     import struct

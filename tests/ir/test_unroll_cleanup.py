@@ -1,15 +1,17 @@
-"""unroll's per-peel cleanup under the version rule == the loop it replaced.
+"""unroll's per-peel cleanup under the change journal == the loop it replaced.
 
 After each peel ``unroll.run`` cleans up with ``simplifycfg``,
 ``constprop``, ``instcombine`` and ``dce`` for at most six rounds.  It used
-to run all four every round; it now goes through ``schedule.settle``, which
-skips a pass that already reported "no change" on the function's current
-version.  Passes are deterministic, so the printed IR must be the same —
-this file keeps the old loop as its oracle and checks that on the ``flat``
-and ``sorted`` line kernels after fixation (every body ``run_o3`` hands to
-``unroll``) and on two hand-built constant-trip loops, and that the new
-cleanup makes strictly fewer pass applications, counted through the
-modules' ``run`` (what the ledger's ``ir.passes`` spans wrap).
+to run all four every round and walk the whole function each time; it now
+goes through ``schedule.settle``, which skips a pass the change journal
+shows idle, and the passes that run walk only what the peel and the
+cleanup changed.  The printed IR must be the same — this file keeps the
+old loop as its oracle and checks that on the ``flat`` and ``sorted`` line
+kernels after fixation (every body ``run_o3`` hands to ``unroll``) and on
+two hand-built constant-trip loops, and that the new cleanup makes
+strictly fewer pass applications, counted through the modules' ``run``
+(what the ledger's ``ir.passes`` spans wrap), and strictly fewer rule
+evaluations (constprop's ``RULES``, instcombine's ``_simplify``).
 """
 
 from __future__ import annotations
@@ -30,38 +32,61 @@ CLEANUP = (simplifycfg, constprop, instcombine, dce)
 
 
 def parent_cleanup(func, passes, rounds) -> None:
-    """The cleanup loop ``unroll.run`` ran after each peel before the
-    version rule: all four passes, every round, up to six rounds."""
-    for _ in range(6):
-        ch = simplifycfg.run(func)
-        ch |= constprop.run(func)
-        ch |= instcombine.run(func)
-        ch |= dce.run(func)
-        if not ch:
-            break
+    """The cleanup loop ``unroll.run`` ran after each peel before any
+    scheduling: all four passes, every round, up to six rounds, each one
+    walking the whole function (no journal while it runs)."""
+    journal, func._changes = func._changes, None
+    try:
+        for _ in range(6):
+            ch = simplifycfg.run(func)
+            ch |= constprop.run(func)
+            ch |= instcombine.run(func)
+            ch |= dce.run(func)
+            if not ch:
+                break
+    finally:
+        func._changes = journal
 
 
 @pytest.fixture
 def applications(monkeypatch) -> Counter:
-    """Counts every call of the four cleanup passes' ``run``."""
+    """Counts every call of the four cleanup passes' ``run`` by module
+    name, and constprop's and instcombine's rule evaluations under
+    ``"rules"`` (not an application)."""
     counts: Counter = Counter()
     for mod in CLEANUP:
         def counted(*args, _real=mod.run, _name=mod.__name__, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(mod, "run", counted)
+    for cls, rule in list(constprop.RULES.items()):
+        def evaluated(ins, _rule=rule):
+            counts["rules"] += 1
+            return _rule(ins)
+        monkeypatch.setitem(constprop.RULES, cls, evaluated)
+    real_simplify = instcombine._simplify
+
+    def simplify(*args, **kwargs):
+        counts["rules"] += 1
+        return real_simplify(*args, **kwargs)
+    monkeypatch.setattr(instcombine, "_simplify", simplify)
     return counts
 
 
+def _apps(counts: Counter) -> int:
+    return sum(n for name, n in counts.items() if name != "rules")
+
+
 def _unroll(func: Function, oracle: bool, counts: Counter,
-            monkeypatch) -> tuple[str, int]:
-    """Printed IR after ``unroll.run`` and the cleanup applications it made."""
+            monkeypatch) -> tuple[str, int, int]:
+    """Printed IR after ``unroll.run``, the cleanup applications it made and
+    their rule evaluations."""
     counts.clear()
     with monkeypatch.context() as mp:
         if oracle:
             mp.setattr(schedule, "settle", parent_cleanup)
         unroll.run(func)
-    return print_function(func), sum(counts.values())
+    return print_function(func), _apps(counts), counts["rules"]
 
 
 def build_counted_loop(trip: int) -> Function:
@@ -94,12 +119,16 @@ def build_counted_loop(trip: int) -> Function:
 def test_hand_built_loop_matches_the_old_cleanup(trip, applications,
                                                  monkeypatch):
     func = build_counted_loop(trip)
-    new_ir, new_n = _unroll(func, False, applications, monkeypatch)
-    old_ir, old_n = _unroll(build_counted_loop(trip), True, applications,
-                            monkeypatch)
+    new_ir, new_n, new_rules = _unroll(func, False, applications,
+                                       monkeypatch)
+    old_ir, old_n, old_rules = _unroll(build_counted_loop(trip), True,
+                                       applications, monkeypatch)
     assert new_ir == old_ir
     assert not find_natural_loops(func)  # the peels ran
     assert new_n < old_n
+    # one peel (trip 0) walks everything once either way; more peels walk
+    # only what each one changed
+    assert new_rules < old_rules if trip else new_rules == old_rules
 
 
 @pytest.mark.parametrize("code", ["flat", "sorted"])
@@ -114,15 +143,15 @@ def test_fixated_line_kernel_matches_the_old_cleanup(code, applications,
         before, counter = clone_function(func), func._name_counter
         applications.clear()
         changed = real(func)
-        new_ir, new_n = print_function(func), sum(applications.values())
+        new = print_function(func), _apps(applications), applications["rules"]
         restore_function(func, before)
         func._name_counter = counter
         applications.clear()
         with monkeypatch.context() as mp:
             mp.setattr(schedule, "settle", parent_cleanup)
             assert real(func) == changed
-        seen.append((new_ir, print_function(func), new_n,
-                     sum(applications.values())))
+        seen.append((new[0], print_function(func), new[1],
+                     _apps(applications), new[2], applications["rules"]))
         applications.clear()
         return changed
 
@@ -131,7 +160,8 @@ def test_fixated_line_kernel_matches_the_old_cleanup(code, applications,
     M.prepare_kernel(ws, code, "llvm-fix", line=True)
     peeled = [s for s in seen if s[3]]
     assert peeled, "the fixated point loop should be unrolled"
-    for new_ir, old_ir, new_n, old_n in seen:
+    for new_ir, old_ir, new_n, old_n, _new_rules, _old_rules in seen:
         assert new_ir == old_ir
         assert new_n <= old_n
     assert sum(s[2] for s in seen) < sum(s[3] for s in seen)
+    assert sum(s[4] for s in seen) < sum(s[5] for s in seen)
