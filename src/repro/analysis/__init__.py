@@ -20,7 +20,8 @@ behavior* — and ``repro.analysis`` checks *provable* properties in between:
   ``run_o3(..., validator=PassValidator())``: clone the lifted body, run the sweep,
   verify, differentially interpret lifted vs optimized on seeded probes —
   once; on a mismatch replay the sweep with the same check after every
-  pass, roll back and quarantine the offending one;
+  pass, roll back and quarantine the offending one (a pipeline whose gate
+  judges every candidate keeps only ``verify`` and replays to blame);
 * :mod:`~repro.analysis.machine` — machine-level translation validation:
   decode the bytes the backend just emitted, reconstruct the machine CFG,
   symbolically execute it and prove it equivalent to the source IR

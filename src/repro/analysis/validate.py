@@ -1,6 +1,6 @@
-"""Translation validation for the -O3 pipeline: once, then replay per pass.
+"""Translation validation for the -O3 pipeline: judge once, interpret to blame.
 
-PR 2's differential gate runs end-to-end: it can say *that* a specialized
+The differential gate runs end to end: it can say *that* a specialized
 function diverged, never *which pass* miscompiled it.  This module closes
 that gap without paying for the answer on every clean compile.  In validate
 mode ``run_o3`` hands a :class:`PassValidator` **applications** — a thunk
@@ -14,39 +14,57 @@ that edits one function in place — and each one is
    memories and comparing return values *and* non-stack memory effects,
 4. on rejection rolled back in place.
 
-With no pass under suspicion the application is the **whole sweep**
-(:attr:`PassValidator.PIPELINE`): one clone of the lifted body, the passes
-run unvalidated, one ``verify``, one comparison of lifted against final.
-An accepted pipeline is done.  A rejected one — structural, behavioral, or
-an exception escaping the sweep — blames nobody and quarantines nothing:
-the lifted body is back in place and ``run_o3`` **replays** the sweep with
-one application per pass.  Passes are deterministic, so the replay meets
-the same fault again, now between two bodies one pass apart: that pass is
-rolled back, recorded in ``O3Report.rejected_passes`` and quarantined in a
-:class:`NegativeCache` (key ``o3pass:<name>``) while the rest of the
-pipeline keeps running, so a single broken pass degrades optimization
-quality instead of killing the ladder rung.  While any pass is in
-quarantine every ``run_o3`` under this validator goes per pass from the
-start.  Nothing carries over from one application to the next: a replay
-pays one clone and both interpretations per applied pass, and an
-application that reports "no change" is checked by two fingerprint walks
-(snapshot and live body) instead of being interpreted.
+**Who judges -O3.**  One behavioural check per install, and which one
+depends on what follows codegen:
 
-What "once" does not see, by design: a pass error that later passes erase
-on every probe.  The installed body is then still probe-equal to the lifted
-one, which is the property an install needs; the per-pass sweep would have
-rejected and quarantined the pass.  In the other direction the end-to-end
-comparison is the stricter one on floats: one tolerance from lifted to
-final, not one per step.
+* *structural at O3, behavioural at the gate* — on a plan that gates
+  every candidate (:class:`~repro.jit.plan.Pipeline`, ``gate="always"``,
+  the guard's default) ``run_o3`` runs without the validator and each
+  optimised function is verified once (the structural half).  The
+  differential gate then compares the emitted code with the original on
+  the request's real inputs — a stronger behavioural check than sampled
+  probes, and one it pays anyway;
+* *end to end at O3* — where no gate is sure to follow (``never``, or
+  ``if-inconclusive``: a machine proof covers codegen, not O3) the whole
+  sweep is one application (:attr:`PassValidator.PIPELINE`): one clone of
+  the lifted body, the passes run unvalidated, one ``verify``, one
+  comparison of lifted against final;
+* *per pass, only to blame* — a rejected pipeline, or a gated candidate
+  the verifier, pregate or gate rejected, is **replayed** with one
+  application per pass (``repro.ir.passes.replay_o3``) over a fresh body.
+  Passes are deterministic, so the replay meets the same fault again, now
+  between two bodies one pass apart: that pass is rolled back, recorded in
+  ``O3Report.rejected_passes`` and quarantined in a :class:`NegativeCache`
+  (key ``o3pass:<name>``) while the rest of the pipeline keeps running, so
+  a single broken pass degrades optimization quality instead of killing
+  the ladder rung.  While any pass is in quarantine every ``run_o3`` under
+  this validator goes per pass from the start, gated plan or not.
+
+An accepted whole sweep is done; a rejected one — structural, behavioral,
+or an exception escaping the sweep — blames nobody and quarantines
+nothing: the lifted body is back in place for the replay.  Nothing carries
+over from one application to the next: a replay pays one clone and both
+interpretations per applied pass, and an application that reports "no
+change" is checked by two fingerprint walks (snapshot and live body)
+instead of being interpreted.
+
+What the end-to-end check does not see, by design: a pass error that
+later passes erase on every probe.  The installed body is then still
+probe-equal to the lifted one, which is the property an install needs; the
+per-pass sweep would have rejected and quarantined the pass.  In the other
+direction the end-to-end comparison is the stricter one on floats: one
+tolerance from lifted to final, not one per step.
 
 A probe on which the *snapshot* itself faults (e.g. a sampled integer
 dereferenced as a pointer) is inconclusive and skipped, mirroring the
 dynamic gate's policy: passes may remove traps from dead code, but must
 preserve every well-defined execution.  A verdict can rest on no conclusive
 probe at all; ``PassVerdict.probes_run`` (``O3Report.conclusive_probes``
-for an accepted pipeline) says on how many it does.  Comparison of float
-returns uses a small relative tolerance because the default pipeline runs
-fast-math reassociation.
+for an accepted pipeline) says on how many it does — and a gated run,
+whose O3 had no behavioural verdict, says so in
+``O3Report.structural_only``.  Comparison of float returns uses a small
+relative tolerance because the default pipeline runs fast-math
+reassociation.
 """
 
 from __future__ import annotations
@@ -60,6 +78,7 @@ from repro.cache.negative import NegativeCache
 from repro.errors import BudgetExceededError, IRError, ReproError
 from repro.ir.interp import Interpreter
 from repro.ir.module import Function
+from repro.ir.passes.schedule import PASS_NAMES
 from repro.ir.verifier import verify
 from repro.mem.memory import Memory
 
@@ -155,6 +174,12 @@ class PassValidator:
     def __init__(self) -> None:
         self.negative = NegativeCache(ttl=QUARANTINE_TTL)
         self.stats = ValidatorStats()
+
+    def quarantined(self) -> str | None:
+        """The first pass in quarantine now (None: nobody under suspicion)."""
+        return next((name for name in PASS_NAMES
+                     if self.negative.check(f"o3pass:{name}") is not None),
+                    None)
 
     # -- the wrapper the pipeline calls per application -----------------------
 

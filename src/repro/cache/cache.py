@@ -271,6 +271,14 @@ class SpecializationCache:
     def put_module(self, mkey: str, module: Module, func_name: str) -> None:
         self._put_ir(self._modules, "module", mkey, module, func_name)
 
+    def evict_module(self, mkey: str) -> None:
+        """Drop one post-O3 module, from memory and disk: the module of a
+        rejected candidate must not be re-emitted by the next compile."""
+        self._modules.discard(mkey)
+        if self._disk is not None:
+            self._disk.discard(f"module-{mkey}")
+        self.stats.invalidations += 1
+
     def get_lifted(self, lkey: str) -> tuple[Module, str] | None:
         return self._get_ir(self._lifted, "lifted", lkey)
 

@@ -66,6 +66,15 @@ class RungAttempt:
     #: served from quarantine without attempting (fresh negative entry)
     quarantined: bool = False
     verified: bool = False
+    #: the -O3 pass the pipeline's validator blamed for a rejected
+    #: candidate and quarantined (None: no pass blamed)
+    blamed_pass: str | None = None
+
+    @property
+    def rebuilt(self) -> bool:
+        """The rung was rebuilt and admitted once more: every blame is
+        followed by exactly one rebuild."""
+        return self.blamed_pass is not None
 
 
 class GuardStats:
@@ -369,12 +378,11 @@ class GuardedTransformer:
                 # neither the pregate nor the probe executions.  Anything
                 # else — fresh compiles and entries installed by an
                 # unguarded BinaryTransformer — must be admitted now
-                plan = self.plans[rung]
-                result = self.pipeline.compile(
-                    plan, entry, signature, fixes, out_name,
-                    mem_regions=mem_regions, dbrew_func=dbrew_entry)
-                gate = self.pipeline.admit(plan, result, entry, signature,
-                                           fixes, probes)
+                result, gate = self.pipeline.run(
+                    self.plans[rung], entry, signature, fixes, out_name,
+                    mem_regions=mem_regions, dbrew_func=dbrew_entry,
+                    probes=probes)
+                attempt.blamed_pass = result.blamed_pass
                 if gate is not None:
                     out.gate = gate
                     # verified = a conclusive comparison happened on this
@@ -389,6 +397,7 @@ class GuardedTransformer:
                 attempt.error = str(exc)
                 attempt.error_type = type(exc).__name__
                 attempt.context = dict(exc.context)
+                attempt.blamed_pass = exc.context.get("blamed_pass")
                 self.stats.failures[rung] += 1
                 if isinstance(exc, VerificationError):
                     if exc.context.get("stage") == "static-verify":

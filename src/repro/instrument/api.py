@@ -99,9 +99,8 @@ class Instrumenter:
         try:
             with _TR.span("instrument.apply", {"name": out_name,
                                                "options": options.digest()}):
-                res = pipeline.compile(plan, entry, signature, None, out_name)
-                gate_report = pipeline.admit(plan, res, entry, signature,
-                                             None, probes)
+                res, gate_report = pipeline.run(plan, entry, signature, None,
+                                                out_name, probes=probes)
         except VerificationError as exc:
             counter = _REJECTED.get(exc.context.get("stage"))
             if counter is not None:

@@ -280,6 +280,10 @@ class Lowerer:
 
     def run(self) -> TFunc:
         func = self.func
+        for blk in func.blocks:
+            if blk.terminator is None:
+                raise CodegenError(
+                    f"@{func.name}: block {blk.name} has no terminator")
         split_critical_edges(func)
         # classify params
         iparams: list[VReg] = []

@@ -9,6 +9,6 @@ optional loop vectorizer that *refuses* lifted code unless forced — the
 paper's missing-metadata observation.
 """
 
-from repro.ir.passes.pipeline import O3Options, O3Report, run_o3
+from repro.ir.passes.pipeline import O3Options, O3Report, replay_o3, run_o3
 
-__all__ = ["O3Options", "O3Report", "run_o3"]
+__all__ = ["O3Options", "O3Report", "replay_o3", "run_o3"]

@@ -97,6 +97,11 @@ class O3Report:
     #: — 0 is "validated" on structure alone; None when no such verdict
     #: exists (unvalidated run, or per-pass verdicts: read ``pass_log``)
     conclusive_probes: int | None = None
+    #: the output was checked by the IR verifier alone, because the plan's
+    #: differential gate judges its behaviour after codegen (set by
+    #: :class:`~repro.jit.plan.Pipeline`).  ``conclusive_probes`` is then
+    #: None: no behavioural verdict at -O3, not one that rested on no probe
+    structural_only: bool = False
     #: pass applications the scheduler proved idle and skipped, in skip
     #: order (repro.ir.passes.schedule; skipping never changes the IR)
     skipped_passes: list[str] = field(default_factory=list)
@@ -129,31 +134,53 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     accepted one.
 
     With a ``validator`` (:class:`~repro.analysis.validate.PassValidator`)
-    the sweep is checked: structural invariants plus differential
-    interpretation of input vs output.  The whole sweep is one application — it runs exactly as
-    without a validator and the lifted body is compared with the final
-    one.  Only when that is rejected (or a pass is already in quarantine)
-    does every pass application get its own check: the lifted body is back
-    in place, the sweep is replayed per pass (charging the budget like any
-    sweep), the pass the replay rejects is rolled back and quarantined by
-    name, its verdict appears in ``O3Report.pass_log`` and
-    ``O3Report.rejected_passes``, and the rest of the pipeline continues.
+    the sweep is checked end to end: structural invariants plus
+    differential interpretation of the lifted body against the final one.
+    The whole sweep is one application — it runs exactly as without a
+    validator.  Only when that is rejected (or a pass is already in
+    quarantine) does every pass application get its own check: the lifted
+    body is back in place and :func:`replay_o3` finds whom to blame.
+
+    Who judges -O3 is the caller's choice.  :class:`~repro.jit.plan.
+    Pipeline` hands its validator in here only where no differential gate
+    follows codegen; on a plan that always gates it runs this function
+    without one, checks the output structurally (``verify``) and leaves
+    behaviour to the gate — the interpreter runs there only to blame a
+    pass once the gate has rejected the candidate.
     """
     report = O3Report(validated=validator is not None)
     sched = schedule.Scheduler(func, validator)
-    if validator is not None and sched.disabled_reason is None:
-        # nobody under suspicion: sweep unvalidated, compare end to end
-        _result, verdict = validator.run_pass(
-            validator.PIPELINE,
-            lambda: _sweep(func, options, budget, None, sched, report), func)
-        if verdict.ok:
-            report.pass_log.append(verdict)
-            report.conclusive_probes = verdict.probes_run
-            return report
-        # the lifted body is back; the per-pass replay finds whom to blame
-        report = O3Report(validated=True, pass_log=[verdict])
-        sched = schedule.Scheduler(func, validator)
-    _sweep(func, options, budget, validator, sched, report)
+    if validator is None or sched.disabled_reason is not None:
+        _sweep(func, options, budget, validator, sched, report)
+        return report
+    # nobody under suspicion: sweep unvalidated, compare end to end
+    _result, verdict = validator.run_pass(
+        validator.PIPELINE,
+        lambda: _sweep(func, options, budget, None, sched, report), func)
+    if verdict.ok:
+        report.pass_log.append(verdict)
+        report.conclusive_probes = verdict.probes_run
+        return report
+    # the lifted body is back; the per-pass replay finds whom to blame
+    report = replay_o3(func, options, budget, validator)
+    report.pass_log.insert(0, verdict)
+    return report
+
+
+def replay_o3(func: Function, options: O3Options, budget: "object | None",
+              validator: "PassValidator") -> O3Report:
+    """The sweep with one validated application per pass.
+
+    A pass the validator rejects is rolled back, named in
+    ``O3Report.rejected_passes`` and quarantined as ``o3pass:<name>``, and
+    the rest of the pipeline keeps running, charging the budget like any
+    sweep.  Passes are deterministic, so replayed over the body a rejected
+    sweep started from, this meets the same fault between two bodies one
+    pass apart.
+    """
+    report = O3Report(validated=True)
+    _sweep(func, options, budget, validator,
+           schedule.Scheduler(func, validator), report)
     return report
 
 

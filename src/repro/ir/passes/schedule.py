@@ -473,13 +473,11 @@ class Scheduler:
         self.disabled_reason: str | None = None
         #: pass name -> (function version, shape verdict)
         self._shape: dict[str, tuple[int, bool]] = {}
-        if validator is not None:
+        suspect = None if validator is None else validator.quarantined()
+        if suspect is not None:
             # a pass already in quarantine means this pipeline is under
             # active suspicion: run everything, validate everything
-            for name in PASS_NAMES:
-                if validator.negative.check(f"o3pass:{name}") is not None:
-                    self.disable(f"quarantined:{name}")
-                    break
+            self.disable(f"quarantined:{suspect}")
 
     # -- state ---------------------------------------------------------------
 

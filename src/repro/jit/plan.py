@@ -13,9 +13,17 @@ sequence of stages under a :class:`Plan`, its policy (DESIGN §16)::
 coalescing), the budget checkpoints, the obs spans and the
 ``machine:<xkey>`` quarantine; a module-stage hit — and a module handed
 over by the compile farm (:meth:`Pipeline.install`) — enters the same tail
-at codegen.  :meth:`Pipeline.admit` is validate-before-swap.  What can only
-*reject* work — budget, validator, machine verification, pregate, gate —
-is never part of a cache key.
+at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
+:meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
+What can only *reject* work — budget, validator, machine verification,
+pregate, gate — is never part of a cache key.
+
+One behavioural check per install.  A pipeline with a pass validator
+checks -O3 structurally (``verify``) on a plan that always gates: the gate
+compares the emitted code with the original on the request's own inputs,
+and the validator's interpreter runs only to blame a pass once a candidate
+has been rejected.  On a plan that gates only if the machine proof is
+inconclusive, or never, the validator judges -O3 end to end as before.
 """
 
 from __future__ import annotations
@@ -32,11 +40,11 @@ from repro.cache import MachineEntry, SpecializationCache
 from repro.cache import keys as cache_keys
 from repro.cpu.image import Image
 from repro.dbrew import Rewriter, raising_error_handler
-from repro.errors import VerificationError
+from repro.errors import IRError, ReproError, VerificationError
 from repro.ir import verify
 from repro.ir.codegen import JITEngine, JITOptions
 from repro.ir.module import Function, Module
-from repro.ir.passes import O3Options, O3Report, run_o3
+from repro.ir.passes import O3Options, O3Report, replay_o3, run_o3
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.lift.fixation import FixedMemory, build_fixation_wrapper
 from repro.obs import metrics as _metrics
@@ -47,6 +55,11 @@ if TYPE_CHECKING:  # pragma: no cover - repro.guard/instrument import us
     from repro.instrument.passes import InstrumentOptions
 
 Fixes = dict[int, int | float | FixedMemory] | None
+
+#: the rejections that judge a candidate's -O3 output — the verifier after
+#: an unvalidated O3, the pregate and the gate — and so send a pipeline
+#: with a validator looking for the pass to blame
+O3_JUDGED = ("o3-verify", "static-verify", "verify")
 
 #: shared defaults of the frozen option records, read by every front door
 #: that builds a :class:`Plan`.  A caller that builds a transformer per
@@ -136,10 +149,20 @@ class TransformResult:
     #: wall time :meth:`Pipeline.admit` spent on this candidate
     pregate_seconds: float = 0.0
     gate_seconds: float = 0.0
+    #: the pass :meth:`Pipeline.run` blamed for a rejected first candidate
+    #: and quarantined before rebuilding this one (None: no recovery)
+    blamed_pass: str | None = None
 
     @property
     def total_seconds(self) -> float:
         return self.lift_seconds + self.optimize_seconds + self.codegen_seconds
+
+
+def _o3_order(module: Module, main: Function) -> list[Function]:
+    """The defined functions, lifted callees first so the inliner sees
+    their real (small) size, then ``main``."""
+    return [*(f for f in module.functions.values()
+              if f is not main and not f.is_declaration), main]
 
 
 def verify_emitted(jit: JITEngine, name: str):
@@ -197,10 +220,63 @@ class Pipeline:
         and its optional separate entry.  A refuted machine proof raises
         before the code can reach the machine cache.
         """
-        if plan.rung == "dbrew+llvm":
-            func = self.rewrite(func if dbrew_func is None else dbrew_func,
-                                signature, fixes, mem_regions,
-                                out_name + ".dbrew")
+        source = self._source(plan, func, signature, fixes, out_name,
+                              mem_regions, dbrew_func)
+        return self._compile(plan, source, signature, fixes, out_name)
+
+    def run(self, plan: Plan, func: str | int, signature: FunctionSignature,
+            fixes: Fixes, out_name: str, *,
+            mem_regions: Sequence[tuple[int, int]] = (),
+            dbrew_func: str | int | None = None,
+            probes: Sequence[tuple] = (),
+            ) -> "tuple[TransformResult, GateReport | None]":
+        """:meth:`compile`, then :meth:`admit` against ``func``.
+
+        With a validator, on a plan that always gates, a candidate whose
+        -O3 output the verifier, the pregate or the gate rejects is the cue
+        to blame a pass: -O3 is replayed per pass under the validator on a
+        fresh lift, the pass it rejects is quarantined as ``o3pass:<name>``
+        and the rung is rebuilt — per pass from the start, as every O3
+        under an active quarantine — and admitted once more.  The result
+        then names the pass in ``blamed_pass``, and a rebuild that fails
+        too raises with ``blamed_pass`` in its context.  With no pass
+        blamed the first rejection stands.
+        """
+        source = self._source(plan, func, signature, fixes, out_name,
+                              mem_regions, dbrew_func)
+        try:
+            result = self._compile(plan, source, signature, fixes, out_name)
+            return result, self.admit(plan, result, func, signature, fixes,
+                                      probes)
+        except ReproError as exc:
+            if not self._gate_judges_o3(plan) \
+                    or exc.context.get("stage") not in O3_JUDGED:
+                raise
+            blamed = self._blame(plan, source, signature, fixes, out_name)
+            if blamed is None:
+                raise
+        try:
+            result = self._compile(plan, source, signature, fixes, out_name)
+            gate = self.admit(plan, result, func, signature, fixes, probes)
+        except ReproError as exc:
+            raise exc.with_context(blamed_pass=blamed)
+        result.blamed_pass = blamed
+        return result, gate
+
+    def _source(self, plan: Plan, func: str | int,
+                signature: FunctionSignature, fixes: Fixes, out_name: str,
+                mem_regions: Sequence[tuple[int, int]],
+                dbrew_func: str | int | None) -> str | int:
+        """The entry the lifter reads: DBrew's output on its rung."""
+        if plan.rung != "dbrew+llvm":
+            return func
+        return self.rewrite(func if dbrew_func is None else dbrew_func,
+                            signature, fixes, mem_regions,
+                            out_name + ".dbrew")
+
+    def _compile(self, plan: Plan, func: str | int,
+                 signature: FunctionSignature, fixes: Fixes,
+                 out_name: str) -> TransformResult:
         fixed = plan.rung == "llvm-fix"
         if not fixed:
             fixes = None
@@ -361,27 +437,71 @@ class Pipeline:
                 cache.put_lifted(lkey, module, lifted.name)
 
         t0 = time.perf_counter()
-        main = lifted
-        if fixed:
-            with _TR.span("fixation", {"name": out_name}):
-                main = build_fixation_wrapper(
-                    module, lifted, fixes or {}, self.image.memory,
-                    name=out_name)
+        main = self._fix(module, lifted, fixes, out_name) if fixed \
+            else lifted
         with _TR.span("opt", {"name": out_name}):
-            # lifted callees first, so the inliner sees their real (small)
-            # size, then the main function
-            for f in module.functions.values():
-                if f is not main and not f.is_declaration:
-                    run_o3(f, plan.o3, budget=self.budget,
-                           validator=self.validator)
-            o3_report = run_o3(main, plan.o3, budget=self.budget,
-                               validator=self.validator)
+            o3_report = self._optimize(plan, module, main, out_name)
         t_opt = time.perf_counter() - t0
         if mkey is not None:
             assert cache is not None
             cache.put_module(mkey, module, main.name)
         return self._emit(plan, module, main, out_name, mkey, xkey, stage,
                           t_lift, t_opt, o3_report)
+
+    def _fix(self, module: Module, lifted: Function, fixes: Fixes,
+             out_name: str) -> Function:
+        with _TR.span("fixation", {"name": out_name}):
+            return build_fixation_wrapper(module, lifted, fixes or {},
+                                          self.image.memory, name=out_name)
+
+    def _gate_judges_o3(self, plan: Plan) -> bool:
+        """The plan's gate, not the validator's interpreter, judges what
+        -O3 did: there is a validator and every candidate is gated."""
+        return self.validator is not None and plan.gate == "always"
+
+    def _optimize(self, plan: Plan, module: Module, main: Function,
+                  out_name: str) -> O3Report:
+        """-O3 on every defined function of ``module``; returns ``main``'s
+        report.
+
+        Where the gate judges -O3 and no pass is in quarantine, the
+        validator's structural half is all that runs here: each function
+        is verified once, and a malformed one raises ``IRError`` with
+        ``stage="o3-verify"`` before the module can reach the cache.
+        """
+        structural = self._gate_judges_o3(plan) \
+            and self.validator.quarantined() is None  # type: ignore[attr-defined]
+        validator = None if structural else self.validator
+        report = None
+        for f in _o3_order(module, main):
+            report = run_o3(f, plan.o3, budget=self.budget,
+                            validator=validator)
+            if structural:
+                try:
+                    verify(f)
+                except IRError as exc:
+                    raise exc.with_context(stage="o3-verify", name=out_name)
+        assert report is not None
+        report.structural_only = structural
+        return report
+
+    def _blame(self, plan: Plan, func: str | int,
+               signature: FunctionSignature, fixes: Fixes,
+               out_name: str) -> str | None:
+        """Replay -O3 per pass under the validator on a fresh lift of
+        ``func``; the first pass it rejects — and quarantines — is blamed."""
+        fixed = plan.rung == "llvm-fix"
+        module = Module(f"blame.{out_name}")
+        lifted, _t = self._lift(plan.lift, func, signature, module,
+                                out_name + (".orig" if fixed else ".lifted"))
+        main = self._fix(module, lifted, fixes, out_name) if fixed \
+            else lifted
+        for f in _o3_order(module, main):
+            rejected = replay_o3(f, plan.o3, self.budget,
+                                 self.validator).rejected_passes
+            if rejected:
+                return rejected[0]
+        return None
 
     def _lift(self, lift: LiftOptions, func: str | int,
               signature: FunctionSignature, module: Module,
@@ -514,8 +634,11 @@ class Pipeline:
                                     probes)
                 result.gate_seconds = time.perf_counter() - t1
         except VerificationError:
-            if self.cache is not None and result.machine_key is not None:
-                self.cache.evict_machine(self.image, result.machine_key)
+            if self.cache is not None:
+                if result.machine_key is not None:
+                    self.cache.evict_machine(self.image, result.machine_key)
+                if result.module_key is not None:
+                    self.cache.evict_module(result.module_key)
             raise
         if report is not None and self.cache is not None \
                 and result.machine_key is not None:

@@ -36,7 +36,7 @@ from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Module, ptr, verify,
 )
 from repro.ir import instructions as I
-from repro.ir.passes import pipeline, run_o3, schedule
+from repro.ir.passes import pipeline, replay_o3, run_o3
 from repro.ir.values import Constant, ConstantFP
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
@@ -171,23 +171,21 @@ class Outcome:
 def _per_pass(func: Function, validator: PassValidator) -> pipeline.O3Report:
     """The sweep with one validated application per pass — what ``run_o3``
     falls back to, called directly."""
-    report = pipeline.O3Report(validated=True)
-    pipeline._sweep(func, pipeline.O3Options(), None, validator,
-                    schedule.Scheduler(func, validator), report)
-    return report
+    return replay_o3(func, pipeline.O3Options(), None, validator)
 
 
-def _drive(driver, func: Function, pristine: Function, pass_name: str,
-           corruption) -> Outcome:
-    restore_function(func, clone_function(pristine))
-    validator = PassValidator()
-    applied = 0
+class Miscompile:
+    """The ``corrupt=`` hook of a miscompiling pass: ``corruption`` after
+    every application, counting the applications it changed a body in."""
 
-    def corrupt(result, f, *_args):
-        nonlocal applied
-        if not corruption(f):
+    def __init__(self, corruption) -> None:
+        self.corruption = corruption
+        self.applied = 0
+
+    def __call__(self, result, f, *_args):
+        if not self.corruption(f):
             return None
-        applied += 1
+        self.applied += 1
         f.bump_version()
         # a miscompiling pass is wrong about the code, not about having
         # touched it (the lying pass has its own tests in test_validation)
@@ -196,11 +194,17 @@ def _drive(driver, func: Function, pristine: Function, pass_name: str,
             return None
         return True
 
+
+def _drive(driver, func: Function, pristine: Function, pass_name: str,
+           corruption) -> Outcome:
+    restore_function(func, clone_function(pristine))
+    validator = PassValidator()
+    corrupt = Miscompile(corruption)
     with inject_faults(f"pass:{pass_name}", every=True, corrupt=corrupt):
         report = driver(func, validator)
     return Outcome(report.rejected_passes, function_fingerprint(func),
                    sorted(validator.negative._store.keys()),
-                   clone_function(func), applied)
+                   clone_function(func), corrupt.applied)
 
 
 def _probe_equal(before: Function, after: Function) -> tuple[bool, int]:

@@ -128,10 +128,11 @@ def test_silent_miscompile_is_caught_by_the_gate():
 
 
 def test_gate_rejected_code_is_evicted_not_resurrected():
-    # The miscompile lands in the positive machine cache *before* the gate
-    # runs.  When the quarantine TTL lapses and the rung is retried, the
-    # divergent code must not come back as an ungated machine hit: the
-    # rejection must have evicted it, so the gate runs (and rejects) again.
+    # The miscompile lands in the positive machine and module caches
+    # *before* the gate runs.  When the quarantine TTL lapses and the rung
+    # is retried, the divergent code must come back neither as an ungated
+    # machine hit nor re-emitted from its module: the rejection evicted
+    # both, so the retry re-runs O3 from the lifted stage.
     from repro.cache import NegativeCache
 
     class Clock:
@@ -146,13 +147,25 @@ def test_gate_rejected_code_is_evicted_not_resurrected():
     assert r.mode == "original"
     assert g.stats.verification_rejections == 3
 
-    clk.now = 11.0  # quarantine lapsed; corrupt modules still cached
+    clk.now = 11.0  # quarantine lapsed; the optimizer is healthy again
     r2 = g.transform("f", SIG, {1: 6}, probes=[(3,)])
-    assert r2.mode == "original"  # re-gated and rejected, never served
-    assert g.stats.verification_rejections == 6
-    assert not any(a.ok and a.rung != "original" for a in r2.attempts)
-    # the fallback still computes the true result with b live
-    assert Simulator(img).call_int(r2.addr, (5, 6)) == 37
+    assert r2.mode == "dbrew+llvm" and r2.verified
+    assert r2.result.cache_stage == "lifted"  # O3 ran again
+    assert g.stats.verification_rejections == 3
+    assert Simulator(img).call_int(r2.addr, (5, 0)) == 5 * 6 + 7
+
+
+def test_a_rejection_evicts_the_module_entry_too():
+    cache = SpecializationCache()
+    modules = []
+    put = cache.put_module
+    cache.put_module = lambda mkey, *a: modules.append(mkey) or put(mkey, *a)
+    img, g = make(cache=cache)
+    with inject_faults("opt", every=True, corrupt=skew_constants):
+        r = g.transform("f", SIG, {1: 6}, probes=[(3,)], ladder=("llvm-fix",))
+    assert r.mode == "original" and g.stats.verification_rejections == 1
+    # the miscompiled O3 body reached the module cache before the gate ran
+    assert len(modules) == 1 and cache.get_module(modules[0]) is None
 
 
 def test_unguarded_cache_entries_are_gated_on_first_guarded_use():

@@ -18,8 +18,9 @@ import repro
 
 STAGE_ENTRY_POINTS = (
     "Rewriter", "lift_function", "build_fixation_wrapper", "run_o3",
-    "JITEngine", "verify_emitted", "run_checkers", "check_probe_ops",
-    "DifferentialGate", "mark_machine_gated", "evict_machine",
+    "replay_o3", "JITEngine", "verify_emitted", "run_checkers",
+    "check_probe_ops", "DifferentialGate", "mark_machine_gated",
+    "evict_machine", "evict_module",
 )
 FRONT_DOORS = ("jit", "guard", "tier", "farm", "instrument", "bench")
 
