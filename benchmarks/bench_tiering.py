@@ -29,6 +29,7 @@ import argparse
 import gc
 import json
 import time
+from dataclasses import asdict
 
 from repro import FunctionSignature, Simulator, compile_c
 from repro.bench.modes import prepare_kernel, register_tiered
@@ -188,11 +189,11 @@ def bench_compile_queue(n_funcs: int = 64) -> dict:
             dt = time.perf_counter() - t0
             assert ok, "compile queue did not drain"
             assert sum(eng.stats.installs.values()) == n_funcs, \
-                eng.stats.snapshot()
+                asdict(eng.stats)
             for h in handles:
                 assert h.tier == T1
             addrs = [h.address() for h in handles]
-            stats = eng.stats.snapshot()
+            stats = asdict(eng.stats)
         return dt, stats, addrs
 
     cold_dt, cold_stats, addrs = round_trip("r1")

@@ -38,8 +38,7 @@ from __future__ import annotations
 import copy
 import threading
 import weakref
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.cache import keys as K
 from repro.cache.flight import FlightTable
@@ -47,47 +46,45 @@ from repro.cache.negative import NegativeCache, NegativeEntry
 from repro.cache.store import DiskStore, LRUStore
 from repro.cpu.image import Image
 from repro.ir.module import Function, Module
-from repro.obs.metrics import CounterView, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 STAGES = ("machine", "module", "lifted", "rewrite")
 
 
+@dataclass
+class NegativeStats:
+    """Failure-quarantine traffic through the cache (see
+    :mod:`repro.cache.negative`)."""
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+
+
+def _per_stage() -> dict[str, int]:
+    return dict.fromkeys(STAGES, 0)
+
+
+@dataclass
 class CacheStats:
     """Hit/miss accounting, per stage and per transform.
 
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry` (private by
-    default, shareable via the ``registry`` argument) so one
+    The record a cache holds in its
+    :class:`~repro.obs.metrics.MetricsRegistry` under ``cache`` (private by
+    default, shareable via the ``registry`` argument), so one
     ``snapshot()``/``reset()`` is authoritative across cache, guard and
-    tier accounting.  The legacy attributes remain thin read/write views
-    over the registry-owned metrics.
+    tier accounting.
     """
 
-    disk_hits = CounterView("_disk_hits")
-    stores = CounterView("_stores")
-    invalidations = CounterView("_invalidations")
+    stage_hits: dict[str, int] = field(default_factory=_per_stage)
+    stage_misses: dict[str, int] = field(default_factory=_per_stage)
+    disk_hits: int = 0
+    stores: int = 0
+    invalidations: int = 0
     #: whole-transform outcomes: a transform is a hit if *any* stage hit
-    transforms = CounterView("_transforms")
-    transform_hits = CounterView("_transform_hits")
-    #: failure-quarantine traffic (see repro.cache.negative)
-    negative_hits = CounterView("_negative_hits")
-    negative_misses = CounterView("_negative_misses")
-    negative_stores = CounterView("_negative_stores")
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
-        self.stage_hits = r.family("cache.stage_hits",
-                                   {s: 0 for s in STAGES})
-        self.stage_misses = r.family("cache.stage_misses",
-                                     {s: 0 for s in STAGES})
-        self._disk_hits = r.counter("cache.disk_hits")
-        self._stores = r.counter("cache.stores")
-        self._invalidations = r.counter("cache.invalidations")
-        self._transforms = r.counter("cache.transforms")
-        self._transform_hits = r.counter("cache.transform_hits")
-        self._negative_hits = r.counter("cache.negative.hits")
-        self._negative_misses = r.counter("cache.negative.misses")
-        self._negative_stores = r.counter("cache.negative.stores")
+    transforms: int = 0
+    transform_hits: int = 0
+    negative: NegativeStats = field(default_factory=NegativeStats)
 
     @property
     def hit_rate(self) -> float:
@@ -95,21 +92,6 @@ class CacheStats:
         if self.transforms == 0:
             return 0.0
         return self.transform_hits / self.transforms
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "stage_hits": dict(self.stage_hits),
-            "stage_misses": dict(self.stage_misses),
-            "disk_hits": self.disk_hits,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "transforms": self.transforms,
-            "transform_hits": self.transform_hits,
-            "hit_rate": self.hit_rate,
-            "negative_hits": self.negative_hits,
-            "negative_misses": self.negative_misses,
-            "negative_stores": self.negative_stores,
-        }
 
 
 @dataclass
@@ -184,7 +166,7 @@ class SpecializationCache:
         #: stats counters and flight-table counters alike; pass a shared
         #: registry to aggregate with other subsystems
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.stats = CacheStats(self.registry)
+        self.stats = self.registry.record("cache", CacheStats)
         self._lifted = LRUStore(capacity)
         self._modules = LRUStore(capacity)
         self._machine_capacity = machine_capacity
@@ -330,15 +312,15 @@ class SpecializationCache:
         """A fresh quarantine entry for this transform key, or None."""
         entry = self.negative.check(key)
         if entry is not None:
-            self.stats.negative_hits += 1
+            self.stats.negative.hits += 1
         else:
-            self.stats.negative_misses += 1
+            self.stats.negative.misses += 1
         return entry
 
     def put_negative(self, key: str, rung: str, reason: str,
                      context: dict | None = None) -> NegativeEntry:
         """Quarantine a failed transform under its content key."""
-        self.stats.negative_stores += 1
+        self.stats.negative.stores += 1
         return self.negative.record(key, rung, reason, context)
 
     # -- accounting --------------------------------------------------------------

@@ -71,8 +71,6 @@ class NegativeCache:
         self._clock = clock
         self._store = LRUStore(capacity)
         self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
         self.expirations = 0
 
     def check(self, key: str) -> NegativeEntry | None:
@@ -84,13 +82,10 @@ class NegativeCache:
         with self._lock:
             entry: NegativeEntry | None = self._store.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             if not entry.fresh(self._clock()):
                 self.expirations += 1
-                self.misses += 1
                 return None
-            self.hits += 1
             entry.served += 1
             return entry
 

@@ -45,7 +45,7 @@ from repro.jit.plan import (
 )
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
-from repro.obs.metrics import CounterView, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER as _TR
 
 #: the full degradation ladder, strongest specialization first
@@ -77,64 +77,83 @@ class RungAttempt:
         return self.blamed_pass is not None
 
 
+@dataclass
+class GateVerdicts:
+    """Dynamic-gate verdicts of the candidates a guard served."""
+
+    pass_: int = 0
+    vacuous: int = 0
+
+
+def _per_rung() -> dict[str, int]:
+    return dict.fromkeys(LADDER, 0)
+
+
+@dataclass
 class GuardStats:
     """Aggregate ladder counters across one GuardedTransformer's lifetime.
 
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry` (private by
+    The record a guard holds in its
+    :class:`~repro.obs.metrics.MetricsRegistry` under ``guard`` (private by
     default; share one to aggregate across transformers — the tiered
-    engine's per-job guards do this).  The legacy attributes stay usable
-    exactly as before: scalars read and write as ints, the dict-valued
-    counters index like dicts.
+    engine's per-job guards do this).  :meth:`fold` is its one writer.
     """
 
-    transforms = CounterView("_transforms")
-    verification_rejections = CounterView("_verification_rejections")
+    transforms: int = 0
+    #: transforms served by each rung
+    served_by: dict[str, int] = field(default_factory=_per_rung)
+    #: rung attempt failures, by rung
+    failures: dict[str, int] = field(default_factory=_per_rung)
+    #: candidates the dynamic gate rejected
+    verification_rejections: int = 0
     #: candidates rejected by the *static* pre-gate (no probe budget spent)
-    static_rejections = CounterView("_static_rejections")
+    static_rejections: int = 0
+    #: static rejections by checker name (the recorded skip reason)
+    static_skip_reasons: dict[str, int] = field(default_factory=dict)
     #: candidates whose emitted code the machine-level verifier refuted
     #: (quarantined before installation; no probe budget spent)
-    machine_rejections = CounterView("_machine_rejections")
-    budget_exceeded = CounterView("_budget_exceeded")
+    machine_rejections: int = 0
+    budget_exceeded: int = 0
     #: rungs skipped because a fresh quarantine entry covered them
-    negative_served = CounterView("_negative_served")
+    negative_served: int = 0
     #: transforms that degraded all the way to the original function
-    fallbacks = CounterView("_fallbacks")
+    fallbacks: int = 0
+    gate: GateVerdicts = field(default_factory=GateVerdicts)
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
-        #: transforms served by each rung
-        self.served_by = r.family("guard.served_by", {x: 0 for x in LADDER})
-        #: rung attempt failures, by rung
-        self.failures = r.family("guard.failures", {x: 0 for x in LADDER})
-        #: static rejections by checker name (the recorded skip reason)
-        self.static_skip_reasons = r.family("guard.static_skip_reasons")
-        self._transforms = r.counter("guard.transforms")
-        self._verification_rejections = r.counter(
-            "guard.verification_rejections")
-        self._static_rejections = r.counter("guard.static_rejections")
-        self._machine_rejections = r.counter("guard.machine_rejections")
-        self._budget_exceeded = r.counter("guard.budget_exceeded")
-        self._negative_served = r.counter("guard.negative_served")
-        self._fallbacks = r.counter("guard.fallbacks")
+    def fold(self, out: "GuardResult") -> None:
+        """Count one finished transform from its result."""
+        self.transforms += 1
+        for attempt in out.attempts:
+            if attempt.quarantined:
+                self.negative_served += 1
+            elif not attempt.ok:
+                self._count_failure(attempt)
+        self.served_by[out.mode] += 1
+        if out.degraded:
+            self.fallbacks += 1
+        if out.gate is not None:
+            if out.gate.vacuous:
+                self.gate.vacuous += 1
+            else:
+                self.gate.pass_ += 1
 
-    def reset(self) -> None:
-        """Zero every counter (routes through the backing registry)."""
-        self.registry.reset()
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "transforms": self.transforms,
-            "served_by": dict(self.served_by),
-            "failures": dict(self.failures),
-            "verification_rejections": self.verification_rejections,
-            "static_rejections": self.static_rejections,
-            "machine_rejections": self.machine_rejections,
-            "static_skip_reasons": dict(self.static_skip_reasons),
-            "budget_exceeded": self.budget_exceeded,
-            "negative_served": self.negative_served,
-            "fallbacks": self.fallbacks,
-        }
+    def _count_failure(self, attempt: RungAttempt) -> None:
+        self.failures[attempt.rung] += 1
+        if attempt.error_type == BudgetExceededError.__name__:
+            self.budget_exceeded += 1
+        if attempt.error_type != VerificationError.__name__:
+            return
+        stage = attempt.context.get("stage")
+        if stage == "static-verify":
+            self.static_rejections += 1
+            checker = attempt.context.get("checker")
+            if checker:
+                self.static_skip_reasons[checker] = (
+                    self.static_skip_reasons.get(checker, 0) + 1)
+        elif stage == "machine-verify":
+            self.machine_rejections += 1
+        else:
+            self.verification_rejections += 1
 
 
 @dataclass
@@ -199,11 +218,7 @@ class GuardedTransformer:
         #: the registry backing this guard's stats and gate verdict
         #: counters; pass a shared one to aggregate across transformers
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.stats = GuardStats(self.registry)
-        #: dynamic-gate verdict counters (one per gated candidate)
-        self._gate_pass = self.registry.counter("guard.gate.pass")
-        self._gate_reject = self.registry.counter("guard.gate.reject")
-        self._gate_vacuous = self.registry.counter("guard.gate.vacuous")
+        self.stats = self.registry.record("guard", GuardStats)
         #: quarantine: the attached cache's by default, standalone otherwise
         if negative is not None:
             self.negative = negative
@@ -331,7 +346,6 @@ class GuardedTransformer:
 
         if self.budget is not None:
             self.budget.start()
-        self.stats.transforms += 1
         out = GuardResult(addr=entry, name=out_name, mode="original")
 
         # the guard key digests code bytes + fixed-memory contents — real
@@ -355,8 +369,6 @@ class GuardedTransformer:
                 if size is not None:
                     self.image.func_sizes[out_name] = size
                 out.addr, out.mode = entry, "original"
-                self.stats.served_by["original"] += 1
-                self.stats.fallbacks += 1
                 break
 
             quarantined = (self._check_negative(f"{guard_key()}:{rung}")
@@ -366,7 +378,6 @@ class GuardedTransformer:
                 attempt.error = quarantined.reason
                 attempt.error_type = "Quarantined"
                 attempt.context = dict(quarantined.context)
-                self.stats.negative_served += 1
                 continue
 
             t0 = time.perf_counter()
@@ -388,34 +399,12 @@ class GuardedTransformer:
                     # verified = a conclusive comparison happened on this
                     # request, not merely that the gate had no objection
                     attempt.verified = not gate.vacuous
-                    if gate.vacuous:
-                        self._gate_vacuous.value += 1
-                    else:
-                        self._gate_pass.value += 1
             except ReproError as exc:
                 attempt.seconds = time.perf_counter() - t0
                 attempt.error = str(exc)
                 attempt.error_type = type(exc).__name__
                 attempt.context = dict(exc.context)
                 attempt.blamed_pass = exc.context.get("blamed_pass")
-                self.stats.failures[rung] += 1
-                if isinstance(exc, VerificationError):
-                    if exc.context.get("stage") == "static-verify":
-                        self.stats.static_rejections += 1
-                        checker = exc.context.get("checker")
-                        if checker:
-                            self.stats.static_skip_reasons[checker] = (
-                                self.stats.static_skip_reasons.get(checker, 0)
-                                + 1)
-                    elif exc.context.get("stage") == "machine-verify":
-                        # refuted by the machine-level verifier before
-                        # installation
-                        self.stats.machine_rejections += 1
-                    else:
-                        self.stats.verification_rejections += 1
-                        self._gate_reject.value += 1
-                if isinstance(exc, BudgetExceededError):
-                    self.stats.budget_exceeded += 1
                 self._record_negative(
                     f"{guard_key()}:{rung}", rung,
                     f"{attempt.error_type}: {attempt.error}", attempt.context)
@@ -428,12 +417,12 @@ class GuardedTransformer:
             out.addr, out.mode = result.addr, rung
             out.result = result
             out.verified = attempt.verified
-            self.stats.served_by[rung] += 1
             if len(self.negative):
                 self.negative.forget(f"{guard_key()}:{rung}")
             break
 
         out.seconds = time.perf_counter() - t_start
+        self.stats.fold(out)
         return out
 
 

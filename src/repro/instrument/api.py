@@ -32,9 +32,18 @@ from repro.lift import FunctionSignature, LiftOptions
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
 
-#: rejection stage -> the counter it bumps
-_REJECTED = {"static-verify": "instrument.pregate.rejected",
-             "machine-verify": "instrument.machine.refuted"}
+@dataclass
+class InstrumentStats:
+    """Process-wide instrumentation counts (``instrument.*``), held by the
+    global registry from the first ``Instrumenter`` on."""
+
+    installs: int = 0
+    #: probes installed, by kind
+    probes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("call", "edge", "mem", "watch"), 0))
+    #: installs refused, by the stage that refused them
+    rejected: dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("static-verify", "machine-verify"), 0))
 
 
 @dataclass
@@ -77,6 +86,7 @@ class Instrumenter:
         self.jit_options = jit_options or DEFAULT_JIT
         self.gate_options = gate_options or GateOptions()
         self.machine_verify = machine_verify
+        self.stats = _metrics.REGISTRY.record("instrument", InstrumentStats)
 
     def instrument(self, func: str | int, signature: FunctionSignature,
                    *, options: InstrumentOptions | None = None,
@@ -102,9 +112,9 @@ class Instrumenter:
                 res, gate_report = pipeline.run(plan, entry, signature, None,
                                                 out_name, probes=probes)
         except VerificationError as exc:
-            counter = _REJECTED.get(exc.context.get("stage"))
-            if counter is not None:
-                _metrics.counter(counter).inc()
+            stage = exc.context.get("stage")
+            if stage in self.stats.rejected:
+                self.stats.rejected[stage] += 1
             raise
         probe_plan, buffer = res.probes
         seconds = {"lift": res.lift_seconds, "opt": res.optimize_seconds,
@@ -114,14 +124,14 @@ class Instrumenter:
                    "machine_verify": res.machine_verify_seconds,
                    "gate": res.gate_seconds}
 
-        _metrics.counter("instrument.installs").inc()
-        fam = _metrics.REGISTRY.family("instrument.probes")
+        stats = self.stats
+        stats.installs += 1
         if options.call_counter:
-            fam.inc("call", 1)
+            stats.probes["call"] += 1
         if options.edge_counters:
-            fam.inc("edge", len(probe_plan.block_names))
-        fam.inc("mem", len(probe_plan.mem_sites))
-        fam.inc("watch", len(probe_plan.watch_sites))
+            stats.probes["edge"] += len(probe_plan.block_names)
+        stats.probes["mem"] += len(probe_plan.mem_sites)
+        stats.probes["watch"] += len(probe_plan.watch_sites)
         return InstrumentedFunction(
             name=out_name, addr=res.addr, source=entry, signature=signature,
             options=options, function=res.function, module=res.module,

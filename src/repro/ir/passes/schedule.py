@@ -64,6 +64,7 @@ closure raises in the pass that relied on it).
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from functools import cache
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable, Collection, \
@@ -90,8 +91,18 @@ _CONSTANTS = (Constant, ConstantFP, ConstantVector, Undef)
 #: the classes whose erasure can let gvn forward a load further
 _MEMORY = frozenset({I.Store, I.Call})
 
-_SKIPS = _metrics.REGISTRY.family("o3.sched.skips")
-_RUNS = _metrics.REGISTRY.family("o3.sched.runs")
+
+@dataclass
+class ScheduleStats:
+    """Process-wide pass scheduling counts (``o3.sched.*``)."""
+
+    #: skipped pass applications, by ``pass:journal`` / ``pass:shape``
+    skips: dict[str, int] = field(default_factory=dict)
+    #: executed pass applications, by pass
+    runs: dict[str, int] = field(default_factory=dict)
+
+
+_STATS = _metrics.REGISTRY.record("o3.sched", ScheduleStats)
 
 #: debug flag: after *every* pass application, run the raising IR verifier
 #: and check a claimed-idle pass against a full walk on a copy.  Opt-in via
@@ -503,12 +514,14 @@ class Scheduler:
         if self.disabled_reason is not None:
             return False
         if idle():
-            _SKIPS.inc(f"{name}:journal")
-            return True
-        if self._shape_proves(name, options):
-            _SKIPS.inc(f"{name}:shape")
-            return True
-        return False
+            reason = "journal"
+        elif self._shape_proves(name, options):
+            reason = "shape"
+        else:
+            return False
+        key = f"{name}:{reason}"
+        _STATS.skips[key] = _STATS.skips.get(key, 0) + 1
+        return True
 
     def _shape_proves(self, name: str, options: dict[str, Any]) -> bool:
         ver = self.func.version
@@ -520,4 +533,4 @@ class Scheduler:
 
     def note_result(self, name: str) -> None:
         """Count one executed pass application."""
-        _RUNS.inc(name)
+        _STATS.runs[name] = _STATS.runs.get(name, 0) + 1

@@ -1,29 +1,29 @@
-"""Typed metrics registry: counters, gauges and fixed-bucket histograms.
+"""Typed metrics registry: counters, gauges, histograms and stats records.
 
-Every subsystem used to keep its own ad-hoc stats object (``GuardStats``,
-``CacheStats``, tier EWMAs ...) with its own reset semantics.  The registry
-unifies them: metrics are created once (get-or-create by name), read and
-reset through one authoritative ``snapshot()``/``reset()`` pair, and the
-legacy stats attributes become thin views over registry-owned objects.
+A subsystem's stats (``CacheStats``, ``GuardStats``, ``TierStats``, the
+-O3 scheduler's and the instrumenter's) are plain ``@dataclass`` records of
+ints, dicts and nested records, each counter declared once as a field.  The
+registry holds them: :meth:`MetricsRegistry.record` is get-or-create by
+prefix, so two owners binding one registry share one record, and
+``snapshot()``/``reset()`` flatten and zero every record's fields under its
+prefix (a nested record adds its field name: ``cache.negative.hits``).
 
 Design constraints:
 
-* Increments on the hot path must stay cheap — a ``Counter`` bump is one
-  attribute addition under the GIL, no lock.
-* ``CounterFamily`` subclasses ``dict`` so code and tests that treat the
-  old dict-valued stats fields as dicts (indexing, ``.values()``,
-  ``dict(...)``) keep working unchanged.
+* Increments on the hot path must stay cheap — a record bump is one
+  attribute (or dict item) addition under the GIL, no lock.
+* A field named with a trailing underscore to avoid a Python keyword is
+  reported without it (``pass_`` -> ``guard.gate.pass``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Mapping
+from dataclasses import fields, is_dataclass
+from typing import Callable, Iterable, TypeVar
 
 __all__ = [
     "Counter",
-    "CounterFamily",
-    "CounterView",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -138,54 +138,15 @@ class Histogram:
         return f"Histogram({self.name}, n={self.total}, sum={self.sum:.6g})"
 
 
-class CounterView:
-    """Descriptor exposing a registry :class:`Counter` as a plain int.
-
-    Legacy stats objects had int attributes that callers read and wrote
-    (``stats.transforms += 1``).  Routing them through the registry keeps
-    one authoritative snapshot/reset; this descriptor keeps the old
-    attribute protocol working on top of the registry-owned counter stored
-    at ``_<name>`` on the instance.
-    """
-
-    def __init__(self, attr: str) -> None:
-        self.attr = attr
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return getattr(obj, self.attr).value
-
-    def __set__(self, obj, value) -> None:
-        getattr(obj, self.attr).value = value
-
-
-class CounterFamily(dict):
-    """A dict of label -> count registered as one named metric.
-
-    Subclassing ``dict`` keeps the legacy stats API intact: callers index
-    it, iterate it and copy it with ``dict(...)`` exactly as they did when
-    the stats field was a plain dict.
-    """
-
-    def __init__(self, name: str, initial: Mapping | None = None) -> None:
-        super().__init__(initial or {})
-        self.name = name
-
-    def inc(self, label, amount: int = 1) -> None:
-        self[label] = self.get(label, 0) + amount
-
-    def reset(self) -> None:
-        for k in self:
-            self[k] = 0
+R = TypeVar("R")
 
 
 class MetricsRegistry:
     """Get-or-create metric container with authoritative snapshot/reset.
 
-    Two stats objects binding the same registry and metric names share the
-    underlying counters — that is how per-subsystem stats aggregate when a
-    parent (e.g. ``TieredEngine``) hands its registry to per-job children.
+    Two owners binding the same registry and name share the metric or
+    record — that is how per-subsystem stats aggregate when a parent (e.g.
+    ``TieredEngine``) hands its registry to per-job children.
     """
 
     def __init__(self) -> None:
@@ -215,9 +176,11 @@ class MetricsRegistry:
     def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
         return self._get(name, lambda: Histogram(name, bounds), Histogram)
 
-    def family(self, name: str, initial: Mapping | None = None) -> CounterFamily:
-        return self._get(name, lambda: CounterFamily(name, initial),
-                         CounterFamily)
+    def record(self, prefix: str, cls: type[R]) -> R:
+        """The ``cls`` stats record held under ``prefix``, made with its
+        defaults on first use: every owner binding this registry and
+        prefix shares it (a tier's per-job guards add up in the tier's)."""
+        return self._get(prefix, cls, cls)
 
     def view(self, name: str, fn: Callable[[], object]) -> None:
         """Register a read-only derived value included in snapshots.
@@ -242,8 +205,8 @@ class MetricsRegistry:
                 out[name] = m.value
             elif isinstance(m, Histogram):
                 out[name] = m.snapshot()
-            elif isinstance(m, CounterFamily):
-                out[name] = dict(m)
+            else:
+                _flatten(name, m, out)
         for name, fn in sorted(views):
             try:
                 out[name] = fn()
@@ -252,11 +215,38 @@ class MetricsRegistry:
         return out
 
     def reset(self) -> None:
-        """Zero every owned metric (views are derived and untouched)."""
+        """Zero every owned metric and record in place (views are derived
+        and untouched)."""
         with self._lock:
             metrics = list(self._metrics.values())
         for m in metrics:
-            m.reset()  # type: ignore[attr-defined]
+            if is_dataclass(m):
+                _zero(m)
+            else:
+                m.reset()  # type: ignore[attr-defined]
+
+
+def _flatten(prefix: str, record: object, out: dict[str, object]) -> None:
+    for f in fields(record):
+        name = f"{prefix}.{f.name.rstrip('_')}"
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            _flatten(name, value, out)
+        else:
+            out[name] = dict(value) if isinstance(value, dict) else value
+
+
+def _zero(record: object) -> None:
+    """Zero a record's counters; a dict keeps its keys, as its labels."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            _zero(value)
+        elif isinstance(value, dict):
+            for label in value:
+                value[label] = 0
+        else:
+            setattr(record, f.name, 0)
 
 
 #: Process-global default registry.  Subsystem stats objects default to a

@@ -52,7 +52,7 @@ import signal
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from repro.cache.store import _HEADER, _MAGIC
@@ -416,7 +416,7 @@ def run_scenario(seed: int, options: ChaosOptions | None = None,
         report.pool = pool.snapshot()
         report.store = pool.store.snapshot()
         report.client = client.snapshot()
-        report.engine = engine.stats.snapshot()
+        report.engine = asdict(engine.stats)
         # drop unpicklable/nested bits not useful in a JSON report
         report.engine.pop("cache_served", None)
     finally:

@@ -43,7 +43,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.checkers import DEFAULT_PREGATE
@@ -59,7 +59,7 @@ from repro.jit.plan import (
 )
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
-from repro.obs.metrics import CounterView, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER as _TR, Span
 from repro.tier.handle import DispatchHandle, TierCode
 from repro.tier.policy import (
@@ -67,81 +67,49 @@ from repro.tier.policy import (
 )
 
 
-class TierStats:
-    """Aggregate engine counters (read with :meth:`snapshot`).
+@dataclass
+class FarmStats:
+    """The engine's traffic with a compile farm."""
 
-    Backed by a :class:`~repro.obs.metrics.MetricsRegistry`: the int
-    attributes are :class:`~repro.obs.metrics.CounterView` thin views and
-    the dict-valued fields are registry-owned
-    :class:`~repro.obs.metrics.CounterFamily` objects, so one
-    ``registry.snapshot()``/``reset()`` is authoritative while the legacy
-    attribute protocol (``stats.refixes += 1``,
-    ``stats.installs[tier] += 1``) keeps working unchanged.
-    """
-
-    registered = CounterView("_registered")
-    #: finished jobs discarded because a refix superseded their epoch
-    stale_discards = CounterView("_stale_discards")
-    demotions = CounterView("_demotions")
-    refixes = CounterView("_refixes")
-    #: TransformResults observed via the per-call profiling hook
-    pipeline_results = CounterView("_pipeline_results")
-    #: of those, served by joining another thread's in-flight compile
-    coalesced = CounterView("_coalesced")
     #: compile jobs shipped to the farm (attempted, not necessarily served)
-    farm_jobs = CounterView("_farm_jobs")
+    jobs: int = 0
     #: farm requests that fell back to the in-process pipeline
-    farm_fallbacks = CounterView("_farm_fallbacks")
+    fallbacks: int = 0
     #: farm results served from the shared store without compiling
-    farm_cache_hits = CounterView("_farm_cache_hits")
+    cache_hits: int = 0
     #: farm results that joined another process's in-flight compile
-    farm_coalesced = CounterView("_farm_coalesced")
+    coalesced: int = 0
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        r = registry if registry is not None else MetricsRegistry()
-        self.registry = r
-        self._registered = r.counter("tier.registered")
-        self._stale_discards = r.counter("tier.stale_discards")
-        self._demotions = r.counter("tier.demotions")
-        self._refixes = r.counter("tier.refixes")
-        self._pipeline_results = r.counter("tier.pipeline_results")
-        self._coalesced = r.counter("tier.coalesced")
-        self._farm_jobs = r.counter("tier.farm.jobs")
-        self._farm_fallbacks = r.counter("tier.farm.fallbacks")
-        self._farm_cache_hits = r.counter("tier.farm.cache_hits")
-        self._farm_coalesced = r.counter("tier.farm.coalesced")
-        upgrade = {t: 0 for t in range(1, NUM_TIERS)}
-        #: compile jobs submitted / installed / rejected, by target tier
-        self.submitted = r.family("tier.submitted", upgrade)
-        self.installs = r.family("tier.installs", upgrade)
-        self.rejections = r.family("tier.rejections", upgrade)
-        #: wall seconds spent inside compile jobs, by target tier
-        self.compile_seconds = r.family(
-            "tier.compile_seconds", {t: 0.0 for t in range(1, NUM_TIERS)})
-        #: pipeline results served from a warm cache stage (stage -> count)
-        self.cache_served = r.family("tier.cache_served")
 
-    def reset(self) -> None:
-        self.registry.reset()
+def _per_upgrade() -> dict[int, int]:
+    return dict.fromkeys(range(1, NUM_TIERS), 0)
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "registered": self.registered,
-            "submitted": dict(self.submitted),
-            "installs": dict(self.installs),
-            "rejections": dict(self.rejections),
-            "compile_seconds": dict(self.compile_seconds),
-            "stale_discards": self.stale_discards,
-            "demotions": self.demotions,
-            "refixes": self.refixes,
-            "pipeline_results": self.pipeline_results,
-            "coalesced": self.coalesced,
-            "cache_served": dict(self.cache_served),
-            "farm_jobs": self.farm_jobs,
-            "farm_fallbacks": self.farm_fallbacks,
-            "farm_cache_hits": self.farm_cache_hits,
-            "farm_coalesced": self.farm_coalesced,
-        }
+
+@dataclass
+class TierStats:
+    """Aggregate engine counters: the record an engine holds in its
+    :class:`~repro.obs.metrics.MetricsRegistry` under ``tier``, beside the
+    ``guard`` and ``cache`` records of its T2 guards and default cache."""
+
+    registered: int = 0
+    #: compile jobs submitted / installed / rejected, by target tier
+    submitted: dict[int, int] = field(default_factory=_per_upgrade)
+    installs: dict[int, int] = field(default_factory=_per_upgrade)
+    rejections: dict[int, int] = field(default_factory=_per_upgrade)
+    #: wall seconds spent inside compile jobs, by target tier
+    compile_seconds: dict[int, float] = field(
+        default_factory=lambda: dict.fromkeys(range(1, NUM_TIERS), 0.0))
+    #: finished jobs discarded because a refix superseded their epoch
+    stale_discards: int = 0
+    demotions: int = 0
+    refixes: int = 0
+    #: TransformResults observed via the per-call profiling hook
+    pipeline_results: int = 0
+    #: of those, served by joining another thread's in-flight compile
+    coalesced: int = 0
+    #: pipeline results served from a warm cache stage (stage -> count)
+    cache_served: dict[str, int] = field(default_factory=dict)
+    farm: FarmStats = field(default_factory=FarmStats)
 
 
 @dataclass(frozen=True)
@@ -208,7 +176,7 @@ class TieredEngine:
         #: basic-block heat read from the live probe buffer
         self.profile = profile
         self.instrument_options = instrument_options
-        self.stats = TierStats(self.registry)
+        self.stats = self.registry.record("tier", TierStats)
         self._queue_depth = self.registry.gauge("tier.queue_depth")
         self._dispatch_seconds = self.registry.histogram(
             "tier.dispatch_seconds",
@@ -515,7 +483,7 @@ class TieredEngine:
         # the in-process tiers before doing any of it
         if not self.farm.available():
             with self._lock:
-                self.stats.farm_fallbacks += 1
+                self.stats.farm.fallbacks += 1
             return None
         target = job.target
         if plan.inject is not None:
@@ -542,10 +510,10 @@ class TieredEngine:
             image_key=image_key)
         if jkey is None:
             with self._lock:
-                self.stats.farm_fallbacks += 1
+                self.stats.farm.fallbacks += 1
             return None
         with self._lock:
-            self.stats.farm_jobs += 1
+            self.stats.farm.jobs += 1
         budget = self.budget_factory() if self.budget_factory else None
         cur = _TR.current() if _TR.enabled else None
         cjob = fp.CompileJob(
@@ -560,15 +528,13 @@ class TieredEngine:
         res = self.farm.compile(cjob, timeout=self.farm_timeout)
         if res is None or (not res.ok and res.retryable):
             with self._lock:
-                self.stats.farm_fallbacks += 1
+                self.stats.farm.fallbacks += 1
             return None
         with self._lock:
             if res.cache_stage == "farm":
-                self.stats.farm_cache_hits += 1
-                self.stats.cache_served["farm"] = (
-                    self.stats.cache_served.get("farm", 0) + 1)
+                self.stats.farm.cache_hits += 1
             if res.coalesced:
-                self.stats.farm_coalesced += 1
+                self.stats.farm.coalesced += 1
         if not res.ok:
             return None, None, False, res.reject_reason or "farm rejection"
         # the client-side install is the pipeline's module-stage entry:
@@ -667,7 +633,7 @@ class TieredEngine:
             return {
                 "closed": self._closed,
                 "paused": self.paused,
-                "stats": self.stats.snapshot(),
+                "stats": asdict(self.stats),
                 "handles": {n: h.snapshot()
                             for n, h in self.handles.items()},
             }

@@ -1,6 +1,8 @@
 """BinaryTransformer + SpecializationCache integration: stage hits,
 invalidation, eviction bounds, disk persistence and the hit-rate counters."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.cache import SpecializationCache
@@ -39,11 +41,11 @@ def test_hit_rate_counter_reports_all_warm_transforms():
     cache = SpecializationCache()
     tx = BinaryTransformer(img, cache=cache)
     tx.llvm_identity("f", SIG, name="f.cold")
-    before = cache.stats.snapshot()
-    assert before["hit_rate"] == 0.0
+    before = asdict(cache.stats)
+    assert cache.stats.hit_rate == 0.0
     for i in range(10):
         tx.llvm_identity("f", SIG, name=f"f.warm{i}")
-    after = cache.stats.snapshot()
+    after = asdict(cache.stats)
     warm_transforms = after["transforms"] - before["transforms"]
     warm_hits = after["transform_hits"] - before["transform_hits"]
     assert warm_transforms == 10

@@ -8,6 +8,7 @@ worker processes and the machine code still assembled client-side.
 from __future__ import annotations
 
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -64,11 +65,11 @@ def test_farm_promotion_reaches_t2_verified(prog, farm):
         assert h.tier == T2 and h.code.mode == "dbrew+llvm"
         assert h.code.verified  # worker-side gate verdict propagated
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)
-        s = eng.stats.snapshot()
+        s = asdict(eng.stats)
         assert s["installs"][T2] == 1
         # every install went through the farm, none fell back in-process
-        assert s["farm_jobs"] >= sum(s["installs"].values())
-        assert s["farm_fallbacks"] == 0
+        assert s["farm"]["jobs"] >= sum(s["installs"].values())
+        assert s["farm"]["fallbacks"] == 0
 
 
 def test_farm_dispatch_never_blocks(prog, farm):
@@ -121,8 +122,8 @@ def test_closed_farm_falls_back_to_local_compile(prog, tmp_path):
         h = eng.register("f", FunctionSignature(("i", "i"), "i"),
                          fixes={1: 3})
         spin_to_tier(h, sim, T1, args=(10, 3))
-        s = eng.stats.snapshot()
-        assert s["farm_fallbacks"] >= 1  # every request degraded softly
+        s = asdict(eng.stats)
+        assert s["farm"]["fallbacks"] >= 1  # every request degraded softly
         assert s["installs"][T1] == 1    # and the local pipeline delivered
         assert sim.call(h.address(), (10, 99)).rax == expected(10, 3)
 
@@ -146,16 +147,16 @@ def test_warm_cross_pool_shared_cache(prog, tmp_path):
                 # T2 can install while T1 is still in flight (a hot handle
                 # requests both at once): count only finished jobs
                 assert eng.drain(120.0)
-                return eng.stats.snapshot()
+                return asdict(eng.stats)
         finally:
             pool.close()
 
     cold = run_round()
     warm = run_round()
-    assert cold["farm_cache_hits"] == 0
-    assert warm["farm_jobs"] == 2
-    assert warm["farm_cache_hits"] == 2  # T1 and T2 both warm
-    assert warm["farm_fallbacks"] == 0
+    assert cold["farm"]["cache_hits"] == 0
+    assert warm["farm"]["jobs"] == 2
+    assert warm["farm"]["cache_hits"] == 2  # T1 and T2 both warm
+    assert warm["farm"]["fallbacks"] == 0
 
 
 def test_gate_rejection_from_farm_pins_handle(farm):
@@ -177,9 +178,9 @@ def test_gate_rejection_from_farm_pins_handle(farm):
                 break
             time.sleep(0.01)
         eng.drain(timeout=120)
-        s = eng.stats.snapshot()
+        s = asdict(eng.stats)
         assert s["rejections"][T2] == 1   # verdict delivered by the farm
-        assert s["farm_fallbacks"] == 0   # content verdict, not a retry
+        assert s["farm"]["fallbacks"] == 0   # content verdict, not a retry
         assert h.tier == T1               # pinned at the last good tier
         assert h.governor.pinned_max == T1
         assert sim.call(h.address(), (10, 3)).rax == expected(10, 3)

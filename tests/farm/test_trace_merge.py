@@ -104,7 +104,7 @@ def test_farm_trace_nests_worker_spans_under_dispatch(tmp_path):
                 h.address()
                 time.sleep(0.005)
             eng.drain(timeout=120)
-            assert eng.stats.farm_jobs >= 1
+            assert eng.stats.farm.jobs >= 1
             assert eng.stats.installs[T1] == 1
     finally:
         TRACER.disable()

@@ -6,6 +6,8 @@ the negative cache, and pass the differential gate on rungs that did not
 fail.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.cache import SpecializationCache
@@ -275,7 +277,7 @@ def test_verify_off_skips_the_gate():
 def test_stats_snapshot_shape():
     img, g = make()
     g.transform("f", SIG, {1: 6}, probes=[(3,)])
-    snap = g.stats.snapshot()
+    snap = asdict(g.stats)
     assert snap["transforms"] == 1
     assert snap["served_by"]["dbrew+llvm"] == 1
 

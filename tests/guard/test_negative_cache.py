@@ -88,8 +88,7 @@ def test_specialization_cache_counts_negative_traffic():
     assert cache.check_negative("k") is None
     cache.put_negative("k", "llvm", "LiftError: nope", {"stage": "lift"})
     assert cache.check_negative("k") is not None
-    s = cache.stats
-    assert s.negative_misses == 1
-    assert s.negative_hits == 1
-    assert s.negative_stores == 1
-    assert "negative_hits" in s.snapshot()
+    s = cache.registry.snapshot()
+    assert s["cache.negative.misses"] == 1
+    assert s["cache.negative.hits"] == 1
+    assert s["cache.negative.stores"] == 1

@@ -1,5 +1,7 @@
 """GuardedTransformer static pre-gate: reject before spending probe budget."""
 
+from dataclasses import asdict
+
 from repro.cc import compile_c
 from repro.ir import I64
 from repro.ir import instructions as I
@@ -74,6 +76,6 @@ def test_static_rejection_recorded_in_quarantine():
 def test_stats_snapshot_includes_static_fields():
     program = compile_c(SRC)
     guard = GuardedTransformer(program.image)
-    snap = guard.stats.snapshot()
+    snap = asdict(guard.stats)
     assert "static_rejections" in snap
     assert "static_skip_reasons" in snap

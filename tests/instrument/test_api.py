@@ -10,9 +10,14 @@ happy path and each rejection boundary.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+import repro.jit.plan as plan_mod
 from repro import FunctionSignature, Simulator, compile_c
+from repro.analysis.machine.verifier import REFUTED, VerifyResult
+from repro.errors import VerificationError
 from repro.guard.verify import DifferentialGate, GateOptions
 from repro.instrument import (
     InstrumentOptions,
@@ -21,6 +26,7 @@ from repro.instrument import (
     is_instrumented,
     strip_instrumentation,
 )
+from repro.instrument.api import InstrumentStats
 from repro.obs import metrics as _metrics
 
 LOOP_SRC = ("long f(long a, long b) "
@@ -95,16 +101,29 @@ def test_audit_detects_counter_tampering(prog):
 
 
 def test_metrics_and_strip_surface(prog):
-    installs = _metrics.counter("instrument.installs")
-    before = installs.value
+    stats = _metrics.REGISTRY.record("instrument", InstrumentStats)
+    before = stats.installs
     res = install(prog)
-    assert installs.value == before + 1
-    fam = _metrics.REGISTRY.family("instrument.probes")
-    assert fam.get("edge", 0) > 0 and fam.get("call", 0) > 0
+    assert Instrumenter(prog.image).stats is stats, "one process-wide record"
+    assert stats.installs == before + 1
+    assert stats.probes["edge"] > 0 and stats.probes["call"] > 0
     # the handle's IR strips back to an uninstrumented body
     assert is_instrumented(res.function)
     assert strip_instrumentation(res.function) > 0
     assert not is_instrumented(res.function)
+
+
+def test_a_refused_install_is_counted_by_stage(prog):
+    inst = Instrumenter(prog.image, gate_options=GateOptions(samples=1))
+    before = dict(inst.stats.rejected)
+    refute = mock.patch.object(plan_mod, "verify_emitted",
+                               lambda jit, name: VerifyResult(verdict=REFUTED))
+    with refute, pytest.raises(VerificationError) as exc:
+        inst.instrument("f", SIG, probes=PROBES)
+    assert exc.value.context["stage"] == "machine-verify"
+    assert inst.stats.rejected == {
+        "static-verify": before["static-verify"],
+        "machine-verify": before["machine-verify"] + 1}
 
 
 def test_options_digest_distinct_per_configuration():

@@ -19,7 +19,10 @@ same dict through today's front doors and demand equality.
 The option columns of the ``farm.*.jobs`` rows are read from the plan the
 job carries; ``lift`` is that plan's ``LiftOptions`` digest, edited into
 the fixture by hand when jobs stopped carrying a frozen lift tuple (which
-read ``null`` for the default options).  No other value moved.
+read ``null`` for the default options).  No other value moved.  The
+``guard.gate.reject`` key was later dropped from every ``counters`` cell:
+it counted the same event as ``guard.verification_rejections``, which
+stays; every other key and value was re-captured unchanged.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget

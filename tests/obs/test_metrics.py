@@ -1,26 +1,32 @@
 """Metrics registry unit tests + the stats-unification contract.
 
-The second half pins the satellite-4 guarantee: the legacy stats objects
-(``CacheStats``, ``GuardStats``, ``TierStats``) are thin views over
-registry-owned metrics, so one ``registry.snapshot()``/``reset()`` is
-authoritative and a shared registry aggregates across instances.
+The second half pins the stats records (``CacheStats``, ``GuardStats``,
+``TierStats``, the scheduler's and the instrumenter's): each is a plain
+dataclass held by a registry under a prefix, so one
+``registry.snapshot()``/``reset()`` is authoritative and a shared registry
+aggregates across owners.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from unittest import mock
+
 import pytest
 
+import repro.jit.plan as plan_mod
+from repro import FunctionSignature, compile_c
+from repro.analysis.machine.verifier import REFUTED, VerifyResult
 from repro.cache.cache import CacheStats, SpecializationCache
-from repro.guard.guarded import GuardStats
-from repro.obs.metrics import (
-    Counter,
-    CounterFamily,
-    CounterView,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.tier.engine import TierStats
+from repro.guard import Budget, GateOptions
+from repro.guard.guarded import GuardedTransformer, GuardStats
+from repro.instrument.api import InstrumentStats
+from repro.ir.passes.schedule import ScheduleStats
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.testing import inject_faults
+from repro.tier.engine import TieredEngine, TierStats
+from tests.guard.test_ladder import skew_constants
+from tests.guard.test_static_pregate import _poison_ret
 
 
 # -- primitives -------------------------------------------------------------
@@ -66,17 +72,40 @@ def test_registry_get_or_create_and_type_mismatch():
     assert r.histogram("lat", (2.0,)) is h, "bounds fixed at creation"
 
 
-def test_family_is_a_dict_and_resets_in_place():
+@dataclasses.dataclass
+class _Inner:
+    hits: int = 0
+
+
+@dataclasses.dataclass
+class _Rec:
+    n: int = 0
+    pass_: int = 0
+    served: dict = dataclasses.field(
+        default_factory=lambda: {"a": 0, "b": 0})
+    inner: _Inner = dataclasses.field(default_factory=_Inner)
+
+
+def test_record_is_shared_by_prefix_and_resets_in_place():
     r = MetricsRegistry()
-    fam = r.family("served", {"a": 0, "b": 0})
-    fam["a"] += 2
-    fam.inc("c")
-    assert dict(fam) == {"a": 2, "b": 0, "c": 1}
-    assert isinstance(fam, dict)
-    alias = r.family("served")
-    assert alias is fam, "same registry + name => same family"
+    rec = r.record("s", _Rec)
+    rec.n += 1
+    rec.pass_ += 1
+    rec.served["a"] += 2
+    rec.served["c"] = 1
+    rec.inner.hits += 4
+    assert r.record("s", _Rec) is rec, "same registry + prefix => same record"
+    with pytest.raises(TypeError):
+        r.record("s", _Inner)
+    assert r.snapshot() == {"s.n": 1, "s.pass": 1,
+                            "s.served": {"a": 2, "b": 0, "c": 1},
+                            "s.inner.hits": 4}
+    served = rec.served
     r.reset()
-    assert dict(fam) == {"a": 0, "b": 0, "c": 0}, "reset zeroes, keeps keys"
+    assert r.record("s", _Rec) is rec and rec.served is served
+    assert dataclasses.asdict(rec) == {
+        "n": 0, "pass_": 0, "served": {"a": 0, "b": 0, "c": 0},
+        "inner": {"hits": 0}}, "reset zeroes, keeps keys"
 
 
 def test_snapshot_includes_views_reset_spares_them():
@@ -93,65 +122,60 @@ def test_snapshot_includes_views_reset_spares_them():
     assert r.snapshot()["derived"] == {"ewma": 7.5}, "views survive reset"
 
 
-def test_counter_view_descriptor_protocol():
-    class S:
-        hits = CounterView("_hits")
-
-        def __init__(self, r):
-            self._hits = r.counter("s.hits")
-
-    r = MetricsRegistry()
-    s = S(r)
-    s.hits += 3
-    assert s.hits == 3
-    assert r.snapshot()["s.hits"] == 3, "attribute writes reach the registry"
-    assert isinstance(S.hits, CounterView)
-
-
-# -- stats unification (satellite 4) ----------------------------------------
+# -- stats records ------------------------------------------------------------
 
 
 def test_cache_stats_registry_is_authoritative():
-    stats = CacheStats()
+    r = MetricsRegistry()
+    stats = r.record("cache", CacheStats)
     stats.disk_hits += 2
     stats.stage_hits["machine"] += 1
-    snap = stats.registry.snapshot()
+    stats.negative.hits += 1
+    snap = r.snapshot()
     assert snap["cache.disk_hits"] == 2
     assert snap["cache.stage_hits"]["machine"] == 1
-    stats.registry.reset()
+    assert snap["cache.negative.hits"] == 1
+    r.reset()
     assert stats.disk_hits == 0 and stats.stage_hits["machine"] == 0
+    assert stats.negative.hits == 0
 
 
 def test_guard_stats_registry_is_authoritative():
-    stats = GuardStats()
+    r = MetricsRegistry()
+    stats = r.record("guard", GuardStats)
     stats.transforms += 1
     stats.served_by["llvm"] += 1
-    snap = stats.registry.snapshot()
+    stats.gate.pass_ += 1
+    snap = r.snapshot()
     assert snap["guard.transforms"] == 1
     assert snap["guard.served_by"]["llvm"] == 1
-    stats.reset()
+    assert snap["guard.gate.pass"] == 1
+    r.reset()
     assert stats.transforms == 0 and stats.served_by["llvm"] == 0
 
 
 def test_tier_stats_registry_is_authoritative():
-    stats = TierStats()
+    r = MetricsRegistry()
+    stats = r.record("tier", TierStats)
     stats.refixes += 1
     stats.installs[2] += 1
     stats.compile_seconds[1] += 0.25
-    snap = stats.registry.snapshot()
+    stats.farm.jobs += 1
+    snap = r.snapshot()
     assert snap["tier.refixes"] == 1
     assert snap["tier.installs"][2] == 1
     assert snap["tier.compile_seconds"][1] == 0.25
-    assert stats.snapshot()["installs"] == {1: 0, 2: 1}, "legacy shape intact"
-    stats.reset()
+    assert snap["tier.farm.jobs"] == 1
+    assert dataclasses.asdict(stats)["installs"] == {1: 0, 2: 1}
+    r.reset()
     assert stats.refixes == 0 and stats.installs[2] == 0
 
 
 def test_shared_registry_aggregates_across_instances():
-    """Two stats objects on one registry share the underlying counters —
-    how a TieredEngine aggregates its per-job GuardedTransformers."""
+    """Two owners of one registry share the record — how a TieredEngine
+    aggregates its per-job GuardedTransformers."""
     r = MetricsRegistry()
-    a, b = GuardStats(r), GuardStats(r)
+    a, b = r.record("guard", GuardStats), r.record("guard", GuardStats)
     a.transforms += 1
     b.transforms += 2
     assert a.transforms == b.transforms == 3
@@ -159,9 +183,72 @@ def test_shared_registry_aggregates_across_instances():
 
 
 def test_private_registries_stay_isolated():
-    a, b = GuardStats(), GuardStats()
+    a = MetricsRegistry().record("guard", GuardStats)
+    b = MetricsRegistry().record("guard", GuardStats)
     a.transforms += 5
     assert b.transforms == 0
+
+
+_PER_STAGE = {"lifted": 0, "machine": 0, "module": 0, "rewrite": 0}
+_PER_RUNG = {"dbrew+llvm": 0, "llvm": 0, "llvm-fix": 0, "original": 0}
+
+#: a fresh record's snapshot under prefix ``p``: the cache, guard, tier and
+#: scheduler names are the ones their counters had before they became
+#: records; the instrumenter's two refusal counters are now ``rejected``
+_FRESH = {
+    CacheStats: {
+        "p.disk_hits": 0, "p.invalidations": 0, "p.negative.hits": 0,
+        "p.negative.misses": 0, "p.negative.stores": 0,
+        "p.stage_hits": _PER_STAGE, "p.stage_misses": _PER_STAGE,
+        "p.stores": 0, "p.transform_hits": 0, "p.transforms": 0},
+    GuardStats: {
+        "p.budget_exceeded": 0, "p.failures": _PER_RUNG, "p.fallbacks": 0,
+        "p.gate.pass": 0, "p.gate.vacuous": 0, "p.machine_rejections": 0,
+        "p.negative_served": 0, "p.served_by": _PER_RUNG,
+        "p.static_rejections": 0, "p.static_skip_reasons": {},
+        "p.transforms": 0, "p.verification_rejections": 0},
+    TierStats: {
+        "p.cache_served": {}, "p.coalesced": 0,
+        "p.compile_seconds": {1: 0.0, 2: 0.0}, "p.demotions": 0,
+        "p.farm.cache_hits": 0, "p.farm.coalesced": 0, "p.farm.fallbacks": 0,
+        "p.farm.jobs": 0, "p.installs": {1: 0, 2: 0},
+        "p.pipeline_results": 0, "p.refixes": 0, "p.registered": 0,
+        "p.rejections": {1: 0, 2: 0}, "p.stale_discards": 0,
+        "p.submitted": {1: 0, 2: 0}},
+    ScheduleStats: {"p.runs": {}, "p.skips": {}},
+    InstrumentStats: {
+        "p.installs": 0,
+        "p.probes": {"call": 0, "edge": 0, "mem": 0, "watch": 0},
+        "p.rejected": {"machine-verify": 0, "static-verify": 0}},
+}
+
+
+@pytest.mark.parametrize("cls", list(_FRESH), ids=lambda c: c.__name__)
+def test_each_record_snapshots_exactly_its_fields(cls):
+    r = MetricsRegistry()
+    r.record("p", cls)
+    assert r.snapshot() == _FRESH[cls]
+
+
+def test_stats_reset_is_the_registrys_alone():
+    """A guard, a cache and a tier engine sharing one registry: no record
+    has a reset of its own, and only ``registry.reset()`` zeroes the
+    cache's counters."""
+    prog = compile_c("long f(long a, long b) { return a * b + 1; }")
+    r = MetricsRegistry()
+    cache = SpecializationCache(registry=r)
+    guard = GuardedTransformer(prog.image, cache=cache, registry=r)
+    guard.transform("f", FunctionSignature(("i", "i"), "i"), {1: 3},
+                    probes=[(4,)])
+    stores = cache.stats.stores
+    assert stores > 0 and guard.stats.transforms == 1
+    with TieredEngine(prog.image, registry=r) as eng:
+        assert eng.cache.stats is cache.stats, "shared by prefix"
+        for stats in (guard.stats, cache.stats, eng.stats):
+            assert not [m for m in dir(stats) if "reset" in m]
+    assert cache.stats.stores == stores
+    r.reset()
+    assert cache.stats.stores == 0 and guard.stats.transforms == 0
 
 
 def test_specialization_cache_flight_counters_in_registry():
@@ -170,3 +257,78 @@ def test_specialization_cache_flight_counters_in_registry():
     snap = cache.registry.snapshot()
     assert snap["cache.flight.led"] == 1
     assert cache.flights.led == 1, "legacy property reads the same counter"
+
+
+# -- the guard's fold ---------------------------------------------------------
+
+
+#: one fault per rung: the static pre-gate, the machine verifier and the
+#: dynamic gate each reject that rung's candidate
+_RUNG_FAULTS = {
+    "dbrew+llvm": lambda: inject_faults("pass:dce", every=True,
+                                        corrupt=_poison_ret),
+    "llvm-fix": lambda: mock.patch.object(
+        plan_mod, "verify_emitted",
+        lambda jit, name: VerifyResult(verdict=REFUTED)),
+    "llvm": lambda: inject_faults("opt", every=True, corrupt=skew_constants),
+}
+
+#: ``guard.*`` after the scenario below, as the inline counters of the
+#: ladder loop counted it before the fold (less ``guard.gate.reject``,
+#: which counted the same event as ``guard.verification_rejections``)
+_LADDER_COUNTS = {
+    "guard.budget_exceeded": 1,
+    "guard.failures": {"dbrew+llvm": 2, "llvm-fix": 1, "llvm": 1,
+                       "original": 0},
+    "guard.fallbacks": 2,
+    "guard.gate.pass": 1,
+    "guard.gate.vacuous": 0,
+    "guard.machine_rejections": 1,
+    "guard.negative_served": 3,
+    "guard.served_by": {"dbrew+llvm": 0, "llvm-fix": 1, "llvm": 0,
+                        "original": 2},
+    "guard.static_rejections": 1,
+    "guard.static_skip_reasons": {"undef-use": 1},
+    "guard.transforms": 3,
+    "guard.verification_rejections": 1,
+}
+
+
+def test_ladder_fold_counts_every_kind_of_failure():
+    """Static-verify, machine-verify and gate rejections, then the same
+    request served from quarantine, then a budget failure on a second
+    guard sharing the registry: the fold of each ``GuardResult`` counts
+    what the ladder's inline bumps counted."""
+    sig = FunctionSignature(("i", "i"), "i")
+    prog = compile_c("long f(long a, long b) { return a * b + 7; }")
+    r = MetricsRegistry()
+    kw = dict(cache=SpecializationCache(registry=r), registry=r,
+              machine_verify=True, gate_options=GateOptions(samples=2))
+    guard = GuardedTransformer(prog.image, **kw)
+    run = guard.pipeline.run
+
+    def faulty_run(plan, *args, **kwargs):
+        with _RUNG_FAULTS[plan.rung]():
+            return run(plan, *args, **kwargs)
+
+    guard.pipeline.run = faulty_run
+    out = [guard.transform("f", sig, {1: 6}, probes=[(3,)])
+           for _ in range(2)]
+    starved = GuardedTransformer(
+        prog.image, budget=Budget(max_lift_instructions=1), **kw)
+    out.append(starved.transform("f", sig, {1: 5}, probes=[(3,)]))
+
+    assert [[(a.rung, a.error_type, a.context.get("stage"), a.quarantined)
+             for a in res.attempts] for res in out] == [
+        [("dbrew+llvm", "VerificationError", "static-verify", False),
+         ("llvm-fix", "VerificationError", "machine-verify", False),
+         ("llvm", "VerificationError", "verify", False),
+         ("original", None, None, False)],
+        [("dbrew+llvm", "Quarantined", "static-verify", True),
+         ("llvm-fix", "Quarantined", "machine-verify", True),
+         ("llvm", "Quarantined", "verify", True),
+         ("original", None, None, False)],
+        [("dbrew+llvm", "BudgetExceededError", "lift", False),
+         ("llvm-fix", None, None, False)]]
+    assert {k: v for k, v in r.snapshot().items()
+            if k.startswith("guard.")} == _LADDER_COUNTS
