@@ -31,7 +31,6 @@ from concurrent.futures import Future
 from repro import FarmClient, FarmPool
 from repro.farm.health import CLOSED, OPEN, CircuitBreaker
 from repro.farm.protocol import CompileJob, CompileResult
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
@@ -155,8 +154,7 @@ def _stub_job() -> CompileJob:
         signature=FunctionSignature(("i",), "i"), fixes=None,
         mem_regions=(), probes=(), dbrew_func=None,
         image_key="farmimg-bench",
-        plan=Plan("llvm", LiftOptions(), O3Options.lightweight(),
-                  JITOptions()))
+        plan=Plan("llvm", LiftOptions(), O3Options.lightweight()))
 
 
 def bench_breaker(threshold: int = 5) -> dict:

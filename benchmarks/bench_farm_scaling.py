@@ -36,7 +36,6 @@ from repro import FarmClient, FarmPool, FunctionSignature, TieredEngine, \
     compile_c
 from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import LiftOptions
@@ -66,7 +65,7 @@ def _jobs(prog, client, count):
     sig = FunctionSignature(("i", "i"), "i")
     fixed = Plan("llvm-fix", LiftOptions(),
                  O3Options.lightweight().replace(enable_inline=True),
-                 JITOptions(), gate_options=GateOptions())
+                 gate_options=GateOptions())
     jobs = []
     for k in range(count):
         fixes = {1: k + 3}

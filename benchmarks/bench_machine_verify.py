@@ -29,7 +29,6 @@ from repro.cache import SpecializationCache
 from repro.farm import protocol as fp
 from repro.guard import GuardedTransformer
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import LiftOptions
@@ -102,7 +101,7 @@ def run_warm(rounds: int = 60) -> dict:
 def run_farm_dedup(requests: int = 6, workers: int = 2) -> dict:
     """One job key submitted ``requests`` times: exactly one proof."""
     prog = compile_c(SRC)
-    plan = Plan("llvm", LiftOptions(), O3Options.lightweight(), JITOptions(),
+    plan = Plan("llvm", LiftOptions(), O3Options.lightweight(),
                 machine_verify=True, gate_options=GateOptions())
     registry = MetricsRegistry()
     with tempfile.TemporaryDirectory() as disk:

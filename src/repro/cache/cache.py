@@ -12,7 +12,8 @@ a hit can land at any stage boundary:
     The strongest hit: this exact specialization was already compiled and
     installed *in this image*.  Nothing runs; the existing entry address is
     returned (and aliased under the newly requested name).  Machine entries
-    are per-image and die on :meth:`Image.patch_code` invalidation.
+    are per-image, keyed by the module key they were emitted from, and die
+    on :meth:`Image.patch_code` invalidation.
 
 ``module``
     The post--O3 IR module for (code bytes, fixation, O3 options) is known.

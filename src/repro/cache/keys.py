@@ -10,17 +10,19 @@ where its inputs happen to live:
 * the fixation values — for :class:`~repro.lift.fixation.FixedMemory`
   arguments this includes the *contents* of the fixed region, because
   fixation bakes those bytes into the module as constant globals,
-* the :class:`~repro.ir.passes.O3Options` pipeline configuration,
-* the :class:`~repro.ir.codegen.JITOptions` code-generation knobs.
+* the :class:`~repro.ir.passes.O3Options` pipeline configuration.
 
-Keys are layered so a hit can land at any stage boundary (see
+The JIT has one configuration, so code generation adds no ingredient.
+Keys are staged so a hit can land at any stage boundary (see
 :mod:`repro.cache.cache`):
 
 ========  ==========================================================
 lifted    H(code bytes, callees, signature, lift options)
 module    H(lifted key, mode, fixes, O3 options)
-machine   H(module key, JIT options)   [valid per image generation]
 ========  ==========================================================
+
+Installed machine code is stored per image (and per image generation)
+under its module key: one post-O3 module emits one function.
 """
 
 from __future__ import annotations
@@ -170,10 +172,3 @@ def module_key(lkey: str, mode: str, fdigest: str, o3_digest: str) -> str:
     """Stage-2 key: the post-O3 module is determined by the lifted IR plus
     the transformation mode, fixation values and pipeline configuration."""
     return digest_str("module", lkey, mode, fdigest, o3_digest)
-
-
-def machine_key(mkey: str, jit_digest: str) -> str:
-    """Stage-3 key: installed machine code additionally depends on the
-    code-generation options (and, implicitly, on the image it lives in —
-    machine entries are stored per image and per generation)."""
-    return digest_str("machine", mkey, jit_digest)

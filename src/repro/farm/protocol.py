@@ -316,7 +316,6 @@ def compute_job_key(image: Image, func: str | int,
         f"t{tier}", plan.rung if tier != T1 else "",
         cache_keys.lift_options_digest(plan.lift, image),
         cache_keys.options_digest(plan.o3),
-        cache_keys.options_digest(plan.jit),
         cache_keys.options_digest(plan.gate_options or GateOptions()),
         image_key or "-",
         instrument or "-",

@@ -61,7 +61,7 @@ from repro.farm.protocol import CompileJob, CompileResult, ImageSpec
 from repro.guard import Budget, GuardedTransformer
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
-from repro.tier.policy import T1
+from repro.tier.policy import tier_verified
 
 
 class _WorkerChaos:
@@ -213,7 +213,7 @@ class FarmWorker:
             mem_regions=job.mem_regions, name=job.name, probes=job.probes,
             ladder=(plan.rung,), dbrew_func=job.dbrew_func)
         if gres.degraded:
-            reject = "; ".join(gres.failure_summary()) or "ladder degraded"
+            reject = gres.failure_summary()
             if any(a.error_type == "BudgetExceededError"
                    for a in gres.attempts):
                 # the budget is not part of the job key: a verdict produced
@@ -229,7 +229,7 @@ class FarmWorker:
             return publish(reject_reason=reject,
                            machine_verdict="refuted" if refuted else None)
         res = gres.result
-        verified = job.tier != T1 and (gres.verified or res.machine_gated)
+        verified = tier_verified(job.tier, gres.verified, res.machine_gated)
 
         # codegen placed globals in ``res.module``: ship the pristine
         # post-O3 module the pipeline stored under ``module_key``

@@ -38,11 +38,7 @@ from repro.cpu.image import Image
 from repro.errors import BudgetExceededError, ReproError, VerificationError
 from repro.guard.budget import Budget
 from repro.guard.verify import GateOptions, GateReport
-from repro.ir.codegen import JITOptions
-from repro.ir.passes import O3Options
-from repro.jit.plan import (
-    DEFAULT_JIT, DEFAULT_O3, Pipeline, Plan, TransformResult,
-)
+from repro.jit.plan import DEFAULT_O3, Pipeline, Plan, TransformResult
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import MetricsRegistry
@@ -174,10 +170,12 @@ class GuardResult:
     def degraded(self) -> bool:
         return self.mode == "original"
 
-    def failure_summary(self) -> list[str]:
-        """One line per failed rung (for logs)."""
-        return [f"{a.rung}: {'quarantined' if a.quarantined else a.error}"
-                for a in self.attempts if not a.ok]
+    def failure_summary(self) -> str:
+        """Why the ladder degraded: one clause per failed rung — the reject
+        reason the tiered engine and the farm worker report."""
+        return "; ".join(
+            f"{a.rung}: {'quarantined' if a.quarantined else a.error}"
+            for a in self.attempts if not a.ok) or "ladder degraded"
 
 
 class GuardedTransformer:
@@ -187,33 +185,22 @@ class GuardedTransformer:
                  cache: SpecializationCache | None = None,
                  budget: Budget | None = None,
                  gate_options: GateOptions = GateOptions(),
-                 verify: bool = True,
-                 lift_options: LiftOptions | None = None,
-                 o3_options: O3Options | None = None,
-                 jit_options: JITOptions | None = None,
                  negative: NegativeCache | None = None,
-                 static_precheck: bool = True,
                  validator: "object | None" = None,
                  machine_verify: bool = False,
                  registry: MetricsRegistry | None = None) -> None:
         self.image = image
         self.cache = cache
         self.budget = budget
-        #: rung -> the policy it runs under (one plan, ``rung`` swapped).
-        #: ``static_precheck`` is the pregate: the cheap static
-        #: checkers (repro.analysis) run on each fresh candidate's IR
-        #: before the dynamic gate, so a statically-rejected candidate
-        #: never spends probe budget.  ``verify=False`` still gates a
-        #: candidate whose machine proof came back inconclusive: code the
-        #: static verifier could neither prove nor refute is never
-        #: installed on trust
-        plan = Plan(
-            "llvm", lift_options or LiftOptions(), o3_options or DEFAULT_O3,
-            jit_options or DEFAULT_JIT,
-            pregate=DEFAULT_PREGATE if static_precheck else (),
-            machine_verify=machine_verify,
-            gate="always" if verify else "if-inconclusive",
-            gate_options=gate_options)
+        #: rung -> the policy it runs under (one plan, ``rung`` swapped):
+        #: the default lift and O3, the pregate — the cheap static checkers
+        #: (repro.analysis) run on each fresh candidate's IR before the
+        #: dynamic gate, so a statically-rejected candidate never spends
+        #: probe budget — and the differential gate on every candidate.
+        #: Any other policy is a :meth:`from_plan` guard
+        plan = Plan("llvm", LiftOptions(), DEFAULT_O3,
+                    pregate=DEFAULT_PREGATE, machine_verify=machine_verify,
+                    gate="always", gate_options=gate_options)
         self.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
         #: the registry backing this guard's stats and gate verdict
         #: counters; pass a shared one to aggregate across transformers
@@ -239,8 +226,9 @@ class GuardedTransformer:
     @classmethod
     def from_plan(cls, image: Image, plan: Plan,
                   **kw: Any) -> "GuardedTransformer":
-        """A guard whose every rung runs under ``plan`` — the tiered
-        engine and the farm worker decide the policy once, per job."""
+        """A guard whose every rung runs under ``plan``: the one way to
+        state a policy other than the constructor's (the tiered engine and
+        the farm worker decide theirs once, per job)."""
         guard = cls(image, **kw)
         guard.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
         return guard
@@ -269,7 +257,6 @@ class GuardedTransformer:
             repr(sorted(mem_regions)),
             cache_keys.lift_options_digest(plan.lift, self.image),
             cache_keys.options_digest(plan.o3),
-            cache_keys.options_digest(plan.jit),
         )
 
     # -- the guarded transform -------------------------------------------------

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from repro.arith import bits_to_f64
 from repro.cpu.image import Image
 from repro.cpu.simulator import Simulator
 from repro.errors import ReproError, VerificationError
@@ -65,8 +64,6 @@ class GateOptions:
     seed: int = 0
     #: per-probe simulated-instruction ceiling (bounds gate latency)
     max_steps: int = 2_000_000
-    #: absolute tolerance for f64 return values (0.0 = bit-exact)
-    tolerance: float = 0.0
     #: require at least this many conclusive probes for a PASS verdict.
     #: 0 allows a gate where every probe was inconclusive to pass
     #: *vacuously* (``GateReport.vacuous``) — no comparison ever happened,
@@ -203,7 +200,7 @@ class DifferentialGate:
         except ReproError as exc:
             return None, f"{type(exc).__name__}: {exc}"
         if ret == "f":
-            return res.xmm0, None  # raw bits: exact by default
+            return res.xmm0, None  # raw bits: compared bit-exactly
         if ret == "i":
             return res.rax, None
         return None, None
@@ -240,15 +237,6 @@ class DifferentialGate:
                                         if da[i] != db[i])
                 lo = min(max(s_hi - start, lo), end)
         return None
-
-    def _values_agree(self, want: object, got: object, ret: str | None) -> bool:
-        if want == got:
-            return True
-        if ret == "f" and self.options.tolerance > 0 \
-                and isinstance(want, int) and isinstance(got, int):
-            w, g = bits_to_f64(want), bits_to_f64(got)
-            return abs(w - g) <= self.options.tolerance
-        return False
 
     # -- the gate ------------------------------------------------------------
 
@@ -305,8 +293,7 @@ class DifferentialGate:
                 report.reason = (f"memory divergence at "
                                  f"{out.diverged_addr:#x} on {probe!r}")
                 return report
-            if not self._values_agree(out.expected, out.actual,
-                                      signature.ret):
+            if out.expected != out.actual:
                 report.reason = (f"return divergence on {probe!r}: "
                                  f"expected {out.expected!r}, got "
                                  f"{out.actual!r}")

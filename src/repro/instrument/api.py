@@ -24,10 +24,9 @@ from repro.errors import VerificationError
 from repro.guard.verify import GateOptions, GateReport
 from repro.instrument.buffer import ProbeBuffer
 from repro.instrument.passes import InstrumentOptions, ProbePlan
-from repro.ir.codegen import JITOptions
 from repro.ir.module import Function, Module
 from repro.ir.passes import O3Options
-from repro.jit.plan import DEFAULT_JIT, Pipeline, Plan
+from repro.jit.plan import Pipeline, Plan
 from repro.lift import FunctionSignature, LiftOptions
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
@@ -75,15 +74,9 @@ class Instrumenter:
     """Builds gate-verified instrumented copies of image functions."""
 
     def __init__(self, image: Image, *,
-                 lift_options: LiftOptions | None = None,
-                 o3_options: O3Options | None = None,
-                 jit_options: JITOptions | None = None,
                  gate_options: GateOptions | None = None,
                  machine_verify: bool = True) -> None:
         self.image = image
-        self.lift_options = lift_options or LiftOptions()
-        self.o3_options = o3_options or O3Options.lightweight()
-        self.jit_options = jit_options or DEFAULT_JIT
         self.gate_options = gate_options or GateOptions()
         self.machine_verify = machine_verify
         self.stats = _metrics.REGISTRY.record("instrument", InstrumentStats)
@@ -101,10 +94,9 @@ class Instrumenter:
         entry = self.image.symbol(func) if isinstance(func, str) else func
         out_name = name or (f"{func}.instr" if isinstance(func, str)
                             else f"fn_{entry:#x}.instr")
-        plan = Plan("llvm", self.lift_options, self.o3_options,
-                    self.jit_options, inject=options,
-                    machine_verify=self.machine_verify, gate="always",
-                    gate_options=self.gate_options)
+        plan = Plan("llvm", LiftOptions(), O3Options.lightweight(),
+                    inject=options, machine_verify=self.machine_verify,
+                    gate="always", gate_options=self.gate_options)
         pipeline = Pipeline(self.image)
         try:
             with _TR.span("instrument.apply", {"name": out_name,

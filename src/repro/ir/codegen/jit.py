@@ -5,13 +5,12 @@ The MCJIT substitute.  Responsibilities:
 * place module globals (the constant-memory copies of Sec. IV) in the
   image's rodata region;
 * lower each function to TAC, clean it, and emit x86-64 with the
-  LLVM-flavoured instruction selection (single ``imul`` multiplies);
+  LLVM-flavoured instruction selection (single ``imul`` multiplies,
+  RIP-relative constants);
 * install the code in the image's JIT region and return entry addresses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.backend.emit import EmitOptions, emit_function, emit_function_info
 from repro.backend.opt import optimize as tac_optimize
@@ -24,21 +23,16 @@ from repro.obs.trace import TRACER as _TR
 from repro.x86.asm import Item, assemble_full
 
 
-@dataclass(frozen=True)
-class JITOptions:
-    """Code-generation knobs for the JIT back-end."""
-
-    mul_style: str = "imul"  # LLVM uses plain multiplies (Sec. VI-A)
-    const_addressing: str = "riprel"
-    optimize_tac: bool = True
+#: the one instruction selection the JIT has: LLVM uses plain multiplies
+#: (Sec. VI-A) where the MCC compiler synthesizes lea/shl chains
+EMIT = EmitOptions(mul_style="imul", const_addressing="riprel")
 
 
 class JITEngine:
     """Compiles MiniLLVM modules into an Image at runtime."""
 
-    def __init__(self, image: Image, options: JITOptions = JITOptions()) -> None:
+    def __init__(self, image: Image) -> None:
         self.image = image
-        self.options = options
         self.pool = RodataPool(image)
         #: witness of the most recent ``compile_function`` (machine verify)
         self.last_witness = None
@@ -73,8 +67,7 @@ class JITEngine:
                 tf, lower_info = lower_function_info(func)
             except CodegenError as exc:
                 raise exc.with_context(stage="codegen", function=func.name)
-            if self.options.optimize_tac:
-                tac_optimize(tf)
+            tac_optimize(tf)
         finally:
             if span is not None:
                 _TR.finish(span)
@@ -90,12 +83,8 @@ class JITEngine:
                 if extra_symbols:
                     symbols.update(extra_symbols)
                 # declared callees must resolve through existing image symbols
-                items, emit_info = emit_function_info(
-                    tf, self.pool,
-                    EmitOptions(mul_style=self.options.mul_style,
-                                const_addressing=self.options.const_addressing),
-                    symbols,
-                )
+                items, emit_info = emit_function_info(tf, self.pool, EMIT,
+                                                      symbols)
                 base = self.image.next_code_addr(jit=True)
                 code, _placed, labels = assemble_full(items, base)
                 install_name = name or func.name
@@ -128,13 +117,11 @@ class JITEngine:
         defined = [f for f in module.functions.values() if not f.is_declaration]
         # emit in one item stream so cross-calls resolve by label
         items: list[Item] = []
-        opts = EmitOptions(mul_style=self.options.mul_style,
-                           const_addressing=self.options.const_addressing)
         for f in defined:
             tf = lower_function(f)
-            if self.options.optimize_tac:
-                tac_optimize(tf)
-            items.extend(emit_function(tf, self.pool, opts, dict(self.image.symbols)))
+            tac_optimize(tf)
+            items.extend(emit_function(tf, self.pool, EMIT,
+                                       dict(self.image.symbols)))
         base = self.image.next_code_addr(jit=True)
         code, _placed, labels = assemble_full(items, base)
         blob_name = f"$jit{base:x}"

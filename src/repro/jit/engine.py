@@ -16,9 +16,9 @@ address and wall-clock compile-time stages for Fig. 10.
 
 With a :class:`~repro.cache.SpecializationCache` attached (``cache=``),
 repeated transformations are memoized per stage: an identical request
-returns the installed code directly (``cache_stage == "machine"``), a
-request differing only in code-generation options reuses the post--O3
-module, and a re-specialization of a known function for new parameter
+returns the installed code directly (``cache_stage == "machine"``), the
+same request in another image sharing the cache reuses the post--O3
+module (``cache_stage == "module"``), and a re-specialization of a known function for new parameter
 values reuses the lifted IR (``cache_stage == "lifted"``).
 """
 
@@ -26,11 +26,8 @@ from __future__ import annotations
 
 from repro.cache import SpecializationCache
 from repro.cpu.image import Image
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.jit.plan import (
-    DEFAULT_JIT, DEFAULT_O3, Fixes, Pipeline, Plan, TransformResult,
-)
+from repro.jit.plan import DEFAULT_O3, Fixes, Pipeline, Plan, TransformResult
 # lift_function: kept importable from here (benchmarks/ledger binds it)
 from repro.lift import FunctionSignature, LiftOptions, lift_function  # noqa: F401
 from repro.lift.fixation import FixedMemory
@@ -44,7 +41,6 @@ class BinaryTransformer(Pipeline):
 
     def __init__(self, image: Image, *, lift_options: LiftOptions | None = None,
                  o3_options: O3Options | None = None,
-                 jit_options: JITOptions | None = None,
                  cache: SpecializationCache | None = None,
                  budget: "object | None" = None,
                  validator: "object | None" = None,
@@ -53,12 +49,12 @@ class BinaryTransformer(Pipeline):
                          validator=validator)
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or DEFAULT_O3
-        self.jit_options = jit_options or DEFAULT_JIT
         #: statically verify every freshly emitted function against its
         #: source IR (:mod:`repro.analysis.machine`) before installing it.
-        #: A refuted proof quarantines the request (``machine:<xkey>``) and
-        #: raises :class:`VerificationError` with ``stage="machine-verify"``
-        #: before the entry can reach the machine cache.
+        #: A refuted proof quarantines the request (``machine:<module
+        #: key>``) and raises :class:`VerificationError` with
+        #: ``stage="machine-verify"`` before the entry can reach the
+        #: machine cache.
         self.machine_verify = machine_verify
 
     def _mode(self, rung: str, func: str | int,
@@ -67,7 +63,7 @@ class BinaryTransformer(Pipeline):
         base = func if isinstance(func, str) else f"f{func:x}"
         return self.compile(
             Plan(rung, self.lift_options, o3 or self.o3_options,
-                 self.jit_options, machine_verify=self.machine_verify),
+                 machine_verify=self.machine_verify),
             func, signature, fixes, name or base + suffix)
 
     # -- evaluation modes --------------------------------------------------------

@@ -11,7 +11,7 @@ sequence of stages under a :class:`Plan`, its policy (DESIGN §16)::
 
 :meth:`Pipeline.compile` owns the staged cache (look-ups, stores, in-flight
 coalescing), the budget checkpoints, the obs spans and the
-``machine:<xkey>`` quarantine; a module-stage hit — and a module handed
+``machine:<module key>`` quarantine; a module-stage hit — and a module handed
 over by the compile farm (:meth:`Pipeline.install`) — enters the same tail
 at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
 :meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
@@ -42,7 +42,7 @@ from repro.cpu.image import Image
 from repro.dbrew import Rewriter, raising_error_handler
 from repro.errors import IRError, ReproError, VerificationError
 from repro.ir import verify
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITEngine
 from repro.ir.module import Function, Module
 from repro.ir.passes import O3Options, O3Report, replay_o3, run_o3
 from repro.lift import FunctionSignature, LiftOptions, lift_function
@@ -61,14 +61,12 @@ Fixes = dict[int, int | float | FixedMemory] | None
 #: with a validator looking for the pass to blame
 O3_JUDGED = ("o3-verify", "static-verify", "verify")
 
-#: shared defaults of the frozen option records, read by every front door
-#: that builds a :class:`Plan`.  A caller that builds a transformer per
-#: request (``bench.modes.prepare_kernel``, one per cell, DBrew cells
-#: included) would otherwise construct both on every warm hit and look
-#: their digests up by ``==`` instead of identity — about 2 us of an 18 us
-#: machine-stage hit
+#: shared default of the frozen O3 options, read by every front door that
+#: builds a :class:`Plan`.  A caller that builds a transformer per request
+#: (``bench.modes.prepare_kernel``, one per cell, DBrew cells included)
+#: would otherwise construct it on every warm hit and look its digest up by
+#: ``==`` instead of identity
 DEFAULT_O3 = O3Options()
-DEFAULT_JIT = JITOptions()
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,7 @@ class Plan:
     A value: front doors build it from their constructor kwargs, the tiered
     engine ships it whole inside a :class:`~repro.farm.protocol.
     CompileJob`, and the guard swaps :attr:`rung` while it walks its ladder.
+    Code generation is not part of it: the JIT has one configuration.
     """
 
     #: ``llvm`` (lift -> O3 -> JIT), ``llvm-fix`` (plus IR-level parameter
@@ -85,7 +84,6 @@ class Plan:
     rung: str
     lift: LiftOptions
     o3: O3Options
-    jit: JITOptions
     #: the one post-O3 IR stage: inject probes under these options.  Such a
     #: module bakes its probe buffer's address in, so it bypasses the cache
     inject: "InstrumentOptions | None" = None
@@ -119,7 +117,8 @@ class TransformResult:
     codegen_seconds: float = 0.0
     #: which cache stage served this transform (None = full compile)
     cache_stage: str | None = None
-    #: key of the installed code in the machine cache (None = no cache)
+    #: key of the installed code in the machine cache — the module key it
+    #: was emitted from (None = no cache)
     machine_key: str | None = None
     #: the served machine entry had already passed the verification gate
     #: (only meaningful on a machine-stage hit; see MachineEntry.gated)
@@ -331,7 +330,7 @@ class Pipeline:
         hit (``coalesced=True``) — one compile, one installed copy.
         """
         cache = self.cache if plan.inject is None else None
-        lkey = mkey = xkey = None
+        lkey = mkey = None
         if cache is not None:
             lkey = self._lifted_key(cache, plan.lift, func, signature)
         if lkey is not None:
@@ -340,26 +339,24 @@ class Pipeline:
                 lkey, "fixed" if fixed else "identity",
                 cache_keys.fixes_digest(fixes, self.image.memory),
                 cache_keys.options_digest(plan.o3))
-            xkey = cache_keys.machine_key(
-                mkey, cache_keys.options_digest(plan.jit))
 
-            served = self._serve_machine(cache, xkey, out_name)
+            served = self._serve_machine(cache, mkey, out_name)
             if served is not None:
                 return served
             result, leader = cache.flights.run(
-                ("transform", id(self.image), xkey),
+                ("transform", id(self.image), mkey),
                 lambda: self._build(plan, func, signature, fixes, out_name,
-                                    fixed, lkey, mkey, xkey))
+                                    fixed, lkey, mkey))
             if leader:
                 return result
-            served = self._serve_machine(cache, xkey, out_name,
+            served = self._serve_machine(cache, mkey, out_name,
                                          coalesced=True)
             if served is not None:
                 return served
             # leader's entry already evicted (tiny machine capacity under
             # churn): fall through to a private compile
         return self._build(plan, func, signature, fixes, out_name, fixed,
-                           lkey, mkey, xkey)
+                           lkey, mkey)
 
     def _lifted_key(self, cache: SpecializationCache, lift: LiftOptions,
                     func: str | int,
@@ -378,11 +375,11 @@ class Pipeline:
             "lifted", code_digest, cache_keys.signature_digest(signature),
             memo[2])
 
-    def _serve_machine(self, cache: SpecializationCache, xkey: str,
+    def _serve_machine(self, cache: SpecializationCache, mkey: str,
                        out_name: str, *,
                        coalesced: bool = False) -> TransformResult | None:
         """Alias an installed machine entry under ``out_name``, if cached."""
-        entry = cache.get_machine(self.image, xkey)
+        entry = cache.get_machine(self.image, mkey)
         if entry is None:
             return None
         # already installed in this image: alias the requested name
@@ -392,19 +389,19 @@ class Pipeline:
         cache.note_transform("machine")
         return TransformResult(entry.addr, out_name, entry.function,
                                entry.module, cache_stage="machine",
-                               machine_key=xkey, machine_gated=entry.gated,
+                               machine_key=mkey, machine_gated=entry.gated,
                                coalesced=coalesced,
                                machine_verdict=entry.machine_verdict)
 
     def _build(self, plan: Plan, func: str | int,
                signature: FunctionSignature, fixes: Fixes, out_name: str,
-               fixed: bool, lkey: str | None, mkey: str | None,
-               xkey: str | None) -> TransformResult:
+               fixed: bool, lkey: str | None,
+               mkey: str | None) -> TransformResult:
         """The miss path: module-stage look-up, else lift -> fix -> O3."""
         cache = self.cache
-        if plan.machine_verify and xkey is not None:
+        if plan.machine_verify and mkey is not None:
             assert cache is not None
-            neg = cache.check_negative(f"machine:{xkey}")
+            neg = cache.check_negative(f"machine:{mkey}")
             if neg is not None:
                 raise VerificationError(
                     f"machine verification previously refuted {out_name!r}: "
@@ -416,7 +413,7 @@ class Pipeline:
             if hit is not None:
                 module, main_name = hit
                 return self._emit(plan, module, module.functions[main_name],
-                                  out_name, mkey, xkey, "module")
+                                  out_name, mkey, "module")
 
         module = lifted = stage = None
         t_lift = 0.0
@@ -445,7 +442,7 @@ class Pipeline:
         if mkey is not None:
             assert cache is not None
             cache.put_module(mkey, module, main.name)
-        return self._emit(plan, module, main, out_name, mkey, xkey, stage,
+        return self._emit(plan, module, main, out_name, mkey, stage,
                           t_lift, t_opt, o3_report)
 
     def _fix(self, module: Module, lifted: Function, fixes: Fixes,
@@ -541,7 +538,7 @@ class Pipeline:
 
     def _emit(self, plan: Plan, module: Module, main: Function,
               out_name: str, mkey: str | None = None,
-              xkey: str | None = None, stage: str | None = None,
+              stage: str | None = None,
               t_lift: float = 0.0, t_opt: float = 0.0,
               o3_report: "O3Report | None" = None) -> TransformResult:
         """The tail every compile shares: [inject] -> codegen ->
@@ -552,7 +549,7 @@ class Pipeline:
         if self.budget is not None:
             self.budget.checkpoint("codegen")  # type: ignore[attr-defined]
         t0 = time.perf_counter()
-        jit = JITEngine(self.image, plan.jit)
+        jit = JITEngine(self.image)
         addr = jit.compile_function(main, name=out_name)
         t_codegen = time.perf_counter() - t0
         verdict, t_verify = None, 0.0
@@ -564,24 +561,24 @@ class Pipeline:
                     or "machine-level proof refuted"
                 # quarantined like an ``o3pass:`` rejection, so repeat
                 # requests fail fast; nothing reaches put_machine
-                if xkey is not None:
+                if mkey is not None:
                     assert self.cache is not None
                     self.cache.put_negative(
-                        f"machine:{xkey}", "machine-verify", detail)
+                        f"machine:{mkey}", "machine-verify", detail)
                 raise VerificationError(
                     f"machine verification refuted {out_name!r}: {detail}",
                     stage="machine-verify", name=out_name,
                     findings=tuple(report.findings))
             verdict, t_verify = report.verdict, report.seconds
-        if xkey is not None:
+        if mkey is not None:
             assert self.cache is not None
-            self.cache.put_machine(self.image, xkey, MachineEntry(
+            self.cache.put_machine(self.image, mkey, MachineEntry(
                 addr, out_name, self.image.func_sizes[out_name], main, module,
                 machine_verdict=verdict))
             self.cache.note_transform(stage)
         return TransformResult(
             addr, out_name, main, module, t_lift, t_opt, t_codegen,
-            cache_stage=stage, machine_key=xkey, o3_report=o3_report,
+            cache_stage=stage, machine_key=mkey, o3_report=o3_report,
             machine_verdict=verdict, machine_verify_seconds=t_verify,
             module_key=mkey, probes=probes, inject_seconds=t_inject)
 

@@ -52,18 +52,15 @@ from repro.cpu.image import Image
 from repro.errors import ReproError
 from repro.guard import Budget, GateOptions, GuardedTransformer
 from repro.instrument.passes import InstrumentOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
-from repro.jit.plan import (
-    DEFAULT_JIT, DEFAULT_O3, Pipeline, Plan, TransformResult,
-)
+from repro.jit.plan import DEFAULT_O3, Pipeline, Plan, TransformResult
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER as _TR, Span
 from repro.tier.handle import DispatchHandle, TierCode
 from repro.tier.policy import (
-    NUM_TIERS, T1, EdgeProfile, TierGovernor, TierPolicy,
+    NUM_TIERS, T1, EdgeProfile, TierGovernor, TierPolicy, tier_verified,
 )
 
 
@@ -134,8 +131,6 @@ class TieredEngine:
                  max_workers: int = 2,
                  clock: Callable[[], float] = time.monotonic,
                  gate_options: GateOptions = GateOptions(),
-                 lift_options: LiftOptions | None = None,
-                 jit_options: JITOptions | None = None,
                  budget_factory: Callable[[], Budget] | None = None,
                  machine_verify: bool = False,
                  registry: MetricsRegistry | None = None,
@@ -155,8 +150,6 @@ class TieredEngine:
         self.policy = policy if policy is not None else TierPolicy()
         self.clock = clock
         self.gate_options = gate_options
-        self.lift_options = lift_options
-        self.jit_options = jit_options
         #: per-job budget source; the engine chains its throttle gate onto
         #: whatever yield hook the factory's budgets already carry
         self.budget_factory = budget_factory
@@ -459,10 +452,9 @@ class TieredEngine:
             gate = "always"
             if not handle.probes:
                 gate_options = replace(gate_options, min_conclusive=0)
-        return Plan(rung, self.lift_options or LiftOptions(), o3,
-                    self.jit_options or DEFAULT_JIT, inject=inject,
-                    pregate=pregate, machine_verify=self.machine_verify,
-                    gate=gate, gate_options=gate_options)
+        return Plan(rung, LiftOptions(), o3, inject=inject, pregate=pregate,
+                    machine_verify=self.machine_verify, gate=gate,
+                    gate_options=gate_options)
 
     def _compile_farm(self, handle: DispatchHandle, job: _Job, plan: Plan,
                       out_name: str,
@@ -494,11 +486,8 @@ class TieredEngine:
             # plain artifacts digest-distinct)
             return None
         # the worker runs this plan as decided, with one difference: T1's
-        # one-off gate runs here, against this image's emission.  A budget
-        # does not travel; the job's own limits govern the worker
+        # one-off gate runs here, against this image's emission
         shipped = replace(plan, gate="never") if target == T1 else plan
-        if plan.lift.budget is not None:
-            shipped = replace(shipped, lift=replace(plan.lift, budget=None))
         dbrew = handle.dbrew_func if target != T1 else None
         # publish (or re-verify) the image snapshot *before* keying: the
         # job key folds the spec key in, so results computed against
@@ -569,8 +558,7 @@ class TieredEngine:
             probes=handle.probes, ladder=(plan.rung,),
             dbrew_func=handle.dbrew_func if target != T1 else None)
         if res.degraded:
-            failures = "; ".join(res.failure_summary()) or "ladder degraded"
-            return None, None, False, failures
+            return None, None, False, res.failure_summary()
         if res.result.probes is not None:
             # attach before the install commits: a stale-epoch discard
             # leaves a frozen buffer behind, which is safe — the governor
@@ -578,10 +566,8 @@ class TieredEngine:
             # counting
             handle.governor.profile = EdgeProfile(res.result.probes.buffer)
             return res.addr, "llvm+instr", False, None
-        # T1 is the ungated tier even when its one-off gate happened to run
-        verified = target != T1 and (res.verified
-                                     or res.result.machine_gated)
-        return res.addr, res.mode, verified, None
+        return res.addr, res.mode, tier_verified(
+            target, res.verified, res.result.machine_gated), None
 
     # -- scheduling controls -----------------------------------------------
 

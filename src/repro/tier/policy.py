@@ -38,6 +38,14 @@ TIER_NAMES = ("T0", "T1", "T2")
 REVIEW_INTERVAL = 64
 
 
+def tier_verified(tier: int, gated_now: bool, gated_before: bool) -> bool:
+    """Is a compile for ``tier`` reported verified?  T1 is the ungated tier
+    and never is, even when its one-off gate happened to run; above it a
+    result is verified when the gate passed it conclusively on this request
+    (``gated_now``) or served an entry it had admitted (``gated_before``)."""
+    return tier != T1 and (gated_now or gated_before)
+
+
 @dataclass(frozen=True)
 class TierPolicy:
     """Tuning knobs for one engine's promotion/demotion behavior."""

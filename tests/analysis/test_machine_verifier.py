@@ -25,18 +25,20 @@ from repro.analysis.machine import (
     build_mcfg,
     verify_witness,
 )
+from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.analysis.findings import ERROR, WARNING
 from repro.cache import SpecializationCache
 from repro.cpu import Image, Simulator
 from repro.errors import VerificationError
-from repro.guard import GuardedTransformer
+from repro.guard import GateOptions, GuardedTransformer
 from repro.ir import FunctionType, Interpreter, Module, ptr
 from repro.ir.builder import IRBuilder
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITEngine
 from repro.ir.irtypes import DOUBLE, I8, I64
 from repro.ir.module import Function
 from repro.jit import BinaryTransformer
-from repro.lift import FunctionSignature
+from repro.jit.plan import DEFAULT_O3, Plan
+from repro.lift import FunctionSignature, LiftOptions
 
 
 def build(ret, params):
@@ -46,9 +48,9 @@ def build(ret, params):
     return m, f, IRBuilder(f.add_block("entry"))
 
 
-def compile_witness(f, options=None):
+def compile_witness(f):
     img = Image()
-    jit = JITEngine(img, options or JITOptions())
+    jit = JITEngine(img)
     addr = jit.compile_function(f, name=f.name)
     assert jit.last_witness is not None
     return img, addr, jit.last_witness
@@ -154,7 +156,7 @@ def test_proves_a_call_that_writes_the_callers_frame():
     b.store(f.args[0], slot)
     b.ret(b.add(b.call(g, [slot], I64), b.load(slot)))
     img = Image()
-    jit = JITEngine(img, JITOptions())
+    jit = JITEngine(img)
     jit.compile_function(g, name=g.name)
     addr = jit.compile_function(f, name=f.name)
     report = verify_witness(jit.last_witness)
@@ -237,19 +239,17 @@ def test_refutes_single_bit_corruption():
 
 
 def test_synth_mult_by_one_regression():
-    """mul_style='lea' with an i8 multiply by constant 1: _synth_mult
-    returns an empty chain and the emitter used to leave the destination
-    register unwritten (stale value).  Caught by the machine verifier,
-    fixed in _emit_synth_mult; both oracles must agree it is fixed."""
-    for style in ("imul", "lea"):
-        m, f, b = build(I64, (I64,))
-        t = b.trunc(f.args[0], I8)
-        p = b.mul(t, b.const(I8, 1))
-        b.ret(b.zext(p, I64))
-        img, addr, wit = compile_witness(
-            f, JITOptions(mul_style=style, optimize_tac=False))
-        assert Simulator(img).call_int(addr, (5,)) == 5
-        assert verify_witness(wit).verdict == PROVED
+    """An i8 multiply by constant 1, which the machine verifier once caught
+    miscompiled (a stale destination under ``mul_style='lea'``, fixed in
+    _emit_synth_mult).  Both emitter styles run it at the backend
+    (tests/backend); here both oracles agree on the JIT's ``imul``."""
+    m, f, b = build(I64, (I64,))
+    t = b.trunc(f.args[0], I8)
+    p = b.mul(t, b.const(I8, 1))
+    b.ret(b.zext(p, I64))
+    img, addr, wit = compile_witness(f)
+    assert Simulator(img).call_int(addr, (5,)) == 5
+    assert verify_witness(wit).verdict == PROVED
 
 
 # -- BinaryTransformer wiring ------------------------------------------------
@@ -325,26 +325,30 @@ def test_guard_counts_machine_rejections(monkeypatch):
 
 
 def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
-    """verify=False normally installs ungated; an inconclusive machine
-    proof downgrades that to a mandatory differential gate."""
+    """A plan that gates only ``if-inconclusive`` installs a proved
+    candidate ungated; an inconclusive machine proof downgrades that to a
+    mandatory differential gate."""
     import repro.jit.plan as jit_engine
 
+    plan = Plan("llvm", LiftOptions(), DEFAULT_O3, pregate=DEFAULT_PREGATE,
+                machine_verify=True, gate="if-inconclusive",
+                gate_options=GateOptions())
     monkeypatch.setattr(
         jit_engine, "verify_emitted",
         lambda jit, name: VerifyResult(verdict=INCONCLUSIVE,
                                        reasons=["forced for test"]))
     prog = _program()
-    guard = GuardedTransformer(prog.image, verify=False, machine_verify=True)
+    guard = GuardedTransformer.from_plan(prog.image, plan)
     res = guard.transform("madd", _SIG)
     assert not res.degraded
-    assert res.gate is not None  # the gate ran despite verify=False
+    assert res.gate is not None  # the gate ran on the inconclusive proof
 
     prog2 = _program()
     monkeypatch.undo()
-    guard2 = GuardedTransformer(prog2.image, verify=False, machine_verify=True)
+    guard2 = GuardedTransformer.from_plan(prog2.image, plan)
     res2 = guard2.transform("madd", _SIG)
     assert res2.result.machine_verdict == PROVED
-    assert res2.gate is None  # proved: verify=False keeps its meaning
+    assert res2.gate is None  # proved: installed ungated
 
 
 # -- farm protocol -----------------------------------------------------------
@@ -352,13 +356,11 @@ def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
 
 def test_farm_protocol_carries_verdict():
     from repro.farm import protocol as fp
-    from repro.jit.plan import DEFAULT_JIT, DEFAULT_O3, Plan
-    from repro.lift import LiftOptions
 
     job = fp.CompileJob(
         key="k", name="n", tier=1, func="f", signature=_SIG, fixes=None,
         mem_regions=(), probes=(), dbrew_func=None, image_key="img",
-        plan=Plan("llvm", LiftOptions(), DEFAULT_O3, DEFAULT_JIT))
+        plan=Plan("llvm", LiftOptions(), DEFAULT_O3))
     assert job.plan.machine_verify is False
     res = fp.CompileResult(key="k", name="n", tier=1)
     assert res.machine_verdict is None

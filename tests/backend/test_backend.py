@@ -1,5 +1,7 @@
 """TAC, register allocation, and emission unit tests."""
 
+import itertools
+
 import pytest
 
 from repro.backend.emit import EmitOptions, _synth_mult, emit_function
@@ -8,7 +10,10 @@ from repro.backend.regalloc import allocate, build_intervals
 from repro.backend.tac import TAddr, TFunc, TInstr, VReg
 from repro.cpu import Image, Simulator
 from repro.cc.compiler import RodataPool
+from repro.ir import DOUBLE, Function, FunctionType, IRBuilder, Module
+from repro.ir.codegen.lower import lower_function
 from repro.x86.asm import assemble_full
+from repro.x86.decoder import decode_block
 
 
 def simple_func(name="f"):
@@ -16,16 +21,29 @@ def simple_func(name="f"):
     return tf
 
 
-def run_tfunc(tf, int_args=(), f64_args=(), mul_style="imul"):
+def install(tf, options):
+    """Emit ``tf`` under ``options`` into a fresh image; returns it."""
     img = Image()
-    pool = RodataPool(img)
-    items = emit_function(tf, pool, EmitOptions(mul_style=mul_style))
-    base = img.next_code_addr()
-    code, _p, labels = assemble_full(items, base)
+    items = emit_function(tf, RodataPool(img), options)
+    code, _p, labels = assemble_full(items, img.next_code_addr())
     img.add_function(tf.name, code)
     img.symbols[tf.name] = labels[tf.name]
-    sim = Simulator(img)
-    return sim.call(tf.name, int_args, f64_args)
+    return img
+
+
+def run_tfunc(tf, int_args=(), f64_args=(), mul_style="imul"):
+    img = install(tf, EmitOptions(mul_style=mul_style))
+    return Simulator(img).call(tf.name, int_args, f64_args)
+
+
+def lowered(ret, params, body):
+    """The TAC of IR function ``f`` whose entry block ``body(b, args)``
+    builds, as lowered for emission (no TAC clean-up)."""
+    m = Module("t")
+    f = Function("f", FunctionType(ret, tuple(params)))
+    m.add_function(f)
+    body(IRBuilder(f.add_block("entry")), f.args)
+    return lower_function(f)
 
 
 # -- synth_mult -------------------------------------------------------------
@@ -75,16 +93,33 @@ def test_tac_add_function():
 
 
 def test_tac_mul_imm_both_styles():
-    for style in ("imul", "lea"):
+    """``imm=1``: under ``lea`` _synth_mult returns an empty chain, and the
+    emitter used to leave the destination unwritten (found by the machine
+    verifier, fixed in _emit_synth_mult)."""
+    for imm, style in itertools.product((649, 1), ("imul", "lea")):
         tf = simple_func()
         a = tf.new_vreg("i")
         r = tf.new_vreg("i")
         tf.iparams = (a,)
         tf.ret_cls = "i"
         blk = tf.block("entry")
-        blk.instrs.append(TInstr(op="mul", dst=r, a=a, b=649))
+        blk.instrs.append(TInstr(op="mul", dst=r, a=a, b=imm))
         blk.instrs.append(TInstr(op="ret", a=r))
-        assert run_tfunc(tf, (7,), mul_style=style).int_value == 7 * 649
+        assert run_tfunc(tf, (7,), mul_style=style).int_value == 7 * imm
+
+
+def test_riprel_vs_absolute_const_addressing():
+    """The JIT loads constants RIP-relative; MCC can also address them
+    absolutely (``CompilerOptions.const_addressing``)."""
+    for mode, form in (("riprel", "riprel"), ("absolute", "is_absolute")):
+        tf = lowered(DOUBLE, (), lambda b, _a: b.ret(b.fconst(DOUBLE, 3.25)))
+        img = install(tf, EmitOptions(const_addressing=mode))
+        addr, code = img.symbol("f"), img.function_bytes("f")
+        load = next(i for i in decode_block(code, addr, len(code),
+                                            base_addr=addr)
+                    if i.mnemonic == "movsd")
+        assert getattr(load.operands[1], form), mode
+        assert Simulator(img).call_f64("f") == 3.25
 
 
 def test_tac_division_uses_reserved_regs():

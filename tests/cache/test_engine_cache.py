@@ -8,7 +8,6 @@ import pytest
 from repro.cache import SpecializationCache
 from repro.cc import compile_c
 from repro.cpu import Simulator
-from repro.ir.codegen import JITOptions
 from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
 
@@ -91,17 +90,16 @@ def test_fixed_memory_contents_feed_the_key():
     assert sim.call_int("f.c3", (0, 7)) == 135   # baked-in 5*x+100
 
 
-def test_jit_options_change_hits_module_stage():
-    img = compile_c(SRC).image
+def test_a_second_image_hits_the_module_stage():
+    img, img2 = compile_c(SRC).image, compile_c(SRC).image
     cache = SpecializationCache()
     BinaryTransformer(img, cache=cache).llvm_identity("f", SIG, name="f.j0")
-    tx2 = BinaryTransformer(img, cache=cache,
-                            jit_options=JITOptions(optimize_tac=False))
-    res = tx2.llvm_identity("f", SIG, name="f.j1")
-    # post-O3 module is reused; only codegen reruns under the new options
+    res = BinaryTransformer(img2, cache=cache).llvm_identity("f", SIG,
+                                                            name="f.j1")
+    # the post-O3 module is image-independent and reused; machine entries
+    # are per image, so only codegen reruns, into the second image
     assert res.cache_stage == "module"
-    sim = Simulator(img)
-    assert sim.call_int("f.j1", (2, 3)) == 13
+    assert Simulator(img2).call_int("f.j1", (2, 3)) == 13
 
 
 def test_patch_invalidates_machine_entries():

@@ -4,7 +4,7 @@ nothing position-dependent may leak in."""
 from repro.cache import SpecializationCache
 from repro.cache import keys
 from repro.cc import compile_c
-from repro.ir.codegen import JITOptions
+from repro.guard import GateOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Pipeline
 from repro.lift import FunctionSignature, LiftOptions
@@ -32,9 +32,9 @@ def test_options_digest_sensitive_to_each_field():
 
 def test_options_digest_stable_across_equal_instances():
     assert keys.options_digest(O3Options()) == keys.options_digest(O3Options())
-    assert keys.options_digest(JITOptions()) == keys.options_digest(JITOptions())
-    # distinct dataclass types never collide even with identical fields
-    assert keys.options_digest(O3Options()) != keys.options_digest(JITOptions())
+    assert keys.options_digest(GateOptions()) == keys.options_digest(GateOptions())
+    # distinct dataclass types never collide
+    assert keys.options_digest(O3Options()) != keys.options_digest(GateOptions())
 
 
 def test_signature_digest_sensitivity():
@@ -151,9 +151,8 @@ def test_stage_keys_layer():
     assert mkey != keys.module_key(lkey, "fixed", fdig, o3)
     assert mkey != keys.module_key(lkey, "identity", fdig,
                                    keys.options_digest(O3Options(fast_math=False)))
-    xkey = keys.machine_key(mkey, keys.options_digest(JITOptions()))
-    assert xkey != mkey
-    assert len(xkey) == 32  # blake2b-16 hex
+    assert mkey != lkey
+    assert len(mkey) == 32  # blake2b-16 hex
 
 
 def test_cache_code_digest_memo_follows_patches():

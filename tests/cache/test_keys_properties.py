@@ -23,7 +23,6 @@ from pathlib import Path
 from repro.cache import keys
 from repro.cache.flight import FlightTable
 from repro.cpu import Image
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.lift import FunctionSignature, LiftOptions
 from repro.x86 import parse_asm
@@ -49,14 +48,12 @@ def _digest_set() -> dict[str, str]:
     assert lkey is not None
     return {
         "o3": keys.options_digest(O3Options()),
-        "jit": keys.options_digest(JITOptions()),
         "sig": keys.signature_digest(sig),
         "fixes": keys.fixes_digest({1: 7}, img.memory),
         "lifted": lkey,
-        "machine": keys.machine_key(
-            keys.module_key(lkey, "llvm", keys.fixes_digest(None, img.memory),
-                            keys.options_digest(O3Options())),
-            keys.options_digest(JITOptions())),
+        "module": keys.module_key(
+            lkey, "llvm", keys.fixes_digest(None, img.memory),
+            keys.options_digest(O3Options())),
     }
 
 
@@ -102,15 +99,15 @@ def _perturbed(value):
     return None  # unsupported: caller must handle explicitly
 
 
-def test_every_o3_and_jit_field_changes_digest():
-    for base in (O3Options(), JITOptions()):
-        base_digest = keys.options_digest(base)
-        for f in dataclasses.fields(base):
-            nv = _perturbed(getattr(base, f.name))
-            assert nv is not None, f"add a perturbation rule for {f.name}"
-            variant = dataclasses.replace(base, **{f.name: nv})
-            assert keys.options_digest(variant) != base_digest, \
-                f"{type(base).__name__}.{f.name} does not reach the key"
+def test_every_o3_field_changes_digest():
+    base = O3Options()
+    base_digest = keys.options_digest(base)
+    for f in dataclasses.fields(base):
+        nv = _perturbed(getattr(base, f.name))
+        assert nv is not None, f"add a perturbation rule for {f.name}"
+        variant = dataclasses.replace(base, **{f.name: nv})
+        assert keys.options_digest(variant) != base_digest, \
+            f"O3Options.{f.name} does not reach the key"
 
 
 def test_lift_option_fields_change_digest():
@@ -127,18 +124,17 @@ def test_lift_option_fields_change_digest():
     assert keys.lift_options_digest(known, img) != base
 
 
-def test_signature_and_fixes_deltas_reach_machine_key():
-    """A change in any layer input must produce a distinct machine key."""
+def test_signature_and_fixes_deltas_reach_module_key():
+    """A change in any layer input must produce a distinct machine key —
+    the module key the machine entry is stored under."""
     img = _fixed_image()
     sig = FunctionSignature(("i", "i"), "i")
 
-    def mkey(*, sig=sig, mode="llvm", fixes=None, o3=O3Options(),
-             jit=JITOptions(), lift=None):
+    def mkey(*, sig=sig, mode="llvm", fixes=None, o3=O3Options(), lift=None):
         lkey = keys.lifted_key(img, "f", sig, lift or LiftOptions())
-        return keys.machine_key(
-            keys.module_key(lkey, mode, keys.fixes_digest(fixes, img.memory),
-                            keys.options_digest(o3)),
-            keys.options_digest(jit))
+        return keys.module_key(lkey, mode,
+                               keys.fixes_digest(fixes, img.memory),
+                               keys.options_digest(o3))
 
     base = mkey()
     assert mkey() == base
@@ -150,7 +146,6 @@ def test_signature_and_fixes_deltas_reach_machine_key():
         mkey(fixes={0: 6}),
         mkey(fixes={1: 5}),
         mkey(o3=O3Options().replace(enable_gvn=False)),
-        mkey(jit=dataclasses.replace(JITOptions(), optimize_tac=False)),
         mkey(lift=LiftOptions(flag_cache=False)),
     ]
     assert base not in variants

@@ -149,7 +149,6 @@ class _ScriptedPool:
 
 def _stub_job():
     from repro.farm.protocol import CompileJob
-    from repro.ir.codegen import JITOptions
     from repro.ir.passes import O3Options
     from repro.jit.plan import Plan
     from repro.lift import FunctionSignature, LiftOptions
@@ -158,8 +157,7 @@ def _stub_job():
         signature=FunctionSignature(("i",), "i"), fixes=None,
         mem_regions=(), probes=(), dbrew_func=None,
         image_key="farmimg-stub",
-        plan=Plan("llvm", LiftOptions(), O3Options.lightweight(),
-                  JITOptions()))
+        plan=Plan("llvm", LiftOptions(), O3Options.lightweight()))
 
 
 def test_client_fast_fails_while_open_then_probe_restores_service():

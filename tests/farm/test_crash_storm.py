@@ -11,7 +11,7 @@ import time
 
 from repro import FarmClient, FarmPool, Simulator
 from repro.farm.health import RetryPolicy
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITEngine
 from repro.obs.metrics import MetricsRegistry
 from tests.farm.conftest import expected
 from tests.farm.test_pool import _job_for
@@ -86,7 +86,7 @@ def test_crash_storm_every_job_completes_and_matches_oracle(prog, tmp_path):
 
         # oracle check: each surviving module computes exactly what the
         # farm-less compile would — b is fixed per key, a stays live
-        engine = JITEngine(prog.image, JITOptions())
+        engine = JITEngine(prog.image)
         sim = Simulator(prog.image)
         seen_fixes = set()
         for job, res in ((j, ok_by_key[j.key]) for j in jobs

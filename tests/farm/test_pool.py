@@ -9,7 +9,7 @@ import pytest
 from repro import FarmClient, FarmPool, Simulator, compile_c
 from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions, JITEngine
+from repro.ir.codegen import JITEngine
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
@@ -24,7 +24,7 @@ def _job_for(prog, client, *, fixes=None, name="f.farm", probes=(),
     if fixes:
         o3 = o3.replace(enable_inline=True)
     plan = Plan("llvm-fix" if fixes else "llvm", LiftOptions(), o3,
-                JITOptions(), gate_options=GateOptions())
+                gate_options=GateOptions())
     sig = FunctionSignature(("i", "i"), "i")
     key = fp.compute_job_key(prog.image, "f", sig, fixes, (), probes, None,
                              plan, 1)
@@ -54,7 +54,7 @@ def test_submit_resolves_and_module_installs(prog, farm):
     assert res.worker_pid != 0
     # the shipped module is position-independent: install it client-side
     main = res.module.functions[res.main_name]
-    addr = JITEngine(prog.image, JITOptions()).compile_function(
+    addr = JITEngine(prog.image).compile_function(
         main, name="f.farm")
     sim = Simulator(prog.image)
     assert sim.call(addr, (10, 99)).rax == expected(10, 7)  # b fixed to 7

@@ -24,7 +24,6 @@ from repro.cpu import Image, Simulator
 from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
 from repro.instrument import InstrumentOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
@@ -50,7 +49,7 @@ def _sample_plan() -> Plan:
         "dbrew+llvm",
         LiftOptions(stack_size=8192, flag_cache=False, known_functions={
             0x1000: ("g", FunctionSignature(("i",), "i"))}),
-        O3Options.lightweight(), JITOptions(mul_style="shifts"),
+        O3Options.lightweight(),
         inject=InstrumentOptions(trace_memory=True),
         pregate=DEFAULT_PREGATE, machine_verify=True, gate="always",
         gate_options=GateOptions(samples=3, ignore_regions=((64, 128),)))
@@ -160,7 +159,7 @@ def _key_ingredients():
     return dict(image=img, func="f", signature=sig, fixes={1: 7},
                 mem_regions=(), probes=((10, 3),), dbrew_func="f",
                 plan=Plan("dbrew+llvm", LiftOptions(), O3Options(),
-                          JITOptions(), pregate=DEFAULT_PREGATE,
+                          pregate=DEFAULT_PREGATE,
                           gate="always", gate_options=GateOptions()),
                 tier=2)
 
@@ -198,7 +197,6 @@ def test_every_ingredient_perturbs_job_key():
         rung=replace(plan, rung="llvm"),
         lift=replace(plan, lift=LiftOptions(stack_size=8192)),
         o3=replace(plan, o3=O3Options.lightweight()),
-        jit=replace(plan, jit=JITOptions(mul_style="shifts")),
         gate_options=replace(plan, gate_options=GateOptions(samples=7)),
     )
     for field_name, value in perturbations.items():

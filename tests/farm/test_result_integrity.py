@@ -9,7 +9,7 @@ import os
 from repro import FarmClient, FarmPool, Simulator
 from repro.cache.store import QUARANTINE_DIR
 from repro.farm.protocol import result_key
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITEngine
 from repro.obs.metrics import MetricsRegistry
 from tests.farm.conftest import expected
 from tests.farm.test_pool import _job_for
@@ -53,7 +53,7 @@ def test_bitflipped_result_quarantined_counted_then_recompiled(prog,
         assert res is not None and res.ok
         assert res.cache_stage is None
         main = res.module.functions[res.main_name]
-        addr = JITEngine(prog.image, JITOptions()).compile_function(
+        addr = JITEngine(prog.image).compile_function(
             main, name="integ.client")
         assert Simulator(prog.image).call(addr, (10, 99)).rax \
             == expected(10, 7)
@@ -84,7 +84,7 @@ def test_worker_warm_path_never_serves_corrupt_record(prog, tmp_path):
         qdir = os.path.join(pool.store.root, QUARANTINE_DIR)
         assert any(n.endswith(".corrupt") for n in os.listdir(qdir))
         main = res.module.functions[res.main_name]
-        addr = JITEngine(prog.image, JITOptions()).compile_function(
+        addr = JITEngine(prog.image).compile_function(
             main, name="integ.worker")
         assert Simulator(prog.image).call(addr, (10, 99)).rax \
             == expected(10, 4)

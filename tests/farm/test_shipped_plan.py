@@ -15,8 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro import FunctionSignature
-from repro.guard import Budget, GateOptions
-from repro.lift import LiftOptions
+from repro.guard import GateOptions
 from repro.tier import T1, T2, TieredEngine, TierPolicy
 
 SIG = FunctionSignature(("i", "i"), "i")
@@ -74,10 +73,3 @@ def test_each_shipped_plan_is_the_engines_plan(prog, register, tiers):
         {"llvm"} if not register else
         {"llvm-fix", "dbrew+llvm"} if T2 in tiers else {"llvm-fix"})
 
-
-def test_a_lift_budget_does_not_travel(prog):
-    """The job's own budget limits govern the worker."""
-    lift = LiftOptions(stack_size=8192, budget=Budget(max_lift_blocks=99))
-    _, _, farm = _drive(prog, (T1,), lift_options=lift)
-    (job,) = farm.jobs
-    assert job.plan.lift == replace(lift, budget=None)

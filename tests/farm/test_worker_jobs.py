@@ -14,7 +14,6 @@ from repro.cpu import Image
 from repro.farm import protocol as fp
 from repro.farm.worker import FarmWorker
 from repro.guard.verify import GateOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
@@ -43,7 +42,7 @@ def test_same_spec_jobs_gate_their_own_candidates(worker):
     worker.store.put(image_key, spec)
     assert spec.build().instance_token() != spec.build().instance_token()
 
-    plan = Plan("llvm-fix", LiftOptions(), O3Options(), JITOptions(),
+    plan = Plan("llvm-fix", LiftOptions(), O3Options(),
                 pregate=DEFAULT_PREGATE, gate="always",
                 gate_options=GateOptions())
     for k in (5, 9, 3):

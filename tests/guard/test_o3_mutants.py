@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -177,8 +178,9 @@ def test_a_gated_install_checks_o3_structurally_only():
     assert validator.stats.pipelines == validator.stats.probes_run == 0
     # without the gate on every candidate, the validator judges end to end
     validator = PassValidator()
-    r = _guard(img, validator=validator, verify=False).transform(
-        "f", SIG, {1: 6}, probes=[(3,)], name="f.ungated")
+    ungated = replace(_guard(img).plans["llvm"], gate="never")
+    r = GuardedTransformer.from_plan(img, ungated, validator=validator) \
+        .transform("f", SIG, {1: 6}, probes=[(3,)], name="f.ungated")
     report = r.result.o3_report
     assert report.validated and not report.structural_only
     assert validator.stats.pipelines > 0 and report.conclusive_probes > 0

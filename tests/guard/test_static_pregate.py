@@ -1,6 +1,6 @@
 """GuardedTransformer static pre-gate: reject before spending probe budget."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from repro.cc import compile_c
 from repro.ir import I64
@@ -52,8 +52,9 @@ def test_static_pregate_rejects_undef_return():
 
 def test_pregate_can_be_disabled():
     program = compile_c(SRC)
-    guard = GuardedTransformer(program.image, static_precheck=False,
-                               verify=False)
+    default = GuardedTransformer(program.image).plans["llvm"]
+    guard = GuardedTransformer.from_plan(
+        program.image, replace(default, pregate=(), gate="never"))
     with inject_faults("pass:dce", every=True, corrupt=_poison_ret):
         out = guard.transform("f", SIG)
     # with both gates off the poisoned candidate is served — the pre-gate

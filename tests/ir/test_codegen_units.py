@@ -7,7 +7,7 @@ from repro.ir import (
     DOUBLE, I1, I8, I32, I64, I128, V2F64,
     Function, FunctionType, IRBuilder, Module, Undef, verify, ptr,
 )
-from repro.ir.codegen import JITEngine, JITOptions
+from repro.ir.codegen import JITEngine
 from repro.ir.values import Constant, ConstantFP, ConstantVector
 from repro.x86.decoder import decode_block
 
@@ -19,9 +19,9 @@ def build(ret, params):
     return m, f, IRBuilder(f.add_block("entry"))
 
 
-def compile_and_decode(f, options=None):
+def compile_and_decode(f):
     img = Image()
-    jit = JITEngine(img, options or JITOptions())
+    jit = JITEngine(img)
     addr = jit.compile_function(f)
     code = img.function_bytes(f.name)
     return img, decode_block(code, addr, len(code), base_addr=addr)
@@ -252,16 +252,3 @@ def test_constant_vector_materialization():
     sim = Simulator(img)
     assert sim.call_f64("f", (), (10.0,)) == 12.5
 
-
-def test_riprel_vs_absolute_const_addressing():
-    _m, f, b = build(DOUBLE, ())
-    b.ret(b.fconst(DOUBLE, 3.25))
-    img, instrs = compile_and_decode(f, JITOptions(const_addressing="riprel"))
-    load = next(i for i in instrs if i.mnemonic == "movsd")
-    assert load.operands[1].riprel
-
-    _m2, f2, b2 = build(DOUBLE, ())
-    b2.ret(b2.fconst(DOUBLE, 3.25))
-    img2, instrs2 = compile_and_decode(f2, JITOptions(const_addressing="absolute"))
-    load2 = next(i for i in instrs2 if i.mnemonic == "movsd")
-    assert load2.operands[1].is_absolute

@@ -22,7 +22,11 @@ the fixture by hand when jobs stopped carrying a frozen lift tuple (which
 read ``null`` for the default options).  No other value moved.  The
 ``guard.gate.reject`` key was later dropped from every ``counters`` cell:
 it counted the same event as ``guard.verification_rejections``, which
-stays; every other key and value was re-captured unchanged.
+stays; every other key and value was re-captured unchanged.  When the JIT
+lost its options, the key columns alone were re-captured: ``keys.machine``
+(now the module key), ``guard_key``, the farm job ``key`` and the jobs'
+``gate`` digest (``GateOptions`` lost a field); the jobs' ``jit`` column
+went with the option.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
@@ -51,7 +55,6 @@ from repro.farm import protocol as fp
 from repro.farm.worker import FarmWorker
 from repro.guard import GateOptions, GuardedTransformer
 from repro.instrument import Instrumenter, InstrumentOptions
-from repro.ir.codegen import JITOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import LiftOptions
@@ -299,7 +302,6 @@ class InlineFarm:
             "dbrew_func": job.dbrew_func,
             "lift": cache_keys.options_digest(plan.lift),
             "o3": cache_keys.options_digest(plan.o3),
-            "jit": cache_keys.options_digest(plan.jit),
             "gate": cache_keys.options_digest(plan.gate_options),
             "machine_verify": plan.machine_verify,
             "result": None if res is None else
@@ -315,7 +317,7 @@ def _worker_jobs(disk_dir: str) -> dict:
     spec = fp.ImageSpec.capture(prog.image)
     image_key = fp.image_spec_key(spec.digest())
     worker.store.put(image_key, spec)
-    t1 = Plan("llvm", LiftOptions(), O3Options.lightweight(), JITOptions(),
+    t1 = Plan("llvm", LiftOptions(), O3Options.lightweight(),
               machine_verify=True, gate_options=GateOptions())
     out: dict = {}
     for name, tier, fixes, plan, probes in (

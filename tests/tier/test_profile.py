@@ -142,14 +142,13 @@ def test_demotion_hysteresis_no_flap_with_hot_profile():
 
 def test_job_key_distinct_for_instrumented_compiles():
     from repro.farm import protocol as fp
-    from repro.ir.codegen import JITOptions
     from repro.ir.passes import O3Options
     from repro.jit.plan import Plan
     from repro.lift import LiftOptions
 
     prog = compile_c("long f(long a, long b) { return a * b; }")
     sig = FunctionSignature(("i", "i"), "i")
-    plan = Plan("llvm", LiftOptions(), O3Options.lightweight(), JITOptions())
+    plan = Plan("llvm", LiftOptions(), O3Options.lightweight())
     args = (prog.image, "f", sig, None, (), (), None, plan, T1)
     plain = fp.compute_job_key(*args)
     instr = fp.compute_job_key(*args,
