@@ -152,8 +152,7 @@ def _stub_job() -> CompileJob:
     return CompileJob(
         key="k" * 32, name="bench.f", tier=1, func="f",
         signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None,
-        image_key="farmimg-bench",
+        segments=(), functions=(), cursors=(0, 0, 0, 0),
         plan=Plan("llvm", LiftOptions(), O3Options.lightweight()))
 
 

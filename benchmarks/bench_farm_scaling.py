@@ -58,7 +58,7 @@ SRC = ("long f(long a, long b) "
 SIG_VARIANTS = 2
 
 
-def _jobs(prog, client, count):
+def _jobs(prog, count):
     """K distinct T1 jobs over one function (a registration storm's worth
     of fixation keys, what a line-kernel sweep produces) plus
     ``SIG_VARIANTS`` signature-variant re-lifts of the same bytes."""
@@ -66,26 +66,14 @@ def _jobs(prog, client, count):
     fixed = Plan("llvm-fix", LiftOptions(),
                  O3Options.lightweight().replace(enable_inline=True),
                  gate_options=GateOptions())
-    jobs = []
-    for k in range(count):
-        fixes = {1: k + 3}
-        key = fp.compute_job_key(prog.image, "f", sig, fixes, (), (), None,
-                                 fixed, 1)
-        jobs.append(fp.CompileJob(
-            key=key, name=f"f.storm{k}", tier=1, func="f", signature=sig,
-            fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=(),
-            dbrew_func=None, image_key=client.ensure_image(prog.image),
-            plan=fixed))
+    jobs = [fp.build_job(prog.image, "f", sig, {1: k + 3}, fixed, 1,
+                         f"f.storm{k}")
+            for k in range(count)]
     plain = replace(fixed, rung="llvm")
     for extra in range(SIG_VARIANTS):
         sig_v = FunctionSignature(("i",) * (3 + extra), "i")
-        key = fp.compute_job_key(prog.image, "f", sig_v, None, (), (), None,
-                                 plain, 1)
-        jobs.append(fp.CompileJob(
-            key=key, name=f"f.sigv{extra}", tier=1, func="f",
-            signature=sig_v, fixes=None, mem_regions=(), probes=(),
-            dbrew_func=None, image_key=client.ensure_image(prog.image),
-            plan=plain))
+        jobs.append(fp.build_job(prog.image, "f", sig_v, None, plain, 1,
+                                 f"f.sigv{extra}"))
     return jobs
 
 
@@ -96,7 +84,7 @@ def _drain_storm(prog, disk_dir, workers, count):
                     registry=registry)
     client = FarmClient(pool, timeout=600.0, registry=registry)
     try:
-        jobs = _jobs(prog, client, count)
+        jobs = _jobs(prog, count)
         total_jobs = len(jobs)
         gc.disable()
         t0 = time.perf_counter()

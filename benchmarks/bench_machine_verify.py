@@ -108,12 +108,7 @@ def run_farm_dedup(requests: int = 6, workers: int = 2) -> dict:
         pool = FarmPool(workers=workers, disk_dir=disk, registry=registry)
         client = FarmClient(pool, timeout=600.0, registry=registry)
         try:
-            key = fp.compute_job_key(prog.image, "f", SIG, None, (), (), None,
-                                     plan, 1)
-            job = fp.CompileJob(
-                key=key, name="f.dedup", tier=1, func="f", signature=SIG,
-                fixes=None, mem_regions=(), probes=(), dbrew_func=None,
-                image_key=client.ensure_image(prog.image), plan=plan)
+            job = fp.build_job(prog.image, "f", SIG, None, plan, 1, "f.dedup")
             results = [client.compile(job) for _ in range(requests)]
         finally:
             pool.close()

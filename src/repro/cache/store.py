@@ -336,18 +336,11 @@ class DiskStore:
         except OSError:
             return []
 
-    def contains(self, key: str) -> bool:
-        """Cheap existence probe: one ``stat``, no read, no checksum.
-
-        Used where a full :meth:`get` would deserialize megabytes just to
-        learn the record is still published (e.g. the farm client's image
-        memo).  A corrupt record still counts as present here; the
-        checksum verdict belongs to the reader that actually loads it.
-        """
-        return os.path.exists(self._path(key))
-
     def __contains__(self, key: str) -> bool:
-        return self.contains(key)
+        """Cheap existence probe: one ``stat``, no read, no checksum.  A
+        corrupt record still counts as present here; the checksum verdict
+        belongs to the reader that actually loads it."""
+        return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         return sum(1 for n in os.listdir(self.root) if n.endswith(".pkl"))

@@ -6,18 +6,17 @@ moves it off the application's *cores* into a pool of worker processes —
 the offload model BAAR argues for, built from four pieces:
 
 * :mod:`repro.farm.protocol` — picklable :class:`CompileJob` /
-  :class:`CompileResult` records plus :class:`ImageSpec`, a content-keyed
-  snapshot of the guest image that workers rebuild bit-identically at the
-  original guest addresses (lifted IR bakes absolute addresses in, so the
-  worker's image must agree with the client's);
+  :class:`CompileResult` records.  A job carries every byte its compile
+  reads (the lift source, fixed memory and rodata, at their client
+  addresses) and a result carries a position-independent post-O3 module;
 * :mod:`repro.farm.pool` — :class:`FarmPool`: worker lifecycle (spawn,
   respawn-on-crash, graceful drain), batched job transport over
   ``multiprocessing`` queues, result collection;
-* :mod:`repro.farm.worker` — the worker process main loop: rebuild the
-  image, run the T1/T2 pipeline under a per-job
-  :class:`~repro.guard.Budget`, publish the position-independent post-O3
-  module to the shared :class:`~repro.cache.DiskStore`, all under the
-  cross-process single-flight of
+* :mod:`repro.farm.worker` — the worker process main loop: map the
+  shipped bytes, lift and optimise under a per-job
+  :class:`~repro.guard.Budget`, publish the post-O3 module and its
+  machine verdict to the shared :class:`~repro.cache.DiskStore`, all
+  under the cross-process single-flight of
   :class:`~repro.cache.FileFlightTable`;
 * :mod:`repro.farm.client` — :class:`FarmClient`: the in-process facade
   the tiered engine calls; adds thread-level request coalescing and
@@ -42,12 +41,7 @@ from repro.farm.health import (
     WorkerWatchdog,
 )
 from repro.farm.pool import FarmPool
-from repro.farm.protocol import (
-    CompileJob,
-    CompileResult,
-    ImageSpec,
-    MemSegment,
-)
+from repro.farm.protocol import CompileJob, CompileResult, MemSegment
 
 __all__ = [
     "CircuitBreaker",
@@ -56,7 +50,6 @@ __all__ = [
     "FarmClient",
     "FarmPool",
     "HealthEvent",
-    "ImageSpec",
     "MemSegment",
     "RetryPolicy",
     "WorkerWatchdog",

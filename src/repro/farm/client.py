@@ -1,7 +1,7 @@
 """The in-process farm facade the tiered engine talks to.
 
 Thin by design — the pool owns transport and the worker owns compilation —
-but four client-side responsibilities live here:
+but three client-side responsibilities live here:
 
 * **thread-level coalescing**: the engine's tier workers may request the
   same job key concurrently; a :class:`~repro.cache.FlightTable` keyed on
@@ -19,15 +19,6 @@ but four client-side responsibilities live here:
   instead of paying ``farm_timeout`` each; a single half-open probe then
   restores service.  State changes surface as a gauge, counters and a
   trace instant.
-* **image publication**: the lifted IR a worker produces bakes in absolute
-  guest addresses, so the worker's image must match the client's.
-  :meth:`ensure_image` captures an :class:`ImageSpec` once per image
-  generation, publishes it to the shared store under its content key and
-  memoizes the key *and the snapshot* — jobs then carry a small string,
-  not megabytes.  The memo re-verifies the record still exists on every
-  hit; a quarantined or swept spec is republished from the memoized
-  snapshot under the same key, never re-captured (cursors drift within a
-  generation, and in-flight jobs still reference the original key).
 * **observability folding**: worker trace batches merge into the client
   tracer under the dispatch-site span (one Chrome trace spans the process
   hop); worker-side counters fold into the client registry under
@@ -36,16 +27,13 @@ but four client-side responsibilities live here:
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.cache import FlightTable
-from repro.cpu.image import Image
 from repro.farm.health import BREAKER_STATE_VALUES, CLOSED, CircuitBreaker, \
     OPEN
 from repro.farm.pool import FarmPool
-from repro.farm.protocol import CompileJob, CompileResult, ImageSpec, \
-    image_spec_key
+from repro.farm.protocol import CompileJob, CompileResult
 from repro.obs.metrics import MetricsRegistry, REGISTRY
 from repro.obs.trace import TRACER
 
@@ -95,54 +83,17 @@ class FarmClient:
         self.breaker.on_transition = _observe
         self._flights = FlightTable(
             timeouts=r.counter("farm.client.flight_timeouts"))
-        self._image_specs: dict[tuple[int, int], tuple[str, ImageSpec]] = {}
-        self._image_lock = threading.Lock()
 
     # -- availability ------------------------------------------------------
 
     def available(self) -> bool:
         """Cheap, non-mutating: would the breaker admit a request now?
 
-        The tiered engine checks this before computing job keys and
-        publishing images — while the breaker is open that work would be
-        thrown away anyway.  Never claims the half-open probe.
+        The tiered engine checks this before running DBrew and building a
+        job — while the breaker is open that work would be thrown away
+        anyway.  Never claims the half-open probe.
         """
         return self.breaker.would_allow()
-
-    # -- image publication -------------------------------------------------
-
-    def ensure_image(self, image: Image) -> str:
-        """Publish ``image`` to the shared store; return its spec key.
-
-        Memoized per ``(id(image), generation)``: a patch bumps the
-        generation, forcing a re-capture, while repeated promotions on an
-        unpatched image reuse the published spec.  The store side is
-        content-keyed, so identical images across clients share one entry.
-        A memo hit still confirms the record exists — integrity quarantine
-        or an external sweep may have removed it — and republishes the
-        *memoized* snapshot under the *same* key.  Re-capturing here would
-        be unsound: JIT installs advance allocator cursors without bumping
-        the generation, so a fresh capture mid-generation yields a
-        different snapshot (and key) while in-flight jobs and cached
-        results still reference the old one.
-        """
-        memo = (id(image), image.generation)
-        with self._image_lock:
-            known = self._image_specs.get(memo)
-        if known is not None:
-            key, spec = known
-            if not self.pool.store.contains(key):
-                self.pool.store.put(key, spec)
-            return key
-        spec = ImageSpec.capture(image)
-        key = image_spec_key(spec.digest())
-        if self.pool.store.get(key) is None:
-            self.pool.store.put(key, spec)
-        with self._image_lock:
-            # lost a capture race? keep the first snapshot — in-flight jobs
-            # already carry its key
-            known = self._image_specs.setdefault(memo, (key, spec))
-        return known[0]
 
     # -- compilation -------------------------------------------------------
 

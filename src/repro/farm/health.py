@@ -210,7 +210,7 @@ class CircuitBreaker:
         """Non-mutating peek: does the breaker currently admit requests?
 
         Unlike :meth:`allow` this never claims the half-open probe slot —
-        the engine uses it to skip job-key/image work for requests the
+        the engine uses it to skip DBrew and job building for requests the
         breaker would refuse anyway, without consuming the probe.
         """
         with self._lock:

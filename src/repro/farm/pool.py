@@ -136,8 +136,8 @@ class FarmPool:
         else:
             self._own_dir = None
         self.disk_dir = disk_dir
-        #: the client-side handle on the shared store (image specs go in
-        #: through this; warm results can be probed without a worker)
+        #: the client-side handle on the shared store (warm results can be
+        #: probed without a worker)
         self.store = DiskStore(disk_dir)
         self.batch_max = batch_max
         self.respawn = respawn

@@ -1,4 +1,4 @@
-"""The farm wire protocol: picklable jobs, results and image snapshots.
+"""The farm wire protocol: picklable jobs and results.
 
 Everything that crosses the process boundary lives here, and everything
 here must pickle identically under both ``fork`` and ``spawn`` start
@@ -6,24 +6,26 @@ methods (tests/farm/test_protocol_roundtrip.py round-trips every field).
 
 Three design constraints shape the records:
 
-* **machine code is position-dependent, IR modules are not** — lifted IR
-  bakes absolute guest addresses into address arithmetic, and codegen
-  assembles against a concrete image base.  So a job ships an
-  :class:`ImageSpec` reference (guest bytes + symbols + allocator state)
-  the worker rebuilds *at the original addresses*, and a result ships the
-  pristine post-O3 :class:`~repro.ir.module.Module` — the client runs the
-  (cheap) code generation itself, into its own image, under its own
-  ``codegen_lock``.  Worker-side codegen still happens, but only to give
-  the T2 differential gate something to execute.
+* **a job carries every byte its compile reads** — lifted IR bakes
+  absolute guest addresses in, and the lifter, the fixation stage and the
+  machine proof read guest memory.  So :func:`build_job` ships those
+  ranges of the live client image, read when the job is built: the lift
+  source and its known callees, every :class:`FixedMemory` fix and the
+  client's rodata up to its cursor (the proof folds rodata loads), plus
+  the four allocator cursors.  The worker maps exactly that, with fresh
+  space above each cursor for its own throwaway codegen; a compile that
+  reads anywhere else fails retryably instead of reading zeros.  Nothing
+  is published ahead of a job, so nothing can go stale between the two.
+* **a result carries a module, never an address** — the worker returns
+  the pristine post-O3 :class:`~repro.ir.module.Module` and its machine
+  verdict.  Every stage that touches the client image runs in the client:
+  DBrew before the job is built (a ``dbrew+llvm`` rung ships as ``llvm``
+  over DBrew's output), then code generation into its own image and
+  admission (pregate, gate) of the bytes it installs.
 * **budgets and tracers do not pickle** — a job carries plain budget
   *limits* (re-armed worker-side) and a parent *span id* plus a wall-clock
   anchor (re-anchored by :meth:`repro.obs.trace.Tracer.merge_records`),
   never the live objects.
-* **image snapshots are big, jobs are small** — an :class:`ImageSpec` for
-  the default layout is megabytes; shipping one per job would swamp the
-  queues.  Jobs reference the spec by content key in the shared disk
-  store; the client publishes it once per image generation and workers
-  memoize the parsed spec per key.
 """
 
 from __future__ import annotations
@@ -32,105 +34,50 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.cache import keys as cache_keys
-from repro.cpu.image import Image
+from repro.cpu.image import (
+    DATA_BASE, JIT_BASE, PROBE_BASE, RODATA_BASE, Image,
+)
+from repro.errors import MemoryAccessError
 from repro.guard.budget import Budget
-from repro.guard.verify import GateOptions
 from repro.ir.module import Module
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature
 from repro.lift.fixation import FixedMemory
-from repro.mem.memory import Memory
-from repro.tier.policy import T1
+from repro.mem.memory import FaultNotingMemory
 
-#: disk-store key prefixes for the farm's shared-state channels
-IMAGE_SPEC_PREFIX = "farmimg"
+#: disk-store key prefix of published results
 RESULT_PREFIX = "farmres"
 
+#: where each allocator's free space ends: the base of the region above it
+#: (code, rodata, data, jit)
+_REGION_ENDS = (RODATA_BASE, DATA_BASE, JIT_BASE, PROBE_BASE)
 
-# -- image snapshot ----------------------------------------------------------
+
+# -- shipped bytes -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MemSegment:
-    """One mapped region: ``data`` is the zero-trimmed prefix of ``size``
-    bytes at ``addr`` (guest images are mostly zeroes — trimming keeps the
-    pickled spec proportional to actual content, not address space)."""
+    """One shipped range: ``data`` is the zero-trimmed prefix of ``size``
+    bytes at ``addr`` (rodata is mostly zeroes — trimming keeps the pickled
+    job proportional to actual content, not address space)."""
 
     addr: int
     size: int
     data: bytes
 
 
-@dataclass(frozen=True)
-class ImageSpec:
-    """Everything needed to rebuild a client image bit-identically.
-
-    Cursors and limits are captured so worker-side allocations (rodata for
-    fixed-memory globals, JIT space for gate candidates) land in the same
-    *free* space they would client-side — addresses allocated by the
-    worker must not collide with client allocations baked into the IR.
-    """
-
-    segments: tuple[MemSegment, ...]
-    symbols: tuple[tuple[str, int], ...]
-    func_sizes: tuple[tuple[str, int], ...]
-    #: (code, rodata, data, jit) bump-allocator cursors
-    cursors: tuple[int, int, int, int]
-    #: (code, rodata, data, jit) region limits
-    limits: tuple[int, int, int, int]
-    generation: int = 0
-
-    @classmethod
-    def capture(cls, image: Image) -> "ImageSpec":
-        segments = tuple(
-            MemSegment(start, len(data), data.rstrip(b"\x00"))
-            for start, data in image.memory.snapshot())
-        return cls(
-            segments=segments,
-            symbols=tuple(sorted(image.symbols.items())),
-            func_sizes=tuple(sorted(image.func_sizes.items())),
-            cursors=(image._code_cursor, image._rodata_cursor,
-                     image._data_cursor, image._jit_cursor),
-            limits=(image._code_limit, image._rodata_limit,
-                    image._data_limit, image._jit_limit),
-            generation=image.generation,
-        )
-
-    def build(self) -> Image:
-        """A fresh image with this spec's exact memory/symbol/cursor state.
-
-        Bypasses ``Image.__init__`` (which maps the default layout): the
-        spec's own regions are authoritative, including custom sizes.
-        """
-        img = Image.__new__(Image)
-        img.memory = Memory()
-        for seg in self.segments:
-            img.memory.map(seg.addr, seg.size, seg.data)
-        img.symbols = dict(self.symbols)
-        img.func_sizes = dict(self.func_sizes)
-        (img._code_cursor, img._rodata_cursor,
-         img._data_cursor, img._jit_cursor) = self.cursors
-        (img._code_limit, img._rodata_limit,
-         img._data_limit, img._jit_limit) = self.limits
-        img._invalidation_hooks = []
-        img.codegen_lock = threading.RLock()
-        img.generation = self.generation
-        return img
-
-    def digest(self) -> str:
-        """Content key: identical guest state -> identical key, in any
-        process (drives worker-side spec memoization).  Memoized on the
-        instance."""
-        d = self.__dict__.get("_digest_memo")
-        if d is None:
-            parts = [b"%d:%d:" % (s.addr, s.size) + s.data for s in self.segments]
-            parts.append(repr(self.symbols).encode())
-            parts.append(repr(self.func_sizes).encode())
-            parts.append(repr((self.cursors, self.limits,
-                               self.generation)).encode())
-            d = cache_keys.digest_bytes(*parts)
-            object.__setattr__(self, "_digest_memo", d)
-        return d
+def _merged(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``(addr, size)`` ranges with overlapping and touching ones joined:
+    an access that spans two of them in the client must not straddle two
+    mappings in the worker."""
+    out: list[list[int]] = []
+    for addr, size in sorted(ranges):
+        if out and addr <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], addr + size)
+        else:
+            out.append([addr, addr + size])
+    return [(lo, hi - lo) for lo, hi in out]
 
 
 # -- option sanitizers -------------------------------------------------------
@@ -172,34 +119,32 @@ def thaw_budget(frozen: tuple | None) -> Budget | None:
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One rewrite request shipped to a worker.
+    """One lift-and-optimise request shipped to a worker.
 
-    ``key`` is the content-addressed identity of the *work* (function
-    bytes + fixation + tier + options): the cross-process single-flight
-    key, the shared-store result key and the client-side machine-cache
-    key are all derived from it.
+    ``key`` is the content identity of the *work* (see :func:`build_job`):
+    the cross-process single-flight key and the shared-store result key.
     """
 
     key: str
     name: str
     #: target tier (repro.tier.policy.T1 / T2)
     tier: int
+    #: the lift source: a name or entry address among ``functions``
     func: str | int
     signature: FunctionSignature
     fixes: tuple[tuple[int, int | float | FixedMemory], ...] | None
-    mem_regions: tuple[tuple[int, int], ...]
-    probes: tuple
-    dbrew_func: str | int | None
-    #: shared-store key of the ImageSpec to rebuild (publishes once per
-    #: image generation; see ImageSpec docstring)
-    image_key: str
-    #: the engine's plan, run by the worker under a guard restricted to
-    #: ``plan.rung``.  A T1 plan arrives with ``gate="never"``: an
-    #: inconclusive proof is gated by the client, against its own emission
-    #: of the shipped module.  Its pregate, ``machine_verify`` and ``gate``
-    #: are not part of ``key``: they only reject output, they cannot change
-    #: accepted code; the machine verdict travels back in the published
-    #: payload, so the proof is paid once per key
+    #: every byte the compile reads, read from the client image when the
+    #: job was built
+    segments: tuple[MemSegment, ...]
+    #: ``(symbol, addr, size)`` of the lift source and its known callees
+    functions: tuple[tuple[str, int, int], ...]
+    #: the client's (code, rodata, data, jit) allocator cursors: the
+    #: worker's own allocations land in the free space above them
+    cursors: tuple[int, int, int, int]
+    #: the engine's plan, compiled by the worker as given.  Its pregate and
+    #: gate are the client's to run, and ``machine_verify``, which only
+    #: rejects, is not part of ``key``: the verdict travels back in the
+    #: published payload, so the proof is paid once per key
     plan: Plan
     budget: tuple | None = None
     epoch: int = 0
@@ -215,17 +160,40 @@ class CompileJob:
     def thawed_fixes(self) -> dict[int, int | float | FixedMemory] | None:
         return thaw_fixes(self.fixes)
 
+    def build_image(self) -> Image:
+        """The worker's image: the shipped bytes at their client addresses,
+        fresh space above each cursor and nothing else.
+
+        Bypasses ``Image.__init__`` (which maps the default layout).
+        """
+        img = Image.__new__(Image)
+        img.memory = mem = FaultNotingMemory()
+        for seg in self.segments:
+            mem.map(seg.addr, seg.size, seg.data)
+        for cursor, end in zip(self.cursors, _REGION_ENDS):
+            mem.map(cursor, end - cursor)  # lazily zeroed: free until used
+        img.symbols = {name: addr for name, addr, _ in self.functions}
+        img.func_sizes = {name: size for name, _, size in self.functions}
+        (img._code_cursor, img._rodata_cursor,
+         img._data_cursor, img._jit_cursor) = self.cursors
+        (img._code_limit, img._rodata_limit,
+         img._data_limit, img._jit_limit) = _REGION_ENDS
+        img._invalidation_hooks = []
+        img.codegen_lock = threading.RLock()
+        img.generation = 0
+        return img
+
 
 @dataclass(frozen=True)
 class CompileResult:
     """What comes back: a position-independent module, never an address.
 
     ``ok=False`` splits on ``retryable``: True means the farm could not do
-    the work (unkeyed function, worker crash, transport loss) and the
-    client should compile in-process; False means the *pipeline verdict*
-    is negative (gate rejection, ladder exhaustion) — content-determined,
-    so retrying locally would only repeat it, and the engine records a
-    rejection instead.
+    the work (a read outside the shipped bytes, a starved budget, worker
+    crash, transport loss) and the client should compile in-process; False
+    means the compile itself refused (a typed error, a refuted proof) —
+    content-determined, so retrying locally would only repeat it, and the
+    engine records a rejection instead.
     """
 
     key: str
@@ -238,7 +206,6 @@ class CompileResult:
     ok: bool = False
     retryable: bool = False
     mode: str | None = None
-    verified: bool = False
     reject_reason: str | None = None
     module: Module | None = None
     main_name: str | None = None
@@ -257,73 +224,63 @@ class CompileResult:
     machine_verdict: str | None = None
 
 
-# -- content keys ------------------------------------------------------------
+# -- building a job ----------------------------------------------------------
 
 
-def compute_job_key(image: Image, func: str | int,
-                    signature: FunctionSignature,
-                    fixes: dict[int, int | float | FixedMemory] | None,
-                    mem_regions, probes,
-                    dbrew_func: str | int | None, plan: Plan, tier: int, *,
-                    image_key: str | None = None,
-                    instrument: str | None = None) -> str | None:
-    """Content identity of one farm job, or None when unkeyable.
+def build_job(image: Image, func: str | int, signature: FunctionSignature,
+              fixes: dict[int, int | float | FixedMemory] | None,
+              plan: Plan, tier: int, name: str,
+              **fields) -> CompileJob | None:
+    """The job that compiles ``func`` under ``plan``, or None when the
+    farm cannot ship it (an unknown function extent, unreadable fixed
+    memory): the caller then compiles in-process.
 
-    Built from the same ingredients as the staged cache keys (function
-    bytes, signature, fixation *contents*, the plan's option digests) plus
-    the farm-level coordinates the staged keys do not see: tier, the guard
-    ladder (``plan.rung`` above T1, none for T1), probe vectors and gate
-    options — two jobs that would gate differently must never collapse
-    into one single-flight.  What can only reject work (the plan's
-    pregate, ``machine_verify`` and ``gate``) is not keyed.
-
-    ``instrument`` is the :meth:`InstrumentOptions.digest` of an
-    instrumented job (None for plain compiles): an instrumented artifact
-    writes probe effects a plain one does not, so the two must stay
-    digest-distinct even when every other ingredient matches.
-
-    ``image_key`` folds the published :class:`ImageSpec`'s content key in
-    when given.  Shipped modules are position-dependent on the snapshot
-    the worker rebuilds (allocator cursors decide where worker-side
-    allocations land), so results computed against *different* snapshots
-    must never be served interchangeably under one key.  Identical images
-    produce identical spec keys, so legitimate cross-client sharing is
-    unaffected.
-
-    None (unknown function extent, unreadable fixed memory) means the farm
-    cannot prove two requests identical, so the caller compiles locally.
+    The job's key digests every shipped byte with its address, the
+    functions, the signature, the fixes, the tier and the plan's rung, lift
+    and O3 options — everything the worker's compile reads.  The cursors
+    are not keyed: they place the worker's throwaway emission, not the
+    module.  What can only reject work (the plan's pregate,
+    ``machine_verify``, gate and gate options) is not keyed either.
+    ``fields`` fills the job's bookkeeping fields (budget, epoch, ...).
     """
-    extent = cache_keys.function_extent(image, func)
-    if extent is None:
-        return None
-    code = cache_keys.digest_bytes(image.memory.read(extent[0], extent[1]))
-    if dbrew_func is not None:
-        dextent = cache_keys.function_extent(image, dbrew_func)
-        if dextent is None:
+    if plan.rung != "llvm-fix":
+        fixes = None  # only fixation reads them (Pipeline.compile)
+    functions = []
+    for f in (func, *plan.lift.known_functions):
+        extent = cache_keys.function_extent(image, f)
+        if extent is None:
             return None
-        dbrew_code = cache_keys.digest_bytes(
-            image.memory.read(dextent[0], dextent[1]))
-    else:
-        dbrew_code = "-"
-    try:
-        fdigest = cache_keys.fixes_digest(fixes, image.memory)
-    except Exception:
-        return None
-    return cache_keys.digest_str(
-        "farmjob", code, dbrew_code,
-        cache_keys.signature_digest(signature), fdigest,
-        repr(sorted(mem_regions)), repr(tuple(probes)),
-        f"t{tier}", plan.rung if tier != T1 else "",
+        symbol = f if isinstance(f, str) else image.symbol_at(f)
+        functions.append((symbol, *extent))
+    ranges = [(addr, size) for _, addr, size in functions]
+    ranges += [(v.addr, v.size) for v in (fixes or {}).values()
+               if isinstance(v, FixedMemory)]
+    # the bytes and the cursors of one moment: an install allocates and
+    # writes under this lock
+    with image.codegen_lock:
+        cursors = (image._code_cursor, image._rodata_cursor,
+                   image._data_cursor, image._jit_cursor)
+        if cursors[1] > RODATA_BASE:
+            ranges.append((RODATA_BASE, cursors[1] - RODATA_BASE))
+        try:
+            segments = tuple(
+                MemSegment(addr, size,
+                           image.memory.read(addr, size).rstrip(b"\x00"))
+                for addr, size in _merged(ranges))
+        except MemoryAccessError:
+            return None
+    key = cache_keys.digest_str(
+        "farmjob",
+        cache_keys.digest_bytes(*(b"%d:%d:" % (s.addr, s.size) + s.data
+                                  for s in segments)),
+        repr(sorted(functions)), cache_keys.signature_digest(signature),
+        cache_keys.fixes_digest(fixes, image.memory), f"t{tier}", plan.rung,
         cache_keys.lift_options_digest(plan.lift, image),
-        cache_keys.options_digest(plan.o3),
-        cache_keys.options_digest(plan.gate_options or GateOptions()),
-        image_key or "-",
-        instrument or "-",
-    )
-
-
-def image_spec_key(digest: str) -> str:
-    return f"{IMAGE_SPEC_PREFIX}-{digest}"
+        cache_keys.options_digest(plan.o3))
+    return CompileJob(
+        key=key, name=name, tier=tier, func=func, signature=signature,
+        fixes=freeze_fixes(fixes), segments=segments,
+        functions=tuple(functions), cursors=cursors, plan=plan, **fields)
 
 
 def result_key(job_key: str) -> str:

@@ -8,33 +8,30 @@ push the result — with all the interesting parts in ``run_job``:
 
 1. **warm path** — the job's result may already be in the shared disk
    store (published by any worker of any pool, ever): return it without
-   rebuilding anything.  This is the cross-worker shared-cache hit the
+   compiling anything.  This is the cross-worker shared-cache hit the
    farm exists for.
 2. **single-flight** — otherwise enter the
    :class:`~repro.cache.FileFlightTable` for the job key: one process
    compiles, the rest poll the store.  A killed leader's lock evaporates
    and a follower takes over (see the flight-table docstring).
-3. **compile** — rebuild the client's image from its :class:`ImageSpec`
-   (fresh per job: gate probes execute candidate code against the image
-   and may mutate data/stack; a pristine rebuild per job keeps jobs
-   independent), run the job's :class:`~repro.jit.plan.Plan` — the one the
-   engine decided — under the guard exactly as the engine does locally,
+3. **compile** — map the bytes the job carries
+   (:meth:`~repro.farm.protocol.CompileJob.build_image`, fresh per job),
+   run :meth:`~repro.jit.plan.Pipeline.compile` under the job's plan,
    then pull the *pristine post-O3 module* back out of the module-stage
-   cache and publish it.  The worker's own codegen output is
-   throwaway — it exists so the T2 differential gate has machine code to
-   execute — because machine code is position-dependent and the client
-   must assemble into its own image.
+   cache and publish it with the machine verdict.  The worker's own
+   codegen output is throwaway — it exists for the machine proof —
+   because machine code is position-dependent and the client emits the
+   module into its own image.  No gate runs here: the client admits the
+   bytes it installs.
 
-Failure mapping: :class:`~repro.errors.ReproError` is a content verdict
-(the client would hit the same wall) and comes back ``retryable=False``;
-anything else — missing image spec, unkeyed module, internal errors — is a
-farm deficiency and comes back ``retryable=True`` so the client compiles
-in-process.  One deliberate exception: a degradation whose failures
-include a budget exhaustion is **not** published as a negative verdict.
-The budget is not part of the job key (two clients with different budgets
-share one key), so a verdict produced under a starved budget would poison
-the shared store for every well-budgeted client; it comes back retryable
-instead.
+Failure mapping: a :class:`~repro.errors.ReproError` is a content verdict
+(the client would hit the same wall), published as ``"<rung>: <Type>:
+<message>"`` and returned ``retryable=False``.  Three are not, and come
+back ``retryable=True`` unpublished so the client compiles in-process: a
+compile that read outside the shipped bytes (the job did not carry
+what the compile needs), a budget exhaustion (the budget is not part of
+the job key, so a verdict produced under a starved budget would poison
+the shared store for every well-budgeted client) and any non-repro error.
 
 Liveness: the worker runs a beat thread stamping a shared-memory heartbeat
 cell every ``heartbeat_interval``; the pool's watchdog reads it to tell a
@@ -55,13 +52,13 @@ from dataclasses import replace
 from typing import Any
 
 from repro.cache import DiskStore, FileFlightTable, SpecializationCache
-from repro.errors import ReproError
+from repro.errors import BudgetExceededError, ReproError
 from repro.farm import protocol
-from repro.farm.protocol import CompileJob, CompileResult, ImageSpec
-from repro.guard import Budget, GuardedTransformer
+from repro.farm.protocol import CompileJob, CompileResult
+from repro.guard.budget import Budget
+from repro.jit.plan import Pipeline
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TR
-from repro.tier.policy import tier_verified
 
 
 class _WorkerChaos:
@@ -102,7 +99,7 @@ class _WorkerChaos:
 
 
 class FarmWorker:
-    """Per-process worker state: shared store, flight table, spec memo."""
+    """Per-process worker state: shared store, flight table, IR cache."""
 
     def __init__(self, worker_id: int, disk_dir: str,
                  poll_interval: float = 0.005,
@@ -113,19 +110,10 @@ class FarmWorker:
             os.path.join(disk_dir, "flights"), poll_interval=poll_interval)
         self.flight_timeout = flight_timeout
         self.cache = SpecializationCache(disk_dir=disk_dir)
-        self._specs: dict[str, ImageSpec] = {}
         #: previous values of the process-global counters reported per job
         self._counter_marks: dict[str, int] = {}
 
     # -- shared state ------------------------------------------------------
-
-    def _spec(self, image_key: str) -> ImageSpec | None:
-        spec = self._specs.get(image_key)
-        if spec is None:
-            spec = self.store.get(image_key)
-            if spec is not None:
-                self._specs[image_key] = spec
-        return spec
 
     def _counter_deltas(self) -> list[tuple[str, float]]:
         """Per-job deltas of the lifter memo counters (process-global)."""
@@ -165,20 +153,12 @@ class FarmWorker:
         payload = probe()
         if payload is not None:
             return self._finish(job, t0, payload, cache_stage="farm")
-
-        spec = self._spec(job.image_key)
-        if spec is None:
-            return self._fail(job, t0, "image spec unavailable",
-                              retryable=True)
         try:
             payload, leader = self.flights.run(
-                job.key, lambda: self._compile_and_publish(job, spec, rkey),
+                job.key, lambda: self._compile_and_publish(job, rkey),
                 probe, timeout=self.flight_timeout)
-        except _BudgetStarved as exc:
+        except _Unpublished as exc:
             return self._fail(job, t0, str(exc), retryable=True)
-        except ReproError as exc:
-            return self._fail(job, t0, f"{type(exc).__name__}: {exc}",
-                              retryable=False)
         except BaseException as exc:  # pragma: no cover - defensive
             return self._fail(job, t0, f"internal error: {exc!r}",
                               retryable=True)
@@ -186,51 +166,40 @@ class FarmWorker:
                             cache_stage=None if leader else "farm",
                             coalesced=not leader)
 
-    def _compile_and_publish(self, job: CompileJob, spec: ImageSpec,
-                             rkey: str) -> dict:
-        """The leader path: full pipeline in a fresh image, then publish.
+    def _compile_and_publish(self, job: CompileJob, rkey: str) -> dict:
+        """The leader path: compile over the shipped bytes, then publish.
 
-        Returns (and publishes) the shared payload dict; negative verdicts
-        (gate rejection, ladder exhaustion) are published too, so every
-        follower observes the same content-determined outcome without
-        re-running the pipeline — the cross-process analogue of the
-        negative cache.
+        Returns (and publishes) the shared payload dict; a refusal is
+        published too, so every follower observes the same
+        content-determined outcome without re-running the pipeline — the
+        cross-process analogue of the negative cache.
         """
-        image = spec.build()
-        budget = protocol.thaw_budget(job.budget) or Budget()
+        image = job.build_image()
         plan = job.plan
+        budget = protocol.thaw_budget(job.budget) or Budget()
 
         def publish(**payload: Any) -> dict:
-            payload = {"ok": False, "reject_reason": None, "mode": None,
-                       "verified": False, "module": None, "main_name": None,
+            payload = {"ok": False, "reject_reason": None, "mode": plan.rung,
+                       "module": None, "main_name": None,
                        "machine_verdict": None, **payload}
             self.store.put(rkey, payload)
             return payload
 
-        gres = GuardedTransformer.from_plan(
-            image, plan, cache=self.cache, budget=budget).transform(
-            job.func, job.signature, job.thawed_fixes(),
-            mem_regions=job.mem_regions, name=job.name, probes=job.probes,
-            ladder=(plan.rung,), dbrew_func=job.dbrew_func)
-        if gres.degraded:
-            reject = gres.failure_summary()
-            if any(a.error_type == "BudgetExceededError"
-                   for a in gres.attempts):
-                # the budget is not part of the job key: a verdict produced
-                # under a starved budget must not be published for every
-                # well-budgeted client sharing this key
-                raise _BudgetStarved(f"budget-starved degradation "
-                                     f"not published: {reject}")
-            # content-determined (a machine-level refutation included):
-            # publish it so every follower/store hit observes the rejection
-            # without re-running the pipeline or the proof
-            refuted = any(a.context.get("stage") == "machine-verify"
-                          for a in gres.attempts)
-            return publish(reject_reason=reject,
+        try:
+            res = Pipeline(image, cache=self.cache, budget=budget.start()) \
+                .compile(plan, job.func, job.signature, job.thawed_fixes(),
+                         job.name)
+        except ReproError as exc:
+            reason = f"{plan.rung}: {type(exc).__name__}: {exc}"
+            if image.memory.faulted:
+                raise _Unpublished(f"read outside the shipped bytes: "
+                                   f"{reason}")
+            if isinstance(exc, BudgetExceededError):
+                raise _Unpublished(f"budget-starved refusal not published: "
+                                   f"{reason}")
+            refuted = exc.context.get("stage") == "machine-verify"
+            return publish(reject_reason=reason,
                            machine_verdict="refuted" if refuted else None)
-        res = gres.result
-        verified = tier_verified(job.tier, gres.verified, res.machine_gated)
-
         # codegen placed globals in ``res.module``: ship the pristine
         # post-O3 module the pipeline stored under ``module_key``
         hit = self.cache.get_module(res.module_key) \
@@ -238,10 +207,9 @@ class FarmWorker:
         if hit is None:
             # unkeyable function (no extent digest): nothing shippable —
             # the client must compile locally; do not publish a verdict
-            raise _Unshippable("post-O3 module not in the module cache")
+            raise _Unpublished("post-O3 module not in the module cache")
         module, main_name = hit
-        return publish(ok=True, mode=gres.mode, verified=verified,
-                       module=module, main_name=main_name,
+        return publish(ok=True, module=module, main_name=main_name,
                        machine_verdict=res.machine_verdict)
 
     # -- result assembly ---------------------------------------------------
@@ -253,7 +221,6 @@ class FarmWorker:
             key=job.key, name=job.name, tier=job.tier, epoch=job.epoch,
             seq=job.seq, attempt=job.attempt, ok=bool(payload.get("ok")),
             retryable=False, mode=payload.get("mode"),
-            verified=bool(payload.get("verified")),
             reject_reason=payload.get("reject_reason"),
             module=payload.get("module"),
             main_name=payload.get("main_name"),
@@ -277,12 +244,8 @@ class FarmWorker:
         return stats
 
 
-class _Unshippable(Exception):
-    """Pipeline succeeded but produced nothing position-independent."""
-
-
-class _BudgetStarved(Exception):
-    """T2 degraded only because the budget ran out; verdict not publishable."""
+class _Unpublished(Exception):
+    """The farm could not do this job; the client compiles it in-process."""
 
 
 def _beat_loop(cell: Any, interval: float, stop: threading.Event) -> None:
@@ -332,9 +295,6 @@ def worker_main(worker_id: int, job_q: Any, result_q: Any,
                 chaos.before_job(job)
             try:
                 result = worker.run_job(job)
-            except _Unshippable as exc:
-                result = worker._fail(job, time.perf_counter(), str(exc),
-                                      retryable=True)
             except BaseException as exc:  # pragma: no cover - defensive
                 result = worker._fail(job, time.perf_counter(),
                                       f"worker error: {exc!r}",

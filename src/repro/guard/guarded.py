@@ -172,7 +172,7 @@ class GuardResult:
 
     def failure_summary(self) -> str:
         """Why the ladder degraded: one clause per failed rung — the reject
-        reason the tiered engine and the farm worker report."""
+        reason the tiered engine reports."""
         return "; ".join(
             f"{a.rung}: {'quarantined' if a.quarantined else a.error}"
             for a in self.attempts if not a.ok) or "ladder degraded"
@@ -227,8 +227,8 @@ class GuardedTransformer:
     def from_plan(cls, image: Image, plan: Plan,
                   **kw: Any) -> "GuardedTransformer":
         """A guard whose every rung runs under ``plan``: the one way to
-        state a policy other than the constructor's (the tiered engine and
-        the farm worker decide theirs once, per job)."""
+        state a policy other than the constructor's (the tiered engine
+        decides its own once, per job)."""
         guard = cls(image, **kw)
         guard.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
         return guard
@@ -237,27 +237,32 @@ class GuardedTransformer:
 
     def _guard_key(self, entry: int, signature: FunctionSignature,
                    fixes: dict[int, int | float | FixedMemory] | None,
-                   mem_regions: Sequence[tuple[int, int]]) -> str:
-        """Content key of one guarded request (shared by all rungs)."""
-        if self.cache is not None:
-            code = self.cache.code_digest(self.image, entry)
-        else:
-            extent = cache_keys.function_extent(self.image, entry)
-            code = None if extent is None else cache_keys.digest_bytes(
-                self.image.memory.read(extent[0], extent[1]))
-        if code is None:
-            code = f"@{entry:#x}/g{self.image.generation}"
+                   mem_regions: Sequence[tuple[int, int]],
+                   dbrew_entry: int) -> str:
+        """Content key of one guarded request (shared by all rungs): the
+        code of the entry and of DBrew's entry, which may differ."""
         try:
             fdigest = cache_keys.fixes_digest(fixes, self.image.memory)
         except ReproError:
             fdigest = repr(sorted(fixes)) if fixes else "none"
         plan = self.plans["llvm"]
         return cache_keys.digest_str(
-            "guard", code, cache_keys.signature_digest(signature), fdigest,
+            "guard", self._code_digest(entry), self._code_digest(dbrew_entry),
+            cache_keys.signature_digest(signature), fdigest,
             repr(sorted(mem_regions)),
             cache_keys.lift_options_digest(plan.lift, self.image),
             cache_keys.options_digest(plan.o3),
         )
+
+    def _code_digest(self, addr: int) -> str:
+        if self.cache is not None:
+            code = self.cache.code_digest(self.image, addr)
+        else:
+            extent = cache_keys.function_extent(self.image, addr)
+            code = None if extent is None else cache_keys.digest_bytes(
+                self.image.memory.read(extent[0], extent[1]))
+        return code if code is not None \
+            else f"@{addr:#x}/g{self.image.generation}"
 
     # -- the guarded transform -------------------------------------------------
 
@@ -343,7 +348,8 @@ class GuardedTransformer:
         def guard_key() -> str:
             nonlocal key
             if key is None:
-                key = self._guard_key(entry, signature, fixes, mem_regions)
+                key = self._guard_key(entry, signature, fixes, mem_regions,
+                                      dbrew_entry)
             return key
 
         for rung in rungs:

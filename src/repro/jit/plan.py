@@ -2,12 +2,16 @@
 
 Every front door — :class:`~repro.jit.BinaryTransformer`, :class:`~repro.
 guard.GuardedTransformer`, :class:`~repro.instrument.Instrumenter`,
-:class:`~repro.tier.TieredEngine`, the farm worker — runs the same fixed
-sequence of stages under a :class:`Plan`, its policy (DESIGN §16)::
+:class:`~repro.tier.TieredEngine` — runs the same fixed sequence of stages
+under a :class:`Plan`, its policy (DESIGN §16)::
 
     compile:  [dbrew] -> lift -> [fix] -> O3 -> [inject] -> codegen
               -> [machine-verify]
     admit:    [pregate] -> [gate] -> mark gated | evict
+
+A compile-farm worker runs ``compile`` alone, over the bytes its job
+carries; the tiered engine that shipped the job runs DBrew before it and
+``admit`` after it, in its own image.
 
 :meth:`Pipeline.compile` owns the staged cache (look-ups, stores, in-flight
 coalescing), the budget checkpoints, the obs spans and the

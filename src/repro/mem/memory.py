@@ -228,6 +228,25 @@ class Memory:
         self.write_uint(addr, v, 16)
 
 
+class FaultNotingMemory(Memory):
+    """A :class:`Memory` that notes every unmapped access in ``faulted``,
+    even one its caller catches (:meth:`window` reads as empty there).
+
+    A compile farm worker maps only the bytes its job carries, so a fault
+    anywhere in its compile means the job lacked a byte, not that the code
+    is wrong.
+    """
+
+    faulted = False
+
+    def _find(self, addr: int, size: int) -> tuple[int, int, Buffer]:
+        try:
+            return super()._find(addr, size)
+        except MemoryAccessError:
+            self.faulted = True
+            raise
+
+
 #: bytes per chunk of a :class:`JournaledMemory` — the unit it copies on
 #: first touch and journals on first write — counted from the start of the
 #: region an access lands in, so no chunk spans two regions

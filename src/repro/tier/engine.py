@@ -158,8 +158,8 @@ class TieredEngine:
         #: refuted proof rejects the job, an inconclusive proof on the
         #: ungated T1 tier downgrades to a one-off differential gate
         self.machine_verify = machine_verify
-        #: optional :class:`~repro.farm.FarmClient`: when set, compile
-        #: jobs are shipped to the worker-process pool first and the
+        #: optional :class:`~repro.farm.FarmClient`: when set, lift and
+        #: -O3 are shipped to the worker-process pool first and the
         #: in-process pipelines below become the fallback path
         self.farm = farm
         self.farm_timeout = farm_timeout
@@ -414,9 +414,9 @@ class TieredEngine:
 
     def _plan_for(self, handle: DispatchHandle, target: int) -> Plan:
         """The pipeline policy of one tier of one handle — decided here,
-        once: the in-process compile, the :class:`CompileJob` shipped to
-        the farm and the worker that runs it all derive from this plan, or
-        their results would not be interchangeable.
+        once: the in-process compile and the :class:`CompileJob` shipped
+        to the farm both derive from this plan, or their results would not
+        be interchangeable.
 
         **T1**, the cheap tier: the lightweight pass subset, served
         ungated — it is produced by the same lifter/codegen as everything
@@ -461,59 +461,47 @@ class TieredEngine:
                       ) -> tuple[int | None, str | None, bool, str | None] | None:
         """Ship one compile to the farm; None means "compile in-process".
 
-        The worker returns a position-independent post-O3 module; the
-        engine runs the (cheap) code generation here, into its own image —
-        so a farm install costs the client one codegen, never a lift or an
-        O3 pipeline.  Every farm deficiency (unkeyable function, timeout,
-        dead pool, retryable result, open circuit breaker) falls back to
-        the local tiers; only a content-determined negative verdict is
-        surfaced as a rejection.
+        Every stage that touches this image runs here, as in-process: DBrew
+        on its rung, then the emission of the returned module and its
+        admission (pregate, gate) against the bytes installed.  The worker
+        only lifts, optimises and proves what the job carries.  Every farm
+        deficiency (unshippable function, timeout, dead pool, retryable
+        result, open circuit breaker) falls back to the local tiers; only a
+        content-determined refusal is surfaced as a rejection.
         """
         from repro.farm import protocol as fp
-        # breaker fast-skip: while the client's circuit is open, job-key
-        # hashing and image publication would be thrown away — degrade to
-        # the in-process tiers before doing any of it
+        # breaker fast-skip: while the client's circuit is open, DBrew and
+        # the job's bytes would be thrown away — degrade to the in-process
+        # tiers before doing any of it
         if not self.farm.available():
             with self._lock:
                 self.stats.farm.fallbacks += 1
             return None
-        target = job.target
         if plan.inject is not None:
-            # instrumented T1 modules bake this image's probe-buffer
-            # address into their IR — position-dependent by construction,
-            # so they are compiled in-process (the farm job key carries an
-            # instrument= component regardless, keeping instrumented and
-            # plain artifacts digest-distinct)
+            # instrumented modules bake this image's probe-buffer address
+            # into their IR: compiled in-process
             return None
-        # the worker runs this plan as decided, with one difference: T1's
-        # one-off gate runs here, against this image's emission
-        shipped = replace(plan, gate="never") if target == T1 else plan
-        dbrew = handle.dbrew_func if target != T1 else None
-        # publish (or re-verify) the image snapshot *before* keying: the
-        # job key folds the spec key in, so results computed against
-        # different snapshots can never be served interchangeably
-        image_key = self.farm.ensure_image(self.image)
-        jkey = fp.compute_job_key(
-            self.image, handle.func, handle.signature, handle.fixes,
-            handle.mem_regions, handle.probes, dbrew, shipped, target,
-            image_key=image_key)
-        if jkey is None:
+        budget = self._job_budget().start()
+        pipeline = Pipeline(self.image, cache=self.cache, budget=budget)
+        source, shipped = handle.func, plan
+        if plan.rung == "dbrew+llvm":
+            source = pipeline.rewrite(
+                handle.func if handle.dbrew_func is None
+                else handle.dbrew_func, handle.signature, handle.fixes,
+                handle.mem_regions, out_name + ".dbrew")
+            shipped = replace(plan, rung="llvm")
+        cur = _TR.current() if _TR.enabled else None
+        cjob = fp.build_job(
+            self.image, source, handle.signature, handle.fixes, shipped,
+            job.target, out_name, budget=fp.freeze_budget(budget),
+            epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
+            parent_span_id=cur.span_id if cur is not None else None)
+        if cjob is None:
             with self._lock:
                 self.stats.farm.fallbacks += 1
             return None
         with self._lock:
             self.stats.farm.jobs += 1
-        budget = self.budget_factory() if self.budget_factory else None
-        cur = _TR.current() if _TR.enabled else None
-        cjob = fp.CompileJob(
-            key=jkey, name=out_name, tier=target, func=handle.func,
-            signature=handle.signature, fixes=fp.freeze_fixes(handle.fixes),
-            mem_regions=tuple(handle.mem_regions),
-            probes=tuple(handle.probes), dbrew_func=dbrew,
-            image_key=image_key, plan=shipped,
-            budget=fp.freeze_budget(budget),
-            epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
-            parent_span_id=cur.span_id if cur is not None else None)
         res = self.farm.compile(cjob, timeout=self.farm_timeout)
         if res is None or (not res.ok and res.retryable):
             with self._lock:
@@ -526,17 +514,14 @@ class TieredEngine:
                 self.stats.farm.coalesced += 1
         if not res.ok:
             return None, None, False, res.reject_reason or "farm rejection"
-        # the client-side install is the pipeline's module-stage entry:
-        # codegen only, under the worker's proof of the same module
-        pipeline = Pipeline(self.image)
+        # the module-stage entry: codegen only, under the worker's proof of
+        # the same module, then admission as in-process
         result = pipeline.install(plan, res.module, res.main_name, out_name,
                                   res.machine_verdict)
-        if target == T1:
-            # T2 was admitted worker-side; T1's one-off gate must run
-            # against this image's emission
-            pipeline.admit(plan, result, handle.entry, handle.signature,
-                           handle.fixes, handle.probes)
-        return result.addr, res.mode, res.verified, None
+        gate = pipeline.admit(plan, result, handle.entry, handle.signature,
+                              handle.fixes, handle.probes)
+        return result.addr, plan.rung, tier_verified(
+            job.target, gate is not None and not gate.vacuous, False), None
 
     def _compile(self, handle: DispatchHandle, target: int, plan: Plan,
                  out_name: str,

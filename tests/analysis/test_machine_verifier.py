@@ -359,7 +359,7 @@ def test_farm_protocol_carries_verdict():
 
     job = fp.CompileJob(
         key="k", name="n", tier=1, func="f", signature=_SIG, fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None, image_key="img",
+        segments=(), functions=(), cursors=(0, 0, 0, 0),
         plan=Plan("llvm", LiftOptions(), DEFAULT_O3))
     assert job.plan.machine_verify is False
     res = fp.CompileResult(key="k", name="n", tier=1)

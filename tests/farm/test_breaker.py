@@ -155,8 +155,7 @@ def _stub_job():
     return CompileJob(
         key="k" * 32, name="stub.f", tier=1, func="f",
         signature=FunctionSignature(("i",), "i"), fixes=None,
-        mem_regions=(), probes=(), dbrew_func=None,
-        image_key="farmimg-stub",
+        segments=(), functions=(), cursors=(0, 0, 0, 0),
         plan=Plan("llvm", LiftOptions(), O3Options.lightweight()))
 
 
@@ -199,7 +198,7 @@ def test_client_breaker_on_closed_real_pool(prog, tmp_path):
                     registry=MetricsRegistry())
     client = FarmClient(pool, failure_threshold=2,
                         registry=MetricsRegistry())
-    job = _job_for(prog, client, fixes={1: 5})
+    job = _job_for(prog, fixes={1: 5})
     pool.close()
     assert client.available()
     assert client.compile(job, timeout=5.0) is None

@@ -25,7 +25,7 @@ def test_timeout_evicts_flight_entry_and_next_request_retries(prog,
                     worker_chaos={"drop_result_rate": 1.0})
     client = FarmClient(pool, registry=reg)
     try:
-        job = _job_for(prog, client, fixes={1: 7})
+        job = _job_for(prog, fixes={1: 7})
         t0 = time.monotonic()
         res = client.compile(job, timeout=3.0)
         assert res is None  # timed out: the worker swallowed the result
@@ -58,7 +58,7 @@ def test_forget_is_idempotent_and_ignores_foreign_futures(prog, tmp_path):
                     registry=MetricsRegistry())
     client = FarmClient(pool)
     try:
-        fut = pool.submit(_job_for(prog, client, fixes={1: 3}))
+        fut = pool.submit(_job_for(prog, fixes={1: 3}))
         pool.forget(fut)
         pool.forget(fut)  # second forget: no-op
         pool.forget(Future())  # never-submitted future: ignored

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro import FarmClient, FarmPool
+from repro import FarmPool
 from repro.obs.metrics import MetricsRegistry
 from tests.farm.test_pool import _job_for
 
@@ -81,12 +81,11 @@ def test_close_with_stopped_worker_escalates_to_sigkill(prog, tmp_path):
     escalate to SIGKILL and still fail the stranded futures."""
     pool = _pool(tmp_path, workers=1, hang_timeout=3600.0,
                  boot_timeout=3600.0)
-    client = FarmClient(pool)
     deadline = time.monotonic() + 60.0
     while pool._slots[0].hb.value == 0.0:
         assert time.monotonic() < deadline
         time.sleep(0.02)
-    job = _job_for(prog, client, fixes={1: 6})
+    job = _job_for(prog, fixes={1: 6})
     os.kill(pool._slots[0].proc.pid, signal.SIGSTOP)
     fut = pool.submit(job)
     t0 = time.monotonic()
@@ -103,8 +102,7 @@ def test_close_during_active_compile_fails_inflight_futures(prog, tmp_path):
     result if the worker finished in the grace window, else with
     BrokenPipeError — but never leaves a waiter hanging."""
     pool = _pool(tmp_path, workers=1)
-    client = FarmClient(pool)
-    futs = [pool.submit(_job_for(prog, client, fixes={1: k},
+    futs = [pool.submit(_job_for(prog, fixes={1: k},
                                  name=f"close.f{k}"))
             for k in range(4)]
     pool.close(timeout=0.2)

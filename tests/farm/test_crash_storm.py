@@ -9,7 +9,7 @@ import random
 import threading
 import time
 
-from repro import FarmClient, FarmPool, Simulator
+from repro import FarmPool, Simulator
 from repro.farm.health import RetryPolicy
 from repro.ir.codegen import JITEngine
 from repro.obs.metrics import MetricsRegistry
@@ -28,7 +28,6 @@ def test_crash_storm_every_job_completes_and_matches_oracle(prog, tmp_path):
         poison_threshold=1000,  # random murder must not look like poison
         retry=RetryPolicy(max_attempts=10, base_delay=0.02, max_delay=0.2),
         registry=MetricsRegistry())
-    client = FarmClient(pool)
     stop = threading.Event()
     kills = [0]
 
@@ -46,7 +45,7 @@ def test_crash_storm_every_job_completes_and_matches_oracle(prog, tmp_path):
             stop.wait(0.25)
 
     try:
-        jobs = [_job_for(prog, client, fixes={1: k % N_KEYS},
+        jobs = [_job_for(prog, fixes={1: k % N_KEYS},
                          name=f"storm.f{k % N_KEYS}")
                 for k in range(N_JOBS)]
         futs = [pool.submit(j) for j in jobs]

@@ -118,7 +118,7 @@ def test_sigstopped_worker_is_detected_hung_and_respawned(prog, tmp_path):
         kinds = [e.kind for e in pool.health_events]
         assert "hang" in kinds and "respawn" in kinds
         # the respawned worker serves jobs
-        res = client.compile(_job_for(prog, client, fixes={1: 2}),
+        res = client.compile(_job_for(prog, fixes={1: 2}),
                              timeout=120.0)
         assert res is not None and res.ok
         assert pool.snapshot()["crashes"] == 0  # hang, not crash
@@ -149,7 +149,7 @@ def test_poisoned_job_is_quarantined_after_successive_crashes(prog, tmp_path):
         worker_chaos={"die_on_name_prefix": "poison"})
     client = FarmClient(pool)
     try:
-        job = _job_for(prog, client, fixes={1: 9}, name="poison.f")
+        job = _job_for(prog, fixes={1: 9}, name="poison.f")
         fut = pool.submit(job)
         res = fut.result(timeout=120.0)
         assert not res.ok and res.retryable
@@ -163,7 +163,7 @@ def test_poisoned_job_is_quarantined_after_successive_crashes(prog, tmp_path):
         assert not res2.ok and res2.retryable
         assert pool.snapshot()["quarantine_served"] == 1
         # an innocent job still compiles on the (respawned) pool
-        ok = client.compile(_job_for(prog, client, fixes={1: 4}),
+        ok = client.compile(_job_for(prog, fixes={1: 4}),
                             timeout=120.0)
         assert ok is not None and ok.ok
         kinds = [e.kind for e in pool.health_events]
@@ -179,9 +179,8 @@ def test_hanging_job_is_quarantined_via_hang_path(prog, tmp_path):
         tmp_path, hang_timeout=0.3, poison_threshold=2,
         retry=RetryPolicy(max_attempts=10, base_delay=0.02, max_delay=0.1),
         worker_chaos={"hang_on_name_prefix": "wedge"})
-    client = FarmClient(pool)
     try:
-        job = _job_for(prog, client, fixes={1: 8}, name="wedge.f")
+        job = _job_for(prog, fixes={1: 8}, name="wedge.f")
         res = pool.submit(job).result(timeout=120.0)
         assert not res.ok and res.retryable
         assert "quarantined" in res.reject_reason
@@ -198,9 +197,8 @@ def test_lost_jobs_are_retried_with_attempt_accounting(prog, tmp_path):
     pool = _fast_pool(
         tmp_path,
         retry=RetryPolicy(max_attempts=8, base_delay=0.02, max_delay=0.1))
-    client = FarmClient(pool)
     try:
-        jobs = [_job_for(prog, client, fixes={1: k}, name=f"retry.f{k}")
+        jobs = [_job_for(prog, fixes={1: k}, name=f"retry.f{k}")
                 for k in range(3)]
         futs = [pool.submit(j) for j in jobs]
         pool._slots[0].proc.kill()

@@ -16,8 +16,7 @@ from repro.lift import FunctionSignature, LiftOptions
 from tests.farm.conftest import SRC, expected
 
 
-def _job_for(prog, client, *, fixes=None, name="f.farm", probes=(),
-             trace=False):
+def _job_for(prog, *, fixes=None, name="f.farm", trace=False):
     """A T1 job, its plan (``llvm-fix`` with fixes, ``llvm`` without) as
     the engine would ship it."""
     o3 = O3Options.lightweight()
@@ -25,14 +24,8 @@ def _job_for(prog, client, *, fixes=None, name="f.farm", probes=(),
         o3 = o3.replace(enable_inline=True)
     plan = Plan("llvm-fix" if fixes else "llvm", LiftOptions(), o3,
                 gate_options=GateOptions())
-    sig = FunctionSignature(("i", "i"), "i")
-    key = fp.compute_job_key(prog.image, "f", sig, fixes, (), probes, None,
-                             plan, 1)
-    return fp.CompileJob(
-        key=key, name=name, tier=1, func="f", signature=sig,
-        fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=tuple(probes),
-        dbrew_func=None, image_key=client.ensure_image(prog.image),
-        plan=plan, trace=trace)
+    return fp.build_job(prog.image, "f", FunctionSignature(("i", "i"), "i"),
+                        fixes, plan, 1, name, trace=trace)
 
 
 @pytest.fixture()
@@ -47,7 +40,7 @@ def farm(tmp_path):
 
 def test_submit_resolves_and_module_installs(prog, farm):
     pool, client = farm
-    job = _job_for(prog, client, fixes={1: 7})
+    job = _job_for(prog, fixes={1: 7})
     res = client.compile(job, timeout=120.0)
     assert res is not None and res.ok, res and res.reject_reason
     assert res.mode == "llvm-fix"
@@ -62,7 +55,7 @@ def test_submit_resolves_and_module_installs(prog, farm):
 
 def test_warm_result_is_shared_cache_hit(prog, farm):
     pool, client = farm
-    job = _job_for(prog, client, fixes={1: 7})
+    job = _job_for(prog, fixes={1: 7})
     first = client.compile(job, timeout=120.0)
     assert first is not None and first.ok and first.cache_stage is None
     second = client.compile(job, timeout=120.0)
@@ -76,9 +69,8 @@ def test_batching_under_storm(prog, tmp_path):
     from repro.obs.metrics import MetricsRegistry
     pool = FarmPool(workers=1, disk_dir=str(tmp_path / "farm"),
                     batch_max=8, registry=MetricsRegistry())
-    client = FarmClient(pool)
     try:
-        jobs = [_job_for(prog, client, fixes={1: k}, name=f"f.b{k}")
+        jobs = [_job_for(prog, fixes={1: k}, name=f"f.b{k}")
                 for k in range(10)]
         futs = [pool.submit(j) for j in jobs]
         for fut in futs:
@@ -109,7 +101,7 @@ def test_dead_worker_respawns(prog, tmp_path):
             assert time.monotonic() < deadline
             time.sleep(0.02)
         # the respawned worker serves jobs
-        res = client.compile(_job_for(prog, client, fixes={1: 5}),
+        res = client.compile(_job_for(prog, fixes={1: 5}),
                              timeout=120.0)
         assert res is not None and res.ok
     finally:
@@ -119,7 +111,7 @@ def test_dead_worker_respawns(prog, tmp_path):
 def test_close_fails_pending_futures(prog, tmp_path):
     pool = FarmPool(workers=1, disk_dir=str(tmp_path / "farm"))
     client = FarmClient(pool)
-    job = _job_for(prog, client, fixes={1: 3})
+    job = _job_for(prog, fixes={1: 3})
     pool.close()
     with pytest.raises(RuntimeError):
         pool.submit(job)
@@ -127,11 +119,14 @@ def test_close_fails_pending_futures(prog, tmp_path):
     assert client.compile(job, timeout=5.0) is None
 
 
-def test_missing_image_spec_is_retryable(prog, farm):
+def test_job_missing_its_bytes_is_retryable(prog, farm):
+    """A compile that reads a byte its job does not carry fails, and the
+    client compiles in-process: it never lifts zeros."""
     pool, client = farm
-    job = _job_for(prog, client, fixes={1: 7})
+    job = _job_for(prog, fixes={1: 7})
     import dataclasses
-    job = dataclasses.replace(job, image_key="farmimg-missing",
-                              key="0" * 32)
+    job = dataclasses.replace(job, segments=(), key="0" * 32)
     res = client.compile(job, timeout=120.0)
     assert res is not None and not res.ok and res.retryable
+    assert "read outside the shipped bytes" in res.reject_reason
+    assert fp.result_key(job.key) not in pool.store

@@ -6,8 +6,8 @@
   suite's start method (fork and spawn in CI);
 * the job content key is stable across processes and hash seeds, every
   key ingredient perturbs it, and what can only reject work does not;
-* an :class:`ImageSpec` rebuilds a bit-identical image with a stable
-  content digest.
+* a job's shipped bytes rebuild at their client addresses, with fresh
+  space above the cursors and nothing else mapped.
 """
 
 from __future__ import annotations
@@ -19,14 +19,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.cpu import Image, Simulator
+from repro.cpu.image import RODATA_BASE, STACK_SIZE, STACK_TOP
+from repro.errors import MemoryAccessError
 from repro.farm import protocol as fp
 from repro.guard.verify import GateOptions
 from repro.instrument import InstrumentOptions
 from repro.ir.passes import O3Options
 from repro.jit.plan import Plan
 from repro.lift import FunctionSignature, LiftOptions
+from repro.lift.fixation import FixedMemory
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
 
@@ -59,8 +64,9 @@ def _sample_job(**overrides) -> fp.CompileJob:
     base = dict(
         key="k" * 32, name="f.t2.e1.s9", tier=2, func="f",
         signature=FunctionSignature(("i", "i"), "i"),
-        fixes=fp.freeze_fixes({1: 7}), mem_regions=((4096, 64),),
-        probes=((10, 3), (5, 0)), dbrew_func="f", image_key="farmimg-abc",
+        fixes=fp.freeze_fixes({1: 7}),
+        segments=(fp.MemSegment(4096, 64, b"\x90\xc3"),),
+        functions=(("f", 4096, 2),), cursors=(4098, 6, 7, 8),
         plan=_sample_plan(), budget=fp.freeze_budget(None), epoch=3, seq=17,
         trace=True, parent_span_id=42,
     )
@@ -71,7 +77,7 @@ def _sample_job(**overrides) -> fp.CompileJob:
 def _sample_result(**overrides) -> fp.CompileResult:
     base = dict(
         key="k" * 32, name="f.t2.e1.s9", tier=2, epoch=3, seq=17, ok=False,
-        retryable=True, mode="dbrew+llvm", verified=True,
+        retryable=True, mode="dbrew+llvm",
         reject_reason="why", module=None, main_name="f_opt",
         cache_stage="farm", coalesced=True,
         stats=(("lift.facet_cache.hits", 3.0),),
@@ -136,20 +142,35 @@ def test_thaw_helpers_invert_freeze():
     assert budget.limits["lift_blocks"] == 99
 
 
-# -- image spec --------------------------------------------------------------
+# -- shipped bytes -----------------------------------------------------------
 
 
-def test_image_spec_rebuilds_bit_identical():
+def test_shipped_bytes_rebuild_at_their_addresses():
     img = _fixed_image()
-    spec = fp.ImageSpec.capture(img)
-    rebuilt = pickle.loads(pickle.dumps(spec)).build()
-    assert rebuilt.memory.snapshot() == img.memory.snapshot()
-    assert rebuilt.symbols == img.symbols
-    assert rebuilt.func_sizes == img.func_sizes
-    assert rebuilt.generation == img.generation
-    # re-capturing the pristine rebuild yields the same content digest
-    assert fp.ImageSpec.capture(rebuilt).digest() == spec.digest()
-    # and the rebuilt image actually runs (mutates its stack, hence last)
+    fixed = img.alloc_data(16, data=b"\x07" * 16)
+    img.alloc_rodata(b"\x11" * 8)
+    f = img.symbol("f")
+    # two fixes over one region ship it once (overlapping mappings fault)
+    job = fp.build_job(img, "f", FunctionSignature(("i", "i"), "i"),
+                       {0: FixedMemory(fixed, 16), 1: FixedMemory(fixed, 8)},
+                       Plan("llvm-fix", LiftOptions(), O3Options()), 1, "f.t1")
+    assert [seg.addr for seg in job.segments] == [f, RODATA_BASE, fixed]
+    rebuilt = pickle.loads(pickle.dumps(job)).build_image()
+    size = img.func_sizes["f"]
+    assert rebuilt.memory.read(f, size) == img.memory.read(f, size)
+    assert rebuilt.memory.read(fixed, 16) == b"\x07" * 16
+    assert rebuilt.memory.read(RODATA_BASE, 8) == b"\x11" * 8
+    assert (rebuilt.symbols, rebuilt.func_sizes) == ({"f": f}, {"f": size})
+    # the worker's own allocations land above the client's cursors
+    assert rebuilt.alloc_rodata(b"\x22") >= img._rodata_cursor
+    assert rebuilt.next_code_addr(jit=True) == img.next_code_addr(jit=True)
+    # nothing else is mapped: the stack, say, is the client's alone
+    assert not rebuilt.memory.faulted
+    with pytest.raises(MemoryAccessError):
+        rebuilt.memory.read(STACK_TOP - 8, 8)
+    assert rebuilt.memory.faulted
+    # and the shipped function runs from the rebuild once a stack is mapped
+    rebuilt.memory.map(STACK_TOP - STACK_SIZE, STACK_SIZE + 0x1000)
     assert Simulator(rebuilt).call("f", (6, 7)).rax == 49
 
 
@@ -157,18 +178,16 @@ def _key_ingredients():
     img = _fixed_image()
     sig = FunctionSignature(("i", "i"), "i")
     return dict(image=img, func="f", signature=sig, fixes={1: 7},
-                mem_regions=(), probes=((10, 3),), dbrew_func="f",
-                plan=Plan("dbrew+llvm", LiftOptions(), O3Options(),
+                plan=Plan("llvm-fix", LiftOptions(), O3Options(),
                           pregate=DEFAULT_PREGATE,
                           gate="always", gate_options=GateOptions()),
-                tier=2)
+                tier=2, name="f.t2")
 
 
 def _job_key_digest() -> str:
-    kw = _key_ingredients()
-    key = fp.compute_job_key(**kw)
-    assert key is not None
-    return key
+    job = fp.build_job(**_key_ingredients())
+    assert job is not None
+    return job.key
 
 
 def test_job_key_stable_across_processes():
@@ -192,34 +211,50 @@ def test_every_ingredient_perturbs_job_key():
     base = _job_key_digest()
     plan = _key_ingredients()["plan"]
     perturbations = dict(
-        fixes={1: 8}, mem_regions=((4096, 64),), probes=((11, 3),),
-        tier=1, dbrew_func=None,
+        fixes={1: 8}, tier=1,
+        signature=FunctionSignature(("i", "i", "i"), "i"),
         rung=replace(plan, rung="llvm"),
         lift=replace(plan, lift=LiftOptions(stack_size=8192)),
         o3=replace(plan, o3=O3Options.lightweight()),
-        gate_options=replace(plan, gate_options=GateOptions(samples=7)),
     )
     for field_name, value in perturbations.items():
         kw = _key_ingredients()
         kw["plan" if isinstance(value, Plan) else field_name] = value
-        key = fp.compute_job_key(**kw)
-        assert key is not None and key != base, field_name
-    # what can only reject work is not keyed
+        job = fp.build_job(**kw)
+        assert job is not None and job.key != base, field_name
+    # what can only reject work, the job's name and where the worker's
+    # throwaway emission lands are not keyed
     for value in (replace(plan, pregate=()), replace(plan, gate="never"),
-                  replace(plan, machine_verify=True)):
-        assert fp.compute_job_key(**{**_key_ingredients(), "plan": value}) \
+                  replace(plan, machine_verify=True),
+                  replace(plan, gate_options=GateOptions(samples=7))):
+        assert fp.build_job(**{**_key_ingredients(), "plan": value}).key \
             == base
-    # different function bytes perturb too
+    assert fp.build_job(**{**_key_ingredients(), "name": "g"}).key == base
+    kw = _key_ingredients()
+    kw["image"].alloc_data(64)
+    kw["image"].add_function("g", b"\xc3", jit=True)
+    assert fp.build_job(**kw).key == base
+    # every shipped byte perturbs it: the function, rodata, fixed memory
     img = Image()
     code, _ = assemble(parse_asm("mov rax, rdi\nret"),
                        base=img.next_code_addr())
     img.add_function("f", code)
+    assert fp.build_job(**{**_key_ingredients(), "image": img}).key != base
     kw = _key_ingredients()
-    kw["image"] = img
-    assert fp.compute_job_key(**kw) != base
+    kw["image"].alloc_rodata(b"\x01")
+    assert fp.build_job(**kw).key != base
+    kw = _key_ingredients()
+    cell = kw["image"].alloc_data(8, data=b"\x02" * 8)
+    kw["fixes"] = {0: FixedMemory(cell, 8)}
+    fixed = fp.build_job(**kw).key
+    kw["image"].memory.write(cell, b"\x03" * 8)
+    assert fp.build_job(**kw).key != fixed
 
 
 def test_unkeyable_function_returns_none():
     kw = _key_ingredients()
     kw["func"] = 0xDEAD0000  # no extent known at a raw address
-    assert fp.compute_job_key(**kw) is None
+    assert fp.build_job(**kw) is None
+    kw = _key_ingredients()
+    kw["fixes"] = {0: FixedMemory(0xDEAD0000, 8)}  # unmapped fixed memory
+    assert fp.build_job(**kw) is None

@@ -32,7 +32,7 @@ def test_bitflipped_result_quarantined_counted_then_recompiled(prog,
                     registry=MetricsRegistry())
     client = FarmClient(pool)
     try:
-        job = _job_for(prog, client, fixes={1: 7})
+        job = _job_for(prog, fixes={1: 7})
         first = client.compile(job, timeout=120.0)
         assert first is not None and first.ok
 
@@ -71,7 +71,7 @@ def test_worker_warm_path_never_serves_corrupt_record(prog, tmp_path):
                     registry=MetricsRegistry())
     client = FarmClient(pool)
     try:
-        job = _job_for(prog, client, fixes={1: 4}, name="integ.f")
+        job = _job_for(prog, fixes={1: 4}, name="integ.f")
         first = client.compile(job, timeout=120.0)
         assert first is not None and first.ok
 

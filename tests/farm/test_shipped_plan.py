@@ -3,8 +3,10 @@
 A farm that records every :class:`~repro.farm.protocol.CompileJob` and
 declines it (so the engine compiles in-process) drives T1, T1-with-fixes
 and T2 handles.  Each shipped ``job.plan`` must equal
-``engine._plan_for(handle, tier)``, with one stated difference: T1 ships
-``gate="never"``, because the client gates its own emission.
+``engine._plan_for(handle, tier)``, with one stated difference: a
+``dbrew+llvm`` rung ships as ``llvm`` over DBrew's output, because the
+client runs DBrew in its own image.  The worker compiles the plan and
+leaves its pregate and gate to the client.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class RecordingFarm:
 
     def available(self) -> bool:
         return True
-
-    def ensure_image(self, image) -> str:
-        return "farmimg-test"
 
     def compile(self, job, timeout=None):
         self.jobs.append(job)
@@ -64,12 +63,14 @@ def test_each_shipped_plan_is_the_engines_plan(prog, register, tiers):
                                gate_options=GateOptions(samples=2))
     for job in farm.jobs:
         want = eng._plan_for(handle, job.tier)
-        if job.tier == T1:
-            assert want.gate == "if-inconclusive"
-            want = replace(want, gate="never")
+        if want.rung == "dbrew+llvm":
+            assert job.func == eng.image.symbol(job.name + ".dbrew")
+            want = replace(want, rung="llvm")
+        else:
+            assert job.func == "f"
         assert job.plan == want
         assert pickle.loads(pickle.dumps(job)).plan == want
-    assert {job.plan.rung for job in farm.jobs} == (
-        {"llvm"} if not register else
-        {"llvm-fix", "dbrew+llvm"} if T2 in tiers else {"llvm-fix"})
+    assert [eng._plan_for(handle, job.tier).rung for job in farm.jobs] == (
+        ["llvm"] if not register else
+        ["llvm-fix", "dbrew+llvm"] if T2 in tiers else ["llvm-fix"])
 

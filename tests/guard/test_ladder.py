@@ -248,6 +248,23 @@ def test_quarantine_is_per_lift_options():
     assert Simulator(img).call_int(r.addr, (4,)) == 13
 
 
+def test_quarantine_is_per_dbrew_entry():
+    """DBrew may rewrite another entry than the one the gate compares
+    against (``dbrew_func``): a request whose DBrew entry cannot be
+    rewritten must not quarantine the same request over a working one."""
+    img, g = make(SRC + " long good(long a, long b) { return a * b + 7; }")
+    img.add_function("bad", bytes.fromhex("4889f8ffe0"))  # jmp rax
+    failed = g.transform("f", SIG, {1: 5}, ladder=("dbrew+llvm",),
+                         dbrew_func="bad")
+    assert failed.mode == "original"
+    assert failed.attempts[0].error_type == "RewriteError"
+    r = g.transform("f", SIG, {1: 5}, probes=[(3,)], ladder=("dbrew+llvm",),
+                    dbrew_func="good")
+    assert r.mode == "dbrew+llvm" and not r.attempts[0].quarantined
+    assert r.verified
+    assert Simulator(img).call_int(r.addr, (3, 0)) == 3 * 5 + 7
+
+
 def test_success_clears_quarantine_after_expiry():
     class Clock:
         now = 0.0
@@ -262,7 +279,8 @@ def test_success_clears_quarantine_after_expiry():
     clk.now = 11.0  # TTL lapsed: rungs are retried and now succeed
     r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.mode == "dbrew+llvm"
-    assert nc.check(f"{g._guard_key(img.symbol('f'), SIG, {1: 6}, ())}"
+    entry = img.symbol("f")
+    assert nc.check(f"{g._guard_key(entry, SIG, {1: 6}, (), entry)}"
                     f":dbrew+llvm") is None  # forgotten on success
 
 

@@ -26,7 +26,13 @@ stays; every other key and value was re-captured unchanged.  When the JIT
 lost its options, the key columns alone were re-captured: ``keys.machine``
 (now the module key), ``guard_key``, the farm job ``key`` and the jobs'
 ``gate`` digest (``GateOptions`` lost a field); the jobs' ``jit`` column
-went with the option.
+went with the option.  When a farm job began to carry the bytes it
+compiles, the guard key took in DBrew's entry (the ``guard_key`` column of
+every ``guard`` cell moved) and the farm rows were re-captured: the job
+``key`` recipe, ``rung`` in place of ``ladder`` and ``dbrew_func``, no
+``verified`` in a result, the worker's T2 job as ``llvm`` over DBrew's
+output with no ``rewrite`` key of its own, and the client's DBrew traffic
+in ``served_t2``/``shipped_t2``.  No installed byte moved.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
@@ -56,7 +62,7 @@ from repro.farm.worker import FarmWorker
 from repro.guard import GateOptions, GuardedTransformer
 from repro.instrument import Instrumenter, InstrumentOptions
 from repro.ir.passes import O3Options
-from repro.jit.plan import Plan
+from repro.jit.plan import Pipeline, Plan
 from repro.lift import LiftOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
@@ -186,7 +192,8 @@ def capture_guard() -> dict:
                 row = {
                     "guard_key": cached._guard_key(
                         ws.image.symbol(req.func), req.signature,
-                        req.fixes, req.mem_regions),
+                        req.fixes, req.mem_regions,
+                        ws.image.symbol(req.dbrew_func)),
                     "cold": _guard_row(ws, cached, req, mode, f"g.{cell}"),
                     "warm": _guard_row(ws, cached, req, mode, f"g.{cell}"),
                     "keys": cache.seen,
@@ -287,26 +294,18 @@ class InlineFarm:
     def available(self) -> bool:
         return True
 
-    def ensure_image(self, image) -> str:
-        spec = fp.ImageSpec.capture(image)
-        key = fp.image_spec_key(spec.digest())
-        self.worker.store.put(key, spec)
-        return key
-
     def compile(self, job: fp.CompileJob, timeout=None):
         res = self.worker.run_job(job) if self.serve else None
         plan = job.plan
         self.jobs.append({
-            "key": job.key, "tier": job.tier,
-            "ladder": [plan.rung] if job.tier != T1 else [],
-            "dbrew_func": job.dbrew_func,
+            "key": job.key, "tier": job.tier, "rung": plan.rung,
             "lift": cache_keys.options_digest(plan.lift),
             "o3": cache_keys.options_digest(plan.o3),
             "gate": cache_keys.options_digest(plan.gate_options),
             "machine_verify": plan.machine_verify,
             "result": None if res is None else
-            [res.ok, res.mode, res.verified, res.machine_verdict,
-             res.cache_stage, res.main_name]})
+            [res.ok, res.mode, res.machine_verdict, res.cache_stage,
+             res.main_name]})
         return res
 
 
@@ -314,34 +313,29 @@ def _worker_jobs(disk_dir: str) -> dict:
     prog = compile_c(LOOP_SRC)
     worker = FarmWorker(0, disk_dir)
     recording(worker.cache)
-    spec = fp.ImageSpec.capture(prog.image)
-    image_key = fp.image_spec_key(spec.digest())
-    worker.store.put(image_key, spec)
     t1 = Plan("llvm", LiftOptions(), O3Options.lightweight(),
               machine_verify=True, gate_options=GateOptions())
+    # the client runs DBrew and ships its output as the T2 lift source
+    dbrew = Pipeline(prog.image).rewrite("f", SIG, {1: 3}, (), "f.t2.dbrew")
     out: dict = {}
-    for name, tier, fixes, plan, probes in (
-            ("t1", T1, None, t1, ()),
-            ("t1_fixed", T1, {1: 3}, replace(
-                t1, rung="llvm-fix",
-                o3=t1.o3.replace(enable_inline=True)), ()),
-            ("t2", T2, {1: 3}, replace(
-                t1, rung="dbrew+llvm", o3=O3Options(),
-                pregate=DEFAULT_PREGATE, gate="always"), ((10,), (5,)))):
-        key = fp.compute_job_key(prog.image, "f", SIG, fixes, (), probes,
-                                 None, plan, tier, image_key=image_key)
-        job = fp.CompileJob(
-            key=key, name=f"f.{name}", tier=tier, func="f", signature=SIG,
-            fixes=fp.freeze_fixes(fixes), mem_regions=(), probes=probes,
-            dbrew_func=None, image_key=image_key, plan=plan)
+    for name, tier, func, fixes, plan in (
+            ("t1", T1, "f", None, t1),
+            ("t1_fixed", T1, "f", {1: 3}, replace(
+                t1, rung="llvm-fix", o3=t1.o3.replace(enable_inline=True))),
+            ("t2", T2, dbrew, None, replace(
+                t1, o3=O3Options(), pregate=DEFAULT_PREGATE,
+                gate="always"))):
+        job = fp.build_job(prog.image, func, SIG, fixes, plan, tier,
+                           f"f.{name}")
         worker.cache.seen = {}
         rows = []
         for _ in range(2):  # compiled, then served from the shared store
             res = worker.run_job(job)
-            rows.append([res.ok, res.retryable, res.mode, res.verified,
+            rows.append([res.ok, res.retryable, res.mode,
                          res.machine_verdict, res.cache_stage,
                          res.main_name, res.reject_reason])
-        out[name] = {"key": key, "results": rows, "keys": worker.cache.seen}
+        out[name] = {"key": job.key, "results": rows,
+                     "keys": worker.cache.seen}
     return out
 
 

@@ -266,20 +266,23 @@ def test_lifted_block_count_matches_cfg():
 
 
 def test_same_spec_builds_do_not_share_a_cfg_across_candidates():
-    """Two builds of one farm spec start from equal bytes; once they
+    """Two builds of one farm job's bytes start out equal; once they
     install different candidates of equal length at the same address (a
-    worker running fix 5, then fix 9), re-lifting the candidate — DBrew
-    output under ``dbrew+llvm`` — must decode each build's own bytes."""
-    from repro.farm.protocol import ImageSpec
+    worker running fix 5, then fix 9), lifting the candidate must decode
+    each build's own bytes."""
+    from repro.farm.protocol import build_job
+    from repro.ir.passes import O3Options
+    from repro.jit.plan import Plan
 
     img = Image()
     code, _ = assemble(parse_asm("mov rax, rdi\nret"),
                        base=img.next_code_addr())
     img.add_function("f", code)
-    spec = ImageSpec.capture(img)
+    job = build_job(img, "f", FunctionSignature(("i",), "i"), None,
+                    Plan("llvm", LiftOptions(), O3Options()), 1, "f.t1")
 
     def candidate(k: int):
-        build = spec.build()
+        build = job.build_image()
         base = build.next_code_addr(jit=True)
         cand, _ = assemble(parse_asm(f"mov rax, rdi\nadd rax, {k}\nret"),
                            base=base)

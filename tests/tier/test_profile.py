@@ -137,27 +137,35 @@ def test_demotion_hysteresis_no_flap_with_hot_profile():
     assert gov.next_target(11, T0) == T1
 
 
-# -- digest-distinct cache/job keys ------------------------------------------
+# -- instrumented compiles stay in-process ------------------------------------
 
 
-def test_job_key_distinct_for_instrumented_compiles():
-    from repro.farm import protocol as fp
-    from repro.ir.passes import O3Options
-    from repro.jit.plan import Plan
-    from repro.lift import LiftOptions
+def test_edges_profile_compiles_instrumented_t1_in_process():
+    """An instrumented T1 bakes this image's probe-buffer address into its
+    IR: an engine with a farm compiles it in-process and ships nothing."""
+
+    class RecordingFarm:
+        def __init__(self) -> None:
+            self.jobs: list = []
+
+        def available(self) -> bool:
+            return True
+
+        def compile(self, job, timeout=None):
+            self.jobs.append(job)
+            return None
 
     prog = compile_c("long f(long a, long b) { return a * b; }")
-    sig = FunctionSignature(("i", "i"), "i")
-    plan = Plan("llvm", LiftOptions(), O3Options.lightweight())
-    args = (prog.image, "f", sig, None, (), (), None, plan, T1)
-    plain = fp.compute_job_key(*args)
-    instr = fp.compute_job_key(*args,
-                               instrument=InstrumentOptions().digest())
-    other = fp.compute_job_key(
-        *args, instrument=InstrumentOptions(trace_memory=True).digest())
-    assert plain is not None
-    assert len({plain, instr, other}) == 3, \
-        "instrumented jobs must never alias plain or differently-probed ones"
+    farm = RecordingFarm()
+    with TieredEngine(prog.image, farm=farm, profile="edges", max_workers=1,
+                      policy=TierPolicy(promote_calls=(2, 10**9))) as eng:
+        h = eng.register("f", FunctionSignature(("i", "i"), "i"))
+        while h.calls < h.governor.thresholds[T1]:
+            h.address()
+        assert eng.drain(60.0)
+    assert h.codes[T1].mode == "llvm+instr"
+    assert farm.jobs == [] and eng.stats.farm.jobs == 0
+    assert Simulator(prog.image).call_int(h.address(), (6, 7)) == 42
 
 
 # -- engine level: profile="edges" -------------------------------------------
