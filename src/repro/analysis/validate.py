@@ -70,6 +70,7 @@ reassociation.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -357,8 +358,10 @@ class PassValidator:
             if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
                 return False
             x, y = float(a), float(b)
-            if x != x and y != y:
-                return True  # both NaN
+            if x == y or (x != x and y != y):
+                return True  # equal (an infinity too), or both NaN
+            if math.isinf(x) or math.isinf(y):
+                return False  # the tolerance would scale by the infinity
             return abs(x - y) <= TOLERANCE * max(1.0, abs(x), abs(y))
         return a == b
 

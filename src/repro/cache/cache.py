@@ -16,18 +16,19 @@ a hit can land at any stage boundary:
     on :meth:`Image.patch_code` invalidation.
 
 ``module``
-    The post--O3 IR module for (code bytes, fixation, O3 options) is known.
-    Only code generation runs.
+    The post--O3 IR module for (code at its address, fixation, O3 options)
+    is known.  Only code generation runs.
 
 ``lifted``
-    The lifted (pre-fixation, pre-O3) module for (code bytes, signature,
-    lift options) is known.  Decode+lift are skipped; fixation, -O3 and
-    codegen run.  This is the stage that fires when the *same* function is
-    re-specialized for *different* parameters.
+    The lifted (pre-fixation, pre-O3) module for (code at its address,
+    signature, lift options) is known.  Decode+lift are skipped; fixation,
+    -O3 and codegen run.  This is the stage that fires when the *same*
+    function is re-specialized for *different* parameters.
 
 ``rewrite``
-    DBrew whole-rewrite memoization (per image): same entry bytes + same
-    ``set_par``/``set_mem`` configuration -> the previously emitted code.
+    DBrew whole-rewrite memoization (per image): same entry code at the
+    same address + same ``set_par``/``set_mem`` configuration -> the
+    previously emitted code.
 
 IR-stage entries (``lifted``/``module``) are position-independent pickles:
 with a ``disk_dir`` they survive process restarts and are promoted back
@@ -208,16 +209,16 @@ class SpecializationCache:
         return state
 
     def code_digest(self, image: Image, func: str | int) -> str | None:
-        """Memoized digest of a function's installed bytes (cleared when
-        the image is patched, so it can never go stale)."""
+        """Memoized :func:`~repro.cache.keys.code_digest` of a function's
+        installed bytes (cleared when the image is patched, so it can never
+        go stale)."""
         extent = K.function_extent(image, func)
         if extent is None:
             return None
         state = self.attach_image(image)
         d = state.code_digests.get(extent)
         if d is None:
-            d = K.digest_bytes(image.memory.read(extent[0], extent[1]))
-            state.code_digests[extent] = d
+            d = state.code_digests[extent] = K.code_digest(image, extent)
         return d
 
     # -- machine stage ---------------------------------------------------------

@@ -1,10 +1,12 @@
 """Content-addressed cache keys for runtime transformations.
 
-A specialization is identified by *what goes into the compile*, never by
-where its inputs happen to live:
+A specialization is identified by *what goes into the compile*:
 
 * the machine-code bytes of the function being transformed (and of every
-  known callee the lifter will turn into a definition),
+  known callee the lifter will turn into a definition) with the address
+  they sit at — the lifter decodes RIP-relative operands and branch
+  targets to absolute addresses, so the same bytes elsewhere are other
+  code (:func:`code_digest`),
 * the declared :class:`~repro.lift.FunctionSignature`,
 * the lifter configuration,
 * the fixation values — for :class:`~repro.lift.fixation.FixedMemory`
@@ -17,7 +19,7 @@ Keys are staged so a hit can land at any stage boundary (see
 :mod:`repro.cache.cache`):
 
 ========  ==========================================================
-lifted    H(code bytes, callees, signature, lift options)
+lifted    H(code at its address, callees, signature, lift options)
 module    H(lifted key, mode, fixes, O3 options)
 ========  ==========================================================
 
@@ -108,6 +110,13 @@ def function_extent(image: Image, func: str | int) -> tuple[int, int] | None:
     return image.symbol(name), image.func_sizes[name]
 
 
+def code_digest(image: Image, extent: tuple[int, int]) -> str:
+    """Digest of the code at ``extent`` = (address, size), address
+    included."""
+    addr, size = extent
+    return digest_bytes(b"%#x" % addr, image.memory.read(addr, size))
+
+
 def fixes_digest(fixes: dict[int, int | float | FixedMemory] | None,
                  memory: Memory) -> str:
     """Digest of a fixation configuration, content-addressing fixed memory.
@@ -147,7 +156,7 @@ def lift_options_digest(opts: LiftOptions, image: Image) -> str:
         cname, csig = opts.known_functions[addr]
         extent = function_extent(image, addr)
         if extent is not None:
-            code = image.memory.read(extent[0], extent[1]).hex()
+            code = code_digest(image, extent)
         else:
             code = f"@{addr:#x}"
         items.append(f"callee:{cname}:{signature_digest(csig)}:{code}")
@@ -160,10 +169,8 @@ def lifted_key(image: Image, func: str | int, signature: FunctionSignature,
     extent = function_extent(image, func)
     if extent is None:
         return None
-    addr, size = extent
-    code = image.memory.read(addr, size)
     return digest_str(
-        "lifted", digest_bytes(code), signature_digest(signature),
+        "lifted", code_digest(image, extent), signature_digest(signature),
         lift_options_digest(lift_opts, image),
     )
 

@@ -142,7 +142,8 @@ class Rewriter:
     # -- rewriting -----------------------------------------------------------------
 
     def _cache_key(self) -> str | None:
-        """Content key of this rewrite: entry bytes + full configuration.
+        """Content key of this rewrite: the entry's code at its address
+        (the cache's memoized ``code_digest``) + full configuration.
 
         ``set_mem`` regions hash their *contents* — that data is what the
         rewrite bakes into the emitted code, so two rewrites over the same
@@ -150,11 +151,11 @@ class Rewriter:
         """
         from repro.cache import keys as cache_keys
 
-        extent = cache_keys.function_extent(self.image, self.entry)
-        if extent is None:
+        assert self.cache is not None
+        code = self.cache.code_digest(self.image, self.entry)
+        if code is None:
             return None
-        code = self.image.memory.read(extent[0], extent[1])
-        parts = [b"dbrew", code,
+        parts = [b"dbrew", code.encode(),
                  ",".join(self.signature).encode(),
                  (self.ret_class or "-").encode(),
                  repr(sorted(self._fixed.items())).encode(),
@@ -173,8 +174,9 @@ class Rewriter:
         return an address instead.
 
         With a :class:`~repro.cache.SpecializationCache` attached, an
-        identical rewrite (same entry bytes, same ``set_par``/``set_mem``
-        configuration) returns the previously emitted code.
+        identical rewrite (same entry bytes at the same address, same
+        ``set_par``/``set_mem`` configuration) returns the previously
+        emitted code.
         """
         if not _TR.enabled:
             return self._rewrite_front(name)

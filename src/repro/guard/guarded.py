@@ -259,8 +259,8 @@ class GuardedTransformer:
             code = self.cache.code_digest(self.image, addr)
         else:
             extent = cache_keys.function_extent(self.image, addr)
-            code = None if extent is None else cache_keys.digest_bytes(
-                self.image.memory.read(extent[0], extent[1]))
+            code = None if extent is None else cache_keys.code_digest(
+                self.image, extent)
         return code if code is not None \
             else f"@{addr:#x}/g{self.image.generation}"
 

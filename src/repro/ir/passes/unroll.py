@@ -1,11 +1,15 @@
-"""Full loop unrolling for constant trip counts (by iterated peeling).
+"""Full loop unrolling for constant trip counts (by peeling).
 
 After IR-level fixation (Sec. IV) the stencil descriptor is a constant
 global, so ``s->ps`` folds to 4 and the point loop has a known trip count.
-This pass peels one iteration at a time — clone the loop body, enter the
-clone, fold, repeat — which composes with constprop/simplifycfg instead of
-needing its own expression evaluator.  DBrew achieves the same effect at
-the binary level by emulating the loop with known values.
+Like LLVM's full unroll this takes a loop in one step: analyse it once,
+clone the loop ahead of itself ``trip + 1`` times back to back — each
+clone entered from the one before, the last one's header condition false —
+then clean up once (simplifycfg, constprop, instcombine, dce), which folds
+the copies into straight-line code and leaves the loop unreachable.  That
+composes with the cleanup passes instead of needing an expression
+evaluator of its own.  DBrew achieves the same effect at the binary level
+by emulating the loop with known values.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ MAX_TRIP = 64
 MAX_LOOP_INSTRS = 250
 MAX_TOTAL_PEELS = 512
 
-#: the passes that clean up after each peel, and the most rounds of them
+#: the passes that clean up after a loop's peels, and the most rounds of
+#: them
 _CLEANUP = (simplifycfg, constprop, instcombine, dce)
 CLEANUP_ROUNDS = 6
 
@@ -226,8 +231,9 @@ def idle(func: Function) -> bool:
 def run(func: Function) -> bool:
     """Fully unroll all constant-trip loops within budget."""
     changed = False
+    peels = 0
     with schedule.journaled(func):
-        for _ in range(MAX_TOTAL_PEELS):
+        while peels < MAX_TOTAL_PEELS:
             candidate: _LoopInfo | None = None
             for loop in find_natural_loops(func):
                 info = _analyze(func, loop)
@@ -237,13 +243,12 @@ def run(func: Function) -> bool:
             if candidate is None:
                 schedule.mark(func, "unroll")
                 break
-            # peeling is semantics-preserving for any trip count; for trip
-            # 0 the peeled header's condition folds constant and the loop
-            # dies
-            _peel_once(func, candidate.loop)
-            # cleanup to fixpoint: phi simplification exposes constants
-            # that constprop folds, which re-enables the next trip-count
-            # analysis; the cleanup passes walk only what the peel changed
+            # ``trip`` peels run every iteration ahead of the loop; the last
+            # one's header condition folds constant and the loop dies
+            n = min(candidate.trip_count + 1, MAX_TOTAL_PEELS - peels)
+            for _ in range(n):
+                _peel_once(func, candidate.loop)
+            peels += n
             schedule.settle(func, _CLEANUP, rounds=CLEANUP_ROUNDS)
             changed = True
     if changed:

@@ -279,6 +279,16 @@ def test_float_tolerance_accepts_reassociation():
     assert verdict.ok, verdict.reason
 
 
+def test_an_infinity_agrees_only_with_itself():
+    """The relative tolerance scales by the larger magnitude: an infinity
+    would admit anything, and inf - inf is NaN, which admits nothing."""
+    agree = PassValidator()._agree
+    inf = float("inf")
+    assert agree(inf, inf) and agree(-inf, -inf)
+    assert not agree(inf, -inf) and not agree(inf, 1e308)
+    assert agree(float("nan"), float("nan"))
+
+
 def test_validated_pipeline_through_transformer():
     program = compile_c("long f(long a, long b) { return a * b + 3; }")
     validator = PassValidator()

@@ -1,10 +1,16 @@
-"""Key derivation: every compile input must be visible in the key, and
-nothing position-dependent may leak in."""
+"""Key derivation: every compile input must be visible in the key — code
+bytes with the address they sit at — and nothing else position-dependent
+may leak in."""
+
+import struct
 
 from repro.cache import SpecializationCache
 from repro.cache import keys
 from repro.cc import compile_c
-from repro.guard import GateOptions
+from repro.cpu import Image, Simulator
+from repro.dbrew import Rewriter
+from repro.guard import GateOptions, GuardedTransformer
+from repro.jit import BinaryTransformer
 from repro.ir.passes import O3Options
 from repro.jit.plan import Pipeline
 from repro.lift import FunctionSignature, LiftOptions
@@ -141,6 +147,48 @@ def test_pipeline_lifted_key_is_keys_lifted_key():
     after = keys.lifted_key(img, "f", SIG_II_I, known)
     assert after != before  # the callee's bytes are a compile input
     assert pipeline._lifted_key(cache, known, "f", SIG_II_I) == after
+
+
+def _two_copies() -> Image:
+    """``mov rax, [rip + 0x40]; ret`` at two addresses, each copy followed
+    by its own datum (11, then 22) outside its extent: the same bytes,
+    different code."""
+    img = Image()
+    for datum in (11, 22):
+        addr = img.add_function(f"f{datum}", bytes.fromhex("488b0540000000c3"))
+        img.memory.write(addr + 0x47, struct.pack("<Q", datum))
+        img._code_cursor = addr + 0x70
+    return img
+
+
+def test_same_bytes_at_another_address_are_other_code():
+    sig = FunctionSignature((), "i")
+    img = _two_copies()
+    sim = Simulator(img)
+    assert img.function_bytes("f11") == img.function_bytes("f22")
+    assert [sim.call_int(f, ()) for f in ("f11", "f22")] == [11, 22]
+
+    cache = SpecializationCache()
+    tx = BinaryTransformer(img, cache=cache)
+    for f in ("f11", "f22"):
+        assert tx.llvm_identity(f, sig, name=f"{f}.llvm").cache_stage is None
+        assert sim.call_int(f"{f}.llvm", ()) == sim.call_int(f, ())
+    opts = LiftOptions()
+    lifted = [keys.lifted_key(img, f, sig, opts) for f in ("f11", "f22")]
+    assert lifted[0] != lifted[1]
+    assert lifted[1] == tx._lifted_key(cache, opts, "f22", sig)
+
+    for f in ("f11", "f22"):  # DBrew's rewrite stage
+        addr = Rewriter(img, f, cache=cache).set_signature(()).rewrite(
+            name=f"{f}.dbrew")
+        assert sim.call_int(addr, ()) == sim.call_int(f, ())
+    assert cache.stats.stage_hits["rewrite"] == 0
+
+    # a quarantine under one copy's guard key must not reach the other
+    guard = GuardedTransformer(img, cache=cache)
+    a, b = img.symbol("f11"), img.symbol("f22")
+    assert guard._guard_key(a, sig, None, (), a) != \
+        guard._guard_key(b, sig, None, (), b)
 
 
 def test_stage_keys_layer():

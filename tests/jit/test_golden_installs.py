@@ -32,7 +32,10 @@ every ``guard`` cell moved) and the farm rows were re-captured: the job
 ``key`` recipe, ``rung`` in place of ``ladder`` and ``dbrew_func``, no
 ``verified`` in a result, the worker's T2 job as ``llvm`` over DBrew's
 output with no ``rewrite`` key of its own, and the client's DBrew traffic
-in ``served_t2``/``shipped_t2``.  No installed byte moved.
+in ``served_t2``/``shipped_t2``.  No installed byte moved.  When a code
+digest took in the address the code sits at (the same bytes elsewhere
+lift to other IR), the ``keys`` columns (lifted, module, machine,
+rewrite) and ``guard_key`` were re-captured; nothing else moved.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
