@@ -16,12 +16,11 @@ behavior* — and ``repro.analysis`` checks *provable* properties in between:
   collected as findings instead of raised (strict SSA, Φ coverage);
 * :mod:`~repro.analysis.deadflags` — Fig. 6-style proof of which status
   flags the optimizer eliminated;
-* :mod:`~repro.analysis.validate` — translation validation for
-  ``run_o3(..., validator=PassValidator())``: clone the lifted body, run the sweep,
-  verify, differentially interpret lifted vs optimized on seeded probes —
-  once; on a mismatch replay the sweep with the same check after every
-  pass, roll back and quarantine the offending one (a pipeline whose gate
-  judges every candidate keeps only ``verify`` and replays to blame);
+* :mod:`~repro.analysis.validate` — per-pass translation validation for
+  ``replay_o3(..., PassValidator())``: after every pass verify and
+  differentially interpret its input vs its output on seeded probes, roll
+  back and quarantine the offending pass.  A pipeline replays only to
+  blame a pass for a rejected candidate; otherwise it just verifies -O3;
 * :mod:`~repro.analysis.machine` — machine-level translation validation:
   decode the bytes the backend just emitted, reconstruct the machine CFG,
   symbolically execute it and prove it equivalent to the source IR

@@ -692,6 +692,14 @@ class MachineVerifier:
         self.blocks_checked = 0
         self.paths_checked = 0
         self.stops = frozenset(witness.block_addrs.values())
+        #: blocks that emitted no bytes (their moves all coalesced, their
+        #: jump a fall-through): each shares its address with the block
+        #: laid out after it, so its one machine path is that fall, taken
+        #: before any instruction — not a run through the next block
+        laid = [(witness.block_addrs[b.name], b.name)
+                for b in witness.func.blocks if b.name in witness.block_addrs]
+        self.empty = frozenset(name for (addr, name), (nxt, _n)
+                               in zip(laid, laid[1:]) if addr == nxt)
         #: absolute address -> candidate callee names
         self.addr_names: dict[int, tuple[str, ...]] = {}
         for nm, addr in sorted(witness.call_targets.items()):
@@ -823,7 +831,8 @@ class MachineVerifier:
                 raise Inconclusive(f"live-in {v.short()} has no location")
             env[id(v)] = self.x86.seed_value(loc, wit.value_cls[id(v)])
         ir_exits = self.irx.run_block(blk, env, MemState(self.alloca_ranges))
-        mach_exits = self.x86.run(st)
+        mach_exits = [MachExit("edge", frozenset(), st, pc=st.pc)] \
+            if blk.name in self.empty else self.x86.run(st)
         self._check_exits(blk.name, mach_exits, ir_exits)
 
     # -- edge and return checks ----------------------------------------------

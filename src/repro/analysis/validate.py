@@ -1,10 +1,11 @@
-"""Translation validation for the -O3 pipeline: judge once, interpret to blame.
+"""Translation validation for the -O3 pipeline: interpret only to blame.
 
 The differential gate runs end to end: it can say *that* a specialized
 function diverged, never *which pass* miscompiled it.  This module closes
-that gap without paying for the answer on every clean compile.  In validate
-mode ``run_o3`` hands a :class:`PassValidator` **applications** — a thunk
-that edits one function in place — and each one is
+that gap without paying for the answer on every clean compile.
+``repro.ir.passes.replay_o3`` hands a :class:`PassValidator`
+**applications** — a thunk that runs one pass over one function in place —
+and each one is
 
 1. snapshotted (:func:`~repro.analysis.clone.clone_function`),
 2. run,
@@ -14,57 +15,36 @@ that edits one function in place — and each one is
    memories and comparing return values *and* non-stack memory effects,
 4. on rejection rolled back in place.
 
-**Who judges -O3.**  One behavioural check per install, and which one
-depends on what follows codegen:
+**Two regimes**, one rule for every pipeline that carries a validator
+(:class:`~repro.jit.plan.Pipeline`, whatever its plan's gate):
 
-* *structural at O3, behavioural at the gate* — on a plan that gates
-  every candidate (:class:`~repro.jit.plan.Pipeline`, ``gate="always"``,
-  the guard's default) ``run_o3`` runs without the validator and each
-  optimised function is verified once (the structural half).  The
-  differential gate then compares the emitted code with the original on
-  the request's real inputs — a stronger behavioural check than sampled
-  probes, and one it pays anyway;
-* *end to end at O3* — where no gate is sure to follow (``never``, or
-  ``if-inconclusive``: a machine proof covers codegen, not O3) the whole
-  sweep is one application (:attr:`PassValidator.PIPELINE`): one clone of
-  the lifted body, the passes run unvalidated, one ``verify``, one
-  comparison of lifted against final;
-* *per pass, only to blame* — a rejected pipeline, or a gated candidate
-  the verifier, pregate or gate rejected, is **replayed** with one
-  application per pass (``repro.ir.passes.replay_o3``) over a fresh body.
-  Passes are deterministic, so the replay meets the same fault again, now
-  between two bodies one pass apart: that pass is rolled back, recorded in
-  ``O3Report.rejected_passes`` and quarantined in a :class:`NegativeCache`
-  (key ``o3pass:<name>``) while the rest of the pipeline keeps running, so
-  a single broken pass degrades optimization quality instead of killing
-  the ladder rung.  While any pass is in quarantine every ``run_o3`` under
-  this validator goes per pass from the start, gated plan or not.
+* *verify after -O3* — with no pass in quarantine ``run_o3`` runs without
+  the validator and each optimised function is verified once (the
+  structural half, ``stage="o3-verify"``).  Behaviour is the installed
+  code's business: the differential gate compares it with the original on
+  the request's real inputs, and a machine proof covers codegen;
+* *replay to blame* — a candidate the verifier, pregate or gate rejected
+  is **replayed** with one application per pass (``replay_o3``) over a
+  fresh lift.  Passes are deterministic, so the replay meets the same
+  fault again, now between two bodies one pass apart: that pass is rolled
+  back, recorded in ``O3Report.rejected_passes`` and quarantined in a
+  :class:`NegativeCache` (key ``o3pass:<name>``) while the rest of the
+  pipeline keeps running, so a single broken pass degrades optimization
+  quality instead of killing the ladder rung.  While any pass is in
+  quarantine every -O3 under this validator is such a replay.
 
-An accepted whole sweep is done; a rejected one — structural, behavioral,
-or an exception escaping the sweep — blames nobody and quarantines
-nothing: the lifted body is back in place for the replay.  Nothing carries
-over from one application to the next: a replay pays one clone and both
-interpretations per applied pass, and an application that reports "no
-change" is checked by two fingerprint walks (snapshot and live body)
-instead of being interpreted.
-
-What the end-to-end check does not see, by design: a pass error that
-later passes erase on every probe.  The installed body is then still
-probe-equal to the lifted one, which is the property an install needs; the
-per-pass sweep would have rejected and quarantined the pass.  In the other
-direction the end-to-end comparison is the stricter one on floats: one
-tolerance from lifted to final, not one per step.
+Nothing carries over from one application to the next: a replay pays one
+clone and both interpretations per applied pass, and an application that
+reports "no change" is checked by two fingerprint walks (snapshot and live
+body) instead of being interpreted.
 
 A probe on which the *snapshot* itself faults (e.g. a sampled integer
 dereferenced as a pointer) is inconclusive and skipped, mirroring the
 dynamic gate's policy: passes may remove traps from dead code, but must
 preserve every well-defined execution.  A verdict can rest on no conclusive
-probe at all; ``PassVerdict.probes_run`` (``O3Report.conclusive_probes``
-for an accepted pipeline) says on how many it does — and a gated run,
-whose O3 had no behavioural verdict, says so in
-``O3Report.structural_only``.  Comparison of float returns uses a small
-relative tolerance because the default pipeline runs fast-math
-reassociation.
+probe at all; ``PassVerdict.probes_run`` says on how many it does.
+Comparison of float returns uses a small relative tolerance because the
+default pipeline runs fast-math reassociation.
 """
 
 from __future__ import annotations
@@ -76,7 +56,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cache.negative import NegativeCache
-from repro.errors import BudgetExceededError, IRError, ReproError
+from repro.errors import IRError, ReproError
 from repro.ir.interp import Interpreter
 from repro.ir.module import Function
 from repro.ir.passes.schedule import PASS_NAMES
@@ -123,8 +103,7 @@ _STRUCTURAL = "verifier: "
 
 @dataclass
 class PassVerdict:
-    """What validation concluded about one application: a single pass,
-    or the whole sweep (``pass_name == PassValidator.PIPELINE``)."""
+    """What validation concluded about one pass application."""
 
     pass_name: str
     ok: bool = True
@@ -142,18 +121,8 @@ class PassVerdict:
 
 @dataclass
 class ValidatorStats:
-    """Aggregate counters across one validator's lifetime.
+    """Aggregate counters across one validator's lifetime."""
 
-    ``validated``/``accepted`` count checked applications of either kind;
-    ``rejected``, ``rollbacks`` and the two ``*_rejections`` count *pass*
-    applications only — one bad pass is ``rejected == 1`` however it was
-    found — and a rejected pipeline is a ``replays``.
-    """
-
-    #: whole sweeps handed in as one application
-    pipelines: int = 0
-    #: pipelines rejected and handed back for a per-pass replay
-    replays: int = 0
     validated: int = 0
     accepted: int = 0
     rejected: int = 0
@@ -165,12 +134,7 @@ class ValidatorStats:
 
 
 class PassValidator:
-    """Validates applications; quarantines passes that miscompile."""
-
-    #: the name under which ``run_o3`` hands in its whole sweep as one
-    #: application.  Its rejection is the cue to replay per pass, not a
-    #: finding: it is counted apart and never enters the quarantine.
-    PIPELINE = "o3"
+    """Validates pass applications; quarantines passes that miscompile."""
 
     def __init__(self) -> None:
         self.negative = NegativeCache(ttl=QUARANTINE_TTL)
@@ -192,16 +156,11 @@ class PassValidator:
         Returns ``(thunk result, verdict)``.  On rejection the result
         is still returned (callers read ``verdict.changed``, which is False
         after a rollback).  Exceptions from a pass propagate — a *raising*
-        pass is the ladder's problem, not a silent miscompile.  The whole
-        sweep (``name == PIPELINE``) is the exception: it ran unvalidated
-        and may have raised over a body one of its own passes broke, so
-        ``func`` is restored and the verdict is a rejection;
-        ``BudgetExceededError`` still propagates, over the restored body.
-        Nothing outlives the call but the quarantine and the counters.
+        pass is the ladder's problem, not a silent miscompile.  Nothing
+        outlives the call but the quarantine and the counters.
         """
-        whole = name == self.PIPELINE
         key = f"o3pass:{name}"
-        ent = None if whole else self.negative.check(key)
+        ent = self.negative.check(key)
         if ent is not None:
             self.stats.quarantine_skips += 1
             return None, PassVerdict(
@@ -210,21 +169,7 @@ class PassValidator:
 
         t0 = time.perf_counter()
         snapshot = clone_function(func)
-        if whole:
-            self.stats.pipelines += 1
-        try:
-            result = thunk()
-        except Exception as exc:
-            if not whole:
-                raise
-            restore_function(func, snapshot)
-            if isinstance(exc, BudgetExceededError):
-                raise
-            self.stats.replays += 1
-            return None, PassVerdict(
-                pass_name=name, ok=False, rolled_back=True,
-                reason=f"raised: {type(exc).__name__}: {exc}",
-                seconds=time.perf_counter() - t0)
+        result = thunk()
         # a pass that says "no change" is believed only if the live body
         # still keys like its snapshot: content, not Function.version
         if not changed_of(result) and \
@@ -245,9 +190,6 @@ class PassValidator:
         verdict.ok = False
         verdict.rolled_back = True
         verdict.changed = False
-        if whole:
-            self.stats.replays += 1
-            return result, verdict
         self.stats.rejected += 1
         self.stats.rollbacks += 1
         if verdict.reason.startswith(_STRUCTURAL):

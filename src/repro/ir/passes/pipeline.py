@@ -83,25 +83,12 @@ class O3Report:
     iterations: int = 0
     converged: bool = False
     vectorized: bool = False
-    #: validation verdicts (only populated in validate mode).  The whole
-    #: pipeline is validated once: a clean run logs that one verdict
-    #: (``pass_name == PassValidator.PIPELINE``).  When it is a rejection,
-    #: the per-pass verdicts of the replay follow it; with a pass already in
-    #: quarantine the log is per pass from the start.
+    #: per-pass validation verdicts (only a :func:`replay_o3` fills them)
     pass_log: "list[PassVerdict]" = field(default_factory=list)
     #: passes rejected (and rolled back) by validation, in rejection order
     rejected_passes: list[str] = field(default_factory=list)
     #: this run was executed under translation validation
     validated: bool = False
-    #: conclusive probes under the verdict that accepted the whole pipeline
-    #: — 0 is "validated" on structure alone; None when no such verdict
-    #: exists (unvalidated run, or per-pass verdicts: read ``pass_log``)
-    conclusive_probes: int | None = None
-    #: the output was checked by the IR verifier alone, because the plan's
-    #: differential gate judges its behaviour after codegen (set by
-    #: :class:`~repro.jit.plan.Pipeline`).  ``conclusive_probes`` is then
-    #: None: no behavioural verdict at -O3, not one that rested on no probe
-    structural_only: bool = False
     #: pass applications the scheduler proved idle and skipped, in skip
     #: order (repro.ir.passes.schedule; skipping never changes the IR)
     skipped_passes: list[str] = field(default_factory=list)
@@ -115,8 +102,7 @@ class O3Report:
 
 
 def run_o3(func: Function, options: O3Options = O3Options(),
-           budget: "object | None" = None,
-           validator: "PassValidator | None" = None) -> O3Report:
+           budget: "object | None" = None) -> O3Report:
     """Optimize one function in place to a fixpoint (bounded).
 
     The sweep loop exits as soon as a full pass sweep reports no change;
@@ -128,42 +114,11 @@ def run_o3(func: Function, options: O3Options = O3Options(),
     A ``budget`` (:class:`repro.guard.Budget`) charges ``opt_iterations``
     fuel per sweep and polls the wall-clock deadline; it is a keyword
     argument rather than an :class:`O3Options` field because options are
-    hashed into cache keys and a budget never changes the produced IR —
-    ``validator`` follows the same rule: validation can *reject* an
-    application (restoring its input), never produce different code from an
-    accepted one.
-
-    With a ``validator`` (:class:`~repro.analysis.validate.PassValidator`)
-    the sweep is checked end to end: structural invariants plus
-    differential interpretation of the lifted body against the final one.
-    The whole sweep is one application — it runs exactly as without a
-    validator.  Only when that is rejected (or a pass is already in
-    quarantine) does every pass application get its own check: the lifted
-    body is back in place and :func:`replay_o3` finds whom to blame.
-
-    Who judges -O3 is the caller's choice.  :class:`~repro.jit.plan.
-    Pipeline` hands its validator in here only where no differential gate
-    follows codegen; on a plan that always gates it runs this function
-    without one, checks the output structurally (``verify``) and leaves
-    behaviour to the gate — the interpreter runs there only to blame a
-    pass once the gate has rejected the candidate.
+    hashed into cache keys and a budget never changes the produced IR.
+    The validated sweep is :func:`replay_o3`.
     """
-    report = O3Report(validated=validator is not None)
-    sched = schedule.Scheduler(func, validator)
-    if validator is None or sched.disabled_reason is not None:
-        _sweep(func, options, budget, validator, sched, report)
-        return report
-    # nobody under suspicion: sweep unvalidated, compare end to end
-    _result, verdict = validator.run_pass(
-        validator.PIPELINE,
-        lambda: _sweep(func, options, budget, None, sched, report), func)
-    if verdict.ok:
-        report.pass_log.append(verdict)
-        report.conclusive_probes = verdict.probes_run
-        return report
-    # the lifted body is back; the per-pass replay finds whom to blame
-    report = replay_o3(func, options, budget, validator)
-    report.pass_log.insert(0, verdict)
+    report = O3Report()
+    _sweep(func, options, budget, None, schedule.Scheduler(func), report)
     return report
 
 
@@ -174,9 +129,9 @@ def replay_o3(func: Function, options: O3Options, budget: "object | None",
     A pass the validator rejects is rolled back, named in
     ``O3Report.rejected_passes`` and quarantined as ``o3pass:<name>``, and
     the rest of the pipeline keeps running, charging the budget like any
-    sweep.  Passes are deterministic, so replayed over the body a rejected
-    sweep started from, this meets the same fault between two bodies one
-    pass apart.
+    sweep.  Passes are deterministic, so replayed over a fresh lift of a
+    rejected candidate, this meets the same fault again, now between two
+    bodies one pass apart.
     """
     report = O3Report(validated=True)
     _sweep(func, options, budget, validator,

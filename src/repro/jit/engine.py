@@ -43,10 +43,8 @@ class BinaryTransformer(Pipeline):
                  o3_options: O3Options | None = None,
                  cache: SpecializationCache | None = None,
                  budget: "object | None" = None,
-                 validator: "object | None" = None,
                  machine_verify: bool = False) -> None:
-        super().__init__(image, cache=cache, budget=budget,
-                         validator=validator)
+        super().__init__(image, cache=cache, budget=budget)
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or DEFAULT_O3
         #: statically verify every freshly emitted function against its

@@ -22,12 +22,10 @@ at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
 What can only *reject* work — budget, validator, machine verification,
 pregate, gate — is never part of a cache key.
 
-One behavioural check per install.  A pipeline with a pass validator
-checks -O3 structurally (``verify``) on a plan that always gates: the gate
-compares the emitted code with the original on the request's own inputs,
-and the validator's interpreter runs only to blame a pass once a candidate
-has been rejected.  On a plan that gates only if the machine proof is
-inconclusive, or never, the validator judges -O3 end to end as before.
+A pass validator only assigns blame, whatever the plan's gate.  A pipeline
+with one verifies each -O3'd function once (``verify``); the validator's
+interpreter runs only when a candidate has been rejected, replaying -O3
+per pass to name the pass, and while that pass is in quarantine.
 """
 
 from __future__ import annotations
@@ -61,8 +59,8 @@ if TYPE_CHECKING:  # pragma: no cover - repro.guard/instrument import us
 Fixes = dict[int, int | float | FixedMemory] | None
 
 #: the rejections that judge a candidate's -O3 output — the verifier after
-#: an unvalidated O3, the pregate and the gate — and so send a pipeline
-#: with a validator looking for the pass to blame
+#: -O3, the pregate and the gate — and so send a pipeline with a validator
+#: looking for the pass to blame
 O3_JUDGED = ("o3-verify", "static-verify", "verify")
 
 #: shared default of the frozen O3 options, read by every front door that
@@ -132,7 +130,7 @@ class TransformResult:
     coalesced: bool = False
     #: the main function's pipeline report (None on machine/module cache
     #: hits — the optimizer did not run); carries per-pass validation
-    #: verdicts when the transformer runs with a validator attached
+    #: verdicts when -O3 ran as a replay (a pass in quarantine)
     o3_report: "O3Report | None" = None
     #: machine-level translation-validation verdict for the installed code
     #: ("proved"/"inconclusive"; "refuted" never reaches a result — it
@@ -200,8 +198,10 @@ class Pipeline:
         #: opt / codegen / gate stages (None = unlimited)
         self.budget = budget
         #: per-pass translation validator (:class:`repro.analysis.validate.
-        #: PassValidator`) threaded into every ``run_o3`` call.  Warm cache
-        #: hits skip optimization and therefore validation
+        #: PassValidator`): with one, every -O3'd function is verified,
+        #: a rejected candidate is replayed to blame a pass, and -O3 is a
+        #: replay while a pass is in quarantine.  Warm cache hits skip
+        #: optimization and therefore all of it
         self.validator = validator
         #: invoked with every TransformResult :meth:`compile` produces
         #: (hits and misses alike) — the tiered engine's telemetry hook
@@ -235,15 +235,15 @@ class Pipeline:
             ) -> "tuple[TransformResult, GateReport | None]":
         """:meth:`compile`, then :meth:`admit` against ``func``.
 
-        With a validator, on a plan that always gates, a candidate whose
-        -O3 output the verifier, the pregate or the gate rejects is the cue
-        to blame a pass: -O3 is replayed per pass under the validator on a
-        fresh lift, the pass it rejects is quarantined as ``o3pass:<name>``
-        and the rung is rebuilt — per pass from the start, as every O3
-        under an active quarantine — and admitted once more.  The result
-        then names the pass in ``blamed_pass``, and a rebuild that fails
-        too raises with ``blamed_pass`` in its context.  With no pass
-        blamed the first rejection stands.
+        With a validator, a candidate whose -O3 output the verifier, the
+        pregate or the gate rejects is the cue to blame a pass: -O3 is
+        replayed per pass under the validator on a fresh lift, the pass it
+        rejects is quarantined as ``o3pass:<name>`` and the rung is rebuilt
+        — as a replay, like every O3 under an active quarantine — and
+        admitted once more.  The result then names the pass in
+        ``blamed_pass``, and a rebuild that fails too raises with
+        ``blamed_pass`` in its context.  With no pass blamed the first
+        rejection stands.
         """
         source = self._source(plan, func, signature, fixes, out_name,
                               mem_regions, dbrew_func)
@@ -252,7 +252,7 @@ class Pipeline:
             return result, self.admit(plan, result, func, signature, fixes,
                                       probes)
         except ReproError as exc:
-            if not self._gate_judges_o3(plan) \
+            if self.validator is None \
                     or exc.context.get("stage") not in O3_JUDGED:
                 raise
             blamed = self._blame(plan, source, signature, fixes, out_name)
@@ -455,35 +455,31 @@ class Pipeline:
             return build_fixation_wrapper(module, lifted, fixes or {},
                                           self.image.memory, name=out_name)
 
-    def _gate_judges_o3(self, plan: Plan) -> bool:
-        """The plan's gate, not the validator's interpreter, judges what
-        -O3 did: there is a validator and every candidate is gated."""
-        return self.validator is not None and plan.gate == "always"
-
     def _optimize(self, plan: Plan, module: Module, main: Function,
                   out_name: str) -> O3Report:
         """-O3 on every defined function of ``module``; returns ``main``'s
         report.
 
-        Where the gate judges -O3 and no pass is in quarantine, the
-        validator's structural half is all that runs here: each function
-        is verified once, and a malformed one raises ``IRError`` with
-        ``stage="o3-verify"`` before the module can reach the cache.
+        With a validator each function is verified once, and a malformed
+        one raises ``IRError`` with ``stage="o3-verify"`` before the module
+        can reach the cache — unless a pass is in quarantine: then every
+        function is a :func:`replay_o3`, which checks each pass itself.
         """
-        structural = self._gate_judges_o3(plan) \
-            and self.validator.quarantined() is None  # type: ignore[attr-defined]
-        validator = None if structural else self.validator
+        validator = self.validator
+        replay = validator is not None \
+            and validator.quarantined() is not None  # type: ignore[attr-defined]
         report = None
         for f in _o3_order(module, main):
-            report = run_o3(f, plan.o3, budget=self.budget,
-                            validator=validator)
-            if structural:
+            if replay:
+                report = replay_o3(f, plan.o3, self.budget, validator)
+                continue
+            report = run_o3(f, plan.o3, budget=self.budget)
+            if validator is not None:
                 try:
                     verify(f)
                 except IRError as exc:
                     raise exc.with_context(stage="o3-verify", name=out_name)
         assert report is not None
-        report.structural_only = structural
         return report
 
     def _blame(self, plan: Plan, func: str | int,

@@ -20,8 +20,8 @@ Stages and their patch points::
              The pipeline calls passes through their module objects, so a
              ``corrupt=`` hook here models a single miscompiling pass —
              exactly what per-pass translation validation
-             (``run_o3(..., validator=PassValidator())``) must attribute
-             and contain.
+             (``replay_o3(..., PassValidator())``) must attribute and
+             contain.
 
 Patch points live in the *consumer* module namespace where that matters
 (``from x import y`` binds at import time, so patching ``repro.x86.decoder``

@@ -38,13 +38,16 @@ import pytest
 
 from repro.analysis.lint import CORPORA
 from repro.analysis.machine import PROVED, REFUTED, verify_witness
+from repro.bench.harness import stencil_arg
+from repro.bench.modes import request
 from repro.cc import compile_c
 from repro.cpu import Image, Simulator
 from repro.ir.codegen import JITEngine
 from repro.ir.module import Module
-from repro.ir.passes import run_o3
+from repro.ir.passes import O3Options, run_o3
+from repro.jit import BinaryTransformer
 from repro.lift import LiftOptions, lift_function
-from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
+from repro.stencil.jacobi import JacobiSetup, StencilWorkspace, matrices_equal
 
 MUTANTS = int(os.environ.get("REPRO_MUTANTS", "24"))
 _ESCAPES = Path(__file__).with_name("machine_escapes.txt")
@@ -301,3 +304,64 @@ def test_replay_recorded_escapes(corpus):
             sim = Simulator(case.image)
             assert _oracle_equivalent(case, sim, mutated), (
                 f"recorded escape for {name} still escapes: {patch}")
+
+
+# -- a block that emits no bytes ---------------------------------------------------
+# With -O3's unroll off, the ``dbrew+llvm`` line kernels split a critical
+# edge into the row loop whose one phi copy coalesces away: the split block
+# is zero bytes long and shares its address with the loop header laid out
+# after it.  Its machine path is the fall into that header, not a run
+# through the header's body to the header's own exit.
+
+NO_UNROLL = O3Options(enable_unroll=False)
+
+
+def _rewritten_line_kernel(code: str):
+    ws = StencilWorkspace(JacobiSetup(sz=17, sweeps=1))
+    req = request(ws, code, True)
+    tx = BinaryTransformer(ws.image, o3_options=NO_UNROLL,
+                           machine_verify=True)
+    entry = tx.rewrite(req.dbrew_func, req.signature, {0: req.descriptor},
+                       req.mem_regions, "rw")
+    return ws, req, tx, entry
+
+
+@pytest.mark.parametrize("code", ["flat", "sorted"])
+def test_an_empty_block_falls_into_its_successor(code):
+    ws, req, tx, entry = _rewritten_line_kernel(code)
+    res = tx.llvm_identity(entry, req.signature, name="k")
+    assert res.machine_verdict == PROVED
+    ws.reset_matrices()
+    want = ws.reference_sweeps(1)
+    ws.run_sweeps(res.addr, line=True, stencil_arg=stencil_arg(ws, code),
+                  sweeps=1)
+    assert matrices_equal(ws.read_matrix(2), want)
+
+
+def test_an_empty_block_that_drops_a_phi_copy_is_refuted():
+    """The negative twin: the landing phi moved to another register, so the
+    empty block would have had to copy into it.  Falling through without
+    the copy is a value mismatch on that block's edge."""
+    ws, req, _tx, entry = _rewritten_line_kernel("flat")
+    func = lift_function(ws.image.memory, entry, req.signature,
+                         LiftOptions(name="k"), Module("twin"))
+    run_o3(func, NO_UNROLL)
+    jit = JITEngine(ws.image)
+    jit.compile_function(func, name="k")
+    wit = jit.last_witness
+    assert verify_witness(wit).verdict == PROVED
+    addrs = wit.block_addrs
+    crit = next(b for b in wit.func.blocks if b.name.startswith("crit.")
+                and b.name in addrs)
+    landing = crit.terminator.targets[0]
+    assert addrs[crit.name] == addrs[landing.name]  # zero bytes long
+    (phi,) = [p for p in landing.phis()
+              if wit.value_locs[id(p)][0] == "reg"]
+    kind, reg = wit.value_locs[id(phi)]
+    assert wit.value_locs[id(phi.incoming_for(crit))] == (kind, reg)
+    other = next(r for r in range(8, 16) if r != reg)
+    report = verify_witness(dataclasses.replace(
+        wit, value_locs={**wit.value_locs, id(phi): (kind, other)}))
+    assert report.verdict == REFUTED
+    assert any(f.checker == "machine.block.value" and f.block == crit.name
+               for f in report.findings)

@@ -1,42 +1,35 @@
-"""The O3 row of the catch matrix: *validate once, replay per pass only on a
-mismatch* against the per-pass sweep it replaced as the default.
+"""The O3 row of the catch matrix: what the per-pass replay catches.
 
-Nine passes x four corruptions x three functions.  Each mutant is a
+Nine passes x five corruptions x three functions.  Each mutant is a
 *deterministic* miscompiling pass (``every=True``: the corruption follows
-every application of the pass).  It is driven twice over the same lifted
-body — through ``run_o3(validator=...)`` and through the per-pass sweep
-called directly — and the two must agree on whom they blame
-(``rejected_passes``), what they leave behind (``function_fingerprint``)
-and whom they quarantine (``NegativeCache`` keys).
-
-Where they may differ, and only there: a **masked** mutant — the per-pass
-sweep rejects a pass whose error never reaches the final body on any probe
-the lifted body can run, so the end-to-end comparison accepts a body that
-is probe-equal to the lifted one.  Those are listed in :data:`MASKED`, with
-the probe-equality re-checked here as the witness.  Mutants that corrupt a
-body and that *neither* path rejects are listed in :data:`UNCAUGHT`.  Both
-lists are the committed table (EXPERIMENTS.md, "Validate once"); print it
-with::
+every application of the pass), driven through ``replay_o3`` — the sweep
+with one validated application per pass, which is how a pipeline with a
+validator blames a pass for a rejected candidate.  A mutant is caught when
+the replay blames its own pass.  Mutants that corrupt a body and that the
+replay does not reject are listed in :data:`UNCAUGHT`, the committed table
+(EXPERIMENTS.md, "Validate once" and "The pass validator only assigns
+blame"); print it with::
 
     PYTHONPATH=src python tests/analysis/test_validate_once.py --table
+
+The file keeps its name for the corruptions and the miscompile hook the
+guard's mutant matrix (``tests/guard/test_o3_mutants.py``) imports.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import pytest
 
 from repro.analysis import PassValidator, clone_function, restore_function
-from repro.analysis.clone import function_fingerprint
 from repro.cc import compile_c
 from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Module, ptr, verify,
 )
 from repro.ir import instructions as I
-from repro.ir.passes import pipeline, replay_o3, run_o3
+from repro.ir.passes import O3Options, replay_o3
 from repro.ir.values import Constant, ConstantFP
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
@@ -154,24 +147,7 @@ FUNCTIONS = {"poly": _poly_func, "loop": _lifted_loop,
              "line": _lifted_line_kernel}
 
 
-# -- one mutant, both ways ---------------------------------------------------------
-
-
-@dataclass
-class Outcome:
-    """What one driver made of one mutant."""
-
-    rejected: list[str]
-    fingerprint: tuple
-    quarantined: list[str]
-    body: Function  # a detached copy of what the driver left behind
-    applied: int  # applications after which the corruption changed a body
-
-
-def _per_pass(func: Function, validator: PassValidator) -> pipeline.O3Report:
-    """The sweep with one validated application per pass — what ``run_o3``
-    falls back to, called directly."""
-    return replay_o3(func, pipeline.O3Options(), None, validator)
+# -- one mutant through the replay --------------------------------------------------
 
 
 class Miscompile:
@@ -195,40 +171,14 @@ class Miscompile:
         return True
 
 
-def _drive(driver, func: Function, pristine: Function, pass_name: str,
-           corruption) -> Outcome:
-    restore_function(func, clone_function(pristine))
-    validator = PassValidator()
-    corrupt = Miscompile(corruption)
-    with inject_faults(f"pass:{pass_name}", every=True, corrupt=corrupt):
-        report = driver(func, validator)
-    return Outcome(report.rejected_passes, function_fingerprint(func),
-                   sorted(validator.negative._store.keys()),
-                   clone_function(func), corrupt.applied)
-
-
-def _probe_equal(before: Function, after: Function) -> tuple[bool, int]:
-    """(no divergence, conclusive probes) of ``after`` against ``before``,
-    on a validator of its own."""
-    try:
-        verify(after)
-    except Exception:
-        return False, 0
-    reason, conclusive = PassValidator()._differential(before, after)
-    return reason is None, conclusive
-
-
 class Row(NamedTuple):
-    """One cell of the table: the mutant's class, whom the per-pass sweep
-    blames, and for a masked mutant the conclusive probes of its witness."""
+    """One cell of the table: the mutant's class and whom the replay
+    blames."""
 
     cls: str
     blamed: list[str]
-    probes: int = 0
 
     def __str__(self) -> str:
-        if self.cls == "masked":
-            return f"masked ({self.probes} probes)"
         if self.cls == "caught":
             return f"caught ({', '.join(self.blamed)})"
         return self.cls
@@ -236,26 +186,29 @@ class Row(NamedTuple):
 
 def classify(func: Function, pristine: Function, pass_name: str,
              corruption) -> Row:
-    """``inert`` (the corruption never changed a body), ``caught`` (both
-    drivers, identically), ``masked`` (per-pass only; the once-validated
-    body is probe-equal to the lifted one), ``uncaught`` (neither), or
-    ``ESCAPED`` — the failure this file exists to catch."""
-    once = _drive(lambda f, v: run_o3(f, validator=v), func, pristine,
-                  pass_name, corruption)
-    if not once.applied:
-        # the bare sweep ran to its end without the corruption finding
-        # anything to act on; the per-pass sweep runs the same sequence
+    """``inert`` (the corruption never changed a body), ``caught`` (the
+    replay blames and quarantines the mutant's own pass), ``uncaught``
+    (it blames nobody), or ``MISBLAMED`` — rejections that never name the
+    mutant's pass, the failure this file exists to catch.
+
+    ``unroll`` settles each loop it peels with the cleanup passes, so a
+    miscompiling cleanup pass still runs inside it after its own
+    quarantine, and the replay may blame ``unroll`` too."""
+    restore_function(func, clone_function(pristine))
+    validator = PassValidator()
+    corrupt = Miscompile(corruption)
+    with inject_faults(f"pass:{pass_name}", every=True, corrupt=corrupt):
+        blamed = replay_o3(func, O3Options(), None,
+                           validator).rejected_passes
+    if not corrupt.applied:
         return Row("inert", [])
-    each = _drive(_per_pass, func, pristine, pass_name, corruption)
-    same = (once.rejected == each.rejected
-            and once.fingerprint == each.fingerprint
-            and once.quarantined == each.quarantined)
-    if same:
-        return Row("caught" if once.rejected else "uncaught", each.rejected)
-    equal, conclusive = _probe_equal(pristine, once.body)
-    if equal and conclusive and not once.rejected:
-        return Row("masked", each.rejected, conclusive)
-    return Row("ESCAPED", each.rejected)
+    if not blamed:
+        return Row("uncaught", [])
+    quarantined = sorted(validator.negative._store.keys())
+    if pass_name in blamed and \
+            quarantined == sorted(f"o3pass:{p}" for p in blamed):
+        return Row("caught", blamed)
+    return Row("MISBLAMED", blamed)
 
 
 def matrix(function: str) -> dict[tuple[str, str], Row]:
@@ -278,12 +231,20 @@ def _names(table: dict[str, dict[str, str]]) -> frozenset[str]:
 
 _ALL_BUT_INLINE = " ".join(p for p in O3_PASSES if p != "inline")
 
-#: mutants the per-pass sweep rejects and the end-to-end check accepts:
-#: the trap is inserted after the named pass and a later ``dce`` erases it
-#: (after ``dce`` itself, or after a pass that runs behind the last ``dce``,
-#: it survives to the end and both drivers blame the same pass; ``line``'s
-#: ``simplifycfg`` is idle behind its last ``dce`` and skipped)
-MASKED = _names({
+#: mutants that corrupt a body and that the replay does not reject.
+#: ``loop``: the constant and the store belong to the lifted virtual stack,
+#: which the comparison excludes.  ``line``: both conclusive probes pass
+#: loop bounds that run zero iterations, so no verdict on this kernel has
+#: ever executed its loop body
+UNCAUGHT = _names({
+    "loop": {"skewed-constant": "mem2reg", "dropped-store": "simplifycfg"},
+    "line": {"skewed-constant": _ALL_BUT_INLINE,
+             "dropped-store": _ALL_BUT_INLINE},
+})
+
+#: a trap the mutant inserts is caught by the pass that inserted it, even
+#: where a later ``dce`` would erase it again before the body is installed
+DEAD_TRAPS_CAUGHT = _names({
     "poly": {"dead-trap": "constprop gvn instcombine"},
     "loop": {"dead-trap":
              "constprop gvn instcombine mem2reg simplifycfg unroll"},
@@ -292,34 +253,21 @@ MASKED = _names({
              "vectorize"},
 })
 
-#: mutants that corrupt a body and that neither driver rejects.  ``loop``:
-#: the constant and the store belong to the lifted virtual stack, which the
-#: comparison excludes.  ``line``: both conclusive probes pass loop bounds
-#: that run zero iterations, so no verdict on this kernel has ever executed
-#: its loop body — per pass or end to end
-UNCAUGHT = _names({
-    "loop": {"skewed-constant": "mem2reg", "dropped-store": "simplifycfg"},
-    "line": {"skewed-constant": _ALL_BUT_INLINE,
-             "dropped-store": _ALL_BUT_INLINE},
-})
-
 
 @pytest.mark.parametrize("function", sorted(FUNCTIONS))
-def test_once_then_replay_agrees_with_per_pass(function):
+def test_per_pass_catch_table(function):
     by_class: dict[str, set[str]] = {}
     for (p, c), row in matrix(function).items():
         by_class.setdefault(row.cls, set()).add(f"{function}/{p}/{c}")
-        if row.cls == "masked":
-            assert row.blamed == [p]
-    assert not by_class.get("ESCAPED"), \
-        "the per-pass sweep catches an unmasked divergence that escapes"
+    assert not by_class.get("MISBLAMED"), \
+        "the replay rejects a mutant under another pass's name"
 
     def mine(names):
         return {n for n in names if n.startswith(function + "/")}
 
-    assert by_class.get("masked", set()) == mine(MASKED)
     assert by_class.get("uncaught", set()) == mine(UNCAUGHT)
-    # the row is not vacuous: most live mutants are caught, by both alike
+    assert mine(DEAD_TRAPS_CAUGHT) <= by_class["caught"]
+    # the row is not vacuous: most live mutants are caught
     assert len(by_class["caught"]) >= 8
 
 

@@ -1,22 +1,21 @@
-"""Translation validation of the -O3 sweep — once, then a replay per pass:
+"""Translation validation of the -O3 sweep, one application per pass:
 attribution, rollback, quarantine.
 
 A miscompiling pass is deterministic, so the fault specs that model one
-fire on ``every=True`` application: the unvalidated sweep meets the fault
-first, the per-pass replay meets it again and blames it."""
+fire on ``every=True`` application: whatever sweep met the fault first,
+the per-pass replay meets it again and blames it."""
 
 import pytest
 
 from repro.cc import compile_c
 from repro.ir import I64, Function, FunctionType, IRBuilder, Interpreter, Module
 from repro.ir import instructions as I
-from repro.ir.passes import run_o3
+from repro.ir.passes import O3Options, replay_o3, run_o3
 from repro.ir.verifier import verify
 from repro.ir.values import Constant, Undef
-from repro.jit import BinaryTransformer
+from repro.guard import Budget, GuardedTransformer
 from repro.lift import FunctionSignature
 from repro.errors import BudgetExceededError, IRError
-from repro.guard import Budget
 from repro.testing.faults import FaultSpec, inject_faults
 
 from repro.analysis import (
@@ -50,21 +49,28 @@ def _corrupt_ret(result, func):
     return None
 
 
+def _replay(f, validator, budget=None):
+    return replay_o3(f, O3Options(), budget, validator)
+
+
 def test_clean_run_validates_and_accepts():
+    _m, clean = _poly_func()
+    run_o3(clean)
     _m, f = _poly_func()
     validator = PassValidator()
-    report = run_o3(f, validator=validator)
+    report = _replay(f, validator)
     assert report.validated
-    # one verdict, for the whole sweep, resting on real executions
-    (verdict,) = report.pass_log
-    assert verdict.pass_name == PassValidator.PIPELINE
-    assert verdict.ok and verdict.changed
-    assert report.conclusive_probes == verdict.probes_run > 0
+    # a verdict per applied pass, the changing ones resting on executions
+    assert report.pass_log and all(v.ok for v in report.pass_log)
+    changed = [v for v in report.pass_log if v.changed]
+    assert changed and all(v.probes_run > 0 for v in changed)
     assert report.rejected_passes == []
     assert report.miscompiled_pass is None
     stats = validator.stats
-    assert (stats.pipelines, stats.validated, stats.accepted) == (1, 1, 1)
-    assert (stats.replays, stats.rejected, stats.rollbacks) == (0, 0, 0)
+    assert stats.validated == stats.accepted == len(changed)
+    assert (stats.rejected, stats.rollbacks) == (0, 0)
+    # validation only ever rejects: what it accepts is the plain sweep's
+    assert functions_structurally_equal(f, clean)
 
 
 def test_a_function_outside_any_module_validates():
@@ -72,42 +78,37 @@ def test_a_function_outside_any_module_validates():
     b = IRBuilder(f.add_block("entry"))
     b.ret(b.add(b.mul(f.args[0], b.const(I64, 2)), b.const(I64, 0)))
     validator = PassValidator()
-    report = run_o3(f, validator=validator)
+    report = _replay(f, validator)
     assert f.module is None and report.validated
-    assert report.conclusive_probes > 0 and report.rejected_passes == []
+    assert any(v.probes_run > 0 for v in report.pass_log)
+    assert report.rejected_passes == []
 
 
 def test_idle_pipeline_takes_the_noop_shortcut():
     _m, f = _poly_func()
+    run_o3(f)
     validator = PassValidator()
-    run_o3(f, validator=validator)
-    report = run_o3(f, validator=validator)  # already at its fixed point
-    (verdict,) = report.pass_log
-    assert verdict.ok and not verdict.changed
-    assert validator.stats.pipelines == 2 and validator.stats.validated == 1
+    report = _replay(f, validator)  # already at its fixed point
+    assert report.pass_log
+    assert all(v.ok and not v.changed for v in report.pass_log)
+    assert validator.stats.validated == validator.stats.probes_run == 0
 
 
 def test_injected_miscompile_attributed_to_exact_pass():
     m, f = _poly_func()
     validator = PassValidator()
     with inject_faults("pass:gvn", every=True, corrupt=_corrupt_ret):
-        report = run_o3(f, validator=validator)
+        report = _replay(f, validator)
     assert report.validated
     assert report.miscompiled_pass == "gvn"
     assert report.rejected_passes == ["gvn"]
-    # the pipeline verdict first, then the replay's per-pass verdicts
-    whole, *replay = report.pass_log
-    assert whole.pass_name == PassValidator.PIPELINE
-    assert not whole.ok and whole.rolled_back
-    assert report.conclusive_probes is None
-    bad = [v for v in replay if not v.ok and not v.quarantined]
+    bad = [v for v in report.pass_log if not v.ok and not v.quarantined]
     assert bad and bad[0].pass_name == "gvn"
     assert bad[0].rolled_back
     assert "divergence" in (bad[0].reason or "")
-    # one bad pass is one rejection, however it was found
+    # one bad pass is one rejection: later applications are quarantined
     assert validator.stats.rejected == 1
     assert validator.stats.rollbacks == 1
-    assert validator.stats.pipelines == validator.stats.replays == 1
     assert sorted(validator.negative._store.keys()) == ["o3pass:gvn"]
     # the rolled-back function still computes the right answer
     assert Interpreter(m).run(f, [5, 7]) == (5 + 5) * 3 + 7
@@ -117,9 +118,9 @@ def test_rejected_pass_is_quarantined_for_later_runs():
     validator = PassValidator()
     _m, f = _poly_func()
     with inject_faults("pass:gvn", every=True, corrupt=_corrupt_ret):
-        run_o3(f, validator=validator)
+        _replay(f, validator)
     _m2, f2 = _poly_func("g")
-    report = run_o3(f2, validator=validator)
+    report = _replay(f2, validator)
     # gvn is skipped while quarantined: a quarantine verdict, no rejection
     assert validator.stats.quarantine_skips > 0
     quarantined = [v for v in report.pass_log if v.quarantined]
@@ -135,36 +136,15 @@ def test_structural_corruption_rejected_by_verifier():
     _m, f = _poly_func()
     validator = PassValidator()
     with inject_faults("pass:dce", every=True, corrupt=drop_terminator):
-        report = run_o3(f, validator=validator)
+        report = _replay(f, validator)
     assert report.miscompiled_pass == "dce"
     assert validator.stats.structural_rejections >= 1
-    bad = [v for v in report.pass_log[1:]
+    bad = [v for v in report.pass_log
            if not v.ok and not v.quarantined][0]
     assert bad.pass_name == "dce"
     assert bad.reason.startswith(("verifier:", "strict-ssa:"))
     # rollback restored a well-formed body: the function still runs
     assert Interpreter(_m).run(f, [2, 1]) == (2 + 2) * 3 + 1
-
-
-def test_transient_corruption_is_rejected_and_the_replay_is_clean():
-    """A one-shot fault (``at=1``) is not a miscompiling pass: the sweep
-    that met it is rejected end to end, the replay meets nothing, nobody is
-    blamed or quarantined and the body is the one a clean run produces."""
-    _m, clean = _poly_func()
-    run_o3(clean)
-    m, f = _poly_func()
-    validator = PassValidator()
-    with inject_faults("pass:gvn", corrupt=_corrupt_ret) as faults:
-        report = run_o3(f, validator=validator)
-    assert faults.fired["pass:gvn"] == 1
-    whole, *replay = report.pass_log
-    assert whole.ok is False and "divergence" in whole.reason
-    assert replay and all(v.ok for v in replay)
-    assert report.rejected_passes == [] and report.miscompiled_pass is None
-    assert len(validator.negative) == 0
-    assert validator.stats.replays == 1 and validator.stats.rejected == 0
-    assert functions_structurally_equal(f, clean)
-    assert Interpreter(m).run(f, [5, 7]) == (5 + 5) * 3 + 7
 
 
 def _drop_terminator(result, func):
@@ -184,21 +164,19 @@ def _assume_terminators(result, func):
 
 def test_sweep_that_raises_over_a_broken_body_is_replayed():
     """``dce`` leaves a block without terminator and the unvalidated
-    ``simplifycfg`` after it raises: the lifted body comes back and the
-    replay ends where the per-pass sweep always did — ``dce`` blamed,
-    ``simplifycfg`` never shown the broken body."""
+    ``simplifycfg`` after it raises; replayed per pass, ``dce`` is blamed
+    and rolled back, and ``simplifycfg`` is never shown the broken
+    body."""
     specs = (FaultSpec("pass:dce", every=True, corrupt=_drop_terminator),
              FaultSpec("pass:simplifycfg", every=True,
                        corrupt=_assume_terminators))
     with inject_faults(*specs), pytest.raises(IRError):
-        run_o3(_poly_func()[1])  # the sweep as the validator runs it
+        run_o3(_poly_func()[1])
     m, f = _poly_func()
     validator = PassValidator()
     with inject_faults(*specs):
-        report = run_o3(f, validator=validator)
-    whole, *replay = report.pass_log
-    assert not whole.ok and whole.rolled_back
-    assert whole.reason.startswith("raised: IRError")
+        report = _replay(f, validator)
+    replay = report.pass_log
     assert report.rejected_passes == ["dce"]
     assert validator.stats.structural_rejections == 1
     assert sorted(validator.negative._store.keys()) == ["o3pass:dce"]
@@ -208,16 +186,17 @@ def test_sweep_that_raises_over_a_broken_body_is_replayed():
     assert Interpreter(m).run(f, [2, 1]) == (2 + 2) * 3 + 1
 
 
-def test_budget_exhaustion_propagates_over_the_restored_body():
+def test_budget_exhaustion_propagates_and_blames_nobody():
+    """Running out of budget mid-replay is not a miscompile: the error
+    propagates between two pass applications, over a body every applied
+    pass was validated on, and nothing is rejected or quarantined."""
     _m, f = _poly_func()
-    original = clone_function(f)
     validator = PassValidator()
     with pytest.raises(BudgetExceededError):
-        run_o3(f, budget=Budget(max_opt_iterations=1).start(),
-               validator=validator)
-    assert functions_structurally_equal(f, original)
+        _replay(f, validator, Budget(max_opt_iterations=1).start())
     verify(f)
-    assert validator.stats.replays == 0 and len(validator.negative) == 0
+    assert validator.stats.validated > 0
+    assert validator.stats.rejected == 0 and len(validator.negative) == 0
 
 
 def test_run_pass_noop_shortcut():
@@ -290,17 +269,20 @@ def test_an_infinity_agrees_only_with_itself():
 
 
 def test_validated_pipeline_through_transformer():
+    """A clean install under a validator is verified, not interpreted."""
     program = compile_c("long f(long a, long b) { return a * b + 3; }")
     validator = PassValidator()
-    tx = BinaryTransformer(program.image, validator=validator)
-    res = tx.llvm_identity("f", FunctionSignature(("i", "i"), "i"))
-    assert res.o3_report is not None
-    assert res.o3_report.validated
-    assert res.o3_report.rejected_passes == []
-    assert validator.stats.validated > 0
+    guard = GuardedTransformer(program.image, validator=validator)
+    r = guard.transform("f", FunctionSignature(("i", "i"), "i"), None,
+                        ladder=("llvm",), probes=[(6, 7)])
+    assert r.mode == "llvm" and r.verified
+    report = r.result.o3_report
+    assert report is not None and not report.validated
+    assert report.rejected_passes == [] and r.result.blamed_pass is None
+    assert validator.stats.validated == validator.stats.probes_run == 0
     from repro.cpu import Simulator
 
-    assert Simulator(program.image).call_int(res.name, (6, 7)) == 45
+    assert Simulator(program.image).call_int(r.addr, (6, 7)) == 45
 
 
 # -- nothing carries over between applications --------------------------------

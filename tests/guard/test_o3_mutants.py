@@ -19,10 +19,10 @@ one class:
     the corruption never found anything to change.
 
 The gate judges -O3 and the validator interprets only to blame a pass once
-a candidate is rejected.  Before that, -O3 was judged twice, by the
-validator end to end and by the gate; ``golden_o3_mutants.json`` holds what
-that tree served at the rung.  Every one of those must still be served,
-nothing may be wrong, nothing may crash.  Tier-1 drives one element and one
+a candidate is rejected.  ``golden_o3_mutants.json`` holds what an earlier
+tree, which also judged -O3 with the validator end to end, served at the
+rung.  Every one of those must still be served, nothing may be wrong,
+nothing may crash.  Tier-1 drives one element and one
 line cell; the full 18-cell table is::
 
     PYTHONPATH=src:. python tests/guard/test_o3_mutants.py --table
@@ -167,23 +167,43 @@ def _transform(guard, req, pass_name, corruption):
                                name=f"k.{pass_name}.{corruption}")
 
 
-def test_a_gated_install_checks_o3_structurally_only():
-    img = compile_c(SRC).image
+def _plan_guard(ws, gate: str, validator: PassValidator):
+    """A guard whose every rung gates as ``gate`` says."""
+    plan = replace(_guard(ws.image, machine_verify=True).plans["llvm"],
+                   gate=gate)
+    return GuardedTransformer.from_plan(
+        ws.image, plan, validator=validator,
+        gate_options=GateOptions(samples=2, seed=1))
+
+
+@pytest.mark.parametrize("gate", ["always", "if-inconclusive", "never"])
+def test_a_clean_install_interprets_nothing(gate):
+    """Whatever the plan's gate, -O3 is verified, not interpreted: the
+    validator runs only once a candidate has been rejected."""
+    ws = StencilWorkspace(SETUP)
+    req = request(ws, "direct", True)
     validator = PassValidator()
-    r = _guard(img, validator=validator).transform("f", SIG, {1: 6},
-                                                   probes=[(3,)])
+    r = _plan_guard(ws, gate, validator).transform(
+        req.func, req.signature, req.fixes, ladder=("llvm",),
+        probes=req.probes, name="k.clean")
     report = r.result.o3_report
-    assert r.verified and report.structural_only
-    assert not report.validated and report.conclusive_probes is None
-    assert validator.stats.pipelines == validator.stats.probes_run == 0
-    # without the gate on every candidate, the validator judges end to end
-    validator = PassValidator()
-    ungated = replace(_guard(img).plans["llvm"], gate="never")
-    r = GuardedTransformer.from_plan(img, ungated, validator=validator) \
-        .transform("f", SIG, {1: 6}, probes=[(3,)], name="f.ungated")
-    report = r.result.o3_report
-    assert report.validated and not report.structural_only
-    assert validator.stats.pipelines > 0 and report.conclusive_probes > 0
+    assert r.mode == "llvm" and r.result.blamed_pass is None
+    assert not report.validated and report.pass_log == []
+    assert validator.stats.validated == validator.stats.probes_run == 0
+
+
+@pytest.mark.parametrize("gate", ["if-inconclusive", "never"])
+def test_a_plan_that_may_not_gate_blames_and_rebuilds(gate):
+    """The verifier's rejection after -O3 is blamed on every plan, gated
+    or not: the replay names ``gvn`` and the rebuilt rung serves."""
+    ws = StencilWorkspace(SETUP)
+    req = request(ws, "direct", True)
+    g = _plan_guard(ws, gate, PassValidator())
+    r = _transform(g, req, "gvn", "dropped-terminator")
+    attempt, = r.attempts
+    assert r.mode == "llvm" and attempt.ok
+    assert attempt.blamed_pass == r.result.blamed_pass == "gvn"
+    assert attempt.rebuilt
 
 
 def test_a_gate_rejection_blames_the_pass_and_rebuilds_the_rung():

@@ -27,8 +27,8 @@ from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Interpreter, Module, verify,
 )
 from repro.ir.passes import (
-    constprop, dce, gvn, inline, instcombine, mem2reg, run_o3, schedule,
-    simplifycfg, unroll, vectorize,
+    O3Options, constprop, dce, gvn, inline, instcombine, mem2reg, replay_o3,
+    run_o3, schedule, simplifycfg, unroll, vectorize,
 )
 from repro.ir.passes.schedule import (
     PASS_NAMES, SHAPE_RULES, Scheduler, _rule_no_fire,
@@ -228,7 +228,7 @@ def test_quarantine_preprobe_disables_scheduling(monkeypatch):
         return real(func)
 
     monkeypatch.setattr(constprop, "run", spy)
-    report = run_o3(f, validator=validator)
+    report = replay_o3(f, O3Options(), None, validator)
     assert report.schedule_disabled == "quarantined:gvn"
     assert report.skipped_passes == [], \
         "a quarantined pipeline must not skip anything"
@@ -260,7 +260,7 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     monkeypatch.setattr(pipe.dce, "run", spy)
     m = Module("t")
     f = build_straight_const(m)
-    report = run_o3(f, validator=PassValidator())
+    report = replay_o3(f, O3Options(), None, PassValidator())
     assert "gvn" in report.rejected_passes
     assert report.schedule_disabled == "quarantined:gvn"
     assert "gvn" not in report.skipped_passes, \
@@ -271,9 +271,10 @@ def test_miscompile_is_rejected_not_hidden(monkeypatch):
     # the quarantine now outlives this run via the validator's negative
     # cache: a fresh run under the same validator gets zero skips too
     validator = PassValidator()
-    r1 = run_o3(build_straight_const(Module("u")), validator=validator)
+    r1 = replay_o3(build_straight_const(Module("u")), O3Options(), None,
+                   validator)
     assert "gvn" in r1.rejected_passes
     f2 = build_straight_const(Module("v"))
-    r2 = run_o3(f2, validator=validator)
+    r2 = replay_o3(f2, O3Options(), None, validator)
     assert r2.schedule_disabled == "quarantined:gvn"
     assert r2.skipped_passes == []

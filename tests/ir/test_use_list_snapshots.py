@@ -31,7 +31,7 @@ from repro.cache import SpecializationCache
 from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Interpreter, Module,
 )
-from repro.ir.passes import run_o3
+from repro.ir.passes import O3Options, replay_o3, run_o3
 from repro.ir.verifier import verify_module
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.testing.faults import inject_faults
@@ -172,7 +172,7 @@ def test_rollback_leaves_only_live_users_on_shared_values():
         return True
 
     with inject_faults("pass:dce", every=True, corrupt=miscompile):
-        report = run_o3(f, validator=PassValidator())
+        report = replay_o3(f, O3Options(), None, PassValidator())
     assert report.rejected_passes == ["dce"]
     assert any(v.rolled_back for v in report.pass_log)
     verify_module(m)

@@ -35,7 +35,11 @@ output with no ``rewrite`` key of its own, and the client's DBrew traffic
 in ``served_t2``/``shipped_t2``.  No installed byte moved.  When a code
 digest took in the address the code sits at (the same bytes elsewhere
 lift to other IR), the ``keys`` columns (lifted, module, machine,
-rewrite) and ``guard_key`` were re-captured; nothing else moved.
+rewrite) and ``guard_key`` were re-captured; nothing else moved.  When the
+machine verifier learned that a block which emits no bytes falls into the
+block laid out after it, the ``machine_verdict`` of the ``flat`` and
+``sorted`` ``line.dbrew+llvm`` guard cells (cold, warm, uncached) moved
+from ``inconclusive`` to ``proved``; nothing else moved.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
