@@ -14,7 +14,8 @@ the table of binders below, one binder per mnemonic family.  The ALU
 binders (``add``/``sub``/``and``/``or``/``xor``/``cmp``/``test``,
 ``inc``/``dec``, two- and three-operand ``imul``) can also bind a variant
 that sets no flags, for the block engine to use where nothing reads them;
-it is the same value function with a flag setter that sets nothing.
+it is the same value function with a flag setter that sets nothing (the
+register forms cut the value to width in place).
 :func:`execute` always sets every flag.
 
 Two events that the cost model prices per dynamic instance are counted on
@@ -94,30 +95,113 @@ def _opsize(ins: Instruction) -> int:
     return mem.size if mem is not None else 8
 
 
-def _mem_reader(m: Mem, width: int) -> _Read:
-    ea = _ea(m)
-    if m.size != 16:
-        return lambda st, mem: mem.read_uint(ea(st.gpr), width)
+# The accessors below form the address inline — absolute or RIP-relative,
+# base + disp, base + index*scale + disp — so a memory access is one closure
+# and one ``Memory`` call; _load and _store, which bind a whole instruction,
+# inline the last two.  index*scale + disp and the 16-byte operands (which
+# count ``st.unaligned16``) go through _ea.
 
-    def read16(st: CPUState, mem: Memory) -> int:
-        addr = ea(st.gpr)
-        if addr & 15:
-            st.unaligned16 += 1
-        return mem.read_uint(addr, width)
-    return read16
+
+def _mem_reader(m: Mem, width: int) -> _Read:
+    disp = m.disp
+    if m.size == 16 or m.base is None and m.index is not None:
+        ea, wide = _ea(m), m.size == 16
+
+        def read_ea(st: CPUState, mem: Memory) -> int:
+            addr = ea(st.gpr)
+            if wide and addr & 15:
+                st.unaligned16 += 1
+            return mem.read_uint(addr, width)
+        return read_ea
+    if m.base is None:
+        addr = disp & MASK64
+        return lambda st, mem: mem.read_uint(addr, width)
+    b = m.base.index
+    if m.index is None:
+        return lambda st, mem: mem.read_uint((st.gpr[b] + disp) & MASK64,
+                                             width)
+    i, scale = m.index.index, m.scale
+
+    def read_bis(st: CPUState, mem: Memory) -> int:
+        g = st.gpr
+        return mem.read_uint((g[b] + g[i] * scale + disp) & MASK64, width)
+    return read_bis
 
 
 def _mem_writer(m: Mem, width: int) -> _Write:
-    ea = _ea(m)
-    if m.size != 16:
-        return lambda st, mem, v: mem.write_uint(ea(st.gpr), v, width)
+    disp = m.disp
+    if m.size == 16 or m.base is None and m.index is not None:
+        ea, wide = _ea(m), m.size == 16
 
-    def write16(st: CPUState, mem: Memory, v: int) -> None:
-        addr = ea(st.gpr)
-        if addr & 15:
-            st.unaligned16 += 1
-        mem.write_uint(addr, v, width)
-    return write16
+        def write_ea(st: CPUState, mem: Memory, v: int) -> None:
+            addr = ea(st.gpr)
+            if wide and addr & 15:
+                st.unaligned16 += 1
+            mem.write_uint(addr, v, width)
+        return write_ea
+    if m.base is None:
+        addr = disp & MASK64
+        return lambda st, mem, v: mem.write_uint(addr, v, width)
+    b = m.base.index
+    if m.index is None:
+        return lambda st, mem, v: mem.write_uint(
+            (st.gpr[b] + disp) & MASK64, v, width)
+    i, scale = m.index.index, m.scale
+
+    def write_bis(st: CPUState, mem: Memory, v: int) -> None:
+        g = st.gpr
+        mem.write_uint((g[b] + g[i] * scale + disp) & MASK64, v, width)
+    return write_bis
+
+
+def _load(dst: Reg, m: Mem, width: int, sign: int = 0) -> Op:
+    """Bind ``dst = [m]``: ``width`` bytes into an xmm register or a whole
+    GPR view, zero-extended, or sign-extended when ``sign`` is their sign
+    bit."""
+    d, xmm, mask = dst.index, dst.kind == "xmm", _mask(dst.size)
+    if m.size == 16 or m.base is None:
+        rd = _mem_reader(m, width)
+
+        def load(st: CPUState, mem: Memory) -> None:
+            (st.xmm if xmm else st.gpr)[d] = ((rd(st, mem) ^ sign)
+                                              - sign) & mask
+        return load
+    b, disp = m.base.index, m.disp
+    if m.index is None:
+        def load_bd(st: CPUState, mem: Memory) -> None:
+            v = mem.read_uint((st.gpr[b] + disp) & MASK64, width)
+            (st.xmm if xmm else st.gpr)[d] = ((v ^ sign) - sign) & mask
+        return load_bd
+    i, scale = m.index.index, m.scale
+
+    def load_bis(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        v = mem.read_uint((g[b] + g[i] * scale + disp) & MASK64, width)
+        (st.xmm if xmm else g)[d] = ((v ^ sign) - sign) & mask
+    return load_bis
+
+
+def _store(m: Mem, src: Reg, width: int) -> Op:
+    """Bind ``[m] = src``: the low ``width`` bytes of an xmm register or of
+    a GPR (not ``ah``..``bh``)."""
+    s, xmm = src.index, src.kind == "xmm"
+    if m.size == 16 or m.base is None:
+        wr = _mem_writer(m, width)
+        return lambda st, mem: wr(st, mem, (st.xmm if xmm else st.gpr)[s])
+    b, disp = m.base.index, m.disp
+    if m.index is None:
+        def store_bd(st: CPUState, mem: Memory) -> None:
+            g = st.gpr
+            mem.write_uint((g[b] + disp) & MASK64,
+                           (st.xmm if xmm else g)[s], width)
+        return store_bd
+    i, scale = m.index.index, m.scale
+
+    def store_bis(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        mem.write_uint((g[b] + g[i] * scale + disp) & MASK64,
+                       (st.xmm if xmm else g)[s], width)
+    return store_bis
 
 
 def _reader(op: Operand, size: int) -> _Read:
@@ -390,6 +474,16 @@ def _bind_mov(ins: Instruction) -> Op:
     if any(isinstance(o, Reg) and o.kind == "xmm" for o in ins.operands):
         raise _unimplemented(ins)
     d, s = _full_gp(dst), _full_gp(src)
+    if d is not None and isinstance(src, Mem):
+        return _load(dst, src, src.size)  # type: ignore[arg-type]
+    if isinstance(dst, Mem) and isinstance(src, Reg) and not src.high8:
+        return _store(dst, src, dst.size)
+    if d is not None and isinstance(src, Imm):
+        value = src.value & _mask(dst.size)  # type: ignore[union-attr]
+
+        def mov_ri(st: CPUState, mem: Memory) -> None:
+            st.gpr[d] = value
+        return mov_ri
     if d is None or s is None:
         return _assign(dst, _reader(src, _opsize(ins)))
     mask = _mask(min(dst.size, src.size))  # type: ignore[union-attr]
@@ -404,24 +498,48 @@ def _bind_mov(ins: Instruction) -> Op:
 def _bind_movx(ins: Instruction) -> Op:
     dst, src = ins.operands
     ssize = src.size if isinstance(src, (Reg, Mem)) else 4
-    rd = _reader(src, ssize)
-    if ins.mnemonic == "movzx":
-        return _assign(dst, rd)
-    sign = 1 << (ssize * 8 - 1)
-    low, dmask = sign - 1, _mask(dst.size)  # type: ignore[union-attr]
+    sign = 0 if ins.mnemonic == "movzx" else 1 << (ssize * 8 - 1)
+    d, dmask = _full_gp(dst), _mask(dst.size)  # type: ignore[union-attr]
+    if d is not None and isinstance(src, Mem):
+        return _load(dst, src, ssize, sign)  # type: ignore[arg-type]
+    if d is not None and isinstance(src, Reg) and not src.high8:
+        s, smask = src.index, _mask(ssize)
 
-    def extended(st: CPUState, mem: Memory) -> int:
-        v = rd(st, mem)
-        return ((v & low) - (v & sign)) & dmask
-    return _assign(dst, extended)
+        def movx_rr(st: CPUState, mem: Memory) -> None:
+            g = st.gpr
+            g[d] = (((g[s] & smask) ^ sign) - sign) & dmask
+        return movx_rr
+    rd = _reader(src, ssize)
+    return _assign(dst, lambda st, mem: ((rd(st, mem) ^ sign) - sign) & dmask)
 
 
 @_binds("lea")
 def _bind_lea(ins: Instruction) -> Op:
     dst, src = ins.operands
     assert isinstance(src, Mem) and isinstance(dst, Reg)
-    ea, mask = _ea(src), _mask(dst.size)
-    return _assign(dst, lambda st, mem: ea(st.gpr) & mask)
+    d, mask, disp = _full_gp(dst), _mask(dst.size), src.disp
+    if d is None or src.base is None and src.index is None:
+        ea = _ea(src)
+        return _assign(dst, lambda st, mem: ea(st.gpr) & mask)
+    if src.index is None:
+        b = src.base.index  # type: ignore[union-attr]
+
+        def lea_bd(st: CPUState, mem: Memory) -> None:
+            g = st.gpr
+            g[d] = (g[b] + disp) & mask
+        return lea_bd
+    i, scale = src.index.index, src.scale
+    if src.base is None:
+        def lea_is(st: CPUState, mem: Memory) -> None:
+            g = st.gpr
+            g[d] = (g[i] * scale + disp) & mask
+        return lea_is
+    b = src.base.index
+
+    def lea_bis(st: CPUState, mem: Memory) -> None:
+        g = st.gpr
+        g[d] = (g[b] + g[i] * scale + disp) & mask
+    return lea_bis
 
 
 @_binds("push")
@@ -529,6 +647,11 @@ def _bind_alu(ins: Instruction, set_flags: bool = True) -> Op:
         s = _full_gp(src)
         if s is not None:
             smask = _mask(src.size)  # type: ignore[union-attr]
+            if not set_flags:
+                def quiet_rr(st: CPUState, mem: Memory) -> None:
+                    g = st.gpr
+                    g[d] = value(g[d], g[s]) & mask
+                return quiet_rr
 
             def alu_rr(st: CPUState, mem: Memory) -> None:
                 g = st.gpr
@@ -537,6 +660,11 @@ def _bind_alu(ins: Instruction, set_flags: bool = True) -> Op:
             return alu_rr
         if isinstance(src, Imm):
             imm = src.value & _mask(size)
+            if not set_flags:
+                def quiet_ri(st: CPUState, mem: Memory) -> None:
+                    g = st.gpr
+                    g[d] = value(g[d], imm) & mask
+                return quiet_ri
 
             def alu_ri(st: CPUState, mem: Memory) -> None:
                 g = st.gpr
@@ -636,8 +764,15 @@ def _bind_imul(ins: Instruction, set_flags: bool = True) -> Op:
         factor = to_signed(ops[2].value & MASK64, 64)  # type: ignore[union-attr]
         rd_b = lambda st, mem: factor  # noqa: E731
     if not set_flags:
-        return lambda st, mem: wr(st, mem, _signed_product(
-            rd_a(st, mem), rd_b(st, mem), bits) & mask)
+        # the low half of a product is the same signed or unsigned
+        d, s = _full_gp(ops[0]), _full_gp(ops[1])
+        if len(ops) == 3 and d is not None and s is not None:
+            def quiet_imul3(st: CPUState, mem: Memory) -> None:
+                g = st.gpr
+                g[d] = (g[s] * factor) & mask
+            return quiet_imul3
+        return lambda st, mem: wr(st, mem,
+                                  (rd_a(st, mem) * rd_b(st, mem)) & mask)
 
     def imul(st: CPUState, mem: Memory) -> None:
         full = _signed_product(rd_a(st, mem), rd_b(st, mem), bits)
@@ -784,18 +919,19 @@ def _xmm_index(op: Operand, ins: Instruction) -> int:
 def _bind_movs(ins: Instruction) -> Op:
     dst, src = ins.operands
     width = 8 if ins.mnemonic == "movsd" else 4
-    rd, keep = _xmm_reader(src, width), MASK128 ^ _mask(width)
     if isinstance(dst, Mem):
-        wr = _mem_writer(dst, width)
-        return lambda st, mem: wr(st, mem, rd(st, mem))
-    d = dst.index  # type: ignore[union-attr]
-    if isinstance(src, Reg):
-        # reg-reg merges the low lane
-        return _xmm_binary(ins, lambda a, b: (a & keep) | b, width)
+        return _store(dst, src, width)  # type: ignore[arg-type]
+    d = _xmm_index(dst, ins)
+    if isinstance(src, Mem):
+        return _load(dst, src, width)  # type: ignore[arg-type]  # zero-extends
+    # reg-reg merges the low lane
+    s, mask = _xmm_index(src, ins), _mask(width)
+    keep = MASK128 ^ mask
 
-    def load(st: CPUState, mem: Memory) -> None:
-        st.xmm[d] = rd(st, mem)  # a load zero-extends
-    return load
+    def merge(st: CPUState, mem: Memory) -> None:
+        x = st.xmm
+        x[d] = (x[d] & keep) | (x[s] & mask)
+    return merge
 
 
 @_binds("movapd", "movaps", "movupd", "movups")

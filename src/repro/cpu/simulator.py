@@ -5,16 +5,20 @@ this project: DBrew output, MCC output, and JIT output all run here under
 the same :class:`~repro.cpu.costs.CostModel`, so comparisons between code
 variants are apples-to-apples by construction.
 
-Execution is by basic block.  On first entry at a ``rip`` the straight-line
-run up to its terminator is decoded once and every instruction is bound
-(:func:`repro.cpu.semantics.bind`) into a closure; the block also carries
-what is static about it — instruction count, per-mnemonic counts, load and
-store counts and the sum of the static cycle costs.  A call runs blocks,
-counts how often each ran, and settles :class:`RunStats` from those counts
-at the end.  What stays dynamic: the taken-branch and unaligned-16-byte
-penalties (counted as events on the state), the misaligned-``movapd`` fault
-and every other fault check, and ``max_steps`` (the block that would cross
-it is single-stepped).
+Execution is by block.  On first entry at a ``rip`` the run from there is
+decoded once and every instruction is bound
+(:func:`repro.cpu.semantics.bind`) into a closure.  The run goes on through
+a direct ``jmp`` or ``call`` to a target it has not decoded yet — the
+transfer's closure stays in the block, so a ``call`` still pushes — and
+ends at a ``jcc``, a ``ret``, an indirect transfer, a jump back into
+itself, an instruction that does not bind, or ``_BLOCK_MAX`` instructions.
+The block also carries what is static about it — instruction count,
+per-mnemonic counts, load and store counts and the sum of the static cycle
+costs.  A call runs blocks, counts how often each ran, and settles
+:class:`RunStats` from those counts at the end.  What stays dynamic: the
+taken-branch and unaligned-16-byte penalties (counted as events on the
+state), the misaligned-``movapd`` fault and every other fault check, and
+``max_steps`` (the block that would cross it is single-stepped).
 
 A block computes only the flags it reads.  One backward pass over the
 decoded run, on the flag columns of :func:`repro.x86.effects.effects_of`,
@@ -106,7 +110,7 @@ class CallResult:
 
 @dataclass(eq=False, slots=True)
 class _Block:
-    """One decoded straight-line run, bound and pre-summed."""
+    """One decoded run, bound and pre-summed."""
 
     #: the instructions before the last one
     ops: tuple[Op, ...]
@@ -131,8 +135,8 @@ _TABLES: dict[tuple, tuple[CostModel, dict[int, _Block]]] = {}
 _TABLES_MAX = 8
 _TABLES_LOCK = threading.Lock()
 
-#: longest straight-line run compiled as one block, and the bytes fetched
-#: at a time while decoding it
+#: longest run compiled as one block, and the bytes fetched at a time
+#: while decoding it
 _BLOCK_MAX = 256
 _WINDOW = 256
 
@@ -173,10 +177,12 @@ def _flag_bits(mnemonic: str, read: str, defined: str,
 
 
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
-    """Decode the straight-line run starting at ``rip``, then bind it back
-    to front, so that an instruction none of whose flags a later one reads
-    before overwriting them is bound to its variant that sets no flags."""
+    """Decode the run starting at ``rip``, on through direct transfers,
+    then bind it back to front, so that an instruction none of whose flags
+    a later one reads before overwriting them is bound to its variant that
+    sets no flags."""
     run: list[tuple[Instruction, Effects]] = []
+    decoded: set[int] = set()
     window, base = b"", rip
     pc = rip
     while len(run) < _BLOCK_MAX:
@@ -194,8 +200,13 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
             break  # fails only if execution really gets to ``pc``
         fx = effects_of(ins)
         run.append((ins, fx))
+        decoded.add(pc)
         pc = ins.end
-        if fx.control != "none":
+        if fx.control in ("jmp", "call") and fx.target is not None \
+                and fx.target not in decoded:
+            # run on at the target: the window is re-based there
+            window, base, pc = b"", fx.target, fx.target
+        elif fx.control != "none":
             break
 
     ops: list[Op] = []

@@ -33,14 +33,15 @@ from repro.bench.modes import CODES, MODES, prepare_kernel
 from repro.cpu import CostModel, HASWELL, Image, Simulator, semantics
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP
 from repro.cpu.semantics import execute
-from repro.cpu.simulator import RunStats
+from repro.cpu.simulator import RunStats, _table_for
 from repro.cpu.state import MASK64, CPUState
 from repro.errors import MemoryAccessError, SimulatorError
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.testing import diffcorpus
 from repro.x86 import parse_asm
-from repro.x86.asm import assemble
+from repro.x86.asm import assemble, assemble_full
 from repro.x86.decoder import decode_one
+from repro.x86.effects import effects_of
 from repro.x86.registers import RDI, RSI, SYSV_INT_ARGS
 
 GOLDEN = Path(__file__).with_name("golden_simulator.json")
@@ -364,10 +365,13 @@ def test_preemption_hammer_8_threads():
 
 
 def _stepped(img: Image, target: int, int_args: tuple = (),
-             f64_args: tuple = ()) -> CPUState:
+             f64_args: tuple = (), *, stats: RunStats | None = None,
+             limit: int | None = None) -> CPUState:
     """The state at return of a call run one ``semantics.execute`` at a
     time — every instruction sets every flag it writes — from the same
-    SysV entry state as ``Simulator.call``."""
+    SysV entry state as ``Simulator.call``, or after ``limit``
+    instructions.  ``stats`` adds up what each instruction costs under
+    ``HASWELL``, one instruction at a time."""
     st = CPUState()
     st.gpr[4] = STACK_TOP - 8
     for reg, val in zip(SYSV_INT_ARGS, int_args):
@@ -378,12 +382,26 @@ def _stepped(img: Image, target: int, int_args: tuple = (),
     mem.write_u64(st.gpr[4], RETURN_SENTINEL)
     st.rip = target
     decoded: dict = {}
-    while st.rip != RETURN_SENTINEL:
+    steps = 0
+    while st.rip != RETURN_SENTINEL and steps != limit:
         ins = decoded.get(st.rip)
         if ins is None:
             ins = decoded[st.rip] = decode_one(mem.window(st.rip, 16), 0,
                                                st.rip)
+        taken, unaligned = st.taken, st.unaligned16
         execute(ins, st, mem)
+        steps += 1
+        if stats is not None:
+            fx, m = effects_of(ins), ins.mnemonic
+            stats.instructions += 1
+            stats.loads += fx.mem_read
+            stats.stores += fx.mem_write
+            stats.per_mnemonic[m] = stats.per_mnemonic.get(m, 0) + 1
+            stats.cycles += (
+                HASWELL.static_cost(ins)
+                + (st.taken - taken) * HASWELL.taken_branch_penalty
+                + (st.unaligned16 - unaligned) * HASWELL.unaligned16_penalty)
+            stats.taken_branches += st.taken - taken
     return st
 
 
@@ -521,6 +539,194 @@ def test_corpus_flags_at_return_equal_single_stepping():
                 ref = _stepped(img, base, *args)
                 assert sim.state.flags_byte() == ref.flags_byte(), \
                     (kind, seed, p)
+
+
+# -- (f) a block runs on through direct jmp and call ---------------------------
+
+#: hand-assembled, since the corpus has no branches: the source (entered
+#: at ``entry:`` if it has one), rdi and rsi, and the instructions the
+#: first block decodes — one run through every direct transfer whose
+#: target it has not decoded yet
+_CHAINS = {
+    "forward jmp chain": ("""
+        cmp rdi, rsi
+        jmp a
+        ud2
+    a:
+        setl al
+        add rax, rdi
+        jmp b
+        ud2
+    b:
+        imul rax, rsi
+        ret
+    """, (3, 5), ["cmp", "jmp", "setl", "add", "jmp", "imul", "ret"]),
+    "backward jmp target": ("""
+    back:
+        add rax, rsi
+        ret
+    entry:
+        mov rax, rdi
+        jmp back
+    """, (3, 5), ["mov", "jmp", "add", "ret"]),
+    "call and ret into a leaf": ("""
+        mov rax, rdi
+        call leaf
+        add rax, rsi
+        ret
+    leaf:
+        cmp rdi, rsi
+        setg cl
+        imul rax, rsi
+        movzx ecx, cl
+        add rax, rcx
+        ret
+    """, (7, -2), ["mov", "call", "cmp", "setg", "imul", "movzx", "add",
+                   "ret"]),
+    "a loop whose blocks chain": ("""
+        xor eax, eax
+    top:
+        jmp body
+    done:
+        ret
+    body:
+        add rax, rdi
+        sub rdi, 1
+        jg top
+        jmp done
+    """, (6, 0), ["xor", "jmp", "add", "sub", "jg"]),
+}
+
+
+def _first_decodes(monkeypatch) -> list[str]:
+    """The mnemonics the simulator decodes from now on, in order."""
+    decoded: list[str] = []
+
+    def counting_decode(*args):
+        ins = decode_one(*args)
+        decoded.append(ins.mnemonic)
+        return ins
+    monkeypatch.setattr("repro.cpu.simulator.decode_one", counting_decode)
+    return decoded
+
+
+def _block_at(img: Image, addr: int):
+    """The block compiled at ``addr`` for the image's current code."""
+    return _table_for(img.instance_token(), HASWELL)[addr]
+
+
+def _install_labels(img: Image, name: str, src: str) -> tuple[int, dict]:
+    base = img.next_code_addr()
+    code, _, labels = assemble_full(parse_asm(src), base)
+    return img.add_function(name, code), labels
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_a_chained_block_equals_single_stepping(name, monkeypatch):
+    src, args, first_block = _CHAINS[name]
+    decoded = _first_decodes(monkeypatch)
+    img = Image()
+    addr, labels = _install_labels(img, "f", src)
+    addr = labels.get("entry", addr)
+    args = tuple(a & MASK64 for a in args)
+    sim = Simulator(img)
+    res = sim.call(addr, args)
+    assert decoded[:len(first_block)] == first_block
+    assert _block_at(img, addr).n == len(first_block)
+    want = RunStats()
+    ref = _stepped(img, addr, args, stats=want)
+    assert res.stats == want
+    assert (res.rax, sim.state.flags_byte()) == (ref.gpr[0], ref.flags_byte())
+
+
+@pytest.mark.parametrize("src, first_block", [
+    ("top:\nadd rax, 1\njmp top", ["add", "jmp"]),
+    ("mov eax, 5\ntop:\nadd rax, 3\njmp top",
+     ["mov", "add", "jmp", "add", "jmp"]),
+], ids=["to its own entry", "into its middle"])
+def test_a_jmp_back_into_the_run_ends_the_block(src, first_block,
+                                                 monkeypatch):
+    """The target is decoded already: the block ends at the ``jmp``, and
+    the one at its target loops until ``max_steps``."""
+    decoded = _first_decodes(monkeypatch)
+    img = Image()
+    addr = _install(img, "f", src)
+    sim = Simulator(img)
+    with pytest.raises(SimulatorError, match="exceeded 100 simulated"):
+        sim.call(addr, max_steps=100)
+    assert decoded == first_block
+    assert _block_at(img, addr).n == first_block.index("jmp") + 1
+    assert sim.state.gpr[0] == _stepped(img, addr, limit=101).gpr[0]
+
+
+_STEPS_SRC = """
+    add rax, 1
+    jmp a
+a:
+    add rax, 2
+    add rax, 4
+    jmp b
+b:
+    add rax, 8
+    ret
+"""
+
+
+@pytest.mark.parametrize("max_steps", range(7))
+def test_max_steps_crossed_inside_the_chained_part(max_steps):
+    """One block of seven: a limit crossed anywhere in it runs exactly the
+    instructions single-stepping runs before it raises."""
+    img = Image()
+    addr = _install(img, "f", _STEPS_SRC)
+    sim = Simulator(img)
+    with pytest.raises(SimulatorError,
+                       match=f"exceeded {max_steps} simulated"):
+        sim.call(addr, max_steps=max_steps)
+    ref = _stepped(img, addr, limit=max_steps + 1)
+    assert (sim.state.gpr[0], sim.state.gpr[4]) == (ref.gpr[0], ref.gpr[4])
+    assert _block_at(img, addr).n == 7
+    assert sim.call(addr, max_steps=7).stats.instructions == 7
+
+
+def test_a_fault_after_the_chained_transfer():
+    img = Image()
+    data = img.alloc_data(64)
+    img.memory.write_u64(data, 41)
+    addr = _install(img, "f", "mov rax, 1\njmp a\na:\nmov rdx, [rdi]\n"
+                               "lea rax, [rdx + 1]\nret")
+    sim = Simulator(img)
+    for _ in range(2):  # the second raise runs the compiled block
+        with pytest.raises(MemoryAccessError) as info:
+            sim.call(addr, (0x10,))
+        assert sim.state.rip == addr
+    with pytest.raises(type(info.value)):
+        _stepped(img, addr, (0x10,))
+    assert sim.call_int(addr, (data,)) == 42
+
+
+def test_a_call_to_an_unmapped_target_faults_when_reached():
+    """The run ends at the ``call``; its push and everything before it
+    happen, and the fault is the one of a ``rip`` at the target."""
+    img = Image()
+    addr, labels = _install_labels(img, "f", "mov eax, 7\ncall 0x10\n"
+                                             "back:\nret")
+    sim = Simulator(img)
+    with pytest.raises(SimulatorError, match="rip at unmapped address 0x10"):
+        sim.call(addr)
+    st = sim.state
+    assert (st.rip, st.gpr[0]) == (0x10, 7)
+    assert img.memory.read_u64(st.gpr[4]) == labels["back"]
+
+
+def test_a_patched_chained_target_is_seen():
+    img = Image()
+    addr, labels = _install_labels(img, "f", "mov rax, rdi\njmp t\nud2\n"
+                                             "t:\nadd rax, 1\nret")
+    sim = Simulator(img)
+    assert sim.call_int(addr, (10,)) == 11
+    # add rax, imm8 is 48 83 c0 ib
+    img.patch_code(labels["t"] + 3, b"\x05")
+    assert sim.call_int(addr, (10,)) == 15
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.arith import (
     bits_to_f32, bits_to_f64, f32_to_bits, f64_to_bits, to_signed,
 )
-from repro.cpu.semantics import execute
+from repro.cpu.semantics import bind, execute
 from repro.cpu.state import CPUState
 from repro.mem.memory import Memory
 from repro.x86.instr import Imm, Mem, gp, make, xmm
@@ -462,6 +462,133 @@ def test_sse_scalar_follows_the_sdm_operand_rule(env, mnemonic, dst, src, want):
     execute(make(mnemonic, xmm(0), xmm(1)), st_, mem)
     assert repr(dec(st_.xmm[0])) == want
     assert st_.xmm[0] >> 64 == 0xABCD
+
+
+# -- the operand shapes that bind flat -----------------------------------------
+
+_M = Mem
+#: one row per operand shape that binds to a single closure, and per shape
+#: the memory accessors form the address of inline: (instruction, set
+#: flags?, registers before, memory before, registers after, memory after,
+#: ``unaligned16``).  Every value is written by hand.
+_FLAT = {
+    "mov r32, [b+d] zero-extends": (
+        make("mov", gp(RAX, 4), _M(4, base=gp(RBX), disp=0x10)), True,
+        {"rax": 2**64 - 1, "rbx": 0x1000},
+        {0x1010: bytes.fromhex("8877665544332211")},
+        {"rax": 0x55667788}, {}, 0),
+    "mov r64, [b+i*8+d], negative disp, index product wraps": (
+        make("mov", gp(RAX), _M(8, base=gp(RBX), index=gp(RCX), scale=8,
+                                disp=-0x30)), True,
+        {"rbx": 0x1040, "rcx": 0x2000_0000_0000_0001},
+        {0x1018: bytes.fromhex("0102030405060708")},
+        {"rax": 0x0807060504030201}, {}, 0),
+    "mov r32, [abs]": (
+        make("mov", gp(RAX, 4), _M(4, disp=0x1010)), True,
+        {"rax": 2**64 - 1}, {0x1010: bytes.fromhex("8877665544332211")},
+        {"rax": 0x55667788}, {}, 0),
+    "mov [b+d], r32 writes 4 bytes only": (
+        make("mov", _M(4, base=gp(RBX), disp=8), gp(RAX, 4)), True,
+        {"rax": 0x1122334455667788, "rbx": 0x1000},
+        {0x1008: b"\xff" * 8},
+        {}, {0x1008: bytes.fromhex("88776655ffffffff")}, 0),
+    "mov [b+i*8+d], imm32 sign-extends": (
+        make("mov", _M(8, base=gp(RBX), index=gp(RCX), scale=8, disp=8),
+             Imm(-2, 4)), True,
+        {"rbx": 0x1000, "rcx": 1}, {},
+        {}, {0x1010: bytes.fromhex("feffffffffffffff")}, 0),
+    "mov r64, imm32 sign-extends": (
+        make("mov", gp(RAX), Imm(-2, 4)), True,
+        {}, {}, {"rax": 0xFFFF_FFFF_FFFF_FFFE}, {}, 0),
+    "movsd x, [b+i*8+d] zeroes the upper lane": (
+        make("movsd", xmm(1), _M(8, base=gp(RBX), index=gp(RCX), scale=8,
+                                 disp=8)), True,
+        {"xmm1": 2**128 - 1, "rbx": 0x1000, "rcx": 1},
+        {0x1010: bytes.fromhex("000000000000f83f")},
+        {"xmm1": 0x3FF8_0000_0000_0000}, {}, 0),
+    "movsd x, x keeps the upper lane": (
+        make("movsd", xmm(1), xmm(2)), True,
+        {"xmm1": 0xAAAA_AAAA_AAAA_AAAA_BBBB_BBBB_BBBB_BBBB,
+         "xmm2": 0xCCCC_CCCC_CCCC_CCCC_DDDD_DDDD_DDDD_DDDD}, {},
+        {"xmm1": 0xAAAA_AAAA_AAAA_AAAA_DDDD_DDDD_DDDD_DDDD}, {}, 0),
+    "movsd [b+i*8+d], x writes 8 bytes only": (
+        make("movsd", _M(8, base=gp(RBX), index=gp(RCX), scale=8), xmm(1)),
+        True, {"xmm1": 0xAAAA_AAAA_AAAA_AAAA_0102_0304_0506_0708,
+               "rbx": 0x1000, "rcx": 2}, {0x1010: b"\xff" * 16},
+        {}, {0x1010: bytes.fromhex("0807060504030201ffffffffffffffff")}, 0),
+    "movsxd r64, r32 with the sign bit set": (
+        make("movsxd", gp(RAX), gp(RCX, 4)), True,
+        {"rcx": 0x1234_5678_8000_0001}, {},
+        {"rax": 0xFFFF_FFFF_8000_0001}, {}, 0),
+    "movsxd r64, [b+d] with the sign bit set": (
+        make("movsxd", gp(RAX), _M(4, base=gp(RBX), disp=4)), True,
+        {"rbx": 0x1000}, {0x1004: bytes.fromhex("feffffff77")},
+        {"rax": 0xFFFF_FFFF_FFFF_FFFE}, {}, 0),
+    "movzx r32, r8": (
+        make("movzx", gp(RAX, 4), gp(RCX, 1)), True,
+        {"rax": 2**64 - 1, "rcx": 0x1FF}, {}, {"rax": 0xFF}, {}, 0),
+    "lea r32, [b+i*4+d] truncates": (
+        make("lea", gp(RAX, 4), _M(8, base=gp(RBX), index=gp(RCX), scale=4,
+                                   disp=0x10)), True,
+        {"rax": 2**64 - 1, "rbx": 0xFFFF_FFFF, "rcx": 1}, {},
+        {"rax": 0x13}, {}, 0),
+    "lea r64, [b+d], negative disp": (
+        make("lea", gp(RAX), _M(8, base=gp(RBX), disp=-8)), True,
+        {"rbx": 4}, {}, {"rax": 0xFFFF_FFFF_FFFF_FFFC}, {}, 0),
+    "lea r64, [i*8+d]": (
+        make("lea", gp(RAX), _M(8, index=gp(RCX), scale=8, disp=0x10)), True,
+        {"rcx": 3}, {}, {"rax": 0x28}, {}, 0),
+    "quiet add r64, r64 wraps": (
+        make("add", gp(RAX), gp(RBX)), False,
+        {"rax": 2**64 - 1, "rbx": 2}, {}, {"rax": 1}, {}, 0),
+    "quiet add r32, imm wraps and zero-extends": (
+        make("add", gp(RAX, 4), Imm(1)), False,
+        {"rax": 0x1_FFFF_FFFF}, {}, {"rax": 0}, {}, 0),
+    "quiet imul r32, r32, imm wraps": (
+        make("imul", gp(RAX, 4), gp(RCX, 4), Imm(-3)), False,
+        {"rcx": 0xFFFF_FFFF_0000_0005}, {}, {"rax": 0xFFFF_FFF1}, {}, 0),
+    "add r64, [b+i*8+d]": (
+        make("add", gp(RAX), _M(8, base=gp(RBX), index=gp(RCX), scale=8,
+                                disp=8)), True,
+        {"rax": 5, "rbx": 0x1000, "rcx": 1},
+        {0x1010: bytes.fromhex("0700000000000000")}, {"rax": 12}, {}, 0),
+    "misaligned 16-byte load counts unaligned16": (
+        make("movupd", xmm(0), _M(16, base=gp(RBX), disp=8)), True,
+        {"rbx": 0x1000}, {0x1008: bytes(range(16))},
+        {"xmm0": int.from_bytes(bytes(range(16)), "little")}, {}, 1),
+    "misaligned 16-byte store counts unaligned16": (
+        make("movupd", _M(16, base=gp(RBX), disp=8), xmm(0)), True,
+        {"rbx": 0x1000, "xmm0": int.from_bytes(bytes(range(16)), "little")},
+        {}, {}, {0x1008: bytes(range(16))}, 1),
+}
+
+_REGS = {"rax": ("gpr", RAX), "rbx": ("gpr", RBX), "rcx": ("gpr", RCX)}
+
+
+def _reg(name: str) -> tuple[str, int]:
+    return _REGS.get(name) or ("xmm", int(name[3:]))
+
+
+@pytest.mark.parametrize("name", sorted(_FLAT))
+def test_flat_shape(env, name):
+    ins, set_flags, regs, memory, want_regs, want_mem, unaligned = _FLAT[name]
+    st_, mem = env
+    for reg, value in regs.items():
+        file, i = _reg(reg)
+        getattr(st_, file)[i] = value
+    for addr, data in memory.items():
+        mem.write(addr, data)
+    st_.cf = st_.zf = True
+    flags = st_.flags_byte()
+    assert bind(ins, set_flags)(st_, mem) is None
+    for reg, value in want_regs.items():
+        file, i = _reg(reg)
+        assert getattr(st_, file)[i] == value, reg
+    for addr, data in want_mem.items():
+        assert mem.read(addr, len(data)) == data
+    assert st_.unaligned16 == unaligned
+    if not set_flags:
+        assert st_.flags_byte() == flags
 
 
 # -- property: 64-bit add matches Python modular arithmetic --------------------
