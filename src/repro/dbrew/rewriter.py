@@ -42,6 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 _FRAME = 136  # keeps rsp 16-aligned at emitted call sites
 _MASK64 = (1 << 64) - 1
+#: ``op reg, reg`` forms whose known source is emitted as an immediate
+_IMM_SOURCE = frozenset({"add", "sub", "and", "or", "xor", "cmp", "adc", "sbb"})
 
 #: ``handler(rewriter, exc) -> entry address`` invoked when a rewrite hits
 #: an internal :class:`RewriteError` (the paper's Sec. II error contract)
@@ -259,10 +261,13 @@ class Rewriter:
         self._labels: dict[tuple, str] = {}
         self._label_counter = 0
         self._back_visits: Counter = Counter()
-        self._fork_backs: Counter = Counter()
-        self._total_forks = 0
+        #: every fork so far, as (pc, inline return stack), in order
+        self._forks: list[tuple[int, tuple[int, ...]]] = []
+        #: loop head -> len(self._forks) at its last back-edge
         self._forks_at_visit: dict[int, int] = {}
         self._last_state_at: dict[int, MetaState] = {}
+        #: (bits, size) -> rodata address of a pooled constant
+        self._pool: dict[tuple[int, int], int] = {}
         worklist: list[_Point] = []
 
         state0 = self._initial_state()
@@ -415,8 +420,8 @@ class Rewriter:
         """Follow a known branch; widen when unrolling stops paying off.
 
         A loop whose exit condition is *known* unrolls fully (DBrew's core
-        specialization).  A loop that emitted a runtime conditional since
-        its last visit cannot be skipped at rewrite time, so per-iteration
+        specialization).  A loop with a runtime conditional inside it
+        (``_loop_forked``) cannot be skipped at rewrite time, so per-iteration
         specialization only bloats code: the values that changed since the
         last visit are selectively materialized and forgotten, after which
         the state digests converge and the fork dedup closes the loop.  A
@@ -424,9 +429,7 @@ class Rewriter:
         """
         if target <= pc:
             self._back_visits[target] += 1
-            prev_forks = self._forks_at_visit.get(target)
-            self._forks_at_visit[target] = self._total_forks
-            runtime_loop = prev_forks is not None and self._total_forks > prev_forks
+            runtime_loop = self._loop_forked(target, pc, tuple(rstack))
             prev_state = self._last_state_at.get(target)
             if runtime_loop and prev_state is not None:
                 if self._widen_diff(prev_state, state, out):
@@ -439,6 +442,28 @@ class Rewriter:
                 out.append(make("jmp", LabelRef(label)))
                 return None
         return target
+
+    def _loop_forked(self, head: int, pc: int, rstack: tuple[int, ...]) -> bool:
+        """Whether a fork since the last back-edge to ``head`` sits in the
+        loop ``[head, pc]``: in this inline frame at an address in the span,
+        or in a callee inlined from a call site in the span.  A fork of an
+        enclosing loop or of sibling code says nothing about this loop's
+        trip count."""
+        since = self._forks_at_visit.get(head)
+        self._forks_at_visit[head] = len(self._forks)
+        if since is None:
+            return False
+        depth = len(rstack)
+        for fork_pc, fork_rstack in self._forks[since:]:
+            if fork_rstack[:depth] != rstack:
+                continue
+            # a callee's fork is placed at its call site in this frame: the
+            # last byte of the call, just below the return address
+            site = fork_pc if len(fork_rstack) == depth \
+                else fork_rstack[depth] - 1
+            if head <= site <= pc:
+                return True
+        return False
 
     def _widen_diff(self, prev: MetaState, state: MetaState,
                     out: list[Item]) -> bool:
@@ -492,19 +517,18 @@ class Rewriter:
         self._require_runtime_flags(ins, fx, state)
         # unknown condition: fork.  A backward fork target is a do-while
         # style loop re-entry; apply the same runtime-loop widening rule as
-        # _follow so evolving known values cannot explode the point count.
-        if target <= pc:
-            prev_forks = self._forks_at_visit.get(target)
-            self._forks_at_visit[target] = self._total_forks + 1
-            if prev_forks is not None and self._total_forks + 1 > prev_forks:
-                self.stats.widenings += 1
-                self._widen(state, out)
-        ltrue = self._point_label(target, tuple(rstack), state, worklist)
-        lfalse = self._point_label(ins.end, tuple(rstack), state, worklist)
+        # _follow so evolving known values cannot explode the point count
+        # (this fork is in its own span, so a revisit always widens)
+        frame = tuple(rstack)
+        self._forks.append((pc, frame))
+        if target <= pc and self._loop_forked(target, pc, frame):
+            self.stats.widenings += 1
+            self._widen(state, out)
+        ltrue = self._point_label(target, frame, state, worklist)
+        lfalse = self._point_label(ins.end, frame, state, worklist)
         out.append(Instruction(ins.mnemonic, (LabelRef(ltrue),)))  # type: ignore[arg-type]
         out.append(make("jmp", LabelRef(lfalse)))
         self.stats.emitted += 2
-        self._total_forks += 1
         return None
 
     def _eval_cc(self, cc: str, state: MetaState) -> bool:
@@ -748,13 +772,15 @@ class Rewriter:
 
     # -- emission -------------------------------------------------------------------
 
-    def _pool_f64_bits(self, bits: int) -> int:
-        data = bits.to_bytes(8, "little")
-        return self.image.alloc_rodata(data, align=8)
-
-    def _pool_v128(self, bits: int) -> int:
-        data = bits.to_bytes(16, "little")
-        return self.image.alloc_rodata(data, align=16)
+    def _pool_constant(self, bits: int, size: int) -> int:
+        """Rodata address of a constant, allocated once per rewrite (each
+        peeled copy of a loop reuses its coefficients' slots)."""
+        addr = self._pool.get((bits, size))
+        if addr is None:
+            addr = self.image.alloc_rodata(bits.to_bytes(size, "little"),
+                                           align=size)
+            self._pool[(bits, size)] = addr
+        return addr
 
     def _materialize(self, key: tuple[str, int], state: MetaState,
                      out: list[Item]) -> None:
@@ -775,10 +801,10 @@ class Rewriter:
             state.gpr[idx] = mv.mat()
         else:
             if mv.value >> 64 == 0:
-                addr = self._pool_f64_bits(mv.value)
+                addr = self._pool_constant(mv.value, 8)
                 out.append(make("movsd", xmm(idx), Mem(8, disp=addr)))
             else:
-                addr = self._pool_v128(mv.value)
+                addr = self._pool_constant(mv.value, 16)
                 out.append(make("movupd", xmm(idx), Mem(16, disp=addr)))
             state.xmm[idx] = mv.mat()
         self.stats.emitted += 1
@@ -880,6 +906,10 @@ class Rewriter:
                 new_ops.append(self._rewrite_mem(op, state, out, for_read=is_read))
             else:
                 new_ops.append(op)
+        if ins.mnemonic in _IMM_SOURCE:
+            imm = _known_source(ins, state)
+            if imm is not None:
+                new_ops[1] = imm
         # materialize the registers the emitted form still reads: register
         # operands the record says are read (a merged 8/16-bit destination
         # is one) and the address registers that folding left in place
@@ -888,7 +918,7 @@ class Rewriter:
         for op, new_op in zip(ins.operands, new_ops):
             if isinstance(op, Reg):
                 explicit.add((op.kind, op.index))
-                if (op.kind, op.index) in fx.reads:
+                if isinstance(new_op, Reg) and (op.kind, op.index) in fx.reads:
                     needed.add((op.kind, op.index))
             elif isinstance(op, Mem):
                 explicit |= _address_regs(op)
@@ -971,6 +1001,22 @@ class Rewriter:
 def _bank(holder: "MetaState | CPUState", kind: str) -> list:
     """The GPR or the SSE register list of a meta-state or a scratch CPU."""
     return holder.gpr if kind == "gp" else holder.xmm
+
+
+def _known_source(ins: Instruction, state: MetaState) -> Imm | None:
+    """The known source of ``op reg, reg`` as the immediate it equals, or
+    None: an address on the virtual stack has no rewrite-time value, and
+    a 64-bit value must survive the imm32's sign extension."""
+    dst, src = ins.operands
+    if not (isinstance(dst, Reg) and isinstance(src, Reg) and src.kind == "gp"):
+        return None
+    mv = state.gpr[src.index]
+    if not mv.known or is_stack_address(mv.value):
+        return None
+    bits = 8 * src.size
+    value = to_signed((mv.value >> 8 if src.high8 else mv.value)
+                      & ((1 << bits) - 1), bits)
+    return Imm(value) if -(2**31) <= value < 2**31 else None
 
 
 def _address_regs(mem: Mem) -> set[tuple[str, int]]:

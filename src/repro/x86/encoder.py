@@ -219,10 +219,10 @@ def _encode_alu(instr: Instruction, e: _Enc) -> None:
             _rm_encode(e, 0x83, digit, dst)
             e.imm = _pack(src.value, 1)
         else:
-            if not _fits(src.value, 32):
-                raise EncodeError("ALU immediate exceeds 32 bits")
+            if not _fits(src.value, 16 if size == 2 else 32):
+                raise EncodeError("ALU immediate exceeds the operand width")
             _rm_encode(e, 0x81, digit, dst)
-            e.imm = _pack(src.value, 4)
+            e.imm = _pack(src.value, 2 if size == 2 else 4)
     elif isinstance(src, Reg) and isinstance(dst, (Reg, Mem)):
         e.set_reg_field(src)
         _rm_encode(e, base + wide, e.reg_field_value(src), dst)

@@ -13,6 +13,11 @@ the lifted body and on the post-O3 body — faulting probes included, where
 the count says how far the run got.  A block's ``n_steps`` is now filled in
 on its first entry; one block counted late, twice or not at all moves a
 number here.
+
+The ``post_o3`` counts of the four ``dbrew+llvm`` cells of ``flat`` and
+``sorted`` were re-captured when DBrew began to count a fork only against
+the loop it sits in and to emit known source registers as immediates:
+they run a shorter body.  No other count moved.
 """
 
 from __future__ import annotations

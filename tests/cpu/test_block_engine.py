@@ -15,6 +15,12 @@ dyadic.  Under the third (``unaligned16_penalty=0.3``) the old engine's
 running total depended on the order of the additions; the block engine forms
 the same sum as block cost × times run, so ``cycles`` is held to a relative
 1e-12 there and everything else exactly.
+
+The ``dbrew`` and ``dbrew+llvm`` cells of ``flat`` and ``sorted`` were
+re-captured with the block engine when DBrew began to count a fork only
+against the loop it sits in and to emit known source registers as
+immediates: DBrew emits other code for them, so they run other
+instructions.  Every other cell is the old engine's capture.
 """
 
 from __future__ import annotations

@@ -28,6 +28,12 @@ name counter, so four entries print other value and block names —
 ``flat.line.dbrew+llvm`` and ``sorted.line.dbrew+llvm`` — and their
 ``sha256`` was re-captured; each kept its ``renamed_sha256`` and
 ``iterations``, as did every other entry.
+
+The lifted bodies of the four ``dbrew+llvm`` cells of ``flat`` and
+``sorted`` were re-captured, all three columns, when DBrew began to count
+a fork only against the loop it sits in and to emit known source
+registers as immediates: their input is other code.  No other entry
+moved.
 """
 
 from __future__ import annotations

@@ -196,8 +196,9 @@ def test_ledger_cells_unroll_as_one_peel_at_a_time(spy, monkeypatch):
     new = through_run_o3(spy, monkeypatch, ONE_STEP_RUN, cells)
     old = through_run_o3(spy, monkeypatch, per_peel_run, cells)
     assert assert_same_unrolling(new, old) > 0
-    # the four fixated llvm-fix kernels and the two line dbrew+llvm bodies
-    assert sum(n.peels > n.cleanups for n in new) == 6
+    # the four fixated llvm-fix kernels; DBrew unrolls the known-trip point
+    # loop of a line kernel itself, so its output carries none for O3 to peel
+    assert sum(n.peels > n.cleanups for n in new) == 4
 
 
 def looped(asm: str, kind: str, trip: int) -> str:

@@ -39,7 +39,15 @@ rewrite) and ``guard_key`` were re-captured; nothing else moved.  When the
 machine verifier learned that a block which emits no bytes falls into the
 block laid out after it, the ``machine_verdict`` of the ``flat`` and
 ``sorted`` ``line.dbrew+llvm`` guard cells (cold, warm, uncached) moved
-from ``inconclusive`` to ``proved``; nothing else moved.
+from ``inconclusive`` to ``proved``; nothing else moved.  When DBrew
+began to count a fork only against the loop it sits in, to emit a known
+source register as an immediate and to pool each constant once per
+rewrite, the ``sha256`` of the ``dbrew`` and ``dbrew+llvm`` cells of
+``flat`` and ``sorted`` moved with the ``lifted``/``module``/``machine``
+keys of their ``dbrew+llvm`` cells (compile and guard), and so did the
+``sha256`` of the ``flat.line.llvm-fix`` cells: the same instructions,
+reading their constants at other rodata addresses, because fewer pool
+slots were allocated before them.  Nothing else moved.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget

@@ -24,6 +24,12 @@ Declared exception: a shift whose masked count is 0 leaves the flags alone
 flags of a shift are dead in every golden case — the corpus generator reads
 flags only right after a ``cmp`` and no snippet here shifts — so
 ``SHIFT_FIX_CHANGES`` is empty.
+
+The 16 ``stencil`` entries of the four ``dbrew+llvm`` cells of ``flat`` and
+``sorted`` (four cache settings each) were re-captured from today's raw
+lift when DBrew began to count a fork only against the loop it sits in
+and to emit known source registers as immediates: the lifter's input
+changed, not the lifter.  No other entry moved.
 """
 
 from __future__ import annotations

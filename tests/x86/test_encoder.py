@@ -49,6 +49,13 @@ def test_add_rax_imm32():
     assert enc("add", gp(RAX), Imm(0x1000)) == "4881c000100000"
 
 
+def test_add_ax_imm16():
+    # 66 81 /0 iw: a 16-bit op carries a 2-byte immediate
+    assert enc("add", gp(RAX, 2), Imm(0x1234)) == "6681c03412"
+    with pytest.raises(EncodeError):
+        enc("add", gp(RAX, 2), Imm(0x12345))
+
+
 def test_sub_rsp_imm():
     assert enc("sub", gp(RSP), Imm(0x20)) == "4883ec20"
 
