@@ -84,8 +84,10 @@ class Image:
         installed — and the second counts every write ``patch_code`` makes,
         the roll-back of a failed patch included, so the token a failed
         patch showed for a moment is not handed out again for other bytes.
-        In-process state derived from executable bytes (the simulator's
-        compiled blocks) is keyed by it.
+        In-process state derived from executable bytes is keyed by it: the
+        simulator's block tables are, but a compiled block itself outlives
+        the token — it is served again, to this image or another, wherever
+        memory still holds the bytes it was decoded from.
         """
         key = self._instance_key
         if key is None:

@@ -73,6 +73,9 @@ class MetaState:
     stack: dict[int, StackSlot] = field(default_factory=dict)
     #: where the *runtime* rsp sits relative to entry rsp (emitted pushes)
     runtime_sp_off: int = 0
+    #: the emitted code has used a stack address as a value, so a register
+    #: or memory tracked as unknown may point into the stack
+    escaped: bool = False
 
     def copy(self) -> "MetaState":
         st = MetaState(
@@ -81,6 +84,7 @@ class MetaState:
             flags=dict(self.flags),
             stack={k: StackSlot(s.value, s.flushed) for k, s in self.stack.items()},
             runtime_sp_off=self.runtime_sp_off,
+            escaped=self.escaped,
         )
         return st
 
@@ -97,6 +101,7 @@ class MetaState:
             tuple(sorted(self.flags.items())),
             tuple(sorted((k, s.value, s.flushed) for k, s in self.stack.items())),
             self.runtime_sp_off,
+            self.escaped,
         )
 
     # -- stack helpers ----------------------------------------------------------

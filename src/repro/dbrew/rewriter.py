@@ -852,8 +852,9 @@ class Rewriter:
         if ea is not None:
             if is_stack_address(ea):
                 off = stack_offset(ea)
-                if for_read:
-                    # flush every 8-byte slot the access overlaps
+                if for_read or off % 8 or mem.size % 8:
+                    # flush every 8-byte slot the access overlaps (a write
+                    # that covers part of a slot keeps the rest of it)
                     slot = off & ~7
                     while slot < off + mem.size:
                         self._flush_slot(slot, state, out)
@@ -900,8 +901,16 @@ class Rewriter:
               out: list[Item]) -> None:
         self._require_runtime_flags(ins, fx, state)
         new_ops = []
+        forget = False
         for i, op in enumerate(ins.operands):
             if isinstance(op, Mem):
+                if (fx.mem_read or fx.mem_write) \
+                        and self._may_hit_stack(op, state):
+                    # any slot may be read or written: every known one
+                    # goes to memory first
+                    for off in sorted(state.stack):
+                        self._flush_slot(off, state, out)
+                    forget = fx.mem_write
                 is_read = fx.mem_read or i != 0
                 new_ops.append(self._rewrite_mem(op, state, out, for_read=is_read))
             else:
@@ -930,6 +939,9 @@ class Rewriter:
         for key in sorted(fx.reads - explicit):
             self._materialize(key, state, out)
         flags_touched = self._flags_touched(fx, state)  # before rcx moves
+        if not state.escaped and _reads_stack_value(ins, fx, state):
+            # it reaches a register or memory DBrew tracks as unknown
+            state.escaped = True
 
         out.append(Instruction(ins.mnemonic, tuple(new_ops)))
         self.stats.emitted += 1
@@ -950,10 +962,26 @@ class Rewriter:
                     base = stack_offset(ea) & ~7
                     if base in state.stack:
                         state.stack[base] = StackSlot(MetaValue.unknown(), flushed=True)
+        if forget:
+            for off, slot in state.stack.items():
+                if not _stack_valued(slot.value):
+                    # frame links stay known, as in ``_widen``
+                    state.stack[off] = StackSlot(MetaValue.unknown(), flushed=True)
+
+    def _may_hit_stack(self, mem: Mem, state: MetaState) -> bool:
+        """Whether an access at an address DBrew does not know may land on
+        the virtual stack: a stack address plus a run-time register, or
+        any address once a stack address has escaped."""
+        if self._mem_effective(mem, state) is not None:
+            return False
+        return state.escaped or any(_stack_valued(state.gpr[idx])
+                                    for _, idx in _address_regs(mem))
 
     def _emit_call(self, ins: Instruction, state: MetaState, out: list[Item]) -> None:
         """Emit a call beyond the inline depth; ABI registers must be live."""
         for idx in SYSV_INT_ARGS:
+            if _stack_valued(state.gpr[idx]):
+                state.escaped = True  # the callee may keep the pointer
             self._materialize(("gp", idx), state, out)
         for idx in range(8):
             self._materialize(("xmm", idx), state, out)
@@ -1017,6 +1045,29 @@ def _known_source(ins: Instruction, state: MetaState) -> Imm | None:
     value = to_signed((mv.value >> 8 if src.high8 else mv.value)
                       & ((1 << bits) - 1), bits)
     return Imm(value) if -(2**31) <= value < 2**31 else None
+
+
+def _stack_valued(mv: MetaValue) -> bool:
+    """Whether a value is a known address on the virtual stack."""
+    return mv.known and is_stack_address(mv.value)
+
+
+def _reads_stack_value(ins: Instruction, fx: Effects,
+                       state: MetaState) -> bool:
+    """Whether ``ins`` reads a stack address as a value: anywhere but as
+    the address of the memory it accesses (a ``lea`` accesses none)."""
+    for kind, idx in fx.reads:
+        if kind != "gp" or not _stack_valued(state.gpr[idx]):
+            continue
+        as_value = as_address = False
+        for op in ins.operands:
+            if isinstance(op, Reg):
+                as_value |= op.kind == "gp" and op.index == idx
+            elif isinstance(op, Mem) and ins.mnemonic != "lea":
+                as_address |= ("gp", idx) in _address_regs(op)
+        if as_value or not as_address:
+            return True
+    return False
 
 
 def _address_regs(mem: Mem) -> set[tuple[str, int]]:

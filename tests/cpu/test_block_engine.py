@@ -464,6 +464,7 @@ def test_an_unbindable_instruction_ends_the_block_with_every_flag_live(
         decoded.append(ins.mnemonic)
         return ins
     monkeypatch.setattr("repro.cpu.simulator.decode_one", counting_decode)
+    monkeypatch.setattr("repro.cpu.simulator._BLOCK_MEMO", {})
     img = Image()
     base = img.next_code_addr()
     # add rdi, rsi; ud2; sub rdi, 1; ret
@@ -485,6 +486,8 @@ def test_a_refused_binding_cuts_the_run_with_every_flag_live(monkeypatch):
     def refuse(ins, *_):
         raise semantics._unimplemented(ins)
     monkeypatch.setitem(semantics._BINDERS, "sub", refuse)
+    # no block bound under the refusing binder outlives this test
+    monkeypatch.setattr("repro.cpu.simulator._BLOCK_MEMO", {})
     img = Image()
     base = _install(img, "f", "add rdi, rsi\nsub rdi, 1\ncmp rdi, 0\nret")
     sim = Simulator(img)
@@ -605,7 +608,8 @@ _CHAINS = {
 
 
 def _first_decodes(monkeypatch) -> list[str]:
-    """The mnemonics the simulator decodes from now on, in order."""
+    """The mnemonics the simulator decodes from now on, in order, with an
+    empty block memo (so equal bytes an earlier test ran still decode)."""
     decoded: list[str] = []
 
     def counting_decode(*args):
@@ -613,6 +617,7 @@ def _first_decodes(monkeypatch) -> list[str]:
         decoded.append(ins.mnemonic)
         return ins
     monkeypatch.setattr("repro.cpu.simulator.decode_one", counting_decode)
+    monkeypatch.setattr("repro.cpu.simulator._BLOCK_MEMO", {})
     return decoded
 
 

@@ -159,3 +159,25 @@ def test_a_callee_fork_counts_through_its_call_site(monkeypatch):
     rw = run_fork_in_loop(FORK_IN_LOOP["in an inlined callee"])
     assert rw.stats.widenings == 0
     assert rw.stats.points > 64
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "both paths of the fork reach the back-edge, and the back-edge state is "
+    "compared with the sibling path's state of the same iteration, so the "
+    "induction variable never looks evolving: 137 trace points"))
+def test_a_fork_whose_paths_both_reach_the_back_edge_still_widens():
+    """``if (v[i] > 0) s += i`` in a 64-trip loop: the fork does not exit,
+    so each trip's two paths meet again at the back-edge.  The loop should
+    close like the one whose fork exits, not be peeled once per trip."""
+    img, sim, rw = rewritten("""
+    long f(long* v) {
+        long s = 0;
+        for (long i = 0; i < 64; i++) if (v[i] > 0) s += i;
+        return s;
+    }
+    """, ("i",))
+    v = img.alloc_data(8 * 64)
+    for i in range(64):
+        img.memory.write_u64(v + 8 * i, (i % 3 - 1) & (2**64 - 1))
+    assert sim.call("f.rw", (v,)).rax == sim.call("f", (v,)).rax
+    assert rw.stats.points <= 16
