@@ -31,7 +31,6 @@ from repro.analysis import (
 from repro.cc import CompiledProgram, compile_c
 from repro.cpu import CostModel, HASWELL, Image, Simulator
 from repro.dbrew import Rewriter
-from repro.farm import CompileJob, CompileResult, FarmClient, FarmPool
 from repro.guard import Budget, BudgetExceededError, GuardedTransformer
 from repro.instrument import (
     InstrumentOptions,
@@ -52,14 +51,10 @@ __all__ = [
     "BinaryTransformer",
     "Budget",
     "BudgetExceededError",
-    "CompileJob",
-    "CompileResult",
     "CompiledProgram",
     "CostModel",
     "DispatchHandle",
     "EdgeProfile",
-    "FarmClient",
-    "FarmPool",
     "Finding",
     "FixedMemory",
     "FunctionSignature",

@@ -5,12 +5,11 @@ See :mod:`repro.cache.cache` for the stage model and
 """
 
 from repro.cache.cache import CacheStats, MachineEntry, SpecializationCache
-from repro.cache.flight import FileFlightTable, FlightTable
+from repro.cache.flight import FlightTable
 from repro.cache.negative import NegativeCache, NegativeEntry
-from repro.cache.store import DiskStore, LRUStore, advisory_lock
+from repro.cache.store import DiskStore, LRUStore
 
 __all__ = [
-    "CacheStats", "DiskStore", "FileFlightTable", "FlightTable", "LRUStore",
-    "MachineEntry", "NegativeCache", "NegativeEntry", "SpecializationCache",
-    "advisory_lock",
+    "CacheStats", "DiskStore", "FlightTable", "LRUStore", "MachineEntry",
+    "NegativeCache", "NegativeEntry", "SpecializationCache",
 ]

@@ -15,8 +15,9 @@ every compound operation (put+evict, check-then-move) holds a lock.  The
 ``move_to_end`` during ``popitem`` or iteration during ``put`` corrupts or
 raises — which is exactly what tests/tier/test_thread_safety.py hammers.
 
-The disk store is additionally *multi-process* safe (the compile farm
-shares one directory across a worker pool): publication is always
+The disk store is additionally *multi-process* safe (two processes may
+point ``SpecializationCache(disk_dir=)`` at one directory, say a service
+restarting while its predecessor drains): publication is always
 temp-file + atomic ``os.replace``, so a concurrent reader in any process
 sees either the old entry or the new one, never a torn pickle; with
 ``durable=True`` the data and the directory entry are fsynced before the
@@ -26,14 +27,14 @@ construction sweeps.
 
 **Record integrity**: atomic rename protects against *torn* reads, not
 against bytes damaged after publication (a partially synced page after
-power loss, bit rot, an operator truncating a file).  The farm dispatches
-machine code derived from store contents, so a silently corrupt record is
-the one cache failure that could violate the paper's never-diverge
-contract.  Every record therefore carries a 16-byte header — magic, CRC32
-and payload length — verified on every read; a record that fails the check
-is **quarantined** (moved into ``<root>/quarantine/``, counted, and never
-served — a miss, so the pipeline recompiles) rather than deleted, keeping
-the evidence for post-mortems.  A record without the header is damaged
+power loss, bit rot, an operator truncating a file).  The cache compiles
+machine code from the IR it loads from the store, so a silently corrupt
+record is the one cache failure that could violate the paper's
+never-diverge contract.  Every record therefore carries a 16-byte header —
+magic, CRC32 and payload length — verified on every read; a record that
+fails the check is **quarantined** (moved into ``<root>/quarantine/``,
+counted, and never served — a miss, so the pipeline recompiles) rather
+than deleted, keeping the evidence for post-mortems.  A record without the header is damaged
 too: no byte is unpickled that no checksum covers.  Construction runs a
 recovery sweep that reaps stale ``.tmp`` debris and expires old quarantine
 evidence.
@@ -41,7 +42,6 @@ evidence.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import pickle
@@ -54,11 +54,6 @@ from collections import OrderedDict
 from typing import Any, Iterator
 
 from repro.obs import metrics as _metrics
-
-try:  # POSIX advisory locks; farm coordination degrades gracefully without
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 #: a ``.tmp`` file this old was leaked by a crashed writer, not in-flight
 _STALE_TMP_SECONDS = 300.0
@@ -127,43 +122,6 @@ class LRUStore:
             return len(self._data)
 
 
-@contextlib.contextmanager
-def advisory_lock(path: str, *, shared: bool = False,
-                  blocking: bool = True) -> Iterator[bool]:
-    """Hold a POSIX advisory lock on ``path`` for the ``with`` body.
-
-    Yields True when the lock is held.  ``blocking=False`` yields False
-    instead of waiting when another process holds it.  The lock file is
-    created if missing and *never unlinked* — unlinking would let a later
-    locker acquire a fresh inode while an earlier one still holds the old
-    file, silently breaking mutual exclusion.  ``flock`` locks die with
-    their holder, so a killed process can never wedge the others.
-
-    On platforms without ``fcntl`` this is a no-op that yields True: the
-    callers (disk store, single-flight) are coordination optimizations
-    layered over atomic-rename publication, never correctness.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX platform
-        yield True
-        return
-    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        flags = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
-        if not blocking:
-            flags |= fcntl.LOCK_NB
-        try:
-            fcntl.flock(fd, flags)
-        except OSError:
-            yield False
-            return
-        try:
-            yield True
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-    finally:
-        os.close(fd)
-
-
 class DiskStore:
     """One pickle file per cache entry under ``root``.
 
@@ -176,9 +134,9 @@ class DiskStore:
 
     ``durable=True`` adds crash durability on top of atomicity: the temp
     file is fsynced before the rename and the directory after it, so a
-    published entry survives power loss.  The compile farm leaves it off —
-    a lost cache entry after a crash is just a future miss — but a store
-    used as a build-artifact channel can opt in.
+    published entry survives power loss.  The specialization cache leaves
+    it off — a lost cache entry after a crash is just a future miss — but
+    a store used as a build-artifact channel can opt in.
     """
 
     def __init__(self, root: str, *, durable: bool = False) -> None:
@@ -329,18 +287,12 @@ class DiskStore:
             pass
 
     def keys(self) -> list[str]:
-        """Snapshot of every published key (entries only, no locks/tmp)."""
+        """Snapshot of every published key (entries only, no temp files)."""
         try:
             return [n[:-4] for n in os.listdir(self.root)
                     if n.endswith(".pkl")]
         except OSError:
             return []
-
-    def __contains__(self, key: str) -> bool:
-        """Cheap existence probe: one ``stat``, no read, no checksum.  A
-        corrupt record still counts as present here; the checksum verdict
-        belongs to the reader that actually loads it."""
-        return os.path.exists(self._path(key))
 
     def __len__(self) -> int:
         return sum(1 for n in os.listdir(self.root) if n.endswith(".pkl"))

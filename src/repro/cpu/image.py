@@ -26,8 +26,8 @@ RODATA_BASE = 0x0060_0000
 DATA_BASE = 0x0080_0000
 JIT_BASE = 0x0100_0000
 #: runtime-owned probe counter/event buffers (repro.instrument) — mapped
-#: lazily on the first alloc_probe so uninstrumented images, snapshots and
-#: farm jobs never carry the region
+#: lazily on the first alloc_probe so uninstrumented images never carry
+#: the region
 PROBE_BASE = 0x0200_0000
 PROBE_SIZE = 1 << 20
 STACK_TOP = 0x7FFF_F000
@@ -41,7 +41,7 @@ class Image:
     """A loaded program plus room for runtime code generation."""
 
     #: state of :meth:`instance_token`, here so that images assembled
-    #: without ``__init__`` (farm jobs, gate shadows) start out with it
+    #: without ``__init__`` (gate shadows) start out with it
     _instance_key: object | None = None
     _code_writes = 0
 
@@ -79,7 +79,7 @@ class Image:
         """Key identifying one state of *this image object's* code.
 
         It is never shared and never reused: the first component is minted
-        per ``Image`` object — two builds of one farm job start from equal
+        per ``Image`` object — two images of one program start from equal
         bytes and then diverge when different candidates of equal size are
         installed — and the second counts every write ``patch_code`` makes,
         the roll-back of a failed patch included, so the token a failed
@@ -197,9 +197,9 @@ class Image:
         The probe region is disjoint from every program region so the
         differential gate can whitelist it wholesale: instrumented code may
         differ from the original *only* here.  Mapped on first use —
-        farm workers' images and pre-instrumentation snapshots never see
-        it — which also means images restored from ``Image.__new__`` paths
-        (gate shadows, ``CompileJob.build_image``) pick it up transparently.
+        uninstrumented images and pre-instrumentation snapshots never see
+        it — which also means images assembled through ``Image.__new__``
+        (gate shadows) pick it up transparently.
         """
         with self.codegen_lock:
             cursor = getattr(self, "_probe_cursor", None)

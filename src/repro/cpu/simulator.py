@@ -142,7 +142,7 @@ class _Block:
 #: first.  A token names one state of one image's executable bytes (see
 #: ``Image.instance_token``), so a table can never serve code that was
 #: patched or added after it was keyed, nor the code of another image built
-#: from the same farm job.  Cycle sums depend on the model, so models never
+#: from the same program.  Cycle sums depend on the model, so models never
 #: share a table; the table holds its model so that the id in its key stays
 #: unique.
 _TABLES: dict[tuple, tuple[CostModel, dict[int, _Block]]] = {}

@@ -17,7 +17,7 @@ rsp-relative absolute slots, which is why DBrew output looks "flat"
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
@@ -943,8 +943,20 @@ class Rewriter:
             # it reaches a register or memory DBrew tracks as unknown
             state.escaped = True
 
+        shift = self._guest_sp_shift(ins, fx, state)
+        if shift:
+            # the run-time rsp sits below DBrew's frame: move it onto the
+            # guest's rsp for this one instruction (``lea`` leaves the
+            # flags alone) and keep its rsp-relative operands in place
+            new_ops = [replace(op, disp=op.disp - shift)
+                       if isinstance(op, Mem) and op.base == gp(RSP) else op
+                       for op in new_ops]
+            out.append(make("lea", gp(RSP), Mem(8, base=gp(RSP), disp=shift)))
         out.append(Instruction(ins.mnemonic, tuple(new_ops)))
         self.stats.emitted += 1
+        if shift:
+            out.append(make("lea", gp(RSP), Mem(8, base=gp(RSP), disp=-shift)))
+            self.stats.emitted += 2
 
         # effects: everything written becomes runtime-only (rsp is tracked
         # symbolically)
@@ -967,6 +979,22 @@ class Rewriter:
                 if not _stack_valued(slot.value):
                     # frame links stay known, as in ``_widen``
                     state.stack[off] = StackSlot(MetaValue.unknown(), flushed=True)
+
+    def _guest_sp_shift(self, ins: Instruction, fx: Effects,
+                        state: MetaState) -> int:
+        """How far the run-time rsp must move for an emitted ``ins`` that
+        reads rsp as a value to read the guest's stack address (0 when it
+        reads none).  An emitted write of rsp leaves DBrew no stack pointer
+        to track: a :class:`RewriteError`."""
+        if not any(isinstance(op, Reg) and op.kind == "gp" and op.index == RSP
+                   for op in ins.operands):
+            return 0
+        if ("gp", RSP) in fx.writes:
+            raise RewriteError(
+                f"{ins.mnemonic} at {ins.addr:#x} must be emitted but writes "
+                "rsp", stage="rewrite", addr=ins.addr,
+                instruction=ins.mnemonic)
+        return stack_offset(self._sp_known(state)) - state.runtime_sp_off
 
     def _may_hit_stack(self, mem: Mem, state: MetaState) -> bool:
         """Whether an access at an address DBrew does not know may land on

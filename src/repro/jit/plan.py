@@ -9,14 +9,9 @@ under a :class:`Plan`, its policy (DESIGN §16)::
               -> [machine-verify]
     admit:    [pregate] -> [gate] -> mark gated | evict
 
-A compile-farm worker runs ``compile`` alone, over the bytes its job
-carries; the tiered engine that shipped the job runs DBrew before it and
-``admit`` after it, in its own image.
-
 :meth:`Pipeline.compile` owns the staged cache (look-ups, stores, in-flight
 coalescing), the budget checkpoints, the obs spans and the
-``machine:<module key>`` quarantine; a module-stage hit — and a module handed
-over by the compile farm (:meth:`Pipeline.install`) — enters the same tail
+``machine:<module key>`` quarantine; a module-stage hit enters the same tail
 at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
 :meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
 What can only *reject* work — budget, validator, machine verification,
@@ -76,8 +71,8 @@ class Plan:
     """What one request compiles and how far its result is trusted.
 
     A value: front doors build it from their constructor kwargs, the tiered
-    engine ships it whole inside a :class:`~repro.farm.protocol.
-    CompileJob`, and the guard swaps :attr:`rung` while it walks its ladder.
+    engine decides one per tier, and the guard swaps :attr:`rung` while it
+    walks its ladder.
     Code generation is not part of it: the JIT has one configuration.
     """
 
@@ -140,9 +135,9 @@ class TransformResult:
     #: wall-clock cost of the machine-level proof (0.0 on warm hits — the
     #: verdict is stored with the installed entry and served for free)
     machine_verify_seconds: float = 0.0
-    #: key of the pristine post-O3 module in the module cache (None on a
-    #: machine-stage hit or without a cache) — the farm worker ships that
-    #: module, not the one codegen has placed globals for
+    #: key of the post-O3 module this compile stored in the module cache
+    #: (None on a machine-stage hit or without a cache) — a rejected
+    #: candidate evicts it with its machine entry
     module_key: str | None = None
     #: instrumented plans: what the inject stage produced, and its wall time
     probes: Probes | None = None
@@ -521,20 +516,6 @@ class Pipeline:
             replace(lift, name=name, known_functions=known,
                     budget=self.budget), module)
         return lifted, time.perf_counter() - t0
-
-    def install(self, plan: Plan, module: Module, main_name: str,
-                out_name: str, verdict: str | None) -> TransformResult:
-        """Module-stage entry for a post-O3 module built in another process.
-
-        The compile farm ships position-independent modules; the client
-        runs only the codegen tail, into its own image.  ``verdict`` is the
-        worker's machine proof of the same module's emission and stands in
-        for one of this emission — the proof is paid once per job key.
-        """
-        result = self._emit(replace(plan, machine_verify=False), module,
-                            module.functions[main_name], out_name)
-        result.machine_verdict = verdict
-        return result
 
     def _emit(self, plan: Plan, module: Module, main: Function,
               out_name: str, mkey: str | None = None,

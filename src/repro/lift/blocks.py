@@ -35,8 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 #: sharing decoded objects across lifts is safe; the pc is part of the key
 #: because branch/call operands are decoded to absolute targets.  Repeated
 #: lifts of identical byte sequences — the tiered engine re-lifting per
-#: tier, farm workers churning through registration storms — skip the
-#: decoder entirely.  Content-keyed, so it can never serve stale decodes
+#: tier, the guard re-lifting to blame a pass — skip the decoder entirely.  Content-keyed, so it can never serve stale decodes
 #: after a patch: patched bytes simply key a different entry.
 _DECODE_MEMO: dict[tuple[int, bytes], Instruction] = {}
 _DECODE_MEMO_MAX = 65_536

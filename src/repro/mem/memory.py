@@ -69,8 +69,9 @@ class Memory:
                     f"mapping [{start:#x},{end:#x}) overlaps [{rs:#x},{rs + len(buf):#x})"
                 )
         if size >= LAZY_MAP_MIN:
-            # MAP_PRIVATE, not Python's default MAP_SHARED: a forked farm
-            # worker must get its own copy of the pages, not its parent's
+            # MAP_PRIVATE, not Python's default MAP_SHARED: a child forked
+            # while the image is alive (``run_corpus(jobs > 1)``) must get
+            # its own copy of the pages, not write into its parent's
             buf: Buffer = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         else:
             buf = bytearray(size)
@@ -226,25 +227,6 @@ class Memory:
 
     def write_u128(self, addr: int, v: int) -> None:
         self.write_uint(addr, v, 16)
-
-
-class FaultNotingMemory(Memory):
-    """A :class:`Memory` that notes every unmapped access in ``faulted``,
-    even one its caller catches (:meth:`window` reads as empty there).
-
-    A compile farm worker maps only the bytes its job carries, so a fault
-    anywhere in its compile means the job lacked a byte, not that the code
-    is wrong.
-    """
-
-    faulted = False
-
-    def _find(self, addr: int, size: int) -> tuple[int, int, Buffer]:
-        try:
-            return super()._find(addr, size)
-        except MemoryAccessError:
-            self.faulted = True
-            raise
 
 
 #: bytes per chunk of a :class:`JournaledMemory` — the unit it copies on

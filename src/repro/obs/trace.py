@@ -12,31 +12,15 @@ site is a single attribute check (``if _TR.enabled:``) — no allocation,
 no lock, no clock read — so the zero-stall dispatch guarantee from the
 tiered engine is preserved.  The checks below are ordered so the disabled
 path returns before touching anything else.
-
-**Cross-process propagation** (the compile farm): span ids and
-``perf_counter`` timestamps are both process-local, so spans cannot cross
-a process boundary as-is.  :meth:`Tracer.export_records` turns a window of
-finished spans into a picklable record batch stamped with a *wall-clock
-anchor* — one ``(time.time(), clock())`` pair sampled in the exporting
-process — and :meth:`Tracer.merge_records` translates the batch into the
-importing tracer's clock domain via its own anchor, remaps every span id
-to freshly allocated local ids (preserving the batch-internal parent
-edges), and reparents the batch's roots under a caller-supplied local
-span.  The farm serializes the client's parent span id into each
-``CompileJob``; the worker exports what it traced during the job; the
-client merges on receipt, so one Chrome trace shows the dispatch site, the
-queue hop and the remote compile as a single nested tree (worker batches
-keep their origin pid in ``attrs["pid"]``).
 """
 
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 __all__ = ["Span", "Tracer", "TRACER"]
 
@@ -167,81 +151,6 @@ class Tracer:
         with self._lock:
             self.events.append((name, self.clock(), threading.get_ident(),
                                 attrs))
-
-    # -- cross-process record transport ----------------------------------
-
-    def mark(self) -> tuple[int, int]:
-        """Current (spans, events) high-water mark, for windowed export."""
-        with self._lock:
-            return len(self.spans), len(self.events)
-
-    def export_records(self, mark: tuple[int, int] = (0, 0)) -> dict:
-        """Picklable batch of everything finished since ``mark``.
-
-        Timestamps stay in this process's ``clock()`` domain; the batch
-        carries a wall-clock anchor so the importer can translate them
-        (different processes' ``perf_counter`` epochs are unrelated, but
-        ``time.time()`` is shared).  Open spans are skipped — they would
-        export a zero duration and then be double-counted if re-exported
-        after finishing.
-        """
-        with self._lock:
-            spans = [(s.name, s.span_id, s.parent_id, s.t0, s.t1, s.tid,
-                      s.attrs) for s in self.spans[mark[0]:] if s.t1 >= 0]
-            events = list(self.events[mark[1]:])
-        return {
-            "pid": os.getpid(),
-            "anchor_wall": time.time(),
-            "anchor_clock": self.clock(),
-            "spans": spans,
-            "events": events,
-        }
-
-    def merge_records(self, records: dict,
-                      root_parent: int | None = None) -> dict[int, int]:
-        """Adopt an exported batch into this tracer's span list.
-
-        Every imported span gets a freshly allocated local id (foreign ids
-        collide with local ones — both sides count from 1); parent edges
-        *inside* the batch are remapped through the same table, and spans
-        whose parent is not in the batch are reparented under
-        ``root_parent`` (the local span that logically caused the remote
-        work, e.g. the dispatch-site span captured into a farm job).
-        Returns the foreign-id -> local-id map so callers can stitch
-        follow-up batches.
-
-        Time translation: a remote timestamp ``t`` maps to
-        ``t - anchor_clock + anchor_wall - local_wall + local_clock`` —
-        i.e. through the shared wall clock, accurate to the wall/perf
-        sampling skew (microseconds; far below queue latencies).
-        """
-        offset = (records["anchor_wall"] - records["anchor_clock"]
-                  - time.time() + self.clock())
-        pid = records.get("pid")
-        idmap: dict[int, int] = {}
-        merged: list[Span] = []
-        with self._lock:
-            for _name, sid, _pid_, _t0, _t1, _tid, _attrs in records["spans"]:
-                idmap[sid] = self._next_id
-                self._next_id += 1
-        for name, sid, parent, t0, t1, tid, attrs in records["spans"]:
-            out: dict[str, Any] = dict(attrs) if attrs else {}
-            if pid is not None:
-                out.setdefault("pid", pid)
-            span = Span(name, idmap[sid], idmap.get(parent, root_parent),
-                        t0 + offset, tid, out)
-            span.t1 = t1 + offset
-            merged.append(span)
-        with self._lock:
-            room = self.max_spans - len(self.spans)
-            if room > 0:
-                self.spans.extend(merged[:room])
-            for name, ts, tid, attrs in records["events"]:
-                out = dict(attrs) if attrs else {}
-                if pid is not None:
-                    out.setdefault("pid", pid)
-                self.events.append((name, ts + offset, tid, out))
-        return idmap
 
 
 #: Process-global tracer.  All pipeline instrumentation binds this at

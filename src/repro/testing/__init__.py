@@ -1,10 +1,7 @@
 """Test-support utilities: in-process fault injection for the rewrite
-pipeline (:mod:`repro.testing.faults`) and the seeded chaos orchestrator
-that attacks the whole farm service (:mod:`repro.testing.chaos`)."""
+pipeline (:mod:`repro.testing.faults`) and the differential corpus that
+runs seeded functions through every engine (:mod:`repro.testing.diffcorpus`)."""
 
-from repro.testing.chaos import (ChaosEvent, ChaosOptions, ScenarioReport,
-                                 run_scenario, run_suite)
 from repro.testing.faults import FaultInjector, FaultSpec, inject_faults
 
-__all__ = ["ChaosEvent", "ChaosOptions", "FaultInjector", "FaultSpec",
-           "ScenarioReport", "inject_faults", "run_scenario", "run_suite"]
+__all__ = ["FaultInjector", "FaultSpec", "inject_faults"]

@@ -53,7 +53,7 @@ from repro.errors import ReproError
 from repro.guard import Budget, GateOptions, GuardedTransformer
 from repro.instrument.passes import InstrumentOptions
 from repro.ir.passes import O3Options
-from repro.jit.plan import DEFAULT_O3, Pipeline, Plan, TransformResult
+from repro.jit.plan import DEFAULT_O3, Plan, TransformResult
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import MetricsRegistry
@@ -62,20 +62,6 @@ from repro.tier.handle import DispatchHandle, TierCode
 from repro.tier.policy import (
     NUM_TIERS, T1, EdgeProfile, TierGovernor, TierPolicy, tier_verified,
 )
-
-
-@dataclass
-class FarmStats:
-    """The engine's traffic with a compile farm."""
-
-    #: compile jobs shipped to the farm (attempted, not necessarily served)
-    jobs: int = 0
-    #: farm requests that fell back to the in-process pipeline
-    fallbacks: int = 0
-    #: farm results served from the shared store without compiling
-    cache_hits: int = 0
-    #: farm results that joined another process's in-flight compile
-    coalesced: int = 0
 
 
 def _per_upgrade() -> dict[int, int]:
@@ -106,7 +92,6 @@ class TierStats:
     coalesced: int = 0
     #: pipeline results served from a warm cache stage (stage -> count)
     cache_served: dict[str, int] = field(default_factory=dict)
-    farm: FarmStats = field(default_factory=FarmStats)
 
 
 @dataclass(frozen=True)
@@ -134,8 +119,6 @@ class TieredEngine:
                  budget_factory: Callable[[], Budget] | None = None,
                  machine_verify: bool = False,
                  registry: MetricsRegistry | None = None,
-                 farm: "Any | None" = None,
-                 farm_timeout: float = 60.0,
                  profile: str = "calls",
                  instrument_options: "Any | None" = None) -> None:
         if profile not in ("calls", "edges"):
@@ -158,11 +141,6 @@ class TieredEngine:
         #: refuted proof rejects the job, an inconclusive proof on the
         #: ungated T1 tier downgrades to a one-off differential gate
         self.machine_verify = machine_verify
-        #: optional :class:`~repro.farm.FarmClient`: when set, lift and
-        #: -O3 are shipped to the worker-process pool first and the
-        #: in-process pipelines below become the fallback path
-        self.farm = farm
-        self.farm_timeout = farm_timeout
         #: governor hotness source: "calls" (raw invocation counts) or
         #: "edges" — T1 compiles instrumented with edge counters
         #: (``repro.instrument``) and each handle's governor promotes on
@@ -363,11 +341,8 @@ class TieredEngine:
         out_name = f"{handle.name}.t{job.target}.e{job.epoch}.s{job.seq}"
         try:
             plan = self._plan_for(handle, job.target)
-            out = self._compile_farm(handle, job, plan, out_name) \
-                if self.farm is not None else None
-            if out is None:
-                out = self._compile(handle, job.target, plan, out_name)
-            addr, mode, verified, reject_reason = out
+            addr, mode, verified, reject_reason = self._compile(
+                handle, job.target, plan, out_name)
         except ReproError as exc:
             reject_reason = f"{type(exc).__name__}: {exc}"
         except BaseException as exc:  # pragma: no cover - defensive
@@ -414,9 +389,7 @@ class TieredEngine:
 
     def _plan_for(self, handle: DispatchHandle, target: int) -> Plan:
         """The pipeline policy of one tier of one handle — decided here,
-        once: the in-process compile and the :class:`CompileJob` shipped
-        to the farm both derive from this plan, or their results would not
-        be interchangeable.
+        once, and handed whole to :meth:`GuardedTransformer.from_plan`.
 
         **T1**, the cheap tier: the lightweight pass subset, served
         ungated — it is produced by the same lifter/codegen as everything
@@ -455,73 +428,6 @@ class TieredEngine:
         return Plan(rung, LiftOptions(), o3, inject=inject, pregate=pregate,
                     machine_verify=self.machine_verify, gate=gate,
                     gate_options=gate_options)
-
-    def _compile_farm(self, handle: DispatchHandle, job: _Job, plan: Plan,
-                      out_name: str,
-                      ) -> tuple[int | None, str | None, bool, str | None] | None:
-        """Ship one compile to the farm; None means "compile in-process".
-
-        Every stage that touches this image runs here, as in-process: DBrew
-        on its rung, then the emission of the returned module and its
-        admission (pregate, gate) against the bytes installed.  The worker
-        only lifts, optimises and proves what the job carries.  Every farm
-        deficiency (unshippable function, timeout, dead pool, retryable
-        result, open circuit breaker) falls back to the local tiers; only a
-        content-determined refusal is surfaced as a rejection.
-        """
-        from repro.farm import protocol as fp
-        # breaker fast-skip: while the client's circuit is open, DBrew and
-        # the job's bytes would be thrown away — degrade to the in-process
-        # tiers before doing any of it
-        if not self.farm.available():
-            with self._lock:
-                self.stats.farm.fallbacks += 1
-            return None
-        if plan.inject is not None:
-            # instrumented modules bake this image's probe-buffer address
-            # into their IR: compiled in-process
-            return None
-        budget = self._job_budget().start()
-        pipeline = Pipeline(self.image, cache=self.cache, budget=budget)
-        source, shipped = handle.func, plan
-        if plan.rung == "dbrew+llvm":
-            source = pipeline.rewrite(
-                handle.func if handle.dbrew_func is None
-                else handle.dbrew_func, handle.signature, handle.fixes,
-                handle.mem_regions, out_name + ".dbrew")
-            shipped = replace(plan, rung="llvm")
-        cur = _TR.current() if _TR.enabled else None
-        cjob = fp.build_job(
-            self.image, source, handle.signature, handle.fixes, shipped,
-            job.target, out_name, budget=fp.freeze_budget(budget),
-            epoch=job.epoch, seq=job.seq, trace=_TR.enabled,
-            parent_span_id=cur.span_id if cur is not None else None)
-        if cjob is None:
-            with self._lock:
-                self.stats.farm.fallbacks += 1
-            return None
-        with self._lock:
-            self.stats.farm.jobs += 1
-        res = self.farm.compile(cjob, timeout=self.farm_timeout)
-        if res is None or (not res.ok and res.retryable):
-            with self._lock:
-                self.stats.farm.fallbacks += 1
-            return None
-        with self._lock:
-            if res.cache_stage == "farm":
-                self.stats.farm.cache_hits += 1
-            if res.coalesced:
-                self.stats.farm.coalesced += 1
-        if not res.ok:
-            return None, None, False, res.reject_reason or "farm rejection"
-        # the module-stage entry: codegen only, under the worker's proof of
-        # the same module, then admission as in-process
-        result = pipeline.install(plan, res.module, res.main_name, out_name,
-                                  res.machine_verdict)
-        gate = pipeline.admit(plan, result, handle.entry, handle.signature,
-                              handle.fixes, handle.probes)
-        return result.addr, plan.rung, tier_verified(
-            job.target, gate is not None and not gate.vacuous, False), None
 
     def _compile(self, handle: DispatchHandle, target: int, plan: Plan,
                  out_name: str,

@@ -8,7 +8,7 @@ Covers the three layers of the subsystem:
   an empty step chain left the destination register unwritten);
 * the install-boundary wiring — BinaryTransformer verdicts and
   quarantine, GuardedTransformer rejection accounting and the mandatory
-  gate downgrade on inconclusive proofs, farm protocol fields.
+  gate downgrade on inconclusive proofs.
 """
 
 from __future__ import annotations
@@ -349,21 +349,3 @@ def test_inconclusive_proof_forces_dynamic_gate(monkeypatch):
     res2 = guard2.transform("madd", _SIG)
     assert res2.result.machine_verdict == PROVED
     assert res2.gate is None  # proved: installed ungated
-
-
-# -- farm protocol -----------------------------------------------------------
-
-
-def test_farm_protocol_carries_verdict():
-    from repro.farm import protocol as fp
-
-    job = fp.CompileJob(
-        key="k", name="n", tier=1, func="f", signature=_SIG, fixes=None,
-        segments=(), functions=(), cursors=(0, 0, 0, 0),
-        plan=Plan("llvm", LiftOptions(), DEFAULT_O3))
-    assert job.plan.machine_verify is False
-    res = fp.CompileResult(key="k", name="n", tier=1)
-    assert res.machine_verdict is None
-    res2 = fp.CompileResult(key="k", name="n", tier=1,
-                            machine_verdict=PROVED)
-    assert res2.machine_verdict == PROVED

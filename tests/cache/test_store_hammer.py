@@ -1,16 +1,17 @@
-"""DiskStore under concurrent multi-process writers (the farm's substrate).
+"""DiskStore under concurrent multi-process writers.
 
 The store's publication discipline is temp-file + atomic rename, so a
-reader can never observe a half-written entry; ``advisory_lock`` adds
-mutual exclusion for critical sections that need more than atomicity.
+reader in any process sharing the directory can never observe a
+half-written entry.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import pickle
 
-from repro.cache.store import DiskStore, advisory_lock
+from repro.cache.store import DiskStore
 
 WRITERS = 8
 ROUNDS = 40
@@ -31,9 +32,11 @@ def _hammer_main(root: str, worker: int, rounds: int) -> None:
     os._exit(0)  # skip interpreter teardown races in the child
 
 
-def test_eight_process_hammer(mp_ctx, tmp_path):
+def test_eight_process_hammer(tmp_path):
+    ctx = mp.get_context(
+        "fork" if "fork" in mp.get_all_start_methods() else "spawn")
     root = str(tmp_path / "store")
-    procs = [mp_ctx.Process(target=_hammer_main, args=(root, w, ROUNDS))
+    procs = [ctx.Process(target=_hammer_main, args=(root, w, ROUNDS))
              for w in range(WRITERS)]
     for p in procs:
         p.start()
@@ -75,41 +78,3 @@ def test_stale_tmp_swept_on_open(tmp_path):
     DiskStore(root)
     assert not os.path.exists(stale)
     assert os.path.exists(fresh)  # a live writer's temp file survives
-
-
-def _lock_main(path: str, counter_file: str, rounds: int) -> None:
-    for _ in range(rounds):
-        with advisory_lock(path) as held:
-            assert held
-            with open(counter_file) as fh:
-                value = int(fh.read())
-            with open(counter_file, "w") as fh:
-                fh.write(str(value + 1))
-    os._exit(0)
-
-
-def test_advisory_lock_excludes_across_processes(mp_ctx, tmp_path):
-    """A read-modify-write under the lock never loses an increment."""
-    lock = str(tmp_path / "l.lock")
-    counter = str(tmp_path / "counter")
-    with open(counter, "w") as fh:
-        fh.write("0")
-    procs = [mp_ctx.Process(target=_lock_main, args=(lock, counter, 25))
-             for _ in range(4)]
-    for p in procs:
-        p.start()
-    for p in procs:
-        p.join(timeout=120)
-        assert p.exitcode == 0
-    with open(counter) as fh:
-        assert int(fh.read()) == 4 * 25
-
-
-def test_advisory_lock_nonblocking_reports_contention(tmp_path):
-    path = str(tmp_path / "l.lock")
-    with advisory_lock(path) as held:
-        assert held
-        with advisory_lock(path, blocking=False) as held2:
-            # same-process flock re-acquisition is a no-op on some
-            # platforms; the cross-process case is covered above
-            assert held2 in (True, False)

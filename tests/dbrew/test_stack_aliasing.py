@@ -5,7 +5,8 @@ the run-time stack only when emitted code may read it (a flush).  An access
 whose address is not known at rewrite time can still land on the stack:
 off the stack pointer with a run-time index, or through a register that
 holds a stack address the emitted code computed (``lea rcx, [rsp]``, then
-arithmetic DBrew does not follow).  Such a read must find every known slot
+arithmetic DBrew does not follow, or ``add rax, rsp``, which must read the
+guest's ``rsp``, not the run-time one below DBrew's frame).  Such a read must find every known slot
 in memory, and after such a write no slot may still be believed known.
 
 Every case runs the rewrite first, on a fresh image and ``Simulator``, so
@@ -40,6 +41,11 @@ CASES = {
         _PICK + "mov [rsp + rax*8], rdx\nmov rax, [rsp]\n" + _DONE,
     "write of part of a known slot":
         _PICK + "mov dword ptr [rsp], edi\nmov rax, [rsp]\n" + _DONE,
+    "read through a pointer added to rsp":
+        _PICK + "shl rax, 3\nadd rax, rsp\nmov rax, [rax]\n" + _DONE,
+    "write through a pointer added to rsp":
+        _PICK + "shl rax, 3\nadd rax, rsp\nmov [rax], rdx\nmov rax, [rsp]\n"
+        + _DONE,
 }
 FIXED = 0x5_0000_000B
 
@@ -86,3 +92,17 @@ def test_a_pointer_a_callee_hands_back_reads_what_dbrew_stored():
     addr = rw.rewrite(name="f.rw")
     assert rw.last_error is None
     assert Simulator(img).call(addr, (0,)).rax == 11
+
+
+def test_an_emitted_write_of_rsp_degrades_to_the_original():
+    """``add rsp, rdi`` with ``rdi`` unknown leaves DBrew no stack pointer
+    to track: the rewrite is refused and Sec. II's handler returns the
+    original entry."""
+    img = Image()
+    code, _ = assemble(parse_asm(
+        "mov rax, rsp\nadd rsp, rdi\nmov rsp, rax\nmov rax, 5\nret"),
+        base=img.next_code_addr())
+    img.add_function("f", code)
+    rw = Rewriter(img, "f").set_signature(("i",))
+    assert rw.rewrite(name="f.rw") == img.symbol("f")
+    assert "writes rsp" in str(rw.last_error)

@@ -2,52 +2,46 @@
 
 ``golden_installs.json`` was captured at the commit *before*
 ``repro.jit.plan`` — when ``BinaryTransformer``, ``GuardedTransformer``,
-``Instrumenter``, ``TieredEngine`` and ``FarmWorker`` each threaded the
-sequence by hand — by running this file as a script::
+``Instrumenter``, ``TieredEngine`` and a compile-farm worker each threaded
+the sequence by hand — by running this file as a script::
 
     PYTHONPATH=<parent>/src python tests/jit/test_golden_installs.py --capture
 
 It holds, for the 24 ``compile_cold`` cells and the 18 ``verified_install``
-cells of the ledger plus one instrumented install, tiered T1 / T1-edges /
-T2 handles and farm-worker T1/T2 jobs: every cache key a stage stored or
-looked up (lifted / module / machine / rewrite), the guard key, the farm
-job key, the rung that served, ``verified``, the machine verdict, the
-cache stage cold and warm, the sha-256 of the installed bytes, and the
-``guard.*`` / ``tier.*`` / ``cache.*`` counters.  The tests recompute the
-same dict through today's front doors and demand equality.
+cells of the ledger plus one instrumented install and tiered T1 / T1-edges
+/ T2 handles: every cache key a stage stored or looked up (lifted / module
+/ machine / rewrite), the guard key, the rung that served, ``verified``,
+the machine verdict, the cache stage cold and warm, the sha-256 of the
+installed bytes, and the ``guard.*`` / ``tier.*`` / ``cache.*`` counters.
+The tests recompute the same dict through today's front doors and demand
+equality.
 
-The option columns of the ``farm.*.jobs`` rows are read from the plan the
-job carries; ``lift`` is that plan's ``LiftOptions`` digest, edited into
-the fixture by hand when jobs stopped carrying a frozen lift tuple (which
-read ``null`` for the default options).  No other value moved.  The
-``guard.gate.reject`` key was later dropped from every ``counters`` cell:
-it counted the same event as ``guard.verification_rejections``, which
-stays; every other key and value was re-captured unchanged.  When the JIT
-lost its options, the key columns alone were re-captured: ``keys.machine``
-(now the module key), ``guard_key``, the farm job ``key`` and the jobs'
-``gate`` digest (``GateOptions`` lost a field); the jobs' ``jit`` column
-went with the option.  When a farm job began to carry the bytes it
-compiles, the guard key took in DBrew's entry (the ``guard_key`` column of
-every ``guard`` cell moved) and the farm rows were re-captured: the job
-``key`` recipe, ``rung`` in place of ``ladder`` and ``dbrew_func``, no
-``verified`` in a result, the worker's T2 job as ``llvm`` over DBrew's
-output with no ``rewrite`` key of its own, and the client's DBrew traffic
-in ``served_t2``/``shipped_t2``.  No installed byte moved.  When a code
-digest took in the address the code sits at (the same bytes elsewhere
-lift to other IR), the ``keys`` columns (lifted, module, machine,
-rewrite) and ``guard_key`` were re-captured; nothing else moved.  When the
-machine verifier learned that a block which emits no bytes falls into the
-block laid out after it, the ``machine_verdict`` of the ``flat`` and
-``sorted`` ``line.dbrew+llvm`` guard cells (cold, warm, uncached) moved
-from ``inconclusive`` to ``proved``; nothing else moved.  When DBrew
-began to count a fork only against the loop it sits in, to emit a known
-source register as an immediate and to pool each constant once per
-rewrite, the ``sha256`` of the ``dbrew`` and ``dbrew+llvm`` cells of
-``flat`` and ``sorted`` moved with the ``lifted``/``module``/``machine``
-keys of their ``dbrew+llvm`` cells (compile and guard), and so did the
-``sha256`` of the ``flat.line.llvm-fix`` cells: the same instructions,
-reading their constants at other rodata addresses, because fewer pool
-slots were allocated before them.  Nothing else moved.
+The ``guard.gate.reject`` key was dropped from every ``counters`` cell: it
+counted the same event as ``guard.verification_rejections``, which stays;
+every other key and value was re-captured unchanged.  When the JIT lost
+its options, the key columns alone were re-captured: ``keys.machine`` (now
+the module key) and ``guard_key``.  When the guard key took in DBrew's
+entry, the ``guard_key`` column of every ``guard`` cell moved.  No
+installed byte moved.  When a code digest took in the address the code
+sits at (the same bytes elsewhere lift to other IR), the ``keys`` columns
+(lifted, module, machine, rewrite) and ``guard_key`` were re-captured;
+nothing else moved.  When the machine verifier learned that a block which
+emits no bytes falls into the block laid out after it, the
+``machine_verdict`` of the ``flat`` and ``sorted`` ``line.dbrew+llvm``
+guard cells (cold, warm, uncached) moved from ``inconclusive`` to
+``proved``; nothing else moved.  When DBrew began to count a fork only
+against the loop it sits in, to emit a known source register as an
+immediate and to pool each constant once per rewrite, the ``sha256`` of
+the ``dbrew`` and ``dbrew+llvm`` cells of ``flat`` and ``sorted`` moved
+with the ``lifted``/``module``/``machine`` keys of their ``dbrew+llvm``
+cells (compile and guard), and so did the ``sha256`` of the
+``flat.line.llvm-fix`` cells: the same instructions, reading their
+constants at other rodata addresses, because fewer pool slots were
+allocated before them.  Nothing else moved.  When the compile farm was
+deleted, so were the fixture's ``farm`` section (worker jobs, the jobs the
+engine shipped, the client-side install) and the four ``tier.farm.*``
+counters, zero in every ``tiered`` cell; the fixture was edited, not
+re-captured, and no other value moved.
 
 Two entries differ from the parent on purpose (each has its own test):
 an edge-profile T1 compile now runs under its job budget
@@ -61,24 +55,16 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro import FunctionSignature, compile_c
 from repro.analysis import PassValidator
-from repro.analysis.checkers import DEFAULT_PREGATE
 from repro.bench import modes as M
 from repro.cache import SpecializationCache
-from repro.cache import keys as cache_keys
-from repro.farm import protocol as fp
-from repro.farm.worker import FarmWorker
 from repro.guard import GateOptions, GuardedTransformer
 from repro.instrument import Instrumenter, InstrumentOptions
-from repro.ir.passes import O3Options
-from repro.jit.plan import Pipeline, Plan
-from repro.lift import LiftOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.tier import T1, T2, TieredEngine, TierPolicy
@@ -95,7 +81,7 @@ SIG = FunctionSignature(("i", "i"), "i")
 def recording(cache: SpecializationCache) -> SpecializationCache:
     """Make ``cache.seen`` remember, in order and without repeats, every
     key a stage of the pipeline stores under or looks up.  Wraps the
-    instance, so it also fits the worker's own cache subclass."""
+    instance, not the class."""
     cache.seen = {}
 
     def wrap(method: str, stage: str, key_at: int) -> None:
@@ -252,8 +238,8 @@ def _drive(eng: TieredEngine, handle, tier: int) -> None:
     assert eng.drain(120.0)
 
 
-def _tier_row(image, eng: TieredEngine, handle, cache, farm=None) -> dict:
-    row = {
+def _tier_row(image, eng: TieredEngine, handle, cache) -> dict:
+    return {
         "codes": {str(t): [c.mode, c.verified, _sha(image, c.addr, c.name)]
                   for t, c in sorted(handle.codes.items()) if t},
         "pinned": [handle.governor.pinned_max, handle.governor.pin_reason],
@@ -262,17 +248,14 @@ def _tier_row(image, eng: TieredEngine, handle, cache, farm=None) -> dict:
         "negatives": _negatives(cache),
         "counters": _counters(eng.registry),
     }
-    if farm is not None:
-        row["jobs"] = farm.jobs
-    return row
 
 
-def _tiered(scenario: str, farm=None) -> dict:
+def _tiered(scenario: str) -> dict:
     prog = compile_c(LOOP_SRC)
     reg = MetricsRegistry()
     cache = recording(SpecializationCache(registry=reg))
     kw: dict = {"cache": cache, "registry": reg, "max_workers": 1,
-                "machine_verify": True, "farm": farm,
+                "machine_verify": True,
                 "policy": TierPolicy(promote_calls=(2, 10**9))}
     reg_kw: dict = {}
     tiers = [T1]
@@ -286,84 +269,11 @@ def _tiered(scenario: str, farm=None) -> dict:
         handle = eng.register("f", SIG, **reg_kw)
         for tier in tiers:
             _drive(eng, handle, tier)
-        return _tier_row(prog.image, eng, handle, cache, farm)
+        return _tier_row(prog.image, eng, handle, cache)
 
 
 def capture_tiered() -> dict:
     return {s: _tiered(s) for s in ("t1", "t1_edges", "t2")}
-
-
-# -- the farm half: worker jobs, the jobs the engine ships, client install -----------
-
-
-class InlineFarm:
-    """A farm client whose pool is one :class:`FarmWorker` run on the
-    calling thread: the wire records, the worker's pipeline and the
-    client-side install are all real, only the processes are missing."""
-
-    def __init__(self, disk_dir: str, *, serve: bool) -> None:
-        self.worker = FarmWorker(0, disk_dir)
-        self.serve = serve
-        self.jobs: list = []
-
-    def available(self) -> bool:
-        return True
-
-    def compile(self, job: fp.CompileJob, timeout=None):
-        res = self.worker.run_job(job) if self.serve else None
-        plan = job.plan
-        self.jobs.append({
-            "key": job.key, "tier": job.tier, "rung": plan.rung,
-            "lift": cache_keys.options_digest(plan.lift),
-            "o3": cache_keys.options_digest(plan.o3),
-            "gate": cache_keys.options_digest(plan.gate_options),
-            "machine_verify": plan.machine_verify,
-            "result": None if res is None else
-            [res.ok, res.mode, res.machine_verdict, res.cache_stage,
-             res.main_name]})
-        return res
-
-
-def _worker_jobs(disk_dir: str) -> dict:
-    prog = compile_c(LOOP_SRC)
-    worker = FarmWorker(0, disk_dir)
-    recording(worker.cache)
-    t1 = Plan("llvm", LiftOptions(), O3Options.lightweight(),
-              machine_verify=True, gate_options=GateOptions())
-    # the client runs DBrew and ships its output as the T2 lift source
-    dbrew = Pipeline(prog.image).rewrite("f", SIG, {1: 3}, (), "f.t2.dbrew")
-    out: dict = {}
-    for name, tier, func, fixes, plan in (
-            ("t1", T1, "f", None, t1),
-            ("t1_fixed", T1, "f", {1: 3}, replace(
-                t1, rung="llvm-fix", o3=t1.o3.replace(enable_inline=True))),
-            ("t2", T2, dbrew, None, replace(
-                t1, o3=O3Options(), pregate=DEFAULT_PREGATE,
-                gate="always"))):
-        job = fp.build_job(prog.image, func, SIG, fixes, plan, tier,
-                           f"f.{name}")
-        worker.cache.seen = {}
-        rows = []
-        for _ in range(2):  # compiled, then served from the shared store
-            res = worker.run_job(job)
-            rows.append([res.ok, res.retryable, res.mode,
-                         res.machine_verdict, res.cache_stage,
-                         res.main_name, res.reject_reason])
-        out[name] = {"key": job.key, "results": rows,
-                     "keys": worker.cache.seen}
-    return out
-
-
-def capture_farm(tmp: Path) -> dict:
-    out = {"worker": _worker_jobs(str(tmp / "jobs"))}
-    for scenario in ("t1", "t2"):
-        # the jobs the engine derives, with the farm declining them ...
-        out[f"shipped_{scenario}"] = _tiered(
-            scenario, InlineFarm(str(tmp / f"d{scenario}"), serve=False))
-        # ... and serving them: client-side install of the worker's module
-        out[f"served_{scenario}"] = _tiered(
-            scenario, InlineFarm(str(tmp / f"s{scenario}"), serve=True))
-    return out
 
 
 # -- tests ----------------------------------------------------------------------------
@@ -399,10 +309,6 @@ def test_tiered_installs_reproduce(golden):
     _assert_same(capture_tiered(), golden["tiered"])
 
 
-def test_farm_jobs_and_installs_reproduce(golden, tmp_path):
-    _assert_same(capture_farm(tmp_path), golden["farm"])
-
-
 def _dump(golden: dict) -> str:
     """JSON with one line per cell."""
     sections = []
@@ -415,14 +321,11 @@ def _dump(golden: dict) -> str:
 
 
 if __name__ == "__main__":
-    import tempfile
-
     if sys.argv[1:2] != ["--capture"]:
         sys.exit("usage: test_golden_installs.py --capture [OUT]")
     target = Path(sys.argv[2]) if len(sys.argv) > 2 else GOLDEN
-    with tempfile.TemporaryDirectory() as tmp:
-        target.write_text(_dump({
-            "compile": capture_compile(), "guard": capture_guard(),
-            "instrumented": capture_instrumented(),
-            "tiered": capture_tiered(), "farm": capture_farm(Path(tmp))}))
+    target.write_text(_dump({
+        "compile": capture_compile(), "guard": capture_guard(),
+        "instrumented": capture_instrumented(),
+        "tiered": capture_tiered()}))
     print(f"wrote {target}")

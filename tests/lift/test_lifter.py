@@ -266,23 +266,15 @@ def test_lifted_block_count_matches_cfg():
 
 
 def test_same_spec_builds_do_not_share_a_cfg_across_candidates():
-    """Two builds of one farm job's bytes start out equal; once they
-    install different candidates of equal length at the same address (a
-    worker running fix 5, then fix 9), lifting the candidate must decode
-    each build's own bytes."""
-    from repro.farm.protocol import build_job
-    from repro.ir.passes import O3Options
-    from repro.jit.plan import Plan
-
-    img = Image()
-    code, _ = assemble(parse_asm("mov rax, rdi\nret"),
-                       base=img.next_code_addr())
-    img.add_function("f", code)
-    job = build_job(img, "f", FunctionSignature(("i",), "i"), None,
-                    Plan("llvm", LiftOptions(), O3Options()), 1, "f.t1")
-
+    """Two images of one program start out equal; once they install
+    different candidates of equal length at the same address (fix 5 in
+    one, fix 9 in the other), lifting the candidate must decode each
+    image's own bytes."""
     def candidate(k: int):
-        build = job.build_image()
+        build = Image()
+        code, _ = assemble(parse_asm("mov rax, rdi\nret"),
+                           base=build.next_code_addr())
+        build.add_function("f", code)
         base = build.next_code_addr(jit=True)
         cand, _ = assemble(parse_asm(f"mov rax, rdi\nadd rax, {k}\nret"),
                            base=base)

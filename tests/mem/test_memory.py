@@ -325,9 +325,10 @@ def test_journaled_scalar_accesses_agree_and_roll_back(seed, ops):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_writes_its_own_copy_of_the_image():
-    """A farm worker forked after an ``Image`` exists must not write into
-    its parent's pages: big regions are ``MAP_PRIVATE`` (Python's default
-    for an mmap is ``MAP_SHARED``)."""
+    """A child forked after an ``Image`` exists — a worker of
+    ``diffcorpus.run_corpus(jobs > 1)`` — must not write into its parent's
+    pages: big regions are ``MAP_PRIVATE`` (Python's default for an mmap is
+    ``MAP_SHARED``)."""
     from repro.cpu.image import DATA_BASE, JIT_BASE, Image
     img = Image()
     img.memory.write(DATA_BASE, b"parent")

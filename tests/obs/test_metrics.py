@@ -160,12 +160,10 @@ def test_tier_stats_registry_is_authoritative():
     stats.refixes += 1
     stats.installs[2] += 1
     stats.compile_seconds[1] += 0.25
-    stats.farm.jobs += 1
     snap = r.snapshot()
     assert snap["tier.refixes"] == 1
     assert snap["tier.installs"][2] == 1
     assert snap["tier.compile_seconds"][1] == 0.25
-    assert snap["tier.farm.jobs"] == 1
     assert dataclasses.asdict(stats)["installs"] == {1: 0, 2: 1}
     r.reset()
     assert stats.refixes == 0 and stats.installs[2] == 0
@@ -210,8 +208,7 @@ _FRESH = {
     TierStats: {
         "p.cache_served": {}, "p.coalesced": 0,
         "p.compile_seconds": {1: 0.0, 2: 0.0}, "p.demotions": 0,
-        "p.farm.cache_hits": 0, "p.farm.coalesced": 0, "p.farm.fallbacks": 0,
-        "p.farm.jobs": 0, "p.installs": {1: 0, 2: 0},
+        "p.installs": {1: 0, 2: 0},
         "p.pipeline_results": 0, "p.refixes": 0, "p.registered": 0,
         "p.rejections": {1: 0, 2: 0}, "p.stale_discards": 0,
         "p.submitted": {1: 0, 2: 0}},

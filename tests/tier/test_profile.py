@@ -5,8 +5,7 @@ heat read from an instrumented T1's probe buffer.  The contract under test:
 
 * a loopy kernel promotes on *iterations*, never later than call counting
   would promote it (the profile only accelerates, it cannot starve);
-* hysteresis still prevents flapping with a profile attached;
-* instrumented farm-job keys are digest-distinct from plain ones.
+* hysteresis still prevents flapping with a profile attached.
 """
 
 from __future__ import annotations
@@ -135,37 +134,6 @@ def test_demotion_hysteresis_no_flap_with_hot_profile():
     assert gov.next_target(11, T0) != T1
     buf.heat = gov.thresholds[T1]
     assert gov.next_target(11, T0) == T1
-
-
-# -- instrumented compiles stay in-process ------------------------------------
-
-
-def test_edges_profile_compiles_instrumented_t1_in_process():
-    """An instrumented T1 bakes this image's probe-buffer address into its
-    IR: an engine with a farm compiles it in-process and ships nothing."""
-
-    class RecordingFarm:
-        def __init__(self) -> None:
-            self.jobs: list = []
-
-        def available(self) -> bool:
-            return True
-
-        def compile(self, job, timeout=None):
-            self.jobs.append(job)
-            return None
-
-    prog = compile_c("long f(long a, long b) { return a * b; }")
-    farm = RecordingFarm()
-    with TieredEngine(prog.image, farm=farm, profile="edges", max_workers=1,
-                      policy=TierPolicy(promote_calls=(2, 10**9))) as eng:
-        h = eng.register("f", FunctionSignature(("i", "i"), "i"))
-        while h.calls < h.governor.thresholds[T1]:
-            h.address()
-        assert eng.drain(60.0)
-    assert h.codes[T1].mode == "llvm+instr"
-    assert farm.jobs == [] and eng.stats.farm.jobs == 0
-    assert Simulator(prog.image).call_int(h.address(), (6, 7)) == 42
 
 
 # -- engine level: profile="edges" -------------------------------------------
