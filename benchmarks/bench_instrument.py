@@ -31,7 +31,7 @@ import time
 from repro import FunctionSignature
 from repro.cpu.simulator import RunStats
 from repro.guard.verify import GateOptions
-from repro.instrument import InstrumentOptions, Instrumenter
+from repro.instrument import Instrumenter
 from repro.jit import BinaryTransformer
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.tier import T1, T2, TieredEngine, TierPolicy
@@ -99,9 +99,8 @@ def bench_probe_costs(calls: int = 5, polls: int = 1_000) -> dict:
 
 def _calls_to_t2(profile: str) -> tuple[int, str]:
     ws, args = _workspace()
-    with TieredEngine(ws.image, profile=profile,
-                      policy=TierPolicy(promote_calls=(2, T2_HEAT_BUDGET)),
-                      instrument_options=InstrumentOptions()) as eng:
+    policy = TierPolicy(promote_calls=(2, T2_HEAT_BUDGET))
+    with TieredEngine(ws.image, profile=profile, policy=policy) as eng:
         h = eng.register("line_flat", SIG, probes=(args,))
         calls = 0
         deadline = time.monotonic() + 180.0

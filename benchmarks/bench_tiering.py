@@ -13,7 +13,8 @@ Four claims of the tiered engine, each measured and asserted:
    same pipeline from the same fixation key).
 4. **Time-to-T2** — for a hot function the governor promotes straight to
    the top tier, and delivering it in the background must take at most
-   1.5x a *synchronous* guarded dbrew+llvm compile: the queueing, budget
+   1.5x a *synchronous* guarded dbrew+llvm compile (the median of the
+   per-pair ratios over interleaved pairs): the queueing, budget
    checkpoints and waiter wakeups are cheap.  The gradual T0 > T1 > T2
    path costs more in total compile work (both rungs run) and is
    reported alongside.
@@ -28,6 +29,7 @@ Standalone (CI smoke): ``python bench_tiering.py --quick --json BENCH_tiering.js
 import argparse
 import gc
 import json
+import statistics
 import time
 from dataclasses import asdict
 
@@ -42,6 +44,7 @@ MAX_DISPATCH_P50_NS = 1_000  # satellite: dispatch overhead < 1 µs
 MAX_FIRST_CALL_RATIO = 1.10  # first tiered call vs direct T0
 MAX_STEADY_DELTA = 0.02      # steady-state T2 vs eager dbrew+llvm
 MAX_TIME_TO_T2_RATIO = 1.5   # background vs synchronous compile
+TIME_TO_T2_PAIRS = 20        # interleaved sync/background pairs
 
 
 # -- 1. dispatch latency ----------------------------------------------------
@@ -130,37 +133,57 @@ def bench_stencil_tiering(sz: int = 9) -> dict:
     # hot the governor promotes straight to the top tier (T1's threshold is
     # out of reach here), isolating the background machinery's overhead —
     # queueing, budget checkpoints, waiter wakeups — from the detour.
-    # Each ~100 ms compile arm is noisy (gen-2 GC pauses land inside it),
-    # so the arms are interleaved and the best of three is compared.
-    sync_times, bg_times = [], []
-    for rep in range(3):
-        gc.collect()
-        wss = StencilWorkspace(JacobiSetup(sz=sz, sweeps=1))
-        guard = GuardedTransformer(wss.image, cache=SpecializationCache())
-        t0 = time.perf_counter()
-        prepare_kernel(wss, "flat", "dbrew+llvm", line=False,
-                       uid=f".sync{rep}", guard=guard)
-        sync_times.append(time.perf_counter() - t0)
-
-        gc.collect()
-        ws3 = StencilWorkspace(JacobiSetup(sz=sz, sweeps=1))
-        with TieredEngine(ws3.image,
-                          policy=TierPolicy(promote_calls=(10**9, 1))) as eng:
-            h = register_tiered(ws3, "flat", eng, line=False, uid=f".hot{rep}")
-            t0 = time.perf_counter()
-            deadline = t0 + 120.0
-            h.address()  # already hot: the first dispatch submits the T2 job
-            while not h.wait_for_tier(T2, timeout=0.01):
-                h.address()
-                assert time.perf_counter() < deadline, h.snapshot()
-            bg_times.append(time.perf_counter() - t0)
-            assert h.code.mode == "dbrew+llvm" and h.code.verified
-            assert T1 not in h.codes  # promoted straight past the detour
-    out["sync_t2_seconds"] = min(sync_times)
-    out["time_to_t2_seconds"] = min(bg_times)
-    out["time_to_t2_ratio"] = (out["time_to_t2_seconds"]
-                               / out["sync_t2_seconds"])
+    # Each compile arm is noisy (gen-2 GC pauses and the host's other load
+    # land inside it; one pair's ratio can read 3x), so the arms run in
+    # interleaved pairs, alternating which goes first, and the median of
+    # the per-pair ratios is held to the bound.
+    sync_times, bg_times, ratios = [], [], []
+    for rep in range(TIME_TO_T2_PAIRS):
+        if rep % 2 == 0:
+            sync = _sync_t2_seconds(sz, rep)
+            bg = _bg_t2_seconds(sz, rep)
+        else:
+            bg = _bg_t2_seconds(sz, rep)
+            sync = _sync_t2_seconds(sz, rep)
+        sync_times.append(sync)
+        bg_times.append(bg)
+        ratios.append(bg / sync)
+    out["sync_t2_seconds"] = statistics.median(sync_times)
+    out["time_to_t2_seconds"] = statistics.median(bg_times)
+    out["time_to_t2_pair_ratios"] = ratios
+    out["time_to_t2_ratio"] = statistics.median(ratios)
+    out["time_to_t2_min_ratio"] = min(bg_times) / min(sync_times)
     return out
+
+
+def _sync_t2_seconds(sz: int, rep: int) -> float:
+    """One synchronous guarded dbrew+llvm compile on a fresh workspace."""
+    gc.collect()
+    ws = StencilWorkspace(JacobiSetup(sz=sz, sweeps=1))
+    guard = GuardedTransformer(ws.image, cache=SpecializationCache())
+    t0 = time.perf_counter()
+    prepare_kernel(ws, "flat", "dbrew+llvm", line=False, uid=f".sync{rep}",
+                   guard=guard)
+    return time.perf_counter() - t0
+
+
+def _bg_t2_seconds(sz: int, rep: int) -> float:
+    """First dispatch of an already-hot handle until its T2 code lands."""
+    gc.collect()
+    ws = StencilWorkspace(JacobiSetup(sz=sz, sweeps=1))
+    with TieredEngine(ws.image,
+                      policy=TierPolicy(promote_calls=(10**9, 1))) as eng:
+        h = register_tiered(ws, "flat", eng, line=False, uid=f".hot{rep}")
+        t0 = time.perf_counter()
+        deadline = t0 + 120.0
+        h.address()  # already hot: the first dispatch submits the T2 job
+        while not h.wait_for_tier(T2, timeout=0.01):
+            h.address()
+            assert time.perf_counter() < deadline, h.snapshot()
+        dt = time.perf_counter() - t0
+        assert h.code.mode == "dbrew+llvm" and h.code.verified
+        assert T1 not in h.codes  # promoted straight past the detour
+    return dt
 
 
 # -- 5. compile-queue scaling ----------------------------------------------
@@ -249,8 +272,10 @@ def _report_lines(r: dict) -> list[str]:
         f"steady T2    {s['steady_cycles_per_cell']:8.2f} cyc/cell   "
         f"delta {s['steady_delta']:.2%} vs eager dbrew+llvm",
         f"time-to-T2   {s['time_to_t2_seconds'] * 1e3:8.1f} ms bg   "
-        f"{s['sync_t2_seconds'] * 1e3:8.1f} ms sync   "
-        f"ratio {s['time_to_t2_ratio']:.2f}x   "
+        f"{s['sync_t2_seconds'] * 1e3:8.1f} ms sync (medians)   "
+        f"ratio {s['time_to_t2_ratio']:.2f}x median of "
+        f"{len(s['time_to_t2_pair_ratios'])} pairs, "
+        f"{s['time_to_t2_min_ratio']:.2f}x min/min   "
         f"(T0>T1>T2 detour total {s['time_to_t2_with_detour_seconds'] * 1e3:.0f} ms)",
         f"queue        {q['functions']} funcs: "
         f"{q['cold_throughput_per_s']:6.1f} compiles/s cold, "

@@ -1,4 +1,4 @@
-"""Specialization code cache: content-addressed, two-level, per-stage.
+"""Specialization code cache: content-addressed, in-memory, per-stage.
 
 See :mod:`repro.cache.cache` for the stage model and
 :mod:`repro.cache.keys` for what goes into a key.
@@ -7,9 +7,9 @@ See :mod:`repro.cache.cache` for the stage model and
 from repro.cache.cache import CacheStats, MachineEntry, SpecializationCache
 from repro.cache.flight import FlightTable
 from repro.cache.negative import NegativeCache, NegativeEntry
-from repro.cache.store import DiskStore, LRUStore
+from repro.cache.store import LRUStore
 
 __all__ = [
-    "CacheStats", "DiskStore", "FlightTable", "LRUStore", "MachineEntry",
+    "CacheStats", "FlightTable", "LRUStore", "MachineEntry",
     "NegativeCache", "NegativeEntry", "SpecializationCache",
 ]

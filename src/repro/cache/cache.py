@@ -1,4 +1,4 @@
-"""The specialization code cache (two-level, per-stage memoization).
+"""The specialization code cache (in-memory, per-stage memoization).
 
 Runtime rewriting pays its compile latency on the request path (the paper's
 Fig. 10 measures decode -> lift -> -O3 -> codegen stage by stage), yet a
@@ -29,10 +29,6 @@ a hit can land at any stage boundary:
     DBrew whole-rewrite memoization (per image): same entry code at the
     same address + same ``set_par``/``set_mem`` configuration -> the
     previously emitted code.
-
-IR-stage entries (``lifted``/``module``) are position-independent pickles:
-with a ``disk_dir`` they survive process restarts and are promoted back
-into the in-memory LRU on first use.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from dataclasses import dataclass, field
 from repro.cache import keys as K
 from repro.cache.flight import FlightTable
 from repro.cache.negative import NegativeCache, NegativeEntry
-from repro.cache.store import DiskStore, LRUStore
+from repro.cache.store import LRUStore
 from repro.cpu.image import Image
 from repro.ir.module import Function, Module
 from repro.obs.metrics import MetricsRegistry
@@ -80,7 +76,6 @@ class CacheStats:
 
     stage_hits: dict[str, int] = field(default_factory=_per_stage)
     stage_misses: dict[str, int] = field(default_factory=_per_stage)
-    disk_hits: int = 0
     stores: int = 0
     invalidations: int = 0
     #: whole-transform outcomes: a transform is a hit if *any* stage hit
@@ -150,8 +145,7 @@ class SpecializationCache:
     """Content-addressed cache for compiled specializations.
 
     ``capacity`` bounds each in-memory IR stage store (entries, LRU);
-    ``machine_capacity`` bounds the per-image installed-code stores;
-    ``disk_dir`` enables the on-disk second level for IR stages.
+    ``machine_capacity`` bounds the per-image installed-code stores.
 
     Thread-safe: the stage stores and the quarantine lock internally (see
     :mod:`repro.cache.store` / :mod:`repro.cache.negative`), image binding
@@ -161,7 +155,6 @@ class SpecializationCache:
     """
 
     def __init__(self, *, capacity: int = 256, machine_capacity: int = 1024,
-                 disk_dir: str | None = None,
                  negative: NegativeCache | None = None,
                  registry: MetricsRegistry | None = None) -> None:
         #: the metrics registry backing all of this cache's accounting —
@@ -172,7 +165,6 @@ class SpecializationCache:
         self._lifted = LRUStore(capacity)
         self._modules = LRUStore(capacity)
         self._machine_capacity = machine_capacity
-        self._disk = DiskStore(disk_dir) if disk_dir else None
         self._images: "weakref.WeakKeyDictionary[Image, _ImageState]" = \
             weakref.WeakKeyDictionary()
         self._attach_lock = threading.Lock()
@@ -253,30 +245,23 @@ class SpecializationCache:
         return self._get_ir(self._modules, "module", mkey)
 
     def put_module(self, mkey: str, module: Module, func_name: str) -> None:
-        self._put_ir(self._modules, "module", mkey, module, func_name)
+        self._put_ir(self._modules, mkey, module, func_name)
 
     def evict_module(self, mkey: str) -> None:
-        """Drop one post-O3 module, from memory and disk: the module of a
-        rejected candidate must not be re-emitted by the next compile."""
+        """Drop one post-O3 module: the module of a rejected candidate must
+        not be re-emitted by the next compile."""
         self._modules.discard(mkey)
-        if self._disk is not None:
-            self._disk.discard(f"module-{mkey}")
         self.stats.invalidations += 1
 
     def get_lifted(self, lkey: str) -> tuple[Module, str] | None:
         return self._get_ir(self._lifted, "lifted", lkey)
 
     def put_lifted(self, lkey: str, module: Module, func_name: str) -> None:
-        self._put_ir(self._lifted, "lifted", lkey, module, func_name)
+        self._put_ir(self._lifted, lkey, module, func_name)
 
     def _get_ir(self, store: LRUStore, stage: str,
                 key: str) -> tuple[Module, str] | None:
         entry = store.get(key)
-        if entry is None and self._disk is not None:
-            entry = self._disk.get(f"{stage}-{key}")
-            if entry is not None:
-                self.stats.disk_hits += 1
-                store.put(key, entry)
         self._count(stage, entry is not None)
         if entry is None:
             return None
@@ -285,13 +270,10 @@ class SpecializationCache:
         # private copy, keep the cached one pristine
         return copy.deepcopy(module), func_name
 
-    def _put_ir(self, store: LRUStore, stage: str, key: str,
-                module: Module, func_name: str) -> None:
+    def _put_ir(self, store: LRUStore, key: str, module: Module,
+                func_name: str) -> None:
         # stored pristine and only ever copied again: no use lists to keep
-        entry = (module.detached_copy(), func_name)
-        store.put(key, entry)
-        if self._disk is not None:
-            self._disk.put(f"{stage}-{key}", entry)
+        store.put(key, (module.detached_copy(), func_name))
         self.stats.stores += 1
 
     # -- DBrew rewrites ---------------------------------------------------------

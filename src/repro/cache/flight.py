@@ -46,8 +46,7 @@ class FlightTable:
     """
 
     def __init__(self, *, led: Counter | None = None,
-                 coalesced: Counter | None = None,
-                 timeouts: Counter | None = None) -> None:
+                 coalesced: Counter | None = None) -> None:
         self._lock = threading.Lock()
         self._flights: dict[Hashable, _Flight] = {}
         # counters may be injected by a metrics registry owner (the
@@ -56,8 +55,6 @@ class FlightTable:
         self._led = led if led is not None else Counter("flight.led")
         self._coalesced = coalesced if coalesced is not None \
             else Counter("flight.coalesced")
-        self._timeouts = timeouts if timeouts is not None \
-            else Counter("flight.timeouts")
 
     @property
     def led(self) -> int:
@@ -72,14 +69,9 @@ class FlightTable:
         with self._lock:
             return len(self._flights)
 
-    def run(self, key: Hashable, thunk: Callable[[], Any],
-            timeout: float | None = None) -> tuple[Any, bool]:
-        """Execute ``thunk`` once per concurrent ``key``; join otherwise.
-
-        ``timeout`` bounds a *follower's* wait (the leader is never
-        interrupted); on timeout the follower falls back to running the
-        thunk itself rather than hanging a caller on a stuck leader.
-        """
+    def run(self, key: Hashable,
+            thunk: Callable[[], Any]) -> tuple[Any, bool]:
+        """Execute ``thunk`` once per concurrent ``key``; join otherwise."""
         with self._lock:
             flight = self._flights.get(key)
             if flight is None:
@@ -102,10 +94,7 @@ class FlightTable:
                     self._led.value += 1
                 flight.done.set()
             return flight.result, True
-        if not flight.done.wait(timeout):
-            # stuck leader: don't hang the caller, compile independently
-            self._timeouts.value += 1
-            return thunk(), True
+        flight.done.wait()
         if flight.error is not None:
             raise flight.error
         return flight.result, False

@@ -17,8 +17,8 @@ class Type:
         raise NotImplementedError
 
     # types are immutable and compared with ``is``: any copy (deepcopy of a
-    # cached IR module, pickle round-trip through the on-disk code cache)
-    # must come back as the *same* interned object
+    # cached IR module, pickle round-trip) must come back as the *same*
+    # interned object
     def __copy__(self) -> "Type":
         return self
 

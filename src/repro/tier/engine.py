@@ -115,12 +115,10 @@ class TieredEngine:
                  policy: TierPolicy | None = None,
                  max_workers: int = 2,
                  clock: Callable[[], float] = time.monotonic,
-                 gate_options: GateOptions = GateOptions(),
                  budget_factory: Callable[[], Budget] | None = None,
                  machine_verify: bool = False,
                  registry: MetricsRegistry | None = None,
-                 profile: str = "calls",
-                 instrument_options: "Any | None" = None) -> None:
+                 profile: str = "calls") -> None:
         if profile not in ("calls", "edges"):
             raise ValueError(f"unknown profile source {profile!r}")
         self.image = image
@@ -132,7 +130,6 @@ class TieredEngine:
             else SpecializationCache(registry=self.registry)
         self.policy = policy if policy is not None else TierPolicy()
         self.clock = clock
-        self.gate_options = gate_options
         #: per-job budget source; the engine chains its throttle gate onto
         #: whatever yield hook the factory's budgets already carry
         self.budget_factory = budget_factory
@@ -146,7 +143,6 @@ class TieredEngine:
         #: (``repro.instrument``) and each handle's governor promotes on
         #: basic-block heat read from the live probe buffer
         self.profile = profile
-        self.instrument_options = instrument_options
         self.stats = self.registry.record("tier", TierStats)
         self._queue_depth = self.registry.gauge("tier.queue_depth")
         self._dispatch_seconds = self.registry.histogram(
@@ -409,7 +405,7 @@ class TieredEngine:
         silently install a rung the cheaper tiers already cover.
         """
         rung, o3, inject = "llvm", O3Options.lightweight(), None
-        pregate, gate, gate_options = (), "if-inconclusive", self.gate_options
+        pregate, gate, gate_options = (), "if-inconclusive", GateOptions()
         if target != T1:
             if handle.fixes or handle.mem_regions:
                 rung = "dbrew+llvm"
@@ -421,7 +417,7 @@ class TieredEngine:
             # call or codegen has no symbol to resolve it against
             rung, o3 = "llvm-fix", o3.replace(enable_inline=True)
         elif self.profile == "edges":
-            inject = self.instrument_options or InstrumentOptions()
+            inject = InstrumentOptions()
             gate = "always"
             if not handle.probes:
                 gate_options = replace(gate_options, min_conclusive=0)

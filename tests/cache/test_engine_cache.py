@@ -138,24 +138,6 @@ def test_capacity_bounds_and_evictions():
     assert tx.llvm_identity("f0", SIG, name="f0.tx2").cache_stage is None
 
 
-def test_disk_store_persists_ir_stages(tmp_path):
-    img1 = compile_c(SRC).image
-    c1 = SpecializationCache(disk_dir=str(tmp_path))
-    BinaryTransformer(img1, cache=c1).llvm_identity("f", SIG, name="f.first")
-
-    # a fresh process (new cache, even a freshly loaded image): machine
-    # entries are gone, but the position-independent module pickle is found
-    # on disk and only codegen runs
-    img2 = compile_c(SRC).image
-    c2 = SpecializationCache(disk_dir=str(tmp_path))
-    res = BinaryTransformer(img2, cache=c2).llvm_identity(
-        "f", SIG, name="f.second")
-    assert res.cache_stage == "module"
-    assert c2.stats.disk_hits >= 1
-    sim = Simulator(img2)
-    assert sim.call_int("f.second", (6, 9)) == 61
-
-
 def test_cache_disabled_is_fully_transparent():
     img = compile_c(SRC).image
     tx = BinaryTransformer(img)  # no cache

@@ -1,8 +1,6 @@
-"""Unit tests for the two cache storage levels."""
+"""Unit tests for the cache's in-memory LRU store."""
 
-import pickle
-
-from repro.cache import DiskStore, LRUStore
+from repro.cache import LRUStore
 
 
 def test_lru_basic_roundtrip():
@@ -56,30 +54,3 @@ def test_lru_discard_and_clear():
     s.clear()
     assert len(s) == 0
 
-
-def test_disk_store_roundtrip(tmp_path):
-    d = DiskStore(str(tmp_path))
-    assert d.get("k") is None
-    assert d.put("k", ("value", 42))
-    assert d.get("k") == ("value", 42)
-
-
-def test_disk_store_survives_reopen(tmp_path):
-    DiskStore(str(tmp_path)).put("k", [1, 2, 3])
-    assert DiskStore(str(tmp_path)).get("k") == [1, 2, 3]
-
-
-def test_disk_store_corrupt_entry_is_a_miss(tmp_path):
-    d = DiskStore(str(tmp_path))
-    d.put("k", "good")
-    path = next(tmp_path.iterdir())
-    path.write_bytes(b"not a pickle")
-    assert d.get("k") is None
-
-
-def test_disk_store_truncated_pickle_is_a_miss(tmp_path):
-    d = DiskStore(str(tmp_path))
-    d.put("k", list(range(100)))
-    path = next(tmp_path.iterdir())
-    path.write_bytes(pickle.dumps(list(range(100)))[:10])
-    assert d.get("k") is None

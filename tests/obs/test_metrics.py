@@ -128,15 +128,15 @@ def test_snapshot_includes_views_reset_spares_them():
 def test_cache_stats_registry_is_authoritative():
     r = MetricsRegistry()
     stats = r.record("cache", CacheStats)
-    stats.disk_hits += 2
+    stats.invalidations += 2
     stats.stage_hits["machine"] += 1
     stats.negative.hits += 1
     snap = r.snapshot()
-    assert snap["cache.disk_hits"] == 2
+    assert snap["cache.invalidations"] == 2
     assert snap["cache.stage_hits"]["machine"] == 1
     assert snap["cache.negative.hits"] == 1
     r.reset()
-    assert stats.disk_hits == 0 and stats.stage_hits["machine"] == 0
+    assert stats.invalidations == 0 and stats.stage_hits["machine"] == 0
     assert stats.negative.hits == 0
 
 
@@ -195,7 +195,7 @@ _PER_RUNG = {"dbrew+llvm": 0, "llvm": 0, "llvm-fix": 0, "original": 0}
 #: records; the instrumenter's two refusal counters are now ``rejected``
 _FRESH = {
     CacheStats: {
-        "p.disk_hits": 0, "p.invalidations": 0, "p.negative.hits": 0,
+        "p.invalidations": 0, "p.negative.hits": 0,
         "p.negative.misses": 0, "p.negative.stores": 0,
         "p.stage_hits": _PER_STAGE, "p.stage_misses": _PER_STAGE,
         "p.stores": 0, "p.transform_hits": 0, "p.transforms": 0},

@@ -110,26 +110,6 @@ def test_flight_leader_error_propagates_to_followers():
     assert all("compile exploded" in o[1] for o in outcomes)
 
 
-def test_flight_timeout_falls_back_to_private_run():
-    table = FlightTable()
-    release = threading.Event()
-    started = threading.Event()
-
-    def slow():
-        started.set()
-        release.wait(5.0)
-        return "leader-result"
-
-    t = threading.Thread(target=lambda: table.run("k", slow))
-    t.start()
-    started.wait(5.0)
-    # the follower gives up waiting and runs its own thunk
-    value, led = table.run("k", lambda: "private-result", timeout=0.05)
-    assert (value, led) == ("private-result", True)
-    release.set()
-    t.join()
-
-
 def test_flight_sequential_runs_both_lead():
     table = FlightTable()
     assert table.run("k", lambda: 1) == (1, True)

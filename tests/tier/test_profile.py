@@ -11,7 +11,6 @@ heat read from an instrumented T1's probe buffer.  The contract under test:
 from __future__ import annotations
 
 from repro import FunctionSignature, Simulator, compile_c
-from repro.instrument import InstrumentOptions
 from repro.tier import (
     T0, T1, T2, EdgeProfile, TieredEngine, TierGovernor, TierPolicy,
 )
@@ -150,8 +149,7 @@ def test_tiered_engine_edges_profile_end_to_end():
     # T2 at 2000 heat: 40 iterations/call reach it in ~50 calls of edge
     # heat where raw call counting would need 2000 calls
     with TieredEngine(prog.image, profile="edges",
-                      policy=TierPolicy(promote_calls=(4, 2000)),
-                      instrument_options=InstrumentOptions()) as eng:
+                      policy=TierPolicy(promote_calls=(4, 2000))) as eng:
         h = eng.register("f", FunctionSignature(("i", "i"), "i"))
         deadline = time.monotonic() + 120.0
         calls = 0
