@@ -1,24 +1,19 @@
 """Instrumentation-as-a-workload benchmarks: overhead, drain, admission.
 
-Four claims of the ``repro.instrument`` subsystem, each measured and
+Three claims of the ``repro.instrument`` subsystem, each measured and
 asserted on the Jacobi line kernel (the paper's hot stencil code):
 
 1. **Steady-state overhead** — the default probe load (call + edge
-   counters) must cost at most 2x the plain T1 kernel in simulated
+   counters) must cost at most 2x the plain lifted kernel in simulated
    cycles.  Probes are straight-line load/add/store chains, so the
    overhead is a constant per block, not per-workload chaos.
 2. **Counter drain** — reading every per-block counter *and* draining the
-   event ring must stay under 1 ms; the governor polls block heat on the
-   dispatch slow path, so this is dispatch-adjacent cost.
+   event ring must stay under 1 ms: a caller that polls block heat to
+   decide when a rewrite pays off pays this per poll.
 3. **Admission cost** — one fully-verified instrumented install (lift,
    O3, inject, probe-ops pregate, codegen, machine proof, effects-
    whitelist gate) must finish within the install budget, and the
    gate/verify share is reported per stage.
-4. **Edge-profile time-to-T2** (the acceptance bar) — with a T2 threshold
-   of 400 heat, the edge-profile governor must promote the loopy Jacobi
-   kernel to T2 in *no more* dispatch calls than the call-count baseline:
-   one call contributes ~35 inner-loop heat, so edges promote in tens of
-   calls where call counting needs the full 400-call budget.
 
 Standalone (CI smoke): ``python bench_instrument.py --quick --json
 BENCH_instrument.json``.
@@ -34,12 +29,10 @@ from repro.guard.verify import GateOptions
 from repro.instrument import Instrumenter
 from repro.jit import BinaryTransformer
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
-from repro.tier import T1, T2, TieredEngine, TierPolicy
 
-MAX_STEADY_OVERHEAD = 2.0    # instrumented vs plain T1, simulated cycles
+MAX_STEADY_OVERHEAD = 2.0    # instrumented vs plain, simulated cycles
 MAX_DRAIN_US = 1_000.0       # counters + event-ring drain, per poll
 MAX_INSTALL_SECONDS = 2.0    # full verified instrumented install
-T2_HEAT_BUDGET = 400         # promotion threshold for the tiering race
 
 SIG = FunctionSignature(("i",) * 6, None)
 
@@ -51,7 +44,7 @@ def _workspace() -> tuple[StencilWorkspace, tuple]:
     return ws, args
 
 
-# -- 1+2+3. overhead / drain / admission ------------------------------------
+# -- overhead / drain / admission ------------------------------------------
 
 
 def bench_probe_costs(calls: int = 5, polls: int = 1_000) -> dict:
@@ -94,64 +87,27 @@ def bench_probe_costs(calls: int = 5, polls: int = 1_000) -> dict:
     return out
 
 
-# -- 4. edge profile vs call counting: the tiering race ----------------------
-
-
-def _calls_to_t2(profile: str) -> tuple[int, str]:
-    ws, args = _workspace()
-    policy = TierPolicy(promote_calls=(2, T2_HEAT_BUDGET))
-    with TieredEngine(ws.image, profile=profile, policy=policy) as eng:
-        h = eng.register("line_flat", SIG, probes=(args,))
-        calls = 0
-        deadline = time.monotonic() + 180.0
-        while h.tier < T2:
-            addr = h.address()
-            ws.sim.call(addr, args)
-            calls += 1
-            assert time.monotonic() < deadline, h.snapshot()
-            time.sleep(0.002)
-        t1_mode = h.codes[T1].mode if T1 in h.codes else "-"
-        eng.drain(60.0)
-    return calls, t1_mode
-
-
-def bench_time_to_t2() -> dict:
-    call_budget, _ = _calls_to_t2("calls")
-    edge_calls, t1_mode = _calls_to_t2("edges")
-    return {
-        "t2_heat_budget": T2_HEAT_BUDGET,
-        "callcount_calls_to_t2": call_budget,
-        "edge_calls_to_t2": edge_calls,
-        "edge_t1_mode": t1_mode,
-        "speedup_calls": call_budget / edge_calls,
-    }
-
-
 # -- harness ----------------------------------------------------------------
 
 
 def run_all(*, quick: bool = False) -> dict:
     report = {
         "probes": bench_probe_costs(polls=200 if quick else 1_000),
-        "tiering": bench_time_to_t2(),
         "quick": quick,
     }
-    p, t = report["probes"], report["tiering"]
+    p = report["probes"]
     report["pass"] = {
         "steady_overhead_under_2x":
             p["steady_overhead"] <= MAX_STEADY_OVERHEAD,
         "drain_under_1ms": p["drain_us"] <= MAX_DRAIN_US,
         "install_within_budget":
             p["install_seconds"] <= MAX_INSTALL_SECONDS,
-        "edge_t1_instrumented": t["edge_t1_mode"] == "llvm+instr",
-        "edge_promotes_no_later":
-            t["edge_calls_to_t2"] <= t["callcount_calls_to_t2"],
     }
     return report
 
 
 def _report_lines(r: dict) -> list[str]:
-    p, t = r["probes"], r["tiering"]
+    p = r["probes"]
     return [
         f"steady state {p['instr_cycles']:8.1f} cyc instrumented vs "
         f"{p['plain_cycles']:8.1f} plain   {p['steady_overhead']:.2f}x "
@@ -160,10 +116,6 @@ def _report_lines(r: dict) -> list[str]:
         f"install      {p['install_seconds'] * 1e3:8.1f} ms total   "
         f"gate+verify share {p['gate_verify_share']:.0%}   "
         f"stages {p['install_stage_seconds']}",
-        f"time-to-T2   {t['edge_calls_to_t2']:5d} calls (edge profile) vs "
-        f"{t['callcount_calls_to_t2']:5d} calls (call counting)   "
-        f"{t['speedup_calls']:.1f}x fewer "
-        f"(budget {t['t2_heat_budget']}, T1 mode {t['edge_t1_mode']})",
     ]
 
 

@@ -43,7 +43,6 @@ from repro.jit import BinaryTransformer, TransformResult
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.lift.fixation import FixedMemory
 from repro.obs import TRACER, Tracer, metrics, trace_to_chrome
-from repro.tier import DispatchHandle, EdgeProfile, TieredEngine, TierPolicy
 
 __version__ = "1.0.0"
 
@@ -53,8 +52,6 @@ __all__ = [
     "BudgetExceededError",
     "CompiledProgram",
     "CostModel",
-    "DispatchHandle",
-    "EdgeProfile",
     "Finding",
     "FixedMemory",
     "FunctionSignature",
@@ -70,8 +67,6 @@ __all__ = [
     "Rewriter",
     "Simulator",
     "TRACER",
-    "TierPolicy",
-    "TieredEngine",
     "Tracer",
     "TransformResult",
     "analyze_flags",

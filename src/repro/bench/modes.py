@@ -59,7 +59,7 @@ class ModeResult:
 @dataclass
 class StencilRequest:
     """What one stencil cell asks the pipeline for, in the front doors'
-    own terms (``GuardedTransformer.transform``, ``TieredEngine.register``).
+    own terms (``GuardedTransformer.transform``).
 
     ``probes`` holds one real argument vector for the differential gate.
     The kernels take pointers (stencil descriptor, both matrices), which
@@ -185,20 +185,3 @@ def prepare_kernel(ws: StencilWorkspace, code: str, mode: str, *,
                           cache_stage="rewrite" if hit else None)
     # dbrew+llvm: the identity transformation on top of the rewrite
     return _compiled(tx.llvm_identity(addr, req.signature, name=name), t_rw)
-
-
-def register_tiered(ws: StencilWorkspace, code: str, engine, *,
-                    line: bool, uid: str = ""):
-    """Register one stencil cell with a :class:`~repro.tier.TieredEngine`.
-
-    Returns the :class:`~repro.tier.DispatchHandle`.  The registration
-    carries the cell's :func:`request` — the same fixation key the eager
-    modes use — so tiered steady-state code is byte-for-byte what
-    ``dbrew+llvm`` builds.
-    """
-    req = request(ws, code, line)
-    return engine.register(
-        req.func, req.signature, fixes=req.fixes,
-        mem_regions=req.mem_regions, probes=req.probes,
-        name=f"t.{code}.{'line' if line else 'elem'}{uid}",
-        dbrew_func=req.dbrew_func)

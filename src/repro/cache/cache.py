@@ -70,8 +70,8 @@ class CacheStats:
     The record a cache holds in its
     :class:`~repro.obs.metrics.MetricsRegistry` under ``cache`` (private by
     default, shareable via the ``registry`` argument), so one
-    ``snapshot()``/``reset()`` is authoritative across cache, guard and
-    tier accounting.
+    ``snapshot()``/``reset()`` is authoritative across cache and guard
+    accounting.
     """
 
     stage_hits: dict[str, int] = field(default_factory=_per_stage)

@@ -9,8 +9,8 @@ becomes the *leader* and runs the compile; every concurrent caller of the
 same key becomes a *follower* and blocks until the leader finishes, then
 observes the leader's outcome.
 
-The table is keyed by opaque tuples (the engine uses the machine-stage
-cache key, the tiered engine adds tier and epoch), holds its lock only for
+The table is keyed by opaque tuples (the pipeline uses the image and the
+module-stage cache key), holds its lock only for
 bookkeeping — never across a compile — and propagates the leader's
 exception to all followers, so a failing compile fails every coalesced
 request identically (the guard ladder then quarantines the key once).

@@ -57,8 +57,8 @@ class NegativeCache:
 
     Thread-safe: :meth:`check` mutates served counters and :meth:`record`
     is a read-modify-write of the TTL back-off state, so both hold one
-    lock — concurrent failures of the same key from background compile
-    workers must not lose failure counts (a lost count under-backs-off
+    lock — concurrent failures of the same key from callers on several
+    threads must not lose failure counts (a lost count under-backs-off
     and re-runs a provably failing pipeline).
     """
 

@@ -4,12 +4,11 @@ Recently used entries stay hot and eviction is strictly bounded by entry
 count (IR modules dominate the footprint, and the entry count maps directly
 to the number of distinct specializations kept warm).
 
-The store is thread-safe: the tiered execution engine compiles in
-background workers that hit the same stores as foreground dispatch, so
-every compound operation (put+evict, check-then-move) holds a lock.  The
-``OrderedDict`` operations underneath are *not* individually atomic —
+The store is thread-safe: a caller may share one cache between threads,
+so every compound operation (put+evict, check-then-move) holds a lock.
+The ``OrderedDict`` operations underneath are *not* individually atomic —
 ``move_to_end`` during ``popitem`` or iteration during ``put`` corrupts or
-raises — which is exactly what tests/tier/test_thread_safety.py hammers.
+raises — which is exactly what tests/cache/test_thread_safety.py hammers.
 """
 
 from __future__ import annotations

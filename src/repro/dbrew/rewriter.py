@@ -286,10 +286,7 @@ class Rewriter:
             if self.budget is not None:
                 self.budget.charge("trace_points", stage="rewrite",
                                    addr=point.addr)
-                # trace-point boundaries are the rewriter's cooperative
-                # yield points: state is self-contained in the worklist, so
-                # a background compile can be throttled here indefinitely
-                self.budget.checkpoint("rewrite", addr=point.addr)
+                self.budget.check_deadline("rewrite", addr=point.addr)
             out.append(Label(point.label))
             if _TR.enabled:
                 with _TR.span("rewrite.emulate", {"addr": point.addr}):

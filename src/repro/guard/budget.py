@@ -36,15 +36,6 @@ class Budget:
     ``None`` limits are unlimited.  Call :meth:`start` when the request
     begins (re-arming the deadline and zeroing the spent counters); the
     pipeline stages call :meth:`charge` / :meth:`check_deadline`.
-
-    ``yield_hook`` makes the budget *cooperative*: the pipeline stages call
-    it at their charge/checkpoint sites (per trace point in the rewriter,
-    per sweep in the -O3 pipeline, at stage boundaries), so a scheduler —
-    the tiered engine's background workers — can deprioritize a compile
-    mid-flight (sleep, wait on a throttle gate) without the stages knowing
-    anything about threads.  The hook must return promptly or raise
-    ``BudgetExceededError``-compatible errors; it runs on the compile
-    thread.
     """
 
     def __init__(self, *, deadline_seconds: float | None = None,
@@ -53,8 +44,7 @@ class Budget:
                  max_lift_blocks: int | None = None,
                  max_lift_instructions: int | None = None,
                  max_opt_iterations: int | None = None,
-                 clock: Callable[[], float] = time.monotonic,
-                 yield_hook: Callable[[], None] | None = None) -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.deadline_seconds = deadline_seconds
         self.limits: dict[str, int | None] = {
             "trace_points": max_trace_points,
@@ -67,7 +57,6 @@ class Budget:
         self._clock = clock
         self._t0: float | None = None
         self._charges = 0
-        self.yield_hook = yield_hook
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -101,19 +90,7 @@ class Budget:
             )
         self._charges += 1
         if self._charges % _DEADLINE_STRIDE == 0:
-            self.checkpoint(stage, addr=addr)
-
-    def checkpoint(self, stage: str, *, addr: int | None = None) -> None:
-        """Cooperative yield point: run the yield hook, then the deadline.
-
-        Stages call this where pausing is safe (between trace points,
-        between -O3 sweeps, before codegen).  The hook runs *before* the
-        deadline check so a throttled compile that overslept its deadline
-        fails here, at a clean boundary, instead of deep inside a stage.
-        """
-        if self.yield_hook is not None:
-            self.yield_hook()
-        self.check_deadline(stage, addr=addr)
+            self.check_deadline(stage, addr=addr)
 
     def check_deadline(self, stage: str, *, addr: int | None = None) -> None:
         """Raise when the wall-clock deadline has passed."""

@@ -91,8 +91,8 @@ class GuardStats:
 
     The record a guard holds in its
     :class:`~repro.obs.metrics.MetricsRegistry` under ``guard`` (private by
-    default; share one to aggregate across transformers — the tiered
-    engine's per-job guards do this).  :meth:`fold` is its one writer.
+    default; share one to aggregate across transformers).  :meth:`fold` is
+    its one writer.
     """
 
     transforms: int = 0
@@ -171,8 +171,7 @@ class GuardResult:
         return self.mode == "original"
 
     def failure_summary(self) -> str:
-        """Why the ladder degraded: one clause per failed rung — the reject
-        reason the tiered engine reports."""
+        """Why the ladder degraded: one clause per failed rung."""
         return "; ".join(
             f"{a.rung}: {'quarantined' if a.quarantined else a.error}"
             for a in self.attempts if not a.ok) or "ladder degraded"
@@ -227,8 +226,7 @@ class GuardedTransformer:
     def from_plan(cls, image: Image, plan: Plan,
                   **kw: Any) -> "GuardedTransformer":
         """A guard whose every rung runs under ``plan``: the one way to
-        state a policy other than the constructor's (the tiered engine
-        decides its own once, per job)."""
+        state a policy other than the constructor's."""
         guard = cls(image, **kw)
         guard.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
         return guard

@@ -267,9 +267,7 @@ class DifferentialGate:
         sim = Simulator(self._shadow_image(memory, token))
         for probe in all_probes:
             if budget is not None:
-                # per-probe cooperative checkpoint: the T2 admission
-                # gate runs on background workers too
-                budget.checkpoint("verify")
+                budget.check_deadline("verify")
             out = ProbeOutcome(args=probe)
             report.probes.append(out)
             int_args, f64_args = self._full_args(probe, signature, fixes)

@@ -5,9 +5,9 @@ value watchpoints — injected as passes over the lifted module and
 re-JITted through the standard pipeline, guarded by the same boundaries
 as any specialization: the probe-ops pregate, machine-level translation
 validation, and the differential gate under an effects-whitelist.
-:func:`strip_instrumentation` is the machine-checkable inverse; the
-:class:`~repro.tier.EdgeProfile` governor source closes the
-instrument -> optimize loop (Instrew-style).
+:func:`strip_instrumentation` is the machine-checkable inverse.  The
+counters are read by the caller, who decides from them when a rewrite
+pays off.
 """
 
 from repro.instrument.api import (

@@ -64,11 +64,6 @@ class InstrumentedFunction:
     #: per-stage wall time: lift/opt/inject/pregate/codegen/verify/gate
     seconds: dict = field(default_factory=dict)
 
-    def profile(self):
-        """An :class:`~repro.tier.EdgeProfile` reading this buffer."""
-        from repro.tier.policy import EdgeProfile
-        return EdgeProfile(self.buffer)
-
 
 class Instrumenter:
     """Builds gate-verified instrumented copies of image functions."""

@@ -125,8 +125,8 @@ class ProbeBuffer:
         """Edge-profile heat: the hottest block's counter.
 
         For straight-line code this equals the call counter; for loopy code
-        it grows per iteration — which is exactly why edge heat promotes a
-        hot kernel no later than call counting would.
+        it grows per iteration, so it shows a hot kernel no later than
+        call counting would.
         """
         if self.n_blocks == 0:
             return self.call_count()

@@ -21,7 +21,7 @@ Probe taxonomy (DESIGN §15):
 
 ``call``   one counter bump in the entry block — call profiling.
 ``edge``   one counter bump per basic block (after phis) — block/edge
-           heat for the :class:`~repro.tier.EdgeProfile` governor source.
+           heat (:meth:`ProbeBuffer.hotness`).
 ``mem``    an event-ring append of the accessed address before every
            program load/store — memory-access tracing.
 ``watch``  last-value slot + hit counter before every ``ret`` — value
@@ -51,7 +51,7 @@ _P64 = ptr(I64)
 class InstrumentOptions:
     """Which probe families to inject, and the event-ring size."""
 
-    #: per-block counters (the EdgeProfile feed)
+    #: per-block counters (the edge profile)
     edge_counters: bool = True
     #: entry-block call counter
     call_counter: bool = True

@@ -73,8 +73,8 @@ class JITEngine:
                 _TR.finish(span)
         # the base address is computed before assembling against it, so
         # emit-through-install must be one critical section per image:
-        # concurrent background compiles (repro.tier) would otherwise
-        # claim the same JIT address
+        # two threads compiling into one image would otherwise claim the
+        # same JIT address
         span = _TR.start("jit.install", {"func": func.name}) \
             if _TR.enabled else None
         try:

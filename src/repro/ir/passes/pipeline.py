@@ -199,11 +199,9 @@ def _steps(func: Function, options: O3Options, budget: "object | None",
         return changed
 
     if budget is not None:
-        # checkpoint, not bare check_deadline: the -O3 sweep is the longest
-        # uninterruptible span of a background compile, so each sweep
-        # boundary is a cooperative yield point where the tiered engine can
-        # deprioritize the worker (Budget.yield_hook)
-        budget.checkpoint("opt")
+        # each sweep boundary polls the deadline: the -O3 sweep is the
+        # longest stretch of a compile that charges no fuel
+        budget.check_deadline("opt")
     step(simplifycfg)
     if options.enable_mem2reg:
         step(mem2reg)
@@ -211,7 +209,7 @@ def _steps(func: Function, options: O3Options, budget: "object | None",
     for _ in range(options.max_iterations):
         if budget is not None:
             budget.charge("opt_iterations", stage="opt")
-            budget.checkpoint("opt")
+            budget.check_deadline("opt")
         report.iterations += 1
         changed = False
         if options.enable_inline:

@@ -1,16 +1,16 @@
 """One compile -> verify -> install pipeline (the paper's Fig. 1, once).
 
 Every front door — :class:`~repro.jit.BinaryTransformer`, :class:`~repro.
-guard.GuardedTransformer`, :class:`~repro.instrument.Instrumenter`,
-:class:`~repro.tier.TieredEngine` — runs the same fixed sequence of stages
-under a :class:`Plan`, its policy (DESIGN §16)::
+guard.GuardedTransformer`, :class:`~repro.instrument.Instrumenter` — runs
+the same fixed sequence of stages under a :class:`Plan`, its policy
+(DESIGN §16)::
 
     compile:  [dbrew] -> lift -> [fix] -> O3 -> [inject] -> codegen
               -> [machine-verify]
     admit:    [pregate] -> [gate] -> mark gated | evict
 
 :meth:`Pipeline.compile` owns the staged cache (look-ups, stores, in-flight
-coalescing), the budget checkpoints, the obs spans and the
+coalescing), the budget's deadline polls, the obs spans and the
 ``machine:<module key>`` quarantine; a module-stage hit enters the same tail
 at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
 :meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from repro.analysis import machine as M
 from repro.analysis.checkers import run_checkers
@@ -70,9 +70,8 @@ DEFAULT_O3 = O3Options()
 class Plan:
     """What one request compiles and how far its result is trusted.
 
-    A value: front doors build it from their constructor kwargs, the tiered
-    engine decides one per tier, and the guard swaps :attr:`rung` while it
-    walks its ladder.
+    A value: front doors build it from their constructor kwargs, and the
+    guard swaps :attr:`rung` while it walks its ladder.
     Code generation is not part of it: the JIT has one configuration.
     """
 
@@ -198,9 +197,6 @@ class Pipeline:
         #: replay while a pass is in quarantine.  Warm cache hits skip
         #: optimization and therefore all of it
         self.validator = validator
-        #: invoked with every TransformResult :meth:`compile` produces
-        #: (hits and misses alike) — the tiered engine's telemetry hook
-        self.on_result: "Callable[[TransformResult], None] | None" = None
         #: (image generation, lift options, digest) memo — the digest
         #: hashes known-callee bytes, so it must follow image patches
         self._lift_digest: tuple[int, LiftOptions, str] | None = None
@@ -279,17 +275,13 @@ class Pipeline:
         if not fixed:
             fixes = None
         if not _TR.enabled:
-            result = self._transform(plan, func, signature, fixes, out_name,
-                                     fixed)
-        else:
-            with _TR.span("transform", {
-                    "name": out_name,
-                    "mode": "fixed" if fixed else "identity"}):
-                result = self._transform(plan, func, signature, fixes,
-                                         out_name, fixed)
-        if self.on_result is not None:
-            self.on_result(result)
-        return result
+            return self._transform(plan, func, signature, fixes, out_name,
+                                   fixed)
+        with _TR.span("transform", {
+                "name": out_name,
+                "mode": "fixed" if fixed else "identity"}):
+            return self._transform(plan, func, signature, fixes, out_name,
+                                   fixed)
 
     def rewrite(self, func: str | int, signature: FunctionSignature,
                 fixes: Fixes, mem_regions: Sequence[tuple[int, int]],
@@ -528,7 +520,7 @@ class Pipeline:
         if plan.inject is not None:
             probes, t_inject = self._inject(main, plan.inject, out_name)
         if self.budget is not None:
-            self.budget.checkpoint("codegen")  # type: ignore[attr-defined]
+            self.budget.check_deadline("codegen")  # type: ignore[attr-defined]
         t0 = time.perf_counter()
         jit = JITEngine(self.image)
         addr = jit.compile_function(main, name=out_name)

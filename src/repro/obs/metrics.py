@@ -1,7 +1,7 @@
 """Typed metrics registry: counters, gauges, histograms and stats records.
 
-A subsystem's stats (``CacheStats``, ``GuardStats``, ``TierStats``, the
--O3 scheduler's and the instrumenter's) are plain ``@dataclass`` records of
+A subsystem's stats (``CacheStats``, ``GuardStats``, the -O3
+scheduler's and the instrumenter's) are plain ``@dataclass`` records of
 ints, dicts and nested records, each counter declared once as a field.  The
 registry holds them: :meth:`MetricsRegistry.record` is get-or-create by
 prefix, so two owners binding one registry share one record, and
@@ -145,8 +145,8 @@ class MetricsRegistry:
     """Get-or-create metric container with authoritative snapshot/reset.
 
     Two owners binding the same registry and name share the metric or
-    record — that is how per-subsystem stats aggregate when a parent (e.g.
-    ``TieredEngine``) hands its registry to per-job children.
+    record — that is how per-subsystem stats aggregate when a caller hands
+    one registry to several transformers and caches.
     """
 
     def __init__(self) -> None:
@@ -179,14 +179,14 @@ class MetricsRegistry:
     def record(self, prefix: str, cls: type[R]) -> R:
         """The ``cls`` stats record held under ``prefix``, made with its
         defaults on first use: every owner binding this registry and
-        prefix shares it (a tier's per-job guards add up in the tier's)."""
+        prefix shares it (two guards on one registry add up in one)."""
         return self._get(prefix, cls, cls)
 
     def view(self, name: str, fn: Callable[[], object]) -> None:
         """Register a read-only derived value included in snapshots.
 
-        Views are for state owned elsewhere (tier EWMAs live in the
-        governor); ``reset()`` does not touch them.
+        Views are for state owned elsewhere; ``reset()`` does not touch
+        them.
         """
         with self._lock:
             self._views[name] = fn

@@ -45,7 +45,6 @@ _STAGE_PREFIXES = (
     ("jit.", "encode"),
     ("lift.", "lift"),
     ("instrument.", "instr"),
-    ("tier.", "other"),
     ("guard.", "other"),
 )
 STAGES = ("decode", "lift", "o3", "encode", "instr")

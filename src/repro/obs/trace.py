@@ -1,16 +1,13 @@
-"""Hierarchical span tracer with cross-thread parent propagation.
+"""Hierarchical span tracer.
 
 A ``Span`` is one timed region of the pipeline (a rewrite, a lifted block,
 an O3 pass).  Spans nest: the current span is tracked in a
 ``contextvars.ContextVar`` so children started anywhere in the same
-context pick up their parent automatically.  Tier worker threads do not
-inherit the submitting context, so the enqueue site captures
-``TRACER.current()`` into the job and the worker calls ``adopt()``.
+context pick up their parent automatically.
 
 Cost contract (DESIGN §10): with tracing disabled every instrumentation
 site is a single attribute check (``if _TR.enabled:``) — no allocation,
-no lock, no clock read — so the zero-stall dispatch guarantee from the
-tiered engine is preserved.  The checks below are ordered so the disabled
+no lock, no clock read.  The checks below are ordered so the disabled
 path returns before touching anything else.
 """
 
@@ -59,7 +56,7 @@ class Tracer:
 
     ``enabled`` is a plain attribute: instrumentation sites read it once
     and skip everything when False.  Finished spans append to a list under
-    a lock (the enabled path may be concurrent across tier workers).
+    a lock (a caller may trace from several threads at once).
     """
 
     def __init__(self, clock=time.perf_counter, max_spans: int = 1_000_000):
@@ -127,22 +124,6 @@ class Tracer:
 
     def current(self) -> Span | None:
         return _CURRENT.get()
-
-    def adopt(self, parent: Span | None) -> contextvars.Token:
-        """Make ``parent`` the current span in this thread's context.
-
-        Used by tier workers: the enqueue site captured ``current()``,
-        the worker adopts it so its spans nest under the submit site.
-        Returns a token for ``contextvars`` reset (best-effort).
-        """
-        return _CURRENT.set(parent)
-
-    def release(self, token: contextvars.Token) -> None:
-        """Undo an :meth:`adopt` (pool threads reuse their context)."""
-        try:
-            _CURRENT.reset(token)
-        except ValueError:  # pragma: no cover - foreign-context token
-            _CURRENT.set(None)
 
     def instant(self, name: str, attrs: dict | None = None) -> None:
         """Record a zero-duration marker (promotion, install, reject)."""

@@ -120,38 +120,6 @@ class StencilWorkspace:
             src, dst = dst, src
         return stats
 
-    def run_tiered_sweeps(self, handle, *, stencil_arg: int, line: bool,
-                          sweeps: int | None = None,
-                          observe: bool = True) -> RunStats:
-        """Jacobi sweeps dispatched through a tiered engine handle.
-
-        Each sweep asks ``handle.address()`` for the best *ready* kernel
-        (never waiting on a compile), binds a driver to it, and — with
-        ``observe`` — reports the measured cycles-per-cell back so the
-        governor's promotion/demotion policy sees real costs.  Dispatch is
-        per sweep, the natural re-bind granularity here: the driver bakes
-        the kernel address in at compile time, exactly like the paper's
-        function-pointer dispatch.
-        """
-        sz = self.setup.sz
-        n_sweeps = sweeps if sweeps is not None else self.setup.sweeps
-        cells = (sz - 2) * (sz - 2)
-        total = RunStats()
-        src, dst = self.m1, self.m2
-        for _ in range(n_sweeps):
-            kernel_addr = handle.address()
-            driver = self.driver_for(kernel_addr, line=line)
-            stats = RunStats()
-            self.sim.call(
-                driver, (stencil_arg, src, dst),
-                stats=stats, max_steps=500_000_000,
-            )
-            total.merge(stats)
-            if observe:
-                handle.observe(stats.cycles / cells)
-            src, dst = dst, src
-        return total
-
     def cycles_per_cell(self, stats: RunStats, sweeps: int | None = None) -> float:
         sz = self.setup.sz
         n_sweeps = sweeps if sweeps is not None else self.setup.sweeps

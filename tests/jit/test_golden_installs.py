@@ -2,17 +2,17 @@
 
 ``golden_installs.json`` was captured at the commit *before*
 ``repro.jit.plan`` — when ``BinaryTransformer``, ``GuardedTransformer``,
-``Instrumenter``, ``TieredEngine`` and a compile-farm worker each threaded
+``Instrumenter``, the tiered engine and a compile-farm worker each threaded
 the sequence by hand — by running this file as a script::
 
     PYTHONPATH=<parent>/src python tests/jit/test_golden_installs.py --capture
 
 It holds, for the 24 ``compile_cold`` cells and the 18 ``verified_install``
-cells of the ledger plus one instrumented install and tiered T1 / T1-edges
-/ T2 handles: every cache key a stage stored or looked up (lifted / module
-/ machine / rewrite), the guard key, the rung that served, ``verified``,
-the machine verdict, the cache stage cold and warm, the sha-256 of the
-installed bytes, and the ``guard.*`` / ``tier.*`` / ``cache.*`` counters.
+cells of the ledger plus one instrumented install: every cache key a stage
+stored or looked up (lifted / module / machine / rewrite), the guard key,
+the rung that served, ``verified``, the machine verdict, the cache stage
+cold and warm, the sha-256 of the installed bytes, and the ``guard.*`` /
+``cache.*`` counters.
 The tests recompute the same dict through today's front doors and demand
 equality.
 
@@ -41,13 +41,9 @@ allocated before them.  Nothing else moved.  When the compile farm was
 deleted, so were the fixture's ``farm`` section (worker jobs, the jobs the
 engine shipped, the client-side install) and the four ``tier.farm.*``
 counters, zero in every ``tiered`` cell; the fixture was edited, not
-re-captured, and no other value moved.
-
-Two entries differ from the parent on purpose (each has its own test):
-an edge-profile T1 compile now runs under its job budget
-(``tests/tier/test_tiered_engine.py``) and a T1 candidate the one-off gate
-rejects is evicted and quarantined (same file); neither path is taken by a
-golden scenario, so the fixture itself is reproduced without exception.
+re-captured, and no other value moved.  When the tiered engine was
+deleted, so was the fixture's ``tiered`` section (the T1, T1-edges and T2
+handles); again edited, not re-captured, and no other value moved.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ from repro.guard import GateOptions, GuardedTransformer
 from repro.instrument import Instrumenter, InstrumentOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
-from repro.tier import T1, T2, TieredEngine, TierPolicy
 
 GOLDEN = Path(__file__).with_name("golden_installs.json")
 
@@ -108,11 +103,11 @@ def _sha(image, addr: int, name: str) -> str:
 
 
 def _counters(registry: MetricsRegistry) -> dict:
-    """The registry's counters and families; wall-clock sums, histograms
-    and views carry no behaviour and are left out."""
+    """The registry's counters and families; wall-clock sums carry no
+    behaviour and are left out."""
     out = {}
     for name, value in registry.snapshot().items():
-        if "seconds" in name or "ewma" in name:
+        if "seconds" in name:
             continue
         if isinstance(value, dict):
             value = {str(k): v for k, v in value.items()}
@@ -210,7 +205,7 @@ def capture_guard() -> dict:
     return out
 
 
-# -- instrumented, tiered ------------------------------------------------------------
+# -- instrumented ------------------------------------------------------------
 
 
 def capture_instrumented() -> dict:
@@ -227,53 +222,6 @@ def capture_instrumented() -> dict:
         "blocks": list(res.plan.block_names),
         "stages": sorted(res.seconds),
     }}
-
-
-def _drive(eng: TieredEngine, handle, tier: int) -> None:
-    """Cross ``tier``'s threshold by exactly the calls it takes, then let
-    the background compile finish — one job at a time, so every counter
-    is the same on every run."""
-    while handle.calls < handle.governor.thresholds[tier]:
-        handle.address()
-    assert eng.drain(120.0)
-
-
-def _tier_row(image, eng: TieredEngine, handle, cache) -> dict:
-    return {
-        "codes": {str(t): [c.mode, c.verified, _sha(image, c.addr, c.name)]
-                  for t, c in sorted(handle.codes.items()) if t},
-        "pinned": [handle.governor.pinned_max, handle.governor.pin_reason],
-        "profile": handle.governor.snapshot()["profile"].split("@")[0],
-        "keys": cache.seen,
-        "negatives": _negatives(cache),
-        "counters": _counters(eng.registry),
-    }
-
-
-def _tiered(scenario: str) -> dict:
-    prog = compile_c(LOOP_SRC)
-    reg = MetricsRegistry()
-    cache = recording(SpecializationCache(registry=reg))
-    kw: dict = {"cache": cache, "registry": reg, "max_workers": 1,
-                "machine_verify": True,
-                "policy": TierPolicy(promote_calls=(2, 10**9))}
-    reg_kw: dict = {}
-    tiers = [T1]
-    if scenario == "t1_edges":
-        kw["profile"] = "edges"
-    elif scenario == "t2":
-        kw["policy"] = TierPolicy(promote_calls=(2, 6))
-        reg_kw = {"fixes": {1: 3}, "probes": ((10,), (5,))}
-        tiers = [T1, T2]
-    with TieredEngine(prog.image, **kw) as eng:
-        handle = eng.register("f", SIG, **reg_kw)
-        for tier in tiers:
-            _drive(eng, handle, tier)
-        return _tier_row(prog.image, eng, handle, cache)
-
-
-def capture_tiered() -> dict:
-    return {s: _tiered(s) for s in ("t1", "t1_edges", "t2")}
 
 
 # -- tests ----------------------------------------------------------------------------
@@ -305,10 +253,6 @@ def test_instrumented_install_reproduces(golden):
     _assert_same(capture_instrumented(), golden["instrumented"])
 
 
-def test_tiered_installs_reproduce(golden):
-    _assert_same(capture_tiered(), golden["tiered"])
-
-
 def _dump(golden: dict) -> str:
     """JSON with one line per cell."""
     sections = []
@@ -326,6 +270,5 @@ if __name__ == "__main__":
     target = Path(sys.argv[2]) if len(sys.argv) > 2 else GOLDEN
     target.write_text(_dump({
         "compile": capture_compile(), "guard": capture_guard(),
-        "instrumented": capture_instrumented(),
-        "tiered": capture_tiered()}))
+        "instrumented": capture_instrumented()}))
     print(f"wrote {target}")

@@ -22,7 +22,7 @@ STAGE_ENTRY_POINTS = (
     "check_probe_ops", "DifferentialGate", "mark_machine_gated",
     "evict_machine", "evict_module",
 )
-FRONT_DOORS = ("jit", "guard", "tier", "instrument", "bench")
+FRONT_DOORS = ("jit", "guard", "instrument", "bench")
 
 
 def _callers() -> dict[str, set[str]]:

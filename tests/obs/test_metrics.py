@@ -1,7 +1,7 @@
 """Metrics registry unit tests + the stats-unification contract.
 
 The second half pins the stats records (``CacheStats``, ``GuardStats``,
-``TierStats``, the scheduler's and the instrumenter's): each is a plain
+the scheduler's and the instrumenter's): each is a plain
 dataclass held by a registry under a prefix, so one
 ``registry.snapshot()``/``reset()`` is authoritative and a shared registry
 aggregates across owners.
@@ -24,7 +24,6 @@ from repro.instrument.api import InstrumentStats
 from repro.ir.passes.schedule import ScheduleStats
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.testing import inject_faults
-from repro.tier.engine import TieredEngine, TierStats
 from tests.guard.test_ladder import skew_constants
 from tests.guard.test_static_pregate import _poison_ret
 
@@ -111,15 +110,22 @@ def test_record_is_shared_by_prefix_and_resets_in_place():
 def test_snapshot_includes_views_reset_spares_them():
     r = MetricsRegistry()
     r.counter("n").inc(3)
+    r.gauge("depth").set(2.0)
+    r.histogram("lat", (1.0,)).observe(0.5)
     state = {"ewma": 7.5}
     r.view("derived", lambda: dict(state))
     snap = r.snapshot()
     assert snap["n"] == 3 and snap["derived"] == {"ewma": 7.5}
+    assert snap["depth"] == 2.0
+    assert snap["lat"] == {"bounds": [1.0], "counts": [1, 0], "total": 1,
+                           "sum": 0.5}
     r.view("broken", lambda: 1 / 0)
     assert r.snapshot()["broken"] is None, "a dead view reports None"
     r.reset()
-    assert r.snapshot()["n"] == 0
-    assert r.snapshot()["derived"] == {"ewma": 7.5}, "views survive reset"
+    snap = r.snapshot()
+    assert snap["n"] == 0 and snap["depth"] == 0.0
+    assert snap["lat"]["total"] == 0
+    assert snap["derived"] == {"ewma": 7.5}, "views survive reset"
 
 
 # -- stats records ------------------------------------------------------------
@@ -154,24 +160,9 @@ def test_guard_stats_registry_is_authoritative():
     assert stats.transforms == 0 and stats.served_by["llvm"] == 0
 
 
-def test_tier_stats_registry_is_authoritative():
-    r = MetricsRegistry()
-    stats = r.record("tier", TierStats)
-    stats.refixes += 1
-    stats.installs[2] += 1
-    stats.compile_seconds[1] += 0.25
-    snap = r.snapshot()
-    assert snap["tier.refixes"] == 1
-    assert snap["tier.installs"][2] == 1
-    assert snap["tier.compile_seconds"][1] == 0.25
-    assert dataclasses.asdict(stats)["installs"] == {1: 0, 2: 1}
-    r.reset()
-    assert stats.refixes == 0 and stats.installs[2] == 0
-
-
 def test_shared_registry_aggregates_across_instances():
-    """Two owners of one registry share the record — how a TieredEngine
-    aggregates its per-job GuardedTransformers."""
+    """Two owners of one registry share the record — how guards handed
+    one registry aggregate."""
     r = MetricsRegistry()
     a, b = r.record("guard", GuardStats), r.record("guard", GuardStats)
     a.transforms += 1
@@ -190,7 +181,7 @@ def test_private_registries_stay_isolated():
 _PER_STAGE = {"lifted": 0, "machine": 0, "module": 0, "rewrite": 0}
 _PER_RUNG = {"dbrew+llvm": 0, "llvm": 0, "llvm-fix": 0, "original": 0}
 
-#: a fresh record's snapshot under prefix ``p``: the cache, guard, tier and
+#: a fresh record's snapshot under prefix ``p``: the cache, guard and
 #: scheduler names are the ones their counters had before they became
 #: records; the instrumenter's two refusal counters are now ``rejected``
 _FRESH = {
@@ -205,13 +196,6 @@ _FRESH = {
         "p.negative_served": 0, "p.served_by": _PER_RUNG,
         "p.static_rejections": 0, "p.static_skip_reasons": {},
         "p.transforms": 0, "p.verification_rejections": 0},
-    TierStats: {
-        "p.cache_served": {}, "p.coalesced": 0,
-        "p.compile_seconds": {1: 0.0, 2: 0.0}, "p.demotions": 0,
-        "p.installs": {1: 0, 2: 0},
-        "p.pipeline_results": 0, "p.refixes": 0, "p.registered": 0,
-        "p.rejections": {1: 0, 2: 0}, "p.stale_discards": 0,
-        "p.submitted": {1: 0, 2: 0}},
     ScheduleStats: {"p.runs": {}, "p.skips": {}},
     InstrumentStats: {
         "p.installs": 0,
@@ -228,9 +212,8 @@ def test_each_record_snapshots_exactly_its_fields(cls):
 
 
 def test_stats_reset_is_the_registrys_alone():
-    """A guard, a cache and a tier engine sharing one registry: no record
-    has a reset of its own, and only ``registry.reset()`` zeroes the
-    cache's counters."""
+    """A guard and a cache sharing one registry: no record has a reset of
+    its own, and only ``registry.reset()`` zeroes the cache's counters."""
     prog = compile_c("long f(long a, long b) { return a * b + 1; }")
     r = MetricsRegistry()
     cache = SpecializationCache(registry=r)
@@ -239,10 +222,10 @@ def test_stats_reset_is_the_registrys_alone():
                     probes=[(4,)])
     stores = cache.stats.stores
     assert stores > 0 and guard.stats.transforms == 1
-    with TieredEngine(prog.image, registry=r) as eng:
-        assert eng.cache.stats is cache.stats, "shared by prefix"
-        for stats in (guard.stats, cache.stats, eng.stats):
-            assert not [m for m in dir(stats) if "reset" in m]
+    assert SpecializationCache(registry=r).stats is cache.stats, \
+        "shared by prefix"
+    for stats in (guard.stats, cache.stats):
+        assert not [m for m in dir(stats) if "reset" in m]
     assert cache.stats.stores == stores
     r.reset()
     assert cache.stats.stores == 0 and guard.stats.transforms == 0

@@ -1,13 +1,9 @@
 """Trace-overhead regression tests (the DESIGN §10 cost contract).
 
-Disabled tracing must be a single attribute check on every hot path:
-
-* ``DispatchHandle.address()`` — the zero-stall dispatch from PR 4 — is
-  never wrapped when tracing is off: the handle keeps the bare class and
-  its hot function names no tracer at all;
-* a warm ``GuardedTransformer.transform`` (machine-stage cache hit) tests
-  ``TRACER.enabled`` and then runs its untraced ``_transform_impl``
-  without calling into the tracer once.
+Disabled tracing must be a single attribute check on every hot path: a
+warm ``GuardedTransformer.transform`` (machine-stage cache hit) tests
+``TRACER.enabled`` and then runs its untraced ``_transform_impl`` without
+calling into the tracer once.
 
 These are structural checks: tier-1 must not depend on the load of the box
 it runs on.  The timed form of the same contract (<= 5 % over the bare
@@ -25,54 +21,12 @@ import pytest
 from repro.analysis import PassValidator
 from repro.cache import SpecializationCache
 from repro.cc import compile_c
-from repro.cpu import Image
 from repro.guard import GuardedTransformer
 from repro.ir import Module, verify
 from repro.ir.passes import O3Options, replay_o3
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.obs.trace import TRACER
 from repro.testing.faults import O3_PASSES, FaultSpec, inject_faults
-from repro.tier import TieredEngine, TierPolicy
-from repro.tier.handle import DispatchHandle
-
-#: thresholds no test run can reach: the handle never promotes
-_COLD = TierPolicy(promote_calls=(10**9, 10**9))
-
-
-# -- disabled path: dispatch ------------------------------------------------
-
-
-def test_dispatch_hot_path_structurally_untouched():
-    assert not TRACER.enabled
-    with TieredEngine(Image(), policy=_COLD) as eng:
-        h = eng.register(0x1000, FunctionSignature(("i",), "i"))
-        assert "address" not in h.__dict__, \
-            "disabled tracing must not shadow the dispatch method"
-    # the class-level hot path contains no tracer hooks at all
-    names = DispatchHandle.address.__code__.co_names
-    assert not any("TR" in n or "trace" in n or "obs" in n for n in names), \
-        names
-
-
-def test_dispatch_disabled_overhead_within_budget():
-    """Disabled: the handle is a plain ``DispatchHandle`` whose ``address``
-    is the class function itself.  Enabled: only handles registered from
-    then on are swapped to the timed subclass."""
-    assert not TRACER.enabled
-    with TieredEngine(Image(), policy=_COLD) as eng:
-        sig = FunctionSignature(("i",), "i")
-        h = eng.register(0x1000, sig)
-        assert type(h) is DispatchHandle
-        assert h.address.__func__ is DispatchHandle.address
-        TRACER.enable()
-        try:
-            timed = eng.register(0x2000, sig)
-        finally:
-            TRACER.disable()
-            TRACER.clear()
-        assert type(timed) is not DispatchHandle
-        assert type(h) is DispatchHandle
-        assert h.address() == 0x1000 and timed.address() == 0x2000
 
 
 # -- disabled path: warm guarded transform ----------------------------------

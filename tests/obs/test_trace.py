@@ -1,11 +1,10 @@
-"""Tracer unit tests: nesting, cross-thread adoption, export, report."""
+"""Tracer unit tests: nesting, export, report."""
 
 from __future__ import annotations
 
 import json
-import threading
 
-from repro.obs import Span, Tracer, trace_to_chrome
+from repro.obs import Tracer, trace_to_chrome
 from repro.obs.export import metrics_to_json, write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_breakdown, format_breakdown, main
@@ -66,29 +65,6 @@ def test_max_spans_cap():
     for i in range(5):
         tr.finish(tr.start(f"s{i}"))
     assert len(tr.spans) == 2
-
-
-def test_cross_thread_adoption():
-    """A worker adopting the submit-site span nests its spans under it."""
-    tr = Tracer()
-    tr.enable()
-    recorded = {}
-
-    def worker(parent: Span | None) -> None:
-        token = tr.adopt(parent)
-        try:
-            with tr.span("child") as child:
-                recorded["parent_id"] = child.parent_id
-        finally:
-            tr.release(token)
-        recorded["after"] = tr.current()
-
-    with tr.span("submit") as submit:
-        t = threading.Thread(target=worker, args=(tr.current(),))
-        t.start()
-        t.join()
-    assert recorded["parent_id"] == submit.span_id
-    assert recorded["after"] is None, "release() restores the worker context"
 
 
 def test_instant_events_recorded_only_when_enabled():

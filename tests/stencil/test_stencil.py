@@ -133,25 +133,3 @@ def test_jacobi_converges_towards_boundary():
     m = ws2.read_matrix(1)
     # after many sweeps the interior approaches the boundary value 1.0
     assert m[4][4] > 0.9
-
-
-def test_tiered_sweeps_run_what_the_handle_serves():
-    """``run_tiered_sweeps`` binds a driver to the kernel the handle
-    serves — T0 here, the original — and reports each sweep's cycles per
-    cell to the governor: the same sweeps as ``run_sweeps`` on it."""
-    from repro.bench.modes import register_tiered
-    from repro.tier import TieredEngine, TierPolicy
-
-    ws = StencilWorkspace(JacobiSetup(sz=9, sweeps=2))
-    want = ws.run_sweeps("apply_flat", line=False, stencil_arg=ws.flat.addr)
-    want_matrix = ws.read_matrix(1)
-    ws.reset_matrices()
-    never = TierPolicy(promote_calls=(10**9, 10**9))
-    with TieredEngine(ws.image, policy=never, max_workers=1) as eng:
-        handle = register_tiered(ws, "flat", eng, line=False)
-        got = ws.run_tiered_sweeps(handle, stencil_arg=ws.flat.addr,
-                                   line=False)
-    assert handle.tier == 0 and handle.calls == 2
-    assert got.cycles == want.cycles
-    assert ws.read_matrix(1) == want_matrix
-    assert set(handle.governor.cycles) == {0}
