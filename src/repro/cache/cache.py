@@ -33,10 +33,10 @@ a hit can land at any stage boundary:
 
 from __future__ import annotations
 
-import copy
 import threading
 import weakref
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.cache import keys as K
 from repro.cache.flight import FlightTable
@@ -47,6 +47,8 @@ from repro.ir.module import Function, Module
 from repro.obs.metrics import MetricsRegistry
 
 STAGES = ("machine", "module", "lifted", "rewrite")
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -116,15 +118,38 @@ class MachineEntry:
 
 
 class _ImageState:
-    """Per-image mutable cache state (machine + rewrite entries, digest
-    memo).  Dropped wholesale when the image's guest bytes are patched."""
+    """Per-image mutable cache state (machine + rewrite entries, digest and
+    key memos).  Dropped wholesale when the image's guest bytes are
+    patched."""
 
     def __init__(self, capacity: int, stats: CacheStats) -> None:
         self.generation = 0
         self.machine = LRUStore(capacity)
         self.rewrites = LRUStore(capacity)
         self.code_digests: dict[tuple[int, int], str] = {}
+        #: a request's inputs -> the keys derived from them (see
+        #: :meth:`SpecializationCache.derived_keys`)
+        self.derived: dict[tuple, object] = {}
+        self.capacity = capacity
+        #: held by :meth:`on_patch` and by a memo store, so a value derived
+        #: from the bytes before a patch cannot land after it
+        self.lock = threading.Lock()
         self._stats = stats
+
+    def memoized(self, memo: dict, key: object, derive: Callable[[], T]) -> T:
+        """``memo[key]``, or ``derive()`` stored there unless a patch
+        overtook the derivation.  A plain dict (one look-up hashes its key
+        once), emptied when it reaches ``capacity`` entries."""
+        value = memo.get(key)
+        if value is None:
+            generation = self.generation
+            value = derive()
+            with self.lock:
+                if self.generation == generation:
+                    if len(memo) >= self.capacity:
+                        memo.clear()
+                    memo[key] = value
+        return value
 
     def on_patch(self, addr: int, size: int) -> None:
         """Invalidation hook: guest bytes changed somewhere.
@@ -134,10 +159,12 @@ class _ImageState:
         (stage keys are content digests), only the memoized digests and the
         skip-everything machine entries do.
         """
-        self.generation += 1
-        self.machine.clear()
-        self.rewrites.clear()
-        self.code_digests.clear()
+        with self.lock:
+            self.generation += 1
+            self.machine.clear()
+            self.rewrites.clear()
+            self.code_digests.clear()
+            self.derived.clear()
         self._stats.invalidations += 1
 
 
@@ -208,10 +235,22 @@ class SpecializationCache:
         if extent is None:
             return None
         state = self.attach_image(image)
-        d = state.code_digests.get(extent)
-        if d is None:
-            d = state.code_digests[extent] = K.code_digest(image, extent)
-        return d
+        return state.memoized(state.code_digests, extent,
+                              lambda: K.code_digest(image, extent))
+
+    def derived_keys(self, image: Image, inputs: tuple,
+                     derive: Callable[[], T]) -> T:
+        """``derive()``, memoized per image under ``inputs``.
+
+        ``inputs`` holds everything the derived keys are digests of — an
+        extent standing for the code bytes in it, values for the rest, the
+        bytes of fixed memory read by the caller on every request (a write
+        to data has no hook) — so one look-up replaces re-deriving them.
+        The memo is dropped with the code digests when the image is
+        patched; a derivation a patch overtook is not stored.
+        """
+        state = self.attach_image(image)
+        return state.memoized(state.derived, inputs, derive)
 
     # -- machine stage ---------------------------------------------------------
 
@@ -268,12 +307,12 @@ class SpecializationCache:
         module, func_name = entry
         # the caller will mutate (fixation/O3/global placement): hand out a
         # private copy, keep the cached one pristine
-        return copy.deepcopy(module), func_name
+        return module.copy(), func_name
 
     def _put_ir(self, store: LRUStore, key: str, module: Module,
                 func_name: str) -> None:
         # stored pristine and only ever copied again: no use lists to keep
-        store.put(key, (module.detached_copy(), func_name))
+        store.put(key, (module.copy(attached=False), func_name))
         self.stats.stores += 1
 
     # -- DBrew rewrites ---------------------------------------------------------

@@ -25,6 +25,12 @@ module    H(lifted key, mode, fixes, O3 options)
 
 Installed machine code is stored per image (and per image generation)
 under its module key: one post-O3 module emits one function.
+
+A repeat request does not re-derive its keys: the cache memoizes them per
+image (:meth:`~repro.cache.SpecializationCache.derived_keys`) under the
+*inputs* the digests are taken over — :func:`function_extent` standing for
+the code bytes, :func:`lift_options_value`, :func:`fixation` (fixed memory
+read on every request) — and drops the memo when the image is patched.
 """
 
 from __future__ import annotations
@@ -117,17 +123,19 @@ def code_digest(image: Image, extent: tuple[int, int]) -> str:
     return digest_bytes(b"%#x" % addr, image.memory.read(addr, size))
 
 
-def fixes_digest(fixes: dict[int, int | float | FixedMemory] | None,
-                 memory: Memory) -> str:
-    """Digest of a fixation configuration, content-addressing fixed memory.
+def fixation(fixes: dict[int, int | float | FixedMemory] | None,
+             memory: Memory) -> tuple[bytes, ...]:
+    """A fixation configuration as a hashable value: what
+    :func:`fixes_digest` hashes, one item per fixed parameter.
 
-    A :class:`FixedMemory` region hashes its *bytes*: two configs that point
-    at the same address but see different data must not collide, and two
-    that see identical data at different addresses still differ (the region
-    address is folded into lifted pointer arithmetic by specialization).
+    A :class:`FixedMemory` region contributes its *bytes*, read now: two
+    configs that point at the same address but see different data must not
+    collide, and two that see identical data at different addresses still
+    differ (the region address is folded into lifted pointer arithmetic by
+    specialization).
     """
     if not fixes:
-        return digest_str("fixes", "none")
+        return ()
     items: list[bytes] = []
     for idx in sorted(fixes):
         v = fixes[idx]
@@ -138,7 +146,21 @@ def fixes_digest(fixes: dict[int, int | float | FixedMemory] | None,
             items.append(b"f%d:" % idx + struct.pack("<d", v))
         else:
             items.append(b"i%d:%d" % (idx, v & (2**64 - 1)))
+    return tuple(items)
+
+
+def fixation_digest(items: tuple[bytes, ...]) -> str:
+    """Digest of a :func:`fixation` value."""
+    if not items:
+        return digest_str("fixes", "none")
     return digest_bytes(b"fixes", *items)
+
+
+def fixes_digest(fixes: dict[int, int | float | FixedMemory] | None,
+                 memory: Memory) -> str:
+    """Digest of a fixation configuration, content-addressing fixed memory
+    (see :func:`fixation`)."""
+    return fixation_digest(fixation(fixes, memory))
 
 
 def lift_options_digest(opts: LiftOptions, image: Image) -> str:
@@ -161,6 +183,15 @@ def lift_options_digest(opts: LiftOptions, image: Image) -> str:
             code = f"@{addr:#x}"
         items.append(f"callee:{cname}:{signature_digest(csig)}:{code}")
     return digest_str("lift", *items)
+
+
+def lift_options_value(opts: LiftOptions, image: Image) -> tuple:
+    """What :func:`lift_options_digest` reads, as a hashable value: each
+    known callee by its current extent (its bytes are the image's)."""
+    return (opts.flag_cache, opts.facet_cache, opts.stack_size,
+            tuple((addr, cname, csig, function_extent(image, addr))
+                  for addr, (cname, csig)
+                  in sorted(opts.known_functions.items())))
 
 
 def lifted_key(image: Image, func: str | int, signature: FunctionSignature,

@@ -90,15 +90,6 @@ class RunStats:
     stores: int = 0
     per_mnemonic: dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "RunStats") -> None:
-        self.instructions += other.instructions
-        self.cycles += other.cycles
-        self.taken_branches += other.taken_branches
-        self.loads += other.loads
-        self.stores += other.stores
-        for k, v in other.per_mnemonic.items():
-            self.per_mnemonic[k] = self.per_mnemonic.get(k, 0) + v
-
 
 @dataclass
 class CallResult:

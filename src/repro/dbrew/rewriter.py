@@ -143,9 +143,20 @@ class Rewriter:
 
     # -- rewriting -----------------------------------------------------------------
 
-    def _cache_key(self) -> str | None:
+    def _config(self) -> tuple:
+        """Everything the rewrite's key digests but the entry's code, as a
+        hashable value; ``set_mem`` regions with their bytes, read now."""
+        memory = self.image.memory
+        return (tuple(self.signature), self.ret_class,
+                tuple(sorted(self._fixed.items())),
+                (self.unroll_limit, self.inline_depth, self.code_size_limit),
+                tuple((start, end, memory.read(start, end - start))
+                      for start, end in sorted(self._mem_regions)))
+
+    def _cache_key(self, config: tuple) -> str | None:
         """Content key of this rewrite: the entry's code at its address
-        (the cache's memoized ``code_digest``) + full configuration.
+        (the cache's memoized ``code_digest``) + full configuration
+        (:meth:`_config`).
 
         ``set_mem`` regions hash their *contents* — that data is what the
         rewrite bakes into the emitted code, so two rewrites over the same
@@ -157,16 +168,27 @@ class Rewriter:
         code = self.cache.code_digest(self.image, self.entry)
         if code is None:
             return None
-        parts = [b"dbrew", code.encode(),
-                 ",".join(self.signature).encode(),
-                 (self.ret_class or "-").encode(),
-                 repr(sorted(self._fixed.items())).encode(),
-                 b"%d:%d:%d" % (self.unroll_limit, self.inline_depth,
-                                self.code_size_limit)]
-        for start, end in sorted(self._mem_regions):
-            parts.append(b"mem%d:%d:" % (start, end)
-                         + self.image.memory.read(start, end - start))
+        signature, ret_class, fixed, limits, regions = config
+        parts = [b"dbrew", code.encode(), ",".join(signature).encode(),
+                 (ret_class or "-").encode(), repr(list(fixed)).encode(),
+                 b"%d:%d:%d" % limits]
+        for start, end, data in regions:
+            parts.append(b"mem%d:%d:" % (start, end) + data)
         return cache_keys.digest_bytes(*parts)
+
+    def _request_key(self) -> str | None:
+        """:meth:`_cache_key`, derived once per image state: memoized under
+        the entry's extent and :meth:`_config`."""
+        from repro.cache import keys as cache_keys
+
+        assert self.cache is not None
+        extent = cache_keys.function_extent(self.image, self.entry)
+        if extent is None:
+            return None
+        config = self._config()
+        return self.cache.derived_keys(
+            self.image, ("dbrew", extent, config),
+            lambda: self._cache_key(config))
 
     def rewrite(self, *, name: str | None = None) -> int:
         """Rewrite; returns the new entry address.
@@ -186,7 +208,7 @@ class Rewriter:
             return self._rewrite_front(name)
 
     def _rewrite_front(self, name: str | None) -> int:
-        rkey = self._cache_key() if self.cache is not None else None
+        rkey = self._request_key() if self.cache is not None else None
         if rkey is not None:
             assert self.cache is not None
             hit = self.cache.get_rewrite(self.image, rkey)

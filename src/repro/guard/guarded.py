@@ -170,12 +170,6 @@ class GuardResult:
     def degraded(self) -> bool:
         return self.mode == "original"
 
-    def failure_summary(self) -> str:
-        """Why the ladder degraded: one clause per failed rung."""
-        return "; ".join(
-            f"{a.rung}: {'quarantined' if a.quarantined else a.error}"
-            for a in self.attempts if not a.ok) or "ladder degraded"
-
 
 class GuardedTransformer:
     """Fault-tolerant, budgeted, verified runtime transformation driver."""

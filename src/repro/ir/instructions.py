@@ -190,6 +190,30 @@ def _payload_slots(cls: type) -> tuple[str, ...]:
                  if s not in ("_operands", "block"))
 
 
+@functools.cache
+def _copier(cls: type) -> Callable:
+    """:meth:`Instruction.copy` for ``cls``: one attribute store per
+    payload slot, generated once, instead of a ``getattr``/``setattr``
+    loop per copy.  A slot a subclass adds is copied as a fresh list when
+    it holds one (branch targets, incoming blocks, a shuffle mask)."""
+    common = set(state_slots(Instruction))
+    src = ["def copy(self, block):", "    c = new(cls)"]
+    for slot in _payload_slots(cls):
+        if slot in common:
+            src.append(f"    c.{slot} = self.{slot}")
+        else:
+            src += [f"    v = self.{slot}",
+                    f"    c.{slot} = list(v) if type(v) is list else v"]
+    src += ["    c.uses = {}",
+            "    ops = c._operands = OperandList(self._operands)",
+            "    ops.user = None",
+            "    c.block = block",
+            "    return c"]
+    ns = {"new": cls.__new__, "cls": cls, "OperandList": OperandList}
+    exec(compile("\n".join(src), f"<copy {cls.__name__}>", "exec"), ns)
+    return ns["copy"]
+
+
 class Instruction(Value):
     """Base instruction; also an SSA value (possibly of void type)."""
 
@@ -293,16 +317,7 @@ class Instruction(Value):
         included) and operand values, its own payload lists (branch
         targets, incoming blocks), registered in no use list until
         :meth:`attach`."""
-        cls = type(self)
-        c = cls.__new__(cls)
-        for slot in _payload_slots(cls):
-            value = getattr(self, slot)
-            setattr(c, slot, list(value) if type(value) is list else value)
-        c.uses = {}
-        ops = c._operands = OperandList(self._operands)
-        ops.user = None
-        c.block = block
-        return c
+        return _copier(type(self))(self, block)
 
     def replace_operand(self, old: Value, new: Value) -> None:
         for i, op in enumerate(self.operands):

@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import IRError
 from repro.ir.instructions import (
-    INSERT, RESHAPE, Br, Instruction, Phi, Ret, Unreachable,
+    INSERT, RESHAPE, Br, Call, Instruction, Phi, Ret, Unreachable,
 )
 from repro.ir.irtypes import FunctionType, PointerType, Type
-from repro.ir.values import Argument, Value
+from repro.ir.values import (
+    Argument, Constant, ConstantFP, ConstantVector, Undef, Value, fresh_leaf,
+)
 
 
 #: the classes ``Instruction.is_terminator`` holds for
 _TERMINATORS = frozenset({Br, Ret, Unreachable})
 
-#: ``deepcopy`` memo key (never an ``id``) asking for a detached copy
-_DETACHED = "repro.ir.detached"
+
+#: the constant classes, which a :meth:`Module.copy` copies like a global
+_CONSTANTS = frozenset({Constant, ConstantFP, ConstantVector, Undef})
 
 
 class GlobalVariable(Value):
@@ -109,38 +111,48 @@ def clone_region(blocks: Sequence[BasicBlock], into: "Function", *,
     """Copy ``blocks`` for ``into`` — how a region of IR is copied, once.
 
     Every instruction is copied first, then every copy is remapped:
-    operands through ``vmap`` (``id(old) -> new``; the caller seeds it, with
-    formals -> actuals say, and reads the instruction map back out of it),
-    branch targets and phi incoming blocks through the block map; values
-    and blocks outside the region stay as they are.  Blocks are named by
-    ``name_block`` and, when given, non-void copies by ``name_value`` —
-    all blocks first, then values in body order.  ``attached`` copies enter
-    the use lists once remapped; detached ones (``analysis.clone``
-    snapshots) register nowhere.  The copies are returned in order and
-    belong to ``into``, which does not list them yet: placing them is the
-    caller's, and so is ``bump_version``; ``into``'s change journal, if it
-    has one, records attached copies as inserted (copies of its own
-    instructions with their originals).
+    operands and a call's callee through ``vmap`` (``id(old) -> new``; the
+    caller seeds it, with formals -> actuals say, and reads the instruction
+    map back out of it), branch targets and phi incoming blocks through the
+    block map; values and blocks outside the region stay as they are.
+    Blocks are named by ``name_block`` and, when given, non-void copies by
+    ``name_value`` — all blocks first, then values in body order.
+    ``attached`` copies enter the use lists once remapped; detached ones
+    (``analysis.clone`` snapshots, a cache's stored ``Module.copy``)
+    register nowhere.  The copies are returned in order and belong to
+    ``into``, which does not list them yet: placing them is the caller's,
+    and so is ``bump_version``; ``into``'s change journal, if it has one,
+    records attached copies as inserted (copies of its own instructions
+    with their originals).
     """
     bmap: dict[int, BasicBlock] = {}
+    copies: list[BasicBlock] = []
     for blk in blocks:
         nb = bmap[id(blk)] = BasicBlock(name_block(blk))
         nb.function = into
-    for blk in blocks:
-        nb = bmap[id(blk)]
+        copies.append(nb)
+    for blk, nb in zip(blocks, copies):
+        body = nb.instructions
         for ins in blk.instructions:
             c = vmap[id(ins)] = ins.copy(nb)
-            if name_value is not None and not c.type.is_void:
-                c.name = name_value()
-            nb.instructions.append(c)
-    for nb in bmap.values():
+            body.append(c)
+    if name_value is not None:
+        for nb in copies:
+            for c in nb.instructions:
+                if not c.type.is_void:
+                    c.name = name_value()
+    get = vmap.get
+    for nb in copies:
         for c in nb.instructions:
-            c.operands = [vmap.get(id(op), op) for op in c.operands]
-            if isinstance(c, Br):
+            c.operands = [get(id(op), op) for op in c.operands]
+            kind = type(c)
+            if kind is Br:
                 c.targets = [bmap.get(id(t), t) for t in c.targets]
-            elif isinstance(c, Phi):
+            elif kind is Phi:
                 c.incoming_blocks = [bmap.get(id(b), b)
                                      for b in c.incoming_blocks]
+            elif kind is Call:
+                c.callee = get(id(c.callee), c.callee)
             if attached:
                 c.attach()
     journal = into._changes if attached else None
@@ -151,7 +163,7 @@ def clone_region(blocks: Sequence[BasicBlock], into: "Function", *,
             journal.append((RESHAPE, nb))
             journal.extend([(INSERT, vmap[id(ins)], nb, ins if own else None)
                             for ins in blk.instructions])
-    return list(bmap.values())
+    return copies
 
 
 class Function(Value):
@@ -178,23 +190,22 @@ class Function(Value):
 
     def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
         super().__setstate__(state)
-        self._copied(attach=True)
+        self._copied()
 
     def __deepcopy__(self, memo: dict) -> "Function":
         twin = super().__deepcopy__(memo)
-        twin._copied(attach=_DETACHED not in memo)
+        twin._copied()
         return twin
 
-    def _copied(self, attach: bool) -> None:
+    def _copied(self) -> None:
         """Finish a load or a deepcopy: neither carries use lists, and by
         the time the function has its slots so has its whole body."""
         self._version = 0  # a copy starts its own epoch
         self._preds = None
         self._changes = None
-        if attach:
-            for blk in self.blocks:
-                for ins in blk.instructions:
-                    ins.attach()
+        for blk in self.blocks:
+            for ins in blk.instructions:
+                ins.attach()
 
     @property
     def version(self) -> int:
@@ -319,12 +330,38 @@ class Module:
         except KeyError:
             raise IRError(f"no function @{name}") from None
 
-    def detached_copy(self) -> "Module":
-        """A deep copy with no use lists, for storage: a cache entry that
-        is only ever read or deep-copied again pays for none (the module-
-        level twin of an ``analysis.clone`` snapshot).  ``copy.deepcopy``
-        of it is a live module again."""
-        return copy.deepcopy(self, {_DETACHED: True})
+    def copy(self, *, attached: bool = True) -> "Module":
+        """A copy that shares nothing with this module but its types.
+
+        Globals, functions, arguments and constants are fresh, bodies are
+        :func:`clone_region` copies and calls reach the copied callees.  An
+        ``attached`` copy is a live module; a detached one enters no use
+        list, which is what a cache keeps: it is only ever copied again.
+        """
+        twin = Module(self.name)
+        vmap: dict[int, Value] = {}
+        for name, g in self.globals.items():
+            twin.globals[name] = fresh_leaf(g, vmap)
+        funcs = list(self.functions.values())
+        for f in funcs:
+            nf = vmap[id(f)] = Function(f.name, f.ftype)
+            nf.args = [fresh_leaf(a, vmap) for a in f.args]
+            nf.always_inline = f.always_inline
+            nf.is_declaration = f.is_declaration
+            nf._name_counter = f._name_counter
+            twin.add_function(nf)
+        for f in funcs:
+            for blk in f.blocks:
+                for ins in blk.instructions:
+                    for op in ins.operands:
+                        if type(op) in _CONSTANTS and id(op) not in vmap:
+                            fresh_leaf(op, vmap)
+        for f in funcs:
+            nf = vmap[id(f)]
+            nf.blocks = clone_region(f.blocks, nf, vmap=vmap,
+                                     attached=attached,
+                                     name_block=lambda blk: blk.name)
+        return twin
 
     def __iter__(self) -> Iterable[Function]:
         return iter(self.functions.values())

@@ -178,3 +178,20 @@ class Argument(Value):
     def __init__(self, type_: Type, index: int, name: str = "") -> None:
         super().__init__(type_, name or f"arg{index}")
         self.index = index
+
+
+def fresh_leaf(v: Value, vmap: dict[int, Value]) -> Value:
+    """A user-less copy of the leaf value ``v`` (a global, an argument, a
+    constant), entered in ``vmap``; a vector's elements are copied too.
+    What ``Module.copy`` makes fresh, so that no value is shared between
+    two modules."""
+    cls = type(v)
+    twin = vmap[id(v)] = cls.__new__(cls)
+    for slot in state_slots(cls):
+        setattr(twin, slot, getattr(v, slot))
+    twin.uses = {}
+    if cls is ConstantVector:
+        twin.elements = tuple(  # type: ignore[attr-defined]
+            vmap[id(e)] if id(e) in vmap else fresh_leaf(e, vmap)
+            for e in v.elements)  # type: ignore[attr-defined]
+    return twin

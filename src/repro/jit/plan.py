@@ -197,9 +197,6 @@ class Pipeline:
         #: replay while a pass is in quarantine.  Warm cache hits skip
         #: optimization and therefore all of it
         self.validator = validator
-        #: (image generation, lift options, digest) memo — the digest
-        #: hashes known-callee bytes, so it must follow image patches
-        self._lift_digest: tuple[int, LiftOptions, str] | None = None
 
     # -- compile ---------------------------------------------------------------
 
@@ -323,14 +320,10 @@ class Pipeline:
         cache = self.cache if plan.inject is None else None
         lkey = mkey = None
         if cache is not None:
-            lkey = self._lifted_key(cache, plan.lift, func, signature)
-        if lkey is not None:
+            lkey, mkey = self._keys(cache, plan, func, signature, fixes,
+                                    fixed)
+        if mkey is not None:
             assert cache is not None
-            mkey = cache_keys.module_key(
-                lkey, "fixed" if fixed else "identity",
-                cache_keys.fixes_digest(fixes, self.image.memory),
-                cache_keys.options_digest(plan.o3))
-
             served = self._serve_machine(cache, mkey, out_name)
             if served is not None:
                 return served
@@ -349,22 +342,30 @@ class Pipeline:
         return self._build(plan, func, signature, fixes, out_name, fixed,
                            lkey, mkey)
 
-    def _lifted_key(self, cache: SpecializationCache, lift: LiftOptions,
-                    func: str | int,
-                    signature: FunctionSignature) -> str | None:
-        """Stage-1 key via the cache's memoized content digests."""
-        code_digest = cache.code_digest(self.image, func)
-        if code_digest is None:
-            return None
-        generation = cache.attach_image(self.image).generation
-        memo = self._lift_digest
-        if memo is None or memo[0] != generation or memo[1] is not lift:
-            memo = self._lift_digest = (
-                generation, lift,
-                cache_keys.lift_options_digest(lift, self.image))
-        return cache_keys.digest_str(
-            "lifted", code_digest, cache_keys.signature_digest(signature),
-            memo[2])
+    def _keys(self, cache: SpecializationCache, plan: Plan, func: str | int,
+              signature: FunctionSignature, fixes: Fixes,
+              fixed: bool) -> tuple[str | None, str | None]:
+        """The request's lifted and module keys (None, None when ``func``'s
+        extent is unknown), derived once per image state: memoized under
+        the inputs the digests are taken over."""
+        image = self.image
+        extent = cache_keys.function_extent(image, func)
+        if extent is None:
+            return None, None
+        mode = "fixed" if fixed else "identity"
+        fixation = cache_keys.fixation(fixes, image.memory)
+
+        def derive() -> tuple[str | None, str | None]:
+            lkey = cache_keys.lifted_key(image, func, signature, plan.lift)
+            assert lkey is not None
+            return lkey, cache_keys.module_key(
+                lkey, mode, cache_keys.fixation_digest(fixation),
+                cache_keys.options_digest(plan.o3))
+
+        return cache.derived_keys(image, (
+            "llvm", extent, signature,
+            cache_keys.lift_options_value(plan.lift, image), mode, plan.o3,
+            fixation), derive)
 
     def _serve_machine(self, cache: SpecializationCache, mkey: str,
                        out_name: str, *,

@@ -1,9 +1,8 @@
 """Exporters: Chrome trace-event JSON and flat metrics snapshots.
 
 ``trace_to_chrome`` emits the Trace Event Format understood by
-``about://tracing`` / Perfetto: complete events (``ph: "X"``) for spans
-and instant events (``ph: "i"``) for markers, timestamps in microseconds
-relative to the tracer's enable epoch.
+``about://tracing`` / Perfetto: one complete event (``ph: "X"``) per span,
+timestamps in microseconds relative to the tracer's enable epoch.
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ def trace_to_chrome(tracer: Tracer | None = None) -> dict:
         if s.parent_id is not None:
             args["parent_id"] = s.parent_id
         ev["args"] = args
-        events.append(ev)
-    for name, ts, tid, attrs in tr.events:
-        ev = {
-            "name": name,
-            "ph": "i",
-            "ts": (ts - epoch) * 1e6,
-            "pid": pid,
-            "tid": tid,
-            "s": "t",  # thread-scoped instant
-        }
-        if attrs:
-            ev["args"] = dict(attrs)
         events.append(ev)
     events.sort(key=lambda e: e["ts"])
     return {"traceEvents": events, "displayTimeUnit": "ms"}

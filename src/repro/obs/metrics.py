@@ -1,4 +1,4 @@
-"""Typed metrics registry: counters, gauges, histograms and stats records.
+"""Typed metrics registry: counters and stats records.
 
 A subsystem's stats (``CacheStats``, ``GuardStats``, the -O3
 scheduler's and the instrumenter's) are plain ``@dataclass`` records of
@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import fields, is_dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
@@ -54,90 +52,6 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class Gauge:
-    """A value that can go up and down (queue depths, sizes)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name}={self.value})"
-
-
-class Histogram:
-    """Fixed-boundary histogram; ``observe`` is a bisect plus two adds.
-
-    ``bounds`` are upper bucket edges; an implicit +inf bucket catches the
-    overflow.  ``counts[i]`` holds observations with ``value <= bounds[i]``.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total", "sum")
-
-    def __init__(self, name: str, bounds: Iterable[float]) -> None:
-        self.name = name
-        self.bounds = tuple(sorted(bounds))
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket boundary")
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
-        self.total += 1
-        self.sum += value
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile: the upper edge of the bucket holding it."""
-        if self.total == 0:
-            return 0.0
-        target = q * self.total
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                return self.bounds[i] if i < len(self.bounds) else float("inf")
-        return float("inf")
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "bounds": list(self.bounds),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-        }
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.total}, sum={self.sum:.6g})"
-
-
 R = TypeVar("R")
 
 
@@ -152,7 +66,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, object] = {}
-        self._views: dict[str, Callable[[], object]] = {}
 
     # -- creation (get-or-create by name; type mismatch is a bug) --------
     def _get(self, name: str, factory: Callable[[], object], cls: type):
@@ -170,53 +83,27 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, lambda: Counter(name), Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name), Gauge)
-
-    def histogram(self, name: str, bounds: Iterable[float]) -> Histogram:
-        return self._get(name, lambda: Histogram(name, bounds), Histogram)
-
     def record(self, prefix: str, cls: type[R]) -> R:
         """The ``cls`` stats record held under ``prefix``, made with its
         defaults on first use: every owner binding this registry and
         prefix shares it (two guards on one registry add up in one)."""
         return self._get(prefix, cls, cls)
 
-    def view(self, name: str, fn: Callable[[], object]) -> None:
-        """Register a read-only derived value included in snapshots.
-
-        Views are for state owned elsewhere; ``reset()`` does not touch
-        them.
-        """
-        with self._lock:
-            self._views[name] = fn
-
     # -- authoritative snapshot / reset ----------------------------------
     def snapshot(self) -> dict:
-        """One flat JSON-serialisable mapping of every metric and view."""
+        """One flat JSON-serialisable mapping of every metric."""
         out: dict[str, object] = {}
         with self._lock:
             metrics = list(self._metrics.items())
-            views = list(self._views.items())
         for name, m in sorted(metrics):
             if isinstance(m, Counter):
                 out[name] = m.value
-            elif isinstance(m, Gauge):
-                out[name] = m.value
-            elif isinstance(m, Histogram):
-                out[name] = m.snapshot()
             else:
                 _flatten(name, m, out)
-        for name, fn in sorted(views):
-            try:
-                out[name] = fn()
-            except Exception:  # view sources may already be closed
-                out[name] = None
         return out
 
     def reset(self) -> None:
-        """Zero every owned metric and record in place (views are derived
-        and untouched)."""
+        """Zero every counter and record in place."""
         with self._lock:
             metrics = list(self._metrics.values())
         for m in metrics:

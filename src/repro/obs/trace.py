@@ -52,7 +52,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans and instant events while ``enabled`` is True.
+    """Collects spans while ``enabled`` is True.
 
     ``enabled`` is a plain attribute: instrumentation sites read it once
     and skip everything when False.  Finished spans append to a list under
@@ -66,7 +66,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 1
         self.spans: list[Span] = []
-        self.events: list[tuple[str, float, int, dict | None]] = []
         self.epoch = 0.0  # clock value at last enable()
 
     # -- lifecycle -------------------------------------------------------
@@ -80,7 +79,6 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self.spans = []
-            self.events = []
             self._next_id = 1
 
     # -- span API --------------------------------------------------------
@@ -124,14 +122,6 @@ class Tracer:
 
     def current(self) -> Span | None:
         return _CURRENT.get()
-
-    def instant(self, name: str, attrs: dict | None = None) -> None:
-        """Record a zero-duration marker (promotion, install, reject)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self.events.append((name, self.clock(), threading.get_ident(),
-                                attrs))
 
 
 #: Process-global tracer.  All pipeline instrumentation binds this at

@@ -12,7 +12,7 @@ from repro.dbrew import Rewriter
 from repro.guard import GateOptions, GuardedTransformer
 from repro.jit import BinaryTransformer
 from repro.ir.passes import O3Options
-from repro.jit.plan import Pipeline
+from repro.jit.plan import DEFAULT_O3, Pipeline, Plan
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 
@@ -21,6 +21,14 @@ SIG_II_I = FunctionSignature(("i", "i"), "i")
 
 def _program():
     return compile_c("long f(long a, long b) { return a * b + 7; }")
+
+
+def _pipeline_lifted_key(pipeline: Pipeline, cache: SpecializationCache,
+                         opts: LiftOptions, func: str,
+                         sig: FunctionSignature) -> str | None:
+    """The lifted key a pipeline derives (and memoizes) for a request."""
+    return pipeline._keys(cache, Plan("llvm", opts, DEFAULT_O3), func, sig,
+                          None, False)[0]
 
 
 def test_options_digest_sensitive_to_each_field():
@@ -124,9 +132,9 @@ def test_lifted_key_tracks_signature_and_lift_options():
 
 
 def test_pipeline_lifted_key_is_keys_lifted_key():
-    """The pipeline composes its stage-1 key from memoized digests; it must
-    be the key pinned above, for every lift option and across a callee
-    patch (the memo is dropped when the image's code changes)."""
+    """The pipeline memoizes its stage-1 key per image state; it must be
+    the key pinned above, for every lift option and across a callee patch
+    (the memo is dropped when the image's code changes)."""
     prog = compile_c("long helper(long x) { return x * 3; } "
                      "long f(long a, long b) { return helper(a) + b; }")
     img = prog.image
@@ -139,14 +147,15 @@ def test_pipeline_lifted_key_is_keys_lifted_key():
                 LiftOptions(facet_cache=False), LiftOptions(stack_size=8192),
                 known)
     for opts in variants:
-        assert pipeline._lifted_key(cache, opts, "f", SIG_II_I) == \
+        assert _pipeline_lifted_key(pipeline, cache, opts, "f", SIG_II_I) == \
             keys.lifted_key(img, "f", SIG_II_I, opts), opts
     before = keys.lifted_key(img, "f", SIG_II_I, known)
     old = img.memory.read(helper, 1)
     img.patch_code(helper, bytes([old[0] ^ 0xFF]))
     after = keys.lifted_key(img, "f", SIG_II_I, known)
     assert after != before  # the callee's bytes are a compile input
-    assert pipeline._lifted_key(cache, known, "f", SIG_II_I) == after
+    assert _pipeline_lifted_key(pipeline, cache, known, "f", SIG_II_I) \
+        == after
 
 
 def _two_copies() -> Image:
@@ -176,7 +185,7 @@ def test_same_bytes_at_another_address_are_other_code():
     opts = LiftOptions()
     lifted = [keys.lifted_key(img, f, sig, opts) for f in ("f11", "f22")]
     assert lifted[0] != lifted[1]
-    assert lifted[1] == tx._lifted_key(cache, opts, "f22", sig)
+    assert lifted[1] == _pipeline_lifted_key(tx, cache, opts, "f22", sig)
 
     for f in ("f11", "f22"):  # DBrew's rewrite stage
         addr = Rewriter(img, f, cache=cache).set_signature(()).rewrite(

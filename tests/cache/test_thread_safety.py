@@ -131,3 +131,40 @@ def test_attach_image_registers_one_invalidation_hook():
     assert not errors
     # double-checked locking: exactly one hook, one per-image state
     assert len(prog.image._invalidation_hooks) == 1
+
+
+def test_a_memo_never_keeps_a_value_of_overwritten_bytes():
+    """Readers memoize the digest of ``f`` (and a key derived from it)
+    while a writer patches ``f`` back and forth: a digest computed from
+    the bytes before a patch must not land in a memo after the patch
+    emptied it.  Between two of its patches the writer finds every entry
+    equal to a fresh derivation."""
+    from repro.cache import keys
+    from repro.cpu import Image
+    from repro.x86.asm import assemble
+    from repro.x86.asmparser import parse_asm
+
+    img = Image()
+    code, _ = assemble(parse_asm("mov eax, 7\nret"),
+                       base=img.next_code_addr())
+    addr = img.add_function("f", code)  # C7 C0 imm32, C3
+    cache = SpecializationCache()
+    state = cache.attach_image(img)
+    extent = keys.function_extent(img, "f")
+
+    def derive():
+        return keys.code_digest(img, extent)
+
+    def worker(tid):
+        for i in range(4 * OPS):
+            if tid == 0:
+                fresh = derive()
+                memos = list(state.code_digests.values()) \
+                    + list(state.derived.values())
+                assert set(memos) <= {fresh}, i
+                img.patch_code(addr + 2, (7 + i % 2).to_bytes(4, "little"))
+            else:
+                cache.code_digest(img, "f")
+                cache.derived_keys(img, ("f", extent), derive)
+
+    hammer(N_THREADS, worker)

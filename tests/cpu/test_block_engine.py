@@ -109,7 +109,7 @@ def capture_corpus() -> dict:
             case: dict = {}
             for name, model in MODELS.items():
                 sim = Simulator(img, model)
-                merged = RunStats()
+                per_mnemonic: dict[str, int] = {}
                 rows = []
                 for p in probes:
                     img.memory.write(scratch, pattern)
@@ -121,10 +121,10 @@ def capture_corpus() -> dict:
                         res = sim.call(base, (scratch,), (p[0], p[1]),
                                        stats=stats)
                     rows.append(_row(res, stats))
-                    merged.merge(stats)
+                    for k, v in stats.per_mnemonic.items():
+                        per_mnemonic[k] = per_mnemonic.get(k, 0) + v
                 case[name] = rows
-                case["per_mnemonic"] = dict(sorted(
-                    merged.per_mnemonic.items()))
+                case["per_mnemonic"] = dict(sorted(per_mnemonic.items()))
             out[f"{kind}.{seed}"] = case
     return out
 

@@ -94,7 +94,6 @@ def test_acceptance_lift_failure_degrades_and_quarantines():
     assert r2.addr == entry and r2.mode == "original"
     assert all(a.quarantined for a in r2.attempts if a.rung != "original")
     assert g.stats.negative_served == 3
-    assert "quarantined" in r2.failure_summary()
 
     # 4. after the quarantine lifts, the un-failed rung compiles and the
     #    installed code passes the differential gate

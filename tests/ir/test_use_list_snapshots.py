@@ -132,7 +132,7 @@ def test_loads_and_deepcopy_rebuild_clean_use_lists(blobs):
 
 def test_a_stored_copy_keeps_no_use_lists_and_copies_back_live(blobs):
     module = pickle.loads(blobs["flat.line.llvm-fix/lifted"])
-    stored = module.detached_copy()  # what the cache keeps
+    stored = module.copy(attached=False)  # what the cache keeps
     verify_module(stored)
     for func in stored.functions.values():
         assert not any(arg.uses for arg in func.args)
@@ -140,7 +140,8 @@ def test_a_stored_copy_keeps_no_use_lists_and_copies_back_live(blobs):
                    for i in func.instructions())
     cache = SpecializationCache()
     cache.put_lifted("k", module, "f")
-    for live in (copy.deepcopy(stored), cache.get_lifted("k")[0]):
+    for live in (copy.deepcopy(stored), stored.copy(),
+                 cache.get_lifted("k")[0]):
         verify_module(live)
         assert _shape(live) == _shape(module)
         assert all(i.operands.user is i

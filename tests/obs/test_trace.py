@@ -27,8 +27,7 @@ def test_disabled_tracer_records_nothing():
     assert not tr.enabled
     with tr.span("x") as s:
         assert s is None
-    tr.instant("ev")
-    assert tr.spans == [] and tr.events == []
+    assert tr.spans == []
 
 
 def test_span_nesting_and_parent_ids():
@@ -53,7 +52,7 @@ def test_start_finish_attrs_and_clear():
     tr.finish(s)
     assert tr.spans[0].attrs == {"k": 7}
     tr.clear()
-    assert tr.spans == [] and tr.events == []
+    assert tr.spans == []
     s2 = tr.start("again")
     tr.finish(s2)
     assert s2.span_id == 1, "clear() restarts span ids"
@@ -67,15 +66,6 @@ def test_max_spans_cap():
     assert len(tr.spans) == 2
 
 
-def test_instant_events_recorded_only_when_enabled():
-    tr = Tracer()
-    tr.instant("off")
-    tr.enable()
-    tr.instant("on", {"tier": 2})
-    assert [e[0] for e in tr.events] == ["on"]
-    assert tr.events[0][3] == {"tier": 2}
-
-
 # -- export -----------------------------------------------------------------
 
 
@@ -85,15 +75,13 @@ def test_chrome_export_shape(tmp_path):
     with tr.span("outer", {"addr": 1}):
         with tr.span("inner"):
             pass
-        tr.instant("mark", {"x": 1})
     open_span = tr.start("never-finished")  # still open at export time
     doc = trace_to_chrome(tr)
     tr.finish(open_span)  # close it afterwards: the context var is global
     events = doc["traceEvents"]
     complete = [e for e in events if e["ph"] == "X"]
-    instants = [e for e in events if e["ph"] == "i"]
+    assert complete == events
     assert {e["name"] for e in complete} == {"outer", "inner"}
-    assert [e["name"] for e in instants] == ["mark"]
     for e in complete:
         assert e["dur"] > 0 and e["ts"] >= 0
         assert "span_id" in e["args"]
