@@ -7,6 +7,12 @@ within 5% of its untraced baseline.  The
 enabled-mode cost is measured alongside for the record (it pays for span
 allocation and a lock per finish, and is expected to be visible).
 
+The two arms are timed in pairs of laps of a few calls each, each pair
+alternating which arm runs first, and the bar bounds the median of the
+per-pair ratios: one lap can read far off (a GC pause or the host's
+other load lands inside it), and whichever arm always runs second pays
+for the first's garbage.
+
 Also runnable standalone (CI smoke):
 ``python bench_obs_overhead.py --quick --json BENCH_obs.json``.
 """
@@ -23,18 +29,18 @@ from repro.lift import FunctionSignature
 from repro.obs.trace import TRACER
 
 MAX_DISABLED_OVERHEAD = 0.05
+#: a warm hit takes about 20 µs, short enough for one interrupt to double
+#: a single-call lap
+CALLS_PER_LAP = 8
 
 
-def _median_pair(fn_a, fn_b, rounds: int) -> tuple[float, float]:
-    """Median of interleaved laps per arm (see bench_guard_overhead)."""
-    def lap(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    pairs = [(lap(fn_a), lap(fn_b)) for _ in range(rounds)]
-    return (statistics.median(p[0] for p in pairs),
-            statistics.median(p[1] for p in pairs))
+def _pair(bare, wrapped, i: int) -> tuple[float, float]:
+    """One lap of each arm; odd pairs run the wrapped arm first."""
+    if i % 2:
+        w = _lap(wrapped)
+        return _lap(bare), w
+    b = _lap(bare)
+    return b, _lap(wrapped)
 
 
 def run_warm_guard(rounds: int = 60) -> dict:
@@ -48,39 +54,46 @@ def run_warm_guard(rounds: int = 60) -> dict:
     assert not out.degraded
     assert guard.transform("f", sig, **kwargs).result.cache_stage is not None
 
-    base, off = _median_pair(
-        lambda: guard._transform_impl("f", sig, None, mem_regions=(),
-                                      probes=(), dbrew_func=None, **kwargs),
-        lambda: guard.transform("f", sig, **kwargs),
-        rounds)
+    def bare():
+        guard._transform_impl("f", sig, None, mem_regions=(), probes=(),
+                              dbrew_func=None, **kwargs)
+
+    def wrapped():
+        guard.transform("f", sig, **kwargs)
+
+    pairs = [_pair(bare, wrapped, i) for i in range(rounds)]
+    ratios = [w / b for b, w in pairs]
+    base = statistics.median(b for b, _ in pairs)
+    off = statistics.median(w for _, w in pairs)
 
     TRACER.clear()
     TRACER.enable()
     try:
-        on = statistics.median(
-            _lap(lambda: guard.transform("f", sig, **kwargs))
-            for _ in range(rounds))
+        on = statistics.median(_lap(wrapped) for _ in range(rounds))
     finally:
         TRACER.disable()
         TRACER.clear()
     return {"warm_bare_us": base * 1e6,
             "warm_disabled_us": off * 1e6,
             "warm_enabled_us": on * 1e6,
-            "warm_overhead": off / base - 1.0,
+            "warm_pair_ratios": ratios,
+            "warm_overhead": statistics.median(ratios) - 1.0,
             "warm_enabled_overhead": on / base - 1.0}
 
 
 def _lap(fn) -> float:
+    """Seconds per call of ``fn``, timed over :data:`CALLS_PER_LAP` calls."""
     t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    for _ in range(CALLS_PER_LAP):
+        fn()
+    return (time.perf_counter() - t0) / CALLS_PER_LAP
 
 
 def _report_lines(r) -> list[str]:
     return [
         f"warm tx   bare {r['warm_bare_us']:7.1f} us   "
         f"disabled-trace {r['warm_disabled_us']:7.1f} us   "
-        f"({r['warm_overhead']:+.1%})",
+        f"(median pair {r['warm_overhead']:+.1%})",
         f"warm tx   enabled-trace {r['warm_enabled_us']:7.1f} us   "
         f"({r['warm_enabled_overhead']:+.1%}, pays span alloc + lock)",
     ]

@@ -5,11 +5,10 @@ See :mod:`repro.cache.cache` for the stage model and
 """
 
 from repro.cache.cache import CacheStats, MachineEntry, SpecializationCache
-from repro.cache.flight import FlightTable
 from repro.cache.negative import NegativeCache, NegativeEntry
 from repro.cache.store import LRUStore
 
 __all__ = [
-    "CacheStats", "FlightTable", "LRUStore", "MachineEntry",
-    "NegativeCache", "NegativeEntry", "SpecializationCache",
+    "CacheStats", "LRUStore", "MachineEntry", "NegativeCache",
+    "NegativeEntry", "SpecializationCache",
 ]

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.cache import keys as K
-from repro.cache.flight import FlightTable
 from repro.cache.negative import NegativeCache, NegativeEntry
 from repro.cache.store import LRUStore
 from repro.cpu.image import Image
@@ -69,11 +68,9 @@ def _per_stage() -> dict[str, int]:
 class CacheStats:
     """Hit/miss accounting, per stage and per transform.
 
-    The record a cache holds in its
-    :class:`~repro.obs.metrics.MetricsRegistry` under ``cache`` (private by
-    default, shareable via the ``registry`` argument), so one
-    ``snapshot()``/``reset()`` is authoritative across cache and guard
-    accounting.
+    The record a cache holds under ``cache`` in its own
+    :class:`~repro.obs.metrics.MetricsRegistry`, whose
+    ``snapshot()``/``reset()`` is the one read and the one reset.
     """
 
     stage_hits: dict[str, int] = field(default_factory=_per_stage)
@@ -175,19 +172,17 @@ class SpecializationCache:
     ``machine_capacity`` bounds the per-image installed-code stores.
 
     Thread-safe: the stage stores and the quarantine lock internally (see
-    :mod:`repro.cache.store` / :mod:`repro.cache.negative`), image binding
-    holds the cache's own lock, and :attr:`flights` coalesces concurrent
-    compiles of one key into a single pipeline run.  Stats counters are
-    plain int increments — atomic enough under the GIL for telemetry.
+    :mod:`repro.cache.store` / :mod:`repro.cache.negative`) and image
+    binding holds the cache's own lock.  Nothing coalesces misses: two
+    threads missing on one key each compile and install a correct copy,
+    and the last store wins.  Stats counters are plain int increments —
+    atomic enough under the GIL for telemetry.
     """
 
-    def __init__(self, *, capacity: int = 256, machine_capacity: int = 1024,
-                 negative: NegativeCache | None = None,
-                 registry: MetricsRegistry | None = None) -> None:
-        #: the metrics registry backing all of this cache's accounting —
-        #: stats counters and flight-table counters alike; pass a shared
-        #: registry to aggregate with other subsystems
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, *, capacity: int = 256,
+                 machine_capacity: int = 1024) -> None:
+        #: the cache's private metrics registry: all of its accounting
+        self.registry = MetricsRegistry()
         self.stats = self.registry.record("cache", CacheStats)
         self._lifted = LRUStore(capacity)
         self._modules = LRUStore(capacity)
@@ -198,15 +193,7 @@ class SpecializationCache:
         #: failure quarantine (see repro.cache.negative); shared with the
         #: guard ladder so a failed specialization is served its fallback
         #: without re-running the pipeline
-        self.negative = negative if negative is not None \
-            else NegativeCache(capacity=capacity * 4)
-        #: in-flight compile coalescing (see repro.cache.flight); shared by
-        #: every transformer attached to this cache, so N concurrent misses
-        #: on one machine key run one pipeline.  Its led/coalesced counters
-        #: live in this cache's registry (unified snapshot/reset).
-        self.flights = FlightTable(
-            led=self.registry.counter("cache.flight.led"),
-            coalesced=self.registry.counter("cache.flight.coalesced"))
+        self.negative = NegativeCache(capacity=capacity * 4)
 
     # -- image binding ---------------------------------------------------------
 

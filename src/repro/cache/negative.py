@@ -13,9 +13,10 @@ Entries carry a TTL and a retry budget:
 * while an entry is *fresh* (``now < expiry``) the failed rung is skipped;
 * when the TTL lapses the rung is retried — the input may have been
   patched, or a transient budget squeeze may be gone;
-* every repeated failure doubles the TTL (capped) up to ``max_retries``
-  re-attempts, after which the entry becomes permanent: the quarantine
-  stops burning pipeline time on an input that provably never transforms.
+* every repeated failure doubles the TTL (capped at :data:`MAX_TTL`) up
+  to :data:`MAX_RETRIES` re-attempts, after which the entry becomes
+  permanent: the quarantine stops burning pipeline time on an input that
+  provably never transforms.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cache.store import LRUStore
+
+#: the longest a doubled quarantine window grows (seconds)
+MAX_TTL = 3600.0
+#: failures after which an entry never expires
+MAX_RETRIES = 8
 
 
 @dataclass
@@ -52,8 +58,8 @@ class NegativeCache:
     """LRU-bounded quarantine with TTL back-off and a retry budget.
 
     ``ttl`` is the initial quarantine window; each repeated failure doubles
-    it up to ``max_ttl``.  After ``max_retries`` failures the entry stops
-    expiring.  ``clock`` is injectable for deterministic tests.
+    it up to :data:`MAX_TTL`.  After :data:`MAX_RETRIES` failures the entry
+    stops expiring.  ``clock`` is injectable for deterministic tests.
 
     Thread-safe: :meth:`check` mutates served counters and :meth:`record`
     is a read-modify-write of the TTL back-off state, so both hold one
@@ -63,11 +69,8 @@ class NegativeCache:
     """
 
     def __init__(self, *, capacity: int = 1024, ttl: float = 30.0,
-                 max_ttl: float = 3600.0, max_retries: int = 8,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.ttl = ttl
-        self.max_ttl = max_ttl
-        self.max_retries = max_retries
         self._clock = clock
         self._store = LRUStore(capacity)
         self._lock = threading.RLock()
@@ -104,9 +107,9 @@ class NegativeCache:
                 entry.rung = rung
                 entry.reason = reason
                 entry.context = dict(context or {})
-                entry.ttl = min(entry.ttl * 2, self.max_ttl)
+                entry.ttl = min(entry.ttl * 2, MAX_TTL)
             entry.expiry = now + entry.ttl
-            if entry.failures > self.max_retries:
+            if entry.failures > MAX_RETRIES:
                 entry.permanent = True
             self._store.put(key, entry)
             return entry

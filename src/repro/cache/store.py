@@ -5,7 +5,9 @@ count (IR modules dominate the footprint, and the entry count maps directly
 to the number of distinct specializations kept warm).
 
 The store is thread-safe: a caller may share one cache between threads,
-so every compound operation (put+evict, check-then-move) holds a lock.
+and nothing coalesces their misses (two threads missing on one key both
+compile and both ``put``), so every compound operation (put+evict,
+check-then-move) holds a lock.
 The ``OrderedDict`` operations underneath are *not* individually atomic —
 ``move_to_end`` during ``popitem`` or iteration during ``put`` corrupts or
 raises — which is exactly what tests/cache/test_thread_safety.py hammers.

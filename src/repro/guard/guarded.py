@@ -89,10 +89,9 @@ def _per_rung() -> dict[str, int]:
 class GuardStats:
     """Aggregate ladder counters across one GuardedTransformer's lifetime.
 
-    The record a guard holds in its
-    :class:`~repro.obs.metrics.MetricsRegistry` under ``guard`` (private by
-    default; share one to aggregate across transformers).  :meth:`fold` is
-    its one writer.
+    The record a guard holds under ``guard`` in its own
+    :class:`~repro.obs.metrics.MetricsRegistry`.  :meth:`fold` is its one
+    writer.
     """
 
     transforms: int = 0
@@ -180,8 +179,7 @@ class GuardedTransformer:
                  gate_options: GateOptions = GateOptions(),
                  negative: NegativeCache | None = None,
                  validator: "object | None" = None,
-                 machine_verify: bool = False,
-                 registry: MetricsRegistry | None = None) -> None:
+                 machine_verify: bool = False) -> None:
         self.image = image
         self.cache = cache
         self.budget = budget
@@ -195,9 +193,8 @@ class GuardedTransformer:
                     pregate=DEFAULT_PREGATE, machine_verify=machine_verify,
                     gate="always", gate_options=gate_options)
         self.plans = {rung: replace(plan, rung=rung) for rung in LADDER[:-1]}
-        #: the registry backing this guard's stats and gate verdict
-        #: counters; pass a shared one to aggregate across transformers
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: the guard's private registry: its stats and gate verdict counters
+        self.registry = MetricsRegistry()
         self.stats = self.registry.record("guard", GuardStats)
         #: quarantine: the attached cache's by default, standalone otherwise
         if negative is not None:

@@ -42,9 +42,8 @@ class BinaryTransformer(Pipeline):
     def __init__(self, image: Image, *, lift_options: LiftOptions | None = None,
                  o3_options: O3Options | None = None,
                  cache: SpecializationCache | None = None,
-                 budget: "object | None" = None,
                  machine_verify: bool = False) -> None:
-        super().__init__(image, cache=cache, budget=budget)
+        super().__init__(image, cache=cache)
         self.lift_options = lift_options or LiftOptions()
         self.o3_options = o3_options or DEFAULT_O3
         #: statically verify every freshly emitted function against its

@@ -9,10 +9,11 @@ the same fixed sequence of stages under a :class:`Plan`, its policy
               -> [machine-verify]
     admit:    [pregate] -> [gate] -> mark gated | evict
 
-:meth:`Pipeline.compile` owns the staged cache (look-ups, stores, in-flight
-coalescing), the budget's deadline polls, the obs spans and the
-``machine:<module key>`` quarantine; a module-stage hit enters the same tail
-at codegen.  :meth:`Pipeline.admit` is validate-before-swap, and
+:meth:`Pipeline.compile` owns the staged cache (look-ups and stores), the
+budget's deadline polls, the obs spans and the ``machine:<module key>``
+quarantine; a module-stage hit enters the same tail at codegen.  A miss
+compiles on the caller's thread, whoever else is compiling the same key.
+:meth:`Pipeline.admit` is validate-before-swap, and
 :meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
 What can only *reject* work — budget, validator, machine verification,
 pregate, gate — is never part of a cache key.
@@ -119,9 +120,6 @@ class TransformResult:
     #: the served machine entry had already passed the verification gate
     #: (only meaningful on a machine-stage hit; see MachineEntry.gated)
     machine_gated: bool = False
-    #: this request joined another thread's in-flight compile of the same
-    #: key and was served the leader's installed code (no pipeline ran)
-    coalesced: bool = False
     #: the main function's pipeline report (None on machine/module cache
     #: hits — the optimizer did not run); carries per-pass validation
     #: verdicts when -O3 ran as a replay (a pass in quarantine)
@@ -309,36 +307,17 @@ class Pipeline:
     def _transform(self, plan: Plan, func: str | int,
                    signature: FunctionSignature, fixes: Fixes, out_name: str,
                    fixed: bool) -> TransformResult:
-        """Machine-stage look-up, then the (coalesced) miss path.
-
-        A machine-stage miss is routed through the cache's
-        :class:`~repro.cache.FlightTable`: of N threads missing on the same
-        installed-code key concurrently, one runs the pipeline and the rest
-        block until it installs, then serve the result as a machine-stage
-        hit (``coalesced=True``) — one compile, one installed copy.
-        """
+        """The installed machine entry for the request's keys, else the
+        miss path (:meth:`_build`) on the caller's thread."""
         cache = self.cache if plan.inject is None else None
         lkey = mkey = None
         if cache is not None:
             lkey, mkey = self._keys(cache, plan, func, signature, fixes,
                                     fixed)
-        if mkey is not None:
-            assert cache is not None
-            served = self._serve_machine(cache, mkey, out_name)
-            if served is not None:
-                return served
-            result, leader = cache.flights.run(
-                ("transform", id(self.image), mkey),
-                lambda: self._build(plan, func, signature, fixes, out_name,
-                                    fixed, lkey, mkey))
-            if leader:
-                return result
-            served = self._serve_machine(cache, mkey, out_name,
-                                         coalesced=True)
-            if served is not None:
-                return served
-            # leader's entry already evicted (tiny machine capacity under
-            # churn): fall through to a private compile
+            if mkey is not None:
+                served = self._serve_machine(cache, mkey, out_name)
+                if served is not None:
+                    return served
         return self._build(plan, func, signature, fixes, out_name, fixed,
                            lkey, mkey)
 
@@ -368,8 +347,7 @@ class Pipeline:
             fixation), derive)
 
     def _serve_machine(self, cache: SpecializationCache, mkey: str,
-                       out_name: str, *,
-                       coalesced: bool = False) -> TransformResult | None:
+                       out_name: str) -> TransformResult | None:
         """Alias an installed machine entry under ``out_name``, if cached."""
         entry = cache.get_machine(self.image, mkey)
         if entry is None:
@@ -382,7 +360,6 @@ class Pipeline:
         return TransformResult(entry.addr, out_name, entry.function,
                                entry.module, cache_stage="machine",
                                machine_key=mkey, machine_gated=entry.gated,
-                               coalesced=coalesced,
                                machine_verdict=entry.machine_verdict)
 
     def _build(self, plan: Plan, func: str | int,

@@ -59,8 +59,8 @@ class MetricsRegistry:
     """Get-or-create metric container with authoritative snapshot/reset.
 
     Two owners binding the same registry and name share the metric or
-    record — that is how per-subsystem stats aggregate when a caller hands
-    one registry to several transformers and caches.
+    record — that is how every instrumenter adds up in the process-wide
+    :data:`REGISTRY`; each cache and each guard keeps a private one.
     """
 
     def __init__(self) -> None:
@@ -136,9 +136,9 @@ def _zero(record: object) -> None:
             setattr(record, f.name, 0)
 
 
-#: Process-global default registry.  Subsystem stats objects default to a
-#: private registry (tests rely on per-instance counters); the global one
-#: backs :func:`counter` and the CLI snapshot.
+#: Process-global registry: it backs :func:`counter`, the -O3 scheduler's
+#: and the instrumenter's records and the CLI snapshot.  A cache's and a
+#: guard's stats live in a registry of their own.
 REGISTRY = MetricsRegistry()
 
 

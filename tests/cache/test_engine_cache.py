@@ -1,5 +1,5 @@
 """BinaryTransformer + SpecializationCache integration: stage hits,
-invalidation, eviction bounds, disk persistence and the hit-rate counters."""
+invalidation, eviction bounds and the hit-rate counters."""
 
 from dataclasses import asdict
 
@@ -33,6 +33,16 @@ def test_repeated_transform_hits_machine_stage():
     sim = Simulator(img)
     for i in range(6):
         assert sim.call_int(f"f.v{i}", (6, 9)) == 61
+
+
+def test_distinct_keys_install_distinct_code():
+    img = compile_c(SRC).image
+    tx = BinaryTransformer(img, cache=SpecializationCache())
+    a = tx.llvm_identity("f", SIG, name="f.a")
+    b = tx.llvm_fixed("f", SIG, {1: 7}, name="f.b")
+    assert a.cache_stage is None and b.cache_stage != "machine"
+    assert a.machine_key != b.machine_key
+    assert a.addr != b.addr
 
 
 def test_hit_rate_counter_reports_all_warm_transforms():

@@ -1,14 +1,11 @@
-"""Property tests for cache-key stability and single-flight invariants.
+"""Property tests for cache-key stability.
 
-Two classes of guarantee back the persistent specialization cache:
-
-* **digest stability** — the same compile inputs must produce the same
-  key in a *different process* (different ``PYTHONHASHSEED``, fresh
-  memos), or on-disk entries would never hit after a restart; and *every*
-  option field must perturb the key, or two different configurations
-  would alias one cache slot;
-* **single-flight** — however hostile the thread interleaving, at most
-  one caller per key ever runs the compile thunk.
+A key is a content digest, so two guarantees back the specialization
+cache: the same compile inputs produce the same key in a *different
+process* (different ``PYTHONHASHSEED``, fresh memos), so a key never
+depends on object identity or hash order; and *every* option field
+perturbs the key, or two different configurations would alias one cache
+slot.
 """
 
 from __future__ import annotations
@@ -16,12 +13,9 @@ from __future__ import annotations
 import dataclasses
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 from repro.cache import keys
-from repro.cache.flight import FlightTable
 from repro.cpu import Image
 from repro.ir.passes import O3Options
 from repro.lift import FunctionSignature, LiftOptions
@@ -151,43 +145,3 @@ def test_signature_and_fixes_deltas_reach_module_key():
     assert base not in variants
     assert len(set(variants)) == len(variants), "two deltas collide"
 
-
-# -- single-flight invariant under forced preemption ------------------------
-
-
-def test_flight_table_single_leader_under_preemption():
-    """8 threads racing one key: exactly 1 leads, 7 coalesce."""
-    table = FlightTable()
-    n = 8
-    barrier = threading.Barrier(n)
-    ran = []
-    ran_lock = threading.Lock()
-    results = []
-
-    def thunk():
-        with ran_lock:
-            ran.append(threading.get_ident())
-        time.sleep(0.02)  # hold the flight open so followers pile up
-        return "compiled"
-
-    def worker():
-        barrier.wait()
-        results.append(table.run("key", thunk))
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # force frequent preemption
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(old)
-
-    assert len(ran) == 1, "the compile thunk ran more than once"
-    assert table.led == 1
-    assert table.coalesced == n - 1
-    assert table.in_flight == 0
-    assert [r[0] for r in results] == ["compiled"] * n
-    assert sum(1 for r in results if r[1]) == 1, "exactly one leader flag"

@@ -8,15 +8,22 @@ mutated during iteration``, and link-list corruption loses entries.  The
 tiny switch interval forces the interpreter to preempt threads inside
 those compound operations, so the pre-lock failure reproduces in well
 under a second rather than once a week in CI.
+
+Nothing coalesces concurrent misses, so the last test races whole
+compiles of one key through one shared cache and image.
 """
 
 import sys
 import threading
+import time
 
 import pytest
 
+from repro import BinaryTransformer, FunctionSignature, compile_c
 from repro.cache import NegativeCache, SpecializationCache
 from repro.cache.store import LRUStore
+from repro.cpu import Simulator
+from repro.testing.faults import inject_faults
 
 N_THREADS = 8
 OPS = 800
@@ -48,7 +55,8 @@ def hammer(n_threads, worker):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a worker hung"
     assert not errors, errors
 
 
@@ -168,3 +176,38 @@ def test_a_memo_never_keeps_a_value_of_overwritten_bytes():
                 cache.derived_keys(img, ("f", extent), derive)
 
     hammer(N_THREADS, worker)
+
+
+def slow_opt(result, *args):
+    time.sleep(0.05)  # widen the window; keep the real result
+    return None
+
+
+def test_concurrent_same_key_misses_each_install_a_correct_copy():
+    """Threads behind a barrier miss on one machine key of one shared
+    cache while -O3 is slowed, so their compiles overlap: each gets code
+    that computes the function, and the machine store holds one entry for
+    the key, which a later request is served."""
+    prog = compile_c("long f(long a, long b) { return (a + 1) * b; }")
+    cache = SpecializationCache()
+    sig = FunctionSignature(("i", "i"), "i")
+    n = 4
+    results = [None] * n
+
+    def worker(i):
+        tx = BinaryTransformer(prog.image, cache=cache)
+        results[i] = tx.llvm_identity("f", sig, name=f"f.race{i}")
+
+    with inject_faults("opt", every=True, corrupt=slow_opt):
+        hammer(n, worker)
+
+    sim = Simulator(prog.image)
+    for i, r in enumerate(results):
+        assert r.name == f"f.race{i}"
+        assert sim.call_int(r.name, (4, 5)) == 25
+    (mkey,) = {r.machine_key for r in results}
+    assert list(cache.attach_image(prog.image).machine.keys()) == [mkey]
+    again = BinaryTransformer(prog.image, cache=cache).llvm_identity(
+        "f", sig, name="f.after")
+    assert again.cache_stage == "machine"
+    assert again.addr in {r.addr for r in results}

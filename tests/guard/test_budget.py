@@ -7,7 +7,7 @@ from repro.dbrew import Rewriter, raising_error_handler
 from repro.errors import BudgetExceededError
 from repro.guard import Budget
 from repro.ir.passes import run_o3
-from repro.jit import BinaryTransformer
+from repro.jit.plan import DEFAULT_O3, Pipeline, Plan
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 
 
@@ -134,7 +134,8 @@ def test_run_o3_respects_iteration_budget():
 
 def test_transformer_threads_budget_through_stages():
     prog = compile_c("long f(long a, long b) { return a * b; }")
-    tx = BinaryTransformer(prog.image,
-                           budget=Budget(max_lift_instructions=1).start())
+    pipeline = Pipeline(prog.image,
+                        budget=Budget(max_lift_instructions=1).start())
     with pytest.raises(BudgetExceededError):
-        tx.llvm_identity("f", FunctionSignature(("i", "i"), "i"), name="f2")
+        pipeline.compile(Plan("llvm", LiftOptions(), DEFAULT_O3), "f",
+                         FunctionSignature(("i", "i"), "i"), None, "f2")

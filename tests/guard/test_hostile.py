@@ -11,8 +11,8 @@ import pytest
 from repro.cpu.image import Image
 from repro.errors import ReproError
 from repro.guard import Budget, GateOptions, GuardedTransformer
-from repro.jit import BinaryTransformer
-from repro.lift import FunctionSignature
+from repro.jit.plan import DEFAULT_O3, Pipeline, Plan
+from repro.lift import FunctionSignature, LiftOptions
 
 SIG = FunctionSignature(("i",), "i")
 
@@ -72,11 +72,12 @@ def test_bare_pipeline_raises_only_repro_errors(name):
     typed error contract — never a stray TypeError/IndexError/etc."""
     img = Image()
     img.add_function(name, CORPUS[name])
-    tx = BinaryTransformer(img, budget=Budget(
+    pipeline = Pipeline(img, budget=Budget(
         max_lift_instructions=500, max_lift_blocks=64,
         max_opt_iterations=64).start())
     try:
-        tx.llvm_identity(name, SIG, name=name + ".tx")
+        pipeline.compile(Plan("llvm", LiftOptions(), DEFAULT_O3), name, SIG,
+                         None, name + ".tx")
     except ReproError:
         pass  # the allowed failure mode
 

@@ -140,9 +140,7 @@ def test_gate_rejected_code_is_evicted_not_resurrected():
         now = 0.0
 
     clk = Clock()
-    cache = SpecializationCache(
-        negative=NegativeCache(ttl=10.0, clock=lambda: clk.now))
-    img, g = make(cache=cache)
+    img, g = make(negative=NegativeCache(ttl=10.0, clock=lambda: clk.now))
     with inject_faults("opt", every=True, corrupt=skew_constants):
         r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.mode == "original"

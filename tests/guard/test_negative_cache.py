@@ -1,6 +1,7 @@
 """Failure quarantine: TTL windows, back-off, retry budget, stats."""
 
 from repro.cache import NegativeCache, SpecializationCache
+from repro.cache.negative import MAX_RETRIES, MAX_TTL
 
 
 class FakeClock:
@@ -42,18 +43,26 @@ def test_expired_entry_survives_for_backoff():
 
 
 def test_ttl_backoff_is_capped():
-    nc, _ = make(max_ttl=25.0)
-    for _ in range(5):
+    nc, clk = make(ttl=MAX_TTL / 2.5)
+    for _ in range(3):  # 0.4, 0.8, then 1.6 capped to 1.0 x MAX_TTL
         entry = nc.record("k", "llvm", "again")
-    assert entry.ttl == 25.0
+    assert entry.ttl == MAX_TTL
+    clk.now = MAX_TTL - 0.1
+    assert nc.check("k") is not None
+    clk.now = MAX_TTL + 0.1
+    assert nc.check("k") is None
 
 
 def test_entry_becomes_permanent_after_retry_budget():
-    nc, clk = make(max_retries=3)
-    for _ in range(4):
+    nc, clk = make()
+    for _ in range(MAX_RETRIES):
         entry = nc.record("k", "llvm", "always")
-    assert entry.permanent
+    assert not entry.permanent
     clk.now = 1e9  # far past any TTL
+    assert nc.check("k") is None
+    entry = nc.record("k", "llvm", "always")  # one failure past the budget
+    assert entry.permanent
+    clk.now = 2e9
     assert nc.check("k") is not None  # permanent entries never expire
 
 

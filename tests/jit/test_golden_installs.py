@@ -43,7 +43,12 @@ engine shipped, the client-side install) and the four ``tier.farm.*``
 counters, zero in every ``tiered`` cell; the fixture was edited, not
 re-captured, and no other value moved.  When the tiered engine was
 deleted, so was the fixture's ``tiered`` section (the T1, T1-edges and T2
-handles); again edited, not re-captured, and no other value moved.
+handles); again edited, not re-captured, and no other value moved.  When
+single-flight coalescing was deleted, so were its two counters (leader
+runs and coalesced joins) in the 42 ``counters`` cells; the fixture was
+edited, and no other value moved.  Since each cache and each
+guard keeps a registry of its own, a ``guard`` cell's ``counters`` are
+the cache's and the guard's registries read side by side.
 """
 
 from __future__ import annotations
@@ -175,8 +180,7 @@ def capture_guard() -> dict:
             for mode in M.GUARD_LADDERS:
                 cell = f"{code}.{'line' if line else 'elem'}.{mode}"
                 req = M.request(ws, code, line)
-                reg = MetricsRegistry()
-                cache = recording(SpecializationCache(registry=reg))
+                cache = recording(SpecializationCache())
 
                 def guard(**kw):
                     return GuardedTransformer(
@@ -184,7 +188,7 @@ def capture_guard() -> dict:
                         machine_verify=True,
                         gate_options=GateOptions(samples=2, seed=1), **kw)
 
-                cached = guard(cache=cache, registry=reg)
+                cached = guard(cache=cache)
                 row = {
                     "guard_key": cached._guard_key(
                         ws.image.symbol(req.func), req.signature,
@@ -194,7 +198,8 @@ def capture_guard() -> dict:
                     "warm": _guard_row(ws, cached, req, mode, f"g.{cell}"),
                     "keys": cache.seen,
                     "negatives": _negatives(cache),
-                    "counters": _counters(reg),
+                    "counters": {**_counters(cache.registry),
+                                 **_counters(cached.registry)},
                 }
                 # the ledger's own configuration: no cache at all
                 bare = guard()

@@ -121,8 +121,8 @@ def test_guard_stats_registry_is_authoritative():
 
 
 def test_shared_registry_aggregates_across_instances():
-    """Two owners of one registry share the record — how guards handed
-    one registry aggregate."""
+    """Two owners of one registry share the record — how every
+    instrumenter adds up in the process-wide one."""
     r = MetricsRegistry()
     a, b = r.record("guard", GuardStats), r.record("guard", GuardStats)
     a.transforms += 1
@@ -172,31 +172,26 @@ def test_each_record_snapshots_exactly_its_fields(cls):
 
 
 def test_stats_reset_is_the_registrys_alone():
-    """A guard and a cache sharing one registry: no record has a reset of
-    its own, and only ``registry.reset()`` zeroes the cache's counters."""
+    """A guard and its cache, each with a registry of its own: no record
+    has a reset of its own, and only ``registry.reset()`` zeroes a
+    record — the cache's registry the cache's, the guard's the guard's."""
     prog = compile_c("long f(long a, long b) { return a * b + 1; }")
-    r = MetricsRegistry()
-    cache = SpecializationCache(registry=r)
-    guard = GuardedTransformer(prog.image, cache=cache, registry=r)
+    cache = SpecializationCache()
+    guard = GuardedTransformer(prog.image, cache=cache)
+    assert guard.registry is not cache.registry
     guard.transform("f", FunctionSignature(("i", "i"), "i"), {1: 3},
                     probes=[(4,)])
     stores = cache.stats.stores
     assert stores > 0 and guard.stats.transforms == 1
-    assert SpecializationCache(registry=r).stats is cache.stats, \
+    assert cache.registry.record("cache", CacheStats) is cache.stats, \
         "shared by prefix"
     for stats in (guard.stats, cache.stats):
         assert not [m for m in dir(stats) if "reset" in m]
     assert cache.stats.stores == stores
-    r.reset()
-    assert cache.stats.stores == 0 and guard.stats.transforms == 0
-
-
-def test_specialization_cache_flight_counters_in_registry():
-    cache = SpecializationCache()
-    cache.flights.run("k", lambda: 1)
-    snap = cache.registry.snapshot()
-    assert snap["cache.flight.led"] == 1
-    assert cache.flights.led == 1, "legacy property reads the same counter"
+    cache.registry.reset()
+    assert cache.stats.stores == 0 and guard.stats.transforms == 1
+    guard.registry.reset()
+    assert guard.stats.transforms == 0
 
 
 # -- the guard's fold ---------------------------------------------------------
@@ -234,16 +229,24 @@ _LADDER_COUNTS = {
 }
 
 
+def _added(a: dict, b: dict) -> dict:
+    """Two snapshots of one registry shape, summed counter by counter (and
+    label by label in a family, whose labels either may lack)."""
+    return {k: {label: v.get(label, 0) + b[k].get(label, 0)
+                for label in {**v, **b[k]}}
+            if isinstance(v, dict) else v + b[k] for k, v in a.items()}
+
+
 def test_ladder_fold_counts_every_kind_of_failure():
     """Static-verify, machine-verify and gate rejections, then the same
     request served from quarantine, then a budget failure on a second
-    guard sharing the registry: the fold of each ``GuardResult`` counts
-    what the ladder's inline bumps counted."""
+    guard sharing the cache: the folds of each ``GuardResult``, read from
+    the two guards' registries and added, count what the ladder's inline
+    bumps counted."""
     sig = FunctionSignature(("i", "i"), "i")
     prog = compile_c("long f(long a, long b) { return a * b + 7; }")
-    r = MetricsRegistry()
-    kw = dict(cache=SpecializationCache(registry=r), registry=r,
-              machine_verify=True, gate_options=GateOptions(samples=2))
+    kw = dict(cache=SpecializationCache(), machine_verify=True,
+              gate_options=GateOptions(samples=2))
     guard = GuardedTransformer(prog.image, **kw)
     run = guard.pipeline.run
 
@@ -270,5 +273,5 @@ def test_ladder_fold_counts_every_kind_of_failure():
          ("original", None, None, False)],
         [("dbrew+llvm", "BudgetExceededError", "lift", False),
          ("llvm-fix", None, None, False)]]
-    assert {k: v for k, v in r.snapshot().items()
-            if k.startswith("guard.")} == _LADDER_COUNTS
+    assert _added(guard.registry.snapshot(),
+                  starved.registry.snapshot()) == _LADDER_COUNTS
