@@ -42,7 +42,7 @@ from repro.instrument import (
 from repro.jit import BinaryTransformer, TransformResult
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.lift.fixation import FixedMemory
-from repro.obs import TRACER, Tracer, metrics, trace_to_chrome
+from repro.obs import metrics
 
 __version__ = "1.0.0"
 
@@ -66,8 +66,6 @@ __all__ = [
     "ProbeBuffer",
     "Rewriter",
     "Simulator",
-    "TRACER",
-    "Tracer",
     "TransformResult",
     "analyze_flags",
     "compile_c",
@@ -75,5 +73,4 @@ __all__ = [
     "metrics",
     "run_checkers",
     "strip_instrumentation",
-    "trace_to_chrome",
 ]

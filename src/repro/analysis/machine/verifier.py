@@ -984,14 +984,6 @@ class MachineVerifier:
 
 def verify_witness(witness: CodeWitness) -> VerifyResult:
     """Verify one compiled function against its IR; never raises."""
-    from repro.obs.trace import TRACER as _TR
-    if not _TR.enabled:
-        return _verify(witness)
-    with _TR.span("machine.verify", {"func": witness.name}):
-        return _verify(witness)
-
-
-def _verify(witness: CodeWitness) -> VerifyResult:
     t0 = time.perf_counter()
     try:
         return MachineVerifier(witness).verify()

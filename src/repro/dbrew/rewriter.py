@@ -30,7 +30,6 @@ from repro.dbrew.metastate import (
 )
 from repro.errors import RewriteError
 from repro.mem.memory import Memory
-from repro.obs.trace import TRACER as _TR
 from repro.x86.asm import Item, Label, LabelRef, assemble_full
 from repro.x86.decoder import decode_one
 from repro.x86.effects import Effects, effects_of
@@ -202,12 +201,6 @@ class Rewriter:
         ``set_par``/``set_mem`` configuration) returns the previously
         emitted code.
         """
-        if not _TR.enabled:
-            return self._rewrite_front(name)
-        with _TR.span("rewrite", {"func": self.func_name}):
-            return self._rewrite_front(name)
-
-    def _rewrite_front(self, name: str | None) -> int:
         rkey = self._request_key() if self.cache is not None else None
         if rkey is not None:
             assert self.cache is not None
@@ -310,29 +303,18 @@ class Rewriter:
                                    addr=point.addr)
                 self.budget.check_deadline("rewrite", addr=point.addr)
             out.append(Label(point.label))
-            if _TR.enabled:
-                with _TR.span("rewrite.emulate", {"addr": point.addr}):
-                    self._process_point(point, out, worklist)
-            else:
-                self._process_point(point, out, worklist)
+            self._process_point(point, out, worklist)
             if len(out) * 4 > self.code_size_limit:
                 raise RewriteError("generated code exceeds the buffer limit",
                                    stage="rewrite", addr=point.addr)
 
         from repro.backend.emit import peephole
-        span = _TR.start("rewrite.encode", {"items": len(out)}) \
-            if _TR.enabled else None
-        try:
-            out = peephole(out)
-            base = self.image.next_code_addr(jit=True)
-            code, _placed, _labels = assemble_full(out, base)
-            if len(code) > self.code_size_limit:
-                raise RewriteError("generated code exceeds the buffer limit")
-            addr = self.image.add_function(new_name, code, jit=True)
-        finally:
-            if span is not None:
-                _TR.finish(span)
-        return addr
+        out = peephole(out)
+        base = self.image.next_code_addr(jit=True)
+        code, _placed, _labels = assemble_full(out, base)
+        if len(code) > self.code_size_limit:
+            raise RewriteError("generated code exceeds the buffer limit")
+        return self.image.add_function(new_name, code, jit=True)
 
     # -- trace points --------------------------------------------------------------
 
@@ -350,21 +332,15 @@ class Rewriter:
     def _decode(self, pc: int) -> Instruction:
         ins = self._decode_cache.get(pc)
         if ins is None:
-            span = _TR.start("rewrite.decode", {"addr": pc}) \
-                if _TR.enabled else None
+            window = self.image.memory.window(pc, 16)
+            if not window:
+                raise RewriteError(f"code address {pc:#x} unmapped")
             try:
-                window = self.image.memory.window(pc, 16)
-                if not window:
-                    raise RewriteError(f"code address {pc:#x} unmapped")
-                try:
-                    ins = decode_one(window, 0, pc)
-                except Exception as exc:  # decoding gap -> internal error (Sec. II)
-                    raise RewriteError(f"cannot decode at {pc:#x}: {exc}",
-                                       stage="rewrite", addr=pc,
-                                       data=window) from exc
-            finally:
-                if span is not None:
-                    _TR.finish(span)
+                ins = decode_one(window, 0, pc)
+            except Exception as exc:  # decoding gap -> internal error (Sec. II)
+                raise RewriteError(f"cannot decode at {pc:#x}: {exc}",
+                                   stage="rewrite", addr=pc,
+                                   data=window) from exc
             self._decode_cache[pc] = ins
             self.stats.decoded += 1
         return ins

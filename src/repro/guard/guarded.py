@@ -42,7 +42,6 @@ from repro.jit.plan import DEFAULT_O3, Pipeline, Plan, TransformResult
 from repro.lift import FunctionSignature, LiftOptions
 from repro.lift.fixation import FixedMemory
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TRACER as _TR
 
 #: the full degradation ladder, strongest specialization first
 LADDER = ("dbrew+llvm", "llvm-fix", "llvm", "original")
@@ -285,25 +284,6 @@ class GuardedTransformer:
         the gate rejects are evicted, so expired quarantine can never
         resurrect code proven divergent.
         """
-        if not _TR.enabled:
-            return self._transform_impl(func, signature, fixes,
-                                        mem_regions=mem_regions, name=name,
-                                        probes=probes, ladder=ladder,
-                                        dbrew_func=dbrew_func)
-        label = func if isinstance(func, str) else f"f{func:x}"
-        with _TR.span("guard.transform", {"func": label}):
-            return self._transform_impl(func, signature, fixes,
-                                        mem_regions=mem_regions, name=name,
-                                        probes=probes, ladder=ladder,
-                                        dbrew_func=dbrew_func)
-
-    def _transform_impl(self, func: str | int, signature: FunctionSignature,
-                        fixes: dict[int, int | float | FixedMemory] | None = None,
-                        *, mem_regions: Sequence[tuple[int, int]] = (),
-                        name: str | None = None,
-                        probes: Sequence[tuple] = (),
-                        ladder: Sequence[str] | None = None,
-                        dbrew_func: str | int | None = None) -> GuardResult:
         t_start = time.perf_counter()
         entry = self.image.symbol(func) if isinstance(func, str) else func
         base = func if isinstance(func, str) else f"f{func:x}"
@@ -363,8 +343,6 @@ class GuardedTransformer:
                 continue
 
             t0 = time.perf_counter()
-            rspan = _TR.start(f"guard.rung.{rung}", {"name": out_name}) \
-                if _TR.enabled else None
             try:
                 # a machine-stage hit whose entry carries the gated bit was
                 # admitted when it was installed: the warm path re-pays
@@ -391,9 +369,6 @@ class GuardedTransformer:
                     f"{guard_key()}:{rung}", rung,
                     f"{attempt.error_type}: {attempt.error}", attempt.context)
                 continue
-            finally:
-                if rspan is not None:
-                    _TR.finish(rspan)
             attempt.seconds = time.perf_counter() - t0
             attempt.ok = True
             out.addr, out.mode = result.addr, rung

@@ -29,7 +29,6 @@ from repro.ir.passes import O3Options
 from repro.jit.plan import Pipeline, Plan
 from repro.lift import FunctionSignature, LiftOptions
 from repro.obs import metrics as _metrics
-from repro.obs.trace import TRACER as _TR
 
 @dataclass
 class InstrumentStats:
@@ -94,10 +93,8 @@ class Instrumenter:
                     gate="always", gate_options=self.gate_options)
         pipeline = Pipeline(self.image)
         try:
-            with _TR.span("instrument.apply", {"name": out_name,
-                                               "options": options.digest()}):
-                res, gate_report = pipeline.run(plan, entry, signature, None,
-                                                out_name, probes=probes)
+            res, gate_report = pipeline.run(plan, entry, signature, None,
+                                            out_name, probes=probes)
         except VerificationError as exc:
             stage = exc.context.get("stage")
             if stage in self.stats.rejected:

@@ -19,7 +19,6 @@ from repro.cpu.image import Image, RODATA_BASE
 from repro.errors import CodegenError
 from repro.ir.codegen.lower import lower_function, lower_function_info
 from repro.ir.module import Function, Module
-from repro.obs.trace import TRACER as _TR
 from repro.x86.asm import Item, assemble_full
 
 
@@ -47,52 +46,33 @@ class JITEngine:
     def compile_function(self, func: Function, *, name: str | None = None,
                          extra_symbols: dict[str, int] | None = None) -> int:
         """Compile one function; returns its entry address."""
-        if not _TR.enabled:
-            return self._compile_function(func, name, extra_symbols)
-        with _TR.span("jit.compile", {"func": func.name}):
-            return self._compile_function(func, name, extra_symbols)
-
-    def _compile_function(self, func: Function, name: str | None,
-                          extra_symbols: dict[str, int] | None) -> int:
         if func.is_declaration:
             raise CodegenError(f"cannot compile declaration @{func.name}",
                                stage="codegen", function=func.name)
         self.last_witness = None
         if func.module is not None:
             self.place_globals(func.module)
-        span = _TR.start("jit.lower", {"func": func.name}) \
-            if _TR.enabled else None
         try:
-            try:
-                tf, lower_info = lower_function_info(func)
-            except CodegenError as exc:
-                raise exc.with_context(stage="codegen", function=func.name)
-            tac_optimize(tf)
-        finally:
-            if span is not None:
-                _TR.finish(span)
+            tf, lower_info = lower_function_info(func)
+        except CodegenError as exc:
+            raise exc.with_context(stage="codegen", function=func.name)
+        tac_optimize(tf)
         # the base address is computed before assembling against it, so
         # emit-through-install must be one critical section per image:
         # two threads compiling into one image would otherwise claim the
         # same JIT address
-        span = _TR.start("jit.install", {"func": func.name}) \
-            if _TR.enabled else None
-        try:
-            with self.image.codegen_lock:
-                symbols = dict(self.image.symbols)
-                if extra_symbols:
-                    symbols.update(extra_symbols)
-                # declared callees must resolve through existing image symbols
-                items, emit_info = emit_function_info(tf, self.pool, EMIT,
-                                                      symbols)
-                base = self.image.next_code_addr(jit=True)
-                code, _placed, labels = assemble_full(items, base)
-                install_name = name or func.name
-                addr = self.image.add_function(install_name, code, jit=True)
-                rodata_end = self.image._rodata_cursor
-        finally:
-            if span is not None:
-                _TR.finish(span)
+        with self.image.codegen_lock:
+            symbols = dict(self.image.symbols)
+            if extra_symbols:
+                symbols.update(extra_symbols)
+            # declared callees must resolve through existing image symbols
+            items, emit_info = emit_function_info(tf, self.pool, EMIT,
+                                                  symbols)
+            base = self.image.next_code_addr(jit=True)
+            code, _placed, labels = assemble_full(items, base)
+            install_name = name or func.name
+            addr = self.image.add_function(install_name, code, jit=True)
+            rodata_end = self.image._rodata_cursor
         assert addr == labels[func.name]
         from repro.analysis.machine.witness import build_witness
         mem = self.image.memory

@@ -10,7 +10,6 @@ from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.ir.module import Function
-from repro.obs.trace import TRACER as _TR
 from repro.ir.passes import (
     constprop, dce, gvn, inline, instcombine, mem2reg, schedule, simplifycfg,
     unroll, vectorize,
@@ -165,8 +164,6 @@ def _steps(func: Function, options: O3Options, budget: "object | None",
                 schedule.check_after(func, mod, *args, changed_of=changed_of,
                                      **kwargs)
             return False
-        span = _TR.start(f"o3.pass.{name}", {"func": func.name}) \
-            if _TR.enabled else None
 
         def thunk() -> Any:
             # ``run`` is looked up per call: whoever wraps it sees each one
@@ -192,8 +189,6 @@ def _steps(func: Function, options: O3Options, budget: "object | None",
                 schedule.check_after(func, mod, *args, changed_of=changed_of,
                                      **kwargs)
         finally:
-            if span is not None:
-                _TR.finish(span)
             report.schedule_disabled = sched.disabled_reason
         any_changed |= changed
         return changed

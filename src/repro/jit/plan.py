@@ -10,7 +10,7 @@ the same fixed sequence of stages under a :class:`Plan`, its policy
     admit:    [pregate] -> [gate] -> mark gated | evict
 
 :meth:`Pipeline.compile` owns the staged cache (look-ups and stores), the
-budget's deadline polls, the obs spans and the ``machine:<module key>``
+budget's deadline polls and the ``machine:<module key>``
 quarantine; a module-stage hit enters the same tail at codegen.  A miss
 compiles on the caller's thread, whoever else is compiling the same key.
 :meth:`Pipeline.admit` is validate-before-swap, and
@@ -46,7 +46,6 @@ from repro.ir.passes import O3Options, O3Report, replay_o3, run_o3
 from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.lift.fixation import FixedMemory, build_fixation_wrapper
 from repro.obs import metrics as _metrics
-from repro.obs.trace import TRACER as _TR
 
 if TYPE_CHECKING:  # pragma: no cover - repro.guard/instrument import us
     from repro.guard.verify import GateOptions, GateReport
@@ -211,7 +210,7 @@ class Pipeline:
         """
         source = self._source(plan, func, signature, fixes, out_name,
                               mem_regions, dbrew_func)
-        return self._compile(plan, source, signature, fixes, out_name)
+        return self._transform(plan, source, signature, fixes, out_name)
 
     def run(self, plan: Plan, func: str | int, signature: FunctionSignature,
             fixes: Fixes, out_name: str, *,
@@ -234,7 +233,7 @@ class Pipeline:
         source = self._source(plan, func, signature, fixes, out_name,
                               mem_regions, dbrew_func)
         try:
-            result = self._compile(plan, source, signature, fixes, out_name)
+            result = self._transform(plan, source, signature, fixes, out_name)
             return result, self.admit(plan, result, func, signature, fixes,
                                       probes)
         except ReproError as exc:
@@ -245,7 +244,7 @@ class Pipeline:
             if blamed is None:
                 raise
         try:
-            result = self._compile(plan, source, signature, fixes, out_name)
+            result = self._transform(plan, source, signature, fixes, out_name)
             gate = self.admit(plan, result, func, signature, fixes, probes)
         except ReproError as exc:
             raise exc.with_context(blamed_pass=blamed)
@@ -262,21 +261,6 @@ class Pipeline:
         return self.rewrite(func if dbrew_func is None else dbrew_func,
                             signature, fixes, mem_regions,
                             out_name + ".dbrew")
-
-    def _compile(self, plan: Plan, func: str | int,
-                 signature: FunctionSignature, fixes: Fixes,
-                 out_name: str) -> TransformResult:
-        fixed = plan.rung == "llvm-fix"
-        if not fixed:
-            fixes = None
-        if not _TR.enabled:
-            return self._transform(plan, func, signature, fixes, out_name,
-                                   fixed)
-        with _TR.span("transform", {
-                "name": out_name,
-                "mode": "fixed" if fixed else "identity"}):
-            return self._transform(plan, func, signature, fixes, out_name,
-                                   fixed)
 
     def rewrite(self, func: str | int, signature: FunctionSignature,
                 fixes: Fixes, mem_regions: Sequence[tuple[int, int]],
@@ -305,10 +289,14 @@ class Pipeline:
         return rw.rewrite(name=name)
 
     def _transform(self, plan: Plan, func: str | int,
-                   signature: FunctionSignature, fixes: Fixes, out_name: str,
-                   fixed: bool) -> TransformResult:
+                   signature: FunctionSignature, fixes: Fixes,
+                   out_name: str) -> TransformResult:
         """The installed machine entry for the request's keys, else the
-        miss path (:meth:`_build`) on the caller's thread."""
+        miss path (:meth:`_build`) on the caller's thread.  Only the
+        ``llvm-fix`` rung reads ``fixes``."""
+        fixed = plan.rung == "llvm-fix"
+        if not fixed:
+            fixes = None
         cache = self.cache if plan.inject is None else None
         lkey = mkey = None
         if cache is not None:
@@ -405,8 +393,7 @@ class Pipeline:
         t0 = time.perf_counter()
         main = self._fix(module, lifted, fixes, out_name) if fixed \
             else lifted
-        with _TR.span("opt", {"name": out_name}):
-            o3_report = self._optimize(plan, module, main, out_name)
+        o3_report = self._optimize(plan, module, main, out_name)
         t_opt = time.perf_counter() - t0
         if mkey is not None:
             assert cache is not None
@@ -416,9 +403,8 @@ class Pipeline:
 
     def _fix(self, module: Module, lifted: Function, fixes: Fixes,
              out_name: str) -> Function:
-        with _TR.span("fixation", {"name": out_name}):
-            return build_fixation_wrapper(module, lifted, fixes or {},
-                                          self.image.memory, name=out_name)
+        return build_fixation_wrapper(module, lifted, fixes or {},
+                                      self.image.memory, name=out_name)
 
     def _optimize(self, plan: Plan, module: Module, main: Function,
                   out_name: str) -> O3Report:
@@ -496,7 +482,7 @@ class Pipeline:
         [machine-verify] -> machine-cache store."""
         probes, t_inject = None, 0.0
         if plan.inject is not None:
-            probes, t_inject = self._inject(main, plan.inject, out_name)
+            probes, t_inject = self._inject(main, plan.inject)
         if self.budget is not None:
             self.budget.check_deadline("codegen")  # type: ignore[attr-defined]
         t0 = time.perf_counter()
@@ -533,19 +519,18 @@ class Pipeline:
             machine_verdict=verdict, machine_verify_seconds=t_verify,
             module_key=mkey, probes=probes, inject_seconds=t_inject)
 
-    def _inject(self, main: Function, options: "InstrumentOptions",
-                out_name: str) -> tuple[Probes, float]:
+    def _inject(self, main: Function,
+                options: "InstrumentOptions") -> tuple[Probes, float]:
         """Probes go in *after* O3, so they count the code that actually
         runs and no pass can move, merge or delete them."""
         from repro.instrument.buffer import ProbeBuffer
         from repro.instrument.passes import inject_probes, plan_probes
 
         t0 = time.perf_counter()
-        with _TR.span("instrument.inject", {"name": out_name}):
-            probe_plan = plan_probes(main, options)
-            buffer = ProbeBuffer.allocate(self.image, probe_plan)
-            inject_probes(main, probe_plan, buffer)
-            verify(main)
+        probe_plan = plan_probes(main, options)
+        buffer = ProbeBuffer.allocate(self.image, probe_plan)
+        inject_probes(main, probe_plan, buffer)
+        verify(main)
         return Probes(probe_plan, buffer), time.perf_counter() - t0
 
     # -- admit -----------------------------------------------------------------
@@ -626,6 +611,5 @@ class Pipeline:
             # original only inside its own probe buffer
             options = replace(options, ignore_regions=options.ignore_regions
                               + (result.probes.buffer.extent(),))
-        with _TR.span("guard.gate", {"rung": plan.rung}):
-            return DifferentialGate(self.image, options).gate(
-                original, result.addr, signature, fixes, probes, self.budget)
+        return DifferentialGate(self.image, options).gate(
+            original, result.addr, signature, fixes, probes, self.budget)

@@ -41,7 +41,6 @@ from repro.lift.regfile import (
     F_F64, F_PTR, F_V2F64, I8P, RegFile, RegState, scratch_builder, splice,
 )
 from repro.mem.memory import Memory
-from repro.obs.trace import TRACER as _TR
 from repro.x86 import isa
 from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
@@ -137,18 +136,7 @@ class Lifter:
     # -- driver ------------------------------------------------------------------
 
     def lift(self) -> Function:
-        if not _TR.enabled:
-            return self._lift_impl()
-        with _TR.span("lift", {"entry": self.entry}):
-            return self._lift_impl()
-
-    def _lift_impl(self) -> Function:
-        if _TR.enabled:
-            with _TR.span("lift.discover", {"entry": self.entry}):
-                cfg = discover(self.memory, self.entry,
-                               budget=self.options.budget)  # type: ignore[arg-type]
-        else:
-            cfg = discover(self.memory, self.entry, budget=self.options.budget)  # type: ignore[arg-type]
+        cfg = discover(self.memory, self.entry, budget=self.options.budget)  # type: ignore[arg-type]
         sig = self.signature
         param_types = tuple(I64 if c == "i" else DOUBLE for c in sig.params)
         ret_type: Type = VOID if sig.ret is None else (I64 if sig.ret == "i" else DOUBLE)
@@ -214,25 +202,14 @@ class Lifter:
             state = self._entry_state(own)
             self.regs = RegFile(state, self.b, self.options.facet_cache)
             self.flags = FlagModel(self.regs, self.b, self.options.flag_cache)
-            if _TR.enabled:
-                with _TR.span("lift.block", {"addr": gb.start,
-                                             "n": len(gb.instructions)}):
-                    succs = self._lift_block(gb, ir_blocks)
-            else:
-                succs = self._lift_block(gb, ir_blocks)
-            for succ in succs:
+            for succ in self._lift_block(gb, ir_blocks):
                 preds[succ].append((irb, state, own))
 
-        span = _TR.start("lift.connect") if _TR.enabled else None
-        try:
-            self._connect(ir_blocks, slots, preds)
-            # what lazy emission still leaves: facet merges nobody reads,
-            # cmp's sub, dead loads.  The optimizer is path-dependent on
-            # dead code, so the lifter hands it none
-            _sweep(func)
-        finally:
-            if span is not None:
-                _TR.finish(span)
+        self._connect(ir_blocks, slots, preds)
+        # what lazy emission still leaves: facet merges nobody reads,
+        # cmp's sub, dead loads.  The optimizer is path-dependent on
+        # dead code, so the lifter hands it none
+        _sweep(func)
         return func
 
     def _declare_callees(self) -> None:

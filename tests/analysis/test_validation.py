@@ -14,9 +14,9 @@ from repro.ir.passes import O3Options, replay_o3, run_o3
 from repro.ir.verifier import verify
 from repro.ir.values import Constant, Undef
 from repro.guard import Budget, GuardedTransformer
-from repro.lift import FunctionSignature
+from repro.lift import FunctionSignature, LiftOptions, lift_function
 from repro.errors import BudgetExceededError, IRError
-from repro.testing.faults import FaultSpec, inject_faults
+from repro.testing.faults import O3_PASSES, FaultSpec, inject_faults
 
 from repro.analysis import (
     PassValidator,
@@ -421,3 +421,34 @@ def test_probe_memory_record_is_the_compared_regions_only(monkeypatch):
     _r, verdict = validator.run_pass("scratch", clobber_scratch, f)
     assert not verdict.ok and verdict.rolled_back
     assert verdict.reason.endswith(f"memory divergence at {V.SCRATCH_BASE:#x}")
+
+
+def test_every_o3_pass_application_is_judged_once():
+    """The validated sweep logs one verdict per pass application that ran:
+    the pass names in ``pass_log`` equal the executed applications, as
+    multisets."""
+    prog = compile_c("""
+    long f(long a, long b) {
+        long s = 0;
+        for (long i = 0; i < a; i++) s += i * b;
+        return s;
+    }
+    """)
+    img = prog.image
+    f = lift_function(img.memory, img.symbol("f"),
+                      FunctionSignature(("i", "i"), "i"),
+                      LiftOptions(name="f.judged"), Module("t"))
+    verify(f)
+
+    # count what actually runs: a fault spec that corrupts nothing
+    spy = [FaultSpec(f"pass:{p}", every=True, corrupt=lambda _res, *_a: None)
+           for p in O3_PASSES]
+    with inject_faults(*spy) as ran:
+        report = _replay(f, PassValidator())
+
+    assert report.pass_log and all(v.ok for v in report.pass_log)
+    executed = sorted(stage.removeprefix("pass:")
+                      for stage, n in ran.calls.items() for _ in range(n))
+    logged = sorted(v.pass_name for v in report.pass_log)
+    assert executed and logged == executed, \
+        "the pass log must match the executed applications exactly"
