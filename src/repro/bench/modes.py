@@ -174,14 +174,12 @@ def prepare_kernel(ws: StencilWorkspace, code: str, mode: str, *,
     # reaches fixed (Fig. 2's set_par/set_mem)
     fixes = None if req.descriptor is None else {0: req.descriptor}
     rw_name = name if mode == "dbrew" else f"{name}.dbrew"
-    before = cache.stats.stage_hits["rewrite"] if cache is not None else 0
     t0 = time.perf_counter()
-    addr = tx.rewrite(req.dbrew_func, req.signature, fixes, req.mem_regions,
-                      rw_name)
+    addr, served = tx.rewrite(req.dbrew_func, req.signature, fixes,
+                              req.mem_regions, rw_name)
     t_rw = time.perf_counter() - t0
     if mode == "dbrew":
-        hit = cache is not None and cache.stats.stage_hits["rewrite"] > before
         return ModeResult(addr, name, t_rw, {"rewrite": t_rw},
-                          cache_stage="rewrite" if hit else None)
+                          cache_stage="rewrite" if served else None)
     # dbrew+llvm: the identity transformation on top of the rewrite
     return _compiled(tx.llvm_identity(addr, req.signature, name=name), t_rw)

@@ -29,6 +29,8 @@ a hit can land at any stage boundary:
     DBrew whole-rewrite memoization (per image): same entry code at the
     same address + same ``set_par``/``set_mem`` configuration -> the
     previously emitted code.
+
+The pipeline (:mod:`repro.jit.plan`) makes every look-up and store.
 """
 
 from __future__ import annotations

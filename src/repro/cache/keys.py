@@ -21,6 +21,8 @@ Keys are staged so a hit can land at any stage boundary (see
 ========  ==========================================================
 lifted    H(code at its address, callees, signature, lift options)
 module    H(lifted key, mode, fixes, O3 options)
+rewrite   H(DBrew's entry code at its address, DBrew configuration,
+          ``set_mem`` bytes)
 ========  ==========================================================
 
 Installed machine code is stored per image (and per image generation)
@@ -30,7 +32,8 @@ A repeat request does not re-derive its keys: the cache memoizes them per
 image (:meth:`~repro.cache.SpecializationCache.derived_keys`) under the
 *inputs* the digests are taken over — :func:`function_extent` standing for
 the code bytes, :func:`lift_options_value`, :func:`fixation` (fixed memory
-read on every request) — and drops the memo when the image is patched.
+read on every request; DBrew's configuration with its ``set_mem`` bytes)
+— and drops the memo when the image is patched.
 """
 
 from __future__ import annotations
@@ -210,3 +213,24 @@ def module_key(lkey: str, mode: str, fdigest: str, o3_digest: str) -> str:
     """Stage-2 key: the post-O3 module is determined by the lifted IR plus
     the transformation mode, fixation values and pipeline configuration."""
     return digest_str("module", lkey, mode, fdigest, o3_digest)
+
+
+def rewrite_key(image: Image, func: str | int, config: tuple) -> str | None:
+    """DBrew's key: the entry's code at its address plus the rewriter's
+    configuration (:meth:`~repro.dbrew.Rewriter.config`), or None when the
+    entry's extent is unknown.
+
+    ``set_mem`` regions hash their *contents* — that data is what the
+    rewrite bakes into the emitted code, so two rewrites over the same
+    region with different data must not collide.
+    """
+    extent = function_extent(image, func)
+    if extent is None:
+        return None
+    signature, ret_class, fixed, limits, regions = config
+    parts = [b"dbrew", code_digest(image, extent).encode(),
+             ",".join(signature).encode(), (ret_class or "-").encode(),
+             repr(list(fixed)).encode(), b"%d:%d:%d" % limits]
+    for start, end, data in regions:
+        parts.append(b"mem%d:%d:" % (start, end) + data)
+    return digest_bytes(*parts)

@@ -84,7 +84,6 @@ class Rewriter:
     """Mirror of the Fig. 2/3 configuration API."""
 
     def __init__(self, image: Image, func: str | int, *,
-                 cache: "SpecializationCache | None" = None,
                  budget: "Budget | None" = None) -> None:
         self.image = image
         self.entry = image.symbol(func) if isinstance(func, str) else func
@@ -100,12 +99,7 @@ class Rewriter:
         #: the RewriteError the last rewrite() recovered from (None = clean)
         self.last_error: RewriteError | None = None
         self.stats = RewriteStats()
-        self.verbose = False
-        self.cache = cache
         self.budget = budget
-        #: content digest of the last emitted code (feeds the LLVM
-        #: post-processing cache key in the DBrew+LLVM composition)
-        self.last_digest: str | None = None
         self._decode_cache: dict[int, Instruction] = {}
 
     # -- configuration (dbrew_setpar / dbrew_setmem) ---------------------------
@@ -142,9 +136,10 @@ class Rewriter:
 
     # -- rewriting -----------------------------------------------------------------
 
-    def _config(self) -> tuple:
-        """Everything the rewrite's key digests but the entry's code, as a
-        hashable value; ``set_mem`` regions with their bytes, read now."""
+    def config(self) -> tuple:
+        """Everything the rewrite reads but the entry's code, as a hashable
+        value; ``set_mem`` regions with their bytes, read now (what
+        :func:`repro.cache.keys.rewrite_key` digests)."""
         memory = self.image.memory
         return (tuple(self.signature), self.ret_class,
                 tuple(sorted(self._fixed.items())),
@@ -152,83 +147,23 @@ class Rewriter:
                 tuple((start, end, memory.read(start, end - start))
                       for start, end in sorted(self._mem_regions)))
 
-    def _cache_key(self, config: tuple) -> str | None:
-        """Content key of this rewrite: the entry's code at its address
-        (the cache's memoized ``code_digest``) + full configuration
-        (:meth:`_config`).
-
-        ``set_mem`` regions hash their *contents* — that data is what the
-        rewrite bakes into the emitted code, so two rewrites over the same
-        region with different data must not collide.
-        """
-        from repro.cache import keys as cache_keys
-
-        assert self.cache is not None
-        code = self.cache.code_digest(self.image, self.entry)
-        if code is None:
-            return None
-        signature, ret_class, fixed, limits, regions = config
-        parts = [b"dbrew", code.encode(), ",".join(signature).encode(),
-                 (ret_class or "-").encode(), repr(list(fixed)).encode(),
-                 b"%d:%d:%d" % limits]
-        for start, end, data in regions:
-            parts.append(b"mem%d:%d:" % (start, end) + data)
-        return cache_keys.digest_bytes(*parts)
-
-    def _request_key(self) -> str | None:
-        """:meth:`_cache_key`, derived once per image state: memoized under
-        the entry's extent and :meth:`_config`."""
-        from repro.cache import keys as cache_keys
-
-        assert self.cache is not None
-        extent = cache_keys.function_extent(self.image, self.entry)
-        if extent is None:
-            return None
-        config = self._config()
-        return self.cache.derived_keys(
-            self.image, ("dbrew", extent, config),
-            lambda: self._cache_key(config))
-
     def rewrite(self, *, name: str | None = None) -> int:
         """Rewrite; returns the new entry address.
 
         On internal failure the default error handler returns the original
         function (Sec. II); a custom ``error_handler(rewriter, exc)`` may
-        return an address instead.
-
-        With a :class:`~repro.cache.SpecializationCache` attached, an
-        identical rewrite (same entry bytes at the same address, same
-        ``set_par``/``set_mem`` configuration) returns the previously
-        emitted code.
+        return an address instead.  Every call rewrites: memoizing an
+        identical request is the pipeline's rewrite stage
+        (:meth:`repro.jit.plan.Pipeline.rewrite`).
         """
-        rkey = self._request_key() if self.cache is not None else None
-        if rkey is not None:
-            assert self.cache is not None
-            hit = self.cache.get_rewrite(self.image, rkey)
-            if hit is not None:
-                addr, size = hit
-                new_name = name or f"{self.func_name}.rewritten"
-                self.image.symbols[new_name] = addr
-                self.image.func_sizes[new_name] = size
-                self.last_digest = self.cache.code_digest(self.image, addr)
-                return addr
         self.last_error = None
         try:
-            addr = self._rewrite(name)
+            return self._rewrite(name)
         except RewriteError as exc:
             exc.with_context(stage="rewrite", func=self.func_name,
                              addr=self.entry)
             self.last_error = exc
             return self.error_handler(self, exc)
-        if rkey is not None and addr != self.entry:
-            assert self.cache is not None
-            installed = self.image.symbol_at(addr)
-            if installed is not None:
-                self.cache.put_rewrite(self.image, rkey, addr,
-                                       self.image.func_sizes[installed])
-        if self.cache is not None:
-            self.last_digest = self.cache.code_digest(self.image, addr)
-        return addr
 
     def _initial_state(self) -> MetaState:
         for idx in self._fixed:

@@ -62,13 +62,6 @@ class InstrumentOptions:
     #: event-ring capacity in entries; must be a power of two
     ring_capacity: int = 256
 
-    def digest(self) -> str:
-        """Stable component for cache/job keys — instrumented artifacts
-        must never alias uninstrumented ones (or differently-probed ones)."""
-        return (f"instr:e{int(self.edge_counters)}c{int(self.call_counter)}"
-                f"m{int(self.trace_memory)}w{int(self.watch_returns)}"
-                f"r{self.ring_capacity}")
-
 
 @dataclass
 class ProbePlan:

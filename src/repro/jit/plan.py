@@ -9,10 +9,11 @@ the same fixed sequence of stages under a :class:`Plan`, its policy
               -> [machine-verify]
     admit:    [pregate] -> [gate] -> mark gated | evict
 
-:meth:`Pipeline.compile` owns the staged cache (look-ups and stores), the
-budget's deadline polls and the ``machine:<module key>``
-quarantine; a module-stage hit enters the same tail at codegen.  A miss
-compiles on the caller's thread, whoever else is compiling the same key.
+:meth:`Pipeline.compile` owns the staged cache (look-ups and stores, DBrew's
+rewrite stage included), the budget's deadline polls and the
+``machine:<module key>`` quarantine; a module-stage hit enters the same
+tail at codegen.  A miss compiles on the caller's thread, whoever else is
+compiling the same key.
 :meth:`Pipeline.admit` is validate-before-swap, and
 :meth:`Pipeline.run` is both plus the recovery of a rejected candidate.
 What can only *reject* work — budget, validator, machine verification,
@@ -260,20 +261,23 @@ class Pipeline:
             return func
         return self.rewrite(func if dbrew_func is None else dbrew_func,
                             signature, fixes, mem_regions,
-                            out_name + ".dbrew")
+                            out_name + ".dbrew")[0]
 
     def rewrite(self, func: str | int, signature: FunctionSignature,
                 fixes: Fixes, mem_regions: Sequence[tuple[int, int]],
-                name: str) -> int:
+                name: str) -> tuple[int, bool]:
         """The DBrew stage alone: specialize ``func`` for ``fixes`` and the
-        fixed ``mem_regions``, install it as ``name`` and return its entry.
+        fixed ``mem_regions``, install it as ``name`` and return its entry
+        and whether the cache's rewrite stage served it.
 
         A :class:`~repro.lift.fixation.FixedMemory` fixes its address and
-        declares its region fixed.  A rewrite that cannot finish raises its
+        declares its region fixed.  An identical request (the same entry
+        code at the same address, configuration and fixed bytes) aliases
+        the code stored for it.  A rewrite that cannot finish raises its
         typed :class:`~repro.errors.RewriteError` instead of falling back
         to the original (Sec. II's default handler).
         """
-        rw = Rewriter(self.image, func, cache=self.cache, budget=self.budget)
+        rw = Rewriter(self.image, func, budget=self.budget)
         rw.error_handler = raising_error_handler
         rw.set_signature(signature.params, signature.ret)
         for i, v in (fixes or {}).items():
@@ -286,7 +290,32 @@ class Pipeline:
                 rw.set_par(i, v)
         for start, end in mem_regions:
             rw.set_mem(start, end)
-        return rw.rewrite(name=name)
+        image, cache = self.image, self.cache
+        rkey = self._rewrite_key(cache, rw) if cache is not None else None
+        if rkey is None:
+            return rw.rewrite(name=name), False
+        assert cache is not None
+        hit = cache.get_rewrite(image, rkey)
+        if hit is not None:
+            image.symbols[name], image.func_sizes[name] = hit
+            return hit[0], True
+        addr = rw.rewrite(name=name)
+        cache.put_rewrite(image, rkey, addr, image.func_sizes[name])
+        return addr, False
+
+    def _rewrite_key(self, cache: SpecializationCache,
+                     rw: Rewriter) -> str | None:
+        """DBrew's key for ``rw``'s request (None when its entry's extent
+        is unknown), derived once per image state: memoized under the
+        entry's extent and the rewriter's configuration."""
+        image = self.image
+        extent = cache_keys.function_extent(image, rw.entry)
+        if extent is None:
+            return None
+        config = rw.config()
+        return cache.derived_keys(
+            image, ("dbrew", extent, config),
+            lambda: cache_keys.rewrite_key(image, rw.entry, config))
 
     def _transform(self, plan: Plan, func: str | int,
                    signature: FunctionSignature, fixes: Fixes,

@@ -321,8 +321,8 @@ def _rewritten_line_kernel(code: str):
     req = request(ws, code, True)
     tx = BinaryTransformer(ws.image, o3_options=NO_UNROLL,
                            machine_verify=True)
-    entry = tx.rewrite(req.dbrew_func, req.signature, {0: req.descriptor},
-                       req.mem_regions, "rw")
+    entry, _served = tx.rewrite(req.dbrew_func, req.signature,
+                                {0: req.descriptor}, req.mem_regions, "rw")
     return ws, req, tx, entry
 
 

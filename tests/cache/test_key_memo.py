@@ -13,8 +13,8 @@ never the code installed for the request before it:
 * the entry's symbol re-pointed at other code.
 
 And on all 24 cells of the ledger, every memoized key equals the value the
-unmemoized derivation (``keys.lifted_key``/``module_key``,
-``Rewriter._cache_key``) gives.
+unmemoized derivation (``keys.lifted_key``/``module_key``/``rewrite_key``)
+gives.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.bench import modes as M
 from repro.cache import SpecializationCache
 from repro.cache import keys
 from repro.cpu import Image, Simulator
-from repro.dbrew import Rewriter
 from repro.jit import BinaryTransformer
 from repro.jit.plan import Pipeline
 from repro.lift import FunctionSignature, LiftOptions
@@ -76,15 +75,11 @@ class Program:
         return res.cache_stage, self.sim.call_int(res.addr, (0, 3))
 
     def dbrew(self):
-        rw = Rewriter(self.image, "f", cache=self.cache)
-        rw.set_signature(("i", "i")).set_par(0, self.p)
-        rw.set_mem(self.p, self.p + 8)
-        hits = self.cache.stats.stage_hits["rewrite"]
         self.n += 1
-        addr = rw.rewrite(name=f"f.rw{self.n}")
-        assert rw.last_error is None and addr != rw.entry
-        hit = self.cache.stats.stage_hits["rewrite"] > hits
-        return ("rewrite" if hit else None), self.sim.call_int(addr, (0, 3))
+        addr, served = Pipeline(self.image, cache=self.cache).rewrite(
+            "f", SIG, {0: FixedMemory(self.p, 8)}, (), f"f.rw{self.n}")
+        assert addr != self.image.symbol("f")
+        return ("rewrite" if served else None), self.sim.call_int(addr, (0, 3))
 
     def want(self) -> int:
         return self.sim.call_int("f", (self.p, 3))
@@ -170,7 +165,7 @@ def _coefficients(ws: StencilWorkspace, k: int) -> None:
 def test_every_memoized_key_is_the_derived_key(monkeypatch):
     seen: list[tuple[str, object, object]] = []
     keys_of = Pipeline._keys
-    request_key = Rewriter._request_key
+    rewrite_key_of = Pipeline._rewrite_key
 
     def checked_keys(self, cache, plan, func, signature, fixes, fixed):
         got = keys_of(self, cache, plan, func, signature, fixes, fixed)
@@ -182,13 +177,14 @@ def test_every_memoized_key_is_the_derived_key(monkeypatch):
         seen.append((plan.rung, got, (lkey, mkey)))
         return got
 
-    def checked_rewrite_key(self):
-        got = request_key(self)
-        seen.append(("dbrew", got, self._cache_key(self._config())))
+    def checked_rewrite_key(self, cache, rw):
+        got = rewrite_key_of(self, cache, rw)
+        seen.append(("dbrew", got,
+                     keys.rewrite_key(self.image, rw.entry, rw.config())))
         return got
 
     monkeypatch.setattr(Pipeline, "_keys", checked_keys)
-    monkeypatch.setattr(Rewriter, "_request_key", checked_rewrite_key)
+    monkeypatch.setattr(Pipeline, "_rewrite_key", checked_rewrite_key)
     ws = StencilWorkspace(JacobiSetup(sz=17, sweeps=1))
     cache = SpecializationCache()
     state = cache.attach_image(ws.image)

@@ -187,9 +187,12 @@ def test_same_bytes_at_another_address_are_other_code():
     assert lifted[0] != lifted[1]
     assert lifted[1] == _pipeline_lifted_key(tx, cache, opts, "f22", sig)
 
+    rewritten = [keys.rewrite_key(img, f, Rewriter(img, f).set_signature(())
+                                  .config()) for f in ("f11", "f22")]
+    assert rewritten[0] != rewritten[1]
     for f in ("f11", "f22"):  # DBrew's rewrite stage
-        addr = Rewriter(img, f, cache=cache).set_signature(()).rewrite(
-            name=f"{f}.dbrew")
+        addr, served = tx.rewrite(f, sig, None, (), f"{f}.dbrew")
+        assert not served
         assert sim.call_int(addr, ()) == sim.call_int(f, ())
     assert cache.stats.stage_hits["rewrite"] == 0
 

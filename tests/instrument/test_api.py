@@ -125,18 +125,6 @@ def test_a_refused_install_is_counted_by_stage(prog):
         "machine-verify": before["machine-verify"] + 1}
 
 
-def test_options_digest_distinct_per_configuration():
-    digests = {
-        InstrumentOptions().digest(),
-        InstrumentOptions(edge_counters=False).digest(),
-        InstrumentOptions(call_counter=False).digest(),
-        InstrumentOptions(trace_memory=True).digest(),
-        InstrumentOptions(watch_returns=True).digest(),
-        InstrumentOptions(ring_capacity=512).digest(),
-    }
-    assert len(digests) == 6
-
-
 def test_distinct_installs_get_disjoint_buffers(prog):
     r1 = install(prog)
     r2 = Instrumenter(prog.image, gate_options=GateOptions(samples=1)) \
