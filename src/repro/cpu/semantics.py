@@ -97,9 +97,9 @@ def _opsize(ins: Instruction) -> int:
 
 # The accessors below form the address inline — absolute or RIP-relative,
 # base + disp, base + index*scale + disp — so a memory access is one closure
-# and one ``Memory`` call; _load and _store, which bind a whole instruction,
-# inline the last two.  index*scale + disp and the 16-byte operands (which
-# count ``st.unaligned16``) go through _ea.
+# and one ``Memory`` call.  index*scale + disp and the 16-byte operands
+# (which count ``st.unaligned16``) go through _ea.  A hot block inlines the
+# whole access (:mod:`repro.cpu.blockgen`).
 
 
 def _mem_reader(m: Mem, width: int) -> _Read:
@@ -152,56 +152,6 @@ def _mem_writer(m: Mem, width: int) -> _Write:
         g = st.gpr
         mem.write_uint((g[b] + g[i] * scale + disp) & MASK64, v, width)
     return write_bis
-
-
-def _load(dst: Reg, m: Mem, width: int, sign: int = 0) -> Op:
-    """Bind ``dst = [m]``: ``width`` bytes into an xmm register or a whole
-    GPR view, zero-extended, or sign-extended when ``sign`` is their sign
-    bit."""
-    d, xmm, mask = dst.index, dst.kind == "xmm", _mask(dst.size)
-    if m.size == 16 or m.base is None:
-        rd = _mem_reader(m, width)
-
-        def load(st: CPUState, mem: Memory) -> None:
-            (st.xmm if xmm else st.gpr)[d] = ((rd(st, mem) ^ sign)
-                                              - sign) & mask
-        return load
-    b, disp = m.base.index, m.disp
-    if m.index is None:
-        def load_bd(st: CPUState, mem: Memory) -> None:
-            v = mem.read_uint((st.gpr[b] + disp) & MASK64, width)
-            (st.xmm if xmm else st.gpr)[d] = ((v ^ sign) - sign) & mask
-        return load_bd
-    i, scale = m.index.index, m.scale
-
-    def load_bis(st: CPUState, mem: Memory) -> None:
-        g = st.gpr
-        v = mem.read_uint((g[b] + g[i] * scale + disp) & MASK64, width)
-        (st.xmm if xmm else g)[d] = ((v ^ sign) - sign) & mask
-    return load_bis
-
-
-def _store(m: Mem, src: Reg, width: int) -> Op:
-    """Bind ``[m] = src``: the low ``width`` bytes of an xmm register or of
-    a GPR (not ``ah``..``bh``)."""
-    s, xmm = src.index, src.kind == "xmm"
-    if m.size == 16 or m.base is None:
-        wr = _mem_writer(m, width)
-        return lambda st, mem: wr(st, mem, (st.xmm if xmm else st.gpr)[s])
-    b, disp = m.base.index, m.disp
-    if m.index is None:
-        def store_bd(st: CPUState, mem: Memory) -> None:
-            g = st.gpr
-            mem.write_uint((g[b] + disp) & MASK64,
-                           (st.xmm if xmm else g)[s], width)
-        return store_bd
-    i, scale = m.index.index, m.scale
-
-    def store_bis(st: CPUState, mem: Memory) -> None:
-        g = st.gpr
-        mem.write_uint((g[b] + g[i] * scale + disp) & MASK64,
-                       (st.xmm if xmm else g)[s], width)
-    return store_bis
 
 
 def _reader(op: Operand, size: int) -> _Read:
@@ -474,10 +424,6 @@ def _bind_mov(ins: Instruction) -> Op:
     if any(isinstance(o, Reg) and o.kind == "xmm" for o in ins.operands):
         raise _unimplemented(ins)
     d, s = _full_gp(dst), _full_gp(src)
-    if d is not None and isinstance(src, Mem):
-        return _load(dst, src, src.size)  # type: ignore[arg-type]
-    if isinstance(dst, Mem) and isinstance(src, Reg) and not src.high8:
-        return _store(dst, src, dst.size)
     if d is not None and isinstance(src, Imm):
         value = src.value & _mask(dst.size)  # type: ignore[union-attr]
 
@@ -500,8 +446,6 @@ def _bind_movx(ins: Instruction) -> Op:
     ssize = src.size if isinstance(src, (Reg, Mem)) else 4
     sign = 0 if ins.mnemonic == "movzx" else 1 << (ssize * 8 - 1)
     d, dmask = _full_gp(dst), _mask(dst.size)  # type: ignore[union-attr]
-    if d is not None and isinstance(src, Mem):
-        return _load(dst, src, ssize, sign)  # type: ignore[arg-type]
     if d is not None and isinstance(src, Reg) and not src.high8:
         s, smask = src.index, _mask(ssize)
 
@@ -920,10 +864,15 @@ def _bind_movs(ins: Instruction) -> Op:
     dst, src = ins.operands
     width = 8 if ins.mnemonic == "movsd" else 4
     if isinstance(dst, Mem):
-        return _store(dst, src, width)  # type: ignore[arg-type]
+        wr, rd = _mem_writer(dst, width), _xmm_reader(src, width)
+        return lambda st, mem: wr(st, mem, rd(st, mem))
     d = _xmm_index(dst, ins)
     if isinstance(src, Mem):
-        return _load(dst, src, width)  # type: ignore[arg-type]  # zero-extends
+        rd = _mem_reader(src, width)
+
+        def load(st: CPUState, mem: Memory) -> None:
+            st.xmm[d] = rd(st, mem)  # zero-extends
+        return load
     # reg-reg merges the low lane
     s, mask = _xmm_index(src, ins), _mask(width)
     keep = MASK128 ^ mask

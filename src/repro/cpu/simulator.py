@@ -20,6 +20,15 @@ taken-branch and unaligned-16-byte penalties (counted as events on the
 state), the misaligned-``movapd`` fault and every other fault check, and
 ``max_steps`` (the block that would cross it is single-stepped).
 
+A hot block runs as one generated function.  The settlement at the end of
+a call also adds each block's runs to a count on the block, on a plain
+:class:`~repro.mem.memory.Memory` only; the block whose count crosses
+``_HOT_RUNS`` is decoded again from the bytes it was compiled from and
+written out as one Python function (:mod:`repro.cpu.blockgen`), which the
+loop then calls instead of the closures.  Cold blocks, ``max_steps``
+single-stepping and a gate's journaled memory keep the closures, and a
+block that is never hot is never charged for more than them.
+
 A block computes only the flags it reads.  One backward pass over the
 decoded run, on the flag columns of :func:`repro.x86.effects.effects_of`,
 starts with all six flags live at the exit.  The flags an instruction always
@@ -68,6 +77,7 @@ from dataclasses import dataclass, field
 
 from repro.arith import bits_to_f64, f64_to_bits, to_signed
 from repro.errors import ReproError, SimulatorError
+from repro.cpu.blockgen import generate
 from repro.cpu.costs import HASWELL, CostModel
 from repro.cpu.image import RETURN_SENTINEL, STACK_TOP, Image
 from repro.cpu.semantics import BINDABLE, UNDEFINED_SET, Op, bind
@@ -127,6 +137,10 @@ class _Block:
     #: the bytes of every instruction decoded, one ``(address, bytes)``
     #: per straight piece of the run
     code: tuple[tuple[int, bytes], ...]
+    #: times run on a plain ``Memory``, and its generated function once
+    #: that crosses ``_HOT_RUNS``
+    runs: int = 0
+    run: Op | None = None
 
 
 #: ``(instance token, id(cost model)) -> (cost model, {rip: block})``, oldest
@@ -151,6 +165,10 @@ _BLOCK_MEMO_MAX = 1024
 #: while decoding it
 _BLOCK_MAX = 256
 _WINDOW = 256
+
+#: runs on a plain ``Memory`` after which a block is generated
+#: (:mod:`repro.cpu.blockgen`)
+_HOT_RUNS = 64
 
 
 def _table_for(token: tuple, costs: CostModel) -> dict[int, _Block]:
@@ -205,11 +223,28 @@ def _flag_bits(mnemonic: str, read: str, defined: str,
             bits(defined + UNDEFINED_SET.get(mnemonic, "")))
 
 
+def _writes_live(run: list[tuple[Instruction, Effects]]) -> list[bool]:
+    """For each instruction of ``run``, whether a later one, or the exit,
+    may read a flag it writes before that flag is overwritten: one pass
+    back to front, with every flag live at the exit."""
+    out = []
+    live = _ALL_FLAGS
+    for ins, fx in reversed(run):
+        read, written, killed = _flag_bits(
+            ins.mnemonic, fx.flags_read, fx.flags_def, fx.flags_undef)
+        out.append(bool(written & live))
+        if not fx.count_mask:  # a shift by cl may leave every flag alone
+            live &= ~killed
+        live |= read
+    out.reverse()
+    return out
+
+
 def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
     """Decode the run starting at ``rip``, on through direct transfers,
-    then bind it back to front, so that an instruction none of whose flags
-    a later one reads before overwriting them is bound to its variant that
-    sets no flags."""
+    then bind it, so that an instruction none of whose flags a later one
+    reads before overwriting them is bound to its variant that sets no
+    flags."""
     run: list[tuple[Instruction, Effects]] = []
     decoded: set[int] = set()
     window, base = b"", rip
@@ -245,28 +280,20 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
             pieces.append([ins])
     code = tuple((p[0].addr, b"".join(i.raw for i in p)) for p in pieces)
 
-    ops: list[Op] = []
-    live = _ALL_FLAGS
-    for k in range(len(run) - 1, -1, -1):
-        ins, fx = run[k]
-        read, written, killed = _flag_bits(
-            ins.mnemonic, fx.flags_read, fx.flags_def, fx.flags_undef)
-        try:
-            op = bind(ins, bool(written & live))
-        except ReproError:
-            if k == 0:
-                raise
-            # the run ends before it, and fails only if execution really
-            # gets there; all flags are live at the new exit
-            del run[k:]
-            ops.clear()
-            live = _ALL_FLAGS
-            continue
-        ops.append(op)
-        if not fx.count_mask:  # a shift by cl may leave every flag alone
-            live &= ~killed
-        live |= read
-    ops.reverse()
+    while True:
+        ops: list[Op] = []
+        for (ins, _), flags in zip(run, _writes_live(run)):
+            try:
+                ops.append(bind(ins, flags))
+            except ReproError:
+                if not ops:
+                    raise
+                break
+        if len(ops) == len(run):
+            break
+        # the run ends before the refused one, and fails only if execution
+        # really gets there; all flags are live at the new exit
+        del run[len(ops):]
 
     mnemonics: dict[str, int] = {}
     cost = 0.0
@@ -284,6 +311,20 @@ def _compile_block(memory: Memory, rip: int, costs: CostModel) -> _Block:
     pc = ins.end
     return _Block(tuple(ops), lambda st, mem: pc, len(ops), cost,
                   tuple(mnemonics.items()), loads, stores, code)
+
+
+def _promote(blk: _Block) -> None:
+    """Give ``blk`` its generated function: its run decoded again from the
+    bytes it was compiled from, with the same flag choices and closures."""
+    run = []
+    for addr, data in blk.code:
+        off = 0
+        while off < len(data) and len(run) < blk.n:
+            ins = decode_one(data, off, addr + off)
+            run.append((ins, effects_of(ins)))
+            off += ins.length
+    blk.run = generate([ins for ins, _ in run], _writes_live(run),
+                       (*blk.ops, blk.exit))
 
 
 class Simulator:
@@ -345,6 +386,9 @@ class Simulator:
         costs = self.costs
         blocks = _table_for(self.image.instance_token(), costs)
         lookup = blocks.get
+        # the inline page look-ups of a generated function read a plain
+        # Memory's buffers; a gate's journaled shadow runs the closures
+        plain = type(mem) is Memory
         ran: dict[_Block, int] = {}
         steps = 0
         rip = target
@@ -361,9 +405,12 @@ class Simulator:
                         op(st, mem)
                     raise SimulatorError(
                         f"exceeded {max_steps} simulated instructions")
-                for op in blk.ops:
-                    op(st, mem)
-                rip = blk.exit(st, mem)
+                if plain and blk.run is not None:
+                    rip = blk.run(st, mem)
+                else:
+                    for op in blk.ops:
+                        op(st, mem)
+                    rip = blk.exit(st, mem)
                 ran[blk] = ran.get(blk, 0) + 1
         finally:
             st.rip = rip  # a block's entry when one of its instructions faults
@@ -378,6 +425,10 @@ class Simulator:
             local.stores += blk.stores * times
             for m, count in blk.mnemonics:
                 per[m] = per.get(m, 0) + count * times
+            if plain:
+                blk.runs += times
+                if blk.runs >= _HOT_RUNS > blk.runs - times:
+                    _promote(blk)
         local.instructions += steps
         local.cycles += cycles
         local.taken_branches += st.taken
