@@ -45,31 +45,33 @@ from repro.obs.metrics import MetricsRegistry
 
 #: the full degradation ladder, strongest specialization first
 LADDER = ("dbrew+llvm", "llvm-fix", "llvm", "original")
+_RUNGS = frozenset(LADDER)
+#: the ladder of a request with nothing to specialize: the fixing rungs
+#: would only spend budget
+_UNFIXED = LADDER[2:]
 
 
 @dataclass
 class RungAttempt:
-    """What happened on one rung of the ladder for one transform."""
+    """A rung of the ladder that did not serve one transform: it failed,
+    or a fresh quarantine entry skipped it.  The rung that served is the
+    transform's :class:`~repro.jit.plan.TransformResult`."""
 
     rung: str
-    ok: bool = False
-    seconds: float = 0.0
     error: str | None = None
     error_type: str | None = None
-    #: structured ReproError.context of the failure (stage, addr, ...)
+    #: structured ReproError.context of the failure (stage, addr, ...;
+    #: ``blamed_pass`` when the pass blamed for it was quarantined and the
+    #: rebuilt rung failed again)
     context: dict[str, Any] = field(default_factory=dict)
     #: served from quarantine without attempting (fresh negative entry)
     quarantined: bool = False
-    verified: bool = False
-    #: the -O3 pass the pipeline's validator blamed for a rejected
-    #: candidate and quarantined (None: no pass blamed)
-    blamed_pass: str | None = None
+    seconds: float = 0.0
 
     @property
-    def rebuilt(self) -> bool:
-        """The rung was rebuilt and admitted once more: every blame is
-        followed by exactly one rebuild."""
-        return self.blamed_pass is not None
+    def ok(self) -> bool:
+        """Always False: a rung that serves is not recorded."""
+        return False
 
 
 @dataclass
@@ -120,13 +122,14 @@ class GuardStats:
         for attempt in out.attempts:
             if attempt.quarantined:
                 self.negative_served += 1
-            elif not attempt.ok:
+            else:
                 self._count_failure(attempt)
         self.served_by[out.mode] += 1
         if out.degraded:
             self.fallbacks += 1
-        if out.gate is not None:
-            if out.gate.vacuous:
+        gate = out.gate
+        if gate is not None:
+            if gate.vacuous:
                 self.gate.vacuous += 1
             else:
                 self.gate.pass_ += 1
@@ -158,11 +161,22 @@ class GuardResult:
     name: str
     #: the rung that served this transform
     mode: str
+    #: the rungs that did not serve, in ladder order
     attempts: list[RungAttempt] = field(default_factory=list)
-    verified: bool = False
-    gate: GateReport | None = None
+    #: the serving rung's pipeline result (None: the original served)
     result: TransformResult | None = None
     seconds: float = 0.0
+
+    @property
+    def gate(self) -> GateReport | None:
+        return None if self.result is None else self.result.gate
+
+    @property
+    def verified(self) -> bool:
+        """A conclusive comparison happened on this request, not merely
+        that the gate had no objection."""
+        gate = self.gate
+        return gate is not None and not gate.vacuous
 
     @property
     def degraded(self) -> bool:
@@ -292,56 +306,33 @@ class GuardedTransformer:
             self.image.symbol(dbrew_func) if isinstance(dbrew_func, str)
             else dbrew_func)
 
-        rungs = tuple(ladder) if ladder is not None else LADDER
-        unknown = [r for r in rungs if r not in LADDER]
-        if unknown:
+        if ladder is None:
+            ladder = LADDER if fixes or mem_regions else _UNFIXED
+        elif not _RUNGS.issuperset(ladder):
+            unknown = [r for r in ladder if r not in _RUNGS]
             raise ValueError(
                 f"unknown ladder rung(s) {unknown!r}: valid rungs are "
                 f"{', '.join(LADDER)}")
-        if ladder is None and not fixes and not mem_regions:
-            # nothing to specialize: don't waste budget on the fixing rungs
-            rungs = tuple(r for r in rungs
-                          if r not in ("dbrew+llvm", "llvm-fix"))
-        if not rungs or rungs[-1] != "original":
-            rungs = rungs + ("original",)
 
         if self.budget is not None:
             self.budget.start()
         out = GuardResult(addr=entry, name=out_name, mode="original")
-
         # the guard key digests code bytes + fixed-memory contents — real
-        # work on the microsecond warm path.  Compute it lazily: the happy
-        # path (empty quarantine, rung succeeds) never needs it.
+        # work on the microsecond warm path, which (empty quarantine, rung
+        # succeeds) never needs it
         key: str | None = None
-
-        def guard_key() -> str:
-            nonlocal key
-            if key is None:
-                key = self._guard_key(entry, signature, fixes, mem_regions,
-                                      dbrew_entry)
-            return key
-
-        for rung in rungs:
-            attempt = RungAttempt(rung=rung)
-            out.attempts.append(attempt)
+        for rung in ladder:
             if rung == "original":
-                attempt.ok = True
-                self.image.symbols[out_name] = entry
-                size = _known_size(self.image, entry)
-                if size is not None:
-                    self.image.func_sizes[out_name] = size
-                out.addr, out.mode = entry, "original"
                 break
-
-            quarantined = (self._check_negative(f"{guard_key()}:{rung}")
-                           if len(self.negative) else None)
-            if quarantined is not None:
-                attempt.quarantined = True
-                attempt.error = quarantined.reason
-                attempt.error_type = "Quarantined"
-                attempt.context = dict(quarantined.context)
-                continue
-
+            if len(self.negative):
+                key = key or self._guard_key(entry, signature, fixes,
+                                             mem_regions, dbrew_entry)
+                quarantined = self._check_negative(f"{key}:{rung}")
+                if quarantined is not None:
+                    out.attempts.append(RungAttempt(
+                        rung, quarantined.reason, "Quarantined",
+                        dict(quarantined.context), quarantined=True))
+                    continue
             t0 = time.perf_counter()
             try:
                 # a machine-stage hit whose entry carries the gated bit was
@@ -349,34 +340,30 @@ class GuardedTransformer:
                 # neither the pregate nor the probe executions.  Anything
                 # else — fresh compiles and entries installed by an
                 # unguarded BinaryTransformer — must be admitted now
-                result, gate = self.pipeline.run(
+                result = self.pipeline.run(
                     self.plans[rung], entry, signature, fixes, out_name,
                     mem_regions=mem_regions, dbrew_func=dbrew_entry,
                     probes=probes)
-                attempt.blamed_pass = result.blamed_pass
-                if gate is not None:
-                    out.gate = gate
-                    # verified = a conclusive comparison happened on this
-                    # request, not merely that the gate had no objection
-                    attempt.verified = not gate.vacuous
             except ReproError as exc:
-                attempt.seconds = time.perf_counter() - t0
-                attempt.error = str(exc)
-                attempt.error_type = type(exc).__name__
-                attempt.context = dict(exc.context)
-                attempt.blamed_pass = exc.context.get("blamed_pass")
+                failed = RungAttempt(rung, str(exc), type(exc).__name__,
+                                     dict(exc.context),
+                                     seconds=time.perf_counter() - t0)
+                out.attempts.append(failed)
+                key = key or self._guard_key(entry, signature, fixes,
+                                             mem_regions, dbrew_entry)
                 self._record_negative(
-                    f"{guard_key()}:{rung}", rung,
-                    f"{attempt.error_type}: {attempt.error}", attempt.context)
+                    f"{key}:{rung}", rung,
+                    f"{failed.error_type}: {failed.error}", failed.context)
                 continue
-            attempt.seconds = time.perf_counter() - t0
-            attempt.ok = True
-            out.addr, out.mode = result.addr, rung
-            out.result = result
-            out.verified = attempt.verified
-            if len(self.negative):
-                self.negative.forget(f"{guard_key()}:{rung}")
+            out.addr, out.mode, out.result = result.addr, rung, result
+            if key is not None:
+                self.negative.forget(f"{key}:{rung}")
             break
+        if out.result is None:
+            self.image.symbols[out_name] = entry
+            size = _known_size(self.image, entry)
+            if size is not None:
+                self.image.func_sizes[out_name] = size
 
         out.seconds = time.perf_counter() - t_start
         self.stats.fold(out)

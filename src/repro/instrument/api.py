@@ -93,8 +93,8 @@ class Instrumenter:
                     gate="always", gate_options=self.gate_options)
         pipeline = Pipeline(self.image)
         try:
-            res, gate_report = pipeline.run(plan, entry, signature, None,
-                                            out_name, probes=probes)
+            res = pipeline.run(plan, entry, signature, None, out_name,
+                               probes=probes)
         except VerificationError as exc:
             stage = exc.context.get("stage")
             if stage in self.stats.rejected:
@@ -119,7 +119,7 @@ class Instrumenter:
         return InstrumentedFunction(
             name=out_name, addr=res.addr, source=entry, signature=signature,
             options=options, function=res.function, module=res.module,
-            plan=probe_plan, buffer=buffer, gate_report=gate_report,
+            plan=probe_plan, buffer=buffer, gate_report=res.gate,
             machine_verdict=res.machine_verdict, seconds=seconds)
 
 

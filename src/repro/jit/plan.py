@@ -145,6 +145,8 @@ class TransformResult:
     #: the pass :meth:`Pipeline.run` blamed for a rejected first candidate
     #: and quarantined before rebuilding this one (None: no recovery)
     blamed_pass: str | None = None
+    #: the differential gate's report (None: no gate ran on this request)
+    gate: "GateReport | None" = None
 
     @property
     def total_seconds(self) -> float:
@@ -217,8 +219,7 @@ class Pipeline:
             fixes: Fixes, out_name: str, *,
             mem_regions: Sequence[tuple[int, int]] = (),
             dbrew_func: str | int | None = None,
-            probes: Sequence[tuple] = (),
-            ) -> "tuple[TransformResult, GateReport | None]":
+            probes: Sequence[tuple] = ()) -> TransformResult:
         """:meth:`compile`, then :meth:`admit` against ``func``.
 
         With a validator, a candidate whose -O3 output the verifier, the
@@ -235,8 +236,8 @@ class Pipeline:
                               mem_regions, dbrew_func)
         try:
             result = self._transform(plan, source, signature, fixes, out_name)
-            return result, self.admit(plan, result, func, signature, fixes,
-                                      probes)
+            self.admit(plan, result, func, signature, fixes, probes)
+            return result
         except ReproError as exc:
             if self.validator is None \
                     or exc.context.get("stage") not in O3_JUDGED:
@@ -246,11 +247,11 @@ class Pipeline:
                 raise
         try:
             result = self._transform(plan, source, signature, fixes, out_name)
-            gate = self.admit(plan, result, func, signature, fixes, probes)
+            self.admit(plan, result, func, signature, fixes, probes)
         except ReproError as exc:
             raise exc.with_context(blamed_pass=blamed)
         result.blamed_pass = blamed
-        return result, gate
+        return result
 
     def _source(self, plan: Plan, func: str | int,
                 signature: FunctionSignature, fixes: Fixes, out_name: str,
@@ -566,10 +567,10 @@ class Pipeline:
 
     def admit(self, plan: Plan, result: TransformResult,
               original: str | int, signature: FunctionSignature,
-              fixes: Fixes, probes: Sequence[tuple] = (),
-              ) -> "GateReport | None":
+              fixes: Fixes, probes: Sequence[tuple] = ()) -> None:
         """Validate-before-swap: may ``result`` serve in place of
-        ``original``?  Returns the gate's report (None when none ran).
+        ``original``?  Writes the stage times and the gate's report onto
+        ``result``.
 
         Static pregate first, then the differential gate when the plan or
         an inconclusive machine proof demands it; a passing entry is marked
@@ -582,8 +583,7 @@ class Pipeline:
         code proven divergent.
         """
         if result.machine_gated:
-            return None
-        report = None
+            return
         try:
             t0 = time.perf_counter()
             self._pregate(plan, result)
@@ -592,8 +592,8 @@ class Pipeline:
             if plan.gate == "always" or (
                     plan.gate == "if-inconclusive"
                     and result.machine_verdict == "inconclusive"):
-                report = self._gate(plan, result, original, signature, fixes,
-                                    probes)
+                result.gate = self._gate(plan, result, original, signature,
+                                         fixes, probes)
                 result.gate_seconds = time.perf_counter() - t1
         except VerificationError:
             if self.cache is not None:
@@ -602,10 +602,9 @@ class Pipeline:
                 if result.module_key is not None:
                     self.cache.evict_module(result.module_key)
             raise
-        if report is not None and self.cache is not None \
+        if result.gate is not None and self.cache is not None \
                 and result.machine_key is not None:
             self.cache.mark_machine_gated(self.image, result.machine_key)
-        return report
 
     def _pregate(self, plan: Plan, result: TransformResult) -> None:
         """Reject a candidate on static findings before any probe runs:

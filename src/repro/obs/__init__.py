@@ -6,7 +6,8 @@ through one ``snapshot()`` and zeroed by one ``reset()``.
 
 Time is kept by one clock per layer, outside this package: every result
 carries its own stage seconds (``TransformResult.lift_seconds`` ...,
-``RungAttempt.seconds``, ``GuardResult.seconds``), and the benchmark
+``RungAttempt.seconds`` of a rung that did not serve,
+``GuardResult.seconds``), and the benchmark
 ledger times each layer from outside the code (``run.py --traced``).
 """
 

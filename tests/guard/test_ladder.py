@@ -46,7 +46,7 @@ def test_top_rung_serves_when_healthy():
     r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.mode == "dbrew+llvm"
     assert r.verified and r.gate.passed
-    assert [a.rung for a in r.attempts] == ["dbrew+llvm"]
+    assert r.attempts == []
     assert Simulator(img).call_int(r.addr, (5, 0)) == 5 * 6 + 7
     assert g.stats.served_by["dbrew+llvm"] == 1
 
@@ -55,7 +55,7 @@ def test_no_fixes_skips_specializing_rungs():
     img, g = make()
     r = g.transform("f", SIG)
     assert r.mode == "llvm"
-    assert [a.rung for a in r.attempts] == ["llvm"]
+    assert r.attempts == []
 
 
 def test_explicit_ladder_is_respected():
@@ -84,15 +84,16 @@ def test_acceptance_lift_failure_degrades_and_quarantines():
     for rung in ("dbrew+llvm", "llvm-fix", "llvm"):
         assert g.stats.failures[rung] == 1
     assert g.stats.fallbacks == 1
-    failed = [a for a in r.attempts if not a.ok]
-    assert all(a.error_type == "LiftError" for a in failed)
-    assert all(a.context.get("stage") == "lift" for a in failed)
+    assert [a.rung for a in r.attempts] == ["dbrew+llvm", "llvm-fix", "llvm"]
+    assert all(a.error_type == "LiftError" for a in r.attempts)
+    assert all(a.context.get("stage") == "lift" for a in r.attempts)
 
     # 3. the retry (fault gone, quarantine fresh) is served negatively:
     #    no rung is re-attempted, the fallback comes straight back
     r2 = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r2.addr == entry and r2.mode == "original"
-    assert all(a.quarantined for a in r2.attempts if a.rung != "original")
+    assert [(a.rung, a.quarantined) for a in r2.attempts] == [
+        ("dbrew+llvm", True), ("llvm-fix", True), ("llvm", True)]
     assert g.stats.negative_served == 3
 
     # 4. after the quarantine lifts, the un-failed rung compiles and the
@@ -110,7 +111,7 @@ def test_rewrite_failure_falls_to_llvm_fix():
         r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.mode == "llvm-fix"
     assert r.verified
-    assert [a.rung for a in r.attempts] == ["dbrew+llvm", "llvm-fix"]
+    assert [a.rung for a in r.attempts] == ["dbrew+llvm"]
     assert r.attempts[0].error_type == "RewriteError"
     assert g.stats.failures["dbrew+llvm"] == 1
 
@@ -121,8 +122,7 @@ def test_silent_miscompile_is_caught_by_the_gate():
         r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.mode == "original"
     assert g.stats.verification_rejections == 3
-    assert all(a.error_type == "VerificationError"
-               for a in r.attempts if not a.ok)
+    assert all(a.error_type == "VerificationError" for a in r.attempts)
     # a wrong specialization must cost a fallback, never a miscompile
     # (the original fallback still takes b as a live argument):
     assert Simulator(img).call_int(r.addr, (5, 6)) == 37
@@ -222,7 +222,7 @@ def test_quarantine_is_per_rung():
         g.transform("f", SIG, {1: 6}, probes=[(3,)])
     r = g.transform("f", SIG, {1: 6}, probes=[(3,)])
     assert r.attempts[0].rung == "dbrew+llvm" and r.attempts[0].quarantined
-    assert r.mode == "llvm-fix" and not r.attempts[1].quarantined
+    assert r.mode == "llvm-fix" and len(r.attempts) == 1
 
 
 def test_quarantine_is_per_lift_options():
@@ -240,7 +240,7 @@ def test_quarantine_is_per_lift_options():
     declared = GuardedTransformer.from_plan(
         img, replace(plain.plans["llvm"], lift=known), cache=plain.cache)
     r = declared.transform("f", sig, probes=[(4,)])
-    assert r.mode == "llvm" and not r.attempts[0].quarantined
+    assert r.mode == "llvm" and r.attempts == []
     assert r.verified
     assert Simulator(img).call_int(r.addr, (4,)) == 13
 
@@ -257,7 +257,7 @@ def test_quarantine_is_per_dbrew_entry():
     assert failed.attempts[0].error_type == "RewriteError"
     r = g.transform("f", SIG, {1: 5}, probes=[(3,)], ladder=("dbrew+llvm",),
                     dbrew_func="good")
-    assert r.mode == "dbrew+llvm" and not r.attempts[0].quarantined
+    assert r.mode == "dbrew+llvm" and r.attempts == []
     assert r.verified
     assert Simulator(img).call_int(r.addr, (3, 0)) == 3 * 5 + 7
 

@@ -200,10 +200,8 @@ def test_a_plan_that_may_not_gate_blames_and_rebuilds(gate):
     req = request(ws, "direct", True)
     g = _plan_guard(ws, gate, PassValidator())
     r = _transform(g, req, "gvn", "dropped-terminator")
-    attempt, = r.attempts
-    assert r.mode == "llvm" and attempt.ok
-    assert attempt.blamed_pass == r.result.blamed_pass == "gvn"
-    assert attempt.rebuilt
+    assert r.mode == "llvm" and r.attempts == []
+    assert r.result.blamed_pass == "gvn"
 
 
 def test_a_gate_rejection_blames_the_pass_and_rebuilds_the_rung():
@@ -213,10 +211,8 @@ def test_a_gate_rejection_blames_the_pass_and_rebuilds_the_rung():
     with inject_faults("pass:constprop", every=True,
                        corrupt=Miscompile(CORRUPTIONS["skewed-constant"])):
         r = g.transform("f", SIG, {1: 6}, probes=[(3,)], ladder=("llvm-fix",))
-    attempt, = r.attempts
-    assert r.mode == "llvm-fix" and r.verified
-    assert attempt.blamed_pass == r.result.blamed_pass == "constprop"
-    assert attempt.rebuilt
+    assert r.mode == "llvm-fix" and r.verified and r.attempts == []
+    assert r.result.blamed_pass == "constprop"
     assert validator.negative.check("o3pass:constprop") is not None
     # the rebuild ran O3 again, per pass: the rejected module was evicted
     assert r.result.cache_stage == "lifted"
@@ -227,9 +223,8 @@ def test_a_gate_rejection_blames_the_pass_and_rebuilds_the_rung():
 def test_a_dropped_terminator_fails_the_verifier_and_is_blamed():
     ws, req, g = _line_cell(validator=PassValidator())
     r = _transform(g, req, "gvn", "dropped-terminator")
-    attempt, = r.attempts
-    assert r.mode == "llvm" and attempt.blamed_pass == "gvn"
-    assert attempt.rebuilt
+    assert r.mode == "llvm" and r.attempts == []
+    assert r.result.blamed_pass == "gvn"
 
 
 def test_without_a_blame_the_rejection_stands():
@@ -239,7 +234,7 @@ def test_without_a_blame_the_rejection_stands():
     assert r.mode == "original"
     assert attempt.error_type == "VerificationError"
     assert attempt.context["stage"] == "verify"
-    assert attempt.blamed_pass is None and not attempt.rebuilt
+    assert "blamed_pass" not in attempt.context
 
 
 def test_a_dropped_terminator_without_a_validator_is_a_typed_refusal():

@@ -46,9 +46,14 @@ deleted, so was the fixture's ``tiered`` section (the T1, T1-edges and T2
 handles); again edited, not re-captured, and no other value moved.  When
 single-flight coalescing was deleted, so were its two counters (leader
 runs and coalesced joins) in the 42 ``counters`` cells; the fixture was
-edited, and no other value moved.  Since each cache and each
-guard keeps a registry of its own, a ``guard`` cell's ``counters`` are
-the cache's and the guard's registries read side by side.
+edited, and no other value moved.  When a guarded request began to
+record only the rungs that did not serve, the ``attempts`` column of every
+``guard`` cell lost its ``ok=true`` rows (the served rung's) and each row
+its per-attempt ``verified`` entry; the fixture was edited, not
+re-captured, and the row-level ``verified`` and every other value stayed.
+Since each cache and each guard keeps a registry of its own, a ``guard``
+cell's ``counters`` are the cache's and the guard's registries read side
+by side.
 """
 
 from __future__ import annotations
@@ -164,7 +169,7 @@ def _guard_row(ws, guard: GuardedTransformer, req: M.StencilRequest,
             "gate": None if res.gate is None else
             [res.gate.passed, res.gate.conclusive, res.gate.vacuous],
             "attempts": [[a.rung, a.ok, a.error_type, a.quarantined,
-                          a.verified, a.context.get("stage")]
+                          a.context.get("stage")]
                          for a in res.attempts],
             "machine_verdict": tx.machine_verdict if tx else None,
             "cache_stage": tx.cache_stage if tx else None,

@@ -265,13 +265,10 @@ def test_ladder_fold_counts_every_kind_of_failure():
              for a in res.attempts] for res in out] == [
         [("dbrew+llvm", "VerificationError", "static-verify", False),
          ("llvm-fix", "VerificationError", "machine-verify", False),
-         ("llvm", "VerificationError", "verify", False),
-         ("original", None, None, False)],
+         ("llvm", "VerificationError", "verify", False)],
         [("dbrew+llvm", "Quarantined", "static-verify", True),
          ("llvm-fix", "Quarantined", "machine-verify", True),
-         ("llvm", "Quarantined", "verify", True),
-         ("original", None, None, False)],
-        [("dbrew+llvm", "BudgetExceededError", "lift", False),
-         ("llvm-fix", None, None, False)]]
+         ("llvm", "Quarantined", "verify", True)],
+        [("dbrew+llvm", "BudgetExceededError", "lift", False)]]
     assert _added(guard.registry.snapshot(),
                   starved.registry.snapshot()) == _LADDER_COUNTS
