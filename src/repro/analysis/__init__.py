@@ -6,9 +6,8 @@ one.  The IR verifier (:mod:`repro.ir.verifier`) checks *well-formedness*,
 the guard's differential gate (:mod:`repro.guard.verify`) checks *observed
 behavior* — and ``repro.analysis`` checks *provable* properties in between:
 
-* :mod:`~repro.analysis.dataflow` — a small lattice-based engine with a
-  dense block solver (forward/backward worklist) and a sparse SSA value
-  solver (meet over phis, optional widening);
+* :mod:`~repro.analysis.dataflow` — a small lattice-based engine: a
+  sparse SSA value solver (meet over phis, optional widening);
 * :mod:`~repro.analysis.undef` / :mod:`~repro.analysis.memregion` —
   lifter-soundness checkers built on the engine (undef reaching observable
   sinks, provably out-of-bounds accesses to fixed memory regions);
@@ -40,16 +39,10 @@ from repro.analysis.clone import (
     restore_function,
 )
 from repro.analysis.dataflow import (
-    BACKWARD,
-    FORWARD,
-    BlockProblem,
-    BlockStates,
     BoolLattice,
     Lattice,
-    SetLattice,
     ValueProblem,
     ValueStates,
-    solve_block_problem,
     solve_value_problem,
 )
 from repro.analysis.deadflags import (
@@ -76,10 +69,6 @@ from repro.analysis.validate import (
 )
 
 __all__ = [
-    "BACKWARD",
-    "FORWARD",
-    "BlockProblem",
-    "BlockStates",
     "BoolLattice",
     "CHECKERS",
     "CodeWitness",
@@ -92,7 +81,6 @@ __all__ = [
     "MachineVerifier",
     "PassValidator",
     "PassVerdict",
-    "SetLattice",
     "ValidatorStats",
     "ValueProblem",
     "ValueStates",
@@ -109,7 +97,6 @@ __all__ = [
     "functions_structurally_equal",
     "restore_function",
     "run_checkers",
-    "solve_block_problem",
     "solve_value_problem",
     "verify_witness",
 ]

@@ -1,23 +1,16 @@
 """Generic lattice-based dataflow engine over the MiniLLVM CFG.
 
-Two solver shapes cover the analyses this repo needs:
+:func:`solve_value_problem` is a *sparse* SSA solver: one abstract value
+per SSA value, propagated along def-use edges with meet-over-phis (a phi's
+state is the join of its incoming values' states).  Because the IR is SSA,
+a fact belongs to a value, not to a block boundary; the solver is the
+engine behind the undef-use and memory-region checkers.
 
-* :func:`solve_block_problem` — the classic dense worklist solver: one
-  lattice state per basic-block boundary, forward or backward, join at
-  control-flow merges.  Reaching definitions, liveness, available
-  expressions all fit here.
-
-* :func:`solve_value_problem` — a *sparse* SSA solver: one abstract value
-  per SSA value, propagated along def-use edges with meet-over-phis (a
-  phi's state is the join of its incoming values' states).  Because the IR
-  is SSA, this converges in a fraction of the dense solver's work and is
-  the engine behind the undef-use and memory-region checkers.
-
-Both solvers take a :class:`Lattice` — a bounded join-semilattice given by
-``bottom()`` and ``join()``.  States must be hashable-comparable with
-``==``; the solvers iterate to a fixpoint and rely on finite ascending
-chains, so domains with infinite chains (intervals) must widen via the
-``widen_after`` hook of the sparse solver.
+The solver takes a :class:`Lattice` — a bounded join-semilattice given by
+``bottom()`` and ``join()``.  States must be comparable with ``==``; the
+solver iterates to a fixpoint and relies on finite ascending chains, so
+domains with infinite chains (intervals) must widen once a value has
+changed ``widen_after`` times (:meth:`ValueProblem.widen`).
 """
 
 from __future__ import annotations
@@ -26,11 +19,8 @@ from typing import Callable, Iterable
 
 from repro.ir import instructions as I
 from repro.ir.cfg import reverse_postorder
-from repro.ir.module import BasicBlock, Function
+from repro.ir.module import Function
 from repro.ir.values import Value
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 
 class Lattice:
@@ -53,16 +43,6 @@ class Lattice:
         return out
 
 
-class SetLattice(Lattice):
-    """Powerset lattice: bottom = empty set, join = union."""
-
-    def bottom(self) -> frozenset:
-        return frozenset()
-
-    def join(self, a: object, b: object) -> frozenset:
-        return frozenset(a) | frozenset(b)  # type: ignore[arg-type]
-
-
 class BoolLattice(Lattice):
     """Two-point lattice: False (bottom) -> True.  Taint-style facts."""
 
@@ -71,100 +51,6 @@ class BoolLattice(Lattice):
 
     def join(self, a: object, b: object) -> bool:
         return bool(a) or bool(b)
-
-
-# -- dense (block-level) solver ------------------------------------------------
-
-
-class BlockProblem:
-    """A dense dataflow problem: per-block transfer over a lattice.
-
-    ``direction`` is :data:`FORWARD` (in = join of predecessors' out) or
-    :data:`BACKWARD` (out = join of successors' in).  ``boundary`` is the
-    state at the entry (forward) / at every exit block (backward).
-    """
-
-    direction: str = FORWARD
-
-    def lattice(self) -> Lattice:
-        raise NotImplementedError
-
-    def boundary(self, func: Function) -> object:
-        return self.lattice().bottom()
-
-    def transfer(self, block: BasicBlock, state: object) -> object:
-        """The state after (forward) / before (backward) the block."""
-        raise NotImplementedError
-
-
-class BlockStates:
-    """Solved per-block states: ``inp[block]`` and ``out[block]``."""
-
-    def __init__(self, inp: dict[BasicBlock, object],
-                 out: dict[BasicBlock, object]) -> None:
-        self.inp = inp
-        self.out = out
-
-
-def solve_block_problem(func: Function, problem: BlockProblem,
-                        max_iterations: int = 10_000) -> BlockStates:
-    """Worklist iteration to the least fixpoint."""
-    lat = problem.lattice()
-    pred_ids = func.predecessor_map()
-    preds = {b: pred_ids[id(b)] for b in func.blocks}
-    succs = {b: b.successors() for b in func.blocks}
-    forward = problem.direction == FORWARD
-    edges_in, edges_out = (preds, succs) if forward else (succs, preds)
-
-    inp: dict[BasicBlock, object] = {b: lat.bottom() for b in func.blocks}
-    out: dict[BasicBlock, object] = {b: lat.bottom() for b in func.blocks}
-    boundary = problem.boundary(func)
-    if forward:
-        if func.blocks:
-            inp[func.entry] = boundary
-    else:
-        for b in func.blocks:
-            if not b.successors():
-                inp[b] = boundary
-
-    order = reverse_postorder(func)
-    if not forward:
-        order = list(reversed(order))
-    work: list[BasicBlock] = list(order)
-    queued = {id(b) for b in work}
-    steps = 0
-    while work:
-        steps += 1
-        if steps > max_iterations:
-            raise RuntimeError(
-                f"dataflow did not converge in {max_iterations} steps "
-                f"(@{func.name}: non-monotone transfer or unbounded lattice?)")
-        blk = work.pop(0)
-        queued.discard(id(blk))
-        sources = edges_in[blk]
-        if sources:
-            joined = lat.join_all(out[p] for p in sources)
-            if forward and blk is func.entry:
-                # an entry with a back edge still starts from the boundary
-                joined = lat.join(joined, boundary)
-            inp[blk] = joined
-        elif forward and blk is not func.entry:
-            inp[blk] = lat.bottom()
-        new_out = problem.transfer(blk, inp[blk])
-        if new_out != out[blk]:
-            out[blk] = new_out
-            for s in edges_out[blk]:
-                if id(s) not in queued:
-                    queued.add(id(s))
-                    work.append(s)
-    if forward:
-        return BlockStates(inp, out)
-    # backward: "inp" is the state at block exit, "out" at block entry —
-    # rename so callers always read inp=before, out=after in layout order
-    return BlockStates(out, inp)
-
-
-# -- sparse (SSA value-level) solver -------------------------------------------
 
 
 class ValueProblem:

@@ -45,7 +45,7 @@ def reachable_blocks(func: Function) -> set[BasicBlock]:
 
 def reverse_postorder(func: Function) -> list[BasicBlock]:
     """Reverse postorder from the entry (unreachable blocks appended last,
-    in layout order, so dense solvers still visit them)."""
+    in layout order, so a walk over it still visits them)."""
     rpo = _postorder(func)[::-1]
     seen = set(rpo)
     rpo += [blk for blk in func.blocks if blk not in seen]

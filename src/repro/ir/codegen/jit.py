@@ -12,14 +12,14 @@ The MCJIT substitute.  Responsibilities:
 
 from __future__ import annotations
 
-from repro.backend.emit import EmitOptions, emit_function, emit_function_info
+from repro.backend.emit import EmitOptions, emit_function_info
 from repro.backend.opt import optimize as tac_optimize
 from repro.cc.compiler import RodataPool
 from repro.cpu.image import Image, RODATA_BASE
 from repro.errors import CodegenError
-from repro.ir.codegen.lower import lower_function, lower_function_info
+from repro.ir.codegen.lower import lower_function_info
 from repro.ir.module import Function, Module
-from repro.x86.asm import Item, assemble_full
+from repro.x86.asm import assemble_full
 
 
 #: the one instruction selection the JIT has: LLVM uses plain multiplies
@@ -28,7 +28,7 @@ EMIT = EmitOptions(mul_style="imul", const_addressing="riprel")
 
 
 class JITEngine:
-    """Compiles MiniLLVM modules into an Image at runtime."""
+    """Compiles MiniLLVM functions into an Image at runtime."""
 
     def __init__(self, image: Image) -> None:
         self.image = image
@@ -83,34 +83,3 @@ class JITEngine:
             read_rodata=lambda a, n: mem.read(a, n),
         )
         return addr
-
-    def compile_module(self, module: Module) -> dict[str, int]:
-        """Compile every defined function; returns name -> address."""
-        with self.image.codegen_lock:
-            return self._compile_module(module)
-
-    def _compile_module(self, module: Module) -> dict[str, int]:
-        self.last_witness = None  # witnesses are per-compile_function only
-        self.place_globals(module)
-        out: dict[str, int] = {}
-        # two passes so intra-module calls resolve: declarations first
-        defined = [f for f in module.functions.values() if not f.is_declaration]
-        # emit in one item stream so cross-calls resolve by label
-        items: list[Item] = []
-        for f in defined:
-            tf = lower_function(f)
-            tac_optimize(tf)
-            items.extend(emit_function(tf, self.pool, EMIT,
-                                       dict(self.image.symbols)))
-        base = self.image.next_code_addr(jit=True)
-        code, _placed, labels = assemble_full(items, base)
-        blob_name = f"$jit{base:x}"
-        self.image.add_function(blob_name, code, jit=True)
-        del self.image.symbols[blob_name]
-        addrs = sorted((labels[f.name], f.name) for f in defined)
-        for i, (addr, fname) in enumerate(addrs):
-            end = addrs[i + 1][0] if i + 1 < len(addrs) else base + len(code)
-            self.image.symbols[fname] = addr
-            self.image.func_sizes[fname] = end - addr
-            out[fname] = addr
-        return out

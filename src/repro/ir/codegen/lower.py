@@ -816,11 +816,6 @@ _FCMP_CC = {
 }
 
 
-def lower_function(func: Function) -> TFunc:
-    """Lower one optimized IR function to TAC."""
-    return Lowerer(func).run()
-
-
 class LowerInfo:
     """Byproduct of lowering consumed by the machine-verification witness:
     which vreg each IR value ended up in, and which frame slot each alloca
@@ -834,7 +829,8 @@ class LowerInfo:
 
 
 def lower_function_info(func: Function) -> tuple[TFunc, LowerInfo]:
-    """Like :func:`lower_function`, also returning the value/slot maps."""
+    """Lower one optimized IR function to TAC, also returning the
+    value/slot maps the machine-verification witness reads."""
     lw = Lowerer(func)
     tf = lw.run()
     return tf, LowerInfo(lw.vmap, lw.alloca_slots)

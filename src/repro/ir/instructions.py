@@ -14,7 +14,6 @@ one way to remove an instruction.
 from __future__ import annotations
 
 import functools
-from copy import deepcopy
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.errors import IRError
@@ -71,17 +70,13 @@ class OperandList(list):
     Reads, iteration and unpacking are ``list``'s own; every mutator keeps
     the invariant *slot ``i`` holds ``v``  ⇔  ``(user, i) in v.uses``*.
     ``user`` is the owning instruction, or ``None`` while the list is
-    *detached* (a snapshot twin, an erased instruction, a body being
-    unpickled): a detached list registers nothing and mutates like a plain
-    list.  A mutation of an attached list is also entered in the change
-    journal of the user's function while ``run_o3`` owns it.
+    *detached* (a snapshot twin, an erased instruction, a fresh copy): a
+    detached list registers nothing and mutates like a plain list.  A
+    mutation of an attached list is also entered in the change journal of
+    the user's function while ``run_o3`` owns it.
     """
 
     __slots__ = ("user",)
-
-    def __deepcopy__(self, memo: dict) -> "OperandList":
-        # detached, like an unpickled list: the owning Function attaches
-        return _operand_list([deepcopy(v, memo) for v in self], None)
 
     def register(self, start: int = 0) -> None:
         """Enter slots ``start..`` into the use lists of their values."""
@@ -256,24 +251,6 @@ class Instruction(Value):
             journal = _changes_of(self)
             if journal is not None:
                 journal.append((OPERAND, self, list(old), None))
-
-    def __getstate__(self) -> tuple[None, dict[str, object]]:
-        state = {}
-        for slot in state_slots(type(self)):
-            if slot == "_operands":  # a plain list under the seed's key
-                state["operands"] = list(self._operands)
-            else:
-                state[slot] = getattr(self, slot)
-        return None, state
-
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        for slot, value in state[1].items():
-            if slot == "operands":
-                # detached until Function.__setstate__ has the whole body
-                self._operands = _operand_list(value, None)
-            else:
-                setattr(self, slot, value)
-        self.uses = {}
 
     @property
     def is_terminator(self) -> bool:

@@ -1,8 +1,10 @@
 """MiniLLVM type system.
 
 Interned immutable types; compare with ``is`` or ``==`` (both work — the
-constructors memoize).  Sizes follow the x86-64 data layout the paper
-assumes: pointers are 64-bit, doubles 8 bytes, vectors dense.
+constructors memoize).  A type is never copied: a copy of IR
+(``ir.module.clone_region``) shares its types with the original.  Sizes
+follow the x86-64 data layout the paper assumes: pointers are 64-bit,
+doubles 8 bytes, vectors dense.
 """
 
 from __future__ import annotations
@@ -15,15 +17,6 @@ class Type:
 
     def size_bytes(self) -> int:
         raise NotImplementedError
-
-    # types are immutable and compared with ``is``: any copy (deepcopy of a
-    # cached IR module, pickle round-trip) must come back as the *same*
-    # interned object
-    def __copy__(self) -> "Type":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Type":
-        return self
 
     @property
     def is_integer(self) -> bool:
@@ -54,9 +47,6 @@ class VoidType(Type):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __reduce__(self):
-        return (VoidType, ())
-
     def size_bytes(self) -> int:
         return 0
 
@@ -79,9 +69,6 @@ class IntType(Type):
 
     bits: int
 
-    def __reduce__(self):
-        return (IntType, (self.bits,))
-
     def size_bytes(self) -> int:
         return max(1, self.bits // 8)
 
@@ -101,9 +88,6 @@ class DoubleType(Type):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def __reduce__(self):
-        return (DoubleType, ())
-
     def size_bytes(self) -> int:
         return 8
 
@@ -118,9 +102,6 @@ class FloatType(Type):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def __reduce__(self):
-        return (FloatType, ())
 
     def size_bytes(self) -> int:
         return 4
@@ -144,9 +125,6 @@ class PointerType(Type):
 
     pointee: Type
     addrspace: int
-
-    def __reduce__(self):
-        return (PointerType, (self.pointee, self.addrspace))
 
     def size_bytes(self) -> int:
         return 8
@@ -172,9 +150,6 @@ class VectorType(Type):
 
     elem: Type
     count: int
-
-    def __reduce__(self):
-        return (VectorType, (self.elem, self.count))
 
     def size_bytes(self) -> int:
         return self.elem.size_bytes() * self.count

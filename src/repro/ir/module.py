@@ -188,25 +188,6 @@ class Function(Value):
         #: ``repro.ir.passes.schedule.Journal``; None otherwise)
         self._changes = None
 
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        super().__setstate__(state)
-        self._copied()
-
-    def __deepcopy__(self, memo: dict) -> "Function":
-        twin = super().__deepcopy__(memo)
-        twin._copied()
-        return twin
-
-    def _copied(self) -> None:
-        """Finish a load or a deepcopy: neither carries use lists, and by
-        the time the function has its slots so has its whole body."""
-        self._version = 0  # a copy starts its own epoch
-        self._preds = None
-        self._changes = None
-        for blk in self.blocks:
-            for ins in blk.instructions:
-                ins.attach()
-
     @property
     def version(self) -> int:
         """Monotonic mutation counter (trace-cache invalidation epoch).

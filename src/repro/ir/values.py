@@ -18,10 +18,11 @@ from collecting users it should not have:
   the live body's arguments and externals but register nowhere;
   ``restore_function`` detaches the rejected body and attaches the
   snapshot's.  An erased instruction is detached the same way.
-* **Pickle and deepcopy** never see a use list: ``__getstate__`` and
-  ``__deepcopy__`` leave it out (a pickle is the pre-use-list one minus the
-  mutation epoch, and older pickles load) and the ``Function`` re-registers
-  the body it just loaded or copied.
+* **One copy operation.**  ``Module.copy`` and ``clone_function`` are the
+  only ways to copy IR: bodies through ``ir.module.clone_region``
+  (``Instruction.copy``), leaves through :func:`fresh_leaf`.  Both carry
+  the :func:`state_slots` of an object over and start its copy with an
+  empty use list.
 * **One thread, one module.**  Use lists are single-threaded per function
   like the rest of the IR, and no value other than a type may be shared
   between modules (the verifier rejects a user from another module).
@@ -30,7 +31,6 @@ from collecting users it should not have:
 from __future__ import annotations
 
 import functools
-from copy import deepcopy
 from typing import TYPE_CHECKING
 
 from repro.arith import to_signed
@@ -39,21 +39,20 @@ from repro.ir.irtypes import DoubleType, FloatType, IntType, Type
 if TYPE_CHECKING:
     from repro.ir.instructions import Instruction
 
-#: slots that never reach a pickle or a deepcopy: derived state, rebuilt
-#: (``uses``: by ``Function.__setstate__``) or recomputed on demand, the
-#: mutation epoch and the change journal, which mean nothing to another
-#: object
-_UNPICKLED = frozenset({"uses", "_preds", "_version", "_changes",
-                        "__weakref__", "__dict__"})
+#: slots a clone does not carry over: derived state, rebuilt by the copy
+#: (``uses``) or recomputed on demand, the mutation epoch and the change
+#: journal, which mean nothing to another object
+_NOT_CLONED = frozenset({"uses", "_preds", "_version", "_changes",
+                         "__weakref__", "__dict__"})
 
 
 @functools.cache
 def state_slots(cls: type) -> tuple[str, ...]:
-    """The slot names ``cls`` pickles, most derived class first (the order
-    ``object.__getstate__`` uses, so pickles keep their layout)."""
+    """The slot names a clone of a ``cls`` object carries over, most
+    derived class first."""
     return tuple(s for k in cls.__mro__
                  for s in k.__dict__.get("__slots__", ())
-                 if s not in _UNPICKLED)
+                 if s not in _NOT_CLONED)
 
 
 class Value:
@@ -65,35 +64,6 @@ class Value:
         self.type = type_
         self.name = name
         self.uses: dict[tuple["Instruction", int], None] = {}
-
-    def __getstate__(self) -> tuple[None, dict[str, object]]:
-        state = {}
-        for slot in state_slots(type(self)):
-            try:
-                state[slot] = getattr(self, slot)
-            except AttributeError:  # a slot this object never set
-                pass
-        return None, state
-
-    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
-        for slot, value in state[1].items():
-            setattr(self, slot, value)
-        self.uses = {}
-
-    def __deepcopy__(self, memo: dict) -> "Value":
-        """``copy.deepcopy`` slot by slot: the same copy as the generic
-        reduce/reconstruct round trip (no use list either), minus the state
-        dict it builds and deep-copies per value."""
-        cls = type(self)
-        twin = memo[id(self)] = cls.__new__(cls)
-        twin.uses = {}
-        for slot in state_slots(cls):
-            try:
-                value = getattr(self, slot)
-            except AttributeError:
-                continue
-            setattr(twin, slot, deepcopy(value, memo))
-        return twin
 
     def short(self) -> str:
         return f"%{self.name}" if self.name else "%?"

@@ -1,22 +1,16 @@
-"""Dataflow engine on hand-built CFGs: diamond, loop, unreachable, self-loop."""
+"""The sparse SSA dataflow solver on hand-built CFGs (a diamond, a loop),
+and the diamond's reverse postorder and predecessors."""
 
-import pytest
-
-from repro.ir import Function, FunctionType, I1, I64, IRBuilder, Module, VOID
-from repro.ir.values import Constant, Undef
+from repro.ir import Function, FunctionType, I64, IRBuilder, Module
+from repro.ir.values import Undef
 
 from repro.analysis.dataflow import (
-    BACKWARD,
-    FORWARD,
-    BlockProblem,
     BoolLattice,
     Lattice,
-    SetLattice,
     ValueProblem,
-    solve_block_problem,
     solve_value_problem,
 )
-from repro.ir.cfg import reachable_blocks, reverse_postorder
+from repro.ir.cfg import reverse_postorder
 
 
 def _func(name="f", ret=I64, params=(I64,)):
@@ -24,30 +18,6 @@ def _func(name="f", ret=I64, params=(I64,)):
     f = Function(name, FunctionType(ret, tuple(params)))
     m.add_function(f)
     return f
-
-
-class TraceProblem(BlockProblem):
-    """Forward: which block names can appear on a path reaching this block."""
-
-    direction = FORWARD
-
-    def lattice(self):
-        return SetLattice()
-
-    def transfer(self, block, state):
-        return frozenset(state) | {block.name}
-
-
-class LiveNamesProblem(BlockProblem):
-    """Backward: block names reachable *from* this block (trace, reversed)."""
-
-    direction = BACKWARD
-
-    def lattice(self):
-        return SetLattice()
-
-    def transfer(self, block, state):
-        return frozenset(state) | {block.name}
 
 
 def _diamond():
@@ -73,24 +43,6 @@ def _diamond():
     return f, (entry, then, els, merge), phi
 
 
-def test_diamond_forward_trace():
-    f, (entry, then, els, merge), _ = _diamond()
-    states = solve_block_problem(f, TraceProblem())
-    assert states.inp[merge] == {"entry", "then", "els"}
-    assert states.out[merge] == {"entry", "then", "els", "merge"}
-    assert states.inp[then] == {"entry"}
-    assert states.inp[entry] == frozenset()
-
-
-def test_diamond_backward():
-    f, (entry, then, els, merge), _ = _diamond()
-    states = solve_block_problem(f, LiveNamesProblem())
-    # inp = state at block entry (what lies at/below it), out = at block exit
-    assert states.inp[entry] == {"entry", "then", "els", "merge"}
-    assert states.inp[merge] == {"merge"}
-    assert states.out[entry] == {"then", "els", "merge"}
-
-
 def test_diamond_rpo_and_preds():
     f, (entry, then, els, merge), _ = _diamond()
     rpo = reverse_postorder(f)
@@ -101,99 +53,6 @@ def test_diamond_rpo_and_preds():
     preds = f.predecessor_map()
     assert set(preds[id(merge)]) == {then, els}
     assert preds[id(entry)] == []
-
-
-def test_loop_fixpoint():
-    f = _func()
-    entry = f.add_block("entry")
-    header = f.add_block("header")
-    body = f.add_block("body")
-    exit_ = f.add_block("exit")
-    b = IRBuilder(entry)
-    b.br(header)
-    b.position_at_end(header)
-    phi = b.phi(I64)
-    cond = b.icmp("slt", phi, f.args[0])
-    b.cond_br(cond, body, exit_)
-    b.position_at_end(body)
-    nxt = b.add(phi, b.const(I64, 1))
-    b.br(header)
-    phi.add_incoming(b.const(I64, 0), entry)
-    phi.add_incoming(nxt, body)
-    b.position_at_end(exit_)
-    b.ret(phi)
-
-    states = solve_block_problem(f, TraceProblem())
-    # the back edge folds the body into the header's reaching set
-    assert states.inp[header] == {"entry", "header", "body"}
-    assert states.inp[exit_] == {"entry", "header", "body"}
-    assert states.inp[body] == {"entry", "header", "body"}
-
-
-def test_unreachable_block_excluded_but_visited():
-    f = _func()
-    entry = f.add_block("entry")
-    dead = f.add_block("dead")
-    b = IRBuilder(entry)
-    b.ret(f.args[0])
-    b.position_at_end(dead)
-    b.ret(b.const(I64, 9))
-
-    assert reachable_blocks(f) == {entry}
-    rpo = reverse_postorder(f)
-    assert rpo[-1] is dead  # appended after the reachable RPO
-    states = solve_block_problem(f, TraceProblem())
-    # dense solver still assigns the dead block a state (its own transfer
-    # over bottom), it just never receives flow from the entry
-    assert states.inp[dead] == frozenset()
-    assert states.out[dead] == {"dead"}
-
-
-def test_self_loop_entry_keeps_boundary():
-    f = _func()
-    entry = f.add_block("entry")
-    exit_ = f.add_block("exit")
-    b = IRBuilder(entry)
-    cond = b.icmp("eq", f.args[0], b.const(I64, 0))
-    b.cond_br(cond, entry, exit_)
-    b.position_at_end(exit_)
-    b.ret(f.args[0])
-
-    class Boundary(TraceProblem):
-        def boundary(self, func):
-            return frozenset({"<args>"})
-
-    states = solve_block_problem(f, Boundary())
-    # the self edge must not wash out the entry boundary state
-    assert "<args>" in states.inp[entry]
-    assert states.inp[exit_] == {"<args>", "entry"}
-
-
-def test_non_convergence_guard():
-    f = _func()
-    entry = f.add_block("entry")
-    b = IRBuilder(entry)
-    cond = b.icmp("eq", f.args[0], b.const(I64, 0))
-    b.cond_br(cond, entry, entry)
-
-    class Growing(BlockProblem):
-        """Deliberately non-monotone-bounded: grows a counter forever."""
-
-        def lattice(self):
-            class L(Lattice):
-                def bottom(self):
-                    return 0
-
-                def join(self, a, b):
-                    return max(a, b)
-
-            return L()
-
-        def transfer(self, block, state):
-            return state + 1
-
-    with pytest.raises(RuntimeError, match="did not converge"):
-        solve_block_problem(f, Growing(), max_iterations=50)
 
 
 # -- sparse SSA solver ---------------------------------------------------------

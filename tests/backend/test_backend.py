@@ -11,7 +11,7 @@ from repro.backend.tac import TAddr, TFunc, TInstr, VReg
 from repro.cpu import Image, Simulator
 from repro.cc.compiler import RodataPool
 from repro.ir import DOUBLE, Function, FunctionType, IRBuilder, Module
-from repro.ir.codegen.lower import lower_function
+from repro.ir.codegen.lower import lower_function_info
 from repro.x86.asm import assemble_full
 from repro.x86.decoder import decode_block
 
@@ -43,7 +43,7 @@ def lowered(ret, params, body):
     f = Function("f", FunctionType(ret, tuple(params)))
     m.add_function(f)
     body(IRBuilder(f.add_block("entry")), f.args)
-    return lower_function(f)
+    return lower_function_info(f)[0]
 
 
 # -- synth_mult -------------------------------------------------------------

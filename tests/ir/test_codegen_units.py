@@ -234,7 +234,9 @@ def test_call_between_jitted_functions():
     b.ret(b.add(r, as_int))
     verify(caller)
     img = Image()
-    JITEngine(img).compile_module(m)
+    jit = JITEngine(img)
+    jit.compile_function(callee)
+    jit.compile_function(caller)  # resolves @sq through the image's symbols
     sim = Simulator(img)
     assert sim.call_int("f", (6,), (2.0,)) == 38
 

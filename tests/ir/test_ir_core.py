@@ -43,6 +43,7 @@ def test_constant_masks_to_width():
     c = Constant(I8, 0x1FF)
     assert c.value == 0xFF
     assert c.signed == -1
+    assert repr(c) == "i8 -1"
 
 
 def test_constant_requires_int_type():

@@ -5,26 +5,26 @@
 walks it instead of the function.  The property test drives random
 mutation sequences — operand set/append/delete/assign, phi incoming edits,
 insertion, ``erase``, RAUW of instructions, constants and arguments,
-``remove_block``, snapshot → mutate → rollback, pickle and deepcopy — through
-two identical worlds, one using ``Function.replace_all_uses`` and one using
-the pre-use-list scan kept here as the oracle.  After every step the
-verifier's use-list check holds in both, an independent recomputation from
+``remove_block``, snapshot → mutate → rollback — through two identical
+worlds, one using ``Function.replace_all_uses`` and one using the
+pre-use-list scan kept here as the oracle.  After every step the verifier's
+use-list check holds in both, an independent recomputation from
 ``operands`` agrees with every ``uses``, both worlds are structurally equal
 and both RAUWs returned the same count.  ``REPRO_USELIST_EXAMPLES`` scales
 the example count (CI raises it).  Three hand-made mutants of the container
-must each fail the property.
+must each fail the property.  A validator rollback leaves only live users
+on the function's shared values.
 """
 
 from __future__ import annotations
 
-import copy
 import os
-import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import PassValidator
 from repro.analysis.clone import (
     clone_function, functions_structurally_equal, restore_function,
 )
@@ -33,10 +33,11 @@ from repro.ir import (
     I64, Function, FunctionType, IRBuilder, Interpreter, Module, verify,
 )
 from repro.ir import instructions as I
-from repro.ir.passes import inline, run_o3, unroll
+from repro.ir.passes import O3Options, inline, replay_o3, run_o3, unroll
 from repro.ir.passes.pipeline import set_verify_after_each_pass
 from repro.ir.values import Constant, Value
-from repro.ir.verifier import verify_use_lists
+from repro.ir.verifier import verify_module, verify_use_lists
+from repro.testing.faults import inject_faults
 
 from test_interp_trace import build_add_const
 
@@ -64,7 +65,7 @@ def _attached(func: Function) -> set[bool]:
 
 OPS = ("set", "append", "delete", "pop", "assign", "slice", "add_incoming",
        "remove_incoming", "insert", "erase", "rauw", "rauw", "remove_block",
-       "snapshot", "restore", "pickle", "deepcopy")
+       "snapshot", "restore")
 
 steps = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(0, 1 << 16),
@@ -209,17 +210,6 @@ class World:
                 self.made.extend(self.snapshot.instructions())
                 restore_function(f, self.snapshot)
                 self.snapshot = None
-        elif op in ("pickle", "deepcopy"):
-            state = (self.module, self.pool, self.made)
-            if op == "pickle":
-                blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
-                assert b"uses" not in blob and b"OperandList" not in blob
-                state = pickle.loads(blob)
-            else:
-                state = copy.deepcopy(state)
-            self.module, self.pool, self.made = state
-            self.f = self.module.functions["f"]
-            self.snapshot = None  # it belongs to the world left behind
         return None
 
     # -- the invariant ---------------------------------------------------------
@@ -473,3 +463,30 @@ def test_copy_is_detached_and_owns_its_payload_lists():
     assert br.copy(then).targets == br.targets
     assert br.copy(then).targets is not br.targets
     assert phi.copy(then).incoming_blocks is not phi.incoming_blocks
+
+
+def test_rollback_leaves_only_live_users_on_shared_values():
+    m = Module("rb")
+    f = Function("f", FunctionType(I64, (I64, I64)))
+    m.add_function(f)
+    b = IRBuilder(f.add_block("entry"))
+    x, y = f.args
+    dead = b.mul(x, y)  # what dce removes (and the fault then corrupts)
+    b.ret(b.add(b.add(x, b.const(I64, 0)), y))
+    assert dead.uses == {}
+
+    def miscompile(result, func):
+        for ins in func.instructions():
+            if ins.opcode == "ret":
+                ins.operands[0] = func.args[0]
+        return True
+
+    with inject_faults("pass:dce", every=True, corrupt=miscompile):
+        report = replay_o3(f, O3Options(), None, PassValidator())
+    assert report.rejected_passes == ["dce"]
+    assert any(v.rolled_back for v in report.pass_log)
+    verify_module(m)
+    live = {id(i) for i in f.instructions()}
+    for arg in f.args:
+        assert arg.uses and all(id(u) in live for u, _ in arg.uses)
+    assert Interpreter(m).run(f, [3, 4]) == 7
