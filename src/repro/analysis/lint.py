@@ -255,14 +255,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="JIT-compile each function (post-O3, the "
                              "production form) and verify the emitted "
                              "machine code against the IR")
-    parser.add_argument("--format", default=None, dest="fmt",
+    parser.add_argument("--format", default="text", dest="fmt",
                         choices=("text", "json", "sarif"),
                         help="output format (default: text)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="alias for --format json")
     args = parser.parse_args(argv)
 
-    fmt = args.fmt or ("json" if args.as_json else "text")
     corpora = sorted(CORPORA) if args.corpus == "all" else [args.corpus]
     checkers = args.checkers.split(",") if args.checkers else None
     try:
@@ -276,9 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         print("lint run crashed", file=sys.stderr)
         return 3
 
-    if fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(result.to_json(), indent=2))
-    elif fmt == "sarif":
+    elif args.fmt == "sarif":
         print(json.dumps(result.to_sarif(), indent=2))
     else:
         for finding in result.findings:

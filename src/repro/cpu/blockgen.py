@@ -4,15 +4,33 @@
 function, ``_blk(st, mem) -> next rip``, and compiles it.  ``g = st.gpr``
 and ``x = st.xmm`` are bound once and written in place, so a fault
 mid-block leaves the registers and event counters the closure chain
-leaves.  The hot shapes (:func:`statements`) are inlined, and so is the
-page look-up of their memory accesses, as ``Memory.read_uint``/
-``write_uint`` do it (``mem._find`` on a miss raises their fault); every
-other instruction calls the closure the block already holds, bound with
-the same flag-liveness choice.  Each statement is its closure's expression
-written out — the same masks, flag formulas and float conversions — and
-``tests/cpu/test_block_codegen.py`` holds the two to each other.  The
-inline look-up reads a plain :class:`~repro.mem.memory.Memory`'s buffers:
-the simulator runs a generated function on nothing else.
+leaves.  The hot shapes (:func:`statements`) are inlined; every other
+instruction calls the closure the block already holds, bound with the same
+flag-liveness choice.  Each statement is its closure's expression written
+out — the same masks, flag formulas and float conversions — and
+``tests/cpu/test_block_codegen.py`` holds the two to each other.
+
+A block holds what its memory accesses found, in locals (:class:`_Held`):
+
+* **a region per base register** — the first access through a base looks
+  its page up (``mem._pages``) and keeps the region as ``s{k}, e{k}, b{k}``
+  (start, end, buffer); every later access through that base checks its
+  address against the region it holds and calls ``mem._find`` only when
+  it falls outside, which also raises the closures' fault.  Regions are
+  append-only (:mod:`repro.mem.memory`), so a region found stays valid,
+  and the check stays on every access: an address off the region, a
+  straddle past its end, or a re-pointed base all reach ``mem._find``;
+* **the last store** — its address expression and width, and its value in
+  ``f``.  A load of the same expression at the same width reads ``f``;
+  the store itself still happens.  The block forgets it on any other store
+  (it may alias), on a closure call and on a write to a register the
+  expression reads; a ``pop`` or ``ret``, which goes on to use ``a``,
+  never reads it.
+
+The held state lives in one :func:`generate` call; :func:`statements`
+called alone starts from nothing.  The inline look-ups read a plain
+:class:`~repro.mem.memory.Memory`'s buffers: the simulator runs a
+generated function on nothing else.
 """
 
 from __future__ import annotations
@@ -27,14 +45,15 @@ from repro.x86 import isa
 from repro.x86.effects import effects_of
 from repro.x86.instr import Imm, Instruction, Mem, Reg
 
-#: what every generated function's globals start from; ``U{w}``/``P{w}``
-#: load and store ``w`` bytes at an offset of a region buffer
-_NS: dict[str, object] = {"PAR": _PARITY, "FB": int.from_bytes,
-                          "UP": _F64.unpack, "PK": _F64.pack,
-                          "UD": _F64.unpack_from}
-for _w, _f in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q")):
-    _NS[f"U{_w}"] = struct.Struct(_f).unpack_from
-    _NS[f"P{_w}"] = struct.Struct(_f).pack_into
+#: what every generated function's globals start from (each gets a copy);
+#: ``U{w}``/``P{w}`` load and store ``w`` bytes at an offset of a region
+#: buffer, and ``NO`` is a region that holds no address
+_NS: dict[str, object] = {
+    "PAR": _PARITY, "FB": int.from_bytes, "UP": _F64.unpack,
+    "PK": _F64.pack, "UD": _F64.unpack_from, "NO": (0, 0, None),
+    **{f"{k}{w}": getattr(struct.Struct(f), fn)
+       for w, f in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
+       for k, fn in (("U", "unpack_from"), ("P", "pack_into"))}}
 
 #: the flags of ``r = a op b`` at ``bits`` width, cut ``r`` to width
 _FLAGS = {
@@ -84,38 +103,75 @@ def _xmm(op: object) -> int | None:
     return op.index if isinstance(op, Reg) and op.kind == "xmm" else None
 
 
-def _access(addr: str, width: int) -> list[str]:
-    """Bind ``a`` to ``addr`` and ``h`` to its region: the access is at
-    offset ``a - h[0]`` of ``h[2]``."""
-    return [f"a = {addr}", f"h = pg(a >> {_PAGE_SHIFT})",
-            f"if h is None or a < h[0] or a + {width} > h[1]: "
-            f"h = mem._find(a, {width})"]
+class _Held:
+    """What one block's statements so far leave in locals (module
+    docstring): the keys of the bases whose region is bound, and the last
+    store's ``(address expression, width, registers it reads)``."""
+
+    __slots__ = ("bases", "stored")
+
+    def __init__(self) -> None:
+        self.bases: set[str] = set()
+        self.stored: tuple[str, int, frozenset] | None = None
+
+    def forwards(self, m: Mem | str, width: int) -> bool:
+        """Whether a load of ``m`` reads the last store's value ``f``."""
+        return self.stored is not None and self.stored[:2] == (_ea(m), width)
+
+
+def _access(held: _Held, m: Mem | str, width: int) -> tuple[list[str], str]:
+    """Bind ``a`` to the address of ``m`` and check it against the region
+    its base holds (a string address is ``rsp``'s): the lines, and
+    ``buffer, offset`` of the access."""
+    k = "4" if isinstance(m, str) else \
+        "c" if m.base is None else str(m.base.index)
+    s, e, b = f"s{k}", f"e{k}", f"b{k}"
+    lines = [f"a = {_ea(m)}"]
+    if k not in held.bases:
+        held.bases.add(k)
+        lines.append(f"{s}, {e}, {b} = pg(a >> {_PAGE_SHIFT}) or NO")
+    lines.append(f"if a < {s} or a + {width} > {e}: "
+                 f"{s}, {e}, {b} = mem._find(a, {width})")
+    return lines, f"{b}, a - {s}"
 
 
 def _ea(m: Mem | str) -> str:
-    """The effective address of ``m``, mod 2**64 (a string is one)."""
+    """The effective address of ``m``, mod 2**64 (a string is one); a
+    register alone is one already."""
     if isinstance(m, str) or m.riprel or m.is_absolute:
         return m if isinstance(m, str) else str(m.disp & MASK64)
+    if m.index is None and not m.disp:
+        return f"g[{m.base.index}]"
     terms = [f"g[{m.base.index}]"] if m.base is not None else []
     if m.index is not None:
         terms.append(f"g[{m.index.index}] * {m.scale}")
-    return f"({' + '.join(terms)} + {m.disp}) & {MASK64}"
+    terms += [str(m.disp)] * (m.disp != 0)
+    return f"({' + '.join(terms)}) & {MASK64}"
 
 
-def _load(dst: str, m: Mem | str, width: int, sign: int = 0, mask: int = 0
-          ) -> list[str]:
+def _load(held: _Held, dst: str, m: Mem | str, width: int, sign: int = 0,
+          mask: int = 0, pop: bool = False) -> list[str]:
     """``dst = [m]``: ``width`` bytes, zero-extended, or sign-extended from
-    ``sign`` and cut to ``mask``."""
-    v = f"U{width}(h[2], a - h[0])[0]"
+    ``sign`` and cut to ``mask``; the last store's value where it wrote
+    this slot, but not for a ``pop``, which goes on to use ``a``."""
+    if not pop and held.forwards(m, width):
+        lines, v = [], "f"
+    else:
+        lines, at = _access(held, m, width)
+        v = f"U{width}({at})[0]"
     if sign:
         v = f"(({v} ^ {sign}) - {sign}) & {mask}"
-    return _access(_ea(m), width) + [f"{dst} = {v}"]
+    return lines + [f"{dst} = {v}"]
 
 
-def _store(m: Mem | str, value: object, width: int) -> list[str]:
-    """``[m] = value``, cut to ``width`` bytes."""
-    return _access(_ea(m), width) + [
-        f"P{width}(h[2], a - h[0], {value} & {_mask(width)})"]
+def _store(held: _Held, m: Mem | str, value: object, width: int
+           ) -> list[str]:
+    """``[m] = value``, cut to ``width`` bytes; it is the last store now."""
+    lines, at = _access(held, m, width)
+    regs = {r.index for r in (m.base, m.index) if r is not None} \
+        if isinstance(m, Mem) else {4}
+    held.stored = (_ea(m), width, frozenset(("gp", r) for r in regs))
+    return lines + [f"P{width}({at}, f := {value} & {_mask(width)})"]
 
 
 def _read(op: object, size: int) -> str | None:
@@ -131,7 +187,7 @@ def _read(op: object, size: int) -> str | None:
         f"(g[{op.index}] & {_mask(op.size)})"
 
 
-def _move(ins: Instruction, flags: bool) -> list[str] | None:
+def _move(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
     """``mov``, ``movsx*``/``movzx``, ``lea``, ``movsd``/``movss`` and
     the flag-free ``imul r, r, imm``, in the shapes their binders bind
     flat."""
@@ -145,14 +201,14 @@ def _move(ins: Instruction, flags: bool) -> list[str] | None:
                 f"{_mask(ops[0].size)}"]
     (dst, src), d, s = ops, _gp(ops[0]), _gp(ops[1])
     if m == "lea":
-        return None if d is None else [f"g[{d}] = {_ea(src)} & "
-                                       f"{_mask(dst.size)}"]
+        cut = "" if dst.size == 8 else f" & {_mask(dst.size)}"
+        return None if d is None else [f"g[{d}] = {_ea(src)}{cut}"]
     if m in ("movsd", "movss"):
         width, d, s = 8 if m == "movsd" else 4, _xmm(dst), _xmm(src)
         if isinstance(dst, Mem) and s is not None:
-            return _store(dst, f"x[{s}]", width)
+            return _store(held, dst, f"x[{s}]", width)
         if d is not None and isinstance(src, Mem):
-            return _load(f"x[{d}]", src, width)
+            return _load(held, f"x[{d}]", src, width)
         if d is None or s is None:
             return None
         keep = MASK128 ^ _mask(width)
@@ -160,24 +216,26 @@ def _move(ins: Instruction, flags: bool) -> list[str] | None:
     if m != "mov":  # movsx, movsxd, movzx
         sign = 0 if m == "movzx" else 1 << (src.size * 8 - 1)
         if d is not None and isinstance(src, Mem):
-            return _load(f"g[{d}]", src, src.size, sign, _mask(dst.size))
+            return _load(held, f"g[{d}]", src, src.size, sign,
+                         _mask(dst.size))
         s = _gp(src, full=False)
         if d is None or s is None:
             return None
         return [f"g[{d}] = (((g[{s}] & {_mask(src.size)}) ^ {sign}) - "
                 f"{sign}) & {_mask(dst.size)}"]
     if d is not None and isinstance(src, Mem):
-        return _load(f"g[{d}]", src, src.size)
+        return _load(held, f"g[{d}]", src, src.size)
     if isinstance(dst, Mem) and _gp(src, full=False) is not None:
-        return _store(dst, f"g[{src.index}]", dst.size)
+        return _store(held, dst, f"g[{src.index}]", dst.size)
     if d is not None and isinstance(src, Imm):
         return [f"g[{d}] = {src.value & _mask(dst.size)}"]
     if d is None or s is None:
         return None
-    return [f"g[{d}] = g[{s}] & {_mask(min(dst.size, src.size))}"]
+    size = min(dst.size, src.size)
+    return [f"g[{d}] = g[{s}]" + ("" if size == 8 else f" & {_mask(size)}")]
 
 
-def _alu(ins: Instruction, flags: bool) -> list[str] | None:
+def _alu(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
     """``add``/``sub``/``and``/``or``/``xor``/``cmp``/``test`` on
     registers and immediates."""
     (dst, src), m = ins.operands, ins.mnemonic
@@ -201,7 +259,7 @@ def _alu(ins: Instruction, flags: bool) -> list[str] | None:
     return lines + [f"g[{dst.index}] = r"] * write
 
 
-def _sse(ins: Instruction, flags: bool) -> list[str] | None:
+def _sse(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
     """``addsd``/``subsd``/``mulsd`` and ``pxor`` on registers."""
     (dst, src), m = ins.operands, ins.mnemonic
     d, s = _xmm(dst), _xmm(src)
@@ -210,8 +268,11 @@ def _sse(ins: Instruction, flags: bool) -> list[str] | None:
             [f"x[{d}] = x[{d}] ^ (x[{s}] & {MASK128})"]
     if d is None:
         return None
-    if isinstance(src, Mem):
-        lines = _access(_ea(src), 8) + ["b = UD(h[2], a - h[0])[0]"]
+    if isinstance(src, Mem) and held.forwards(src, 8):
+        lines = ['b = UP(f.to_bytes(8, "little"))[0]']
+    elif isinstance(src, Mem):
+        lines, at = _access(held, src, 8)
+        lines.append(f"b = UD({at})[0]")
     elif s is not None:
         lines = [f'b = UP((x[{s}] & {MASK64}).to_bytes(8, "little"))[0]']
     else:
@@ -226,11 +287,15 @@ def _sse(ins: Instruction, flags: bool) -> list[str] | None:
 _DOWN = f"g[4] = (g[4] - 8) & {MASK64}"
 
 
-def _control(ins: Instruction, flags: bool) -> list[str] | None:
+def _control(ins: Instruction, flags: bool, held: _Held
+             ) -> list[str] | None:
     """``push``/``pop``/``call``/``ret`` and the direct jumps; the last
     statement of a transfer returns the next ``rip``."""
     m, fx = ins.mnemonic, effects_of(ins)
-    pop = _load("v", "g[4]", 8) + [f"g[4] = (a + 8) & {MASK64}"]
+
+    def pop() -> list[str]:  # built only where emitted: it binds ``s4``
+        return _load(held, "v", "g[4]", 8, pop=True) + [
+            f"g[4] = (a + 8) & {MASK64}"]
     if m == "push":
         (src,) = ins.operands
         if isinstance(src, Imm):
@@ -239,15 +304,15 @@ def _control(ins: Instruction, flags: bool) -> list[str] | None:
             v = f"g[{src.index}]"
         else:
             return None
-        return [f"v = {v}", *_store(_DOWN, "v", 8)]
+        return [f"v = {v}", *_store(held, _DOWN, "v", 8)]
     if m == "pop":
         (dst,) = ins.operands
         return None if _gp(dst) is None or dst.size != 8 else \
-            pop + [f"g[{dst.index}] = v"]
+            pop() + [f"g[{dst.index}] = v"]
     if m == "call":
-        return _store(_DOWN, ins.end, 8) + [f"return {fx.target}"]
+        return _store(held, _DOWN, ins.end, 8) + [f"return {fx.target}"]
     if m == "ret":
-        return pop + ["return v"]
+        return pop() + ["return v"]
     if m == "jmp":
         return [f"return {fx.target}"]
     return _JCC.format(cond=_CC[fx.cc], target=fx.target,
@@ -262,14 +327,24 @@ _EMIT = {**dict.fromkeys(("mov", "movzx", "movsx", "movsxd", "lea", "imul",
          **{"j" + cc: _control for cc in (*isa.CC_NAMES, *isa.CC_ALIASES)}}
 
 
-def statements(ins: Instruction, set_flags: bool) -> list[str] | None:
+def statements(ins: Instruction, set_flags: bool,
+               held: _Held | None = None) -> list[str] | None:
     """The statements that run ``ins`` (the last a ``return`` of the next
-    ``rip`` where it transfers control), or None where it is not inlined."""
+    ``rip`` where it transfers control), or None where it is not inlined;
+    ``held`` is what the block's earlier statements leave in locals, and
+    nothing when not given."""
+    held = _Held() if held is None else held
     emit = _EMIT.get(ins.mnemonic)
-    if emit is None or any(isinstance(o, Mem) and o.size == 16
-                           for o in ins.operands):
-        return None  # a 16-byte access counts ``st.unaligned16``
-    return emit(ins, set_flags)
+    lines = None
+    # a 16-byte access counts ``st.unaligned16``: the closure runs it
+    if emit is not None and not any(isinstance(o, Mem) and o.size == 16
+                                    for o in ins.operands):
+        lines = emit(ins, set_flags, held)
+    # a closure may store anywhere, and a register write moves the address
+    if lines is None or held.stored is not None \
+            and held.stored[2] & effects_of(ins).writes:
+        held.stored = None
+    return lines
 
 
 def generate(run: list[Instruction], set_flags: list[bool],
@@ -278,10 +353,11 @@ def generate(run: list[Instruction], set_flags: list[bool],
     ``rip``; ``set_flags`` is each instruction's flag-liveness choice and
     ``closures`` its bound closure, for the shapes not inlined."""
     ns = dict(_NS)
+    held = _Held()
     body: list[str] = []
     last = len(run) - 1
     for k, ins in enumerate(run):
-        lines = statements(ins, set_flags[k])
+        lines = statements(ins, set_flags[k], held)
         control = effects_of(ins).control != "none"
         if lines is None:
             ns[f"o{k}"] = closures[k]

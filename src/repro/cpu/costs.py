@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.x86 import isa
-from repro.x86.effects import effects_of
 from repro.x86.instr import Instruction, Mem
 
 #: default per-mnemonic base cost in cycles
@@ -102,26 +101,6 @@ class CostModel:
             cost += self.store_penalty if is_store else self.load_penalty
         if ins.mnemonic in ("push", "pop", "call", "ret"):
             cost += self.store_penalty if ins.mnemonic in ("push", "call") else self.load_penalty
-        return cost
-
-    def instruction_cost(
-        self, ins: Instruction, *, taken: bool = False,
-        mem_addr: int | None = None,
-    ) -> float:
-        """Cycles for one dynamic instance of ``ins``.
-
-        ``taken`` applies to conditional branches; ``mem_addr`` (the
-        effective address actually accessed) enables the unaligned-16-byte
-        penalty.
-        """
-        cost = self.static_cost(ins)
-        if (mem_addr is not None and mem_addr % 16 != 0
-                and ins.mnemonic != "lea"
-                and any(isinstance(o, Mem) and o.size == 16
-                        for o in ins.operands)):
-            cost += self.unaligned16_penalty
-        if taken and effects_of(ins).control == "jcc":
-            cost += self.taken_branch_penalty
         return cost
 
     def cycles_to_seconds(self, cycles: float) -> float:

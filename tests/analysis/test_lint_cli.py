@@ -40,7 +40,7 @@ def test_cli_exit_zero_and_summary(capsys):
 
 
 def test_cli_json_output(capsys):
-    assert main(["--corpus", "examples", "--json", "--stats"]) == 0
+    assert main(["--corpus", "examples", "--format", "json", "--stats"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["functions"] == 3
     assert payload["errors"] == 0
@@ -99,14 +99,6 @@ def test_cli_format_sarif(capsys):
     assert run["tool"]["driver"]["name"] == "repro.analysis.lint"
     assert run["results"] == []
     assert len(run["properties"]["machine"]) == 3
-
-
-def test_cli_format_json_matches_legacy_flag(capsys):
-    assert main(["--corpus", "examples", "--format", "json"]) == 0
-    a = json.loads(capsys.readouterr().out)
-    assert main(["--corpus", "examples", "--json"]) == 0
-    b = json.loads(capsys.readouterr().out)
-    assert a == b and "machine" in a
 
 
 def test_cli_crash_exits_three(monkeypatch, capsys):

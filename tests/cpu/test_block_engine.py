@@ -1,8 +1,9 @@
 """The block-compiled simulator against a golden fixture of the old engine.
 
 ``golden_simulator.json`` was captured at the commit *before* the block
-engine (fetch → ``semantics.execute`` → ``instruction_cost`` per dynamic
-instruction) by running this file as a script::
+engine (fetch, ``semantics.execute`` and a cost with its taken-branch and
+unaligned penalties per dynamic instruction) by running this file as a
+script::
 
     PYTHONPATH=<parent>/src python tests/cpu/test_block_engine.py --capture
 

@@ -1,14 +1,38 @@
-"""Cost model unit tests."""
+"""Cost model unit tests.
+
+An instruction's static cost is ``CostModel.static_cost``; the taken-branch
+and unaligned-16-byte penalties are events the simulator counts and prices
+when a call settles, so those rules are checked through ``Simulator.call``.
+"""
 
 import pytest
 
-from repro.cpu.costs import HASWELL, CostModel
-from repro.x86.instr import Imm, Mem, gp, make, xmm
+from repro.cpu import Image, Simulator
+from repro.cpu.costs import HASWELL
+from repro.x86 import parse_asm
+from repro.x86.asm import assemble
+from repro.x86.instr import Mem, gp, make, xmm
 
 
-def cost(model, mnemonic, *ops, taken=False, mem_addr=None):
-    return model.instruction_cost(make(mnemonic, *ops), taken=taken,
-                                  mem_addr=mem_addr)
+def cost(model, mnemonic, *ops):
+    return model.static_cost(make(mnemonic, *ops))
+
+
+def cycles(src: str, offset: int = 0, arg: int = 0) -> float:
+    """Simulated cycles of one call of ``src``, with ``rdi`` pointing
+    ``offset`` bytes into a 16-byte-aligned buffer and ``arg`` in
+    ``rsi``."""
+    img = Image()
+    data = img.alloc_data(64, align=16)
+    addr = img.add_function("f", assemble(
+        parse_asm(src), base=img.next_code_addr())[0])
+    return Simulator(img).call(addr, (data + offset, arg)).stats.cycles
+
+
+def static(*lines: str) -> float:
+    """The static costs of ``lines`` (each one instruction), summed."""
+    return sum(HASWELL.static_cost(assemble(parse_asm(line))[1][0])
+               for line in lines)
 
 
 def test_simple_alu_is_one_cycle():
@@ -29,24 +53,28 @@ def test_store_cheaper_than_load():
 
 
 def test_taken_branch_costs_more():
-    nt = cost(HASWELL, "jl", Imm(0x1000))
-    t = cost(HASWELL, "jl", Imm(0x1000), taken=True)
+    # ``jl`` falls into ``ret`` either way: only whether it is taken differs
+    src = "cmp rsi, 1\njl done\ndone:\nret"
+    nt = cycles(src, arg=5)
+    t = cycles(src, arg=0)
+    assert nt == static("cmp rsi, 1", "jl 0", "ret")
     assert t == nt + HASWELL.taken_branch_penalty
 
 
 def test_unconditional_jump_has_no_taken_penalty():
-    assert cost(HASWELL, "jmp", Imm(0), taken=True) == cost(HASWELL, "jmp", Imm(0))
+    assert cycles("jmp done\ndone:\nret") == static("jmp 0", "ret")
 
 
 def test_unaligned_16b_penalty():
-    aligned = cost(HASWELL, "movupd", xmm(0), Mem(16, base=gp(1)), mem_addr=0x1000)
-    unaligned = cost(HASWELL, "movupd", xmm(0), Mem(16, base=gp(1)), mem_addr=0x1008)
+    aligned = cycles("movupd xmm0, [rdi]\nret", offset=0)
+    unaligned = cycles("movupd xmm0, [rdi]\nret", offset=8)
+    assert aligned == static("movupd xmm0, [rdi]", "ret")
     assert unaligned == aligned + HASWELL.unaligned16_penalty
 
 
 def test_scalar_8b_has_no_alignment_penalty():
-    a = cost(HASWELL, "movsd", xmm(0), Mem(8, base=gp(1)), mem_addr=0x1004)
-    b = cost(HASWELL, "movsd", xmm(0), Mem(8, base=gp(1)), mem_addr=0x1000)
+    a = cycles("movsd xmm0, [rdi]\nret", offset=4)
+    b = cycles("movsd xmm0, [rdi]\nret", offset=0)
     assert a == b
 
 
