@@ -10,7 +10,8 @@ flag-liveness choice.  Each statement is its closure's expression written
 out — the same masks, flag formulas and float conversions — and
 ``tests/cpu/test_block_codegen.py`` holds the two to each other.
 
-A block holds what its memory accesses found, in locals (:class:`_Held`):
+A block holds what its earlier statements found, in locals
+(:class:`_Held`):
 
 * **a region per base register** — the first access through a base looks
   its page up (``mem._pages``) and keeps the region as ``s{k}, e{k}, b{k}``
@@ -25,7 +26,16 @@ A block holds what its memory accesses found, in locals (:class:`_Held`):
   the store itself still happens.  The block forgets it on any other store
   (it may alias), on a closure call and on a write to a register the
   expression reads; a ``pop`` or ``ret``, which goes on to use ``a``,
-  never reads it.
+  never reads it;
+* **the double a register holds** — a ``movsd`` load also reads its slot
+  as a double (``UD``), a register ``movsd`` copies the source's double
+  and ``addsd``/``subsd``/``mulsd`` keep their result, each in ``d{k}``
+  for ``xmm{k}``; a later scalar statement reads ``d{k}`` instead of
+  turning ``x[k]``'s bits into a double, which it does only for a value
+  the block does not hold.  ``x[k]`` is still written at every statement.
+  The block forgets ``d{k}`` on any other write to ``x[k]`` (``pxor``,
+  ``movss``, a reload forwarded from ``f``) and every ``d`` on a closure
+  call.
 
 The held state lives in one :func:`generate` call; :func:`statements`
 called alone starts from nothing.  The inline look-ups read a plain
@@ -105,14 +115,16 @@ def _xmm(op: object) -> int | None:
 
 class _Held:
     """What one block's statements so far leave in locals (module
-    docstring): the keys of the bases whose region is bound, and the last
-    store's ``(address expression, width, registers it reads)``."""
+    docstring): the keys of the bases whose region is bound, the last
+    store's ``(address expression, width, registers it reads)``, and the
+    xmm registers whose low-lane double is bound as ``d{k}``."""
 
-    __slots__ = ("bases", "stored")
+    __slots__ = ("bases", "stored", "doubles")
 
     def __init__(self) -> None:
         self.bases: set[str] = set()
         self.stored: tuple[str, int, frozenset] | None = None
+        self.doubles: set[int] = set()
 
     def forwards(self, m: Mem | str, width: int) -> bool:
         """Whether a load of ``m`` reads the last store's value ``f``."""
@@ -164,6 +176,16 @@ def _load(held: _Held, dst: str, m: Mem | str, width: int, sign: int = 0,
     return lines + [f"{dst} = {v}"]
 
 
+def _double(held: _Held, k: int) -> list[str]:
+    """Bind ``d{k}`` to the double in ``x[k]``'s low lane, unless the block
+    holds it: the one place a block turns bits into a double, for a value
+    that entered the block or that it forgot."""
+    if k in held.doubles:
+        return []
+    held.doubles.add(k)
+    return [f'd{k} = UP((x[{k}] & {MASK64}).to_bytes(8, "little"))[0]']
+
+
 def _store(held: _Held, m: Mem | str, value: object, width: int
            ) -> list[str]:
     """``[m] = value``, cut to ``width`` bytes; it is the last store now."""
@@ -207,12 +229,21 @@ def _move(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
         width, d, s = 8 if m == "movsd" else 4, _xmm(dst), _xmm(src)
         if isinstance(dst, Mem) and s is not None:
             return _store(held, dst, f"x[{s}]", width)
-        if d is not None and isinstance(src, Mem):
-            return _load(held, f"x[{d}]", src, width)
-        if d is None or s is None:
+        if d is None or s is None and not isinstance(src, Mem):
             return None
+        held.doubles.discard(d)
+        if isinstance(src, Mem):
+            if width == 4 or held.forwards(src, 8):
+                return _load(held, f"x[{d}]", src, width)
+            held.doubles.add(d)
+            lines, at = _access(held, src, 8)
+            return lines + [f"x[{d}] = U8({at})[0]", f"d{d} = UD({at})[0]"]
         keep = MASK128 ^ _mask(width)
-        return [f"x[{d}] = (x[{d}] & {keep}) | (x[{s}] & {_mask(width)})"]
+        lines = [f"x[{d}] = (x[{d}] & {keep}) | (x[{s}] & {_mask(width)})"]
+        if width == 4 or s not in held.doubles:
+            return lines
+        held.doubles.add(d)
+        return lines + [f"d{d} = d{s}"]
     if m != "mov":  # movsx, movsxd, movzx
         sign = 0 if m == "movzx" else 1 << (src.size * 8 - 1)
         if d is not None and isinstance(src, Mem):
@@ -260,27 +291,45 @@ def _alu(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
 
 
 def _sse(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
-    """``addsd``/``subsd``/``mulsd`` and ``pxor`` on registers."""
+    """``addsd``/``subsd``/``mulsd`` and ``pxor`` on registers; a scalar
+    result stays bound as ``d{k}``, and a memory operand is read as a
+    double from its buffer."""
     (dst, src), m = ins.operands, ins.mnemonic
     d, s = _xmm(dst), _xmm(src)
+    if d is None or s is None and not isinstance(src, Mem):
+        return None
     if m == "pxor":
-        return None if d is None or s is None else \
-            [f"x[{d}] = x[{d}] ^ (x[{s}] & {MASK128})"]
-    if d is None:
-        return None
-    if isinstance(src, Mem) and held.forwards(src, 8):
-        lines = ['b = UP(f.to_bytes(8, "little"))[0]']
-    elif isinstance(src, Mem):
+        if s is None:
+            return None
+        held.doubles.discard(d)
+        return [f"x[{d}] = x[{d}] ^ (x[{s}] & {MASK128})"]
+    if s is None:
         lines, at = _access(held, src, 8)
-        lines.append(f"b = UD({at})[0]")
-    elif s is not None:
-        lines = [f'b = UP((x[{s}] & {MASK64}).to_bytes(8, "little"))[0]']
+        b = f"UD({at})[0]"
     else:
+        lines, b = _double(held, s), f"d{s}"
+    return lines + _double(held, d) + [
+        f"d{d} = d{d} {_SCALAR[m]} {b}",
+        f'x[{d}] = (x[{d}] & {MASK128 ^ MASK64}) | FB(PK(d{d}), "little")']
+
+
+def _shift(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
+    """The flag-free ``shl``/``shr``/``sar`` of a whole register by an
+    immediate that does not mask to 0."""
+    (dst, src), m = ins.operands, ins.mnemonic
+    d = _gp(dst)
+    if flags or d is None or not isinstance(src, Imm):
         return None
-    return lines + [
-        f"a = x[{d}]",
-        f'r = UP((a & {MASK64}).to_bytes(8, "little"))[0] {_SCALAR[m]} b',
-        f'x[{d}] = (a & {MASK128 ^ MASK64}) | FB(PK(r), "little")']
+    count = src.value & (63 if dst.size == 8 else 31)
+    if not count:
+        return None
+    mask, a = _mask(dst.size), _read(dst, dst.size)
+    if m == "shl":
+        return [f"g[{d}] = (g[{d}] << {count}) & {mask}"]
+    if m == "shr":
+        return [f"g[{d}] = {a} >> {count}"]
+    sign = 1 << (dst.size * 8 - 1)
+    return [f"g[{d}] = ((({a} ^ {sign}) - {sign}) >> {count}) & {mask}"]
 
 
 #: ``rsp`` moves down before the store that may fault, as in the closures
@@ -323,6 +372,7 @@ def _control(ins: Instruction, flags: bool, held: _Held
 _EMIT = {**dict.fromkeys(("mov", "movzx", "movsx", "movsxd", "lea", "imul",
                           "movsd", "movss"), _move),
          **dict.fromkeys(_ALU, _alu), **dict.fromkeys((*_SCALAR, "pxor"), _sse),
+         **dict.fromkeys(("shl", "shr", "sar"), _shift),
          **dict.fromkeys(("push", "pop", "call", "ret", "jmp"), _control),
          **{"j" + cc: _control for cc in (*isa.CC_NAMES, *isa.CC_ALIASES)}}
 
@@ -344,6 +394,8 @@ def statements(ins: Instruction, set_flags: bool,
     if lines is None or held.stored is not None \
             and held.stored[2] & effects_of(ins).writes:
         held.stored = None
+    if lines is None:  # and it may write any xmm register
+        held.doubles.clear()
     return lines
 
 

@@ -785,8 +785,8 @@ def _bind_cdq(ins: Instruction) -> Op:
     return cdq
 
 
-@_binds("shl", "shr", "sar", "rol", "ror")
-def _bind_shift(ins: Instruction) -> Op:
+@_binds("shl", "shr", "sar", "rol", "ror", quiet=True)
+def _bind_shift(ins: Instruction, set_flags: bool = True) -> Op:
     dst, src = ins.operands
     size = dst.size  # type: ignore[union-attr]  # not _opsize: ``[m], cl``
     bits, mask = size * 8, _mask(size)
@@ -795,30 +795,41 @@ def _bind_shift(ins: Instruction) -> Op:
     m = ins.mnemonic
     rotate = m in ("rol", "ror")
 
+    def shifted(a: int, count: int) -> int:
+        if m == "shl":
+            return (a << count) & mask
+        if m == "shr":
+            return a >> count
+        if m == "sar":
+            return (to_signed(a, bits) >> count) & mask
+        count %= bits
+        if m == "rol":
+            return ((a << count) | (a >> (bits - count))) & mask
+        return ((a >> count) | (a << (bits - count))) & mask
+
+    if not set_flags:
+        def quiet_shift(st: CPUState, mem: Memory) -> None:
+            a = rd(st, mem)
+            count = rd_count(st, mem) & count_mask
+            if count:
+                wr(st, mem, shifted(a, count))
+        return quiet_shift
+
     def shift(st: CPUState, mem: Memory) -> None:
         a = rd(st, mem)
         count = rd_count(st, mem) & count_mask
         if count == 0:
             return
+        res = shifted(a, count)
         if m == "shl":
-            full = a << count
-            res = full & mask
-            st.cf = bool((full >> bits) & 1)
+            st.cf = bool((a << count >> bits) & 1)
         elif m == "shr":
-            res = a >> count
             st.cf = bool((a >> (count - 1)) & 1)
         elif m == "sar":
-            sa = to_signed(a, bits)
-            res = (sa >> count) & mask
-            st.cf = bool((sa >> (count - 1)) & 1)
-        elif m == "rol":
+            st.cf = bool((to_signed(a, bits) >> (count - 1)) & 1)
+        else:
             count %= bits
-            res = ((a << count) | (a >> (bits - count))) & mask
-            st.cf = bool(res & 1)
-        else:  # ror
-            count %= bits
-            res = ((a >> count) | (a << (bits - count))) & mask
-            st.cf = bool(res >> (bits - 1))
+            st.cf = bool(res & 1 if m == "rol" else res >> (bits - 1))
         if not rotate:
             _szp(st, res, bits)
         if count == 1:  # for a rotate too: the sign bit moved

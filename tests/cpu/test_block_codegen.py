@@ -4,10 +4,13 @@
 layers hold it to the closures it replaces:
 
 (a) **shapes** — every form of the effects conformance harness that the
-    generator inlines, with and without its flags, and the hand-written
-    control and stack rows, runs as a one-instruction generated function
-    and as its bound closure from the same boundary states (0, ±1, the
-    width and sign edges, NaN, ±0 and ±inf, all 64 flag combinations);
+    generator inlines, with and without its flags, the hand-written
+    control and stack rows, and the flag-free shifts by an immediate (32-
+    and 64-bit, counts 1, 5, width - 1 and past the width; a count that
+    masks to 0, ``cl`` and the narrow forms stay closures) run as
+    one-instruction generated functions and as their bound closures from
+    the same boundary states (0, ±1, the width and sign edges, NaN, ±0 and
+    ±inf, all 64 flag combinations);
 (b) **programs** — the 30 Fig. 9 cells, the 100 corpus functions of
     ``test_block_engine.py`` and its hand-made blocks run once with
     closures only and once with every block generated after its first
@@ -41,6 +44,7 @@ from repro.stencil.jacobi import JacobiSetup, StencilWorkspace
 from repro.testing import diffcorpus
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
+from repro.x86.decoder import decode_one
 from repro.x86.instr import Mem, Reg
 from repro.x86.registers import RAX, RBX, RCX, RDX, RSI
 from tests.cpu.test_block_engine import (
@@ -107,12 +111,35 @@ def _shape(op) -> tuple:
     return (op.size, op.index is None) if isinstance(op, Mem) else op.value
 
 
+def _decoded(src: str) -> list:
+    code, _ = assemble(parse_asm(src), base=0x400000)
+    out, off = [], 0
+    while off < len(code):
+        out.append(decode_one(code, off, 0x400000 + off))
+        off += out[-1].length
+    return out
+
+
+#: the flag-free shifts of a whole register by counts 1, 5, width - 1 and
+#: past the width (the conformance forms add 5, 0x78 and 0x88)
+SHIFTS = _decoded("\n".join(
+    f"{m} {r}, {n}" for m in ("shl", "shr", "sar")
+    for r, bits in (("ebx", 32), ("rbx", 64))
+    for n in (1, 5, bits - 1, bits + 1, bits + 7)))
+#: shifts that stay closures: a count that masks to 0, a count in ``cl``,
+#: and the 8- and 16-bit forms
+CLOSURE_SHIFTS = _decoded(
+    "shl ebx, 0\nshr rbx, 0\nsar ebx, 32\nshl rbx, 64\nshr rbx, 0xC0\n"
+    "shl ebx, cl\nsar rbx, cl\nshl bl, 3\nshr bx, 3\nsar bx, 1\n"
+    "shl bh, 2")
+
+
 def _inlined():
     """``(instruction, set_flags)`` of every shape the generator inlines,
-    the control and stack rows first: one form per operand shape (the
-    registers in it aside), and ``set_flags=False`` only where it inlines
-    other statements."""
-    rows = [row.ins for row, *_ in _hand_rows()]
+    the control, stack and shift rows first: one form per operand shape
+    (the registers in it aside), and ``set_flags=False`` only where it
+    inlines other statements."""
+    rows = [row.ins for row, *_ in _hand_rows()] + SHIFTS
     cases: dict[tuple, tuple] = {}
     for ins in (*rows, *forms()):
         loud = blockgen.statements(ins, True)
@@ -155,10 +182,19 @@ def test_every_inlined_shape_equals_its_closure(inlined):
     # the inlined set must not quietly shrink
     assert {"mov", "movsxd", "movzx", "lea", "add", "sub", "cmp", "test",
             "xor", "imul", "movsd", "addsd", "subsd", "mulsd", "pxor",
-            "push", "pop", "call", "ret", "jmp", "jl", "je"} <= mnemonics
+            "push", "pop", "call", "ret", "jmp", "jl", "je", "shl", "shr",
+            "sar"} <= mnemonics
+    assert set(SHIFTS) <= {ins for ins, flags in inlined if not flags}
     assert len(inlined) > 250, len(inlined)
     problems = _shape_problems(inlined)
     assert not problems, "\n".join(problems[:40])
+
+
+def test_a_shift_inlines_only_flag_free_by_a_count_not_masked_to_zero():
+    for ins in CLOSURE_SHIFTS:
+        assert blockgen.statements(ins, False) is None, ins
+    for ins in SHIFTS + CLOSURE_SHIFTS:
+        assert blockgen.statements(ins, True) is None, ins
 
 
 MUTANTS = {

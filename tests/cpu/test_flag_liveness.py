@@ -7,9 +7,10 @@ conformance harness enumerates, both bindings run from the same seeded
 states.  They must leave identical registers, memory, next ``rip`` and
 ``taken``/``unaligned16`` event counts, or fault alike.  On the forms with
 such a variant — the register, immediate and memory forms of
-add/sub/and/or/xor/cmp/test, inc/dec, and two- and three-operand imul — it
-leaves all six flags untouched; on every other form ``set_flags=False``
-binds the flag-setting variant.  And every flag the block engine counts as
+add/sub/and/or/xor/cmp/test, inc/dec, two- and three-operand imul, and the
+shifts and rotates by an immediate or ``cl`` — it leaves all six flags
+untouched; on every other form ``set_flags=False`` binds the
+flag-setting variant.  And every flag the block engine counts as
 dead above an instruction is one its binding always overwrites.
 """
 
@@ -28,7 +29,7 @@ from tests.x86.test_effects_conformance import (
 #: mnemonics with a variant that sets no flags (imul: not the one-operand
 #: widening form)
 QUIET = {"add", "sub", "and", "or", "xor", "cmp", "test", "inc", "dec",
-         "imul"}
+         "imul", "shl", "shr", "sar", "rol", "ror"}
 STATES = 3
 
 

@@ -37,10 +37,9 @@ from repro.errors import ReproError
 from repro.mem.memory import Memory
 from repro.x86 import parse_asm
 from repro.x86.asm import assemble
-from repro.x86.decoder import decode_one
 from repro.x86.effects import effects_of
 from repro.x86.registers import RAX, RBP, RBX, RCX, RDI, RDX, RSI, RSP
-from tests.cpu.test_block_codegen import EDGES
+from tests.cpu.test_block_codegen import EDGES, _decoded
 
 #: two regions on one page, one on another page, and the stack
 A, B, C, STACK = 0x10000, 0x10100, 0x30000, 0x20000
@@ -95,10 +94,11 @@ CASES = {
     "reload that sign-extends": (
         "mov [rdi], eax\nmovsxd rdx, dword ptr [rdi]\nmov [rdi + 4], cl\n"
         "movsx rcx, byte ptr [rdi + 4]\nmovzx ebx, byte ptr [rdi + 4]", 3, 1),
+    # an ``addsd`` reads its memory operand as a double from the buffer
     "float store then reload": (
         "movsd [rdi], xmm1\naddsd xmm2, [rdi]\nmovsd xmm3, [rdi]\n"
         "movss [rdi + 8], xmm2\nmovss xmm4, [rdi + 8]\nmulsd xmm4, [rdi + 8]",
-        3, 2),
+        2, 3),
     "write to a register of the address": (
         "mov [rdi + rsi*8], rax\nmov esi, 1\nmov rdx, [rdi + rsi*8]\n"
         "mov [rdi + 8], rcx\nmov rdi, [rdi + 8]\nmov rbx, [rdi + 8]", 1, 3),
@@ -110,12 +110,7 @@ CASES = {
 
 def _block(src: str):
     """``(run, set_flags, closures)`` of ``src`` decoded as one block."""
-    code, _ = assemble(parse_asm(src), base=0x400000)
-    run, off = [], 0
-    while off < len(code):
-        ins = decode_one(code, off, 0x400000 + off)
-        run.append(ins)
-        off += ins.length
+    run = _decoded(src)
     flags = simulator._writes_live([(ins, effects_of(ins)) for ins in run])
     return run, flags, tuple(bind(i, f) for i, f in zip(run, flags))
 
