@@ -75,6 +75,16 @@ def round_f32(v: float) -> float:
     return bits_to_f32(f32_to_bits(v))
 
 
+def nan_operand(a: float, b: float, r: float) -> float:
+    """What an SSE add, sub, mul or div of ``a`` (the first source) and
+    ``b`` returns when its result ``r`` is a NaN (SDM Vol. 1, Table 4-7):
+    ``a`` if it is a NaN, else ``b``, quieted; ``r`` where neither is.  A
+    float operator does not decide this: CPython's generic and specialised
+    ones return different NaN operands."""
+    nan = a if a != a else b if b != b else None
+    return r if nan is None else bits_to_f64(f64_to_bits(nan) | 1 << 51)
+
+
 def fdiv(x: float, y: float) -> float:
     """IEEE-754 division (``divsd``, LLVM ``fdiv``): a zero divisor gives
     NaN for a zero or NaN dividend and otherwise an infinity whose sign is

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.arith import to_signed
+from repro.arith import nan_operand, to_signed
 from repro.cpu.semantics import _F64, _PARITY, Op
 from repro.cpu.state import MASK64, MASK128
 from repro.mem.memory import _PAGE_SHIFT
@@ -57,10 +57,12 @@ from repro.x86.instr import Imm, Instruction, Mem, Reg
 
 #: what every generated function's globals start from (each gets a copy);
 #: ``U{w}``/``P{w}`` load and store ``w`` bytes at an offset of a region
-#: buffer, and ``NO`` is a region that holds no address
+#: buffer, ``NO`` is a region that holds no address, and ``NR`` picks the
+#: NaN of a scalar result that is one
 _NS: dict[str, object] = {
     "PAR": _PARITY, "FB": int.from_bytes, "UP": _F64.unpack,
     "PK": _F64.pack, "UD": _F64.unpack_from, "NO": (0, 0, None),
+    "NR": nan_operand,
     **{f"{k}{w}": getattr(struct.Struct(f), fn)
        for w, f in ((1, "<B"), (2, "<H"), (4, "<I"), (8, "<Q"))
        for k, fn in (("U", "unpack_from"), ("P", "pack_into"))}}
@@ -308,8 +310,9 @@ def _sse(ins: Instruction, flags: bool, held: _Held) -> list[str] | None:
         b = f"UD({at})[0]"
     else:
         lines, b = _double(held, s), f"d{s}"
+    op = _SCALAR[m]
     return lines + _double(held, d) + [
-        f"d{d} = d{d} {_SCALAR[m]} {b}",
+        f"d{d} = r if (r := d{d} {op} {b}) == r else NR(d{d}, {b}, r)",
         f'x[{d}] = (x[{d}] & {MASK128 ^ MASK64}) | FB(PK(d{d}), "little")']
 
 

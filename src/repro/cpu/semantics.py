@@ -39,7 +39,7 @@ from typing import Callable
 
 from repro.arith import (
     bits_to_f32, bits_to_f64, f32_to_bits, f64_to_bits, fdiv, float_to_sint,
-    fsqrt, to_signed, trunc_div,
+    fsqrt, nan_operand, to_signed, trunc_div,
 )
 from repro.errors import SimulatorError
 from repro.mem.memory import Memory
@@ -1054,16 +1054,18 @@ def _bind_pshufd(ins: Instruction) -> Op:
 # ---- SSE: floating point ----
 
 
-#: arithmetic core by mnemonic stem, ``fn(dst, src)``; sqrt is a function of
-#: the source only, and min/max return the source unless the destination is
-#: strictly below/above it (so on a NaN either side, and on +0 against -0)
+#: arithmetic core by mnemonic stem, ``fn(dst, src)``; a NaN result of add,
+#: sub, mul or div is the NaN operand's (:func:`repro.arith.nan_operand`);
+#: sqrt is a function of the source only, and min/max return the source
+#: unless the destination is strictly below/above it (so on a NaN either
+#: side, and on +0 against -0)
 _FP_OPS: dict[str, Callable[[float, float], float]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": lambda a, b: r if (r := a + b) == r else nan_operand(a, b, r),
+    "sub": lambda a, b: r if (r := a - b) == r else nan_operand(a, b, r),
+    "mul": lambda a, b: r if (r := a * b) == r else nan_operand(a, b, r),
     "min": lambda a, b: a if a < b else b,
     "max": lambda a, b: a if a > b else b,
-    "div": fdiv,
+    "div": lambda a, b: r if (r := fdiv(a, b)) == r else nan_operand(a, b, r),
     "sqrt": lambda a, b: fsqrt(b),
 }
 _KEEP_HIGH64 = MASK128 ^ MASK64

@@ -11,8 +11,8 @@ block terminators here — they lift to IR call instructions mid-block, which
 "leaves the decision on inlining to the LLVM optimizer".
 
 Every lift walks the function afresh, so budget fuel is charged the same
-way each time; only the per-instruction decode is memoized, keyed by the
-bytes it decodes.
+way each time; only the per-instruction decode is memoized, by the
+decoder's memo (:func:`repro.x86.decoder.decode_one`).
 """
 
 from __future__ import annotations
@@ -22,26 +22,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import DecodeError, LiftError
 from repro.mem.memory import Memory
-from repro.obs import metrics as _metrics
 from repro.x86.decoder import decode_one
 from repro.x86.effects import effects_of
 from repro.x86.instr import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.guard.budget import Budget
-
-#: decode memo shared by every discovery in this process, keyed by
-#: (pc, window bytes).  Instructions are immutable (repro.x86.instr), so
-#: sharing decoded objects across lifts is safe; the pc is part of the key
-#: because branch/call operands are decoded to absolute targets.  Repeated
-#: lifts of identical byte sequences — the guard re-lifting per rung or to
-#: blame a pass — skip the decoder entirely.  Content-keyed, so it can
-#: never serve stale decodes after a patch: patched bytes simply key a
-#: different entry.
-_DECODE_MEMO: dict[tuple[int, bytes], Instruction] = {}
-_DECODE_MEMO_MAX = 65_536
-_DECODE_HITS = _metrics.counter("lift.decode_memo.hits")
-_DECODE_MISSES = _metrics.counter("lift.decode_memo.misses")
 
 #: decode budget: a walk that reaches this many instructions is not a
 #: function this lifter handles
@@ -103,18 +89,10 @@ def discover(memory: Memory, entry: int, *,
                 if not window:
                     raise LiftError(f"code address {pc:#x} unmapped",
                                     stage="lift", addr=pc)
-                ins = _DECODE_MEMO.get((pc, window))
-                if ins is None:
-                    _DECODE_MISSES.value += 1
-                    try:
-                        ins = decode_one(window, 0, pc)
-                    except DecodeError as exc:
-                        raise exc.with_context(stage="lift", addr=pc)
-                    if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
-                        _DECODE_MEMO.clear()
-                    _DECODE_MEMO[(pc, window)] = ins
-                else:
-                    _DECODE_HITS.value += 1
+                try:
+                    ins = decode_one(window, 0, pc)
+                except DecodeError as exc:
+                    raise exc.with_context(stage="lift", addr=pc)
                 instr_cache[pc] = ins
             count += 1
             if count > MAX_INSTRUCTIONS:

@@ -89,6 +89,11 @@ class MetricsRegistry:
         prefix shares it (two guards on one registry add up in one)."""
         return self._get(prefix, cls, cls)
 
+    def hold(self, prefix: str, record: R) -> R:
+        """Hold ``record`` under ``prefix``: the stats record of a layer
+        that may not import this package (:mod:`repro.x86`)."""
+        return self._get(prefix, lambda: record, type(record))
+
     # -- authoritative snapshot / reset ----------------------------------
     def snapshot(self) -> dict:
         """One flat JSON-serialisable mapping of every metric."""

@@ -25,7 +25,9 @@ Stages and their patch points::
 
 Patch points live in the *consumer* module namespace where that matters
 (``from x import y`` binds at import time, so patching ``repro.x86.decoder``
-would not reach the lifter's already-bound reference).  The simulator's own
+would not reach the lifter's already-bound reference); a patched name
+bypasses the decoder's memo, so an injected fault is never remembered.
+The simulator's own
 ``decode_one`` is deliberately *not* patched: the simulator plays the role
 of the CPU, and the CPU does not fail — fault injection targets the
 rewriter, and the differential gate must keep working while it misbehaves.

@@ -1,10 +1,12 @@
 """x86-64 machine-code decoder (the offline substitute for capstone).
 
-``decode_one(code, offset, addr)`` decodes a single instruction;
+``decode_one(code, offset, addr)`` decodes a single instruction, once per
+``(addr, bytes)`` in the process (``_MEMO``);
 ``decode_block`` decodes a byte range into a list.  The decoder accepts a
 superset of what :mod:`repro.x86.encoder` emits (rel8 and rel32 branches,
 both ModRM directions, redundant REX prefixes) because DBrew and the lifter
-must consume compiler output, not just our own.
+must consume compiler output, not just our own.  It refuses an instruction
+longer than 15 bytes, as the CPU does.
 
 Branch operands are normalized to *absolute* target addresses, and
 RIP-relative memory displacements to absolute addresses, so downstream
@@ -20,11 +22,17 @@ discovered block).
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import DecodeError
 from repro.x86 import isa
 from repro.x86.instr import Imm, Instruction, Mem, Operand, Reg
+
+#: the SDM's limit on an instruction's length; the CPU raises #GP on a
+#: longer one, and so does this decoder
+MAX_LENGTH = 15
 
 _SEG_BY_PREFIX = {0x64: "fs", 0x65: "gs"}
 
@@ -47,28 +55,31 @@ class _Cursor:
         self.pos = offset
         self.start = offset
         self.addr = addr
+        #: an instruction reads no byte from here on
+        self.end = min(len(code), offset + MAX_LENGTH)
+
+    def _past_end(self, what: str) -> DecodeError:
+        message = (f"instruction at {self.addr:#x} is longer than "
+                   f"{MAX_LENGTH} bytes" if self.end < len(self.code)
+                   else f"truncated {what} at {self.addr:#x}")
+        return DecodeError(message, stage="decode", addr=self.addr,
+                           data=bytes(self.code[self.start:self.pos]))
 
     def u8(self) -> int:
-        if self.pos >= len(self.code):
-            raise DecodeError(f"truncated instruction at {self.addr:#x}",
-                              stage="decode", addr=self.addr,
-                              data=bytes(self.code[self.start:self.pos]))
+        if self.pos >= self.end:
+            raise self._past_end("instruction")
         b = self.code[self.pos]
         self.pos += 1
         return b
 
     def peek(self) -> int:
-        if self.pos >= len(self.code):
-            raise DecodeError(f"truncated instruction at {self.addr:#x}",
-                              stage="decode", addr=self.addr,
-                              data=bytes(self.code[self.start:self.pos]))
+        if self.pos >= self.end:
+            raise self._past_end("instruction")
         return self.code[self.pos]
 
     def imm(self, size: int, signed: bool = True) -> int:
-        if self.pos + size > len(self.code):
-            raise DecodeError(f"truncated immediate at {self.addr:#x}",
-                              stage="decode", addr=self.addr,
-                              data=bytes(self.code[self.start:self.pos]))
+        if self.pos + size > self.end:
+            raise self._past_end("immediate")
         raw = self.code[self.pos : self.pos + size]
         self.pos += size
         return int.from_bytes(raw, "little", signed=signed)
@@ -192,8 +203,42 @@ def _finish_riprel(mem: Operand, end_addr: int) -> Operand:
     return mem
 
 
+@dataclass
+class MemoStats:
+    """The memo's counters, held by :mod:`repro.obs` as ``x86.decode_memo``."""
+
+    hits: int = 0
+    misses: int = 0
+
+
+#: the process's one decode memo, for every reader of machine code: a
+#: decode reads only ``addr`` (operands come out absolute) and at most
+#: MAX_LENGTH bytes, so a patched byte keys a new entry.  An instruction is
+#: immutable and keeps its ``effects_of`` record; inserts evict first-in
+#: first-out under the lock (DESIGN §14)
+_MEMO: dict[tuple[int, bytes], Instruction] = {}
+_MEMO_MAX = 2048
+_MEMO_LOCK = threading.Lock()
+MEMO_STATS = MemoStats()
+
+
 def decode_one(code: bytes, offset: int = 0, addr: int = 0) -> Instruction:
-    """Decode the instruction at ``code[offset:]``, located at ``addr``."""
+    """Decode the instruction at ``code[offset:]``, located at ``addr``; a
+    decode error is raised every time and never remembered."""
+    key = (addr, bytes(code[offset:offset + MAX_LENGTH]))
+    ins = _MEMO.get(key)
+    if ins is not None:
+        MEMO_STATS.hits += 1
+        return ins
+    MEMO_STATS.misses += 1
+    ins = _decode(code, offset, addr)
+    with _MEMO_LOCK:
+        if key not in _MEMO and len(_MEMO) >= _MEMO_MAX:
+            del _MEMO[next(iter(_MEMO))]
+        return _MEMO.setdefault(key, ins)
+
+
+def _decode(code: bytes, offset: int, addr: int) -> Instruction:
     cur = _Cursor(code, offset, addr)
     ctx = _Ctx()
 

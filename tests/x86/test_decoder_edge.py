@@ -1,8 +1,15 @@
 """Decoder edge cases: forms our encoder never emits, and rejection paths."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.analysis.machine.mcfg import build_mcfg
+from repro.cpu.image import Image
+from repro.cpu.simulator import Simulator
+from repro.dbrew import Rewriter
 from repro.errors import DecodeError
+from repro.lift.blocks import discover
 from repro.x86.asmparser import parse_line
 from repro.x86.decoder import decode_one
 from repro.x86.effects import effects_of
@@ -88,6 +95,49 @@ def test_decode_truncated_raises():
 def test_decode_unknown_opcode_raises():
     with pytest.raises(DecodeError):
         d("0fff")
+
+
+#: ``mov rax, rdi; <66 x 14> add rax, rsi; ret``: a 17-byte ``add``, and
+#: a 16-byte ``nop``; the CPU raises #GP on both
+OVERLONG = {
+    "add": bytes.fromhex("4889f8" + "66" * 14 + "4801f0c3"),
+    "nop": bytes.fromhex("66" * 15 + "90c3"),
+}
+
+
+@pytest.mark.parametrize("name", OVERLONG)
+def test_every_reader_refuses_an_instruction_longer_than_15_bytes(name):
+    code = OVERLONG[name]
+    img = Image()
+    entry = img.add_function("f", code)
+    long_at = entry + (3 if name == "add" else 0)
+
+    def refused(exc: DecodeError) -> None:
+        assert "longer than 15 bytes" in str(exc)
+        assert exc.context["stage"] == "decode"
+        assert exc.context["addr"] == long_at
+
+    with pytest.raises(DecodeError) as sim:
+        Simulator(img).call_int("f", (2, 3))
+    refused(sim.value)
+    with pytest.raises(DecodeError) as lift:
+        discover(img.memory, entry)
+    refused(lift.value)
+    rw = Rewriter(img, "f").set_signature(("i", "i"))
+    assert rw.rewrite(name="f_rw") == entry  # DBrew's default: the original
+    refused(rw.last_error.__cause__)
+    witness = SimpleNamespace(name="f", code=code, base=entry, entry=entry,
+                              end=entry + len(code), block_addrs={})
+    (finding,) = [f.message for f in build_mcfg(witness).findings
+                  if f.checker == "machine.cfg.decode-error"]
+    assert finding.startswith(f"undecodable bytes at {long_at:#x}: ")
+    assert "longer than 15 bytes" in finding
+
+
+def test_15_bytes_decode_and_a_cut_window_is_truncated():
+    assert d("66" * 14 + "90").length == 15
+    with pytest.raises(DecodeError, match="truncated"):
+        d("66" * 15)
 
 
 def test_decode_movq_all_three_encodings():
